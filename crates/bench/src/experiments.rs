@@ -1269,23 +1269,21 @@ fn write_follower_reads_json(rows: &[FrRow], max_staleness: u64) -> std::io::Res
     Ok(path.to_owned())
 }
 
-/// E14 — reactor transport: live-TCP A/B of the thread-per-connection
-/// substrate against the nonblocking epoll reactor, on a real 3-node
-/// loopback cluster (not the simulator). Two phases:
+/// E14 — reactor transport: the nonblocking epoll reactor on a real
+/// 3-node loopback cluster (not the simulator). Two phases:
 ///
-/// * **closed-loop**: real `SyncClient` connections on both transports at
-///   matched counts, then the headline run — 10,000+ virtual clients
-///   multiplexed over three sockets ([`MuxSwarm`]), a client population
-///   the threaded transport cannot host on one box (two threads per
-///   connection);
-/// * **open-loop**: a fixed offered-rate sweep past saturation on both
-///   transports. The reactor's admission gate sheds the excess with
-///   `Busy` (throughput plateaus, tail latency stays bounded); the
-///   threaded path queues without bound and its tail grows with the
-///   backlog.
+/// * **closed-loop**: real `SyncClient` connections, then the headline
+///   run — 10,000+ virtual clients multiplexed over three sockets
+///   ([`MuxSwarm`]);
+/// * **open-loop**: a fixed offered-rate sweep past saturation. The
+///   reactor's admission gate sheds the excess with `Busy` (throughput
+///   plateaus, tail latency stays bounded).
 ///
-/// Emits `BENCH_reactor.json`. Linux only (epoll); elsewhere the table
-/// carries a note and no rows.
+/// The thread-per-connection transport this was A/B'd against is gone;
+/// its rows are frozen in EXPERIMENTS.md E14 and the committed
+/// `BENCH_reactor.json`, which a rerun overwrites with reactor rows
+/// only. Linux only (epoll); elsewhere the table carries a note and no
+/// rows.
 ///
 /// [`MuxSwarm`]: gridpaxos_transport::MuxSwarm
 #[must_use]
@@ -1300,7 +1298,7 @@ pub fn reactor(seed: u64) -> TableOut {
 pub fn reactor(_seed: u64) -> TableOut {
     let mut t = TableOut::new(
         "reactor",
-        "Reactor vs thread-per-connection transport (live TCP)",
+        "Reactor transport (live TCP)",
         &[
             "case",
             "clients",
@@ -1322,7 +1320,7 @@ mod reactor_live {
     use gridpaxos_core::request::RequestKind;
     use gridpaxos_core::service::NoopApp;
     use gridpaxos_core::types::ProcessId;
-    use gridpaxos_transport::{MuxSwarm, ReactorCluster, SyncClient, TcpCluster, TcpNode};
+    use gridpaxos_transport::{MuxSwarm, ReactorCluster, SyncClient, TcpNode};
     use std::collections::HashMap;
     use std::net::SocketAddr;
     use std::time::{Duration, Instant};
@@ -1330,19 +1328,15 @@ mod reactor_live {
     /// Workload sizes; the CI smoke test shrinks these, the full run
     /// (and `BENCH_reactor.json`) uses `full()`.
     pub(crate) struct Scale {
-        /// Real-`SyncClient` counts to run on the threaded transport.
-        pub thread_clients: Vec<usize>,
-        /// Real-`SyncClient` count on the reactor (parity check).
+        /// Real-`SyncClient` count (one thread and three sockets each).
         pub parity_clients: usize,
         /// Virtual clients multiplexed over three sockets (headline).
         pub mux_clients: usize,
         /// Closed-loop ops per client.
         pub ops_each: u64,
-        /// Open-loop offered rates (req/s) to sweep on both transports.
+        /// Open-loop offered rates (req/s) to sweep.
         pub open_rates: Vec<u64>,
-        /// Concurrent single-vclient swarms injecting the open-loop rate
-        /// (each has its own client id, so replies route on both
-        /// transports).
+        /// Concurrent single-vclient swarms injecting the open-loop rate.
         pub open_swarms: usize,
         /// Injection window per open-loop rate.
         pub open_dur: Duration,
@@ -1351,7 +1345,6 @@ mod reactor_live {
     impl Scale {
         pub(crate) fn full() -> Scale {
             Scale {
-                thread_clients: vec![128, 512],
                 parity_clients: 512,
                 mux_clients: 10_000,
                 ops_each: 10,
@@ -1364,7 +1357,6 @@ mod reactor_live {
         #[cfg(test)]
         pub(crate) fn smoke() -> Scale {
             Scale {
-                thread_clients: vec![32],
                 parity_clients: 32,
                 mux_clients: 300,
                 ops_each: 10,
@@ -1418,7 +1410,6 @@ mod reactor_live {
     /// Closed loop with `clients` real connections: each thread owns one
     /// `SyncClient` and keeps exactly one request outstanding.
     fn closed_real(
-        transport: &'static str,
         mk: &(dyn Fn() -> SyncClient<TcpNode> + Sync),
         clients: usize,
         ops_each: u64,
@@ -1453,7 +1444,7 @@ mod reactor_live {
         let mut samples: Vec<u64> = per_thread.into_iter().flat_map(|(_, s)| s).collect();
         samples.sort_unstable();
         ClosedRow {
-            transport,
+            transport: "reactor",
             clients,
             conns: clients * 3,
             completed,
@@ -1465,7 +1456,7 @@ mod reactor_live {
     }
 
     /// Closed loop with `mux_clients` virtual clients over one socket per
-    /// replica — the population the threaded transport cannot host.
+    /// replica.
     fn closed_mux(
         addrs: &HashMap<ProcessId, SocketAddr>,
         mux_clients: usize,
@@ -1488,10 +1479,8 @@ mod reactor_live {
     }
 
     /// Open loop at `offered` req/s aggregate: `swarms` single-vclient
-    /// swarms (distinct client ids, so replies route on both transports)
-    /// inject fixed-interval, then drain for a grace period.
+    /// swarms inject fixed-interval, then drain for a grace period.
     fn open_point(
-        transport: &'static str,
         addrs: &HashMap<ProcessId, SocketAddr>,
         swarms: usize,
         offered: u64,
@@ -1522,7 +1511,7 @@ mod reactor_live {
         let busy: u64 = reports.iter().map(|r| r.busy).sum();
         let p99 = reports.iter().map(|r| r.rtt_p99_us).fold(0.0, f64::max) / 1e3;
         OpenRow {
-            transport,
+            transport: "reactor",
             offered,
             sent,
             completed,
@@ -1535,7 +1524,7 @@ mod reactor_live {
     pub(crate) fn reactor_with(seed: u64, scale: &Scale, emit_json: bool) -> TableOut {
         let mut t = TableOut::new(
             "reactor",
-            "Reactor vs thread-per-connection transport (live 3-node TCP cluster, req/s)",
+            "Reactor transport (live 3-node TCP cluster, req/s)",
             &[
                 "case",
                 "clients",
@@ -1552,61 +1541,31 @@ mod reactor_live {
         let mut closed: Vec<ClosedRow> = Vec::new();
         let mut open: Vec<OpenRow> = Vec::new();
 
-        // ---- threaded transport ----
-        {
-            let cluster = TcpCluster::launch(Config::cluster(3), app).expect("threads cluster");
-            for &c in &scale.thread_clients {
-                closed.push(closed_real(
-                    "threads",
-                    &|| cluster.client(),
-                    c,
-                    scale.ops_each,
-                ));
-            }
-            for &rate in &scale.open_rates {
-                open.push(open_point(
-                    "threads",
-                    &cluster.addrs,
-                    scale.open_swarms,
-                    rate,
-                    scale.open_dur,
-                    client_base(seed),
-                ));
-            }
-            cluster.shutdown();
-        }
-
-        // ---- reactor transport ----
-        let shed_total;
-        {
-            let cluster = ReactorCluster::launch(Config::cluster(3), app).expect("reactor cluster");
-            closed.push(closed_real(
-                "reactor",
-                &|| cluster.client(),
-                scale.parity_clients,
-                scale.ops_each,
-            ));
-            closed.push(closed_mux(
+        let cluster = ReactorCluster::launch(Config::cluster(3), app).expect("reactor cluster");
+        closed.push(closed_real(
+            &|| cluster.client(),
+            scale.parity_clients,
+            scale.ops_each,
+        ));
+        closed.push(closed_mux(
+            &cluster.addrs,
+            scale.mux_clients,
+            scale.ops_each,
+            client_base(seed),
+        ));
+        for &rate in &scale.open_rates {
+            open.push(open_point(
                 &cluster.addrs,
-                scale.mux_clients,
-                scale.ops_each,
+                scale.open_swarms,
+                rate,
+                scale.open_dur,
                 client_base(seed),
             ));
-            for &rate in &scale.open_rates {
-                open.push(open_point(
-                    "reactor",
-                    &cluster.addrs,
-                    scale.open_swarms,
-                    rate,
-                    scale.open_dur,
-                    client_base(seed),
-                ));
-            }
-            shed_total = (0..3)
-                .map(|i| cluster.metrics(i).stats().busy_shed)
-                .sum::<u64>();
-            cluster.shutdown();
         }
+        let shed_total = (0..3)
+            .map(|i| cluster.metrics(i).stats().busy_shed)
+            .sum::<u64>();
+        cluster.shutdown();
 
         for r in &closed {
             t.row(vec![
@@ -1645,8 +1604,7 @@ mod reactor_live {
         }
         t.note(
             "closed loop: reactor hosts 10k+ multiplexed clients on one thread per node; \
-             open loop: the admission gate sheds past saturation (plateau + bounded p99) \
-             where thread-per-connection queues without bound",
+             open loop: the admission gate sheds past saturation (plateau + bounded p99)",
         );
         t
     }
@@ -2556,17 +2514,15 @@ mod tests {
         );
     }
 
-    /// CI smoke for the live-TCP reactor A/B (the full run generates
-    /// BENCH_reactor.json with 10k mux clients): a few hundred virtual
-    /// clients multiplexed over three sockets must all complete against
-    /// the reactor, and the same closed-loop workload must complete on
-    /// both transports with real connections.
+    /// CI smoke for the live-TCP reactor experiment (the full run
+    /// generates BENCH_reactor.json with 10k mux clients): a few hundred
+    /// virtual clients multiplexed over three sockets must all complete,
+    /// and so must the same closed-loop workload over real connections.
     #[test]
     #[cfg(target_os = "linux")]
-    fn reactor_smoke_serves_mux_swarm_on_both_transports() {
+    fn reactor_smoke_serves_mux_swarm() {
         let scale = reactor_live::Scale::smoke();
         let expect_mux = scale.mux_clients as u64 * scale.ops_each;
-        let expect_real = scale.thread_clients[0] as u64 * scale.ops_each;
         let t = reactor_live::reactor_with(5, &scale, false);
         let cell = |row: &str, col: &str| -> u64 {
             t.cell(row, col)
@@ -2576,8 +2532,7 @@ mod tests {
         };
         // Headline: every multiplexed op completed over 3 sockets.
         assert_eq!(cell("closed/reactor+mux", "completed"), expect_mux);
-        // Matched real-connection workloads complete on both transports.
-        assert_eq!(cell("closed/threads", "completed"), expect_real);
+        // The real-connection workload completes too.
         assert_eq!(
             cell("closed/reactor", "completed"),
             scale.parity_clients as u64 * scale.ops_each

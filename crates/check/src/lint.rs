@@ -637,8 +637,7 @@ pub struct Scope {
 /// `crates/transport/src` (it keys on the drive loop's
 /// `flush_and_transmit`); the no-blocking-call rule covers the
 /// reactor-path modules `reactor.rs`, `sys.rs` and `backpressure.rs`
-/// under `crates/transport/src` (the thread-per-connection `tcp`/`node`/
-/// `mux` modules block by design and are excluded).
+/// under `crates/transport/src`.
 pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut files: Vec<(PathBuf, Scope)> = Vec::new();

@@ -12,7 +12,10 @@ use crate::types::{Addr, Dur};
 /// Timers a protocol core may request. At most one timer per kind is
 /// pending at a time: setting a kind replaces any pending timer of the
 /// same kind; firing removes it (handlers re-arm as needed).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+///
+/// The derived order (declaration order) breaks ties between timers due
+/// at the same instant in the drive loops' timer heap.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum TimerKind {
     /// Leader: emit the next heartbeat.
     Heartbeat,

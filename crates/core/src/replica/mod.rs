@@ -25,7 +25,7 @@ use crate::log::ReplicaLog;
 use crate::msg::Msg;
 use crate::request::{Reply, ReplyBody};
 use crate::service::{App, ExecCtx};
-use crate::storage::Storage;
+use crate::storage::{DurableState, Storage};
 use crate::types::{Addr, ClientId, Dur, Instance, ProcessId, Seq, Time, TxnId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -277,10 +277,43 @@ impl Replica {
         }
     }
 
+    /// Open a replica over `storage`, whatever it holds: fresh storage
+    /// gives [`Replica::new`], storage with prior state is recovered as by
+    /// [`Replica::recover`]. Loads the durable state once.
+    #[must_use]
+    pub fn open(
+        id: ProcessId,
+        cfg: Config,
+        app: Box<dyn App>,
+        storage: Box<dyn Storage>,
+        seed: u64,
+        now: Time,
+    ) -> Replica {
+        let durable = storage.load();
+        if durable.is_empty() {
+            Replica::new(id, cfg, app, storage, seed, now)
+        } else {
+            Replica::recover_from(durable, id, cfg, app, storage, seed, now)
+        }
+    }
+
     /// Recover a replica after a crash: reload durable state, restore the
     /// service from the last checkpoint and re-apply logged chosen decrees.
     #[must_use]
     pub fn recover(
+        id: ProcessId,
+        cfg: Config,
+        app: Box<dyn App>,
+        storage: Box<dyn Storage>,
+        seed: u64,
+        now: Time,
+    ) -> Replica {
+        let durable = storage.load();
+        Replica::recover_from(durable, id, cfg, app, storage, seed, now)
+    }
+
+    fn recover_from(
+        durable: DurableState,
         id: ProcessId,
         cfg: Config,
         mut app: Box<dyn App>,
@@ -288,7 +321,6 @@ impl Replica {
         seed: u64,
         now: Time,
     ) -> Replica {
-        let durable = storage.load();
         let mut dedup: HashMap<ClientId, (Seq, ReplyBody)> = HashMap::new();
         let mut replay_from = Instance::ZERO;
         if let Some(ckpt) = &durable.checkpoint {

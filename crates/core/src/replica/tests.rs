@@ -471,6 +471,69 @@ fn crashed_replica_recovers_from_storage() {
     s.assert_replica_states_converged();
 }
 
+fn open_r1(storage: MemStorage) -> Replica {
+    Replica::open(
+        ProcessId(1),
+        cluster_cfg(3),
+        Box::new(NoopApp::new()),
+        Box::new(storage),
+        5,
+        Time::ZERO,
+    )
+}
+
+/// Recovering from nothing and starting fresh differ only in how they
+/// seed the rng, so the stream shows which constructor `open` picked.
+#[test]
+fn open_on_empty_storage_equals_new() {
+    let mut opened = open_r1(MemStorage::new());
+    let mut fresh = Replica::new(
+        ProcessId(1),
+        cluster_cfg(3),
+        Box::new(NoopApp::new()),
+        Box::new(MemStorage::new()),
+        5,
+        Time::ZERO,
+    );
+    assert_eq!(opened.rng.next_u64(), fresh.rng.next_u64());
+    assert_eq!(opened.promised(), Ballot::ZERO);
+    assert_eq!(opened.chosen_prefix(), Instance::ZERO);
+}
+
+/// Each kind of prior state alone sends `open` down the recovery path:
+/// the recovered field is one `Replica::new` would have left empty.
+#[test]
+fn open_recovers_on_each_kind_of_prior_state() {
+    let b = Ballot::new(4, ProcessId(0));
+
+    let mut promised = MemStorage::new();
+    promised.save_promised(b);
+    assert_eq!(open_r1(promised).promised(), b);
+
+    let mut accepted = MemStorage::new();
+    accepted.save_accepted(Instance(1), b, &Decree::noop());
+    assert!(open_r1(accepted).log.get(Instance(1)).is_some());
+
+    let mut checkpointed = MemStorage::new();
+    checkpointed.save_checkpoint(&SnapshotBlob {
+        upto: Instance(2),
+        app: NoopApp::new().snapshot(),
+        dedup: vec![],
+    });
+    assert_eq!(open_r1(checkpointed).last_checkpoint, Instance(2));
+}
+
+/// A chosen prefix with nothing under it is prior state too — corrupt
+/// prior state, which recovery halts on; starting fresh over it (what a
+/// test omitting `chosen_prefix` would do) would silently fork the replica.
+#[test]
+#[should_panic(expected = "durable log is missing instance")]
+fn open_recovers_on_a_bare_chosen_prefix() {
+    let mut chosen = MemStorage::new();
+    chosen.save_chosen_prefix(Instance(1));
+    let _ = open_r1(chosen);
+}
+
 #[test]
 fn checkpointing_truncates_the_log() {
     let cfg = cluster_cfg(3).with_checkpoint_every(4);

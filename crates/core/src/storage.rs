@@ -59,6 +59,19 @@ pub struct DurableState {
     pub checkpoint: Option<SnapshotBlob>,
 }
 
+impl DurableState {
+    /// Whether the storage this was loaded from has never recorded
+    /// anything — the one "fresh or recover?" test (see
+    /// [`crate::replica::Replica::open`]).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.promised.is_zero()
+            && self.accepted.is_empty()
+            && self.checkpoint.is_none()
+            && self.chosen_prefix == Instance::ZERO
+    }
+}
+
 /// Write-ahead stable storage for one replica.
 ///
 /// Durability is *batch-granular*: `save_*` records a write-ahead entry
@@ -371,6 +384,28 @@ mod tests {
         });
         assert!(s.checkpoint_chunks().is_none());
         assert_eq!(s.load().checkpoint.unwrap().upto, Instance(5));
+    }
+
+    #[test]
+    fn durable_state_is_empty_until_any_one_field_is_written() {
+        assert!(MemStorage::new().load().is_empty());
+        let writes: [fn(&mut MemStorage); 4] = [
+            |s| s.save_promised(ballot(1)),
+            |s| s.save_accepted(Instance(1), ballot(1), &Decree::noop()),
+            |s| s.save_chosen_prefix(Instance(1)),
+            |s| {
+                s.save_checkpoint(&SnapshotBlob {
+                    upto: Instance(1),
+                    app: bytes::Bytes::new(),
+                    dedup: vec![],
+                });
+            },
+        ];
+        for (i, write) in writes.iter().enumerate() {
+            let mut s = MemStorage::new();
+            write(&mut s);
+            assert!(!s.load().is_empty(), "write {i} alone is prior state");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! File-backed stable storage: a write-ahead log plus atomically
-//! replaced checkpoint files. This is what makes the TCP deployment
+//! replaced checkpoint files. This is what makes a deployment
 //! actually crash-recoverable — the paper's model explicitly allows
 //! processes to recover (§3.1), which requires promises and accepted
 //! proposals to survive on disk.
@@ -22,9 +22,9 @@
 //!   the classic persist-before-send discipline (one fsync per record).
 //! * [`SyncMode::Batched`] — group commit: appends only write; the
 //!   [`Storage::flush`] barrier issues one `sync_data` covering every
-//!   record appended since the previous barrier. The drive loop in
-//!   [`crate::node`] calls `flush()` after draining a batch of events
-//!   and *before* transmitting any resulting message, so
+//!   record appended since the previous barrier. The drive loops
+//!   (`reactor`, [`crate::node`]) call `flush()` after draining a batch
+//!   of events and *before* transmitting any resulting message, so
 //!   persist-before-send still holds — at batch granularity.
 //! * [`SyncMode::Never`] — no fsync at all (tests only).
 //!
@@ -382,19 +382,6 @@ impl FileStorage {
     /// existing WAL. Per-record fsync (the conservative default).
     pub fn open(dir: impl AsRef<Path>) -> io::Result<FileStorage> {
         Self::open_with_mode(dir, SyncMode::PerRecord)
-    }
-
-    /// Like [`FileStorage::open`], with explicit legacy fsync behavior:
-    /// `true` is per-record sync, `false` never syncs.
-    pub fn open_with_sync(dir: impl AsRef<Path>, sync: bool) -> io::Result<FileStorage> {
-        Self::open_with_mode(
-            dir,
-            if sync {
-                SyncMode::PerRecord
-            } else {
-                SyncMode::Never
-            },
-        )
     }
 
     /// Open (or create) single-group storage in `dir` with an explicit
@@ -852,14 +839,14 @@ mod tests {
     fn survives_reopen() {
         let dir = tmpdir("reopen");
         {
-            let mut s = FileStorage::open_with_sync(&dir, false).unwrap();
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
             s.save_promised(ballot(3));
             for i in 1..=5u64 {
                 s.save_accepted(Instance(i), ballot(3), &decree(i));
             }
             s.save_chosen_prefix(Instance(4));
         } // "crash"
-        let s = FileStorage::open_with_sync(&dir, false).unwrap();
+        let s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
         let d = s.load();
         assert_eq!(d.promised, ballot(3));
         assert_eq!(d.accepted.len(), 5);
@@ -872,7 +859,7 @@ mod tests {
     fn checkpoint_and_truncate_compact_the_wal() {
         let dir = tmpdir("compact");
         {
-            let mut s = FileStorage::open_with_sync(&dir, false).unwrap();
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
             for i in 1..=20u64 {
                 s.save_accepted(Instance(i), ballot(1), &decree(i));
             }
@@ -887,7 +874,7 @@ mod tests {
             let after = fs::metadata(dir.join("wal.log")).unwrap().len();
             assert!(after < before, "compaction must shrink the WAL");
         }
-        let s = FileStorage::open_with_sync(&dir, false).unwrap();
+        let s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
         let d = s.load();
         assert_eq!(d.accepted.len(), 2, "only instances 19, 20 retained");
         assert_eq!(d.checkpoint.as_ref().unwrap().upto, Instance(18));
@@ -899,7 +886,7 @@ mod tests {
     fn chunked_checkpoint_survives_reopen_and_supersedes_monolithic() {
         let dir = tmpdir("chunked");
         {
-            let mut s = FileStorage::open_with_sync(&dir, false).unwrap();
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
             for i in 1..=8u64 {
                 s.save_accepted(Instance(i), ballot(1), &decree(i));
             }
@@ -927,7 +914,7 @@ mod tests {
             assert_eq!(ck.chunks.len(), 3, "chunks retained for catch-up");
             s.truncate_upto(Instance(6));
         } // crash
-        let s = FileStorage::open_with_sync(&dir, false).unwrap();
+        let s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
         let d = s.load();
         assert_eq!(d.checkpoint.as_ref().unwrap().upto, Instance(6));
         assert_eq!(&d.checkpoint.unwrap().app[..], b"aabbbc");
@@ -950,7 +937,7 @@ mod tests {
     fn monolithic_save_supersedes_chunked_on_disk() {
         let dir = tmpdir("chunked-supersede");
         {
-            let mut s = FileStorage::open_with_sync(&dir, false).unwrap();
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
             s.checkpoint_begin(Instance(3), &[], 1);
             s.checkpoint_chunk(0, Bytes::from_static(b"chunked"));
             s.checkpoint_commit();
@@ -962,7 +949,7 @@ mod tests {
             assert!(s.checkpoint_chunks().is_none());
             assert!(!dir.join("checkpoint.chunks").exists());
         }
-        let s = FileStorage::open_with_sync(&dir, false).unwrap();
+        let s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
         let d = s.load();
         assert_eq!(d.checkpoint.as_ref().unwrap().upto, Instance(5));
         assert_eq!(&d.checkpoint.unwrap().app[..], b"mono");
@@ -973,7 +960,7 @@ mod tests {
     fn torn_wal_tail_is_ignored() {
         let dir = tmpdir("torn");
         {
-            let mut s = FileStorage::open_with_sync(&dir, false).unwrap();
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
             s.save_promised(ballot(2));
             s.save_accepted(Instance(1), ballot(2), &decree(1));
         }
@@ -982,7 +969,7 @@ mod tests {
         let raw = fs::read(&path).unwrap();
         fs::write(&path, &raw[..raw.len() - 3]).unwrap();
 
-        let s = FileStorage::open_with_sync(&dir, false).unwrap();
+        let s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
         let d = s.load();
         assert_eq!(d.promised, ballot(2), "intact records replayed");
         assert!(
@@ -1002,7 +989,7 @@ mod tests {
         let dir = tmpdir("replica");
         // A singleton replica commits a few writes to disk...
         {
-            let storage = FileStorage::open_with_sync(&dir, false).unwrap();
+            let storage = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
             let mut r = Replica::new(
                 ProcessId(0),
                 Config::cluster(1),
@@ -1028,7 +1015,7 @@ mod tests {
         } // crash
 
         // ...and a recovered incarnation replays them from disk.
-        let storage = FileStorage::open_with_sync(&dir, false).unwrap();
+        let storage = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
         let r = Replica::recover(
             ProcessId(0),
             Config::cluster(1),

@@ -3,21 +3,19 @@
 //! Real deployment substrates for the sans-io `gridpaxos` protocol core:
 //!
 //! * a hand-rolled binary [`wire`] codec and length-prefixed [`framing`],
-//! * an in-process crossbeam-channel transport ([`inproc`]),
-//! * a TCP transport with hello-frame peer identification ([`tcp`]) — the
-//!   substrate the paper's prototype used,
 //! * file-backed stable storage with a write-ahead log and atomic
 //!   checkpoints ([`fstorage`]), making deployments crash-recoverable,
-//! * event loops mapping wall-clock time onto the core's logical clock
-//!   ([`node`]): threaded [`node::ReplicaNode`]s and a blocking
-//!   [`node::SyncClient`],
-//! * multi-group (sharded) nodes hosting one replica state machine per
-//!   consensus group behind a single endpoint, with per-group execution
-//!   threads ([`shard`]),
-//! * a single-threaded nonblocking `epoll` reactor ([`reactor`], Linux
-//!   only) multiplexing thousands of client connections over one thread
-//!   per node, with explicit backpressure ([`backpressure`]) and a
-//!   many-virtual-clients-per-socket load driver ([`mux`]).
+//! * the socket server: a single-threaded nonblocking `epoll` reactor
+//!   ([`reactor`], Linux only) hosting every consensus group of a node and
+//!   multiplexing thousands of client connections over one thread, with
+//!   explicit backpressure ([`backpressure`]) and a
+//!   many-virtual-clients-per-socket load driver ([`mux`]),
+//! * a dial-only TCP client endpoint ([`tcp`]),
+//! * the portable event loop over any [`node::Transport`] ([`node`]): a
+//!   threaded [`node::ReplicaNode`] and a blocking [`node::SyncClient`],
+//!   mapping wall-clock time onto the core's logical clock,
+//! * an in-process crossbeam-channel transport ([`inproc`]) for examples,
+//!   tests and platforms without the reactor.
 //!
 //! The protocol code running here is byte-for-byte the same as under the
 //! `gridpaxos-simnet` simulator — that is the point of the sans-io design.
@@ -34,10 +32,10 @@ pub mod mux;
 pub mod node;
 #[cfg(target_os = "linux")]
 pub mod reactor;
-pub mod shard;
 #[cfg(target_os = "linux")]
 pub mod sys;
 pub mod tcp;
+mod timers;
 pub mod wire;
 
 pub use backpressure::{AdmissionGate, FlushOutcome, SendQueue};
@@ -51,6 +49,5 @@ pub use node::{spawn_replica, RecvResult, ReplicaNode, SyncClient, Transport};
 pub use reactor::{
     spawn_reactor_node, ReactorCluster, ReactorConfig, ReactorHandle, ReactorMetrics, ReactorStats,
 };
-pub use shard::{spawn_sharded_node, GroupPort, ShardedNode, ShardedTcpCluster};
-pub use tcp::{TcpCluster, TcpNode};
+pub use tcp::TcpNode;
 pub use wire::{decode_msg, encode_msg, encode_to_bytes, encode_with_scratch, WireError};

@@ -6,8 +6,7 @@
 //! connection a *channel*, not an identity: one socket per replica can
 //! carry any number of independent closed-loop clients, which is how the
 //! 10k-client experiment drives a 3-node cluster from one process
-//! without 10k sockets or 20k threads (the thread-per-connection
-//! transport would need both).
+//! without 10k sockets or 20k threads.
 //!
 //! `MuxSwarm` opens one connection per replica and runs `V` virtual
 //! clients over them:
@@ -20,22 +19,18 @@
 //!   a server past saturation and reveals whether it degrades gracefully
 //!   (bounded latency + `Busy` sheds) or falls over.
 //!
-//! This is a *driver*, deliberately on the blocking-I/O side: a reader
-//! thread per connection, a writer thread per connection, and the
-//! driving thread double as the retry ticker. The swarm is wire-
-//! compatible with both transports, but only the reactor accepts many
-//! client ids per connection.
+//! This is a *driver*, deliberately on the blocking-I/O side: the
+//! client endpoint's reader and writer thread per connection
+//! ([`crate::tcp`]), and the driving thread doubles as the retry ticker.
 
-use crate::framing::{read_frame, write_frame};
-use crate::wire::{decode_msg, encode_with_scratch, put_addr};
-use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::tcp::{read_msgs, spawn_writer};
+use bytes::Bytes;
+use crossbeam::channel::Sender;
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::request::{Request, RequestId, RequestKind};
 use gridpaxos_core::sync::Mutex;
 use gridpaxos_core::types::{Addr, ClientId, ProcessId, Seq};
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -165,19 +160,19 @@ impl MuxSwarm {
         let mut sockets = Vec::new();
         for (i, (_, sock_addr)) in order.iter().enumerate() {
             let stream = TcpStream::connect_timeout(sock_addr, Duration::from_secs(2))?;
-            stream.set_nodelay(true).ok();
-            let (tx, rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
-            let write_stream = stream.try_clone()?;
-            let hello_addr = Addr::Client(ClientId(base));
-            std::thread::Builder::new()
-                .name(format!("mux-w{i}"))
-                .spawn(move || writer_loop(write_stream, rx, hello_addr))?;
+            let hello = Addr::Client(ClientId(base));
+            let tx = spawn_writer(stream.try_clone()?, hello)?;
             let read_stream = stream.try_clone()?;
             let core = Arc::clone(&core);
             readers.push(
                 std::thread::Builder::new()
                     .name(format!("mux-r{i}"))
-                    .spawn(move || reader_loop(read_stream, core))?,
+                    .spawn(move || {
+                        read_msgs(read_stream, |msg| {
+                            on_reply(&core, msg);
+                            true
+                        });
+                    })?,
             );
             writers.push(tx);
             sockets.push(stream);
@@ -343,95 +338,51 @@ impl MuxSwarm {
     }
 }
 
-fn writer_loop(mut stream: TcpStream, rx: Receiver<Msg>, hello_addr: Addr) {
-    let mut batch: Vec<u8> = Vec::with_capacity(4096);
-    let hello = {
-        let mut b = BytesMut::new();
-        put_addr(&mut b, &hello_addr);
-        b.freeze()
-    };
-    if write_frame(&mut batch, &hello).is_err() || stream.write_all(&batch).is_err() {
+/// Account one message read off a swarm connection.
+fn on_reply(core: &Mutex<Core>, msg: Msg) {
+    let Msg::Reply(reply) = msg else { return };
+    let now = Instant::now();
+    let mut c = core.lock();
+    // Leader hint for subsequent unicasts (Busy sheds are not from the
+    // leader, so they don't update it).
+    if !reply.body.is_busy() {
+        c.leader = Some(reply.leader.0 as usize);
+    }
+    // Open-loop accounting.
+    if let Some(sent_at) = c.open_inflight.remove(&(reply.id.client.0, reply.id.seq.0)) {
+        if reply.body.is_busy() {
+            c.busy += 1;
+        } else {
+            c.completed += 1;
+            c.samples
+                .push(now.duration_since(sent_at).as_nanos() as u64);
+        }
         return;
     }
-    batch.clear();
-    let mut scratch = BytesMut::new();
-    while let Ok(msg) = rx.recv() {
-        let frame = encode_with_scratch(&msg, &mut scratch);
-        if write_frame(&mut batch, frame).is_err() {
-            return;
-        }
-        let mut coalesced = 1;
-        while coalesced < 256 {
-            let Ok(more) = rx.try_recv() else { break };
-            let frame = encode_with_scratch(&more, &mut scratch);
-            if write_frame(&mut batch, frame).is_err() {
-                return;
-            }
-            coalesced += 1;
-        }
-        if stream.write_all(&batch).is_err() {
-            return;
-        }
-        batch.clear();
-        if batch.capacity() > 1 << 20 {
-            batch = Vec::with_capacity(4096);
-        }
+    // Closed-loop accounting.
+    let Some(idx) = reply.id.client.0.checked_sub(c.base) else {
+        return;
+    };
+    let idx = idx as usize;
+    if idx >= c.vclients.len() {
+        return;
     }
-}
-
-fn reader_loop(stream: TcpStream, core: Arc<Mutex<Core>>) {
-    let mut r = BufReader::new(stream);
-    loop {
-        let Ok(Some(mut frame)) = read_frame(&mut r) else {
-            return;
-        };
-        let Ok(msg) = decode_msg(&mut frame) else {
-            return;
-        };
-        let Msg::Reply(reply) = msg else { continue };
-        let now = Instant::now();
-        let mut c = core.lock();
-        // Leader hint for subsequent unicasts (Busy sheds are not from
-        // the leader, so they don't update it).
-        if !reply.body.is_busy() {
-            c.leader = Some(reply.leader.0 as usize);
-        }
-        // Open-loop accounting.
-        if let Some(sent_at) = c.open_inflight.remove(&(reply.id.client.0, reply.id.seq.0)) {
-            if reply.body.is_busy() {
-                c.busy += 1;
-            } else {
-                c.completed += 1;
-                c.samples
-                    .push(now.duration_since(sent_at).as_nanos() as u64);
-            }
-            continue;
-        }
-        // Closed-loop accounting.
-        let Some(idx) = reply.id.client.0.checked_sub(c.base) else {
-            continue;
-        };
-        let idx = idx as usize;
-        if idx >= c.vclients.len() {
-            continue;
-        }
-        let v = &mut c.vclients[idx];
-        if reply.id.seq.0 != v.seq {
-            continue; // stale duplicate
-        }
-        let Some((sent_at, _)) = v.outstanding else {
-            continue; // already completed (duplicate reply)
-        };
-        if reply.body.is_busy() {
-            // Back off, then the ticker rebroadcasts.
-            v.outstanding = Some((sent_at, now + BUSY_BACKOFF));
-            c.busy += 1;
-            continue;
-        }
-        v.outstanding = None;
-        v.done += 1;
-        c.completed += 1;
-        c.samples
-            .push(now.duration_since(sent_at).as_nanos() as u64);
+    let v = &mut c.vclients[idx];
+    if reply.id.seq.0 != v.seq {
+        return; // stale duplicate
     }
+    let Some((sent_at, _)) = v.outstanding else {
+        return; // already completed (duplicate reply)
+    };
+    if reply.body.is_busy() {
+        // Back off, then the ticker rebroadcasts.
+        v.outstanding = Some((sent_at, now + BUSY_BACKOFF));
+        c.busy += 1;
+        return;
+    }
+    v.outstanding = None;
+    v.done += 1;
+    c.completed += 1;
+    c.samples
+        .push(now.duration_since(sent_at).as_nanos() as u64);
 }

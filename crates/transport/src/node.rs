@@ -16,14 +16,13 @@
 //! write it acknowledges is durable; the fsync is merely amortized over
 //! the batch instead of paid per record.
 
+use crate::timers::Timers;
 use gridpaxos_core::action::{Action, TimerKind};
-use gridpaxos_core::client::{ClientCore, TxnDriver, TxnOutcome, TxnScript};
+use gridpaxos_core::client::{ClientCore, CompletedOp, TxnDriver, TxnOutcome, TxnScript};
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, RequestKind};
 use gridpaxos_core::types::{Addr, ProcessId, Time};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,34 +84,11 @@ pub struct ReplicaNode<T: Transport> {
     replica: Replica,
     transport: T,
     epoch: Instant,
-    timers: BinaryHeap<Reverse<(u64, u8, u64)>>, // (due ns, kind idx, gen)
-    gens: HashMap<TimerKind, u64>,
+    timers: Timers,
     stop: Arc<AtomicBool>,
     /// Sends buffered during the current drain cycle; transmitted only
     /// after the storage flush barrier.
     outbox: Vec<Out>,
-}
-
-fn kind_idx(k: TimerKind) -> u8 {
-    match k {
-        TimerKind::Heartbeat => 0,
-        TimerKind::LeaderCheck => 1,
-        TimerKind::Retransmit => 2,
-        TimerKind::Election => 3,
-        TimerKind::ClientRetry => 4,
-        TimerKind::BatchWindow => 5,
-    }
-}
-
-fn idx_kind(i: u8) -> TimerKind {
-    match i {
-        0 => TimerKind::Heartbeat,
-        1 => TimerKind::LeaderCheck,
-        2 => TimerKind::Retransmit,
-        3 => TimerKind::Election,
-        5 => TimerKind::BatchWindow,
-        _ => TimerKind::ClientRetry,
-    }
 }
 
 impl<T: Transport> ReplicaNode<T> {
@@ -122,8 +98,7 @@ impl<T: Transport> ReplicaNode<T> {
             replica,
             transport,
             epoch: Instant::now(),
-            timers: BinaryHeap::new(),
-            gens: HashMap::new(),
+            timers: Timers::new(1),
             stop,
             outbox: Vec::new(),
         }
@@ -142,15 +117,8 @@ impl<T: Transport> ReplicaNode<T> {
             match a {
                 Action::Send { to, msg } => self.outbox.push(Out::One(to, msg)),
                 Action::ToAllReplicas { msg } => self.outbox.push(Out::All(msg)),
-                Action::SetTimer { kind, after } => {
-                    let gen = self.gens.entry(kind).or_insert(0);
-                    *gen += 1;
-                    self.timers
-                        .push(Reverse((now.0 + after.0, kind_idx(kind), *gen)));
-                }
-                Action::CancelTimer { kind } => {
-                    *self.gens.entry(kind).or_insert(0) += 1;
-                }
+                Action::SetTimer { kind, after } => self.timers.set(0, kind, now.0 + after.0),
+                Action::CancelTimer { kind } => self.timers.cancel(0, kind),
             }
         }
     }
@@ -179,17 +147,9 @@ impl<T: Transport> ReplicaNode<T> {
     fn fire_due_timers(&mut self) {
         loop {
             let now = self.now();
-            let Some(Reverse((due, ki, gen))) = self.timers.peek().copied() else {
+            let Some((_, kind)) = self.timers.pop_due(now.0) else {
                 return;
             };
-            if due > now.0 {
-                return;
-            }
-            self.timers.pop();
-            let kind = idx_kind(ki);
-            if self.gens.get(&kind).copied() != Some(gen) {
-                continue; // cancelled or replaced
-            }
             let actions = self.replica.on_timer(kind, now);
             self.apply(actions);
         }
@@ -220,8 +180,8 @@ impl<T: Transport> ReplicaNode<T> {
             self.flush_and_transmit();
             let wait = self
                 .timers
-                .peek()
-                .map(|Reverse((due, _, _))| Duration::from_nanos(due.saturating_sub(self.now().0)))
+                .next_due()
+                .map(|due| Duration::from_nanos(due.saturating_sub(self.now().0)))
                 .unwrap_or(MAX_WAIT)
                 .min(MAX_WAIT);
             gridpaxos_core::sync::blocking("transport.recv_timeout");
@@ -315,7 +275,7 @@ impl<T: Transport> SyncClient<T> {
     }
 
     /// Await the completion of the outstanding request.
-    fn await_reply(&mut self, overall_deadline: Duration) -> Option<ReplyBody> {
+    fn await_reply(&mut self, overall_deadline: Duration) -> Option<CompletedOp> {
         let started = Instant::now();
         loop {
             if started.elapsed() > overall_deadline {
@@ -340,8 +300,8 @@ impl<T: Transport> SyncClient<T> {
                     let now = self.now();
                     let (done, actions) = self.core.on_message(msg, now);
                     self.apply(actions);
-                    if let Some(done) = done {
-                        return Some(done.body);
+                    if done.is_some() {
+                        return done;
                     }
                 }
                 RecvResult::Timeout => {}
@@ -356,6 +316,7 @@ impl<T: Transport> SyncClient<T> {
         let actions = self.core.submit_op(kind, payload, now);
         self.apply(actions);
         self.await_reply(Duration::from_secs(10))
+            .map(|done| done.body)
     }
 
     /// Run a whole transaction and block until it commits or aborts.
@@ -366,27 +327,7 @@ impl<T: Transport> SyncClient<T> {
             let now = self.now();
             let actions = driver.step(&mut self.core, now)?;
             self.apply(actions);
-            let body = self.await_reply(Duration::from_secs(10))?;
-            // Reconstruct the completed op for the driver.
-            let done = gridpaxos_core::client::CompletedOp {
-                req: gridpaxos_core::request::Request::new(
-                    gridpaxos_core::request::RequestId::new(
-                        self.core.id(),
-                        gridpaxos_core::types::Seq(0),
-                    ),
-                    RequestKind::Write,
-                    bytes::Bytes::new(),
-                ),
-                body,
-                leader: ProcessId(0),
-                rtt: gridpaxos_core::types::Dur::ZERO,
-                retries: 0,
-            };
-            // The driver keys on the body for terminal outcomes and counts
-            // op replies otherwise; mark the request as a txn op so
-            // mid-transaction replies advance it.
-            let mut done = done;
-            done.req.txn = Some(gridpaxos_core::request::TxnCtl::Op { txn });
+            let done = self.await_reply(Duration::from_secs(10))?;
             if let Some(outcome) = driver.on_complete(&done) {
                 return Some(outcome);
             }
@@ -531,19 +472,5 @@ mod tests {
             0,
             "a Promise/Accepted frame reached the transport before its flush"
         );
-    }
-
-    #[test]
-    fn timer_kind_index_roundtrips() {
-        for k in [
-            TimerKind::Heartbeat,
-            TimerKind::LeaderCheck,
-            TimerKind::Retransmit,
-            TimerKind::Election,
-            TimerKind::ClientRetry,
-            TimerKind::BatchWindow,
-        ] {
-            assert_eq!(idx_kind(kind_idx(k)), k);
-        }
     }
 }

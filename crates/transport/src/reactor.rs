@@ -1,15 +1,12 @@
 //! Single-threaded epoll reactor: nonblocking multiplexed I/O for one
 //! node, with explicit backpressure.
 //!
-//! The thread-per-connection transport ([`crate::tcp`]) spends two OS
-//! threads per socket; at thousands of closed-loop clients the node
-//! drowns in stacks and context switches before it runs out of protocol
-//! capacity. The reactor replaces all of that with **one thread per
-//! node**: a level-triggered `epoll` loop ([`crate::sys`]) owning the
-//! listener, every connection, all `G` group replica cores, and the
-//! timer wheel. It subsumes what the threaded path splits across
-//! `tcp.rs` readers/writers, the `shard.rs` demux thread and the
-//! `node.rs` drive loop.
+//! This is the only code in the crate that listens on a socket. Two OS
+//! threads per connection drown a node in stacks and context switches at
+//! thousands of closed-loop clients, long before it runs out of protocol
+//! capacity (EXPERIMENTS.md E14), so a node is **one thread**: a
+//! level-triggered `epoll` loop ([`crate::sys`]) owning the listener,
+//! every connection, all `G` group replica cores, and the timer table.
 //!
 //! ## I/O discipline
 //!
@@ -18,17 +15,16 @@
 //! frames torn at any byte offset; writes go through a per-connection
 //! byte-bounded [`SendQueue`] that resumes partially-written frames at
 //! the exact offset. Outbound encoding reuses one node-wide scratch
-//! buffer (`encode_with_scratch`), same as the threaded writer path.
+//! buffer (`encode_with_scratch`).
 //!
-//! ## Group commit: the flush barrier (unchanged)
+//! ## Group commit: the flush barrier
 //!
-//! The loop keeps PR 4's invariant *exactly*: every drain cycle buffers
-//! the cores' `Send`/`ToAllReplicas` actions in an outbox, then
-//! [`Reactor::flush_and_transmit`] flushes each dirty group storage —
-//! one fsync covering the whole batch — and only after that barrier
-//! frames the outbox into connection send queues and lets bytes reach
-//! the kernel. No `Promise`/`Accepted` can touch the wire before the
-//! storage write it acknowledges is durable.
+//! Every drain cycle buffers the cores' `Send`/`ToAllReplicas` actions in
+//! an outbox, then [`Reactor::flush_and_transmit`] flushes each dirty
+//! group storage — one fsync covering the whole batch — and only after
+//! that barrier frames the outbox into connection send queues and lets
+//! bytes reach the kernel. No `Promise`/`Accepted` can touch the wire
+//! before the storage write it acknowledges is durable.
 //!
 //! ## Backpressure
 //!
@@ -58,9 +54,10 @@ use crate::fstorage::{FlushCoordinator, SyncMode};
 use crate::node::SyncClient;
 use crate::sys::{self, Epoll, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::tcp::TcpNode;
+use crate::timers::Timers;
 use crate::wire::{decode_msg, encode_with_scratch, get_addr, put_addr};
 use bytes::{Bytes, BytesMut};
-use gridpaxos_core::action::{Action, TimerKind};
+use gridpaxos_core::action::Action;
 use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
@@ -70,8 +67,7 @@ use gridpaxos_core::request::{Reply, ReplyBody};
 use gridpaxos_core::service::App;
 use gridpaxos_core::storage::{MemStorage, Storage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, ProcessId, Time};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -79,8 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Maximum epoll wait per iteration so the stop flag is honored promptly
-/// (same bound as the threaded drive loop).
+/// Maximum epoll wait per iteration so the stop flag is honored promptly.
 const MAX_WAIT: Duration = Duration::from_millis(25);
 
 /// Cap on messages drained through the cores per flush cycle, so one
@@ -198,28 +193,6 @@ struct Conn {
     flush_pending: bool,
 }
 
-fn kind_idx(k: TimerKind) -> u8 {
-    match k {
-        TimerKind::Heartbeat => 0,
-        TimerKind::LeaderCheck => 1,
-        TimerKind::Retransmit => 2,
-        TimerKind::Election => 3,
-        TimerKind::ClientRetry => 4,
-        TimerKind::BatchWindow => 5,
-    }
-}
-
-fn idx_kind(i: u8) -> TimerKind {
-    match i {
-        0 => TimerKind::Heartbeat,
-        1 => TimerKind::LeaderCheck,
-        2 => TimerKind::Retransmit,
-        3 => TimerKind::Election,
-        5 => TimerKind::BatchWindow,
-        _ => TimerKind::ClientRetry,
-    }
-}
-
 /// Length-prefix `body` into an owned frame ready for a send queue.
 fn frame_bytes(body: &[u8]) -> Bytes {
     debug_assert!(body.len() <= MAX_FRAME);
@@ -253,9 +226,7 @@ struct Reactor {
     outbox: Vec<Out>,
     /// Connections with freshly queued bytes, flushed after the barrier.
     dirty: Vec<u64>,
-    /// (due ns, group, kind idx, gen) — min-heap by due time.
-    timers: BinaryHeap<Reverse<(u64, u32, u8, u64)>>,
-    gens: Vec<HashMap<TimerKind, u64>>,
+    timers: Timers,
     gate: AdmissionGate,
     rcfg: ReactorConfig,
     scratch: BytesMut,
@@ -268,8 +239,7 @@ impl Reactor {
         Time(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    /// Wrap `msg` in the group envelope iff this node is multi-group
-    /// (mirrors `shard::GroupPort`).
+    /// Wrap `msg` in the group envelope iff this node is multi-group.
     fn wrap(&self, g: usize, msg: Msg) -> Msg {
         if self.n_groups <= 1 {
             msg
@@ -295,15 +265,8 @@ impl Reactor {
                     let msg = self.wrap(g, msg);
                     self.outbox.push(Out::All(msg));
                 }
-                Action::SetTimer { kind, after } => {
-                    let gen = self.gens[g].entry(kind).or_insert(0);
-                    *gen += 1;
-                    self.timers
-                        .push(Reverse((now.0 + after.0, g as u32, kind_idx(kind), *gen)));
-                }
-                Action::CancelTimer { kind } => {
-                    *self.gens[g].entry(kind).or_insert(0) += 1;
-                }
+                Action::SetTimer { kind, after } => self.timers.set(g, kind, now.0 + after.0),
+                Action::CancelTimer { kind } => self.timers.cancel(g, kind),
             }
         }
     }
@@ -311,27 +274,17 @@ impl Reactor {
     fn fire_due_timers(&mut self) {
         loop {
             let now = self.now();
-            let Some(Reverse((due, g, ki, gen))) = self.timers.peek().copied() else {
+            let Some((g, kind)) = self.timers.pop_due(now.0) else {
                 return;
             };
-            if due > now.0 {
-                return;
-            }
-            self.timers.pop();
-            let g = g as usize;
-            let kind = idx_kind(ki);
-            if self.gens[g].get(&kind).copied() != Some(gen) {
-                continue; // cancelled or replaced
-            }
             let actions = self.cores[g].on_timer(kind, now);
             self.apply(g, actions);
         }
     }
 
-    /// The group-commit barrier, identical in spirit to the threaded
-    /// loop's: flush every dirty group storage (one fsync per group per
-    /// batch — a shared-WAL [`FlushCoordinator`] collapses those to one
-    /// per node), and only then frame the buffered outbox onto connection
+    /// The group-commit barrier: flush every dirty group storage (one
+    /// fsync per group per batch — a shared-WAL [`FlushCoordinator`]
+    /// collapses those to one per node), and only then frame the buffered outbox onto connection
     /// queues and let the kernel have the bytes. Busy replies queued
     /// outside the outbox also drain here, after the same barrier.
     fn flush_and_transmit(&mut self) {
@@ -750,8 +703,8 @@ impl Reactor {
         }
         let until = self
             .timers
-            .peek()
-            .map(|Reverse((due, _, _, _))| Duration::from_nanos(due.saturating_sub(self.now().0)))
+            .next_due()
+            .map(|due| Duration::from_nanos(due.saturating_sub(self.now().0)))
             .unwrap_or(MAX_WAIT)
             .min(MAX_WAIT);
         until.as_nanos().div_ceil(1_000_000) as i32
@@ -863,8 +816,7 @@ pub fn spawn_reactor_node(
         inbox: VecDeque::new(),
         outbox: Vec::new(),
         dirty: Vec::new(),
-        timers: BinaryHeap::new(),
-        gens: vec![HashMap::new(); n_groups],
+        timers: Timers::new(n_groups),
         gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
         rcfg,
         scratch: BytesMut::new(),
@@ -878,9 +830,8 @@ pub fn spawn_reactor_node(
 }
 
 /// A whole replica cluster on loopback TCP, every node driven by a
-/// reactor. Wire-compatible with the threaded transport: the same
-/// [`SyncClient`]/[`TcpNode`] clients (and [`crate::mux::MuxSwarm`]) talk
-/// to either.
+/// reactor; [`SyncClient`]/[`TcpNode`] clients and
+/// [`crate::mux::MuxSwarm`] talk to it.
 pub struct ReactorCluster {
     /// Listen addresses of the replica nodes.
     pub addrs: HashMap<ProcessId, SocketAddr>,
@@ -990,30 +941,14 @@ impl ReactorCluster {
                         Some(p) => p.wrap(app_factory()),
                         None => app_factory(),
                     };
-                    let prior = storage.load();
-                    let has_prior = !prior.promised.is_zero()
-                        || !prior.accepted.is_empty()
-                        || prior.checkpoint.is_some()
-                        || prior.chosen_prefix.0 > 0;
-                    if has_prior {
-                        Replica::recover(
-                            id,
-                            group_config(&cfg, g),
-                            app,
-                            storage,
-                            group_seed(0xace0 + u64::from(id.0), g),
-                            Time::ZERO,
-                        )
-                    } else {
-                        Replica::new(
-                            id,
-                            group_config(&cfg, g),
-                            app,
-                            storage,
-                            group_seed(0xace0 + u64::from(id.0), g),
-                            Time::ZERO,
-                        )
-                    }
+                    Replica::open(
+                        id,
+                        group_config(&cfg, g),
+                        app,
+                        storage,
+                        group_seed(0xace0 + u64::from(id.0), g),
+                        Time::ZERO,
+                    )
                 })
                 .collect();
             nodes.push(spawn_reactor_node(
@@ -1067,9 +1002,7 @@ impl ReactorCluster {
         ClientId(self.next_client.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Create a blocking (threaded) client connected to the whole group —
-    /// the reactor speaks the same wire protocol as the threaded
-    /// transport, so the existing client stack works unchanged.
+    /// Create a blocking client connected to the whole group.
     #[must_use]
     pub fn client(&self) -> SyncClient<TcpNode> {
         let id = self.next_client_id();
@@ -1102,6 +1035,11 @@ mod tests {
         Box::new(NoopApp::new())
     }
 
+    /// Shard on the first payload byte.
+    fn byte_router() -> ShardRouter {
+        ShardRouter::new(|req| req.op.first().map(|b| u64::from(*b)))
+    }
+
     #[test]
     fn reactor_cluster_round_trips_writes_and_reads() {
         let cluster = ReactorCluster::launch(Config::cluster(3), noop_factory).expect("launch");
@@ -1126,12 +1064,11 @@ mod tests {
 
     #[test]
     fn sharded_reactor_cluster_serves_both_groups() {
-        let router = ShardRouter::new(|req| req.op.first().map(|b| u64::from(*b)));
         let cluster = ReactorCluster::launch_sharded(
             Config::cluster(3),
             2,
             noop_factory,
-            Some(router),
+            Some(byte_router()),
             ReactorConfig::default(),
         )
         .expect("launch");
@@ -1157,6 +1094,13 @@ mod tests {
     #[test]
     fn many_client_ids_multiplex_over_one_connection() {
         let cluster = ReactorCluster::launch(Config::cluster(3), noop_factory).expect("launch");
+        // The raw burst below is sent once, and a replica without
+        // leadership ignores client writes: let a retrying client see the
+        // bootstrap election through first.
+        cluster
+            .client()
+            .call(RequestKind::Write, Bytes::new())
+            .expect("leader elected");
         // Dial only the bootstrap leader (replica 0) — the leader answers.
         let leader = cluster.addrs[&ProcessId(0)];
         let mut sock = TcpStream::connect(leader).expect("connect");
@@ -1297,70 +1241,80 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Durable reactor cluster: writes survive a full stop/restart via the
-    /// shared WAL (the reactor path preserves persist-before-send).
+    /// Durable reactor cluster, single-group and with four groups sharing
+    /// each node's WAL: the flush barrier amortizes fsyncs (never more
+    /// syncs than appended records), and a full stop/restart recovers
+    /// every group's chosen prefix from disk (the reactor path preserves
+    /// persist-before-send).
     #[test]
     fn durable_reactor_cluster_recovers_chosen_prefix() {
+        for n_groups in [1, 4] {
+            durable_cluster_recovers(n_groups);
+        }
+    }
+
+    fn durable_cluster_recovers(n_groups: usize) {
         let root = std::env::temp_dir().join(format!(
-            "gridpaxos-reactor-durable-{}-{:?}",
+            "gridpaxos-reactor-durable-{}-g{n_groups}",
             std::process::id(),
-            std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&root);
         let cfg = Config::cluster(3);
-
-        let first_chosen;
-        {
-            let cluster = ReactorCluster::launch_durable(
+        let launch = || {
+            ReactorCluster::launch_durable(
                 cfg.clone(),
-                1,
+                n_groups,
                 noop_factory,
-                None,
+                Some(byte_router()),
                 ReactorConfig::default(),
                 &root,
                 SyncMode::Batched,
             )
-            .expect("launch durable");
-            let mut client = cluster.client();
-            for seq in 0..6u8 {
-                let body = client
-                    .call(RequestKind::Write, Bytes::copy_from_slice(&[seq]))
-                    .expect("write completes");
-                assert!(matches!(body, ReplyBody::Ok(_)), "got {body:?}");
-            }
-            for i in 0..cfg.n {
-                let coord = cluster.coordinator(ProcessId(i as u32)).expect("coord");
-                assert!(coord.appends() > 0, "node {i} persisted nothing");
-            }
-            let per_node = cluster.shutdown();
-            first_chosen = per_node
-                .iter()
-                .map(|rs| rs[0].chosen_prefix())
-                .max()
-                .expect("nodes");
-            assert!(first_chosen.0 >= 6);
-        }
+            .expect("launch durable")
+        };
+        let chosen_per_group = |per_node: &[Vec<Replica>]| -> Vec<_> {
+            (0..n_groups)
+                .map(|g| per_node.iter().map(|rs| rs[g].chosen_prefix()).max())
+                .collect()
+        };
 
-        let cluster = ReactorCluster::launch_durable(
-            cfg,
-            1,
-            noop_factory,
-            None,
-            ReactorConfig::default(),
-            &root,
-            SyncMode::Batched,
-        )
-        .expect("relaunch durable");
-        let per_node = cluster.shutdown();
-        let recovered = per_node
-            .iter()
-            .map(|rs| rs[0].chosen_prefix())
-            .max()
-            .expect("nodes");
+        let cluster = launch();
+        let mut client = cluster.client();
+        for key in 0u8..8 {
+            let body = client
+                .call(RequestKind::Write, Bytes::copy_from_slice(&[key]))
+                .expect("write completes");
+            assert!(matches!(body, ReplyBody::Ok(_)), "got {body:?}");
+        }
+        for i in 0..cfg.n {
+            let coord = cluster.coordinator(ProcessId(i as u32)).expect("coord");
+            assert!(coord.appends() > 0, "node {i} persisted nothing");
+            assert!(
+                coord.syncs() <= coord.appends(),
+                "node {i}: more syncs ({}) than appends ({})?",
+                coord.syncs(),
+                coord.appends()
+            );
+        }
+        let first_chosen = chosen_per_group(&cluster.shutdown());
+        // The byte router spreads keys 0..8 evenly: 8 / G writes per group.
+        let per_group = 8 / n_groups as u64;
         assert!(
-            recovered >= first_chosen,
-            "recovered prefix {recovered:?} < pre-crash {first_chosen:?}"
+            first_chosen
+                .iter()
+                .all(|p| p.is_some_and(|p| p.0 >= per_group)),
+            "every group chose its writes: {first_chosen:?}"
         );
+
+        // Restart from the same directories: recovery must replay every
+        // group's chosen prefix from the shared WAL.
+        let recovered = chosen_per_group(&launch().shutdown());
+        for (g, (got, want)) in recovered.iter().zip(&first_chosen).enumerate() {
+            assert!(
+                got >= want,
+                "group {g}: recovered prefix {got:?} < pre-crash {want:?}"
+            );
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -1,15 +1,17 @@
-//! TCP transport: the deployment substrate the paper's prototype used
-//! ("The communication between service replicas, and between clients and
-//! service replicas, uses TCP sockets").
+//! Dial-only TCP endpoint for clients ("The communication between service
+//! replicas, and between clients and service replicas, uses TCP sockets").
 //!
-//! Every replica listens on a socket. A connection starts with a *hello*
-//! frame carrying the dialer's protocol address; after that, frames are
-//! wire-encoded messages. Replies to clients travel back over the client's
-//! own inbound connection, so clients never need to listen.
+//! Replicas listen in the [`crate::reactor`]; this side only dials. A
+//! connection starts with a *hello* frame carrying the dialer's protocol
+//! address; after that, frames are wire-encoded messages. Replies travel
+//! back over the client's own connection, so clients never need to listen.
+//! Each connection gets one writer and one reader thread — blocking I/O
+//! is fine for a handful of sockets, and [`crate::mux`] reuses the same
+//! two loops for its load-driver sockets.
 
 use crate::framing::{read_frame, write_frame};
 use crate::node::{RecvResult, Transport};
-use crate::wire::{decode_msg, encode_with_scratch, get_addr, put_addr};
+use crate::wire::{decode_msg, encode_with_scratch, put_addr};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gridpaxos_core::msg::Msg;
@@ -17,58 +19,27 @@ use gridpaxos_core::sync::Mutex;
 use gridpaxos_core::types::{Addr, ClientId, ProcessId};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 type Inbox = (Addr, Msg);
 
-/// A TCP-backed [`Transport`] endpoint.
+/// A TCP-backed client [`Transport`] endpoint.
 pub struct TcpNode {
     local: Addr,
     inbox_rx: Receiver<Inbox>,
     inbox_tx: Sender<Inbox>,
-    /// Open outbound writers by peer address. The channel carries decoded
-    /// messages: each connection's writer thread owns a reusable scratch
-    /// buffer and serializes there, so the replica/client thread pays no
+    /// Open outbound writers by replica address. The channel carries
+    /// decoded messages: each connection's writer thread owns a reusable
+    /// scratch buffer and serializes there, so the client thread pays no
     /// per-message encode allocation.
     conns: Arc<Mutex<HashMap<Addr, Sender<Msg>>>>,
-    /// Listen addresses of the replicas (for dialing).
-    pub(crate) peers: HashMap<ProcessId, SocketAddr>,
+    /// Listen addresses of the replicas.
+    peers: HashMap<ProcessId, SocketAddr>,
 }
 
 impl TcpNode {
-    /// Bind a replica endpoint: listen on `listen`, learn the peer replica
-    /// listen addresses for dialing. Returns the node and the actual bound
-    /// address (useful with port 0).
-    pub fn bind_replica(
-        id: ProcessId,
-        listen: SocketAddr,
-        peers: HashMap<ProcessId, SocketAddr>,
-    ) -> io::Result<(TcpNode, SocketAddr)> {
-        let listener = TcpListener::bind(listen)?;
-        let bound = listener.local_addr()?;
-        let (inbox_tx, inbox_rx) = unbounded();
-        let node = TcpNode {
-            local: Addr::Replica(id),
-            inbox_rx,
-            inbox_tx: inbox_tx.clone(),
-            conns: Arc::new(Mutex::new(HashMap::new())),
-            peers,
-        };
-        let conns = Arc::clone(&node.conns);
-        let local = node.local;
-        std::thread::Builder::new()
-            .name(format!("gp-listen-{id}"))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    spawn_connection(stream, None, local, inbox_tx.clone(), Arc::clone(&conns));
-                }
-            })?;
-        Ok((node, bound))
-    }
-
     /// Create a client endpoint that can dial the given replicas.
     #[must_use]
     pub fn client(id: ClientId, replicas: HashMap<ProcessId, SocketAddr>) -> TcpNode {
@@ -93,128 +64,82 @@ impl TcpNode {
             Addr::Client(_) => return None,
         };
         let stream = TcpStream::connect_timeout(&sock, Duration::from_millis(500)).ok()?;
-        spawn_connection(
-            stream,
-            Some(to),
-            self.local,
-            self.inbox_tx.clone(),
-            Arc::clone(&self.conns),
-        )
+        let tx = spawn_writer(stream.try_clone().ok()?, self.local).ok()?;
+        self.conns.lock().insert(to, tx.clone());
+        let inbox = self.inbox_tx.clone();
+        let conns = Arc::clone(&self.conns);
+        std::thread::Builder::new()
+            .name("gp-conn-r".into())
+            .spawn(move || {
+                read_msgs(stream, |msg| inbox.send((to, msg)).is_ok());
+                // Dropping the map's sender also ends the writer thread.
+                conns.lock().remove(&to);
+            })
+            .ok()?;
+        Some(tx)
     }
 }
 
-/// Start reader + writer threads for a connection. `dialed` is `Some(peer)`
-/// when we initiated (we send the hello); `None` when accepted (we read the
-/// hello first). Returns the outbound sender.
-fn spawn_connection(
-    stream: TcpStream,
-    dialed: Option<Addr>,
-    local: Addr,
-    inbox: Sender<Inbox>,
-    conns: Arc<Mutex<HashMap<Addr, Sender<Msg>>>>,
-) -> Option<Sender<Msg>> {
-    // Both accepted and dialed sockets pass through here, so every
-    // connection runs with Nagle disabled: batching is done explicitly by
-    // the writer below (and by the drive loop's group commit), not by the
-    // kernel delaying small frames.
+/// Start the writer thread of a dialed connection and return its queue:
+/// the hello frame for `hello` goes first, then every queued message. All
+/// messages queued at the moment the thread wakes are coalesced into one
+/// batch buffer and leave in a single `write` syscall. The thread ends
+/// when every sender is dropped or the socket fails.
+///
+/// Nagle is disabled: batching is done explicitly here, not by the kernel
+/// delaying small frames.
+pub(crate) fn spawn_writer(mut stream: TcpStream, hello: Addr) -> io::Result<Sender<Msg>> {
     stream.set_nodelay(true).ok();
-    let (out_tx, out_rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
-
-    let write_stream = stream.try_clone().ok()?;
-    let hello = {
-        let mut b = BytesMut::new();
-        put_addr(&mut b, &local);
-        b.freeze()
-    };
-    // Writer thread: hello (if dialing), then queued messages. All frames
-    // queued for this peer at the moment the thread wakes are coalesced
-    // into one batch buffer and leave in a single `write` syscall — a
-    // drain cycle's worth of Accepts/Accepteds to the same peer costs one
-    // write, not one per frame.
-    let send_hello = dialed.is_some();
-    std::thread::spawn(move || {
-        let mut stream = write_stream;
-        let mut batch: Vec<u8> = Vec::with_capacity(4096);
-        if send_hello {
-            if write_frame(&mut batch, &hello).is_err() || stream.write_all(&batch).is_err() {
+    let (tx, rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
+    std::thread::Builder::new()
+        .name("gp-conn-w".into())
+        .spawn(move || {
+            let mut scratch = BytesMut::new();
+            put_addr(&mut scratch, &hello);
+            let mut batch: Vec<u8> = Vec::with_capacity(4096);
+            if write_frame(&mut batch, &scratch).is_err() || stream.write_all(&batch).is_err() {
                 return;
             }
             batch.clear();
-        }
-        let mut scratch = BytesMut::new();
-        while let Ok(msg) = out_rx.recv() {
-            let frame = encode_with_scratch(&msg, &mut scratch);
-            if write_frame(&mut batch, frame).is_err() {
-                return;
-            }
-            // Coalesce everything already queued (bounded so one slow
-            // peer can't grow the batch without limit).
-            let mut coalesced = 1;
-            while coalesced < 256 {
-                let Ok(more) = out_rx.try_recv() else { break };
-                let frame = encode_with_scratch(&more, &mut scratch);
+            while let Ok(msg) = rx.recv() {
+                let frame = encode_with_scratch(&msg, &mut scratch);
                 if write_frame(&mut batch, frame).is_err() {
                     return;
                 }
-                coalesced += 1;
-            }
-            if stream.write_all(&batch).is_err() {
-                return;
-            }
-            batch.clear();
-            if batch.capacity() > 1 << 20 {
-                batch = Vec::with_capacity(4096); // don't hoard a burst's buffer
-            }
-        }
-    });
-
-    if let Some(peer) = dialed {
-        conns.lock().insert(peer, out_tx.clone());
-        let out_for_reader = out_tx.clone();
-        std::thread::spawn(move || {
-            reader_loop(stream, peer, inbox);
-            conns.lock().remove(&peer);
-            drop(out_for_reader);
-        });
-        Some(out_tx)
-    } else {
-        // Accepted: learn the peer from its hello, then register.
-        std::thread::spawn(move || {
-            let Ok(read_stream) = stream.try_clone() else {
-                return; // fd duplication failed: abandon the connection
-            };
-            let mut r = BufReader::new(read_stream);
-            let Ok(Some(mut hello)) = read_frame(&mut r) else {
-                return;
-            };
-            let Ok(peer) = get_addr(&mut hello) else {
-                return;
-            };
-            conns.lock().insert(peer, out_tx);
-            reader_loop_buf(r, peer, inbox);
-            conns.lock().remove(&peer);
-        });
-        None
-    }
-}
-
-fn reader_loop(stream: TcpStream, peer: Addr, inbox: Sender<Inbox>) {
-    let r = BufReader::new(stream);
-    reader_loop_buf(r, peer, inbox);
-}
-
-fn reader_loop_buf(mut r: BufReader<TcpStream>, peer: Addr, inbox: Sender<Inbox>) {
-    loop {
-        match read_frame(&mut r) {
-            Ok(Some(mut frame)) => match decode_msg(&mut frame) {
-                Ok(msg) => {
-                    if inbox.send((peer, msg)).is_err() {
+                // Coalesce everything already queued (bounded so one slow
+                // peer can't grow the batch without limit).
+                let mut coalesced = 1;
+                while coalesced < 256 {
+                    let Ok(more) = rx.try_recv() else { break };
+                    let frame = encode_with_scratch(&more, &mut scratch);
+                    if write_frame(&mut batch, frame).is_err() {
                         return;
                     }
+                    coalesced += 1;
                 }
-                Err(_) => return, // protocol violation: drop the connection
-            },
-            Ok(None) | Err(_) => return,
+                if stream.write_all(&batch).is_err() {
+                    return;
+                }
+                batch.clear();
+                if batch.capacity() > 1 << 20 {
+                    batch = Vec::with_capacity(4096); // don't hoard a burst's buffer
+                }
+            }
+        })?;
+    Ok(tx)
+}
+
+/// The reader loop of a dialed connection: hand every decoded message to
+/// `on_msg` until the peer closes, a frame fails to decode (protocol
+/// violation: drop the connection) or `on_msg` returns `false`.
+pub(crate) fn read_msgs(stream: TcpStream, mut on_msg: impl FnMut(Msg) -> bool) {
+    let mut r = BufReader::new(stream);
+    while let Ok(Some(mut frame)) = read_frame(&mut r) {
+        let Ok(msg) = decode_msg(&mut frame) else {
+            return;
+        };
+        if !on_msg(msg) {
+            return;
         }
     }
 }
@@ -236,135 +161,5 @@ impl Transport for TcpNode {
 
     fn local_addr(&self) -> Addr {
         self.local
-    }
-}
-
-/// A convenience harness: a whole replica group over loopback TCP.
-pub struct TcpCluster {
-    /// Listen addresses of the replicas.
-    pub addrs: HashMap<ProcessId, SocketAddr>,
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<gridpaxos_core::replica::Replica>>,
-    n: usize,
-    next_client: std::sync::atomic::AtomicU64,
-}
-
-impl TcpCluster {
-    /// Launch `cfg.n` replicas of the service built by `app_factory` on
-    /// ephemeral loopback ports, with in-memory storage.
-    pub fn launch(
-        cfg: gridpaxos_core::config::Config,
-        app_factory: impl Fn() -> Box<dyn gridpaxos_core::service::App> + Send + Sync,
-    ) -> io::Result<TcpCluster> {
-        Self::launch_with_storage(cfg, app_factory, |_| {
-            Box::new(gridpaxos_core::storage::MemStorage::new())
-        })
-    }
-
-    /// Launch with custom per-replica storage (e.g. [`crate::FileStorage`]
-    /// for a durable cluster). Replicas whose storage holds prior state
-    /// are *recovered* rather than created fresh.
-    pub fn launch_with_storage(
-        cfg: gridpaxos_core::config::Config,
-        app_factory: impl Fn() -> Box<dyn gridpaxos_core::service::App> + Send + Sync,
-        storage_factory: impl Fn(ProcessId) -> Box<dyn gridpaxos_core::storage::Storage> + Send + Sync,
-    ) -> io::Result<TcpCluster> {
-        let n = cfg.n;
-        // Bind all listeners first so every node knows every address.
-        let mut nodes = Vec::new();
-        let mut addrs = HashMap::new();
-        let mut pending = Vec::new();
-        for i in 0..n {
-            let id = ProcessId(i as u32);
-            let ephemeral = SocketAddr::from(([127, 0, 0, 1], 0));
-            let (node, bound) = TcpNode::bind_replica(id, ephemeral, HashMap::new())?;
-            addrs.insert(id, bound);
-            pending.push((id, node));
-        }
-        for (_, node) in &mut pending {
-            node.peers = addrs.clone();
-        }
-        nodes.extend(pending);
-
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for (id, node) in nodes {
-            let storage = storage_factory(id);
-            let prior = storage.load();
-            let has_prior = !prior.promised.is_zero()
-                || !prior.accepted.is_empty()
-                || prior.checkpoint.is_some()
-                || prior.chosen_prefix.0 > 0;
-            let replica = if has_prior {
-                gridpaxos_core::replica::Replica::recover(
-                    id,
-                    cfg.clone(),
-                    app_factory(),
-                    storage,
-                    0xace0 + u64::from(id.0),
-                    gridpaxos_core::types::Time::ZERO,
-                )
-            } else {
-                gridpaxos_core::replica::Replica::new(
-                    id,
-                    cfg.clone(),
-                    app_factory(),
-                    storage,
-                    0xace0 + u64::from(id.0),
-                    gridpaxos_core::types::Time::ZERO,
-                )
-            };
-            handles.push(crate::node::spawn_replica(
-                replica,
-                node,
-                Arc::clone(&stop),
-            )?);
-        }
-        Ok(TcpCluster {
-            addrs,
-            stop,
-            handles,
-            n,
-            // Client ids must be unique across cluster incarnations (the
-            // replicas' dedup tables survive restarts), so derive the base
-            // from the wall clock.
-            next_client: std::sync::atomic::AtomicU64::new(
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(1)
-                    | 1,
-            ),
-        })
-    }
-
-    /// Create a blocking client connected to the whole group.
-    #[must_use]
-    pub fn client(&self) -> crate::node::SyncClient<TcpNode> {
-        let id = ClientId(
-            self.next_client
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        );
-        let node = TcpNode::client(id, self.addrs.clone());
-        let core = gridpaxos_core::client::ClientCore::new(
-            id,
-            self.n,
-            gridpaxos_core::types::Dur::from_millis(500),
-        );
-        crate::node::SyncClient::new(core, node, self.n)
-    }
-
-    /// Stop all replicas and join their threads, returning the replicas
-    /// for inspection.
-    pub fn shutdown(self) -> Vec<gridpaxos_core::replica::Replica> {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        self.handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(replica) => replica,
-                // Propagate a replica thread's panic to the caller intact.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
     }
 }

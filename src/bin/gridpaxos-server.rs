@@ -1,5 +1,8 @@
 //! A deployable replica server: one process of a replicated key-value
-//! store over TCP.
+//! store over TCP. The node runs on the epoll reactor (one thread, every
+//! connection multiplexed, admission control) and, with `--data-dir`,
+//! group-commits its WAL: the reactor syncs once per drain cycle before
+//! any acknowledgment is sent. Linux only.
 //!
 //! ```text
 //! # A three-replica group on one machine:
@@ -13,12 +16,14 @@
 //!
 //! Then talk to the group with `gridpaxos-client`.
 
+// Off Linux only the stub `main` at the bottom is live.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
+
 use gridpaxos::core::prelude::*;
 use gridpaxos::services::KvStore;
-use gridpaxos::transport::node::ReplicaNode;
-use gridpaxos::transport::{FileStorage, SyncMode, TcpNode};
+use gridpaxos::transport::{FileStorage, SyncMode};
 use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::process::exit;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -32,14 +37,6 @@ fn usage() -> ! {
          --listen  address to bind\n\
          --peer    listen address of every replica (repeat; include self)\n\
          --data-dir <path>  durable storage directory (default: in-memory)\n\
-         --sync per-record|batched  WAL fsync policy with --data-dir\n\
-                   (per-record: one fsync per record, default; batched:\n\
-                   group commit — the drive loop syncs once per drain\n\
-                   cycle before any acknowledgment is sent)\n\
-         --transport threads|reactor  I/O substrate (default: threads)\n\
-                   (threads: two threads per connection; reactor: one\n\
-                   epoll readiness loop multiplexing every connection,\n\
-                   with admission control — Linux only)\n\
          --tpaxos  enable T-Paxos transaction mode (default: per-op)\n\
          --wan     use WAN-tuned timeouts (default: cluster-tuned)\n\
          --apply-workers <N>  per-node apply-worker pool size (default: 0,\n\
@@ -52,72 +49,15 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// Which I/O substrate drives the replica.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TransportKind {
-    /// Two blocking threads per connection (reader + writer).
-    Threads,
-    /// One nonblocking epoll reactor thread for the whole node.
-    Reactor,
-}
-
-/// Run the replica on the epoll reactor until killed (Linux only).
 #[cfg(target_os = "linux")]
-fn run_reactor(
-    replica: Replica,
-    listen: SocketAddr,
-    peers: HashMap<ProcessId, SocketAddr>,
-    stop: Arc<AtomicBool>,
-) -> Replica {
-    use gridpaxos::transport::{spawn_reactor_node, ReactorConfig};
-    let id = replica.id();
-    let listener = match std::net::TcpListener::bind(listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bind {listen}: {e}");
-            exit(1);
-        }
-    };
-    if let Ok(bound) = listener.local_addr() {
-        eprintln!("gridpaxos-server r{}: reactor listening on {bound}", id.0);
-    }
-    let handle = match spawn_reactor_node(
-        vec![replica],
-        listener,
-        peers,
-        stop,
-        ReactorConfig::default(),
-    ) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("spawn reactor: {e}");
-            exit(1);
-        }
-    };
-    let mut replicas = handle.join();
-    replicas.remove(0)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn run_reactor(
-    _replica: Replica,
-    _listen: SocketAddr,
-    _peers: HashMap<ProcessId, SocketAddr>,
-    _stop: Arc<AtomicBool>,
-) -> Replica {
-    eprintln!("--transport reactor requires Linux (epoll)");
-    exit(2)
-}
-
 fn main() {
+    use gridpaxos::transport::{spawn_reactor_node, ReactorConfig};
     let mut id: Option<u32> = None;
     let mut listen: Option<SocketAddr> = None;
     let mut peers: HashMap<ProcessId, SocketAddr> = HashMap::new();
     let mut tpaxos = false;
     let mut wan = false;
     let mut data_dir: Option<String> = None;
-    let mut sync_mode = SyncMode::PerRecord;
-    let mut transport = TransportKind::Threads;
     let mut apply_workers: usize = 0;
     let mut checkpoint_chunk_kb: usize = 64;
 
@@ -146,22 +86,6 @@ fn main() {
             "--data-dir" => {
                 i += 1;
                 data_dir = args.get(i).cloned();
-            }
-            "--sync" => {
-                i += 1;
-                sync_mode = match args.get(i).map(String::as_str) {
-                    Some("per-record") => SyncMode::PerRecord,
-                    Some("batched") => SyncMode::Batched,
-                    _ => usage(),
-                };
-            }
-            "--transport" => {
-                i += 1;
-                transport = match args.get(i).map(String::as_str) {
-                    Some("threads") => TransportKind::Threads,
-                    Some("reactor") => TransportKind::Reactor,
-                    _ => usage(),
-                };
             }
             "--tpaxos" => tpaxos = true,
             "--wan" => wan = true,
@@ -221,69 +145,61 @@ fn main() {
         }
     };
 
-    let replica = match &data_dir {
-        Some(dir) => {
-            let storage = match FileStorage::open_with_mode(dir, sync_mode) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("open data dir {dir}: {e}");
-                    exit(1);
-                }
-            };
-            let fresh = storage.load().promised.is_zero()
-                && storage.load().accepted.is_empty()
-                && storage.load().checkpoint.is_none();
-            if fresh {
-                Replica::new(
-                    ProcessId(id),
-                    cfg,
-                    mk_app(),
-                    Box::new(storage),
-                    seed,
-                    Time::ZERO,
-                )
-            } else {
-                eprintln!("gridpaxos-server r{id}: recovering from {dir}");
-                Replica::recover(
-                    ProcessId(id),
-                    cfg,
-                    mk_app(),
-                    Box::new(storage),
-                    seed,
-                    Time::ZERO,
-                )
+    // Fresh storage starts a new replica; a data dir with prior state is
+    // recovered. The reactor flushes before it transmits, so the WAL can
+    // group-commit.
+    let storage: Box<dyn Storage> = match &data_dir {
+        Some(dir) => match FileStorage::open_with_mode(dir, SyncMode::Batched) {
+            Ok(s) => Box::new(s),
+            Err(e) => {
+                eprintln!("open data dir {dir}: {e}");
+                exit(1);
             }
-        }
-        None => Replica::new(
-            ProcessId(id),
-            cfg,
-            mk_app(),
-            Box::new(MemStorage::new()),
-            seed,
-            Time::ZERO,
-        ),
+        },
+        None => Box::new(MemStorage::new()),
     };
+    let replica = Replica::open(ProcessId(id), cfg, mk_app(), storage, seed, Time::ZERO);
+    if let Some(dir) = &data_dir {
+        eprintln!(
+            "gridpaxos-server r{id}: opened {dir} at instance {}",
+            replica.chosen_prefix()
+        );
+    }
 
-    // Run until killed. The threaded path binds via `TcpNode` (acceptor +
-    // two threads per connection); the reactor path hands a raw listener
-    // to the epoll loop, which drives everything from one thread.
-    let stop = Arc::new(AtomicBool::new(false));
-    let replica = match transport {
-        TransportKind::Threads => {
-            let (node, bound) = match TcpNode::bind_replica(ProcessId(id), listen, peers) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("bind {listen}: {e}");
-                    exit(1);
-                }
-            };
-            eprintln!("gridpaxos-server r{id}: listening on {bound}, group of {n}");
-            ReplicaNode::new(replica, node, stop).run()
+    let listener = match TcpListener::bind(listen) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("bind {listen}: {e}");
+            exit(1);
         }
-        TransportKind::Reactor => run_reactor(replica, listen, peers, stop),
     };
-    eprintln!(
-        "gridpaxos-server r{id}: stopped at instance {}",
-        replica.chosen_prefix()
-    );
+    let bound = listener.local_addr().unwrap_or(listen);
+    eprintln!("gridpaxos-server r{id}: listening on {bound}, group of {n}");
+    // Run until killed.
+    let stop = Arc::new(AtomicBool::new(false));
+    let handle = match spawn_reactor_node(
+        vec![replica],
+        listener,
+        peers,
+        stop,
+        ReactorConfig::default(),
+    ) {
+        Ok(h) => h,
+        Err(e) => {
+            eprintln!("spawn reactor: {e}");
+            exit(1);
+        }
+    };
+    for replica in handle.join() {
+        eprintln!(
+            "gridpaxos-server r{id}: stopped at instance {}",
+            replica.chosen_prefix()
+        );
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn main() {
+    eprintln!("gridpaxos-server requires Linux (epoll)");
+    exit(2)
 }

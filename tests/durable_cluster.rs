@@ -1,11 +1,12 @@
 //! Full-stack durability: a TCP cluster with file-backed storage is shut
 //! down completely and relaunched from its data directories — committed
 //! state must survive the restart.
+#![cfg(target_os = "linux")]
 
 use bytes::Bytes;
 use gridpaxos::core::prelude::*;
 use gridpaxos::services::{KvOp, KvStore};
-use gridpaxos::transport::{FileStorage, TcpCluster};
+use gridpaxos::transport::{FileStorage, ReactorCluster, ReactorConfig, SyncMode};
 use std::path::PathBuf;
 
 fn tmp_dirs(name: &str, n: usize) -> Vec<PathBuf> {
@@ -21,15 +22,17 @@ fn tmp_dirs(name: &str, n: usize) -> Vec<PathBuf> {
         .collect()
 }
 
-fn launch(dirs: &[PathBuf]) -> TcpCluster {
-    let dirs = dirs.to_vec();
-    TcpCluster::launch_with_storage(
+fn launch(dirs: &[PathBuf]) -> ReactorCluster {
+    ReactorCluster::launch_with_storage(
         Config::cluster(3),
+        1,
         || Box::new(KvStore::new()),
-        move |p: ProcessId| {
-            Box::new(
-                FileStorage::open_with_sync(&dirs[p.0 as usize], false).expect("open file storage"),
-            )
+        None,
+        ReactorConfig::default(),
+        |p: ProcessId| {
+            let storage = FileStorage::open_with_mode(&dirs[p.0 as usize], SyncMode::Never)
+                .expect("open file storage");
+            vec![Box::new(storage) as Box<dyn Storage>]
         },
     )
     .expect("launch durable cluster")
@@ -51,7 +54,7 @@ fn committed_state_survives_full_cluster_restart() {
             assert!(matches!(reply, ReplyBody::Ok(_)));
         }
         std::thread::sleep(std::time::Duration::from_millis(250));
-        let replicas = cluster.shutdown();
+        let replicas: Vec<Replica> = cluster.shutdown().into_iter().flatten().collect();
         assert!(replicas.iter().all(|r| r.chosen_prefix() == Instance(3)));
     }
 
@@ -78,7 +81,7 @@ fn committed_state_survives_full_cluster_restart() {
         assert!(matches!(reply, ReplyBody::Ok(_)));
 
         std::thread::sleep(std::time::Duration::from_millis(250));
-        let replicas = cluster.shutdown();
+        let replicas: Vec<Replica> = cluster.shutdown().into_iter().flatten().collect();
         let snaps: Vec<Bytes> = replicas.iter().map(|r| r.service_snapshot()).collect();
         assert!(snaps.windows(2).all(|w| w[0] == w[1]));
         let mut kv = KvStore::new();

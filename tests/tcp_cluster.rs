@@ -1,11 +1,13 @@
-//! End-to-end tests over the real TCP transport on loopback — the same
-//! deployment substrate as the paper's prototype. These run actual OS
-//! threads and sockets, so they are kept small and generously timed.
+//! End-to-end tests over real TCP on loopback — the same deployment
+//! substrate as the paper's prototype: reactor nodes serving blocking
+//! `SyncClient`s. These run actual OS threads and sockets, so they are
+//! kept small and generously timed.
+#![cfg(target_os = "linux")]
 
 use bytes::Bytes;
 use gridpaxos::core::prelude::*;
 use gridpaxos::services::{KvOp, KvStore};
-use gridpaxos::transport::TcpCluster;
+use gridpaxos::transport::ReactorCluster;
 
 fn wait_for_leader() {
     // Bootstrap election over real sockets; cluster timeouts are tens of ms.
@@ -14,7 +16,7 @@ fn wait_for_leader() {
 
 #[test]
 fn tcp_write_then_read_roundtrip() {
-    let cluster = TcpCluster::launch(Config::cluster(3), || Box::new(KvStore::new()))
+    let cluster = ReactorCluster::launch(Config::cluster(3), || Box::new(KvStore::new()))
         .expect("launch cluster");
     wait_for_leader();
     let mut client = cluster.client();
@@ -38,7 +40,7 @@ fn tcp_write_then_read_roundtrip() {
     // Replicas converge (give the final Chosen/heartbeat a moment to
     // propagate before stopping the threads).
     std::thread::sleep(std::time::Duration::from_millis(250));
-    let replicas = cluster.shutdown();
+    let replicas: Vec<Replica> = cluster.shutdown().into_iter().flatten().collect();
     assert_eq!(replicas.len(), 3);
     let snaps: Vec<Bytes> = replicas.iter().map(|r| r.service_snapshot()).collect();
     assert!(snaps.windows(2).all(|w| w[0] == w[1]));
@@ -47,7 +49,7 @@ fn tcp_write_then_read_roundtrip() {
 
 #[test]
 fn tcp_multiple_clients_interleave() {
-    let cluster = TcpCluster::launch(Config::cluster(3), || Box::new(KvStore::new()))
+    let cluster = ReactorCluster::launch(Config::cluster(3), || Box::new(KvStore::new()))
         .expect("launch cluster");
     wait_for_leader();
 
@@ -69,7 +71,7 @@ fn tcp_multiple_clients_interleave() {
     }
 
     std::thread::sleep(std::time::Duration::from_millis(250));
-    let replicas = cluster.shutdown();
+    let replicas: Vec<Replica> = cluster.shutdown().into_iter().flatten().collect();
     let snaps: Vec<Bytes> = replicas.iter().map(|r| r.service_snapshot()).collect();
     assert!(snaps.windows(2).all(|w| w[0] == w[1]), "replicas diverged");
     // 40 writes total were sequenced.
@@ -84,7 +86,7 @@ fn tcp_multiple_clients_interleave() {
 #[test]
 fn tcp_transactions_commit() {
     let cfg = Config::cluster(3).with_txn_mode(TxnMode::TPaxos);
-    let cluster = TcpCluster::launch(cfg, || Box::new(KvStore::new())).expect("launch");
+    let cluster = ReactorCluster::launch(cfg, || Box::new(KvStore::new())).expect("launch");
     wait_for_leader();
     let mut client = cluster.client();
 
@@ -112,7 +114,7 @@ fn tcp_transactions_commit() {
     assert_eq!(KvStore::decode_reply(&payload).as_deref(), Some("2"));
 
     std::thread::sleep(std::time::Duration::from_millis(250));
-    let replicas = cluster.shutdown();
+    let replicas: Vec<Replica> = cluster.shutdown().into_iter().flatten().collect();
     let snaps: Vec<Bytes> = replicas.iter().map(|r| r.service_snapshot()).collect();
     assert!(snaps.windows(2).all(|w| w[0] == w[1]));
 }
