@@ -30,7 +30,6 @@ fn run_one(name: &str, seed: u64) -> Option<Vec<TableOut>> {
         "batch-ablation" => gridpaxos_bench::batch_ablation(seed),
         "sharding" => gridpaxos_bench::sharding(seed),
         "txn" => gridpaxos_bench::bank_transactions(seed),
-        "group-commit" => gridpaxos_bench::group_commit(seed),
         "read-batching" => gridpaxos_bench::read_batching(seed),
         "follower-reads" => gridpaxos_bench::follower_reads(seed),
         "reactor" => gridpaxos_bench::reactor(seed),
@@ -62,13 +61,17 @@ fn main() {
                         Ok(p) => println!("  csv: {}", p.display()),
                         Err(e) => eprintln!("  csv write failed: {e}"),
                     }
+                    match t.write_json() {
+                        Ok(p) => println!("  json: {}", p.display()),
+                        Err(e) => eprintln!("  json write failed: {e}"),
+                    }
                 }
             }
             None => {
                 eprintln!(
                     "unknown experiment '{name}'; known: all rrt-sysnet fig5 fig6 fig7 fig8 \
                      table1 fig9 leader-switch scale-t ablation state-size batch-ablation \
-                     sharding txn group-commit read-batching follower-reads reactor large-state"
+                     sharding txn read-batching follower-reads reactor large-state"
                 );
                 any_bad = true;
             }

@@ -1,7 +1,7 @@
 //! The experiment suite: one function per table/figure of the paper
 //! (see DESIGN.md §5 for the index). Every function runs the simulation,
-//! prints the same rows/series the paper reports, writes a CSV under
-//! `target/experiments/`, and returns the table for programmatic checks.
+//! returns the same rows/series the paper reports as a [`TableOut`]; the
+//! `experiments` binary prints it and writes its CSV and JSON.
 
 use crate::table::TableOut;
 use gridpaxos_core::client::TxnScript;
@@ -15,7 +15,7 @@ use gridpaxos_simnet::runner::{
 };
 use gridpaxos_simnet::topology::Topology;
 use gridpaxos_simnet::workload::{OpLoop, TransferLoop, TxnLoop};
-use gridpaxos_simnet::world::{DurabilityMode, SimOpts, World};
+use gridpaxos_simnet::world::{SimOpts, World};
 
 fn fmt_ms(v: f64) -> String {
     format!("{v:.3}")
@@ -561,14 +561,14 @@ pub fn batch_ablation(seed: u64) -> TableOut {
 /// consensus groups. Strict pipelining (§3.3) caps each group at one
 /// decree in flight, so extra groups multiply the number of concurrent
 /// decrees (and spread leader work across nodes, since group `g`'s
-/// bootstrap leader is replica `g mod n`). Emits `BENCH_sharding.json`
-/// next to the text table.
+/// bootstrap leader is replica `g mod n`). Committed trajectory:
+/// `BENCH_sharding.json`.
 #[must_use]
 pub fn sharding(seed: u64) -> TableOut {
-    sharding_with(seed, 64, 200, true)
+    sharding_with(seed, 64, 200)
 }
 
-fn sharding_with(seed: u64, clients: usize, per_client: u64, emit_json: bool) -> TableOut {
+fn sharding_with(seed: u64, clients: usize, per_client: u64) -> TableOut {
     use gridpaxos_services::{shard_router, KvOp, KvStore};
 
     let mut t = TableOut::new(
@@ -630,37 +630,8 @@ fn sharding_with(seed: u64, clients: usize, per_client: u64, emit_json: bool) ->
             format!("{:.2}x", tput / base),
         ]);
     }
-    if emit_json {
-        match write_sharding_json(&results) {
-            Ok(p) => t.note(format!("json: {p}")),
-            Err(e) => t.note(format!("json write failed: {e}")),
-        }
-    }
     t.note("extension: G groups lift §3.3's one-decree-in-flight cap; near-linear until node CPU saturates");
     t
-}
-
-/// Machine-readable companion to the `sharding` table, written to
-/// `BENCH_sharding.json` in the working directory.
-fn write_sharding_json(results: &[(usize, f64, f64, f64)]) -> std::io::Result<String> {
-    let base = results.first().map_or(1.0, |r| r.1);
-    let mut s = String::from(
-        "{\n  \"experiment\": \"sharding\",\n  \"workload\": \"64 closed-loop clients, \
-         one Put key each, 200 writes per client, n=3 cluster\",\n  \"units\": \
-         {\"write_tput\": \"req/s\", \"p50\": \"ms\", \"p99\": \"ms\"},\n  \"results\": [\n",
-    );
-    for (i, (g, tput, p50, p99)) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"groups\": {g}, \"write_tput\": {tput:.1}, \"p50\": {p50:.4}, \
-             \"p99\": {p99:.4}, \"speedup\": {:.3}}}{}\n",
-            tput / base,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let path = "BENCH_sharding.json";
-    std::fs::write(path, s)?;
-    Ok(path.to_owned())
 }
 
 /// Extension (E16) — cross-shard bank transactions: closed-loop clients
@@ -671,13 +642,13 @@ fn write_sharding_json(results: &[(usize, f64, f64, f64)]) -> std::io::Result<St
 /// abort rate — against a `G = 1` baseline where every transfer is a
 /// single-group transaction. After each run the group states are decoded
 /// and the books audited: balances started at zero, so any nonzero total
-/// is a half-committed transfer. Emits `BENCH_txn.json`.
+/// is a half-committed transfer. Committed trajectory: `BENCH_txn.json`.
 #[must_use]
 pub fn bank_transactions(seed: u64) -> TableOut {
-    bank_transactions_with(seed, 16, 50, true)
+    bank_transactions_with(seed, 16, 50)
 }
 
-fn bank_transactions_with(seed: u64, clients: usize, per_client: u64, emit_json: bool) -> TableOut {
+fn bank_transactions_with(seed: u64, clients: usize, per_client: u64) -> TableOut {
     use gridpaxos_core::service::App;
     use gridpaxos_core::types::GroupId;
     use gridpaxos_services::{shard_router, transfer_legs, KvStore};
@@ -793,197 +764,8 @@ fn bank_transactions_with(seed: u64, clients: usize, per_client: u64, emit_json:
             format!("{:.2}x", tput / base),
         ]);
     }
-    if emit_json {
-        match write_txn_json(clients, per_client, &results) {
-            Ok(p) => t.note(format!("json: {p}")),
-            Err(e) => t.note(format!("json write failed: {e}")),
-        }
-    }
     t.note("extension: 2PC over T-Paxos groups; aborts are prepare-lock conflicts, retried by the client");
     t
-}
-
-/// Machine-readable companion to the `bank_transactions` table, written
-/// to `BENCH_txn.json` in the working directory.
-fn write_txn_json(
-    clients: usize,
-    per_client: u64,
-    results: &[(usize, usize, f64, f64, f64, f64)],
-) -> std::io::Result<String> {
-    let base = results.first().map_or(1.0, |r| r.2);
-    let mut s = format!(
-        "{{\n  \"experiment\": \"bank_transactions\",\n  \"workload\": \"{clients} \
-         closed-loop clients, {per_client} unit transfers each between hash-sharded \
-         accounts, n=3 cluster\",\n  \"units\": {{\"commit_tput\": \"txn/s\", \
-         \"abort_rate\": \"aborts/attempts\", \"p50\": \"ms\", \"p99\": \"ms\"}},\n  \
-         \"results\": [\n"
-    );
-    for (i, (g, accounts, tput, abort_rate, p50, p99)) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"groups\": {g}, \"accounts\": {accounts}, \"commit_tput\": {tput:.1}, \
-             \"abort_rate\": {abort_rate:.4}, \"p50\": {p50:.4}, \"p99\": {p99:.4}, \
-             \"speedup\": {:.3}}}{}\n",
-            tput / base,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let path = "BENCH_txn.json";
-    std::fs::write(path, s)?;
-    Ok(path.to_owned())
-}
-
-/// Extension — group-commit durability: closed-loop durable write
-/// throughput with one fsync per WAL record (the classic
-/// persist-before-send discipline) vs batched group commit (the drive
-/// loop drains a batch of events, issues one covering `flush()`, and only
-/// then transmits — persist-before-send at batch granularity). Sweeps
-/// sync mode × client count × consensus groups; multi-group nodes share
-/// one WAL, so a single barrier covers every group's appends in a drain
-/// cycle. Strict pipelining (§3.3) bounds the G=1 win to the shortened
-/// decree round; the shard plane is where coalescing pays — G groups'
-/// records ride one sync. Emits `BENCH_group_commit.json`.
-#[must_use]
-pub fn group_commit(seed: u64) -> TableOut {
-    group_commit_with(seed, &[16, 64], 200, true)
-}
-
-/// One measured row of the group-commit sweep.
-struct GcRow {
-    groups: usize,
-    clients: usize,
-    per_record_tput: f64,
-    batched_tput: f64,
-    pr_fsyncs_per_op: f64,
-    gc_fsyncs_per_op: f64,
-}
-
-fn group_commit_with(
-    seed: u64,
-    client_counts: &[usize],
-    per_client: u64,
-    emit_json: bool,
-) -> TableOut {
-    use gridpaxos_services::{shard_router, KvOp, KvStore};
-
-    let mut t = TableOut::new(
-        "group-commit",
-        "Durable write throughput: per-record fsync vs group commit (req/s, KV store)",
-        &[
-            "groups",
-            "clients",
-            "per_record_tput",
-            "batched_tput",
-            "speedup",
-            "pr_fsyncs_per_op",
-            "gc_fsyncs_per_op",
-        ],
-    );
-    let start = Time(Dur::from_millis(200).0);
-    let run = |g: usize, clients: usize, mode: DurabilityMode| -> (f64, f64) {
-        let mut exp = Experiment::on(Topology::sysnet(3), seed);
-        // Same pipeline-bound regime as the `sharding` experiment: small
-        // decree batches, no batching window. An unbounded batch would
-        // let per-record mode amortize through the leader's own queueing
-        // and hide what the fsync schedule changes.
-        exp.cfg.max_batch = 4;
-        exp.cfg.batch_window = Dur::ZERO;
-        let deadline = exp.deadline;
-        let opts = SimOpts {
-            cpu: exp.cpu,
-            durability: mode,
-            ..SimOpts::for_topology(exp.topology, seed)
-        };
-        let mut w = World::new_sharded(
-            exp.cfg,
-            opts,
-            Box::new(move |grp| Box::new(KvStore::sharded_in(grp.0, g))),
-            g,
-            Some(shard_router()),
-        );
-        for i in 0..clients {
-            let op = KvOp::Put(format!("c{i}"), "v".into());
-            w.add_client(
-                Box::new(OpLoop::with_payload(
-                    RequestKind::Write,
-                    per_client,
-                    op.encode(),
-                )),
-                None,
-                start,
-            );
-        }
-        let ok = w.run_to_completion(Time::ZERO.after(deadline));
-        assert!(
-            ok,
-            "group-commit run (G={g}, {clients} clients, {mode:?}) did not complete"
-        );
-        (w.metrics.ops_per_sec(), w.metrics.fsyncs_per_op())
-    };
-    let mut results: Vec<GcRow> = Vec::new();
-    for &g in &[1usize, 4] {
-        for &clients in client_counts {
-            let (pr_tput, pr_fpo) = run(g, clients, DurabilityMode::PerRecord);
-            let (gc_tput, gc_fpo) = run(g, clients, DurabilityMode::Batched);
-            t.row(vec![
-                g.to_string(),
-                clients.to_string(),
-                fmt_tput(pr_tput),
-                fmt_tput(gc_tput),
-                format!("{:.2}x", gc_tput / pr_tput),
-                format!("{pr_fpo:.2}"),
-                format!("{gc_fpo:.2}"),
-            ]);
-            results.push(GcRow {
-                groups: g,
-                clients,
-                per_record_tput: pr_tput,
-                batched_tput: gc_tput,
-                pr_fsyncs_per_op: pr_fpo,
-                gc_fsyncs_per_op: gc_fpo,
-            });
-        }
-    }
-    if emit_json {
-        match write_group_commit_json(&results) {
-            Ok(p) => t.note(format!("json: {p}")),
-            Err(e) => t.note(format!("json write failed: {e}")),
-        }
-    }
-    t.note("group commit amortizes the WAL sync over a drain cycle's records — and over all G groups sharing the node's log, where per-record pays G independent fsync streams");
-    t
-}
-
-/// Machine-readable companion to the `group-commit` table, written to
-/// `BENCH_group_commit.json` in the working directory.
-fn write_group_commit_json(results: &[GcRow]) -> std::io::Result<String> {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"group-commit\",\n  \"workload\": \"closed-loop KV Puts, \
-         n=3 cluster (sysnet topology), max_batch=4, 200 writes per client; durability \
-         charged at 2 ms per fsync\",\n  \"modes\": {\"per_record\": \"one blocking fsync \
-         per WAL record\", \"batched\": \"group commit: one flush barrier per drain cycle, \
-         shared across a node's groups\"},\n  \"units\": {\"per_record_tput\": \"req/s\", \
-         \"batched_tput\": \"req/s\"},\n  \"results\": [\n",
-    );
-    for (i, r) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"groups\": {}, \"clients\": {}, \"per_record_tput\": {:.1}, \
-             \"batched_tput\": {:.1}, \"speedup\": {:.3}, \"per_record_fsyncs_per_op\": \
-             {:.3}, \"batched_fsyncs_per_op\": {:.3}}}{}\n",
-            r.groups,
-            r.clients,
-            r.per_record_tput,
-            r.batched_tput,
-            r.batched_tput / r.per_record_tput,
-            r.pr_fsyncs_per_op,
-            r.gc_fsyncs_per_op,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let path = "BENCH_group_commit.json";
-    std::fs::write(path, s)?;
-    Ok(path.to_owned())
 }
 
 /// Extension — epoch-batched confirm rounds: closed-loop X-Paxos read
@@ -992,18 +774,13 @@ fn write_group_commit_json(results: &[GcRow]) -> std::io::Result<String> {
 /// per-message overhead, not request execution, saturates the replicas —
 /// the regime the batching targets (per-read confirms cost every replica
 /// `O(reads)` messages; one round costs `O(n)` regardless of backlog).
-/// Emits `BENCH_read_batching.json` next to the text table.
+/// Committed trajectory: `BENCH_read_batching.json`.
 #[must_use]
 pub fn read_batching(seed: u64) -> TableOut {
-    read_batching_with(seed, &[8, 16, 32, 64, 128], 200, true)
+    read_batching_with(seed, &[8, 16, 32, 64, 128], 200)
 }
 
-fn read_batching_with(
-    seed: u64,
-    client_counts: &[usize],
-    per_client: u64,
-    emit_json: bool,
-) -> TableOut {
+fn read_batching_with(seed: u64, client_counts: &[usize], per_client: u64) -> TableOut {
     let mut t = TableOut::new(
         "read-batching",
         "X-Paxos read throughput: per-read confirms vs epoch batching (req/s, msg-bound CPU)",
@@ -1021,7 +798,6 @@ fn read_batching_with(
         exp.cfg.confirm_batching = batching;
         measure_throughput(exp, RequestKind::Read, clients, per_client)
     };
-    let mut results: Vec<(usize, f64, f64, f64)> = Vec::new();
     for &c in client_counts {
         let (base, _) = run(c, false);
         let (batched, m) = run(c, true);
@@ -1033,39 +809,9 @@ fn read_batching_with(
             format!("{:.2}x", batched / base),
             format!("{cpr:.2}"),
         ]);
-        results.push((c, base, batched, cpr));
-    }
-    if emit_json {
-        match write_read_batching_json(&results) {
-            Ok(p) => t.note(format!("json: {p}")),
-            Err(e) => t.note(format!("json write failed: {e}")),
-        }
     }
     t.note("extension: one ConfirmReq/ConfirmBatch round validates every open read, collapsing O(reads x n) confirm traffic to O(n) per round");
     t
-}
-
-/// Machine-readable companion to the `read-batching` table, written to
-/// `BENCH_read_batching.json` in the working directory.
-fn write_read_batching_json(results: &[(usize, f64, f64, f64)]) -> std::io::Result<String> {
-    let mut s = String::from(
-        "{\n  \"experiment\": \"read-batching\",\n  \"workload\": \"closed-loop X-Paxos \
-         reads, n=3 cluster (sysnet topology), message-bound CPU model, 200 reads per \
-         client\",\n  \"units\": {\"per_read_tput\": \"req/s\", \"batched_tput\": \
-         \"req/s\"},\n  \"results\": [\n",
-    );
-    for (i, (c, base, batched, cpr)) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"clients\": {c}, \"per_read_tput\": {base:.1}, \"batched_tput\": \
-             {batched:.1}, \"speedup\": {:.3}, \"confirms_per_read\": {cpr:.3}}}{}\n",
-            batched / base,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let path = "BENCH_read_batching.json";
-    std::fs::write(path, s)?;
-    Ok(path.to_owned())
 }
 
 /// Extension (E17) — zero-round WAN reads: bounded-staleness follower
@@ -1085,24 +831,13 @@ fn write_read_batching_json(results: &[(usize, f64, f64, f64)]) -> std::io::Resu
 ///
 /// Leaders are placed by client-weighted RTT ([`Topology::place_leaders`])
 /// in every mode, so the comparison isolates the read path from the
-/// placement win. Emits `BENCH_follower_reads.json`.
+/// placement win. Committed trajectory: `BENCH_follower_reads.json`.
 #[must_use]
 pub fn follower_reads(seed: u64) -> TableOut {
-    follower_reads_with(seed, 150, true)
+    follower_reads_with(seed, 150)
 }
 
-struct FrRow {
-    key: String,
-    read_p50: f64,
-    read_mean: f64,
-    write_p50: f64,
-    hit: f64,
-    stale_mean: f64,
-    stale_max: u64,
-    confirms_per_read: f64,
-}
-
-fn follower_reads_with(seed: u64, per_client: u64, emit_json: bool) -> TableOut {
+fn follower_reads_with(seed: u64, per_client: u64) -> TableOut {
     use crate::zipf::SkewedMixLoop;
     use gridpaxos_core::types::ClientId;
 
@@ -1141,7 +876,8 @@ fn follower_reads_with(seed: u64, per_client: u64, emit_json: bool) -> TableOut 
         }
     };
     const MAX_STALENESS: u64 = 8;
-    let run = |which: usize, mode: ReadMode| -> FrRow {
+    // One run, as the table row keyed `key`.
+    let run = |key: String, which: usize, mode: ReadMode| -> Vec<String> {
         let (mut topo, sites) = population(which);
         // Pre-place the population so geo scoring and nearest-replica
         // routing both see it (the world assigns ids 1.. in add order).
@@ -1174,29 +910,30 @@ fn follower_reads_with(seed: u64, per_client: u64, emit_json: bool) -> TableOut 
         let reads = w.metrics.rtt_summary("read");
         let writes = w.metrics.rtt_summary("write");
         let (served, stale_sum, stale_max, _rejects) = w.follower_read_stats();
-        FrRow {
-            key: String::new(), // filled by the caller
-            read_p50: reads.p50,
-            read_mean: reads.mean,
-            write_p50: writes.p50,
-            // Reads answered with zero coordination rounds, as a share of
-            // completed reads (a retried read can be served twice, so the
-            // share is capped at 1).
-            hit: if reads.n == 0 {
-                0.0
-            } else {
-                (served as f64 / reads.n as f64).min(1.0)
-            },
-            stale_mean: if served == 0 {
-                0.0
-            } else {
-                stale_sum as f64 / served as f64
-            },
-            stale_max,
-            confirms_per_read: w.metrics.confirm_msgs_per_read(),
-        }
+        // Reads answered with zero coordination rounds, as a share of
+        // completed reads (a retried read can be served twice, so the
+        // share is capped at 1).
+        let hit = if reads.n == 0 {
+            0.0
+        } else {
+            (served as f64 / reads.n as f64).min(1.0)
+        };
+        let stale_mean = if served == 0 {
+            0.0
+        } else {
+            stale_sum as f64 / served as f64
+        };
+        vec![
+            key,
+            fmt_ms(reads.p50),
+            fmt_ms(reads.mean),
+            fmt_ms(writes.p50),
+            format!("{hit:.2}"),
+            format!("{stale_mean:.2}"),
+            stale_max.to_string(),
+            format!("{:.2}", w.metrics.confirm_msgs_per_read()),
+        ]
     };
-    let mut rows: Vec<FrRow> = Vec::new();
     for (which, config) in ["config1", "config2", "config3"].iter().enumerate() {
         for (mode, name) in [
             (ReadMode::XPaxos, "confirm"),
@@ -1208,25 +945,7 @@ fn follower_reads_with(seed: u64, per_client: u64, emit_json: bool) -> TableOut 
                 "follower",
             ),
         ] {
-            let mut row = run(which, mode);
-            row.key = format!("{config}/{name}");
-            t.row(vec![
-                row.key.clone(),
-                fmt_ms(row.read_p50),
-                fmt_ms(row.read_mean),
-                fmt_ms(row.write_p50),
-                format!("{:.2}", row.hit),
-                format!("{:.2}", row.stale_mean),
-                row.stale_max.to_string(),
-                format!("{:.2}", row.confirms_per_read),
-            ]);
-            rows.push(row);
-        }
-    }
-    if emit_json {
-        match write_follower_reads_json(&rows, MAX_STALENESS) {
-            Ok(p) => t.note(format!("json: {p}")),
-            Err(e) => t.note(format!("json write failed: {e}")),
+            t.row(run(format!("{config}/{name}"), which, mode));
         }
     }
     t.note(
@@ -1235,38 +954,6 @@ fn follower_reads_with(seed: u64, per_client: u64, emit_json: bool) -> TableOut 
          (monotonic reads, read-your-writes) are enforced by the client watermark",
     );
     t
-}
-
-/// Machine-readable companion to the `follower-reads` table, written to
-/// `BENCH_follower_reads.json` in the working directory.
-fn write_follower_reads_json(rows: &[FrRow], max_staleness: u64) -> std::io::Result<String> {
-    let mut s = format!(
-        "{{\n  \"experiment\": \"follower-reads\",\n  \"workload\": \"4 closed-loop clients \
-         per config in per-site populations, 90% reads over a 64-key zipfian (theta=0.99) \
-         keyspace, geo-aware leader placement in every mode\",\n  \"max_staleness\": \
-         {max_staleness},\n  \"units\": {{\"read_p50\": \"ms\", \"read_mean\": \"ms\", \
-         \"write_p50\": \"ms\"}},\n  \"results\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"run\": \"{}\", \"read_p50\": {:.4}, \"read_mean\": {:.4}, \
-             \"write_p50\": {:.4}, \"zero_round_share\": {:.3}, \"stale_mean\": {:.3}, \
-             \"stale_max\": {}, \"confirms_per_read\": {:.3}}}{}\n",
-            r.key,
-            r.read_p50,
-            r.read_mean,
-            r.write_p50,
-            r.hit,
-            r.stale_mean,
-            r.stale_max,
-            r.confirms_per_read,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let path = "BENCH_follower_reads.json";
-    std::fs::write(path, s)?;
-    Ok(path.to_owned())
 }
 
 /// E14 — reactor transport: the nonblocking epoll reactor on a real
@@ -1289,7 +976,7 @@ fn write_follower_reads_json(rows: &[FrRow], max_staleness: u64) -> std::io::Res
 #[must_use]
 #[cfg(target_os = "linux")]
 pub fn reactor(seed: u64) -> TableOut {
-    reactor_live::reactor_with(seed, &reactor_live::Scale::full(), true)
+    reactor_live::reactor_with(seed, &reactor_live::Scale::full())
 }
 
 /// Non-Linux stub: the reactor needs epoll.
@@ -1367,29 +1054,6 @@ mod reactor_live {
         }
     }
 
-    /// One finished closed-loop run.
-    pub(crate) struct ClosedRow {
-        transport: &'static str,
-        clients: usize,
-        conns: usize,
-        completed: u64,
-        busy: u64,
-        tput: f64,
-        p50_ms: f64,
-        p99_ms: f64,
-    }
-
-    /// One finished open-loop rate point.
-    pub(crate) struct OpenRow {
-        transport: &'static str,
-        offered: u64,
-        sent: u64,
-        completed: u64,
-        busy: u64,
-        tput: f64,
-        p99_ms: f64,
-    }
-
     fn pct_ms(sorted_ns: &[u64], p: f64) -> f64 {
         if sorted_ns.is_empty() {
             return 0.0;
@@ -1408,12 +1072,13 @@ mod reactor_live {
     }
 
     /// Closed loop with `clients` real connections: each thread owns one
-    /// `SyncClient` and keeps exactly one request outstanding.
+    /// `SyncClient` and keeps exactly one request outstanding. Returns the
+    /// table row, as `closed_mux` and `open_point` do.
     fn closed_real(
         mk: &(dyn Fn() -> SyncClient<TcpNode> + Sync),
         clients: usize,
         ops_each: u64,
-    ) -> ClosedRow {
+    ) -> Vec<String> {
         let started = Instant::now();
         let per_thread: Vec<(u64, Vec<u64>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..clients)
@@ -1443,16 +1108,17 @@ mod reactor_live {
         let completed: u64 = per_thread.iter().map(|(ok, _)| ok).sum();
         let mut samples: Vec<u64> = per_thread.into_iter().flat_map(|(_, s)| s).collect();
         samples.sort_unstable();
-        ClosedRow {
-            transport: "reactor",
-            clients,
-            conns: clients * 3,
-            completed,
-            busy: 0,
-            tput: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-            p50_ms: pct_ms(&samples, 0.50),
-            p99_ms: pct_ms(&samples, 0.99),
-        }
+        vec![
+            "closed/reactor".into(),
+            clients.to_string(),
+            (clients * 3).to_string(),
+            "-".into(),
+            completed.to_string(),
+            format!("{:.0}", completed as f64 / elapsed.as_secs_f64().max(1e-9)),
+            format!("{:.3}", pct_ms(&samples, 0.50)),
+            format!("{:.3}", pct_ms(&samples, 0.99)),
+            "0".into(),
+        ]
     }
 
     /// Closed loop with `mux_clients` virtual clients over one socket per
@@ -1462,20 +1128,21 @@ mod reactor_live {
         mux_clients: usize,
         ops_each: u64,
         base: u64,
-    ) -> ClosedRow {
+    ) -> Vec<String> {
         let mut swarm = MuxSwarm::connect(addrs, mux_clients, base).expect("mux connect");
         let rep = swarm.run_closed(ops_each, Duration::from_secs(120));
         swarm.shutdown();
-        ClosedRow {
-            transport: "reactor+mux",
-            clients: mux_clients,
-            conns: addrs.len(),
-            completed: rep.completed,
-            busy: rep.busy,
-            tput: rep.throughput(),
-            p50_ms: rep.rtt_p50_us / 1e3,
-            p99_ms: rep.rtt_p99_us / 1e3,
-        }
+        vec![
+            "closed/reactor+mux".into(),
+            mux_clients.to_string(),
+            addrs.len().to_string(),
+            "-".into(),
+            rep.completed.to_string(),
+            format!("{:.0}", rep.throughput()),
+            format!("{:.3}", rep.rtt_p50_us / 1e3),
+            format!("{:.3}", rep.rtt_p99_us / 1e3),
+            rep.busy.to_string(),
+        ]
     }
 
     /// Open loop at `offered` req/s aggregate: `swarms` single-vclient
@@ -1486,7 +1153,7 @@ mod reactor_live {
         offered: u64,
         dur: Duration,
         base: u64,
-    ) -> OpenRow {
+    ) -> Vec<String> {
         let grace = Duration::from_millis(500);
         let per_swarm_rate = (offered / swarms as u64).max(1);
         let reports: Vec<_> = std::thread::scope(|s| {
@@ -1506,22 +1173,23 @@ mod reactor_live {
                 .map(|h| h.join().expect("open-loop swarm panicked"))
                 .collect()
         });
-        let sent: u64 = reports.iter().map(|r| r.sent).sum();
         let completed: u64 = reports.iter().map(|r| r.completed).sum();
         let busy: u64 = reports.iter().map(|r| r.busy).sum();
-        let p99 = reports.iter().map(|r| r.rtt_p99_us).fold(0.0, f64::max) / 1e3;
-        OpenRow {
-            transport: "reactor",
-            offered,
-            sent,
-            completed,
-            busy,
-            tput: completed as f64 / (dur + grace).as_secs_f64(),
-            p99_ms: p99,
-        }
+        let p99_ms = reports.iter().map(|r| r.rtt_p99_us).fold(0.0, f64::max) / 1e3;
+        vec![
+            format!("open/reactor@{offered}"),
+            "-".into(),
+            "-".into(),
+            offered.to_string(),
+            completed.to_string(),
+            format!("{:.0}", completed as f64 / (dur + grace).as_secs_f64()),
+            "-".into(),
+            format!("{p99_ms:.3}"),
+            busy.to_string(),
+        ]
     }
 
-    pub(crate) fn reactor_with(seed: u64, scale: &Scale, emit_json: bool) -> TableOut {
+    pub(crate) fn reactor_with(seed: u64, scale: &Scale) -> TableOut {
         let mut t = TableOut::new(
             "reactor",
             "Reactor transport (live 3-node TCP cluster, req/s)",
@@ -1538,23 +1206,21 @@ mod reactor_live {
             ],
         );
         let app = || Box::new(NoopApp::new()) as Box<dyn gridpaxos_core::service::App>;
-        let mut closed: Vec<ClosedRow> = Vec::new();
-        let mut open: Vec<OpenRow> = Vec::new();
 
         let cluster = ReactorCluster::launch(Config::cluster(3), app).expect("reactor cluster");
-        closed.push(closed_real(
+        t.row(closed_real(
             &|| cluster.client(),
             scale.parity_clients,
             scale.ops_each,
         ));
-        closed.push(closed_mux(
+        t.row(closed_mux(
             &cluster.addrs,
             scale.mux_clients,
             scale.ops_each,
             client_base(seed),
         ));
         for &rate in &scale.open_rates {
-            open.push(open_point(
+            t.row(open_point(
                 &cluster.addrs,
                 scale.open_swarms,
                 rate,
@@ -1567,91 +1233,14 @@ mod reactor_live {
             .sum::<u64>();
         cluster.shutdown();
 
-        for r in &closed {
-            t.row(vec![
-                format!("closed/{}", r.transport),
-                r.clients.to_string(),
-                r.conns.to_string(),
-                "-".into(),
-                r.completed.to_string(),
-                format!("{:.0}", r.tput),
-                format!("{:.3}", r.p50_ms),
-                format!("{:.3}", r.p99_ms),
-                r.busy.to_string(),
-            ]);
-        }
-        for r in &open {
-            t.row(vec![
-                format!("open/{}@{}", r.transport, r.offered),
-                "-".into(),
-                "-".into(),
-                r.offered.to_string(),
-                r.completed.to_string(),
-                format!("{:.0}", r.tput),
-                "-".into(),
-                format!("{:.3}", r.p99_ms),
-                r.busy.to_string(),
-            ]);
-        }
         t.note(format!(
             "reactor admission gate shed {shed_total} requests with Busy across all runs"
         ));
-        if emit_json {
-            match write_reactor_json(&closed, &open) {
-                Ok(p) => t.note(format!("json: {p}")),
-                Err(e) => t.note(format!("json write failed: {e}")),
-            }
-        }
         t.note(
             "closed loop: reactor hosts 10k+ multiplexed clients on one thread per node; \
              open loop: the admission gate sheds past saturation (plateau + bounded p99)",
         );
         t
-    }
-
-    fn write_reactor_json(closed: &[ClosedRow], open: &[OpenRow]) -> std::io::Result<String> {
-        let mut s = String::from(
-            "{\n  \"experiment\": \"reactor\",\n  \"workload\": \"live 3-node loopback TCP \
-             cluster, NoopApp writes; closed-loop real SyncClients vs 10k+ virtual clients \
-             multiplexed over 3 sockets; open-loop fixed-rate sweep via single-vclient \
-             swarms\",\n  \"units\": {\"tput\": \"req/s\", \"p50\": \"ms\", \"p99\": \
-             \"ms\"},\n  \"closed_loop\": [\n",
-        );
-        for (i, r) in closed.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"transport\": \"{}\", \"clients\": {}, \"conns\": {}, \"completed\": \
-                 {}, \"busy\": {}, \"tput\": {:.1}, \"p50\": {:.4}, \"p99\": {:.4}}}{}\n",
-                r.transport,
-                r.clients,
-                r.conns,
-                r.completed,
-                r.busy,
-                r.tput,
-                r.p50_ms,
-                r.p99_ms,
-                if i + 1 == closed.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"open_loop\": [\n");
-        for (i, r) in open.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"transport\": \"{}\", \"offered_rps\": {}, \"sent\": {}, \
-                 \"completed\": {}, \"busy\": {}, \"delivered_rps\": {:.1}, \"p99\": \
-                 {:.4}}}{}\n",
-                r.transport,
-                r.offered,
-                r.sent,
-                r.completed,
-                r.busy,
-                r.tput,
-                r.p99_ms,
-                if i + 1 == open.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        let path = "BENCH_reactor.json";
-        std::fs::write(path, s)?;
-        Ok(path.to_owned())
     }
 }
 
@@ -2092,7 +1681,7 @@ fn apply_throughput_ms(
 /// checkpoints against the legacy stop-the-world snapshot, plus the
 /// parallel apply pipeline's throughput at G=4. Incremental checkpoints
 /// must keep decree p99 flat in state size; monolithic checkpoints show
-/// the O(state) pause the tentpole removes. Emits
+/// the O(state) pause the tentpole removes. Committed trajectory:
 /// `BENCH_large_state.json`.
 #[must_use]
 pub fn large_state(seed: u64) -> TableOut {
@@ -2104,11 +1693,9 @@ pub fn large_state(seed: u64) -> TableOut {
         64,
         16 * 1024,
         std::time::Duration::from_micros(500),
-        true,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn large_state_with(
     seed: u64,
     sizes: &[usize],
@@ -2117,7 +1704,6 @@ fn large_state_with(
     checkpoint_every: u64,
     chunk_bytes: usize,
     floor: std::time::Duration,
-    emit_json: bool,
 ) -> TableOut {
     let mut t = TableOut::new(
         "large-state",
@@ -2232,87 +1818,8 @@ fn large_state_with(
          wait on staged files/job queues, so apply cost is latency, not CPU — and this host \
          has one CPU, so the win shown is overlapped waiting, not CPU parallelism)"
     ));
-    if emit_json {
-        match write_large_state_json(
-            &rows,
-            value_bytes,
-            checkpoint_every,
-            chunk_bytes,
-            floor,
-            decree_spread,
-            ckpt_spread,
-            serial_ms,
-            pooled_ms,
-        ) {
-            Ok(p) => t.note(format!("json: {p}")),
-            Err(e) => t.note(format!("json write failed: {e}")),
-        }
-    }
     t.note("tentpole: chunked checkpoints + apply pipeline make decree cost flat in state size");
     t
-}
-
-/// Machine-readable companion to the `large-state` table, written to
-/// `BENCH_large_state.json` in the working directory.
-#[allow(clippy::too_many_arguments)]
-fn write_large_state_json(
-    rows: &[(usize, &str, LsRun)],
-    value_bytes: usize,
-    checkpoint_every: u64,
-    chunk_bytes: usize,
-    floor: std::time::Duration,
-    decree_spread: f64,
-    ckpt_spread: f64,
-    serial_ms: f64,
-    pooled_ms: f64,
-) -> std::io::Result<String> {
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.4}")
-        } else {
-            "null".to_owned()
-        }
-    }
-    let mut s = format!(
-        "{{\n  \"experiment\": \"large-state\",\n  \"workload\": \"closed-loop {value_bytes}B \
-         overwrites on an n=3 cluster, KV store preloaded to each size; checkpoint \
-         every {checkpoint_every} decrees, {} KiB chunks vs monolithic; {} us simulated \
-         RTT+fsync floor per decree round, identical across sizes and modes; measured \
-         after a two-checkpoint warm-up; chunked rows are median-of-3 repetitions by \
-         decree p99\",\n  \"decree_floor_us\": {},\n  \"units\": \"ms\",\n  \"results\": [\n",
-        chunk_bytes / 1024,
-        floor.as_micros(),
-        floor.as_micros(),
-    );
-    for (i, (keys, mode, r)) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"keys\": {keys}, \"mode\": \"{mode}\", \"p50_ms\": {}, \"p99_ms\": {}, \
-             \"max_ms\": {}, \"ckpt_p99_ms\": {}, \"checkpoints\": {}, \
-             \"chunks_per_ckpt\": {:.1}, \"state_mb\": {:.2}}}{}\n",
-            num(r.p50_ms),
-            num(r.p99_ms),
-            num(r.max_ms),
-            num(r.ckpt_p99_ms),
-            r.checkpoints,
-            r.chunks_per_ckpt,
-            r.state_mb,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str(&format!(
-        "  ],\n  \"chunked_decree_p99_spread\": {},\n  \"chunked_ckpt_p99_spread\": {},\n  \
-         \"apply\": {{\"groups\": 4, \"workers\": 4, \"serial_ms\": {}, \"pooled_ms\": {}, \
-         \"speedup\": {}, \"model\": \"300us external-resource wait per apply; single-CPU \
-         host, speedup is overlapped waiting across groups\"}}\n}}\n",
-        num(decree_spread),
-        num(ckpt_spread),
-        num(serial_ms),
-        num(pooled_ms),
-        num(serial_ms / pooled_ms),
-    ));
-    let path = "BENCH_large_state.json";
-    std::fs::write(path, s)?;
-    Ok(path.to_owned())
 }
 
 /// Every experiment, in paper order.
@@ -2334,7 +1841,6 @@ pub fn all(seed: u64) -> Vec<TableOut> {
         batch_ablation(seed),
         sharding(seed),
         bank_transactions(seed),
-        group_commit(seed),
         read_batching(seed),
         follower_reads(seed),
         reactor(seed),
@@ -2352,7 +1858,7 @@ mod tests {
         // BENCH_sharding.json): with enough clients to keep every group's
         // pipeline full, more groups must yield materially more
         // closed-loop write throughput.
-        let t = sharding_with(11, 64, 25, false);
+        let t = sharding_with(11, 64, 25);
         let tput = |g: &str| -> f64 { t.cell(g, "write_tput").unwrap().parse().unwrap() };
         let (g1, g4) = (tput("1"), tput("4"));
         assert!(g4 > g1 * 2.0, "G=4 {g4:.0}/s vs G=1 {g1:.0}/s");
@@ -2365,7 +1871,7 @@ mod tests {
         // eventually commit, books must balance (asserted inside the
         // experiment), and the hot 8-account pool at G=4 must show real
         // 2PC contention — some aborted-and-retried attempts.
-        let t = bank_transactions_with(23, 6, 10, false);
+        let t = bank_transactions_with(23, 6, 10);
         let cell = |row: &str, col: &str| -> f64 {
             t.cell(row, col)
                 .unwrap_or_else(|| panic!("row {row} col {col} missing"))
@@ -2378,25 +1884,6 @@ mod tests {
         assert!(cell("4g/256a", "commit_tput") > 0.0);
     }
 
-    #[test]
-    fn group_commit_amortizes_durable_writes() {
-        // Short version of the headline run (the full one generates
-        // BENCH_group_commit.json): at 64 closed-loop writers on a G=4
-        // shard plane, batching fsyncs across a drain cycle — and across
-        // the groups sharing each node's WAL — must at least double
-        // durable write throughput while charging less than one sync per
-        // completed op. Per-record pays a sync per WAL record, so its
-        // ratio sits well above 1.0.
-        let t = group_commit_with(31, &[64], 25, false);
-        let cell = |col: &str| -> f64 { t.cell("4", col).unwrap().parse().unwrap() };
-        let (pr, gc) = (cell("per_record_tput"), cell("batched_tput"));
-        assert!(gc >= pr * 2.0, "batched {gc:.0}/s vs per-record {pr:.0}/s");
-        let gc_fpo: f64 = t.cell("4", "gc_fsyncs_per_op").unwrap().parse().unwrap();
-        let pr_fpo: f64 = t.cell("4", "pr_fsyncs_per_op").unwrap().parse().unwrap();
-        assert!(gc_fpo < 1.0, "group-commit fsyncs per op {gc_fpo:.2}");
-        assert!(pr_fpo > 1.0, "per-record fsyncs per op {pr_fpo:.2}");
-    }
-
     /// CI smoke of E17 (the full run generates BENCH_follower_reads.json
     /// across all three §4.1 configs): on the config-3 WAN-spread world
     /// with per-site client populations, bounded-staleness follower reads
@@ -2406,7 +1893,7 @@ mod tests {
     /// latency at least 5x below the per-read confirm path.
     #[test]
     fn follower_reads_smoke_config3_zero_round_and_bounded() {
-        let t = follower_reads_with(13, 60, false);
+        let t = follower_reads_with(13, 60);
         let cell = |row: &str, col: &str| -> f64 {
             t.cell(row, col)
                 .unwrap_or_else(|| panic!("row {row} col {col} missing"))
@@ -2452,7 +1939,7 @@ mod tests {
         // message-bound replicas drown in per-read confirms, and epoch
         // batching must at least double throughput while spending less
         // than one confirm-path message per read.
-        let t = read_batching_with(7, &[64], 40, false);
+        let t = read_batching_with(7, &[64], 40);
         let cell = |col: &str| -> f64 { t.cell("64", col).unwrap().parse().unwrap() };
         let (base, batched) = (cell("per_read_tput"), cell("batched_tput"));
         assert!(
@@ -2478,7 +1965,6 @@ mod tests {
             16,
             8 * 1024,
             std::time::Duration::ZERO,
-            false,
         );
         let cell = |row: &str, col: &str| -> f64 {
             t.cell(row, col)
@@ -2523,7 +2009,7 @@ mod tests {
     fn reactor_smoke_serves_mux_swarm() {
         let scale = reactor_live::Scale::smoke();
         let expect_mux = scale.mux_clients as u64 * scale.ops_each;
-        let t = reactor_live::reactor_with(5, &scale, false);
+        let t = reactor_live::reactor_with(5, &scale);
         let cell = |row: &str, col: &str| -> u64 {
             t.cell(row, col)
                 .unwrap_or_else(|| panic!("row {row} col {col} missing"))

@@ -14,8 +14,8 @@ pub mod zipf;
 
 pub use experiments::{
     ablation, all, bank_transactions, batch_ablation, fig5, fig6, fig7, fig8, fig9, follower_reads,
-    group_commit, large_state, leader_switch, reactor, read_batching, rrt_sysnet, scale_t,
-    sharding, state_size, table1,
+    large_state, leader_switch, reactor, read_batching, rrt_sysnet, scale_t, sharding, state_size,
+    table1,
 };
 pub use table::TableOut;
 pub use zipf::{SkewedMixLoop, ZipfGen};

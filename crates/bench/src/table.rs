@@ -1,4 +1,4 @@
-//! Plain-text table rendering and CSV output for experiment results.
+//! Plain-text table rendering and CSV/JSON output for experiment results.
 
 use std::fs;
 use std::io::Write;
@@ -17,6 +17,39 @@ pub struct TableOut {
     pub rows: Vec<Vec<String>>,
     /// Free-form notes printed under the table (paper comparison).
     pub notes: Vec<String>,
+}
+
+/// Table id → committed trajectory file at the repository root.
+const TRAJECTORIES: [(&str, &str); 6] = [
+    ("sharding", "BENCH_sharding.json"),
+    ("bank_transactions", "BENCH_txn.json"),
+    ("read-batching", "BENCH_read_batching.json"),
+    ("follower-reads", "BENCH_follower_reads.json"),
+    ("reactor", "BENCH_reactor.json"),
+    ("large-state", "BENCH_large_state.json"),
+];
+
+/// A JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::from("\"");
+    for ch in s.chars() {
+        match ch {
+            '"' | '\\' => out.extend(['\\', ch]),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
+}
+
+/// A table cell as a JSON value: a number when it parses as a finite
+/// one (re-printed, so the output is valid JSON whatever the cell's
+/// spelling), a string otherwise (`2.86x`, `±0.000`, `-`, `NaN`).
+fn json_cell(c: &str) -> String {
+    match c.parse::<f64>() {
+        Ok(v) if v.is_finite() => v.to_string(),
+        _ => json_str(c),
+    }
 }
 
 impl TableOut {
@@ -77,17 +110,56 @@ impl TableOut {
         }
     }
 
-    /// Write as CSV under `target/experiments/<id>.csv`. Returns the path.
-    pub fn write_csv(&self) -> std::io::Result<PathBuf> {
+    /// `target/experiments/<id>.<ext>`, creating the directory.
+    fn out_path(&self, ext: &str) -> std::io::Result<PathBuf> {
         let dir = PathBuf::from("target/experiments");
         fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.csv", self.id));
+        Ok(dir.join(format!("{}.{ext}", self.id)))
+    }
+
+    /// Write as CSV under `target/experiments/<id>.csv`. Returns the path.
+    pub fn write_csv(&self) -> std::io::Result<PathBuf> {
+        let path = self.out_path("csv")?;
         let mut f = fs::File::create(&path)?;
         writeln!(f, "{}", self.headers.join(","))?;
         for r in &self.rows {
             writeln!(f, "{}", r.join(","))?;
         }
         Ok(path)
+    }
+
+    /// Write as JSON, one schema for every table: `experiment`, `title`,
+    /// `columns`, `rows` (one object per row, keyed by column) and
+    /// `notes`. Tables with a committed trajectory keep their
+    /// `BENCH_*.json` name in the working directory; the rest go to
+    /// `target/experiments/<id>.json`. Returns the path.
+    pub fn write_json(&self) -> std::io::Result<PathBuf> {
+        let path = match TRAJECTORIES.iter().find(|(id, _)| *id == self.id) {
+            Some((_, file)) => PathBuf::from(file),
+            None => self.out_path("json")?,
+        };
+        fs::write(&path, self.to_json())?;
+        Ok(path)
+    }
+
+    fn to_json(&self) -> String {
+        let strs = |v: &[String]| v.iter().map(|s| json_str(s)).collect::<Vec<_>>();
+        // One item per line.
+        let lines = |items: Vec<String>| format!("[\n    {}\n  ]", items.join(",\n    "));
+        let row = |r: &Vec<String>| {
+            let fields = self.headers.iter().zip(r);
+            let fields = fields.map(|(h, c)| format!("{}: {}", json_str(h), json_cell(c)));
+            format!("{{{}}}", fields.collect::<Vec<_>>().join(", "))
+        };
+        format!(
+            "{{\n  \"experiment\": {},\n  \"title\": {},\n  \"columns\": [{}],\n  \
+             \"rows\": {},\n  \"notes\": {}\n}}\n",
+            json_str(&self.id),
+            json_str(&self.title),
+            strs(&self.headers).join(", "),
+            lines(self.rows.iter().map(row).collect()),
+            lines(strs(&self.notes)),
+        )
     }
 
     /// Look up a cell by row predicate + column header (test helper).
@@ -114,5 +186,29 @@ mod tests {
         assert_eq!(t.cell("b", "value"), Some("2"));
         assert_eq!(t.cell("c", "value"), None);
         assert_eq!(t.cell("a", "nope"), None);
+    }
+
+    #[test]
+    fn json_emits_numbers_as_numbers_and_escapes_strings() {
+        let mut t = TableOut::new("x", "a \"quoted\" title", &["mode", "tput", "speedup"]);
+        t.row(vec!["1g/8a".into(), "98892".into(), "2.86x".into()]);
+        t.row(vec!["-".into(), "0.340".into(), "NaN".into()]);
+        t.note("line\nbreak");
+        assert_eq!(
+            t.to_json(),
+            r#"{
+  "experiment": "x",
+  "title": "a \"quoted\" title",
+  "columns": ["mode", "tput", "speedup"],
+  "rows": [
+    {"mode": "1g/8a", "tput": 98892, "speedup": "2.86x"},
+    {"mode": "-", "tput": 0.34, "speedup": "NaN"}
+  ],
+  "notes": [
+    "line\u000abreak"
+  ]
+}
+"#
+        );
     }
 }

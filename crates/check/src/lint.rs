@@ -18,7 +18,7 @@
 //!    recovery model is sound only if promises and acceptances hit stable
 //!    storage before they are announced.
 //! 4. **Flush-before-transmit** (`crates/transport/src`): under group
-//!    commit the per-record persist calls only *buffer* WAL records; the
+//!    commit the `Storage` persist calls only *buffer* WAL records; the
 //!    drive loop's `flush_and_transmit` is where durability actually
 //!    happens. That function must call the `flush_storage` barrier
 //!    before handing any buffered message to the transport — otherwise

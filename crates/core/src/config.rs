@@ -129,8 +129,8 @@ pub struct Config {
     /// checkpoints), a checkpoint freezes the service state and streams it
     /// out in chunks of roughly this size across drive cycles instead of
     /// serializing everything inline — decree choice and transport I/O
-    /// never stall for O(state size). `0` keeps the legacy stop-the-world
-    /// monolithic checkpoint.
+    /// never stall for O(state size). Both presets ship 64 KiB; `0`
+    /// selects the stop-the-world monolithic checkpoint.
     pub checkpoint_chunk_bytes: usize,
     /// Apply-pipeline worker threads per node (see `crate::apply`). `0`
     /// applies chosen decrees inline on the drive thread (the legacy,
@@ -168,7 +168,7 @@ impl Config {
             batch_window: Dur::from_micros(100),
             confirm_batching: true,
             bootstrap_leader: Some(ProcessId(0)),
-            checkpoint_chunk_bytes: 0,
+            checkpoint_chunk_bytes: 64 * 1024,
             apply_workers: 0,
             placement: None,
         }
@@ -193,7 +193,7 @@ impl Config {
             batch_window: Dur::from_micros(500),
             confirm_batching: true,
             bootstrap_leader: Some(ProcessId(0)),
-            checkpoint_chunk_bytes: 0,
+            checkpoint_chunk_bytes: 64 * 1024,
             apply_workers: 0,
             placement: None,
         }
@@ -294,6 +294,16 @@ mod tests {
         let w = Config::wan(5);
         assert_eq!(w.majority(), 3);
         assert!(w.suspect_timeout > w.heartbeat_interval);
+    }
+
+    /// The presets are what `gridpaxos-server` runs: it overrides neither
+    /// knob.
+    #[test]
+    fn presets_ship_chunked_checkpoints_and_inline_apply() {
+        for c in [Config::cluster(3), Config::wan(3)] {
+            assert_eq!(c.checkpoint_chunk_bytes, 64 * 1024);
+            assert_eq!(c.apply_workers, 0);
+        }
     }
 
     #[test]

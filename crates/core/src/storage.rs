@@ -80,9 +80,10 @@ impl DurableState {
 /// persist-before-send rule (§3.1/§3.3) therefore holds as long as the
 /// embedding runtime calls `flush()` after the handlers run and before
 /// any resulting `Promise`/`Accepted` leaves the process; see
-/// `gridpaxos_transport::node` for the drive loop that enforces it.
-/// Backends that sync on every `save_*` (or keep state purely in memory)
-/// implement `flush` as a no-op.
+/// `gridpaxos_transport::reactor` (and the portable
+/// `gridpaxos_transport::node`) for the drive loops that enforce it.
+/// The file backend syncs nowhere else; a backend that keeps state
+/// purely in memory leaves `flush` a no-op.
 pub trait Storage: Send {
     /// Persist a promise. Must be durable (after the covering [`Storage::flush`])
     /// before the promise is sent.
@@ -102,8 +103,8 @@ pub trait Storage: Send {
     fn load(&self) -> DurableState;
     /// Durability barrier: everything recorded by earlier `save_*` calls
     /// is on stable storage when this returns. One `flush` may cover many
-    /// records (group commit); backends that sync per record or hold
-    /// state in memory need not override the default no-op.
+    /// records (group commit); backends that hold state in memory need
+    /// not override the default no-op.
     fn flush(&mut self) {}
     /// Whether records recorded since the last [`Storage::flush`] are
     /// still awaiting the barrier. Always `false` for backends whose

@@ -31,8 +31,7 @@ pub struct CpuModel {
     pub accept_entry: Dur,
     /// Cost of one stable-storage sync (`fsync`). Only charged when the
     /// simulation opts into a durability model
-    /// ([`crate::world::DurabilityMode`]): per persisted record in
-    /// per-record mode, per flush barrier in batched (group-commit) mode.
+    /// ([`crate::world::DurabilityMode`]), once per flush barrier.
     /// Dominates everything above by orders of magnitude on real disks —
     /// which is exactly why group commit is worth modeling.
     pub fsync: Dur,

@@ -34,8 +34,8 @@ pub struct Metrics {
     /// WAL records persisted across all replicas.
     pub wal_appends: u64,
     /// Stable-storage syncs charged across all replicas (durability model
-    /// only). Per-record mode pays one per append; group commit pays one
-    /// per flush barrier, so `fsyncs / wal_appends` is the amortization.
+    /// only): one per flush barrier, so `fsyncs / wal_appends` is the
+    /// amortization group commit buys.
     pub fsyncs: u64,
 }
 
@@ -116,15 +116,6 @@ impl Metrics {
             .sum();
         let reads = self.rtt_ms.get("read").map_or(0, Vec::len);
         confirm_msgs as f64 / reads as f64
-    }
-
-    /// Fsyncs charged per completed operation. Per-record durability sits
-    /// well above 1.0 for writes (accept + chosen-prefix records each pay
-    /// a sync on several replicas); group commit drives it below 1.0 once
-    /// batches form. `NaN` when no operations completed.
-    #[must_use]
-    pub fn fsyncs_per_op(&self) -> f64 {
-        self.fsyncs as f64 / self.completed_ops as f64
     }
 }
 

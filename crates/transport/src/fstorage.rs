@@ -16,17 +16,16 @@
 //!   (atomic on POSIX). After the rename the *directory* is fsync'd so
 //!   the replacement itself survives power loss.
 //!
-//! Durability is governed by [`SyncMode`]:
-//!
-//! * [`SyncMode::PerRecord`] — `sync_data` after every appended record,
-//!   the classic persist-before-send discipline (one fsync per record).
-//! * [`SyncMode::Batched`] — group commit: appends only write; the
-//!   [`Storage::flush`] barrier issues one `sync_data` covering every
-//!   record appended since the previous barrier. The drive loops
-//!   (`reactor`, [`crate::node`]) call `flush()` after draining a batch
-//!   of events and *before* transmitting any resulting message, so
-//!   persist-before-send still holds — at batch granularity.
-//! * [`SyncMode::Never`] — no fsync at all (tests only).
+//! Durability has one discipline, the flush barrier: appends only
+//! write, and [`Storage::flush`] issues one `sync_data` covering every
+//! record appended since the previous barrier (group commit). The drive
+//! loops (`reactor`, [`crate::node`]) call `flush()` after draining a
+//! batch of events and *before* transmitting any resulting message, so a
+//! promise or accepted proposal is on stable storage before it is
+//! announced (§3.3) — persist-before-send at batch granularity.
+//! [`SyncMode`] only says whether the barrier reaches the platter:
+//! [`SyncMode::Batched`] does, [`SyncMode::Never`] skips every fsync
+//! (tests, and harnesses that model the disk themselves).
 //!
 //! A [`FlushCoordinator`] opens one shared log for all `G` groups of a
 //! node: every group's handle appends into the same file, and whichever
@@ -84,8 +83,6 @@ const TAG_GROUP: u8 = 4;
 /// When the write-ahead log reaches the platter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncMode {
-    /// `sync_data` after every record — one fsync per persist call.
-    PerRecord,
     /// Group commit: records only append; the [`Storage::flush`] barrier
     /// issues one `sync_data` covering everything since the last barrier.
     Batched,
@@ -379,13 +376,7 @@ pub struct FileStorage {
 
 impl FileStorage {
     /// Open (or create) single-group storage in `dir`, replaying any
-    /// existing WAL. Per-record fsync (the conservative default).
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<FileStorage> {
-        Self::open_with_mode(dir, SyncMode::PerRecord)
-    }
-
-    /// Open (or create) single-group storage in `dir` with an explicit
-    /// [`SyncMode`].
+    /// existing WAL.
     pub fn open_with_mode(dir: impl AsRef<Path>, mode: SyncMode) -> io::Result<FileStorage> {
         let coord = FlushCoordinator::open(dir, mode, 1)?;
         Ok(coord.storage(0))
@@ -410,19 +401,12 @@ impl FileStorage {
         self.wal.inner.lock().syncs
     }
 
-    /// Append one record for this group under the lock; in per-record
-    /// mode, run the flush barrier (fsync *outside* the lock) before
-    /// returning, preserving the classic persist-on-return discipline.
+    /// Update the mirror and append one record for this group, under the
+    /// lock. Durability waits for the next flush barrier.
     fn append_record(&self, record: &[u8], update: impl FnOnce(&mut WalInner)) {
-        let per_record = {
-            let mut inner = self.wal.inner.lock();
-            update(&mut inner);
-            inner.append(self.group, record);
-            inner.mode == SyncMode::PerRecord
-        };
-        if per_record {
-            self.wal.flush();
-        }
+        let mut inner = self.wal.inner.lock();
+        update(&mut inner);
+        inner.append(self.group, record);
     }
 }
 
@@ -1030,18 +1014,19 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
-    /// Per-record sync mode must write exactly the bytes the original
+    /// A single-group WAL must hold exactly the bytes the original
     /// always-sync implementation wrote: bare tagged records, one frame
     /// each, no group envelopes — a WAL from before group commit replays
     /// identically and vice versa.
     #[test]
-    fn per_record_wal_bytes_are_unchanged() {
+    fn wal_bytes_are_unchanged() {
         let dir = tmpdir("bytes");
         {
-            let mut s = FileStorage::open_with_mode(&dir, SyncMode::PerRecord).unwrap();
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Batched).unwrap();
             s.save_promised(ballot(3));
             s.save_accepted(Instance(1), ballot(3), &decree(1));
             s.save_chosen_prefix(Instance(1));
+            s.flush();
         }
         let got = fs::read(dir.join("wal.log")).unwrap();
 
@@ -1061,21 +1046,8 @@ mod tests {
         rec.put_u8(TAG_CHOSEN);
         put_instance(&mut rec, &Instance(1));
         write_frame(&mut expect, &rec).unwrap();
-        assert_eq!(got, expect, "per-record WAL bytes changed");
-
-        // Batched mode appends the same bytes; only the fsync schedule
-        // differs.
-        let dir2 = tmpdir("bytes-batched");
-        {
-            let mut s = FileStorage::open_with_mode(&dir2, SyncMode::Batched).unwrap();
-            s.save_promised(ballot(3));
-            s.save_accepted(Instance(1), ballot(3), &decree(1));
-            s.save_chosen_prefix(Instance(1));
-            s.flush();
-        }
-        assert_eq!(fs::read(dir2.join("wal.log")).unwrap(), expect);
+        assert_eq!(got, expect, "WAL bytes changed");
         fs::remove_dir_all(dir).ok();
-        fs::remove_dir_all(dir2).ok();
     }
 
     #[test]
@@ -1093,16 +1065,7 @@ mod tests {
         assert!(!s.is_dirty());
         s.flush();
         assert_eq!(s.syncs(), 1, "clean flush is free");
-
-        let dir2 = tmpdir("counters-pr");
-        let mut p = FileStorage::open_with_mode(&dir2, SyncMode::PerRecord).unwrap();
-        for i in 1..=10u64 {
-            p.save_accepted(Instance(i), ballot(1), &decree(i));
-        }
-        assert_eq!((p.appends(), p.syncs()), (10, 10));
-        assert!(!p.is_dirty(), "per-record mode is never dirty");
         fs::remove_dir_all(dir).ok();
-        fs::remove_dir_all(dir2).ok();
     }
 
     #[test]

@@ -142,7 +142,8 @@ pub struct ReactorStats {
     pub bytes_out: u64,
     /// Client requests shed with `Busy` by the admission gate.
     pub busy_shed: u64,
-    /// Frames refused by full per-connection send queues.
+    /// Frames refused: the connection's send queue was full, or the
+    /// frame exceeded `MAX_FRAME`.
     pub frames_dropped: u64,
     /// Times a connection's read interest was suspended (full send queue).
     pub reads_suspended: u64,
@@ -235,6 +236,41 @@ struct Reactor {
 }
 
 impl Reactor {
+    /// A node hosting `cores` (group `g` at index `g`) behind `listener`,
+    /// not yet running.
+    fn new(
+        cores: Vec<Replica>,
+        listener: TcpListener,
+        peer_addrs: HashMap<ProcessId, SocketAddr>,
+        stop: Arc<AtomicBool>,
+        rcfg: ReactorConfig,
+        metrics: Arc<MetricsInner>,
+    ) -> io::Result<Reactor> {
+        let n_groups = cores.len();
+        Ok(Reactor {
+            me: cores[0].id(),
+            n: cores[0].config().n,
+            cores,
+            n_groups,
+            epoch: Instant::now(),
+            epoll: Epoll::new()?,
+            listener,
+            peer_addrs,
+            conns: HashMap::new(),
+            by_addr: HashMap::new(),
+            next_token: TOKEN_LISTENER + 1,
+            inbox: VecDeque::new(),
+            outbox: Vec::new(),
+            dirty: Vec::new(),
+            timers: Timers::new(n_groups),
+            gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
+            rcfg,
+            scratch: BytesMut::new(),
+            stop,
+            metrics,
+        })
+    }
+
     fn now(&self) -> Time {
         Time(self.epoch.elapsed().as_nanos() as u64)
     }
@@ -347,7 +383,15 @@ impl Reactor {
                 }
             },
         };
-        let frame = frame_bytes(encode_with_scratch(&msg, &mut self.scratch));
+        let body = encode_with_scratch(&msg, &mut self.scratch);
+        if body.len() > MAX_FRAME {
+            // The peer's decoder would reject the length prefix and drop
+            // the connection (a monolithic catch-up snapshot of a large
+            // state gets this big): refuse the frame, keep the connection.
+            bump(&self.metrics.frames_dropped, 1);
+            return;
+        }
+        let frame = frame_bytes(body);
         self.enqueue_frame(token, frame);
     }
 
@@ -799,30 +843,15 @@ pub fn spawn_reactor_node(
     for r in &group_replicas {
         assert_eq!(r.id(), me, "one node hosts one process id across groups");
     }
-    let n = group_replicas[0].config().n;
     let metrics = ReactorMetrics::default();
-    let reactor = Reactor {
-        cores: group_replicas,
-        me,
-        n,
-        n_groups,
-        epoch: Instant::now(),
-        epoll: Epoll::new()?,
+    let reactor = Reactor::new(
+        group_replicas,
         listener,
-        peer_addrs: peers,
-        conns: HashMap::new(),
-        by_addr: HashMap::new(),
-        next_token: TOKEN_LISTENER + 1,
-        inbox: VecDeque::new(),
-        outbox: Vec::new(),
-        dirty: Vec::new(),
-        timers: Timers::new(n_groups),
-        gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
-        rcfg,
-        scratch: BytesMut::new(),
+        peers,
         stop,
-        metrics: Arc::clone(&metrics.inner),
-    };
+        rcfg,
+        Arc::clone(&metrics.inner),
+    )?;
     let thread = std::thread::Builder::new()
         .name(format!("gp-reactor-{me}"))
         .spawn(move || reactor.run())?;
@@ -1086,6 +1115,57 @@ mod tests {
                 "group {g} chose nothing"
             );
         }
+    }
+
+    /// A frame the peer's decoder would reject is refused where it is
+    /// made: counted, not queued, and the connection stays usable.
+    #[test]
+    fn oversize_frame_is_dropped_and_the_connection_kept() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr");
+        let replica = Replica::new(
+            ProcessId(0),
+            Config::cluster(1),
+            noop_factory(),
+            Box::new(MemStorage::new()),
+            1,
+            Time::ZERO,
+        );
+        let metrics = ReactorMetrics::default();
+        let mut r = Reactor::new(
+            vec![replica],
+            listener,
+            HashMap::new(),
+            Arc::new(AtomicBool::new(false)),
+            ReactorConfig::default(),
+            Arc::clone(&metrics.inner),
+        )
+        .expect("reactor");
+        let _peer = TcpStream::connect(addr).expect("connect");
+        while r.conns.is_empty() {
+            r.accept_ready();
+        }
+        let token = TOKEN_LISTENER + 1;
+        let client = ClientId(9);
+        r.by_addr.insert(Addr::Client(client), token);
+
+        let reply = |len: usize| {
+            Msg::Reply(Reply {
+                id: RequestId::new(client, Seq(1)),
+                leader: ProcessId(0),
+                watermark: gridpaxos_core::types::Instance::ZERO,
+                body: ReplyBody::Ok(Bytes::from(vec![0u8; len])),
+            })
+        };
+        r.enqueue_msg(Addr::Client(client), reply(MAX_FRAME + 1));
+        let stats = metrics.stats();
+        assert_eq!((stats.frames_dropped, stats.msgs_out), (1, 0));
+        assert!(r.conns.contains_key(&token), "connection kept");
+
+        r.enqueue_msg(Addr::Client(client), reply(8));
+        let stats = metrics.stats();
+        assert_eq!((stats.frames_dropped, stats.msgs_out), (1, 1));
     }
 
     /// Many virtual clients over ONE raw socket: requests from distinct

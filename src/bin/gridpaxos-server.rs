@@ -38,13 +38,7 @@ fn usage() -> ! {
          --peer    listen address of every replica (repeat; include self)\n\
          --data-dir <path>  durable storage directory (default: in-memory)\n\
          --tpaxos  enable T-Paxos transaction mode (default: per-op)\n\
-         --wan     use WAN-tuned timeouts (default: cluster-tuned)\n\
-         --apply-workers <N>  per-node apply-worker pool size (default: 0,\n\
-                   apply inline; N>0 hands chosen decrees to N workers —\n\
-                   groups apply in parallel, reads fence on applied index)\n\
-         --checkpoint-chunk-kb <N>  stream checkpoints in N-KiB chunks\n\
-                   against a frozen apply epoch instead of a\n\
-                   stop-the-world snapshot (default: 64; 0 = monolithic)"
+         --wan     use WAN-tuned timeouts (default: cluster-tuned)"
     );
     exit(2)
 }
@@ -58,8 +52,6 @@ fn main() {
     let mut tpaxos = false;
     let mut wan = false;
     let mut data_dir: Option<String> = None;
-    let mut apply_workers: usize = 0;
-    let mut checkpoint_chunk_kb: usize = 64;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -89,20 +81,6 @@ fn main() {
             }
             "--tpaxos" => tpaxos = true,
             "--wan" => wan = true,
-            "--apply-workers" => {
-                i += 1;
-                apply_workers = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(w) => w,
-                    None => usage(),
-                };
-            }
-            "--checkpoint-chunk-kb" => {
-                i += 1;
-                checkpoint_chunk_kb = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(k) => k,
-                    None => usage(),
-                };
-            }
             _ => usage(),
         }
         i += 1;
@@ -123,8 +101,6 @@ fn main() {
     if tpaxos {
         cfg.txn_mode = TxnMode::TPaxos;
     }
-    cfg.apply_workers = apply_workers;
-    cfg.checkpoint_chunk_bytes = checkpoint_chunk_kb * 1024;
 
     // Wall-clock-derived seed: replicas must differ (that is the
     // nondeterminism the protocol exists to handle).
@@ -133,17 +109,6 @@ fn main() {
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(42)
         ^ u64::from(id);
-
-    // The pool handle must outlive the replica: workers shut down when
-    // the last handle and every pipelined app are gone.
-    let pool = (apply_workers > 0).then(|| ApplyPool::new(apply_workers));
-    let mk_app = || {
-        let app: Box<dyn App> = Box::new(KvStore::new());
-        match &pool {
-            Some(p) => p.wrap(app),
-            None => app,
-        }
-    };
 
     // Fresh storage starts a new replica; a data dir with prior state is
     // recovered. The reactor flushes before it transmits, so the WAL can
@@ -158,7 +123,8 @@ fn main() {
         },
         None => Box::new(MemStorage::new()),
     };
-    let replica = Replica::open(ProcessId(id), cfg, mk_app(), storage, seed, Time::ZERO);
+    let app = Box::new(KvStore::new());
+    let replica = Replica::open(ProcessId(id), cfg, app, storage, seed, Time::ZERO);
     if let Some(dir) = &data_dir {
         eprintln!(
             "gridpaxos-server r{id}: opened {dir} at instance {}",
