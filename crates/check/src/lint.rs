@@ -399,12 +399,23 @@ pub fn check_unwraps(file: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
-/// (function name, persist call that must appear, message it must precede)
+/// (function name, persist call that must appear, message it must precede).
+/// The call is spelled with its `Stable::acked` door: the same record
+/// written through `unacked()` would raise no flush barrier, and the
+/// message would leave before it is durable.
 const PERSIST_RULES: &[(&str, &str, &str)] = &[
-    ("handle_accept", "save_accepted", "Msg::Accepted"),
-    ("handle_prepare", "save_promised", "Msg::Promise"),
-    ("execute_and_propose", "save_accepted", "Msg::Accept"),
-    ("install_recovery_batch", "save_accepted", "Msg::Accept"),
+    ("handle_accept", ".acked().save_accepted", "Msg::Accepted"),
+    ("handle_prepare", ".acked().save_promised", "Msg::Promise"),
+    (
+        "execute_and_propose",
+        ".acked().save_accepted",
+        "Msg::Accept",
+    ),
+    (
+        "install_recovery_batch",
+        ".acked().save_accepted",
+        "Msg::Accept",
+    ),
 ];
 
 /// Rule 3: persist-before-send. For each protocol-acknowledging function,

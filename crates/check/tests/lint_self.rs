@@ -130,7 +130,7 @@ fn send_before_persist_is_flagged() {
         fn handle_accept(&mut self, from: Addr) {
             let reply = Msg::Accepted { instance: i };
             out.push(Action::Send { to: from, msg: reply });
-            self.storage.save_accepted(i, &decree);
+            self.stable.acked().save_accepted(i, &decree);
         }
     "#;
     let findings = check_persist_before_send("mod.rs", &mask_test_items(&strip_noise(src)));
@@ -151,10 +151,26 @@ fn missing_persist_is_flagged() {
 }
 
 #[test]
+fn persist_that_raises_no_barrier_is_flagged() {
+    // Written through the door for records no message acknowledges, the
+    // accept record would wait for some later barrier while its
+    // `Accepted` leaves now.
+    let src = r#"
+        fn handle_accept(&mut self, from: Addr) {
+            self.stable.unacked().save_accepted(i, &decree);
+            out.push(Action::Send { to: from, msg: Msg::Accepted { instance: i } });
+        }
+    "#;
+    let findings = check_persist_before_send("mod.rs", &mask_test_items(&strip_noise(src)));
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    assert_eq!(findings[0].rule, "persist-before-send");
+}
+
+#[test]
 fn persist_before_send_is_clean() {
     let src = r#"
         fn handle_accept(&mut self, from: Addr) {
-            self.storage.save_accepted(i, &decree);
+            self.stable.acked().save_accepted(i, &decree);
             out.push(Action::Send { to: from, msg: Msg::Accepted { instance: i } });
         }
     "#;

@@ -8,6 +8,7 @@
 use crate::request::{ReplyBody, Request, RequestId};
 use crate::types::{ClientId, Instance, Seq, TxnId};
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// How the leader's post-execution state is shipped to the backups.
 ///
@@ -135,26 +136,28 @@ pub struct DecreeEntry {
 /// `1 / (2m)` regardless of client count, far below the paper's Figure 5.
 /// Entries apply in order; the state after the decree reflects all of
 /// them.
+///
+/// A decree is immutable once built and every holder shares one copy:
+/// `clone` bumps a reference count, so the log, the storage mirror and an
+/// outgoing `Accept` carry the same entries rather than a deep copy each.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Decree {
     /// Executed commands, in execution order.
-    pub entries: Vec<DecreeEntry>,
+    pub entries: Arc<[DecreeEntry]>,
 }
 
 impl Decree {
     /// The canonical no-op decree used for gap filling during recovery.
     #[must_use]
     pub fn noop() -> Decree {
-        Decree {
-            entries: Vec::new(),
-        }
+        Decree::default()
     }
 
     /// A decree carrying a single command.
     #[must_use]
     pub fn single(cmd: Command, update: StateUpdate, reply: ReplyBody) -> Decree {
         Decree {
-            entries: vec![DecreeEntry { cmd, update, reply }],
+            entries: Arc::new([DecreeEntry { cmd, update, reply }]),
         }
     }
 

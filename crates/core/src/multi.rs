@@ -194,6 +194,14 @@ impl MultiReplica {
         self.groups.iter().map(Replica::storage_writes).sum()
     }
 
+    /// Of [`MultiReplica::total_writes`], the writes that raise a barrier
+    /// ([`Replica::barrier_writes`]): an event during which this did not
+    /// move persisted chosen-prefix marks at most, and owes no sync.
+    #[must_use]
+    pub fn barrier_writes(&self) -> u64 {
+        self.groups.iter().map(Replica::barrier_writes).sum()
+    }
+
     /// Start every group. Actions are tagged with the group they belong
     /// to; timer actions must be keyed per group by the runtime.
     pub fn on_start(&mut self, now: Time) -> Vec<(GroupId, Action)> {

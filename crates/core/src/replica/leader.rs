@@ -947,7 +947,7 @@ impl Replica {
         };
         self.self_executed = Some(instance);
         // Self-accept durably, then ask the backups.
-        self.storage.save_accepted(instance, ballot, &decree);
+        self.stable.acked().save_accepted(instance, ballot, &decree);
         self.log.record_accept(instance, ballot, decree.clone());
         out.push(Action::broadcast(Msg::Accept {
             ballot,
@@ -1351,7 +1351,7 @@ impl Replica {
         };
         let instances: Vec<Instance> = entries.iter().map(|(i, _)| *i).collect();
         for (i, d) in &entries {
-            self.storage.save_accepted(*i, ballot, d);
+            self.stable.acked().save_accepted(*i, ballot, d);
             self.log.record_accept(*i, ballot, d.clone());
         }
         // One single accept message for the whole batch (§3.3), built by

@@ -12,9 +12,11 @@
 
 mod candidate;
 mod leader;
+mod stable;
 
 pub use candidate::CandidateState;
 pub use leader::{LeaderState, PendingRead, TxnSession};
+use stable::Stable;
 
 use crate::action::{Action, TimerKind};
 use crate::ballot::Ballot;
@@ -177,7 +179,7 @@ pub struct Replica {
     pub(crate) id: ProcessId,
     pub(crate) cfg: Config,
     pub(crate) app: Box<dyn App>,
-    pub(crate) storage: Box<dyn Storage>,
+    pub(crate) stable: Stable,
     pub(crate) rng: SmallRng,
     /// Highest ballot promised; never accept or promise below it.
     pub(crate) promised: Ballot,
@@ -252,7 +254,7 @@ impl Replica {
             id,
             cfg,
             app,
-            storage,
+            stable: Stable::new(storage),
             rng: SmallRng::seed_from_u64(seed ^ (u64::from(id.0) << 32)),
             promised: Ballot::ZERO,
             max_ballot_seen: Ballot::ZERO,
@@ -336,7 +338,7 @@ impl Replica {
             id,
             cfg,
             app,
-            storage,
+            stable: Stable::new(storage),
             rng: SmallRng::seed_from_u64(seed ^ (u64::from(id.0) << 32) ^ 0x5eed),
             promised: durable.promised,
             max_ballot_seen: durable.promised,
@@ -465,7 +467,7 @@ impl Replica {
     /// stable storage. A later [`Replica::recover`] resumes from it.
     #[must_use]
     pub fn into_storage(self) -> Box<dyn Storage> {
-        self.storage
+        self.stable.into_inner()
     }
 
     /// Durability barrier ([`Storage::flush`]): everything the handlers
@@ -473,21 +475,32 @@ impl Replica {
     /// loop must call it before transmitting any message produced by those
     /// handlers — persist-before-send at batch granularity (§3.1/§3.3).
     pub fn flush_storage(&mut self) {
-        self.storage.flush();
+        self.stable.flush();
     }
 
-    /// Whether storage holds records awaiting a [`Replica::flush_storage`]
-    /// barrier.
+    /// Whether a [`Replica::flush_storage`] barrier is due: storage holds
+    /// an unflushed record that an outgoing message may acknowledge (a
+    /// promise, an accepted decree, an installed snapshot). Chosen-prefix
+    /// marks and periodic checkpoints alone do not count — no message
+    /// acknowledges one, and they ride the next barrier.
     #[must_use]
     pub fn storage_dirty(&self) -> bool {
-        self.storage.is_dirty()
+        self.stable.barrier_due()
     }
 
     /// Total persist operations this replica's storage has recorded
     /// ([`Storage::write_count`]).
     #[must_use]
     pub fn storage_writes(&self) -> u64 {
-        self.storage.write_count()
+        self.stable.get().write_count()
+    }
+
+    /// Acknowledgeable records written so far: the ones that make a
+    /// barrier due ([`Replica::storage_dirty`]). The simulator's
+    /// durability model charges an event a sync only when this moved.
+    #[must_use]
+    pub fn barrier_writes(&self) -> u64 {
+        self.stable.barrier_writes()
     }
 
     // ------------------------------------------------------------------
@@ -877,7 +890,7 @@ impl Replica {
         }
         if ballot > self.promised {
             self.promised = ballot;
-            self.storage.save_promised(ballot);
+            self.stable.acked().save_promised(ballot);
             // A new leadership starts with per-read confirms enabled; its
             // own rounds will re-establish suppression if load warrants.
             self.confirm_suppressed = false;
@@ -928,14 +941,14 @@ impl Replica {
         }
         if ballot > self.promised {
             self.promised = ballot;
-            self.storage.save_promised(ballot);
+            self.stable.acked().save_promised(ballot);
         }
         self.fd.observe(ballot, now);
 
         let mut acked = Vec::with_capacity(entries.len());
         for (i, d) in entries {
             if i > self.log.chosen_prefix() {
-                self.storage.save_accepted(i, ballot, &d);
+                self.stable.acked().save_accepted(i, ballot, &d);
                 self.log.record_accept(i, ballot, d);
             }
             // Instances at or below the prefix were already applied; the
@@ -965,7 +978,7 @@ impl Replica {
             // A leader we never promised (we missed the prepare); a
             // majority promised it, so following it is safe.
             self.promised = ballot;
-            self.storage.save_promised(ballot);
+            self.stable.acked().save_promised(ballot);
         }
         self.fd.observe(ballot, now);
         // Learn the leader's commit watermark (follower-read extension):
@@ -1035,7 +1048,7 @@ impl Replica {
             // it (rounds are only run by elected leaders), so following it
             // is safe — same reasoning as `handle_chosen`.
             self.promised = ballot;
-            self.storage.save_promised(ballot);
+            self.stable.acked().save_promised(ballot);
         }
         self.fd.observe(ballot, now);
         // Adopt the leader's load hint: under a backlog the round traffic
@@ -1069,7 +1082,7 @@ impl Replica {
                 // streaming the retained chunked checkpoint (refcounted
                 // clones; zero serialization work) over re-snapshotting
                 // the whole service inline.
-                if let Some(ck) = self.storage.checkpoint_chunks() {
+                if let Some(ck) = self.stable.get().checkpoint_chunks() {
                     if ck.upto > have {
                         let total = u32::try_from(ck.chunks.len()).unwrap_or(u32::MAX);
                         for (i, data) in ck.chunks.iter().enumerate() {
@@ -1206,7 +1219,7 @@ impl Replica {
         }
         for (i, d) in entries {
             if i > self.log.chosen_prefix() && !self.log.is_known_chosen(i) {
-                self.storage.save_accepted(i, ballot, &d);
+                self.stable.acked().save_accepted(i, ballot, &d);
                 self.log.record_accept(i, ballot, d);
                 self.log.mark_chosen(i);
             }
@@ -1226,12 +1239,12 @@ impl Replica {
             let decree = d.clone();
             self.apply_to_service(i, &decree);
             self.log.advance_applied(i);
-            self.storage.save_chosen_prefix(i);
+            self.stable.unacked().save_chosen_prefix(i);
 
             // Only the leader replies (and a re-elected leader re-replies
             // for recovered decrees whose clients may still be waiting).
             if matches!(self.role, Role::Leader(_)) {
-                for entry in &decree.entries {
+                for entry in decree.entries.iter() {
                     if let Some(rid) = entry.cmd.request_id() {
                         out.push(Action::send(
                             Addr::Client(rid.client),
@@ -1272,7 +1285,7 @@ impl Replica {
                 self.app.tentative_commit();
             }
         }
-        for entry in &decree.entries {
+        for entry in decree.entries.iter() {
             match &entry.cmd {
                 Command::Noop => {}
                 Command::Req(req) => {
@@ -1354,7 +1367,7 @@ impl Replica {
         }
         let chunk_bytes = self.cfg.checkpoint_chunk_bytes;
         if chunk_bytes > 0
-            && self.storage.supports_chunked_checkpoint()
+            && self.stable.get().supports_chunked_checkpoint()
             // Never freeze while a tentative leader-side execution is
             // outstanding: the frozen image must be committed state only.
             && self.self_executed.is_none()
@@ -1370,7 +1383,9 @@ impl Replica {
                 })
                 .collect();
             dedup.sort_unstable_by_key(|e| e.client);
-            self.storage.checkpoint_begin(prefix, &dedup, total);
+            self.stable
+                .unacked()
+                .checkpoint_begin(prefix, &dedup, total);
             self.ckpt = Some(CkptProgress {
                 upto: prefix,
                 total,
@@ -1390,8 +1405,8 @@ impl Replica {
         // Legacy stop-the-world checkpoint.
         let snap = self.make_snapshot();
         let bytes = snap.app.len() as u64;
-        self.storage.save_checkpoint(&snap);
-        self.storage.truncate_upto(snap.upto);
+        self.stable.unacked().save_checkpoint(&snap);
+        self.stable.unacked().truncate_upto(snap.upto);
         self.log.truncate_upto(snap.upto);
         self.last_checkpoint = snap.upto;
         self.stats.checkpoints += 1;
@@ -1414,7 +1429,7 @@ impl Replica {
         while ck.next < ck.total && emitted < budget {
             let data = self.app.snapshot_chunk(ck.next);
             ck.bytes += data.len() as u64;
-            self.storage.checkpoint_chunk(ck.next, data);
+            self.stable.unacked().checkpoint_chunk(ck.next, data);
             ck.next += 1;
             emitted += 1;
         }
@@ -1423,11 +1438,11 @@ impl Replica {
             return true;
         }
         self.app.snapshot_end();
-        self.storage.checkpoint_commit();
+        self.stable.unacked().checkpoint_commit();
         // Bounded disk: WAL compaction is keyed to *completed* chunked
         // checkpoints — the log shrinks only once the replacement state
         // is fully durable.
-        self.storage.truncate_upto(ck.upto);
+        self.stable.unacked().truncate_upto(ck.upto);
         self.log.truncate_upto(ck.upto);
         self.last_checkpoint = ck.upto;
         self.stats.checkpoints += 1;
@@ -1468,7 +1483,7 @@ impl Replica {
         // a quiesced app.
         if self.ckpt.take().is_some() {
             self.app.snapshot_end();
-            self.storage.checkpoint_abort();
+            self.stable.unacked().checkpoint_abort();
         }
         if self.tentative {
             self.tentative = false;
@@ -1482,9 +1497,12 @@ impl Replica {
         }
         self.log.truncate_upto(snap.upto);
         self.log.force_prefix(snap.upto);
-        self.storage.save_checkpoint(snap);
-        self.storage.truncate_upto(snap.upto);
-        self.storage.save_chosen_prefix(snap.upto);
+        // From here on the snapshot stands in for this replica's accept
+        // records up to `snap.upto`: whatever it sends next rests on it.
+        let disk = self.stable.acked();
+        disk.save_checkpoint(snap);
+        disk.truncate_upto(snap.upto);
+        disk.save_chosen_prefix(snap.upto);
         self.last_checkpoint = snap.upto;
         self.self_executed = None;
     }

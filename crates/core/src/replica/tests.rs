@@ -1,6 +1,8 @@
 //! Unit tests for the replica roles, driven by a zero-latency in-memory
 //! shuttle (failure-free runs need no timers; tests fire timers manually
-//! where a scenario depends on them).
+//! where a scenario depends on them). The shuttle keeps the drive loops'
+//! rule: a replica's messages leave only after the barrier its handler
+//! made due.
 
 use super::*;
 use crate::client::ClientCore;
@@ -8,7 +10,7 @@ use crate::config::{ReadMode, TxnMode};
 use crate::msg::Msg;
 use crate::request::{AbortReason, RequestKind};
 use crate::service::NoopApp;
-use crate::storage::MemStorage;
+use crate::storage::{MemStorage, Storage, TailLossStorage};
 use crate::types::{Addr, ClientId, Dur, ProcessId, Time, TxnId};
 use bytes::Bytes;
 
@@ -23,14 +25,27 @@ struct Shuttle {
 
 impl Shuttle {
     fn new(n: usize, cfg: Config) -> Shuttle {
+        Shuttle::on_disks(
+            cfg,
+            (0..n)
+                .map(|_| Box::new(MemStorage::new()) as Box<dyn Storage>)
+                .collect(),
+        )
+    }
+
+    /// One replica per disk: fresh on an empty one, recovered otherwise.
+    fn on_disks(cfg: Config, disks: Vec<Box<dyn Storage>>) -> Shuttle {
+        let n = disks.len();
         let mut s = Shuttle {
-            replicas: (0..n)
-                .map(|i| {
-                    Some(Replica::new(
+            replicas: disks
+                .into_iter()
+                .enumerate()
+                .map(|(i, disk)| {
+                    Some(Replica::open(
                         ProcessId(i as u32),
                         cfg.clone(),
                         Box::new(NoopApp::new()),
-                        Box::new(MemStorage::new()),
+                        disk,
                         7 + i as u64,
                         Time::ZERO,
                     ))
@@ -53,6 +68,14 @@ impl Shuttle {
     }
 
     fn enqueue(&mut self, from: Addr, actions: Vec<Action>) {
+        if let Some(r) = from
+            .as_replica()
+            .and_then(|p| self.replicas[p.0 as usize].as_mut())
+        {
+            if r.storage_dirty() {
+                r.flush_storage();
+            }
+        }
         for a in actions {
             match a {
                 Action::Send { to, msg } => self.queue.push_back((from, to, msg)),
@@ -100,8 +123,7 @@ impl Shuttle {
     }
 
     fn crash(&mut self, p: u32) -> Box<dyn crate::storage::Storage> {
-        let r = self.replicas[p as usize].take().unwrap();
-        r.storage
+        self.replicas[p as usize].take().unwrap().into_storage()
     }
 
     fn leader(&self) -> Option<u32> {
@@ -469,6 +491,92 @@ fn crashed_replica_recovers_from_storage() {
     let done = s.submit(&mut c, RequestKind::Write);
     assert!(matches!(done.body, ReplyBody::Ok(_)));
     s.assert_replica_states_converged();
+}
+
+fn tail_loss_disks(n: usize) -> Vec<Box<dyn Storage>> {
+    (0..n)
+        .map(|_| Box::new(TailLossStorage::default()) as Box<dyn Storage>)
+        .collect()
+}
+
+/// Power loss right after a reply, on disks that forget what no barrier
+/// covered. The chosen-prefix mark of the last decree rides the *next*
+/// barrier, which never came: every replica, the leader included, finds
+/// its accept record but not the mark, recovers one instance short, and
+/// the election relearns the decree. No acknowledged write is lost.
+///
+/// Mutation that must fail this test: make `save_accepted` as lazy as
+/// the mark (written without `Stable::write`, so no barrier precedes
+/// `Accepted` or the reply) — the disks then hold promises only and the
+/// recovered cluster has forgotten all three writes.
+#[test]
+fn power_loss_after_reply_recovers_one_short_and_loses_no_acked_write() {
+    let mut s = Shuttle::on_disks(cluster_cfg(3), tail_loss_disks(3));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    for _ in 0..3 {
+        let done = s.submit(&mut c, RequestKind::Write);
+        assert!(matches!(done.body, ReplyBody::Ok(_)));
+    }
+    assert_eq!(s.replica(0).chosen_prefix(), Instance(3));
+
+    let survived: Vec<_> = (0..3).map(|p| s.crash(p).load()).collect();
+    for (p, disk) in survived.iter().enumerate() {
+        assert_eq!(disk.chosen_prefix, Instance(2), "r{p}: last mark unsynced");
+        assert!(
+            disk.accepted.contains_key(&Instance(3)),
+            "r{p}: accept synced"
+        );
+    }
+
+    let mut s = Shuttle::on_disks(
+        cluster_cfg(3),
+        survived
+            .into_iter()
+            .map(|disk| Box::new(TailLossStorage::holding(disk)) as Box<dyn Storage>)
+            .collect(),
+    );
+    // r0's bootstrap election collected the accepted decree and chose it
+    // again; everyone is back where the client was told they were.
+    assert_eq!(s.leader(), Some(0));
+    assert_eq!(s.replica(0).chosen_prefix(), Instance(3));
+    let done = s.submit(&mut c, RequestKind::Write);
+    assert!(matches!(done.body, ReplyBody::Ok(_)));
+    s.assert_replica_states_converged();
+    for p in 0..3 {
+        assert_eq!(s.replica(p).chosen_prefix(), Instance(4));
+        let snap = s.replica(p).service_snapshot();
+        assert_eq!(u64::from_le_bytes(snap[..8].try_into().unwrap()), 4);
+    }
+}
+
+/// The leader alone crashes after its reply. It comes back one instance
+/// short, under a successor, and catches up like any lagging follower.
+#[test]
+fn crashed_leader_rejoins_one_instance_short_and_catches_up() {
+    let mut s = Shuttle::on_disks(cluster_cfg(3), tail_loss_disks(3));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    for _ in 0..3 {
+        s.submit(&mut c, RequestKind::Write);
+    }
+    let disk = s.crash(0).load();
+    s.now = Time(Dur::from_secs(10).0);
+    s.fire(1, TimerKind::LeaderCheck);
+    assert_eq!(s.leader(), Some(1));
+    s.submit(&mut c, RequestKind::Write);
+
+    // (No `on_start`: the configured bootstrap leader would campaign.)
+    let recovered = Replica::recover(
+        ProcessId(0),
+        cluster_cfg(3),
+        Box::new(NoopApp::new()),
+        Box::new(TailLossStorage::holding(disk)),
+        99,
+        s.now,
+    );
+    assert_eq!(recovered.chosen_prefix(), Instance(2));
+    s.replicas[0] = Some(recovered);
+    s.assert_replica_states_converged();
+    assert_eq!(s.replica(0).chosen_prefix(), Instance(4));
 }
 
 fn open_r1(storage: MemStorage) -> Replica {
@@ -1088,7 +1196,7 @@ fn committed_ids(s: &Shuttle) -> Vec<crate::request::RequestId> {
     let mut i = Instance(1);
     while i <= r.chosen_prefix() {
         let (_, d) = r.log.get(i).expect("chosen instance present");
-        for e in &d.entries {
+        for e in d.entries.iter() {
             match &e.cmd {
                 crate::command::Command::Req(req) => ids.push(req.id),
                 crate::command::Command::TxnCommit { id, .. } => ids.push(*id),

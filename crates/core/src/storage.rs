@@ -4,8 +4,16 @@
 //! requires that promises, accepted proposals and checkpoints survive a
 //! crash. The protocol core writes through the [`Storage`] trait; the
 //! simulator keeps each process's [`MemStorage`] alive across simulated
-//! crashes, and a real deployment would back the same trait with fsync'd
-//! files.
+//! crashes, and a real deployment backs the same trait with fsync'd
+//! files (`gridpaxos_transport::fstorage`).
+//!
+//! Records become durable at the [`Storage::flush`] barrier, not when
+//! they are written, and the replica asks for a barrier only on account
+//! of records a message can acknowledge — the chosen-prefix mark waits
+//! for the next one (`replica/stable.rs` has the rule and the argument).
+//! A crash therefore loses a tail of records: [`MemStorage`] and a killed
+//! process's files both keep it, so the tests that need the loss use
+//! `TailLossStorage`.
 
 use crate::ballot::Ballot;
 use crate::command::{Decree, DedupEntry, SnapshotBlob};
@@ -271,6 +279,85 @@ impl Storage for MemStorage {
     }
 }
 
+/// Test double for a disk under power loss: [`Storage::load`] — what a
+/// recovering process reads — answers with the state as of the last
+/// [`Storage::flush`]; every record appended since is forgotten.
+///
+/// The process that recovers gets the disk it read,
+/// `TailLossStorage::holding(crashed.load())`, not the crashed handle,
+/// which still remembers the lost tail.
+#[cfg(test)]
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TailLossStorage {
+    live: MemStorage,
+    /// `live` as of the last barrier.
+    synced: MemStorage,
+}
+
+#[cfg(test)]
+impl TailLossStorage {
+    /// A disk holding exactly `state`, all of it durable.
+    pub(crate) fn holding(state: DurableState) -> TailLossStorage {
+        let disk = MemStorage {
+            state,
+            ..MemStorage::default()
+        };
+        TailLossStorage {
+            live: disk.clone(),
+            synced: disk,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Storage for TailLossStorage {
+    fn save_promised(&mut self, b: Ballot) {
+        self.live.save_promised(b);
+    }
+    fn save_accepted(&mut self, i: Instance, b: Ballot, d: &Decree) {
+        self.live.save_accepted(i, b, d);
+    }
+    fn save_chosen_prefix(&mut self, upto: Instance) {
+        self.live.save_chosen_prefix(upto);
+    }
+    fn save_checkpoint(&mut self, snap: &SnapshotBlob) {
+        self.live.save_checkpoint(snap);
+    }
+    fn truncate_upto(&mut self, upto: Instance) {
+        self.live.truncate_upto(upto);
+    }
+    fn load(&self) -> DurableState {
+        self.synced.load()
+    }
+    fn flush(&mut self) {
+        self.synced = self.live.clone();
+    }
+    fn is_dirty(&self) -> bool {
+        self.live.writes > self.synced.writes
+    }
+    fn write_count(&self) -> u64 {
+        self.live.writes
+    }
+    fn supports_chunked_checkpoint(&self) -> bool {
+        true
+    }
+    fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
+        self.live.checkpoint_begin(upto, dedup, total);
+    }
+    fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
+        self.live.checkpoint_chunk(idx, data);
+    }
+    fn checkpoint_commit(&mut self) {
+        self.live.checkpoint_commit();
+    }
+    fn checkpoint_abort(&mut self) {
+        self.live.checkpoint_abort();
+    }
+    fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint> {
+        self.live.checkpoint_chunks()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,6 +494,33 @@ mod tests {
             write(&mut s);
             assert!(!s.load().is_empty(), "write {i} alone is prior state");
         }
+    }
+
+    #[test]
+    fn tail_loss_storage_forgets_what_no_flush_covered() {
+        let mut s = TailLossStorage::default();
+        s.save_promised(ballot(1));
+        s.save_accepted(Instance(1), ballot(1), &Decree::noop());
+        assert!(s.is_dirty());
+        assert!(s.load().is_empty(), "nothing is durable before a barrier");
+        s.flush();
+        assert!(!s.is_dirty());
+        s.save_chosen_prefix(Instance(1));
+        s.save_accepted(Instance(2), ballot(1), &Decree::noop());
+        let disk = s.load();
+        assert_eq!(disk.promised, ballot(1));
+        assert_eq!(disk.chosen_prefix, Instance::ZERO);
+        assert_eq!(
+            disk.accepted.keys().copied().collect::<Vec<_>>(),
+            vec![Instance(1)]
+        );
+        // The recovering process's disk holds that and nothing more, even
+        // after its own next barrier.
+        let mut reopened = TailLossStorage::holding(disk);
+        reopened.save_promised(ballot(2));
+        reopened.flush();
+        assert_eq!(reopened.load().chosen_prefix, Instance::ZERO);
+        assert_eq!(reopened.load().accepted.len(), 1);
     }
 
     #[test]

@@ -152,27 +152,22 @@ mod tests {
 
     #[test]
     fn accept_cost_scales_with_batched_entries() {
-        use gridpaxos_core::command::{Command, Decree};
+        use gridpaxos_core::command::{Command, Decree, DecreeEntry, StateUpdate};
         use gridpaxos_core::request::{ReplyBody, Request, RequestId, RequestKind};
         use gridpaxos_core::types::{ClientId, Seq};
         let c = CpuModel::sysnet();
-        let entry = || {
-            (
-                Command::Req(Request::new(
-                    RequestId::new(ClientId(1), Seq(1)),
-                    RequestKind::Write,
-                    bytes::Bytes::new(),
-                )),
-                gridpaxos_core::command::StateUpdate::None,
-                ReplyBody::Empty,
-            )
+        let entry = |_| DecreeEntry {
+            cmd: Command::Req(Request::new(
+                RequestId::new(ClientId(1), Seq(1)),
+                RequestKind::Write,
+                bytes::Bytes::new(),
+            )),
+            update: StateUpdate::None,
+            reply: ReplyBody::Empty,
         };
-        let mut d = Decree::noop();
-        for _ in 0..3 {
-            let (cmd, update, reply) = entry();
-            d.entries
-                .push(gridpaxos_core::command::DecreeEntry { cmd, update, reply });
-        }
+        let d = Decree {
+            entries: (0..3).map(entry).collect(),
+        };
         let small = Msg::Accept {
             ballot: Ballot::ZERO,
             entries: vec![(Instance(1), Decree::noop())],

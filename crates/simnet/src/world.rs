@@ -40,11 +40,13 @@ pub enum DurabilityMode {
     /// once the covering flush completes (persist-before-send at batch
     /// granularity); the CPU is free to process the next event meanwhile.
     /// Events whose records are covered by an already-pending flush join
-    /// it instead of paying their own — that is the amortization. An
-    /// event that persists but sends nothing (a follower recording a
-    /// chosen prefix) opens no barrier: nothing waits on its records, so
-    /// they ride the next one, as `Reactor::flush_and_transmit` returns
-    /// before the barrier when its outbox is empty.
+    /// it instead of paying their own — that is the amortization. The
+    /// barrier is the shipped one (`Replica::storage_dirty`): an event
+    /// that sends nothing, or whose only records are chosen-prefix marks
+    /// (a leader committing, a follower learning `Chosen`), opens none —
+    /// no message acknowledges those records, so they ride the next
+    /// barrier. An unloaded write costs three syncs: the leader's accept
+    /// and each follower's.
     Batched,
 }
 
@@ -560,16 +562,17 @@ impl World {
                 };
                 *self.metrics.msgs_by_tag.entry(msg.tag()).or_default() += 1;
                 let recv_cost = self.opts.cpu.recv_cost(&msg);
-                let writes_before = m.total_writes();
+                let (writes, barrier_writes) = (m.total_writes(), m.barrier_writes());
                 let actions = m.on_message(from, msg, self.now);
-                let persists = m.total_writes() - writes_before;
+                let persists = m.total_writes() - writes;
+                let barrier_due = m.barrier_writes() > barrier_writes;
                 let cpu_done = self.now.after(recv_cost).after(actions_send_cost(
                     &self.opts.cpu,
                     &actions,
                     self.cfg.n,
                 ));
                 self.busy_until[idx] = cpu_done;
-                let send_at = self.durability_gate(idx, persists, &actions, cpu_done);
+                let send_at = self.durability_gate(idx, persists, barrier_due, &actions, cpu_done);
                 self.dispatch_at(to, actions, send_at, cpu_done);
             }
             Addr::Client(c) => {
@@ -616,14 +619,15 @@ impl World {
                 let Slot::Up(m) = &mut self.replicas[idx] else {
                     return;
                 };
-                let writes_before = m.total_writes();
+                let (writes, barrier_writes) = (m.total_writes(), m.barrier_writes());
                 let actions = m.on_timer(group, kind, self.now);
-                let persists = m.total_writes() - writes_before;
+                let persists = m.total_writes() - writes;
+                let barrier_due = m.barrier_writes() > barrier_writes;
                 let cpu_done =
                     self.now
                         .after(actions_send_cost(&self.opts.cpu, &actions, self.cfg.n));
                 self.busy_until[idx] = cpu_done;
-                let send_at = self.durability_gate(idx, persists, &actions, cpu_done);
+                let send_at = self.durability_gate(idx, persists, barrier_due, &actions, cpu_done);
                 self.dispatch_at(who, actions, send_at, cpu_done);
             }
             Addr::Client(c) => {
@@ -651,14 +655,16 @@ impl World {
     }
 
     /// Charge the durability model for `persists` records written by an
-    /// event whose CPU work ends at `cpu_done`. Returns when the event's
-    /// outbound messages may depart (persist-before-send — never before
-    /// the records they acknowledge are durable). The disk works beside
-    /// the CPU: the replica itself is free at `cpu_done` either way.
+    /// event whose CPU work ends at `cpu_done`; `barrier_due` says whether
+    /// any of them was more than a chosen-prefix mark. Returns when the
+    /// event's outbound messages may depart (persist-before-send — never
+    /// before the records they acknowledge are durable). The disk works
+    /// beside the CPU: the replica itself is free at `cpu_done` either way.
     fn durability_gate(
         &mut self,
         idx: usize,
         persists: u64,
+        barrier_due: bool,
         actions: &[(GroupId, Action)],
         cpu_done: Time,
     ) -> Time {
@@ -669,7 +675,7 @@ impl World {
         let sends = actions
             .iter()
             .any(|(_, a)| matches!(a, Action::Send { .. } | Action::ToAllReplicas { .. }));
-        if self.opts.durability == DurabilityMode::None || !sends {
+        if self.opts.durability == DurabilityMode::None || !sends || !barrier_due {
             return cpu_done;
         }
         match self.flush_sched[idx] {
@@ -1011,7 +1017,11 @@ mod tests {
 
         // Unloaded, the shipped configuration: one client, 2,000 writes.
         let (_, fsyncs, _) = run(Config::cluster(3), 1, 2_000, DurabilityMode::Batched);
-        assert_eq!(fsyncs, 4 * 2_000, "four barriers per write");
+        assert_eq!(
+            fsyncs,
+            3 * 2_000,
+            "one barrier per accept record: the leader's and each follower's"
+        );
     }
 
     #[test]

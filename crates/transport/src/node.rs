@@ -14,7 +14,10 @@
 //! transport. Persist-before-send (§3.1/§3.3) therefore still holds
 //! exactly: no `Promise`/`Accepted` reaches the wire before the storage
 //! write it acknowledges is durable; the fsync is merely amortized over
-//! the batch instead of paid per record.
+//! the batch instead of paid per record. The barrier runs when
+//! [`Replica::storage_dirty`] says one is due — for records a message can
+//! acknowledge, not for chosen-prefix marks, which ride the next barrier
+//! or the flush on the way out of [`ReplicaNode::run`].
 
 use crate::timers::Timers;
 use gridpaxos_core::action::{Action, TimerKind};
@@ -212,6 +215,9 @@ impl<T: Transport> ReplicaNode<T> {
             }
         }
         self.flush_and_transmit();
+        // A clean stop leaves no chosen-prefix mark waiting for a barrier
+        // that will never come.
+        self.replica.flush_storage();
         self.replica
     }
 }

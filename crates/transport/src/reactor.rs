@@ -15,16 +15,30 @@
 //! frames torn at any byte offset; writes go through a per-connection
 //! byte-bounded [`SendQueue`] that resumes partially-written frames at
 //! the exact offset. Outbound encoding reuses one node-wide scratch
-//! buffer (`encode_with_scratch`).
+//! buffer (`encode_with_scratch`), and every socket read lands in one
+//! node-wide read buffer.
+//!
+//! ## Waiting
+//!
+//! The loop blocks in exactly one place, [`Epoll::wait_for`], for as long
+//! as [`Reactor::wait`] says: until the next timer is due, at the clock's
+//! resolution. The leader's batch window is 100 µs; counted in whole
+//! milliseconds it would cost every loaded decree ten times that.
 //!
 //! ## Group commit: the flush barrier
 //!
 //! Every drain cycle buffers the cores' `Send`/`ToAllReplicas` actions in
-//! an outbox, then [`Reactor::flush_and_transmit`] flushes each dirty
-//! group storage — one fsync covering the whole batch — and only after
-//! that barrier frames the outbox into connection send queues and lets
-//! bytes reach the kernel. No `Promise`/`Accepted` can touch the wire
-//! before the storage write it acknowledges is durable.
+//! an outbox, then [`Reactor::flush_and_transmit`] flushes each group
+//! storage that has a barrier due — one fsync covering the whole batch —
+//! and only after that barrier frames the outbox into connection send
+//! queues and lets bytes reach the kernel. No `Promise`/`Accepted` can
+//! touch the wire before the storage write it acknowledges is durable.
+//! A barrier is due for the records a message can acknowledge
+//! ([`Replica::storage_dirty`]); the chosen-prefix mark is not one, so
+//! committing a decree costs the leader no sync of its own between the
+//! quorum's last `Accepted` and the client's reply, and the mark is made
+//! durable by the next decree's accept barrier (or the flush on the way
+//! out of [`Reactor::run`]).
 //!
 //! ## Backpressure
 //!
@@ -77,6 +91,9 @@ use std::time::{Duration, Instant};
 
 /// Maximum epoll wait per iteration so the stop flag is honored promptly.
 const MAX_WAIT: Duration = Duration::from_millis(25);
+
+/// Size of the node-wide socket read buffer.
+const READ_BUF: usize = 64 * 1024;
 
 /// Cap on messages drained through the cores per flush cycle, so one
 /// barrier never covers an unbounded batch.
@@ -231,6 +248,9 @@ struct Reactor {
     gate: AdmissionGate,
     rcfg: ReactorConfig,
     scratch: BytesMut,
+    /// Where every socket read lands before the connection's decoder
+    /// copies it out ([`READ_BUF`] bytes, allocated once).
+    read_buf: Vec<u8>,
     stop: Arc<AtomicBool>,
     metrics: Arc<MetricsInner>,
 }
@@ -266,6 +286,7 @@ impl Reactor {
             gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
             rcfg,
             scratch: BytesMut::new(),
+            read_buf: vec![0; READ_BUF],
             stop,
             metrics,
         })
@@ -318,11 +339,12 @@ impl Reactor {
         }
     }
 
-    /// The group-commit barrier: flush every dirty group storage (one
-    /// fsync per group per batch — a shared-WAL [`FlushCoordinator`]
-    /// collapses those to one per node), and only then frame the buffered outbox onto connection
-    /// queues and let the kernel have the bytes. Busy replies queued
-    /// outside the outbox also drain here, after the same barrier.
+    /// The group-commit barrier: flush every group storage with a barrier
+    /// due (one fsync per group per batch — a shared-WAL
+    /// [`FlushCoordinator`] collapses those to one per node), and only
+    /// then frame the buffered outbox onto connection queues and let the
+    /// kernel have the bytes. Busy replies queued outside the outbox also
+    /// drain here, after the same barrier.
     fn flush_and_transmit(&mut self) {
         if self.outbox.is_empty() && self.dirty.is_empty() {
             return;
@@ -570,13 +592,20 @@ impl Reactor {
     /// EPOLLIN on `token`: read until `EWOULDBLOCK`, decode every complete
     /// frame, admit or shed.
     fn handle_readable(&mut self, token: u64) {
+        // The frames decoded below go through `&mut self`, so the buffer
+        // steps out of `self` for the duration.
+        let mut buf = std::mem::take(&mut self.read_buf);
+        self.read_into(token, &mut buf);
+        self.read_buf = buf;
+    }
+
+    fn read_into(&mut self, token: u64, buf: &mut [u8]) {
         /// Outcome of one nonblocking read attempt.
         enum ReadStep {
             Got(usize),
             Drained,
             Close,
         }
-        let mut buf = [0u8; 64 * 1024];
         loop {
             let step = {
                 let Some(c) = self.conns.get_mut(&token) else {
@@ -588,7 +617,7 @@ impl Reactor {
                     return;
                 }
                 loop {
-                    match c.stream.read(&mut buf) {
+                    match c.stream.read(buf) {
                         Ok(0) => break ReadStep::Close,
                         Ok(n) => {
                             c.decoder.extend(&buf[..n]);
@@ -739,19 +768,18 @@ impl Reactor {
         self.gate.update(self.inbox.len());
     }
 
-    /// Milliseconds until the next timer (rounded up), capped at
-    /// [`MAX_WAIT`]; zero when backlog remains.
-    fn wait_ms(&self) -> i32 {
+    /// How long the loop may block: until the next timer is due, capped
+    /// at [`MAX_WAIT`]; not at all while backlog remains.
+    fn wait(&mut self) -> Duration {
         if !self.inbox.is_empty() {
-            return 0;
+            return Duration::ZERO;
         }
-        let until = self
-            .timers
+        let now = self.now().0;
+        self.timers
             .next_due()
-            .map(|due| Duration::from_nanos(due.saturating_sub(self.now().0)))
+            .map(|due| Duration::from_nanos(due.saturating_sub(now)))
             .unwrap_or(MAX_WAIT)
-            .min(MAX_WAIT);
-        until.as_nanos().div_ceil(1_000_000) as i32
+            .min(MAX_WAIT)
     }
 
     fn run(mut self) -> Vec<Replica> {
@@ -773,9 +801,9 @@ impl Reactor {
         let mut events: Vec<sys::Event> = Vec::new();
         while !self.stop.load(Ordering::Relaxed) {
             events.clear();
-            let timeout = self.wait_ms();
+            let timeout = self.wait();
             gridpaxos_core::sync::blocking("epoll.wait");
-            if self.epoll.wait(&mut events, timeout).is_err() {
+            if self.epoll.wait_for(&mut events, timeout).is_err() {
                 break;
             }
             for ev in &events {
@@ -801,6 +829,11 @@ impl Reactor {
             self.flush_and_transmit();
         }
         self.flush_and_transmit();
+        // A clean stop leaves no chosen-prefix mark waiting for a barrier
+        // that will never come.
+        for core in &mut self.cores {
+            core.flush_storage();
+        }
         self.cores
     }
 }
@@ -1053,12 +1086,18 @@ impl ReactorCluster {
 mod tests {
     use super::*;
     use crate::framing::{read_frame, write_frame};
+    use crate::fstorage::FileStorage;
     use bytes::Bytes;
+    use gridpaxos_core::action::TimerKind;
+    use gridpaxos_core::ballot::Ballot;
     use gridpaxos_core::client::ShardRouter;
+    use gridpaxos_core::command::{Decree, DedupEntry, SnapshotBlob};
     use gridpaxos_core::request::{Request, RequestId, RequestKind};
     use gridpaxos_core::service::NoopApp;
-    use gridpaxos_core::types::Seq;
+    use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState};
+    use gridpaxos_core::types::{Instance, Seq};
     use std::io::{BufReader, Write};
+    use std::path::PathBuf;
 
     fn noop_factory() -> Box<dyn App> {
         Box::new(NoopApp::new())
@@ -1117,10 +1156,8 @@ mod tests {
         }
     }
 
-    /// A frame the peer's decoder would reject is refused where it is
-    /// made: counted, not queued, and the connection stays usable.
-    #[test]
-    fn oversize_frame_is_dropped_and_the_connection_kept() {
+    /// A one-replica reactor that is not running: tests call its steps.
+    fn idle_reactor() -> (Reactor, ReactorMetrics, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
@@ -1133,7 +1170,7 @@ mod tests {
             Time::ZERO,
         );
         let metrics = ReactorMetrics::default();
-        let mut r = Reactor::new(
+        let r = Reactor::new(
             vec![replica],
             listener,
             HashMap::new(),
@@ -1142,6 +1179,45 @@ mod tests {
             Arc::clone(&metrics.inner),
         )
         .expect("reactor");
+        (r, metrics, addr)
+    }
+
+    /// The loop blocks for exactly the time to the next timer — a batch
+    /// window 100 us out is a 100 us wait, not a millisecond — never while
+    /// backlog remains, and never past the stop-flag cap.
+    #[test]
+    fn wait_is_the_time_to_the_next_timer_at_clock_resolution() {
+        let (mut r, _, _) = idle_reactor();
+        assert_eq!(r.wait(), MAX_WAIT, "no timer");
+        r.timers
+            .set(0, TimerKind::Heartbeat, r.now().0 + 1_000_000_000);
+        assert_eq!(r.wait(), MAX_WAIT, "a timer past the cap");
+
+        let before = r.now().0;
+        let due = before + 100_000;
+        r.timers.set(0, TimerKind::BatchWindow, due);
+        let wait = r.wait();
+        let after = r.now().0;
+        assert!(wait <= Duration::from_nanos(due - before), "{wait:?}");
+        assert!(
+            wait >= Duration::from_nanos(due.saturating_sub(after)),
+            "{wait:?}"
+        );
+
+        r.inbox.push_back((
+            Addr::Replica(ProcessId(0)),
+            Msg::CatchUpReq {
+                have: Instance::ZERO,
+            },
+        ));
+        assert_eq!(r.wait(), Duration::ZERO, "backlog");
+    }
+
+    /// A frame the peer's decoder would reject is refused where it is
+    /// made: counted, not queued, and the connection stays usable.
+    #[test]
+    fn oversize_frame_is_dropped_and_the_connection_kept() {
+        let (mut r, metrics, addr) = idle_reactor();
         let _peer = TcpStream::connect(addr).expect("connect");
         while r.conns.is_empty() {
             r.accept_ready();
@@ -1393,6 +1469,188 @@ mod tests {
             assert!(
                 got >= want,
                 "group {g}: recovered prefix {got:?} < pre-crash {want:?}"
+            );
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A node's WAL handle that notes how long `wal.log` was when each
+    /// barrier returned — until the power is cut, after which nothing
+    /// more counts as having reached the platter. Cutting every node's
+    /// log back to its noted length is the cluster after power loss.
+    struct BarrierMarks {
+        inner: FileStorage,
+        wal: PathBuf,
+        synced_len: Arc<AtomicU64>,
+        power_cut: Arc<AtomicBool>,
+    }
+
+    impl BarrierMarks {
+        fn note_synced(&self) {
+            if !self.power_cut.load(Ordering::SeqCst) {
+                let len = std::fs::metadata(&self.wal).expect("wal.log").len();
+                self.synced_len.store(len, Ordering::SeqCst);
+            }
+        }
+    }
+
+    impl Storage for BarrierMarks {
+        fn save_promised(&mut self, b: Ballot) {
+            self.inner.save_promised(b);
+        }
+        fn save_accepted(&mut self, i: Instance, b: Ballot, d: &Decree) {
+            self.inner.save_accepted(i, b, d);
+        }
+        fn save_chosen_prefix(&mut self, upto: Instance) {
+            self.inner.save_chosen_prefix(upto);
+        }
+        fn save_checkpoint(&mut self, snap: &SnapshotBlob) {
+            self.inner.save_checkpoint(snap);
+        }
+        fn truncate_upto(&mut self, upto: Instance) {
+            // Compaction rewrites the log and syncs it whole.
+            self.inner.truncate_upto(upto);
+            self.note_synced();
+        }
+        fn load(&self) -> DurableState {
+            self.inner.load()
+        }
+        fn flush(&mut self) {
+            self.inner.flush();
+            self.note_synced();
+        }
+        fn is_dirty(&self) -> bool {
+            self.inner.is_dirty()
+        }
+        fn write_count(&self) -> u64 {
+            self.inner.write_count()
+        }
+        fn supports_chunked_checkpoint(&self) -> bool {
+            self.inner.supports_chunked_checkpoint()
+        }
+        fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
+            self.inner.checkpoint_begin(upto, dedup, total);
+        }
+        fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
+            self.inner.checkpoint_chunk(idx, data);
+        }
+        fn checkpoint_commit(&mut self) {
+            self.inner.checkpoint_commit();
+        }
+        fn checkpoint_abort(&mut self) {
+            self.inner.checkpoint_abort();
+        }
+        fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint> {
+            self.inner.checkpoint_chunks()
+        }
+    }
+
+    /// Power loss on a durable cluster, right after the last reply: every
+    /// node keeps of its WAL what its last barrier covered. The leader's
+    /// barrier for a decree comes before its `Accept` leaves and none
+    /// follows the commit, so its log ends with the accept record of
+    /// write 8 and the chosen-prefix mark of write 7: it recovers one
+    /// instance short, relearns the decree through the election, and no
+    /// acknowledged write is missing.
+    ///
+    /// Mutation that must fail this test: make `save_accepted` lazy like
+    /// the mark (`Stable::write` → a path that raises no barrier). No
+    /// barrier follows the election then, the cut logs hold promises
+    /// only, and all eight acknowledged writes are gone.
+    #[test]
+    fn durable_reactor_cluster_survives_wal_tail_loss() {
+        let root = std::env::temp_dir().join(format!(
+            "gridpaxos-reactor-tail-loss-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        // No suspicion during the test: an election's promise barrier
+        // would sweep the last mark onto the platter after all.
+        let mut cfg = Config::cluster(3);
+        cfg.suspect_timeout = Dur::from_secs(30);
+        let node_dir = |i: u32| root.join(format!("node-{i}"));
+        let power_cut = Arc::new(AtomicBool::new(false));
+        let synced: Vec<Arc<AtomicU64>> = (0..cfg.n).map(|_| Arc::default()).collect();
+
+        let cluster = ReactorCluster::launch_with_storage(
+            cfg.clone(),
+            1,
+            noop_factory,
+            None,
+            ReactorConfig::default(),
+            |id| {
+                let inner = FlushCoordinator::open(node_dir(id.0), SyncMode::Batched, 1)
+                    .expect("open WAL")
+                    .storage(0);
+                vec![Box::new(BarrierMarks {
+                    inner,
+                    wal: node_dir(id.0).join("wal.log"),
+                    synced_len: Arc::clone(&synced[id.0 as usize]),
+                    power_cut: Arc::clone(&power_cut),
+                })]
+            },
+        )
+        .expect("launch");
+        let mut client = cluster.client();
+        for key in 0u8..8 {
+            let body = client
+                .call(RequestKind::Write, Bytes::copy_from_slice(&[key]))
+                .expect("write completes");
+            assert!(matches!(body, ReplyBody::Ok(_)), "got {body:?}");
+        }
+        power_cut.store(true, Ordering::SeqCst);
+        let stopped = cluster.shutdown();
+        assert_eq!(stopped[0][0].chosen_prefix(), Instance(8));
+        for (i, len) in synced.iter().enumerate() {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(node_dir(i as u32).join("wal.log"))
+                .and_then(|f| f.set_len(len.load(Ordering::SeqCst)))
+                .expect("cut wal.log");
+        }
+
+        let on_disk = |i: u32| {
+            FlushCoordinator::open(node_dir(i), SyncMode::Never, 1)
+                .expect("reopen")
+                .storage(0)
+                .load()
+        };
+        let leader = on_disk(0);
+        assert_eq!(leader.chosen_prefix, Instance(7), "one instance short");
+        assert!(leader.accepted.contains_key(&Instance(8)));
+        let holders = (0..cfg.n as u32)
+            .filter(|i| on_disk(*i).accepted.contains_key(&Instance(8)))
+            .count();
+        assert!(holders >= cfg.majority(), "write 8 is on {holders} disks");
+
+        let cluster = ReactorCluster::launch_durable(
+            cfg.clone(),
+            1,
+            noop_factory,
+            None,
+            ReactorConfig::default(),
+            &root,
+            SyncMode::Batched,
+        )
+        .expect("relaunch");
+        let body = cluster
+            .client()
+            .call(RequestKind::Write, Bytes::from_static(&[8]))
+            .expect("write after recovery");
+        assert!(matches!(body, ReplyBody::Ok(_)), "got {body:?}");
+        let recovered = cluster.shutdown();
+        let writes_applied = |r: &Replica| {
+            let snap = r.service_snapshot();
+            u64::from_le_bytes(snap[..8].try_into().expect("NoopApp state"))
+        };
+        let leader = &recovered[0][0];
+        assert_eq!(leader.chosen_prefix(), Instance(9));
+        assert_eq!(writes_applied(leader), 9, "8 acknowledged writes and 1 new");
+        for rs in &recovered {
+            assert_eq!(
+                writes_applied(&rs[0]),
+                rs[0].chosen_prefix().0,
+                "a replica's state is its prefix of the same nine writes"
             );
         }
         std::fs::remove_dir_all(&root).ok();

@@ -6,16 +6,24 @@
 //! compiled only on `target_os = "linux"` (gated in `lib.rs`).
 //!
 //! Only the thin, unavoidable layer lives here: fd registration and the
-//! wait call ([`Epoll`]), nonblocking connect initiation
+//! wait calls ([`Epoll`]), nonblocking connect initiation
 //! ([`connect_nonblocking`]) and its completion check
 //! ([`take_socket_error`]). Everything else (accept, read, write,
 //! nonblocking mode) goes through `std`'s socket types, which expose
 //! those safely.
+//!
+//! Two wait calls: [`Epoll::wait_for`] takes a `Duration` and blocks at
+//! clock resolution (`epoll_pwait2`, Linux 5.11) — the reactor's, whose
+//! timers (a 100 µs batch window) are shorter than a millisecond —
+//! and [`Epoll::wait`] takes `epoll_wait`'s whole milliseconds, which is
+//! also what `wait_for` rounds up to on a kernel without the newer call.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::os::raw::{c_int, c_void};
+use std::os::raw::{c_int, c_long, c_void};
 use std::os::unix::io::{FromRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // FFI surface (x86-64 Linux).
@@ -32,6 +40,13 @@ struct EpollEvent {
     data: u64,
 }
 
+/// `struct timespec` (LP64: both fields are `long`).
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
 #[repr(C)]
 struct SockAddrIn {
     sin_family: u16,
@@ -44,6 +59,13 @@ extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn epoll_pwait2(
+        epfd: c_int,
+        events: *mut EpollEvent,
+        maxevents: c_int,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn connect(fd: c_int, addr: *const SockAddrIn, len: u32) -> c_int;
@@ -80,6 +102,14 @@ const SOL_SOCKET: c_int = 1;
 const SO_ERROR: c_int = 4;
 const EINPROGRESS: i32 = 115;
 const EINTR: i32 = 4;
+const ENOSYS: i32 = 38;
+const EPERM: i32 = 1;
+
+/// Most events one wait call reports. Level-triggered: whatever else is
+/// ready is reported by the next call, which a reactor with work in hand
+/// makes without blocking — so this bounds the array a call sets up, not
+/// what a node can serve.
+const MAX_EVENTS: usize = 128;
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
     if ret < 0 {
@@ -128,6 +158,10 @@ impl Event {
 #[derive(Debug)]
 pub struct Epoll {
     fd: RawFd,
+    /// Cleared for good the first time the kernel refuses `epoll_pwait2`;
+    /// [`Epoll::wait_for`] then rounds up to [`Epoll::wait`]'s
+    /// milliseconds. A hint that publishes no data, hence `Relaxed`.
+    has_pwait2: AtomicBool,
 }
 
 impl Epoll {
@@ -135,7 +169,10 @@ impl Epoll {
     pub fn new() -> io::Result<Epoll> {
         // SAFETY: plain syscall, no pointers.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Epoll { fd })
+        Ok(Epoll {
+            fd,
+            has_pwait2: AtomicBool::new(true),
+        })
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
@@ -167,30 +204,84 @@ impl Epoll {
         Ok(())
     }
 
+    /// Run one wait syscall over a fresh event array, retrying
+    /// transparently on `EINTR`, and append the ready set to `out`.
+    fn collect(
+        out: &mut Vec<Event>,
+        mut sys_wait: impl FnMut(&mut [EpollEvent]) -> io::Result<c_int>,
+    ) -> io::Result<()> {
+        let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        let n = loop {
+            match sys_wait(&mut buf) {
+                Ok(n) => break n as usize,
+                Err(e) if e.raw_os_error() == Some(EINTR) => {}
+                Err(e) => return Err(e),
+            }
+        };
+        out.extend(buf[..n].iter().map(|ev| Event {
+            token: ev.data,
+            events: ev.events,
+        }));
+        Ok(())
+    }
+
     /// Wait up to `timeout_ms` (`-1` = forever, `0` = poll) and append the
     /// ready set to `out`. Retries transparently on `EINTR`.
     pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-        const MAX_EVENTS: usize = 1024;
-        let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        loop {
-            // SAFETY: `buf` is a valid writable array of MAX_EVENTS records.
-            let n =
-                unsafe { epoll_wait(self.fd, buf.as_mut_ptr(), MAX_EVENTS as c_int, timeout_ms) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.raw_os_error() == Some(EINTR) {
-                    continue;
+        Self::collect(out, |buf| {
+            // SAFETY: `buf` is a valid writable array of `buf.len()` records.
+            cvt(unsafe { epoll_wait(self.fd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms) })
+        })
+    }
+
+    /// Wait up to `timeout`, at the resolution of the clock rather than
+    /// of a millisecond count, and append the ready set to `out`. One
+    /// syscall, like [`Epoll::wait`]; on a kernel older than
+    /// `epoll_pwait2` the first call finds that out and this and every
+    /// later one round `timeout` up to whole milliseconds instead.
+    pub fn wait_for(&self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
+        self.wait_for_with(out, timeout, |buf, ts| {
+            // SAFETY: `buf` is a valid writable array of `buf.len()`
+            // records, `ts` a valid timespec; a null sigmask leaves the
+            // signal mask alone.
+            cvt(unsafe {
+                epoll_pwait2(
+                    self.fd,
+                    buf.as_mut_ptr(),
+                    buf.len() as c_int,
+                    ts,
+                    std::ptr::null(),
+                )
+            })
+        })
+    }
+
+    /// [`Epoll::wait_for`] with the precise syscall passed in, so a test
+    /// can stand in for a kernel that lacks it.
+    fn wait_for_with(
+        &self,
+        out: &mut Vec<Event>,
+        timeout: Duration,
+        mut pwait2: impl FnMut(&mut [EpollEvent], &Timespec) -> io::Result<c_int>,
+    ) -> io::Result<()> {
+        if self.has_pwait2.load(Ordering::Relaxed) {
+            let ts = Timespec {
+                tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+                tv_nsec: c_long::from(timeout.subsec_nanos()),
+            };
+            match Self::collect(out, |buf| pwait2(buf, &ts)) {
+                // `ENOSYS` from a kernel before 5.11; `EPERM` from a
+                // sandbox whose syscall filter predates the call (it is
+                // not an error `epoll_pwait2` itself can return).
+                Err(e) if matches!(e.raw_os_error(), Some(ENOSYS | EPERM)) => {
+                    self.has_pwait2.store(false, Ordering::Relaxed);
                 }
-                return Err(err);
+                done => return done,
             }
-            for ev in buf.iter().take(n as usize) {
-                out.push(Event {
-                    token: ev.data,
-                    events: ev.events,
-                });
-            }
-            return Ok(());
         }
+        const NANOS_PER_MILLI: u128 = 1_000_000;
+        let ms = timeout.as_nanos().div_ceil(NANOS_PER_MILLI);
+        self.wait(out, i32::try_from(ms).unwrap_or(i32::MAX))
     }
 }
 
@@ -288,6 +379,106 @@ mod tests {
         let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         ep.wait(&mut events, 1000).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable()));
+    }
+
+    /// Median of 20 timed-out waits on an idle epoll.
+    fn median_wait(wait: impl Fn(&mut Vec<Event>) -> io::Result<()>) -> Duration {
+        let mut events = Vec::new();
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                wait(&mut events).unwrap();
+                t0.elapsed()
+            })
+            .collect();
+        assert!(events.is_empty(), "nothing is registered");
+        took.sort_unstable();
+        took[took.len() / 2]
+    }
+
+    const SHORT: Duration = Duration::from_micros(200);
+
+    /// The point of `wait_for`: a wait shorter than a millisecond takes
+    /// less than a millisecond. Through `wait` it cannot — the shortest
+    /// timeout that blocks at all is 1 ms.
+    #[test]
+    fn wait_for_keeps_sub_millisecond_timeouts() {
+        let ep = Epoll::new().unwrap();
+        let median = median_wait(|ev| ep.wait_for(ev, SHORT));
+        if !ep.has_pwait2.load(Ordering::Relaxed) {
+            return; // this kernel has no epoll_pwait2: the next test's path
+        }
+        assert!(median >= SHORT, "returned early: {median:?}");
+        assert!(
+            median < Duration::from_millis(1),
+            "200 us wait took {median:?}"
+        );
+    }
+
+    /// A kernel without `epoll_pwait2` is found out on the first call and
+    /// never asked again; waits round up to whole milliseconds from then.
+    #[test]
+    fn enosys_downgrades_once_to_rounded_up_epoll_wait() {
+        let ep = Epoll::new().unwrap();
+        let mut events = Vec::new();
+        let t0 = std::time::Instant::now();
+        ep.wait_for_with(&mut events, SHORT, |_, _| {
+            Err(io::Error::from_raw_os_error(ENOSYS))
+        })
+        .unwrap();
+        assert!(
+            t0.elapsed() >= Duration::from_millis(1),
+            "the refused call still waits, rounded up"
+        );
+        assert!(!ep.has_pwait2.load(Ordering::Relaxed));
+
+        ep.wait_for_with(&mut events, Duration::ZERO, |_, _| {
+            panic!("asked a kernel that already said no")
+        })
+        .unwrap();
+        let median = median_wait(|ev| ep.wait_for(ev, SHORT));
+        assert!(
+            median >= Duration::from_millis(1),
+            "200 us rounds up to 1 ms: {median:?}"
+        );
+        // Any other failure is the caller's to see, and changes nothing.
+        let ep = Epoll::new().unwrap();
+        let err = ep
+            .wait_for_with(&mut events, SHORT, |_, _| {
+                Err(io::Error::from_raw_os_error(9)) // EBADF
+            })
+            .unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(9));
+        assert!(ep.has_pwait2.load(Ordering::Relaxed));
+    }
+
+    /// More fds ready than one call reports: the rest come on the next.
+    #[test]
+    fn ready_set_larger_than_one_call_arrives_over_several() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ep = Epoll::new().unwrap();
+        let n = MAX_EVENTS + 8;
+        let socks: Vec<(TcpStream, TcpStream)> = (0..n)
+            .map(|i| {
+                let s = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                // An idle connected socket is writable.
+                ep.add(s.as_raw_fd(), EPOLLOUT, i as u64).unwrap();
+                (s, listener.accept().unwrap().0)
+            })
+            .collect();
+        let mut events = Vec::new();
+        ep.wait_for(&mut events, Duration::from_secs(1)).unwrap();
+        assert_eq!(events.len(), MAX_EVENTS);
+        let mut seen: std::collections::HashSet<u64> = events.iter().map(|e| e.token).collect();
+        // Take what was reported out of the set, as a reactor that has
+        // served a connection would; the rest is still ready.
+        for e in &events {
+            ep.delete(socks[e.token as usize].0.as_raw_fd()).unwrap();
+        }
+        events.clear();
+        ep.wait(&mut events, 1000).unwrap();
+        seen.extend(events.iter().map(|e| e.token));
+        assert_eq!(seen.len(), n);
     }
 
     #[test]

@@ -48,10 +48,18 @@ impl Timers {
         None
     }
 
-    /// Due time of the heap's head (which may be a superseded entry: the
-    /// caller wakes early once and finds nothing to fire).
-    pub(crate) fn next_due(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((due, ..))| *due)
+    /// Due time of the earliest live timer. Superseded entries at the
+    /// head are dropped on the way: a leader arms and cancels a
+    /// retransmit timer for every decree, and a drive loop that waits at
+    /// clock resolution would otherwise wake once for each of them.
+    pub(crate) fn next_due(&mut self) -> Option<u64> {
+        while let Some(&Reverse((due, group, kind, gen))) = self.heap.peek() {
+            if self.gens[group as usize].get(&kind) == Some(&gen) {
+                return Some(due);
+            }
+            self.heap.pop();
+        }
+        None
     }
 }
 
@@ -67,7 +75,7 @@ mod tests {
         t.set(1, TimerKind::Heartbeat, 20);
         t.set(0, TimerKind::Election, 20);
         t.cancel(0, TimerKind::Election);
-        assert_eq!(t.next_due(), Some(10), "superseded head still wakes");
+        assert_eq!(t.next_due(), Some(20), "superseded head wakes nobody");
         assert_eq!(t.pop_due(15), None);
         assert_eq!(t.pop_due(25), Some((1, TimerKind::Heartbeat)));
         assert_eq!(t.pop_due(25), None);

@@ -460,7 +460,8 @@ pub(crate) fn get_decree(buf: &mut Bytes) -> Result<Decree> {
                 update: get_state_update(b)?,
                 reply: get_reply_body(b)?,
             })
-        })?,
+        })?
+        .into(),
     })
 }
 
