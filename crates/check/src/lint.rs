@@ -402,10 +402,14 @@ pub fn check_unwraps(file: &str, masked: &str) -> Vec<Finding> {
 /// (function name, persist call that must appear, message it must precede).
 /// The call is spelled with its `Stable::acked` door: the same record
 /// written through `unacked()` would raise no flush barrier, and the
-/// message would leave before it is durable.
+/// message would leave before it is durable. The promise is persisted by
+/// the preamble every handler of a leader's message runs (`defer_to`), so
+/// "persisted before `Msg::Promise`" is two rows: the preamble writes it,
+/// and `handle_prepare` runs the preamble before it builds the message.
 const PERSIST_RULES: &[(&str, &str, &str)] = &[
     ("handle_accept", ".acked().save_accepted", "Msg::Accepted"),
-    ("handle_prepare", ".acked().save_promised", "Msg::Promise"),
+    ("defer_to", ".acked().save_promised", "Msg::Promise"),
+    ("handle_prepare", "self.defer_to(", "Msg::Promise"),
     (
         "execute_and_propose",
         ".acked().save_accepted",

@@ -178,6 +178,40 @@ fn persist_before_send_is_clean() {
     assert!(findings.is_empty(), "findings: {findings:?}");
 }
 
+/// The promise is written by the preamble `defer_to`; `handle_prepare`
+/// has to run it before it builds the `Promise`, and the preamble has to
+/// write through the door that raises the barrier.
+#[test]
+fn promise_built_before_the_preamble_persisted_it_is_flagged() {
+    let preamble = |door: &str| {
+        format!(
+            "fn defer_to(&mut self, ballot: Ballot) -> bool {{
+                self.promised = ballot;
+                self.stable.{door}().save_promised(ballot);
+                true
+            }}"
+        )
+    };
+    let handler = |body: &str| format!("fn handle_prepare(&mut self, from: Addr) {{ {body} }}");
+    let promise = "out.push(Action::Send { to: from, msg: Msg::Promise { ballot } });";
+    let check =
+        |src: String| check_persist_before_send("mod.rs", &mask_test_items(&strip_noise(&src)));
+
+    let clean = handler(&format!(
+        "if !self.defer_to(ballot) {{ return; }} {promise}"
+    ));
+    assert!(check(preamble("acked") + &clean).is_empty());
+    for bad in [
+        preamble("acked") + &handler(promise),
+        preamble("acked") + &handler(&format!("{promise} self.defer_to(ballot);")),
+        preamble("unacked") + &clean,
+    ] {
+        let findings = check(bad);
+        assert_eq!(findings.len(), 1, "findings: {findings:?}");
+        assert_eq!(findings[0].rule, "persist-before-send");
+    }
+}
+
 #[test]
 fn transmit_before_flush_is_flagged() {
     // The drive loop hands a buffered message to the transport before the

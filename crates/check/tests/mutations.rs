@@ -9,7 +9,7 @@ use check::harness::{Choice, Cluster, Observations};
 use check::invariants::{
     check_chosen_digests, check_mask_invariants, check_read_mask, check_session_read, check_state,
 };
-use check::{replay, smoke_scenarios, Scenario};
+use check::{replay, smoke_scenarios, ClientOp, Scenario};
 use gridpaxos_core::action::TimerKind;
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::types::{Dur, Instance, TxnId};
@@ -306,6 +306,82 @@ fn stretched_lease_trips_linearizability() {
     let (_cl, v) = lease_takeover_read(true);
     let v = v.expect("stretched lease must be caught");
     assert!(v.contains("linearizability"), "unexpected violation: {v}");
+}
+
+/// Directed walk to the schedule behind ROADMAP P0: a `CatchUp` from a
+/// newer leadership reaches a replica that still leads under an older
+/// ballot with a write executed ahead of consensus. Replica 2 asks
+/// leader 0 for instance 1 and the request lingers; 2 then leads ballot
+/// (2,2) and executes `Write(1)` at instance 2, its `Accept` lost; 0
+/// leads again under (3,0) — its `Prepare` to 2 lost — and chooses
+/// `Write(2)` for instance 2; only now does 0 answer the old request.
+/// Replica 2 must be deposed before it records or applies anything: at
+/// prefix 2 its state is the chosen history's (bits 0 and 2), not its
+/// own abandoned execution's (bits 0 and 1).
+#[test]
+fn late_catchup_from_a_newer_leadership_keeps_agreement() {
+    let mut cl = Cluster::new(&Scenario {
+        name: "late-catchup",
+        script: vec![ClientOp::Write(0), ClientOp::Write(1), ClientOp::Write(2)],
+        ..scenario("write-read-lossy")
+    });
+    let step = |v: Option<String>| assert_eq!(v, None);
+    assert_eq!(establish_leader(&mut cl), 0);
+    // Write(0) is chosen with 1's vote and applied there; 2 learns
+    // `Chosen` without the decree and asks 0 for it. The request stays
+    // in the network.
+    step(inject(&mut cl));
+    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Accept { .. })));
+    step(deliver_to(&mut cl, 0, |m| {
+        matches!(m, Msg::Accepted { .. })
+    }));
+    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Chosen { .. })));
+    step(deliver_to(&mut cl, 2, |m| matches!(m, Msg::Chosen { .. })));
+    let lingering = |m: &Msg| matches!(m, Msg::CatchUpReq { .. });
+    assert!(cl.pending_msg(0, lingering).is_some());
+    // 2 takes over with 1's promise (and 1's snapshot of instance 1) and
+    // executes Write(1) at instance 2; nobody receives that Accept.
+    step(fire(&mut cl, 2, TimerKind::LeaderCheck));
+    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Prepare { .. })));
+    step(deliver_to(&mut cl, 2, |m| matches!(m, Msg::Promise { .. })));
+    step(cl.inject_to(2));
+    let r2 = cl.replica(2).expect("live");
+    assert!(r2.is_leader() && r2.checker_view().tentative_exec);
+    // 0 hears of ballot (2,2), outbids it with 1's promise — 2 never
+    // sees that Prepare — and chooses Write(2) for instance 2.
+    step(deliver_to(&mut cl, 0, |m| matches!(m, Msg::Prepare { .. })));
+    while cl
+        .replica(0)
+        .is_some_and(|r| r.checker_view().role == "follower")
+    {
+        step(fire(&mut cl, 0, TimerKind::LeaderCheck)); // until it suspects
+    }
+    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Prepare { .. })));
+    step(deliver_to(
+        &mut cl,
+        0,
+        |m| matches!(m, Msg::Promise { ballot, .. } if ballot.round == 3),
+    ));
+    step(cl.inject_to(0));
+    step(deliver_to(
+        &mut cl,
+        1,
+        |m| matches!(m, Msg::Accept { ballot, .. } if ballot.proposer.0 == 0),
+    ));
+    step(deliver_to(&mut cl, 0, |m| {
+        matches!(m, Msg::Accepted { .. })
+    }));
+    assert_eq!(cl.obs.acked_bits, 0b101, "Write(0) and Write(2) are acked");
+    assert_eq!(check_state(&cl), None, "2 is one tentative step ahead");
+    // The old request is answered by the new leadership.
+    step(deliver_to(&mut cl, 0, lingering));
+    step(deliver_to(&mut cl, 2, |m| matches!(m, Msg::CatchUp { .. })));
+    let (r0, r2) = (cl.replica(0).expect("live"), cl.replica(2).expect("live"));
+    assert_eq!(r2.chosen_prefix(), Instance(2));
+    assert_eq!(check_state(&cl), None);
+    assert!(!r2.is_leader(), "deposed by the catch-up's ballot");
+    assert_eq!(r2.promised(), r0.promised());
+    assert_eq!(r2.service_snapshot(), r0.service_snapshot());
 }
 
 /// Replay is deterministic: the same schedule reproduces the same state,

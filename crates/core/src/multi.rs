@@ -187,7 +187,7 @@ impl MultiReplica {
     }
 
     /// Total persist operations recorded across every group's storage
-    /// ([`Replica::storage_writes`]). The simulator's durability cost
+    /// ([`Storage::write_count`]). The simulator's durability cost
     /// model charges fsync time from deltas of this sum.
     #[must_use]
     pub fn total_writes(&self) -> u64 {

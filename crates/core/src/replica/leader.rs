@@ -4,11 +4,10 @@
 use super::{Replica, Role};
 use crate::action::{Action, TimerKind};
 use crate::ballot::Ballot;
-use crate::command::{Command, Decree, DecreeEntry, StateUpdate};
-use crate::config::{ReadMode, TxnMode, ValueMode};
+use crate::command::Decree;
+use crate::config::{ReadMode, TxnMode};
 use crate::msg::Msg;
 use crate::request::{AbortReason, Reply, ReplyBody, Request, RequestId, RequestKind, TxnCtl};
-use crate::service::ExecCtx;
 use crate::types::{Addr, ClientId, Instance, ProcessId, Time, TxnId};
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -284,9 +283,7 @@ impl Replica {
             self.stats.follower_read_rejects += 1;
             return;
         }
-        let mut ctx = ExecCtx::new(now, &mut self.rng);
-        let (bytes, update) = self.app.execute(req, &mut ctx);
-        debug_assert!(update.is_none(), "reads must not change service state");
+        let body = self.exec.answer(req, now, &mut self.rng);
         self.stats.follower_reads += 1;
         self.stats.follower_read_staleness += staleness;
         self.stats.follower_read_staleness_max =
@@ -307,18 +304,18 @@ impl Replica {
                 // hint at the client refreshes off the read path too.
                 leader,
                 watermark,
-                body: ReplyBody::Ok(bytes),
+                body,
             }),
         ));
     }
 
     fn leader_handle_request(&mut self, req: Request, now: Time, out: &mut Vec<Action>) {
         // At-most-once: answer duplicates from the dedup table.
-        if let Some((seq, reply)) = self.dedup.get(&req.id.client) {
-            if req.id.seq < *seq {
+        if let Some((seq, reply)) = self.exec.last_reply(req.id.client) {
+            if req.id.seq < seq {
                 return;
             }
-            if req.id.seq == *seq {
+            if req.id.seq == seq {
                 let cached = reply.clone();
                 self.reply_to(req.id, cached, out);
                 return;
@@ -363,9 +360,8 @@ impl Replica {
                 // Unreplicated baseline: execute and answer immediately,
                 // with no coordination and no durability.
                 self.stats.originals += 1;
-                let mut ctx = ExecCtx::new(now, &mut self.rng);
-                let (bytes, _update) = self.app.execute(&req, &mut ctx);
-                self.reply_to(req.id, ReplyBody::Ok(bytes), out);
+                let body = self.exec.answer(&req, now, &mut self.rng);
+                self.reply_to(req.id, body, out);
             }
             (_, Some(TxnCtl::Op { txn }), TxnMode::TPaxos) => {
                 self.tpaxos_op(req, txn, now, out);
@@ -452,37 +448,11 @@ impl Replica {
     /// the leader is quiescent (otherwise the read would observe a
     /// tentative, possibly-rolled-back write).
     fn execute_pending_read(&mut self, id: RequestId, now: Time) {
-        let req = {
-            let Role::Leader(l) = &self.role else { return };
-            match l.reads.get(&id) {
-                Some(p) if p.result.is_none() => p.req.clone(),
-                _ => return,
-            }
+        let Role::Leader(l) = &mut self.role else {
+            return;
         };
-        let body = match req.txn {
-            // Per-op transactional read: consult the service's transaction
-            // view (own staged writes visible); reads stage nothing.
-            Some(TxnCtl::Op { txn }) => {
-                let mut ctx = ExecCtx::new(now, &mut self.rng);
-                match self.app.txn_execute(txn, &req, true, &mut ctx) {
-                    Ok((bytes, update)) => {
-                        debug_assert!(update.is_none(), "reads must not stage state");
-                        ReplyBody::Ok(bytes)
-                    }
-                    Err(reason) => ReplyBody::TxnAborted { txn, reason },
-                }
-            }
-            _ => {
-                let mut ctx = ExecCtx::new(now, &mut self.rng);
-                let (bytes, update) = self.app.execute(&req, &mut ctx);
-                debug_assert!(update.is_none(), "reads must not change service state");
-                ReplyBody::Ok(bytes)
-            }
-        };
-        if let Role::Leader(l) = &mut self.role {
-            if let Some(p) = l.reads.get_mut(&id) {
-                p.result = Some(body);
-            }
+        if let Some(p) = l.reads.get_mut(&id).filter(|p| p.result.is_none()) {
+            p.result = Some(self.exec.answer(&p.req, now, &mut self.rng));
         }
     }
 
@@ -743,14 +713,8 @@ impl Replica {
                 true
             }
         };
-        if is_new {
-            self.app.txn_begin(txn);
-        }
-        let mut ctx = ExecCtx::new(now, &mut self.rng);
-        // Volatile staging: the effect lives only on this leader until the
-        // commit decree replicates it.
-        match self.app.txn_execute(txn, &req, false, &mut ctx) {
-            Ok((bytes, _staging_ignored)) => {
+        match self.exec.stage(txn, is_new, &req, now, &mut self.rng) {
+            Ok(bytes) => {
                 if let Role::Leader(l) = &mut self.role {
                     if let Some(sess) = l.txns.get_mut(&key) {
                         sess.ops.push((req.clone(), bytes.clone()));
@@ -761,7 +725,6 @@ impl Replica {
                 self.reply_to(req.id, ReplyBody::Ok(bytes), out);
             }
             Err(reason) => {
-                self.app.txn_abort(txn);
                 if let Role::Leader(l) = &mut self.role {
                     l.txns.remove(&key);
                 }
@@ -803,7 +766,7 @@ impl Replica {
                 // not see the whole transaction (it took over mid-flight) —
                 // abort, exactly as §3.6 prescribes.
                 if other.is_some() {
-                    self.app.txn_abort(txn);
+                    self.exec.txn_abort(txn);
                 }
                 self.stats.txns_aborted += 1;
                 self.reply_to(
@@ -827,7 +790,7 @@ impl Replica {
             l.txns.remove(&key).is_some()
         };
         if had {
-            self.app.txn_abort(txn);
+            self.exec.txn_abort(txn);
             self.stats.txns_aborted += 1;
         }
         // Aborts are answered immediately and idempotently; nothing was
@@ -910,42 +873,27 @@ impl Replica {
     }
 
     fn execute_and_propose(&mut self, batch: Vec<Request>, now: Time, out: &mut Vec<Action>) {
-        // Arm rollback for the tentative executions below before running
-        // them. Apps with an undo log take the O(1) path; everything else
-        // falls back to snapshotting committed state — O(state), which is
-        // exactly the hot-path cost `tentative_begin` exists to remove.
-        self.tentative = self.app.tentative_begin();
-        if !self.tentative {
-            self.pre_exec = Some(self.app.snapshot());
-        }
-        let decree = Decree {
-            entries: batch
-                .into_iter()
-                .map(|req| self.execute_for_entry(req, now))
-                .collect(),
+        let Role::Leader(l) = &mut self.role else {
+            return;
         };
-
-        let (ballot, instance) = {
-            let Role::Leader(l) = &mut self.role else {
-                // Role changed under us (cannot happen in a single-threaded
-                // handler, but stay defensive). Keep the executed effects,
-                // as the snapshot-drop path always has.
-                self.pre_exec = None;
-                if self.tentative {
-                    self.tentative = false;
-                    self.app.tentative_commit();
-                }
-                return;
-            };
-            let i = l.next_instance;
-            l.next_instance = i.next();
-            l.last_batch = decree.entries.len();
-            let mut acks = HashSet::with_capacity(self.cfg.n);
-            acks.insert(self.id);
-            l.inflight = Some(Inflight { instance: i, acks });
-            (l.ballot, i)
-        };
-        self.self_executed = Some(instance);
+        // Execute ahead of consensus (§3.3). A T-Paxos commit's decree
+        // carries the operations of its session, stashed at commit time.
+        let tpaxos = self.cfg.txn_mode == TxnMode::TPaxos;
+        let committing = &mut l.committing;
+        let decree = self
+            .exec
+            .execute(batch, now, &mut self.rng, &mut self.stats, |id| {
+                tpaxos.then(|| {
+                    let session = committing.remove(&id).map(|(_, sess)| sess.ops);
+                    session.into_iter().flatten().map(|(r, _)| r).collect()
+                })
+            });
+        let (ballot, instance) = (l.ballot, l.next_instance);
+        l.next_instance = instance.next();
+        l.last_batch = decree.entries.len();
+        let mut acks = HashSet::with_capacity(self.cfg.n);
+        acks.insert(self.id);
+        l.inflight = Some(Inflight { instance, acks });
         // Self-accept durably, then ask the backups.
         self.stable.acked().save_accepted(instance, ballot, &decree);
         self.log.record_accept(instance, ballot, decree.clone());
@@ -959,151 +907,6 @@ impl Replica {
         ));
         // A singleton group is its own majority.
         self.check_inflight_commit(now, out);
-    }
-
-    /// Execute a request and build its decree entry `⟨req, state, reply⟩`.
-    fn execute_for_entry(&mut self, req: Request, now: Time) -> DecreeEntry {
-        match req.txn {
-            Some(TxnCtl::Op { txn }) => {
-                // Per-op coordinated transaction operation: stage durably
-                // and replicate the staging record.
-                let mut ctx = ExecCtx::new(now, &mut self.rng);
-                match self.app.txn_execute(txn, &req, true, &mut ctx) {
-                    Ok((bytes, staging)) => DecreeEntry {
-                        cmd: Command::Req(req),
-                        update: staging,
-                        reply: ReplyBody::Ok(bytes),
-                    },
-                    Err(reason) => DecreeEntry {
-                        cmd: Command::Req(req),
-                        update: StateUpdate::None,
-                        reply: ReplyBody::TxnAborted { txn, reason },
-                    },
-                }
-            }
-            Some(TxnCtl::Commit { txn, .. }) => {
-                let update = self.app.txn_commit(txn);
-                self.stats.txns_committed += 1;
-                if self.cfg.txn_mode == TxnMode::TPaxos {
-                    let ops = {
-                        let Role::Leader(l) = &mut self.role else {
-                            unreachable!("execute_for_entry runs under leadership")
-                        };
-                        l.committing
-                            .remove(&req.id)
-                            .map(|(_, sess)| sess.ops.into_iter().map(|(r, _)| r).collect())
-                            .unwrap_or_default()
-                    };
-                    DecreeEntry {
-                        cmd: Command::TxnCommit {
-                            id: req.id,
-                            txn,
-                            ops,
-                        },
-                        update,
-                        reply: ReplyBody::TxnCommitted { txn },
-                    }
-                } else {
-                    DecreeEntry {
-                        cmd: Command::Req(req),
-                        update,
-                        reply: ReplyBody::TxnCommitted { txn },
-                    }
-                }
-            }
-            Some(TxnCtl::Abort { txn }) => {
-                // Per-op mode: the staged effects were replicated, so their
-                // disposal must be too.
-                self.app.txn_abort(txn);
-                self.stats.txns_aborted += 1;
-                DecreeEntry {
-                    cmd: Command::Req(req),
-                    update: StateUpdate::None,
-                    reply: ReplyBody::TxnAborted {
-                        txn,
-                        reason: AbortReason::ClientAbort,
-                    },
-                }
-            }
-            Some(TxnCtl::Prepare { txn }) => {
-                // 2PC phase one (cross-shard extension): a yes vote is a
-                // chosen decree installing the prepared intent — the reply
-                // goes out only after the decree commits, so `TxnPrepared`
-                // certifies a majority-durable vote.
-                let mut ctx = ExecCtx::new(now, &mut self.rng);
-                match self.app.txn_prepare(txn, &req, &mut ctx) {
-                    Ok(update) => DecreeEntry {
-                        cmd: Command::TxnPrepare { txn, req },
-                        update,
-                        reply: ReplyBody::TxnPrepared { txn },
-                    },
-                    Err(reason) => DecreeEntry {
-                        // A no vote stages nothing, so there is nothing to
-                        // replicate beyond the (dedup-table) reply.
-                        cmd: Command::Req(req),
-                        update: StateUpdate::None,
-                        reply: ReplyBody::TxnAborted { txn, reason },
-                    },
-                }
-            }
-            Some(TxnCtl::Decide {
-                txn,
-                commit,
-                record,
-            }) => {
-                // 2PC phase two: the service reports the *actual* outcome
-                // (a recorded home-group decision wins over the requested
-                // flag), and the decree carries that outcome so backups
-                // resolve identically.
-                let (committed, update) = self.app.txn_decide(txn, commit, record);
-                if record {
-                    if committed {
-                        self.stats.txns_committed += 1;
-                    } else {
-                        self.stats.txns_aborted += 1;
-                    }
-                }
-                DecreeEntry {
-                    cmd: Command::TxnDecide {
-                        id: req.id,
-                        txn,
-                        commit: committed,
-                        record,
-                    },
-                    update,
-                    reply: if committed {
-                        ReplyBody::TxnCommitted { txn }
-                    } else {
-                        ReplyBody::TxnAborted {
-                            txn,
-                            reason: AbortReason::ClientAbort,
-                        }
-                    },
-                }
-            }
-            None => {
-                let mut ctx = ExecCtx::new(now, &mut self.rng);
-                let (bytes, update) = self.app.execute(&req, &mut ctx);
-                let update = match (req.kind, self.cfg.value_mode) {
-                    (RequestKind::Read, _) => {
-                        debug_assert!(update.is_none(), "reads must not change state");
-                        StateUpdate::None
-                    }
-                    // Classic baseline: ship the request only; backups
-                    // re-execute (sound for deterministic services).
-                    (_, ValueMode::ReqOnly) => StateUpdate::None,
-                    (_, ValueMode::ReqState) => update,
-                };
-                if req.kind == RequestKind::Read {
-                    self.stats.consensus_reads += 1;
-                }
-                DecreeEntry {
-                    cmd: Command::Req(req),
-                    update,
-                    reply: ReplyBody::Ok(bytes),
-                }
-            }
-        }
     }
 
     pub(crate) fn handle_accepted(

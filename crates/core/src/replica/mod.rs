@@ -9,29 +9,36 @@
 //! dispatch, acceptor duties, the apply pipeline and step-down;
 //! `leader`-role logic (proposals, X-Paxos reads, T-Paxos transactions)
 //! lives in `leader.rs`; election and takeover live in `candidate.rs`.
+//! Those three files *order*: they decide which decree is chosen where.
+//! `stable.rs` owns the storage and says when a durability barrier is
+//! due; `exec.rs` owns the service — app, dedup table, the leader's
+//! tentative window, the checkpoint freeze — and is handed chosen decrees,
+//! batches to execute ahead of consensus, and their abandonment. A
+//! [`Replica`] is `Stable` + `Executor` + [`ReplicaLog`] + [`Role`].
 
 mod candidate;
+mod exec;
 mod leader;
 mod stable;
 
 pub use candidate::CandidateState;
+use exec::Executor;
 pub use leader::{LeaderState, PendingRead, TxnSession};
 use stable::Stable;
 
 use crate::action::{Action, TimerKind};
 use crate::ballot::Ballot;
-use crate::command::{Command, Decree, DedupEntry, SnapshotBlob};
-use crate::config::{Config, ValueMode};
+use crate::command::{Decree, DedupEntry, SnapshotBlob};
+use crate::config::Config;
 use crate::election::{ElectionPacer, FailureDetector};
 use crate::log::ReplicaLog;
 use crate::msg::Msg;
-use crate::request::{Reply, ReplyBody};
-use crate::service::{App, ExecCtx};
+use crate::request::Reply;
+use crate::service::App;
 use crate::storage::{DurableState, Storage};
-use crate::types::{Addr, ClientId, Dur, Instance, ProcessId, Seq, Time, TxnId};
+use crate::types::{Addr, ClientId, Dur, Instance, ProcessId, Time, TxnId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// The role a replica currently plays.
@@ -149,22 +156,6 @@ pub struct ReplicaStats {
     pub follower_read_rejects: u64,
 }
 
-/// Progress of an in-flight incremental checkpoint: the service state is
-/// frozen (`App::snapshot_begin`) and chunks stream to storage across drive
-/// cycles via [`Replica::pump_checkpoint`].
-struct CkptProgress {
-    /// Chosen prefix the frozen state reflects.
-    upto: Instance,
-    /// Total chunks the app promised at freeze.
-    total: usize,
-    /// Next chunk index to emit.
-    next: usize,
-    /// Bytes emitted so far.
-    bytes: u64,
-    /// Drive-clock time at freeze, for duration metrics.
-    started: Time,
-}
-
 /// Reassembly buffer for a chunked snapshot transfer
 /// ([`Msg::CatchUpChunk`]). Keyed by `upto`: chunks for a different
 /// snapshot reset the buffer (the newer transfer supersedes).
@@ -174,11 +165,14 @@ struct CatchUpBuf {
     chunks: Vec<Option<bytes::Bytes>>,
 }
 
+/// A recovered incarnation draws from a random stream of its own.
+const RECOVERED: u64 = 0x5eed;
+
 /// A replicated-service process.
 pub struct Replica {
     pub(crate) id: ProcessId,
     pub(crate) cfg: Config,
-    pub(crate) app: Box<dyn App>,
+    pub(crate) exec: Executor,
     pub(crate) stable: Stable,
     pub(crate) rng: SmallRng,
     /// Highest ballot promised; never accept or promise below it.
@@ -186,26 +180,9 @@ pub struct Replica {
     /// Highest ballot observed anywhere (for outbidding).
     pub(crate) max_ballot_seen: Ballot,
     pub(crate) log: ReplicaLog,
-    /// At-most-once table: last executed seq + reply per client.
-    pub(crate) dedup: HashMap<ClientId, (Seq, ReplyBody)>,
     pub(crate) fd: FailureDetector,
     pub(crate) pacer: ElectionPacer,
     pub(crate) role: Role,
-    /// Instance whose decree the local service already reflects because we
-    /// executed it ourselves as leader (skip re-applying on commit).
-    pub(crate) self_executed: Option<Instance>,
-    /// Service snapshot taken just before a tentative leader-side
-    /// execution; restored if leadership is lost before commit. Only used
-    /// when the app does not support undo-log tentative execution
-    /// ([`App::tentative_begin`] returned `false`).
-    pub(crate) pre_exec: Option<bytes::Bytes>,
-    /// A tentative leader-side execution is tracked by the app's own undo
-    /// log ([`App::tentative_begin`] returned `true`): commit/rollback go
-    /// through the `tentative_*` hooks instead of a `pre_exec` snapshot.
-    pub(crate) tentative: bool,
-    pub(crate) last_checkpoint: Instance,
-    /// In-flight incremental checkpoint, if any (at most one at a time).
-    ckpt: Option<CkptProgress>,
     /// Chunked catch-up reassembly buffer.
     catchup_buf: Option<CatchUpBuf>,
     /// Drive-loop clock: the `now` of the most recent entry point. Only
@@ -248,26 +225,17 @@ impl Replica {
         seed: u64,
         now: Time,
     ) -> Replica {
-        let fd = FailureDetector::new(cfg.suspect_timeout, now);
-        let pacer = ElectionPacer::new(cfg.election_backoff, id.0);
         Replica {
             id,
-            cfg,
-            app,
+            exec: Executor::new(app, cfg.value_mode),
             stable: Stable::new(storage),
             rng: SmallRng::seed_from_u64(seed ^ (u64::from(id.0) << 32)),
             promised: Ballot::ZERO,
             max_ballot_seen: Ballot::ZERO,
             log: ReplicaLog::new(),
-            dedup: HashMap::new(),
-            fd,
-            pacer,
+            fd: FailureDetector::new(cfg.suspect_timeout, now),
+            pacer: ElectionPacer::new(cfg.election_backoff, id.0),
             role: Role::Follower,
-            self_executed: None,
-            pre_exec: None,
-            tentative: false,
-            last_checkpoint: Instance::ZERO,
-            ckpt: None,
             catchup_buf: None,
             clock: now,
             catchup_requested_at: None,
@@ -276,6 +244,7 @@ impl Replica {
             #[cfg(feature = "check-hooks")]
             chaos_inflate_watermark: false,
             stats: ReplicaStats::default(),
+            cfg,
         }
     }
 
@@ -295,7 +264,7 @@ impl Replica {
         if durable.is_empty() {
             Replica::new(id, cfg, app, storage, seed, now)
         } else {
-            Replica::recover_from(durable, id, cfg, app, storage, seed, now)
+            Replica::new(id, cfg, app, storage, seed ^ RECOVERED, now).replay(&durable)
         }
     }
 
@@ -311,79 +280,39 @@ impl Replica {
         now: Time,
     ) -> Replica {
         let durable = storage.load();
-        Replica::recover_from(durable, id, cfg, app, storage, seed, now)
+        Replica::new(id, cfg, app, storage, seed ^ RECOVERED, now).replay(&durable)
     }
 
-    fn recover_from(
-        durable: DurableState,
-        id: ProcessId,
-        cfg: Config,
-        mut app: Box<dyn App>,
-        storage: Box<dyn Storage>,
-        seed: u64,
-        now: Time,
-    ) -> Replica {
-        let mut dedup: HashMap<ClientId, (Seq, ReplyBody)> = HashMap::new();
-        let mut replay_from = Instance::ZERO;
+    /// Bring a fresh replica to what its storage held.
+    fn replay(mut self, durable: &DurableState) -> Replica {
+        self.promised = durable.promised;
+        self.max_ballot_seen = durable.promised;
+        self.log = ReplicaLog::from_durable(durable);
+        let mut replayed = Instance::ZERO;
         if let Some(ckpt) = &durable.checkpoint {
-            app.restore(&ckpt.app);
-            for e in &ckpt.dedup {
-                dedup.insert(e.client, (e.seq, e.reply.clone()));
-            }
-            replay_from = ckpt.upto;
+            self.exec.install(ckpt);
+            replayed = ckpt.upto;
         }
-        let log = ReplicaLog::from_durable(&durable);
-
-        let mut replica = Replica {
-            id,
-            cfg,
-            app,
-            stable: Stable::new(storage),
-            rng: SmallRng::seed_from_u64(seed ^ (u64::from(id.0) << 32) ^ 0x5eed),
-            promised: durable.promised,
-            max_ballot_seen: durable.promised,
-            log,
-            dedup,
-            fd: FailureDetector::new(Dur::ZERO, now), // replaced below
-            pacer: ElectionPacer::new(Dur::ZERO, id.0), // replaced below
-            role: Role::Follower,
-            self_executed: None,
-            pre_exec: None,
-            tentative: false,
-            last_checkpoint: replay_from,
-            ckpt: None,
-            catchup_buf: None,
-            clock: now,
-            catchup_requested_at: None,
-            confirm_suppressed: false,
-            leader_commit: Instance::ZERO,
-            #[cfg(feature = "check-hooks")]
-            chaos_inflate_watermark: false,
-            stats: ReplicaStats::default(),
-        };
-        replica.fd = FailureDetector::new(replica.cfg.suspect_timeout, now);
-        replica.pacer = ElectionPacer::new(replica.cfg.election_backoff, id.0);
 
         // Re-apply chosen decrees between the checkpoint and the durable
         // chosen prefix. They are in the log (truncation only happens at
         // checkpoints) and are guaranteed to be the chosen values (the
         // prefix is persisted only after applying).
-        let upto = replica.log.chosen_prefix();
-        let mut i = replay_from.next();
-        while i <= upto {
-            let Some(decree) = replica.log.get(i).map(|(_, d)| d.clone()) else {
+        while replayed < self.log.chosen_prefix() {
+            replayed = replayed.next();
+            let Some((_, decree)) = self.log.get(replayed) else {
                 // Storage invariant: the WAL retains every entry above the
                 // last checkpoint (truncation only happens at checkpoints,
                 // and the chosen prefix is persisted only after the entry
                 // is). A hole here means the durable state is corrupt, and
                 // resuming from it would silently fork the replica's state
                 // — halt instead (crash-stop model).
-                panic!("recover: durable log is missing instance {i:?} inside (checkpoint, chosen_prefix]");
+                panic!("recover: durable log is missing instance {replayed:?} inside (checkpoint, chosen_prefix]");
             };
-            replica.apply_to_service(i, &decree);
-            i = i.next();
+            self.stats.applied += 1;
+            self.exec.chosen(decree, &mut self.rng);
         }
-        replica
+        self
     }
 
     // ------------------------------------------------------------------
@@ -429,7 +358,7 @@ impl Replica {
     /// Snapshot of the service state (for consistency assertions).
     #[must_use]
     pub fn service_snapshot(&self) -> bytes::Bytes {
-        self.app.snapshot()
+        self.exec.state()
     }
 
     /// The replica's view of who leads (the proposer of the ballot it
@@ -449,12 +378,6 @@ impl Replica {
     #[must_use]
     pub fn leader_commit(&self) -> Instance {
         self.leader_commit
-    }
-
-    /// Immutable access to the service (tests downcast).
-    #[must_use]
-    pub fn app(&self) -> &dyn App {
-        self.app.as_ref()
     }
 
     /// Number of log entries currently retained.
@@ -478,6 +401,16 @@ impl Replica {
         self.stable.flush();
     }
 
+    /// The last call of a drive loop that stops cleanly. Runs the barrier,
+    /// so no chosen-prefix mark waits for one that will never come, and
+    /// abandons a decree still in flight: the replica handed back holds
+    /// the state of its chosen prefix — what a restart would rebuild from
+    /// storage, and what every replica at that prefix holds (§3.3).
+    pub fn stop(&mut self) {
+        self.flush_storage();
+        self.exec.abandon();
+    }
+
     /// Whether a [`Replica::flush_storage`] barrier is due: storage holds
     /// an unflushed record that an outgoing message may acknowledge (a
     /// promise, an accepted decree, an installed snapshot). Chosen-prefix
@@ -490,8 +423,7 @@ impl Replica {
 
     /// Total persist operations this replica's storage has recorded
     /// ([`Storage::write_count`]).
-    #[must_use]
-    pub fn storage_writes(&self) -> u64 {
+    pub(crate) fn storage_writes(&self) -> u64 {
         self.stable.get().write_count()
     }
 
@@ -526,7 +458,7 @@ impl Replica {
             next_instance,
             quiescent,
             open_txns,
-            tentative_exec: self.self_executed.is_some(),
+            tentative_exec: self.exec.window_open(),
         }
     }
 
@@ -564,14 +496,9 @@ impl Replica {
         self.max_ballot_seen.hash(&mut h);
         self.confirm_suppressed.hash(&mut h);
         self.leader_commit.hash(&mut h);
-        self.last_checkpoint.hash(&mut h);
-        self.self_executed.hash(&mut h);
-        self.tentative.hash(&mut h);
-        // Incremental-checkpoint and chunked catch-up progress (shape
-        // only; the drive clock stays excluded like all raw timestamps).
-        if let Some(ck) = &self.ckpt {
-            (ck.upto, ck.total, ck.next, ck.bytes).hash(&mut h);
-        }
+        // Service state, dedup table, tentative window, checkpoint freeze.
+        self.exec.fingerprint(&mut h);
+        // Chunked catch-up progress.
         if let Some(buf) = &self.catchup_buf {
             buf.upto.hash(&mut h);
             buf.dedup.hash(&mut h);
@@ -584,12 +511,6 @@ impl Replica {
             (i, b, d).hash(&mut h);
         }
         self.log.known_above().hash(&mut h);
-        // Dedup table, in client order (HashMap iteration is arbitrary).
-        let mut dedup: Vec<_> = self.dedup.iter().collect();
-        dedup.sort_unstable_by_key(|(c, _)| **c);
-        dedup.hash(&mut h);
-        // Service state.
-        self.app.snapshot().hash(&mut h);
         // Role internals.
         match &self.role {
             Role::Follower => 0u8.hash(&mut h),
@@ -864,27 +785,19 @@ impl Replica {
         }
     }
 
-    fn handle_prepare(
-        &mut self,
-        from: Addr,
-        ballot: Ballot,
-        cand_prefix: Instance,
-        known_above: &[Instance],
-        now: Time,
-        out: &mut Vec<Action>,
-    ) {
+    /// The one rule for a message a leader (or candidate) sent under
+    /// `ballot`: `Prepare`, `Accept`, `Chosen`/`Heartbeat`, `ConfirmReq`,
+    /// `CatchUp`, `CatchUpChunk`. Below our promise it is stale (`false`).
+    /// Otherwise we yield before the handler records, installs or applies
+    /// anything: step down if we lead or campaign under a lower ballot,
+    /// adopt a higher one as our promise — a leadership whose prepare we
+    /// missed was promised by a majority, so following it is safe — and
+    /// tell the failure detector its sender is alive.
+    fn defer_to(&mut self, ballot: Ballot, now: Time, out: &mut Vec<Action>) -> bool {
         self.note_ballot(ballot);
         if ballot < self.promised {
-            out.push(Action::send(
-                from,
-                Msg::PrepareNack {
-                    ballot,
-                    promised: self.promised,
-                },
-            ));
-            return;
+            return false;
         }
-        // A higher (or re-sent equal) ballot: yield to it.
         if self.leading_ballot().is_some_and(|b| b < ballot) {
             self.step_down(ballot, now, out);
         }
@@ -895,12 +808,32 @@ impl Replica {
             // own rounds will re-establish suppression if load warrants.
             self.confirm_suppressed = false;
         }
-        // Grant the candidate failure-detection grace to finish.
         self.fd.observe(ballot, now);
+        true
+    }
 
+    fn handle_prepare(
+        &mut self,
+        from: Addr,
+        ballot: Ballot,
+        cand_prefix: Instance,
+        known_above: &[Instance],
+        now: Time,
+        out: &mut Vec<Action>,
+    ) {
+        if !self.defer_to(ballot, now, out) {
+            out.push(Action::send(
+                from,
+                Msg::PrepareNack {
+                    ballot,
+                    promised: self.promised,
+                },
+            ));
+            return;
+        }
         let my_prefix = self.log.chosen_prefix();
         let snapshot = if my_prefix > cand_prefix {
-            Some(self.make_snapshot())
+            Some(self.exec.snapshot(my_prefix))
         } else {
             None
         };
@@ -925,8 +858,7 @@ impl Replica {
         now: Time,
         out: &mut Vec<Action>,
     ) {
-        self.note_ballot(ballot);
-        if ballot < self.promised {
+        if !self.defer_to(ballot, now, out) {
             out.push(Action::send(
                 from,
                 Msg::AcceptNack {
@@ -936,14 +868,6 @@ impl Replica {
             ));
             return;
         }
-        if self.leading_ballot().is_some_and(|b| b < ballot) {
-            self.step_down(ballot, now, out);
-        }
-        if ballot > self.promised {
-            self.promised = ballot;
-            self.stable.acked().save_promised(ballot);
-        }
-        self.fd.observe(ballot, now);
 
         let mut acked = Vec::with_capacity(entries.len());
         for (i, d) in entries {
@@ -967,20 +891,9 @@ impl Replica {
     /// Shared handler for `Chosen` and `Heartbeat`: both certify that every
     /// instance `<= upto` proposed under `ballot` is chosen.
     fn handle_chosen(&mut self, ballot: Ballot, upto: Instance, now: Time, out: &mut Vec<Action>) {
-        self.note_ballot(ballot);
-        if ballot < self.promised {
-            return; // stale leadership
+        if !self.defer_to(ballot, now, out) {
+            return;
         }
-        if self.leading_ballot().is_some_and(|b| b < ballot) {
-            self.step_down(ballot, now, out);
-        }
-        if ballot > self.promised {
-            // A leader we never promised (we missed the prepare); a
-            // majority promised it, so following it is safe.
-            self.promised = ballot;
-            self.stable.acked().save_promised(ballot);
-        }
-        self.fd.observe(ballot, now);
         // Learn the leader's commit watermark (follower-read extension):
         // `upto` is the certifying leader's chosen prefix at send time.
         if upto > self.leader_commit {
@@ -1039,18 +952,9 @@ impl Replica {
         now: Time,
         out: &mut Vec<Action>,
     ) {
-        self.note_ballot(ballot);
-        if ballot < self.promised || ballot.proposer == self.id {
+        if ballot.proposer == self.id || !self.defer_to(ballot, now, out) {
             return;
         }
-        if ballot > self.promised {
-            // A leadership we missed the prepare of; a majority promised
-            // it (rounds are only run by elected leaders), so following it
-            // is safe — same reasoning as `handle_chosen`.
-            self.promised = ballot;
-            self.stable.acked().save_promised(ballot);
-        }
-        self.fd.observe(ballot, now);
         // Adopt the leader's load hint: under a backlog the round traffic
         // replaces per-read confirms; a single-read round lifts it.
         self.confirm_suppressed = backlog;
@@ -1116,7 +1020,7 @@ impl Replica {
                 Msg::CatchUp {
                     ballot,
                     entries: Vec::new(),
-                    snapshot: Some(self.make_snapshot()),
+                    snapshot: Some(self.exec.snapshot(upto)),
                     upto,
                 }
             }
@@ -1142,11 +1046,9 @@ impl Replica {
         /// Defensive bound on the reassembly buffer (chunk slots); a
         /// hostile or corrupt `total` must not drive a huge allocation.
         const MAX_CHUNKS: u32 = 1 << 16;
-        self.note_ballot(ballot);
-        if ballot < self.promised {
+        if !self.defer_to(ballot, now, out) {
             return;
         }
-        self.fd.observe(ballot, now);
         if total == 0 || total > MAX_CHUNKS || seq >= total {
             return;
         }
@@ -1205,11 +1107,9 @@ impl Replica {
         now: Time,
         out: &mut Vec<Action>,
     ) {
-        self.note_ballot(ballot);
-        if ballot < self.promised {
+        if !self.defer_to(ballot, now, out) {
             return;
         }
-        self.fd.observe(ballot, now);
         self.catchup_requested_at = None;
 
         if let Some(snap) = snapshot {
@@ -1237,7 +1137,8 @@ impl Replica {
     pub(crate) fn drain_apply(&mut self, now: Time, out: &mut Vec<Action>) {
         while let Some((i, d)) = self.log.next_applicable() {
             let decree = d.clone();
-            self.apply_to_service(i, &decree);
+            self.stats.applied += 1;
+            self.exec.chosen(&decree, &mut self.rng);
             self.log.advance_applied(i);
             self.stable.unacked().save_chosen_prefix(i);
 
@@ -1272,127 +1173,16 @@ impl Replica {
         }
     }
 
-    /// Apply one chosen decree (all of its entries, in order) to the
-    /// service and the dedup table.
-    fn apply_to_service(&mut self, i: Instance, decree: &Decree) {
-        self.stats.applied += 1;
-        let skip_app = self.self_executed == Some(i);
-        if skip_app {
-            self.self_executed = None;
-            self.pre_exec = None;
-            if self.tentative {
-                self.tentative = false;
-                self.app.tentative_commit();
-            }
-        }
-        for entry in decree.entries.iter() {
-            match &entry.cmd {
-                Command::Noop => {}
-                Command::Req(req) => {
-                    let duplicate = self
-                        .dedup
-                        .get(&req.id.client)
-                        .is_some_and(|(s, _)| *s >= req.id.seq);
-                    if !duplicate {
-                        if !skip_app {
-                            match self.cfg.value_mode {
-                                ValueMode::ReqState => self.app.apply(req, &entry.update),
-                                ValueMode::ReqOnly => {
-                                    // Classic SMR: every replica executes.
-                                    // Only sound for deterministic services.
-                                    let mut ctx = ExecCtx::new(Time::ZERO, &mut self.rng);
-                                    let _ = self.app.execute(req, &mut ctx);
-                                }
-                            }
-                        }
-                        self.dedup
-                            .insert(req.id.client, (req.id.seq, entry.reply.clone()));
-                    }
-                }
-                Command::TxnCommit { id, txn, ops } => {
-                    let duplicate = self
-                        .dedup
-                        .get(&id.client)
-                        .is_some_and(|(s, _)| *s >= id.seq);
-                    if !duplicate {
-                        if !skip_app {
-                            self.app.apply_txn_commit(*txn, ops, &entry.update);
-                        }
-                        self.dedup.insert(id.client, (id.seq, entry.reply.clone()));
-                    }
-                }
-                Command::TxnPrepare { req, .. } => {
-                    // 2PC intent install (cross-shard extension): the update
-                    // is a self-describing staging delta, applied like any
-                    // replicated write.
-                    let duplicate = self
-                        .dedup
-                        .get(&req.id.client)
-                        .is_some_and(|(s, _)| *s >= req.id.seq);
-                    if !duplicate {
-                        if !skip_app {
-                            self.app.apply(req, &entry.update);
-                        }
-                        self.dedup
-                            .insert(req.id.client, (req.id.seq, entry.reply.clone()));
-                    }
-                }
-                Command::TxnDecide {
-                    id, txn, commit, ..
-                } => {
-                    let duplicate = self
-                        .dedup
-                        .get(&id.client)
-                        .is_some_and(|(s, _)| *s >= id.seq);
-                    if !duplicate {
-                        if !skip_app {
-                            self.app.apply_txn_decide(*txn, *commit, &entry.update);
-                        }
-                        self.dedup.insert(id.client, (id.seq, entry.reply.clone()));
-                    }
-                }
-            }
-        }
-    }
-
     fn maybe_checkpoint(&mut self, prefix: Instance) {
-        if self.cfg.checkpoint_every == 0 {
-            return;
-        }
-        if self.ckpt.is_some() {
-            return; // one incremental checkpoint at a time
-        }
-        if prefix.0 - self.last_checkpoint.0 < self.cfg.checkpoint_every {
+        if !self.exec.checkpoint_due(prefix, self.cfg.checkpoint_every) {
             return;
         }
         let chunk_bytes = self.cfg.checkpoint_chunk_bytes;
-        if chunk_bytes > 0
-            && self.stable.get().supports_chunked_checkpoint()
-            // Never freeze while a tentative leader-side execution is
-            // outstanding: the frozen image must be committed state only.
-            && self.self_executed.is_none()
-        {
-            let total = self.app.snapshot_begin(chunk_bytes);
-            let mut dedup: Vec<DedupEntry> = self
-                .dedup
-                .iter()
-                .map(|(c, (s, r))| DedupEntry {
-                    client: *c,
-                    seq: *s,
-                    reply: r.clone(),
-                })
-                .collect();
-            dedup.sort_unstable_by_key(|e| e.client);
+        if chunk_bytes > 0 && self.stable.get().supports_chunked_checkpoint() {
+            let (dedup, total) = self.exec.freeze_at(prefix, chunk_bytes, self.clock);
             self.stable
                 .unacked()
                 .checkpoint_begin(prefix, &dedup, total);
-            self.ckpt = Some(CkptProgress {
-                upto: prefix,
-                total,
-                next: 0,
-                bytes: 0,
-                started: self.clock,
-            });
             // An app that did not override chunking reports one chunk and
             // does not freeze — its single chunk must be emitted before
             // any further decree applies, so drain it right here. Real
@@ -1403,18 +1193,9 @@ impl Replica {
             return;
         }
         // Legacy stop-the-world checkpoint.
-        let snap = self.make_snapshot();
-        let bytes = snap.app.len() as u64;
+        let snap = self.exec.snapshot(prefix);
         self.stable.unacked().save_checkpoint(&snap);
-        self.stable.unacked().truncate_upto(snap.upto);
-        self.log.truncate_upto(snap.upto);
-        self.last_checkpoint = snap.upto;
-        self.stats.checkpoints += 1;
-        self.stats.checkpoint_bytes += bytes;
-        self.stats.checkpoint_chunks += 1;
-        self.stats.last_checkpoint_bytes = bytes;
-        self.stats.last_checkpoint_chunks = 1;
-        self.stats.last_checkpoint_dur = Dur::ZERO;
+        self.checkpointed(snap.upto, snap.app.len() as u64, 1, Dur::ZERO);
     }
 
     /// Emit up to `budget` chunks of the in-flight incremental checkpoint,
@@ -1422,78 +1203,37 @@ impl Replica {
     /// Returns whether a checkpoint is still in flight. Drive loops call
     /// this once per cycle; it is a no-op when nothing is in progress.
     pub fn pump_checkpoint(&mut self, budget: usize) -> bool {
-        let Some(mut ck) = self.ckpt.take() else {
-            return false;
-        };
-        let mut emitted = 0;
-        while ck.next < ck.total && emitted < budget {
-            let data = self.app.snapshot_chunk(ck.next);
-            ck.bytes += data.len() as u64;
-            self.stable.unacked().checkpoint_chunk(ck.next, data);
-            ck.next += 1;
-            emitted += 1;
+        let disk = self.stable.unacked();
+        if let Some(ck) = self
+            .exec
+            .pump(budget, |idx, data| disk.checkpoint_chunk(idx, data))
+        {
+            disk.checkpoint_commit();
+            let took = self.clock.since(ck.started);
+            self.checkpointed(ck.upto, ck.bytes, ck.total as u64, took);
         }
-        if ck.next < ck.total {
-            self.ckpt = Some(ck);
-            return true;
-        }
-        self.app.snapshot_end();
-        self.stable.unacked().checkpoint_commit();
-        // Bounded disk: WAL compaction is keyed to *completed* chunked
-        // checkpoints — the log shrinks only once the replacement state
-        // is fully durable.
-        self.stable.unacked().truncate_upto(ck.upto);
-        self.log.truncate_upto(ck.upto);
-        self.last_checkpoint = ck.upto;
-        self.stats.checkpoints += 1;
-        self.stats.checkpoint_bytes += ck.bytes;
-        self.stats.checkpoint_chunks += ck.total as u64;
-        self.stats.last_checkpoint_bytes = ck.bytes;
-        self.stats.last_checkpoint_chunks = ck.total as u64;
-        self.stats.last_checkpoint_dur = self.clock.since(ck.started);
-        false
+        self.exec.frozen()
     }
 
-    pub(crate) fn make_snapshot(&self) -> SnapshotBlob {
-        let mut dedup: Vec<DedupEntry> = self
-            .dedup
-            .iter()
-            .map(|(c, (s, r))| DedupEntry {
-                client: *c,
-                seq: *s,
-                reply: r.clone(),
-            })
-            .collect();
-        // `dedup` is a HashMap, so iteration order is arbitrary per
-        // process; snapshots must serialize identically on every replica or
-        // state digests (and seeded replays) diverge on equal states.
-        dedup.sort_unstable_by_key(|e| e.client);
-        SnapshotBlob {
-            upto: self.log.chosen_prefix(),
-            app: self.app.snapshot(),
-            dedup,
-        }
+    /// A checkpoint at `upto` is on storage: compact the log behind it.
+    /// Bounded disk — the log shrinks only once the state that replaces
+    /// it is completely written.
+    fn checkpointed(&mut self, upto: Instance, bytes: u64, chunks: u64, took: Dur) {
+        self.stable.unacked().truncate_upto(upto);
+        self.log.truncate_upto(upto);
+        self.exec.checkpointed(upto);
+        self.stats.checkpoints += 1;
+        self.stats.checkpoint_bytes += bytes;
+        self.stats.checkpoint_chunks += chunks;
+        self.stats.last_checkpoint_bytes = bytes;
+        self.stats.last_checkpoint_chunks = chunks;
+        self.stats.last_checkpoint_dur = took;
     }
 
     pub(crate) fn install_snapshot(&mut self, snap: &SnapshotBlob) {
         debug_assert!(snap.upto >= self.log.chosen_prefix());
-        // The incoming state obliterates local service state: abort any
-        // in-flight incremental checkpoint (its frozen image is now moot)
-        // and unwind a tentative execution overlay first so `restore` sees
-        // a quiesced app.
-        if self.ckpt.take().is_some() {
-            self.app.snapshot_end();
+        if self.exec.install(snap) {
             self.stable.unacked().checkpoint_abort();
-        }
-        if self.tentative {
-            self.tentative = false;
-            self.app.tentative_rollback();
-        }
-        self.pre_exec = None;
-        self.app.restore(&snap.app);
-        self.dedup.clear();
-        for e in &snap.dedup {
-            self.dedup.insert(e.client, (e.seq, e.reply.clone()));
         }
         self.log.truncate_upto(snap.upto);
         self.log.force_prefix(snap.upto);
@@ -1503,8 +1243,6 @@ impl Replica {
         disk.save_checkpoint(snap);
         disk.truncate_upto(snap.upto);
         disk.save_chosen_prefix(snap.upto);
-        self.last_checkpoint = snap.upto;
-        self.self_executed = None;
     }
 
     // ------------------------------------------------------------------
@@ -1526,24 +1264,11 @@ impl Replica {
                 let mut dying: Vec<(ClientId, TxnId)> = l.txns.into_keys().collect();
                 dying.sort_unstable();
                 for (_, txn) in dying {
-                    self.app.txn_abort(txn);
+                    self.exec.txn_abort(txn);
                     self.stats.txns_aborted += 1;
                 }
                 // Roll back a tentative execution that never committed.
-                let outstanding = self.self_executed.take().is_some();
-                if self.tentative {
-                    self.tentative = false;
-                    if outstanding {
-                        self.app.tentative_rollback();
-                    } else {
-                        self.app.tentative_commit();
-                    }
-                } else if let Some(snap) = self.pre_exec.take() {
-                    if outstanding {
-                        self.app.restore(&snap);
-                    }
-                }
-                self.pre_exec = None;
+                self.exec.abandon();
                 out.push(Action::CancelTimer {
                     kind: TimerKind::Heartbeat,
                 });

@@ -6,12 +6,12 @@
 
 use super::*;
 use crate::client::ClientCore;
-use crate::config::{ReadMode, TxnMode};
+use crate::config::{ReadMode, TxnMode, ValueMode};
 use crate::msg::Msg;
-use crate::request::{AbortReason, RequestKind};
+use crate::request::{AbortReason, ReplyBody, RequestKind};
 use crate::service::NoopApp;
 use crate::storage::{MemStorage, Storage, TailLossStorage};
-use crate::types::{Addr, ClientId, Dur, ProcessId, Time, TxnId};
+use crate::types::{Addr, ClientId, Dur, ProcessId, Seq, Time, TxnId};
 use bytes::Bytes;
 
 /// Zero-latency network: delivers every queued message immediately, in
@@ -340,6 +340,188 @@ fn deposed_leader_rolls_back_tentative_execution() {
     );
 }
 
+/// r0 leads and every replica applied one write; r0 then executes a
+/// second write (client 9) at instance 2 whose `Accept` goes nowhere.
+fn leader_with_a_lost_accept() -> Shuttle {
+    let mut s = Shuttle::new(3, cluster_cfg(3));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    s.submit(&mut c, RequestKind::Write);
+    let r0 = s.replicas[0].as_mut().unwrap();
+    let _lost = r0.on_message(
+        Addr::Client(ClientId(9)),
+        Msg::Request(write_req(9, 1)),
+        s.now,
+    );
+    assert!(r0.is_leader() && r0.checker_view().tentative_exec);
+    assert_eq!(writes_applied(r0), 2);
+    s
+}
+
+fn write_req(client: u64, seq: u64) -> crate::request::Request {
+    let id = crate::request::RequestId::new(ClientId(client), Seq(seq));
+    crate::request::Request::new(id, RequestKind::Write, Bytes::new())
+}
+
+fn writes_applied(r: &Replica) -> u64 {
+    u64::from_le_bytes(r.service_snapshot()[..8].try_into().unwrap())
+}
+
+/// What a fresh service holds after the decrees `r` knows chosen.
+fn replay_of_chosen(r: &Replica) -> Bytes {
+    let mut app = NoopApp::new();
+    let mut i = Instance(1);
+    while i <= r.chosen_prefix() {
+        let (_, decree) = r.log.get(i).expect("chosen instance retained");
+        for e in decree.entries.iter() {
+            if let crate::command::Command::Req(req) = &e.cmd {
+                app.apply(req, &e.update);
+            }
+        }
+        i = i.next();
+    }
+    app.snapshot()
+}
+
+/// A later leadership filled instance 2 with a no-op; `msg` carries its
+/// ballot to r0, whose own `Prepare`/`Accept` frames from that leadership
+/// were dropped. r0 must be a follower of that ballot afterwards.
+fn deliver_from_a_newer_leadership(s: &mut Shuttle, msg: impl Fn(Ballot) -> Msg) -> &Replica {
+    let newer = Ballot::new(99, ProcessId(1));
+    let r0 = s.replicas[0].as_mut().unwrap();
+    let _ = r0.on_message(Addr::Replica(ProcessId(1)), msg(newer), s.now);
+    assert!(!r0.is_leader(), "deposed by the newer ballot");
+    assert_eq!(r0.promised(), newer);
+    assert_eq!(r0.stable.get().load().promised, newer, "and persisted");
+    assert!(!r0.checker_view().tentative_exec);
+    r0
+}
+
+/// ROADMAP P0's probe: an old `CatchUpReq` answered by a later
+/// leadership. The parent neither stepped down nor adopted the ballot,
+/// and skipped the app because the instance *number* matched the one it
+/// had executed: `leader=true prefix=i2 state=2` over a chosen history
+/// that gives 1.
+#[test]
+fn late_catchup_from_a_newer_leadership_deposes_before_it_applies() {
+    let mut s = leader_with_a_lost_accept();
+    let r0 = deliver_from_a_newer_leadership(&mut s, |ballot| Msg::CatchUp {
+        ballot,
+        entries: vec![(Instance(2), Decree::noop())],
+        snapshot: None,
+        upto: Instance(2),
+    });
+    assert_eq!(r0.chosen_prefix(), Instance(2));
+    assert_eq!(r0.service_snapshot(), replay_of_chosen(r0));
+    assert_eq!(writes_applied(r0), 1);
+}
+
+/// The same answer as a chunked snapshot: installed on a follower, never
+/// on a replica that still leads.
+#[test]
+fn late_catchup_chunk_from_a_newer_leadership_deposes_before_it_installs() {
+    let mut s = leader_with_a_lost_accept();
+    let state_at_2 = s.replica(1).service_snapshot(); // write, then no-op
+    let r0 = deliver_from_a_newer_leadership(&mut s, |ballot| Msg::CatchUpChunk {
+        ballot,
+        upto: Instance(2),
+        seq: 0,
+        total: 1,
+        dedup: vec![],
+        data: state_at_2.clone(),
+    });
+    assert_eq!(r0.chosen_prefix(), Instance(2));
+    assert_eq!(r0.service_snapshot(), state_at_2);
+}
+
+/// A confirm round of a newer leadership used to be answered by a replica
+/// that went on leading under its old ballot.
+#[test]
+fn confirm_req_from_a_newer_leadership_deposes_before_it_answers() {
+    let mut s = leader_with_a_lost_accept();
+    let r0 = deliver_from_a_newer_leadership(&mut s, |ballot| Msg::ConfirmReq {
+        ballot,
+        epoch: 1,
+        backlog: false,
+    });
+    assert_eq!(r0.chosen_prefix(), Instance(1));
+    assert_eq!(r0.service_snapshot(), replay_of_chosen(r0));
+}
+
+/// A node stopped with a decree in flight hands back the state of its
+/// chosen prefix, as the followers hold it — not its tentative execution.
+/// Storage is untouched: the accepted decree is still there for the next
+/// election to find.
+#[test]
+fn stopped_leader_hands_back_its_chosen_prefix_state() {
+    let mut s = leader_with_a_lost_accept();
+    let r0 = s.replicas[0].as_mut().unwrap();
+    r0.stop();
+    assert_eq!(r0.chosen_prefix(), s.replica(1).chosen_prefix());
+    assert_eq!(
+        s.replica(0).service_snapshot(),
+        s.replica(1).service_snapshot()
+    );
+    let disk = s.crash(0).load();
+    assert!(disk.accepted.contains_key(&Instance(2)));
+}
+
+/// The first message of its kind among `actions`.
+fn sent(actions: &[Action], want: impl Fn(&Msg) -> bool) -> Msg {
+    let mut msgs = actions.iter().filter_map(|a| match a {
+        Action::Send { msg, .. } | Action::ToAllReplicas { msg } => Some(msg),
+        Action::SetTimer { .. } | Action::CancelTimer { .. } => None,
+    });
+    msgs.find(|m| want(m)).cloned().expect("message sent")
+}
+
+/// A request retransmitted to a new leader that is still recovering the
+/// decree with the original queues behind the recovery — the dedup table
+/// does not know it yet. The parent executed it a second time once the
+/// recovered decree had applied: the followers skipped the second entry
+/// as a duplicate, the leader's service had run it (`state=3` beside
+/// `state=2` at prefix `i3`).
+#[test]
+fn retransmission_queued_during_recovery_is_not_executed_twice() {
+    let mut s = Shuttle::new(3, cluster_cfg(3));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    s.submit(&mut c, RequestKind::Write);
+    let from = |p: u32| Addr::Replica(ProcessId(p));
+    let retry = || Msg::Request(write_req(9, 1));
+    // r0 proposes the write; r1 and r2 accept it, their answers are lost
+    // and r0 dies.
+    let proposed =
+        s.replicas[0]
+            .as_mut()
+            .unwrap()
+            .on_message(Addr::Client(ClientId(9)), retry(), s.now);
+    let accept = sent(&proposed, |m| matches!(m, Msg::Accept { .. }));
+    for p in [1, 2] {
+        let r = s.replicas[p].as_mut().unwrap();
+        let _lost = r.on_message(from(0), accept.clone(), s.now);
+    }
+    s.crash(0);
+    // r1 wins with r2's promise and re-proposes the decree; before r2
+    // answers, the client's retry arrives.
+    s.now = Time(Dur::from_secs(10).0);
+    let r1 = s.replicas[1].as_mut().unwrap();
+    let campaign = r1.on_timer(TimerKind::LeaderCheck, s.now);
+    let prepare = sent(&campaign, |m| matches!(m, Msg::Prepare { .. }));
+    let promised = s.replicas[2]
+        .as_mut()
+        .unwrap()
+        .on_message(from(1), prepare, s.now);
+    let promise = sent(&promised, |m| matches!(m, Msg::Promise { .. }));
+    let r1 = s.replicas[1].as_mut().unwrap();
+    let takeover = r1.on_message(from(2), promise, s.now);
+    let _queued = r1.on_message(Addr::Client(ClientId(9)), retry(), s.now);
+    s.enqueue(from(1), takeover);
+    s.run();
+    s.assert_replica_states_converged();
+    assert_eq!(writes_applied(s.replica(1)), 2);
+    let answers = s.client_inbox.iter().filter(|(c, _)| *c == ClientId(9));
+    assert!(answers.count() >= 1, "and the client hears of it");
+}
+
 #[test]
 fn tentative_proposal_resurfaces_through_new_leader() {
     // A deposed leader's accepted-but-uncommitted decree is learned via
@@ -628,7 +810,8 @@ fn open_recovers_on_each_kind_of_prior_state() {
         app: NoopApp::new().snapshot(),
         dedup: vec![],
     });
-    assert_eq!(open_r1(checkpointed).last_checkpoint, Instance(2));
+    let r = open_r1(checkpointed);
+    assert!(!r.exec.checkpoint_due(Instance(3), 2) && r.exec.checkpoint_due(Instance(4), 2));
 }
 
 /// A chosen prefix with nothing under it is prior state too — corrupt
@@ -1695,4 +1878,152 @@ fn lone_reads_with_batching_on_use_the_per_read_path_unchanged() {
     assert_eq!(s.replica(0).stats.batched_reads, 0);
     assert!(!s.replica(1).confirm_suppressed);
     assert!(!s.replica(2).confirm_suppressed);
+}
+
+// ----------------------------------------------------------------------
+// `exec.rs`: the executor alone, over both rollback legs. (The script
+// lives here, not in a `mod tests` of `exec.rs`, so that file stays all
+// product code.)
+// ----------------------------------------------------------------------
+
+/// [`NoopApp`] behind an undo log of its own: the rollback leg `KvStore`
+/// takes. A `restore` would mean the executor snapshotted anyway.
+#[derive(Default)]
+struct UndoLogged {
+    app: NoopApp,
+    undo: Option<u64>,
+}
+
+impl App for UndoLogged {
+    fn execute(
+        &mut self,
+        req: &crate::request::Request,
+        ctx: &mut crate::service::ExecCtx<'_>,
+    ) -> (Bytes, crate::command::StateUpdate) {
+        self.app.execute(req, ctx)
+    }
+    fn apply(&mut self, req: &crate::request::Request, update: &crate::command::StateUpdate) {
+        self.app.apply(req, update);
+    }
+    fn snapshot(&self) -> Bytes {
+        self.app.snapshot()
+    }
+    fn restore(&mut self, _snap: &[u8]) {
+        unreachable!("the undo log rolls back, not a snapshot");
+    }
+    fn tentative_begin(&mut self) -> bool {
+        self.undo = Some(self.app.writes_applied);
+        true
+    }
+    fn tentative_rollback(&mut self) {
+        self.app.writes_applied = self.undo.take().expect("a window is open");
+    }
+    fn tentative_commit(&mut self) {
+        self.undo.take().expect("a window is open");
+    }
+}
+
+/// One executor, the decrees chosen so far, and after every step the
+/// check that the state is their replay (plus the open window, if any).
+struct ExecScript {
+    exec: Executor,
+    rng: SmallRng,
+    chosen: Vec<Decree>,
+    next_seq: u64,
+}
+
+impl ExecScript {
+    fn writes(&mut self, client: u64, n: usize) -> Vec<crate::request::Request> {
+        let mut write = || {
+            self.next_seq += 1;
+            write_req(client, self.next_seq)
+        };
+        (0..n).map(|_| write()).collect()
+    }
+
+    fn run(exec: &mut Executor, rng: &mut SmallRng, batch: Vec<crate::request::Request>) -> Decree {
+        exec.execute(batch, Time::ZERO, rng, &mut ReplicaStats::default(), |_| {
+            None
+        })
+    }
+
+    /// This executor runs `n` writes ahead of consensus.
+    fn execute(&mut self, n: usize) -> Decree {
+        let batch = self.writes(1, n);
+        let decree = Self::run(&mut self.exec, &mut self.rng, batch);
+        self.check(Some(&decree));
+        decree
+    }
+
+    /// What another leader at the same chosen prefix would propose next.
+    fn foreign(&mut self, n: usize) -> Decree {
+        let mut other = Executor::new(Box::new(NoopApp::new()), ValueMode::ReqState);
+        for d in &self.chosen {
+            other.chosen(d, &mut self.rng);
+        }
+        let batch = self.writes(2, n);
+        Self::run(&mut other, &mut self.rng, batch)
+    }
+
+    fn chosen(&mut self, decree: Decree) {
+        self.exec.chosen(&decree, &mut self.rng);
+        self.chosen.push(decree);
+        self.check(None);
+    }
+
+    fn abandon(&mut self) {
+        self.exec.abandon();
+        self.check(None);
+    }
+
+    fn check(&self, window: Option<&Decree>) {
+        assert_eq!(self.exec.window_open(), window.is_some());
+        let mut app = NoopApp::new();
+        let mut last = None;
+        for decree in self.chosen.iter().chain(window) {
+            for e in decree.entries.iter() {
+                let crate::command::Command::Req(req) = &e.cmd else {
+                    panic!("the script only writes")
+                };
+                app.apply(req, &e.update);
+                last = Some(req.id).filter(|id| id.client == ClientId(1)).or(last);
+            }
+        }
+        assert_eq!(self.exec.state(), app.snapshot());
+        if window.is_none() {
+            let table = self.exec.last_reply(ClientId(1)).map(|(seq, _)| seq);
+            assert_eq!(table, last.map(|id| id.seq), "dedup follows chosen");
+        }
+    }
+}
+
+/// (b) of the issue: execute / abandon / `chosen` with the own decree, a
+/// foreign decree over an open window, a foreign decree with the window
+/// closed — and the own decree's *content* arriving as another allocation
+/// (re-proposed by a later leader, decoded from the wire).
+#[test]
+fn executor_state_is_the_replay_of_the_chosen_decrees() {
+    let legs: [Box<dyn App>; 2] = [Box::new(NoopApp::new()), Box::<UndoLogged>::default()];
+    for app in legs {
+        let mut s = ExecScript {
+            exec: Executor::new(app, ValueMode::ReqState),
+            rng: SmallRng::seed_from_u64(3),
+            chosen: Vec::new(),
+            next_seq: 0,
+        };
+        let own = s.execute(1);
+        s.chosen(own);
+        s.execute(2);
+        s.abandon();
+        s.abandon(); // closed already: nothing to undo
+        s.execute(2);
+        let noop = s.foreign(0);
+        s.chosen(noop);
+        let other = s.foreign(3);
+        s.chosen(other);
+        let own = s.execute(1);
+        s.chosen(Decree {
+            entries: own.entries.iter().cloned().collect(),
+        });
+    }
 }

@@ -18,6 +18,14 @@
 //! [`Replica::storage_dirty`] says one is due — for records a message can
 //! acknowledge, not for chosen-prefix marks, which ride the next barrier
 //! or the flush on the way out of [`ReplicaNode::run`].
+//!
+//! ## The way out
+//!
+//! [`ReplicaNode::run`] ends with [`Replica::stop`]: that last flush, and
+//! the leader's tentative execution of a decree still in flight taken
+//! back, so the replica it returns holds the state of its chosen prefix —
+//! equal to every other replica's at that prefix (§3.3). Storage keeps
+//! the accepted decree; a restart rebuilds the same state from it.
 
 use crate::timers::Timers;
 use gridpaxos_core::action::{Action, TimerKind};
@@ -216,8 +224,9 @@ impl<T: Transport> ReplicaNode<T> {
         }
         self.flush_and_transmit();
         // A clean stop leaves no chosen-prefix mark waiting for a barrier
-        // that will never come.
-        self.replica.flush_storage();
+        // that will never come, and no decree executed but not chosen in
+        // the state it hands back.
+        self.replica.stop();
         self.replica
     }
 }

@@ -40,6 +40,16 @@
 //! durable by the next decree's accept barrier (or the flush on the way
 //! out of [`Reactor::run`]).
 //!
+//! ## The way out
+//!
+//! [`Reactor::run`] ends with [`Replica::stop`] on every group: that last
+//! flush, and the leader's tentative execution of a decree still in
+//! flight taken back. The replicas [`ReactorCluster::shutdown`] returns
+//! hold the state of their chosen prefix, so "equal prefix ⇒ equal
+//! `service_snapshot()`" needs no exemption for a node stopped
+//! mid-decree. Storage keeps the accepted decree; a restart rebuilds the
+//! same state from it.
+//!
 //! ## Backpressure
 //!
 //! Two mechanisms ([`crate::backpressure`]):
@@ -830,9 +840,10 @@ impl Reactor {
         }
         self.flush_and_transmit();
         // A clean stop leaves no chosen-prefix mark waiting for a barrier
-        // that will never come.
+        // that will never come, and no decree executed but not chosen in
+        // the state it hands back.
         for core in &mut self.cores {
-            core.flush_storage();
+            core.stop();
         }
         self.cores
     }
@@ -1097,7 +1108,6 @@ mod tests {
     use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState};
     use gridpaxos_core::types::{Instance, Seq};
     use std::io::{BufReader, Write};
-    use std::path::PathBuf;
 
     fn noop_factory() -> Box<dyn App> {
         Box::new(NoopApp::new())
@@ -1474,27 +1484,17 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// A node's WAL handle that notes how long `wal.log` was when each
-    /// barrier returned — until the power is cut, after which nothing
-    /// more counts as having reached the platter. Cutting every node's
-    /// log back to its noted length is the cluster after power loss.
-    struct BarrierMarks {
+    /// A node's WAL handle with a hook on either side of the barrier:
+    /// `stall` runs before a flush starts (a disk that takes its time),
+    /// `synced` once the log is on the platter (a barrier returned, or
+    /// compaction rewrote the log and synced it whole).
+    struct HookedWal {
         inner: FileStorage,
-        wal: PathBuf,
-        synced_len: Arc<AtomicU64>,
-        power_cut: Arc<AtomicBool>,
+        stall: Box<dyn FnMut() + Send>,
+        synced: Box<dyn FnMut() + Send>,
     }
 
-    impl BarrierMarks {
-        fn note_synced(&self) {
-            if !self.power_cut.load(Ordering::SeqCst) {
-                let len = std::fs::metadata(&self.wal).expect("wal.log").len();
-                self.synced_len.store(len, Ordering::SeqCst);
-            }
-        }
-    }
-
-    impl Storage for BarrierMarks {
+    impl Storage for HookedWal {
         fn save_promised(&mut self, b: Ballot) {
             self.inner.save_promised(b);
         }
@@ -1508,16 +1508,16 @@ mod tests {
             self.inner.save_checkpoint(snap);
         }
         fn truncate_upto(&mut self, upto: Instance) {
-            // Compaction rewrites the log and syncs it whole.
             self.inner.truncate_upto(upto);
-            self.note_synced();
+            (self.synced)();
         }
         fn load(&self) -> DurableState {
             self.inner.load()
         }
         fn flush(&mut self) {
+            (self.stall)();
             self.inner.flush();
-            self.note_synced();
+            (self.synced)();
         }
         fn is_dirty(&self) -> bool {
             self.inner.is_dirty()
@@ -1546,7 +1546,10 @@ mod tests {
     }
 
     /// Power loss on a durable cluster, right after the last reply: every
-    /// node keeps of its WAL what its last barrier covered. The leader's
+    /// node keeps of its WAL what its last barrier covered — each notes
+    /// how long `wal.log` was whenever it was synced, until the power is
+    /// cut, and cutting the logs back to those lengths is the cluster
+    /// after the loss. The leader's
     /// barrier for a decree comes before its `Accept` leaves and none
     /// follows the commit, so its log ends with the accept record of
     /// write 8 and the chosen-prefix mark of write 7: it recovers one
@@ -1582,11 +1585,18 @@ mod tests {
                 let inner = FlushCoordinator::open(node_dir(id.0), SyncMode::Batched, 1)
                     .expect("open WAL")
                     .storage(0);
-                vec![Box::new(BarrierMarks {
+                let wal = node_dir(id.0).join("wal.log");
+                let synced_len = Arc::clone(&synced[id.0 as usize]);
+                let power_cut = Arc::clone(&power_cut);
+                vec![Box::new(HookedWal {
                     inner,
-                    wal: node_dir(id.0).join("wal.log"),
-                    synced_len: Arc::clone(&synced[id.0 as usize]),
-                    power_cut: Arc::clone(&power_cut),
+                    stall: Box::new(|| {}),
+                    synced: Box::new(move || {
+                        if !power_cut.load(Ordering::SeqCst) {
+                            let len = std::fs::metadata(&wal).expect("wal.log").len();
+                            synced_len.store(len, Ordering::SeqCst);
+                        }
+                    }),
                 })]
             },
         )
@@ -1652,6 +1662,95 @@ mod tests {
                 rs[0].chosen_prefix().0,
                 "a replica's state is its prefix of the same nine writes"
             );
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A cluster stopped while a decree is in flight — the followers'
+    /// disks stall inside the barrier that covers its `Accept` — hands
+    /// back replicas that agree: equal prefix, equal state. The leader
+    /// executed the write ahead of consensus; [`Replica::stop`] takes
+    /// that back, so its state is the one write everybody chose.
+    #[test]
+    fn cluster_stopped_with_a_decree_in_flight_hands_back_prefix_state() {
+        let root = std::env::temp_dir().join(format!(
+            "gridpaxos-reactor-stop-in-flight-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        // A stalled follower must not mistake the silence for a dead leader.
+        let mut cfg = Config::cluster(3);
+        cfg.suspect_timeout = Dur::from_secs(30);
+        let stalling = Arc::new(AtomicBool::new(false));
+        let stalled = Arc::new(AtomicU64::new(0));
+        let cluster = ReactorCluster::launch_with_storage(
+            cfg,
+            1,
+            noop_factory,
+            None,
+            ReactorConfig::default(),
+            |id| {
+                let dir = root.join(format!("node-{}", id.0));
+                let inner = FlushCoordinator::open(dir, SyncMode::Batched, 1)
+                    .expect("open WAL")
+                    .storage(0);
+                let (stalling, stalled) = (Arc::clone(&stalling), Arc::clone(&stalled));
+                let follower = id != ProcessId(0);
+                vec![Box::new(HookedWal {
+                    inner,
+                    stall: Box::new(move || {
+                        if follower && stalling.load(Ordering::SeqCst) {
+                            stalled.fetch_add(1, Ordering::SeqCst);
+                            while stalling.load(Ordering::SeqCst) {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        }
+                    }),
+                    synced: Box::new(|| {}),
+                })]
+            },
+        )
+        .expect("launch");
+        let body = cluster
+            .client()
+            .call(RequestKind::Write, Bytes::new())
+            .expect("first write");
+        assert!(matches!(body, ReplyBody::Ok(_)), "got {body:?}");
+
+        // A second write, sent to the leader and not waited for: both
+        // followers stall in the barrier before their `Accepted`.
+        stalling.store(true, Ordering::SeqCst);
+        let id = RequestId::new(cluster.next_client_id(), Seq(1));
+        let mut hello = BytesMut::new();
+        put_addr(&mut hello, &Addr::Client(id.client));
+        let mut frames = Vec::new();
+        write_frame(&mut frames, &hello).expect("hello");
+        let write = Msg::Request(Request::new(id, RequestKind::Write, Bytes::new()));
+        write_frame(
+            &mut frames,
+            encode_with_scratch(&write, &mut BytesMut::new()),
+        )
+        .expect("frame");
+        let mut sock = TcpStream::connect(cluster.addrs[&ProcessId(0)]).expect("connect");
+        sock.write_all(&frames).expect("send");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stalled.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "followers never saw the Accept");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // The leader stops first: released earlier, the followers' votes
+        // might still reach it.
+        let ReactorCluster { stop, nodes, .. } = cluster;
+        stop.store(true, Ordering::Relaxed);
+        let mut nodes = nodes.into_iter();
+        let leader = nodes.next().expect("node 0").join().remove(0);
+        stalling.store(false, Ordering::SeqCst);
+        assert!(leader.is_leader() && !leader.checker_view().quiescent);
+        assert_eq!(leader.chosen_prefix(), Instance(1));
+        for follower in nodes.map(|node| node.join().remove(0)) {
+            assert_eq!(follower.chosen_prefix(), Instance(1));
+            assert_eq!(follower.service_snapshot(), leader.service_snapshot());
         }
         std::fs::remove_dir_all(&root).ok();
     }
