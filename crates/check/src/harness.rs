@@ -21,7 +21,7 @@ use gridpaxos_core::action::{Action, TimerKind};
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, Request, RequestId, RequestKind};
-use gridpaxos_core::storage::{MemStorage, Storage};
+use gridpaxos_core::storage::{MemStorage, Storage, TailLossStorage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, Instance, ProcessId, Seq, Time, TxnId};
 use gridpaxos_simnet::sched::TimerGens;
 use std::collections::HashMap;
@@ -42,6 +42,12 @@ pub struct HarnessOpts {
     /// Allow client retransmission of outstanding requests (drives the
     /// dedup path and forces epoch-confirm rounds).
     pub retransmits: bool,
+    /// Allow a crash to fall *inside* a step's release
+    /// ([`Choice::PowerCut`], [`Choice::InjectPowerCut`]): what the drive
+    /// loops send ahead of the flush barrier is out, the barrier never
+    /// returned, and the disk holds what the previous one covered.
+    /// Spends from `crashes`; replicas run on tail-loss disks.
+    pub power_cuts: bool,
 }
 
 /// A pending environment event.
@@ -83,6 +89,13 @@ pub enum Choice {
     CrashLeader,
     /// Recover crashed replica `r`.
     Recover(u32),
+    /// Deliver pending message event `i` and cut its receiver's power
+    /// between the two halves of the release: the step's `Accept`s are
+    /// out, its barrier never returned.
+    PowerCut(usize),
+    /// [`Choice::Inject`], with the power cut on the replica that took
+    /// the request.
+    InjectPowerCut,
 }
 
 impl fmt::Display for Choice {
@@ -96,6 +109,8 @@ impl fmt::Display for Choice {
             Choice::Retransmit(k) => write!(f, "retransmit#{k}"),
             Choice::CrashLeader => write!(f, "crash-leader"),
             Choice::Recover(r) => write!(f, "recover#{r}"),
+            Choice::PowerCut(i) => write!(f, "power-cut#{i}"),
+            Choice::InjectPowerCut => write!(f, "inject-power-cut"),
         }
     }
 }
@@ -162,6 +177,8 @@ pub struct Cluster {
     /// Per-replica clock offset added to the global clock before it is
     /// handed to a replica: bounded clock skew, constant per incarnation.
     skew: Vec<Dur>,
+    /// Seeded mutation: `Accepted` is sent ahead of the barrier too.
+    chaos_accepted_ahead: bool,
     n: usize,
 }
 
@@ -196,15 +213,21 @@ impl Cluster {
             skew: (0..n)
                 .map(|i| Dur::from_millis(scenario.clock_skew_ms.get(i).copied().unwrap_or(0)))
                 .collect(),
+            chaos_accepted_ahead: false,
             n,
         };
         for i in 0..n {
             let id = ProcessId(i as u32);
+            let disk: Box<dyn Storage> = if scenario.opts.power_cuts {
+                Box::new(TailLossStorage::default())
+            } else {
+                Box::new(MemStorage::new())
+            };
             let r = Replica::new(
                 id,
                 scenario.cfg.clone(),
                 Box::new(CheckerApp::new()),
-                Box::new(MemStorage::new()),
+                disk,
                 0x5eed + i as u64,
                 cl.local_now(i),
             );
@@ -215,9 +238,12 @@ impl Cluster {
                 continue;
             };
             let actions = r.on_start(cl.local_now(i));
-            // Same discipline as the drive loops: a covering flush barrier
-            // before the actions are released to the network, so the
-            // checker explores exactly the states group commit can reach.
+            // Same discipline as the drive loops: the covering flush
+            // barrier is over before the step's messages (all but its
+            // `Accept`s) are in the network and before the replica's next
+            // step, so the checker explores exactly the states group
+            // commit can reach. A step is atomic here; a crash inside the
+            // release is its own choice ([`Choice::PowerCut`]).
             r.flush_storage();
             cl.replicas[i] = Some(r);
             cl.process_actions(ProcessId(i as u32), actions);
@@ -348,6 +374,16 @@ impl Cluster {
         if self.crashes_left > 0 && self.leader().is_some() {
             out.push(Choice::CrashLeader);
         }
+        if self.opts.power_cuts && self.crashes_left > 0 {
+            for (i, e) in self.events.iter().enumerate() {
+                if matches!(e, Event::Msg { .. }) {
+                    out.push(Choice::PowerCut(i));
+                }
+            }
+            if self.next_inject < self.script.len() {
+                out.push(Choice::InjectPowerCut);
+            }
+        }
         if self.opts.recovers {
             for (i, s) in self.crashed.iter().enumerate() {
                 if s.is_some() {
@@ -368,7 +404,13 @@ impl Cluster {
                 let Event::Msg { from, to, msg, .. } = self.events.remove(i) else {
                     return Some("schedule error: Deliver on a timer event".into());
                 };
-                self.deliver(from, to, msg);
+                self.deliver(from, to, msg, false);
+            }
+            Choice::PowerCut(i) => {
+                let Event::Msg { from, to, msg, .. } = self.events.remove(i) else {
+                    return Some("schedule error: PowerCut on a timer event".into());
+                };
+                self.deliver(from, to, msg, true);
             }
             Choice::Drop(i) => {
                 self.events.remove(i);
@@ -409,7 +451,8 @@ impl Cluster {
                     }
                 }
             }
-            Choice::Inject => self.inject_next(None),
+            Choice::Inject => self.inject_next(None, false),
+            Choice::InjectPowerCut => self.inject_next(None, true),
             Choice::Retransmit(k) => {
                 let req = self.issued.get(k)?.req.clone();
                 if let Some(target) = self.inject_target() {
@@ -417,6 +460,7 @@ impl Cluster {
                         Addr::Client(CLIENT),
                         ProcessId(target as u32),
                         Msg::Request(req),
+                        false,
                     );
                 }
             }
@@ -450,7 +494,7 @@ impl Cluster {
         self.inject_target()
     }
 
-    fn inject_next(&mut self, target: Option<usize>) {
+    fn inject_next(&mut self, target: Option<usize>, power_cut: bool) {
         let Some(op) = self.script.get(self.next_inject).cloned() else {
             return;
         };
@@ -491,6 +535,7 @@ impl Cluster {
                 Addr::Client(CLIENT),
                 ProcessId(target as u32),
                 Msg::Request(req),
+                power_cut,
             );
         }
     }
@@ -502,18 +547,28 @@ impl Cluster {
     /// violation detected while observing replies, if any.
     pub fn inject_to(&mut self, target: usize) -> Option<String> {
         self.obs.violation = None;
-        self.inject_next(Some(target));
+        self.inject_next(Some(target), false);
         self.obs.violation.take()
     }
 
-    fn deliver(&mut self, from: Addr, to: ProcessId, msg: Msg) {
+    /// One step of replica `to`. With `power_cut`, the replica dies inside
+    /// the release that follows: of a step that made a barrier due only
+    /// the messages sent ahead of it got out, and the disk keeps what the
+    /// previous barrier covered.
+    fn deliver(&mut self, from: Addr, to: ProcessId, msg: Msg, power_cut: bool) {
         let idx = to.0 as usize;
         // Deliveries to a crashed replica are consumed no-ops (the wire
         // dropped them).
         if let Some(mut r) = self.replicas[idx].take() {
             let was_leader = r.is_leader();
-            let actions = r.on_message(from, msg, self.local_now(idx));
-            r.flush_storage();
+            let mut actions = r.on_message(from, msg, self.local_now(idx));
+            if power_cut {
+                if r.storage_dirty() {
+                    actions.retain(|a| self.sent_ahead(a));
+                }
+            } else {
+                r.flush_storage();
+            }
             let became_leader = !was_leader && r.is_leader();
             self.replicas[idx] = Some(r);
             if became_leader {
@@ -542,14 +597,32 @@ impl Cluster {
                 }
             }
             self.process_actions(to, actions);
+            if power_cut {
+                self.crash(idx);
+                self.crashes_left -= 1;
+            }
         }
+    }
+
+    /// Whether the drive loops send `a` ahead of the flush barrier.
+    fn sent_ahead(&self, a: &Action) -> bool {
+        a.msg().is_some_and(|msg| {
+            msg.precedes_barrier()
+                || (self.chaos_accepted_ahead && matches!(msg, Msg::Accepted { .. }))
+        })
     }
 
     fn crash(&mut self, idx: usize) {
         let Some(r) = self.replicas[idx].take() else {
             return;
         };
-        self.crashed[idx] = Some(r.into_storage());
+        let disk = r.into_storage();
+        self.crashed[idx] = Some(if self.opts.power_cuts {
+            // What a recovering process reads: the last barrier's state.
+            Box::new(TailLossStorage::holding(disk.load()))
+        } else {
+            disk
+        });
         // The crash destroys the replica's volatile timers and any
         // messages still addressed to it.
         self.events.retain(|e| match e {
@@ -747,6 +820,13 @@ impl Cluster {
         if first.is_none() {
             *first = Some(reply.body.clone());
         }
+    }
+
+    /// Seeded mutation of `Msg::precedes_barrier`: from now on the harness
+    /// sends `Accepted` ahead of the barrier as well, so a power cut lets
+    /// an acknowledgement escape whose record the disk then lacks.
+    pub fn chaos_accepted_precedes_barrier(&mut self) {
+        self.chaos_accepted_ahead = true;
     }
 
     /// Chaos hook passthrough for the seeded-mutation self-tests: make

@@ -17,13 +17,16 @@
 //!    and must contain the persist call at all — the paper's §3.1
 //!    recovery model is sound only if promises and acceptances hit stable
 //!    storage before they are announced.
-//! 4. **Flush-before-transmit** (`crates/transport/src`): under group
-//!    commit the `Storage` persist calls only *buffer* WAL records; the
-//!    drive loop's `flush_and_transmit` is where durability actually
-//!    happens. That function must call the `flush_storage` barrier
-//!    before handing any buffered message to the transport — otherwise
-//!    the batched mode re-introduces the acknowledge-before-durable bug
-//!    that rule 3 guards against, one level up.
+//! 4. **Flush-before-transmit** (`crates/transport/src`, and the
+//!    classifier in `crates/core/src/msg.rs`): under group commit the
+//!    `Storage` persist calls only *buffer* WAL records; the drive loops'
+//!    `Outbox::release` is where durability actually happens. That
+//!    function must call the `flush_storage` barrier, and the only list
+//!    it may hand to the network before the barrier is the *ahead* list —
+//!    otherwise the batched mode re-introduces the
+//!    acknowledge-before-durable bug that rule 3 guards against, one
+//!    level up. What may be on the ahead list is `Msg::precedes_barrier`'s
+//!    answer, and the only variant it may say `true` for is `Accept`.
 //! 5. **No blocking calls on the reactor thread** (`transport/src/reactor.rs`,
 //!    `transport/src/sys.rs`, `transport/src/backpressure.rs`): the epoll
 //!    reactor runs every connection on one thread, so a single blocking
@@ -474,25 +477,22 @@ pub fn check_persist_before_send(file: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
-/// (function name, flush barrier that must appear, transmit calls it must
-/// precede). The rule-3 table covers the sans-io core, where persists are
-/// synchronous; this table covers the drive loop, where persists are
-/// *buffered* and the flush barrier is the durable point. Any of the
-/// transmit tokens appearing before the barrier is a violation.
-const FLUSH_RULES: &[(&str, &str, &[&str])] = &[(
-    "flush_and_transmit",
-    "flush_storage",
-    &["transport.send", "broadcast(", "enqueue_msg("],
-)];
+/// (function name, flush barrier that must appear, the call that hands a
+/// list to the network, what the argument of such a call must name if it
+/// comes before the barrier). The rule-3 table covers the sans-io core,
+/// where persists are synchronous; this one covers the drive loops, where
+/// persists are *buffered* and the flush barrier is the durable point.
+const FLUSH_RULES: &[(&str, &str, &str, &str)] =
+    &[("release", "flush_storage", "transmit(", "ahead")];
 
-/// Rule 4: flush-before-transmit. Each drive-loop transmit function must
-/// contain the `flush_storage` barrier, and the barrier must textually
-/// precede every transport handoff in the function. Runs on
-/// noise-stripped, test-masked source.
+/// Rule 4, the order: flush-before-transmit. The drive loops' release
+/// function must contain the `flush_storage` barrier, and a list handed
+/// to the network textually before the barrier must be the ahead list.
+/// Runs on noise-stripped, test-masked source.
 #[must_use]
 pub fn check_flush_barrier(file: &str, masked: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for &(fn_name, barrier, transmits) in FLUSH_RULES {
+    for &(fn_name, barrier, transmit, ahead) in FLUSH_RULES {
         let needle = format!("fn {fn_name}");
         let mut i = 0;
         while let Some(pos) = masked[i..].find(&needle) {
@@ -506,31 +506,104 @@ pub fn check_flush_barrier(file: &str, masked: &str) -> Vec<Finding> {
                 continue;
             };
             let text = &masked[body.clone()];
-            let p = text.find(barrier);
-            let m = transmits.iter().filter_map(|t| text.find(t)).min();
-            match (p, m) {
-                (None, _) => findings.push(Finding {
+            let Some(p_off) = text.find(barrier) else {
+                findings.push(Finding {
                     file: file.to_string(),
                     line: line_of(masked, start),
                     rule: "flush-before-transmit",
                     msg: format!(
                         "`{fn_name}` must run the `{barrier}` barrier before handing \
-                         buffered messages to the transport (no barrier found)"
+                         buffered messages to the network (no barrier found)"
                     ),
-                }),
-                (Some(p_off), Some(m_off)) if m_off < p_off => findings.push(Finding {
-                    file: file.to_string(),
-                    line: line_of(masked, body.start + m_off),
-                    rule: "flush-before-transmit",
-                    msg: format!(
-                        "`{fn_name}` transmits before the `{barrier}` barrier; under \
-                         group commit buffered WAL records are not durable until the \
-                         flush, so sends must follow it (§3.1 at batch granularity)"
-                    ),
-                }),
-                _ => {}
+                });
+                continue;
+            };
+            for (m_off, _) in text[..p_off].match_indices(transmit) {
+                let arg = &text[m_off + transmit.len()..];
+                let arg = &arg[..arg.find(')').unwrap_or(arg.len())];
+                if !arg.contains(ahead) {
+                    findings.push(Finding {
+                        file: file.to_string(),
+                        line: line_of(masked, body.start + m_off),
+                        rule: "flush-before-transmit",
+                        msg: format!(
+                            "`{fn_name}` hands `{}` to the network before the `{barrier}` \
+                             barrier; under group commit buffered WAL records are not \
+                             durable until the flush, so only the `{ahead}` list may \
+                             precede it (§3.1 at batch granularity)",
+                            arg.trim()
+                        ),
+                    });
+                }
             }
         }
+    }
+    findings
+}
+
+/// The one message that may leave ahead of the flush barrier.
+const AHEAD_OF_BARRIER: &str = "Accept";
+
+/// Rule 4, the class: in `Msg::precedes_barrier`, an arm that answers
+/// `true` may name no variant but `Accept` — one finding per other
+/// variant. (`Promise` and `Accepted` acknowledge records, `Prepare`
+/// announces a ballot that must survive a crash, `Reply` and `Chosen` a
+/// commit: DESIGN.md §5.) Runs on noise-stripped, test-masked source.
+#[must_use]
+pub fn check_barrier_class(file: &str, masked: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let Some(start) = masked.find("fn precedes_barrier") else {
+        return findings;
+    };
+    let Some(body) = fn_body(masked, start) else {
+        return findings;
+    };
+    let Some(arms) = masked[body.clone()].find('{').map(|o| body.start + o + 1) else {
+        return findings;
+    };
+    let text = &masked[arms..body.end];
+    let mut arm_start = 0;
+    while let Some(arrow) = text[arm_start..].find("=>").map(|o| arm_start + o) {
+        // The arm's result runs to the next comma outside any bracket.
+        let mut depth = 0i32;
+        let mut end = text.len();
+        for (o, c) in text[arrow..].char_indices() {
+            match c {
+                '(' | '{' | '[' => depth += 1,
+                ')' | '}' | ']' => depth -= 1,
+                ',' if depth == 0 => {
+                    end = arrow + o;
+                    break;
+                }
+                _ => {}
+            }
+            if depth < 0 {
+                end = arrow + o;
+                break;
+            }
+        }
+        if text[arrow + 2..end].trim() == "true" {
+            let pattern = &text[arm_start..arrow];
+            for (o, _) in pattern.match_indices("Msg::") {
+                let variant: String = pattern[o + 5..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                if variant != AHEAD_OF_BARRIER {
+                    findings.push(Finding {
+                        file: file.to_string(),
+                        line: line_of(masked, arms + arm_start + o),
+                        rule: "flush-before-transmit",
+                        msg: format!(
+                            "`Msg::precedes_barrier` lets `{variant}` leave before the \
+                             flush barrier; only `{AHEAD_OF_BARRIER}` acknowledges nothing \
+                             on its sender's disk"
+                        ),
+                    });
+                }
+            }
+        }
+        arm_start = (end + 1).min(text.len());
     }
     findings
 }
@@ -615,6 +688,7 @@ pub fn lint_source(label: &str, src: &str, scope: Scope) -> Vec<Finding> {
     let cleaned = strip_noise(src);
     let masked = mask_test_items(&cleaned);
     let mut findings = check_msg_wildcards(label, &masked);
+    findings.extend(check_barrier_class(label, &masked));
     if scope.no_unwrap {
         findings.extend(check_unwraps(label, &masked));
     }
@@ -649,8 +723,9 @@ pub struct Scope {
 /// covers `crates/core/src/replica` and `crates/transport/src`
 /// (`tests.rs` files and `#[cfg(test)]` items excluded); the persist
 /// rules cover `crates/core/src/replica`; the flush-barrier rule covers
-/// `crates/transport/src` (it keys on the drive loop's
-/// `flush_and_transmit`); the no-blocking-call rule covers the
+/// `crates/transport/src` (it keys on the outbox's `release`) and,
+/// wherever it is defined, `Msg::precedes_barrier`; the no-blocking-call
+/// rule covers the
 /// reactor-path modules `reactor.rs`, `sys.rs` and `backpressure.rs`
 /// under `crates/transport/src`.
 pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {

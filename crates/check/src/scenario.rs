@@ -249,5 +249,31 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
             clock_skew_ms: &[20, 0, 10],
             smoke_depth: 6,
         },
+        // A crash inside a step's release: the drive loops let `Accept`
+        // leave before the barrier that makes the leader's own vote
+        // durable, so a leader can die with its proposal in the network
+        // and not on its disk. Whoever leads next must relearn the decree
+        // from a follower or never hear of it — never re-execute beside
+        // it — and the read must hold every acknowledged write.
+        Scenario {
+            name: "accept-ahead-power-cut",
+            // Confirm rounds, so that a read injected at the leader alone
+            // can complete (a retransmission launches the round).
+            cfg: Config {
+                read_mode: ReadMode::XPaxos,
+                confirm_batching: true,
+                ..base_config()
+            },
+            script: vec![ClientOp::Write(0), ClientOp::Write(1), ClientOp::Read],
+            opts: HarnessOpts {
+                crashes: 1,
+                recovers: true,
+                retransmits: true,
+                power_cuts: true,
+                ..HarnessOpts::default()
+            },
+            clock_skew_ms: &[],
+            smoke_depth: 7,
+        },
     ]
 }

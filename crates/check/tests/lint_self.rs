@@ -4,8 +4,8 @@
 //! core makes `cargo run -p check --bin lint` (and these tests) fail.
 
 use check::lint::{
-    check_flush_barrier, check_msg_wildcards, check_no_blocking, check_persist_before_send,
-    check_unwraps, lint_source, mask_test_items, strip_noise, Scope,
+    check_barrier_class, check_flush_barrier, check_msg_wildcards, check_no_blocking,
+    check_persist_before_send, check_unwraps, lint_source, mask_test_items, strip_noise, Scope,
 };
 
 const FULL: Scope = Scope {
@@ -213,89 +213,95 @@ fn promise_built_before_the_preamble_persisted_it_is_flagged() {
 }
 
 #[test]
-fn transmit_before_flush_is_flagged() {
-    // The drive loop hands a buffered message to the transport before the
-    // covering flush: under group commit the WAL record backing that
-    // message may still be un-synced.
-    let src = r#"
-        fn flush_and_transmit(&mut self) {
-            for out in std::mem::take(&mut self.outbox) {
-                self.transport.send(out.0, out.1);
-            }
-            self.replica.flush_storage();
-        }
-    "#;
-    let findings = check_flush_barrier("node.rs", &mask_test_items(&strip_noise(src)));
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert_eq!(findings[0].rule, "flush-before-transmit");
-}
-
-#[test]
 fn missing_flush_barrier_is_flagged() {
     let src = r#"
-        fn flush_and_transmit(&mut self) {
-            for out in std::mem::take(&mut self.outbox) {
-                broadcast(&self.transport, n, Some(me), out);
-            }
+        fn release(&mut self, wire: &mut impl Wire) {
+            wire.transmit(&mut self.ahead);
+            wire.transmit(&mut self.behind);
         }
     "#;
-    let findings = check_flush_barrier("node.rs", &mask_test_items(&strip_noise(src)));
+    let findings = check_flush_barrier("outbox.rs", &mask_test_items(&strip_noise(src)));
     assert_eq!(findings.len(), 1, "findings: {findings:?}");
     assert_eq!(findings[0].rule, "flush-before-transmit");
 }
 
+/// The release hands the behind list — `Accepted`, `Promise`, `Reply` —
+/// to the network before the covering flush: under group commit the WAL
+/// records backing those messages may still be un-synced.
 #[test]
-fn flush_before_transmit_is_clean() {
+fn behind_list_transmitted_before_the_barrier_is_flagged() {
     let src = r#"
-        fn flush_and_transmit(&mut self) {
-            if self.replica.storage_dirty() {
-                self.replica.flush_storage();
-            }
-            for out in std::mem::take(&mut self.outbox) {
-                self.transport.send(out.0, out.1);
-            }
-        }
-    "#;
-    let findings = check_flush_barrier("node.rs", &mask_test_items(&strip_noise(src)));
-    assert!(findings.is_empty(), "findings: {findings:?}");
-}
-
-/// The reactor's `flush_and_transmit` hands frames out via
-/// `enqueue_msg`; that token counts as a transmit, so enqueuing before
-/// the barrier is flagged exactly like a raw `transport.send`.
-#[test]
-fn reactor_enqueue_before_flush_is_flagged() {
-    let src = r#"
-        fn flush_and_transmit(&mut self) {
-            for out in std::mem::take(&mut self.outbox) {
-                self.enqueue_msg(out.0, out.1);
-            }
-            for core in &mut self.cores {
+        fn release(&mut self, wire: &mut impl Wire) {
+            wire.transmit(&mut self.ahead);
+            wire.transmit(&mut self.behind);
+            for core in wire.cores() {
                 core.flush_storage();
             }
         }
     "#;
-    let findings = check_flush_barrier("reactor.rs", &mask_test_items(&strip_noise(src)));
+    let findings = check_flush_barrier("outbox.rs", &mask_test_items(&strip_noise(src)));
     assert_eq!(findings.len(), 1, "findings: {findings:?}");
     assert_eq!(findings[0].rule, "flush-before-transmit");
+    assert_eq!(findings[0].line, 4, "the behind list's line");
 }
 
 #[test]
-fn reactor_flush_before_enqueue_is_clean() {
+fn ahead_then_barrier_then_behind_is_clean() {
     let src = r#"
-        fn flush_and_transmit(&mut self) {
-            for core in &mut self.cores {
+        fn release(&mut self, wire: &mut impl Wire) {
+            if !self.ahead.is_empty() {
+                wire.transmit(&mut self.ahead);
+            }
+            for core in wire.cores() {
                 if core.storage_dirty() {
                     core.flush_storage();
                 }
             }
-            for out in std::mem::take(&mut self.outbox) {
-                self.enqueue_msg(out.0, out.1);
-            }
+            wire.transmit(&mut self.behind);
         }
     "#;
-    let findings = check_flush_barrier("reactor.rs", &mask_test_items(&strip_noise(src)));
+    let findings = check_flush_barrier("outbox.rs", &mask_test_items(&strip_noise(src)));
     assert!(findings.is_empty(), "findings: {findings:?}");
+}
+
+/// The classifier may answer `true` for `Accept` alone: each other
+/// variant in a `true` arm is its own finding, with or without the
+/// exhaustive rest of the match.
+#[test]
+fn classifier_letting_acknowledgements_ahead_is_flagged() {
+    let classifier = |ahead: &str| {
+        format!(
+            "impl Msg {{
+                pub fn precedes_barrier(&self) -> bool {{
+                    match self {{
+                        {ahead} => true,
+                        Msg::Grouped {{ inner, .. }} => inner.precedes_barrier(),
+                        Msg::Request(_)
+                        | Msg::Reply(_)
+                        | Msg::Chosen {{ .. }} => false,
+                    }}
+                }}
+            }}"
+        )
+    };
+    let check = |src: String| check_barrier_class("msg.rs", &mask_test_items(&strip_noise(&src)));
+    assert!(check(classifier("Msg::Accept { .. }")).is_empty());
+    for (bad, n) in [
+        ("Msg::Accept { .. } | Msg::Accepted { .. }", 1),
+        ("Msg::Promise { .. } | Msg::Accept { .. }", 1),
+        ("Msg::Accept { .. } | Msg::Prepare { ballot, .. }", 1),
+        (
+            "Msg::Accepted { .. } | Msg::Promise { .. } | Msg::Prepare { .. }",
+            3,
+        ),
+    ] {
+        let findings = check(classifier(bad));
+        assert_eq!(findings.len(), n, "{bad}: {findings:?}");
+        assert!(findings.iter().all(|f| f.rule == "flush-before-transmit"));
+    }
+    // The shipped classifier goes through `lint_source` like any file.
+    let shipped = include_str!("../../core/src/msg.rs");
+    assert!(lint_source("msg.rs", shipped, Scope::default()).is_empty());
 }
 
 #[test]

@@ -384,6 +384,160 @@ fn late_catchup_from_a_newer_leadership_keeps_agreement() {
     assert_eq!(r2.service_snapshot(), r0.service_snapshot());
 }
 
+/// Apply the first available choice matching `pick`.
+fn choose(cl: &mut Cluster, pick: impl Fn(&Choice) -> bool) -> Option<String> {
+    let c = cl
+        .choices()
+        .into_iter()
+        .find(|c| pick(c))
+        .expect("the choice must be available");
+    cl.apply(c)
+}
+
+/// The power-cut scenario with room for two crashes.
+fn power_cut_cluster() -> Cluster {
+    let base = scenario("accept-ahead-power-cut");
+    Cluster::new(&Scenario {
+        opts: check::HarnessOpts {
+            crashes: 2,
+            ..base.opts
+        },
+        ..base
+    })
+}
+
+/// Fire `LeaderCheck` on `on` until it suspects the silent leader and
+/// campaigns, then let `voter` promise: `on` leads.
+fn take_over(cl: &mut Cluster, on: u32, voter: u32) {
+    while cl
+        .replica(on as usize)
+        .is_some_and(|r| r.checker_view().role == "follower")
+    {
+        assert_eq!(fire(cl, on, TimerKind::LeaderCheck), None);
+    }
+    assert_eq!(
+        deliver_to(cl, voter, |m| matches!(m, Msg::Prepare { .. })),
+        None
+    );
+    assert_eq!(
+        deliver_to(cl, on, |m| matches!(m, Msg::Promise { .. })),
+        None
+    );
+    assert!(cl.replica(on as usize).is_some_and(|r| r.is_leader()));
+}
+
+/// Inject the scripted read at `leader` and see it through a confirm
+/// round with `voter` (the retransmission launches the round). Returns
+/// the first violation on the way.
+fn read_through(cl: &mut Cluster, leader: u32, voter: u32) -> Option<String> {
+    inject(cl)
+        .or_else(|| choose(cl, |c| matches!(c, Choice::Retransmit(_))))
+        .or_else(|| deliver_to(cl, voter, |m| matches!(m, Msg::ConfirmReq { .. })))
+        .or_else(|| deliver_to(cl, leader, |m| matches!(m, Msg::ConfirmBatch { .. })))
+}
+
+/// Directed walk to the crash point the early `Accept` opens: leader 0
+/// executes `Write(0)`, its `Accept` leaves, and power fails before the
+/// barrier that would have made its own vote durable returned. Replica 1
+/// accepts and syncs. Replica 0 restarts without the instance, campaigns
+/// with a ballot above its durable promise and relearns the decree from
+/// 1's promise: the write is chosen as the lost leader executed it, the
+/// client is answered from it, and the read sees it. Agreement and read
+/// linearizability hold at every step.
+#[test]
+fn leader_power_cut_after_its_accept_left_keeps_agreement() {
+    let mut cl = power_cut_cluster();
+    let step = |v: Option<String>| assert_eq!(v, None);
+    assert_eq!(establish_leader(&mut cl), 0);
+    let promised = cl.replica(0).expect("live").promised();
+    step(choose(&mut cl, |c| matches!(c, Choice::InjectPowerCut)));
+    assert!(cl.replica(0).is_none(), "0 died inside its release");
+    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Accept { .. })));
+    assert_eq!(check_state(&cl), None);
+
+    step(choose(&mut cl, |c| matches!(c, Choice::Recover(0))));
+    let r0 = cl.replica(0).expect("recovered");
+    assert_eq!(r0.promised(), promised, "the promise was durable");
+    assert_eq!(r0.log_len(), 0, "its own vote was not");
+    take_over(&mut cl, 0, 1);
+    assert!(cl.replica(0).expect("live").promised() > promised);
+    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Accept { .. })));
+    step(deliver_to(&mut cl, 0, |m| {
+        matches!(m, Msg::Accepted { .. })
+    }));
+    assert_eq!(cl.replica(0).expect("live").chosen_prefix(), Instance(1));
+    assert_eq!(cl.obs.acked_bits, 0b1, "answered from the relearned decree");
+    assert_eq!(check_state(&cl), None);
+
+    step(inject(&mut cl)); // Write(1)
+    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Accept { .. })));
+    step(deliver_to(&mut cl, 0, |m| {
+        matches!(m, Msg::Accepted { .. })
+    }));
+    assert_eq!(cl.obs.acked_bits, 0b11);
+    step(read_through(&mut cl, 0, 1));
+    assert!(
+        cl.choices()
+            .iter()
+            .all(|c| !matches!(c, Choice::Retransmit(_))),
+        "the read was answered"
+    );
+    assert_eq!(check_state(&cl), None);
+}
+
+/// Seeded mutation: `Msg::precedes_barrier` answering `true` for
+/// `Accepted`. Replica 1's acknowledgement escapes a power cut that took
+/// the accept record with it; leader 0 counts it, commits and tells the
+/// client — on the strength of one disk, its own. Then 0 dies, 1 comes
+/// back empty-handed and leads with 2's promise, and the read misses the
+/// acknowledged write: the linearizability invariant must fire. Without
+/// the mutation the same cut lets nothing out.
+#[test]
+fn accepted_ahead_of_the_barrier_loses_an_acked_write() {
+    let walk = |mutated: bool| {
+        let mut cl = power_cut_cluster();
+        if mutated {
+            cl.chaos_accepted_precedes_barrier();
+        }
+        assert_eq!(establish_leader(&mut cl), 0);
+        assert_eq!(inject(&mut cl), None); // Write(0)
+        let accept = cl
+            .pending_msg(1, |m| matches!(m, Msg::Accept { .. }))
+            .expect("Accept to 1");
+        assert_eq!(cl.apply(Choice::PowerCut(accept)), None);
+        assert!(cl.replica(1).is_none());
+        cl
+    };
+    let cl = walk(false);
+    assert!(
+        cl.pending_msg(0, |m| matches!(m, Msg::Accepted { .. }))
+            .is_none(),
+        "an Accepted waits for the barrier that never returned"
+    );
+
+    let mut cl = walk(true);
+    let step = |v: Option<String>| assert_eq!(v, None);
+    step(deliver_to(&mut cl, 0, |m| {
+        matches!(m, Msg::Accepted { .. })
+    }));
+    assert_eq!(cl.obs.acked_bits, 0b1, "acknowledged on one disk");
+    step(choose(&mut cl, |c| matches!(c, Choice::CrashLeader)));
+    step(choose(&mut cl, |c| matches!(c, Choice::Recover(1))));
+    assert_eq!(cl.replica(1).expect("recovered").log_len(), 0);
+    take_over(&mut cl, 1, 2);
+    step(inject(&mut cl)); // Write(1)
+    step(deliver_to(
+        &mut cl,
+        2,
+        |m| matches!(m, Msg::Accept { ballot, .. } if ballot.proposer.0 == 1),
+    ));
+    step(deliver_to(&mut cl, 1, |m| {
+        matches!(m, Msg::Accepted { .. })
+    }));
+    let v = read_through(&mut cl, 1, 2).expect("the lost acknowledged write must be caught");
+    assert!(v.contains("linearizability"), "unexpected violation: {v}");
+}
+
 /// Replay is deterministic: the same schedule reproduces the same state,
 /// so a printed counterexample schedule is sufficient to reproduce it.
 #[test]

@@ -261,6 +261,48 @@ impl Msg {
         }
     }
 
+    /// Whether a drive loop may hand this message to the network *before*
+    /// the flush barrier its step made due, instead of after it.
+    ///
+    /// Only `Accept` may: it asks the receivers to record a decree and
+    /// acknowledges nothing on its sender's disk, so the leader's sync can
+    /// run beside the followers' round trip instead of before it (§3.4's
+    /// trick, applied to §3.1's stable storage). The sender's own vote for
+    /// the decree is the unflushed record; the loop must finish the
+    /// barrier before that replica's next step, which is the earliest a
+    /// follower's `Accepted` could join the vote into a quorum.
+    ///
+    /// Everything else waits, each for a reason (DESIGN.md §5 has the
+    /// table): `Prepare` announces a ballot its sender must never reuse,
+    /// so the promise to itself has to survive a crash; `Promise` and
+    /// `Accepted` acknowledge records; `Reply` and `Chosen` announce a
+    /// commit that, in a singleton group, rests on the unflushed record
+    /// alone; the rest may follow an installed snapshot, or gain nothing
+    /// from leaving early.
+    #[must_use]
+    pub fn precedes_barrier(&self) -> bool {
+        match self {
+            Msg::Accept { .. } => true,
+            Msg::Grouped { inner, .. } => inner.precedes_barrier(),
+            Msg::Request(_)
+            | Msg::Reply(_)
+            | Msg::Prepare { .. }
+            | Msg::Promise { .. }
+            | Msg::PrepareNack { .. }
+            | Msg::Accepted { .. }
+            | Msg::AcceptNack { .. }
+            | Msg::Chosen { .. }
+            | Msg::Confirm { .. }
+            | Msg::ConfirmReq { .. }
+            | Msg::ConfirmBatch { .. }
+            | Msg::Heartbeat { .. }
+            | Msg::HeartbeatAck { .. }
+            | Msg::CatchUpReq { .. }
+            | Msg::CatchUp { .. }
+            | Msg::CatchUpChunk { .. } => false,
+        }
+    }
+
     /// Approximate on-the-wire size in bytes (headers + payloads). Used by
     /// the simulator's bandwidth model; tracks the transport codec closely
     /// enough for transmission-delay purposes without depending on it.
@@ -427,6 +469,32 @@ mod tests {
         let small = accept(8).approx_wire_len();
         let big = accept(32 * 1024).approx_wire_len();
         assert!(big - small >= 32 * 1024 - 8);
+    }
+
+    /// `Accept` alone leaves ahead of the barrier, with or without the
+    /// group envelope; the acknowledgements around it wait.
+    #[test]
+    fn only_accept_precedes_the_barrier() {
+        use crate::types::GroupId;
+        let accept = Msg::Accept {
+            ballot: Ballot::ZERO,
+            entries: Vec::new(),
+        };
+        let accepted = Msg::Accepted {
+            ballot: Ballot::ZERO,
+            instances: Vec::new(),
+        };
+        let grouped = |inner: &Msg| Msg::Grouped {
+            group: GroupId(1),
+            inner: Box::new(inner.clone()),
+        };
+        assert!(accept.precedes_barrier() && grouped(&accept).precedes_barrier());
+        assert!(!accepted.precedes_barrier() && !grouped(&accepted).precedes_barrier());
+        let chosen = Msg::Chosen {
+            ballot: Ballot::ZERO,
+            upto: Instance::ZERO,
+        };
+        assert!(!chosen.precedes_barrier());
     }
 
     #[test]

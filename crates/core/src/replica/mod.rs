@@ -394,9 +394,13 @@ impl Replica {
     }
 
     /// Durability barrier ([`Storage::flush`]): everything the handlers
-    /// persisted so far is on stable storage when this returns. The drive
-    /// loop must call it before transmitting any message produced by those
-    /// handlers — persist-before-send at batch granularity (§3.1/§3.3).
+    /// persisted so far is on stable storage when this returns. When
+    /// [`Replica::storage_dirty`] says a barrier is due, the drive loop
+    /// must complete it before it transmits any message those handlers
+    /// produced, except the ones [`Msg::precedes_barrier`] lets go first
+    /// (`Accept`: the sync then runs beside the followers' round trip),
+    /// and before it runs this replica's next handler — persist-before-
+    /// send at batch granularity (§3.1/§3.3).
     pub fn flush_storage(&mut self) {
         self.stable.flush();
     }

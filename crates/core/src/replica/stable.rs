@@ -7,7 +7,10 @@
 //! a client reply — the accepted decree; any later message of a replica
 //! that installed a snapshot, the state that now stands in for its accept
 //! records. Those are written through [`Stable::acked`], which raises the
-//! barrier.
+//! barrier. Which of a step's messages wait for it is the other half of
+//! the rule, [`crate::msg::Msg::precedes_barrier`]: all but `Accept`,
+//! which acknowledges nothing — the leader's vote it travels with is
+//! counted only in a later step, and the barrier is over by then.
 //!
 //! Two kinds of record no message acknowledges, and they are written
 //! through [`Stable::unacked`]. They become durable with the next barrier

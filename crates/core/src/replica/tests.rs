@@ -1,8 +1,9 @@
 //! Unit tests for the replica roles, driven by a zero-latency in-memory
 //! shuttle (failure-free runs need no timers; tests fire timers manually
 //! where a scenario depends on them). The shuttle keeps the drive loops'
-//! rule: a replica's messages leave only after the barrier its handler
-//! made due.
+//! order: of a step that made a barrier due, the messages
+//! [`Msg::precedes_barrier`] lets go leave first, then the barrier runs,
+//! then the rest leave.
 
 use super::*;
 use crate::client::ClientCore;
@@ -10,7 +11,7 @@ use crate::config::{ReadMode, TxnMode, ValueMode};
 use crate::msg::Msg;
 use crate::request::{AbortReason, ReplyBody, RequestKind};
 use crate::service::NoopApp;
-use crate::storage::{MemStorage, Storage, TailLossStorage};
+use crate::storage::{DurableState, MemStorage, Storage, TailLossStorage};
 use crate::types::{Addr, ClientId, Dur, ProcessId, Seq, Time, TxnId};
 use bytes::Bytes;
 
@@ -35,6 +36,11 @@ impl Shuttle {
 
     /// One replica per disk: fresh on an empty one, recovered otherwise.
     fn on_disks(cfg: Config, disks: Vec<Box<dyn Storage>>) -> Shuttle {
+        Shuttle::serving(cfg, disks, || Box::new(NoopApp::new()))
+    }
+
+    /// [`Shuttle::on_disks`], replicating the service `app` builds.
+    fn serving(cfg: Config, disks: Vec<Box<dyn Storage>>, app: fn() -> Box<dyn App>) -> Shuttle {
         let n = disks.len();
         let mut s = Shuttle {
             replicas: disks
@@ -44,7 +50,7 @@ impl Shuttle {
                     Some(Replica::open(
                         ProcessId(i as u32),
                         cfg.clone(),
-                        Box::new(NoopApp::new()),
+                        app(),
                         disk,
                         7 + i as u64,
                         Time::ZERO,
@@ -68,6 +74,7 @@ impl Shuttle {
     }
 
     fn enqueue(&mut self, from: Addr, actions: Vec<Action>) {
+        let behind = self.send_ahead(from, actions);
         if let Some(r) = from
             .as_replica()
             .and_then(|p| self.replicas[p.0 as usize].as_mut())
@@ -76,6 +83,36 @@ impl Shuttle {
                 r.flush_storage();
             }
         }
+        self.send(from, behind);
+    }
+
+    /// Put on the wire what `from`'s step may send before its barrier,
+    /// and hand back the rest.
+    fn send_ahead(&mut self, from: Addr, actions: Vec<Action>) -> Vec<Action> {
+        let barrier_due = from
+            .as_replica()
+            .and_then(|p| self.replicas[p.0 as usize].as_ref())
+            .is_some_and(Replica::storage_dirty);
+        let (ahead, behind) = actions
+            .into_iter()
+            .partition(|a| barrier_due && a.msg().is_some_and(Msg::precedes_barrier));
+        self.send(from, ahead);
+        behind
+    }
+
+    /// Power fails on replica `p` between the two halves of a release:
+    /// what may precede the barrier of its last step is on the wire, the
+    /// barrier never returned. Returns what its disk holds.
+    fn power_cut_mid_barrier(
+        &mut self,
+        p: u32,
+        actions: Vec<Action>,
+    ) -> crate::storage::DurableState {
+        self.send_ahead(Addr::Replica(ProcessId(p)), actions);
+        self.crash(p).load()
+    }
+
+    fn send(&mut self, from: Addr, actions: Vec<Action>) {
         for a in actions {
             match a {
                 Action::Send { to, msg } => self.queue.push_back((from, to, msg)),
@@ -467,10 +504,7 @@ fn stopped_leader_hands_back_its_chosen_prefix_state() {
 
 /// The first message of its kind among `actions`.
 fn sent(actions: &[Action], want: impl Fn(&Msg) -> bool) -> Msg {
-    let mut msgs = actions.iter().filter_map(|a| match a {
-        Action::Send { msg, .. } | Action::ToAllReplicas { msg } => Some(msg),
-        Action::SetTimer { .. } | Action::CancelTimer { .. } => None,
-    });
+    let mut msgs = actions.iter().filter_map(Action::msg);
     msgs.find(|m| want(m)).cloned().expect("message sent")
 }
 
@@ -759,6 +793,224 @@ fn crashed_leader_rejoins_one_instance_short_and_catches_up() {
     s.replicas[0] = Some(recovered);
     s.assert_replica_states_converged();
     assert_eq!(s.replica(0).chosen_prefix(), Instance(4));
+}
+
+/// A service whose every write rolls a die; the state is the rolls so
+/// far. A replica that executed a request again, instead of applying the
+/// decree that already holds its outcome, would show a different roll.
+#[derive(Default)]
+struct Dice(Vec<u8>);
+
+impl App for Dice {
+    fn execute(
+        &mut self,
+        req: &crate::request::Request,
+        ctx: &mut crate::service::ExecCtx<'_>,
+    ) -> (Bytes, crate::command::StateUpdate) {
+        if req.kind == RequestKind::Read {
+            return (self.snapshot(), crate::command::StateUpdate::None);
+        }
+        self.0
+            .extend_from_slice(&ctx.rng.gen::<u64>().to_le_bytes());
+        (
+            Bytes::new(),
+            crate::command::StateUpdate::Full(self.snapshot()),
+        )
+    }
+    fn apply(&mut self, _req: &crate::request::Request, update: &crate::command::StateUpdate) {
+        if let crate::command::StateUpdate::Full(state) = update {
+            self.0 = state.to_vec();
+        }
+    }
+    fn snapshot(&self) -> Bytes {
+        Bytes::copy_from_slice(&self.0)
+    }
+    fn restore(&mut self, snap: &[u8]) {
+        self.0 = snap.to_vec();
+    }
+}
+
+/// Three replicas of [`Dice`] on tail-loss disks with one write chosen,
+/// then the crash point the early `Accept` opens: the leader proposes a
+/// second write, its `Accept` leaves, and power fails before its barrier
+/// returns. Returns the shuttle (r0 down, the `Accept`s in flight), the
+/// client with its request outstanding, what r0's disk holds and the
+/// state the lost leader rolled.
+fn leader_lost_between_accept_and_barrier() -> (Shuttle, ClientCore, DurableState, Bytes) {
+    let mut s = Shuttle::serving(cluster_cfg(3), tail_loss_disks(3), || {
+        Box::new(Dice::default())
+    });
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    s.submit(&mut c, RequestKind::Write);
+
+    let request = sent(&c.submit_op(RequestKind::Write, Bytes::new(), s.now), |m| {
+        matches!(m, Msg::Request(_))
+    });
+    let leader = s.replicas[0].as_mut().unwrap();
+    let actions = leader.on_message(Addr::Client(c.id()), request, s.now);
+    let Msg::Accept { entries, .. } = sent(&actions, |m| matches!(m, Msg::Accept { .. })) else {
+        unreachable!()
+    };
+    let crate::command::StateUpdate::Full(rolled) = entries[0].1.entries[0].update.clone() else {
+        panic!("a Dice write ships its state");
+    };
+    let disk = s.power_cut_mid_barrier(0, actions);
+    assert_eq!(disk.chosen_prefix, Instance::ZERO, "marks are lazy");
+    assert_eq!(
+        disk.accepted.keys().copied().collect::<Vec<_>>(),
+        vec![Instance(1)],
+        "the leader's vote for instance 2 never reached its disk"
+    );
+    (s, c, disk, rolled)
+}
+
+/// Restart r0 on `disk` as the configured bootstrap leader: it campaigns.
+fn restart_old_leader(s: &mut Shuttle, disk: DurableState) {
+    let mut r0 = Replica::recover(
+        ProcessId(0),
+        cluster_cfg(3),
+        Box::new(Dice::default()),
+        Box::new(TailLossStorage::holding(disk)),
+        99,
+        s.now,
+    );
+    let actions = r0.on_start(s.now);
+    s.replicas[0] = Some(r0);
+    s.enqueue(Addr::Replica(ProcessId(0)), actions);
+    s.run();
+}
+
+/// The client's retransmission timer fires and the request is answered.
+fn retransmit(s: &mut Shuttle, c: &mut ClientCore) {
+    let actions = c.on_timer(TimerKind::ClientRetry, s.now);
+    let done = s.drive_client(c, actions);
+    assert!(matches!(done.body, ReplyBody::Ok(_)), "got {:?}", done.body);
+}
+
+fn assert_all_hold(s: &mut Shuttle, prefix: Instance) -> Bytes {
+    s.assert_replica_states_converged();
+    for p in 0..3 {
+        assert_eq!(s.replica(p).chosen_prefix(), prefix, "r{p}");
+    }
+    s.replica(0).service_snapshot()
+}
+
+/// The leader dies after its `Accept` left and before its barrier
+/// returned; the followers accepted and synced. Its disk lacks the
+/// instance, so after the restart it campaigns above its durable promise
+/// and the election relearns the decree from a follower: the write —
+/// never acknowledged, but possibly chosen — is chosen with the outcome
+/// the lost leader rolled, nobody executes it again, and the client's
+/// retransmission is answered from it.
+///
+/// Mutation that must fail this test: `Msg::precedes_barrier` false for
+/// `Accept` (nothing leaves before the cut, so nothing is relearned and
+/// the retransmission rolls again).
+#[test]
+fn leader_lost_after_its_accept_left_relearns_the_decree_from_a_follower() {
+    let (mut s, mut c, disk, rolled) = leader_lost_between_accept_and_barrier();
+    s.run(); // the followers accept and sync; their `Accepted` finds nobody
+    let promised = disk.promised;
+    restart_old_leader(&mut s, disk);
+    assert_eq!(s.leader(), Some(0));
+    assert!(s.replica(0).promised() > promised, "a ballot it never used");
+    assert_eq!(s.replica(0).chosen_prefix(), Instance(2), "relearned");
+    retransmit(&mut s, &mut c);
+    assert_eq!(assert_all_hold(&mut s, Instance(2)), rolled);
+}
+
+/// The same crash, and the `Accept` frames are lost with the leader: the
+/// instance is simply absent, and the client's retransmission is
+/// executed — once.
+#[test]
+fn leader_lost_with_its_accept_leaves_no_trace_and_the_retry_runs_once() {
+    let (mut s, mut c, disk, rolled) = leader_lost_between_accept_and_barrier();
+    s.queue.clear();
+    restart_old_leader(&mut s, disk);
+    assert_eq!(s.leader(), Some(0));
+    assert_eq!(
+        s.replica(0).chosen_prefix(),
+        Instance(1),
+        "nothing to relearn"
+    );
+    retransmit(&mut s, &mut c);
+    let state = assert_all_hold(&mut s, Instance(2));
+    assert_eq!(state.len(), 16, "two writes, two rolls");
+    assert_eq!(state[..8], rolled[..8], "the first write stands");
+}
+
+/// Of a step whose barrier never returned, only `Accept` may have
+/// escaped. An `Accepted`, a `Promise` or a `Prepare` would speak for a
+/// record the disk lost; a singleton's `Reply` would acknowledge a write
+/// that exists nowhere.
+///
+/// Mutations that must fail this test: `Msg::precedes_barrier` true for
+/// `Accepted`, `Promise`, `Prepare`, or `Reply`.
+#[test]
+fn a_power_cut_mid_barrier_lets_nothing_but_accepts_escape() {
+    let three = || Shuttle::on_disks(cluster_cfg(3), tail_loss_disks(3));
+    let nothing_escaped = |s: &Shuttle, what: &str| {
+        assert!(s.queue.is_empty() && s.client_inbox.is_empty(), "{what}");
+    };
+    let r0 = Addr::Replica(ProcessId(0));
+
+    // A follower's `Accepted`.
+    let mut s = three();
+    let ballot = s.replica(0).promised();
+    let accept = Msg::Accept {
+        ballot,
+        entries: vec![(Instance(1), Decree::noop())],
+    };
+    let actions = s.replicas[1]
+        .as_mut()
+        .unwrap()
+        .on_message(r0, accept, s.now);
+    sent(&actions, |m| matches!(m, Msg::Accepted { .. }));
+    let disk = s.power_cut_mid_barrier(1, actions);
+    assert!(disk.accepted.is_empty());
+    nothing_escaped(&s, "Accepted");
+
+    // A promiser's `Promise`.
+    let mut s = three();
+    let prepare = Msg::Prepare {
+        ballot: Ballot::new(ballot.round + 1, ProcessId(2)),
+        chosen_prefix: Instance::ZERO,
+        known_above: Vec::new(),
+    };
+    let r2 = Addr::Replica(ProcessId(2));
+    let actions = s.replicas[1]
+        .as_mut()
+        .unwrap()
+        .on_message(r2, prepare, s.now);
+    sent(&actions, |m| matches!(m, Msg::Promise { .. }));
+    let disk = s.power_cut_mid_barrier(1, actions);
+    assert_eq!(disk.promised, ballot);
+    nothing_escaped(&s, "Promise");
+
+    // A candidate's `Prepare`.
+    let mut s = three();
+    s.now = Time(Dur::from_secs(10).0);
+    let actions = s.replicas[1]
+        .as_mut()
+        .unwrap()
+        .on_timer(TimerKind::LeaderCheck, s.now);
+    sent(&actions, |m| matches!(m, Msg::Prepare { .. }));
+    let disk = s.power_cut_mid_barrier(1, actions);
+    assert_eq!(disk.promised, ballot);
+    nothing_escaped(&s, "Prepare");
+
+    // A singleton's `Reply`: it commits in the proposing step.
+    let mut s = Shuttle::on_disks(cluster_cfg(1), tail_loss_disks(1));
+    let request = Msg::Request(write_req(1, 1));
+    let client = Addr::Client(ClientId(1));
+    let actions = s.replicas[0]
+        .as_mut()
+        .unwrap()
+        .on_message(client, request, s.now);
+    sent(&actions, |m| matches!(m, Msg::Reply(_)));
+    let disk = s.power_cut_mid_barrier(0, actions);
+    assert!(disk.accepted.is_empty());
+    nothing_escaped(&s, "Reply");
 }
 
 fn open_r1(storage: MemStorage) -> Replica {

@@ -12,7 +12,8 @@
 //! of records a message can acknowledge — the chosen-prefix mark waits
 //! for the next one (`replica/stable.rs` has the rule and the argument).
 //! A crash therefore loses a tail of records: [`MemStorage`] and a killed
-//! process's files both keep it, so the tests that need the loss use
+//! process's files both keep it, so the tests that need the loss — and
+//! the model checker's power-cut choices (`check-hooks`) — use
 //! `TailLossStorage`.
 
 use crate::ballot::Ballot;
@@ -286,18 +287,19 @@ impl Storage for MemStorage {
 /// The process that recovers gets the disk it read,
 /// `TailLossStorage::holding(crashed.load())`, not the crashed handle,
 /// which still remembers the lost tail.
-#[cfg(test)]
+#[cfg(any(test, feature = "check-hooks"))]
 #[derive(Clone, Debug, Default)]
-pub(crate) struct TailLossStorage {
+pub struct TailLossStorage {
     live: MemStorage,
     /// `live` as of the last barrier.
     synced: MemStorage,
 }
 
-#[cfg(test)]
+#[cfg(any(test, feature = "check-hooks"))]
 impl TailLossStorage {
     /// A disk holding exactly `state`, all of it durable.
-    pub(crate) fn holding(state: DurableState) -> TailLossStorage {
+    #[must_use]
+    pub fn holding(state: DurableState) -> TailLossStorage {
         let disk = MemStorage {
             state,
             ..MemStorage::default()
@@ -309,7 +311,7 @@ impl TailLossStorage {
     }
 }
 
-#[cfg(test)]
+#[cfg(any(test, feature = "check-hooks"))]
 impl Storage for TailLossStorage {
     fn save_promised(&mut self, b: Ballot) {
         self.live.save_promised(b);

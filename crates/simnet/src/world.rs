@@ -34,19 +34,23 @@ pub enum DurabilityMode {
     /// matches the behavior before the durability model existed).
     #[default]
     None,
-    /// Group commit, the reactor's flush barrier: an `fsync` runs beside
-    /// the CPU and covers every record appended before it starts.
-    /// Messages produced by an event that persisted records depart only
-    /// once the covering flush completes (persist-before-send at batch
-    /// granularity); the CPU is free to process the next event meanwhile.
-    /// Events whose records are covered by an already-pending flush join
-    /// it instead of paying their own — that is the amortization. The
-    /// barrier is the shipped one (`Replica::storage_dirty`): an event
-    /// that sends nothing, or whose only records are chosen-prefix marks
-    /// (a leader committing, a follower learning `Chosen`), opens none —
-    /// no message acknowledges those records, so they ride the next
-    /// barrier. An unloaded write costs three syncs: the leader's accept
-    /// and each follower's.
+    /// Group commit, the drive loops' flush barrier
+    /// (`transport::outbox`): an event that wrote a record a message can
+    /// acknowledge (`Replica::storage_dirty`) and sends anything pays one
+    /// `fsync`, which starts when its CPU work ends. Its `Accept`s
+    /// ([`Msg::precedes_barrier`]) depart then, beside the sync; every
+    /// other message departs when the sync is over (persist-before-send),
+    /// and so does the node's next event — the loop's thread is inside
+    /// `flush()` until then, which is what keeps a leader from counting
+    /// its own unflushed vote with a follower's `Accepted`. An event that
+    /// sends nothing, or whose only records are chosen-prefix marks (a
+    /// leader committing, a follower learning `Chosen`), opens no barrier:
+    /// no message acknowledges those records, so they ride the next one.
+    /// An unloaded write costs three syncs — the leader's accept and each
+    /// follower's — of which the client waits for one:
+    /// `2M + E + max(S, 2m + S)`. One event is one cycle of the loop; the
+    /// records of a node's several groups sharing a cycle's sync are not
+    /// modelled.
     Batched,
 }
 
@@ -175,10 +179,6 @@ pub struct World {
     seq: u64,
     replicas: Vec<Slot>,
     busy_until: Vec<Time>,
-    /// Per node in batched durability mode: the latest scheduled flush as
-    /// `(start, done)`. A flush whose start lies in the future still
-    /// absorbs newly appended records; once started it no longer does.
-    flush_sched: Vec<Option<(Time, Time)>>,
     clients: HashMap<ClientId, SimClient>,
     next_client_id: u64,
     timer_gen: crate::sched::TimerGens<(Addr, GroupId, TimerKind)>,
@@ -223,7 +223,6 @@ impl World {
             seq: 0,
             replicas: Vec::with_capacity(n),
             busy_until: vec![Time::ZERO; n],
-            flush_sched: vec![None; n],
             clients: HashMap::new(),
             next_client_id: 1,
             timer_gen: crate::sched::TimerGens::new(),
@@ -522,7 +521,6 @@ impl World {
                     let actions = m.on_start(self.now);
                     self.replicas[p.0 as usize] = Slot::Up(m);
                     self.busy_until[p.0 as usize] = self.now;
-                    self.flush_sched[p.0 as usize] = None;
                     let now = self.now;
                     self.dispatch(Addr::Replica(p), actions, now);
                 }
@@ -657,9 +655,9 @@ impl World {
     /// Charge the durability model for `persists` records written by an
     /// event whose CPU work ends at `cpu_done`; `barrier_due` says whether
     /// any of them was more than a chosen-prefix mark. Returns when the
-    /// event's outbound messages may depart (persist-before-send — never
-    /// before the records they acknowledge are durable). The disk works
-    /// beside the CPU: the replica itself is free at `cpu_done` either way.
+    /// barrier the event opened is over: its messages depart then
+    /// (persist-before-send), all but the class that precedes the barrier,
+    /// and the node takes no other event before.
     fn durability_gate(
         &mut self,
         idx: usize,
@@ -678,18 +676,10 @@ impl World {
         if self.opts.durability == DurabilityMode::None || !sends || !barrier_due {
             return cpu_done;
         }
-        match self.flush_sched[idx] {
-            // A flush that has not started yet still absorbs these
-            // records: join it instead of paying a new sync.
-            Some((start, done)) if start >= cpu_done => done,
-            prev => {
-                let start = prev.map_or(Time::ZERO, |(_, d)| d).max(cpu_done);
-                let done = start.after(self.opts.cpu.fsync);
-                self.flush_sched[idx] = Some((start, done));
-                self.metrics.fsyncs += 1;
-                done
-            }
-        }
+        self.metrics.fsyncs += 1;
+        let done = cpu_done.after(self.opts.cpu.fsync);
+        self.busy_until[idx] = done;
+        done
     }
 
     /// Dispatch untagged actions (clients, which run no per-group state):
@@ -704,31 +694,43 @@ impl World {
     }
 
     /// Like [`World::dispatch`] with separate departure times: messages
-    /// leave at `send_at` (after any covering flush barrier), timers are
-    /// armed relative to `timer_at` (the CPU completion — the durability
-    /// barrier delays sends, not the process's clock).
+    /// leave at `send_at` (after any covering flush barrier) unless
+    /// [`Msg::precedes_barrier`] lets them leave at `cpu_done`, and timers
+    /// are armed relative to `cpu_done` (the durability barrier delays
+    /// sends, not the process's clock).
     fn dispatch_at(
         &mut self,
         from: Addr,
         actions: Vec<(GroupId, Action)>,
         send_at: Time,
-        timer_at: Time,
+        cpu_done: Time,
     ) {
+        let depart_of = |msg: &Msg| {
+            if msg.precedes_barrier() {
+                cpu_done
+            } else {
+                send_at
+            }
+        };
         for (g, a) in actions {
             match a {
-                Action::Send { to, msg } => self.send_one(from, to, msg, send_at),
+                Action::Send { to, msg } => {
+                    let depart = depart_of(&msg);
+                    self.send_one(from, to, msg, depart);
+                }
                 Action::ToAllReplicas { msg } => {
+                    let depart = depart_of(&msg);
                     for i in 0..self.cfg.n {
                         let to = Addr::Replica(ProcessId(i as u32));
                         if to != from {
-                            self.send_one(from, to, msg.clone(), send_at);
+                            self.send_one(from, to, msg.clone(), depart);
                         }
                     }
                 }
                 Action::SetTimer { kind, after } => {
                     let gen = self.timer_gen.arm((from, g, kind));
                     self.schedule(
-                        timer_at.after(after),
+                        cpu_done.after(after),
                         Payload::Timer {
                             who: from,
                             group: g,
@@ -971,11 +973,10 @@ mod tests {
         }
     }
 
-    /// The durability cost model: group commit coalesces records into
-    /// shared barriers, so it syncs less often than it appends, and an
-    /// unloaded write costs exactly the four barriers the reactor pays —
-    /// leader accept, one per follower accept, leader chosen; a follower's
-    /// chosen-prefix record sends nothing and rides the next barrier.
+    /// The durability cost model: chosen-prefix marks ride the accept
+    /// barriers, so group commit syncs less often than it appends, and an
+    /// unloaded write costs exactly the three barriers the reactor pays —
+    /// the leader's accept and one per follower accept.
     #[test]
     fn group_commit_amortizes_fsyncs() {
         let run = |cfg: Config, clients: usize, writes: u64, mode: DurabilityMode| {
@@ -1021,6 +1022,49 @@ mod tests {
             fsyncs,
             3 * 2_000,
             "one barrier per accept record: the leader's and each follower's"
+        );
+    }
+
+    /// The latency of an unloaded durable write, on constant links with a
+    /// free CPU: `2M + E + max(S, 2m + S)`. The leader's `Accept` leaves
+    /// beside its sync, so the client waits for the follower's sync only,
+    /// not for both in a row (`2M + E + S + 2m + S`, the cost before the
+    /// `Accept` was let ahead of the barrier).
+    #[test]
+    fn unloaded_durable_write_overlaps_the_leaders_sync() {
+        use crate::latency::LatencyModel;
+        let (big_m, m, s) = (0.1, 0.05, 2.0); // ms: client link, replica link, sync
+        let rtt = |mode: DurabilityMode| {
+            let mut topology = Topology::sysnet(3);
+            topology.ns_per_byte = 0.0;
+            for (a, row) in topology.links.iter_mut().enumerate() {
+                for (b, link) in row.iter_mut().enumerate() {
+                    *link = LatencyModel::Constant(if a == b { m } else { big_m });
+                }
+            }
+            let opts = SimOpts {
+                cpu: CpuModel {
+                    fsync: Dur::from_millis_f64(s),
+                    ..CpuModel::free()
+                },
+                durability: mode,
+                ..SimOpts::for_topology(topology, 3)
+            };
+            let mut cfg = Config::cluster(3);
+            cfg.batch_window = Dur::ZERO;
+            let mut w = World::new(cfg, opts, Box::new(|| Box::new(NoopApp::new())));
+            w.add_client(Box::new(OpLoop::new(RequestKind::Write, 50)), None, START);
+            assert!(w.run_to_completion(DEADLINE));
+            let rtts = w.metrics.rtt_summary("write");
+            assert!(rtts.max - rtts.min < 1e-6, "constant links: {rtts:?}");
+            rtts.mean
+        };
+        let free = rtt(DurabilityMode::None);
+        assert!((free - (2.0 * big_m + 2.0 * m)).abs() < 1e-6, "{free} ms");
+        let durable = rtt(DurabilityMode::Batched);
+        assert!(
+            (durable - (2.0 * big_m + f64::max(s, 2.0 * m + s))).abs() < 1e-6,
+            "{durable} ms"
         );
     }
 

@@ -7,17 +7,13 @@
 //!
 //! The replica loop is *batched*: each cycle drains every already-queued
 //! message (and all due timers) through the core first, buffering the
-//! resulting `Send`/`ToAllReplicas` actions in an outbox instead of
-//! transmitting them one by one. It then calls [`Replica::flush_storage`]
-//! — one `sync_data` covering every WAL record the whole batch appended —
-//! and only after that barrier hands the buffered frames to the
-//! transport. Persist-before-send (§3.1/§3.3) therefore still holds
-//! exactly: no `Promise`/`Accepted` reaches the wire before the storage
-//! write it acknowledges is durable; the fsync is merely amortized over
-//! the batch instead of paid per record. The barrier runs when
-//! [`Replica::storage_dirty`] says one is due — for records a message can
-//! acknowledge, not for chosen-prefix marks, which ride the next barrier
-//! or the flush on the way out of [`ReplicaNode::run`].
+//! resulting `Send`/`ToAllReplicas` actions in an [`Outbox`] instead of
+//! transmitting them one by one, and then releases it. The order of sends
+//! and barrier — `Accept`s to the transport, one `sync_data` covering
+//! every WAL record the whole batch appended, then everything else — is
+//! written once, in [`crate::outbox`], for this loop and the reactor's.
+//! Chosen-prefix marks make no barrier due; they ride the next one or the
+//! flush on the way out of [`ReplicaNode::run`].
 //!
 //! ## The way out
 //!
@@ -27,6 +23,7 @@
 //! equal to every other replica's at that prefix (§3.3). Storage keeps
 //! the accepted decree; a restart rebuilds the same state from it.
 
+use crate::outbox::{Out, Outbox, Wire};
 use crate::timers::Timers;
 use gridpaxos_core::action::{Action, TimerKind};
 use gridpaxos_core::client::{ClientCore, CompletedOp, TxnDriver, TxnOutcome, TxnScript};
@@ -66,12 +63,6 @@ const MAX_WAIT: Duration = Duration::from_millis(25);
 /// barrier never starves the outbox indefinitely under sustained load.
 const MAX_DRAIN: usize = 128;
 
-/// A buffered outbound action, transmitted only after the flush barrier.
-enum Out {
-    One(Addr, Msg),
-    All(Msg),
-}
-
 /// Fan a message out to every replica (optionally skipping `me`), moving
 /// the original into the final send so an `n`-way broadcast pays `n - 1`
 /// clones instead of `n`.
@@ -97,9 +88,8 @@ pub struct ReplicaNode<T: Transport> {
     epoch: Instant,
     timers: Timers,
     stop: Arc<AtomicBool>,
-    /// Sends buffered during the current drain cycle; transmitted only
-    /// after the storage flush barrier.
-    outbox: Vec<Out>,
+    /// Sends buffered during the current drain cycle.
+    outbox: Outbox,
 }
 
 impl<T: Transport> ReplicaNode<T> {
@@ -111,7 +101,7 @@ impl<T: Transport> ReplicaNode<T> {
             epoch: Instant::now(),
             timers: Timers::new(1),
             stop,
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
         }
     }
 
@@ -120,39 +110,29 @@ impl<T: Transport> ReplicaNode<T> {
     }
 
     /// Interpret one handler invocation's actions. Sends are *buffered*,
-    /// not transmitted: they leave via [`ReplicaNode::flush_and_transmit`]
-    /// after the storage barrier.
+    /// not transmitted: they leave via [`ReplicaNode::flush_and_transmit`].
     fn apply(&mut self, actions: Vec<Action>) {
         let now = self.now();
         for a in actions {
             match a {
-                Action::Send { to, msg } => self.outbox.push(Out::One(to, msg)),
-                Action::ToAllReplicas { msg } => self.outbox.push(Out::All(msg)),
+                Action::Send { to, msg } => self.outbox.push(Out::One(to, msg), &self.replica),
+                Action::ToAllReplicas { msg } => self.outbox.push(Out::All(msg), &self.replica),
                 Action::SetTimer { kind, after } => self.timers.set(0, kind, now.0 + after.0),
                 Action::CancelTimer { kind } => self.timers.cancel(0, kind),
             }
         }
     }
 
-    /// The group-commit barrier: make every WAL record the drained batch
-    /// appended durable with one `flush()`, then hand the buffered frames
-    /// to the transport. Nothing is sent while storage is dirty — that is
-    /// the whole persist-before-send argument at batch granularity.
+    /// Release the cycle's outbox ([`Outbox::release`]): `Accept`s, the
+    /// group-commit barrier that makes every WAL record the drained batch
+    /// appended durable with one `flush()`, then everything else.
     fn flush_and_transmit(&mut self) {
         if self.outbox.is_empty() {
             return;
         }
-        if self.replica.storage_dirty() {
-            self.replica.flush_storage();
-        }
-        let me = self.transport.local_addr();
-        let n = self.replica.config().n;
-        for out in std::mem::take(&mut self.outbox) {
-            match out {
-                Out::One(to, msg) => self.transport.send(to, msg),
-                Out::All(msg) => broadcast(&self.transport, n, Some(me), msg),
-            }
-        }
+        let mut outbox = std::mem::take(&mut self.outbox);
+        outbox.release(self);
+        self.outbox = outbox;
     }
 
     fn fire_due_timers(&mut self) {
@@ -228,6 +208,23 @@ impl<T: Transport> ReplicaNode<T> {
         // the state it hands back.
         self.replica.stop();
         self.replica
+    }
+}
+
+impl<T: Transport> Wire for ReplicaNode<T> {
+    fn cores(&mut self) -> &mut [Replica] {
+        std::slice::from_mut(&mut self.replica)
+    }
+
+    fn transmit(&mut self, outs: &mut Vec<Out>) {
+        let me = self.transport.local_addr();
+        let n = self.replica.config().n;
+        for out in outs.drain(..) {
+            match out {
+                Out::One(to, msg) => self.transport.send(to, msg),
+                Out::All(msg) => broadcast(&self.transport, n, Some(me), msg),
+            }
+        }
     }
 }
 

@@ -28,17 +28,13 @@
 //! ## Group commit: the flush barrier
 //!
 //! Every drain cycle buffers the cores' `Send`/`ToAllReplicas` actions in
-//! an outbox, then [`Reactor::flush_and_transmit`] flushes each group
-//! storage that has a barrier due — one fsync covering the whole batch —
-//! and only after that barrier frames the outbox into connection send
-//! queues and lets bytes reach the kernel. No `Promise`/`Accepted` can
-//! touch the wire before the storage write it acknowledges is durable.
-//! A barrier is due for the records a message can acknowledge
-//! ([`Replica::storage_dirty`]); the chosen-prefix mark is not one, so
-//! committing a decree costs the leader no sync of its own between the
-//! quorum's last `Accepted` and the client's reply, and the mark is made
-//! durable by the next decree's accept barrier (or the flush on the way
-//! out of [`Reactor::run`]).
+//! an [`Outbox`], and [`Reactor::flush_and_transmit`] releases it: the
+//! order of sends and barrier — `Accept`s to the kernel, one fsync
+//! covering the whole batch, then everything else — is written once, in
+//! [`crate::outbox`], for this loop and [`crate::node`]'s. The
+//! chosen-prefix mark makes no barrier due; it becomes durable with the
+//! next decree's accept barrier (or the flush on the way out of
+//! [`Reactor::run`]).
 //!
 //! ## The way out
 //!
@@ -76,6 +72,7 @@ use crate::backpressure::{AdmissionGate, FlushOutcome, SendQueue};
 use crate::framing::{FrameDecoder, MAX_FRAME};
 use crate::fstorage::{FlushCoordinator, SyncMode};
 use crate::node::SyncClient;
+use crate::outbox::{Out, Outbox, Wire};
 use crate::sys::{self, Epoll, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::tcp::TcpNode;
 use crate::timers::Timers;
@@ -230,12 +227,6 @@ fn frame_bytes(body: &[u8]) -> Bytes {
     Bytes::from(v)
 }
 
-/// A buffered outbound action awaiting the flush barrier.
-enum Out {
-    One(Addr, Msg),
-    All(Msg),
-}
-
 struct Reactor {
     cores: Vec<Replica>,
     me: ProcessId,
@@ -250,9 +241,9 @@ struct Reactor {
     next_token: u64,
     /// Decoded messages awaiting a trip through the cores.
     inbox: VecDeque<(Addr, Msg)>,
-    /// Core actions awaiting the flush barrier.
-    outbox: Vec<Out>,
-    /// Connections with freshly queued bytes, flushed after the barrier.
+    /// Core sends awaiting [`Reactor::flush_and_transmit`].
+    outbox: Outbox,
+    /// Connections with freshly queued bytes, awaiting a socket write.
     dirty: Vec<u64>,
     timers: Timers,
     gate: AdmissionGate,
@@ -290,7 +281,7 @@ impl Reactor {
             by_addr: HashMap::new(),
             next_token: TOKEN_LISTENER + 1,
             inbox: VecDeque::new(),
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
             dirty: Vec::new(),
             timers: Timers::new(n_groups),
             gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
@@ -319,18 +310,18 @@ impl Reactor {
     }
 
     /// Interpret one handler invocation's actions for group `g`. Sends are
-    /// buffered in the outbox; they leave via the flush barrier.
+    /// buffered in the outbox; [`Reactor::flush_and_transmit`] lets them go.
     fn apply(&mut self, g: usize, actions: Vec<Action>) {
         let now = self.now();
         for a in actions {
             match a {
                 Action::Send { to, msg } => {
                     let msg = self.wrap(g, msg);
-                    self.outbox.push(Out::One(to, msg));
+                    self.outbox.push(Out::One(to, msg), &self.cores[g]);
                 }
                 Action::ToAllReplicas { msg } => {
                     let msg = self.wrap(g, msg);
-                    self.outbox.push(Out::All(msg));
+                    self.outbox.push(Out::All(msg), &self.cores[g]);
                 }
                 Action::SetTimer { kind, after } => self.timers.set(g, kind, now.0 + after.0),
                 Action::CancelTimer { kind } => self.timers.cancel(g, kind),
@@ -349,54 +340,39 @@ impl Reactor {
         }
     }
 
-    /// The group-commit barrier: flush every group storage with a barrier
-    /// due (one fsync per group per batch — a shared-WAL
-    /// [`FlushCoordinator`] collapses those to one per node), and only
-    /// then frame the buffered outbox onto connection queues and let the
-    /// kernel have the bytes. Busy replies queued outside the outbox also
-    /// drain here, after the same barrier.
+    /// Release the cycle's outbox ([`Outbox::release`]: `Accept`s, the
+    /// group-commit barrier — one fsync per group with a barrier due,
+    /// which a shared-WAL [`FlushCoordinator`] collapses to one per node —
+    /// then everything else). Busy replies queued outside the outbox
+    /// reach their sockets here too.
     fn flush_and_transmit(&mut self) {
         if self.outbox.is_empty() && self.dirty.is_empty() {
             return;
         }
-        for core in &mut self.cores {
-            if core.storage_dirty() {
-                core.flush_storage();
-            }
-        }
-        for out in std::mem::take(&mut self.outbox) {
-            match out {
-                Out::One(to, msg) => self.enqueue_msg(to, msg),
-                Out::All(msg) => {
-                    // Fan out to every replica but ourselves, moving the
-                    // original into the last send.
-                    let mut pending: Option<Addr> = None;
-                    for i in 0..self.n {
-                        let to = Addr::Replica(ProcessId(i as u32));
-                        if to == Addr::Replica(self.me) {
-                            continue;
-                        }
-                        if let Some(prev) = pending.replace(to) {
-                            self.enqueue_msg(prev, msg.clone());
-                        }
-                    }
-                    if let Some(last) = pending {
-                        self.enqueue_msg(last, msg);
-                    }
-                }
-            }
-        }
-        for token in std::mem::take(&mut self.dirty) {
-            self.flush_conn(token);
-        }
+        let mut outbox = std::mem::take(&mut self.outbox);
+        outbox.release(self);
+        self.outbox = outbox;
     }
 
-    /// Encode `msg` (reusing the node-wide scratch buffer) and queue it on
-    /// the connection serving `to`, dialing the peer replica first if no
-    /// connection exists. Only called from [`Reactor::flush_and_transmit`]
-    /// (after the barrier) and for `Busy` sheds, which carry no durable
-    /// state.
-    fn enqueue_msg(&mut self, to: Addr, msg: Msg) {
+    /// Encode `msg` (reusing the node-wide scratch buffer) into an owned
+    /// frame. `None`, and a frame counted as dropped: the peer's decoder
+    /// would reject the length prefix and drop the connection (a
+    /// monolithic catch-up snapshot of a large state gets this big), so
+    /// the frame is refused and the connection kept.
+    fn frame(&mut self, msg: &Msg) -> Option<Bytes> {
+        let body = encode_with_scratch(msg, &mut self.scratch);
+        if body.len() > MAX_FRAME {
+            bump(&self.metrics.frames_dropped, 1);
+            return None;
+        }
+        Some(frame_bytes(body))
+    }
+
+    /// Queue `frame` on the connection serving `to`, dialing the peer
+    /// replica first if no connection exists. Only called by
+    /// [`Wire::transmit`] — on whichever side of the barrier
+    /// [`Outbox::release`] put the message.
+    fn enqueue_to(&mut self, to: Addr, frame: Bytes) {
         let token = match self.by_addr.get(&to).copied() {
             Some(t) => t,
             None => match to {
@@ -415,15 +391,6 @@ impl Reactor {
                 }
             },
         };
-        let body = encode_with_scratch(&msg, &mut self.scratch);
-        if body.len() > MAX_FRAME {
-            // The peer's decoder would reject the length prefix and drop
-            // the connection (a monolithic catch-up snapshot of a large
-            // state gets this big): refuse the frame, keep the connection.
-            bump(&self.metrics.frames_dropped, 1);
-            return;
-        }
-        let frame = frame_bytes(body);
         self.enqueue_frame(token, frame);
     }
 
@@ -849,6 +816,41 @@ impl Reactor {
     }
 }
 
+impl Wire for Reactor {
+    fn cores(&mut self) -> &mut [Replica] {
+        &mut self.cores
+    }
+
+    /// Frame `outs` onto connection send queues — a broadcast is encoded
+    /// and framed once, and every follower's queue holds the same bytes —
+    /// then write every connection with queued bytes to its socket.
+    fn transmit(&mut self, outs: &mut Vec<Out>) {
+        for out in outs.drain(..) {
+            match out {
+                Out::One(to, msg) => {
+                    if let Some(frame) = self.frame(&msg) {
+                        self.enqueue_to(to, frame);
+                    }
+                }
+                Out::All(msg) => {
+                    let Some(frame) = self.frame(&msg) else {
+                        continue;
+                    };
+                    for i in 0..self.n {
+                        let to = ProcessId(i as u32);
+                        if to != self.me {
+                            self.enqueue_to(Addr::Replica(to), frame.clone());
+                        }
+                    }
+                }
+            }
+        }
+        for token in std::mem::take(&mut self.dirty) {
+            self.flush_conn(token);
+        }
+    }
+}
+
 /// Join handle + live metrics for one reactor node.
 pub struct ReactorHandle {
     thread: std::thread::JoinHandle<Vec<Replica>>,
@@ -1244,12 +1246,13 @@ mod tests {
                 body: ReplyBody::Ok(Bytes::from(vec![0u8; len])),
             })
         };
-        r.enqueue_msg(Addr::Client(client), reply(MAX_FRAME + 1));
+        assert!(r.frame(&reply(MAX_FRAME + 1)).is_none());
         let stats = metrics.stats();
         assert_eq!((stats.frames_dropped, stats.msgs_out), (1, 0));
         assert!(r.conns.contains_key(&token), "connection kept");
 
-        r.enqueue_msg(Addr::Client(client), reply(8));
+        let small = r.frame(&reply(8)).expect("fits");
+        r.enqueue_to(Addr::Client(client), small);
         let stats = metrics.stats();
         assert_eq!((stats.frames_dropped, stats.msgs_out), (1, 1));
     }
@@ -1487,11 +1490,12 @@ mod tests {
     /// A node's WAL handle with a hook on either side of the barrier:
     /// `stall` runs before a flush starts (a disk that takes its time),
     /// `synced` once the log is on the platter (a barrier returned, or
-    /// compaction rewrote the log and synced it whole).
+    /// compaction rewrote the log and synced it whole) and is shown what
+    /// the log holds.
     struct HookedWal {
         inner: FileStorage,
         stall: Box<dyn FnMut() + Send>,
-        synced: Box<dyn FnMut() + Send>,
+        synced: Box<dyn FnMut(&FileStorage) + Send>,
     }
 
     impl Storage for HookedWal {
@@ -1509,7 +1513,7 @@ mod tests {
         }
         fn truncate_upto(&mut self, upto: Instance) {
             self.inner.truncate_upto(upto);
-            (self.synced)();
+            (self.synced)(&self.inner);
         }
         fn load(&self) -> DurableState {
             self.inner.load()
@@ -1517,7 +1521,7 @@ mod tests {
         fn flush(&mut self) {
             (self.stall)();
             self.inner.flush();
-            (self.synced)();
+            (self.synced)(&self.inner);
         }
         fn is_dirty(&self) -> bool {
             self.inner.is_dirty()
@@ -1549,12 +1553,12 @@ mod tests {
     /// node keeps of its WAL what its last barrier covered — each notes
     /// how long `wal.log` was whenever it was synced, until the power is
     /// cut, and cutting the logs back to those lengths is the cluster
-    /// after the loss. The leader's
-    /// barrier for a decree comes before its `Accept` leaves and none
-    /// follows the commit, so its log ends with the accept record of
-    /// write 8 and the chosen-prefix mark of write 7: it recovers one
-    /// instance short, relearns the decree through the election, and no
-    /// acknowledged write is missing.
+    /// after the loss. The leader's barrier for a decree is over before it
+    /// handles the `Accepted` that commits it, and none follows the
+    /// commit, so its log ends with the accept record of write 8 and the
+    /// chosen-prefix mark of write 7: it recovers one instance short,
+    /// relearns the decree through the election, and no acknowledged
+    /// write is missing.
     ///
     /// Mutation that must fail this test: make `save_accepted` lazy like
     /// the mark (`Stable::write` → a path that raises no barrier). No
@@ -1591,7 +1595,7 @@ mod tests {
                 vec![Box::new(HookedWal {
                     inner,
                     stall: Box::new(|| {}),
-                    synced: Box::new(move || {
+                    synced: Box::new(move |_| {
                         if !power_cut.load(Ordering::SeqCst) {
                             let len = std::fs::metadata(&wal).expect("wal.log").len();
                             synced_len.store(len, Ordering::SeqCst);
@@ -1666,6 +1670,126 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// The leader's sync runs beside the followers' round trip, and the
+    /// test sees it rather than timing it: while the leader's disk stalls
+    /// inside the barrier that covers write 2, a follower's log already
+    /// holds that decree's accept record, synced — the `Accept` left
+    /// before the barrier. Nothing else did: the leader has framed two
+    /// messages (the `Accept`, once per follower) and the client's socket
+    /// stays silent until the disk is let go.
+    ///
+    /// Mutation that must fail this test: `Outbox::release` running the
+    /// barrier before the ahead list — no follower ever sees the `Accept`.
+    #[test]
+    fn accept_leaves_while_the_leaders_barrier_is_still_running() {
+        let root = std::env::temp_dir().join(format!(
+            "gridpaxos-reactor-accept-ahead-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        // No heartbeat and no suspicion inside the window the test counts
+        // the leader's frames in.
+        let mut cfg = Config::cluster(3);
+        cfg.suspect_timeout = Dur::from_secs(30);
+        cfg.heartbeat_interval = Dur::from_secs(30);
+        let stalling = Arc::new(AtomicBool::new(false));
+        let leader_stalled = Arc::new(AtomicBool::new(false));
+        let followers_holding = Arc::new(AtomicU64::new(0));
+        let cluster = ReactorCluster::launch_with_storage(
+            cfg,
+            1,
+            noop_factory,
+            None,
+            ReactorConfig::default(),
+            |id| {
+                let dir = root.join(format!("node-{}", id.0));
+                let inner = FlushCoordinator::open(dir, SyncMode::Batched, 1)
+                    .expect("open WAL")
+                    .storage(0);
+                let (stalling, leader_stalled) =
+                    (Arc::clone(&stalling), Arc::clone(&leader_stalled));
+                let holding = Arc::clone(&followers_holding);
+                let leader = id == ProcessId(0);
+                let mut counted = false;
+                vec![Box::new(HookedWal {
+                    inner,
+                    stall: Box::new(move || {
+                        if leader && stalling.load(Ordering::SeqCst) {
+                            leader_stalled.store(true, Ordering::SeqCst);
+                            while stalling.load(Ordering::SeqCst) {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        }
+                    }),
+                    synced: Box::new(move |wal| {
+                        if !leader && !counted && wal.load().accepted.contains_key(&Instance(2)) {
+                            counted = true;
+                            holding.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }),
+                })]
+            },
+        )
+        .expect("launch");
+        let body = cluster
+            .client()
+            .call(RequestKind::Write, Bytes::new())
+            .expect("first write");
+        assert!(matches!(body, ReplyBody::Ok(_)), "got {body:?}");
+        let framed_before = cluster.metrics(0).stats().msgs_out;
+
+        stalling.store(true, Ordering::SeqCst);
+        let id = RequestId::new(cluster.next_client_id(), Seq(1));
+        let mut hello = BytesMut::new();
+        put_addr(&mut hello, &Addr::Client(id.client));
+        let mut frames = Vec::new();
+        write_frame(&mut frames, &hello).expect("hello");
+        let write = Msg::Request(Request::new(id, RequestKind::Write, Bytes::new()));
+        write_frame(
+            &mut frames,
+            encode_with_scratch(&write, &mut BytesMut::new()),
+        )
+        .expect("frame");
+        let mut sock = TcpStream::connect(cluster.addrs[&ProcessId(0)]).expect("connect");
+        sock.write_all(&frames).expect("send");
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while followers_holding.load(Ordering::SeqCst) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "no follower synced the Accept while the leader's barrier ran"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(leader_stalled.load(Ordering::SeqCst), "inside its barrier");
+        assert_eq!(
+            cluster.metrics(0).stats().msgs_out - framed_before,
+            2,
+            "the Accept, to each follower, and nothing else"
+        );
+        sock.set_read_timeout(Some(Duration::from_millis(50))).ok();
+        let mut reader = BufReader::new(sock.try_clone().expect("clone"));
+        match read_frame(&mut reader) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) => {}
+            other => panic!("the client heard {other:?} before the leader's barrier returned"),
+        }
+
+        stalling.store(false, Ordering::SeqCst);
+        sock.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let mut frame = read_frame(&mut reader).expect("reply").expect("conn open");
+        match decode_msg(&mut frame).expect("decode") {
+            Msg::Reply(r) => assert!(matches!(r.body, ReplyBody::Ok(_)), "got {:?}", r.body),
+            other => panic!("got {other:?}"),
+        }
+        let stopped = cluster.shutdown();
+        assert_eq!(stopped[0][0].chosen_prefix(), Instance(2));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     /// A cluster stopped while a decree is in flight — the followers'
     /// disks stall inside the barrier that covers its `Accept` — hands
     /// back replicas that agree: equal prefix, equal state. The leader
@@ -1706,7 +1830,7 @@ mod tests {
                             }
                         }
                     }),
-                    synced: Box::new(|| {}),
+                    synced: Box::new(|_| {}),
                 })]
             },
         )
