@@ -10,6 +10,15 @@
 //! harness also records the client-visible history ([`Observations`])
 //! that the invariant layer checks.
 //!
+//! A step is one cycle of a drive loop, and atomic: the handler runs, its
+//! sends go into an [`Outbox`] and leave through the release every loop
+//! shares (`gridpaxos_core::outbox`) with the cluster as its [`Wire`], so
+//! the covering flush barrier is over before the step's messages (all but
+//! its `Accept`s) are in the network and before the replica's next step —
+//! the checker explores exactly the states group commit can reach. A
+//! crash inside the release is its own choice ([`Choice::PowerCut`]): the
+//! release stops at the barrier.
+//!
 //! Timer liveness uses the same generation scheme as the simulator,
 //! via the shared [`gridpaxos_simnet::sched::TimerGens`] utility: stale
 //! firings (superseded or cancelled) are garbage-collected eagerly so
@@ -19,12 +28,13 @@ use crate::app::{decode_mask, CheckerApp};
 use crate::scenario::{ClientOp, Scenario};
 use gridpaxos_core::action::{Action, TimerKind};
 use gridpaxos_core::msg::Msg;
+use gridpaxos_core::outbox::{release, release_to_barrier, Out, Outbox, Wire};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, Request, RequestId, RequestKind};
 use gridpaxos_core::storage::{MemStorage, Storage, TailLossStorage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, Instance, ProcessId, Seq, Time, TxnId};
 use gridpaxos_simnet::sched::TimerGens;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -177,8 +187,17 @@ pub struct Cluster {
     /// Per-replica clock offset added to the global clock before it is
     /// handed to a replica: bounded clock skew, constant per incarnation.
     skew: Vec<Dur>,
-    /// Seeded mutation: `Accepted` is sent ahead of the barrier too.
+    /// Seeded mutation: a faulty loop that hands an `Accepted` to the
+    /// network as it is made, before the release.
     chaos_accepted_ahead: bool,
+    /// The sends of the step in progress (empty between steps).
+    outbox: Outbox,
+    /// The replica taking it.
+    stepping: ProcessId,
+    /// Its actions in the order the handler made them, a send as `None`
+    /// (it is in the outbox): timers are armed as the sends before them
+    /// leave, so pending events line up as choice numbers assume.
+    step_actions: VecDeque<Option<Action>>,
     n: usize,
 }
 
@@ -214,6 +233,9 @@ impl Cluster {
                 .map(|i| Dur::from_millis(scenario.clock_skew_ms.get(i).copied().unwrap_or(0)))
                 .collect(),
             chaos_accepted_ahead: false,
+            outbox: Outbox::default(),
+            stepping: ProcessId(0),
+            step_actions: VecDeque::new(),
             n,
         };
         for i in 0..n {
@@ -238,15 +260,8 @@ impl Cluster {
                 continue;
             };
             let actions = r.on_start(cl.local_now(i));
-            // Same discipline as the drive loops: the covering flush
-            // barrier is over before the step's messages (all but its
-            // `Accept`s) are in the network and before the replica's next
-            // step, so the checker explores exactly the states group
-            // commit can reach. A step is atomic here; a crash inside the
-            // release is its own choice ([`Choice::PowerCut`]).
-            r.flush_storage();
             cl.replicas[i] = Some(r);
-            cl.process_actions(ProcessId(i as u32), actions);
+            cl.finish_step(i, actions, false);
         }
         cl
     }
@@ -400,17 +415,11 @@ impl Cluster {
     pub fn apply(&mut self, choice: Choice) -> Option<String> {
         self.obs.violation = None;
         match choice {
-            Choice::Deliver(i) => {
+            Choice::Deliver(i) | Choice::PowerCut(i) => {
                 let Event::Msg { from, to, msg, .. } = self.events.remove(i) else {
-                    return Some("schedule error: Deliver on a timer event".into());
+                    return Some(format!("schedule error: {choice:?} on a timer event"));
                 };
-                self.deliver(from, to, msg, false);
-            }
-            Choice::PowerCut(i) => {
-                let Event::Msg { from, to, msg, .. } = self.events.remove(i) else {
-                    return Some("schedule error: PowerCut on a timer event".into());
-                };
-                self.deliver(from, to, msg, true);
+                self.deliver(from, to, msg, matches!(choice, Choice::PowerCut(_)));
             }
             Choice::Drop(i) => {
                 self.events.remove(i);
@@ -445,9 +454,8 @@ impl Cluster {
                     let idx = on.0 as usize;
                     if let Some(mut r) = self.replicas[idx].take() {
                         let actions = r.on_timer(kind, self.local_now(idx));
-                        r.flush_storage();
                         self.replicas[idx] = Some(r);
-                        self.process_actions(on, actions);
+                        self.finish_step(idx, actions, false);
                     }
                 }
             }
@@ -551,24 +559,14 @@ impl Cluster {
         self.obs.violation.take()
     }
 
-    /// One step of replica `to`. With `power_cut`, the replica dies inside
-    /// the release that follows: of a step that made a barrier due only
-    /// the messages sent ahead of it got out, and the disk keeps what the
-    /// previous barrier covered.
+    /// One step of replica `to`; `power_cut` as in [`Cluster::finish_step`].
     fn deliver(&mut self, from: Addr, to: ProcessId, msg: Msg, power_cut: bool) {
         let idx = to.0 as usize;
         // Deliveries to a crashed replica are consumed no-ops (the wire
         // dropped them).
         if let Some(mut r) = self.replicas[idx].take() {
             let was_leader = r.is_leader();
-            let mut actions = r.on_message(from, msg, self.local_now(idx));
-            if power_cut {
-                if r.storage_dirty() {
-                    actions.retain(|a| self.sent_ahead(a));
-                }
-            } else {
-                r.flush_storage();
-            }
+            let actions = r.on_message(from, msg, self.local_now(idx));
             let became_leader = !was_leader && r.is_leader();
             self.replicas[idx] = Some(r);
             if became_leader {
@@ -596,20 +594,49 @@ impl Cluster {
                     ));
                 }
             }
-            self.process_actions(to, actions);
-            if power_cut {
-                self.crash(idx);
-                self.crashes_left -= 1;
-            }
+            self.finish_step(idx, actions, power_cut);
         }
     }
 
-    /// Whether the drive loops send `a` ahead of the flush barrier.
-    fn sent_ahead(&self, a: &Action) -> bool {
-        a.msg().is_some_and(|msg| {
-            msg.precedes_barrier()
-                || (self.chaos_accepted_ahead && matches!(msg, Msg::Accepted { .. }))
-        })
+    /// The rest of live replica `idx`'s step, after its handler returned
+    /// `actions`: the release. With `power_cut` the replica dies inside
+    /// it — of a step that made a barrier due only what leaves ahead of
+    /// the barrier got out, and the disk keeps what the previous barrier
+    /// covered.
+    fn finish_step(&mut self, idx: usize, actions: Vec<Action>, power_cut: bool) {
+        self.stepping = ProcessId(idx as u32);
+        for a in actions {
+            let Some(r) = &self.replicas[idx] else {
+                return;
+            };
+            let out = match a {
+                Action::Send {
+                    to: Addr::Replica(to),
+                    msg: msg @ Msg::Accepted { .. },
+                } if self.chaos_accepted_ahead => {
+                    self.push_msg(Addr::Replica(self.stepping), to, msg);
+                    continue;
+                }
+                Action::Send { to, msg } => Out::One(to, msg),
+                Action::ToAllReplicas { msg } => Out::All(msg),
+                timer @ (Action::SetTimer { .. } | Action::CancelTimer { .. }) => {
+                    self.step_actions.push_back(Some(timer));
+                    continue;
+                }
+            };
+            self.outbox.push(out, r);
+            self.step_actions.push_back(None);
+        }
+        if power_cut {
+            release_to_barrier(self);
+            self.step_actions.clear();
+            self.crash(idx);
+            self.crashes_left -= 1;
+        } else {
+            release(self);
+            self.step_actions.retain(Option::is_some);
+            self.arm_timers();
+        }
     }
 
     fn crash(&mut self, idx: usize) {
@@ -654,43 +681,35 @@ impl Cluster {
             self.local_now(idx),
         );
         let actions = r.on_start(self.local_now(idx));
-        r.flush_storage();
         self.replicas[idx] = Some(r);
-        self.process_actions(id, actions);
+        self.finish_step(idx, actions, false);
     }
 
-    fn process_actions(&mut self, from: ProcessId, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => match to {
-                    Addr::Replica(p) => self.push_msg(Addr::Replica(from), p, msg),
-                    Addr::Client(_) => self.observe_reply(&msg),
-                },
-                Action::ToAllReplicas { msg } => {
-                    for i in 0..self.n {
-                        let p = ProcessId(i as u32);
-                        if p != from {
-                            self.push_msg(Addr::Replica(from), p, msg.clone());
-                        }
-                    }
-                }
+    /// Apply the timer actions the stepping replica's handler made before
+    /// its next send to leave.
+    fn arm_timers(&mut self) {
+        let on = self.stepping;
+        while let Some(Some(timer)) = self.step_actions.front() {
+            match *timer {
                 Action::SetTimer { kind, after } => {
-                    let gen = self.timers.arm((from.0, kind));
+                    let gen = self.timers.arm((on.0, kind));
                     // GC the superseded firing so stale timers never
                     // inflate the choice set.
                     self.gc_timers();
                     self.events.push(Event::Timer {
-                        on: from,
+                        on,
                         kind,
                         gen,
                         due: self.now.after(after),
                     });
                 }
                 Action::CancelTimer { kind } => {
-                    self.timers.cancel((from.0, kind));
+                    self.timers.cancel((on.0, kind));
                     self.gc_timers();
                 }
+                Action::Send { .. } | Action::ToAllReplicas { .. } => {}
             }
+            self.step_actions.pop_front();
         }
     }
 
@@ -822,9 +841,10 @@ impl Cluster {
         }
     }
 
-    /// Seeded mutation of `Msg::precedes_barrier`: from now on the harness
-    /// sends `Accepted` ahead of the barrier as well, so a power cut lets
-    /// an acknowledgement escape whose record the disk then lacks.
+    /// Seeded mutation of the drive loop: from now on the harness hands an
+    /// `Accepted` to the network as the handler makes it, before the
+    /// release, so a power cut lets an acknowledgement escape whose record
+    /// the disk then lacks.
     pub fn chaos_accepted_precedes_barrier(&mut self) {
         self.chaos_accepted_ahead = true;
     }
@@ -876,5 +896,151 @@ impl Cluster {
         self.events
             .iter()
             .position(|e| matches!(e, Event::Msg { to: t, msg, .. } if t.0 == to && pred(msg)))
+    }
+}
+
+impl Wire for Cluster {
+    fn cores(&mut self) -> &mut [Replica] {
+        self.replicas[self.stepping.0 as usize].as_mut_slice()
+    }
+
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
+    }
+
+    /// Into the network: pending events for replicas, the observed
+    /// history for the client.
+    fn transmit(&mut self, outs: &mut Vec<Out>) {
+        let from = self.stepping;
+        for out in outs.drain(..) {
+            self.arm_timers();
+            self.step_actions.pop_front();
+            match out {
+                Out::One(Addr::Replica(p), msg) => self.push_msg(Addr::Replica(from), p, msg),
+                Out::One(Addr::Client(_), msg) => self.observe_reply(&msg),
+                Out::All(msg) => {
+                    for i in 0..self.n {
+                        let p = ProcessId(i as u32);
+                        if p != from {
+                            self.push_msg(Addr::Replica(from), p, msg.clone());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::smoke_scenarios;
+
+    /// The power-cut scenario, a leader elected, with room for the cut
+    /// and a crash to compare it with.
+    fn cluster() -> Cluster {
+        let base = smoke_scenarios()
+            .into_iter()
+            .find(|s| s.name == "accept-ahead-power-cut")
+            .expect("scenario");
+        let opts = HarnessOpts {
+            crashes: 2,
+            ..base.opts
+        };
+        let mut cl = Cluster::new(&Scenario { opts, ..base });
+        while cl.leader().is_none() {
+            let mut choices = cl.choices().into_iter();
+            let next = choices.find(|c| matches!(c, Choice::Deliver(_)));
+            assert_eq!(cl.apply(next.expect("election traffic")), None);
+        }
+        cl
+    }
+
+    /// The choice that runs script step `k` of one durable write: the
+    /// request at the leader, its `Accept` at each follower, the first
+    /// `Accepted` back at the leader.
+    fn choice(cl: &Cluster, k: usize, power_cut: bool) -> (usize, Choice) {
+        let pending = |to: u32, accept: bool| {
+            let tag = if accept { "accept" } else { "accepted" };
+            cl.pending_msg(to, |m| m.tag() == tag).expect("pending")
+        };
+        let (on, at) = match k {
+            0 => (0, None),
+            1 => (1, Some(pending(1, true))),
+            2 => (2, Some(pending(2, true))),
+            _ => (0, Some(pending(0, false))),
+        };
+        let choice = match (at, power_cut) {
+            (None, false) => Choice::Inject,
+            (None, true) => Choice::InjectPowerCut,
+            (Some(i), false) => Choice::Deliver(i),
+            (Some(i), true) => Choice::PowerCut(i),
+        };
+        (on, choice)
+    }
+
+    /// What one step put into the network: tags of the new pending
+    /// events, and the reply if the client got its first.
+    fn step(cl: &mut Cluster, choice: Choice) -> Vec<&'static str> {
+        let tags = |cl: &Cluster| -> Vec<&'static str> {
+            let msgs = cl.events.iter().filter_map(|e| match e {
+                Event::Msg { msg, .. } => Some(msg.tag()),
+                Event::Timer { .. } => None,
+            });
+            msgs.collect()
+        };
+        let replied = |cl: &Cluster| cl.issued.first().is_some_and(|i| i.first_reply.is_some());
+        let (before, answered) = (tags(cl), replied(cl));
+        assert_eq!(cl.apply(choice), None);
+        let mut after = tags(cl);
+        // Every message but the one the step consumed is still pending.
+        for tag in before {
+            if let Some(at) = after.iter().position(|t| *t == tag) {
+                after.remove(at);
+            }
+        }
+        if replied(cl) && !answered {
+            after.insert(0, "reply");
+        }
+        after
+    }
+
+    /// One durable write leaves the checker's cluster as it leaves every
+    /// drive loop: the steps of `outbox_conformance.txt`. A step here is
+    /// atomic, so what left ahead of its barrier is what a power cut
+    /// inside its release lets out, and a barrier ran in it if that cut
+    /// costs the replica a promise or an accept record.
+    #[test]
+    fn a_durable_write_leaves_the_cluster_as_it_leaves_every_loop() {
+        let mut trace = Vec::new();
+        for k in 0..4 {
+            let (mut whole, mut cut) = (cluster(), cluster());
+            for earlier in 0..k {
+                for cl in [&mut whole, &mut cut] {
+                    let (_, c) = choice(cl, earlier, false);
+                    step(cl, c);
+                }
+            }
+            let (on, c) = choice(&whole, k, false);
+            let all = step(&mut whole, c);
+            let (_, c) = choice(&cut, k, true);
+            let ahead = step(&mut cut, c);
+            assert_eq!(cut.apply(Choice::Recover(on as u32)), None);
+            let durable = |cl: &Cluster| {
+                let r = cl.replica(on).expect("live");
+                (r.promised(), r.log_len())
+            };
+            let line = if durable(&whole) == durable(&cut) {
+                assert_eq!(ahead, all, "no barrier: one pass, over before the cut");
+                format!("r{on}: | - | {}", all.join(" "))
+            } else {
+                assert_eq!(all[..ahead.len()], ahead[..], "the ahead list leaves first");
+                let behind = all[ahead.len()..].join(" ");
+                format!("r{on}: {} | flush | {behind}", ahead.join(" "))
+            };
+            trace.push(line.split_whitespace().collect::<Vec<_>>().join(" "));
+        }
+        let golden = include_str!("../../core/src/outbox_conformance.txt");
+        assert_eq!(trace, golden.lines().collect::<Vec<_>>());
     }
 }

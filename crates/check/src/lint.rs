@@ -17,16 +17,22 @@
 //!    and must contain the persist call at all — the paper's §3.1
 //!    recovery model is sound only if promises and acceptances hit stable
 //!    storage before they are announced.
-//! 4. **Flush-before-transmit** (`crates/transport/src`, and the
-//!    classifier in `crates/core/src/msg.rs`): under group commit the
-//!    `Storage` persist calls only *buffer* WAL records; the drive loops'
-//!    `Outbox::release` is where durability actually happens. That
-//!    function must call the `flush_storage` barrier, and the only list
-//!    it may hand to the network before the barrier is the *ahead* list —
-//!    otherwise the batched mode re-introduces the
+//! 4. **Flush-before-transmit** (`crates/core/src/outbox.rs`, the
+//!    classifier in `crates/core/src/msg.rs`, and every caller under
+//!    `crates/{core,transport,simnet,check,bench}/src`): under group
+//!    commit the `Storage` persist calls only *buffer* WAL records; the
+//!    drive loops' `outbox::release` is where durability actually
+//!    happens. Its body (shared with the power cut the checking planes
+//!    take inside it) must call the `flush_storage` barrier, and
+//!    the only list it may hand to the network before the barrier is the
+//!    *ahead* list — otherwise the batched mode re-introduces the
 //!    acknowledge-before-durable bug that rule 3 guards against, one
 //!    level up. What may be on the ahead list is `Msg::precedes_barrier`'s
-//!    answer, and the only variant it may say `true` for is `Accept`.
+//!    answer, and the only variant it may say `true` for is `Accept`. And
+//!    the barrier has one caller: outside the outbox module (and
+//!    `Replica::stop`, the flush on the way out) no non-test code calls
+//!    `flush_storage` or asks `precedes_barrier` — a drive loop that did
+//!    would be a second copy of the order, which this rule could not see.
 //! 5. **No blocking calls on the reactor thread** (`transport/src/reactor.rs`,
 //!    `transport/src/sys.rs`, `transport/src/backpressure.rs`): the epoll
 //!    reactor runs every connection on one thread, so a single blocking
@@ -435,19 +441,7 @@ const PERSIST_RULES: &[(&str, &str, &str)] = &[
 pub fn check_persist_before_send(file: &str, masked: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     for &(fn_name, persist, msg) in PERSIST_RULES {
-        let needle = format!("fn {fn_name}");
-        let mut i = 0;
-        while let Some(pos) = masked[i..].find(&needle) {
-            let start = i + pos;
-            i = start + needle.len();
-            // Word boundary after the name.
-            let after = masked.as_bytes().get(start + needle.len());
-            if after.is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_') {
-                continue;
-            }
-            let Some(body) = fn_body(masked, start) else {
-                continue;
-            };
+        for (start, body) in fns_named(masked, fn_name) {
             let text = &masked[body.clone()];
             let p = text.find(persist);
             let m = text.find(msg);
@@ -483,7 +477,7 @@ pub fn check_persist_before_send(file: &str, masked: &str) -> Vec<Finding> {
 /// where persists are synchronous; this one covers the drive loops, where
 /// persists are *buffered* and the flush barrier is the durable point.
 const FLUSH_RULES: &[(&str, &str, &str, &str)] =
-    &[("release", "flush_storage", "transmit(", "ahead")];
+    &[("release_or_cut", "flush_storage", "transmit(", "ahead")];
 
 /// Rule 4, the order: flush-before-transmit. The drive loops' release
 /// function must contain the `flush_storage` barrier, and a list handed
@@ -493,18 +487,7 @@ const FLUSH_RULES: &[(&str, &str, &str, &str)] =
 pub fn check_flush_barrier(file: &str, masked: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     for &(fn_name, barrier, transmit, ahead) in FLUSH_RULES {
-        let needle = format!("fn {fn_name}");
-        let mut i = 0;
-        while let Some(pos) = masked[i..].find(&needle) {
-            let start = i + pos;
-            i = start + needle.len();
-            let after = masked.as_bytes().get(start + needle.len());
-            if after.is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_') {
-                continue;
-            }
-            let Some(body) = fn_body(masked, start) else {
-                continue;
-            };
+        for (start, body) in fns_named(masked, fn_name) {
             let text = &masked[body.clone()];
             let Some(p_off) = text.find(barrier) else {
                 findings.push(Finding {
@@ -536,6 +519,53 @@ pub fn check_flush_barrier(file: &str, masked: &str) -> Vec<Finding> {
                     });
                 }
             }
+        }
+    }
+    findings
+}
+
+/// The calls that spell the order of sends and barrier, and the files
+/// that may make them: the outbox module, and the classifier's own
+/// recursion into a `Grouped` envelope.
+const BARRIER_CALLS: &[&str] = &["flush_storage(", "precedes_barrier("];
+const BARRIER_CALLERS: &[&str] = &["crates/core/src/outbox.rs", "crates/core/src/msg.rs"];
+/// `Replica::stop`, the one other caller of `flush_storage`.
+const BARRIER_ON_THE_WAY_OUT: (&str, &str) = ("crates/core/src/replica/mod.rs", "fn stop(");
+
+/// Rule 4, the caller: the barrier has one. A call of `flush_storage` or
+/// `precedes_barrier` outside [`BARRIER_CALLERS`] and `Replica::stop` is a
+/// drive loop keeping its own copy of the order. Runs on noise-stripped,
+/// test-masked source.
+#[must_use]
+pub fn check_barrier_callers(file: &str, masked: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    if BARRIER_CALLERS.iter().any(|f| file.ends_with(f)) {
+        return findings;
+    }
+    let (stop_file, stop_fn) = BARRIER_ON_THE_WAY_OUT;
+    let stop = file
+        .ends_with(stop_file)
+        .then(|| masked.find(stop_fn).and_then(|at| fn_body(masked, at)))
+        .flatten();
+    for &call in BARRIER_CALLS {
+        for (off, _) in masked.match_indices(call) {
+            let before = &masked[..off];
+            let longer_name = before.ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
+            let definition = before.ends_with("fn ");
+            if longer_name || definition || stop.as_ref().is_some_and(|body| body.contains(&off)) {
+                continue;
+            }
+            findings.push(Finding {
+                file: file.to_string(),
+                line: line_of(masked, off),
+                rule: "flush-before-transmit",
+                msg: format!(
+                    "`{}` called outside `outbox::release`: the order of sends and \
+                     barrier is written once, and a drive loop buffers its sends in \
+                     an `Outbox` and releases it",
+                    call.trim_end_matches('(')
+                ),
+            });
         }
     }
     findings
@@ -648,6 +678,20 @@ pub fn check_no_blocking(file: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
+/// Every function called exactly `name` that has a body: where its `fn`
+/// keyword starts, and its body's range.
+fn fns_named<'a>(
+    src: &'a str,
+    name: &str,
+) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + 'a {
+    let needle = format!("fn {name}");
+    let ident = |c: &u8| c.is_ascii_alphanumeric() || *c == b'_';
+    let starts: Vec<usize> = src.match_indices(&needle).map(|(at, _)| at).collect();
+    let whole_name = move |at: &usize| !src.as_bytes().get(at + needle.len()).is_some_and(ident);
+    let with_body = |at: usize| fn_body(src, at).map(|body| (at, body));
+    starts.into_iter().filter(whole_name).filter_map(with_body)
+}
+
 /// Byte range of the body (inside the outermost braces) of the function
 /// whose `fn` keyword starts at `fn_start`.
 pub(crate) fn fn_body(src: &str, fn_start: usize) -> Option<std::ops::Range<usize>> {
@@ -689,6 +733,7 @@ pub fn lint_source(label: &str, src: &str, scope: Scope) -> Vec<Finding> {
     let masked = mask_test_items(&cleaned);
     let mut findings = check_msg_wildcards(label, &masked);
     findings.extend(check_barrier_class(label, &masked));
+    findings.extend(check_barrier_callers(label, &masked));
     if scope.no_unwrap {
         findings.extend(check_unwraps(label, &masked));
     }
@@ -719,15 +764,16 @@ pub struct Scope {
 }
 
 /// Lint the repository rooted at `root`. Scopes: the `Msg`-wildcard rule
-/// covers all of `crates/core/src` and `crates/transport/src`; no-unwrap
-/// covers `crates/core/src/replica` and `crates/transport/src`
+/// and the barrier's class (wherever `Msg::precedes_barrier` is defined)
+/// cover `crates/core/src` and `crates/transport/src`; the barrier's one
+/// caller covers those and `crates/{simnet,check,bench}/src`;
+/// no-unwrap covers `crates/core/src/replica` and `crates/transport/src`
 /// (`tests.rs` files and `#[cfg(test)]` items excluded); the persist
-/// rules cover `crates/core/src/replica`; the flush-barrier rule covers
-/// `crates/transport/src` (it keys on the outbox's `release`) and,
-/// wherever it is defined, `Msg::precedes_barrier`; the no-blocking-call
-/// rule covers the
-/// reactor-path modules `reactor.rs`, `sys.rs` and `backpressure.rs`
-/// under `crates/transport/src`.
+/// rules cover `crates/core/src/replica`; the flush-barrier order covers
+/// `crates/core/src` (it keys on `release_or_cut`, the body the outbox's
+/// `release` and `release_to_barrier` share); the
+/// no-blocking-call rule covers the reactor-path modules `reactor.rs`,
+/// `sys.rs` and `backpressure.rs` under `crates/transport/src`.
 pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut files: Vec<(PathBuf, Scope)> = Vec::new();
@@ -742,7 +788,7 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
             Scope {
                 no_unwrap: in_replica && !is_test_file,
                 persist: in_replica && !is_test_file,
-                flush: false,
+                flush: true,
                 no_blocking: false,
             },
         ));
@@ -756,20 +802,33 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
             Scope {
                 no_unwrap: true,
                 persist: false,
-                flush: true,
+                flush: false,
                 no_blocking: reactor_path,
             },
         ));
     })?;
     files.sort_by(|a, b| a.0.cmp(&b.0));
+    let label = |path: &Path| {
+        path.strip_prefix(root)
+            .unwrap_or(path)
+            .display()
+            .to_string()
+    };
     for (path, scope) in files {
         let src = std::fs::read_to_string(&path)?;
-        let label = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .display()
-            .to_string();
-        findings.extend(lint_source(&label, &src, scope));
+        findings.extend(lint_source(&label(&path), &src, scope));
+    }
+    // The other drive loops live here: they too leave the barrier to
+    // the one release.
+    let mut loops: Vec<PathBuf> = Vec::new();
+    for other in ["simnet", "check", "bench"] {
+        collect_rs(&root.join("crates").join(other).join("src"), &mut |p| {
+            loops.push(p.to_path_buf());
+        })?;
+    }
+    for path in loops {
+        let masked = mask_test_items(&strip_noise(&std::fs::read_to_string(&path)?));
+        findings.extend(check_barrier_callers(&label(&path), &masked));
     }
     Ok(findings)
 }

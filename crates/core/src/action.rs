@@ -81,15 +81,6 @@ impl Action {
     pub fn timer(kind: TimerKind, after: Dur) -> Action {
         Action::SetTimer { kind, after }
     }
-
-    /// The message this action sends, if it sends one.
-    #[must_use]
-    pub fn msg(&self) -> Option<&Msg> {
-        match self {
-            Action::Send { msg, .. } | Action::ToAllReplicas { msg } => Some(msg),
-            Action::SetTimer { .. } | Action::CancelTimer { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -53,6 +53,7 @@ pub mod election;
 pub mod log;
 pub mod msg;
 pub mod multi;
+pub mod outbox;
 pub mod replica;
 pub mod request;
 pub mod service;

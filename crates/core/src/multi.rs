@@ -162,11 +162,6 @@ impl MultiReplica {
         self.groups.get(g.0 as usize)
     }
 
-    /// Mutable access to one group's replica (tests, harnesses).
-    pub fn group_mut(&mut self, g: GroupId) -> Option<&mut Replica> {
-        self.groups.get_mut(g.0 as usize)
-    }
-
     /// Consume the process (a crash), keeping each group's stable storage
     /// in group order.
     #[must_use]
@@ -174,32 +169,10 @@ impl MultiReplica {
         self.groups.into_iter().map(Replica::into_storage).collect()
     }
 
-    /// Durability barrier over every group's storage (see
-    /// [`Replica::flush_storage`]). Groups sharing a write-ahead log
-    /// coalesce: after the first dirty group syncs, the rest observe
-    /// clean storage and skip.
-    pub fn flush_all(&mut self) {
-        for r in &mut self.groups {
-            if r.storage_dirty() {
-                r.flush_storage();
-            }
-        }
-    }
-
-    /// Total persist operations recorded across every group's storage
-    /// ([`Storage::write_count`]). The simulator's durability cost
-    /// model charges fsync time from deltas of this sum.
-    #[must_use]
-    pub fn total_writes(&self) -> u64 {
-        self.groups.iter().map(Replica::storage_writes).sum()
-    }
-
-    /// Of [`MultiReplica::total_writes`], the writes that raise a barrier
-    /// ([`Replica::barrier_writes`]): an event during which this did not
-    /// move persisted chosen-prefix marks at most, and owes no sync.
-    #[must_use]
-    pub fn barrier_writes(&self) -> u64 {
-        self.groups.iter().map(Replica::barrier_writes).sum()
+    /// Every group's replica, in group order: the cores of the drive loop
+    /// that hosts this process ([`crate::outbox::Wire::cores`]).
+    pub fn groups_mut(&mut self) -> &mut [Replica] {
+        &mut self.groups
     }
 
     /// Start every group. Actions are tagged with the group they belong

@@ -362,13 +362,21 @@ impl Executor {
         table
     }
 
-    /// State and dedup table, labelled as reflecting the prefix `upto`.
-    pub(crate) fn snapshot(&self, upto: Instance) -> SnapshotBlob {
-        SnapshotBlob {
+    /// State and dedup table of the chosen prefix, which the caller says
+    /// is `upto`. An open window's execution stays out of it: the state is
+    /// the one the window saved — or `None`, ask again once the window is
+    /// closed, where the app keeps an undo log instead and the prefix
+    /// cannot be read beside the execution.
+    pub(crate) fn snapshot(&self, upto: Instance) -> Option<SnapshotBlob> {
+        let app = match &self.window {
+            None => self.state(),
+            Some(window) => window.pre.clone()?,
+        };
+        Some(SnapshotBlob {
             upto,
-            app: self.state(),
+            app,
             dedup: self.dedup_table(),
-        }
+        })
     }
 
     /// Replace everything with `snap` (a checkpoint at recovery, a

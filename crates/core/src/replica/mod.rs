@@ -395,12 +395,14 @@ impl Replica {
 
     /// Durability barrier ([`Storage::flush`]): everything the handlers
     /// persisted so far is on stable storage when this returns. When
-    /// [`Replica::storage_dirty`] says a barrier is due, the drive loop
-    /// must complete it before it transmits any message those handlers
-    /// produced, except the ones [`Msg::precedes_barrier`] lets go first
-    /// (`Accept`: the sync then runs beside the followers' round trip),
-    /// and before it runs this replica's next handler — persist-before-
-    /// send at batch granularity (§3.1/§3.3).
+    /// [`Replica::storage_dirty`] says a barrier is due, it must complete
+    /// before any message those handlers produced is transmitted, except
+    /// the ones [`Msg::precedes_barrier`] lets go first (`Accept`: the
+    /// sync then runs beside the followers' round trip), and before this
+    /// replica's next handler runs — persist-before-send at batch
+    /// granularity (§3.1/§3.3). A drive loop does not call this: it
+    /// buffers its sends in an [`crate::outbox::Outbox`] and calls
+    /// [`crate::outbox::release`], which does.
     pub fn flush_storage(&mut self) {
         self.stable.flush();
     }
@@ -423,20 +425,6 @@ impl Replica {
     #[must_use]
     pub fn storage_dirty(&self) -> bool {
         self.stable.barrier_due()
-    }
-
-    /// Total persist operations this replica's storage has recorded
-    /// ([`Storage::write_count`]).
-    pub(crate) fn storage_writes(&self) -> u64 {
-        self.stable.get().write_count()
-    }
-
-    /// Acknowledgeable records written so far: the ones that make a
-    /// barrier due ([`Replica::storage_dirty`]). The simulator's
-    /// durability model charges an event a sync only when this moved.
-    #[must_use]
-    pub fn barrier_writes(&self) -> u64 {
-        self.stable.barrier_writes()
     }
 
     // ------------------------------------------------------------------
@@ -836,8 +824,9 @@ impl Replica {
             return;
         }
         let my_prefix = self.log.chosen_prefix();
+        // (No window is open here: a replica that promises does not lead.)
         let snapshot = if my_prefix > cand_prefix {
-            Some(self.exec.snapshot(my_prefix))
+            self.exec.snapshot(my_prefix)
         } else {
             None
         };
@@ -977,7 +966,6 @@ impl Replica {
         if upto <= have {
             return;
         }
-        self.stats.catchups_served += 1;
         let msg = match self.log.chosen_range(have, upto) {
             Some(entries) => Msg::CatchUp {
                 ballot,
@@ -1018,17 +1006,25 @@ impl Replica {
                                 upto,
                             },
                         ));
+                        self.stats.catchups_served += 1;
                         return;
                     }
                 }
+                // Beside a decree still being proposed, an app that keeps
+                // an undo log cannot show the prefix: the requester asks
+                // again with the next heartbeat, the window closed by then.
+                let Some(snapshot) = self.exec.snapshot(upto) else {
+                    return;
+                };
                 Msg::CatchUp {
                     ballot,
                     entries: Vec::new(),
-                    snapshot: Some(self.exec.snapshot(upto)),
+                    snapshot: Some(snapshot),
                     upto,
                 }
             }
         };
+        self.stats.catchups_served += 1;
         out.push(Action::send(from, msg));
     }
 
@@ -1196,8 +1192,10 @@ impl Replica {
             }
             return;
         }
-        // Legacy stop-the-world checkpoint.
-        let snap = self.exec.snapshot(prefix);
+        // Legacy stop-the-world checkpoint (never due over an open window).
+        let Some(snap) = self.exec.snapshot(prefix) else {
+            return;
+        };
         self.stable.unacked().save_checkpoint(&snap);
         self.checkpointed(snap.upto, snap.app.len() as u64, 1, Dur::ZERO);
     }

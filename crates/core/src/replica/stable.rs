@@ -37,9 +37,6 @@ pub(crate) struct Stable {
     storage: Box<dyn Storage>,
     /// An acknowledgeable record was written since the last barrier.
     barrier_due: bool,
-    /// Acknowledgeable records written, ever (the simulator's cost model
-    /// reads deltas of this).
-    barrier_writes: u64,
 }
 
 impl Stable {
@@ -47,7 +44,6 @@ impl Stable {
         Stable {
             storage,
             barrier_due: false,
-            barrier_writes: 0,
         }
     }
 
@@ -59,7 +55,6 @@ impl Stable {
     /// Write a record a message may acknowledge: raises the barrier.
     pub(crate) fn acked(&mut self) -> &mut dyn Storage {
         self.barrier_due = true;
-        self.barrier_writes += 1;
         self.storage.as_mut()
     }
 
@@ -79,10 +74,6 @@ impl Stable {
     pub(crate) fn flush(&mut self) {
         self.storage.flush();
         self.barrier_due = false;
-    }
-
-    pub(crate) fn barrier_writes(&self) -> u64 {
-        self.barrier_writes
     }
 
     pub(crate) fn into_inner(self) -> Box<dyn Storage> {

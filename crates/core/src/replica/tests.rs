@@ -1,14 +1,14 @@
 //! Unit tests for the replica roles, driven by a zero-latency in-memory
 //! shuttle (failure-free runs need no timers; tests fire timers manually
-//! where a scenario depends on them). The shuttle keeps the drive loops'
-//! order: of a step that made a barrier due, the messages
-//! [`Msg::precedes_barrier`] lets go leave first, then the barrier runs,
-//! then the rest leave.
+//! where a scenario depends on them). The shuttle is a drive loop like
+//! the others: a replica's step leaves through [`crate::outbox::release`],
+//! with the shuttle's queue as the network.
 
 use super::*;
 use crate::client::ClientCore;
 use crate::config::{ReadMode, TxnMode, ValueMode};
 use crate::msg::Msg;
+use crate::outbox::{release, release_to_barrier, Out, Outbox, Wire};
 use crate::request::{AbortReason, ReplyBody, RequestKind};
 use crate::service::NoopApp;
 use crate::storage::{DurableState, MemStorage, Storage, TailLossStorage};
@@ -22,6 +22,15 @@ struct Shuttle {
     queue: std::collections::VecDeque<(Addr, Addr, Msg)>, // (from, to, msg)
     client_inbox: Vec<(ClientId, Msg)>,
     now: Time,
+    /// The sends of the replica step in progress, and whose it is.
+    outbox: Outbox,
+    stepping: usize,
+    /// Of that step, what is out: the tag, and whether the replica's
+    /// barrier was still due when it left.
+    out: Vec<(bool, &'static str)>,
+    /// One line per replica step that sent anything, in the words of
+    /// `outbox_conformance.txt`.
+    trace: Vec<String>,
 }
 
 impl Shuttle {
@@ -60,6 +69,10 @@ impl Shuttle {
             queue: Default::default(),
             client_inbox: Vec::new(),
             now: Time::ZERO,
+            outbox: Outbox::default(),
+            stepping: 0,
+            out: Vec::new(),
+            trace: Vec::new(),
         };
         for i in 0..n {
             let actions = s.replicas[i].as_mut().unwrap().on_start(Time::ZERO);
@@ -73,42 +86,63 @@ impl Shuttle {
         self.replicas.len()
     }
 
+    /// What `from` does with `actions`: a client sends them as they are,
+    /// a replica releases them as one step's outbox.
     fn enqueue(&mut self, from: Addr, actions: Vec<Action>) {
-        let behind = self.send_ahead(from, actions);
-        if let Some(r) = from
-            .as_replica()
-            .and_then(|p| self.replicas[p.0 as usize].as_mut())
-        {
-            if r.storage_dirty() {
-                r.flush_storage();
+        match from {
+            Addr::Client(_) => self.send(from, actions),
+            Addr::Replica(p) => {
+                self.buffer(p, actions);
+                let due = self.replica(p.0).storage_dirty();
+                release(self);
+                let flushed = due && !self.replica(p.0).storage_dirty();
+                self.trace_step(if flushed { "flush" } else { "-" });
             }
         }
-        self.send(from, behind);
     }
 
-    /// Put on the wire what `from`'s step may send before its barrier,
-    /// and hand back the rest.
-    fn send_ahead(&mut self, from: Addr, actions: Vec<Action>) -> Vec<Action> {
-        let barrier_due = from
-            .as_replica()
-            .and_then(|p| self.replicas[p.0 as usize].as_ref())
-            .is_some_and(Replica::storage_dirty);
-        let (ahead, behind) = actions
-            .into_iter()
-            .partition(|a| barrier_due && a.msg().is_some_and(Msg::precedes_barrier));
-        self.send(from, ahead);
-        behind
+    fn trace_step(&mut self, barrier: &str) {
+        let side = |due: bool| {
+            let tags = self.out.iter().filter(|(d, _)| *d == due);
+            tags.map(|(_, tag)| *tag).collect::<Vec<_>>().join(" ")
+        };
+        if !self.out.is_empty() {
+            let line = format!(
+                "r{}: {} | {barrier} | {}",
+                self.stepping,
+                side(true),
+                side(false)
+            );
+            // Single spaces, as the file has them.
+            let words: Vec<_> = line.split_whitespace().collect();
+            self.trace.push(words.join(" "));
+        }
+        self.out.clear();
     }
 
-    /// Power fails on replica `p` between the two halves of a release:
-    /// what may precede the barrier of its last step is on the wire, the
-    /// barrier never returned. Returns what its disk holds.
+    fn buffer(&mut self, p: ProcessId, actions: Vec<Action>) {
+        self.stepping = p.0 as usize;
+        let from = self.replicas[self.stepping].as_ref().unwrap();
+        for a in actions {
+            match a {
+                Action::Send { to, msg } => self.outbox.push(Out::One(to, msg), from),
+                Action::ToAllReplicas { msg } => self.outbox.push(Out::All(msg), from),
+                Action::SetTimer { .. } | Action::CancelTimer { .. } => {}
+            }
+        }
+    }
+
+    /// Power fails on replica `p` inside the release of its last step:
+    /// what may precede the barrier is on the wire, the barrier never
+    /// returned. Returns what its disk holds.
     fn power_cut_mid_barrier(
         &mut self,
         p: u32,
         actions: Vec<Action>,
     ) -> crate::storage::DurableState {
-        self.send_ahead(Addr::Replica(ProcessId(p)), actions);
+        self.buffer(ProcessId(p), actions);
+        release_to_barrier(self);
+        self.out.clear();
         self.crash(p).load()
     }
 
@@ -116,15 +150,17 @@ impl Shuttle {
         for a in actions {
             match a {
                 Action::Send { to, msg } => self.queue.push_back((from, to, msg)),
-                Action::ToAllReplicas { msg } => {
-                    for i in 0..self.n() {
-                        let to = Addr::Replica(ProcessId(i as u32));
-                        if to != from {
-                            self.queue.push_back((from, to, msg.clone()));
-                        }
-                    }
-                }
+                Action::ToAllReplicas { msg } => self.send_all(from, msg),
                 Action::SetTimer { .. } | Action::CancelTimer { .. } => {}
+            }
+        }
+    }
+
+    fn send_all(&mut self, from: Addr, msg: Msg) {
+        for i in 0..self.n() {
+            let to = Addr::Replica(ProcessId(i as u32));
+            if to != from {
+                self.queue.push_back((from, to, msg.clone()));
             }
         }
     }
@@ -214,6 +250,46 @@ impl Shuttle {
             assert_eq!(w[0], w[1], "replica states diverged");
         }
     }
+}
+
+impl Wire for Shuttle {
+    fn cores(&mut self) -> &mut [Replica] {
+        self.replicas[self.stepping].as_mut_slice()
+    }
+
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
+    }
+
+    fn transmit(&mut self, outs: &mut Vec<Out>) {
+        let from = Addr::Replica(ProcessId(self.stepping as u32));
+        let due = self.replica(self.stepping as u32).storage_dirty();
+        for out in outs.drain(..) {
+            let queued = self.queue.len();
+            let tag = out.msg().tag();
+            match out {
+                Out::One(to, msg) => self.queue.push_back((from, to, msg)),
+                Out::All(msg) => self.send_all(from, msg),
+            }
+            let copies = self.queue.len() - queued;
+            self.out.extend(std::iter::repeat_n((due, tag), copies));
+        }
+    }
+}
+
+/// One durable write — request, `Accept` to both followers, the first
+/// `Accepted`, `Reply` and `Chosen` — leaves this loop as it leaves every
+/// other: `outbox_conformance.txt` holds the steps, and the simulator's
+/// node, the model checker's cluster and the portable node loop are held
+/// to the same file by tests of their own.
+#[test]
+fn a_durable_write_leaves_the_shuttle_as_it_leaves_every_loop() {
+    let mut s = Shuttle::on_disks(cluster_cfg(3), tail_loss_disks(3));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    s.trace.clear(); // the election
+    s.submit(&mut c, RequestKind::Write);
+    let golden = include_str!("../outbox_conformance.txt");
+    assert_eq!(s.trace, golden.lines().collect::<Vec<_>>());
 }
 
 fn cluster_cfg(n: usize) -> Config {
@@ -504,7 +580,10 @@ fn stopped_leader_hands_back_its_chosen_prefix_state() {
 
 /// The first message of its kind among `actions`.
 fn sent(actions: &[Action], want: impl Fn(&Msg) -> bool) -> Msg {
-    let mut msgs = actions.iter().filter_map(Action::msg);
+    let mut msgs = actions.iter().filter_map(|a| match a {
+        Action::Send { msg, .. } | Action::ToAllReplicas { msg } => Some(msg),
+        Action::SetTimer { .. } | Action::CancelTimer { .. } => None,
+    });
     msgs.find(|m| want(m)).cloned().expect("message sent")
 }
 
@@ -1011,6 +1090,66 @@ fn a_power_cut_mid_barrier_lets_nothing_but_accepts_escape() {
     let disk = s.power_cut_mid_barrier(0, actions);
     assert!(disk.accepted.is_empty());
     nothing_escaped(&s, "Reply");
+}
+
+/// A leader asked for catch-up while its window is open, by a follower
+/// its log no longer reaches and with no retained chunks to stream
+/// (monolithic checkpoints), serves a snapshot of the chosen prefix — not
+/// of the prefix plus the decree it is still proposing, labelled as the
+/// prefix. [`Dice`] rolls per write, so the unchosen roll would show.
+#[test]
+fn catch_up_snapshot_served_over_an_open_window_is_the_chosen_prefix() {
+    let cfg = cluster_cfg(3)
+        .with_checkpoint_every(2)
+        .with_checkpoint_chunk_bytes(0);
+    let disks = (0..3).map(|_| Box::new(MemStorage::new()) as Box<dyn Storage>);
+    let mut s = Shuttle::serving(cfg.clone(), disks.collect(), || Box::new(Dice::default()));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    s.crash(2);
+    for _ in 0..4 {
+        s.submit(&mut c, RequestKind::Write);
+    }
+
+    // A fifth write is executed and proposed, and its `Accept` goes nowhere.
+    let request = sent(&c.submit_op(RequestKind::Write, Bytes::new(), s.now), |m| {
+        matches!(m, Msg::Request(_))
+    });
+    let now = s.now;
+    let leader = s.replicas[0].as_mut().unwrap();
+    let proposed = leader.on_message(Addr::Client(c.id()), request, now);
+    sent(&proposed, |m| matches!(m, Msg::Accept { .. }));
+    assert_eq!(leader.chosen_prefix(), Instance(4));
+    assert_eq!(leader.service_snapshot().len(), 5 * 8, "the window is open");
+
+    // An empty r2 asks for everything.
+    let r2 = Addr::Replica(ProcessId(2));
+    let served = leader.on_message(
+        r2,
+        Msg::CatchUpReq {
+            have: Instance::ZERO,
+        },
+        now,
+    );
+    let catch_up = sent(&served, |m| matches!(m, Msg::CatchUp { .. }));
+    let mut follower = Replica::new(
+        ProcessId(2),
+        cfg,
+        Box::new(Dice::default()),
+        Box::new(MemStorage::new()),
+        9,
+        now,
+    );
+    follower.on_message(Addr::Replica(ProcessId(0)), catch_up, now);
+    assert_eq!(follower.chosen_prefix(), Instance(4));
+
+    let leader = s.replicas[0].as_mut().unwrap();
+    leader.stop(); // abandons the fifth write
+    assert_eq!(leader.service_snapshot().len(), 4 * 8);
+    assert_eq!(
+        follower.service_snapshot(),
+        leader.service_snapshot(),
+        "equal prefix, equal state"
+    );
 }
 
 fn open_r1(storage: MemStorage) -> Replica {
@@ -2245,6 +2384,16 @@ impl ExecScript {
         if window.is_none() {
             let table = self.exec.last_reply(ClientId(1)).map(|(seq, _)| seq);
             assert_eq!(table, last.map(|id| id.seq), "dedup follows chosen");
+        }
+        // A snapshot is of the chosen decrees alone — or, beside a window
+        // that an undo log holds open, not to be had.
+        let mut prefix = Executor::new(Box::new(NoopApp::new()), ValueMode::ReqState);
+        for decree in &self.chosen {
+            prefix.chosen(decree, &mut self.rng.clone());
+        }
+        match self.exec.snapshot(Instance(self.chosen.len() as u64)) {
+            Some(snap) => assert_eq!(snap.app, prefix.state()),
+            None => assert!(window.is_some(), "only an open window hides the prefix"),
         }
     }
 }

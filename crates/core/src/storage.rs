@@ -21,6 +21,8 @@ use crate::command::{Decree, DedupEntry, SnapshotBlob};
 use crate::types::Instance;
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A chunked checkpoint as held by a [`Storage`] backend: the frozen
 /// apply epoch, the dedup table at that epoch and the app-state chunks
@@ -88,9 +90,8 @@ impl DurableState {
 /// barrier that makes everything recorded so far durable. The protocol's
 /// persist-before-send rule (§3.1/§3.3) therefore holds as long as the
 /// embedding runtime calls `flush()` after the handlers run and before
-/// any resulting `Promise`/`Accepted` leaves the process; see
-/// `gridpaxos_transport::reactor` (and the portable
-/// `gridpaxos_transport::node`) for the drive loops that enforce it.
+/// any resulting `Promise`/`Accepted` leaves the process; every drive
+/// loop does by sending through [`crate::outbox::release`].
 /// The file backend syncs nowhere else; a backend that keeps state
 /// purely in memory leaves `flush` a no-op.
 pub trait Storage: Send {
@@ -121,8 +122,7 @@ pub trait Storage: Send {
     fn is_dirty(&self) -> bool {
         false
     }
-    /// Total persist operations recorded so far (observability: the
-    /// simulator's durability cost model reads deltas of this counter).
+    /// Total persist operations recorded so far (observability).
     fn write_count(&self) -> u64 {
         0
     }
@@ -164,6 +164,16 @@ pub trait Storage: Send {
     }
 }
 
+/// What the [`MemStorage`]s that share it did, for a simulator that
+/// charges for it ([`MemStorage::modelled`]).
+#[derive(Debug, Default)]
+pub struct DiskMeter {
+    /// Records appended.
+    pub appends: AtomicU64,
+    /// Barriers that had something to sync.
+    pub syncs: AtomicU64,
+}
+
 /// In-memory [`Storage`]. "Durability" means surviving a *simulated* crash:
 /// the embedding runtime detaches the storage from the dead replica and
 /// hands it to the recovered incarnation.
@@ -178,6 +188,10 @@ pub struct MemStorage {
     /// Number of persist operations performed (observability for tests
     /// and the write-amplification ablation bench).
     pub writes: u64,
+    /// A modelled disk: where it reports, and whether its syncs cost
+    /// anything — only then is a write unsynced until the next `flush`.
+    model: Option<(Arc<DiskMeter>, bool)>,
+    unsynced: bool,
 }
 
 impl MemStorage {
@@ -186,23 +200,43 @@ impl MemStorage {
     pub fn new() -> MemStorage {
         MemStorage::default()
     }
+
+    /// Fresh, empty storage that models a disk: every append and every
+    /// barrier that ran is counted in `meter`, and with `syncs_cost` a
+    /// write makes it [`Storage::is_dirty`] until [`Storage::flush`], so
+    /// the drive loops' release runs its barrier as on a real log.
+    #[must_use]
+    pub fn modelled(meter: Arc<DiskMeter>, syncs_cost: bool) -> MemStorage {
+        MemStorage {
+            model: Some((meter, syncs_cost)),
+            ..MemStorage::default()
+        }
+    }
+
+    fn wrote(&mut self) {
+        self.writes += 1;
+        if let Some((meter, syncs_cost)) = &self.model {
+            meter.appends.fetch_add(1, Ordering::Relaxed);
+            self.unsynced = *syncs_cost;
+        }
+    }
 }
 
 impl Storage for MemStorage {
     fn save_promised(&mut self, b: Ballot) {
         self.state.promised = b;
-        self.writes += 1;
+        self.wrote();
     }
 
     fn save_accepted(&mut self, i: Instance, b: Ballot, d: &Decree) {
         self.state.accepted.insert(i, (b, d.clone()));
-        self.writes += 1;
+        self.wrote();
     }
 
     fn save_chosen_prefix(&mut self, upto: Instance) {
         debug_assert!(upto >= self.state.chosen_prefix);
         self.state.chosen_prefix = upto;
-        self.writes += 1;
+        self.wrote();
     }
 
     fn save_checkpoint(&mut self, snap: &SnapshotBlob) {
@@ -210,12 +244,12 @@ impl Storage for MemStorage {
         // A monolithic save supersedes any chunked image (e.g. a catch-up
         // snapshot installed over a half-streamed checkpoint).
         self.chunked = None;
-        self.writes += 1;
+        self.wrote();
     }
 
     fn truncate_upto(&mut self, upto: Instance) {
         self.state.accepted = self.state.accepted.split_off(&upto.next());
-        self.writes += 1;
+        self.wrote();
     }
 
     fn load(&self) -> DurableState {
@@ -228,9 +262,19 @@ impl Storage for MemStorage {
         d
     }
 
-    // `flush` stays the default no-op: a MemStorage write is "durable"
-    // the moment it lands in the struct, so the barrier has nothing to do
-    // and `is_dirty` is always false.
+    // Unless a disk is modelled, a write is "durable" the moment it lands
+    // in the struct: the barrier has nothing to do and is never due.
+    fn flush(&mut self) {
+        if let Some((meter, _)) = &self.model {
+            if std::mem::take(&mut self.unsynced) {
+                meter.syncs.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.unsynced
+    }
 
     fn write_count(&self) -> u64 {
         self.writes
@@ -249,7 +293,7 @@ impl Storage for MemStorage {
             },
             total,
         ));
-        self.writes += 1;
+        self.wrote();
     }
 
     fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
@@ -257,7 +301,7 @@ impl Storage for MemStorage {
             debug_assert_eq!(idx, ck.chunks.len(), "chunks arrive in order");
             ck.chunks.push(data);
         }
-        self.writes += 1;
+        self.wrote();
     }
 
     fn checkpoint_commit(&mut self) {
@@ -268,7 +312,7 @@ impl Storage for MemStorage {
             // monolithic blob so `load` can't resurrect it.
             self.state.checkpoint = None;
         }
-        self.writes += 1;
+        self.wrote();
     }
 
     fn checkpoint_abort(&mut self) {

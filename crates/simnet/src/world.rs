@@ -6,6 +6,12 @@
 //! replicas pay CPU costs from the [`crate::cpu::CpuModel`], which models
 //! each replica as a single-server queue (events wait while the process is
 //! busy). Everything is seeded, so runs are bit-for-bit reproducible.
+//!
+//! A replica event is one cycle of a drive loop: the node's sends go into
+//! an [`Outbox`] and leave through the release every loop shares
+//! (`gridpaxos_core::outbox`), with `NodeWire` as its [`Wire`] on the
+//! virtual clock and a modelled disk ([`MemStorage::modelled`]) per
+//! group as the storage whose barrier it runs.
 
 use crate::cpu::CpuModel;
 use crate::metrics::Metrics;
@@ -17,14 +23,17 @@ use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::multi::MultiReplica;
+use gridpaxos_core::outbox::{release, Out, Outbox, Wire};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::service::App;
-use gridpaxos_core::storage::{MemStorage, Storage};
+use gridpaxos_core::storage::{DiskMeter, MemStorage, Storage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, ProcessId, Time};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// How the simulation charges for stable storage (the WAL fsyncs a real
 /// durable deployment pays).
@@ -34,23 +43,8 @@ pub enum DurabilityMode {
     /// matches the behavior before the durability model existed).
     #[default]
     None,
-    /// Group commit, the drive loops' flush barrier
-    /// (`transport::outbox`): an event that wrote a record a message can
-    /// acknowledge (`Replica::storage_dirty`) and sends anything pays one
-    /// `fsync`, which starts when its CPU work ends. Its `Accept`s
-    /// ([`Msg::precedes_barrier`]) depart then, beside the sync; every
-    /// other message departs when the sync is over (persist-before-send),
-    /// and so does the node's next event — the loop's thread is inside
-    /// `flush()` until then, which is what keeps a leader from counting
-    /// its own unflushed vote with a follower's `Accepted`. An event that
-    /// sends nothing, or whose only records are chosen-prefix marks (a
-    /// leader committing, a follower learning `Chosen`), opens no barrier:
-    /// no message acknowledges those records, so they ride the next one.
-    /// An unloaded write costs three syncs — the leader's accept and each
-    /// follower's — of which the client waits for one:
-    /// `2M + E + max(S, 2m + S)`. One event is one cycle of the loop; the
-    /// records of a node's several groups sharing a cycle's sync are not
-    /// modelled.
+    /// Group commit: the loops' `release` on a disk whose sync costs
+    /// [`CpuModel::fsync`].
     Batched,
 }
 
@@ -186,6 +180,10 @@ pub struct World {
     app_factory: Box<dyn Fn(GroupId) -> Box<dyn App> + Send>,
     partitions: Vec<Partition>,
     trace: Option<Trace>,
+    /// The sends of the replica event in progress (empty between events).
+    outbox: Outbox,
+    /// What the nodes' disks did during it.
+    disks: Arc<DiskMeter>,
 }
 
 impl World {
@@ -234,9 +232,15 @@ impl World {
             app_factory,
             partitions: Vec::new(),
             trace: None,
+            outbox: Outbox::default(),
+            disks: Arc::default(),
         };
         for i in 0..n {
-            let mut storages = || Box::new(MemStorage::new()) as Box<dyn Storage>;
+            let syncs_cost = w.opts.durability == DurabilityMode::Batched;
+            let disks = &w.disks;
+            let mut storages = || {
+                Box::new(MemStorage::modelled(Arc::clone(disks), syncs_cost)) as Box<dyn Storage>
+            };
             let r = MultiReplica::new(
                 ProcessId(i as u32),
                 w.cfg.clone(),
@@ -253,7 +257,7 @@ impl World {
                 Slot::Up(r) => r.on_start(Time::ZERO),
                 Slot::Down(_) => unreachable!("fresh replicas are up"),
             };
-            w.dispatch(Addr::Replica(ProcessId(i as u32)), actions, Time::ZERO);
+            w.cycle(i, actions, Time::ZERO);
         }
         w
     }
@@ -520,9 +524,8 @@ impl World {
                     );
                     let actions = m.on_start(self.now);
                     self.replicas[p.0 as usize] = Slot::Up(m);
-                    self.busy_until[p.0 as usize] = self.now;
                     let now = self.now;
-                    self.dispatch(Addr::Replica(p), actions, now);
+                    self.cycle(p.0 as usize, actions, now);
                 }
             }
         }
@@ -560,18 +563,13 @@ impl World {
                 };
                 *self.metrics.msgs_by_tag.entry(msg.tag()).or_default() += 1;
                 let recv_cost = self.opts.cpu.recv_cost(&msg);
-                let (writes, barrier_writes) = (m.total_writes(), m.barrier_writes());
                 let actions = m.on_message(from, msg, self.now);
-                let persists = m.total_writes() - writes;
-                let barrier_due = m.barrier_writes() > barrier_writes;
                 let cpu_done = self.now.after(recv_cost).after(actions_send_cost(
                     &self.opts.cpu,
                     &actions,
                     self.cfg.n,
                 ));
-                self.busy_until[idx] = cpu_done;
-                let send_at = self.durability_gate(idx, persists, barrier_due, &actions, cpu_done);
-                self.dispatch_at(to, actions, send_at, cpu_done);
+                self.cycle(idx, actions, cpu_done);
             }
             Addr::Client(c) => {
                 *self.metrics.msgs_by_tag.entry(msg.tag()).or_default() += 1;
@@ -580,7 +578,7 @@ impl World {
                     return;
                 };
                 let (done, actions) = cl.core.on_message(msg, now);
-                self.dispatch_flat(to, actions, now);
+                self.dispatch_client(to, actions);
                 if let Some(done) = done {
                     let Some(cl) = self.clients.get_mut(&c) else {
                         return;
@@ -617,16 +615,11 @@ impl World {
                 let Slot::Up(m) = &mut self.replicas[idx] else {
                     return;
                 };
-                let (writes, barrier_writes) = (m.total_writes(), m.barrier_writes());
                 let actions = m.on_timer(group, kind, self.now);
-                let persists = m.total_writes() - writes;
-                let barrier_due = m.barrier_writes() > barrier_writes;
                 let cpu_done =
                     self.now
                         .after(actions_send_cost(&self.opts.cpu, &actions, self.cfg.n));
-                self.busy_until[idx] = cpu_done;
-                let send_at = self.durability_gate(idx, persists, barrier_due, &actions, cpu_done);
-                self.dispatch_at(who, actions, send_at, cpu_done);
+                self.cycle(idx, actions, cpu_done);
             }
             Addr::Client(c) => {
                 let now = self.now;
@@ -634,7 +627,7 @@ impl World {
                     return;
                 };
                 let actions = cl.core.on_timer(kind, now);
-                self.dispatch_flat(who, actions, now);
+                self.dispatch_client(who, actions);
             }
         }
     }
@@ -648,89 +641,43 @@ impl World {
             return;
         }
         if let Some(actions) = cl.driver.kick(&mut cl.core, now) {
-            self.dispatch_flat(Addr::Client(c), actions, now);
+            self.dispatch_client(Addr::Client(c), actions);
         }
     }
 
-    /// Charge the durability model for `persists` records written by an
-    /// event whose CPU work ends at `cpu_done`; `barrier_due` says whether
-    /// any of them was more than a chosen-prefix mark. Returns when the
-    /// barrier the event opened is over: its messages depart then
-    /// (persist-before-send), all but the class that precedes the barrier,
-    /// and the node takes no other event before.
-    fn durability_gate(
-        &mut self,
-        idx: usize,
-        persists: u64,
-        barrier_due: bool,
-        actions: &[(GroupId, Action)],
-        cpu_done: Time,
-    ) -> Time {
-        if persists == 0 {
-            return cpu_done;
-        }
-        self.metrics.wal_appends += persists;
-        let sends = actions
-            .iter()
-            .any(|(_, a)| matches!(a, Action::Send { .. } | Action::ToAllReplicas { .. }));
-        if self.opts.durability == DurabilityMode::None || !sends || !barrier_due {
-            return cpu_done;
-        }
-        self.metrics.fsyncs += 1;
-        let done = cpu_done.after(self.opts.cpu.fsync);
-        self.busy_until[idx] = done;
-        done
+    /// One cycle of replica `idx`'s drive loop, its CPU work over at
+    /// `cpu_done`: timers are armed from then (a barrier delays sends, not
+    /// the process's clock), and the sends leave through the release
+    /// every loop shares, with [`NodeWire`] keeping the time.
+    fn cycle(&mut self, idx: usize, actions: Vec<(GroupId, Action)>, cpu_done: Time) {
+        self.busy_until[idx] = cpu_done;
+        self.dispatch(Addr::Replica(ProcessId(idx as u32)), actions, cpu_done);
+        release(&mut NodeWire {
+            world: self,
+            idx,
+            clock: cpu_done,
+        });
+        self.metrics.wal_appends += self.disks.appends.swap(0, Ordering::Relaxed);
     }
 
-    /// Dispatch untagged actions (clients, which run no per-group state):
-    /// their timers key under group 0.
-    fn dispatch_flat(&mut self, from: Addr, actions: Vec<Action>, depart: Time) {
+    /// Clients run no per-group state: their timers key under group 0.
+    fn dispatch_client(&mut self, from: Addr, actions: Vec<Action>) {
         let tagged = actions.into_iter().map(|a| (GroupId::ZERO, a)).collect();
-        self.dispatch(from, tagged, depart);
+        self.dispatch(from, tagged, self.now);
     }
 
-    fn dispatch(&mut self, from: Addr, actions: Vec<(GroupId, Action)>, depart: Time) {
-        self.dispatch_at(from, actions, depart, depart);
-    }
-
-    /// Like [`World::dispatch`] with separate departure times: messages
-    /// leave at `send_at` (after any covering flush barrier) unless
-    /// [`Msg::precedes_barrier`] lets them leave at `cpu_done`, and timers
-    /// are armed relative to `cpu_done` (the durability barrier delays
-    /// sends, not the process's clock).
-    fn dispatch_at(
-        &mut self,
-        from: Addr,
-        actions: Vec<(GroupId, Action)>,
-        send_at: Time,
-        cpu_done: Time,
-    ) {
-        let depart_of = |msg: &Msg| {
-            if msg.precedes_barrier() {
-                cpu_done
-            } else {
-                send_at
-            }
-        };
+    /// Arm and cancel timers as of `at`. A replica's sends wait in the
+    /// outbox for its cycle's release; a client keeps no stable storage,
+    /// and its sends leave as they are made.
+    fn dispatch(&mut self, from: Addr, actions: Vec<(GroupId, Action)>, at: Time) {
         for (g, a) in actions {
-            match a {
-                Action::Send { to, msg } => {
-                    let depart = depart_of(&msg);
-                    self.send_one(from, to, msg, depart);
-                }
-                Action::ToAllReplicas { msg } => {
-                    let depart = depart_of(&msg);
-                    for i in 0..self.cfg.n {
-                        let to = Addr::Replica(ProcessId(i as u32));
-                        if to != from {
-                            self.send_one(from, to, msg.clone(), depart);
-                        }
-                    }
-                }
+            let out = match a {
+                Action::Send { to, msg } => Out::One(to, msg),
+                Action::ToAllReplicas { msg } => Out::All(msg),
                 Action::SetTimer { kind, after } => {
                     let gen = self.timer_gen.arm((from, g, kind));
                     self.schedule(
-                        cpu_done.after(after),
+                        at.after(after),
                         Payload::Timer {
                             who: from,
                             group: g,
@@ -738,9 +685,34 @@ impl World {
                             gen,
                         },
                     );
+                    continue;
                 }
                 Action::CancelTimer { kind } => {
                     self.timer_gen.cancel((from, g, kind));
+                    continue;
+                }
+            };
+            let core = from
+                .as_replica()
+                .and_then(|p| match &self.replicas[p.0 as usize] {
+                    Slot::Up(m) => m.group(g),
+                    Slot::Down(_) => None,
+                });
+            match core {
+                Some(core) => self.outbox.push(out, core),
+                None => self.send(from, out, at),
+            }
+        }
+    }
+
+    fn send(&mut self, from: Addr, out: Out, depart: Time) {
+        match out {
+            Out::One(to, msg) => self.send_one(from, to, msg, depart),
+            Out::All(msg) => {
+                for to in (0..self.cfg.n).map(|i| Addr::Replica(ProcessId(i as u32))) {
+                    if to != from {
+                        self.send_one(from, to, msg.clone(), depart);
+                    }
                 }
             }
         }
@@ -765,6 +737,45 @@ impl World {
             depart.after(latency).after(tx),
             Payload::Deliver { from, to, msg },
         );
+    }
+}
+
+/// The release's [`Wire`] for one replica event: what it transmits departs
+/// at `clock`, which starts where the event's CPU work ends and which a
+/// sync that ran since the last transmit moves by [`CpuModel::fsync`]. The
+/// node's thread was inside that sync, so it takes no other event before
+/// (`busy_until`) — which is what keeps a leader from counting its own
+/// unflushed vote with a follower's `Accepted`. One sync per node and
+/// cycle, however many of its groups had a barrier due: they share a log.
+struct NodeWire<'w> {
+    world: &'w mut World,
+    idx: usize,
+    clock: Time,
+}
+
+impl Wire for NodeWire<'_> {
+    fn cores(&mut self) -> &mut [Replica] {
+        match &mut self.world.replicas[self.idx] {
+            Slot::Up(m) => m.groups_mut(),
+            Slot::Down(_) => &mut [],
+        }
+    }
+
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.world.outbox
+    }
+
+    fn transmit(&mut self, outs: &mut Vec<Out>) {
+        let w = &mut *self.world;
+        if w.disks.syncs.swap(0, Ordering::Relaxed) > 0 {
+            w.metrics.fsyncs += 1;
+            self.clock = self.clock.after(w.opts.cpu.fsync);
+            w.busy_until[self.idx] = self.clock;
+        }
+        let from = Addr::Replica(ProcessId(self.idx as u32));
+        for out in outs.drain(..) {
+            w.send(from, out, self.clock);
+        }
     }
 }
 
@@ -1066,6 +1077,78 @@ mod tests {
             (durable - (2.0 * big_m + f64::max(s, 2.0 * m + s))).abs() < 1e-6,
             "{durable} ms"
         );
+    }
+
+    /// One durable write leaves the simulator's node as it leaves every
+    /// drive loop: the steps of `outbox_conformance.txt`, read off the
+    /// virtual clock. On constant links with a free CPU a message that
+    /// departs at its event's time left ahead of the barrier, and one
+    /// that departs a sync later left behind it.
+    #[test]
+    fn a_durable_write_leaves_the_node_as_it_leaves_every_loop() {
+        use crate::latency::LatencyModel;
+        let (link, sync) = (Dur::from_millis(1), Dur::from_millis(3));
+        let mut topology = Topology::sysnet(3);
+        topology.ns_per_byte = 0.0;
+        for link_model in topology.links.iter_mut().flatten() {
+            *link_model = LatencyModel::Constant(1.0);
+        }
+        let opts = SimOpts {
+            cpu: CpuModel {
+                fsync: sync,
+                ..CpuModel::free()
+            },
+            durability: DurabilityMode::Batched,
+            ..SimOpts::for_topology(topology, 3)
+        };
+        // No heartbeat between the election and the end of the write.
+        let mut cfg = Config::cluster(3);
+        cfg.batch_window = Dur::ZERO;
+        cfg.heartbeat_interval = Dur::from_secs(30);
+        cfg.suspect_timeout = Dur::from_secs(60);
+        let mut w = World::new(cfg, opts, Box::new(|| Box::new(NoopApp::new())));
+        w.add_client(Box::new(OpLoop::new(RequestKind::Write, 1)), None, START);
+        w.run_until(Time(START.0 - 1));
+
+        let mut trace = Vec::new();
+        while !w.all_clients_done() {
+            let (seq, syncs) = (w.seq, w.metrics.fsyncs);
+            assert!(w.step());
+            // What the step scheduled, in the order it did: who sent it,
+            // its tag and how long after the step it departed.
+            let mut sent: Vec<_> = w
+                .queue
+                .iter()
+                .filter(|Reverse(ev)| ev.seq > seq)
+                .filter_map(|Reverse(ev)| match &ev.payload {
+                    Payload::Deliver {
+                        from: Addr::Replica(p),
+                        msg,
+                        ..
+                    } => Some((ev.seq, *p, msg.tag(), Dur(ev.at.0 - w.now.0 - link.0))),
+                    _ => None,
+                })
+                .collect();
+            sent.sort_unstable_by_key(|(seq, ..)| *seq);
+            let Some((_, from, ..)) = sent.first().copied() else {
+                continue;
+            };
+            let flushed = w.metrics.fsyncs > syncs;
+            let side = |after: Dur| {
+                let tags = sent.iter().filter(|(.., left)| *left == after);
+                tags.map(|(_, _, tag, _)| *tag)
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            let line = if flushed {
+                format!("r{}: {} | flush | {}", from.0, side(Dur::ZERO), side(sync))
+            } else {
+                format!("r{}: | - | {}", from.0, side(Dur::ZERO))
+            };
+            trace.push(line.split_whitespace().collect::<Vec<_>>().join(" "));
+        }
+        let golden = include_str!("../../core/src/outbox_conformance.txt");
+        assert_eq!(trace, golden.lines().collect::<Vec<_>>());
     }
 
     #[test]

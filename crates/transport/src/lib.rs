@@ -30,7 +30,6 @@ pub mod inproc;
 #[cfg(target_os = "linux")]
 pub mod mux;
 pub mod node;
-mod outbox;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 #[cfg(target_os = "linux")]

@@ -11,7 +11,8 @@
 //! transmitting them one by one, and then releases it. The order of sends
 //! and barrier — `Accept`s to the transport, one `sync_data` covering
 //! every WAL record the whole batch appended, then everything else — is
-//! written once, in [`crate::outbox`], for this loop and the reactor's.
+//! written once, in [`gridpaxos_core::outbox`], for every drive loop
+//! there is; this one is its [`Wire`] over a [`Transport`].
 //! Chosen-prefix marks make no barrier due; they ride the next one or the
 //! flush on the way out of [`ReplicaNode::run`].
 //!
@@ -23,11 +24,11 @@
 //! equal to every other replica's at that prefix (§3.3). Storage keeps
 //! the accepted decree; a restart rebuilds the same state from it.
 
-use crate::outbox::{Out, Outbox, Wire};
 use crate::timers::Timers;
 use gridpaxos_core::action::{Action, TimerKind};
 use gridpaxos_core::client::{ClientCore, CompletedOp, TxnDriver, TxnOutcome, TxnScript};
 use gridpaxos_core::msg::Msg;
+use gridpaxos_core::outbox::{release, Out, Outbox, Wire};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, RequestKind};
 use gridpaxos_core::types::{Addr, ProcessId, Time};
@@ -110,7 +111,7 @@ impl<T: Transport> ReplicaNode<T> {
     }
 
     /// Interpret one handler invocation's actions. Sends are *buffered*,
-    /// not transmitted: they leave via [`ReplicaNode::flush_and_transmit`].
+    /// not transmitted: they leave when the cycle's outbox is released.
     fn apply(&mut self, actions: Vec<Action>) {
         let now = self.now();
         for a in actions {
@@ -121,18 +122,6 @@ impl<T: Transport> ReplicaNode<T> {
                 Action::CancelTimer { kind } => self.timers.cancel(0, kind),
             }
         }
-    }
-
-    /// Release the cycle's outbox ([`Outbox::release`]): `Accept`s, the
-    /// group-commit barrier that makes every WAL record the drained batch
-    /// appended durable with one `flush()`, then everything else.
-    fn flush_and_transmit(&mut self) {
-        if self.outbox.is_empty() {
-            return;
-        }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        outbox.release(self);
-        self.outbox = outbox;
     }
 
     fn fire_due_timers(&mut self) {
@@ -157,18 +146,19 @@ impl<T: Transport> ReplicaNode<T> {
     ///
     /// Each cycle is one group-commit batch: block for the first message,
     /// then drain everything already queued (and all due timers) through
-    /// the core, then [`ReplicaNode::flush_and_transmit`] — one fsync per
-    /// cycle, however many records the batch persisted.
+    /// the core, then [`release`] — `Accept`s, the group-commit barrier
+    /// that makes every WAL record the batch appended durable with one
+    /// `flush()`, then everything else.
     pub fn run(mut self) -> Replica {
         let start_actions = self.replica.on_start(self.now());
         self.apply(start_actions);
-        self.flush_and_transmit();
+        release(&mut self);
         'outer: while !self.stop.load(Ordering::Relaxed) {
             self.fire_due_timers();
             // One incremental-checkpoint chunk per cycle: serialization
             // rides the drive loop in O(chunk) slices.
             self.replica.pump_checkpoint(1);
-            self.flush_and_transmit();
+            release(&mut self);
             let wait = self
                 .timers
                 .next_due()
@@ -190,19 +180,19 @@ impl<T: Transport> ReplicaNode<T> {
                             }
                             RecvResult::Timeout => break,
                             RecvResult::Closed => {
-                                self.flush_and_transmit();
+                                release(&mut self);
                                 break 'outer;
                             }
                         }
                     }
                     self.fire_due_timers();
-                    self.flush_and_transmit();
+                    release(&mut self);
                 }
                 RecvResult::Timeout => {}
                 RecvResult::Closed => break,
             }
         }
-        self.flush_and_transmit();
+        release(&mut self);
         // A clean stop leaves no chosen-prefix mark waiting for a barrier
         // that will never come, and no decree executed but not chosen in
         // the state it hands back.
@@ -214,6 +204,10 @@ impl<T: Transport> ReplicaNode<T> {
 impl<T: Transport> Wire for ReplicaNode<T> {
     fn cores(&mut self) -> &mut [Replica] {
         std::slice::from_mut(&mut self.replica)
+    }
+
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
     }
 
     fn transmit(&mut self, outs: &mut Vec<Out>) {
@@ -361,11 +355,16 @@ mod tests {
     use gridpaxos_core::types::{ClientId, Dur, Instance};
     use std::sync::atomic::AtomicU64;
 
+    /// What one node did, in order: the tag of every message it handed to
+    /// its transport, and `flush` for every barrier its disk ran.
+    type NodeLog = Arc<std::sync::Mutex<Vec<&'static str>>>;
+
     /// [`Storage`] instrumentation: mirrors the dirty bit into a shared
-    /// flag the transport wrapper below can observe.
+    /// flag the transport wrapper below can observe, and logs its flushes.
     struct FlagStorage {
         inner: MemStorage,
         dirty: Arc<AtomicBool>,
+        log: NodeLog,
     }
 
     impl Storage for FlagStorage {
@@ -393,6 +392,7 @@ mod tests {
         }
         fn flush(&mut self) {
             self.dirty.store(false, Ordering::SeqCst);
+            self.log.lock().expect("log").push("flush");
         }
         fn is_dirty(&self) -> bool {
             self.dirty.load(Ordering::SeqCst)
@@ -444,6 +444,7 @@ mod tests {
             let storage = FlagStorage {
                 inner: MemStorage::new(),
                 dirty: Arc::clone(&dirty),
+                log: NodeLog::default(),
             };
             let replica = Replica::new(
                 id,
@@ -484,5 +485,109 @@ mod tests {
             0,
             "a Promise/Accepted frame reached the transport before its flush"
         );
+    }
+
+    /// Transport instrumentation: logs the tag of every message sent.
+    struct LogTransport<T: Transport> {
+        inner: T,
+        log: NodeLog,
+    }
+
+    impl<T: Transport> Transport for LogTransport<T> {
+        fn send(&self, to: Addr, msg: Msg) {
+            self.log.lock().expect("log").push(msg.tag());
+            self.inner.send(to, msg);
+        }
+        fn recv_timeout(&self, timeout: Duration) -> RecvResult {
+            self.inner.recv_timeout(timeout)
+        }
+        fn local_addr(&self) -> Addr {
+            self.inner.local_addr()
+        }
+    }
+
+    /// One durable write leaves this loop as it leaves every drive loop:
+    /// `outbox_conformance.txt` holds the steps. Threads show no step
+    /// boundaries, so each node is held to its steps run together — what
+    /// it sent and when its disk synced, in order.
+    #[test]
+    fn a_durable_write_leaves_the_node_as_it_leaves_every_loop() {
+        // No heartbeat and no suspicion between the two writes.
+        let mut cfg = Config::cluster(3);
+        cfg.heartbeat_interval = Dur::from_secs(30);
+        cfg.suspect_timeout = Dur::from_secs(60);
+        let hub = Hub::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        let logs: Vec<NodeLog> = (0..cfg.n).map(|_| NodeLog::default()).collect();
+        let mut handles = Vec::new();
+        for (i, log) in logs.iter().enumerate() {
+            let id = ProcessId(i as u32);
+            let storage = FlagStorage {
+                inner: MemStorage::new(),
+                dirty: Arc::default(),
+                log: Arc::clone(log),
+            };
+            let replica = Replica::new(
+                id,
+                cfg.clone(),
+                Box::new(NoopApp::new()),
+                Box::new(storage),
+                41 + u64::from(id.0),
+                Time::ZERO,
+            );
+            let transport = LogTransport {
+                inner: hub.endpoint(Addr::Replica(id)),
+                log: Arc::clone(log),
+            };
+            handles.push(spawn_replica(replica, transport, Arc::clone(&stop)).expect("spawn"));
+        }
+        let cid = ClientId(900);
+        let core = ClientCore::new(cid, cfg.n, Dur::from_secs(10));
+        let mut client = SyncClient::new(core, hub.endpoint(Addr::Client(cid)), cfg.n);
+        let mut write = || {
+            let body = client.call(RequestKind::Write, Bytes::new());
+            assert!(matches!(body, Some(ReplyBody::Ok(_))), "got {body:?}");
+        };
+        // The election, until every node has fallen silent; then a first
+        // write, until each node has sent its last for it — the second
+        // `Accepted` and the `Chosen`s still in flight cause no send.
+        let settled = |log: &NodeLog| {
+            let seen = log.lock().expect("log").len();
+            std::thread::sleep(Duration::from_millis(50));
+            seen > 0 && log.lock().expect("log").len() == seen
+        };
+        while !logs.iter().all(settled) {}
+        write();
+        let sent_its_last = |log: &NodeLog| {
+            let log = log.lock().expect("log");
+            log.contains(&"accepted") || log.iter().filter(|t| **t == "chosen").count() == 2
+        };
+        while !logs.iter().all(sent_its_last) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for log in &logs {
+            log.lock().expect("log").clear();
+        }
+        write();
+
+        let golden = include_str!("../../core/src/outbox_conformance.txt");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (i, log) in logs.iter().enumerate() {
+            let node = format!("r{i}:");
+            let steps = golden.lines().filter(|l| l.starts_with(&node));
+            let expect: Vec<&str> = steps
+                .flat_map(|l| l[node.len()..].split_whitespace())
+                .filter(|token| !matches!(*token, "|" | "-"))
+                .collect();
+            while log.lock().expect("log").len() < expect.len() {
+                assert!(Instant::now() < deadline, "r{i} sent {log:?}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(*log.lock().expect("log"), expect, "r{i}");
+        }
+        stop.store(true, Ordering::Relaxed);
+        for h in handles {
+            h.join().expect("replica thread");
+        }
     }
 }

@@ -31,10 +31,10 @@
 //! an [`Outbox`], and [`Reactor::flush_and_transmit`] releases it: the
 //! order of sends and barrier — `Accept`s to the kernel, one fsync
 //! covering the whole batch, then everything else — is written once, in
-//! [`crate::outbox`], for this loop and [`crate::node`]'s. The
-//! chosen-prefix mark makes no barrier due; it becomes durable with the
-//! next decree's accept barrier (or the flush on the way out of
-//! [`Reactor::run`]).
+//! [`gridpaxos_core::outbox`], for every drive loop there is. This one
+//! is its [`Wire`] over sockets. The chosen-prefix mark makes no barrier
+//! due; it becomes durable with the next decree's accept barrier (or the
+//! flush on the way out of [`Reactor::run`]).
 //!
 //! ## The way out
 //!
@@ -72,7 +72,6 @@ use crate::backpressure::{AdmissionGate, FlushOutcome, SendQueue};
 use crate::framing::{FrameDecoder, MAX_FRAME};
 use crate::fstorage::{FlushCoordinator, SyncMode};
 use crate::node::SyncClient;
-use crate::outbox::{Out, Outbox, Wire};
 use crate::sys::{self, Epoll, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::tcp::TcpNode;
 use crate::timers::Timers;
@@ -83,6 +82,7 @@ use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::multi::{group_config, group_seed};
+use gridpaxos_core::outbox::{release, Out, Outbox, Wire};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{Reply, ReplyBody};
 use gridpaxos_core::service::App;
@@ -340,18 +340,21 @@ impl Reactor {
         }
     }
 
-    /// Release the cycle's outbox ([`Outbox::release`]: `Accept`s, the
+    /// Release the cycle's outbox ([`release`]: `Accept`s, the
     /// group-commit barrier — one fsync per group with a barrier due,
     /// which a shared-WAL [`FlushCoordinator`] collapses to one per node —
     /// then everything else). Busy replies queued outside the outbox
     /// reach their sockets here too.
     fn flush_and_transmit(&mut self) {
-        if self.outbox.is_empty() && self.dirty.is_empty() {
-            return;
+        release(self);
+        self.write_dirty_conns();
+    }
+
+    /// Write every connection with freshly queued bytes to its socket.
+    fn write_dirty_conns(&mut self) {
+        for token in std::mem::take(&mut self.dirty) {
+            self.flush_conn(token);
         }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        outbox.release(self);
-        self.outbox = outbox;
     }
 
     /// Encode `msg` (reusing the node-wide scratch buffer) into an owned
@@ -370,8 +373,8 @@ impl Reactor {
 
     /// Queue `frame` on the connection serving `to`, dialing the peer
     /// replica first if no connection exists. Only called by
-    /// [`Wire::transmit`] — on whichever side of the barrier
-    /// [`Outbox::release`] put the message.
+    /// [`Wire::transmit`] — on whichever side of the barrier [`release`]
+    /// put the message.
     fn enqueue_to(&mut self, to: Addr, frame: Bytes) {
         let token = match self.by_addr.get(&to).copied() {
             Some(t) => t,
@@ -821,6 +824,10 @@ impl Wire for Reactor {
         &mut self.cores
     }
 
+    fn outbox(&mut self) -> &mut Outbox {
+        &mut self.outbox
+    }
+
     /// Frame `outs` onto connection send queues — a broadcast is encoded
     /// and framed once, and every follower's queue holds the same bytes —
     /// then write every connection with queued bytes to its socket.
@@ -845,9 +852,7 @@ impl Wire for Reactor {
                 }
             }
         }
-        for token in std::mem::take(&mut self.dirty) {
-            self.flush_conn(token);
-        }
+        self.write_dirty_conns();
     }
 }
 
@@ -1678,7 +1683,7 @@ mod tests {
     /// messages (the `Accept`, once per follower) and the client's socket
     /// stays silent until the disk is let go.
     ///
-    /// Mutation that must fail this test: `Outbox::release` running the
+    /// Mutation that must fail this test: `outbox::release` running the
     /// barrier before the ahead list — no follower ever sees the `Accept`.
     #[test]
     fn accept_leaves_while_the_leaders_barrier_is_still_running() {
