@@ -190,6 +190,9 @@ pub struct Cluster {
     /// Seeded mutation: a faulty loop that hands an `Accepted` to the
     /// network as it is made, before the release.
     chaos_accepted_ahead: bool,
+    /// Seeded mutation: replicas (by index, until they crash) whose
+    /// follower-read replies the wire tags with the leader's watermark.
+    chaos_inflated: Vec<bool>,
     /// The sends of the step in progress (empty between steps).
     outbox: Outbox,
     /// The replica taking it.
@@ -233,6 +236,7 @@ impl Cluster {
                 .map(|i| Dur::from_millis(scenario.clock_skew_ms.get(i).copied().unwrap_or(0)))
                 .collect(),
             chaos_accepted_ahead: false,
+            chaos_inflated: vec![false; n],
             outbox: Outbox::default(),
             stepping: ProcessId(0),
             step_actions: VecDeque::new(),
@@ -643,6 +647,7 @@ impl Cluster {
         let Some(r) = self.replicas[idx].take() else {
             return;
         };
+        self.chaos_inflated[idx] = false;
         let disk = r.into_storage();
         self.crashed[idx] = Some(if self.opts.power_cuts {
             // What a recovering process reads: the last barrier's state.
@@ -731,6 +736,18 @@ impl Cluster {
                 msg,
                 dups: 0,
             });
+        }
+    }
+
+    /// The lie [`Cluster::chaos_inflate_read_watermark`] seeds: only a
+    /// replica that does not lead answers from follower state.
+    fn inflate_read_watermark(&self, msg: &mut Msg) {
+        let from = self.stepping.0 as usize;
+        let (Msg::Reply(reply), Some(r)) = (msg, &self.replicas[from]) else {
+            return;
+        };
+        if self.chaos_inflated[from] && !r.is_leader() {
+            reply.watermark = reply.watermark.max(r.leader_commit());
         }
     }
 
@@ -857,18 +874,14 @@ impl Cluster {
             .is_some_and(Replica::chaos_skip_instance)
     }
 
-    /// Chaos hook passthrough: replica `i` starts tagging follower-read
-    /// replies with the leader's commit watermark instead of its own
-    /// applied prefix (the session-guarantee lie). Returns whether the
-    /// replica is live.
+    /// Seeded mutation of the wire: from now on replica `i`'s follower-read
+    /// replies leave tagged with the leader's commit watermark instead of
+    /// its own applied prefix — freshness it does not have, so the session
+    /// logic accepts replies that may miss the client's own writes (the
+    /// session invariant must fire). Returns whether the replica is live.
     pub fn chaos_inflate_read_watermark(&mut self, i: usize) -> bool {
-        match self.replicas[i].as_mut() {
-            Some(r) => {
-                r.chaos_inflate_read_watermark();
-                true
-            }
-            None => false,
-        }
+        self.chaos_inflated[i] = self.replicas[i].is_some();
+        self.chaos_inflated[i]
     }
 
     /// Chaos hook passthrough: stretch replica `i`'s read lease by
@@ -917,7 +930,10 @@ impl Wire for Cluster {
             self.step_actions.pop_front();
             match out {
                 Out::One(Addr::Replica(p), msg) => self.push_msg(Addr::Replica(from), p, msg),
-                Out::One(Addr::Client(_), msg) => self.observe_reply(&msg),
+                Out::One(Addr::Client(_), mut msg) => {
+                    self.inflate_read_watermark(&mut msg);
+                    self.observe_reply(&msg);
+                }
                 Out::All(msg) => {
                     for i in 0..self.n {
                         let p = ProcessId(i as u32);

@@ -1,6 +1,6 @@
 //! Repo-specific lint pass: protocol coding rules clippy cannot express.
 //!
-//! Five rules, scoped to the consensus-critical crates:
+//! Six rules, scoped to the consensus-critical crates:
 //!
 //! 1. **Exhaustive `Msg` dispatch** (`crates/core`, `crates/transport`):
 //!    a `match` whose arms pattern-match `Msg::` variants must not have a
@@ -41,6 +41,12 @@
 //!    plain `read`/`write` loops that surface `EWOULDBLOCK` and yield
 //!    back to the readiness loop. (The `mux` load driver is deliberately
 //!    thread-per-connection and is *not* in this scope.)
+//!
+//! 6. **Read policy has one owner** (`crates/core/src/replica`): §3.4's
+//!    rule — what validates a read in which mode — is written once, in
+//!    `replica/reads.rs`. Non-test code elsewhere under `replica/` that
+//!    names `read_mode`, `ReadMode::` or `confirm_batching` is deciding
+//!    read policy a second time.
 //!
 //! The pass is a hand-rolled token scan, not a full parse: comments,
 //! strings and char literals are blanked first, `#[cfg(test)]` items are
@@ -571,6 +577,43 @@ pub fn check_barrier_callers(file: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
+/// What spells a read-policy decision, where such decisions live, and the
+/// one file there that makes them.
+const READ_POLICY: &[&str] = &["read_mode", "ReadMode::", "confirm_batching"];
+const READ_POLICY_SCOPE: &str = "crates/core/src/replica/";
+const READ_POLICY_OWNER: &str = "reads.rs";
+
+/// Rule 6: read policy has one owner. Under `replica/`, only `reads.rs`
+/// (and `tests.rs`) may name the read mode or the confirm-batching knob.
+/// Runs on noise-stripped, test-masked source.
+#[must_use]
+pub fn check_read_mode_owner(file: &str, masked: &str) -> Vec<Finding> {
+    let name = file.rsplit('/').next().unwrap_or(file);
+    if !file.contains(READ_POLICY_SCOPE) || name == READ_POLICY_OWNER || name == "tests.rs" {
+        return Vec::new();
+    }
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let spelled = |token| {
+        masked
+            .match_indices(token)
+            .map(move |(off, _)| (token, off))
+    };
+    let hits = READ_POLICY.iter().copied().flat_map(spelled);
+    // Not the tail of a longer name (`with_read_mode`).
+    let hits = hits.filter(|(_, off)| !masked[..*off].ends_with(ident));
+    let finding = |(token, off): (&str, usize)| Finding {
+        file: file.to_string(),
+        line: line_of(masked, off),
+        rule: "read-policy-owner",
+        msg: format!(
+            "`{}` outside `replica/reads.rs`: what validates a read, per mode, is \
+             decided there and nowhere else (§3.4)",
+            token.trim_end_matches("::")
+        ),
+    };
+    hits.map(finding).collect()
+}
+
 /// The one message that may leave ahead of the flush barrier.
 const AHEAD_OF_BARRIER: &str = "Accept";
 
@@ -734,6 +777,7 @@ pub fn lint_source(label: &str, src: &str, scope: Scope) -> Vec<Finding> {
     let mut findings = check_msg_wildcards(label, &masked);
     findings.extend(check_barrier_class(label, &masked));
     findings.extend(check_barrier_callers(label, &masked));
+    findings.extend(check_read_mode_owner(label, &masked));
     if scope.no_unwrap {
         findings.extend(check_unwraps(label, &masked));
     }
@@ -766,7 +810,8 @@ pub struct Scope {
 /// Lint the repository rooted at `root`. Scopes: the `Msg`-wildcard rule
 /// and the barrier's class (wherever `Msg::precedes_barrier` is defined)
 /// cover `crates/core/src` and `crates/transport/src`; the barrier's one
-/// caller covers those and `crates/{simnet,check,bench}/src`;
+/// caller covers those and `crates/{simnet,check,bench}/src`; the read
+/// policy's one owner covers `crates/core/src/replica`;
 /// no-unwrap covers `crates/core/src/replica` and `crates/transport/src`
 /// (`tests.rs` files and `#[cfg(test)]` items excluded); the persist
 /// rules cover `crates/core/src/replica`; the flush-barrier order covers

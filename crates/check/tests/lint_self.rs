@@ -5,8 +5,8 @@
 
 use check::lint::{
     check_barrier_callers, check_barrier_class, check_flush_barrier, check_msg_wildcards,
-    check_no_blocking, check_persist_before_send, check_unwraps, lint_repo, lint_source,
-    mask_test_items, strip_noise, Scope,
+    check_no_blocking, check_persist_before_send, check_read_mode_owner, check_unwraps, lint_repo,
+    lint_source, mask_test_items, strip_noise, Scope,
 };
 
 const FULL: Scope = Scope {
@@ -321,7 +321,46 @@ fn a_drive_loop_spelling_the_order_itself_is_flagged() {
     assert_eq!(check("crates/transport/src/node.rs", replica).len(), 1);
 }
 
-/// The tree as shipped passes every rule, the one caller included.
+/// Read policy has one owner. A mode `match` in `leader.rs` is §3.4's
+/// rule written a second time; the same text is `reads.rs`'s to write,
+/// and a test's to name.
+#[test]
+fn a_read_mode_decision_outside_reads_rs_is_flagged() {
+    let check =
+        |file: &str, src: &str| check_read_mode_owner(file, &mask_test_items(&strip_noise(src)));
+    let decides = r#"
+        fn leader_handle_request(&mut self, req: Request, now: Time, out: &mut Vec<Action>) {
+            match self.cfg.read_mode {
+                m if m.is_follower() => self.leader_handle_read(req, now, out),
+                _ => self.sequence(req, now, out),
+            }
+        }
+    "#;
+    let findings = check("crates/core/src/replica/leader.rs", decides);
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    assert_eq!(findings[0].rule, "read-policy-owner");
+    assert_eq!(findings[0].line, 3);
+    for elsewhere in [
+        "crates/core/src/replica/reads.rs",
+        "crates/core/src/replica/tests.rs",
+        "crates/simnet/src/world.rs",
+    ] {
+        assert!(check(elsewhere, decides).is_empty(), "{elsewhere}");
+    }
+    // Each spelling is a decision; a builder's longer name is not.
+    let spellings = r#"
+        fn f(&self) -> bool {
+            self.cfg.confirm_batching && self.cfg.read_mode == ReadMode::XPaxos
+        }
+        fn g(cfg: Config) -> Config {
+            cfg.with_read_mode(mode).with_confirm_batching(false)
+        }
+    "#;
+    assert_eq!(check("crates/core/src/replica/mod.rs", spellings).len(), 3);
+}
+
+/// The tree as shipped passes every rule, the one caller and the one
+/// owner included.
 #[test]
 fn the_shipped_tree_is_clean() {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));

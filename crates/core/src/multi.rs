@@ -67,52 +67,15 @@ pub struct MultiReplica {
 }
 
 impl MultiReplica {
-    /// Create a fresh multi-group replica: `n_groups` independent groups,
-    /// each with its own service instance and stable storage. The app
-    /// factory receives the group it is building for, so a sharded service
-    /// can know which slice of the keyspace it owns (and refuse, with a
-    /// typed abort, operations that belong elsewhere).
+    /// Open a multi-group replica over one stable storage per group, in
+    /// group order (as returned by [`MultiReplica::into_storages`]): each
+    /// group is [`Replica::open`]ed, so fresh storage gives a fresh group
+    /// and storage with prior state a recovered one. The app factory
+    /// receives the group it is building for, so a sharded service can
+    /// know which slice of the keyspace it owns (and refuse, with a typed
+    /// abort, operations that belong elsewhere).
     #[must_use]
-    pub fn new(
-        id: ProcessId,
-        cfg: Config,
-        n_groups: usize,
-        app_factory: &dyn Fn(GroupId) -> Box<dyn App>,
-        storage_factory: &mut dyn FnMut() -> Box<dyn Storage>,
-        seed: u64,
-        now: Time,
-    ) -> MultiReplica {
-        assert!(n_groups >= 1, "at least one group");
-        // Apply pipeline (`cfg.apply_workers > 0`): one worker pool per
-        // process, each group's app wrapped so chosen decrees apply off
-        // the drive thread and groups apply in parallel. The default (0)
-        // applies inline — fully deterministic, byte-identical to the
-        // unwrapped replica.
-        let pool = (cfg.apply_workers > 0).then(|| crate::apply::ApplyPool::new(cfg.apply_workers));
-        let groups = (0..n_groups)
-            .map(|g| {
-                let g = GroupId(g as u32);
-                let app = match &pool {
-                    Some(p) => p.wrap(app_factory(g)),
-                    None => app_factory(g),
-                };
-                Replica::new(
-                    id,
-                    group_config(&cfg, g),
-                    app,
-                    storage_factory(),
-                    group_seed(seed, g),
-                    now,
-                )
-            })
-            .collect();
-        MultiReplica { id, groups }
-    }
-
-    /// Recover a multi-group replica after a crash, one storage per group
-    /// in group order (as returned by [`MultiReplica::into_storages`]).
-    #[must_use]
-    pub fn recover(
+    pub fn open(
         id: ProcessId,
         cfg: Config,
         storages: Vec<Box<dyn Storage>>,
@@ -121,6 +84,11 @@ impl MultiReplica {
         now: Time,
     ) -> MultiReplica {
         assert!(!storages.is_empty(), "at least one group");
+        // Apply pipeline (`cfg.apply_workers > 0`): one worker pool per
+        // process, each group's app wrapped so chosen decrees apply off
+        // the drive thread and groups apply in parallel. The default (0)
+        // applies inline — fully deterministic, byte-identical to the
+        // unwrapped replica.
         let pool = (cfg.apply_workers > 0).then(|| crate::apply::ApplyPool::new(cfg.apply_workers));
         let groups = storages
             .into_iter()
@@ -131,7 +99,7 @@ impl MultiReplica {
                     Some(p) => p.wrap(app_factory(g)),
                     None => app_factory(g),
                 };
-                Replica::recover(
+                Replica::open(
                     id,
                     group_config(&cfg, g),
                     app,
@@ -175,80 +143,86 @@ impl MultiReplica {
         &mut self.groups
     }
 
+    /// A clean stop's hand-back: every group's replica, in group order.
+    #[must_use]
+    pub fn into_groups(self) -> Vec<Replica> {
+        self.groups
+    }
+
+    /// Which group an incoming message addresses, and what it says to it:
+    /// a [`Msg::Grouped`] envelope names its group; a bare message can only
+    /// come from a single-group sender and addresses group 0. `None` for a
+    /// group this process does not host — a mis-configured peer, not a
+    /// protocol condition; the message is dropped.
+    #[must_use]
+    pub fn route(&self, msg: Msg) -> Option<(GroupId, Msg)> {
+        let (g, inner) = match msg {
+            Msg::Grouped { group, inner } => (group, *inner),
+            bare => (GroupId::ZERO, bare),
+        };
+        ((g.0 as usize) < self.groups.len()).then_some((g, inner))
+    }
+
+    /// What group `g`'s `msg` looks like on the wire: in the group envelope
+    /// in a multi-group deployment, as it is with one group — which stays
+    /// byte-identical to the plain protocol.
+    #[must_use]
+    pub fn envelope(&self, g: GroupId, msg: Msg) -> Msg {
+        if self.groups.len() == 1 {
+            return msg;
+        }
+        debug_assert!(
+            !matches!(msg, Msg::Grouped { .. }),
+            "group envelopes never nest"
+        );
+        Msg::Grouped {
+            group: g,
+            inner: Box::new(msg),
+        }
+    }
+
     /// Start every group. Actions are tagged with the group they belong
     /// to; timer actions must be keyed per group by the runtime.
     pub fn on_start(&mut self, now: Time) -> Vec<(GroupId, Action)> {
         let mut out = Vec::new();
         for g in 0..self.groups.len() {
-            let gid = GroupId(g as u32);
             let actions = self.groups[g].on_start(now);
-            self.collect(gid, actions, &mut out);
+            self.collect(GroupId(g as u32), actions, &mut out);
         }
         out
     }
 
-    /// Route an incoming message to its group: a [`Msg::Grouped`] envelope
-    /// addresses the group it names (unknown groups are dropped — a
-    /// mis-configured peer, not a protocol condition); a bare message can
-    /// only come from a single-group sender and addresses group 0.
+    /// Hand an incoming message to the group [`MultiReplica::route`] names.
     pub fn on_message(&mut self, from: Addr, msg: Msg, now: Time) -> Vec<(GroupId, Action)> {
-        let (gid, inner) = match msg {
-            Msg::Grouped { group, inner } => (group, *inner),
-            bare => (GroupId::ZERO, bare),
-        };
-        let Some(r) = self.groups.get_mut(gid.0 as usize) else {
-            return Vec::new();
-        };
-        let actions = r.on_message(from, inner, now);
         let mut out = Vec::new();
-        self.collect(gid, actions, &mut out);
+        if let Some((g, inner)) = self.route(msg) {
+            let actions = self.groups[g.0 as usize].on_message(from, inner, now);
+            self.collect(g, actions, &mut out);
+        }
         out
     }
 
     /// Fire a timer belonging to group `g`.
     pub fn on_timer(&mut self, g: GroupId, kind: TimerKind, now: Time) -> Vec<(GroupId, Action)> {
-        let Some(r) = self.groups.get_mut(g.0 as usize) else {
-            return Vec::new();
-        };
-        let actions = r.on_timer(kind, now);
         let mut out = Vec::new();
-        self.collect(g, actions, &mut out);
+        if let Some(r) = self.groups.get_mut(g.0 as usize) {
+            let actions = r.on_timer(kind, now);
+            self.collect(g, actions, &mut out);
+        }
         out
     }
 
-    /// Tag `actions` with their group and wrap outgoing message payloads
-    /// in the group envelope (multi-group deployments only: one group
-    /// stays byte-identical to the plain protocol).
+    /// Tag `actions` with their group and put outgoing messages in its
+    /// [`MultiReplica::envelope`].
     fn collect(&self, g: GroupId, actions: Vec<Action>, out: &mut Vec<(GroupId, Action)>) {
-        let wrap = self.groups.len() > 1;
-        for a in actions {
-            let a = if wrap {
-                match a {
-                    Action::Send { to, msg } => Action::Send {
-                        to,
-                        msg: wrap_msg(g, msg),
-                    },
-                    Action::ToAllReplicas { msg } => Action::ToAllReplicas {
-                        msg: wrap_msg(g, msg),
-                    },
-                    other => other,
-                }
-            } else {
-                a
+        out.extend(actions.into_iter().map(|a| {
+            let a = match a {
+                Action::Send { to, msg } => Action::send(to, self.envelope(g, msg)),
+                Action::ToAllReplicas { msg } => Action::broadcast(self.envelope(g, msg)),
+                timer @ (Action::SetTimer { .. } | Action::CancelTimer { .. }) => timer,
             };
-            out.push((g, a));
-        }
-    }
-}
-
-fn wrap_msg(g: GroupId, msg: Msg) -> Msg {
-    debug_assert!(
-        !matches!(msg, Msg::Grouped { .. }),
-        "group envelopes never nest"
-    );
-    Msg::Grouped {
-        group: g,
-        inner: Box::new(msg),
+            (g, a)
+        }));
     }
 }
 
@@ -261,27 +235,18 @@ mod tests {
     use crate::types::{ClientId, Seq};
     use bytes::Bytes;
 
-    type AppFactory = Box<dyn Fn(GroupId) -> Box<dyn App>>;
-    type StorageFactory = Box<dyn FnMut() -> Box<dyn Storage>>;
+    fn noop(_g: GroupId) -> Box<dyn App> {
+        Box::new(NoopApp::new())
+    }
 
-    fn factories() -> (AppFactory, StorageFactory) {
-        (
-            Box::new(|_g| Box::new(NoopApp::new()) as Box<dyn App>),
-            Box::new(|| Box::new(MemStorage::new()) as Box<dyn Storage>),
-        )
+    fn fresh(n_groups: usize) -> Vec<Box<dyn Storage>> {
+        let disk = |_| Box::new(MemStorage::new()) as Box<dyn Storage>;
+        (0..n_groups).map(disk).collect()
     }
 
     fn multi(n_groups: usize, seed: u64) -> MultiReplica {
-        let (apps, mut stores) = factories();
-        MultiReplica::new(
-            ProcessId(0),
-            Config::cluster(3),
-            n_groups,
-            apps.as_ref(),
-            stores.as_mut(),
-            seed,
-            Time::ZERO,
-        )
+        let cfg = Config::cluster(3);
+        MultiReplica::open(ProcessId(0), cfg, fresh(n_groups), &noop, seed, Time::ZERO)
     }
 
     fn write_req(seq: u64) -> Msg {
@@ -335,19 +300,10 @@ mod tests {
 
     #[test]
     fn placement_overrides_rotation_per_group() {
-        let (apps, mut stores) = factories();
         // Groups 0 and 1 pinned (geo placement); group 2 past the vector
         // falls back to the rotation.
         let cfg = Config::cluster(3).with_placement(Some(vec![ProcessId(2), ProcessId(2)]));
-        let m = MultiReplica::new(
-            ProcessId(0),
-            cfg,
-            3,
-            apps.as_ref(),
-            stores.as_mut(),
-            21,
-            Time::ZERO,
-        );
+        let m = MultiReplica::open(ProcessId(0), cfg, fresh(3), &noop, 21, Time::ZERO);
         let leader = |g: u32| m.group(GroupId(g)).unwrap().config().bootstrap_leader;
         assert_eq!(leader(0), Some(ProcessId(2)));
         assert_eq!(leader(1), Some(ProcessId(2)));
@@ -409,12 +365,11 @@ mod tests {
         let _ = m.on_start(Time::ZERO);
         let storages = m.into_storages();
         assert_eq!(storages.len(), 2);
-        let (apps, _) = factories();
-        let m2 = MultiReplica::recover(
+        let m2 = MultiReplica::open(
             ProcessId(0),
             Config::cluster(3),
             storages,
-            apps.as_ref(),
+            &noop,
             15,
             Time(1),
         );

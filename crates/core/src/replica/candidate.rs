@@ -194,9 +194,12 @@ impl Replica {
             i = i.next();
         }
 
-        let mut lead = LeaderState::new(ballot, max.next());
-        lead.hb_sent_at = now;
-        self.role = Role::Leader(lead);
+        self.role = Role::Leader(LeaderState {
+            ballot,
+            next_instance: max.next(),
+            ..LeaderState::default()
+        });
+        self.reads.leadership_began(ballot, now);
 
         // 4. Re-propose the batch under our ballot with a single accept
         //    message, then start heartbeating.

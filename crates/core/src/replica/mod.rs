@@ -7,23 +7,27 @@
 //!
 //! The module is split by role: this file holds the shared state, message
 //! dispatch, acceptor duties, the apply pipeline and step-down;
-//! `leader`-role logic (proposals, X-Paxos reads, T-Paxos transactions)
-//! lives in `leader.rs`; election and takeover live in `candidate.rs`.
-//! Those three files *order*: they decide which decree is chosen where.
-//! `stable.rs` owns the storage and says when a durability barrier is
-//! due; `exec.rs` owns the service — app, dedup table, the leader's
-//! tentative window, the checkpoint freeze — and is handed chosen decrees,
-//! batches to execute ahead of consensus, and their abandonment. A
-//! [`Replica`] is `Stable` + `Executor` + [`ReplicaLog`] + [`Role`].
+//! `leader`-role logic (proposals, T-Paxos transactions) lives in
+//! `leader.rs`; election and takeover live in `candidate.rs`. Those three
+//! files *order*: they decide which decree is chosen where. `stable.rs`
+//! owns the storage and says when a durability barrier is due; `exec.rs`
+//! owns the service — app, dedup table, the leader's tentative window, the
+//! checkpoint freeze — and is handed chosen decrees, batches to execute
+//! ahead of consensus, and their abandonment; `reads.rs` owns the reads
+//! that skip consensus — confirms, confirm rounds, leases, follower reads
+//! — and the one rule for when such a read may be answered. A [`Replica`]
+//! is `Stable` + `Executor` + `Reads` + [`ReplicaLog`] + [`Role`].
 
 mod candidate;
 mod exec;
 mod leader;
+mod reads;
 mod stable;
 
 pub use candidate::CandidateState;
 use exec::Executor;
-pub use leader::{LeaderState, PendingRead, TxnSession};
+pub use leader::{LeaderState, TxnSession};
+use reads::Reads;
 use stable::Stable;
 
 use crate::action::{Action, TimerKind};
@@ -140,8 +144,8 @@ pub struct ReplicaStats {
     pub txns_committed: u64,
     /// Transactions aborted (any reason) by this replica as leader.
     pub txns_aborted: u64,
-    /// Reads served locally from applied state under
-    /// [`crate::config::ReadMode::Follower`] (extension), leader included.
+    /// Reads served locally from applied state in follower-read mode
+    /// (extension), leader included.
     pub follower_reads: u64,
     /// Sum over served follower reads of the staleness at serve time
     /// (decrees behind the leader's commit watermark); the mean is
@@ -193,23 +197,8 @@ pub struct Replica {
     /// duplicates while one is outstanding, but ages out after a
     /// retransmission timeout so a lost request or response is retried.
     pub(crate) catchup_requested_at: Option<(Instance, Time)>,
-    /// Follower-side: the leader's confirm rounds reported a read backlog,
-    /// so per-read X-Paxos confirms are suppressed — the round traffic
-    /// replaces them (extension). Purely a performance switch: it can only
-    /// reduce confirm traffic, never answer a read.
-    pub(crate) confirm_suppressed: bool,
-    /// The leader's commit watermark as learned passively from
-    /// `Chosen`/`Heartbeat` traffic (follower-read extension). The
-    /// staleness of a locally served read is `leader_commit` minus our own
-    /// applied prefix (saturating: our prefix is itself a lower bound on
-    /// the true watermark).
-    pub(crate) leader_commit: Instance,
-    /// Chaos hook state (`check-hooks` feature): when set, follower reads
-    /// are tagged with the *leader's* watermark instead of the serving
-    /// replica's applied prefix — the lie the session-guarantee invariant
-    /// must catch. Never set by production code.
-    #[cfg(feature = "check-hooks")]
-    pub(crate) chaos_inflate_watermark: bool,
+    /// Reads that skip consensus: what validates one, on both sides.
+    pub(crate) reads: Reads,
     /// Observability counters.
     pub stats: ReplicaStats,
 }
@@ -239,10 +228,7 @@ impl Replica {
             catchup_buf: None,
             clock: now,
             catchup_requested_at: None,
-            confirm_suppressed: false,
-            leader_commit: Instance::ZERO,
-            #[cfg(feature = "check-hooks")]
-            chaos_inflate_watermark: false,
+            reads: Reads::default(),
             stats: ReplicaStats::default(),
             cfg,
         }
@@ -373,13 +359,6 @@ impl Replica {
         }
     }
 
-    /// The leader's commit watermark as this replica last learned it
-    /// (follower-read extension; tests and the checker harness).
-    #[must_use]
-    pub fn leader_commit(&self) -> Instance {
-        self.leader_commit
-    }
-
     /// Number of log entries currently retained.
     #[must_use]
     pub fn log_len(&self) -> usize {
@@ -436,11 +415,7 @@ impl Replica {
     #[must_use]
     pub fn checker_view(&self) -> CheckerView {
         let (next_instance, quiescent, open_txns) = match &self.role {
-            Role::Leader(l) => (
-                Some(l.next_instance),
-                l.inflight.is_none() && l.recovery.is_none(),
-                l.txns.len(),
-            ),
+            Role::Leader(l) => (Some(l.next_instance), self.quiescent(), l.txns.len()),
             _ => (None, false, 0),
         };
         CheckerView {
@@ -486,8 +461,8 @@ impl Replica {
         self.id.hash(&mut h);
         self.promised.hash(&mut h);
         self.max_ballot_seen.hash(&mut h);
-        self.confirm_suppressed.hash(&mut h);
-        self.leader_commit.hash(&mut h);
+        // Confirms, rounds, lease, the leader's watermark.
+        self.reads.fingerprint(&mut h);
         // Service state, dedup table, tentative window, checkpoint freeze.
         self.exec.fingerprint(&mut h);
         // Chunked catch-up progress.
@@ -536,23 +511,6 @@ impl Replica {
                         (i, sorted(set)).hash(&mut h);
                     }
                 }
-                let mut reads: Vec<_> = l.reads.iter().collect();
-                reads.sort_unstable_by_key(|(id, _)| **id);
-                for (id, p) in reads {
-                    (id, sorted(&p.votes), &p.result, p.epoch, p.confirmed).hash(&mut h);
-                }
-                let mut early: Vec<_> = l.early_confirms.iter().collect();
-                early.sort_unstable_by_key(|(id, _)| **id);
-                for (id, set) in early {
-                    (id, sorted(set)).hash(&mut h);
-                }
-                l.early_order.hash(&mut h);
-                l.confirm_epoch.hash(&mut h);
-                if let Some(round) = &l.confirm_round {
-                    (round.epoch, round.backlog, sorted(&round.acks)).hash(&mut h);
-                }
-                l.last_round_covered.hash(&mut h);
-                l.suppress_hinted.hash(&mut h);
                 let mut txns: Vec<_> = l.txns.iter().collect();
                 txns.sort_unstable_by_key(|(k, _)| **k);
                 for (k, sess) in txns {
@@ -563,7 +521,6 @@ impl Replica {
                 for (id, (k, sess)) in committing {
                     (id, k, &sess.ops).hash(&mut h);
                 }
-                (l.hb_seq, sorted(&l.hb_acks)).hash(&mut h);
                 (l.last_batch, l.window_armed, l.window_rearms).hash(&mut h);
             }
         }
@@ -579,33 +536,6 @@ impl Replica {
     pub fn chaos_skip_instance(&mut self) -> bool {
         if let Role::Leader(l) = &mut self.role {
             l.next_instance = l.next_instance.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Chaos hook (`check-hooks` only): make this replica tag follower-read
-    /// replies with the leader's commit watermark instead of its own
-    /// applied prefix — claiming freshness it does not have. The client's
-    /// session logic then accepts replies that may miss its own writes,
-    /// which is exactly the read-your-writes violation the checker's
-    /// session invariant must fire on. Never called by production code.
-    #[cfg(feature = "check-hooks")]
-    pub fn chaos_inflate_read_watermark(&mut self) {
-        self.chaos_inflate_watermark = true;
-    }
-
-    /// Chaos hook (`check-hooks` only): stretch a held read lease by
-    /// `extra`, violating the timing assumption that bounds it to the
-    /// granting heartbeat's send time. A deposed leader keeps serving
-    /// local reads, which the linearizability invariant must catch.
-    /// Returns whether the mutation applied (i.e. we lead). Never called
-    /// by production code.
-    #[cfg(feature = "check-hooks")]
-    pub fn chaos_stretch_lease(&mut self, extra: Dur) -> bool {
-        if let Role::Leader(l) = &mut self.role {
-            l.lease_until = l.lease_until.after(extra);
             true
         } else {
             false
@@ -637,7 +567,10 @@ impl Replica {
         self.clock = self.clock.max(now);
         let mut out = Vec::new();
         match msg {
-            Msg::Request(req) => self.handle_request(req, now, &mut out),
+            Msg::Request(req) if self.is_leader() => self.leader_handle_request(req, now, &mut out),
+            // Off the lead a read may be served or confirmed; everything
+            // else is the leader's (the client's broadcast reached it too).
+            Msg::Request(req) => self.follower_sees_request(&req, now, &mut out),
             Msg::Prepare {
                 ballot,
                 chosen_prefix,
@@ -688,20 +621,9 @@ impl Replica {
                 hb_seq,
             } => {
                 self.handle_chosen(ballot, chosen, now, &mut out);
-                // Lease mode: grant the leader a lease vote by acking.
-                if self.cfg.read_mode == crate::config::ReadMode::Lease
-                    && ballot >= self.promised
-                    && !self.is_leader()
-                {
-                    out.push(Action::send(
-                        Addr::Replica(ballot.proposer),
-                        Msg::HeartbeatAck { ballot, hb_seq },
-                    ));
-                }
+                self.grant_lease_vote(ballot, hb_seq, &mut out);
             }
-            Msg::HeartbeatAck { ballot, hb_seq } => {
-                self.handle_heartbeat_ack(from, ballot, hb_seq, now)
-            }
+            Msg::HeartbeatAck { ballot, hb_seq } => self.handle_heartbeat_ack(from, ballot, hb_seq),
             Msg::CatchUpReq { have } => self.handle_catchup_req(from, have, &mut out),
             Msg::CatchUp {
                 ballot,
@@ -796,9 +718,7 @@ impl Replica {
         if ballot > self.promised {
             self.promised = ballot;
             self.stable.acked().save_promised(ballot);
-            // A new leadership starts with per-read confirms enabled; its
-            // own rounds will re-establish suppression if load warrants.
-            self.confirm_suppressed = false;
+            self.reads.promised_anew();
         }
         self.fd.observe(ballot, now);
         true
@@ -889,9 +809,7 @@ impl Replica {
         }
         // Learn the leader's commit watermark (follower-read extension):
         // `upto` is the certifying leader's chosen prefix at send time.
-        if upto > self.leader_commit {
-            self.leader_commit = upto;
-        }
+        self.reads.learn_commit(upto);
         if self.leading_ballot() == Some(ballot) {
             return; // our own leadership; we track commits directly
         }
@@ -929,32 +847,6 @@ impl Replica {
                 ));
             }
         }
-    }
-
-    /// The leader sealed confirm epoch `epoch` (extension): answer with a
-    /// single [`Msg::ConfirmBatch`] that validates every read it opened in
-    /// that epoch — "I have accepted no ballot higher than `ballot`" holds
-    /// here, after all of those reads arrived, which is exactly what one
-    /// per-read confirm certifies. A deposed leader's round gets no answer
-    /// (we promised higher), so it can never reach a majority.
-    fn handle_confirm_req(
-        &mut self,
-        ballot: Ballot,
-        epoch: u64,
-        backlog: bool,
-        now: Time,
-        out: &mut Vec<Action>,
-    ) {
-        if ballot.proposer == self.id || !self.defer_to(ballot, now, out) {
-            return;
-        }
-        // Adopt the leader's load hint: under a backlog the round traffic
-        // replaces per-read confirms; a single-read round lifts it.
-        self.confirm_suppressed = backlog;
-        out.push(Action::send(
-            Addr::Replica(ballot.proposer),
-            Msg::ConfirmBatch { ballot, epoch },
-        ));
     }
 
     fn handle_catchup_req(&mut self, from: Addr, have: Instance, out: &mut Vec<Action>) {
@@ -1258,6 +1150,7 @@ impl Replica {
         match std::mem::replace(&mut self.role, Role::Follower) {
             Role::Leader(l) => {
                 self.stats.step_downs += 1;
+                self.reads.leadership_ended();
                 // T-Paxos sessions die with the leadership (§3.6): staged
                 // effects are discarded; clients learn via LeaderSwitch
                 // aborts when they try to commit at the new leader.

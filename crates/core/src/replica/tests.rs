@@ -735,6 +735,74 @@ fn tpaxos_commit_after_leader_switch_aborts() {
     }
 }
 
+/// P0 (c): the leader dies after the `Accept` of a T-Paxos commit decree
+/// left; the followers hold it, the new leader recovers it. The client's
+/// retransmitted `Commit` arrives while that recovery is still collecting
+/// votes: the new leader has no session for the transaction, but the
+/// decree it is re-proposing commits it — §3.5 breaks if the client is
+/// told "aborted" for a transaction whose decree is chosen.
+#[test]
+fn tpaxos_commit_retransmitted_during_recovery_is_never_told_aborted() {
+    let cfg = cluster_cfg(3).with_txn_mode(TxnMode::TPaxos);
+    let mut s = Shuttle::new(3, cfg);
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    let txn = TxnId(1);
+    for _ in 0..2 {
+        let id = c.next_request_id();
+        let req = crate::request::Request::txn_op(id, RequestKind::Write, txn, Bytes::new());
+        let actions = c.submit(req, s.now);
+        let done = s.drive_client(&mut c, actions);
+        assert!(matches!(done.body, ReplyBody::Ok(_)));
+    }
+    let from = |p: u32| Addr::Replica(ProcessId(p));
+    let client = Addr::Client(ClientId(1));
+    let commit = crate::request::Request::txn_commit(c.next_request_id(), txn, 2);
+    let retry = || Msg::Request(commit.clone());
+    // r0 proposes the commit decree; r1 and r2 accept it, their answers
+    // are lost and r0 dies.
+    let r0 = s.replicas[0].as_mut().unwrap();
+    let proposed = r0.on_message(client, retry(), s.now);
+    let accept = sent(&proposed, |m| matches!(m, Msg::Accept { .. }));
+    for p in [1, 2] {
+        let r = s.replicas[p].as_mut().unwrap();
+        let _lost = r.on_message(from(0), accept.clone(), s.now);
+    }
+    s.crash(0);
+    // r1 wins with r2's promise and re-proposes the decree; before r2
+    // answers, the client's retransmission arrives.
+    s.now = Time(Dur::from_secs(10).0);
+    let r1 = s.replicas[1].as_mut().unwrap();
+    let campaign = r1.on_timer(TimerKind::LeaderCheck, s.now);
+    let prepare = sent(&campaign, |m| matches!(m, Msg::Prepare { .. }));
+    let r2 = s.replicas[2].as_mut().unwrap();
+    let promised = r2.on_message(from(1), prepare, s.now);
+    let promise = sent(&promised, |m| matches!(m, Msg::Promise { .. }));
+    let r1 = s.replicas[1].as_mut().unwrap();
+    let takeover = r1.on_message(from(2), promise, s.now);
+    let retried = r1.on_message(client, retry(), s.now);
+    s.enqueue(from(1), takeover);
+    s.enqueue(from(1), retried);
+    s.run();
+    // The decree is chosen, the transaction applied everywhere...
+    s.assert_replica_states_converged();
+    assert_eq!(s.replica(1).chosen_prefix(), Instance(1));
+    assert_eq!(writes_applied(s.replica(1)), 1, "one commit, applied once");
+    // ...and the client hears "committed", never "aborted".
+    let mut told = Vec::new();
+    for (_, m) in &s.client_inbox {
+        if let Msg::Reply(r) = m {
+            told.extend((r.id == commit.id).then(|| r.body.clone()));
+        }
+    }
+    assert!(
+        !told
+            .iter()
+            .any(|b| matches!(b, ReplyBody::TxnAborted { .. })),
+        "told aborted for a transaction whose decree is chosen: {told:?}"
+    );
+    assert!(told.contains(&ReplyBody::TxnCommitted { txn }));
+}
+
 #[test]
 fn tpaxos_client_abort_discards_staged_ops() {
     let cfg = cluster_cfg(3).with_txn_mode(TxnMode::TPaxos);
@@ -2000,9 +2068,180 @@ fn read_req(client: u64, seq: u64) -> crate::request::Request {
     )
 }
 
+/// `reads.rs`'s rule, row by row: what an open read needs before it is
+/// answered, in a group of three (majority two; the leader's own vote is
+/// the first).
+#[test]
+fn the_one_door() {
+    use super::reads::{verdict, Verdict, Verdict::*};
+    let (x, lease) = (ReadMode::XPaxos, ReadMode::Lease);
+    let follower = ReadMode::Follower { max_staleness: 2 };
+    /// Mode; executed?; per-read votes; a round of its epoch completed?;
+    /// lease live?; the verdict; what the row shows.
+    type Case = (ReadMode, bool, usize, bool, bool, Verdict, &'static str);
+    let cases: [Case; 14] = [
+        (
+            x,
+            true,
+            2,
+            false,
+            false,
+            Reply,
+            "§3.4: executed, and a majority says we lead",
+        ),
+        (
+            x,
+            true,
+            1,
+            false,
+            false,
+            Wait,
+            "one vote short of a majority is no leadership",
+        ),
+        (
+            x,
+            true,
+            1,
+            true,
+            false,
+            Reply,
+            "a completed round of its epoch stands in for the votes",
+        ),
+        (x, true, 3, true, true, Reply, "both validations at once"),
+        (
+            x,
+            false,
+            3,
+            true,
+            true,
+            Wait,
+            "result absent: wait, whatever the votes",
+        ),
+        (x, false, 1, false, false, Wait, "nothing yet"),
+        (
+            x,
+            true,
+            1,
+            false,
+            true,
+            Wait,
+            "a lease validates nothing outside lease mode",
+        ),
+        (
+            lease,
+            true,
+            1,
+            false,
+            true,
+            Reply,
+            "a live lease needs no vote",
+        ),
+        (
+            lease,
+            true,
+            3,
+            true,
+            false,
+            Requeue,
+            "lease lapsed under the read: through consensus",
+        ),
+        (
+            lease,
+            false,
+            1,
+            false,
+            true,
+            Wait,
+            "leased, not executed: behind the decree in flight",
+        ),
+        (
+            lease,
+            false,
+            1,
+            false,
+            false,
+            Wait,
+            "a lapsed lease requeues only once the read has run",
+        ),
+        (
+            follower,
+            true,
+            1,
+            false,
+            false,
+            Reply,
+            "the leader is at its own watermark",
+        ),
+        (
+            follower,
+            false,
+            3,
+            true,
+            true,
+            Wait,
+            "...once it has executed",
+        ),
+        (
+            ReadMode::Consensus,
+            true,
+            1,
+            false,
+            true,
+            Wait,
+            "a mode that opens no read answers none",
+        ),
+    ];
+    for (mode, executed, votes, confirmed, leased, want, what) in cases {
+        let said = verdict(mode, 2, executed, votes, confirmed, leased);
+        assert_eq!(said, want, "{what}");
+    }
+}
+
+/// The lease row of the table through the doors: a lease-mode read that
+/// arrived under a live lease and waited behind a decree in flight finds
+/// the lease lapsed when the decree commits. It is not answered locally;
+/// it becomes a decree itself.
+#[test]
+fn lease_lapsing_under_a_deferred_read_sends_it_through_consensus() {
+    let cfg = cluster_cfg(3).with_read_mode(ReadMode::Lease);
+    let mut s = Shuttle::new(3, cfg);
+    let client = |c: u64| Addr::Client(ClientId(c));
+    let r0 = s.replicas[0].as_mut().unwrap();
+    let ballot = r0.promised();
+    // A write in flight, its `Accept`s withheld; the read opens under the
+    // bootstrap heartbeat's lease and waits.
+    let withheld = r0.on_message(client(8), Msg::Request(write_req(8, 1)), s.now);
+    let waiting = r0.on_message(client(9), Msg::Request(read_req(9, 1)), s.now);
+    assert!(waiting.is_empty(), "opened, not executed, not queued");
+    // The followers' votes arrive after the lease (25 ms) ran out.
+    s.now = Time(Dur::from_secs(10).0);
+    let accept = sent(&withheld, |m| matches!(m, Msg::Accept { .. }));
+    let Msg::Accept { entries, .. } = &accept else {
+        unreachable!()
+    };
+    let instances = vec![entries[0].0];
+    let voted = Msg::Accepted { ballot, instances };
+    let r0 = s.replicas[0].as_mut().unwrap();
+    let committed = r0.on_message(Addr::Replica(ProcessId(1)), voted, s.now);
+    let reproposed = sent(&committed, |m| matches!(m, Msg::Accept { .. }));
+    let Msg::Accept { entries, .. } = &reproposed else {
+        unreachable!()
+    };
+    assert!(
+        entries[0].1.answers(read_req(9, 1).id),
+        "the read is a decree now"
+    );
+    let answered = committed
+        .iter()
+        .any(|a| matches!(a, Action::Send { to, msg: Msg::Reply(_) } if *to == client(9)));
+    assert!(!answered, "no local answer without a lease");
+    assert_eq!(s.replica(0).stats.lease_reads, 0);
+    assert_eq!(s.replica(0).stats.consensus_reads, 1);
+}
+
 #[test]
 fn early_confirm_buffer_is_bounded_fifo() {
-    let cap = super::leader::EARLY_CONFIRM_CAP;
+    let cap = super::reads::EARLY_CONFIRM_CAP;
     let mut s = Shuttle::new(3, cluster_cfg(3));
     let ballot = s.replica(0).promised();
     // Confirms for reads whose client requests never arrive at the leader
@@ -2018,25 +2257,22 @@ fn early_confirm_buffer_is_bounded_fifo() {
         ));
     }
     s.run();
-    let Role::Leader(l) = s.replica(0).role() else {
-        panic!("r0 leads")
-    };
-    assert_eq!(l.early_confirms.len(), cap);
-    assert_eq!(l.early_order.len(), cap);
+    let reads = &s.replica(0).reads;
+    assert_eq!(reads.early_buffered(), (cap, cap));
     for seq in 0..overflow as u64 {
         let oldest = crate::request::RequestId::new(ClientId(99), crate::types::Seq(seq));
-        assert!(!l.early_confirms.contains_key(&oldest), "oldest evicted");
+        assert!(!reads.holds_early(oldest), "oldest evicted");
     }
     let newest = crate::request::RequestId::new(
         ClientId(99),
         crate::types::Seq((cap + overflow - 1) as u64),
     );
-    assert!(l.early_confirms.contains_key(&newest), "newest retained");
+    assert!(reads.holds_early(newest), "newest retained");
 }
 
 #[test]
 fn concurrent_reads_complete_through_a_single_confirm_round() {
-    let deep = super::leader::CONFIRM_BACKLOG_THRESHOLD as u64;
+    let deep = super::reads::CONFIRM_BACKLOG_THRESHOLD as u64;
     let mut s = Shuttle::new(3, cluster_cfg(3));
     for client in 1..=deep {
         push_read(&mut s, client, 1);
@@ -2055,23 +2291,23 @@ fn concurrent_reads_complete_through_a_single_confirm_round() {
     assert_eq!(replies, deep as usize);
     // The round carried the backlog hint: followers switched off per-read
     // confirms.
-    assert!(s.replica(1).confirm_suppressed);
-    assert!(s.replica(2).confirm_suppressed);
+    assert!(s.replica(1).reads.suppressed());
+    assert!(s.replica(2).reads.suppressed());
     // Hysteresis: the next lone read still rides a round (followers are
     // suppressed, so nothing else can complete it)...
     push_read(&mut s, deep + 1, 1);
     s.run();
     assert_eq!(s.replica(0).stats.confirm_rounds, 2);
     assert!(
-        s.replica(1).confirm_suppressed,
+        s.replica(1).reads.suppressed(),
         "one shallow round keeps the hint up through a burst gap"
     );
     // ...and only a second consecutive shallow round lifts suppression.
     push_read(&mut s, deep + 2, 1);
     s.run();
     assert_eq!(s.replica(0).stats.confirm_rounds, 3);
-    assert!(!s.replica(1).confirm_suppressed);
-    assert!(!s.replica(2).confirm_suppressed);
+    assert!(!s.replica(1).reads.suppressed());
+    assert!(!s.replica(2).reads.suppressed());
     assert_eq!(s.replica(0).stats.xpaxos_reads, deep + 2);
 }
 
@@ -2114,7 +2350,7 @@ fn stale_confirm_batch_answers_are_ignored() {
     assert!(out.is_empty());
     // Open round epoch 1 with a backlog of leader-only reads, answers
     // withheld.
-    let deep = super::leader::CONFIRM_BACKLOG_THRESHOLD as u64;
+    let deep = super::reads::CONFIRM_BACKLOG_THRESHOLD as u64;
     let mut launched = false;
     for client in 1..=deep {
         let acts = r0.on_message(
@@ -2186,7 +2422,7 @@ fn confirm_round_answers_after_losing_leadership_are_ignored() {
     {
         // Round epoch 1 in flight at r0 (answers withheld).
         let r0 = s.replicas[0].as_mut().unwrap();
-        for client in 1..=super::leader::CONFIRM_BACKLOG_THRESHOLD as u64 {
+        for client in 1..=super::reads::CONFIRM_BACKLOG_THRESHOLD as u64 {
             let _ = r0.on_message(
                 Addr::Client(ClientId(client)),
                 Msg::Request(read_req(client, 1)),
@@ -2243,13 +2479,13 @@ fn disabled_confirm_batching_leaves_the_per_read_path_untouched() {
     // A deep backlog of leader-only reads (and even a retransmission)
     // launches no rounds with batching off — the knob leaves every new
     // path dormant.
-    for client in 10..10 + super::leader::CONFIRM_BACKLOG_THRESHOLD as u64 {
+    for client in 10..10 + super::reads::CONFIRM_BACKLOG_THRESHOLD as u64 {
         push_read(&mut s, client, 1);
     }
     push_read(&mut s, 10, 1);
     s.run();
     assert_eq!(s.replica(0).stats.confirm_rounds, 0);
-    assert!(!s.replica(1).confirm_suppressed);
+    assert!(!s.replica(1).reads.suppressed());
 }
 
 #[test]
@@ -2267,8 +2503,8 @@ fn lone_reads_with_batching_on_use_the_per_read_path_unchanged() {
     assert_eq!(s.replica(0).stats.xpaxos_reads, 3);
     assert_eq!(s.replica(0).stats.confirm_rounds, 0);
     assert_eq!(s.replica(0).stats.batched_reads, 0);
-    assert!(!s.replica(1).confirm_suppressed);
-    assert!(!s.replica(2).confirm_suppressed);
+    assert!(!s.replica(1).reads.suppressed());
+    assert!(!s.replica(2).reads.suppressed());
 }
 
 // ----------------------------------------------------------------------

@@ -237,16 +237,14 @@ impl World {
         };
         for i in 0..n {
             let syncs_cost = w.opts.durability == DurabilityMode::Batched;
-            let disks = &w.disks;
-            let mut storages = || {
-                Box::new(MemStorage::modelled(Arc::clone(disks), syncs_cost)) as Box<dyn Storage>
+            let disk = |_| {
+                Box::new(MemStorage::modelled(Arc::clone(&w.disks), syncs_cost)) as Box<dyn Storage>
             };
-            let r = MultiReplica::new(
+            let r = MultiReplica::open(
                 ProcessId(i as u32),
                 w.cfg.clone(),
-                n_groups,
+                (0..n_groups).map(disk).collect(),
                 w.app_factory.as_ref(),
-                &mut storages,
                 w.opts.seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64),
                 Time::ZERO,
             );
@@ -511,7 +509,7 @@ impl World {
                         return true; // double-recover of a node that never crashed
                     }
                     let storages = std::mem::take(storages);
-                    let mut m = MultiReplica::recover(
+                    let mut m = MultiReplica::open(
                         p,
                         self.cfg.clone(),
                         storages,

@@ -549,6 +549,7 @@ impl Storage for FileStorage {
         // + fsync + rename: a record appended between the snapshot and
         // the rename would be lost.
         // lint: allow(guard-across-blocking): rewrite excludes appends by design
+        // lint: allow(send-while-locked): its `open` is `OpenOptions::open`, not `Replica::open`
         inner.rewrite_wal();
     }
 

@@ -6,7 +6,8 @@
 //! thousands of closed-loop clients, long before it runs out of protocol
 //! capacity (EXPERIMENTS.md E14), so a node is **one thread**: a
 //! level-triggered `epoll` loop ([`crate::sys`]) owning the listener,
-//! every connection, all `G` group replica cores, and the timer table.
+//! every connection, the [`MultiReplica`] with all `G` group replica
+//! cores, and the timer table.
 //!
 //! ## I/O discipline
 //!
@@ -81,7 +82,7 @@ use gridpaxos_core::action::Action;
 use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
-use gridpaxos_core::multi::{group_config, group_seed};
+use gridpaxos_core::multi::MultiReplica;
 use gridpaxos_core::outbox::{release, Out, Outbox, Wire};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{Reply, ReplyBody};
@@ -228,10 +229,11 @@ fn frame_bytes(body: &[u8]) -> Bytes {
 }
 
 struct Reactor {
-    cores: Vec<Replica>,
+    /// The process: its groups are the cores, and it says which group a
+    /// message addresses and what a group's message looks like outside.
+    node: MultiReplica,
     me: ProcessId,
     n: usize,
-    n_groups: usize,
     epoch: Instant,
     epoll: Epoll,
     listener: TcpListener,
@@ -257,22 +259,20 @@ struct Reactor {
 }
 
 impl Reactor {
-    /// A node hosting `cores` (group `g` at index `g`) behind `listener`,
-    /// not yet running.
+    /// `node` behind `listener`, not yet running.
     fn new(
-        cores: Vec<Replica>,
+        mut node: MultiReplica,
         listener: TcpListener,
         peer_addrs: HashMap<ProcessId, SocketAddr>,
         stop: Arc<AtomicBool>,
         rcfg: ReactorConfig,
         metrics: Arc<MetricsInner>,
     ) -> io::Result<Reactor> {
-        let n_groups = cores.len();
         Ok(Reactor {
-            me: cores[0].id(),
-            n: cores[0].config().n,
-            cores,
-            n_groups,
+            me: node.id(),
+            n: node.groups_mut()[0].config().n,
+            timers: Timers::new(node.n_groups()),
+            node,
             epoch: Instant::now(),
             epoll: Epoll::new()?,
             listener,
@@ -283,7 +283,6 @@ impl Reactor {
             inbox: VecDeque::new(),
             outbox: Outbox::default(),
             dirty: Vec::new(),
-            timers: Timers::new(n_groups),
             gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
             rcfg,
             scratch: BytesMut::new(),
@@ -297,31 +296,23 @@ impl Reactor {
         Time(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    /// Wrap `msg` in the group envelope iff this node is multi-group.
-    fn wrap(&self, g: usize, msg: Msg) -> Msg {
-        if self.n_groups <= 1 {
-            msg
-        } else {
-            Msg::Grouped {
-                group: GroupId(g as u32),
-                inner: Box::new(msg),
-            }
-        }
-    }
-
     /// Interpret one handler invocation's actions for group `g`. Sends are
     /// buffered in the outbox; [`Reactor::flush_and_transmit`] lets them go.
     fn apply(&mut self, g: usize, actions: Vec<Action>) {
         let now = self.now();
+        let group = GroupId(g as u32);
+        let Some(core) = self.node.group(group) else {
+            return;
+        };
         for a in actions {
             match a {
                 Action::Send { to, msg } => {
-                    let msg = self.wrap(g, msg);
-                    self.outbox.push(Out::One(to, msg), &self.cores[g]);
+                    let out = Out::One(to, self.node.envelope(group, msg));
+                    self.outbox.push(out, core);
                 }
                 Action::ToAllReplicas { msg } => {
-                    let msg = self.wrap(g, msg);
-                    self.outbox.push(Out::All(msg), &self.cores[g]);
+                    let out = Out::All(self.node.envelope(group, msg));
+                    self.outbox.push(out, core);
                 }
                 Action::SetTimer { kind, after } => self.timers.set(g, kind, now.0 + after.0),
                 Action::CancelTimer { kind } => self.timers.cancel(g, kind),
@@ -335,7 +326,7 @@ impl Reactor {
             let Some((g, kind)) = self.timers.pop_due(now.0) else {
                 return;
             };
-            let actions = self.cores[g].on_timer(kind, now);
+            let actions = self.node.groups_mut()[g].on_timer(kind, now);
             self.apply(g, actions);
         }
     }
@@ -732,15 +723,12 @@ impl Reactor {
                 break;
             };
             drained += 1;
-            let (g, inner) = match msg {
-                Msg::Grouped { group, inner } => (group.0 as usize, *inner),
-                other => (0, other),
-            };
-            if g >= self.n_groups {
+            let Some((group, inner)) = self.node.route(msg) else {
                 continue; // peer from a differently sized deployment
-            }
+            };
+            let g = group.0 as usize;
             let now = self.now();
-            let actions = self.cores[g].on_message(from, inner, now);
+            let actions = self.node.groups_mut()[g].on_message(from, inner, now);
             self.apply(g, actions);
         }
         // Keep the gate fed as the backlog shrinks so re-admission happens
@@ -769,11 +757,11 @@ impl Reactor {
                 .add(self.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
                 .is_err()
         {
-            return self.cores;
+            return self.node.into_groups();
         }
-        for g in 0..self.n_groups {
+        for g in 0..self.node.n_groups() {
             let now = self.now();
-            let actions = self.cores[g].on_start(now);
+            let actions = self.node.groups_mut()[g].on_start(now);
             self.apply(g, actions);
         }
         self.flush_and_transmit();
@@ -803,7 +791,7 @@ impl Reactor {
             // One incremental-checkpoint chunk per group per cycle: state
             // serialization rides the drive loop in O(chunk) slices
             // instead of one stop-the-world O(state) pause.
-            for core in &mut self.cores {
+            for core in self.node.groups_mut() {
                 core.pump_checkpoint(1);
             }
             self.flush_and_transmit();
@@ -812,16 +800,16 @@ impl Reactor {
         // A clean stop leaves no chosen-prefix mark waiting for a barrier
         // that will never come, and no decree executed but not chosen in
         // the state it hands back.
-        for core in &mut self.cores {
+        for core in self.node.groups_mut() {
             core.stop();
         }
-        self.cores
+        self.node.into_groups()
     }
 }
 
 impl Wire for Reactor {
     fn cores(&mut self) -> &mut [Replica] {
-        &mut self.cores
+        self.node.groups_mut()
     }
 
     fn outbox(&mut self) -> &mut Outbox {
@@ -878,25 +866,20 @@ impl ReactorHandle {
     }
 }
 
-/// Spawn one reactor node hosting `group_replicas` (group `g` at index
-/// `g`, all sharing one `ProcessId`) behind `listener`. `peers` maps every
-/// replica node (including this one) to its listen address.
+/// Spawn one reactor node hosting `node`'s groups behind `listener`.
+/// `peers` maps every replica node (including this one) to its listen
+/// address.
 pub fn spawn_reactor_node(
-    group_replicas: Vec<Replica>,
+    node: MultiReplica,
     listener: TcpListener,
     peers: HashMap<ProcessId, SocketAddr>,
     stop: Arc<AtomicBool>,
     rcfg: ReactorConfig,
 ) -> io::Result<ReactorHandle> {
-    let n_groups = group_replicas.len();
-    assert!(n_groups >= 1, "need at least one group");
-    let me = group_replicas[0].id();
-    for r in &group_replicas {
-        assert_eq!(r.id(), me, "one node hosts one process id across groups");
-    }
+    let me = node.id();
     let metrics = ReactorMetrics::default();
     let reactor = Reactor::new(
-        group_replicas,
+        node,
         listener,
         peers,
         stop,
@@ -1007,32 +990,16 @@ impl ReactorCluster {
         for (id, listener) in listeners {
             let storages = storage_factory(id);
             assert_eq!(storages.len(), n_groups, "one storage per group");
-            // One apply-worker pool per *node*: groups are the units of
-            // parallelism, so a node's G cores share `apply_workers`
-            // threads rather than spawning G pools.
-            let pool = (cfg.apply_workers > 0)
-                .then(|| gridpaxos_core::apply::ApplyPool::new(cfg.apply_workers));
-            let group_replicas = storages
-                .into_iter()
-                .enumerate()
-                .map(|(gi, storage)| {
-                    let g = GroupId(gi as u32);
-                    let app = match &pool {
-                        Some(p) => p.wrap(app_factory()),
-                        None => app_factory(),
-                    };
-                    Replica::open(
-                        id,
-                        group_config(&cfg, g),
-                        app,
-                        storage,
-                        group_seed(0xace0 + u64::from(id.0), g),
-                        Time::ZERO,
-                    )
-                })
-                .collect();
+            let node = MultiReplica::open(
+                id,
+                cfg.clone(),
+                storages,
+                &|_| app_factory(),
+                0xace0 + u64::from(id.0),
+                Time::ZERO,
+            );
             nodes.push(spawn_reactor_node(
-                group_replicas,
+                node,
                 listener,
                 addrs.clone(),
                 Arc::clone(&stop),
@@ -1178,17 +1145,17 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
-        let replica = Replica::new(
+        let node = MultiReplica::open(
             ProcessId(0),
             Config::cluster(1),
-            noop_factory(),
-            Box::new(MemStorage::new()),
+            vec![Box::new(MemStorage::new())],
+            &|_| noop_factory(),
             1,
             Time::ZERO,
         );
         let metrics = ReactorMetrics::default();
         let r = Reactor::new(
-            vec![replica],
+            node,
             listener,
             HashMap::new(),
             Arc::new(AtomicBool::new(false)),

@@ -123,9 +123,9 @@ fn main() {
         },
         None => Box::new(MemStorage::new()),
     };
-    let app = Box::new(KvStore::new());
-    let replica = Replica::open(ProcessId(id), cfg, app, storage, seed, Time::ZERO);
-    if let Some(dir) = &data_dir {
+    let app = |_| Box::new(KvStore::new()) as Box<dyn App>;
+    let node = MultiReplica::open(ProcessId(id), cfg, vec![storage], &app, seed, Time::ZERO);
+    if let (Some(dir), Some(replica)) = (&data_dir, node.group(GroupId::ZERO)) {
         eprintln!(
             "gridpaxos-server r{id}: opened {dir} at instance {}",
             replica.chosen_prefix()
@@ -143,13 +143,7 @@ fn main() {
     eprintln!("gridpaxos-server r{id}: listening on {bound}, group of {n}");
     // Run until killed.
     let stop = Arc::new(AtomicBool::new(false));
-    let handle = match spawn_reactor_node(
-        vec![replica],
-        listener,
-        peers,
-        stop,
-        ReactorConfig::default(),
-    ) {
+    let handle = match spawn_reactor_node(node, listener, peers, stop, ReactorConfig::default()) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("spawn reactor: {e}");
