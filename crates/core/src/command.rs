@@ -98,6 +98,15 @@ pub enum Command {
 }
 
 impl Command {
+    /// Bytes of service-level operation the command carries.
+    pub(crate) fn op_bytes(&self) -> usize {
+        match self {
+            Command::Noop | Command::TxnDecide { .. } => 0,
+            Command::Req(req) | Command::TxnPrepare { req, .. } => req.op.len(),
+            Command::TxnCommit { ops, .. } => ops.iter().map(|r| r.op.len()).sum(),
+        }
+    }
+
     /// The client request id this command answers, if any.
     #[must_use]
     pub fn request_id(&self) -> Option<RequestId> {
@@ -159,6 +168,17 @@ impl Decree {
         Decree {
             entries: Arc::new([DecreeEntry { cmd, update, reply }]),
         }
+    }
+
+    /// Payload bytes the decree holds: operation, update and reply of every
+    /// entry — what the service's values make of it, fixed-size framing left
+    /// out. The unit of the log's byte budget ([`crate::log::LOG_BYTES_FLOOR`]).
+    #[must_use]
+    pub fn payload_bytes(&self) -> u64 {
+        let of = |e: &DecreeEntry| {
+            e.cmd.op_bytes() + e.update.payload_len() + e.reply.payload().map_or(0, |p| p.len())
+        };
+        self.entries.iter().map(of).sum::<usize>() as u64
     }
 
     /// Whether this decree answers the given request id.

@@ -18,10 +18,22 @@ use crate::storage::DurableState;
 use crate::types::Instance;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Floor of the log's byte budget. A checkpoint falls due once the retained
+/// decrees hold `max(2 × the last image, this)` payload bytes (compact when
+/// the log outweighs what replaces it; `Executor::checkpoint_due`), and a
+/// log-served `CatchUp` carries at most this much, an eighth of the
+/// transports' frame limit. Derived from what the log holds, so
+/// deliberately a constant and not a `Config` field: below it a service
+/// with small values checkpoints by instance count as before.
+pub const LOG_BYTES_FLOOR: u64 = 8 << 20;
+
 /// In-memory mirror of the durable log plus chosen-tracking.
 #[derive(Clone, Debug, Default)]
 pub struct ReplicaLog {
     accepted: BTreeMap<Instance, (Ballot, Decree)>,
+    /// [`Decree::payload_bytes`] summed over `accepted`, kept exact by
+    /// every method that adds or drops an entry.
+    bytes: u64,
     chosen_prefix: Instance,
     known_chosen_above: BTreeSet<Instance>,
 }
@@ -40,6 +52,7 @@ impl ReplicaLog {
     pub fn from_durable(d: &DurableState) -> ReplicaLog {
         ReplicaLog {
             accepted: d.accepted.clone(),
+            bytes: payload_bytes(d.accepted.values()),
             chosen_prefix: d.chosen_prefix,
             known_chosen_above: BTreeSet::new(),
         }
@@ -54,7 +67,17 @@ impl ReplicaLog {
     /// Record an accepted decree (highest ballot wins; the caller has
     /// already checked the promise invariant).
     pub fn record_accept(&mut self, i: Instance, b: Ballot, d: Decree) {
-        self.accepted.insert(i, (b, d));
+        self.bytes += d.payload_bytes();
+        if let Some((_, replaced)) = self.accepted.insert(i, (b, d)) {
+            self.bytes -= replaced.payload_bytes();
+        }
+    }
+
+    /// Payload bytes of the retained entries — what a checkpoint would
+    /// let the log drop, weighed against [`LOG_BYTES_FLOOR`].
+    #[must_use]
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 
     /// The accepted entry for an instance, if any.
@@ -140,18 +163,29 @@ impl ReplicaLog {
 
     /// Chosen decrees in `(have, upto]`, if the log still holds *all* of
     /// them — used to serve catch-up from the log instead of a snapshot.
+    /// The range ends before the decree that would take it past
+    /// `max_bytes` of payload (never before the first: every answer makes
+    /// progress); its last instance says how far it reaches.
     #[must_use]
-    pub fn chosen_range(&self, have: Instance, upto: Instance) -> Option<Vec<(Instance, Decree)>> {
+    pub fn chosen_range(
+        &self,
+        have: Instance,
+        upto: Instance,
+        max_bytes: u64,
+    ) -> Option<Vec<(Instance, Decree)>> {
         let mut out = Vec::new();
+        let mut bytes = 0;
         let mut i = have.next();
         while i <= upto {
             if !self.is_known_chosen(i) {
                 return None;
             }
-            match self.accepted.get(&i) {
-                Some((_, d)) => out.push((i, d.clone())),
-                None => return None,
+            let (_, d) = self.accepted.get(&i)?;
+            bytes += d.payload_bytes();
+            if bytes > max_bytes && !out.is_empty() {
+                break;
             }
+            out.push((i, d.clone()));
             i = i.next();
         }
         Some(out)
@@ -169,7 +203,9 @@ impl ReplicaLog {
 
     /// Drop entries for instances `<= upto` (covered by a checkpoint).
     pub fn truncate_upto(&mut self, upto: Instance) {
-        self.accepted = self.accepted.split_off(&upto.next());
+        let kept = self.accepted.split_off(&upto.next());
+        let dropped = std::mem::replace(&mut self.accepted, kept);
+        self.bytes -= payload_bytes(dropped.values());
         self.known_chosen_above = self.known_chosen_above.split_off(&upto.next());
     }
 
@@ -184,6 +220,10 @@ impl ReplicaLog {
     pub fn is_empty(&self) -> bool {
         self.accepted.is_empty()
     }
+}
+
+fn payload_bytes<'a>(entries: impl Iterator<Item = &'a (Ballot, Decree)>) -> u64 {
+    entries.map(|(_, d)| d.payload_bytes()).sum()
 }
 
 #[cfg(test)]
@@ -252,11 +292,46 @@ mod tests {
     #[test]
     fn chosen_range_requires_full_coverage() {
         let log = filled(10);
-        let r = log.chosen_range(Instance(3), Instance(6)).unwrap();
+        let r = log
+            .chosen_range(Instance(3), Instance(6), u64::MAX)
+            .unwrap();
         assert_eq!(r.len(), 3);
         assert_eq!(r[0].0, Instance(4));
         // Beyond what is chosen: unavailable.
-        assert!(log.chosen_range(Instance(3), Instance(11)).is_none());
+        assert!(log
+            .chosen_range(Instance(3), Instance(11), u64::MAX)
+            .is_none());
+    }
+
+    #[test]
+    fn chosen_range_ends_before_the_decree_past_max_bytes() {
+        use crate::command::{Command, StateUpdate};
+        use crate::request::{ReplyBody, Request, RequestId, RequestKind};
+        let id = RequestId::new(crate::types::ClientId(1), crate::types::Seq(1));
+        let ten = Request::new(id, RequestKind::Write, bytes::Bytes::from_static(&[0; 10]));
+        let decree = Decree::single(Command::Req(ten), StateUpdate::None, ReplyBody::Empty);
+        let mut log = ReplicaLog::new();
+        for i in 1..=6 {
+            log.record_accept(Instance(i), b(1), decree.clone());
+            log.mark_chosen(Instance(i));
+            log.advance_applied(Instance(i));
+        }
+        assert_eq!(log.bytes(), 60);
+        let reach = |have, max| {
+            let range = log.chosen_range(Instance(have), Instance(6), max).unwrap();
+            range.last().map(|(i, _)| i.0)
+        };
+        assert_eq!(reach(0, 60), Some(6));
+        assert_eq!(reach(0, 35), Some(3));
+        assert_eq!(reach(3, 35), Some(6));
+        assert_eq!(reach(0, 5), Some(1), "never short of the first");
+        assert_eq!(reach(6, 5), None);
+        // An overwrite and a truncation keep the count exact.
+        log.record_accept(Instance(7), b(1), decree.clone());
+        log.record_accept(Instance(7), b(2), Decree::noop());
+        assert_eq!(log.bytes(), 60);
+        log.truncate_upto(Instance(4));
+        assert_eq!(log.bytes(), 20);
     }
 
     #[test]
@@ -269,8 +344,12 @@ mod tests {
         assert!(log.get(Instance(9)).is_some());
         // Catch-up from below the truncation point must now fail over to a
         // snapshot.
-        assert!(log.chosen_range(Instance(5), Instance(10)).is_none());
-        assert!(log.chosen_range(Instance(8), Instance(10)).is_some());
+        assert!(log
+            .chosen_range(Instance(5), Instance(10), u64::MAX)
+            .is_none());
+        assert!(log
+            .chosen_range(Instance(8), Instance(10), u64::MAX)
+            .is_some());
     }
 
     #[test]

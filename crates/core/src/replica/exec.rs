@@ -18,6 +18,7 @@
 use super::ReplicaStats;
 use crate::command::{Command, Decree, DecreeEntry, DedupEntry, SnapshotBlob, StateUpdate};
 use crate::config::ValueMode;
+use crate::log::LOG_BYTES_FLOOR;
 use crate::request::{AbortReason, ReplyBody, Request, RequestId, RequestKind, TxnCtl};
 use crate::service::{App, ExecCtx};
 use crate::types::{ClientId, Instance, Seq, Time, TxnId};
@@ -52,6 +53,15 @@ pub(crate) struct Freeze {
     pub started: Time,
 }
 
+/// Which bound on the log made a checkpoint due.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Due {
+    /// `checkpoint_every` instances since the last one.
+    Count,
+    /// The retained decrees outweigh the image that replaces them.
+    Bytes,
+}
+
 /// Owner of a replica's service state (module docs).
 pub(crate) struct Executor {
     app: Box<dyn App>,
@@ -60,6 +70,8 @@ pub(crate) struct Executor {
     dedup: HashMap<ClientId, (Seq, ReplyBody)>,
     window: Option<Window>,
     last_checkpoint: Instance,
+    /// App bytes of the last image written or installed (0 before any).
+    last_image_bytes: u64,
     freeze: Option<Freeze>,
 }
 
@@ -71,6 +83,7 @@ impl Executor {
             dedup: HashMap::new(),
             window: None,
             last_checkpoint: Instance::ZERO,
+            last_image_bytes: 0,
             freeze: None,
         }
     }
@@ -202,6 +215,14 @@ impl Executor {
                     (_, ValueMode::ReqOnly) => StateUpdate::None,
                     (_, ValueMode::ReqState) => update,
                 };
+                // The update is the whole effect and the entry carries the
+                // reply: where the service says `apply` will not read the
+                // body beside it, the decree keeps the request's identity
+                // and not a second copy of its value.
+                let subsumed = ctx.op_subsumed()
+                    && matches!(update, StateUpdate::Delta(_) | StateUpdate::Full(_));
+                let op = if subsumed { Bytes::new() } else { req.op };
+                let req = Request { op, ..req };
                 (Command::Req(req), update, ReplyBody::Ok(bytes))
             }
         };
@@ -396,22 +417,37 @@ impl Executor {
             .map(|e| (e.client, (e.seq, e.reply.clone())))
             .collect();
         self.last_checkpoint = snap.upto;
+        self.last_image_bytes = snap.app.len() as u64;
         thawed
     }
 
-    /// Whether `prefix` is `every` instances past the last checkpoint. Not
-    /// while one is being written, and not over an open window: the image
-    /// must be chosen state only.
-    pub(crate) fn checkpoint_due(&self, prefix: Instance, every: u64) -> bool {
-        every > 0
-            && self.freeze.is_none()
-            && self.window.is_none()
-            && prefix.0 - self.last_checkpoint.0 >= every
+    /// Whether a checkpoint is due at `prefix`, and by which bound on the
+    /// log: `every` instances past the last one (the cap), or `log_bytes`
+    /// of retained decrees outweighing the image that replaces them —
+    /// twice its size, and no less than [`LOG_BYTES_FLOOR`]. `every == 0`
+    /// means never. Not while one is being written, and not over an open
+    /// window: the image must be chosen state only.
+    pub(crate) fn checkpoint_due(
+        &self,
+        prefix: Instance,
+        every: u64,
+        log_bytes: u64,
+    ) -> Option<Due> {
+        if every == 0 || self.freeze.is_some() || self.window.is_some() {
+            None
+        } else if prefix.0 - self.last_checkpoint.0 >= every {
+            Some(Due::Count)
+        } else if log_bytes >= LOG_BYTES_FLOOR.max(2 * self.last_image_bytes) {
+            Some(Due::Bytes)
+        } else {
+            None
+        }
     }
 
-    /// A checkpoint at `upto` is complete.
-    pub(crate) fn checkpointed(&mut self, upto: Instance) {
+    /// A checkpoint at `upto`, an image of `image_bytes`, is complete.
+    pub(crate) fn checkpointed(&mut self, upto: Instance, image_bytes: u64) {
         self.last_checkpoint = upto;
+        self.last_image_bytes = image_bytes;
     }
 
     /// Freeze the state at `prefix` for emission in chunks of
@@ -462,7 +498,7 @@ impl Executor {
     /// Everything above that shapes later behaviour, for the model
     /// checker's fingerprint (the drive clock stays out, as all clocks do).
     pub(crate) fn fingerprint(&self, h: &mut impl Hasher) {
-        self.last_checkpoint.hash(h);
+        (self.last_checkpoint, self.last_image_bytes).hash(h);
         self.window.as_ref().map(|w| w.pre.is_none()).hash(h);
         if let Some(ck) = &self.freeze {
             (ck.upto, ck.total, ck.next, ck.bytes).hash(h);

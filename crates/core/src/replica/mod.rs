@@ -25,7 +25,7 @@ mod reads;
 mod stable;
 
 pub use candidate::CandidateState;
-use exec::Executor;
+use exec::{Due, Executor};
 pub use leader::{LeaderState, TxnSession};
 use reads::Reads;
 use stable::Stable;
@@ -35,7 +35,7 @@ use crate::ballot::Ballot;
 use crate::command::{Decree, DedupEntry, SnapshotBlob};
 use crate::config::Config;
 use crate::election::{ElectionPacer, FailureDetector};
-use crate::log::ReplicaLog;
+use crate::log::{ReplicaLog, LOG_BYTES_FLOOR};
 use crate::msg::Msg;
 use crate::request::Reply;
 use crate::service::App;
@@ -126,6 +126,11 @@ pub struct ReplicaStats {
     pub applied: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
+    /// Checkpoints begun because the retained log bytes outweighed the
+    /// image, before `checkpoint_every` instances had passed.
+    pub checkpoints_by_bytes: u64,
+    /// Payload bytes the log retains now ([`ReplicaLog::bytes`]).
+    pub log_bytes: u64,
     /// Total bytes written across all checkpoints.
     pub checkpoint_bytes: u64,
     /// Total chunks emitted across all checkpoints (a monolithic
@@ -298,6 +303,7 @@ impl Replica {
             self.stats.applied += 1;
             self.exec.chosen(decree, &mut self.rng);
         }
+        self.stats.log_bytes = self.log.bytes();
         self
     }
 
@@ -363,6 +369,12 @@ impl Replica {
     #[must_use]
     pub fn log_len(&self) -> usize {
         self.log.len()
+    }
+
+    /// The command log, for tests that look at the decrees themselves.
+    #[must_use]
+    pub fn log(&self) -> &ReplicaLog {
+        &self.log
     }
 
     /// Consume the replica (a crash) and keep only what survives: the
@@ -645,6 +657,7 @@ impl Replica {
             // one layer up, in [`crate::multi::MultiReplica`].
             Msg::Grouped { inner, .. } => return self.on_message(from, *inner, now),
         }
+        self.stats.log_bytes = self.log.bytes();
         out
     }
 
@@ -677,6 +690,7 @@ impl Replica {
             TimerKind::BatchWindow => self.on_batch_window_timer(now, &mut out),
             TimerKind::ClientRetry => {} // client-only timer
         }
+        self.stats.log_bytes = self.log.bytes();
         out
     }
 
@@ -858,13 +872,18 @@ impl Replica {
         if upto <= have {
             return;
         }
-        let msg = match self.log.chosen_range(have, upto) {
-            Some(entries) => Msg::CatchUp {
-                ballot,
-                entries,
-                snapshot: None,
-                upto,
-            },
+        // Decrees from the log go out [`LOG_BYTES_FLOOR`] at a time — a
+        // frame the transports carry whatever the values weigh — under the
+        // `upto` they reach; the requester asks for the rest when the next
+        // heartbeat shows it still behind.
+        let from_log = |entries: Vec<(Instance, Decree)>, above: Instance| Msg::CatchUp {
+            ballot,
+            upto: entries.last().map_or(above, |(i, _)| *i),
+            entries,
+            snapshot: None,
+        };
+        let msg = match self.log.chosen_range(have, upto, LOG_BYTES_FLOOR) {
+            Some(entries) => from_log(entries, have),
             None => {
                 // The log no longer reaches back to `have`. Prefer
                 // streaming the retained chunked checkpoint (refcounted
@@ -888,16 +907,9 @@ impl Replica {
                         }
                         // Entries above the checkpoint ride a normal
                         // CatchUp (the log retains everything above it).
-                        let entries = self.log.chosen_range(ck.upto, upto).unwrap_or_default();
-                        out.push(Action::send(
-                            from,
-                            Msg::CatchUp {
-                                ballot,
-                                entries,
-                                snapshot: None,
-                                upto,
-                            },
-                        ));
+                        let entries = self.log.chosen_range(ck.upto, upto, LOG_BYTES_FLOOR);
+                        let entries = entries.unwrap_or_default();
+                        out.push(Action::send(from, from_log(entries, ck.upto)));
                         self.stats.catchups_served += 1;
                         return;
                     }
@@ -1066,9 +1078,11 @@ impl Replica {
     }
 
     fn maybe_checkpoint(&mut self, prefix: Instance) {
-        if !self.exec.checkpoint_due(prefix, self.cfg.checkpoint_every) {
+        let every = self.cfg.checkpoint_every;
+        let Some(due) = self.exec.checkpoint_due(prefix, every, self.log.bytes()) else {
             return;
-        }
+        };
+        self.stats.checkpoints_by_bytes += u64::from(due == Due::Bytes);
         let chunk_bytes = self.cfg.checkpoint_chunk_bytes;
         if chunk_bytes > 0 && self.stable.get().supports_chunked_checkpoint() {
             let (dedup, total) = self.exec.freeze_at(prefix, chunk_bytes, self.clock);
@@ -1115,7 +1129,8 @@ impl Replica {
     fn checkpointed(&mut self, upto: Instance, bytes: u64, chunks: u64, took: Dur) {
         self.stable.unacked().truncate_upto(upto);
         self.log.truncate_upto(upto);
-        self.exec.checkpointed(upto);
+        self.exec.checkpointed(upto, bytes);
+        self.stats.log_bytes = self.log.bytes();
         self.stats.checkpoints += 1;
         self.stats.checkpoint_bytes += bytes;
         self.stats.checkpoint_chunks += chunks;

@@ -942,9 +942,11 @@ fn crashed_leader_rejoins_one_instance_short_and_catches_up() {
     assert_eq!(s.replica(0).chosen_prefix(), Instance(4));
 }
 
-/// A service whose every write rolls a die; the state is the rolls so
-/// far. A replica that executed a request again, instead of applying the
-/// decree that already holds its outcome, would show a different roll.
+/// A service whose every write rolls a die and answers with the roll; the
+/// state is the rolls so far. A replica that executed a request again,
+/// instead of applying the decree that already holds its outcome, would
+/// show a different roll. The shipped state is the whole effect, so its
+/// decrees carry no request body.
 #[derive(Default)]
 struct Dice(Vec<u8>);
 
@@ -957,10 +959,11 @@ impl App for Dice {
         if req.kind == RequestKind::Read {
             return (self.snapshot(), crate::command::StateUpdate::None);
         }
-        self.0
-            .extend_from_slice(&ctx.rng.gen::<u64>().to_le_bytes());
+        let roll = ctx.rng.gen::<u64>().to_le_bytes();
+        self.0.extend_from_slice(&roll);
+        ctx.update_subsumes_op();
         (
-            Bytes::new(),
+            Bytes::copy_from_slice(&roll),
             crate::command::StateUpdate::Full(self.snapshot()),
         )
     }
@@ -990,17 +993,21 @@ fn leader_lost_between_accept_and_barrier() -> (Shuttle, ClientCore, DurableStat
     let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
     s.submit(&mut c, RequestKind::Write);
 
-    let request = sent(&c.submit_op(RequestKind::Write, Bytes::new(), s.now), |m| {
-        matches!(m, Msg::Request(_))
-    });
+    let roll = c.submit_op(RequestKind::Write, Bytes::from_static(b"roll"), s.now);
+    let request = sent(&roll, |m| matches!(m, Msg::Request(_)));
     let leader = s.replicas[0].as_mut().unwrap();
     let actions = leader.on_message(Addr::Client(c.id()), request, s.now);
     let Msg::Accept { entries, .. } = sent(&actions, |m| matches!(m, Msg::Accept { .. })) else {
         unreachable!()
     };
-    let crate::command::StateUpdate::Full(rolled) = entries[0].1.entries[0].update.clone() else {
+    let entry = &entries[0].1.entries[0];
+    let crate::command::StateUpdate::Full(rolled) = entry.update.clone() else {
         panic!("a Dice write ships its state");
     };
+    let crate::command::Command::Req(req) = &entry.cmd else {
+        panic!("a plain write");
+    };
+    assert!(req.op.is_empty(), "the decree names the request, no more");
     let disk = s.power_cut_mid_barrier(0, actions);
     assert_eq!(disk.chosen_prefix, Instance::ZERO, "marks are lazy");
     assert_eq!(
@@ -1027,11 +1034,15 @@ fn restart_old_leader(s: &mut Shuttle, disk: DurableState) {
     s.run();
 }
 
-/// The client's retransmission timer fires and the request is answered.
-fn retransmit(s: &mut Shuttle, c: &mut ClientCore) {
+/// The client's retransmission timer fires and the request is answered:
+/// returns the answer.
+fn retransmit(s: &mut Shuttle, c: &mut ClientCore) -> Bytes {
     let actions = c.on_timer(TimerKind::ClientRetry, s.now);
     let done = s.drive_client(c, actions);
-    assert!(matches!(done.body, ReplyBody::Ok(_)), "got {:?}", done.body);
+    let ReplyBody::Ok(answer) = done.body else {
+        panic!("got {:?}", done.body);
+    };
+    answer
 }
 
 fn assert_all_hold(s: &mut Shuttle, prefix: Instance) -> Bytes {
@@ -1048,7 +1059,8 @@ fn assert_all_hold(s: &mut Shuttle, prefix: Instance) -> Bytes {
 /// and the election relearns the decree from a follower: the write —
 /// never acknowledged, but possibly chosen — is chosen with the outcome
 /// the lost leader rolled, nobody executes it again, and the client's
-/// retransmission is answered from it.
+/// retransmission is answered from it — from the reply the body-less
+/// decree carries, the roll only the lost leader ever saw.
 ///
 /// Mutation that must fail this test: `Msg::precedes_barrier` false for
 /// `Accept` (nothing leaves before the cut, so nothing is relearned and
@@ -1062,7 +1074,11 @@ fn leader_lost_after_its_accept_left_relearns_the_decree_from_a_follower() {
     assert_eq!(s.leader(), Some(0));
     assert!(s.replica(0).promised() > promised, "a ballot it never used");
     assert_eq!(s.replica(0).chosen_prefix(), Instance(2), "relearned");
-    retransmit(&mut s, &mut c);
+    assert_eq!(
+        retransmit(&mut s, &mut c),
+        rolled[8..],
+        "the recovered reply"
+    );
     assert_eq!(assert_all_hold(&mut s, Instance(2)), rolled);
 }
 
@@ -1270,7 +1286,8 @@ fn open_recovers_on_each_kind_of_prior_state() {
         dedup: vec![],
     });
     let r = open_r1(checkpointed);
-    assert!(!r.exec.checkpoint_due(Instance(3), 2) && r.exec.checkpoint_due(Instance(4), 2));
+    let due = |prefix| r.exec.checkpoint_due(Instance(prefix), 2, 0);
+    assert_eq!((due(3), due(4)), (None, Some(exec::Due::Count)));
 }
 
 /// A chosen prefix with nothing under it is prior state too — corrupt
@@ -2663,4 +2680,161 @@ fn executor_state_is_the_replay_of_the_chosen_decrees() {
             entries: own.entries.iter().cloned().collect(),
         });
     }
+}
+
+/// `Executor::checkpoint_due`, the one place that decides: by count, by
+/// bytes against `max(2 × last image, LOG_BYTES_FLOOR)`, and never for
+/// `checkpoint_every == 0`, over an open window or during a freeze.
+#[test]
+fn a_checkpoint_falls_due_by_count_or_by_retained_bytes() {
+    use exec::Due;
+    const FLOOR: u64 = crate::log::LOG_BYTES_FLOOR;
+    const MIB: u64 = 1 << 20;
+    let fresh = || Executor::new(Box::new(NoopApp::new()), ValueMode::ReqState);
+    let due = |e: &Executor, prefix, every, bytes| e.checkpoint_due(Instance(prefix), every, bytes);
+
+    // No image yet: the budget is the floor.
+    let mut e = fresh();
+    for ((prefix, every, bytes), want) in [
+        ((1023, 1024, 0), None),
+        ((1024, 1024, 0), Some(Due::Count)),
+        ((10, 1024, FLOOR - 1), None),
+        ((10, 1024, FLOOR), Some(Due::Bytes)),
+        ((1024, 1024, FLOOR), Some(Due::Count)), // both: the cap names it
+        ((5000, 0, 10 * FLOOR), None),           // 0 is "never", for bytes too
+    ] {
+        assert_eq!(
+            due(&e, prefix, every, bytes),
+            want,
+            "{prefix} {every} {bytes}"
+        );
+    }
+
+    // After an image of 5 MiB the log may weigh twice that; after a small
+    // one the floor holds again. An installed snapshot counts as an image.
+    e.checkpointed(Instance(100), 5 * MIB);
+    assert_eq!(due(&e, 110, 1024, FLOOR), None);
+    assert_eq!(due(&e, 110, 1024, 10 * MIB - 1), None);
+    assert_eq!(due(&e, 110, 1024, 10 * MIB), Some(Due::Bytes));
+    assert_eq!(due(&e, 1124, 1024, 0), Some(Due::Count));
+    e.checkpointed(Instance(200), MIB);
+    assert_eq!(due(&e, 210, 1024, FLOOR), Some(Due::Bytes));
+    let snap = SnapshotBlob {
+        upto: Instance(300),
+        app: Bytes::from(vec![0; 6 * MIB as usize]),
+        dedup: vec![],
+    };
+    e.install(&snap);
+    assert_eq!(due(&e, 310, 1024, 12 * MIB - 1), None);
+    assert_eq!(due(&e, 310, 1024, 12 * MIB), Some(Due::Bytes));
+
+    // Not over an open window: the image must be chosen state only.
+    let mut e = fresh();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let own = ExecScript::run(&mut e, &mut rng, vec![write_req(1, 1)]);
+    assert_eq!(due(&e, 4096, 1024, 10 * FLOOR), None);
+    e.chosen(&own, &mut rng);
+    assert_eq!(due(&e, 4096, 1024, 0), Some(Due::Count));
+
+    // Not while one is being written.
+    e.freeze_at(Instance(1), 64 * 1024, Time::ZERO);
+    assert_eq!(due(&e, 4096, 1024, 10 * FLOOR), None);
+    assert!(e.pump(usize::MAX, |_, _| {}).is_some());
+    assert_eq!(due(&e, 4096, 1024, FLOOR), Some(Due::Count));
+}
+
+/// A service that says of everything it executes or stages that the
+/// update subsumes the operation — more than any bundled service claims.
+struct Subsuming;
+
+impl App for Subsuming {
+    fn execute(
+        &mut self,
+        req: &crate::request::Request,
+        ctx: &mut crate::service::ExecCtx<'_>,
+    ) -> (Bytes, crate::command::StateUpdate) {
+        ctx.update_subsumes_op();
+        let write = req.kind != RequestKind::Read;
+        let update = write.then(|| crate::command::StateUpdate::Delta(req.op.clone()));
+        (
+            req.op.clone(),
+            update.unwrap_or(crate::command::StateUpdate::None),
+        )
+    }
+    fn apply(&mut self, _req: &crate::request::Request, _update: &crate::command::StateUpdate) {}
+    fn snapshot(&self) -> Bytes {
+        Bytes::new()
+    }
+    fn restore(&mut self, _snap: &[u8]) {}
+    fn txn_execute(
+        &mut self,
+        _txn: TxnId,
+        req: &crate::request::Request,
+        _durable: bool,
+        ctx: &mut crate::service::ExecCtx<'_>,
+    ) -> Result<(Bytes, crate::command::StateUpdate), AbortReason> {
+        Ok(self.execute(req, ctx))
+    }
+    fn txn_commit(&mut self, _txn: TxnId) -> crate::command::StateUpdate {
+        crate::command::StateUpdate::Delta(Bytes::from_static(b"commit"))
+    }
+    fn txn_prepare(
+        &mut self,
+        _txn: TxnId,
+        req: &crate::request::Request,
+        ctx: &mut crate::service::ExecCtx<'_>,
+    ) -> Result<crate::command::StateUpdate, AbortReason> {
+        Ok(self.execute(req, ctx).1)
+    }
+}
+
+/// The decree drops the body of a plain write under `ValueMode::ReqState`
+/// whose execution said the update subsumes it — and of nothing else: a
+/// consensus read, the classic `ReqOnly` baseline (backups re-execute from
+/// the body) and every transactional arm keep theirs.
+#[test]
+fn only_a_plain_write_whose_update_subsumes_it_loses_its_body() {
+    use crate::request::{Request, RequestId};
+    let op = Bytes::from_static(b"put k v");
+    let id = |seq| RequestId::new(ClientId(1), Seq(seq));
+    let txn = TxnId(9);
+    let batch = || {
+        vec![
+            Request::new(id(1), RequestKind::Write, op.clone()),
+            Request::new(id(2), RequestKind::Read, op.clone()),
+            Request::txn_op(id(3), RequestKind::Write, txn, op.clone()),
+            Request::txn_commit(id(4), txn, 1),
+            Request::txn_prepare(id(5), TxnId(10), op.clone()),
+            Request::txn_decide(id(6), TxnId(10), true, true),
+            Request::txn_commit(id(7), TxnId(11), 1),
+        ]
+    };
+    // The last commit is a T-Paxos one: its session's operations ride it.
+    let tpaxos_op = Request::txn_op(id(70), RequestKind::Write, TxnId(11), op.clone());
+    let run = |mode| {
+        let mut e = Executor::new(Box::new(Subsuming), mode);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let session = |rid| (rid == id(7)).then(|| vec![tpaxos_op.clone()]);
+        e.execute(
+            batch(),
+            Time::ZERO,
+            &mut rng,
+            &mut ReplicaStats::default(),
+            session,
+        )
+    };
+    let bodies =
+        |d: &Decree| -> Vec<usize> { d.entries.iter().map(|e| e.cmd.op_bytes()).collect() };
+    let n = op.len();
+    // (commit and decide requests carry no operation to begin with)
+    assert_eq!(bodies(&run(ValueMode::ReqState)), [0, n, n, 0, n, 0, n]);
+    assert_eq!(bodies(&run(ValueMode::ReqOnly)), [n, n, n, 0, n, 0, n]);
+    // Identity, update and reply are all still there.
+    let d = run(ValueMode::ReqState);
+    assert_eq!(d.entries[0].cmd.request_id(), Some(id(1)));
+    assert_eq!(d.entries[0].update.payload_len(), n);
+    assert_eq!(d.entries[0].reply, ReplyBody::Ok(op.clone()));
+    // Operation + update + reply: two, two, three, none, two, none and
+    // one copy of the op, and the six bytes of "commit" twice.
+    assert_eq!(d.payload_bytes(), (10 * n + 2 * 6) as u64);
 }

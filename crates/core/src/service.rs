@@ -23,12 +23,38 @@ pub struct ExecCtx<'a> {
     pub now: Time,
     /// Per-replica random number generator.
     pub rng: &'a mut SmallRng,
+    /// See [`ExecCtx::update_subsumes_op`].
+    op_subsumed: bool,
 }
 
 impl<'a> ExecCtx<'a> {
     /// Construct a context.
     pub fn new(now: Time, rng: &'a mut SmallRng) -> ExecCtx<'a> {
-        ExecCtx { now, rng }
+        ExecCtx {
+            now,
+            rng,
+            op_subsumed: false,
+        }
+    }
+
+    /// Said by [`App::execute`] of the [`StateUpdate::Delta`] or
+    /// [`StateUpdate::Full`] it is about to return: the update is the
+    /// request's whole effect, [`App::apply`] does not read `req.op` beside
+    /// it. Under `ValueMode::ReqState` the decree of a plain write then
+    /// carries the request's identity, the update and the reply, and not a
+    /// second copy of the value: `apply` is handed an empty `op`. A service
+    /// that decodes the operation in `apply` (the bundled scheduler and
+    /// broker do) says nothing and keeps the body — which is why the
+    /// replica layer cannot decide this for it. Said through the context,
+    /// not a trait method, so an `App` that wraps another (the apply
+    /// pool, a tracing wrapper) passes it on without knowing of it.
+    pub fn update_subsumes_op(&mut self) {
+        self.op_subsumed = true;
+    }
+
+    /// Whether the execution said [`ExecCtx::update_subsumes_op`].
+    pub(crate) fn op_subsumed(&self) -> bool {
+        self.op_subsumed
     }
 }
 

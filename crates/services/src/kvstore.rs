@@ -333,16 +333,25 @@ enum KvDelta {
 }
 
 impl KvDelta {
+    /// The encoding of `ApplyWrites(ws)`, from borrowed writes and into
+    /// one exact allocation: the caller keeps `ws` to store them, and a
+    /// large value is copied once, not once per buffer doubling.
+    fn encode_apply_writes(ws: &[KvWrite]) -> Bytes {
+        let len = 5 + ws.iter().map(kvwrite_enc_len).sum::<usize>();
+        let mut out = BytesMut::with_capacity(len);
+        out.put_u8(0);
+        out.put_u32_le(ws.len() as u32);
+        for w in ws {
+            w.encode_into(&mut out);
+        }
+        debug_assert_eq!(out.len(), len);
+        out.freeze()
+    }
+
     fn encode(&self) -> Bytes {
         let mut out = BytesMut::new();
         match self {
-            KvDelta::ApplyWrites(ws) => {
-                out.put_u8(0);
-                out.put_u32_le(ws.len() as u32);
-                for w in ws {
-                    w.encode_into(&mut out);
-                }
-            }
+            KvDelta::ApplyWrites(ws) => return KvDelta::encode_apply_writes(ws),
             KvDelta::Stage(txn, w) => {
                 out.put_u8(1);
                 out.put_u64_le(*txn);
@@ -789,26 +798,24 @@ impl KvStore {
     /// Set or remove a committed entry, maintaining the incremental
     /// encoded-size counter. Does *not* record undo (rollback uses it to
     /// restore pre-images directly).
-    fn set_committed(&mut self, k: &str, v: Option<String>) {
-        match v {
+    fn set_committed(&mut self, k: String, v: Option<String>) {
+        let empty = entry_enc_len(&k, "");
+        let old = match v {
             Some(v) => {
-                self.committed_enc_bytes += entry_enc_len(k, &v);
-                if let Some(old) = self.committed.insert(k.to_owned(), v) {
-                    self.committed_enc_bytes -= entry_enc_len(k, &old);
-                }
+                self.committed_enc_bytes += empty + v.len();
+                self.committed.insert(k, v)
             }
-            None => {
-                if let Some(old) = self.committed.remove(k) {
-                    self.committed_enc_bytes -= entry_enc_len(k, &old);
-                }
-            }
+            None => self.committed.remove(&k),
+        };
+        if let Some(old) = old {
+            self.committed_enc_bytes -= empty + old.len();
         }
     }
 
-    fn apply_write(&mut self, w: &KvWrite) {
+    fn apply_write(&mut self, w: KvWrite) {
         self.record_undo(w.key());
         match w {
-            KvWrite::Put(k, v) => self.set_committed(k, Some(v.clone())),
+            KvWrite::Put(k, v) => self.set_committed(k, Some(v)),
             KvWrite::Del(k) => self.set_committed(k, None),
         }
     }
@@ -888,24 +895,21 @@ impl KvStore {
 
     /// Resolve an op to the write it implies, reading through staged state
     /// (needed by `Add`).
-    fn write_of(&self, txn: Option<u64>, op: &KvOp) -> Option<(KvWrite, Bytes)> {
+    fn write_of(&self, txn: Option<u64>, op: KvOp) -> Option<(KvWrite, Bytes)> {
+        let put = |k, v: String| {
+            let reply = Bytes::copy_from_slice(v.as_bytes());
+            Some((KvWrite::Put(k, v), reply))
+        };
         match op {
             KvOp::Get(_) | KvOp::Scan(_) | KvOp::Fence => None,
-            KvOp::Put(k, v) => Some((
-                KvWrite::Put(k.clone(), v.clone()),
-                Bytes::from(v.clone().into_bytes()),
-            )),
-            KvOp::Del(k) => Some((KvWrite::Del(k.clone()), Bytes::new())),
+            KvOp::Put(k, v) => put(k, v),
+            KvOp::Del(k) => Some((KvWrite::Del(k), Bytes::new())),
             KvOp::Add(k, d) => {
                 let cur: i64 = self
-                    .read_through(txn, k)
+                    .read_through(txn, &k)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0);
-                let new = cur + d;
-                Some((
-                    KvWrite::Put(k.clone(), new.to_string()),
-                    Bytes::from(new.to_string().into_bytes()),
-                ))
+                put(k, (cur + d).to_string())
             }
         }
     }
@@ -1007,7 +1011,7 @@ impl KvStore {
         };
         if let Some(ws) = self.two_phase.resolve(txn) {
             if actual {
-                for w in &ws {
+                for w in ws {
                     self.apply_write(w);
                 }
             }
@@ -1018,7 +1022,7 @@ impl KvStore {
 }
 
 impl App for KvStore {
-    fn execute(&mut self, req: &Request, _ctx: &mut ExecCtx<'_>) -> (Bytes, StateUpdate) {
+    fn execute(&mut self, req: &Request, ctx: &mut ExecCtx<'_>) -> (Bytes, StateUpdate) {
         let Some(op) = KvOp::decode(req.op.clone()) else {
             return (Bytes::from_static(b"\0BAD_OP"), StateUpdate::None);
         };
@@ -1040,13 +1044,16 @@ impl App for KvStore {
                 {
                     return (Bytes::from_static(b"\0LOCKED"), StateUpdate::None);
                 }
-                let (w, reply) = self.write_of(None, &other).expect("write op");
-                self.apply_write(&w);
+                // The decoded value is copied into the reply and into the
+                // delta, then moved into the store.
+                let (w, reply) = self.write_of(None, other).expect("write op");
+                let delta = KvDelta::encode_apply_writes(std::slice::from_ref(&w));
+                self.apply_write(w);
                 self.version += 1;
-                (
-                    reply,
-                    StateUpdate::Delta(KvDelta::ApplyWrites(vec![w]).encode()),
-                )
+                // The delta names its own key and value; `apply` reads
+                // `req.txn` (the payload-less abort) and never `req.op`.
+                ctx.update_subsumes_op();
+                (reply, StateUpdate::Delta(delta))
             }
         }
     }
@@ -1068,7 +1075,7 @@ impl App for KvStore {
             }
             StateUpdate::Delta(b) => match KvDelta::decode(b.clone()) {
                 Some(KvDelta::ApplyWrites(ws)) => {
-                    for w in &ws {
+                    for w in ws {
                         self.apply_write(w);
                     }
                     self.version += 1;
@@ -1076,7 +1083,7 @@ impl App for KvStore {
                 Some(KvDelta::Stage(txn, w)) => self.durable.stage(txn, w),
                 Some(KvDelta::CommitTxn(txn)) => {
                     for w in self.durable.take(txn) {
-                        self.apply_write(&w);
+                        self.apply_write(w);
                     }
                     self.version += 1;
                 }
@@ -1155,7 +1162,7 @@ impl App for KvStore {
             }
             KvOp::Fence => Ok((self.fence_reply(), StateUpdate::None)),
             other => {
-                let (w, reply) = self.write_of(Some(t), &other).expect("write op");
+                let (w, reply) = self.write_of(Some(t), other).expect("write op");
                 let staging = if durable {
                     &mut self.durable
                 } else {
@@ -1177,16 +1184,17 @@ impl App for KvStore {
         if self.volatile.writes.contains_key(&t) {
             // T-Paxos: ship the whole batch; backups have no staging.
             let ws = self.volatile.take(t);
-            for w in &ws {
+            let delta = KvDelta::encode_apply_writes(&ws);
+            for w in ws {
                 self.apply_write(w);
             }
             self.version += 1;
-            StateUpdate::Delta(KvDelta::ApplyWrites(ws).encode())
+            StateUpdate::Delta(delta)
         } else if self.durable.writes.contains_key(&t) {
             // Per-op coordination: backups hold identical staging; a
             // commit marker suffices.
             for w in self.durable.take(t) {
-                self.apply_write(&w);
+                self.apply_write(w);
             }
             self.version += 1;
             StateUpdate::Delta(KvDelta::CommitTxn(t).encode())
@@ -1203,7 +1211,7 @@ impl App for KvStore {
     fn apply_txn_commit(&mut self, _txn: TxnId, _ops: &[Request], update: &StateUpdate) {
         if let StateUpdate::Delta(b) = update {
             if let Some(KvDelta::ApplyWrites(ws)) = KvDelta::decode(b.clone()) {
-                for w in &ws {
+                for w in ws {
                     self.apply_write(w);
                 }
                 self.version += 1;
@@ -1343,7 +1351,7 @@ impl App for KvStore {
         // back to their pre-images, durable staging and 2PC state back to
         // their clones, volatile staging cleared.
         for (k, img) in tn.undo {
-            self.set_committed(&k, img);
+            self.set_committed(k, img);
         }
         self.durable = tn.durable;
         self.two_phase = tn.two_phase;

@@ -22,19 +22,42 @@ use rand::SeedableRng;
 
 #[derive(Clone, Debug)]
 enum LogOp {
-    Accept(u64, u64),
+    /// Accept at an instance under a ballot: a decree of so many one-op
+    /// entries of so many payload bytes each (none: the no-op decree).
+    Accept(u64, u64, usize, usize),
     MarkChosen(u64),
     DrainApply,
     Truncate(u64),
+    /// A snapshot up to here was installed.
+    ForcePrefix(u64),
+    /// Crash and rebuild from what storage holds.
+    Reload,
 }
 
 fn arb_log_op() -> impl Strategy<Value = LogOp> {
     prop_oneof![
-        (1u64..30, 1u64..4).prop_map(|(i, b)| LogOp::Accept(i, b)),
+        (1u64..30, 1u64..4, 0usize..4, 0usize..200)
+            .prop_map(|(i, b, n, len)| LogOp::Accept(i, b, n, len)),
         (1u64..30).prop_map(LogOp::MarkChosen),
         Just(LogOp::DrainApply),
         (1u64..30).prop_map(LogOp::Truncate),
+        (1u64..30).prop_map(LogOp::ForcePrefix),
+        Just(LogOp::Reload),
     ]
+}
+
+/// `entries` writes whose operation, update and reply hold `len` bytes each.
+fn decree_of(entries: usize, len: usize) -> Decree {
+    let payload = Bytes::from(vec![7u8; len]);
+    let id = RequestId::new(ClientId(1), Seq(1));
+    let entry = gridpaxos::core::command::DecreeEntry {
+        cmd: Command::Req(Request::new(id, RequestKind::Write, payload.clone())),
+        update: StateUpdate::Delta(payload.clone()),
+        reply: ReplyBody::Ok(payload),
+    };
+    Decree {
+        entries: vec![entry; entries].into(),
+    }
 }
 
 proptest! {
@@ -47,10 +70,12 @@ proptest! {
         let mut truncated_below = Instance::ZERO;
         for op in ops {
             match op {
-                LogOp::Accept(i, b) => {
+                LogOp::Accept(i, b, entries, len) => {
                     let i = Instance(i);
                     if i > log.chosen_prefix() {
-                        log.record_accept(i, Ballot::new(b, ProcessId(0)), Decree::noop());
+                        let decree = decree_of(entries, len);
+                        prop_assert_eq!(decree.payload_bytes(), (3 * entries * len) as u64);
+                        log.record_accept(i, Ballot::new(b, ProcessId(0)), decree);
                     }
                 }
                 LogOp::MarkChosen(i) => {
@@ -72,7 +97,28 @@ proptest! {
                         truncated_below = truncated_below.max(i);
                     }
                 }
+                // As `Replica::install_snapshot` does it.
+                LogOp::ForcePrefix(i) => {
+                    let i = Instance(i);
+                    if i >= log.chosen_prefix() {
+                        log.truncate_upto(i);
+                        log.force_prefix(i);
+                        truncated_below = truncated_below.max(i);
+                    }
+                }
+                LogOp::Reload => {
+                    let durable = gridpaxos::core::storage::DurableState {
+                        accepted: log.iter_accepted().map(|(i, e)| (i, e.clone())).collect(),
+                        chosen_prefix: log.chosen_prefix(),
+                        ..Default::default()
+                    };
+                    log = ReplicaLog::from_durable(&durable);
+                }
             }
+            // Invariant: the byte count is the retained decrees' payload,
+            // whatever was overwritten, dropped or reloaded on the way.
+            let retained: u64 = log.iter_accepted().map(|(_, (_, d))| d.payload_bytes()).sum();
+            prop_assert_eq!(log.bytes(), retained);
             // Invariant: the prefix never regresses.
             prop_assert!(log.chosen_prefix() >= last_prefix);
             last_prefix = log.chosen_prefix();
@@ -104,7 +150,7 @@ proptest! {
             log.advance_applied(i);
         }
         let have = Instance(have);
-        match log.chosen_range(have, Instance(upto)) {
+        match log.chosen_range(have, Instance(upto), u64::MAX) {
             Some(entries) => {
                 // An empty range (have >= upto) is legitimately Some(vec![]).
                 prop_assert_eq!(entries.len() as u64, upto.saturating_sub(have.0));
