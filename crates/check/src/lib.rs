@@ -10,8 +10,8 @@
 //!   after every transition. Run it with `cargo run -p check --release`.
 //! * **Repo lint** ([`lint`], [`concurrency`]): source-level passes
 //!   enforcing protocol coding rules clippy cannot express (exhaustive
-//!   `Msg` dispatch, no non-test `unwrap`/`expect` in replica/transport
-//!   code, persist-before-send ordering) plus a cross-file concurrency
+//!   `Msg` dispatch, no non-test `unwrap`/`expect` in replica, transport
+//!   or service code, persist-before-send ordering) plus a cross-file concurrency
 //!   analysis (lock-order cycles, guards held across blocking ops,
 //!   channel sends while locked). Run them with
 //!   `cargo run -p check --bin lint`.

@@ -8,9 +8,10 @@
 //!    must fail compilation where it is dispatched, never be silently
 //!    swallowed.
 //! 2. **No non-test `unwrap`/`expect`** (`crates/core/src/replica`,
-//!    `crates/transport/src`): replica and transport code must use typed
-//!    errors or documented invariant panics (`panic!`/`unreachable!` with
-//!    rationale), not ad-hoc unwraps.
+//!    `crates/transport/src`, `crates/services/src`): replica, transport
+//!    and service code — the services decode client bytes inside the
+//!    replica process — must use typed errors or documented invariant
+//!    panics (`panic!`/`unreachable!` with rationale), not ad-hoc unwraps.
 //! 3. **Persist-before-send** (`crates/core/src/replica`): the functions
 //!    that acknowledge protocol steps must call the corresponding
 //!    `Storage` persist *before* constructing the acknowledgment message,
@@ -404,7 +405,7 @@ pub fn check_unwraps(file: &str, masked: &str) -> Vec<Finding> {
                 line: line_of(masked, off),
                 rule: "no-unwrap",
                 msg: format!(
-                    "`{}` in non-test replica/transport code; use typed errors or a \
+                    "`{}` in non-test replica/transport/services code; use typed errors or a \
                      documented invariant panic",
                     pat.trim_matches(|c| c == '.' || c == '(' || c == ')')
                 ),
@@ -812,8 +813,9 @@ pub struct Scope {
 /// cover `crates/core/src` and `crates/transport/src`; the barrier's one
 /// caller covers those and `crates/{simnet,check,bench}/src`; the read
 /// policy's one owner covers `crates/core/src/replica`;
-/// no-unwrap covers `crates/core/src/replica` and `crates/transport/src`
-/// (`tests.rs` files and `#[cfg(test)]` items excluded); the persist
+/// no-unwrap covers `crates/core/src/replica`, `crates/transport/src` and
+/// `crates/services/src` (`tests.rs` files and `#[cfg(test)]` items
+/// excluded); the persist
 /// rules cover `crates/core/src/replica`; the flush-barrier order covers
 /// `crates/core/src` (it keys on `release_or_cut`, the body the outbox's
 /// `release` and `release_to_barrier` share); the
@@ -851,6 +853,14 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
                 no_blocking: reactor_path,
             },
         ));
+    })?;
+    // The services decode client bytes inside the replica process.
+    collect_rs(&root.join("crates/services/src"), &mut |p| {
+        let scope = Scope {
+            no_unwrap: true,
+            ..Scope::default()
+        };
+        files.push((p.to_path_buf(), scope));
     })?;
     files.sort_by(|a, b| a.0.cmp(&b.0));
     let label = |path: &Path| {

@@ -11,12 +11,13 @@
 //!   balance — a half-committed transfer (debit applied, credit
 //!   dropped) shows up as created or destroyed money.
 //! * **Lock/intent-table schedules** ([`kv2pc_schedule`]): seeded op
-//!   sequences (prepare / decide / plain write / scan / snapshot
-//!   round-trip / tentative rollback) against a live sharded
-//!   [`KvStore`] pair — a "leader" running the 2PC hooks and a
+//!   sequences (prepare / decide / plain write / per-op transaction
+//!   step / T-Paxos transaction step / scan / snapshot round-trip /
+//!   tentative rollback) on one key pool against a live sharded
+//!   [`KvStore`] pair — a "leader" running the transaction hooks and a
 //!   "backup" applying only the shipped deltas — with a shadow model
-//!   of the lock table, intent table and decision table as the
-//!   sequential spec. Every vote, decide outcome, lock refusal and
+//!   of the one lock table, the intent table and the decision table as
+//!   the sequential spec. Every vote, decide outcome, lock refusal and
 //!   scan fence is compared against the model; at the end the backup
 //!   must equal the leader byte for byte (delta completeness).
 //!
@@ -302,6 +303,9 @@ struct Model {
     intents: BTreeMap<u64, Vec<(String, Option<String>)>>,
     decisions: BTreeMap<u64, bool>,
     version: u64,
+    /// Writes staged by open per-op and T-Paxos transactions; their
+    /// keys sit in `locks` beside the prepared ones.
+    staged: BTreeMap<u64, Vec<(String, Option<String>)>>,
 }
 
 impl Model {
@@ -322,6 +326,45 @@ impl Model {
                     self.committed.remove(k);
                 }
             }
+        }
+    }
+
+    /// Spec of a transactional write (`txn_execute`, either mode): a
+    /// key another transaction holds is a conflict; otherwise the write
+    /// is staged, an `Add` reading through the transaction's own writes.
+    fn stage(&mut self, txn: u64, op: &KvOp) -> Result<(), AbortReason> {
+        let key = op_key(op).to_owned();
+        if self.locks.get(&key).is_some_and(|owner| *owner != txn) {
+            return Err(AbortReason::Conflict);
+        }
+        let staged = self.staged.get(&txn);
+        let own = staged.and_then(|ws| ws.iter().rev().find(|(k, _)| *k == key));
+        let value = match op {
+            KvOp::Put(_, v) => Some(v.clone()),
+            KvOp::Add(_, d) => {
+                let cur = match own {
+                    Some((_, v)) => v.as_deref().and_then(|v| v.parse().ok()).unwrap_or(0),
+                    None => self.balance(&key),
+                };
+                Some((cur + d).to_string())
+            }
+            _ => None,
+        };
+        self.staged
+            .entry(txn)
+            .or_default()
+            .push((key.clone(), value));
+        self.locks.insert(key, txn);
+        Ok(())
+    }
+
+    /// Spec of `txn_commit` / `txn_abort`: the locks go, the staged
+    /// writes apply on a commit (an empty transaction commits to nothing).
+    fn finish(&mut self, txn: u64, commit: bool) {
+        self.locks.retain(|_, owner| *owner != txn);
+        if let Some(ws) = self.staged.remove(&txn).filter(|_| commit) {
+            self.apply_writes(&ws);
+            self.version += 1;
         }
     }
 
@@ -436,11 +479,16 @@ fn compare_store(who: &str, store: &KvStore, model: &Model, txn_pool: u64) -> Re
     Ok(())
 }
 
-/// One lock/intent-table schedule: a leader store running the 2PC App
-/// hooks, a backup store applying only shipped deltas, and the shadow
-/// model as the oracle. Returns the schedule hash.
+/// One lock/intent-table schedule: a leader store running the
+/// transaction hooks of all three modes, a backup store applying only
+/// shipped deltas, and the shadow model as the oracle. Returns the
+/// schedule hash.
 pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
+    // A `TxnId` names one transaction in one mode: 2PC draws from
+    // `1..=TXN_POOL`, per-op and T-Paxos transactions from their own ids.
     const TXN_POOL: u64 = 6;
+    const PER_OP: [u64; 2] = [11, 12];
+    const T_PAXOS: [u64; 2] = [21, 22];
     let mut ch = Choices::new(seed ^ 0xfee1);
     let n_groups = 2usize;
     let mut leader = KvStore::sharded_in(0, n_groups);
@@ -474,7 +522,7 @@ pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
         match ch.pick(100) {
             // Prepare a leg: 1-2 writes, occasionally including a
             // foreign key (the vote must be a CrossShard refusal).
-            0..=34 => {
+            0..=29 => {
                 let txn = 1 + ch.pick(TXN_POOL);
                 let n_writes = 1 + ch.pick(2);
                 let mut ops = Vec::new();
@@ -514,7 +562,7 @@ pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
             // Decide: commit or abort, recorded (home-group role) or
             // participant-directed; the actual outcome must match the
             // record-if-absent spec.
-            35..=64 => {
+            30..=54 => {
                 let txn = 1 + ch.pick(TXN_POOL);
                 let commit = ch.pick(2) == 1;
                 let rec = ch.pick(2) == 1;
@@ -528,8 +576,8 @@ pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
                 }
                 backup.apply_txn_decide(TxnId(txn), commit, &update);
             }
-            // Plain write: must bounce off 2PC intent locks.
-            65..=79 => {
+            // Plain write: must bounce off a key any transaction holds.
+            55..=64 => {
                 let key = owned[ch.pick(owned.len() as u64) as usize].clone();
                 let op = match ch.pick(4) {
                     0..=2 => KvOp::Add(key.clone(), ch.pick(9) as i64 - 4),
@@ -565,9 +613,64 @@ pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
                     backup.apply(&req, &update);
                 }
             }
-            // Scan: blocked exactly while an intent lock overlaps the
-            // prefix; otherwise the fenced body must equal the model.
-            80..=89 => {
+            // A step of a per-op (replicated staging) or T-Paxos
+            // (leader-local staging) transaction on the same keys: a
+            // write, a commit or an abort.
+            pick @ 65..=84 => {
+                let durable = pick < 75;
+                let pool = if durable { PER_OP } else { T_PAXOS };
+                let txn = pool[ch.pick(2) as usize];
+                seq += 1;
+                let id = RequestId::new(ClientId(9), Seq(seq));
+                match ch.pick(5) {
+                    0..=2 => {
+                        let key = owned[ch.pick(owned.len() as u64) as usize].clone();
+                        let op = match ch.pick(4) {
+                            0..=1 => KvOp::Add(key, ch.pick(9) as i64 - 4),
+                            2 => KvOp::Put(key, format!("{}", ch.pick(50))),
+                            _ => KvOp::Del(key),
+                        };
+                        let req = Request::txn_op(id, RequestKind::Write, TxnId(txn), op.encode());
+                        let mut ctx = ExecCtx::new(Time(seq), &mut rng);
+                        let got = leader.txn_execute(TxnId(txn), &req, durable, &mut ctx);
+                        let want = model.stage(txn, &op);
+                        match (got, want) {
+                            (Ok((_, update)), Ok(())) if update.is_none() != durable => {
+                                backup.apply(&req, &update);
+                            }
+                            (Err(g), Err(w)) if g == w => {}
+                            (g, w) => {
+                                let g = g.map(|(_, update)| update.is_none());
+                                return Err(format!(
+                                    "seed {seed}: txn {txn} {op:?} got {g:?}, model says {w:?}"
+                                ));
+                            }
+                        }
+                    }
+                    3 => {
+                        let n_ops = model.staged.get(&txn).map_or(0, Vec::len) as u32;
+                        let update = leader.txn_commit(TxnId(txn));
+                        model.finish(txn, true);
+                        if durable {
+                            backup.apply(&Request::txn_commit(id, TxnId(txn), n_ops), &update);
+                        } else {
+                            backup.apply_txn_commit(TxnId(txn), &[], &update);
+                        }
+                    }
+                    _ => {
+                        leader.txn_abort(TxnId(txn));
+                        model.finish(txn, false);
+                        if durable {
+                            let abort = Request::txn_abort(id, TxnId(txn));
+                            backup.apply(&abort, &gridpaxos_core::command::StateUpdate::None);
+                        }
+                    }
+                }
+            }
+            // Scan: blocked exactly while a prepared intent's lock
+            // overlaps the prefix; otherwise the fenced body must equal
+            // the model.
+            85..=91 => {
                 seq += 1;
                 let req = Request::new(
                     RequestId::new(ClientId(9), Seq(seq)),
@@ -576,7 +679,10 @@ pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
                 );
                 let mut ctx = ExecCtx::new(Time(seq), &mut rng);
                 let (reply, _) = leader.execute(&req, &mut ctx);
-                let blocked = model.locks.keys().any(|k| k.starts_with("acct"));
+                let blocked = model
+                    .locks
+                    .iter()
+                    .any(|(k, owner)| *owner <= TXN_POOL && k.starts_with("acct"));
                 if (reply.as_ref() == gridpaxos_services::SCAN_BLOCKED) != blocked {
                     return Err(format!(
                         "seed {seed}: scan blocked={}, model says {blocked}",
@@ -603,20 +709,23 @@ pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
                     }
                 }
             }
-            // Snapshot round-trip: 2PC state (intents, locks, decisions,
-            // version) must survive a restore — the recovery path a
-            // crashed home group depends on.
-            90..=94 => {
+            // Snapshot round-trip: replicated state (staging, intents,
+            // locks, decisions, version) must survive a restore — the
+            // recovery path a crashed home group depends on — and
+            // leader-local staging must not.
+            92..=95 => {
                 let snap = leader.snapshot();
                 let mut fresh = KvStore::sharded_in(0, n_groups);
                 fresh.restore(&snap);
                 leader = fresh;
+                T_PAXOS.iter().for_each(|t| model.finish(*t, false));
                 compare_store("leader after restore", &leader, &model, TXN_POOL)
                     .map_err(|e| format!("seed {seed}: {e}"))?;
             }
-            // Tentative rollback: a leader that executed a prepare
-            // tentatively and rolled back (superseded proposal) must
-            // restore the exact 2PC tables.
+            // Tentative rollback: a leader that executed a prepare, a
+            // decide and a per-op write tentatively and rolled back
+            // (superseded proposal) must restore the exact tables, and
+            // drops its leader-local staging as a restore would.
             _ => {
                 if leader.tentative_begin() {
                     let txn = 1 + ch.pick(TXN_POOL);
@@ -633,7 +742,16 @@ pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
                     let mut ctx = ExecCtx::new(Time(seq), &mut rng);
                     let _ = leader.txn_prepare(TxnId(txn), &req, &mut ctx);
                     let _ = leader.txn_decide(TxnId(txn), ch.pick(2) == 1, true);
+                    let staged = Request::txn_op(
+                        RequestId::new(ClientId(9), Seq(seq)),
+                        RequestKind::Write,
+                        TxnId(PER_OP[0]),
+                        ops[0].encode(),
+                    );
+                    let mut ctx = ExecCtx::new(Time(seq), &mut rng);
+                    let _ = leader.txn_execute(TxnId(PER_OP[0]), &staged, true, &mut ctx);
                     leader.tentative_rollback();
+                    T_PAXOS.iter().for_each(|t| model.finish(*t, false));
                     compare_store("leader after rollback", &leader, &model, TXN_POOL)
                         .map_err(|e| format!("seed {seed}: {e}"))?;
                 }
@@ -643,6 +761,9 @@ pub fn kv2pc_schedule(seed: u64) -> Result<u64, String> {
 
     compare_store("leader", &leader, &model, TXN_POOL).map_err(|e| format!("seed {seed}: {e}"))?;
     compare_store("backup", &backup, &model, TXN_POOL).map_err(|e| format!("seed {seed}: {e}"))?;
+    if backup.snapshot() != leader.snapshot() {
+        return Err(format!("seed {seed}: backup's image is not the leader's"));
+    }
     Ok(ch.hash)
 }
 

@@ -368,6 +368,35 @@ fn the_shipped_tree_is_clean() {
     assert!(findings.is_empty(), "findings: {findings:?}");
 }
 
+/// The services decode client bytes inside the replica process, so the
+/// no-unwrap rule reaches `crates/services/src` too: one non-test
+/// `expect` there is one finding, a test module's is none.
+#[test]
+fn an_expect_in_a_service_is_flagged() {
+    let root = std::env::temp_dir().join(format!("lint-services-{}", std::process::id()));
+    let dir = root.join("crates/services/src/kvstore");
+    std::fs::create_dir_all(&dir).expect("make the tree");
+    let src = r#"
+        fn write_of(op: KvOp) -> KvWrite {
+            op.into_write().expect("write op")
+        }
+        #[cfg(test)]
+        mod tests {
+            #[test]
+            fn t() {
+                decode(&[]).unwrap();
+            }
+        }
+    "#;
+    std::fs::write(dir.join("mod.rs"), src).expect("write the file");
+    let findings = lint_repo(&root);
+    std::fs::remove_dir_all(&root).expect("clean up");
+    let findings = findings.expect("read the tree");
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    assert_eq!(findings[0].rule, "no-unwrap");
+    assert_eq!(findings[0].file, "crates/services/src/kvstore/mod.rs");
+}
+
 /// The classifier may answer `true` for `Accept` alone: each other
 /// variant in a `true` arm is its own finding, with or without the
 /// exhaustive rest of the match.

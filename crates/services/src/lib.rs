@@ -12,8 +12,8 @@
 //!   the executing machine examines the queue; replication ships the
 //!   decision as a delta.
 //! * [`kvstore::KvStore`] — a transactional key-value store exercising
-//!   both transaction modes (per-operation coordination and T-Paxos),
-//!   with write locks and staged effects.
+//!   both transaction modes (per-operation coordination and T-Paxos) and
+//!   cross-shard 2PC, with write locks and staged effects.
 //!
 //! The no-op service used by the paper's measurements lives in the core
 //! crate ([`gridpaxos_core::service::NoopApp`]).

@@ -160,10 +160,10 @@ impl App for SizedApp {
     }
 
     fn restore(&mut self, snap: &[u8]) {
-        if snap.len() >= 8 {
-            self.writes = u64::from_le_bytes(snap[..8].try_into().expect("8 bytes"));
+        if let Some((writes, state)) = snap.split_first_chunk::<8>() {
+            self.writes = u64::from_le_bytes(*writes);
             self.state.clear();
-            self.state.extend_from_slice(&snap[8..]);
+            self.state.extend_from_slice(state);
         }
     }
 }

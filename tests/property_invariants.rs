@@ -505,3 +505,186 @@ proptest! {
         prop_assert_eq!(leader.snapshot(), backup.snapshot(), "replicas diverged");
     }
 }
+
+// ---------------------------------------------------------------------
+// KvStore: a tentative window and a frozen image under every kind of step
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum KvStep {
+    Plain(KvOp),
+    /// A write by the per-op (`true`) or T-Paxos transaction in this slot.
+    Txn(bool, u8, KvOp),
+    /// Commit (`true`) or abort that transaction.
+    Finish(bool, u8, bool),
+    Prepare(u64, Vec<KvOp>),
+    /// Decide: txn, commit, record.
+    Decide(u64, bool, bool),
+    OpenWindow,
+    Rollback,
+    CommitWindow,
+    Freeze(usize),
+    Chunk,
+}
+
+fn arb_kv_write() -> impl Strategy<Value = KvOp> {
+    prop_oneof![
+        ("[a-d]", "[x-z]{0,3}").prop_map(|(k, v)| KvOp::Put(k, v)),
+        "[a-d]".prop_map(KvOp::Del),
+        ("[a-d]", -5i64..5).prop_map(|(k, d)| KvOp::Add(k, d)),
+    ]
+}
+
+fn arb_kv_steps() -> impl Strategy<Value = Vec<KvStep>> {
+    proptest::collection::vec(
+        prop_oneof![
+            arb_kv_write().prop_map(KvStep::Plain),
+            (any::<bool>(), 0u8..2, arb_kv_write()).prop_map(|(d, s, op)| KvStep::Txn(d, s, op)),
+            (any::<bool>(), 0u8..2, any::<bool>()).prop_map(|(d, s, c)| KvStep::Finish(d, s, c)),
+            (1u64..4, proptest::collection::vec(arb_kv_write(), 1..3))
+                .prop_map(|(t, ops)| KvStep::Prepare(t, ops)),
+            (1u64..6, any::<bool>(), any::<bool>()).prop_map(|(t, c, r)| KvStep::Decide(t, c, r)),
+            Just(KvStep::OpenWindow),
+            Just(KvStep::Rollback),
+            Just(KvStep::CommitWindow),
+            (1usize..90).prop_map(KvStep::Freeze),
+            Just(KvStep::Chunk),
+            Just(KvStep::Chunk),
+        ],
+        1..70,
+    )
+}
+
+/// The chunks of an open freeze emitted so far, and what they must add up to.
+struct Freeze {
+    at_freeze: Bytes,
+    total: usize,
+    next: usize,
+    got: Vec<u8>,
+}
+
+proptest! {
+    /// Random schedules of plain / per-op / T-Paxos / prepare / decide
+    /// steps, inside and outside a tentative window and a frozen image:
+    /// a rollback leaves the store `restore(pre-window snapshot)` would,
+    /// and the chunks of a freeze add up to the snapshot taken when it
+    /// began, whatever ran in between.
+    #[test]
+    fn tentative_rollback_is_equivalent_to_pre_exec_restore(
+        steps in arb_kv_steps(),
+        seed in any::<u64>(),
+    ) {
+        let mut s = KvStore::new();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut window: Option<Bytes> = None;
+        let mut freeze: Option<Freeze> = None;
+        // One client counter names every transaction, in one mode each.
+        let mut next_txn = 100u64;
+        let mut live: [[Option<TxnId>; 2]; 2] = [[None; 2]; 2];
+        let mut seq = 0u64;
+
+        let close_freeze = |s: &mut KvStore, mut fz: Freeze| -> Result<(), TestCaseError> {
+            while fz.next < fz.total {
+                fz.got.extend_from_slice(&s.snapshot_chunk(fz.next));
+                fz.next += 1;
+            }
+            s.snapshot_end();
+            prop_assert_eq!(Bytes::from(fz.got), fz.at_freeze, "chunks ≠ freeze-time snapshot");
+            Ok(())
+        };
+        let rolled_back = |s: &mut KvStore,
+                           pre: Bytes,
+                           freeze: &mut Option<Freeze>|
+         -> Result<(), TestCaseError> {
+            s.tentative_rollback();
+            prop_assert_eq!(s.snapshot(), pre.clone(), "rollback ≠ pre-window image");
+            // `==` sees the leader-local staging and the overlays too,
+            // so close an open freeze before comparing whole stores.
+            if let Some(fz) = freeze.take() {
+                close_freeze(s, fz)?;
+            }
+            let mut restored = KvStore::new();
+            restored.restore(&pre);
+            prop_assert_eq!(&*s, &restored, "rollback ≠ restore(pre-window snapshot)");
+            Ok(())
+        };
+
+        for step in steps {
+            seq += 1;
+            let id = RequestId::new(ClientId(1), Seq(seq));
+            let mut ctx = ExecCtx::new(Time(seq), &mut rng);
+            match step {
+                KvStep::Plain(op) => {
+                    s.execute(&Request::new(id, RequestKind::Write, op.encode()), &mut ctx);
+                }
+                KvStep::Txn(durable, slot, op) => {
+                    let txn = *live[usize::from(durable)][slot as usize].get_or_insert_with(|| {
+                        next_txn += 1;
+                        TxnId(next_txn)
+                    });
+                    let req = Request::txn_op(id, RequestKind::Write, txn, op.encode());
+                    let _ = s.txn_execute(txn, &req, durable, &mut ctx);
+                }
+                KvStep::Finish(durable, slot, commit) => {
+                    if let Some(txn) = live[usize::from(durable)][slot as usize].take() {
+                        if commit {
+                            let _ = s.txn_commit(txn);
+                        } else {
+                            s.txn_abort(txn);
+                        }
+                    }
+                }
+                KvStep::Prepare(txn, ops) => {
+                    let req = Request::txn_prepare(
+                        id,
+                        TxnId(txn),
+                        gridpaxos::services::encode_txn_ops(&ops),
+                    );
+                    let _ = s.txn_prepare(TxnId(txn), &req, &mut ctx);
+                }
+                KvStep::Decide(txn, commit, record) => {
+                    let _ = s.txn_decide(TxnId(txn), commit, record);
+                }
+                KvStep::OpenWindow => {
+                    if window.is_none() {
+                        window = Some(s.snapshot());
+                        prop_assert!(s.tentative_begin());
+                    }
+                }
+                KvStep::Rollback => {
+                    if let Some(pre) = window.take() {
+                        rolled_back(&mut s, pre, &mut freeze)?;
+                        // Ids staged in the window are gone with it.
+                        live = [[None; 2]; 2];
+                    }
+                }
+                KvStep::CommitWindow => {
+                    if window.take().is_some() {
+                        s.tentative_commit();
+                    }
+                }
+                // A checkpoint freezes between decrees, never inside a
+                // leader's open window.
+                KvStep::Freeze(chunk_bytes) => {
+                    if window.is_none() && freeze.is_none() {
+                        let at_freeze = s.snapshot();
+                        let total = s.snapshot_begin(chunk_bytes);
+                        freeze = Some(Freeze { at_freeze, total, next: 0, got: Vec::new() });
+                    }
+                }
+                KvStep::Chunk => {
+                    if let Some(fz) = freeze.as_mut().filter(|fz| fz.next < fz.total) {
+                        fz.got.extend_from_slice(&s.snapshot_chunk(fz.next));
+                        fz.next += 1;
+                    }
+                }
+            }
+        }
+        if let Some(pre) = window.take() {
+            rolled_back(&mut s, pre, &mut freeze)?;
+        }
+        if let Some(fz) = freeze.take() {
+            close_freeze(&mut s, fz)?;
+        }
+    }
+}
