@@ -1,21 +1,22 @@
 //! The experiment suite: one function per table/figure of the paper
-//! (see DESIGN.md §5 for the index). Every function runs the simulation,
-//! returns the same rows/series the paper reports as a [`TableOut`]; the
-//! `experiments` binary prints it and writes its CSV and JSON.
+//! (see DESIGN.md §5 for the index), and [`REGISTRY`], the one list the
+//! `experiments` binary runs from. Every simulated table is rows over
+//! [`Experiment::run`]; each function returns the rows/series the paper
+//! reports as a [`TableOut`], which the binary prints and writes as CSV
+//! and JSON.
 
 use crate::table::TableOut;
 use gridpaxos_core::client::TxnScript;
 use gridpaxos_core::config::{ReadMode, TxnMode, ValueMode};
 use gridpaxos_core::request::RequestKind;
-use gridpaxos_core::service::NoopApp;
 use gridpaxos_core::types::{Dur, ProcessId, Time};
 use gridpaxos_simnet::cpu::CpuModel;
-use gridpaxos_simnet::runner::{
-    measure_rrt, measure_throughput, measure_txn_rrt, measure_txn_throughput, Experiment,
-};
+use gridpaxos_simnet::metrics::{kind_key, Metrics};
+use gridpaxos_simnet::runner::Experiment;
+use gridpaxos_simnet::stats::Summary;
 use gridpaxos_simnet::topology::Topology;
-use gridpaxos_simnet::workload::{OpLoop, TransferLoop, TxnLoop};
-use gridpaxos_simnet::world::{SimOpts, World};
+use gridpaxos_simnet::workload::{Driver, OpLoop, TransferLoop, TxnLoop};
+use gridpaxos_simnet::world::World;
 
 fn fmt_ms(v: f64) -> String {
     format!("{v:.3}")
@@ -29,52 +30,86 @@ fn fmt_tput(v: f64) -> String {
     format!("{v:.0}")
 }
 
+/// The request kinds, in the order the throughput tables print them.
+const KINDS: [RequestKind; 3] = [RequestKind::Read, RequestKind::Write, RequestKind::Original];
+
+/// The 3-replica Sysnet cluster.
+fn sysnet(seed: u64) -> Experiment {
+    Experiment::on(Topology::sysnet(3), seed)
+}
+
+/// Run `exp` to completion: every simulated table but leader-switch
+/// reports the whole workload.
+fn run(exp: Experiment) -> World {
+    let (w, done) = exp.run();
+    assert!(done, "run did not complete within the deadline");
+    w
+}
+
+/// `clients` closed-loop clients, each sending `per_client` requests of
+/// `kind`.
+fn ops(exp: Experiment, kind: RequestKind, clients: usize, per_client: u64) -> Metrics {
+    run(exp.clients(clients, |_| OpLoop::new(kind, per_client))).metrics
+}
+
+/// `clients` closed-loop clients, each committing `per_client`
+/// transactions of `script`.
+fn txns(exp: Experiment, script: &TxnScript, clients: usize, per_client: u64) -> Metrics {
+    run(exp.clients(clients, |_| TxnLoop::new(script.clone(), per_client))).metrics
+}
+
+/// Request response time: one client, `total` sequential requests of
+/// `kind` (the paper used 20 per sample and hundreds of samples; pass
+/// the product).
+fn rrt(exp: Experiment, kind: RequestKind, total: u64) -> Summary {
+    ops(exp, kind, 1, total).rtt_summary(kind_key(kind))
+}
+
+/// Read, write and original throughput with `c` closed-loop clients
+/// sharing `total_ops` requests (at least 10 each).
+fn tputs(exp: impl Fn() -> Experiment, c: usize, total_ops: u64) -> Vec<String> {
+    let per_client = (total_ops / c as u64).max(10);
+    let tput = |kind| fmt_tput(ops(exp(), kind, c, per_client).ops_per_sec());
+    KINDS.map(tput).to_vec()
+}
+
+/// E1's requests per kind.
+const RRT_SAMPLES: u64 = 2000;
+
 /// E1 — §4.1 response times on the Sysnet cluster. Paper: original
 /// 0.181 ms, read 0.263 ms (X-Paxos, −22% vs basic), write 0.338 ms.
 #[must_use]
-pub fn rrt_sysnet(seed: u64, samples: u64) -> TableOut {
+pub fn rrt_sysnet(seed: u64) -> TableOut {
     let mut t = TableOut::new(
         "rrt-sysnet",
         "Request response time on the cluster (ms)",
         &["kind", "mean_ms", "ci99_ms", "p99_ms", "paper_ms"],
     );
-    for (kind, name, paper) in [
-        (RequestKind::Original, "original", 0.181),
-        (RequestKind::Read, "read", 0.263),
-        (RequestKind::Write, "write", 0.338),
-    ] {
-        let s = measure_rrt(Experiment::on(Topology::sysnet(3), seed), kind, samples);
-        t.row(vec![
-            name.into(),
-            fmt_ms(s.mean),
-            fmt_ci(s.ci99),
-            fmt_ms(s.p99),
-            fmt_ms(paper),
-        ]);
-    }
-    let read = measure_rrt(
-        Experiment::on(Topology::sysnet(3), seed),
-        RequestKind::Read,
-        samples,
-    );
-    let write = measure_rrt(
-        Experiment::on(Topology::sysnet(3), seed),
-        RequestKind::Write,
-        samples,
-    );
+    let [_, read, write] = [
+        (RequestKind::Original, 0.181),
+        (RequestKind::Read, 0.263),
+        (RequestKind::Write, 0.338),
+    ]
+    .map(|(kind, paper)| {
+        let s = rrt(sysnet(seed), kind, RRT_SAMPLES);
+        let cells = [fmt_ms(s.mean), fmt_ci(s.ci99), fmt_ms(s.p99), fmt_ms(paper)];
+        t.row([vec![kind_key(kind).into()], cells.to_vec()].concat());
+        s.mean
+    });
     t.note(format!(
         "X-Paxos read vs basic write: {:.0}% lower RRT (paper: 22%)",
-        (1.0 - read.mean / write.mean) * 100.0
+        (1.0 - read / write) * 100.0
     ));
     t
 }
 
-fn throughput_figure(
+/// Figures 5 and 6: throughput of each kind on the cluster per client
+/// count `c`, the clients sharing `total_ops` requests.
+fn sysnet_throughput(
+    seed: u64,
     id: &str,
     title: &str,
-    topology_of: impl Fn() -> Topology,
-    seed: u64,
-    client_counts: &[usize],
+    counts: [usize; 5],
     total_ops: u64,
 ) -> TableOut {
     let mut t = TableOut::new(
@@ -82,15 +117,8 @@ fn throughput_figure(
         title,
         &["clients", "read_tput", "write_tput", "original_tput"],
     );
-    for &c in client_counts {
-        let per_client = (total_ops / c as u64).max(10);
-        let mut cells = vec![c.to_string()];
-        for kind in [RequestKind::Read, RequestKind::Write, RequestKind::Original] {
-            let (tput, _) =
-                measure_throughput(Experiment::on(topology_of(), seed), kind, c, per_client);
-            cells.push(fmt_tput(tput));
-        }
-        t.row(cells);
+    for c in counts {
+        t.row([vec![c.to_string()], tputs(|| sysnet(seed), c, total_ops)].concat());
     }
     t
 }
@@ -99,14 +127,8 @@ fn throughput_figure(
 /// sending `1000/c` requests.
 #[must_use]
 pub fn fig5(seed: u64) -> TableOut {
-    let mut t = throughput_figure(
-        "fig5",
-        "Service throughput on Sysnet (req/s)",
-        || Topology::sysnet(3),
-        seed,
-        &[1, 2, 4, 8, 16],
-        1000,
-    );
+    let title = "Service throughput on Sysnet (req/s)";
+    let mut t = sysnet_throughput(seed, "fig5", title, [1, 2, 4, 8, 16], 1000);
     t.note("paper: reads ≥13% above writes, both below original");
     t
 }
@@ -115,15 +137,30 @@ pub fn fig5(seed: u64) -> TableOut {
 /// X-Paxos peak between 32 and 64 clients.
 #[must_use]
 pub fn fig6(seed: u64) -> TableOut {
-    let mut t = throughput_figure(
-        "fig6",
-        "Service throughput on Sysnet, more clients (req/s)",
-        || Topology::sysnet(3),
-        seed,
-        &[8, 16, 32, 64, 128],
-        2560,
-    );
+    let title = "Service throughput on Sysnet, more clients (req/s)";
+    let mut t = sysnet_throughput(seed, "fig6", title, [8, 16, 32, 64, 128], 2560);
     t.note("paper: read/write curves peak between 32 and 64 clients");
+    t
+}
+
+/// Figures 7 and 8, §4.1 configurations 2 and 3: the RRT of each kind,
+/// then throughput at 1–16 clients, beside the paper's RRTs and
+/// throughput shape.
+fn wan_figure(
+    seed: u64,
+    topology: fn() -> Topology,
+    id: &str,
+    title: &str,
+    [paper_rrt, paper_tput]: [&str; 2],
+) -> TableOut {
+    let mut t = TableOut::new(id, title, &["metric", "read", "write", "original", "paper"]);
+    let exp = || Experiment::on(topology(), seed);
+    let rrts = KINDS.map(|kind| fmt_ms(rrt(exp(), kind, 300).mean));
+    t.row([vec!["rrt_ms".into()], rrts.to_vec(), vec![paper_rrt.into()]].concat());
+    for c in [1usize, 2, 4, 8, 16] {
+        let tputs = tputs(exp, c, 1000);
+        t.row([vec![format!("tput@{c}")], tputs, vec![paper_tput.into()]].concat());
+    }
     t
 }
 
@@ -132,42 +169,13 @@ pub fn fig6(seed: u64) -> TableOut {
 /// 92.79 ms, write 93.13 ms; throughputs nearly identical.
 #[must_use]
 pub fn fig7(seed: u64) -> TableOut {
-    let mut t = TableOut::new(
+    let mut t = wan_figure(
+        seed,
+        || Topology::berkeley_princeton(3),
         "fig7",
         "Berkeley → Princeton: RRT (ms) and throughput (req/s)",
-        &["metric", "read", "write", "original", "paper"],
+        ["92.79 / 93.13 / 91.85", "≈equal"],
     );
-    let mut rrts = Vec::new();
-    for kind in [RequestKind::Read, RequestKind::Write, RequestKind::Original] {
-        let s = measure_rrt(
-            Experiment::on(Topology::berkeley_princeton(3), seed),
-            kind,
-            300,
-        );
-        rrts.push(s.mean);
-    }
-    t.row(vec![
-        "rrt_ms".into(),
-        fmt_ms(rrts[0]),
-        fmt_ms(rrts[1]),
-        fmt_ms(rrts[2]),
-        "92.79 / 93.13 / 91.85".into(),
-    ]);
-    for c in [1usize, 2, 4, 8, 16] {
-        let per_client = (1000 / c as u64).max(10);
-        let mut row = vec![format!("tput@{c}")];
-        for kind in [RequestKind::Read, RequestKind::Write, RequestKind::Original] {
-            let (tput, _) = measure_throughput(
-                Experiment::on(Topology::berkeley_princeton(3), seed),
-                kind,
-                c,
-                per_client,
-            );
-            row.push(fmt_tput(tput));
-        }
-        row.push("≈equal".into());
-        t.row(row);
-    }
     t.note("paper: co-located replicas make coordination cheap — X-Paxos gains little");
     t
 }
@@ -177,38 +185,13 @@ pub fn fig7(seed: u64) -> TableOut {
 /// X-Paxos clearly beats the basic protocol.
 #[must_use]
 pub fn fig8(seed: u64) -> TableOut {
-    let mut t = TableOut::new(
+    let mut t = wan_figure(
+        seed,
+        Topology::wan_spread,
         "fig8",
         "WAN-replicated service: RRT (ms) and throughput (req/s)",
-        &["metric", "read", "write", "original", "paper"],
+        ["75.49 / 106.73 / 70.82", "read ≫ write"],
     );
-    let mut rrts = Vec::new();
-    for kind in [RequestKind::Read, RequestKind::Write, RequestKind::Original] {
-        let s = measure_rrt(Experiment::on(Topology::wan_spread(), seed), kind, 300);
-        rrts.push(s.mean);
-    }
-    t.row(vec![
-        "rrt_ms".into(),
-        fmt_ms(rrts[0]),
-        fmt_ms(rrts[1]),
-        fmt_ms(rrts[2]),
-        "75.49 / 106.73 / 70.82".into(),
-    ]);
-    for c in [1usize, 2, 4, 8, 16] {
-        let per_client = (1000 / c as u64).max(10);
-        let mut row = vec![format!("tput@{c}")];
-        for kind in [RequestKind::Read, RequestKind::Write, RequestKind::Original] {
-            let (tput, _) = measure_throughput(
-                Experiment::on(Topology::wan_spread(), seed),
-                kind,
-                c,
-                per_client,
-            );
-            row.push(fmt_tput(tput));
-        }
-        row.push("read ≫ write".into());
-        t.row(row);
-    }
     t.note(
         "paper: with WAN-separated replicas X-Paxos substantially outperforms the basic protocol",
     );
@@ -229,10 +212,13 @@ fn txn_case(mode: &str) -> (TxnMode, fn(usize) -> TxnScript) {
     }
 }
 
+/// Table 1's transactions per row.
+const TABLE1_TXNS: u64 = 500;
+
 /// E6 — Table 1: transaction response time on Sysnet, 3 and 5 requests
 /// per transaction.
 #[must_use]
-pub fn table1(seed: u64, txns: u64) -> TableOut {
+pub fn table1(seed: u64) -> TableOut {
     let mut t = TableOut::new(
         "table1",
         "Transaction response time (ms)",
@@ -244,27 +230,23 @@ pub fn table1(seed: u64, txns: u64) -> TableOut {
             "paper_ms",
         ],
     );
-    let paper: &[(&str, usize, f64)] = &[
+    for (mode, n_ops, paper_ms) in [
         ("read/write", 3, 1.17),
         ("read/write", 5, 1.79),
         ("write-only", 3, 1.29),
         ("write-only", 5, 2.01),
         ("optimized", 3, 0.85),
         ("optimized", 5, 1.23),
-    ];
-    for (mode, n_ops, paper_ms) in paper {
+    ] {
         let (txn_mode, script_of) = txn_case(mode);
-        let s = measure_txn_rrt(
-            Experiment::on(Topology::sysnet(3), seed).txn_mode(txn_mode),
-            script_of(*n_ops),
-            txns,
-        );
+        let exp = sysnet(seed).txn_mode(txn_mode);
+        let s = txns(exp, &script_of(n_ops), 1, TABLE1_TXNS).txn_summary();
         t.row(vec![
-            (*mode).into(),
+            mode.into(),
             n_ops.to_string(),
             fmt_ms(s.mean),
             fmt_ci(s.ci99),
-            fmt_ms(*paper_ms),
+            fmt_ms(paper_ms),
         ]);
     }
     t.note("paper: T-Paxos cuts TRT 28–34% (3 req) and 31–39% (5 req)");
@@ -272,32 +254,31 @@ pub fn table1(seed: u64, txns: u64) -> TableOut {
 }
 
 /// E7 — Figure 9 (a) and (b): transaction throughput on Sysnet,
-/// 1–16 clients, 3 or 5 requests per transaction.
+/// 1–16 clients, 3 and 5 requests per transaction; one table each.
 #[must_use]
-pub fn fig9(seed: u64, req_per_txn: usize) -> TableOut {
-    let mut t = TableOut::new(
-        &format!("fig9-{req_per_txn}req"),
-        &format!("Transaction throughput, {req_per_txn} requests per txn (txn/s)"),
-        &["clients", "read/write", "write-only", "optimized"],
-    );
-    for c in [1usize, 2, 4, 8, 16] {
-        let per_client = (400 / c as u64).max(5);
-        let mut row = vec![c.to_string()];
-        for mode in ["read/write", "write-only", "optimized"] {
-            let (txn_mode, script_of) = txn_case(mode);
-            let (tput, m) = measure_txn_throughput(
-                Experiment::on(Topology::sysnet(3), seed).txn_mode(txn_mode),
-                script_of(req_per_txn),
-                c,
-                per_client,
-            );
-            debug_assert_eq!(m.txn_aborts, 0, "no aborts expected in steady state");
-            row.push(fmt_tput(tput));
+pub fn fig9(seed: u64) -> Vec<TableOut> {
+    let figure = |req_per_txn: usize| {
+        let mut t = TableOut::new(
+            &format!("fig9-{req_per_txn}req"),
+            &format!("Transaction throughput, {req_per_txn} requests per txn (txn/s)"),
+            &["clients", "read/write", "write-only", "optimized"],
+        );
+        for c in [1usize, 2, 4, 8, 16] {
+            let per_client = (400 / c as u64).max(5);
+            let mut row = vec![c.to_string()];
+            for mode in ["read/write", "write-only", "optimized"] {
+                let (txn_mode, script_of) = txn_case(mode);
+                let exp = sysnet(seed).txn_mode(txn_mode);
+                let m = txns(exp, &script_of(req_per_txn), c, per_client);
+                assert_eq!(m.txn_aborts, 0, "no aborts expected in steady state");
+                row.push(fmt_tput(m.txns_per_sec()));
+            }
+            t.row(row);
         }
-        t.row(row);
-    }
-    t.note("paper: optimized +42–57% vs 3-req read/write, +52–97% vs 3-req write-only; larger for 5-req");
-    t
+        t.note("paper: optimized +42–57% vs 3-req read/write, +52–97% vs 3-req write-only; larger for 5-req");
+        t
+    };
+    vec![figure(3), figure(5)]
 }
 
 /// E8a — §3.6: sensitivity to leader switches. The leader is crashed
@@ -317,7 +298,6 @@ pub fn leader_switch(seed: u64) -> TableOut {
             "txn_aborts",
         ],
     );
-
     // Common fault schedule: crash the bootstrap leader at 1 s (recover at
     // 2.5 s), then crash its likely successor at 4 s (recover at 5.5 s).
     let schedule = |w: &mut World| {
@@ -326,58 +306,33 @@ pub fn leader_switch(seed: u64) -> TableOut {
         w.crash_at(ProcessId(1), Time(Dur::from_secs(4).0));
         w.recover_at(ProcessId(1), Time(Dur::from_millis(5500).0));
     };
-    let deadline = Time(Dur::from_secs(600).0);
-    let start = Time(Dur::from_millis(200).0);
-
-    for (name, kind) in [
-        ("write(basic)", RequestKind::Write),
-        ("read(X-Paxos)", RequestKind::Read),
+    // Four clients each, long enough to span both crashes; `completed`
+    // counts what the workload is made of.
+    let (total_ops, total_txns) = (160_000u64, 24_000u64);
+    let op_loops = |kind| {
+        let exp = sysnet(seed).clients(4, move |_| OpLoop::new(kind, total_ops / 4));
+        let completed: fn(&Metrics) -> u64 = |m| m.completed_ops;
+        (total_ops.to_string(), exp, completed)
+    };
+    // T-Paxos transactions: aborted on switch, retried by the client.
+    let txn_loops = sysnet(seed).txn_mode(TxnMode::TPaxos).clients(4, |_| {
+        TxnLoop::new(TxnScript::write_only(3), total_txns / 4)
+    });
+    let txn_target = format!("{total_txns} txns");
+    let txns_done: fn(&Metrics) -> u64 = |m| m.txn_commits;
+    for (name, (target, mut exp, completed)) in [
+        ("write(basic)", op_loops(RequestKind::Write)),
+        ("read(X-Paxos)", op_loops(RequestKind::Read)),
+        ("txn(T-Paxos)", (txn_target, txn_loops, txns_done)),
     ] {
-        let exp = Experiment::on(Topology::sysnet(3), seed);
-        let opts = SimOpts::for_topology(Topology::sysnet(3), seed);
-        let mut w = World::new(exp.cfg.clone(), opts, Box::new(|| Box::new(NoopApp::new())));
-        let total: u64 = 160_000; // long enough to span both crashes
-        for _ in 0..4 {
-            w.add_client(Box::new(OpLoop::new(kind, total / 4)), None, start);
-        }
-        schedule(&mut w);
-        let done = w.run_to_completion(deadline);
+        exp.deadline = Dur::from_secs(600);
+        exp.before_run = Box::new(schedule);
+        let (w, done) = exp.run();
+        let stalled = if done { "" } else { " (stalled)" };
         t.row(vec![
             name.into(),
-            total.to_string(),
-            if done {
-                w.metrics.completed_ops.to_string()
-            } else {
-                format!("{} (stalled)", w.metrics.completed_ops)
-            },
-            w.metrics.retries.to_string(),
-            "0".into(),
-        ]);
-    }
-
-    // T-Paxos transactions: aborted on switch, retried by the client.
-    {
-        let exp = Experiment::on(Topology::sysnet(3), seed).txn_mode(TxnMode::TPaxos);
-        let opts = SimOpts::for_topology(Topology::sysnet(3), seed);
-        let mut w = World::new(exp.cfg.clone(), opts, Box::new(|| Box::new(NoopApp::new())));
-        let total_txns: u64 = 24_000; // long enough to span both crashes
-        for _ in 0..4 {
-            w.add_client(
-                Box::new(TxnLoop::new(TxnScript::write_only(3), total_txns / 4)),
-                None,
-                start,
-            );
-        }
-        schedule(&mut w);
-        let done = w.run_to_completion(deadline);
-        t.row(vec![
-            "txn(T-Paxos)".into(),
-            format!("{total_txns} txns"),
-            if done {
-                w.metrics.txn_commits.to_string()
-            } else {
-                format!("{} (stalled)", w.metrics.txn_commits)
-            },
+            target,
+            format!("{}{stalled}", completed(&w.metrics)),
             w.metrics.retries.to_string(),
             w.metrics.txn_aborts.to_string(),
         ]);
@@ -408,9 +363,10 @@ pub fn scale_t(seed: u64) -> TableOut {
         // Replicas on one LAN; the leader and one backup have a good
         // client path (median 40 ms), the other backups a poor one
         // (median 70 ms) — PlanetLab-style heterogeneity.
-        let topo = || Topology::heterogeneous_wan(n, 40.0, 70.0, 0.15);
-        let read = measure_rrt(Experiment::on(topo(), seed), RequestKind::Read, 5_000);
-        let write = measure_rrt(Experiment::on(topo(), seed), RequestKind::Write, 5_000);
+        let [read, write] = [RequestKind::Read, RequestKind::Write].map(|kind| {
+            let topo = Topology::heterogeneous_wan(n, 40.0, 70.0, 0.15);
+            rrt(Experiment::on(topo, seed), kind, 5_000)
+        });
         t.row(vec![
             format!("{n} ({})", (n - 1) / 2),
             fmt_ms(read.mean),
@@ -434,50 +390,30 @@ pub fn ablation(seed: u64) -> TableOut {
         "Design ablations on Sysnet (ms)",
         &["variant", "mean_ms", "ci99_ms"],
     );
-    let read_x = measure_rrt(
-        Experiment::on(Topology::sysnet(3), seed).read_mode(ReadMode::XPaxos),
-        RequestKind::Read,
-        1000,
-    );
-    let read_c = measure_rrt(
-        Experiment::on(Topology::sysnet(3), seed).read_mode(ReadMode::Consensus),
-        RequestKind::Read,
-        1000,
-    );
-    let read_l = measure_rrt(
-        Experiment::on(Topology::sysnet(3), seed).read_mode(ReadMode::Lease),
-        RequestKind::Read,
-        1000,
-    );
-    t.row(vec![
-        "read, X-Paxos".into(),
-        fmt_ms(read_x.mean),
-        fmt_ci(read_x.ci99),
-    ]);
-    t.row(vec![
-        "read, consensus".into(),
-        fmt_ms(read_c.mean),
-        fmt_ci(read_c.ci99),
-    ]);
-    t.row(vec![
-        "read, leader lease (ext.)".into(),
-        fmt_ms(read_l.mean),
-        fmt_ci(read_l.ci99),
-    ]);
+    let mut row = |label: &str, exp: Experiment, kind| {
+        let s = rrt(exp, kind, 1000);
+        t.row(vec![label.into(), fmt_ms(s.mean), fmt_ci(s.ci99)]);
+        s.mean
+    };
+    let [x, c, l] = [
+        (ReadMode::XPaxos, "read, X-Paxos"),
+        (ReadMode::Consensus, "read, consensus"),
+        (ReadMode::Lease, "read, leader lease (ext.)"),
+    ]
+    .map(|(mode, label)| row(label, sysnet(seed).read_mode(mode), RequestKind::Read));
+    for (vm, label) in [
+        (ValueMode::ReqState, "write, ship ⟨req,state⟩"),
+        (ValueMode::ReqOnly, "write, classic re-execution"),
+    ] {
+        let mut exp = sysnet(seed);
+        exp.cfg.value_mode = vm;
+        row(label, exp, RequestKind::Write);
+    }
     t.note(format!(
         "X-Paxos saves {:.0}% on reads (paper: 22%); leases save {:.0}% more but need timing assumptions",
-        (1.0 - read_x.mean / read_c.mean) * 100.0,
-        (1.0 - read_l.mean / read_x.mean) * 100.0
+        (1.0 - x / c) * 100.0,
+        (1.0 - l / x) * 100.0
     ));
-
-    let mut wr = |vm: ValueMode, label: &str| {
-        let mut exp = Experiment::on(Topology::sysnet(3), seed);
-        exp.cfg.value_mode = vm;
-        let s = measure_rrt(exp, RequestKind::Write, 1000);
-        t.row(vec![label.into(), fmt_ms(s.mean), fmt_ci(s.ci99)]);
-    };
-    wr(ValueMode::ReqState, "write, ship ⟨req,state⟩");
-    wr(ValueMode::ReqOnly, "write, classic re-execution");
     t.note("state shipping costs ≈ nothing extra for small states (§3.3's discussion)");
     t
 }
@@ -503,22 +439,16 @@ pub fn state_size(seed: u64) -> TableOut {
     );
     for size in [256usize, 4 << 10, 64 << 10, 512 << 10] {
         let mut row = vec![size.to_string()];
-        for (topo, modes) in [
-            (Topology::sysnet(3), vec![ShipMode::Full, ShipMode::Delta]),
-            (
-                Topology::wan_spread(),
-                vec![ShipMode::Full, ShipMode::Delta, ShipMode::Reproduce],
-            ),
+        // The LAN runs the first two modes, the WAN all three.
+        let modes = [ShipMode::Full, ShipMode::Delta, ShipMode::Reproduce];
+        for (topo, k, samples) in [
+            (Topology::sysnet(3), 2, 400),
+            (Topology::wan_spread(), 3, 60),
         ] {
-            for mode in modes {
-                let samples = if topo.name == "sysnet" { 400 } else { 60 };
-                let s = gridpaxos_simnet::runner::measure_rrt_with(
-                    Experiment::on(topo.clone(), seed),
-                    Box::new(move || Box::new(SizedApp::new(size, mode))),
-                    RequestKind::Write,
-                    samples,
-                );
-                row.push(fmt_ms(s.mean));
+            for &mode in &modes[..k] {
+                let mut exp = Experiment::on(topo.clone(), seed);
+                exp.app = Box::new(move |_| Box::new(SizedApp::new(size, mode)));
+                row.push(fmt_ms(rrt(exp, RequestKind::Write, samples).mean));
             }
         }
         t.row(row);
@@ -537,23 +467,42 @@ pub fn batch_ablation(seed: u64) -> TableOut {
         &["max_batch", "write_tput", "write_rrt_ms"],
     );
     for max_batch in [1usize, 4, 16, 64] {
-        let mut exp = Experiment::on(Topology::sysnet(3), seed);
-        exp.cfg.max_batch = max_batch;
+        let exp = || {
+            let mut e = sysnet(seed);
+            e.cfg.max_batch = max_batch;
+            e
+        };
+        let mut loaded = exp();
         if max_batch == 1 {
-            exp.cfg.batch_window = Dur::ZERO;
+            loaded.cfg.batch_window = Dur::ZERO;
         }
-        let (tput, _) = measure_throughput(exp, RequestKind::Write, 16, 250);
-        let mut exp2 = Experiment::on(Topology::sysnet(3), seed);
-        exp2.cfg.max_batch = max_batch;
-        let rrt = measure_rrt(exp2, RequestKind::Write, 300);
+        let tput = ops(loaded, RequestKind::Write, 16, 250).ops_per_sec();
+        let single = rrt(exp(), RequestKind::Write, 300);
         t.row(vec![
             max_batch.to_string(),
             fmt_tput(tput),
-            fmt_ms(rrt.mean),
+            fmt_ms(single.mean),
         ]);
     }
     t.note("single-request decrees cap closed-loop writes at ~1/(2m); batching lifts the cap without touching single-client latency");
     t
+}
+
+/// The world E11 and E16 share: the cluster with its KV keyspace
+/// hash-partitioned over `groups` consensus groups.
+fn sharded_kv(seed: u64, groups: usize) -> Experiment {
+    use gridpaxos_services::{shard_router, KvStore};
+    let mut exp = sysnet(seed);
+    // Small decree batches keep each group pipeline-bound — the regime
+    // sharding parallelizes (G=1 serves at most `max_batch` requests
+    // per decree RTT); giant batches would hide the pipeline cap. No
+    // batch window: under-full groups propose immediately.
+    exp.cfg.max_batch = 4;
+    exp.cfg.batch_window = Dur::ZERO;
+    exp.groups = groups;
+    exp.router = Some(shard_router());
+    exp.app = Box::new(move |g| Box::new(KvStore::sharded_in(g.0, groups)));
+    exp
 }
 
 /// Extension — multi-group sharding: closed-loop write throughput on the
@@ -569,64 +518,29 @@ pub fn sharding(seed: u64) -> TableOut {
 }
 
 fn sharding_with(seed: u64, clients: usize, per_client: u64) -> TableOut {
-    use gridpaxos_services::{shard_router, KvOp, KvStore};
+    use gridpaxos_services::KvOp;
 
     let mut t = TableOut::new(
         "sharding",
         &format!("Write throughput vs consensus groups (req/s, {clients} clients, KV store)"),
         &["groups", "write_tput", "p50_ms", "p99_ms", "speedup"],
     );
-    let start = Time(Dur::from_millis(200).0);
-    let mut results: Vec<(usize, f64, f64, f64)> = Vec::new();
+    let mut base = None;
     for g in [1usize, 2, 4, 8] {
-        let mut exp = Experiment::on(Topology::sysnet(3), seed);
-        // Small decree batches keep each group pipeline-bound — the regime
-        // sharding parallelizes (G=1 serves at most `max_batch` requests
-        // per decree RTT); giant batches would hide the pipeline cap. No
-        // batch window: under-full groups propose immediately.
-        exp.cfg.max_batch = 4;
-        exp.cfg.batch_window = Dur::ZERO;
-        let deadline = exp.deadline;
-        let opts = SimOpts {
-            cpu: exp.cpu,
-            ..SimOpts::for_topology(exp.topology, seed)
-        };
-        let mut w = World::new_sharded(
-            exp.cfg,
-            opts,
-            Box::new(move |grp| Box::new(KvStore::sharded_in(grp.0, g))),
-            g,
-            Some(shard_router()),
-        );
-        for i in 0..clients {
-            // One key per client: single-key ops shard cleanly, and the
-            // key hashes spread the clients across the groups.
-            let op = KvOp::Put(format!("c{i}"), "v".into());
-            w.add_client(
-                Box::new(OpLoop::with_payload(
-                    RequestKind::Write,
-                    per_client,
-                    op.encode(),
-                )),
-                None,
-                start,
-            );
-        }
-        let ok = w.run_to_completion(Time::ZERO.after(deadline));
-        assert!(
-            ok,
-            "sharding run (G={g}) did not complete within the deadline"
-        );
-        let s = w.metrics.rtt_summary("write");
-        results.push((g, w.metrics.ops_per_sec(), s.p50, s.p99));
-    }
-    let base = results[0].1;
-    for (g, tput, p50, p99) in &results {
+        // One key per client: single-key ops shard cleanly, and the
+        // key hashes spread the clients across the groups.
+        let put = |i: usize| KvOp::Put(format!("c{i}"), "v".into()).encode();
+        let exp = sharded_kv(seed, g).clients(clients, |i| {
+            OpLoop::with_payload(RequestKind::Write, per_client, put(i))
+        });
+        let m = run(exp).metrics;
+        let (tput, s) = (m.ops_per_sec(), m.rtt_summary("write"));
+        let base = *base.get_or_insert(tput);
         t.row(vec![
             g.to_string(),
-            fmt_tput(*tput),
-            fmt_ms(*p50),
-            fmt_ms(*p99),
+            fmt_tput(tput),
+            fmt_ms(s.p50),
+            fmt_ms(s.p99),
             format!("{:.2}x", tput / base),
         ]);
     }
@@ -651,7 +565,7 @@ pub fn bank_transactions(seed: u64) -> TableOut {
 fn bank_transactions_with(seed: u64, clients: usize, per_client: u64) -> TableOut {
     use gridpaxos_core::service::App;
     use gridpaxos_core::types::GroupId;
-    use gridpaxos_services::{shard_router, transfer_legs, KvStore};
+    use gridpaxos_services::{transfer_legs, KvStore};
 
     let mut t = TableOut::new(
         "bank_transactions",
@@ -668,44 +582,18 @@ fn bank_transactions_with(seed: u64, clients: usize, per_client: u64) -> TableOu
             "speedup",
         ],
     );
-    let start = Time(Dur::from_millis(200).0);
+    let mut base = None;
     // (groups, accounts): the G=1 row is the single-shard baseline at the
     // coldest pool; the G=4 rows sweep contention hot → cold.
-    let sweep: &[(usize, usize)] = &[(1, 256), (4, 8), (4, 16), (4, 64), (4, 256)];
-    let mut results: Vec<(usize, usize, f64, f64, f64, f64)> = Vec::new();
-    for &(g, accounts) in sweep {
-        let mut exp = Experiment::on(Topology::sysnet(3), seed);
-        exp.cfg.max_batch = 4;
-        exp.cfg.batch_window = Dur::ZERO;
-        let opts = SimOpts {
-            cpu: exp.cpu,
-            ..SimOpts::for_topology(exp.topology, seed)
-        };
-        let mut w = World::new_sharded(
-            exp.cfg,
-            opts,
-            Box::new(move |grp| Box::new(KvStore::sharded_in(grp.0, g))),
-            g,
-            Some(shard_router()),
-        );
-        for c in 0..clients {
+    for (g, accounts) in [(1usize, 256usize), (4, 8), (4, 16), (4, 64), (4, 256)] {
+        let transfers = |c: usize| {
             let legs = move |s: usize, d: usize| {
                 transfer_legs(&format!("acct{s}"), &format!("acct{d}"), 1, g)
             };
-            w.add_client(
-                Box::new(TransferLoop::new(
-                    accounts,
-                    g,
-                    per_client,
-                    seed.wrapping_mul(0x100_0000_01b3).wrapping_add(c as u64),
-                    Box::new(legs),
-                )),
-                None,
-                start,
-            );
-        }
-        let ok = w.run_to_completion(Time::ZERO.after(Dur::from_secs(3_600)));
-        assert!(ok, "bank run (G={g}, {accounts} accounts) did not complete");
+            let client_seed = seed.wrapping_mul(0x100_0000_01b3).wrapping_add(c as u64);
+            TransferLoop::new(accounts, g, per_client, client_seed, Box::new(legs))
+        };
+        let mut w = run(sharded_kv(seed, g).clients(clients, transfers));
         assert!(
             w.metrics.txn_commits >= clients as u64 * per_client,
             "only {} of {} transfers committed",
@@ -741,26 +629,17 @@ fn bank_transactions_with(seed: u64, clients: usize, per_client: u64) -> TableOu
             "balances must conserve (a transfer half-committed)"
         );
 
-        let s = w.metrics.txn_summary();
-        let attempts = w.metrics.txn_commits + w.metrics.txn_aborts;
-        let abort_rate = w.metrics.txn_aborts as f64 / attempts.max(1) as f64;
-        results.push((
-            g,
-            accounts,
-            w.metrics.txns_per_sec(),
-            abort_rate,
-            s.p50,
-            s.p99,
-        ));
-    }
-    let base = results[0].2;
-    for (g, accounts, tput, abort_rate, p50, p99) in &results {
+        let m = &w.metrics;
+        let s = m.txn_summary();
+        let abort_rate = m.txn_aborts as f64 / (m.txn_commits + m.txn_aborts).max(1) as f64;
+        let tput = m.txns_per_sec();
+        let base = *base.get_or_insert(tput);
         t.row(vec![
             format!("{g}g/{accounts}a"),
-            fmt_tput(*tput),
+            fmt_tput(tput),
             format!("{abort_rate:.3}"),
-            fmt_ms(*p50),
-            fmt_ms(*p99),
+            fmt_ms(s.p50),
+            fmt_ms(s.p99),
             format!("{:.2}x", tput / base),
         ]);
     }
@@ -792,22 +671,22 @@ fn read_batching_with(seed: u64, client_counts: &[usize], per_client: u64) -> Ta
             "confirms_per_read",
         ],
     );
-    let run = |clients: usize, batching: bool| {
-        let mut exp = Experiment::on(Topology::sysnet(3), seed);
+    let reads = |clients: usize, batching: bool| {
+        let mut exp = sysnet(seed);
         exp.cpu = CpuModel::msg_bound();
         exp.cfg.confirm_batching = batching;
-        measure_throughput(exp, RequestKind::Read, clients, per_client)
+        ops(exp, RequestKind::Read, clients, per_client)
     };
     for &c in client_counts {
-        let (base, _) = run(c, false);
-        let (batched, m) = run(c, true);
-        let cpr = m.confirm_msgs_per_read();
+        let base = reads(c, false).ops_per_sec();
+        let m = reads(c, true);
+        let batched = m.ops_per_sec();
         t.row(vec![
             c.to_string(),
             fmt_tput(base),
             fmt_tput(batched),
             format!("{:.2}x", batched / base),
-            format!("{cpr:.2}"),
+            format!("{:.2}", m.confirm_msgs_per_read()),
         ]);
     }
     t.note("extension: one ConfirmReq/ConfirmBatch round validates every open read, collapsing O(reads x n) confirm traffic to O(n) per round");
@@ -855,97 +734,72 @@ fn follower_reads_with(seed: u64, per_client: u64) -> TableOut {
             "confirms_per_read",
         ],
     );
-    let start = Time(Dur::from_millis(200).0);
+    let follower = ReadMode::Follower { max_staleness: 8 };
     // Per-site client populations: `None` = the topology's default client
     // site, `Some(s)` pins the client to site `s`.
-    let population = |which: usize| -> (Topology, Vec<Option<usize>>) {
-        match which {
-            0 => (Topology::sysnet(3), vec![None; 4]),
-            // Config 2: half the clients stay at Berkeley, half sit with
-            // the replicas at Princeton (site 0).
-            1 => (
-                Topology::berkeley_princeton(3),
-                vec![None, None, Some(0), Some(0)],
-            ),
-            // Config 3: one client co-located with each replica site
-            // (UIUC/Utah/Texas) plus one at Berkeley (the default).
-            _ => (
-                Topology::wan_spread(),
-                vec![Some(0), Some(1), Some(2), None],
-            ),
-        }
-    };
-    const MAX_STALENESS: u64 = 8;
-    // One run, as the table row keyed `key`.
-    let run = |key: String, which: usize, mode: ReadMode| -> Vec<String> {
-        let (mut topo, sites) = population(which);
+    let populations: [(&str, Topology, [Option<usize>; 4]); 3] = [
+        ("config1", Topology::sysnet(3), [None; 4]),
+        // Config 2: half the clients stay at Berkeley, half sit with
+        // the replicas at Princeton (site 0).
+        (
+            "config2",
+            Topology::berkeley_princeton(3),
+            [None, None, Some(0), Some(0)],
+        ),
+        // Config 3: one client co-located with each replica site
+        // (UIUC/Utah/Texas) plus one at Berkeley (the default).
+        (
+            "config3",
+            Topology::wan_spread(),
+            [Some(0), Some(1), Some(2), None],
+        ),
+    ];
+    for (config, mut topo, sites) in populations {
         // Pre-place the population so geo scoring and nearest-replica
         // routing both see it (the world assigns ids 1.. in add order).
         let ids: Vec<ClientId> = (1..=sites.len() as u64).map(ClientId).collect();
-        for (i, s) in sites.iter().enumerate() {
-            if let Some(s) = s {
-                topo.client_sites.insert(ids[i], *s);
+        for (id, site) in ids.iter().zip(sites) {
+            if let Some(s) = site {
+                topo.client_sites.insert(*id, s);
             }
         }
         let placement = topo.place_leaders(&ids, 1);
-        let mut exp = Experiment::on(topo, seed).read_mode(mode);
-        exp.cfg.placement = Some(placement);
-        let deadline = exp.deadline;
-        let mut w = exp.build(Box::new(|| Box::new(NoopApp::new())));
-        for (i, s) in sites.iter().enumerate() {
-            // 90% reads over a 64-key zipfian (theta = 0.99) keyspace,
-            // seed-decorrelated per client.
-            let client_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            w.add_client(
-                Box::new(SkewedMixLoop::new(per_client, 900, 64, 0.99, client_seed)),
-                *s,
-                start,
-            );
-        }
-        let ok = w.run_to_completion(Time::ZERO.after(deadline));
-        assert!(
-            ok,
-            "follower-reads run did not complete within the deadline"
-        );
-        let reads = w.metrics.rtt_summary("read");
-        let writes = w.metrics.rtt_summary("write");
-        let (served, stale_sum, stale_max, _rejects) = w.follower_read_stats();
-        // Reads answered with zero coordination rounds, as a share of
-        // completed reads (a retried read can be served twice, so the
-        // share is capped at 1).
-        let hit = if reads.n == 0 {
-            0.0
-        } else {
-            (served as f64 / reads.n as f64).min(1.0)
-        };
-        let stale_mean = if served == 0 {
-            0.0
-        } else {
-            stale_sum as f64 / served as f64
-        };
-        vec![
-            key,
-            fmt_ms(reads.p50),
-            fmt_ms(reads.mean),
-            fmt_ms(writes.p50),
-            format!("{hit:.2}"),
-            format!("{stale_mean:.2}"),
-            stale_max.to_string(),
-            format!("{:.2}", w.metrics.confirm_msgs_per_read()),
-        ]
-    };
-    for (which, config) in ["config1", "config2", "config3"].iter().enumerate() {
         for (mode, name) in [
             (ReadMode::XPaxos, "confirm"),
             (ReadMode::Lease, "lease"),
-            (
-                ReadMode::Follower {
-                    max_staleness: MAX_STALENESS,
-                },
-                "follower",
-            ),
+            (follower, "follower"),
         ] {
-            t.row(run(format!("{config}/{name}"), which, mode));
+            let mut exp = Experiment::on(topo.clone(), seed).read_mode(mode);
+            exp.cfg.placement = Some(placement.clone());
+            // 90% reads over a 64-key zipfian (theta = 0.99) keyspace,
+            // seed-decorrelated per client.
+            for (i, site) in sites.into_iter().enumerate() {
+                let client_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let mix = SkewedMixLoop::new(per_client, 900, 64, 0.99, client_seed);
+                exp.clients.push((Box::new(mix) as Box<dyn Driver>, site));
+            }
+            let w = run(exp);
+            let reads = w.metrics.rtt_summary("read");
+            let (served, stale_sum, stale_max, _rejects) = w.follower_read_stats();
+            // Reads answered with zero coordination rounds, as a share of
+            // completed reads (a retried read can be served twice, so the
+            // share is capped at 1).
+            let hit = if reads.n == 0 {
+                0.0
+            } else {
+                (served as f64 / reads.n as f64).min(1.0)
+            };
+            let stale_mean = stale_sum as f64 / served.max(1) as f64;
+            t.row(vec![
+                format!("{config}/{name}"),
+                fmt_ms(reads.p50),
+                fmt_ms(reads.mean),
+                fmt_ms(w.metrics.rtt_summary("write").p50),
+                format!("{hit:.2}"),
+                format!("{stale_mean:.2}"),
+                stale_max.to_string(),
+                format!("{:.2}", w.metrics.confirm_msgs_per_read()),
+            ]);
         }
     }
     t.note(
@@ -1822,35 +1676,137 @@ fn large_state_with(
     t
 }
 
+/// One row of [`REGISTRY`]: the CLI name, the ids of the tables the
+/// experiment emits (in order), the experiment, and the committed
+/// trajectory its JSON is written to (`None`: `target/experiments/`).
+pub type Entry = (
+    &'static str,
+    &'static [&'static str],
+    fn(u64) -> Vec<TableOut>,
+    Option<&'static str>,
+);
+
+/// Every experiment, in paper order: the one list `all`, the
+/// `experiments` binary's dispatch, its unknown-name message and its
+/// JSON writer read.
+#[rustfmt::skip]
+pub static REGISTRY: [Entry; 18] = [
+    ("rrt-sysnet",     &["rrt-sysnet"],             |s| vec![rrt_sysnet(s)],        None),
+    ("fig5",           &["fig5"],                   |s| vec![fig5(s)],              None),
+    ("fig6",           &["fig6"],                   |s| vec![fig6(s)],              None),
+    ("fig7",           &["fig7"],                   |s| vec![fig7(s)],              None),
+    ("fig8",           &["fig8"],                   |s| vec![fig8(s)],              None),
+    ("table1",         &["table1"],                 |s| vec![table1(s)],            None),
+    ("fig9",           &["fig9-3req", "fig9-5req"], fig9,                           None),
+    ("leader-switch",  &["leader-switch"],          |s| vec![leader_switch(s)],     None),
+    ("scale-t",        &["scale-t"],                |s| vec![scale_t(s)],           None),
+    ("ablation",       &["ablation"],               |s| vec![ablation(s)],          None),
+    ("state-size",     &["state-size"],             |s| vec![state_size(s)],        None),
+    ("batch-ablation", &["batch-ablation"],         |s| vec![batch_ablation(s)],    None),
+    ("sharding",       &["sharding"],               |s| vec![sharding(s)],          Some("BENCH_sharding.json")),
+    ("txn",            &["bank_transactions"],      |s| vec![bank_transactions(s)], Some("BENCH_txn.json")),
+    ("read-batching",  &["read-batching"],          |s| vec![read_batching(s)],     Some("BENCH_read_batching.json")),
+    ("follower-reads", &["follower-reads"],         |s| vec![follower_reads(s)],    Some("BENCH_follower_reads.json")),
+    ("reactor",        &["reactor"],                |s| vec![reactor(s)],           Some("BENCH_reactor.json")),
+    ("large-state",    &["large-state"],            |s| vec![large_state(s)],       Some("BENCH_large_state.json")),
+];
+
+/// The registry rows a CLI name selects: every row for `all`, else the
+/// row of that name.
+#[must_use]
+pub fn select(name: &str) -> Option<&'static [Entry]> {
+    if name == "all" {
+        return Some(&REGISTRY);
+    }
+    let i = REGISTRY.iter().position(|e| e.0 == name)?;
+    Some(&REGISTRY[i..=i])
+}
+
+/// Run a registry row at `seed`, holding it to the table ids it declares.
+#[must_use]
+pub fn tables(&(name, ids, experiment, _): &Entry, seed: u64) -> Vec<TableOut> {
+    let out = experiment(seed);
+    let emitted: Vec<&str> = out.iter().map(|t| t.id.as_str()).collect();
+    assert_eq!(
+        emitted, ids,
+        "{name} emitted tables the registry does not list"
+    );
+    out
+}
+
 /// Every experiment, in paper order.
 #[must_use]
 pub fn all(seed: u64) -> Vec<TableOut> {
-    vec![
-        rrt_sysnet(seed, 2000),
-        fig5(seed),
-        fig6(seed),
-        fig7(seed),
-        fig8(seed),
-        table1(seed, 500),
-        fig9(seed, 3),
-        fig9(seed, 5),
-        leader_switch(seed),
-        scale_t(seed),
-        ablation(seed),
-        state_size(seed),
-        batch_ablation(seed),
-        sharding(seed),
-        bank_transactions(seed),
-        read_batching(seed),
-        follower_reads(seed),
-        reactor(seed),
-        large_state(seed),
-    ]
+    REGISTRY.iter().flat_map(|e| tables(e, seed)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The registry is the one list: its names are unique, every name
+    /// the CI step "Experiment outputs are current" runs resolves, and
+    /// `all` emits the parent's 19 tables in the parent's order. Runs no
+    /// experiment.
+    #[test]
+    fn registry_is_the_one_list() {
+        let mut names: Vec<&str> = REGISTRY.iter().map(|e| e.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), REGISTRY.len(), "duplicate names");
+        for name in [
+            "rrt-sysnet",
+            "fig5",
+            "fig6",
+            "fig7",
+            "fig8",
+            "table1",
+            "fig9",
+            "leader-switch",
+            "scale-t",
+            "ablation",
+            "state-size",
+            "batch-ablation",
+            "sharding",
+            "txn",
+            "read-batching",
+            "follower-reads",
+        ] {
+            let rows = select(name).unwrap_or_else(|| panic!("{name} does not resolve"));
+            assert_eq!(rows.len(), 1, "{name}");
+            assert_eq!(rows[0].0, name);
+        }
+        let ids: Vec<&str> = select("all")
+            .expect("all resolves")
+            .iter()
+            .flat_map(|e| e.1.iter().copied())
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                "rrt-sysnet",
+                "fig5",
+                "fig6",
+                "fig7",
+                "fig8",
+                "table1",
+                "fig9-3req",
+                "fig9-5req",
+                "leader-switch",
+                "scale-t",
+                "ablation",
+                "state-size",
+                "batch-ablation",
+                "sharding",
+                "bank_transactions",
+                "read-batching",
+                "follower-reads",
+                "reactor",
+                "large-state",
+            ]
+        );
+        assert!(select("group-commit").is_none());
+    }
 
     #[test]
     fn sharding_scales_write_throughput() {

@@ -19,16 +19,6 @@ pub struct TableOut {
     pub notes: Vec<String>,
 }
 
-/// Table id → committed trajectory file at the repository root.
-const TRAJECTORIES: [(&str, &str); 6] = [
-    ("sharding", "BENCH_sharding.json"),
-    ("bank_transactions", "BENCH_txn.json"),
-    ("read-batching", "BENCH_read_batching.json"),
-    ("follower-reads", "BENCH_follower_reads.json"),
-    ("reactor", "BENCH_reactor.json"),
-    ("large-state", "BENCH_large_state.json"),
-];
-
 /// A JSON string literal.
 fn json_str(s: &str) -> String {
     let mut out = String::from("\"");
@@ -65,9 +55,14 @@ impl TableOut {
         }
     }
 
-    /// Append a row.
+    /// Append a row: one cell per column.
     pub fn row(&mut self, cells: Vec<String>) {
-        debug_assert_eq!(cells.len(), self.headers.len());
+        assert_eq!(
+            cells.len(),
+            self.headers.len(),
+            "{}: row {cells:?}",
+            self.id
+        );
         self.rows.push(cells);
     }
 
@@ -130,12 +125,13 @@ impl TableOut {
 
     /// Write as JSON, one schema for every table: `experiment`, `title`,
     /// `columns`, `rows` (one object per row, keyed by column) and
-    /// `notes`. Tables with a committed trajectory keep their
-    /// `BENCH_*.json` name in the working directory; the rest go to
-    /// `target/experiments/<id>.json`. Returns the path.
-    pub fn write_json(&self) -> std::io::Result<PathBuf> {
-        let path = match TRAJECTORIES.iter().find(|(id, _)| *id == self.id) {
-            Some((_, file)) => PathBuf::from(file),
+    /// `notes`. A table with a committed `trajectory` (the experiment
+    /// registry names it) is written to that file in the working
+    /// directory; the rest go to `target/experiments/<id>.json`. Returns
+    /// the path.
+    pub fn write_json(&self, trajectory: Option<&str>) -> std::io::Result<PathBuf> {
+        let path = match trajectory {
+            Some(file) => PathBuf::from(file),
             None => self.out_path("json")?,
         };
         fs::write(&path, self.to_json())?;
@@ -186,6 +182,13 @@ mod tests {
         assert_eq!(t.cell("b", "value"), Some("2"));
         assert_eq!(t.cell("c", "value"), None);
         assert_eq!(t.cell("a", "nope"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "x: row")]
+    fn a_row_must_fill_every_column() {
+        let mut t = TableOut::new("x", "test", &["mode", "value"]);
+        t.row(vec!["a".into()]);
     }
 
     #[test]

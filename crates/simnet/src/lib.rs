@@ -28,9 +28,7 @@ pub mod world;
 pub use cpu::CpuModel;
 pub use latency::LatencyModel;
 pub use metrics::Metrics;
-pub use runner::{
-    measure_rrt, measure_throughput, measure_txn_rrt, measure_txn_throughput, Experiment,
-};
+pub use runner::Experiment;
 pub use sched::TimerGens;
 pub use stats::{summarize, Summary};
 pub use topology::Topology;

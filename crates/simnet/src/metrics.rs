@@ -39,10 +39,10 @@ pub struct Metrics {
     pub fsyncs: u64,
 }
 
-/// Measurement key for a request.
+/// Measurement key for a request kind.
 #[must_use]
-pub fn kind_key(req: &Request) -> &'static str {
-    match req.kind {
+pub fn kind_key(kind: RequestKind) -> &'static str {
+    match kind {
         RequestKind::Read => "read",
         RequestKind::Write => "write",
         RequestKind::Original => "original",
@@ -53,7 +53,7 @@ impl Metrics {
     /// Record one completed operation.
     pub fn record_op(&mut self, req: &Request, rtt: Dur, now: Time, retries: u32) {
         self.rtt_ms
-            .entry(kind_key(req))
+            .entry(kind_key(req.kind))
             .or_default()
             .push(rtt.as_millis_f64());
         self.completed_ops += 1;

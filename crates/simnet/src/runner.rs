@@ -1,18 +1,17 @@
-//! High-level experiment runners: the reusable building blocks behind the
-//! paper's tables and figures. Each function sets up a [`World`], runs the
-//! workload to completion and returns the measurements.
+//! The one runner behind every simulated table and figure: an
+//! [`Experiment`] describes a world (config, network, CPU model, groups,
+//! service) and its clients, and [`Experiment::run`] builds it, starts
+//! the clients and runs them to completion. Callers read the returned
+//! world's [`Metrics`](crate::metrics::Metrics).
 
 use crate::cpu::CpuModel;
-use crate::metrics::Metrics;
-use crate::stats::Summary;
-use crate::topology::Topology;
-use crate::workload::{OpLoop, TxnLoop};
+use crate::topology::{SiteId, Topology};
+use crate::workload::Driver;
 use crate::world::{SimOpts, World};
-use gridpaxos_core::client::TxnScript;
+use gridpaxos_core::client::ShardRouter;
 use gridpaxos_core::config::{Config, ReadMode, TxnMode};
-use gridpaxos_core::request::RequestKind;
 use gridpaxos_core::service::{App, NoopApp};
-use gridpaxos_core::types::{Dur, Time};
+use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, ProcessId, Time};
 
 /// What to run.
 pub struct Experiment {
@@ -26,19 +25,31 @@ pub struct Experiment {
     pub seed: u64,
     /// Wall-clock budget for the virtual run.
     pub deadline: Dur,
+    /// Consensus groups every node hosts.
+    pub groups: usize,
+    /// How clients route requests to groups (`None`: all to group 0).
+    pub router: Option<ShardRouter>,
+    /// The service, built once per group on every replica.
+    pub app: Box<dyn Fn(GroupId) -> Box<dyn App> + Send>,
+    /// The clients, each pinned to a site or at the topology's default.
+    pub clients: Vec<(Box<dyn Driver>, Option<SiteId>)>,
+    /// Runs on the built world, clients added, before the clock starts
+    /// (e.g. a crash schedule).
+    pub before_run: Box<dyn FnOnce(&mut World)>,
 }
+
+/// Clients start only after the bootstrap election has settled — the
+/// paper's "start signal" sent by the leader.
+const CLIENT_START: Time = Time(200_000_000); // 200 ms into the run
 
 impl Experiment {
     /// Default experiment on a topology: cluster-tuned config for the
     /// Sysnet topology, WAN-tuned otherwise; bootstrap leader `r0`; X-Paxos
-    /// reads on.
+    /// reads on; one group of [`NoopApp`]; no clients.
     #[must_use]
     pub fn on(topology: Topology, seed: u64) -> Experiment {
         let n = topology.n_replicas();
-        let wan = topology.nominal_ms(
-            gridpaxos_core::types::Addr::Client(gridpaxos_core::types::ClientId(0)),
-            gridpaxos_core::types::Addr::Replica(gridpaxos_core::types::ProcessId(0)),
-        ) > 5.0;
+        let wan = topology.nominal_ms(Addr::Client(ClientId(0)), Addr::Replica(ProcessId(0))) > 5.0;
         let cfg = if wan {
             Config::wan(n)
         } else {
@@ -50,6 +61,11 @@ impl Experiment {
             cpu: CpuModel::sysnet(),
             seed,
             deadline: Dur::from_secs(3600),
+            groups: 1,
+            router: None,
+            app: Box::new(|_| Box::new(NoopApp::new())),
+            clients: Vec::new(),
+            before_run: Box::new(|_| {}),
         }
     }
 
@@ -67,136 +83,83 @@ impl Experiment {
         self
     }
 
-    /// Build the world with a custom service factory.
-    pub fn build(self, app: Box<dyn Fn() -> Box<dyn App> + Send>) -> World {
+    /// Add `n` clients at the default site, the `i`-th running `driver(i)`.
+    #[must_use]
+    pub fn clients<D: Driver + 'static>(
+        mut self,
+        n: usize,
+        mut driver: impl FnMut(usize) -> D,
+    ) -> Experiment {
+        let added = (0..n).map(|i| (Box::new(driver(i)) as Box<dyn Driver>, None));
+        self.clients.extend(added);
+        self
+    }
+
+    /// Build the world, start every client at 200 ms, run
+    /// [`before_run`](Experiment::before_run), and run until every client
+    /// finishes or the deadline passes. Returns the world and whether
+    /// every client finished.
+    #[must_use]
+    pub fn run(self) -> (World, bool) {
         let opts = SimOpts {
             cpu: self.cpu,
             ..SimOpts::for_topology(self.topology, self.seed)
         };
-        World::new(self.cfg, opts, app)
+        let mut w = World::new_sharded(self.cfg, opts, self.app, self.groups, self.router);
+        for (driver, site) in self.clients {
+            w.add_client(driver, site, CLIENT_START);
+        }
+        (self.before_run)(&mut w);
+        let done = w.run_to_completion(Time::ZERO.after(self.deadline));
+        (w, done)
     }
-
-    fn build_noop(self) -> World {
-        self.build(Box::new(|| Box::new(NoopApp::new())))
-    }
-}
-
-/// Clients start only after the bootstrap election has settled — the
-/// paper's "start signal" sent by the leader.
-const CLIENT_START: Time = Time(200_000_000); // 200 ms into the run
-
-/// Measure request response time: one client, `total` sequential requests
-/// of `kind` (the paper used 20 per sample and hundreds of samples; pass
-/// the product). Returns the latency summary in milliseconds.
-#[must_use]
-pub fn measure_rrt(exp: Experiment, kind: RequestKind, total: u64) -> Summary {
-    measure_rrt_with(exp, Box::new(|| Box::new(NoopApp::new())), kind, total)
-}
-
-/// [`measure_rrt`] with a custom service (e.g. the state-size instrument).
-#[must_use]
-pub fn measure_rrt_with(
-    exp: Experiment,
-    app: Box<dyn Fn() -> Box<dyn App> + Send>,
-    kind: RequestKind,
-    total: u64,
-) -> Summary {
-    let deadline = exp.deadline;
-    let mut w = exp.build(app);
-    w.add_client(Box::new(OpLoop::new(kind, total)), None, CLIENT_START);
-    let ok = w.run_to_completion(Time::ZERO.after(deadline));
-    assert!(ok, "rrt run did not complete within the deadline");
-    w.metrics.rtt_summary(crate::metrics::kind_key(
-        &gridpaxos_core::request::Request::new(
-            gridpaxos_core::request::RequestId::new(
-                gridpaxos_core::types::ClientId(0),
-                gridpaxos_core::types::Seq(0),
-            ),
-            kind,
-            bytes::Bytes::new(),
-        ),
-    ))
-}
-
-/// Measure service throughput: `clients` concurrent closed-loop clients,
-/// each sending `per_client` requests of `kind` (the paper used
-/// `1000/c`). Returns requests per second plus the run's metrics.
-#[must_use]
-pub fn measure_throughput(
-    exp: Experiment,
-    kind: RequestKind,
-    clients: usize,
-    per_client: u64,
-) -> (f64, Metrics) {
-    let deadline = exp.deadline;
-    let mut w = exp.build_noop();
-    for _ in 0..clients {
-        w.add_client(Box::new(OpLoop::new(kind, per_client)), None, CLIENT_START);
-    }
-    let ok = w.run_to_completion(Time::ZERO.after(deadline));
-    assert!(ok, "throughput run did not complete within the deadline");
-    let tput = w.metrics.ops_per_sec();
-    (tput, w.metrics)
-}
-
-/// Measure transaction response time: one client, `total` transactions of
-/// `script`. Returns the TRT summary in milliseconds.
-#[must_use]
-pub fn measure_txn_rrt(exp: Experiment, script: TxnScript, total: u64) -> Summary {
-    let deadline = exp.deadline;
-    let mut w = exp.build_noop();
-    w.add_client(Box::new(TxnLoop::new(script, total)), None, CLIENT_START);
-    let ok = w.run_to_completion(Time::ZERO.after(deadline));
-    assert!(ok, "txn rrt run did not complete within the deadline");
-    w.metrics.txn_summary()
-}
-
-/// Measure transaction throughput: `clients` concurrent clients, each
-/// running `per_client` transactions of `script`. Returns committed
-/// transactions per second plus metrics.
-#[must_use]
-pub fn measure_txn_throughput(
-    exp: Experiment,
-    script: TxnScript,
-    clients: usize,
-    per_client: u64,
-) -> (f64, Metrics) {
-    let deadline = exp.deadline;
-    let mut w = exp.build_noop();
-    for _ in 0..clients {
-        w.add_client(
-            Box::new(TxnLoop::new(script.clone(), per_client)),
-            None,
-            CLIENT_START,
-        );
-    }
-    let ok = w.run_to_completion(Time::ZERO.after(deadline));
-    assert!(
-        ok,
-        "txn throughput run did not complete within the deadline"
-    );
-    let tput = w.metrics.txns_per_sec();
-    (tput, w.metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::kind_key;
+    use crate::stats::Summary;
+    use crate::workload::{OpLoop, TxnLoop};
+    use gridpaxos_core::client::TxnScript;
+    use gridpaxos_core::request::RequestKind;
+
+    /// `clients` closed-loop clients of `per_client` requests, run to
+    /// completion.
+    fn ops(exp: Experiment, kind: RequestKind, clients: usize, per_client: u64) -> World {
+        let (w, done) = exp
+            .clients(clients, |_| OpLoop::new(kind, per_client))
+            .run();
+        assert!(done, "run did not complete within the deadline");
+        w
+    }
+
+    fn rrt(exp: Experiment, kind: RequestKind, total: u64) -> Summary {
+        ops(exp, kind, 1, total).metrics.rtt_summary(kind_key(kind))
+    }
+
+    fn trt(exp: Experiment, script: TxnScript, total: u64) -> Summary {
+        let (w, done) = exp
+            .clients(1, |_| TxnLoop::new(script.clone(), total))
+            .run();
+        assert!(done, "txn run did not complete within the deadline");
+        w.metrics.txn_summary()
+    }
 
     #[test]
     fn sysnet_rrt_matches_paper_shape() {
         // §4.1: original 0.181 ms < read 0.263 ms < write 0.338 ms.
-        let orig = measure_rrt(
+        let orig = rrt(
             Experiment::on(Topology::sysnet(3), 1),
             RequestKind::Original,
             200,
         );
-        let read = measure_rrt(
+        let read = rrt(
             Experiment::on(Topology::sysnet(3), 1),
             RequestKind::Read,
             200,
         );
-        let write = measure_rrt(
+        let write = rrt(
             Experiment::on(Topology::sysnet(3), 1),
             RequestKind::Write,
             200,
@@ -225,18 +188,22 @@ mod tests {
     fn sysnet_read_throughput_beats_write_throughput() {
         // §4.1: "the throughput of reads was at least 13% higher than that
         // of writes".
-        let (reads, _) = measure_throughput(
+        let reads = ops(
             Experiment::on(Topology::sysnet(3), 2),
             RequestKind::Read,
             8,
             125,
-        );
-        let (writes, _) = measure_throughput(
+        )
+        .metrics
+        .ops_per_sec();
+        let writes = ops(
             Experiment::on(Topology::sysnet(3), 2),
             RequestKind::Write,
             8,
             125,
-        );
+        )
+        .metrics
+        .ops_per_sec();
         assert!(
             reads > writes * 1.10,
             "reads {reads:.0}/s vs writes {writes:.0}/s"
@@ -246,12 +213,12 @@ mod tests {
     #[test]
     fn wan_spread_xpaxos_beats_consensus_reads() {
         // §4.1 configuration 3: read RRT well below write RRT.
-        let read = measure_rrt(
+        let read = rrt(
             Experiment::on(Topology::wan_spread(), 3),
             RequestKind::Read,
             40,
         );
-        let write = measure_rrt(
+        let write = rrt(
             Experiment::on(Topology::wan_spread(), 3),
             RequestKind::Write,
             40,
@@ -268,12 +235,12 @@ mod tests {
     fn tpaxos_reduces_transaction_latency() {
         // Table 1's shape: optimized < read/write < write-only.
         let script = TxnScript::write_only(3);
-        let unopt = measure_txn_rrt(
+        let unopt = trt(
             Experiment::on(Topology::sysnet(3), 4).txn_mode(TxnMode::PerOp),
             script.clone(),
             100,
         );
-        let opt = measure_txn_rrt(
+        let opt = trt(
             Experiment::on(Topology::sysnet(3), 4).txn_mode(TxnMode::TPaxos),
             script,
             100,
@@ -288,17 +255,12 @@ mod tests {
 
     #[test]
     fn replicas_converge_after_throughput_run() {
-        let exp = Experiment::on(Topology::sysnet(3), 5);
-        let deadline = exp.deadline;
-        let mut w = exp.build_noop();
-        for _ in 0..4 {
-            w.add_client(
-                Box::new(OpLoop::new(RequestKind::Write, 50)),
-                None,
-                CLIENT_START,
-            );
-        }
-        assert!(w.run_to_completion(Time::ZERO.after(deadline)));
+        let mut w = ops(
+            Experiment::on(Topology::sysnet(3), 5),
+            RequestKind::Write,
+            4,
+            50,
+        );
         // Let heartbeats flush the last chosen notifications.
         let settle = w.now.after(Dur::from_secs(1));
         w.run_until(settle);

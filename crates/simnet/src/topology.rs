@@ -220,40 +220,6 @@ impl Topology {
         }
     }
 
-    /// The §4.3 setting for `t > 1`: "the server replicas are on one local
-    /// area, low latency network, and the clients are in other networks
-    /// connected to the servers' network via a wide-area, higher latency
-    /// network with a large variance in message delivery time".
-    ///
-    /// Sites: 0 = server LAN, 1 = clients (log-normal WAN with shape
-    /// `sigma` controlling the variance).
-    #[must_use]
-    pub fn lan_replicas_wan_clients(n: usize, median_ms: f64, sigma: f64) -> Topology {
-        Topology {
-            replica_sites: vec![0; n],
-            client_sites: HashMap::new(),
-            default_client_site: 1,
-            links: Self::symmetric(
-                2,
-                LatencyModel::Uniform {
-                    lo: 0.072,
-                    hi: 0.080,
-                },
-                &[(
-                    0,
-                    1,
-                    LatencyModel::LogNormal {
-                        median: median_ms,
-                        sigma,
-                    },
-                )],
-            ),
-            loss: 0.0,
-            ns_per_byte: 0.8,
-            name: "lan-replicas-wan-clients",
-        }
-    }
-
     /// A heterogeneous variant of the §4.3 setting: the replicas share a
     /// LAN, but the *clients'* WAN paths to individual replicas differ —
     /// the leader and one backup are well connected (`fast_ms` median),

@@ -17,12 +17,11 @@ fn run_ops(
     per_client: u64,
     seed: u64,
 ) -> World {
-    let opts = SimOpts::for_topology(topology, seed);
-    let mut w = World::new(cfg, opts, Box::new(|| Box::new(NoopApp::new())));
-    for _ in 0..clients {
-        w.add_client(Box::new(OpLoop::new(kind, per_client)), None, START);
-    }
-    assert!(w.run_to_completion(DEADLINE), "run must complete");
+    let mut exp =
+        Experiment::on(topology, seed).clients(clients, |_| OpLoop::new(kind, per_client));
+    exp.cfg = cfg;
+    let (mut w, done) = exp.run();
+    assert!(done, "run must complete");
     let settle = w.now.after(Dur::from_secs(1));
     w.run_until(settle);
     w
@@ -217,24 +216,15 @@ fn singleton_and_five_replica_groups_work() {
 fn throughput_report_shapes_hold() {
     // A cheap re-assertion of the paper's headline shapes (the full
     // regeneration lives in the bench harness).
-    let (read, _) = gridpaxos::simnet::measure_throughput(
-        Experiment::on(Topology::sysnet(3), 8),
-        RequestKind::Read,
-        8,
-        100,
-    );
-    let (write, _) = gridpaxos::simnet::measure_throughput(
-        Experiment::on(Topology::sysnet(3), 8),
-        RequestKind::Write,
-        8,
-        100,
-    );
-    let (orig, _) = gridpaxos::simnet::measure_throughput(
-        Experiment::on(Topology::sysnet(3), 8),
-        RequestKind::Original,
-        8,
-        100,
-    );
+    let tput = |kind| {
+        let exp = Experiment::on(Topology::sysnet(3), 8).clients(8, |_| OpLoop::new(kind, 100));
+        let (w, done) = exp.run();
+        assert!(done, "run must complete");
+        w.metrics.ops_per_sec()
+    };
+    let read = tput(RequestKind::Read);
+    let write = tput(RequestKind::Write);
+    let orig = tput(RequestKind::Original);
     assert!(read > write, "reads {read:.0} > writes {write:.0}");
     assert!(orig > read, "original {orig:.0} > reads {read:.0}");
 }
