@@ -103,11 +103,13 @@ pub struct Config {
     /// Maximum requests the leader packs into one decree (one consensus
     /// instance). `1` disables batching.
     pub max_batch: usize,
-    /// How long a loaded leader waits to accumulate a batch before
-    /// proposing. Applied only when the previous decree carried more than
-    /// one request (i.e. under concurrency), so single-client latency is
-    /// unaffected. Models the natural socket-drain coalescing of a real
-    /// server. `Dur::ZERO` disables the window.
+    /// How long a loaded leader waits for a batch that does not fill on its
+    /// own. A loaded batch closes as soon as every client the last decree
+    /// answered has queued again; the window (re-armed while the queue is
+    /// below the last batch size) is the fallback for a wave that does not
+    /// come back whole. Applied only when the previous decree carried more
+    /// than one request, so single-client latency is unaffected.
+    /// `Dur::ZERO` disables the window and the wait with it.
     pub batch_window: Dur,
     /// Epoch-batched confirm rounds for [`ReadMode::XPaxos`] (extension):
     /// under read load the leader seals open reads into confirm epochs and
@@ -163,7 +165,7 @@ impl Config {
             read_mode: ReadMode::XPaxos,
             txn_mode: TxnMode::PerOp,
             value_mode: ValueMode::ReqState,
-            checkpoint_every: 1024,
+            checkpoint_every: 512,
             max_batch: 64,
             batch_window: Dur::from_micros(100),
             confirm_batching: true,

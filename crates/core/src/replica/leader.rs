@@ -3,6 +3,10 @@
 //! retransmission — and T-Paxos transaction sessions (§3.5). Reads that
 //! skip consensus (§3.4 and its extensions) are `reads.rs`'s: this file
 //! hands it every read that arrives and gets back the ones to queue.
+//!
+//! When a loaded batch closes: as soon as every client the last decree
+//! answered has queued again (the *wave* is in), else when the batch
+//! window gives up waiting for it.
 
 use super::{Replica, Role};
 use crate::action::{Action, TimerKind};
@@ -11,7 +15,7 @@ use crate::command::Decree;
 use crate::config::TxnMode;
 use crate::msg::Msg;
 use crate::request::{AbortReason, Reply, ReplyBody, Request, RequestId, RequestKind, TxnCtl};
-use crate::types::{Addr, ClientId, Instance, ProcessId, Time, TxnId};
+use crate::types::{Addr, ClientId, Dur, Instance, ProcessId, Time, TxnId};
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -63,6 +67,9 @@ pub struct LeaderState {
     pub(crate) window_armed: bool,
     /// Remaining re-arms of the batch window while the queue keeps growing.
     pub(crate) window_rearms: u32,
+    /// Clients the last chosen decree answered that have not queued again
+    /// since (kept only under a batch window): empty means the wave is in.
+    pub(crate) wave: BTreeSet<ClientId>,
 }
 
 impl LeaderState {
@@ -70,6 +77,15 @@ impl LeaderState {
     /// (no tentative proposal outstanding, recovery finished).
     fn quiescent(&self) -> bool {
         self.inflight.is_none() && self.recovery.is_none()
+    }
+
+    /// `chosen` set its clients free: wait for those not queued again.
+    fn await_wave(&mut self, chosen: &Decree) {
+        let answered = chosen.entries.iter().filter_map(|e| e.cmd.request_id());
+        self.wave = answered.map(|id| id.client).collect();
+        for r in &self.queue {
+            self.wave.remove(&r.id.client);
+        }
     }
 }
 
@@ -131,6 +147,7 @@ impl Replica {
         let Role::Leader(l) = &mut self.role else {
             return;
         };
+        l.wave.remove(&req.id.client);
         l.queue.push_back(req);
         self.try_propose_next(now, out);
     }
@@ -311,7 +328,8 @@ impl Replica {
     /// §3.3: the leader "will not propose the i-th request and the
     /// corresponding state until the (i-1)-th commits" — strict pipelining;
     /// the *batch* is one proposal, so no gaps can arise, and throughput
-    /// is not capped at one request per coordination round-trip.
+    /// is not capped at one request per coordination round-trip. A loaded
+    /// batch proposes once its wave is in or it holds `max_batch`.
     fn try_propose_next(&mut self, now: Time, out: &mut Vec<Action>) {
         let batch = {
             let Role::Leader(l) = &mut self.role else {
@@ -321,15 +339,18 @@ impl Replica {
                 return;
             }
             // Adaptive coalescing: under concurrency (the previous decree
-            // carried several requests) hold the proposal briefly so the
-            // whole burst of unblocked closed-loop clients lands in one
-            // decree — the socket-drain batching a real server gets for
-            // free. At low load (previous batch ≤ 1) propose immediately,
-            // so single-client latency is exactly the paper's model.
+            // carried several requests) hold the proposal until the
+            // closed-loop clients that decree unblocked have all queued
+            // again, so the wave lands in one decree — a wave cut at the
+            // previous batch size instead settles into alternating half
+            // waves. The window bounds the wait for a wave that does not
+            // come back whole. At low load (previous batch ≤ 1) propose
+            // immediately, so single-client latency is the paper's model.
             let window = self.cfg.batch_window;
             if l.last_batch > 1
-                && window > crate::types::Dur::ZERO
+                && window > Dur::ZERO
                 && l.queue.len() < self.cfg.max_batch
+                && !l.wave.is_empty()
             {
                 if !l.window_armed {
                     l.window_armed = true;
@@ -386,6 +407,13 @@ impl Replica {
                     session.into_iter().flatten().map(|(r, _)| r).collect()
                 })
             });
+        // A batch that closed before its window fired takes the timer
+        // with it: the next wave arms its own.
+        if std::mem::take(&mut l.window_armed) {
+            out.push(Action::CancelTimer {
+                kind: TimerKind::BatchWindow,
+            });
+        }
         let (ballot, instance) = (l.ballot, l.next_instance);
         l.next_instance = instance.next();
         l.last_batch = decree.entries.len();
@@ -496,6 +524,10 @@ impl Replica {
                 Some(inf) if inf.acks.len() >= majority => {
                     let i = inf.instance;
                     l.inflight = None;
+                    let windowed = self.cfg.batch_window > Dur::ZERO;
+                    if let Some((_, d)) = self.log.get(i).filter(|_| windowed) {
+                        l.await_wave(d);
+                    }
                     Some(i)
                 }
                 _ => None,

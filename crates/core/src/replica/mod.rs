@@ -533,7 +533,7 @@ impl Replica {
                 for (id, (k, sess)) in committing {
                     (id, k, &sess.ops).hash(&mut h);
                 }
-                (l.last_batch, l.window_armed, l.window_rearms).hash(&mut h);
+                (l.last_batch, l.window_armed, l.window_rearms, &l.wave).hash(&mut h);
             }
         }
         h.finish()

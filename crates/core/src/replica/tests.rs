@@ -1837,8 +1837,17 @@ fn heartbeats_propagate_chosen_to_slow_followers() {
 
 /// Queue a raw write at the leader (r0) without running the shuttle.
 fn push_write(s: &mut Shuttle, client: u64, seq: u64) -> crate::request::RequestId {
+    push_request(s, client, seq, RequestKind::Write)
+}
+
+fn push_request(
+    s: &mut Shuttle,
+    client: u64,
+    seq: u64,
+    kind: RequestKind,
+) -> crate::request::RequestId {
     let id = crate::request::RequestId::new(ClientId(client), crate::types::Seq(seq));
-    let req = crate::request::Request::new(id, RequestKind::Write, Bytes::new());
+    let req = crate::request::Request::new(id, kind, Bytes::new());
     s.queue.push_back((
         Addr::Client(ClientId(client)),
         Addr::Replica(ProcessId(0)),
@@ -1973,6 +1982,133 @@ fn batch_window_rearm_exhaustion_flushes_the_queue() {
     // The request completed exactly once.
     let ids = committed_ids(&s);
     assert_eq!(ids.iter().filter(|id| **id == lonely).count(), 1);
+    s.assert_replica_states_converged();
+}
+
+fn lead(s: &Shuttle) -> &LeaderState {
+    let Role::Leader(l) = s.replica(0).role() else {
+        panic!("r0 leads")
+    };
+    l
+}
+
+#[test]
+fn a_batch_closed_before_its_window_fires_disarms_the_window() {
+    let mut cfg = cluster_cfg(3);
+    cfg.max_batch = 4;
+    let mut s = Shuttle::new(3, cfg);
+    for i in 0..5u64 {
+        push_write(&mut s, 10 + i, 1);
+    }
+    s.run();
+    assert_eq!(batch_sizes(&s), vec![1, 4]);
+
+    // New clients: the window arms and burns one re-arm...
+    push_write(&mut s, 20, 1);
+    s.run();
+    s.fire(0, TimerKind::BatchWindow);
+    assert!(lead(&s).window_armed);
+    assert_eq!(lead(&s).window_rearms, 7);
+    // ...then the queue reaches max_batch and proposes without it.
+    for i in 1..4u64 {
+        push_write(&mut s, 20 + i, 1);
+    }
+    s.run();
+    assert_eq!(batch_sizes(&s), vec![1, 4, 4]);
+    assert!(!lead(&s).window_armed, "the proposal took the window");
+
+    // The next wave's first arrival arms a window of its own.
+    push_write(&mut s, 20, 2);
+    s.run();
+    assert_eq!(s.replica(0).chosen_prefix(), Instance(3), "held back");
+    assert!(lead(&s).window_armed);
+    assert_eq!(lead(&s).window_rearms, 8);
+}
+
+#[test]
+fn a_wave_closes_on_its_last_arrival() {
+    let mut s = Shuttle::new(3, cluster_cfg(3));
+    for i in 0..5u64 {
+        push_write(&mut s, 10 + i, 1);
+    }
+    s.run();
+    assert_eq!(batch_sizes(&s), vec![1, 4]);
+
+    // The four answered clients come back; no BatchWindow fires.
+    for i in 0..3u64 {
+        push_write(&mut s, 11 + i, 2);
+        s.run();
+        assert_eq!(s.replica(0).chosen_prefix(), Instance(2), "wave not in yet");
+        assert!(lead(&s).window_armed);
+    }
+    push_write(&mut s, 14, 2);
+    s.run();
+    assert_eq!(batch_sizes(&s), vec![1, 4, 4]);
+    assert!(!lead(&s).window_armed);
+    s.assert_replica_states_converged();
+}
+
+#[test]
+fn a_wave_split_by_the_decree_in_flight_merges() {
+    let mut s = Shuttle::new(3, cluster_cfg(3));
+    for i in 0..3u64 {
+        push_write(&mut s, 10 + i, 1);
+    }
+    s.run();
+    assert_eq!(batch_sizes(&s), vec![1, 2]);
+
+    // 11 and 12 come back and close their wave; 20 and 21 queue while
+    // that decree is in flight.
+    push_write(&mut s, 11, 2);
+    push_write(&mut s, 12, 2);
+    push_write(&mut s, 20, 1);
+    push_write(&mut s, 21, 1);
+    s.run();
+    assert_eq!(batch_sizes(&s), vec![1, 2, 2]);
+    assert_eq!(lead(&s).queue.len(), 2);
+    assert!(lead(&s).window_armed);
+
+    // Closing at the previous batch size would propose 20 and 21 alone,
+    // and the halves would alternate from then on. The wave waits for 11
+    // and 12 and proposes all four together.
+    push_write(&mut s, 11, 3);
+    push_write(&mut s, 12, 3);
+    s.run();
+    assert_eq!(batch_sizes(&s), vec![1, 2, 2, 4]);
+    s.assert_replica_states_converged();
+}
+
+#[test]
+fn a_client_back_with_a_read_leaves_the_wave_to_the_window() {
+    let mut s = Shuttle::new(3, cluster_cfg(3));
+    for i in 0..3u64 {
+        push_write(&mut s, 10 + i, 1);
+    }
+    s.run();
+    assert_eq!(batch_sizes(&s), vec![1, 2]);
+
+    push_write(&mut s, 11, 2);
+    // An X-Paxos read goes to every replica; the followers confirm it.
+    let read = push_request(&mut s, 12, 2, RequestKind::Read);
+    let (from, _, msg) = s.queue.back().cloned().expect("queued");
+    for p in 1..3 {
+        s.queue
+            .push_back((from, Addr::Replica(ProcessId(p)), msg.clone()));
+    }
+    s.run();
+    assert!(
+        s.client_inbox
+            .iter()
+            .any(|(_, m)| matches!(m, Msg::Reply(r) if r.id == read)),
+        "the read is answered through its own door"
+    );
+    // The write waits for the window, as it did before the wave rule.
+    for _ in 0..8 {
+        s.fire(0, TimerKind::BatchWindow);
+        assert_eq!(s.replica(0).chosen_prefix(), Instance(2));
+    }
+    s.fire(0, TimerKind::BatchWindow);
+    assert_eq!(batch_sizes(&s), vec![1, 2, 1]);
     s.assert_replica_states_converged();
 }
 

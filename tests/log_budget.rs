@@ -76,7 +76,7 @@ fn assert_converged(w: &World) {
 /// Retained log payload ≤ budget + what was accepted while one checkpoint
 /// was being emitted, at every step of every replica, under 16-op decrees
 /// of 2 KiB values; every checkpoint is due by bytes (≈ 130 decrees), none
-/// by the 1,024-instance cap.
+/// by the 512-instance cap.
 #[test]
 fn large_values_checkpoint_by_bytes_and_the_log_stays_within_its_budget() {
     let mut w = world(Config::cluster(3), 23, 520);
