@@ -1,17 +1,19 @@
 //! Client-side protocol core (sans-io).
 //!
-//! Per §3.3, a client sends each request to **all** service replicas (so it
-//! never needs to know who the leader is) and only the leader answers. The
-//! client keeps at most one request outstanding, retransmits on timeout,
-//! and matches replies by request id, which makes retries idempotent end
-//! to end.
+//! Per §3.3, a client never needs to know who the leader is: its first
+//! request and every retry go to **all** service replicas, and only the
+//! leader answers. The client remembers, per group, the leader that last
+//! answered, and sends later writes, T-Paxos ops and 2PC legs to it alone
+//! — followers would only drop them. A timeout or a `Busy` drops the hint,
+//! so the retry broadcasts again. The client keeps at most one request
+//! outstanding and matches replies by request id, which makes retries
+//! idempotent end to end.
 //!
 //! In a multi-group (sharded) deployment the client additionally routes
 //! each request to its consensus group — determined by a [`ShardRouter`]
-//! over the request's service-level key — wraps traffic in the group
-//! envelope, and caches a leader hint per group so steady-state writes are
-//! a single unicast instead of an n-way broadcast. Reads always broadcast
-//! (the X-Paxos fast path needs the followers' confirm votes) — except in
+//! over the request's service-level key — and wraps traffic in the group
+//! envelope. Reads always broadcast (the X-Paxos fast path needs the
+//! followers' confirm votes) — except in
 //! bounded-staleness follower-read mode, where the client unicasts reads
 //! to its nearest replica and enforces the session guarantees itself: a
 //! per-group monotonic *read watermark* (the highest applied decree any
@@ -270,12 +272,12 @@ impl ClientCore {
         }
     }
 
-    /// First transmission of `req`: unicast to the group's cached leader
-    /// when one is known and the request doesn't need the full quorum to
-    /// see it. Reads always broadcast — the X-Paxos fast path (§3.4)
-    /// collects Confirm votes from the followers, which therefore must
-    /// receive the request too. Single-group clients always broadcast,
-    /// exactly as §3.3 prescribes.
+    /// First transmission of `req`: unicast to the leader that last
+    /// answered in its group, when one is known and the request doesn't
+    /// need the full quorum to see it; otherwise the §3.3 broadcast. Reads
+    /// always broadcast — the X-Paxos fast path (§3.4) collects Confirm
+    /// votes from the followers, which therefore must receive the request
+    /// too.
     fn send_request(&self, group: GroupId, req: Request) -> Vec<Action> {
         // Follower-read mode: a plain read needs only *some* replica
         // within the staleness bound, so first transmission goes to the
@@ -290,7 +292,7 @@ impl ClientCore {
                 )];
             }
         }
-        if self.n_groups > 1 && req.kind != RequestKind::Read {
+        if req.kind != RequestKind::Read {
             if let Some(&leader) = self.leader_hints.get(&group.0) {
                 return vec![Action::send(
                     Addr::Replica(leader),
@@ -342,10 +344,7 @@ impl ClientCore {
             // hinted node is overloaded or no longer leading there, and
             // retries must fall back to broadcast rather than hammer it.
             Some(p) if p.req.id == reply.id && reply.body.is_busy() => {
-                if self.n_groups > 1 {
-                    let g = group.unwrap_or(p.group);
-                    self.leader_hints.remove(&g.0);
-                }
+                self.leader_hints.remove(&group.unwrap_or(p.group).0);
                 (None, Vec::new())
             }
             // A follower answered a session read from state older than
@@ -363,21 +362,17 @@ impl ClientCore {
                     && p.req.txn.is_none()
                     && reply.watermark < self.read_watermark(group.unwrap_or(p.group)) =>
             {
-                if self.n_groups > 1 {
-                    let g = group.unwrap_or(p.group);
-                    self.leader_hints.insert(g.0, reply.leader);
-                }
+                self.leader_hints
+                    .insert(group.unwrap_or(p.group).0, reply.leader);
                 (None, Vec::new())
             }
             Some(p) if p.req.id == reply.id => {
                 let p = self.outstanding.take().expect("checked above");
                 let g = group.unwrap_or(p.group);
-                if self.n_groups > 1 {
-                    // Whoever answered is that group's leader (or, for a
-                    // follower-served read, the answerer's view of the
-                    // leader); unicast the next write there.
-                    self.leader_hints.insert(g.0, reply.leader);
-                }
+                // Whoever answered is that group's leader (or, for a
+                // follower-served read, the answerer's view of the
+                // leader); unicast the next write there.
+                self.leader_hints.insert(g.0, reply.leader);
                 // Session guarantee bookkeeping: remember the freshest
                 // applied state any reply has reflected. Writes push the
                 // mark to their own decree (read-your-writes); reads push
@@ -553,12 +548,99 @@ mod tests {
     }
 
     fn reply_wm(id: RequestId, watermark: Instance, body: ReplyBody) -> Msg {
+        reply_from(ProcessId(0), id, watermark, body)
+    }
+
+    fn reply_from(leader: ProcessId, id: RequestId, watermark: Instance, body: ReplyBody) -> Msg {
         Msg::Reply(Reply {
             id,
-            leader: ProcessId(0),
+            leader,
             watermark,
             body,
         })
+    }
+
+    /// Where `actions` send to, in order.
+    fn targets(actions: &[Action]) -> Vec<Addr> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send { to, .. } => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn all_three() -> Vec<Addr> {
+        (0..3).map(|r| Addr::Replica(ProcessId(r))).collect()
+    }
+
+    fn to(r: u32) -> Vec<Addr> {
+        vec![Addr::Replica(ProcessId(r))]
+    }
+
+    /// Replica `by` answers client 1's request `seq` with `body`.
+    fn answer(c: &mut ClientCore, seq: u64, by: u32, body: ReplyBody) -> Option<CompletedOp> {
+        let id = RequestId::new(ClientId(1), Seq(seq));
+        let msg = reply_from(ProcessId(by), id, Instance(seq), body);
+        c.on_message(msg, Time(seq * 10)).0
+    }
+
+    fn ok() -> ReplyBody {
+        ReplyBody::Ok(Bytes::new())
+    }
+
+    // ----- one rule for where a request goes ----------------------------
+
+    /// A single-group client whose first write replica 2 answered: the
+    /// second write, and a T-Paxos op, go to replica 2 alone.
+    #[test]
+    fn a_second_write_goes_only_to_the_replica_that_answered_the_first() {
+        let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+        let first = c.submit_op(RequestKind::Write, Bytes::new(), Time::ZERO);
+        assert_eq!(
+            targets(&first),
+            all_three(),
+            "no hint yet: the §3.3 broadcast"
+        );
+        assert!(answer(&mut c, 1, 2, ok()).is_some());
+        let second = c.submit_op(RequestKind::Write, Bytes::new(), Time(12));
+        assert_eq!(targets(&second), to(2));
+        answer(&mut c, 2, 2, ok());
+        let id = c.next_request_id();
+        let op = Request::txn_op(id, RequestKind::Write, TxnId(1), Bytes::new());
+        assert_eq!(targets(&c.submit(op, Time(22))), to(2));
+    }
+
+    /// The hinted leader died with the write in hand: the retry
+    /// broadcasts, the new leader answers, and the next write goes to it.
+    #[test]
+    fn a_retry_after_the_hinted_leader_died_broadcasts_and_repoints_the_hint() {
+        let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+        c.submit_op(RequestKind::Write, Bytes::new(), Time::ZERO);
+        answer(&mut c, 1, 0, ok());
+        let lost = c.submit_op(RequestKind::Write, Bytes::new(), Time(12));
+        assert_eq!(targets(&lost), to(0));
+        let retry = c.on_timer(TimerKind::ClientRetry, Time(15));
+        assert_eq!(targets(&retry), all_three(), "the retry broadcasts");
+        let done = answer(&mut c, 2, 1, ok()).expect("the new leader answers");
+        assert_eq!(done.retries, 1);
+        let next = c.submit_op(RequestKind::Write, Bytes::new(), Time(22));
+        assert_eq!(targets(&next), to(1));
+    }
+
+    /// A `Busy` from the hinted leader drops the hint, as a timeout does:
+    /// the retry must not single out the overloaded node again.
+    #[test]
+    fn a_busy_reply_drops_the_hint_of_a_single_group_client() {
+        let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+        c.submit_op(RequestKind::Write, Bytes::new(), Time::ZERO);
+        answer(&mut c, 1, 2, ok());
+        let shed = c.submit_op(RequestKind::Write, Bytes::new(), Time(12));
+        assert_eq!(targets(&shed), to(2));
+        assert!(answer(&mut c, 2, 2, ReplyBody::Busy).is_none());
+        assert!(c.is_busy(), "the write stays outstanding");
+        assert!(c.leader_hints.is_empty(), "Busy dropped the hint");
     }
 
     #[test]
@@ -803,14 +885,7 @@ mod tests {
 
         // Next write to the same group goes straight to the hinted leader.
         let actions = c.submit_op(RequestKind::Write, Bytes::from_static(&[2]), Time(10));
-        let sends: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send { to, .. } => Some(*to),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(sends, vec![Addr::Replica(ProcessId(1))], "unicast to hint");
+        assert_eq!(targets(&actions), to(1), "unicast to hint");
         assert_eq!(sent_groups(&actions), vec![GroupId(2)]);
 
         // A retry invalidates the hint and reverts to broadcast.
@@ -848,19 +923,12 @@ mod tests {
         let mut c = ClientCore::new(ClientId(3), 3, Dur::from_millis(100))
             .with_follower_reads(Some(ProcessId(2)));
         let actions = c.submit_op(RequestKind::Read, Bytes::new(), Time::ZERO);
-        let sends: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send { to, .. } => Some(*to),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            sends,
-            vec![Addr::Replica(ProcessId(2))],
+            targets(&actions),
+            to(2),
             "read unicasts to the nearest replica"
         );
-        // Writes still broadcast (single-group discipline is unchanged).
+        // The follower's reply names the leader (r0); a write goes there.
         let (done, _) = c.on_message(
             reply(
                 RequestId::new(ClientId(3), Seq(1)),
@@ -870,11 +938,11 @@ mod tests {
         );
         assert!(done.is_some());
         let actions = c.submit_op(RequestKind::Write, Bytes::new(), Time(2));
-        let sends = actions
-            .iter()
-            .filter(|a| matches!(a, Action::Send { .. }))
-            .count();
-        assert_eq!(sends, 3, "writes go to all replicas");
+        assert_eq!(
+            targets(&actions),
+            to(0),
+            "the write goes to the leader the read's reply named"
+        );
         // A retried read falls back to broadcast — the nearest replica
         // may be lagging past the bound or unreachable.
         let (done, _) = c.on_message(
@@ -887,11 +955,7 @@ mod tests {
         assert!(done.is_some());
         c.submit_op(RequestKind::Read, Bytes::new(), Time(4));
         let actions = c.on_timer(TimerKind::ClientRetry, Time(200));
-        let sends = actions
-            .iter()
-            .filter(|a| matches!(a, Action::Send { .. }))
-            .count();
-        assert_eq!(sends, 3, "retry reverts to broadcast");
+        assert_eq!(targets(&actions), all_three(), "retry reverts to broadcast");
     }
 
     #[test]
@@ -941,8 +1005,8 @@ mod tests {
     #[test]
     fn follower_read_reply_refreshes_stale_leader_hint() {
         // Regression: a follower-read reply reveals the answering
-        // replica's leader view; a sharded client must refresh its
-        // per-group hint from it so the next write unicasts to the *new*
+        // replica's leader view; the client must refresh its per-group
+        // hint from it so the next write unicasts to the *new*
         // leader instead of hammering the deposed one.
         let mut c = sharded_client(4).with_follower_reads(Some(ProcessId(2)));
         // Establish a (soon stale) hint: replica 1 leads group 2.
@@ -980,16 +1044,9 @@ mod tests {
 
         // The next write to group 2 unicasts straight to the new leader.
         let actions = c.submit_op(RequestKind::Write, Bytes::from_static(&[6]), Time(4));
-        let sends: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Send { to, .. } => Some(*to),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            sends,
-            vec![Addr::Replica(ProcessId(0))],
+            targets(&actions),
+            to(0),
             "hint refreshed off the follower-read path"
         );
     }

@@ -581,7 +581,9 @@ impl Replica {
         match msg {
             Msg::Request(req) if self.is_leader() => self.leader_handle_request(req, now, &mut out),
             // Off the lead a read may be served or confirmed; everything
-            // else is the leader's (the client's broadcast reached it too).
+            // else is dropped unanswered. A broadcast copy also reached the
+            // leader; a copy unicast here on a stale hint waits for the
+            // client's retry.
             Msg::Request(req) => self.follower_sees_request(&req, now, &mut out),
             Msg::Prepare {
                 ballot,

@@ -268,11 +268,12 @@ impl Replica {
     // ------------------------------------------------------------------
 
     /// A client request reached a replica that does not lead. Writes and
-    /// transactions are the leader's business (the client's broadcast
-    /// reached it too); a read is served from local state in follower
-    /// mode, and in X-Paxos "every other service process sends a confirm
-    /// message to the process with the highest ballot number it has
-    /// accepted" (§3.4).
+    /// transactions are the leader's business and are dropped unanswered
+    /// (a broadcast copy reached the leader too; a copy unicast here on a
+    /// stale hint waits for the client's retry); a read is served from
+    /// local state in follower mode, and in X-Paxos "every other service
+    /// process sends a confirm message to the process with the highest
+    /// ballot number it has accepted" (§3.4).
     pub(crate) fn follower_sees_request(
         &mut self,
         req: &Request,

@@ -217,6 +217,29 @@ impl Shuttle {
         client: &mut ClientCore,
         actions: Vec<Action>,
     ) -> crate::client::CompletedOp {
+        self.try_drive_client(client, actions)
+            .expect("request must complete in a failure-free run")
+    }
+
+    /// After the leader crashed: the client's first send goes to the dead
+    /// leader it last heard from and is lost, so its retry timer fires —
+    /// the shuttle fires no timers on its own — and the retry broadcasts.
+    fn drive_client_through_retry(
+        &mut self,
+        client: &mut ClientCore,
+        actions: Vec<Action>,
+    ) -> crate::client::CompletedOp {
+        let lost = self.try_drive_client(client, actions);
+        assert!(lost.is_none(), "the hinted leader is dead");
+        let retry = client.on_timer(TimerKind::ClientRetry, self.now);
+        self.drive_client(client, retry)
+    }
+
+    fn try_drive_client(
+        &mut self,
+        client: &mut ClientCore,
+        actions: Vec<Action>,
+    ) -> Option<crate::client::CompletedOp> {
         let from = Addr::Client(client.id());
         self.enqueue(from, actions);
         self.run();
@@ -232,7 +255,7 @@ impl Shuttle {
             }
         }
         self.run();
-        result.expect("request must complete in a failure-free run")
+        result
     }
 
     fn assert_replica_states_converged(&mut self) {
@@ -404,8 +427,9 @@ fn leader_crash_failover_and_continued_service() {
     assert_eq!(s.leader(), Some(1));
     // The new leader must know the first write.
     assert_eq!(s.replica(1).chosen_prefix(), Instance(1));
-    // And keep serving.
-    let done = s.submit(&mut c, RequestKind::Write);
+    // And keep serving: the client's retry finds it.
+    let actions = c.submit_op(RequestKind::Write, Bytes::new(), s.now);
+    let done = s.drive_client_through_retry(&mut c, actions);
     assert!(matches!(done.body, ReplyBody::Ok(_)));
     assert_eq!(done.leader, ProcessId(1));
     assert_eq!(s.replica(1).chosen_prefix(), Instance(2));
@@ -719,7 +743,7 @@ fn tpaxos_commit_after_leader_switch_aborts() {
     let id = c.next_request_id();
     let commit = crate::request::Request::txn_commit(id, txn, 2);
     let actions = c.submit(commit, s.now);
-    let done = s.drive_client(&mut c, actions);
+    let done = s.drive_client_through_retry(&mut c, actions);
     assert_eq!(
         done.body,
         ReplyBody::TxnAborted {
@@ -925,7 +949,8 @@ fn crashed_leader_rejoins_one_instance_short_and_catches_up() {
     s.now = Time(Dur::from_secs(10).0);
     s.fire(1, TimerKind::LeaderCheck);
     assert_eq!(s.leader(), Some(1));
-    s.submit(&mut c, RequestKind::Write);
+    let actions = c.submit_op(RequestKind::Write, Bytes::new(), s.now);
+    s.drive_client_through_retry(&mut c, actions);
 
     // (No `on_start`: the configured bootstrap leader would campaign.)
     let recovered = Replica::recover(
@@ -1397,8 +1422,9 @@ fn lagging_candidate_adopts_promise_snapshot() {
     let snap = s.replica(2).service_snapshot();
     assert_eq!(u64::from_le_bytes(snap[..8].try_into().unwrap()), 5);
 
-    // And it keeps serving correctly.
-    let done = s.submit(&mut c, RequestKind::Write);
+    // And it keeps serving correctly, once the client's retry finds it.
+    let actions = c.submit_op(RequestKind::Write, Bytes::new(), s.now);
+    let done = s.drive_client_through_retry(&mut c, actions);
     assert!(matches!(done.body, ReplyBody::Ok(_)));
     assert_eq!(s.replica(2).chosen_prefix(), Instance(6));
 }

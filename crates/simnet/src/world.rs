@@ -135,7 +135,7 @@ struct SimClient {
 /// A network partition: while active, messages between replicas in
 /// different groups are dropped (both directions). Replicas not listed in
 /// any group are unreachable from everyone. Client links are unaffected —
-/// clients broadcast to all replicas, as in the paper's model.
+/// a client reaches every replica it sends to, as in the paper's model.
 #[derive(Clone, Debug)]
 pub struct Partition {
     /// Groups of replica ids that can talk among themselves.
@@ -804,6 +804,8 @@ mod tests {
     use super::*;
     use crate::topology::Topology;
     use crate::workload::OpLoop;
+    use bytes::Bytes;
+    use gridpaxos_core::client::CompletedOp;
     use gridpaxos_core::request::RequestKind;
     use gridpaxos_core::service::NoopApp;
 
@@ -878,7 +880,9 @@ mod tests {
         let mut w = build(4);
         w.add_client(Box::new(OpLoop::new(RequestKind::Write, 20)), None, START);
         assert!(w.run_to_completion(DEADLINE));
-        assert!(*w.metrics.msgs_by_tag.get("request").unwrap_or(&0) >= 20 * 3);
+        // The first write goes to all three replicas; each later one to
+        // the leader that answered.
+        assert_eq!(w.metrics.msgs_by_tag.get("request"), Some(&(3 + 19)));
         assert!(*w.metrics.msgs_by_tag.get("accept").unwrap_or(&0) >= 20);
         assert!(*w.metrics.msgs_by_tag.get("reply").unwrap_or(&0) >= 20);
     }
@@ -1196,5 +1200,111 @@ mod tests {
         let near = run_at(Some(0));
         let far = run_at(None);
         assert!(near < far, "near {near} vs far {far}");
+    }
+
+    // ----- an idle client whose leader hint went stale ------------------
+
+    /// Writes once at each of `due` and sits idle in between: an
+    /// interactive client, not a closed loop. The world kicks it after
+    /// every reply; the test schedules the kicks that end an idle spell.
+    struct WritesAt {
+        due: Vec<Time>,
+        sent: usize,
+        outstanding: bool,
+    }
+
+    impl Driver for WritesAt {
+        fn kick(&mut self, core: &mut ClientCore, now: Time) -> Option<Vec<Action>> {
+            if self.outstanding || self.due.get(self.sent).is_none_or(|&t| now < t) {
+                return None;
+            }
+            self.sent += 1;
+            self.outstanding = true;
+            Some(core.submit_op(RequestKind::Write, Bytes::new(), now))
+        }
+
+        fn on_complete(&mut self, _done: &CompletedOp, _now: Time, _metrics: &mut Metrics) {
+            self.outstanding = false;
+        }
+
+        fn done(&self) -> bool {
+            self.sent == self.due.len() && !self.outstanding
+        }
+    }
+
+    /// A client writes once (the bootstrap leader, replica 0, answers),
+    /// `fault` strikes while it is idle, and one second later it writes
+    /// twice more. `check` sees the world just before the second write.
+    /// Returns each write's latency (ms) and the retries they took.
+    fn idle_client_across(
+        fault: impl FnOnce(&mut World),
+        check: impl FnOnce(&World),
+    ) -> (Vec<f64>, u64) {
+        let mut w = build(9);
+        let later = START.after(Dur::from_secs(1));
+        let writes = WritesAt {
+            due: vec![START, later, later],
+            sent: 0,
+            outstanding: false,
+        };
+        let id = w.add_client(Box::new(writes), None, START);
+        w.schedule(later, Payload::ClientStart(id));
+        fault(&mut w);
+        w.run_until(Time(later.0 - 1));
+        check(&w);
+        assert!(w.run_to_completion(DEADLINE));
+        (w.metrics.rtt_ms["write"].clone(), w.metrics.retries)
+    }
+
+    /// What a stale hint costs: the first write after the failover goes
+    /// to replica 0 alone, nobody answers it, and the client's retry
+    /// timeout passes before its broadcast reaches the new leader. The
+    /// reply re-points the hint, so the next write is back to one round
+    /// trip.
+    fn assert_first_write_after_failover_pays_one_retry(rtts: &[f64], retries: u64) {
+        let retry_ms = SimOpts::for_topology(Topology::sysnet(3), 9)
+            .client_retry
+            .as_millis_f64();
+        assert_eq!(rtts.len(), 3);
+        assert!(rtts[0] < 5.0, "before the fault: {rtts:?}");
+        assert_eq!(retries, 1);
+        assert!(
+            rtts[1] >= retry_ms && rtts[1] < retry_ms + 5.0,
+            "one retry timeout plus a round trip: {rtts:?}"
+        );
+        assert!(rtts[2] < 5.0, "the hint was re-pointed: {rtts:?}");
+    }
+
+    #[test]
+    fn an_idle_client_whose_leader_crashed_pays_one_retry() {
+        let (rtts, retries) = idle_client_across(
+            |w| w.crash_at(ProcessId(0), START.after(Dur::from_millis(100))),
+            |w| {
+                let leader = w.leader().expect("a new leader before the write");
+                assert_ne!(leader, ProcessId(0));
+            },
+        );
+        assert_first_write_after_failover_pays_one_retry(&rtts, retries);
+    }
+
+    #[test]
+    fn an_idle_client_whose_leader_was_deposed_pays_one_retry() {
+        let (rtts, retries) = idle_client_across(
+            |w| {
+                let cut = START.after(Dur::from_millis(100));
+                w.partition(
+                    vec![vec![0], vec![1, 2]],
+                    cut,
+                    cut.after(Dur::from_millis(400)),
+                );
+            },
+            |w| {
+                let old = w.replica(ProcessId(0)).expect("the deposed leader is up");
+                assert!(!old.is_leader(), "replica 0 stepped down");
+                let leader = w.leader().expect("a new leader before the write");
+                assert_ne!(leader, ProcessId(0));
+            },
+        );
+        assert_first_write_after_failover_pays_one_retry(&rtts, retries);
     }
 }

@@ -3,8 +3,10 @@
 
 use bytes::Bytes;
 use gridpaxos::core::prelude::*;
-use gridpaxos::simnet::workload::{OpLoop, TxnLoop};
-use gridpaxos::simnet::{SimOpts, Topology, World};
+use gridpaxos::simnet::workload::{Driver, OpLoop, TxnLoop};
+use gridpaxos::simnet::{Metrics, SimOpts, Topology, World};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const START: Time = Time(200_000_000);
 const DEADLINE: Time = Time(3_600_000_000_000);
@@ -89,37 +91,66 @@ fn double_leader_crash_is_survived() {
     settle_and_check(&mut w);
 }
 
+/// A [`TxnLoop`] that raises `answered` when one of its transaction's
+/// operations is answered: at that instant the session is open at the
+/// leader, and the step the reply triggers — the next operation or the
+/// commit — has not reached it.
+struct Watched {
+    inner: TxnLoop,
+    answered: Arc<AtomicBool>,
+}
+
+impl Driver for Watched {
+    fn kick(&mut self, core: &mut ClientCore, now: Time) -> Option<Vec<Action>> {
+        self.inner.kick(core, now)
+    }
+
+    fn on_complete(&mut self, done: &CompletedOp, now: Time, metrics: &mut Metrics) {
+        if done.req.is_txn_op() {
+            self.answered.store(true, Ordering::Relaxed);
+        }
+        self.inner.on_complete(done, now, metrics);
+    }
+
+    fn done(&self) -> bool {
+        self.inner.done()
+    }
+}
+
 #[test]
 fn tpaxos_mid_transaction_leader_switch_aborts_then_retry_commits() {
-    let cfg = Config::cluster(3).with_txn_mode(TxnMode::TPaxos);
-    let mut w = {
-        let opts = SimOpts::for_topology(Topology::sysnet(3), 5);
-        World::new(cfg, opts, Box::new(|| Box::new(NoopApp::new())))
-    };
-    // Long-running transaction traffic spanning the crash.
-    for _ in 0..4 {
-        w.add_client(
-            Box::new(TxnLoop::new(TxnScript::write_only(5), 2000)),
-            None,
-            START,
+    for seed in 5..=10 {
+        let cfg = Config::cluster(3).with_txn_mode(TxnMode::TPaxos);
+        let opts = SimOpts::for_topology(Topology::sysnet(3), seed);
+        let mut w = World::new(cfg, opts, Box::new(|| Box::new(NoopApp::new())));
+        let answered = Arc::new(AtomicBool::new(false));
+        for _ in 0..4 {
+            let inner = TxnLoop::new(TxnScript::write_only(5), 2000);
+            let answered = Arc::clone(&answered);
+            w.add_client(Box::new(Watched { inner, answered }), None, START);
+        }
+        // The leader dies the instant a session's operation is answered,
+        // so that session's next step reaches a leader without it.
+        w.run_until(Time(Dur::from_millis(1000).0));
+        answered.store(false, Ordering::Relaxed);
+        while !answered.load(Ordering::Relaxed) {
+            assert!(w.step(), "seed {seed}: the workload ended before the crash");
+        }
+        let leader = w.leader().expect("a leader before the crash");
+        w.crash_at(leader, w.now);
+        w.recover_at(leader, w.now.after(Dur::from_secs(1)));
+        assert!(w.run_to_completion(DEADLINE), "seed {seed}");
+        // Every targeted transaction eventually committed...
+        assert_eq!(w.metrics.txn_commits, 8000, "seed {seed}");
+        // ...but the switch aborted the one caught mid-session (T-Paxos's
+        // §3.6 sensitivity).
+        assert!(
+            w.metrics.txn_aborts >= 1,
+            "seed {seed}: expected a LeaderSwitch abort, got {}",
+            w.metrics.txn_aborts
         );
+        settle_and_check(&mut w);
     }
-    // Two leader switches: with transactions continuously in flight, at
-    // least one is overwhelmingly likely to be caught mid-session.
-    w.crash_at(ProcessId(0), Time(Dur::from_millis(1000).0));
-    w.recover_at(ProcessId(0), Time(Dur::from_millis(2000).0));
-    w.crash_at(ProcessId(2), Time(Dur::from_millis(3000).0));
-    assert!(w.run_to_completion(DEADLINE));
-    // Every targeted transaction eventually committed...
-    assert_eq!(w.metrics.txn_commits, 8000);
-    // ...but the switch aborted at least one in-flight transaction
-    // (T-Paxos's §3.6 sensitivity).
-    assert!(
-        w.metrics.txn_aborts >= 1,
-        "expected at least one LeaderSwitch abort, got {}",
-        w.metrics.txn_aborts
-    );
-    settle_and_check(&mut w);
 }
 
 #[test]
