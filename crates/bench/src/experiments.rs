@@ -861,7 +861,7 @@ mod reactor_live {
     use gridpaxos_core::request::RequestKind;
     use gridpaxos_core::service::NoopApp;
     use gridpaxos_core::types::ProcessId;
-    use gridpaxos_transport::{MuxSwarm, ReactorCluster, SyncClient, TcpNode};
+    use gridpaxos_transport::{MuxSwarm, ReactorCluster, SyncClient};
     use std::collections::HashMap;
     use std::net::SocketAddr;
     use std::time::{Duration, Instant};
@@ -929,7 +929,7 @@ mod reactor_live {
     /// `SyncClient` and keeps exactly one request outstanding. Returns the
     /// table row, as `closed_mux` and `open_point` do.
     fn closed_real(
-        mk: &(dyn Fn() -> SyncClient<TcpNode> + Sync),
+        mk: &(dyn Fn() -> SyncClient + Sync),
         clients: usize,
         ops_each: u64,
     ) -> Vec<String> {

@@ -6,8 +6,8 @@
 //! Every `crates/**` source is parsed (same noise-stripping tokenizer as
 //! [`crate::lint`]) into per-function summaries:
 //!
-//! * **guard scopes** — each `.lock()` / `.read()` / `.write()` with its
-//!   lock *class* (`file_stem.receiver`, e.g. `fstorage.inner`) and the
+//! * **guard scopes** — each `.lock()` with its
+//!   lock *class* (`file_stem.receiver`, e.g. `fstorage.wal`) and the
 //!   byte range the guard lives: until `drop(guard)`, the end of the
 //!   enclosing block for `let`-bound guards, or the end of the statement
 //!   (including a trailing `match`/`if let` block) for temporaries;
@@ -443,34 +443,28 @@ fn summarize_file(file_idx: usize, label: &str, masked: &str) -> Vec<FnSummary> 
     let mut out = Vec::new();
     for (name, sig_start, body) in functions_in(masked) {
         let sig = &masked[sig_start..body.start];
-        let returns_guard = sig.contains("->")
-            && (sig.contains("MutexGuard")
-                || sig.contains("RwLockReadGuard")
-                || sig.contains("RwLockWriteGuard"));
+        let returns_guard = sig.contains("->") && sig.contains("MutexGuard");
         let text = &masked[body.clone()];
         let base = body.start;
 
         let mut guards = Vec::new();
-        for pat in [".lock()", ".read()", ".write()"] {
-            for off in occurrences(text, pat) {
-                let at = base + off;
-                let tail = ident_before(b, at).unwrap_or_else(|| "expr".to_string());
-                let stmt_start = statement_start(b, at);
-                let acq_end = at + pat.len();
-                let binding =
-                    binding_of(&masked[stmt_start..at]).filter(|_| binds_directly(b, acq_end));
-                // Scope scanning runs on the body slice so a guard cannot
-                // leak past its function.
-                let until = base + guard_scope(text.as_bytes(), acq_end - base, binding.as_deref());
-                guards.push(Guard {
-                    class: format!("{stem}.{tail}"),
-                    at,
-                    until,
-                    binding,
-                });
-            }
+        for off in occurrences(text, ".lock()") {
+            let at = base + off;
+            let tail = ident_before(b, at).unwrap_or_else(|| "expr".to_string());
+            let stmt_start = statement_start(b, at);
+            let acq_end = at + ".lock()".len();
+            let binding =
+                binding_of(&masked[stmt_start..at]).filter(|_| binds_directly(b, acq_end));
+            // Scope scanning runs on the body slice so a guard cannot
+            // leak past its function.
+            let until = base + guard_scope(text.as_bytes(), acq_end - base, binding.as_deref());
+            guards.push(Guard {
+                class: format!("{stem}.{tail}"),
+                at,
+                until,
+                binding,
+            });
         }
-        guards.sort_by_key(|g| g.at);
 
         let mut blocking = Vec::new();
         for pat in BLOCKING_OPS {

@@ -19,7 +19,7 @@
 //! * **Flush coordinator** ([`flush_schedule`]): drives a live
 //!   [`FlushCoordinator`] (group-commit WAL) through seeded
 //!   append/flush interleavings — including multi-threaded schedules
-//!   exercising the leader/follower fsync protocol — asserting the
+//!   where concurrent flushers each sync one shared log — asserting the
 //!   flush-before-transmit contract: after `flush()` returns with no
 //!   appends outstanding, `is_dirty()` is false; syncs never exceed
 //!   flush calls (group commit actually merges); every appended record
@@ -332,8 +332,8 @@ fn decree(seq: u64) -> Decree {
 
 /// One flush-coordinator schedule. Single-threaded seeds interleave
 /// append/flush/dirty-check ops deterministically; every eighth seed
-/// additionally races one appender+flusher thread per group through the
-/// leader/follower fsync protocol.
+/// instead races one appender+flusher thread per group: concurrent
+/// flushers on one log, each syncing what it saw appended.
 pub fn flush_schedule(seed: u64) -> Result<u64, String> {
     let mut ch = Choices::new(seed ^ 0xf1a5);
     let dir = std::env::temp_dir().join(format!(
@@ -356,7 +356,7 @@ fn flush_schedule_in(ch: &mut Choices, dir: &std::path::Path, seed: u64) -> Resu
     let threaded = ch.pick(8) == 0;
 
     if threaded {
-        // Race the leader/follower protocol: one thread per group, each
+        // Race concurrent flushers: one thread per group, each
         // appending and flushing on its own storage handle against the
         // shared WAL. Decisions inside the threads come from derived
         // seeds (recorded into the schedule hash up front so replays

@@ -318,7 +318,7 @@ fn a_drive_loop_spelling_the_order_itself_is_flagged() {
         pub fn chaos_accepted_precedes_barrier(&mut self) {}
     "#;
     assert!(check("crates/core/src/replica/mod.rs", replica).is_empty());
-    assert_eq!(check("crates/transport/src/node.rs", replica).len(), 1);
+    assert_eq!(check("crates/transport/src/reactor.rs", replica).len(), 1);
 }
 
 /// Read policy has one owner. A mode `match` in `leader.rs` is §3.4's

@@ -174,6 +174,22 @@ impl ClientCore {
         self.outstanding.is_some()
     }
 
+    /// How long a request waits for its reply before it is retransmitted.
+    #[must_use]
+    pub fn retry_timeout(&self) -> Dur {
+        self.retry_timeout
+    }
+
+    /// Give up on the outstanding request, if any, and cancel its retry
+    /// timer: the next submit starts clean. A late reply to it is ignored,
+    /// because replies match by request id.
+    pub fn abandon(&mut self) -> Vec<Action> {
+        self.outstanding = None;
+        vec![Action::CancelTimer {
+            kind: TimerKind::ClientRetry,
+        }]
+    }
+
     /// Allocate the next request id.
     pub fn next_request_id(&mut self) -> RequestId {
         let id = RequestId::new(self.id, self.next_seq);
@@ -695,6 +711,26 @@ mod tests {
         assert!(done.is_none());
         assert!(actions.is_empty());
         assert!(c.is_busy());
+    }
+
+    /// A request given up on leaves nothing behind: its timer is
+    /// cancelled, the next submit does not trip the one-outstanding
+    /// assertion, and the abandoned request's late reply completes nothing.
+    #[test]
+    fn an_abandoned_request_frees_the_client() {
+        let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+        c.submit_op(RequestKind::Write, Bytes::new(), Time::ZERO);
+        let cancel = c.abandon();
+        assert!(matches!(
+            cancel[..],
+            [Action::CancelTimer {
+                kind: TimerKind::ClientRetry
+            }]
+        ));
+        assert!(!c.is_busy());
+        c.submit_op(RequestKind::Write, Bytes::new(), Time(5));
+        assert!(answer(&mut c, 1, 0, ok()).is_none(), "the late reply");
+        assert!(answer(&mut c, 2, 0, ok()).is_some());
     }
 
     #[test]

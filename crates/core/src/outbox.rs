@@ -3,9 +3,9 @@
 //!
 //! ## Group commit: the flush barrier
 //!
-//! A drive loop — the epoll reactor and the portable node loop of
-//! `gridpaxos-transport`, the simulator's node, the model checker's
-//! cluster, the replica tests' shuttle — runs messages and timers through
+//! A drive loop — the epoll reactor of `gridpaxos-transport`, the
+//! simulator's node, the model checker's cluster, the replica tests'
+//! shuttle — runs messages and timers through
 //! its replica cores and buffers the resulting `Send`/`ToAllReplicas`
 //! actions here instead of transmitting them one by one. [`release`] then
 //! does, in this order:

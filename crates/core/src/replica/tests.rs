@@ -303,8 +303,8 @@ impl Wire for Shuttle {
 /// One durable write — request, `Accept` to both followers, the first
 /// `Accepted`, `Reply` and `Chosen` — leaves this loop as it leaves every
 /// other: `outbox_conformance.txt` holds the steps, and the simulator's
-/// node, the model checker's cluster and the portable node loop are held
-/// to the same file by tests of their own.
+/// node and the model checker's cluster are held to the same file by
+/// tests of their own.
 #[test]
 fn a_durable_write_leaves_the_shuttle_as_it_leaves_every_loop() {
     let mut s = Shuttle::on_disks(cluster_cfg(3), tail_loss_disks(3));

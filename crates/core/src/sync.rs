@@ -1,9 +1,10 @@
 //! Synchronization shim: the one place the replication codebase takes
 //! locks.
 //!
-//! Every `Mutex`/`RwLock`/`Condvar` in `gridpaxos-core` and
-//! `gridpaxos-transport` comes from this module, never from `std::sync`
-//! or `parking_lot` directly. That buys two things:
+//! Every `Mutex`/`Condvar` in `gridpaxos-core` and
+//! `gridpaxos-transport` — the apply pool's, the WAL's and the TCP client
+//! side's (`tcp`, `mux`) — comes from this module, never from
+//! `std::sync` or `parking_lot` directly. That buys two things:
 //!
 //! * **Normally** (no features): zero-cost non-poisoning wrappers over
 //!   `std::sync` — `lock()` returns the guard directly (poison is
@@ -76,56 +77,6 @@ impl<T: ?Sized> Mutex<T> {
 /// Guard returned by [`Mutex::lock`] (plain mode: the std guard itself).
 #[cfg(not(feature = "sync-audit"))]
 pub type MutexGuard<'a, T> = std_sync::MutexGuard<'a, T>;
-
-/// Reader-writer lock; `read()`/`write()` return guards directly.
-#[cfg(not(feature = "sync-audit"))]
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std_sync::RwLock<T>);
-
-#[cfg(not(feature = "sync-audit"))]
-impl<T> RwLock<T> {
-    /// Wrap a value.
-    #[inline]
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock(std_sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    #[inline]
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(std_sync::PoisonError::into_inner)
-    }
-}
-
-#[cfg(not(feature = "sync-audit"))]
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard (blocking).
-    #[inline]
-    #[must_use = "the guard is the lock; dropping it immediately releases"]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0
-            .read()
-            .unwrap_or_else(std_sync::PoisonError::into_inner)
-    }
-
-    /// Acquire an exclusive write guard (blocking).
-    #[inline]
-    #[must_use = "the guard is the lock; dropping it immediately releases"]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0
-            .write()
-            .unwrap_or_else(std_sync::PoisonError::into_inner)
-    }
-}
-
-/// Guard returned by [`RwLock::read`] (plain mode: the std guard itself).
-#[cfg(not(feature = "sync-audit"))]
-pub type RwLockReadGuard<'a, T> = std_sync::RwLockReadGuard<'a, T>;
-/// Guard returned by [`RwLock::write`] (plain mode: the std guard itself).
-#[cfg(not(feature = "sync-audit"))]
-pub type RwLockWriteGuard<'a, T> = std_sync::RwLockWriteGuard<'a, T>;
 
 /// Condition variable paired with [`Mutex`]; `wait` consumes and returns
 /// the guard (the lock is released for the duration of the wait).
@@ -291,130 +242,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         if self.inner.take().is_some() {
             audit::on_release(self.id);
         }
-    }
-}
-
-/// Reader-writer lock; `read()`/`write()` return guards directly.
-/// (Audited: both guard kinds feed the same lock class.)
-#[cfg(feature = "sync-audit")]
-#[derive(Debug)]
-pub struct RwLock<T: ?Sized> {
-    id: u64,
-    site: Arc<str>,
-    inner: std_sync::RwLock<T>,
-}
-
-#[cfg(feature = "sync-audit")]
-impl<T> RwLock<T> {
-    /// Wrap a value; the caller's location is the lock's audit identity.
-    #[inline]
-    #[track_caller]
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock {
-            id: audit::next_id(),
-            site: audit::site_label(std::panic::Location::caller()),
-            inner: std_sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the inner value.
-    #[inline]
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std_sync::PoisonError::into_inner)
-    }
-}
-
-#[cfg(feature = "sync-audit")]
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard (blocking).
-    #[must_use = "the guard is the lock; dropping it immediately releases"]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        audit::on_attempt(self.id, &self.site);
-        let g = self
-            .inner
-            .read()
-            .unwrap_or_else(std_sync::PoisonError::into_inner);
-        audit::on_acquired(self.id, &self.site);
-        RwLockReadGuard {
-            inner: g,
-            id: self.id,
-        }
-    }
-
-    /// Acquire an exclusive write guard (blocking).
-    #[must_use = "the guard is the lock; dropping it immediately releases"]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        audit::on_attempt(self.id, &self.site);
-        let g = self
-            .inner
-            .write()
-            .unwrap_or_else(std_sync::PoisonError::into_inner);
-        audit::on_acquired(self.id, &self.site);
-        RwLockWriteGuard {
-            inner: g,
-            id: self.id,
-        }
-    }
-}
-
-#[cfg(feature = "sync-audit")]
-impl<T: Default> Default for RwLock<T> {
-    /// See [`Mutex`]'s `Default`: one shared audit class, anchored here.
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-/// Guard returned by [`RwLock::read`] (audited).
-#[cfg(feature = "sync-audit")]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std_sync::RwLockReadGuard<'a, T>,
-    id: u64,
-}
-
-#[cfg(feature = "sync-audit")]
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-#[cfg(feature = "sync-audit")]
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        audit::on_release(self.id);
-    }
-}
-
-/// Guard returned by [`RwLock::write`] (audited).
-#[cfg(feature = "sync-audit")]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std_sync::RwLockWriteGuard<'a, T>,
-    id: u64,
-}
-
-#[cfg(feature = "sync-audit")]
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-#[cfg(feature = "sync-audit")]
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-#[cfg(feature = "sync-audit")]
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        audit::on_release(self.id);
     }
 }
 
@@ -768,18 +595,6 @@ mod tests {
         assert_eq!(*g, 7);
         drop(g);
         h.join().expect("writer thread");
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(r1.len() + r2.len(), 6);
-        }
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 
     #[cfg(feature = "sync-audit")]

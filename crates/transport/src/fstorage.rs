@@ -18,9 +18,9 @@
 //!
 //! Durability has one discipline, the flush barrier: appends only
 //! write, and [`Storage::flush`] issues one `sync_data` covering every
-//! record appended since the previous barrier (group commit). The drive
-//! loops (`reactor`, [`crate::node`]) call `flush()` after draining a
-//! batch of events and *before* transmitting any resulting message, so a
+//! record appended since the previous barrier (group commit). The
+//! reactor's drive loop calls `flush()` after draining a batch of events
+//! and *before* transmitting any resulting message, so a
 //! promise or accepted proposal is on stable storage before it is
 //! announced (§3.3) — persist-before-send at batch granularity.
 //! [`SyncMode`] only says whether the barrier reaches the platter:
@@ -38,15 +38,15 @@
 //! `sync_data` on the WAL, checkpoint-file syncs, the directory fsync
 //! after a rename — all happen outside it, so other groups keep
 //! appending while one group's barrier is in flight. The flush barrier
-//! uses a leader/follower protocol over append/durable sequence numbers:
-//! the first flusher becomes the leader, marks the range it is syncing
-//! and fsyncs a dup'd handle with the lock released; a concurrent
-//! flusher whose records are already covered waits on a condvar for the
-//! leader to finish, and one whose records arrived later leads its own
-//! fsync afterwards. `is_dirty() == false` still means *every appended
-//! record is durable* — the sequence numbers only advance after the
-//! covering fsync returns. (The lone exception is `truncate_upto`'s WAL
-//! rewrite, which must hold the lock across its file work: releasing it
+//! keeps two sequence numbers, appended and durable. A flush that finds
+//! `appended_seq > durable_seq` fsyncs a dup'd handle with the lock
+//! released, then raises `durable_seq` to the `appended_seq` it saw.
+//! `is_dirty() == false` therefore still means *every appended record is
+//! durable*: `durable_seq` only advances after a covering fsync returns.
+//! Two flushers racing on one log would each sync — one redundant fsync,
+//! never a lost record — but none do: one reactor thread owns all of a
+//! node's groups. (The lone fsync under the lock is `truncate_upto`'s
+//! WAL rewrite, which must hold it across its file work: releasing it
 //! between the mirror snapshot and the rename would lose any record
 //! appended in between.)
 //!
@@ -64,7 +64,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gridpaxos_core::ballot::Ballot;
 use gridpaxos_core::command::{Decree, DedupEntry, SnapshotBlob};
 use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState, Storage};
-use gridpaxos_core::sync::{blocking, Condvar, Mutex};
+use gridpaxos_core::sync::{blocking, Mutex};
 use gridpaxos_core::types::Instance;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Write};
@@ -112,7 +112,9 @@ struct PendingChunked {
     total: usize,
 }
 
-/// Shared state of one data directory's WAL (all groups).
+/// Shared state of one data directory's WAL (all groups). It sits behind
+/// a lock because other threads read the coordinator's counters while the
+/// reactor thread appends.
 struct WalInner {
     dir: PathBuf,
     wal: File,
@@ -128,71 +130,14 @@ struct WalInner {
     /// Sequence number of the last record appended (all groups).
     appended_seq: u64,
     /// Sequence number up to which records are known durable. The WAL is
-    /// dirty iff `appended_seq > durable_seq`; a flush barrier completes
-    /// once `durable_seq` catches up to the `appended_seq` it observed.
+    /// dirty iff `appended_seq > durable_seq`; a flush barrier raises it
+    /// to the `appended_seq` it observed once its fsync has returned.
     durable_seq: u64,
-    /// `Some(target)` while a leader's `sync_data` covering records up to
-    /// `target` is in flight (with the lock released). Followers whose
-    /// records are covered wait on [`Wal::flushed`] instead of issuing a
-    /// second fsync.
-    syncing_upto: Option<u64>,
     /// Total records appended (all groups).
     appends: u64,
     /// Total WAL `sync_data` calls issued (all groups). `appends / syncs`
     /// is the amortization factor group commit buys.
     syncs: u64,
-}
-
-/// The shared WAL: its mutable state under one lock, plus the condvar a
-/// follower flush waits on while a leader's fsync is in flight.
-struct Wal {
-    inner: Mutex<WalInner>,
-    /// Signalled whenever `durable_seq` advances or an in-flight fsync
-    /// completes.
-    flushed: Condvar,
-}
-
-impl Wal {
-    /// The group-commit barrier: make every record appended before this
-    /// call durable, running the `sync_data` *outside* the lock so other
-    /// groups keep appending while the platter works.
-    ///
-    /// Leader/follower: the first flusher marks the range it is syncing
-    /// (`syncing_upto`) and fsyncs a dup'd file handle with the lock
-    /// released. A concurrent flusher whose records fall inside an
-    /// in-flight range waits for the leader instead of fsyncing again —
-    /// that wait is what preserves `is_dirty() == false ⇒ durable` across
-    /// groups: nobody observes clean storage until the covering fsync has
-    /// actually returned.
-    fn flush(&self) {
-        let mut inner = self.inner.lock();
-        let target = inner.appended_seq;
-        loop {
-            if inner.durable_seq >= target {
-                return; // clean flush is free
-            }
-            if inner.syncing_upto.is_none() {
-                break; // no fsync in flight: become the leader
-            }
-            // A leader is mid-fsync. Wait it out, then re-check: its
-            // range may or may not cover our records.
-            inner = self.flushed.wait(inner);
-        }
-        // Lead an fsync covering everything appended so far (possibly
-        // more than our own target — later appends ride along for free).
-        let target = inner.appended_seq;
-        inner.syncing_upto = Some(target);
-        let wal = fatal_io("dup WAL handle", inner.wal.try_clone());
-        drop(inner);
-        blocking("wal.sync_data");
-        fatal_io("WAL fsync (flush barrier)", wal.sync_data());
-        let mut inner = self.inner.lock();
-        inner.syncs += 1;
-        inner.durable_seq = inner.durable_seq.max(target);
-        inner.syncing_upto = None;
-        drop(inner);
-        self.flushed.notify_all();
-    }
 }
 
 impl WalInner {
@@ -370,7 +315,7 @@ fn sync_dir(dir: &Path) {
 /// Durable [`Storage`] backed by files in a directory — the handle for
 /// one consensus group's share of the (possibly shared) write-ahead log.
 pub struct FileStorage {
-    wal: Arc<Wal>,
+    wal: Arc<Mutex<WalInner>>,
     group: u32,
 }
 
@@ -385,26 +330,26 @@ impl FileStorage {
     /// The data directory.
     #[must_use]
     pub fn dir(&self) -> PathBuf {
-        self.wal.inner.lock().dir.clone()
+        self.wal.lock().dir.clone()
     }
 
     /// Records appended to the (shared) WAL so far.
     #[must_use]
     pub fn appends(&self) -> u64 {
-        self.wal.inner.lock().appends
+        self.wal.lock().appends
     }
 
     /// WAL `sync_data` calls issued so far. Group commit amortizes:
     /// `syncs` grows per flush barrier, not per record.
     #[must_use]
     pub fn syncs(&self) -> u64 {
-        self.wal.inner.lock().syncs
+        self.wal.lock().syncs
     }
 
     /// Update the mirror and append one record for this group, under the
     /// lock. Durability waits for the next flush barrier.
     fn append_record(&self, record: &[u8], update: impl FnOnce(&mut WalInner)) {
-        let mut inner = self.wal.inner.lock();
+        let mut inner = self.wal.lock();
         update(&mut inner);
         inner.append(self.group, record);
     }
@@ -505,7 +450,7 @@ impl Storage for FileStorage {
         // holding the lock across a checkpoint-sized write+fsync would
         // stall every group's appends for the duration.
         let (dir, mode) = {
-            let inner = self.wal.inner.lock();
+            let inner = self.wal.lock();
             (inner.dir.clone(), inner.mode)
         };
         let tmp = dir.join(format!("checkpoint-g{}.tmp", self.group));
@@ -534,7 +479,7 @@ impl Storage for FileStorage {
         // monolithic save supersedes any committed chunked image; drop
         // its file so a stale (lower-`upto`) one can't win on reopen.
         {
-            let mut inner = self.wal.inner.lock();
+            let mut inner = self.wal.lock();
             inner.states[self.group as usize].checkpoint = Some(snap.clone());
             inner.chunked[self.group as usize] = None;
         }
@@ -542,7 +487,7 @@ impl Storage for FileStorage {
     }
 
     fn truncate_upto(&mut self, upto: Instance) {
-        let mut inner = self.wal.inner.lock();
+        let mut inner = self.wal.lock();
         let g = self.group as usize;
         inner.states[g].accepted = inner.states[g].accepted.split_off(&upto.next());
         // The WAL rewrite must hold the lock for the whole mirror-write
@@ -554,7 +499,7 @@ impl Storage for FileStorage {
     }
 
     fn load(&self) -> DurableState {
-        let inner = self.wal.inner.lock();
+        let inner = self.wal.lock();
         let mut d = inner.states[self.group as usize].clone();
         if let Some(ck) = &inner.chunked[self.group as usize] {
             if d.checkpoint.as_ref().is_none_or(|c| c.upto < ck.upto) {
@@ -564,17 +509,32 @@ impl Storage for FileStorage {
         d
     }
 
+    /// The group-commit barrier: make every record appended before this
+    /// call durable, running the `sync_data` on a dup'd handle *outside*
+    /// the lock so other groups keep appending while the platter works.
+    /// Records appended meanwhile ride the next barrier.
     fn flush(&mut self) {
-        self.wal.flush();
+        let inner = self.wal.lock();
+        let target = inner.appended_seq;
+        if inner.durable_seq >= target {
+            return; // clean flush is free
+        }
+        let wal = fatal_io("dup WAL handle", inner.wal.try_clone());
+        drop(inner);
+        blocking("wal.sync_data");
+        fatal_io("WAL fsync (flush barrier)", wal.sync_data());
+        let mut inner = self.wal.lock();
+        inner.syncs += 1;
+        inner.durable_seq = inner.durable_seq.max(target);
     }
 
     fn is_dirty(&self) -> bool {
-        let inner = self.wal.inner.lock();
+        let inner = self.wal.lock();
         inner.appended_seq > inner.durable_seq
     }
 
     fn write_count(&self) -> u64 {
-        self.wal.inner.lock().appends
+        self.wal.lock().appends
     }
 
     fn supports_chunked_checkpoint(&self) -> bool {
@@ -583,13 +543,12 @@ impl Storage for FileStorage {
 
     fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
         self.wal
-            .inner
             .lock()
             .chunked_begin(self.group, upto, dedup, total);
     }
 
     fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
-        self.wal.inner.lock().chunked_chunk(self.group, idx, data);
+        self.wal.lock().chunked_chunk(self.group, idx, data);
     }
 
     fn checkpoint_commit(&mut self) {
@@ -599,7 +558,7 @@ impl Storage for FileStorage {
         // (fsync + rename + dir fsync) needs no WAL state.
         let g = self.group as usize;
         let (p, dir, mode) = {
-            let mut inner = self.wal.inner.lock();
+            let mut inner = self.wal.lock();
             let Some(p) = inner.pending_chunks[g].take() else {
                 return;
             };
@@ -624,7 +583,7 @@ impl Storage for FileStorage {
         // The chunked image is now authoritative; the stale monolithic
         // file (and its mirror) must not resurrect an older state.
         {
-            let mut inner = self.wal.inner.lock();
+            let mut inner = self.wal.lock();
             inner.states[g].checkpoint = None;
             inner.chunked[g] = Some(p.ck);
         }
@@ -632,11 +591,11 @@ impl Storage for FileStorage {
     }
 
     fn checkpoint_abort(&mut self) {
-        self.wal.inner.lock().chunked_abort(self.group);
+        self.wal.lock().chunked_abort(self.group);
     }
 
     fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint> {
-        self.wal.inner.lock().chunked[self.group as usize].clone()
+        self.wal.lock().chunked[self.group as usize].clone()
     }
 }
 
@@ -646,7 +605,7 @@ impl Storage for FileStorage {
 /// covers every group's pending records with a single fsync per drain
 /// cycle instead of `G` independent ones.
 pub struct FlushCoordinator {
-    wal: Arc<Wal>,
+    wal: Arc<Mutex<WalInner>>,
     n_groups: usize,
 }
 
@@ -721,22 +680,18 @@ impl FlushCoordinator {
             .append(true)
             .open(&wal_path)?;
         Ok(FlushCoordinator {
-            wal: Arc::new(Wal {
-                inner: Mutex::new(WalInner {
-                    dir,
-                    wal,
-                    states,
-                    pending_chunks: (0..n_groups).map(|_| None).collect(),
-                    chunked,
-                    mode,
-                    appended_seq: 0,
-                    durable_seq: 0,
-                    syncing_upto: None,
-                    appends: 0,
-                    syncs: 0,
-                }),
-                flushed: Condvar::new(),
-            }),
+            wal: Arc::new(Mutex::new(WalInner {
+                dir,
+                wal,
+                states,
+                pending_chunks: (0..n_groups).map(|_| None).collect(),
+                chunked,
+                mode,
+                appended_seq: 0,
+                durable_seq: 0,
+                appends: 0,
+                syncs: 0,
+            })),
             n_groups,
         })
     }
@@ -769,20 +724,20 @@ impl FlushCoordinator {
     /// Records appended to the shared WAL so far (all groups).
     #[must_use]
     pub fn appends(&self) -> u64 {
-        self.wal.inner.lock().appends
+        self.wal.lock().appends
     }
 
     /// WAL `sync_data` calls issued so far (all groups). With group
     /// commit, `appends / syncs` is the amortization factor.
     #[must_use]
     pub fn syncs(&self) -> u64 {
-        self.wal.inner.lock().syncs
+        self.wal.lock().syncs
     }
 
     /// Whether records are pending the next flush barrier.
     #[must_use]
     pub fn is_dirty(&self) -> bool {
-        let inner = self.wal.inner.lock();
+        let inner = self.wal.lock();
         inner.appended_seq > inner.durable_seq
     }
 }

@@ -10,12 +10,12 @@
 //!   multiplexing thousands of client connections over one thread, with
 //!   explicit backpressure ([`backpressure`]) and a
 //!   many-virtual-clients-per-socket load driver ([`mux`]),
-//! * a dial-only TCP client endpoint ([`tcp`]),
-//! * the portable event loop over any [`node::Transport`] ([`node`]): a
-//!   threaded [`node::ReplicaNode`] and a blocking [`node::SyncClient`],
-//!   mapping wall-clock time onto the core's logical clock,
-//! * an in-process crossbeam-channel transport ([`inproc`]) for examples,
-//!   tests and platforms without the reactor.
+//! * the client side ([`tcp`]): a dial-only TCP endpoint and the blocking
+//!   [`SyncClient`] over it, mapping wall-clock time onto the core's
+//!   logical clock.
+//!
+//! A live node is one reactor thread, so live hosting is Linux-only; other
+//! platforms get the codec, the storage and the client.
 //!
 //! The protocol code running here is byte-for-byte the same as under the
 //! `gridpaxos-simnet` simulator — that is the point of the sans-io design.
@@ -26,28 +26,25 @@
 pub mod backpressure;
 pub mod framing;
 pub mod fstorage;
-pub mod inproc;
 #[cfg(target_os = "linux")]
 pub mod mux;
-pub mod node;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 #[cfg(target_os = "linux")]
 pub mod sys;
 pub mod tcp;
+#[cfg(target_os = "linux")]
 mod timers;
 pub mod wire;
 
 pub use backpressure::{AdmissionGate, FlushOutcome, SendQueue};
 pub use framing::FrameDecoder;
 pub use fstorage::{FileStorage, FlushCoordinator, SyncMode};
-pub use inproc::{Hub, HubEndpoint};
 #[cfg(target_os = "linux")]
 pub use mux::{MuxReport, MuxSwarm};
-pub use node::{spawn_replica, RecvResult, ReplicaNode, SyncClient, Transport};
 #[cfg(target_os = "linux")]
 pub use reactor::{
     spawn_reactor_node, ReactorCluster, ReactorConfig, ReactorHandle, ReactorMetrics, ReactorStats,
 };
-pub use tcp::TcpNode;
+pub use tcp::{SyncClient, TcpNode};
 pub use wire::{decode_msg, encode_msg, encode_to_bytes, encode_with_scratch, WireError};

@@ -72,9 +72,8 @@
 use crate::backpressure::{AdmissionGate, FlushOutcome, SendQueue};
 use crate::framing::{FrameDecoder, MAX_FRAME};
 use crate::fstorage::{FlushCoordinator, SyncMode};
-use crate::node::SyncClient;
 use crate::sys::{self, Epoll, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::tcp::TcpNode;
+use crate::tcp::{SyncClient, TcpNode};
 use crate::timers::Timers;
 use crate::wire::{decode_msg, encode_with_scratch, get_addr, put_addr};
 use bytes::{Bytes, BytesMut};
@@ -1051,7 +1050,7 @@ impl ReactorCluster {
 
     /// Create a blocking client connected to the whole group.
     #[must_use]
-    pub fn client(&self) -> SyncClient<TcpNode> {
+    pub fn client(&self) -> SyncClient {
         let id = self.next_client_id();
         let node = TcpNode::client(id, self.addrs.clone());
         let core = ClientCore::new(id, self.n, Dur::from_millis(500))
@@ -1767,6 +1766,13 @@ mod tests {
     /// back replicas that agree: equal prefix, equal state. The leader
     /// executed the write ahead of consensus; [`Replica::stop`] takes
     /// that back, so its state is the one write everybody chose.
+    ///
+    /// Persist before send, on the loop that ships: a stalled follower has
+    /// framed nothing since before the second write — its `Accepted` waits
+    /// behind the barrier that covers the accept record.
+    ///
+    /// Mutation that must fail this test: `outbox::release` transmitting
+    /// the behind list before the barrier.
     #[test]
     fn cluster_stopped_with_a_decree_in_flight_hands_back_prefix_state() {
         let root = std::env::temp_dir().join(format!(
@@ -1774,11 +1780,14 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&root);
-        // A stalled follower must not mistake the silence for a dead leader.
+        // A stalled follower must not mistake the silence for a dead
+        // leader, and no heartbeat moves a follower's frame count.
         let mut cfg = Config::cluster(3);
         cfg.suspect_timeout = Dur::from_secs(30);
+        cfg.heartbeat_interval = Dur::from_secs(30);
         let stalling = Arc::new(AtomicBool::new(false));
         let stalled = Arc::new(AtomicU64::new(0));
+        let synced_first = Arc::new(AtomicU64::new(0));
         let cluster = ReactorCluster::launch_with_storage(
             cfg,
             1,
@@ -1791,7 +1800,9 @@ mod tests {
                     .expect("open WAL")
                     .storage(0);
                 let (stalling, stalled) = (Arc::clone(&stalling), Arc::clone(&stalled));
+                let synced_first = Arc::clone(&synced_first);
                 let follower = id != ProcessId(0);
+                let mut counted = false;
                 vec![Box::new(HookedWal {
                     inner,
                     stall: Box::new(move || {
@@ -1802,7 +1813,12 @@ mod tests {
                             }
                         }
                     }),
-                    synced: Box::new(|_| {}),
+                    synced: Box::new(move |wal| {
+                        if follower && !counted && wal.load().accepted.contains_key(&Instance(1)) {
+                            counted = true;
+                            synced_first.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }),
                 })]
             },
         )
@@ -1812,6 +1828,26 @@ mod tests {
             .call(RequestKind::Write, Bytes::new())
             .expect("first write");
         assert!(matches!(body, ReplyBody::Ok(_)), "got {body:?}");
+
+        // The first write is over at the followers once both have synced
+        // its accept record and their frame counts hold still: the
+        // `Accepted` is framed right after the barrier returns, on the
+        // same thread, and with heartbeats off nothing follows it.
+        let followers_out = || [1, 2].map(|i| cluster.metrics(i).stats().msgs_out);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while synced_first.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "followers never synced write 1");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut framed_before = followers_out();
+        loop {
+            std::thread::sleep(Duration::from_millis(50));
+            let now = followers_out();
+            if now == framed_before {
+                break;
+            }
+            framed_before = now;
+        }
 
         // A second write, sent to the leader and not waited for: both
         // followers stall in the barrier before their `Accepted`.
@@ -1834,6 +1870,11 @@ mod tests {
             assert!(Instant::now() < deadline, "followers never saw the Accept");
             std::thread::sleep(Duration::from_millis(1));
         }
+        assert_eq!(
+            followers_out(),
+            framed_before,
+            "a follower framed its Accepted before the barrier that covers it"
+        );
 
         // The leader stops first: released earlier, the followers' votes
         // might still reach it.
@@ -1849,5 +1890,27 @@ mod tests {
             assert_eq!(follower.service_snapshot(), leader.service_snapshot());
         }
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A call nobody answers gives up after 20 retry timeouts and leaves
+    /// the client ready for the next one: against a stopped cluster's
+    /// addresses, two calls and then a transaction each come back `None`.
+    #[test]
+    fn a_timed_out_call_leaves_the_client_ready_for_the_next() {
+        let cluster = ReactorCluster::launch(Config::cluster(3), noop_factory).expect("launch");
+        let (addrs, id) = (cluster.addrs.clone(), cluster.next_client_id());
+        cluster.shutdown();
+        let core = ClientCore::new(id, 3, Dur::from_millis(10));
+        let mut client = SyncClient::new(core, TcpNode::client(id, addrs), 3);
+        let started = Instant::now();
+        assert!(client.call(RequestKind::Write, Bytes::new()).is_none());
+        assert!(client.call(RequestKind::Write, Bytes::new()).is_none());
+        let txn = gridpaxos_core::client::TxnScript::write_only(1);
+        assert!(client.run_txn(txn).is_none());
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "three 200 ms deadlines took {:?}",
+            started.elapsed()
+        );
     }
 }

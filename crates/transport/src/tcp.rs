@@ -1,5 +1,7 @@
-//! Dial-only TCP endpoint for clients ("The communication between service
-//! replicas, and between clients and service replicas, uses TCP sockets").
+//! The client side of the wire ("The communication between service
+//! replicas, and between clients and service replicas, uses TCP
+//! sockets"): a dial-only [`TcpNode`] and the blocking [`SyncClient`]
+//! that drives a [`ClientCore`] over it.
 //!
 //! Replicas listen in the [`crate::reactor`]; this side only dials. A
 //! connection starts with a *hello* frame carrying the dialer's protocol
@@ -10,26 +12,31 @@
 //! two loops for its load-driver sockets.
 
 use crate::framing::{read_frame, write_frame};
-use crate::node::{RecvResult, Transport};
 use crate::wire::{decode_msg, encode_with_scratch, put_addr};
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use gridpaxos_core::action::{Action, TimerKind};
+use gridpaxos_core::client::{ClientCore, CompletedOp, TxnDriver, TxnOutcome, TxnScript};
 use gridpaxos_core::msg::Msg;
+use gridpaxos_core::request::{ReplyBody, RequestKind};
 use gridpaxos_core::sync::Mutex;
-use gridpaxos_core::types::{Addr, ClientId, ProcessId};
+use gridpaxos_core::types::{Addr, ClientId, ProcessId, Time};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-type Inbox = (Addr, Msg);
+/// Longest a [`SyncClient`] sleeps in one receive, so a retry comes due
+/// on time.
+const MAX_WAIT: Duration = Duration::from_millis(25);
 
-/// A TCP-backed client [`Transport`] endpoint.
+/// A client's TCP endpoint: one lazily dialed connection per replica,
+/// every reply funnelled into one inbox.
 pub struct TcpNode {
     local: Addr,
-    inbox_rx: Receiver<Inbox>,
-    inbox_tx: Sender<Inbox>,
+    inbox_rx: Receiver<Msg>,
+    inbox_tx: Sender<Msg>,
     /// Open outbound writers by replica address. The channel carries
     /// decoded messages: each connection's writer thread owns a reusable
     /// scratch buffer and serializes there, so the client thread pays no
@@ -71,12 +78,27 @@ impl TcpNode {
         std::thread::Builder::new()
             .name("gp-conn-r".into())
             .spawn(move || {
-                read_msgs(stream, |msg| inbox.send((to, msg)).is_ok());
+                read_msgs(stream, |msg| inbox.send(msg).is_ok());
                 // Dropping the map's sender also ends the writer thread.
                 conns.lock().remove(&to);
             })
             .ok()?;
         Some(tx)
+    }
+
+    /// Queue `msg` for `to`. Best-effort: a replica that cannot be dialed
+    /// drops it, and the client's retry takes care of recovery.
+    fn send(&self, to: Addr, msg: Msg) {
+        if let Some(tx) = self.writer_for(to) {
+            let _ = tx.send(msg);
+        }
+    }
+
+    /// The next message from any replica, waiting at most `timeout`. The
+    /// node holds its own inbox sender, so the inbox never closes.
+    fn recv_timeout(&self, timeout: Duration) -> Option<Msg> {
+        gridpaxos_core::sync::blocking("transport.recv_timeout");
+        self.inbox_rx.recv_timeout(timeout).ok()
     }
 }
 
@@ -144,22 +166,111 @@ pub(crate) fn read_msgs(stream: TcpStream, mut on_msg: impl FnMut(Msg) -> bool) 
     }
 }
 
-impl Transport for TcpNode {
-    fn send(&self, to: Addr, msg: Msg) {
-        if let Some(tx) = self.writer_for(to) {
-            let _ = tx.send(msg);
+/// A blocking client handle: one outstanding request, automatic
+/// retransmission, synchronous call interface. Real wall-clock time is
+/// mapped onto the core's logical [`Time`] from a per-client epoch.
+pub struct SyncClient {
+    core: ClientCore,
+    node: TcpNode,
+    epoch: Instant,
+    retry_deadline: Option<u64>,
+    n: usize,
+}
+
+impl SyncClient {
+    /// Wrap a client core and its endpoint. `n` is the replica count.
+    pub fn new(core: ClientCore, node: TcpNode, n: usize) -> SyncClient {
+        SyncClient {
+            core,
+            node,
+            epoch: Instant::now(),
+            retry_deadline: None,
+            n,
         }
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> RecvResult {
-        match self.inbox_rx.recv_timeout(timeout) {
-            Ok((from, msg)) => RecvResult::Msg(from, msg),
-            Err(RecvTimeoutError::Timeout) => RecvResult::Timeout,
-            Err(RecvTimeoutError::Disconnected) => RecvResult::Closed,
+    fn now(&self) -> Time {
+        Time(self.epoch.elapsed().as_nanos() as u64)
+    }
+
+    fn apply(&mut self, actions: Vec<Action>) {
+        let now = self.now();
+        for a in actions {
+            match a {
+                Action::Send { to, msg } => self.node.send(to, msg),
+                Action::ToAllReplicas { msg } => {
+                    for i in 0..self.n {
+                        self.node
+                            .send(Addr::Replica(ProcessId(i as u32)), msg.clone());
+                    }
+                }
+                Action::SetTimer {
+                    kind: TimerKind::ClientRetry,
+                    after,
+                } => self.retry_deadline = Some(now.0 + after.0),
+                Action::CancelTimer {
+                    kind: TimerKind::ClientRetry,
+                } => self.retry_deadline = None,
+                _ => {}
+            }
         }
     }
 
-    fn local_addr(&self) -> Addr {
-        self.local
+    /// Await the completion of the outstanding request, for at most 20 of
+    /// the core's retry timeouts. A request that times out is dropped, so
+    /// the next call starts clean.
+    fn await_reply(&mut self) -> Option<CompletedOp> {
+        let give_up = Instant::now() + Duration::from_nanos(self.core.retry_timeout().mul(20).0);
+        loop {
+            if Instant::now() > give_up {
+                let actions = self.core.abandon();
+                self.apply(actions);
+                return None;
+            }
+            // Fire the retransmission timer if due.
+            if let Some(due) = self.retry_deadline {
+                if self.now().0 >= due {
+                    self.retry_deadline = None;
+                    let actions = self.core.on_timer(TimerKind::ClientRetry, self.now());
+                    self.apply(actions);
+                }
+            }
+            let wait = self
+                .retry_deadline
+                .map(|due| Duration::from_nanos(due.saturating_sub(self.now().0)))
+                .unwrap_or(MAX_WAIT)
+                .min(MAX_WAIT);
+            if let Some(msg) = self.node.recv_timeout(wait) {
+                let now = self.now();
+                let (done, actions) = self.core.on_message(msg, now);
+                self.apply(actions);
+                if done.is_some() {
+                    return done;
+                }
+            }
+        }
+    }
+
+    /// Issue one request and block for its reply.
+    pub fn call(&mut self, kind: RequestKind, payload: bytes::Bytes) -> Option<ReplyBody> {
+        let now = self.now();
+        let actions = self.core.submit_op(kind, payload, now);
+        self.apply(actions);
+        self.await_reply().map(|done| done.body)
+    }
+
+    /// Run a whole transaction and block until it commits or aborts.
+    pub fn run_txn(&mut self, script: TxnScript) -> Option<TxnOutcome> {
+        let txn = self.core.next_txn_id();
+        let mut driver = TxnDriver::new(script, txn);
+        loop {
+            let now = self.now();
+            let actions = driver.step(&mut self.core, now)?;
+            self.apply(actions);
+            let done = self.await_reply()?;
+            if let Some(outcome) = driver.on_complete(&done) {
+                return Some(outcome);
+            }
+        }
     }
 }

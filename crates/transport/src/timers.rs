@@ -1,4 +1,4 @@
-//! The drive loops' timer table: at most one pending timer per
+//! The reactor's timer table: at most one pending timer per
 //! `(group, kind)`, on a min-heap by due time. Setting a kind replaces its
 //! pending timer and cancelling removes it — both by bumping the kind's
 //! generation, so the superseded heap entry is skipped when it surfaces.
