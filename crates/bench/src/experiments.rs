@@ -1099,7 +1099,7 @@ mod reactor_live {
 }
 
 // ---------------------------------------------------------------------------
-// E15 — large state: flat decree cost + the parallel apply pipeline
+// E15 — large state: flat decree cost under chunked checkpoints
 // ---------------------------------------------------------------------------
 
 /// Measured output of one `large_state` sweep point.
@@ -1107,9 +1107,8 @@ struct LsRun {
     p50_ms: f64,
     p99_ms: f64,
     max_ms: f64,
-    /// p99 over decrees issued while a checkpoint was active (for
-    /// monolithic checkpoints: the decree that contained the inline
-    /// snapshot). NaN when no decree overlapped a checkpoint.
+    /// p99 over decrees issued while a checkpoint was active. NaN when no
+    /// decree overlapped a checkpoint.
     ckpt_p99_ms: f64,
     checkpoints: u64,
     chunks_per_ckpt: f64,
@@ -1156,10 +1155,9 @@ fn pin_allocator() {
 /// Drive a failure-free 3-replica cluster (zero-latency in-memory
 /// shuttle, real wall clock) through `decrees` closed-loop overwrites of
 /// a KV store preloaded with `keys` values of `value_bytes` each, and
-/// measure the wall time of every decree round. `chunk_bytes == 0`
-/// selects legacy monolithic checkpoints; otherwise checkpoints stream
-/// incrementally and the loop pumps one chunk per replica per cycle,
-/// exactly like the transport drive loops. Measurement starts only
+/// measure the wall time of every decree round. Checkpoints stream in
+/// chunks of `chunk_bytes` and the loop pumps one chunk per replica per
+/// cycle, exactly like the transport drive loops. Measurement starts only
 /// after every replica has completed one warm-up checkpoint, so the
 /// one-time heap-growth transient of the first snapshot is not charged
 /// to whichever sweep point happens to run first.
@@ -1278,8 +1276,8 @@ fn large_state_run(
     // in single-digit microseconds — no network, no fsync — so `floor`
     // adds a calibrated busy-wait modelling the unavoidable per-decree
     // cost of the paper's target environment (LAN/grid RTT plus
-    // group-commit fsync). It is identical across state sizes and
-    // checkpoint modes, so it cannot manufacture a trend. Returns
+    // group-commit fsync). It is identical across state sizes, so it
+    // cannot manufacture a trend. Returns
     // whether any replica still has a checkpoint in flight after the
     // pump.
     fn one_decree(
@@ -1331,11 +1329,7 @@ fn large_state_run(
     // fresh ones. Measuring through that start-up transient would
     // charge one-time page faults to whichever sweep point runs first.
     if checkpoint_every > 0 {
-        let est_chunks = if chunk_bytes > 0 {
-            (state_mb * 1024.0 * 1024.0 / chunk_bytes as f64).ceil() as usize + 1
-        } else {
-            1
-        };
+        let est_chunks = (state_mb * 1024.0 * 1024.0 / chunk_bytes as f64).ceil() as usize + 1;
         let cap = 4 * (checkpoint_every as usize + est_chunks) + 512;
         let mut warm = 0usize;
         while replicas.iter().any(|r| r.stats.checkpoints < 2) && warm < cap {
@@ -1428,115 +1422,13 @@ fn large_state_run(
     }
 }
 
-/// Apply-cost model for the pipeline measurement: each apply performs a
-/// fixed-latency external-resource operation. The paper's services front
-/// grid resources (file staging, job queues) whose apply cost is waiting
-/// on that resource, not CPU — which is exactly what `ApplyPool` workers
-/// can overlap across groups.
-struct SlowApp {
-    acc: u64,
-    delay: std::time::Duration,
-}
-
-impl gridpaxos_core::service::App for SlowApp {
-    fn execute(
-        &mut self,
-        _req: &gridpaxos_core::request::Request,
-        _ctx: &mut gridpaxos_core::service::ExecCtx<'_>,
-    ) -> (bytes::Bytes, gridpaxos_core::command::StateUpdate) {
-        (
-            bytes::Bytes::new(),
-            gridpaxos_core::command::StateUpdate::None,
-        )
-    }
-
-    fn apply(
-        &mut self,
-        _req: &gridpaxos_core::request::Request,
-        update: &gridpaxos_core::command::StateUpdate,
-    ) {
-        use gridpaxos_core::command::StateUpdate;
-        std::thread::sleep(self.delay);
-        match update {
-            StateUpdate::None => {}
-            StateUpdate::Full(b) | StateUpdate::Delta(b) | StateUpdate::Reproduce(b) => {
-                for &x in b.iter() {
-                    self.acc = self.acc.wrapping_mul(31).wrapping_add(u64::from(x));
-                }
-            }
-        }
-    }
-
-    fn snapshot(&self) -> bytes::Bytes {
-        bytes::Bytes::copy_from_slice(&self.acc.to_le_bytes())
-    }
-
-    fn restore(&mut self, snap: &[u8]) {
-        self.acc = snap
-            .get(..8)
-            .and_then(|b| b.try_into().ok())
-            .map_or(0, u64::from_le_bytes);
-    }
-}
-
-/// Wall time (ms) to apply `per_group` decrees to each of `groups`
-/// groups: serial baseline vs through an [`ApplyPool`] with `workers`
-/// threads (fenced via `snapshot()` so every queued apply has landed).
-///
-/// [`ApplyPool`]: gridpaxos_core::apply::ApplyPool
-fn apply_throughput_ms(
-    groups: usize,
-    per_group: usize,
-    delay: std::time::Duration,
-    workers: usize,
-) -> (f64, f64) {
-    use gridpaxos_core::apply::ApplyPool;
-    use gridpaxos_core::command::StateUpdate;
-    use gridpaxos_core::request::{Request, RequestId};
-    use gridpaxos_core::service::App;
-    use gridpaxos_core::types::{ClientId, Seq};
-    use std::time::Instant;
-
-    let req = Request::new(
-        RequestId::new(ClientId(1), Seq(1)),
-        RequestKind::Write,
-        bytes::Bytes::new(),
-    );
-    let update = StateUpdate::Full(bytes::Bytes::from_static(b"e15"));
-    let mk = |d| Box::new(SlowApp { acc: 0, delay: d }) as Box<dyn App>;
-
-    let mut serial: Vec<Box<dyn App>> = (0..groups).map(|_| mk(delay)).collect();
-    let t = Instant::now();
-    for _ in 0..per_group {
-        for a in &mut serial {
-            a.apply(&req, &update);
-        }
-    }
-    let serial_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let pool = ApplyPool::new(workers);
-    let mut pooled: Vec<Box<dyn App>> = (0..groups).map(|_| pool.wrap(mk(delay))).collect();
-    let t = Instant::now();
-    for _ in 0..per_group {
-        for a in &mut pooled {
-            a.apply(&req, &update);
-        }
-    }
-    for a in &mut pooled {
-        let _ = a.snapshot(); // conflict fence: wait for the queue to drain
-    }
-    let pooled_ms = t.elapsed().as_secs_f64() * 1e3;
-    (serial_ms, pooled_ms)
-}
-
 /// E15 — extension: decree cost vs service-state size. Sweeps resident
 /// KV state over ~100x while measuring per-decree wall time on a
-/// failure-free 3-replica cluster, with incremental (chunked)
-/// checkpoints against the legacy stop-the-world snapshot, plus the
-/// parallel apply pipeline's throughput at G=4. Incremental checkpoints
-/// must keep decree p99 flat in state size; monolithic checkpoints show
-/// the O(state) pause the tentpole removes. Committed trajectory:
-/// `BENCH_large_state.json`.
+/// failure-free 3-replica cluster whose checkpoints stream in chunks.
+/// Decree p99 must stay flat in state size. The committed
+/// `BENCH_large_state.json` is the earlier run that also measured the
+/// stop-the-world checkpoint and the apply pool (EXPERIMENTS.md E15);
+/// this row writes to `target/experiments/`.
 #[must_use]
 pub fn large_state(seed: u64) -> TableOut {
     large_state_with(
@@ -1561,7 +1453,7 @@ fn large_state_with(
 ) -> TableOut {
     let mut t = TableOut::new(
         "large-state",
-        "Decree cost vs state size: incremental checkpoints + apply pipeline (ms)",
+        "Decree cost vs state size: chunked checkpoints (ms)",
         &[
             "keys/mode",
             "p50_ms",
@@ -1573,45 +1465,29 @@ fn large_state_with(
             "state_MB",
         ],
     );
-    let mut rows: Vec<(usize, &str, LsRun)> = Vec::new();
+    let mut rows: Vec<(usize, LsRun)> = Vec::new();
     for &keys in sizes {
-        for (mode, cb) in [("chunked", chunk_bytes), ("mono", 0)] {
-            // Chunked rows must span at least two full checkpoint cycles
-            // (at one pump per drive cycle, a cycle covers roughly
-            // chunks/2 decrees), so the measured window always contains
-            // completed checkpoints no matter the state size.
-            let n = match (keys * (value_bytes + 32)).checked_div(cb) {
-                Some(c) => {
-                    let est_chunks = c + 1;
-                    decrees.max(est_chunks + est_chunks / 4)
-                }
-                None => decrees,
-            };
-            // Median-of-3 repetitions (by decree p99) for the chunked
-            // rows the flatness criterion reads: a single-vCPU host has
-            // transient multi-ms scheduling phases that would otherwise
-            // decide the tail of whichever row they land on.
-            let reps: u64 = if cb > 0 { 3 } else { 1 };
-            let mut runs: Vec<LsRun> = (0..reps)
-                .map(|rep| {
-                    large_state_run(
-                        seed + rep,
-                        keys,
-                        value_bytes,
-                        n,
-                        checkpoint_every,
-                        cb,
-                        floor,
-                    )
-                })
-                .collect();
-            runs.sort_by(|a, b| a.p99_ms.total_cmp(&b.p99_ms));
-            rows.push((keys, mode, runs.swap_remove(reps as usize / 2)));
-        }
+        // Rows must span at least two full checkpoint cycles (at one pump
+        // per drive cycle, a cycle covers roughly chunks/2 decrees), so
+        // the measured window always contains completed checkpoints no
+        // matter the state size.
+        let est_chunks = keys * (value_bytes + 32) / chunk_bytes + 1;
+        let n = decrees.max(est_chunks + est_chunks / 4);
+        // Median-of-3 repetitions by decree p99: a single-vCPU host has
+        // transient multi-ms scheduling phases that would otherwise
+        // decide the tail of whichever row they land on.
+        let mut runs: Vec<LsRun> = (0..3)
+            .map(|rep| {
+                let (every, cb) = (checkpoint_every, chunk_bytes);
+                large_state_run(seed + rep, keys, value_bytes, n, every, cb, floor)
+            })
+            .collect();
+        runs.sort_by(|a, b| a.p99_ms.total_cmp(&b.p99_ms));
+        rows.push((keys, runs.swap_remove(1)));
     }
-    for (keys, mode, r) in &rows {
+    for (keys, r) in &rows {
         t.row(vec![
-            format!("{keys}/{mode}"),
+            format!("{keys}/chunked"),
             fmt_ms(r.p50_ms),
             fmt_ms(r.p99_ms),
             fmt_ms(r.max_ms),
@@ -1621,16 +1497,11 @@ fn large_state_with(
             format!("{:.1}", r.state_mb),
         ]);
     }
-    // Flatness: max/min of the chunked rows' p99s, decree-wide and
-    // during active checkpointing. The acceptance bar is < 1.3x across a
-    // >= 100x state sweep.
+    // Flatness: max/min of the rows' p99s, decree-wide and during active
+    // checkpointing. The acceptance bar is < 1.3x across a >= 100x state
+    // sweep.
     let spread = |f: &dyn Fn(&LsRun) -> f64| -> f64 {
-        let vals: Vec<f64> = rows
-            .iter()
-            .filter(|(_, m, _)| *m == "chunked")
-            .map(|(_, _, r)| f(r))
-            .filter(|v| v.is_finite())
-            .collect();
+        let vals = rows.iter().map(|(_, r)| f(r)).filter(|v| v.is_finite());
         let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
         for v in vals {
             lo = lo.min(v);
@@ -1655,24 +1526,14 @@ fn large_state_with(
          group-commit fsync — the in-memory shuttle is otherwise ~6 us/round; checkpoint \
          chunks are pumped in the round's idle gap exactly as the transport drive loops do, \
          so only streaming work that exceeds the floor can surface as added latency. The \
-         floor is identical across sizes and modes. Chunked rows are the median of 3 \
-         repetitions by decree p99; chunked decree counts scale to cover >= 2 full \
-         checkpoint cycles per row",
+         floor is identical across sizes. Rows are the median of 3 repetitions by decree \
+         p99; decree counts scale to cover >= 2 full checkpoint cycles per row",
         floor.as_micros()
     ));
-    for (keys, mode, r) in &rows {
-        t.note(format!("{keys}/{mode} checkpoints — {}", r.per_replica));
+    for (keys, r) in &rows {
+        t.note(format!("{keys}/chunked checkpoints — {}", r.per_replica));
     }
-    let delay = std::time::Duration::from_micros(300);
-    let (serial_ms, pooled_ms) = apply_throughput_ms(4, 64, delay, 4);
-    let speedup = serial_ms / pooled_ms;
-    t.note(format!(
-        "apply pipeline G=4 workers=4: serial {serial_ms:.1} ms vs pooled {pooled_ms:.1} ms \
-         = {speedup:.2}x; each apply models a 300 us external-resource wait (grid services \
-         wait on staged files/job queues, so apply cost is latency, not CPU — and this host \
-         has one CPU, so the win shown is overlapped waiting, not CPU parallelism)"
-    ));
-    t.note("tentpole: chunked checkpoints + apply pipeline make decree cost flat in state size");
+    t.note("tentpole: chunked checkpoints make decree cost flat in state size");
     t
 }
 
@@ -1708,7 +1569,7 @@ pub static REGISTRY: [Entry; 18] = [
     ("read-batching",  &["read-batching"],          |s| vec![read_batching(s)],     Some("BENCH_read_batching.json")),
     ("follower-reads", &["follower-reads"],         |s| vec![follower_reads(s)],    Some("BENCH_follower_reads.json")),
     ("reactor",        &["reactor"],                |s| vec![reactor(s)],           Some("BENCH_reactor.json")),
-    ("large-state",    &["large-state"],            |s| vec![large_state(s)],       Some("BENCH_large_state.json")),
+    ("large-state",    &["large-state"],            |s| vec![large_state(s)],       None),
 ];
 
 /// The registry rows a CLI name selects: every row for `all`, else the
@@ -1906,13 +1767,11 @@ mod tests {
         assert!(cpr < 1.0, "confirm msgs per read {cpr:.2}");
     }
 
-    /// CI smoke of E15 (the full run generates BENCH_large_state.json
-    /// over a 100x sweep): with incremental checkpoints the tail decree
-    /// cost at the larger state must undercut the monolithic
-    /// stop-the-world snapshot's, and checkpoints must actually stream
-    /// in multiple chunks.
+    /// CI smoke of E15 (the full run sweeps 100x of state): checkpoints
+    /// complete inside the measured window, and each streams in more
+    /// than one chunk.
     #[test]
-    fn large_state_chunked_checkpoints_beat_monolithic_tail() {
+    fn large_state_checkpoints_stream_in_chunks() {
         let t = large_state_with(
             17,
             &[200, 2_000],
@@ -1935,24 +1794,6 @@ mod tests {
         assert!(
             cell("2000/chunked", "chunks/ckpt") > 1.0,
             "checkpoints did not stream in chunks"
-        );
-        let (chunked, mono) = (cell("2000/chunked", "p99_ms"), cell("2000/mono", "p99_ms"));
-        assert!(
-            chunked < mono,
-            "chunked p99 {chunked:.3} ms must undercut monolithic p99 {mono:.3} ms"
-        );
-    }
-
-    /// The apply pipeline must at least double throughput for
-    /// latency-bound applies at G=4: four groups' waits overlap on the
-    /// worker pool while the serial baseline pays them back to back.
-    #[test]
-    fn apply_pool_overlaps_latency_bound_applies() {
-        let (serial_ms, pooled_ms) =
-            apply_throughput_ms(4, 8, std::time::Duration::from_millis(2), 4);
-        assert!(
-            serial_ms >= pooled_ms * 2.0,
-            "serial {serial_ms:.1} ms vs pooled {pooled_ms:.1} ms"
         );
     }
 

@@ -183,35 +183,6 @@ mod tests {
         assert_eq!(decode_mask(&app.snapshot()), Some(1 << 3));
     }
 
-    /// The parallel apply pipeline must never reorder writes within one
-    /// group: drive a pool-wrapped CheckerApp and a serial one through
-    /// the same decree sequence and compare the order-sensitive chain.
-    #[test]
-    fn apply_pool_preserves_decree_order_within_a_group() {
-        use gridpaxos_core::apply::ApplyPool;
-        use gridpaxos_core::command::StateUpdate;
-
-        let pool = ApplyPool::new(4);
-        let mut pooled = pool.wrap(Box::new(CheckerApp::new()));
-        let mut serial = CheckerApp::new();
-        let mut chain = 0u64;
-        let mut mask = 0u64;
-        for seq in 0..200u64 {
-            let bit = 1u64 << (seq % 3); // heavy same-register traffic
-            mask |= bit;
-            chain = super::chain_fold(chain, bit);
-            let mut b = [0u8; 16];
-            b[..8].copy_from_slice(&mask.to_le_bytes());
-            b[8..].copy_from_slice(&chain.to_le_bytes());
-            let up = StateUpdate::Full(Bytes::copy_from_slice(&b));
-            pooled.apply(&wreq(seq, (seq % 3) as u8), &up);
-            serial.apply(&wreq(seq, (seq % 3) as u8), &up);
-        }
-        // snapshot() fences: it waits for the worker queue to drain.
-        assert_eq!(pooled.snapshot(), serial.snapshot());
-        assert_eq!(decode_chain(&pooled.snapshot()), chain);
-    }
-
     #[test]
     fn restore_clears_staging() {
         let mut app = CheckerApp::new();

@@ -5,8 +5,6 @@
 //! gridcheck --depth 9            # deeper sweep of every scenario
 //! gridcheck --scenario leader-crash --depth 10
 //! gridcheck --list               # list scenarios
-//! gridcheck --interleave         # seeded interleaving checker (real threads)
-//! gridcheck --interleave --seed 0x5eed002a   # replay one failing schedule
 //! gridcheck --txn2pc             # cross-group 2PC atomicity checker
 //! gridcheck --txn2pc --seed 0x2bc00007       # replay one seed
 //! ```
@@ -15,7 +13,7 @@
 //! 1 = a counterexample was found (its schedule is printed for replay);
 //! 2 = usage error.
 
-use check::{explore, interleave, smoke_scenarios, txn2pc};
+use check::{explore, smoke_scenarios, txn2pc};
 use std::time::Instant;
 
 fn main() {
@@ -23,9 +21,7 @@ fn main() {
     let mut list = false;
     let mut depth: Option<usize> = None;
     let mut only: Option<String> = None;
-    let mut run_interleave = false;
     let mut run_txn2pc = false;
-    let mut il = interleave::Opts::default();
     let mut tx = txn2pc::Opts::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -40,40 +36,28 @@ fn main() {
                 Some(s) => only = Some(s),
                 None => usage_error("--scenario needs a name"),
             },
-            "--interleave" => run_interleave = true,
             "--txn2pc" => run_txn2pc = true,
             "--seeds" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => {
-                    il.kv_seeds = n;
-                    il.flush_seeds = (n / 10).max(1);
                     tx.kv_seeds = n;
                     tx.world_seeds = (n / 100).max(1);
                 }
                 None => usage_error("--seeds needs an integer"),
             },
             "--seed" => match args.next().and_then(|v| parse_seed(&v)) {
-                Some(s) => {
-                    il.replay = Some(s);
-                    tx.replay = Some(s);
-                }
+                Some(s) => tx.replay = Some(s),
                 None => usage_error("--seed needs an integer (decimal or 0x hex)"),
             },
             "--target" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => {
-                    il.target_distinct = t;
-                    tx.target_distinct = t;
-                }
+                Some(t) => tx.target_distinct = t,
                 None => usage_error("--target needs an integer"),
             },
             "--help" | "-h" => {
                 println!(
                     "gridcheck [--smoke] [--depth N] [--scenario NAME] [--list]\n\
-                     gridcheck --interleave [--seeds N] [--seed S] [--target N]\n\
                      gridcheck --txn2pc [--seeds N] [--seed S] [--target N]\n\
                      Bounded-exhaustive model checker for the gridpaxos protocol core,\n\
-                     plus a seeded interleaving checker over the real apply pipeline\n\
-                     and flush coordinator, and a cross-group 2PC atomicity checker\n\
-                     over sharded deployments."
+                     plus a cross-group 2PC atomicity checker over sharded deployments."
                 );
                 return;
             }
@@ -81,9 +65,6 @@ fn main() {
         }
     }
 
-    if run_interleave {
-        run_interleave_mode(&il);
-    }
     if run_txn2pc {
         run_txn2pc_mode(&tx);
     }
@@ -142,34 +123,6 @@ fn main() {
          {total_transitions} transitions in {:.1}s",
         started.elapsed().as_secs_f64()
     );
-}
-
-fn run_interleave_mode(opts: &interleave::Opts) -> ! {
-    let t = Instant::now();
-    let report = interleave::run(opts);
-    for f in &report.failures {
-        println!(
-            "FAIL [{}] seed {:#x}: {}\n     replay: gridcheck --interleave --seed {:#x}",
-            f.harness, f.seed, f.detail, f.seed
-        );
-    }
-    println!(
-        "interleave: {} schedules, {} distinct, {} failure(s) in {:.1}s",
-        report.schedules,
-        report.distinct,
-        report.failures.len(),
-        t.elapsed().as_secs_f64()
-    );
-    if report.passed(opts) {
-        std::process::exit(0);
-    }
-    if report.failures.is_empty() {
-        eprintln!(
-            "interleave: coverage below target ({} < {})",
-            report.distinct, opts.target_distinct
-        );
-    }
-    std::process::exit(1);
 }
 
 fn run_txn2pc_mode(opts: &txn2pc::Opts) -> ! {

@@ -1,10 +1,8 @@
 //! Repo-specific lint binary: `cargo run -p check --bin lint`.
 //!
-//! Two passes: the per-file protocol rules over `crates/core/src` and
-//! `crates/transport/src` (see [`check::lint`]), then the cross-file
-//! concurrency analysis over every crate (see [`check::concurrency`]):
-//! lock-order cycles, guards held across blocking ops, channel sends
-//! while locked. Exit code 0 = clean, 1 = findings, 2 = I/O error.
+//! Runs [`check::lint::lint_repo`]: the protocol rules and the
+//! `one-guard` rule, each over the files its table names. Exit code 0 =
+//! clean, 1 = findings, 2 = I/O error.
 
 use std::path::PathBuf;
 
@@ -15,19 +13,13 @@ fn main() {
         .and_then(std::path::Path::parent)
         .map(std::path::Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."));
-    let mut findings = Vec::new();
-    for pass in [
-        check::lint::lint_repo(&root),
-        check::concurrency::analyze_repo(&root),
-    ] {
-        match pass {
-            Ok(f) => findings.extend(f),
-            Err(e) => {
-                eprintln!("lint: io error: {e}");
-                std::process::exit(2);
-            }
+    let findings = match check::lint::lint_repo(&root) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("lint: io error: {e}");
+            std::process::exit(2);
         }
-    }
+    };
     if findings.is_empty() {
         println!("lint: clean");
         return;

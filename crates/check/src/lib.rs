@@ -8,17 +8,11 @@
 //!   delivery, drop, duplication, timer firing and leader crash up to a
 //!   depth bound — asserting the paper's safety invariants (§3.3–§3.6)
 //!   after every transition. Run it with `cargo run -p check --release`.
-//! * **Repo lint** ([`lint`], [`concurrency`]): source-level passes
-//!   enforcing protocol coding rules clippy cannot express (exhaustive
-//!   `Msg` dispatch, no non-test `unwrap`/`expect` in replica, transport
-//!   or service code, persist-before-send ordering) plus a cross-file concurrency
-//!   analysis (lock-order cycles, guards held across blocking ops,
-//!   channel sends while locked). Run them with
-//!   `cargo run -p check --bin lint`.
-//! * **Interleaving checker** ([`interleave`]): a seeded
-//!   schedule-permuting harness that drives the real apply pipeline and
-//!   flush coordinator under controlled preemption. Run it with
-//!   `cargo run -p check --release -- --interleave`.
+//! * **Repo lint** ([`lint`]): a source-level pass enforcing coding
+//!   rules clippy cannot express (exhaustive `Msg` dispatch, no non-test
+//!   `unwrap`/`expect` in replica, transport or service code,
+//!   persist-before-send ordering, one lock guard at a time with nothing
+//!   blocking under it). Run it with `cargo run -p check --bin lint`.
 //! * **Cross-group atomicity checker** ([`txn2pc`]): seeded random
 //!   walks over sharded deployments running concurrent 2PC transfers
 //!   under crash/recover schedules, plus a lock/intent-table schedule
@@ -29,10 +23,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod app;
-pub mod concurrency;
 pub mod explore;
 pub mod harness;
-pub mod interleave;
 pub mod invariants;
 pub mod lint;
 pub mod scenario;

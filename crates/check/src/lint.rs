@@ -1,6 +1,6 @@
 //! Repo-specific lint pass: protocol coding rules clippy cannot express.
 //!
-//! Six rules, scoped to the consensus-critical crates:
+//! Seven rules, the first six scoped to the consensus-critical crates:
 //!
 //! 1. **Exhaustive `Msg` dispatch** (`crates/core`, `crates/transport`):
 //!    a `match` whose arms pattern-match `Msg::` variants must not have a
@@ -48,6 +48,14 @@
 //!    `replica/reads.rs`. Non-test code elsewhere under `replica/` that
 //!    names `read_mode`, `ReadMode::` or `confirm_batching` is deciding
 //!    read policy a second time.
+//! 7. **One guard at a time** (`crates/*/src`): while a `let`-bound lock
+//!    guard is live, nothing in its scope takes another lock, blocks
+//!    (fsync, sleep, channel receive, thread join) or sends on a channel.
+//!    No code nests locks, so no lock order exists to get wrong, and no
+//!    thread waits on the platter or a peer while others wait on it
+//!    (DESIGN.md §6.3). The rule reads one body and follows no call: a
+//!    helper that blocks under its caller's guard must say why in its doc
+//!    (`fstorage`'s `truncate_upto`).
 //!
 //! The pass is a hand-rolled token scan, not a full parse: comments,
 //! strings and char literals are blanked first, `#[cfg(test)]` items are
@@ -722,6 +730,143 @@ pub fn check_no_blocking(file: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
+/// A lock acquisition: `.lock()`, or a file's `lock(&m)` helper around it.
+const ACQUIRE: &str = "lock(";
+
+/// What may not run under a guard, and why: a second acquisition, a call
+/// that parks the thread, a channel send.
+const UNDER_A_GUARD: &[(&str, &str)] = &[
+    (ACQUIRE, "takes a second lock"),
+    ("sync_data(", "fsyncs"),
+    ("sync_all(", "fsyncs"),
+    ("sync_dir(", "fsyncs"),
+    ("sleep(", "sleeps"),
+    (".recv(", "waits on a channel"),
+    (".recv_timeout(", "waits on a channel"),
+    (".join()", "joins a thread"),
+    (".send(", "sends on a channel"),
+    (".try_send(", "sends on a channel"),
+];
+
+/// Offsets of `token` in `src` that start a name: not the tail of a longer
+/// one (`try_lock(`), not a definition (`fn lock(`).
+fn calls<'a>(src: &'a str, token: &'a str) -> impl Iterator<Item = usize> + 'a {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    src.match_indices(token)
+        .map(|(at, _)| at)
+        .filter(move |&at| {
+            let before = &src[..at];
+            token.starts_with('.') || !(before.ends_with(ident) || before.ends_with("fn "))
+        })
+}
+
+/// The offset just past the bracket that closes the one at `open`.
+fn close_of(src: &str, open: usize) -> usize {
+    let mut depth = 0i32;
+    for (o, c) in src[open..].char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return open + o + 1;
+        }
+    }
+    src.len()
+}
+
+/// Whether a `let` initializer is a guard: an acquisition, at most
+/// unwrapped (`.unwrap()`, `.expect(…)`, `.unwrap_or_else(…)`), and not a
+/// value read through one (`lock(&m).appends`).
+fn binds_guard(init: &str) -> bool {
+    let Some(at) = calls(init, ACQUIRE).next() else {
+        return false;
+    };
+    let rest = &init[close_of(init, at + ACQUIRE.len() - 1)..];
+    rest.is_empty()
+        || [".unwrap(", ".expect(", ".unwrap_or_else("]
+            .iter()
+            .any(|u| rest.starts_with(u) && close_of(rest, u.len() - 1) == rest.len())
+}
+
+/// Rule 7: one guard at a time. For every `let NAME = <acquisition>;`
+/// the guard is live to `drop(NAME)` or the end of its block, and each
+/// [`UNDER_A_GUARD`] token in that span is a finding. Runs on
+/// noise-stripped, test-masked source.
+#[must_use]
+pub fn check_one_guard(file: &str, masked: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (at, _) in masked.match_indices("let ") {
+        if masked[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let stmt = &masked[at + 4..];
+        let pattern = stmt.trim_start().trim_start_matches("mut ").trim_start();
+        let name: String = pattern
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        let Some(eq) = pattern[name.len()..].trim_start().strip_prefix('=') else {
+            continue; // a pattern, a type ascription or `==`: no guard
+        };
+        // The initializer runs to the `;` outside any bracket.
+        let mut depth = 0i32;
+        let Some(semi) = eq.char_indices().find_map(|(o, c)| {
+            match c {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' => depth -= 1,
+                ';' if depth == 0 => return Some(o),
+                _ => {}
+            }
+            None
+        }) else {
+            continue;
+        };
+        if name.is_empty() || name == "_" || !binds_guard(eq[..semi].trim()) {
+            continue;
+        }
+        // Live from the `;` to the end of the enclosing block, or to the
+        // guard's `drop`, whichever comes first.
+        let live_from = masked.len() - eq.len() + semi + 1;
+        let mut depth = 0i32;
+        let block_end = masked[live_from..]
+            .char_indices()
+            .find_map(|(o, c)| {
+                match c {
+                    '{' => depth += 1,
+                    '}' if depth == 0 => return Some(live_from + o),
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+                None
+            })
+            .unwrap_or(masked.len());
+        let dropped = masked[live_from..block_end]
+            .find(&format!("drop({name})"))
+            .map_or(block_end, |o| live_from + o);
+        let live = &masked[live_from..dropped];
+        for &(token, what) in UNDER_A_GUARD {
+            for o in calls(live, token) {
+                findings.push(Finding {
+                    file: file.to_string(),
+                    line: line_of(masked, live_from + o),
+                    rule: "one-guard",
+                    msg: format!(
+                        "`{}` {what} while the guard `{name}` (line {}) is live; drop \
+                         it first — no code holds a lock across another lock, a \
+                         blocking call or a send",
+                        token.trim_matches('.'),
+                        line_of(masked, at)
+                    ),
+                });
+            }
+        }
+    }
+    findings.sort_by_key(|f| f.line);
+    findings
+}
+
 /// Every function called exactly `name` that has a body: where its `fn`
 /// keyword starts, and its body's range.
 fn fns_named<'a>(
@@ -779,6 +924,7 @@ pub fn lint_source(label: &str, src: &str, scope: Scope) -> Vec<Finding> {
     findings.extend(check_barrier_class(label, &masked));
     findings.extend(check_barrier_callers(label, &masked));
     findings.extend(check_read_mode_owner(label, &masked));
+    findings.extend(check_one_guard(label, &masked));
     if scope.no_unwrap {
         findings.extend(check_unwraps(label, &masked));
     }
@@ -811,7 +957,7 @@ pub struct Scope {
 /// Lint the repository rooted at `root`. Scopes: the `Msg`-wildcard rule
 /// and the barrier's class (wherever `Msg::precedes_barrier` is defined)
 /// cover `crates/core/src` and `crates/transport/src`; the barrier's one
-/// caller covers those and `crates/{simnet,check,bench}/src`; the read
+/// caller and the one-guard rule cover every `crates/*/src`; the read
 /// policy's one owner covers `crates/core/src/replica`;
 /// no-unwrap covers `crates/core/src/replica`, `crates/transport/src` and
 /// `crates/services/src` (`tests.rs` files and `#[cfg(test)]` items
@@ -874,7 +1020,7 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
         findings.extend(lint_source(&label(&path), &src, scope));
     }
     // The other drive loops live here: they too leave the barrier to
-    // the one release.
+    // the one release, and hold one guard at a time.
     let mut loops: Vec<PathBuf> = Vec::new();
     for other in ["simnet", "check", "bench"] {
         collect_rs(&root.join("crates").join(other).join("src"), &mut |p| {
@@ -884,6 +1030,7 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
     for path in loops {
         let masked = mask_test_items(&strip_noise(&std::fs::read_to_string(&path)?));
         findings.extend(check_barrier_callers(&label(&path), &masked));
+        findings.extend(check_one_guard(&label(&path), &masked));
     }
     Ok(findings)
 }

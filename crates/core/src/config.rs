@@ -126,22 +126,13 @@ pub struct Config {
     /// stable leader, which is the paper's steady-state assumption
     /// ("the common case is the one of no suspicions and no failures").
     pub bootstrap_leader: Option<ProcessId>,
-    /// Target chunk size (bytes) for incremental checkpoints. When
-    /// nonzero (and the [`crate::storage::Storage`] supports chunked
-    /// checkpoints), a checkpoint freezes the service state and streams it
-    /// out in chunks of roughly this size across drive cycles instead of
-    /// serializing everything inline — decree choice and transport I/O
-    /// never stall for O(state size). Both presets ship 64 KiB; `0`
-    /// selects the stop-the-world monolithic checkpoint.
+    /// Target chunk size (bytes) for checkpoints. A checkpoint freezes
+    /// the service state and streams it out in chunks of roughly this
+    /// size across drive cycles instead of serializing everything inline —
+    /// decree choice and transport I/O never stall for O(state size). Both
+    /// presets ship 64 KiB. Must be nonzero: [`crate::replica::Replica::new`]
+    /// refuses `0`.
     pub checkpoint_chunk_bytes: usize,
-    /// Apply-pipeline worker threads per node (see `crate::apply`). `0`
-    /// applies chosen decrees inline on the drive thread (the legacy,
-    /// fully deterministic path — required by the model checker). With
-    /// `W > 0`, a `MultiReplica` hands each group's state application to a
-    /// pool of `W` workers: groups apply in parallel and the drive thread
-    /// only blocks when it genuinely needs applied state (reads,
-    /// snapshots, tentative execution).
-    pub apply_workers: usize,
     /// Geo-aware per-group leader placement (extension): `placement[g]`
     /// is the bootstrap leader for group `g`, overriding the default
     /// round-robin rotation. Computed by the bench harness from
@@ -171,7 +162,6 @@ impl Config {
             confirm_batching: true,
             bootstrap_leader: Some(ProcessId(0)),
             checkpoint_chunk_bytes: 64 * 1024,
-            apply_workers: 0,
             placement: None,
         }
     }
@@ -196,7 +186,6 @@ impl Config {
             confirm_batching: true,
             bootstrap_leader: Some(ProcessId(0)),
             checkpoint_chunk_bytes: 64 * 1024,
-            apply_workers: 0,
             placement: None,
         }
     }
@@ -256,19 +245,24 @@ impl Config {
         self
     }
 
-    /// Builder-style: set the incremental-checkpoint chunk size (`0` =
-    /// legacy monolithic checkpoints).
+    /// Builder-style: set the checkpoint chunk size.
+    ///
+    /// # Panics
+    /// If `bytes` is zero: every checkpoint streams in chunks.
     #[must_use]
     pub fn with_checkpoint_chunk_bytes(mut self, bytes: usize) -> Config {
+        assert!(bytes > 0, "checkpoint_chunk_bytes must be nonzero");
         self.checkpoint_chunk_bytes = bytes;
         self
     }
 
-    /// Builder-style: set the apply-pipeline worker count (`0` = inline
-    /// apply).
+    /// Accepts only `0`: chosen decrees always apply inline, and a node's
+    /// parallelism comes from its groups. Delete in ROADMAP item 1:
+    /// `benchmark/src/config.rs` calls it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_apply_workers(mut self, w: usize) -> Config {
-        self.apply_workers = w;
+    pub fn with_apply_workers(self, w: usize) -> Config {
+        assert_eq!(w, 0, "there is no apply pool: decrees apply inline");
         self
     }
 
@@ -299,13 +293,29 @@ mod tests {
     }
 
     /// The presets are what `gridpaxos-server` runs: it overrides neither
-    /// knob.
+    /// knob, and the benchmark's pins pass their defaults.
     #[test]
     fn presets_ship_chunked_checkpoints_and_inline_apply() {
         for c in [Config::cluster(3), Config::wan(3)] {
             assert_eq!(c.checkpoint_chunk_bytes, 64 * 1024);
-            assert_eq!(c.apply_workers, 0);
+            let pinned = c
+                .clone()
+                .with_checkpoint_chunk_bytes(64 * 1024)
+                .with_apply_workers(0);
+            assert_eq!(format!("{pinned:?}"), format!("{c:?}"));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint_chunk_bytes must be nonzero")]
+    fn a_zero_chunk_size_is_refused() {
+        let _ = Config::cluster(3).with_checkpoint_chunk_bytes(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "there is no apply pool")]
+    fn apply_workers_other_than_zero_are_refused() {
+        let _ = Config::cluster(3).with_apply_workers(4);
     }
 
     #[test]
@@ -317,11 +327,9 @@ mod tests {
             .with_bootstrap_leader(None)
             .with_checkpoint_every(16)
             .with_confirm_batching(false)
-            .with_checkpoint_chunk_bytes(1 << 16)
-            .with_apply_workers(4);
+            .with_checkpoint_chunk_bytes(256);
         assert!(!c.confirm_batching);
-        assert_eq!(c.checkpoint_chunk_bytes, 1 << 16);
-        assert_eq!(c.apply_workers, 4);
+        assert_eq!(c.checkpoint_chunk_bytes, 256);
         assert_eq!(c.read_mode, ReadMode::Consensus);
         assert_eq!(c.txn_mode, TxnMode::TPaxos);
         assert_eq!(c.value_mode, ValueMode::ReqOnly);

@@ -44,7 +44,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod action;
-pub mod apply;
 pub mod ballot;
 pub mod client;
 pub mod command;
@@ -58,14 +57,12 @@ pub mod replica;
 pub mod request;
 pub mod service;
 pub mod storage;
-pub mod sync;
 pub mod txn;
 pub mod types;
 
 /// Convenient re-exports of the types most embeddings need.
 pub mod prelude {
     pub use crate::action::{Action, TimerKind};
-    pub use crate::apply::{ApplyPool, PipelinedApp};
     pub use crate::ballot::{Ballot, ProposalNum};
     pub use crate::client::{
         ClientCore, CompletedOp, ShardRouter, TxnDriver, TxnOutcome, TxnScript,

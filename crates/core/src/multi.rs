@@ -10,6 +10,10 @@
 //! deployment whose write throughput is bound by the one-decree-at-a-time
 //! pipeline scales with `G`.
 //!
+//! The groups are also where a node's parallelism comes from: they
+//! partition the order, so no worker pool sits behind any one group's
+//! log ("Rethinking State-Machine Replication for Parallelism").
+//!
 //! Routing is by message envelope: multi-group deployments wrap every
 //! protocol message in [`Msg::Grouped`]; a [`MultiReplica`] with one group
 //! never wraps, making the single-group configuration byte-identical to
@@ -84,25 +88,15 @@ impl MultiReplica {
         now: Time,
     ) -> MultiReplica {
         assert!(!storages.is_empty(), "at least one group");
-        // Apply pipeline (`cfg.apply_workers > 0`): one worker pool per
-        // process, each group's app wrapped so chosen decrees apply off
-        // the drive thread and groups apply in parallel. The default (0)
-        // applies inline — fully deterministic, byte-identical to the
-        // unwrapped replica.
-        let pool = (cfg.apply_workers > 0).then(|| crate::apply::ApplyPool::new(cfg.apply_workers));
         let groups = storages
             .into_iter()
             .enumerate()
             .map(|(g, storage)| {
                 let g = GroupId(g as u32);
-                let app = match &pool {
-                    Some(p) => p.wrap(app_factory(g)),
-                    None => app_factory(g),
-                };
                 Replica::open(
                     id,
                     group_config(&cfg, g),
-                    app,
+                    app_factory(g),
                     storage,
                     group_seed(seed, g),
                     now,

@@ -145,11 +145,12 @@ fn release_or_cut(wire: &mut impl Wire, power_cut: bool) {
 mod tests {
     use super::*;
     use crate::ballot::Ballot;
-    use crate::command::{Decree, SnapshotBlob};
+    use crate::command::{Decree, DedupEntry, SnapshotBlob};
     use crate::config::Config;
     use crate::service::NoopApp;
-    use crate::storage::{DurableState, Storage};
+    use crate::storage::{ChunkedCheckpoint, DurableState, Storage};
     use crate::types::{Instance, ProcessId, Time};
+    use bytes::Bytes;
     use std::sync::{Arc, Mutex};
 
     type Log = Arc<Mutex<Vec<String>>>;
@@ -186,6 +187,13 @@ mod tests {
         }
         fn is_dirty(&self) -> bool {
             self.dirty
+        }
+        fn checkpoint_begin(&mut self, _: Instance, _: &[DedupEntry], _: usize) {}
+        fn checkpoint_chunk(&mut self, _: usize, _: Bytes) {}
+        fn checkpoint_commit(&mut self) {}
+        fn checkpoint_abort(&mut self) {}
+        fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint> {
+            None
         }
     }
 

@@ -133,8 +133,7 @@ pub struct ReplicaStats {
     pub log_bytes: u64,
     /// Total bytes written across all checkpoints.
     pub checkpoint_bytes: u64,
-    /// Total chunks emitted across all checkpoints (a monolithic
-    /// checkpoint counts as one chunk).
+    /// Total chunks emitted across all checkpoints.
     pub checkpoint_chunks: u64,
     /// Size of the most recent checkpoint, in bytes.
     pub last_checkpoint_bytes: u64,
@@ -210,6 +209,10 @@ pub struct Replica {
 
 impl Replica {
     /// Create a fresh replica (empty log and service).
+    ///
+    /// # Panics
+    /// If `cfg.checkpoint_chunk_bytes` is zero: every checkpoint streams
+    /// in chunks.
     #[must_use]
     pub fn new(
         id: ProcessId,
@@ -219,6 +222,10 @@ impl Replica {
         seed: u64,
         now: Time,
     ) -> Replica {
+        assert!(
+            cfg.checkpoint_chunk_bytes > 0,
+            "checkpoint_chunk_bytes must be nonzero"
+        );
         Replica {
             id,
             exec: Executor::new(app, cfg.value_mode),
@@ -1086,26 +1093,17 @@ impl Replica {
         };
         self.stats.checkpoints_by_bytes += u64::from(due == Due::Bytes);
         let chunk_bytes = self.cfg.checkpoint_chunk_bytes;
-        if chunk_bytes > 0 && self.stable.get().supports_chunked_checkpoint() {
-            let (dedup, total) = self.exec.freeze_at(prefix, chunk_bytes, self.clock);
-            self.stable
-                .unacked()
-                .checkpoint_begin(prefix, &dedup, total);
-            // An app that did not override chunking reports one chunk and
-            // does not freeze — its single chunk must be emitted before
-            // any further decree applies, so drain it right here. Real
-            // chunked apps stream across drive cycles instead.
-            if total <= 1 {
-                self.pump_checkpoint(usize::MAX);
-            }
-            return;
+        let (dedup, total) = self.exec.freeze_at(prefix, chunk_bytes, self.clock);
+        self.stable
+            .unacked()
+            .checkpoint_begin(prefix, &dedup, total);
+        // An app that did not override chunking reports one chunk and
+        // does not freeze — its single chunk must be emitted before any
+        // further decree applies, so drain it right here. Real chunked
+        // apps stream across drive cycles instead.
+        if total <= 1 {
+            self.pump_checkpoint(usize::MAX);
         }
-        // Legacy stop-the-world checkpoint (never due over an open window).
-        let Some(snap) = self.exec.snapshot(prefix) else {
-            return;
-        };
-        self.stable.unacked().save_checkpoint(&snap);
-        self.checkpointed(snap.upto, snap.app.len() as u64, 1, Dur::ZERO);
     }
 
     /// Emit up to `budget` chunks of the in-flight incremental checkpoint,
@@ -1119,26 +1117,21 @@ impl Replica {
             .pump(budget, |idx, data| disk.checkpoint_chunk(idx, data))
         {
             disk.checkpoint_commit();
-            let took = self.clock.since(ck.started);
-            self.checkpointed(ck.upto, ck.bytes, ck.total as u64, took);
+            // Bounded disk: the log shrinks only once the image that
+            // replaces it is completely written.
+            disk.truncate_upto(ck.upto);
+            self.log.truncate_upto(ck.upto);
+            self.exec.checkpointed(ck.upto, ck.bytes);
+            let chunks = ck.total as u64;
+            self.stats.log_bytes = self.log.bytes();
+            self.stats.checkpoints += 1;
+            self.stats.checkpoint_bytes += ck.bytes;
+            self.stats.checkpoint_chunks += chunks;
+            self.stats.last_checkpoint_bytes = ck.bytes;
+            self.stats.last_checkpoint_chunks = chunks;
+            self.stats.last_checkpoint_dur = self.clock.since(ck.started);
         }
         self.exec.frozen()
-    }
-
-    /// A checkpoint at `upto` is on storage: compact the log behind it.
-    /// Bounded disk — the log shrinks only once the state that replaces
-    /// it is completely written.
-    fn checkpointed(&mut self, upto: Instance, bytes: u64, chunks: u64, took: Dur) {
-        self.stable.unacked().truncate_upto(upto);
-        self.log.truncate_upto(upto);
-        self.exec.checkpointed(upto, bytes);
-        self.stats.log_bytes = self.log.bytes();
-        self.stats.checkpoints += 1;
-        self.stats.checkpoint_bytes += bytes;
-        self.stats.checkpoint_chunks += chunks;
-        self.stats.last_checkpoint_bytes = bytes;
-        self.stats.last_checkpoint_chunks = chunks;
-        self.stats.last_checkpoint_dur = took;
     }
 
     pub(crate) fn install_snapshot(&mut self, snap: &SnapshotBlob) {

@@ -1202,15 +1202,13 @@ fn a_power_cut_mid_barrier_lets_nothing_but_accepts_escape() {
 }
 
 /// A leader asked for catch-up while its window is open, by a follower
-/// its log no longer reaches and with no retained chunks to stream
-/// (monolithic checkpoints), serves a snapshot of the chosen prefix — not
-/// of the prefix plus the decree it is still proposing, labelled as the
-/// prefix. [`Dice`] rolls per write, so the unchosen roll would show.
+/// its log no longer reaches and with no chunks to stream (its image came
+/// from an install), serves a snapshot of the chosen prefix — not of the
+/// prefix plus the decree it is still proposing, labelled as the prefix.
+/// [`Dice`] rolls per write, so the unchosen roll would show.
 #[test]
 fn catch_up_snapshot_served_over_an_open_window_is_the_chosen_prefix() {
-    let cfg = cluster_cfg(3)
-        .with_checkpoint_every(2)
-        .with_checkpoint_chunk_bytes(0);
+    let cfg = cluster_cfg(3).with_checkpoint_every(2);
     let disks = (0..3).map(|_| Box::new(MemStorage::new()) as Box<dyn Storage>);
     let mut s = Shuttle::serving(cfg.clone(), disks.collect(), || Box::new(Dice::default()));
     let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
@@ -1219,39 +1217,53 @@ fn catch_up_snapshot_served_over_an_open_window_is_the_chosen_prefix() {
         s.submit(&mut c, RequestKind::Write);
     }
 
+    // A fresh r2 installs r0's image at i4 by catch-up, then leads.
+    let fresh = |p: u32, now| {
+        let (app, disk) = (Box::new(Dice::default()), Box::new(MemStorage::new()));
+        Replica::new(ProcessId(p), cfg.clone(), app, disk, 9, now)
+    };
+    s.replicas[2] = Some(fresh(2, s.now));
+    s.fire(0, TimerKind::Heartbeat);
+    assert_eq!(s.replica(2).chosen_prefix(), Instance(4));
+    s.crash(0);
+    s.now = Time(Dur::from_secs(10).0);
+    s.fire(2, TimerKind::LeaderCheck);
+    assert_eq!(s.leader(), Some(2));
+    assert!(s.replica(2).stable.get().checkpoint_chunks().is_none());
+
     // A fifth write is executed and proposed, and its `Accept` goes nowhere.
     let request = sent(&c.submit_op(RequestKind::Write, Bytes::new(), s.now), |m| {
         matches!(m, Msg::Request(_))
     });
     let now = s.now;
-    let leader = s.replicas[0].as_mut().unwrap();
+    let leader = s.replicas[2].as_mut().unwrap();
     let proposed = leader.on_message(Addr::Client(c.id()), request, now);
     sent(&proposed, |m| matches!(m, Msg::Accept { .. }));
     assert_eq!(leader.chosen_prefix(), Instance(4));
     assert_eq!(leader.service_snapshot().len(), 5 * 8, "the window is open");
 
-    // An empty r2 asks for everything.
-    let r2 = Addr::Replica(ProcessId(2));
+    // An empty r0 asks for everything.
+    let r0 = Addr::Replica(ProcessId(0));
     let served = leader.on_message(
-        r2,
+        r0,
         Msg::CatchUpReq {
             have: Instance::ZERO,
         },
         now,
     );
+    assert!(!served.iter().any(|a| matches!(
+        a,
+        Action::Send {
+            msg: Msg::CatchUpChunk { .. },
+            ..
+        }
+    )));
     let catch_up = sent(&served, |m| matches!(m, Msg::CatchUp { .. }));
-    let mut follower = Replica::new(
-        ProcessId(2),
-        cfg,
-        Box::new(Dice::default()),
-        Box::new(MemStorage::new()),
-        9,
-        now,
-    );
-    follower.on_message(Addr::Replica(ProcessId(0)), catch_up, now);
+    let mut follower = fresh(0, now);
+    follower.on_message(Addr::Replica(ProcessId(2)), catch_up, now);
     assert_eq!(follower.chosen_prefix(), Instance(4));
 
-    let leader = s.replicas[0].as_mut().unwrap();
+    let leader = s.replicas[2].as_mut().unwrap();
     leader.stop(); // abandons the fifth write
     assert_eq!(leader.service_snapshot().len(), 4 * 8);
     assert_eq!(
@@ -1324,6 +1336,17 @@ fn open_recovers_on_a_bare_chosen_prefix() {
     let mut chosen = MemStorage::new();
     chosen.save_chosen_prefix(Instance(1));
     let _ = open_r1(chosen);
+}
+
+/// Every checkpoint streams in chunks, so a `Config` built by hand with
+/// a zero chunk size (past the builder's check) is refused at creation.
+#[test]
+#[should_panic(expected = "checkpoint_chunk_bytes must be nonzero")]
+fn a_replica_refuses_a_zero_chunk_size() {
+    let mut cfg = cluster_cfg(3);
+    cfg.checkpoint_chunk_bytes = 0;
+    let (app, disk) = (Box::new(NoopApp::new()), Box::new(MemStorage::new()));
+    let _ = Replica::new(ProcessId(0), cfg, app, disk, 1, Time::ZERO);
 }
 
 #[test]

@@ -104,7 +104,11 @@ pub trait Storage: Send {
     fn save_accepted(&mut self, i: Instance, b: Ballot, d: &Decree);
     /// Persist the contiguous chosen-and-applied prefix.
     fn save_chosen_prefix(&mut self, upto: Instance);
-    /// Persist a checkpoint.
+    /// Persist a whole image received at catch-up: the snapshot
+    /// [`crate::replica::Replica`] installs from a `CatchUp`, a
+    /// `CatchUpChunk` transfer or a promise. It supersedes any chunked
+    /// checkpoint, so [`Storage::checkpoint_chunks`] answers `None` after
+    /// it. Periodic checkpoints go through the chunk calls below.
     fn save_checkpoint(&mut self, snap: &SnapshotBlob);
     /// Drop accepted entries for instances `<= upto` (they are covered by a
     /// checkpoint).
@@ -127,41 +131,36 @@ pub trait Storage: Send {
         0
     }
 
-    /// Whether this backend implements the incremental checkpoint calls
-    /// below. The replica probes this before starting a chunked
-    /// checkpoint and falls back to the monolithic
-    /// [`Storage::save_checkpoint`] when unsupported, so third-party
-    /// backends that only implement the required methods stay correct.
+    /// Inert: every periodic checkpoint is chunked, and nothing reads
+    /// this. Delete in ROADMAP item 1: `benchmark/src/delay_storage.rs`
+    /// forwards it and its test asserts it.
+    #[doc(hidden)]
     fn supports_chunked_checkpoint(&self) -> bool {
-        false
+        true
     }
 
-    /// Open an incremental checkpoint at apply epoch `upto` with the given
-    /// dedup table; `total` chunks will follow. Replaces any prior pending
-    /// (uncommitted) chunked checkpoint.
-    fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
-        let _ = (upto, dedup, total);
-    }
+    /// Open a checkpoint at apply epoch `upto` with the given dedup
+    /// table; `total` chunks will follow. Replaces any prior pending
+    /// (uncommitted) chunked checkpoint. No default: a backend that
+    /// ignored the chunk calls would have the replica truncate its log
+    /// behind an image it never stored.
+    fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize);
 
     /// Append chunk `idx` (ascending from 0) of the pending checkpoint.
-    fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
-        let _ = (idx, data);
-    }
+    fn checkpoint_chunk(&mut self, idx: usize, data: Bytes);
 
     /// Atomically commit the pending chunked checkpoint: after this
     /// returns, [`Storage::load`] reflects the new checkpoint.
-    fn checkpoint_commit(&mut self) {}
+    fn checkpoint_commit(&mut self);
 
     /// Discard the pending chunked checkpoint (e.g. superseded by an
     /// installed catch-up snapshot).
-    fn checkpoint_abort(&mut self) {}
+    fn checkpoint_abort(&mut self);
 
     /// The latest *committed* chunked checkpoint, if this backend holds
     /// one. Serving replicas stream these chunks to lagging peers without
     /// re-serializing O(state) (the chunks are refcounted).
-    fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint> {
-        None
-    }
+    fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint>;
 }
 
 /// What the [`MemStorage`]s that share it did, for a simulator that
@@ -241,8 +240,7 @@ impl Storage for MemStorage {
 
     fn save_checkpoint(&mut self, snap: &SnapshotBlob) {
         self.state.checkpoint = Some(snap.clone());
-        // A monolithic save supersedes any chunked image (e.g. a catch-up
-        // snapshot installed over a half-streamed checkpoint).
+        // An installed image supersedes any periodic (chunked) one.
         self.chunked = None;
         self.wrote();
     }
@@ -278,10 +276,6 @@ impl Storage for MemStorage {
 
     fn write_count(&self) -> u64 {
         self.writes
-    }
-
-    fn supports_chunked_checkpoint(&self) -> bool {
-        true
     }
 
     fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
@@ -384,9 +378,6 @@ impl Storage for TailLossStorage {
     fn write_count(&self) -> u64 {
         self.live.writes
     }
-    fn supports_chunked_checkpoint(&self) -> bool {
-        true
-    }
     fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
         self.live.checkpoint_begin(upto, dedup, total);
     }
@@ -477,7 +468,6 @@ mod tests {
     #[test]
     fn chunked_checkpoint_commit_is_visible_to_load() {
         let mut s = MemStorage::new();
-        assert!(s.supports_chunked_checkpoint());
         s.checkpoint_begin(Instance(9), &[], 3);
         for (i, part) in [b"aa".as_slice(), b"bbb", b"c"].iter().enumerate() {
             s.checkpoint_chunk(i, Bytes::copy_from_slice(part));
@@ -505,8 +495,10 @@ mod tests {
         assert!(s.checkpoint_chunks().is_none());
     }
 
+    /// A catch-up install lands on a disk that holds a periodic image:
+    /// the installed one is what `load` and catch-up serve from then on.
     #[test]
-    fn monolithic_save_supersedes_chunked() {
+    fn an_installed_image_supersedes_a_periodic_one() {
         let mut s = MemStorage::new();
         s.checkpoint_begin(Instance(2), &[], 1);
         s.checkpoint_chunk(0, Bytes::from_static(b"old"));

@@ -48,7 +48,15 @@
 //! node's groups. (The lone fsync under the lock is `truncate_upto`'s
 //! WAL rewrite, which must hold it across its file work: releasing it
 //! between the mirror snapshot and the rename would lose any record
-//! appended in between.)
+//! appended in between. It runs in `rewrite_wal`, a call the `one-guard`
+//! lint rule does not follow; every fsync it can see here runs with the
+//! guard dropped.)
+//!
+//! A committed checkpoint file that does not parse is corruption, not a
+//! torn write (both are written to a temp file and renamed into place),
+//! and the log behind it may already be truncated: [`FlushCoordinator::open`]
+//! refuses the directory with [`io::ErrorKind::InvalidData`] naming the
+//! file. A leftover `*.tmp` was never committed and is ignored.
 //!
 //! `truncate_upto` compacts by rewriting the WAL with only the retained
 //! records (all groups). A torn record at the WAL tail (a crash
@@ -64,12 +72,11 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gridpaxos_core::ballot::Ballot;
 use gridpaxos_core::command::{Decree, DedupEntry, SnapshotBlob};
 use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState, Storage};
-use gridpaxos_core::sync::{blocking, Mutex};
 use gridpaxos_core::types::Instance;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const TAG_PROMISED: u8 = 1;
 const TAG_ACCEPTED: u8 = 2;
@@ -102,6 +109,12 @@ fn fatal_io<T>(what: &str, r: io::Result<T>) -> T {
         Ok(v) => v,
         Err(e) => panic!("fatal storage I/O failure ({what}): {e}"),
     }
+}
+
+/// The WAL's guard. A holder that panicked was on a `fatal_io` path that
+/// takes the process down with it, so poison is never worth a refusal.
+fn lock(wal: &Mutex<WalInner>) -> MutexGuard<'_, WalInner> {
+    wal.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A chunked checkpoint mid-stream: the temp file being written plus the
@@ -190,15 +203,11 @@ impl WalInner {
                 }
             }
             if self.mode != SyncMode::Never {
-                // lint: allow(guard-across-blocking): the WAL swap must
-                // exclude concurrent appends — see the method doc.
                 fatal_io("fsync wal.tmp", f.sync_data());
             }
         }
         fatal_io("swap WAL", fs::rename(&tmp, self.dir.join("wal.log")));
         if self.mode != SyncMode::Never {
-            // lint: allow(guard-across-blocking): part of the same
-            // appends-excluded WAL swap.
             sync_dir(&self.dir);
         }
         self.wal = fatal_io(
@@ -273,7 +282,8 @@ fn chunked_tmp_path(dir: &Path, group: u32) -> PathBuf {
 /// Parse a committed `*.chunks` file: a header frame (`upto`, chunk
 /// count, dedup table) followed by one frame per chunk. Returns `None`
 /// on any inconsistency — commit renames atomically, so a malformed file
-/// is corruption and the WAL-replayed state stands on its own.
+/// is corruption. The WAL behind the image may already be truncated, so
+/// the replayed log cannot stand in for it: the caller refuses to open.
 fn read_chunked(path: &Path) -> Option<ChunkedCheckpoint> {
     let mut r = BufReader::new(File::open(path).ok()?);
     let mut header = read_frame(&mut r).ok()??;
@@ -306,6 +316,12 @@ fn write_compacted(f: &mut File, group: u32, record: &[u8]) {
     }
 }
 
+/// The error for a committed checkpoint file that does not parse.
+fn corrupt(path: &Path) -> io::Error {
+    let what = format!("corrupt checkpoint file {}", path.display());
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
 /// fsync a directory so a rename performed inside it is durable.
 fn sync_dir(dir: &Path) {
     let d = fatal_io("open data dir for fsync", File::open(dir));
@@ -330,26 +346,26 @@ impl FileStorage {
     /// The data directory.
     #[must_use]
     pub fn dir(&self) -> PathBuf {
-        self.wal.lock().dir.clone()
+        lock(&self.wal).dir.clone()
     }
 
     /// Records appended to the (shared) WAL so far.
     #[must_use]
     pub fn appends(&self) -> u64 {
-        self.wal.lock().appends
+        lock(&self.wal).appends
     }
 
     /// WAL `sync_data` calls issued so far. Group commit amortizes:
     /// `syncs` grows per flush barrier, not per record.
     #[must_use]
     pub fn syncs(&self) -> u64 {
-        self.wal.lock().syncs
+        lock(&self.wal).syncs
     }
 
     /// Update the mirror and append one record for this group, under the
     /// lock. Durability waits for the next flush barrier.
     fn append_record(&self, record: &[u8], update: impl FnOnce(&mut WalInner)) {
-        let mut inner = self.wal.lock();
+        let mut inner = lock(&self.wal);
         update(&mut inner);
         inner.append(self.group, record);
     }
@@ -450,7 +466,7 @@ impl Storage for FileStorage {
         // holding the lock across a checkpoint-sized write+fsync would
         // stall every group's appends for the duration.
         let (dir, mode) = {
-            let inner = self.wal.lock();
+            let inner = lock(&self.wal);
             (inner.dir.clone(), inner.mode)
         };
         let tmp = dir.join(format!("checkpoint-g{}.tmp", self.group));
@@ -460,7 +476,6 @@ impl Storage for FileStorage {
             put_snapshot(&mut out, snap);
             fatal_io("write checkpoint", f.write_all(&out));
             if mode != SyncMode::Never {
-                blocking("checkpoint.sync_data");
                 fatal_io("fsync checkpoint", f.sync_data());
             }
         }
@@ -472,14 +487,13 @@ impl Storage for FileStorage {
         // failure even though the temp file's *contents* were synced: the
         // rename lives in the directory, not the file.
         if mode != SyncMode::Never {
-            blocking("dir.sync_all");
             sync_dir(&dir);
         }
-        // Only after the image is on disk does the mirror adopt it. A
-        // monolithic save supersedes any committed chunked image; drop
-        // its file so a stale (lower-`upto`) one can't win on reopen.
+        // Only after the image is on disk does the mirror adopt it. An
+        // installed image supersedes any committed chunked one; drop its
+        // file so a stale (lower-`upto`) one can't win on reopen.
         {
-            let mut inner = self.wal.lock();
+            let mut inner = lock(&self.wal);
             inner.states[self.group as usize].checkpoint = Some(snap.clone());
             inner.chunked[self.group as usize] = None;
         }
@@ -487,19 +501,17 @@ impl Storage for FileStorage {
     }
 
     fn truncate_upto(&mut self, upto: Instance) {
-        let mut inner = self.wal.lock();
+        let mut inner = lock(&self.wal);
         let g = self.group as usize;
         inner.states[g].accepted = inner.states[g].accepted.split_off(&upto.next());
         // The WAL rewrite must hold the lock for the whole mirror-write
         // + fsync + rename: a record appended between the snapshot and
         // the rename would be lost.
-        // lint: allow(guard-across-blocking): rewrite excludes appends by design
-        // lint: allow(send-while-locked): its `open` is `OpenOptions::open`, not `Replica::open`
         inner.rewrite_wal();
     }
 
     fn load(&self) -> DurableState {
-        let inner = self.wal.lock();
+        let inner = lock(&self.wal);
         let mut d = inner.states[self.group as usize].clone();
         if let Some(ck) = &inner.chunked[self.group as usize] {
             if d.checkpoint.as_ref().is_none_or(|c| c.upto < ck.upto) {
@@ -514,41 +526,34 @@ impl Storage for FileStorage {
     /// the lock so other groups keep appending while the platter works.
     /// Records appended meanwhile ride the next barrier.
     fn flush(&mut self) {
-        let inner = self.wal.lock();
+        let inner = lock(&self.wal);
         let target = inner.appended_seq;
         if inner.durable_seq >= target {
             return; // clean flush is free
         }
         let wal = fatal_io("dup WAL handle", inner.wal.try_clone());
         drop(inner);
-        blocking("wal.sync_data");
         fatal_io("WAL fsync (flush barrier)", wal.sync_data());
-        let mut inner = self.wal.lock();
+        let mut inner = lock(&self.wal);
         inner.syncs += 1;
         inner.durable_seq = inner.durable_seq.max(target);
     }
 
     fn is_dirty(&self) -> bool {
-        let inner = self.wal.lock();
+        let inner = lock(&self.wal);
         inner.appended_seq > inner.durable_seq
     }
 
     fn write_count(&self) -> u64 {
-        self.wal.lock().appends
-    }
-
-    fn supports_chunked_checkpoint(&self) -> bool {
-        true
+        lock(&self.wal).appends
     }
 
     fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
-        self.wal
-            .lock()
-            .chunked_begin(self.group, upto, dedup, total);
+        lock(&self.wal).chunked_begin(self.group, upto, dedup, total);
     }
 
     fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
-        self.wal.lock().chunked_chunk(self.group, idx, data);
+        lock(&self.wal).chunked_chunk(self.group, idx, data);
     }
 
     fn checkpoint_commit(&mut self) {
@@ -558,7 +563,7 @@ impl Storage for FileStorage {
         // (fsync + rename + dir fsync) needs no WAL state.
         let g = self.group as usize;
         let (p, dir, mode) = {
-            let mut inner = self.wal.lock();
+            let mut inner = lock(&self.wal);
             let Some(p) = inner.pending_chunks[g].take() else {
                 return;
             };
@@ -566,7 +571,6 @@ impl Storage for FileStorage {
         };
         debug_assert_eq!(p.ck.chunks.len(), p.total, "commit of a complete image");
         if mode != SyncMode::Never {
-            blocking("chunks.sync_data");
             fatal_io("fsync chunks", p.file.sync_data());
         }
         fatal_io(
@@ -577,13 +581,12 @@ impl Storage for FileStorage {
             ),
         );
         if mode != SyncMode::Never {
-            blocking("dir.sync_all");
             sync_dir(&dir);
         }
-        // The chunked image is now authoritative; the stale monolithic
-        // file (and its mirror) must not resurrect an older state.
+        // The chunked image is now authoritative; a stale installed image
+        // (file and mirror) must not resurrect an older state.
         {
-            let mut inner = self.wal.lock();
+            let mut inner = lock(&self.wal);
             inner.states[g].checkpoint = None;
             inner.chunked[g] = Some(p.ck);
         }
@@ -591,11 +594,11 @@ impl Storage for FileStorage {
     }
 
     fn checkpoint_abort(&mut self) {
-        self.wal.lock().chunked_abort(self.group);
+        lock(&self.wal).chunked_abort(self.group);
     }
 
     fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint> {
-        self.wal.lock().chunked[self.group as usize].clone()
+        lock(&self.wal).chunked[self.group as usize].clone()
     }
 }
 
@@ -611,9 +614,11 @@ pub struct FlushCoordinator {
 
 impl FlushCoordinator {
     /// Open (or create) the shared log in `dir` for `n_groups` groups,
-    /// replaying any existing WAL and per-group checkpoints. Opening a
-    /// WAL that contains records for group `>= n_groups` fails (a
-    /// differently sized deployment's data directory).
+    /// replaying any existing WAL and per-group checkpoints. A committed
+    /// checkpoint file that does not parse fails the open with
+    /// [`io::ErrorKind::InvalidData`], naming the file. A WAL record for a
+    /// group `>= n_groups` (a differently sized deployment's data
+    /// directory) ends the replay like a torn tail.
     pub fn open(
         dir: impl AsRef<Path>,
         mode: SyncMode,
@@ -628,30 +633,23 @@ impl FlushCoordinator {
         // Checkpoints first (they are the base the WAL builds on).
         let mut chunked: Vec<Option<ChunkedCheckpoint>> = (0..n_groups).map(|_| None).collect();
         for (g, state) in states.iter_mut().enumerate() {
-            let path = if g == 0 {
-                dir.join("checkpoint.bin")
-            } else {
-                dir.join(format!("checkpoint-g{g}.bin"))
-            };
+            let path = checkpoint_path(&dir, g as u32);
             if path.exists() {
-                let raw = fs::read(&path)?;
-                let mut buf = Bytes::from(raw);
-                if let Ok(snap) = get_snapshot(&mut buf) {
-                    state.chosen_prefix = state.chosen_prefix.max(snap.upto);
-                    state.checkpoint = Some(snap);
-                }
+                let mut buf = Bytes::from(fs::read(&path)?);
+                let snap = get_snapshot(&mut buf).map_err(|_| corrupt(&path))?;
+                state.chosen_prefix = state.chosen_prefix.max(snap.upto);
+                state.checkpoint = Some(snap);
             }
             let cpath = chunked_path(&dir, g as u32);
             if cpath.exists() {
-                if let Some(ck) = read_chunked(&cpath) {
-                    // Whichever image covers more instances wins; commit
-                    // deletes the loser's file, so a tie is impossible
-                    // short of a crash between rename and unlink.
-                    if state.checkpoint.as_ref().is_none_or(|c| c.upto < ck.upto) {
-                        state.chosen_prefix = state.chosen_prefix.max(ck.upto);
-                        state.checkpoint = None;
-                        chunked[g] = Some(ck);
-                    }
+                let ck = read_chunked(&cpath).ok_or_else(|| corrupt(&cpath))?;
+                // Whichever image covers more instances wins; commit
+                // deletes the loser's file, so a tie is impossible short
+                // of a crash between rename and unlink.
+                if state.checkpoint.as_ref().is_none_or(|c| c.upto < ck.upto) {
+                    state.chosen_prefix = state.chosen_prefix.max(ck.upto);
+                    state.checkpoint = None;
+                    chunked[g] = Some(ck);
                 }
             }
         }
@@ -724,20 +722,20 @@ impl FlushCoordinator {
     /// Records appended to the shared WAL so far (all groups).
     #[must_use]
     pub fn appends(&self) -> u64 {
-        self.wal.lock().appends
+        lock(&self.wal).appends
     }
 
     /// WAL `sync_data` calls issued so far (all groups). With group
     /// commit, `appends / syncs` is the amortization factor.
     #[must_use]
     pub fn syncs(&self) -> u64 {
-        self.wal.lock().syncs
+        lock(&self.wal).syncs
     }
 
     /// Whether records are pending the next flush barrier.
     #[must_use]
     pub fn is_dirty(&self) -> bool {
-        let inner = self.wal.lock();
+        let inner = lock(&self.wal);
         inner.appended_seq > inner.durable_seq
     }
 }
@@ -748,6 +746,7 @@ mod tests {
     use gridpaxos_core::command::{Command, StateUpdate};
     use gridpaxos_core::request::{ReplyBody, Request, RequestId, RequestKind};
     use gridpaxos_core::types::{ClientId, ProcessId, Seq};
+    use proptest::prelude::*;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -823,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_checkpoint_survives_reopen_and_supersedes_monolithic() {
+    fn chunked_checkpoint_survives_reopen_and_supersedes_an_older_install() {
         let dir = tmpdir("chunked");
         {
             let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
@@ -831,18 +830,17 @@ mod tests {
                 s.save_accepted(Instance(i), ballot(1), &decree(i));
             }
             s.save_chosen_prefix(Instance(8));
-            // An older monolithic checkpoint that the chunked image must
+            // An older installed image that the periodic one must
             // supersede.
             s.save_checkpoint(&SnapshotBlob {
                 upto: Instance(2),
                 app: Bytes::from_static(b"old"),
                 dedup: vec![],
             });
-            assert!(s.supports_chunked_checkpoint());
             s.checkpoint_begin(Instance(6), &[], 3);
             s.checkpoint_chunk(0, Bytes::from_static(b"aa"));
             s.checkpoint_chunk(1, Bytes::from_static(b"bbb"));
-            // Uncommitted: load still sees the monolithic image.
+            // Uncommitted: load still sees the installed image.
             assert_eq!(s.load().checkpoint.unwrap().upto, Instance(2));
             s.checkpoint_chunk(2, Bytes::from_static(b"c"));
             s.checkpoint_commit();
@@ -873,8 +871,10 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// A catch-up install over a periodic image: the installed one is
+    /// what reopen finds, and there are no chunks left to serve.
     #[test]
-    fn monolithic_save_supersedes_chunked_on_disk() {
+    fn an_installed_image_supersedes_a_periodic_one_on_disk() {
         let dir = tmpdir("chunked-supersede");
         {
             let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
@@ -893,6 +893,83 @@ mod tests {
         let d = s.load();
         assert_eq!(d.checkpoint.as_ref().unwrap().upto, Instance(5));
         assert_eq!(&d.checkpoint.unwrap().app[..], b"mono");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// What opening `dir` answers, when it must refuse.
+    fn refusal(dir: &Path) -> io::Error {
+        match FileStorage::open_with_mode(dir, SyncMode::Never) {
+            Ok(_) => panic!("opened a directory holding a corrupt checkpoint"),
+            Err(e) => e,
+        }
+    }
+
+    /// A committed `.chunks` file missing its last byte. The log behind
+    /// the image is truncated, so recovery from the log alone would find
+    /// a chosen prefix with nothing under it: open fails, naming the file.
+    #[test]
+    fn a_truncated_chunks_file_refuses_to_open() {
+        let dir = tmpdir("torn-chunks");
+        {
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
+            for i in 1..=8u64 {
+                s.save_accepted(Instance(i), ballot(1), &decree(i));
+            }
+            s.save_chosen_prefix(Instance(8));
+            s.checkpoint_begin(Instance(6), &[], 2);
+            s.checkpoint_chunk(0, Bytes::from_static(b"aa"));
+            s.checkpoint_chunk(1, Bytes::from_static(b"bb"));
+            s.checkpoint_commit();
+            s.truncate_upto(Instance(6));
+        }
+        let path = dir.join("checkpoint.chunks");
+        let raw = fs::read(&path).unwrap();
+        fs::write(&path, &raw[..raw.len() - 1]).unwrap();
+        let e = refusal(&dir);
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("checkpoint.chunks"), "{e}");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_garbage_checkpoint_bin_refuses_to_open() {
+        let dir = tmpdir("garbage-bin");
+        {
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
+            for i in 1..=4u64 {
+                s.save_accepted(Instance(i), ballot(1), &decree(i));
+            }
+            s.save_chosen_prefix(Instance(4));
+            s.save_checkpoint(&SnapshotBlob {
+                upto: Instance(3),
+                app: Bytes::from_static(b"installed"),
+                dedup: vec![],
+            });
+            s.truncate_upto(Instance(3));
+        }
+        fs::write(dir.join("checkpoint.bin"), b"garbage").unwrap();
+        let e = refusal(&dir);
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("checkpoint.bin"), "{e}");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// A temp file was never renamed into place, so it was never
+    /// committed: whatever it holds, open does not read it.
+    #[test]
+    fn a_leftover_tmp_file_is_ignored() {
+        let dir = tmpdir("leftover-tmp");
+        FileStorage::open_with_mode(&dir, SyncMode::Never)
+            .unwrap()
+            .save_promised(ballot(2));
+        for tmp in ["checkpoint.chunks.tmp", "checkpoint-g0.tmp", "wal.tmp"] {
+            fs::write(dir.join(tmp), b"garbage").unwrap();
+        }
+        let d = FileStorage::open_with_mode(&dir, SyncMode::Never)
+            .unwrap()
+            .load();
+        assert_eq!(d.promised, ballot(2));
+        assert!(d.checkpoint.is_none());
         fs::remove_dir_all(dir).ok();
     }
 
@@ -1150,6 +1227,79 @@ mod tests {
             );
             assert_eq!(got.accepted, want.accepted, "cut at byte {cut}");
             fs::remove_dir_all(tdir).ok();
+        }
+        fs::remove_dir_all(dir).ok();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Group commit on one shared log, under any schedule of appends
+        /// and barriers from 1–3 groups: `is_dirty` says exactly whether
+        /// an append awaits a barrier (so the log is clean after every
+        /// flush), barriers sync no more often than they are called, and
+        /// reopen holds every accepted record.
+        #[test]
+        fn flush_schedules_keep_the_group_commit_contract(
+            n_groups in 1usize..4,
+            ops in proptest::collection::vec((0usize..3, any::<bool>()), 12..25),
+        ) {
+            let dir = tmpdir("flush-schedule");
+            let coord = FlushCoordinator::open(&dir, SyncMode::Batched, n_groups).unwrap();
+            let mut storages = coord.storages();
+            let mut appended = vec![0u64; n_groups];
+            let mut flushes = 0u64;
+            for (g, append) in ops {
+                let g = g % n_groups;
+                if append {
+                    appended[g] += 1;
+                    let i = appended[g];
+                    storages[g].save_accepted(Instance(i), ballot(1), &decree(i));
+                } else {
+                    storages[g].flush();
+                    flushes += 1;
+                }
+                prop_assert_eq!(coord.is_dirty(), append);
+            }
+            storages[0].flush();
+            flushes += 1;
+            prop_assert!(!coord.is_dirty(), "dirty after the final flush");
+            prop_assert!(coord.syncs() <= flushes, "{} syncs", coord.syncs());
+            drop((storages, coord));
+            let reopened = FlushCoordinator::open(&dir, SyncMode::Batched, n_groups).unwrap();
+            for (g, want) in appended.iter().enumerate() {
+                prop_assert_eq!(reopened.storage(g).load().accepted.len() as u64, *want);
+            }
+            fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    /// One thread per group appends and flushes through its own handle on
+    /// the shared log: flushers race, each syncing what it saw appended.
+    /// After the joins nothing awaits a barrier, and reopen holds every
+    /// record.
+    #[test]
+    fn concurrent_flushers_lose_no_record() {
+        let dir = tmpdir("concurrent-flushers");
+        let coord = FlushCoordinator::open(&dir, SyncMode::Batched, 3).unwrap();
+        std::thread::scope(|s| {
+            for mut storage in coord.storages() {
+                s.spawn(move || {
+                    for i in 1..=40u64 {
+                        storage.save_accepted(Instance(i), ballot(1), &decree(i));
+                        if i % 3 == 0 {
+                            storage.flush();
+                        }
+                    }
+                    storage.flush();
+                });
+            }
+        });
+        assert!(!coord.is_dirty(), "every flusher returned");
+        drop(coord);
+        let reopened = FlushCoordinator::open(&dir, SyncMode::Batched, 3).unwrap();
+        for g in 0..3 {
+            assert_eq!(reopened.storage(g).load().accepted.len(), 40, "group {g}");
         }
         fs::remove_dir_all(dir).ok();
     }

@@ -28,11 +28,10 @@ use bytes::Bytes;
 use crossbeam::channel::Sender;
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::request::{Request, RequestId, RequestKind};
-use gridpaxos_core::sync::Mutex;
 use gridpaxos_core::types::{Addr, ClientId, ProcessId, Seq};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Retransmission timeout for a closed-loop virtual client.
@@ -103,6 +102,12 @@ pub struct MuxSwarm {
     writers: Arc<Vec<Sender<Msg>>>,
     readers: Vec<std::thread::JoinHandle<()>>,
     sockets: Vec<TcpStream>,
+}
+
+/// `m`'s guard; the swarm's counters stay readable after a reader thread
+/// panicked while holding it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Send `msg` to the learned leader, or everyone when none is known.
@@ -197,7 +202,7 @@ impl MuxSwarm {
             // Stage the initial burst under the lock, send it after: a
             // channel send while holding `core` would hold the reader
             // threads' reply path hostage to the channel's backpressure.
-            let mut c = self.core.lock();
+            let mut c = lock(&self.core);
             let leader = c.leader;
             let mut to_send = Vec::with_capacity(c.vclients.len());
             for v in &mut c.vclients {
@@ -214,7 +219,7 @@ impl MuxSwarm {
         loop {
             std::thread::sleep(TICK);
             let now = Instant::now();
-            let mut c = self.core.lock();
+            let mut c = lock(&self.core);
             let leader = c.leader;
             let mut all_done = true;
             let mut to_send = Vec::new();
@@ -269,7 +274,7 @@ impl MuxSwarm {
             }
             next_at += interval;
             let msg = {
-                let mut c = self.core.lock();
+                let mut c = lock(&self.core);
                 let v = rr % c.vclients.len();
                 rr += 1;
                 c.vclients[v].seq += 1;
@@ -290,7 +295,7 @@ impl MuxSwarm {
     }
 
     fn report(&self, elapsed: Duration, sent: u64) -> MuxReport {
-        let mut c = self.core.lock();
+        let mut c = lock(&self.core);
         let mut samples = std::mem::take(&mut c.samples);
         samples.sort_unstable();
         let pct = |p: f64| -> f64 {
@@ -342,7 +347,7 @@ impl MuxSwarm {
 fn on_reply(core: &Mutex<Core>, msg: Msg) {
     let Msg::Reply(reply) = msg else { return };
     let now = Instant::now();
-    let mut c = core.lock();
+    let mut c = lock(core);
     // Leader hint for subsequent unicasts (Busy sheds are not from the
     // leader, so they don't update it).
     if !reply.body.is_busy() {

@@ -769,7 +769,6 @@ impl Reactor {
         while !self.stop.load(Ordering::Relaxed) {
             events.clear();
             let timeout = self.wait();
-            gridpaxos_core::sync::blocking("epoll.wait");
             if self.epoll.wait_for(&mut events, timeout).is_err() {
                 break;
             }
@@ -1499,9 +1498,6 @@ mod tests {
         }
         fn write_count(&self) -> u64 {
             self.inner.write_count()
-        }
-        fn supports_chunked_checkpoint(&self) -> bool {
-            self.inner.supports_chunked_checkpoint()
         }
         fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
             self.inner.checkpoint_begin(upto, dedup, total);

@@ -19,17 +19,22 @@ use gridpaxos_core::action::{Action, TimerKind};
 use gridpaxos_core::client::{ClientCore, CompletedOp, TxnDriver, TxnOutcome, TxnScript};
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::request::{ReplyBody, RequestKind};
-use gridpaxos_core::sync::Mutex;
 use gridpaxos_core::types::{Addr, ClientId, ProcessId, Time};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Longest a [`SyncClient`] sleeps in one receive, so a retry comes due
 /// on time.
 const MAX_WAIT: Duration = Duration::from_millis(25);
+
+/// `m`'s guard; a holder that panicked left the map whole, so poison is
+/// no reason to refuse it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A client's TCP endpoint: one lazily dialed connection per replica,
 /// every reply funnelled into one inbox.
@@ -62,7 +67,7 @@ impl TcpNode {
 
     /// Get (or lazily establish) the outbound writer for `to`.
     fn writer_for(&self, to: Addr) -> Option<Sender<Msg>> {
-        if let Some(tx) = self.conns.lock().get(&to) {
+        if let Some(tx) = lock(&self.conns).get(&to) {
             return Some(tx.clone());
         }
         // Only replicas can be dialed (clients don't listen).
@@ -72,7 +77,7 @@ impl TcpNode {
         };
         let stream = TcpStream::connect_timeout(&sock, Duration::from_millis(500)).ok()?;
         let tx = spawn_writer(stream.try_clone().ok()?, self.local).ok()?;
-        self.conns.lock().insert(to, tx.clone());
+        lock(&self.conns).insert(to, tx.clone());
         let inbox = self.inbox_tx.clone();
         let conns = Arc::clone(&self.conns);
         std::thread::Builder::new()
@@ -80,7 +85,7 @@ impl TcpNode {
             .spawn(move || {
                 read_msgs(stream, |msg| inbox.send(msg).is_ok());
                 // Dropping the map's sender also ends the writer thread.
-                conns.lock().remove(&to);
+                lock(&conns).remove(&to);
             })
             .ok()?;
         Some(tx)
@@ -97,7 +102,6 @@ impl TcpNode {
     /// The next message from any replica, waiting at most `timeout`. The
     /// node holds its own inbox sender, so the inbox never closes.
     fn recv_timeout(&self, timeout: Duration) -> Option<Msg> {
-        gridpaxos_core::sync::blocking("transport.recv_timeout");
         self.inbox_rx.recv_timeout(timeout).ok()
     }
 }

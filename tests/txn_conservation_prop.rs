@@ -139,15 +139,16 @@ proptest! {
     /// while 2PC intents are live, so a crashed node's recovery state is
     /// dominated by a checkpoint taken mid-transaction — prepared intents,
     /// key locks and the home group's decision table must ride the
-    /// snapshot (monolithic or chunked) or the recovered node resurrects
-    /// without its vote and atomicity breaks.
+    /// snapshot or the recovered node resurrects without its vote and
+    /// atomicity breaks. The image streams in 256 B chunks or, at 64 KiB,
+    /// as one chunk.
     #[test]
     fn intents_survive_checkpoint_truncation_and_crash(
         seed in any::<u64>(),
         crash_node in 0u32..3,
         crash_ms in 300u64..1500,
         down_ms in 400u64..1500,
-        chunked in any::<bool>(),
+        chunk_bytes in prop_oneof![Just(256usize), Just(64 * 1024)],
     ) {
         let n_groups = 4;
         let clients = 3;
@@ -157,7 +158,7 @@ proptest! {
         // transfers continuously holding prepared intents, most
         // checkpoints snapshot live 2PC state.
         cfg.checkpoint_every = 4;
-        cfg.checkpoint_chunk_bytes = if chunked { 256 } else { 0 };
+        cfg.checkpoint_chunk_bytes = chunk_bytes;
         let mut w = sharded_world(cfg, seed, n_groups);
         add_transfer_clients(&mut w, clients, 8, n_groups, per);
         w.crash_at(ProcessId(crash_node), Time(Dur::from_millis(crash_ms).0));
