@@ -813,24 +813,23 @@ fn follower_reads_with(seed: u64, per_client: u64) -> TableOut {
 /// E14 — reactor transport: the nonblocking epoll reactor on a real
 /// 3-node loopback cluster (not the simulator). Two phases:
 ///
-/// * **closed-loop**: real `SyncClient` connections, then the headline
-///   run — 10,000+ virtual clients multiplexed over three sockets
-///   ([`MuxSwarm`]);
+/// * **closed-loop**: real `SyncClient`s, one per thread, then the
+///   headline run — 10,000 shipped client cores on one
+///   [`ClientLoop`] thread over three sockets;
 /// * **open-loop**: a fixed offered-rate sweep past saturation. The
 ///   reactor's admission gate sheds the excess with `Busy` (throughput
 ///   plateaus, tail latency stays bounded).
 ///
-/// The thread-per-connection transport this was A/B'd against is gone;
-/// its rows are frozen in EXPERIMENTS.md E14 and the committed
-/// `BENCH_reactor.json`, which a rerun overwrites with reactor rows
-/// only. Linux only (epoll); elsewhere the table carries a note and no
+/// The thread-per-connection transport and the hand-made virtual-client
+/// driver the earlier rows ran on are gone; their rows are frozen in
+/// EXPERIMENTS.md E14. Linux only (epoll); elsewhere the table carries a note and no
 /// rows.
 ///
-/// [`MuxSwarm`]: gridpaxos_transport::MuxSwarm
+/// [`ClientLoop`]: gridpaxos_transport::ClientLoop
 #[must_use]
 #[cfg(target_os = "linux")]
-pub fn reactor(seed: u64) -> TableOut {
-    reactor_live::reactor_with(seed, &reactor_live::Scale::full())
+pub fn reactor(_seed: u64) -> TableOut {
+    reactor_live::reactor_with(&reactor_live::Scale::full())
 }
 
 /// Non-Linux stub: the reactor needs epoll.
@@ -857,28 +856,28 @@ pub fn reactor(_seed: u64) -> TableOut {
 #[cfg(target_os = "linux")]
 mod reactor_live {
     use super::TableOut;
+    use bytes::Bytes;
+    use gridpaxos_core::client::ClientCore;
     use gridpaxos_core::config::Config;
     use gridpaxos_core::request::RequestKind;
     use gridpaxos_core::service::NoopApp;
-    use gridpaxos_core::types::ProcessId;
-    use gridpaxos_transport::{MuxSwarm, ReactorCluster, SyncClient};
-    use std::collections::HashMap;
-    use std::net::SocketAddr;
+    use gridpaxos_core::types::Dur;
+    use gridpaxos_transport::{ClientLoop, Outcome, ReactorCluster, SyncClient};
     use std::time::{Duration, Instant};
 
     /// Workload sizes; the CI smoke test shrinks these, the full run
     /// (and `BENCH_reactor.json`) uses `full()`.
     pub(crate) struct Scale {
-        /// Real-`SyncClient` count (one thread and three sockets each).
+        /// `SyncClient` count (one thread each).
         pub parity_clients: usize,
-        /// Virtual clients multiplexed over three sockets (headline).
-        pub mux_clients: usize,
+        /// Client cores on one client loop (headline).
+        pub loop_clients: usize,
         /// Closed-loop ops per client.
         pub ops_each: u64,
         /// Open-loop offered rates (req/s) to sweep.
         pub open_rates: Vec<u64>,
-        /// Concurrent single-vclient swarms injecting the open-loop rate.
-        pub open_swarms: usize,
+        /// Client cores the open loop draws its requests from.
+        pub open_pool: usize,
         /// Injection window per open-loop rate.
         pub open_dur: Duration,
     }
@@ -887,10 +886,10 @@ mod reactor_live {
         pub(crate) fn full() -> Scale {
             Scale {
                 parity_clients: 512,
-                mux_clients: 10_000,
+                loop_clients: 10_000,
                 ops_each: 10,
                 open_rates: vec![4_000, 16_000, 64_000],
-                open_swarms: 32,
+                open_pool: 4_096,
                 open_dur: Duration::from_secs(2),
             }
         }
@@ -899,10 +898,10 @@ mod reactor_live {
         pub(crate) fn smoke() -> Scale {
             Scale {
                 parity_clients: 32,
-                mux_clients: 300,
+                loop_clients: 300,
                 ops_each: 10,
                 open_rates: vec![2_000],
-                open_swarms: 8,
+                open_pool: 64,
                 open_dur: Duration::from_millis(500),
             }
         }
@@ -916,18 +915,24 @@ mod reactor_live {
         sorted_ns[idx] as f64 / 1e6
     }
 
-    fn client_base(seed: u64) -> u64 {
-        (std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(1)
-            ^ seed)
-            | 1
+    /// A one-byte write.
+    fn write_op(i: u64) -> Bytes {
+        Bytes::copy_from_slice(&[(i & 0xff) as u8])
+    }
+
+    /// A client loop over `n` shipped client cores with fresh ids and the
+    /// shipped 500 ms retry, as `ReactorCluster::client` makes them.
+    fn client_loop(cluster: &ReactorCluster, n: usize) -> ClientLoop {
+        let replicas = cluster.addrs.len();
+        let cores = (0..n)
+            .map(|_| ClientCore::new(cluster.next_client_id(), replicas, Dur::from_millis(500)))
+            .collect();
+        ClientLoop::new(cores, cluster.addrs.clone()).expect("client loop")
     }
 
     /// Closed loop with `clients` real connections: each thread owns one
     /// `SyncClient` and keeps exactly one request outstanding. Returns the
-    /// table row, as `closed_mux` and `open_point` do.
+    /// table row, as `closed_loop` and `open_point` do.
     fn closed_real(
         mk: &(dyn Fn() -> SyncClient + Sync),
         clients: usize,
@@ -943,8 +948,7 @@ mod reactor_live {
                         let mut samples = Vec::with_capacity(ops_each as usize);
                         for i in 0..ops_each {
                             let t0 = Instant::now();
-                            let body: Vec<u8> = vec![(i & 0xff) as u8];
-                            if cl.call(RequestKind::Write, body.into()).is_some() {
+                            if cl.call(RequestKind::Write, write_op(i)).is_some() {
                                 ok += 1;
                                 samples.push(t0.elapsed().as_nanos() as u64);
                             }
@@ -972,78 +976,129 @@ mod reactor_live {
             format!("{:.3}", pct_ms(&samples, 0.50)),
             format!("{:.3}", pct_ms(&samples, 0.99)),
             "0".into(),
-        ]
-    }
-
-    /// Closed loop with `mux_clients` virtual clients over one socket per
-    /// replica.
-    fn closed_mux(
-        addrs: &HashMap<ProcessId, SocketAddr>,
-        mux_clients: usize,
-        ops_each: u64,
-        base: u64,
-    ) -> Vec<String> {
-        let mut swarm = MuxSwarm::connect(addrs, mux_clients, base).expect("mux connect");
-        let rep = swarm.run_closed(ops_each, Duration::from_secs(120));
-        swarm.shutdown();
-        vec![
-            "closed/reactor+mux".into(),
-            mux_clients.to_string(),
-            addrs.len().to_string(),
             "-".into(),
-            rep.completed.to_string(),
-            format!("{:.0}", rep.throughput()),
-            format!("{:.3}", rep.rtt_p50_us / 1e3),
-            format!("{:.3}", rep.rtt_p99_us / 1e3),
-            rep.busy.to_string(),
         ]
     }
 
-    /// Open loop at `offered` req/s aggregate: `swarms` single-vclient
-    /// swarms inject fixed-interval, then drain for a grace period.
+    /// Closed loop with `clients` cores on one client loop: each keeps one
+    /// write outstanding until it has completed `ops_each`, the next
+    /// leaving as its reply is decoded. Retries, leader hint and `Busy`
+    /// are the shipped client's; `busy` counts the `Busy` replies seen.
+    fn closed_loop(cluster: &ReactorCluster, clients: usize, ops_each: u64) -> Vec<String> {
+        let mut lp = client_loop(cluster, clients);
+        let started = Instant::now();
+        let deadline = started + Duration::from_secs(120);
+        let mut left = vec![ops_each; clients];
+        for slot in 0..clients {
+            lp.submit_op(slot, RequestKind::Write, write_op(0));
+        }
+        let (mut samples, mut busy, mut seen) = (Vec::new(), 0u64, Vec::new());
+        while (samples.len() as u64) < clients as u64 * ops_each && Instant::now() < deadline {
+            lp.poll(deadline, &mut seen).expect("poll");
+            for (slot, outcome) in seen.drain(..) {
+                match outcome {
+                    Outcome::Busy => busy += 1,
+                    Outcome::Done(op) => {
+                        samples.push(op.rtt.0);
+                        left[slot] -= 1;
+                        if left[slot] > 0 {
+                            lp.submit_op(slot, RequestKind::Write, write_op(left[slot]));
+                        }
+                    }
+                }
+            }
+        }
+        let elapsed = started.elapsed();
+        samples.sort_unstable();
+        vec![
+            "closed/reactor+loop".into(),
+            clients.to_string(),
+            cluster.addrs.len().to_string(),
+            "-".into(),
+            samples.len().to_string(),
+            format!(
+                "{:.0}",
+                samples.len() as f64 / elapsed.as_secs_f64().max(1e-9)
+            ),
+            format!("{:.3}", pct_ms(&samples, 0.50)),
+            format!("{:.3}", pct_ms(&samples, 0.99)),
+            busy.to_string(),
+            "-".into(),
+        ]
+    }
+
+    /// Open loop at `offered` req/s for `dur`, then a grace period to
+    /// drain. A write leaves every `1 / offered` s whatever has come back,
+    /// each the only request of an idle core drawn from a `pool`-core
+    /// client loop, so the replicas hold `pool` client ids. A `Busy` is
+    /// counted and its core freed, not retried; an injection that finds
+    /// no idle core is counted in `no_idle`.
     fn open_point(
-        addrs: &HashMap<ProcessId, SocketAddr>,
-        swarms: usize,
+        cluster: &ReactorCluster,
+        pool: usize,
         offered: u64,
         dur: Duration,
-        base: u64,
     ) -> Vec<String> {
         let grace = Duration::from_millis(500);
-        let per_swarm_rate = (offered / swarms as u64).max(1);
-        let reports: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..swarms)
-                .map(|i| {
-                    let b = base + i as u64;
-                    s.spawn(move || {
-                        let mut swarm = MuxSwarm::connect(addrs, 1, b).expect("mux connect");
-                        let rep = swarm.run_open(per_swarm_rate, dur, grace);
-                        swarm.shutdown();
-                        rep
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("open-loop swarm panicked"))
-                .collect()
-        });
-        let completed: u64 = reports.iter().map(|r| r.completed).sum();
-        let busy: u64 = reports.iter().map(|r| r.busy).sum();
-        let p99_ms = reports.iter().map(|r| r.rtt_p99_us).fold(0.0, f64::max) / 1e3;
+        let mut lp = client_loop(cluster, pool);
+        let mut idle: Vec<usize> = (0..pool).collect();
+        let mut outstanding = vec![false; pool];
+        let interval = Duration::from_secs_f64(1.0 / offered.max(1) as f64);
+        let started = Instant::now();
+        let (stop, end) = (started + dur, started + dur + grace);
+        let mut next_at = started;
+        let (mut injected, mut no_idle, mut busy) = (0u64, 0u64, 0u64);
+        let (mut samples, mut seen) = (Vec::new(), Vec::new());
+        loop {
+            let now = Instant::now();
+            while next_at <= now && next_at < stop {
+                next_at += interval;
+                injected += 1;
+                match idle.pop() {
+                    Some(slot) => {
+                        outstanding[slot] = true;
+                        lp.submit_op(slot, RequestKind::Write, write_op(injected));
+                    }
+                    None => no_idle += 1,
+                }
+            }
+            if now >= end {
+                break;
+            }
+            let wake = if next_at < stop { next_at } else { end };
+            lp.poll(wake, &mut seen).expect("poll");
+            for (slot, outcome) in seen.drain(..) {
+                // A `Busy` from one replica and the answer from another
+                // can land in one poll; the first settles the request.
+                if !std::mem::take(&mut outstanding[slot]) {
+                    continue;
+                }
+                match outcome {
+                    Outcome::Done(op) => samples.push(op.rtt.0),
+                    Outcome::Busy => {
+                        busy += 1;
+                        lp.abandon(slot);
+                    }
+                }
+                idle.push(slot);
+            }
+        }
+        samples.sort_unstable();
         vec![
             format!("open/reactor@{offered}"),
-            "-".into(),
-            "-".into(),
+            pool.to_string(),
+            cluster.addrs.len().to_string(),
             offered.to_string(),
-            completed.to_string(),
-            format!("{:.0}", completed as f64 / (dur + grace).as_secs_f64()),
-            "-".into(),
-            format!("{p99_ms:.3}"),
+            samples.len().to_string(),
+            format!("{:.0}", samples.len() as f64 / (dur + grace).as_secs_f64()),
+            format!("{:.3}", pct_ms(&samples, 0.50)),
+            format!("{:.3}", pct_ms(&samples, 0.99)),
             busy.to_string(),
+            no_idle.to_string(),
         ]
     }
 
-    pub(crate) fn reactor_with(seed: u64, scale: &Scale) -> TableOut {
+    pub(crate) fn reactor_with(scale: &Scale) -> TableOut {
         let mut t = TableOut::new(
             "reactor",
             "Reactor transport (live 3-node TCP cluster, req/s)",
@@ -1057,6 +1112,7 @@ mod reactor_live {
                 "p50_ms",
                 "p99_ms",
                 "busy",
+                "no_idle",
             ],
         );
         let app = || Box::new(NoopApp::new()) as Box<dyn gridpaxos_core::service::App>;
@@ -1067,20 +1123,9 @@ mod reactor_live {
             scale.parity_clients,
             scale.ops_each,
         ));
-        t.row(closed_mux(
-            &cluster.addrs,
-            scale.mux_clients,
-            scale.ops_each,
-            client_base(seed),
-        ));
+        t.row(closed_loop(&cluster, scale.loop_clients, scale.ops_each));
         for &rate in &scale.open_rates {
-            t.row(open_point(
-                &cluster.addrs,
-                scale.open_swarms,
-                rate,
-                scale.open_dur,
-                client_base(seed),
-            ));
+            t.row(open_point(&cluster, scale.open_pool, rate, scale.open_dur));
         }
         let shed_total = (0..3)
             .map(|i| cluster.metrics(i).stats().busy_shed)
@@ -1091,8 +1136,10 @@ mod reactor_live {
             "reactor admission gate shed {shed_total} requests with Busy across all runs"
         ));
         t.note(
-            "closed loop: reactor hosts 10k+ multiplexed clients on one thread per node; \
-             open loop: the admission gate sheds past saturation (plateau + bounded p99)",
+            "closed loop: one reactor thread per node serves 10k clients, and one client-loop \
+             thread drives them over 3 sockets; open loop: the offered rate ignores \
+             completions, a Busy is counted and not retried, and an injection that finds \
+             every core of the pool busy counts as no_idle",
         );
         t
     }
@@ -1798,23 +1845,23 @@ mod tests {
     }
 
     /// CI smoke for the live-TCP reactor experiment (the full run
-    /// generates BENCH_reactor.json with 10k mux clients): a few hundred
-    /// virtual clients multiplexed over three sockets must all complete,
-    /// and so must the same closed-loop workload over real connections.
+    /// generates BENCH_reactor.json with 10k client cores): a few hundred
+    /// cores on one client loop over three sockets must all complete, and
+    /// so must the same closed-loop workload over `SyncClient`s.
     #[test]
     #[cfg(target_os = "linux")]
-    fn reactor_smoke_serves_mux_swarm() {
+    fn reactor_smoke_serves_the_client_loop() {
         let scale = reactor_live::Scale::smoke();
-        let expect_mux = scale.mux_clients as u64 * scale.ops_each;
-        let t = reactor_live::reactor_with(5, &scale);
+        let expect_loop = scale.loop_clients as u64 * scale.ops_each;
+        let t = reactor_live::reactor_with(&scale);
         let cell = |row: &str, col: &str| -> u64 {
             t.cell(row, col)
                 .unwrap_or_else(|| panic!("row {row} col {col} missing"))
                 .parse()
                 .unwrap()
         };
-        // Headline: every multiplexed op completed over 3 sockets.
-        assert_eq!(cell("closed/reactor+mux", "completed"), expect_mux);
+        // Headline: every op of every core completed over 3 sockets.
+        assert_eq!(cell("closed/reactor+loop", "completed"), expect_loop);
         // The real-connection workload completes too.
         assert_eq!(
             cell("closed/reactor", "completed"),

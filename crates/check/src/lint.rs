@@ -34,14 +34,15 @@
 //!    `Replica::stop`, the flush on the way out) no non-test code calls
 //!    `flush_storage` or asks `precedes_barrier` — a drive loop that did
 //!    would be a second copy of the order, which this rule could not see.
-//! 5. **No blocking calls on the reactor thread** (`transport/src/reactor.rs`,
-//!    `transport/src/sys.rs`, `transport/src/backpressure.rs`): the epoll
-//!    reactor runs every connection on one thread, so a single blocking
-//!    primitive (`thread::sleep`, `write_all`, `read_exact`,
-//!    `read_to_end`) stalls the whole node. Reactor-path code must use
-//!    plain `read`/`write` loops that surface `EWOULDBLOCK` and yield
-//!    back to the readiness loop. (The `mux` load driver is deliberately
-//!    thread-per-connection and is *not* in this scope.)
+//! 5. **No blocking calls on an epoll loop's thread**
+//!    (`transport/src/reactor.rs`, `transport/src/client.rs`,
+//!    `transport/src/conn.rs`, `transport/src/sys.rs`,
+//!    `transport/src/backpressure.rs`): the reactor runs every connection
+//!    of a node on one thread, and the client loop every client core of
+//!    its caller, so a single blocking primitive (`thread::sleep`,
+//!    `write_all`, `read_exact`, `read_to_end`) stalls them all. That
+//!    code must use plain `read`/`write` loops that surface `EWOULDBLOCK`
+//!    and yield back to the readiness loop.
 //!
 //! 6. **Read policy has one owner** (`crates/core/src/replica`): §3.4's
 //!    rule — what validates a read in which mode — is written once, in
@@ -702,10 +703,11 @@ const BLOCKING_TOKENS: &[&str] = &[
     "read_to_end",
 ];
 
-/// Rule 5: no blocking calls in reactor-path modules. The reactor drives
-/// every connection from one thread; any call that parks that thread
-/// (sleeping, or looping internally until a full buffer is transferred)
-/// freezes the whole node. Runs on noise-stripped, test-masked source.
+/// Rule 5: no blocking calls in epoll-loop modules. The reactor and the
+/// client loop each drive every connection from one thread; any call that
+/// parks that thread (sleeping, or looping internally until a full buffer
+/// is transferred) freezes all of them. Runs on noise-stripped,
+/// test-masked source.
 #[must_use]
 pub fn check_no_blocking(file: &str, masked: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -719,7 +721,7 @@ pub fn check_no_blocking(file: &str, masked: &str) -> Vec<Finding> {
                 line: line_of(masked, off),
                 rule: "no-blocking-call",
                 msg: format!(
-                    "`{}` in reactor-path code; the reactor thread must never \
+                    "`{}` in epoll-loop code; the loop's thread must never \
                      block — use nonblocking `read`/`write` loops that yield \
                      on `EWOULDBLOCK`",
                     pat.trim_matches(|c| c == '.' || c == '(')
@@ -950,7 +952,7 @@ pub struct Scope {
     pub persist: bool,
     /// Apply the flush-before-transmit rule.
     pub flush: bool,
-    /// Apply the no-blocking-call rule (reactor-path modules).
+    /// Apply the no-blocking-call rule (epoll-loop modules).
     pub no_blocking: bool,
 }
 
@@ -965,8 +967,9 @@ pub struct Scope {
 /// rules cover `crates/core/src/replica`; the flush-barrier order covers
 /// `crates/core/src` (it keys on `release_or_cut`, the body the outbox's
 /// `release` and `release_to_barrier` share); the
-/// no-blocking-call rule covers the reactor-path modules `reactor.rs`,
-/// `sys.rs` and `backpressure.rs` under `crates/transport/src`.
+/// no-blocking-call rule covers the epoll-loop modules `reactor.rs`,
+/// `client.rs`, `conn.rs`, `sys.rs` and `backpressure.rs` under
+/// `crates/transport/src`.
 pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut files: Vec<(PathBuf, Scope)> = Vec::new();
@@ -987,16 +990,22 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
         ));
     })?;
     collect_rs(&root.join("crates/transport/src"), &mut |p| {
-        let reactor_path = p
-            .file_name()
-            .is_some_and(|f| f == "reactor.rs" || f == "sys.rs" || f == "backpressure.rs");
+        let epoll_loop = [
+            "reactor.rs",
+            "client.rs",
+            "conn.rs",
+            "sys.rs",
+            "backpressure.rs",
+        ]
+        .iter()
+        .any(|name| p.file_name().is_some_and(|f| f == *name));
         files.push((
             p.to_path_buf(),
             Scope {
                 no_unwrap: true,
                 persist: false,
                 flush: false,
-                no_blocking: reactor_path,
+                no_blocking: epoll_loop,
             },
         ));
     })?;

@@ -455,6 +455,28 @@ fn blocking_calls_on_reactor_path_are_flagged() {
     assert!(findings.iter().all(|f| f.rule == "no-blocking-call"));
 }
 
+/// The client loop runs every client core of its thread, so the rule
+/// covers `client.rs` as it covers the reactor: one sleep there is one
+/// finding.
+#[test]
+fn a_sleep_in_the_client_loop_is_flagged() {
+    let root = std::env::temp_dir().join(format!("lint-client-{}", std::process::id()));
+    let dir = root.join("crates/transport/src");
+    std::fs::create_dir_all(&dir).expect("make the tree");
+    let src = r#"
+        fn poll(&mut self) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    "#;
+    std::fs::write(dir.join("client.rs"), src).expect("write the file");
+    let findings = lint_repo(&root);
+    std::fs::remove_dir_all(&root).expect("clean up");
+    let findings = findings.expect("read the tree");
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    assert_eq!(findings[0].rule, "no-blocking-call");
+    assert_eq!(findings[0].file, "crates/transport/src/client.rs");
+}
+
 #[test]
 fn nonblocking_read_write_loops_are_clean() {
     let src = r#"

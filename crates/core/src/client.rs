@@ -174,6 +174,12 @@ impl ClientCore {
         self.outstanding.is_some()
     }
 
+    /// The id of the request in flight, if any.
+    #[must_use]
+    pub fn outstanding_id(&self) -> Option<RequestId> {
+        self.outstanding.as_ref().map(|p| p.req.id)
+    }
+
     /// How long a request waits for its reply before it is retransmitted.
     #[must_use]
     pub fn retry_timeout(&self) -> Dur {

@@ -6,16 +6,17 @@
 //! * file-backed stable storage with a write-ahead log and atomic
 //!   checkpoints ([`fstorage`]), making deployments crash-recoverable,
 //! * the socket server: a single-threaded nonblocking `epoll` reactor
-//!   ([`reactor`], Linux only) hosting every consensus group of a node and
+//!   ([`reactor`]) hosting every consensus group of a node and
 //!   multiplexing thousands of client connections over one thread, with
-//!   explicit backpressure ([`backpressure`]) and a
-//!   many-virtual-clients-per-socket load driver ([`mux`]),
-//! * the client side ([`tcp`]): a dial-only TCP endpoint and the blocking
-//!   [`SyncClient`] over it, mapping wall-clock time onto the core's
-//!   logical clock.
+//!   explicit backpressure ([`backpressure`]),
+//! * the client side ([`client`]): one thread driving any number of
+//!   sans-io client cores over one socket per replica, and the blocking
+//!   [`SyncClient`] that is that loop with one core, mapping wall-clock
+//!   time onto the core's logical clock.
 //!
-//! A live node is one reactor thread, so live hosting is Linux-only; other
-//! platforms get the codec, the storage and the client.
+//! A live node is one reactor thread and a live client one client-loop
+//! thread, both on `epoll`, so both are Linux-only; other platforms get
+//! the codec and the storage.
 //!
 //! The protocol code running here is byte-for-byte the same as under the
 //! `gridpaxos-simnet` simulator — that is the point of the sans-io design.
@@ -24,27 +25,27 @@
 #![warn(rust_2018_idioms)]
 
 pub mod backpressure;
+#[cfg(target_os = "linux")]
+pub mod client;
+#[cfg(target_os = "linux")]
+mod conn;
 pub mod framing;
 pub mod fstorage;
-#[cfg(target_os = "linux")]
-pub mod mux;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 #[cfg(target_os = "linux")]
 pub mod sys;
-pub mod tcp;
 #[cfg(target_os = "linux")]
 mod timers;
 pub mod wire;
 
 pub use backpressure::{AdmissionGate, FlushOutcome, SendQueue};
+#[cfg(target_os = "linux")]
+pub use client::{fresh_client_id, ClientLoop, Outcome, SyncClient};
 pub use framing::FrameDecoder;
 pub use fstorage::{FileStorage, FlushCoordinator, SyncMode};
-#[cfg(target_os = "linux")]
-pub use mux::{MuxReport, MuxSwarm};
 #[cfg(target_os = "linux")]
 pub use reactor::{
     spawn_reactor_node, ReactorCluster, ReactorConfig, ReactorHandle, ReactorMetrics, ReactorStats,
 };
-pub use tcp::{SyncClient, TcpNode};
 pub use wire::{decode_msg, encode_msg, encode_to_bytes, encode_with_scratch, WireError};

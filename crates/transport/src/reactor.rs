@@ -66,16 +66,17 @@
 //!
 //! Replies route by client address: every `Request` decoded from a
 //! connection binds `Addr::Client(req.id.client)` to that connection, so
-//! any number of *virtual* clients (see [`crate::mux`]) can share one
-//! socket — the reactor never needs a connection per client.
+//! any number of clients (see [`crate::client`]) can share one socket —
+//! the reactor never needs a connection per client.
 
-use crate::backpressure::{AdmissionGate, FlushOutcome, SendQueue};
-use crate::framing::{FrameDecoder, MAX_FRAME};
+use crate::backpressure::AdmissionGate;
+use crate::client::{fresh_client_id, SyncClient};
+use crate::conn::{frame_bytes, Conn, ReadStep, READ_BUF};
+use crate::framing::MAX_FRAME;
 use crate::fstorage::{FlushCoordinator, SyncMode};
-use crate::sys::{self, Epoll, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::tcp::{SyncClient, TcpNode};
+use crate::sys::{self, Epoll, EPOLLIN, EPOLLRDHUP};
 use crate::timers::Timers;
-use crate::wire::{decode_msg, encode_with_scratch, get_addr, put_addr};
+use crate::wire::{decode_msg, encode_with_scratch, get_addr};
 use bytes::{Bytes, BytesMut};
 use gridpaxos_core::action::Action;
 use gridpaxos_core::client::{ClientCore, ShardRouter};
@@ -89,8 +90,8 @@ use gridpaxos_core::service::App;
 use gridpaxos_core::storage::{MemStorage, Storage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, ProcessId, Time};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,9 +99,6 @@ use std::time::{Duration, Instant};
 
 /// Maximum epoll wait per iteration so the stop flag is honored promptly.
 const MAX_WAIT: Duration = Duration::from_millis(25);
-
-/// Size of the node-wide socket read buffer.
-const READ_BUF: usize = 64 * 1024;
 
 /// Cap on messages drained through the cores per flush cycle, so one
 /// barrier never covers an unbounded batch.
@@ -199,32 +197,6 @@ impl ReactorMetrics {
 
 fn bump(c: &AtomicU64, by: u64) {
     c.fetch_add(by, Ordering::Relaxed);
-}
-
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    outq: SendQueue,
-    /// Protocol address of the peer: known at dial time, learned from the
-    /// hello frame on accepted connections (None until then).
-    peer: Option<Addr>,
-    /// Nonblocking connect still in flight (outcome arrives as EPOLLOUT).
-    connecting: bool,
-    /// Interest mask currently registered with epoll.
-    interest: u32,
-    /// Read interest withdrawn because the send queue filled up.
-    read_suspended: bool,
-    /// Already queued for a socket write in this cycle's dirty list.
-    flush_pending: bool,
-}
-
-/// Length-prefix `body` into an owned frame ready for a send queue.
-fn frame_bytes(body: &[u8]) -> Bytes {
-    debug_assert!(body.len() <= MAX_FRAME);
-    let mut v = Vec::with_capacity(4 + body.len());
-    v.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    v.extend_from_slice(body);
-    Bytes::from(v)
 }
 
 struct Reactor {
@@ -421,9 +393,8 @@ impl Reactor {
                 // fire when the connect resolves.
                 return;
             }
-            match c.outq.flush_into(&mut c.stream) {
-                Ok(outcome) => {
-                    let blocked = outcome == FlushOutcome::Blocked;
+            match c.flush() {
+                Ok(blocked) => {
                     if blocked {
                         bump(&self.metrics.partial_writes, 1);
                     }
@@ -438,19 +409,8 @@ impl Reactor {
                     {
                         c.read_suspended = false;
                     }
-                    let mut want = EPOLLRDHUP;
-                    if !c.read_suspended {
-                        want |= EPOLLIN;
-                    }
-                    if blocked {
-                        want |= EPOLLOUT;
-                    }
-                    if want != c.interest {
-                        let fd = c.stream.as_raw_fd();
-                        c.interest = want;
-                        if self.epoll.modify(fd, want, token).is_err() {
-                            close = true;
-                        }
+                    if c.settle_interest(&self.epoll, token, blocked).is_err() {
+                        close = true;
                     }
                 }
                 Err(_) => close = true,
@@ -465,28 +425,11 @@ impl Reactor {
     /// frame so it is the first thing on the wire once the connect lands.
     fn dial_peer(&mut self, p: ProcessId) -> Option<u64> {
         let sock = *self.peer_addrs.get(&p)?;
-        let (stream, done) = sys::connect_nonblocking(sock).ok()?;
-        stream.set_nodelay(true).ok();
         let token = self.next_token;
+        let (me, peer) = (Addr::Replica(self.me), Addr::Replica(p));
+        let cap = self.rcfg.send_queue_cap;
+        let conn = Conn::dial(&self.epoll, token, sock, me, peer, cap)?;
         self.next_token += 1;
-        let fd = stream.as_raw_fd();
-        // EPOLLOUT from the start: it signals connect completion and then
-        // drains the hello.
-        let interest = EPOLLIN | EPOLLOUT | EPOLLRDHUP;
-        self.epoll.add(fd, interest, token).ok()?;
-        let mut hello = BytesMut::new();
-        put_addr(&mut hello, &Addr::Replica(self.me));
-        let mut conn = Conn {
-            stream,
-            decoder: FrameDecoder::new(),
-            outq: SendQueue::new(self.rcfg.send_queue_cap),
-            peer: Some(Addr::Replica(p)),
-            connecting: !done,
-            interest,
-            read_suspended: false,
-            flush_pending: false,
-        };
-        conn.outq.push(frame_bytes(&hello));
         self.conns.insert(token, conn);
         self.by_addr.insert(Addr::Replica(p), token);
         Some(token)
@@ -494,7 +437,7 @@ impl Reactor {
 
     fn close_conn(&mut self, token: u64) {
         if let Some(c) = self.conns.remove(&token) {
-            let _ = self.epoll.delete(c.stream.as_raw_fd());
+            c.deregister(&self.epoll);
         }
         self.by_addr.retain(|_, t| *t != token);
     }
@@ -514,19 +457,8 @@ impl Reactor {
                     if self.epoll.add(fd, interest, token).is_err() {
                         continue;
                     }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            decoder: FrameDecoder::new(),
-                            outq: SendQueue::new(self.rcfg.send_queue_cap),
-                            peer: None,
-                            connecting: false,
-                            interest,
-                            read_suspended: false,
-                            flush_pending: false,
-                        },
-                    );
+                    let conn = Conn::new(stream, None, false, interest, self.rcfg.send_queue_cap);
+                    self.conns.insert(token, conn);
                     bump(&self.metrics.accepted, 1);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -539,22 +471,12 @@ impl Reactor {
     /// EPOLLOUT on `token`: resolve an in-flight connect, then drain the
     /// send queue.
     fn handle_writable(&mut self, token: u64) {
-        let connecting = match self.conns.get_mut(&token) {
-            Some(c) => c.connecting,
-            None => return,
+        let Some(c) = self.conns.get_mut(&token) else {
+            return;
         };
-        if connecting {
-            let fd = match self.conns.get(&token) {
-                Some(c) => c.stream.as_raw_fd(),
-                None => return,
-            };
-            if sys::take_socket_error(fd).is_err() {
-                self.close_conn(token);
-                return;
-            }
-            if let Some(c) = self.conns.get_mut(&token) {
-                c.connecting = false;
-            }
+        if c.finish_connect().is_err() {
+            self.close_conn(token);
+            return;
         }
         self.flush_conn(token);
     }
@@ -570,12 +492,6 @@ impl Reactor {
     }
 
     fn read_into(&mut self, token: u64, buf: &mut [u8]) {
-        /// Outcome of one nonblocking read attempt.
-        enum ReadStep {
-            Got(usize),
-            Drained,
-            Close,
-        }
         loop {
             let step = {
                 let Some(c) = self.conns.get_mut(&token) else {
@@ -586,22 +502,13 @@ impl Reactor {
                     // readable event from before the suspension took hold.
                     return;
                 }
-                loop {
-                    match c.stream.read(buf) {
-                        Ok(0) => break ReadStep::Close,
-                        Ok(n) => {
-                            c.decoder.extend(&buf[..n]);
-                            bump(&self.metrics.bytes_in, n as u64);
-                            break ReadStep::Got(n);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break ReadStep::Drained,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => break ReadStep::Close,
-                    }
-                }
+                c.read_step(buf)
             };
             let read = match step {
-                ReadStep::Got(n) => n,
+                ReadStep::Got(n) => {
+                    bump(&self.metrics.bytes_in, n as u64);
+                    n
+                }
                 ReadStep::Drained => return,
                 ReadStep::Close => {
                     self.close_conn(token);
@@ -891,8 +798,8 @@ pub fn spawn_reactor_node(
 }
 
 /// A whole replica cluster on loopback TCP, every node driven by a
-/// reactor; [`SyncClient`]/[`TcpNode`] clients and
-/// [`crate::mux::MuxSwarm`] talk to it.
+/// reactor; [`SyncClient`]s and [`crate::client::ClientLoop`]s talk to
+/// it.
 pub struct ReactorCluster {
     /// Listen addresses of the replica nodes.
     pub addrs: HashMap<ProcessId, SocketAddr>,
@@ -901,7 +808,6 @@ pub struct ReactorCluster {
     n: usize,
     n_groups: usize,
     router: Option<ShardRouter>,
-    next_client: AtomicU64,
     coordinators: HashMap<ProcessId, FlushCoordinator>,
 }
 
@@ -1011,15 +917,6 @@ impl ReactorCluster {
             n,
             n_groups,
             router,
-            // Unique across incarnations: replicas' dedup tables outlive
-            // any single client.
-            next_client: AtomicU64::new(
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(1)
-                    | 1,
-            ),
             coordinators: HashMap::new(),
         })
     }
@@ -1042,19 +939,27 @@ impl ReactorCluster {
         self.coordinators.get(&id)
     }
 
-    /// Allocate a fresh cluster-unique client id.
+    /// Allocate a fresh client id ([`fresh_client_id`]).
     pub fn next_client_id(&self) -> ClientId {
-        ClientId(self.next_client.fetch_add(1, Ordering::Relaxed))
+        fresh_client_id()
     }
 
     /// Create a blocking client connected to the whole group.
+    ///
+    /// # Panics
+    ///
+    /// If the process cannot open one more epoll instance (out of file
+    /// descriptors): the cluster's own nodes could not have started
+    /// either.
     #[must_use]
     pub fn client(&self) -> SyncClient {
         let id = self.next_client_id();
-        let node = TcpNode::client(id, self.addrs.clone());
         let core = ClientCore::new(id, self.n, Dur::from_millis(500))
             .with_groups(self.n_groups, self.router.clone());
-        SyncClient::new(core, node, self.n)
+        match SyncClient::new(core, self.addrs.clone()) {
+            Ok(client) => client,
+            Err(e) => panic!("a client's epoll instance: {e}"),
+        }
     }
 
     /// Stop everything and join, returning each node's per-group replicas
@@ -1070,6 +975,7 @@ mod tests {
     use super::*;
     use crate::framing::{read_frame, write_frame};
     use crate::fstorage::FileStorage;
+    use crate::wire::put_addr;
     use bytes::Bytes;
     use gridpaxos_core::action::TimerKind;
     use gridpaxos_core::ballot::Ballot;
@@ -1080,6 +986,7 @@ mod tests {
     use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState};
     use gridpaxos_core::types::{Instance, Seq};
     use std::io::{BufReader, Write};
+    use std::net::TcpStream;
 
     fn noop_factory() -> Box<dyn App> {
         Box::new(NoopApp::new())
@@ -1897,7 +1804,7 @@ mod tests {
         let (addrs, id) = (cluster.addrs.clone(), cluster.next_client_id());
         cluster.shutdown();
         let core = ClientCore::new(id, 3, Dur::from_millis(10));
-        let mut client = SyncClient::new(core, TcpNode::client(id, addrs), 3);
+        let mut client = SyncClient::new(core, addrs).expect("client");
         let started = Instant::now();
         assert!(client.call(RequestKind::Write, Bytes::new()).is_none());
         assert!(client.call(RequestKind::Write, Bytes::new()).is_none());

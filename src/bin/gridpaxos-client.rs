@@ -12,11 +12,16 @@
 //! > txn put a 1 ; put b 2
 //! committed
 //! ```
+//!
+//! The client runs on the same `epoll` client loop as every live client,
+//! so, like `gridpaxos-server`, it is Linux only.
+
+// Off Linux only the stub `main` at the bottom is live.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
 
 use gridpaxos::core::client::ClientCore;
 use gridpaxos::core::prelude::*;
 use gridpaxos::services::{KvOp, KvStore};
-use gridpaxos::transport::{SyncClient, TcpNode};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
@@ -63,7 +68,9 @@ fn show(body: Option<ReplyBody>) {
     }
 }
 
+#[cfg(target_os = "linux")]
 fn main() {
+    use gridpaxos::transport::{fresh_client_id, SyncClient};
     let mut peers: HashMap<ProcessId, SocketAddr> = HashMap::new();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -86,11 +93,13 @@ fn main() {
     if peers.is_empty() {
         usage();
     }
-    let n = peers.len();
-    let client_id = ClientId(std::process::id().into());
-    let node = TcpNode::client(client_id, peers);
-    let core = ClientCore::new(client_id, n, Dur::from_millis(500));
-    let mut client = SyncClient::new(core, node, n);
+    // A fresh id: the replicas' dedup tables remember every earlier
+    // client's last request, a reused one's included.
+    let core = ClientCore::new(fresh_client_id(), peers.len(), Dur::from_millis(500));
+    let mut client = SyncClient::new(core, peers).unwrap_or_else(|e| {
+        eprintln!("client loop: {e}");
+        exit(1)
+    });
 
     let stdin = std::io::stdin();
     print!("> ");
@@ -126,6 +135,14 @@ fn main() {
         } else {
             let tokens: Vec<&str> = line.split_whitespace().collect();
             match parse_op(&tokens) {
+                // The store answers a put or a del with what the key now
+                // holds; the REPL acknowledges it, as its doc shows.
+                Some((kind, op @ (KvOp::Put(..) | KvOp::Del(_)))) => {
+                    match client.call(kind, op.encode()) {
+                        Some(ReplyBody::Ok(_)) => println!("ok"),
+                        other => show(other),
+                    }
+                }
                 Some((kind, op)) => show(client.call(kind, op.encode())),
                 None => println!("parse error (get/put/del/add/txn/quit)"),
             }
@@ -133,4 +150,10 @@ fn main() {
         print!("> ");
         std::io::stdout().flush().ok();
     }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn main() {
+    eprintln!("gridpaxos-client requires Linux (epoll)");
+    exit(2)
 }
