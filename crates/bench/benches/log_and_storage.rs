@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gridpaxos_core::ballot::Ballot;
-use gridpaxos_core::command::{Decree, SnapshotBlob};
+use gridpaxos_core::command::Decree;
 use gridpaxos_core::log::ReplicaLog;
 use gridpaxos_core::storage::{MemStorage, Storage};
 use gridpaxos_core::types::{Instance, ProcessId};
@@ -84,11 +84,9 @@ fn bench_storage(c: &mut Criterion) {
                 s
             },
             |mut s| {
-                s.save_checkpoint(&SnapshotBlob {
-                    upto: Instance(256),
-                    app: bytes::Bytes::from_static(&[0u8; 64]),
-                    dedup: vec![],
-                });
+                s.checkpoint_begin(Instance(256), &[], 1);
+                s.checkpoint_chunk(0, bytes::Bytes::from_static(&[0u8; 64]));
+                s.checkpoint_commit();
                 s.truncate_upto(Instance(256));
                 s
             },

@@ -1,17 +1,20 @@
 //! Repo-specific lint pass: protocol coding rules clippy cannot express.
 //!
-//! Seven rules, the first six scoped to the consensus-critical crates:
+//! Seven rules, the first six scoped to the consensus-critical crates;
+//! clippy checks rule 2, this pass the other six:
 //!
 //! 1. **Exhaustive `Msg` dispatch** (`crates/core`, `crates/transport`):
 //!    a `match` whose arms pattern-match `Msg::` variants must not have a
 //!    bare `_ =>` arm — a new message variant (like PR 2's `ConfirmReq`)
 //!    must fail compilation where it is dispatched, never be silently
 //!    swallowed.
-//! 2. **No non-test `unwrap`/`expect`** (`crates/core/src/replica`,
-//!    `crates/transport/src`, `crates/services/src`): replica, transport
-//!    and service code — the services decode client bytes inside the
-//!    replica process — must use typed errors or documented invariant
-//!    panics (`panic!`/`unreachable!` with rationale), not ad-hoc unwraps.
+//! 2. **No non-test `unwrap`/`expect`** — clippy's `unwrap_used` and
+//!    `expect_used`, denied in the `transport` and `services` crate roots
+//!    and on `mod replica` in core; the root `clippy.toml` allows both in
+//!    tests. Replica, transport and service code — the services decode
+//!    client bytes inside the replica process — use typed errors or
+//!    documented invariant panics (`panic!`/`unreachable!` with
+//!    rationale), not ad-hoc unwraps.
 //! 3. **Persist-before-send** (`crates/core/src/replica`): the functions
 //!    that acknowledge protocol steps must call the corresponding
 //!    `Storage` persist *before* constructing the acknowledgment message,
@@ -394,31 +397,6 @@ pub fn check_msg_wildcards(file: &str, cleaned: &str) -> Vec<Finding> {
                         .to_string(),
                 });
             }
-        }
-    }
-    findings
-}
-
-/// Rule 2: no `.unwrap()` / `.expect(` outside test code. Runs on
-/// noise-stripped, test-masked source.
-#[must_use]
-pub fn check_unwraps(file: &str, masked: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for pat in [".unwrap()", ".expect("] {
-        let mut i = 0;
-        while let Some(pos) = masked[i..].find(pat) {
-            let off = i + pos;
-            i = off + pat.len();
-            findings.push(Finding {
-                file: file.to_string(),
-                line: line_of(masked, off),
-                rule: "no-unwrap",
-                msg: format!(
-                    "`{}` in non-test replica/transport/services code; use typed errors or a \
-                     documented invariant panic",
-                    pat.trim_matches(|c| c == '.' || c == '(' || c == ')')
-                ),
-            });
         }
     }
     findings
@@ -927,9 +905,6 @@ pub fn lint_source(label: &str, src: &str, scope: Scope) -> Vec<Finding> {
     findings.extend(check_barrier_callers(label, &masked));
     findings.extend(check_read_mode_owner(label, &masked));
     findings.extend(check_one_guard(label, &masked));
-    if scope.no_unwrap {
-        findings.extend(check_unwraps(label, &masked));
-    }
     if scope.persist {
         findings.extend(check_persist_before_send(label, &masked));
     }
@@ -946,8 +921,6 @@ pub fn lint_source(label: &str, src: &str, scope: Scope) -> Vec<Finding> {
 /// Which rule groups apply to a file.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Scope {
-    /// Apply the no-unwrap rule.
-    pub no_unwrap: bool,
     /// Apply the persist-before-send rules.
     pub persist: bool,
     /// Apply the flush-before-transmit rule.
@@ -960,11 +933,9 @@ pub struct Scope {
 /// and the barrier's class (wherever `Msg::precedes_barrier` is defined)
 /// cover `crates/core/src` and `crates/transport/src`; the barrier's one
 /// caller and the one-guard rule cover every `crates/*/src`; the read
-/// policy's one owner covers `crates/core/src/replica`;
-/// no-unwrap covers `crates/core/src/replica`, `crates/transport/src` and
-/// `crates/services/src` (`tests.rs` files and `#[cfg(test)]` items
-/// excluded); the persist
-/// rules cover `crates/core/src/replica`; the flush-barrier order covers
+/// policy's one owner covers `crates/core/src/replica`; the persist
+/// rules cover `crates/core/src/replica` (`tests.rs` files and
+/// `#[cfg(test)]` items excluded); the flush-barrier order covers
 /// `crates/core/src` (it keys on `release_or_cut`, the body the outbox's
 /// `release` and `release_to_barrier` share); the
 /// no-blocking-call rule covers the epoll-loop modules `reactor.rs`,
@@ -982,7 +953,6 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
         files.push((
             p.to_path_buf(),
             Scope {
-                no_unwrap: in_replica && !is_test_file,
                 persist: in_replica && !is_test_file,
                 flush: true,
                 no_blocking: false,
@@ -1002,20 +972,15 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
         files.push((
             p.to_path_buf(),
             Scope {
-                no_unwrap: true,
                 persist: false,
                 flush: false,
                 no_blocking: epoll_loop,
             },
         ));
     })?;
-    // The services decode client bytes inside the replica process.
+    // The services get the rules every file gets.
     collect_rs(&root.join("crates/services/src"), &mut |p| {
-        let scope = Scope {
-            no_unwrap: true,
-            ..Scope::default()
-        };
-        files.push((p.to_path_buf(), scope));
+        files.push((p.to_path_buf(), Scope::default()));
     })?;
     files.sort_by(|a, b| a.0.cmp(&b.0));
     let label = |path: &Path| {

@@ -214,8 +214,9 @@ pub struct DedupEntry {
 
 /// A complete, self-contained snapshot of replica service state as of a
 /// given instance: the application state plus the dedup table. Shipped in
-/// promises (when the promiser is ahead of the candidate), in catch-up
-/// transfers to lagging replicas, and written as periodic checkpoints.
+/// promises (when the promiser is ahead of the candidate), and what
+/// [`crate::storage::Storage::load`] assembles from the stored chunked
+/// checkpoint at recovery.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SnapshotBlob {
     /// All instances `<= upto` are reflected in `app`.

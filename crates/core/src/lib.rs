@@ -53,6 +53,7 @@ pub mod log;
 pub mod msg;
 pub mod multi;
 pub mod outbox;
+#[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod replica;
 pub mod request;
 pub mod service;

@@ -161,24 +161,23 @@ pub enum Msg {
         /// The requester's contiguous chosen prefix.
         have: Instance,
     },
-    /// Catch-up payload: either the missing chosen decrees (when the leader
-    /// still has them in its log) or a full snapshot (when truncated).
+    /// Catch-up payload: missing chosen decrees from the leader's log, at
+    /// most [`crate::log::LOG_BYTES_FLOOR`] of them per message. Where the
+    /// log no longer reaches back to the requester, it follows the
+    /// [`Msg::CatchUpChunk`]s of the image that replaced the log, and
+    /// carries the log above that image.
     CatchUp {
         /// Leader's ballot.
         ballot: Ballot,
         /// Missing chosen decrees, ordered by instance.
         entries: Vec<(Instance, Decree)>,
-        /// Full snapshot if the log no longer covers the gap.
-        snapshot: Option<SnapshotBlob>,
-        /// Leader's chosen prefix (entries/snapshot reach this point).
-        upto: Instance,
     },
-    /// One chunk of a chunked snapshot transfer (incremental-checkpoint
-    /// path). When the leader's latest checkpoint was taken in chunks it
-    /// streams those chunks to the lagging replica instead of one giant
-    /// [`Msg::CatchUp`] snapshot; the receiver reassembles `total` chunks
-    /// (matched by `upto`) and installs the result. Chunk 0 carries the
-    /// snapshot's dedup table; the rest leave it empty.
+    /// One chunk of a snapshot transfer: the leader streams the chunks of
+    /// its stored image — its own latest checkpoint, or the image it
+    /// installed from a peer — to a replica its log no longer reaches.
+    /// The receiver reassembles `total` chunks (matched by `upto`),
+    /// installs the result and stores the chunks as its own image. Chunk 0
+    /// carries the snapshot's dedup table; the rest leave it empty.
     CatchUpChunk {
         /// Leader's ballot.
         ballot: Ballot,
@@ -377,14 +376,12 @@ impl Msg {
             Msg::ConfirmReq { .. } => 21,
             Msg::ConfirmBatch { .. } => 20,
             Msg::CatchUpReq { .. } => 8,
-            Msg::CatchUp {
-                entries, snapshot, ..
-            } => {
-                28 + entries
+            // ballot (12) + entry count (4) + entries.
+            Msg::CatchUp { entries, .. } => {
+                16 + entries
                     .iter()
                     .map(|(_, d)| 8 + decree_len(d))
                     .sum::<usize>()
-                    + snapshot_len(snapshot)
             }
             // ballot (12) + upto (8) + seq/total (8) + dedup + data.
             Msg::CatchUpChunk { dedup, data, .. } => 28 + dedup.len() * 34 + 4 + data.len(),

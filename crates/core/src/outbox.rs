@@ -145,7 +145,7 @@ fn release_or_cut(wire: &mut impl Wire, power_cut: bool) {
 mod tests {
     use super::*;
     use crate::ballot::Ballot;
-    use crate::command::{Decree, DedupEntry, SnapshotBlob};
+    use crate::command::{Decree, DedupEntry};
     use crate::config::Config;
     use crate::service::NoopApp;
     use crate::storage::{ChunkedCheckpoint, DurableState, Storage};
@@ -170,9 +170,6 @@ mod tests {
             self.dirty = true;
         }
         fn save_chosen_prefix(&mut self, _: Instance) {
-            self.dirty = true;
-        }
-        fn save_checkpoint(&mut self, _: &SnapshotBlob) {
             self.dirty = true;
         }
         fn truncate_upto(&mut self, _: Instance) {

@@ -153,7 +153,8 @@ impl Replica {
         if let Some(snap) = best {
             if snap.upto > self.log.chosen_prefix() {
                 let snap = snap.clone();
-                self.install_snapshot(&snap);
+                let chunks = super::cut(&snap.app, self.cfg.checkpoint_chunk_bytes);
+                self.install_snapshot(&snap, chunks);
             }
         }
         let prefix = self.log.chosen_prefix();

@@ -384,20 +384,16 @@ impl Executor {
     }
 
     /// State and dedup table of the chosen prefix, which the caller says
-    /// is `upto`. An open window's execution stays out of it: the state is
-    /// the one the window saved — or `None`, ask again once the window is
-    /// closed, where the app keeps an undo log instead and the prefix
-    /// cannot be read beside the execution.
-    pub(crate) fn snapshot(&self, upto: Instance) -> Option<SnapshotBlob> {
-        let app = match &self.window {
-            None => self.state(),
-            Some(window) => window.pre.clone()?,
-        };
-        Some(SnapshotBlob {
+    /// is `upto`: a promise's snapshot. A replica that promises does not
+    /// lead — `defer_to` stepped it down, closing its window — so no
+    /// execution ahead of consensus is in the state.
+    pub(crate) fn snapshot(&self, upto: Instance) -> SnapshotBlob {
+        debug_assert!(self.window.is_none(), "a snapshot beside an open window");
+        SnapshotBlob {
             upto,
-            app,
+            app: self.state(),
             dedup: self.dedup_table(),
-        })
+        }
     }
 
     /// Replace everything with `snap` (a checkpoint at recovery, a

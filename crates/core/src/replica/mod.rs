@@ -39,7 +39,7 @@ use crate::log::{ReplicaLog, LOG_BYTES_FLOOR};
 use crate::msg::Msg;
 use crate::request::Reply;
 use crate::service::App;
-use crate::storage::{DurableState, Storage};
+use crate::storage::{ChunkedCheckpoint, DurableState, Storage};
 use crate::types::{Addr, ClientId, Dur, Instance, ProcessId, Time, TxnId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -171,6 +171,14 @@ struct CatchUpBuf {
     upto: Instance,
     dedup: Vec<DedupEntry>,
     chunks: Vec<Option<bytes::Bytes>>,
+}
+
+/// `app` in pieces of at most `size` bytes, sliced, not copied. At least
+/// one piece, so an empty image still streams.
+fn cut(app: &bytes::Bytes, size: usize) -> Vec<bytes::Bytes> {
+    let n = app.len().div_ceil(size).max(1);
+    let end = |i: usize| app.len().min((i + 1) * size);
+    (0..n).map(|i| app.slice(i * size..end(i))).collect()
 }
 
 /// A recovered incarnation draws from a random stream of its own.
@@ -646,12 +654,7 @@ impl Replica {
             }
             Msg::HeartbeatAck { ballot, hb_seq } => self.handle_heartbeat_ack(from, ballot, hb_seq),
             Msg::CatchUpReq { have } => self.handle_catchup_req(from, have, &mut out),
-            Msg::CatchUp {
-                ballot,
-                entries,
-                snapshot,
-                upto,
-            } => self.handle_catchup(ballot, entries, snapshot, upto, now, &mut out),
+            Msg::CatchUp { ballot, entries } => self.handle_catchup(ballot, entries, now, &mut out),
             Msg::CatchUpChunk {
                 ballot,
                 upto,
@@ -768,11 +771,7 @@ impl Replica {
         }
         let my_prefix = self.log.chosen_prefix();
         // (No window is open here: a replica that promises does not lead.)
-        let snapshot = if my_prefix > cand_prefix {
-            self.exec.snapshot(my_prefix)
-        } else {
-            None
-        };
+        let snapshot = (my_prefix > cand_prefix).then(|| self.exec.snapshot(my_prefix));
         let floor = my_prefix.max(cand_prefix);
         let accepted = self.log.entries_above(floor, known_above);
         out.push(Action::send(
@@ -882,68 +881,45 @@ impl Replica {
             return;
         }
         // Decrees from the log go out [`LOG_BYTES_FLOOR`] at a time — a
-        // frame the transports carry whatever the values weigh — under the
-        // `upto` they reach; the requester asks for the rest when the next
-        // heartbeat shows it still behind.
-        let from_log = |entries: Vec<(Instance, Decree)>, above: Instance| Msg::CatchUp {
-            ballot,
-            upto: entries.last().map_or(above, |(i, _)| *i),
-            entries,
-            snapshot: None,
-        };
-        let msg = match self.log.chosen_range(have, upto, LOG_BYTES_FLOOR) {
-            Some(entries) => from_log(entries, have),
+        // frame the transports carry whatever the values weigh; the
+        // requester asks for the rest when the next heartbeat shows it
+        // still behind.
+        let entries = match self.log.chosen_range(have, upto, LOG_BYTES_FLOOR) {
+            Some(entries) => entries,
             None => {
-                // The log no longer reaches back to `have`. Prefer
-                // streaming the retained chunked checkpoint (refcounted
-                // clones; zero serialization work) over re-snapshotting
-                // the whole service inline.
-                if let Some(ck) = self.stable.get().checkpoint_chunks() {
-                    if ck.upto > have {
-                        let total = u32::try_from(ck.chunks.len()).unwrap_or(u32::MAX);
-                        for (i, data) in ck.chunks.iter().enumerate() {
-                            out.push(Action::send(
-                                from,
-                                Msg::CatchUpChunk {
-                                    ballot,
-                                    upto: ck.upto,
-                                    seq: i as u32,
-                                    total,
-                                    dedup: if i == 0 { ck.dedup.clone() } else { Vec::new() },
-                                    data: data.clone(),
-                                },
-                            ));
-                        }
-                        // Entries above the checkpoint ride a normal
-                        // CatchUp (the log retains everything above it).
-                        let entries = self.log.chosen_range(ck.upto, upto, LOG_BYTES_FLOOR);
-                        let entries = entries.unwrap_or_default();
-                        out.push(Action::send(from, from_log(entries, ck.upto)));
-                        self.stats.catchups_served += 1;
-                        return;
-                    }
-                }
-                // Beside a decree still being proposed, an app that keeps
-                // an undo log cannot show the prefix: the requester asks
-                // again with the next heartbeat, the window closed by then.
-                let Some(snapshot) = self.exec.snapshot(upto) else {
+                // The log no longer reaches back to `have`: the image that
+                // replaced it goes first, as the refcounted chunks it is
+                // stored in, then the log above it. A log is truncated only
+                // behind a committed image, so one covers `have`.
+                let image = self.stable.get().checkpoint_chunks();
+                let Some(ck) = image.filter(|ck| ck.upto > have) else {
                     return;
                 };
-                Msg::CatchUp {
-                    ballot,
-                    entries: Vec::new(),
-                    snapshot: Some(snapshot),
-                    upto,
+                let total = u32::try_from(ck.chunks.len()).unwrap_or(u32::MAX);
+                for (i, data) in ck.chunks.iter().enumerate() {
+                    out.push(Action::send(
+                        from,
+                        Msg::CatchUpChunk {
+                            ballot,
+                            upto: ck.upto,
+                            seq: i as u32,
+                            total,
+                            dedup: if i == 0 { ck.dedup.clone() } else { Vec::new() },
+                            data: data.clone(),
+                        },
+                    ));
                 }
+                let entries = self.log.chosen_range(ck.upto, upto, LOG_BYTES_FLOOR);
+                entries.unwrap_or_default()
             }
         };
         self.stats.catchups_served += 1;
-        out.push(Action::send(from, msg));
+        out.push(Action::send(from, Msg::CatchUp { ballot, entries }));
     }
 
     /// Receive one chunk of a chunked snapshot transfer. Chunks are
-    /// buffered per `upto`; once all `total` arrive, the reassembled
-    /// snapshot installs exactly like a monolithic [`Msg::CatchUp`] one.
+    /// buffered per `upto`; once all `total` arrive, the image installs,
+    /// and the chunks as received are what the disk stores.
     #[allow(clippy::too_many_arguments)]
     fn handle_catchup_chunk(
         &mut self,
@@ -994,19 +970,14 @@ impl Replica {
         let Some(buf) = self.catchup_buf.take() else {
             return;
         };
-        let len: usize = buf.chunks.iter().flatten().map(|c| c.len()).sum();
-        let mut app = bytes::BytesMut::with_capacity(len);
-        for c in buf.chunks.iter().flatten() {
-            app.extend_from_slice(c);
-        }
-        let snap = SnapshotBlob {
+        let image = ChunkedCheckpoint {
             upto: buf.upto,
-            app: app.freeze(),
             dedup: buf.dedup,
+            chunks: buf.chunks.into_iter().flatten().collect(),
         };
         self.catchup_requested_at = None;
-        if snap.upto > self.log.chosen_prefix() {
-            self.install_snapshot(&snap);
+        if image.upto > self.log.chosen_prefix() {
+            self.install_snapshot(&image.assemble(), image.chunks);
         }
         self.drain_apply(now, out);
     }
@@ -1015,8 +986,6 @@ impl Replica {
         &mut self,
         ballot: Ballot,
         entries: Vec<(Instance, Decree)>,
-        snapshot: Option<SnapshotBlob>,
-        _upto: Instance,
         now: Time,
         out: &mut Vec<Action>,
     ) {
@@ -1024,12 +993,6 @@ impl Replica {
             return;
         }
         self.catchup_requested_at = None;
-
-        if let Some(snap) = snapshot {
-            if snap.upto > self.log.chosen_prefix() {
-                self.install_snapshot(&snap);
-            }
-        }
         for (i, d) in entries {
             if i > self.log.chosen_prefix() && !self.log.is_known_chosen(i) {
                 self.stable.acked().save_accepted(i, ballot, &d);
@@ -1134,7 +1097,10 @@ impl Replica {
         self.exec.frozen()
     }
 
-    pub(crate) fn install_snapshot(&mut self, snap: &SnapshotBlob) {
+    /// Replace service, log and stored image with `snap`, whose app bytes
+    /// are `chunks` concatenated: the disk keeps the image as those
+    /// chunks, the one format every image is stored and served in.
+    pub(crate) fn install_snapshot(&mut self, snap: &SnapshotBlob, chunks: Vec<bytes::Bytes>) {
         debug_assert!(snap.upto >= self.log.chosen_prefix());
         if self.exec.install(snap) {
             self.stable.unacked().checkpoint_abort();
@@ -1144,7 +1110,11 @@ impl Replica {
         // From here on the snapshot stands in for this replica's accept
         // records up to `snap.upto`: whatever it sends next rests on it.
         let disk = self.stable.acked();
-        disk.save_checkpoint(snap);
+        disk.checkpoint_begin(snap.upto, &snap.dedup, chunks.len());
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            disk.checkpoint_chunk(i, chunk);
+        }
+        disk.checkpoint_commit();
         disk.truncate_upto(snap.upto);
         disk.save_chosen_prefix(snap.upto);
     }

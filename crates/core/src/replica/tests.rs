@@ -544,8 +544,6 @@ fn late_catchup_from_a_newer_leadership_deposes_before_it_applies() {
     let r0 = deliver_from_a_newer_leadership(&mut s, |ballot| Msg::CatchUp {
         ballot,
         entries: vec![(Instance(2), Decree::noop())],
-        snapshot: None,
-        upto: Instance(2),
     });
     assert_eq!(r0.chosen_prefix(), Instance(2));
     assert_eq!(r0.service_snapshot(), replay_of_chosen(r0));
@@ -1201,13 +1199,13 @@ fn a_power_cut_mid_barrier_lets_nothing_but_accepts_escape() {
     nothing_escaped(&s, "Reply");
 }
 
-/// A leader asked for catch-up while its window is open, by a follower
-/// its log no longer reaches and with no chunks to stream (its image came
-/// from an install), serves a snapshot of the chosen prefix — not of the
-/// prefix plus the decree it is still proposing, labelled as the prefix.
-/// [`Dice`] rolls per write, so the unchosen roll would show.
+/// A leader whose image came from an install keeps it as its own: asked
+/// for catch-up while its window is open, by a follower its log no longer
+/// reaches, it streams that image's chunks, as it would a checkpoint of
+/// its own — the chosen prefix, not the prefix plus the decree it is still
+/// proposing. [`Dice`] rolls per write, so the unchosen roll would show.
 #[test]
-fn catch_up_snapshot_served_over_an_open_window_is_the_chosen_prefix() {
+fn an_installed_image_is_served_as_chunks_over_an_open_window() {
     let cfg = cluster_cfg(3).with_checkpoint_every(2);
     let disks = (0..3).map(|_| Box::new(MemStorage::new()) as Box<dyn Storage>);
     let mut s = Shuttle::serving(cfg.clone(), disks.collect(), || Box::new(Dice::default()));
@@ -1229,7 +1227,13 @@ fn catch_up_snapshot_served_over_an_open_window_is_the_chosen_prefix() {
     s.now = Time(Dur::from_secs(10).0);
     s.fire(2, TimerKind::LeaderCheck);
     assert_eq!(s.leader(), Some(2));
-    assert!(s.replica(2).stable.get().checkpoint_chunks().is_none());
+    let image = s.replica(2).stable.get().checkpoint_chunks();
+    assert_eq!(
+        image.map(|ck| ck.upto),
+        Some(Instance(4)),
+        "installed, kept"
+    );
+    assert_eq!(s.replica(2).stats.checkpoints, 0, "and not its own");
 
     // A fifth write is executed and proposed, and its `Accept` goes nowhere.
     let request = sent(&c.submit_op(RequestKind::Write, Bytes::new(), s.now), |m| {
@@ -1242,7 +1246,7 @@ fn catch_up_snapshot_served_over_an_open_window_is_the_chosen_prefix() {
     assert_eq!(leader.chosen_prefix(), Instance(4));
     assert_eq!(leader.service_snapshot().len(), 5 * 8, "the window is open");
 
-    // An empty r0 asks for everything.
+    // An empty r0 asks for everything: chunks, then the log above them.
     let r0 = Addr::Replica(ProcessId(0));
     let served = leader.on_message(
         r0,
@@ -1251,16 +1255,20 @@ fn catch_up_snapshot_served_over_an_open_window_is_the_chosen_prefix() {
         },
         now,
     );
-    assert!(!served.iter().any(|a| matches!(
-        a,
-        Action::Send {
-            msg: Msg::CatchUpChunk { .. },
-            ..
-        }
-    )));
-    let catch_up = sent(&served, |m| matches!(m, Msg::CatchUp { .. }));
+    let tags: Vec<_> = served
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send { msg, .. } => Some(msg.tag()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(tags, ["catchup_chunk", "catchup"]);
     let mut follower = fresh(0, now);
-    follower.on_message(Addr::Replica(ProcessId(2)), catch_up, now);
+    for a in served {
+        if let Action::Send { msg, .. } = a {
+            follower.on_message(Addr::Replica(ProcessId(2)), msg, now);
+        }
+    }
     assert_eq!(follower.chosen_prefix(), Instance(4));
 
     let leader = s.replicas[2].as_mut().unwrap();
@@ -1271,6 +1279,21 @@ fn catch_up_snapshot_served_over_an_open_window_is_the_chosen_prefix() {
         leader.service_snapshot(),
         "equal prefix, equal state"
     );
+}
+
+/// A promise's snapshot is stored in pieces of the chunk size, sliced
+/// from the image it arrived in rather than copied; an empty image is one
+/// empty piece, so it still streams.
+#[test]
+fn an_image_is_cut_into_slices_of_the_chunk_size() {
+    let app = Bytes::from(vec![1u8; 10]);
+    let pieces = cut(&app, 4);
+    let lens: Vec<_> = pieces.iter().map(|p| p.len()).collect();
+    assert_eq!(lens, [4, 4, 2]);
+    assert_eq!(pieces[1].as_ptr(), app[4..].as_ptr(), "a slice, not a copy");
+    let whole = cut(&app, 64);
+    assert_eq!((whole.len(), &whole[0]), (1, &app));
+    assert_eq!(cut(&Bytes::new(), 4), [Bytes::new()]);
 }
 
 fn open_r1(storage: MemStorage) -> Replica {
@@ -1317,11 +1340,9 @@ fn open_recovers_on_each_kind_of_prior_state() {
     assert!(open_r1(accepted).log.get(Instance(1)).is_some());
 
     let mut checkpointed = MemStorage::new();
-    checkpointed.save_checkpoint(&SnapshotBlob {
-        upto: Instance(2),
-        app: NoopApp::new().snapshot(),
-        dedup: vec![],
-    });
+    checkpointed.checkpoint_begin(Instance(2), &[], 1);
+    checkpointed.checkpoint_chunk(0, NoopApp::new().snapshot());
+    checkpointed.checkpoint_commit();
     let r = open_r1(checkpointed);
     let due = |prefix| r.exec.checkpoint_due(Instance(prefix), 2, 0);
     assert_eq!((due(3), due(4)), (None, Some(exec::Due::Count)));
@@ -2823,15 +2844,15 @@ impl ExecScript {
             let table = self.exec.last_reply(ClientId(1)).map(|(seq, _)| seq);
             assert_eq!(table, last.map(|id| id.seq), "dedup follows chosen");
         }
-        // A snapshot is of the chosen decrees alone — or, beside a window
-        // that an undo log holds open, not to be had.
-        let mut prefix = Executor::new(Box::new(NoopApp::new()), ValueMode::ReqState);
-        for decree in &self.chosen {
-            prefix.chosen(decree, &mut self.rng.clone());
-        }
-        match self.exec.snapshot(Instance(self.chosen.len() as u64)) {
-            Some(snap) => assert_eq!(snap.app, prefix.state()),
-            None => assert!(window.is_some(), "only an open window hides the prefix"),
+        // A promise's snapshot, taken with the window closed, is of the
+        // chosen decrees alone.
+        if window.is_none() {
+            let mut prefix = Executor::new(Box::new(NoopApp::new()), ValueMode::ReqState);
+            for decree in &self.chosen {
+                prefix.chosen(decree, &mut self.rng.clone());
+            }
+            let snap = self.exec.snapshot(Instance(self.chosen.len() as u64));
+            assert_eq!(snap.app, prefix.state());
         }
     }
 }

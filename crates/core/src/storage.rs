@@ -104,12 +104,6 @@ pub trait Storage: Send {
     fn save_accepted(&mut self, i: Instance, b: Ballot, d: &Decree);
     /// Persist the contiguous chosen-and-applied prefix.
     fn save_chosen_prefix(&mut self, upto: Instance);
-    /// Persist a whole image received at catch-up: the snapshot
-    /// [`crate::replica::Replica`] installs from a `CatchUp`, a
-    /// `CatchUpChunk` transfer or a promise. It supersedes any chunked
-    /// checkpoint, so [`Storage::checkpoint_chunks`] answers `None` after
-    /// it. Periodic checkpoints go through the chunk calls below.
-    fn save_checkpoint(&mut self, snap: &SnapshotBlob);
     /// Drop accepted entries for instances `<= upto` (they are covered by a
     /// checkpoint).
     fn truncate_upto(&mut self, upto: Instance);
@@ -139,11 +133,19 @@ pub trait Storage: Send {
         true
     }
 
+    /// Inert: an installed image goes through the chunk calls like a
+    /// periodic one, and nothing calls this. Delete in ROADMAP item 1:
+    /// `benchmark/src/{delay_storage,trace}.rs` forward it.
+    #[doc(hidden)]
+    fn save_checkpoint(&mut self, _snap: &SnapshotBlob) {}
+
     /// Open a checkpoint at apply epoch `upto` with the given dedup
     /// table; `total` chunks will follow. Replaces any prior pending
-    /// (uncommitted) chunked checkpoint. No default: a backend that
-    /// ignored the chunk calls would have the replica truncate its log
-    /// behind an image it never stored.
+    /// (uncommitted) chunked checkpoint. Every image a replica holds is
+    /// written this way: a periodic checkpoint, and an image it installs
+    /// from a peer. No default: a backend that ignored the chunk calls
+    /// would have the replica truncate its log behind an image it never
+    /// stored.
     fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize);
 
     /// Append chunk `idx` (ascending from 0) of the pending checkpoint.
@@ -158,8 +160,9 @@ pub trait Storage: Send {
     fn checkpoint_abort(&mut self);
 
     /// The latest *committed* chunked checkpoint, if this backend holds
-    /// one. Serving replicas stream these chunks to lagging peers without
-    /// re-serializing O(state) (the chunks are refcounted).
+    /// one — the one image [`Storage::load`] assembles. Serving replicas
+    /// stream these chunks to lagging peers without re-serializing
+    /// O(state) (the chunks are refcounted).
     fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint>;
 }
 
@@ -178,9 +181,10 @@ pub struct DiskMeter {
 /// hands it to the recovered incarnation.
 #[derive(Clone, Debug, Default)]
 pub struct MemStorage {
+    /// Everything but the image: `state.checkpoint` stays `None`.
     state: DurableState,
-    /// Latest committed chunked checkpoint (authoritative over
-    /// `state.checkpoint` when present; `load` assembles it lazily).
+    /// The one image, the latest committed checkpoint (`load` assembles
+    /// it).
     chunked: Option<ChunkedCheckpoint>,
     /// Chunked checkpoint under construction: `(partial, expected_total)`.
     pending: Option<(ChunkedCheckpoint, usize)>,
@@ -238,26 +242,16 @@ impl Storage for MemStorage {
         self.wrote();
     }
 
-    fn save_checkpoint(&mut self, snap: &SnapshotBlob) {
-        self.state.checkpoint = Some(snap.clone());
-        // An installed image supersedes any periodic (chunked) one.
-        self.chunked = None;
-        self.wrote();
-    }
-
     fn truncate_upto(&mut self, upto: Instance) {
         self.state.accepted = self.state.accepted.split_off(&upto.next());
         self.wrote();
     }
 
     fn load(&self) -> DurableState {
-        let mut d = self.state.clone();
-        if let Some(ck) = &self.chunked {
-            // Assemble lazily: recovery is the only reader that needs the
-            // monolithic blob.
-            d.checkpoint = Some(ck.assemble());
+        DurableState {
+            checkpoint: self.chunked.as_ref().map(ChunkedCheckpoint::assemble),
+            ..self.state.clone()
         }
-        d
     }
 
     // Unless a disk is modelled, a write is "durable" the moment it lands
@@ -302,9 +296,6 @@ impl Storage for MemStorage {
         if let Some((ck, total)) = self.pending.take() {
             debug_assert_eq!(ck.chunks.len(), total, "commit of a complete image");
             self.chunked = Some(ck);
-            // The chunked image is now authoritative; drop a stale
-            // monolithic blob so `load` can't resurrect it.
-            self.state.checkpoint = None;
         }
         self.wrote();
     }
@@ -335,11 +326,18 @@ pub struct TailLossStorage {
 
 #[cfg(any(test, feature = "check-hooks"))]
 impl TailLossStorage {
-    /// A disk holding exactly `state`, all of it durable.
+    /// A disk holding exactly `state`, all of it durable. Its image is
+    /// kept as one chunk, so a replica recovered on it serves catch-up.
     #[must_use]
-    pub fn holding(state: DurableState) -> TailLossStorage {
+    pub fn holding(mut state: DurableState) -> TailLossStorage {
+        let chunked = state.checkpoint.take().map(|snap| ChunkedCheckpoint {
+            upto: snap.upto,
+            dedup: snap.dedup,
+            chunks: vec![snap.app],
+        });
         let disk = MemStorage {
             state,
+            chunked,
             ..MemStorage::default()
         };
         TailLossStorage {
@@ -359,9 +357,6 @@ impl Storage for TailLossStorage {
     }
     fn save_chosen_prefix(&mut self, upto: Instance) {
         self.live.save_chosen_prefix(upto);
-    }
-    fn save_checkpoint(&mut self, snap: &SnapshotBlob) {
-        self.live.save_checkpoint(snap);
     }
     fn truncate_upto(&mut self, upto: Instance) {
         self.live.truncate_upto(upto);
@@ -444,18 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrip() {
-        let mut s = MemStorage::new();
-        let snap = SnapshotBlob {
-            upto: Instance(7),
-            app: bytes::Bytes::from_static(b"state"),
-            dedup: vec![],
-        };
-        s.save_checkpoint(&snap);
-        assert_eq!(s.load().checkpoint.unwrap().upto, Instance(7));
-    }
-
-    #[test]
     fn write_counter_tracks_persist_ops() {
         let mut s = MemStorage::new();
         assert_eq!(s.writes, 0);
@@ -495,21 +478,39 @@ mod tests {
         assert!(s.checkpoint_chunks().is_none());
     }
 
-    /// A catch-up install lands on a disk that holds a periodic image:
-    /// the installed one is what `load` and catch-up serve from then on.
-    #[test]
-    fn an_installed_image_supersedes_a_periodic_one() {
-        let mut s = MemStorage::new();
-        s.checkpoint_begin(Instance(2), &[], 1);
-        s.checkpoint_chunk(0, Bytes::from_static(b"old"));
+    fn commit(s: &mut dyn Storage, upto: u64, chunks: &[&'static [u8]]) {
+        s.checkpoint_begin(Instance(upto), &[], chunks.len());
+        for (i, c) in chunks.iter().enumerate() {
+            s.checkpoint_chunk(i, Bytes::from_static(c));
+        }
         s.checkpoint_commit();
-        s.save_checkpoint(&SnapshotBlob {
-            upto: Instance(5),
-            app: bytes::Bytes::from_static(b"new"),
-            dedup: vec![],
-        });
-        assert!(s.checkpoint_chunks().is_none());
-        assert_eq!(s.load().checkpoint.unwrap().upto, Instance(5));
+    }
+
+    /// A disk holds one image: a later commit — an install lands on a
+    /// disk with a periodic image this way — replaces it, and that one is
+    /// what `load` and catch-up serve from then on.
+    #[test]
+    fn a_later_image_replaces_the_one_held() {
+        let mut s = MemStorage::new();
+        commit(&mut s, 2, &[b"old"]);
+        commit(&mut s, 5, &[b"ne", b"w"]);
+        let ck = s.checkpoint_chunks().expect("one image");
+        assert_eq!((ck.upto, ck.chunks.len()), (Instance(5), 2));
+        let snap = s.load().checkpoint.expect("assembled");
+        assert_eq!((snap.upto, &snap.app[..]), (Instance(5), &b"new"[..]));
+    }
+
+    /// A recovered disk keeps its image as chunks, so the replica on it
+    /// can serve catch-up from it.
+    #[test]
+    fn a_tail_loss_disk_holding_an_image_serves_its_chunks() {
+        let mut s = MemStorage::new();
+        commit(&mut s, 3, &[b"ab", b"c"]);
+        let reopened = TailLossStorage::holding(s.load());
+        let ck = reopened.checkpoint_chunks().expect("image kept");
+        assert_eq!(ck.upto, Instance(3));
+        assert_eq!(ck.assemble().app, Bytes::from_static(b"abc"));
+        assert_eq!(reopened.load().checkpoint, s.load().checkpoint);
     }
 
     #[test]
@@ -519,13 +520,7 @@ mod tests {
             |s| s.save_promised(ballot(1)),
             |s| s.save_accepted(Instance(1), ballot(1), &Decree::noop()),
             |s| s.save_chosen_prefix(Instance(1)),
-            |s| {
-                s.save_checkpoint(&SnapshotBlob {
-                    upto: Instance(1),
-                    app: bytes::Bytes::new(),
-                    dedup: vec![],
-                });
-            },
+            |s| commit(s, 1, &[b""]),
         ];
         for (i, write) in writes.iter().enumerate() {
             let mut s = MemStorage::new();

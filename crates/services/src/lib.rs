@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod broker;
 pub mod codec;

@@ -1,5 +1,5 @@
-//! File-backed stable storage: a write-ahead log plus atomically
-//! replaced checkpoint files. This is what makes a deployment
+//! File-backed stable storage: a write-ahead log plus an atomically
+//! replaced checkpoint file per group. This is what makes a deployment
 //! actually crash-recoverable — the paper's model explicitly allows
 //! processes to recover (§3.1), which requires promises and accepted
 //! proposals to survive on disk.
@@ -11,10 +11,14 @@
 //!   deployment every group sharing the directory appends to this one
 //!   log (records for group `g > 0` carry a group envelope; group 0
 //!   records stay byte-identical to the single-group format).
-//! * `checkpoint.bin` (group 0) / `checkpoint-g<N>.bin` — the latest
-//!   snapshot per group, written to a temp file and renamed into place
-//!   (atomic on POSIX). After the rename the *directory* is fsync'd so
-//!   the replacement itself survives power loss.
+//! * `checkpoint.chunks` (group 0) / `checkpoint-g<N>.chunks` — the one
+//!   image a group holds, whether the replica made it (a periodic
+//!   checkpoint) or installed it from a peer: a header frame (`upto`,
+//!   chunk count, dedup table), then one frame per chunk, each written
+//!   as the chunk streams in. The file is built as `*.chunks.tmp`,
+//!   fsync'd and renamed into place (atomic on POSIX); after the rename
+//!   the *directory* is fsync'd so the replacement itself survives power
+//!   loss. Catch-up serves these same chunks.
 //!
 //! Durability has one discipline, the flush barrier: appends only
 //! write, and [`Storage::flush`] issues one `sync_data` covering every
@@ -35,8 +39,8 @@
 //!
 //! **No fsync runs while the WAL lock is held.** Appends serialize under
 //! the lock (they must — the log is one file), but the platter waits —
-//! `sync_data` on the WAL, checkpoint-file syncs, the directory fsync
-//! after a rename — all happen outside it, so other groups keep
+//! `sync_data` on the WAL, the checkpoint file's sync, the directory
+//! fsync after a rename — all happen outside it, so other groups keep
 //! appending while one group's barrier is in flight. The flush barrier
 //! keeps two sequence numbers, appended and durable. A flush that finds
 //! `appended_seq > durable_seq` fsyncs a dup'd handle with the lock
@@ -53,10 +57,11 @@
 //! guard dropped.)
 //!
 //! A committed checkpoint file that does not parse is corruption, not a
-//! torn write (both are written to a temp file and renamed into place),
-//! and the log behind it may already be truncated: [`FlushCoordinator::open`]
+//! torn write (it is written to a temp file and renamed into place), and
+//! the log behind it may already be truncated: [`FlushCoordinator::open`]
 //! refuses the directory with [`io::ErrorKind::InvalidData`] naming the
-//! file. A leftover `*.tmp` was never committed and is ignored.
+//! file. It refuses a retired `.bin` image the same way. A leftover
+//! `*.tmp` was never committed and is ignored.
 //!
 //! `truncate_upto` compacts by rewriting the WAL with only the retained
 //! records (all groups). A torn record at the WAL tail (a crash
@@ -65,12 +70,12 @@
 
 use crate::framing::{read_frame, write_frame};
 use crate::wire::{
-    get_ballot, get_decree, get_dedup_table, get_instance, get_snapshot, put_ballot, put_decree,
-    put_dedup_table, put_instance, put_snapshot,
+    get_ballot, get_decree, get_dedup_table, get_instance, put_ballot, put_decree, put_dedup_table,
+    put_instance,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gridpaxos_core::ballot::Ballot;
-use gridpaxos_core::command::{Decree, DedupEntry, SnapshotBlob};
+use gridpaxos_core::command::{Decree, DedupEntry};
 use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState, Storage};
 use gridpaxos_core::types::Instance;
 use std::fs::{self, File, OpenOptions};
@@ -95,6 +100,15 @@ pub enum SyncMode {
     Batched,
     /// Never fsync (tests; durability limited to surviving process exit).
     Never,
+}
+
+impl SyncMode {
+    /// Run `sync`, a barrier on the platter, unless nothing ever syncs.
+    fn sync(self, what: &str, sync: impl FnOnce() -> io::Result<()>) {
+        if self != SyncMode::Never {
+            fatal_io(what, sync());
+        }
+    }
 }
 
 /// Unwrap an I/O result that the durability layer cannot survive losing.
@@ -155,15 +169,7 @@ struct WalInner {
 
 impl WalInner {
     fn append(&mut self, group: u32, record: &[u8]) {
-        if group == 0 {
-            fatal_io("WAL append", write_frame(&mut self.wal, record));
-        } else {
-            let mut wrapped = BytesMut::with_capacity(record.len() + 5);
-            wrapped.put_u8(TAG_GROUP);
-            wrapped.put_u32_le(group);
-            wrapped.extend_from_slice(record);
-            fatal_io("WAL append", write_frame(&mut self.wal, &wrapped));
-        }
+        fatal_io("WAL append", write_record(&mut self.wal, group, record));
         self.appends += 1;
         self.appended_seq += 1;
         if self.mode == SyncMode::Never {
@@ -185,31 +191,30 @@ impl WalInner {
             let mut f = fatal_io("create wal.tmp", File::create(&tmp));
             for (g, state) in self.states.iter().enumerate() {
                 let g = g as u32;
+                let mut compacted = |out: &BytesMut| {
+                    fatal_io("write wal.tmp", write_record(&mut f, g, out));
+                };
                 let mut out = BytesMut::new();
                 out.put_u8(TAG_PROMISED);
                 put_ballot(&mut out, &state.promised);
-                write_compacted(&mut f, g, &out);
+                compacted(&out);
                 let mut out = BytesMut::new();
                 out.put_u8(TAG_CHOSEN);
                 put_instance(&mut out, &state.chosen_prefix);
-                write_compacted(&mut f, g, &out);
+                compacted(&out);
                 for (i, (b, d)) in &state.accepted {
                     let mut out = BytesMut::new();
                     out.put_u8(TAG_ACCEPTED);
                     put_instance(&mut out, i);
                     put_ballot(&mut out, b);
                     put_decree(&mut out, d);
-                    write_compacted(&mut f, g, &out);
+                    compacted(&out);
                 }
             }
-            if self.mode != SyncMode::Never {
-                fatal_io("fsync wal.tmp", f.sync_data());
-            }
+            self.mode.sync("fsync wal.tmp", || f.sync_data());
         }
         fatal_io("swap WAL", fs::rename(&tmp, self.dir.join("wal.log")));
-        if self.mode != SyncMode::Never {
-            sync_dir(&self.dir);
-        }
+        self.mode.sync("fsync data dir", || sync_dir(&self.dir));
         self.wal = fatal_io(
             "reopen WAL",
             OpenOptions::new()
@@ -255,14 +260,6 @@ impl WalInner {
     }
 }
 
-fn checkpoint_path(dir: &Path, group: u32) -> PathBuf {
-    if group == 0 {
-        dir.join("checkpoint.bin")
-    } else {
-        dir.join(format!("checkpoint-g{group}.bin"))
-    }
-}
-
 fn chunked_path(dir: &Path, group: u32) -> PathBuf {
     if group == 0 {
         dir.join("checkpoint.chunks")
@@ -293,7 +290,9 @@ fn read_chunked(path: &Path) -> Option<ChunkedCheckpoint> {
     }
     let total = header.get_u32_le() as usize;
     let dedup = get_dedup_table(&mut header).ok()?;
-    let mut chunks = Vec::with_capacity(total);
+    // `total` is read, not trusted: reserve what a sane image needs and
+    // let the count check below judge the rest.
+    let mut chunks = Vec::with_capacity(total.min(1024));
     while let Ok(Some(frame)) = read_frame(&mut r) {
         chunks.push(frame);
     }
@@ -304,28 +303,28 @@ fn read_chunked(path: &Path) -> Option<ChunkedCheckpoint> {
     })
 }
 
-fn write_compacted(f: &mut File, group: u32, record: &[u8]) {
+/// Write `record` to a WAL as one frame: bare for group 0, inside the
+/// [`TAG_GROUP`] envelope for any other group.
+fn write_record(w: &mut impl Write, group: u32, record: &[u8]) -> io::Result<()> {
     if group == 0 {
-        fatal_io("write wal.tmp", write_frame(f, record));
-    } else {
-        let mut wrapped = BytesMut::with_capacity(record.len() + 5);
-        wrapped.put_u8(TAG_GROUP);
-        wrapped.put_u32_le(group);
-        wrapped.extend_from_slice(record);
-        fatal_io("write wal.tmp", write_frame(f, &wrapped));
+        return write_frame(w, record);
     }
+    let mut wrapped = BytesMut::with_capacity(record.len() + 5);
+    wrapped.put_u8(TAG_GROUP);
+    wrapped.put_u32_le(group);
+    wrapped.extend_from_slice(record);
+    write_frame(w, &wrapped)
 }
 
-/// The error for a committed checkpoint file that does not parse.
-fn corrupt(path: &Path) -> io::Error {
-    let what = format!("corrupt checkpoint file {}", path.display());
+/// The error for a checkpoint file open cannot use, naming it.
+fn refuse(what: &str, path: &Path) -> io::Error {
+    let what = format!("{what} checkpoint file {}", path.display());
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 /// fsync a directory so a rename performed inside it is durable.
-fn sync_dir(dir: &Path) {
-    let d = fatal_io("open data dir for fsync", File::open(dir));
-    fatal_io("fsync data dir", d.sync_all());
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Durable [`Storage`] backed by files in a directory — the handle for
@@ -460,46 +459,6 @@ impl Storage for FileStorage {
         self.append_record(&out, |inner| inner.states[g].chosen_prefix = upto);
     }
 
-    fn save_checkpoint(&mut self, snap: &SnapshotBlob) {
-        // Serialize, write and fsync the image *before* taking the WAL
-        // lock: the bytes come from the argument, not the mirror, and
-        // holding the lock across a checkpoint-sized write+fsync would
-        // stall every group's appends for the duration.
-        let (dir, mode) = {
-            let inner = lock(&self.wal);
-            (inner.dir.clone(), inner.mode)
-        };
-        let tmp = dir.join(format!("checkpoint-g{}.tmp", self.group));
-        {
-            let mut f = fatal_io("create checkpoint.tmp", File::create(&tmp));
-            let mut out = BytesMut::new();
-            put_snapshot(&mut out, snap);
-            fatal_io("write checkpoint", f.write_all(&out));
-            if mode != SyncMode::Never {
-                fatal_io("fsync checkpoint", f.sync_data());
-            }
-        }
-        fatal_io(
-            "swap checkpoint",
-            fs::rename(&tmp, checkpoint_path(&dir, self.group)),
-        );
-        // Without this the atomic replacement itself can be lost on power
-        // failure even though the temp file's *contents* were synced: the
-        // rename lives in the directory, not the file.
-        if mode != SyncMode::Never {
-            sync_dir(&dir);
-        }
-        // Only after the image is on disk does the mirror adopt it. An
-        // installed image supersedes any committed chunked one; drop its
-        // file so a stale (lower-`upto`) one can't win on reopen.
-        {
-            let mut inner = lock(&self.wal);
-            inner.states[self.group as usize].checkpoint = Some(snap.clone());
-            inner.chunked[self.group as usize] = None;
-        }
-        let _ = fs::remove_file(chunked_path(&dir, self.group));
-    }
-
     fn truncate_upto(&mut self, upto: Instance) {
         let mut inner = lock(&self.wal);
         let g = self.group as usize;
@@ -512,13 +471,11 @@ impl Storage for FileStorage {
 
     fn load(&self) -> DurableState {
         let inner = lock(&self.wal);
-        let mut d = inner.states[self.group as usize].clone();
-        if let Some(ck) = &inner.chunked[self.group as usize] {
-            if d.checkpoint.as_ref().is_none_or(|c| c.upto < ck.upto) {
-                d.checkpoint = Some(ck.assemble());
-            }
+        let g = self.group as usize;
+        DurableState {
+            checkpoint: inner.chunked[g].as_ref().map(ChunkedCheckpoint::assemble),
+            ..inner.states[g].clone()
         }
-        d
     }
 
     /// The group-commit barrier: make every record appended before this
@@ -570,9 +527,7 @@ impl Storage for FileStorage {
             (p, inner.dir.clone(), inner.mode)
         };
         debug_assert_eq!(p.ck.chunks.len(), p.total, "commit of a complete image");
-        if mode != SyncMode::Never {
-            fatal_io("fsync chunks", p.file.sync_data());
-        }
+        mode.sync("fsync chunks", || p.file.sync_data());
         fatal_io(
             "swap chunked checkpoint",
             fs::rename(
@@ -580,17 +535,11 @@ impl Storage for FileStorage {
                 chunked_path(&dir, self.group),
             ),
         );
-        if mode != SyncMode::Never {
-            sync_dir(&dir);
-        }
-        // The chunked image is now authoritative; a stale installed image
-        // (file and mirror) must not resurrect an older state.
-        {
-            let mut inner = lock(&self.wal);
-            inner.states[g].checkpoint = None;
-            inner.chunked[g] = Some(p.ck);
-        }
-        let _ = fs::remove_file(checkpoint_path(&dir, self.group));
+        // Without this the rename itself can be lost on power failure even
+        // though the file's contents were synced: it lives in the
+        // directory, not the file.
+        mode.sync("fsync data dir", || sync_dir(&dir));
+        lock(&self.wal).chunked[g] = Some(p.ck);
     }
 
     fn checkpoint_abort(&mut self) {
@@ -616,7 +565,10 @@ impl FlushCoordinator {
     /// Open (or create) the shared log in `dir` for `n_groups` groups,
     /// replaying any existing WAL and per-group checkpoints. A committed
     /// checkpoint file that does not parse fails the open with
-    /// [`io::ErrorKind::InvalidData`], naming the file. A WAL record for a
+    /// [`io::ErrorKind::InvalidData`], naming the file. So does a
+    /// `checkpoint.bin` or `checkpoint-g<N>.bin`: the format older builds
+    /// stored an installed image in, which this one does not read, and
+    /// the log behind it may already be truncated. A WAL record for a
     /// group `>= n_groups` (a differently sized deployment's data
     /// directory) ends the replay like a torn tail.
     pub fn open(
@@ -630,28 +582,28 @@ impl FlushCoordinator {
         let mut states: Vec<DurableState> =
             (0..n_groups).map(|_| DurableState::default()).collect();
 
+        // Older builds stored an installed image as `checkpoint*.bin`. This
+        // one does not read it, and the log behind it may be truncated.
+        for entry in fs::read_dir(&dir)? {
+            let path = entry?.path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            let per_group = name.starts_with("checkpoint-g") && name.ends_with(".bin");
+            if name == "checkpoint.bin" || per_group {
+                return Err(refuse("retired-format", &path));
+            }
+        }
         // Checkpoints first (they are the base the WAL builds on).
-        let mut chunked: Vec<Option<ChunkedCheckpoint>> = (0..n_groups).map(|_| None).collect();
+        let mut chunked: Vec<Option<ChunkedCheckpoint>> = Vec::with_capacity(n_groups);
         for (g, state) in states.iter_mut().enumerate() {
-            let path = checkpoint_path(&dir, g as u32);
-            if path.exists() {
-                let mut buf = Bytes::from(fs::read(&path)?);
-                let snap = get_snapshot(&mut buf).map_err(|_| corrupt(&path))?;
-                state.chosen_prefix = state.chosen_prefix.max(snap.upto);
-                state.checkpoint = Some(snap);
-            }
-            let cpath = chunked_path(&dir, g as u32);
-            if cpath.exists() {
-                let ck = read_chunked(&cpath).ok_or_else(|| corrupt(&cpath))?;
-                // Whichever image covers more instances wins; commit
-                // deletes the loser's file, so a tie is impossible short
-                // of a crash between rename and unlink.
-                if state.checkpoint.as_ref().is_none_or(|c| c.upto < ck.upto) {
-                    state.chosen_prefix = state.chosen_prefix.max(ck.upto);
-                    state.checkpoint = None;
-                    chunked[g] = Some(ck);
-                }
-            }
+            let path = chunked_path(&dir, g as u32);
+            let ck = if path.exists() {
+                let ck = read_chunked(&path).ok_or_else(|| refuse("corrupt", &path))?;
+                state.chosen_prefix = state.chosen_prefix.max(ck.upto);
+                Some(ck)
+            } else {
+                None
+            };
+            chunked.push(ck);
         }
 
         // Replay the WAL; stop cleanly at a torn tail. A record for an
@@ -762,6 +714,15 @@ mod tests {
         Ballot::new(r, ProcessId(0))
     }
 
+    /// Commit an image of `chunks` at `upto` through the chunk calls.
+    fn commit(s: &mut FileStorage, upto: u64, chunks: &[&'static [u8]]) {
+        s.checkpoint_begin(Instance(upto), &[], chunks.len());
+        for (i, c) in chunks.iter().enumerate() {
+            s.checkpoint_chunk(i, Bytes::from_static(c));
+        }
+        s.checkpoint_commit();
+    }
+
     fn decree(seq: u64) -> Decree {
         Decree::single(
             Command::Req(Request::new(
@@ -803,11 +764,7 @@ mod tests {
                 s.save_accepted(Instance(i), ballot(1), &decree(i));
             }
             s.save_chosen_prefix(Instance(20));
-            s.save_checkpoint(&SnapshotBlob {
-                upto: Instance(18),
-                app: Bytes::from_static(b"app-state"),
-                dedup: vec![],
-            });
+            commit(&mut s, 18, &[b"app-state"]);
             let before = fs::metadata(dir.join("wal.log")).unwrap().len();
             s.truncate_upto(Instance(18));
             let after = fs::metadata(dir.join("wal.log")).unwrap().len();
@@ -821,8 +778,11 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// A directory holds one image per group: a later commit replaces
+    /// it, whether the replica made the image or installed it, and
+    /// reopen finds that one, chunks and all.
     #[test]
-    fn chunked_checkpoint_survives_reopen_and_supersedes_an_older_install() {
+    fn chunked_checkpoint_survives_reopen_and_replaces_the_image_held() {
         let dir = tmpdir("chunked");
         {
             let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
@@ -830,24 +790,17 @@ mod tests {
                 s.save_accepted(Instance(i), ballot(1), &decree(i));
             }
             s.save_chosen_prefix(Instance(8));
-            // An older installed image that the periodic one must
-            // supersede.
-            s.save_checkpoint(&SnapshotBlob {
-                upto: Instance(2),
-                app: Bytes::from_static(b"old"),
-                dedup: vec![],
-            });
+            commit(&mut s, 2, &[b"old"]);
             s.checkpoint_begin(Instance(6), &[], 3);
             s.checkpoint_chunk(0, Bytes::from_static(b"aa"));
             s.checkpoint_chunk(1, Bytes::from_static(b"bbb"));
-            // Uncommitted: load still sees the installed image.
+            // Uncommitted: load still sees the image held.
             assert_eq!(s.load().checkpoint.unwrap().upto, Instance(2));
             s.checkpoint_chunk(2, Bytes::from_static(b"c"));
             s.checkpoint_commit();
             let d = s.load();
             assert_eq!(d.checkpoint.as_ref().unwrap().upto, Instance(6));
             assert_eq!(&d.checkpoint.unwrap().app[..], b"aabbbc");
-            assert!(!dir.join("checkpoint.bin").exists(), "stale file removed");
             let ck = s.checkpoint_chunks().unwrap();
             assert_eq!(ck.chunks.len(), 3, "chunks retained for catch-up");
             s.truncate_upto(Instance(6));
@@ -868,31 +821,6 @@ mod tests {
                 Bytes::from_static(b"c")
             ]
         );
-        fs::remove_dir_all(dir).ok();
-    }
-
-    /// A catch-up install over a periodic image: the installed one is
-    /// what reopen finds, and there are no chunks left to serve.
-    #[test]
-    fn an_installed_image_supersedes_a_periodic_one_on_disk() {
-        let dir = tmpdir("chunked-supersede");
-        {
-            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
-            s.checkpoint_begin(Instance(3), &[], 1);
-            s.checkpoint_chunk(0, Bytes::from_static(b"chunked"));
-            s.checkpoint_commit();
-            s.save_checkpoint(&SnapshotBlob {
-                upto: Instance(5),
-                app: Bytes::from_static(b"mono"),
-                dedup: vec![],
-            });
-            assert!(s.checkpoint_chunks().is_none());
-            assert!(!dir.join("checkpoint.chunks").exists());
-        }
-        let s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
-        let d = s.load();
-        assert_eq!(d.checkpoint.as_ref().unwrap().upto, Instance(5));
-        assert_eq!(&d.checkpoint.unwrap().app[..], b"mono");
         fs::remove_dir_all(dir).ok();
     }
 
@@ -931,27 +859,61 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// A header that claims `u32::MAX` chunks and holds none: the count
+    /// is read, not trusted, so open refuses the file instead of
+    /// reserving room for four billion chunks.
     #[test]
-    fn a_garbage_checkpoint_bin_refuses_to_open() {
-        let dir = tmpdir("garbage-bin");
-        {
-            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
-            for i in 1..=4u64 {
-                s.save_accepted(Instance(i), ballot(1), &decree(i));
-            }
-            s.save_chosen_prefix(Instance(4));
-            s.save_checkpoint(&SnapshotBlob {
+    fn a_chunk_count_past_the_file_refuses_to_open() {
+        let dir = tmpdir("huge-count");
+        fs::create_dir_all(&dir).unwrap();
+        let mut header = BytesMut::new();
+        put_instance(&mut header, &Instance(6));
+        header.put_u32_le(u32::MAX);
+        put_dedup_table(&mut header, &[]);
+        let mut file = Vec::new();
+        write_frame(&mut file, &header).unwrap();
+        fs::write(dir.join("checkpoint.chunks"), file).unwrap();
+        let e = refusal(&dir);
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("checkpoint.chunks"), "{e}");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// A well-formed installed image in the retired `.bin` format, the
+    /// log behind it truncated: this build does not read the file, so it
+    /// refuses the directory rather than open it without the image. Any
+    /// group's.
+    #[test]
+    fn a_stray_checkpoint_bin_refuses_to_open() {
+        let mut image = BytesMut::new();
+        crate::wire::put_snapshot(
+            &mut image,
+            &gridpaxos_core::command::SnapshotBlob {
                 upto: Instance(3),
                 app: Bytes::from_static(b"installed"),
                 dedup: vec![],
-            });
-            s.truncate_upto(Instance(3));
+            },
+        );
+        for (n_groups, stray) in [(1, "checkpoint.bin"), (3, "checkpoint-g2.bin")] {
+            let dir = tmpdir("stray-bin");
+            {
+                let coord = FlushCoordinator::open(&dir, SyncMode::Never, n_groups).unwrap();
+                let mut s = coord.storage(n_groups - 1);
+                for i in 1..=4u64 {
+                    s.save_accepted(Instance(i), ballot(1), &decree(i));
+                }
+                s.save_chosen_prefix(Instance(4));
+                s.truncate_upto(Instance(3));
+            }
+            fs::write(dir.join(stray), &image).unwrap();
+            let e = match FlushCoordinator::open(&dir, SyncMode::Never, n_groups) {
+                Ok(_) => panic!("opened a directory holding {stray}"),
+                Err(e) => e,
+            };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains(stray), "{e}");
+            fs::remove_dir_all(dir).ok();
         }
-        fs::write(dir.join("checkpoint.bin"), b"garbage").unwrap();
-        let e = refusal(&dir);
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("checkpoint.bin"), "{e}");
-        fs::remove_dir_all(dir).ok();
     }
 
     /// A temp file was never renamed into place, so it was never
@@ -1047,6 +1009,97 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// A replica that installed its image by chunk transfer keeps it as
+    /// its own: its directory holds the chunks and nothing else, reopened
+    /// it holds that state, and once it leads it serves a fresh follower
+    /// those same chunks.
+    #[test]
+    fn an_installed_image_is_kept_and_served_after_reopen() {
+        use gridpaxos_core::action::Action;
+        use gridpaxos_core::config::Config;
+        use gridpaxos_core::msg::Msg;
+        use gridpaxos_core::replica::Replica;
+        use gridpaxos_core::service::NoopApp;
+        use gridpaxos_core::types::{Addr, Time};
+
+        let dir = tmpdir("installed");
+        let image = Bytes::from(7u64.to_le_bytes().to_vec());
+        let pieces = [image.slice(..3), image.slice(3..6), image.slice(6..)];
+        let r1 = Addr::Replica(ProcessId(1));
+        let open = |id: u32, storage: Box<dyn Storage>| {
+            let app = Box::new(NoopApp::new());
+            Replica::open(
+                ProcessId(id),
+                Config::cluster(3),
+                app,
+                storage,
+                3,
+                Time::ZERO,
+            )
+        };
+        {
+            let storage = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
+            let mut r0 = open(0, Box::new(storage));
+            for (seq, data) in pieces.iter().enumerate() {
+                let chunk = Msg::CatchUpChunk {
+                    ballot: Ballot::new(1, ProcessId(1)),
+                    upto: Instance(5),
+                    seq: seq as u32,
+                    total: 3,
+                    dedup: vec![],
+                    data: data.clone(),
+                };
+                let _ = r0.on_message(r1, chunk, Time::ZERO);
+            }
+            assert_eq!(r0.chosen_prefix(), Instance(5));
+        } // crash
+        assert!(dir.join("checkpoint.chunks").exists());
+        assert!(!dir.join("checkpoint.bin").exists());
+
+        let storage = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
+        let mut r0 = open(0, Box::new(storage));
+        assert_eq!(r0.chosen_prefix(), Instance(5));
+        assert_eq!(r0.service_snapshot(), image);
+        // It campaigns, and r1's promise makes it leader.
+        let prepare = r0.on_start(Time::ZERO).into_iter().find_map(|a| match a {
+            Action::ToAllReplicas {
+                msg: Msg::Prepare { ballot, .. },
+            } => Some(ballot),
+            _ => None,
+        });
+        let promise = Msg::Promise {
+            ballot: prepare.expect("the bootstrap leader campaigns"),
+            chosen_prefix: Instance(5),
+            accepted: vec![],
+            snapshot: None,
+        };
+        let _ = r0.on_message(r1, promise, Time::ZERO);
+        assert!(r0.is_leader());
+
+        let r2 = Addr::Replica(ProcessId(2));
+        let served = r0.on_message(
+            r2,
+            Msg::CatchUpReq {
+                have: Instance::ZERO,
+            },
+            Time::ZERO,
+        );
+        let mut fresh = open(2, Box::new(gridpaxos_core::storage::MemStorage::new()));
+        let mut chunks = Vec::new();
+        for a in served {
+            if let Action::Send { msg, .. } = a {
+                if let Msg::CatchUpChunk { data, .. } = &msg {
+                    chunks.push(data.clone());
+                }
+                let _ = fresh.on_message(Addr::Replica(ProcessId(0)), msg, Time::ZERO);
+            }
+        }
+        assert_eq!(chunks, pieces, "the chunks it installed");
+        assert_eq!(fresh.chosen_prefix(), Instance(5));
+        assert_eq!(fresh.service_snapshot(), image);
+        fs::remove_dir_all(dir).ok();
+    }
+
     /// A single-group WAL must hold exactly the bytes the original
     /// always-sync implementation wrote: bare tagged records, one frame
     /// each, no group envelopes — a WAL from before group commit replays
@@ -1124,13 +1177,9 @@ mod tests {
             handles[2].flush();
             assert_eq!(coord.syncs(), 1);
             // Per-group checkpoints land in distinct files.
-            handles[1].save_checkpoint(&SnapshotBlob {
-                upto: Instance(1),
-                app: Bytes::from_static(b"g1"),
-                dedup: vec![],
-            });
-            assert!(dir.join("checkpoint-g1.bin").exists());
-            assert!(!dir.join("checkpoint.bin").exists());
+            commit(&mut handles[1], 1, &[b"g1"]);
+            assert!(dir.join("checkpoint-g1.chunks").exists());
+            assert!(!dir.join("checkpoint.chunks").exists());
         } // crash
         let coord = FlushCoordinator::open(&dir, SyncMode::Batched, 3).unwrap();
         let d0 = coord.storage(0).load();

@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod backpressure;
 #[cfg(target_os = "linux")]

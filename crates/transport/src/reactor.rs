@@ -321,9 +321,11 @@ impl Reactor {
 
     /// Encode `msg` (reusing the node-wide scratch buffer) into an owned
     /// frame. `None`, and a frame counted as dropped: the peer's decoder
-    /// would reject the length prefix and drop the connection (a
-    /// monolithic catch-up snapshot of a large state gets this big), so
-    /// the frame is refused and the connection kept.
+    /// would reject the length prefix and drop the connection, so the
+    /// frame is refused and the connection kept. No message the replica
+    /// sends is built that big — catch-up goes out as checkpoint chunks
+    /// and log pieces of at most `LOG_BYTES_FLOOR` — but a promise's
+    /// snapshot of a state past 64 MiB would be.
     fn frame(&mut self, msg: &Msg) -> Option<Bytes> {
         let body = encode_with_scratch(msg, &mut self.scratch);
         if body.len() > MAX_FRAME {
@@ -980,7 +982,7 @@ mod tests {
     use gridpaxos_core::action::TimerKind;
     use gridpaxos_core::ballot::Ballot;
     use gridpaxos_core::client::ShardRouter;
-    use gridpaxos_core::command::{Decree, DedupEntry, SnapshotBlob};
+    use gridpaxos_core::command::{Decree, DedupEntry};
     use gridpaxos_core::request::{Request, RequestId, RequestKind};
     use gridpaxos_core::service::NoopApp;
     use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState};
@@ -1384,9 +1386,6 @@ mod tests {
         }
         fn save_chosen_prefix(&mut self, upto: Instance) {
             self.inner.save_chosen_prefix(upto);
-        }
-        fn save_checkpoint(&mut self, snap: &SnapshotBlob) {
-            self.inner.save_checkpoint(snap);
         }
         fn truncate_upto(&mut self, upto: Instance) {
             self.inner.truncate_upto(upto);

@@ -629,17 +629,10 @@ pub fn encode_msg(msg: &Msg, out: &mut BytesMut) {
             out.put_u8(11);
             put_instance(out, have);
         }
-        Msg::CatchUp {
-            ballot,
-            entries,
-            snapshot,
-            upto,
-        } => {
+        Msg::CatchUp { ballot, entries } => {
             out.put_u8(12);
             put_ballot(out, ballot);
             put_vec(out, entries, put_inst_decree);
-            put_opt(out, snapshot, put_snapshot);
-            put_instance(out, upto);
         }
         Msg::CatchUpChunk {
             ballot,
@@ -738,8 +731,6 @@ pub fn decode_msg(buf: &mut Bytes) -> Result<Msg> {
         12 => Ok(Msg::CatchUp {
             ballot: get_ballot(buf)?,
             entries: get_vec(buf, get_inst_decree)?,
-            snapshot: get_opt(buf, get_snapshot)?,
-            upto: get_instance(buf)?,
         }),
         17 => Ok(Msg::CatchUpChunk {
             ballot: get_ballot(buf)?,
@@ -1268,14 +1259,10 @@ mod tests {
             (
                 arb_ballot(),
                 proptest::collection::vec((any::<u64>(), arb_decree()), 0..3),
-                proptest::option::of(arb_snapshot()),
-                any::<u64>()
             )
-                .prop_map(|(b, es, snap, u)| Msg::CatchUp {
+                .prop_map(|(b, es)| Msg::CatchUp {
                     ballot: b,
                     entries: es.into_iter().map(|(i, d)| (Instance(i), d)).collect(),
-                    snapshot: snap,
-                    upto: Instance(u),
                 }),
             (
                 arb_ballot(),

@@ -111,8 +111,8 @@ fn large_values_checkpoint_by_bytes_and_the_log_stays_within_its_budget() {
 }
 
 /// A follower far behind a leader whose log holds three times the floor
-/// is brought up from the log in pieces of at most the floor, each
-/// `CatchUp` under the `upto` it reaches: at least three rounds, one per
+/// is brought up from the log in pieces of at most the floor, one
+/// `CatchUp` each: at least three rounds, one per
 /// heartbeat, and no single delivery applies more than a piece. (Sent
 /// whole, the range is past the transports' 64 MiB frame limit at ~640
 /// such instances, and was refused and re-requested until a checkpoint

@@ -126,13 +126,9 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             hb_seq: h
         }),
         arb_instance().prop_map(|i| Msg::CatchUpReq { have: i }),
-        (arb_ballot(), arb_instance(), arb_decree(), arb_snapshot()).prop_map(|(b, i, d, snap)| {
-            Msg::CatchUp {
-                ballot: b,
-                entries: vec![(i, d)],
-                snapshot: snap,
-                upto: i,
-            }
+        (arb_ballot(), arb_instance(), arb_decree()).prop_map(|(b, i, d)| Msg::CatchUp {
+            ballot: b,
+            entries: vec![(i, d)],
         }),
     ]
 }

@@ -221,15 +221,8 @@ fn arb_plain_msg() -> impl Strategy<Value = Msg> {
         (
             arb_ballot(),
             proptest::collection::vec((arb_instance(), arb_decree()), 0..3),
-            proptest::option::of(arb_snapshot()),
-            arb_instance(),
         )
-            .prop_map(|(ballot, entries, snapshot, upto)| Msg::CatchUp {
-                ballot,
-                entries,
-                snapshot,
-                upto,
-            }),
+            .prop_map(|(ballot, entries)| Msg::CatchUp { ballot, entries }),
         (
             arb_ballot(),
             arb_instance(),
