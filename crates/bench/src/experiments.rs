@@ -563,9 +563,7 @@ pub fn bank_transactions(seed: u64) -> TableOut {
 }
 
 fn bank_transactions_with(seed: u64, clients: usize, per_client: u64) -> TableOut {
-    use gridpaxos_core::service::App;
-    use gridpaxos_core::types::GroupId;
-    use gridpaxos_services::{transfer_legs, KvStore};
+    use gridpaxos_services::{agreed_stores, audit_transfers, transfer_legs};
 
     let mut t = TableOut::new(
         "bank_transactions",
@@ -605,29 +603,11 @@ fn bank_transactions_with(seed: u64, clients: usize, per_client: u64) -> TableOu
         // intent survived and no money was minted or burned.
         let settle = w.now.after(Dur::from_secs(2));
         w.run_until(settle);
-        let mut total = 0i64;
-        for grp in 0..g {
-            let states = w.replica_states_of(GroupId(grp as u32));
-            assert!(
-                states.windows(2).all(|p| p[0] == p[1]),
-                "group {grp} replicas diverged"
-            );
-            let mut s = KvStore::sharded_in(grp as u32, g);
-            s.restore(&states[0].1);
-            assert!(
-                s.prepared_txns().is_empty(),
-                "group {grp} leaked prepared intents"
-            );
-            total += s
-                .iter()
-                .filter(|(k, _)| k.starts_with("acct"))
-                .map(|(_, v)| v.parse::<i64>().unwrap_or(0))
-                .sum::<i64>();
+        if let Err(v) = agreed_stores(g, |grp| w.replica_states_of(grp))
+            .and_then(|stores| audit_transfers(&stores))
+        {
+            panic!("{v}");
         }
-        assert_eq!(
-            total, 0,
-            "balances must conserve (a transfer half-committed)"
-        );
 
         let m = &w.metrics;
         let s = m.txn_summary();

@@ -1,13 +1,16 @@
 //! Repo-specific lint pass: protocol coding rules clippy cannot express.
 //!
 //! Seven rules, the first six scoped to the consensus-critical crates;
-//! clippy checks rule 2, this pass the other six:
+//! clippy checks rules 1 and 2, this pass the other five:
 //!
-//! 1. **Exhaustive `Msg` dispatch** (`crates/core`, `crates/transport`):
-//!    a `match` whose arms pattern-match `Msg::` variants must not have a
-//!    bare `_ =>` arm — a new message variant (like PR 2's `ConfirmReq`)
-//!    must fail compilation where it is dispatched, never be silently
-//!    swallowed.
+//! 1. **Exhaustive enum dispatch** — clippy's `wildcard_enum_match_arm`
+//!    and `match_wildcard_for_single_variants`, denied in the `core` and
+//!    `transport` crate roots: a `match` over any enum, `Msg` included,
+//!    names its variants instead of a bare `_ =>` arm, so a new variant
+//!    (a new message, say) fails compilation where it is dispatched,
+//!    never silently swallowed. A catch-all that is the meaning (a bare
+//!    message outside its group envelope) carries an `allow` with its
+//!    reason.
 //! 2. **No non-test `unwrap`/`expect`** — clippy's `unwrap_used` and
 //!    `expect_used`, denied in the `transport` and `services` crate roots
 //!    and on `mod replica` in core; the root `clippy.toml` allows both in
@@ -297,109 +300,6 @@ pub(crate) fn line_of(src: &str, offset: usize) -> usize {
         .filter(|&&c| c == b'\n')
         .count()
         + 1
-}
-
-/// Rule 1: no bare `_ =>` arm in a `match` whose arms match `Msg::`
-/// patterns. Runs on noise-stripped source.
-#[must_use]
-pub fn check_msg_wildcards(file: &str, cleaned: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let b = cleaned.as_bytes();
-    let mut i = 0;
-    while let Some(pos) = cleaned[i..].find("match ") {
-        let start = i + pos;
-        i = start + 6;
-        // Word-boundary check on the left.
-        if start > 0 && (b[start - 1].is_ascii_alphanumeric() || b[start - 1] == b'_') {
-            continue;
-        }
-        // Find the match body: first `{` at paren/bracket depth 0.
-        let mut j = start + 6;
-        let mut depth = 0i32;
-        let body_start = loop {
-            if j >= b.len() {
-                break None;
-            }
-            match b[j] {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' => depth -= 1,
-                b'{' if depth == 0 => break Some(j + 1),
-                // A `{` inside parens (struct expr in the scrutinee).
-                b'{' => depth += 1,
-                b'}' => depth -= 1,
-                b';' if depth == 0 => break None, // not a match expr after all
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(body_start) = body_start else {
-            continue;
-        };
-        // Walk the arms at depth 0 within the body.
-        let mut k = body_start;
-        let mut depth = 0i32;
-        let mut arm_start = body_start;
-        let mut has_msg_pattern = false;
-        let mut wildcard_at: Option<usize> = None;
-        let mut in_pattern = true;
-        while k < b.len() {
-            match b[k] {
-                b'{' | b'(' | b'[' => depth += 1,
-                b'}' | b')' | b']' => {
-                    if b[k] == b'}' && depth == 0 {
-                        break; // end of match body
-                    }
-                    depth -= 1;
-                }
-                b'=' if depth == 0 && in_pattern && k + 1 < b.len() && b[k + 1] == b'>' => {
-                    let pat = cleaned[arm_start..k].trim();
-                    // Strip a guard for classification.
-                    let head = pat.split(" if ").next().unwrap_or(pat).trim();
-                    // Only *top-level* `Msg::` patterns make this a Msg
-                    // dispatch: a match over Action with a nested
-                    // `msg: Msg::X` pattern is a filter, not dispatch.
-                    if head.starts_with("Msg::") {
-                        has_msg_pattern = true;
-                    }
-                    if head == "_" {
-                        wildcard_at = Some(arm_start);
-                    }
-                    in_pattern = false;
-                    k += 1;
-                }
-                b',' if depth == 0 && !in_pattern => {
-                    arm_start = k + 1;
-                    in_pattern = true;
-                }
-                _ => {}
-            }
-            // A block-bodied arm returns to pattern position after its
-            // braces close back to depth 0; detect via `}` + lookahead is
-            // overkill — the `,` rule plus brace tracking covers idiomatic
-            // rustfmt output, where block arms are followed by no comma
-            // but a newline then the next pattern. Handle that: if we are
-            // past a block close at depth 0, treat the next non-space
-            // char as a new pattern start.
-            if !in_pattern && depth == 0 && b[k] == b'}' {
-                arm_start = k + 1;
-                in_pattern = true;
-            }
-            k += 1;
-        }
-        if has_msg_pattern {
-            if let Some(off) = wildcard_at {
-                findings.push(Finding {
-                    file: file.to_string(),
-                    line: line_of(cleaned, off),
-                    rule: "msg-wildcard",
-                    msg: "match over Msg variants has a bare `_ =>` arm; list every \
-                          variant so new messages cannot be silently dropped"
-                        .to_string(),
-                });
-            }
-        }
-    }
-    findings
 }
 
 /// (function name, persist call that must appear, message it must precede).
@@ -900,8 +800,7 @@ pub(crate) fn fn_body(src: &str, fn_start: usize) -> Option<std::ops::Range<usiz
 pub fn lint_source(label: &str, src: &str, scope: Scope) -> Vec<Finding> {
     let cleaned = strip_noise(src);
     let masked = mask_test_items(&cleaned);
-    let mut findings = check_msg_wildcards(label, &masked);
-    findings.extend(check_barrier_class(label, &masked));
+    let mut findings = check_barrier_class(label, &masked);
     findings.extend(check_barrier_callers(label, &masked));
     findings.extend(check_read_mode_owner(label, &masked));
     findings.extend(check_one_guard(label, &masked));
@@ -929,9 +828,9 @@ pub struct Scope {
     pub no_blocking: bool,
 }
 
-/// Lint the repository rooted at `root`. Scopes: the `Msg`-wildcard rule
-/// and the barrier's class (wherever `Msg::precedes_barrier` is defined)
-/// cover `crates/core/src` and `crates/transport/src`; the barrier's one
+/// Lint the repository rooted at `root`. Scopes: the barrier's class
+/// (wherever `Msg::precedes_barrier` is defined) covers `crates/core/src`
+/// and `crates/transport/src`; the barrier's one
 /// caller and the one-guard rule cover every `crates/*/src`; the read
 /// policy's one owner covers `crates/core/src/replica`; the persist
 /// rules cover `crates/core/src/replica` (`tests.rs` files and

@@ -6,10 +6,10 @@
 //!   cluster, concurrent transfer clients driving real 2PC
 //!   coordinators, and a seeded crash/recover schedule that takes down
 //!   participant and home-group leaders mid-transaction. The invariant
-//!   ([`check_atomicity`]) is checked on the quiescent final state: no
-//!   group may still hold a prepared intent, and the books must
-//!   balance — a half-committed transfer (debit applied, credit
-//!   dropped) shows up as created or destroyed money.
+//!   (the services' [`audit_transfers`]) is checked on the quiescent
+//!   final state: no group may still hold a prepared intent, and the
+//!   books must balance — a half-committed transfer (debit applied,
+//!   credit dropped) shows up as created or destroyed money.
 //! * **Lock/intent-table schedules** ([`kv2pc_schedule`]): seeded op
 //!   sequences (prepare / decide / plain write / per-op transaction
 //!   step / T-Paxos transaction step / scan / snapshot round-trip /
@@ -28,7 +28,9 @@ use gridpaxos_core::config::Config;
 use gridpaxos_core::request::{AbortReason, Request, RequestId, RequestKind};
 use gridpaxos_core::service::{App, ExecCtx};
 use gridpaxos_core::types::{shard_of, ClientId, Dur, GroupId, ProcessId, Seq, Time, TxnId};
-use gridpaxos_services::{encode_txn_ops, shard_router, transfer_legs, KvOp, KvStore};
+use gridpaxos_services::{
+    agreed_stores, audit_transfers, encode_txn_ops, shard_router, transfer_legs, KvOp, KvStore,
+};
 use gridpaxos_simnet::workload::TransferLoop;
 use gridpaxos_simnet::world::{SimOpts, World};
 use gridpaxos_simnet::Topology;
@@ -162,48 +164,6 @@ impl Choices {
     }
 }
 
-// ---- the invariant -----------------------------------------------------
-
-/// Cross-group atomicity on a quiescent deployment, one decoded store
-/// per group: no prepared intent may survive quiescence (every 2PC
-/// transaction was resolved), and the `acct*` books must sum to zero
-/// (every transfer started from zero balances and moved money, never
-/// minted it). A violated sum is exactly a reachable half-committed
-/// transfer — one group applied its leg, another dropped it.
-#[must_use]
-pub fn check_atomicity(stores: &[KvStore]) -> Option<String> {
-    for (g, s) in stores.iter().enumerate() {
-        let open = s.prepared_txns();
-        if !open.is_empty() {
-            return Some(format!(
-                "atomicity: group {g} still holds prepared intents {open:?} at quiescence"
-            ));
-        }
-    }
-    let mut total = 0i64;
-    for (g, s) in stores.iter().enumerate() {
-        for (k, v) in s.iter() {
-            if !k.starts_with("acct") {
-                continue;
-            }
-            match v.parse::<i64>() {
-                Ok(n) => total += n,
-                Err(_) => {
-                    return Some(format!(
-                        "atomicity: group {g} key {k} holds non-integer balance {v:?}"
-                    ))
-                }
-            }
-        }
-    }
-    if total != 0 {
-        return Some(format!(
-            "atomicity: balances sum to {total}, not 0 — a transfer half-committed"
-        ));
-    }
-    None
-}
-
 // ---- harness A: simulated-world random walks ---------------------------
 
 const START: Time = Time(200_000_000);
@@ -211,7 +171,7 @@ const DEADLINE: Time = Time(3_600_000_000_000);
 
 /// One seeded random walk: build a sharded world, run concurrent
 /// transfer clients under a seeded crash/recover schedule, then check
-/// [`check_atomicity`] on the settled state. Returns the schedule hash.
+/// [`audit_transfers`] on the settled state. Returns the schedule hash.
 pub fn world_walk(seed: u64) -> Result<u64, String> {
     let mut ch = Choices::new(seed ^ 0x2bc0);
     let n_groups = 2 + ch.pick(3) as usize; // 2..=4
@@ -273,22 +233,9 @@ pub fn world_walk(seed: u64) -> Result<u64, String> {
     let settle = w.now.after(Dur::from_secs(2));
     w.run_until(settle);
 
-    let mut stores = Vec::with_capacity(n_groups);
-    for g in 0..n_groups {
-        let states = w.replica_states_of(GroupId(g as u32));
-        if states.is_empty() {
-            return Err(format!("seed {seed}: group {g} has no live replicas"));
-        }
-        if !states.windows(2).all(|p| p[0] == p[1]) {
-            return Err(format!("seed {seed}: group {g} replicas diverged"));
-        }
-        let mut s = KvStore::sharded_in(g as u32, n_groups);
-        s.restore(&states[0].1);
-        stores.push(s);
-    }
-    if let Some(v) = check_atomicity(&stores) {
-        return Err(format!("seed {seed}: {v}"));
-    }
+    agreed_stores(n_groups, |g| w.replica_states_of(g))
+        .and_then(|stores| audit_transfers(&stores))
+        .map_err(|v| format!("seed {seed}: {v}"))?;
     Ok(ch.hash)
 }
 
@@ -821,7 +768,7 @@ mod tests {
         prepare_leg(&mut b, 7, 2, KvOp::Add(dst, 1));
         let _ = a.txn_decide(TxnId(7), true, true);
         let _ = b.txn_decide(TxnId(7), true, false);
-        assert_eq!(check_atomicity(&[a, b]), None);
+        assert_eq!(audit_transfers(&[a, b]), Ok(()));
     }
 
     /// Chaos mutation FlipParticipantDecide: one participant applies
@@ -836,7 +783,7 @@ mod tests {
         prepare_leg(&mut b, 9, 2, KvOp::Add(dst, 1));
         let _ = a.txn_decide(TxnId(9), true, true);
         let _ = b.txn_decide(TxnId(9), false, false); // the flip
-        let v = check_atomicity(&[a, b]).expect("half-commit must be detected");
+        let v = audit_transfers(&[a, b]).expect_err("half-commit must be detected");
         assert!(v.contains("sum"), "unexpected violation: {v}");
     }
 
@@ -846,7 +793,7 @@ mod tests {
         let mut a = KvStore::sharded_in(0, 2);
         let (src, _) = cross_shard_pair();
         prepare_leg(&mut a, 4, 1, KvOp::Add(src, -1));
-        let v = check_atomicity(&[a]).expect("leaked intent must be detected");
+        let v = audit_transfers(&[a]).expect_err("leaked intent must be detected");
         assert!(v.contains("prepared"), "unexpected violation: {v}");
     }
 
@@ -1002,7 +949,7 @@ mod tests {
             matches!(outcome, Outcome::Aborted(_)),
             "presumed abort expected, got {outcome:?}"
         );
-        assert_eq!(check_atomicity(&stores), None);
+        assert_eq!(audit_transfers(&stores), Ok(()));
         assert!(
             stores.iter().all(|s| s.iter().count() == 0),
             "aborted transfer must leave no balances"
@@ -1020,7 +967,7 @@ mod tests {
             matches!(outcome, Outcome::Committed),
             "recorded commit must be adopted, got {outcome:?}"
         );
-        assert_eq!(check_atomicity(&stores), None);
+        assert_eq!(audit_transfers(&stores), Ok(()));
         let moved: i64 = stores
             .iter()
             .flat_map(|s| s.iter())

@@ -98,7 +98,9 @@ mod tests {
         };
         match Action::send(Addr::Replica(ProcessId(1)), msg.clone()) {
             Action::Send { to, .. } => assert_eq!(to, Addr::Replica(ProcessId(1))),
-            other => panic!("unexpected {other:?}"),
+            other @ (Action::ToAllReplicas { .. }
+            | Action::SetTimer { .. }
+            | Action::CancelTimer { .. }) => panic!("unexpected {other:?}"),
         }
         assert!(matches!(
             Action::broadcast(msg),

@@ -262,15 +262,6 @@ impl ClientCore {
         }
     }
 
-    /// Drop the cached leader hint for `group`, reverting its next send to
-    /// a broadcast. The 2PC coordinator calls this for *every* group a
-    /// transaction touched when any of them redirects or sheds — a stale
-    /// hint on one participant would otherwise make each coordinator retry
-    /// hammer the same deposed leader.
-    pub fn forget_leader_hint(&mut self, group: GroupId) {
-        self.leader_hints.remove(&group.0);
-    }
-
     /// The session's read watermark for `group`: the highest applied
     /// decree any accepted reply has reflected. Follower-read replies
     /// below this are discarded rather than delivered.
@@ -339,6 +330,8 @@ impl ClientCore {
     /// Handle an incoming message. Returns the completed operation when the
     /// outstanding request is answered.
     pub fn on_message(&mut self, msg: Msg, now: Time) -> (Option<CompletedOp>, Vec<Action>) {
+        // Every message but the envelope is bare, whatever its variant.
+        #[allow(clippy::wildcard_enum_match_arm)]
         let (group, msg) = match msg {
             Msg::Grouped { group, inner } => (Some(group), *inner),
             other => (None, other),
@@ -544,7 +537,12 @@ impl TxnDriver {
             ReplyBody::TxnCommitted { txn } if *txn == self.txn => {
                 self.finished = Some(TxnOutcome::Committed);
             }
-            _ => {
+            ReplyBody::Ok(_)
+            | ReplyBody::TxnCommitted { .. }
+            | ReplyBody::TxnAborted { .. }
+            | ReplyBody::TxnPrepared { .. }
+            | ReplyBody::Empty
+            | ReplyBody::Busy => {
                 // An ordinary op reply: move to the next step.
                 if matches!(done.req.txn, Some(TxnCtl::Op { txn }) if txn == self.txn) {
                     self.next_op += 1;
@@ -588,7 +586,9 @@ mod tests {
             .iter()
             .filter_map(|a| match a {
                 Action::Send { to, .. } => Some(*to),
-                _ => None,
+                Action::ToAllReplicas { .. }
+                | Action::SetTimer { .. }
+                | Action::CancelTimer { .. } => None,
             })
             .collect()
     }
@@ -688,13 +688,14 @@ mod tests {
     fn reply_completes_and_measures_rtt() {
         let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
         let actions = c.submit_op(RequestKind::Read, Bytes::new(), Time(1_000));
-        let id = match &actions[0] {
-            Action::Send {
-                msg: Msg::Request(r),
-                ..
-            } => r.id,
-            other => panic!("unexpected {other:?}"),
+        let Action::Send {
+            msg: Msg::Request(r),
+            ..
+        } = &actions[0]
+        else {
+            panic!("unexpected {:?}", actions[0]);
         };
+        let id = r.id;
         let (done, actions) = c.on_message(reply(id, ReplyBody::Ok(Bytes::new())), Time(5_000));
         let done = done.expect("completed");
         assert_eq!(done.rtt, Dur(4_000));
@@ -743,13 +744,14 @@ mod tests {
     fn busy_reply_leaves_request_outstanding_and_completes_on_retry() {
         let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
         let actions = c.submit_op(RequestKind::Write, Bytes::new(), Time::ZERO);
-        let id = match &actions[0] {
-            Action::Send {
-                msg: Msg::Request(r),
-                ..
-            } => r.id,
-            other => panic!("unexpected {other:?}"),
+        let Action::Send {
+            msg: Msg::Request(r),
+            ..
+        } = &actions[0]
+        else {
+            panic!("unexpected {:?}", actions[0]);
         };
+        let id = r.id;
         // An overloaded node sheds: the op must stay outstanding (no
         // completion, no timer cancellation) so the retry timer can
         // re-broadcast it.
@@ -789,13 +791,14 @@ mod tests {
 
         for step in 0..4 {
             let actions = d.step(&mut c, Time(step)).expect("more steps");
-            let req = match &actions[0] {
-                Action::Send {
-                    msg: Msg::Request(r),
-                    ..
-                } => r.clone(),
-                other => panic!("unexpected {other:?}"),
+            let Action::Send {
+                msg: Msg::Request(r),
+                ..
+            } = &actions[0]
+            else {
+                panic!("unexpected {:?}", actions[0]);
             };
+            let req = r.clone();
             if step < 3 {
                 assert!(req.is_txn_op());
             } else {
@@ -822,13 +825,14 @@ mod tests {
         let mut c = ClientCore::new(ClientId(2), 3, Dur::from_millis(100));
         let mut d = TxnDriver::new(TxnScript::write_only(2), TxnId(4));
         let actions = d.step(&mut c, Time(0)).unwrap();
-        let req = match &actions[0] {
-            Action::Send {
-                msg: Msg::Request(r),
-                ..
-            } => r.clone(),
-            other => panic!("unexpected {other:?}"),
+        let Action::Send {
+            msg: Msg::Request(r),
+            ..
+        } = &actions[0]
+        else {
+            panic!("unexpected {:?}", actions[0]);
         };
+        let req = r.clone();
         let (done, _) = c.on_message(
             reply(
                 req.id,
@@ -866,7 +870,10 @@ mod tests {
                     msg: Msg::Grouped { group, .. },
                     ..
                 } => Some(*group),
-                _ => None,
+                Action::Send { .. }
+                | Action::ToAllReplicas { .. }
+                | Action::SetTimer { .. }
+                | Action::CancelTimer { .. } => None,
             })
             .collect()
     }

@@ -42,6 +42,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod action;
 pub mod ballot;

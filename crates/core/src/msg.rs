@@ -314,7 +314,11 @@ impl Msg {
         fn reply_body_len(b: &crate::request::ReplyBody) -> usize {
             match b {
                 crate::request::ReplyBody::Ok(p) => 5 + p.len(),
-                _ => 16,
+                crate::request::ReplyBody::TxnCommitted { .. }
+                | crate::request::ReplyBody::TxnAborted { .. }
+                | crate::request::ReplyBody::TxnPrepared { .. }
+                | crate::request::ReplyBody::Empty
+                | crate::request::ReplyBody::Busy => 16,
             }
         }
         fn update_len(u: &crate::command::StateUpdate) -> usize {

@@ -150,6 +150,8 @@ impl MultiReplica {
     /// protocol condition; the message is dropped.
     #[must_use]
     pub fn route(&self, msg: Msg) -> Option<(GroupId, Msg)> {
+        // Every message but the envelope is bare, whatever its variant.
+        #[allow(clippy::wildcard_enum_match_arm)]
         let (g, inner) = match msg {
             Msg::Grouped { group, inner } => (group, *inner),
             bare => (GroupId::ZERO, bare),
@@ -330,13 +332,11 @@ mod tests {
         let out = m.on_start(Time::ZERO);
         for (g, a) in &out {
             if let Action::Send { msg, .. } | Action::ToAllReplicas { msg } = a {
-                match msg {
-                    Msg::Grouped { group, inner } => {
-                        assert_eq!(group, g);
-                        assert!(!matches!(**inner, Msg::Grouped { .. }), "no nesting");
-                    }
-                    other => panic!("unwrapped outbound message: {other:?}"),
-                }
+                let Msg::Grouped { group, inner } = msg else {
+                    panic!("unwrapped outbound message: {msg:?}");
+                };
+                assert_eq!(group, g);
+                assert!(!matches!(**inner, Msg::Grouped { .. }), "no nesting");
             }
         }
     }

@@ -443,7 +443,7 @@ impl Replica {
     pub fn checker_view(&self) -> CheckerView {
         let (next_instance, quiescent, open_txns) = match &self.role {
             Role::Leader(l) => (Some(l.next_instance), self.quiescent(), l.txns.len()),
-            _ => (None, false, 0),
+            Role::Follower | Role::Candidate(_) => (None, false, 0),
         };
         CheckerView {
             role: self.role.name(),
@@ -691,7 +691,7 @@ impl Replica {
                 } else {
                     let next = match self.role {
                         Role::Follower => self.fd.next_check(now).max(Dur(1)),
-                        _ => self.cfg.suspect_timeout,
+                        Role::Candidate(_) | Role::Leader(_) => self.cfg.suspect_timeout,
                     };
                     out.push(Action::timer(TimerKind::LeaderCheck, next));
                 }

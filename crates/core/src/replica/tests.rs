@@ -1259,7 +1259,9 @@ fn an_installed_image_is_served_as_chunks_over_an_open_window() {
         .iter()
         .filter_map(|a| match a {
             Action::Send { msg, .. } => Some(msg.tag()),
-            _ => None,
+            Action::ToAllReplicas { .. } | Action::SetTimer { .. } | Action::CancelTimer { .. } => {
+                None
+            }
         })
         .collect();
     assert_eq!(tags, ["catchup_chunk", "catchup"]);
@@ -1567,7 +1569,10 @@ fn xpaxos_read_defers_behind_tentative_write() {
             to: Addr::Client(ClientId(9)),
             msg: Msg::Reply(r),
         } => Some(r.clone()),
-        _ => None,
+        Action::Send { .. }
+        | Action::ToAllReplicas { .. }
+        | Action::SetTimer { .. }
+        | Action::CancelTimer { .. } => None,
     });
     let reply = reply.expect("deferred read answered on commit");
     let payload = reply.body.payload().expect("ok reply");
@@ -2222,15 +2227,13 @@ fn tpaxos_commit_queued_behind_full_batch_is_neither_dropped_nor_doubled() {
     // The commit decree reconstructs the session's ops and the stash is
     // drained — a retransmitted commit would abort, not re-propose.
     let (_, d) = s.replica(0).log.get(Instance(3)).expect("commit decree");
-    match &d.entries[0].cmd {
-        crate::command::Command::TxnCommit { id, txn: t, ops } => {
-            assert_eq!(*id, commit_id);
-            assert_eq!(*t, txn);
-            assert_eq!(ops.len(), 1);
-            assert_eq!(ops[0].id, op_id);
-        }
-        other => panic!("expected TxnCommit, got {other:?}"),
-    }
+    let crate::command::Command::TxnCommit { id, txn: t, ops } = &d.entries[0].cmd else {
+        panic!("expected TxnCommit, got {:?}", d.entries[0].cmd);
+    };
+    assert_eq!(*id, commit_id);
+    assert_eq!(*t, txn);
+    assert_eq!(ops.len(), 1);
+    assert_eq!(ops[0].id, op_id);
     {
         let Role::Leader(l) = s.replica(0).role() else {
             panic!("r0 leads")

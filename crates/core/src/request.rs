@@ -284,7 +284,11 @@ impl ReplyBody {
     pub fn payload(&self) -> Option<&Bytes> {
         match self {
             ReplyBody::Ok(b) => Some(b),
-            _ => None,
+            ReplyBody::TxnCommitted { .. }
+            | ReplyBody::TxnAborted { .. }
+            | ReplyBody::TxnPrepared { .. }
+            | ReplyBody::Empty
+            | ReplyBody::Busy => None,
         }
     }
 

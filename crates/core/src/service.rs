@@ -287,7 +287,7 @@ impl App for NoopApp {
     fn execute(&mut self, req: &Request, _ctx: &mut ExecCtx<'_>) -> (Bytes, StateUpdate) {
         match req.kind {
             crate::request::RequestKind::Read => (self.encode(), StateUpdate::None),
-            _ => {
+            crate::request::RequestKind::Write | crate::request::RequestKind::Original => {
                 self.writes_applied += 1;
                 (self.encode(), StateUpdate::Full(self.encode()))
             }
@@ -364,10 +364,10 @@ mod tests {
         let mut ctx = ExecCtx::new(Time::ZERO, &mut rng);
         let (_, up) = app.execute(&req(RequestKind::Write, 1), &mut ctx);
         assert_eq!(app.writes_applied, 1);
-        match &up {
-            StateUpdate::Full(b) => assert_eq!(NoopApp::decode(b), 1),
-            other => panic!("expected Full, got {other:?}"),
-        }
+        let StateUpdate::Full(b) = &up else {
+            panic!("expected Full, got {up:?}");
+        };
+        assert_eq!(NoopApp::decode(b), 1);
 
         // A backup applying the update converges.
         let mut backup = NoopApp::new();

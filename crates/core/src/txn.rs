@@ -256,13 +256,19 @@ impl TxnCoordinator {
                     self.abort_reason = Some(*reason);
                     self.phase = Phase::DecideHome { commit: false };
                 }
-                _ => {}
+                ReplyBody::Ok(_)
+                | ReplyBody::TxnCommitted { .. }
+                | ReplyBody::Empty
+                | ReplyBody::Busy => {}
             },
             Phase::DecideHome { commit: asked } => {
                 let actual = match &done.body {
                     ReplyBody::TxnCommitted { .. } => true,
                     ReplyBody::TxnAborted { .. } => false,
-                    _ => return None,
+                    ReplyBody::Ok(_)
+                    | ReplyBody::TxnPrepared { .. }
+                    | ReplyBody::Empty
+                    | ReplyBody::Busy => return None,
                 };
                 self.outcome = Some(if actual {
                     Outcome::Committed
@@ -309,7 +315,10 @@ impl TxnCoordinator {
                         Phase::Done
                     };
                 }
-                _ => {}
+                ReplyBody::Ok(_)
+                | ReplyBody::TxnPrepared { .. }
+                | ReplyBody::Empty
+                | ReplyBody::Busy => {}
             },
             Phase::Done => {}
         }
@@ -428,6 +437,8 @@ mod tests {
     fn sent_request(actions: &[Action], group: GroupId) -> Request {
         for a in actions {
             if let Action::Send { msg, .. } | Action::ToAllReplicas { msg } = a {
+                // Every message but the envelope is bare.
+                #[allow(clippy::wildcard_enum_match_arm)]
                 let (g, inner) = match msg {
                     Msg::Grouped { group, inner } => (*group, (**inner).clone()),
                     other => (GroupId::ZERO, other.clone()),

@@ -13,11 +13,12 @@
 //!   `Prepare2pc`, resolved only by a decide — beside the home group's
 //!   `decisions`.
 //!
-//! Four files: [`ops`] is what crosses the boundary ([`KvOp`], the write
+//! Five files: [`ops`] is what crosses the boundary ([`KvOp`], the write
 //! it resolves to, the deltas a decree ships, replies, codecs, the shard
 //! router); [`intents`] the one shape of a staged write (`Intents`) and
 //! the decision table; [`image`] the snapshot image, the first-touch
-//! overlay and chunked emission; this file [`KvStore`] and its `App`.
+//! overlay and chunked emission; [`audit`] what a quiescent deployment
+//! that ran transfers must satisfy; this file [`KvStore`] and its `App`.
 //!
 //! One rule: **a key has at most one holder across the three `Intents`**,
 //! and `KvStore::held_by_other` alone asks. A write to a held key is
@@ -29,10 +30,12 @@
 //! mode, so a transaction reads its own writes through the `Intents` it
 //! stages into.
 
+mod audit;
 mod image;
 mod intents;
 mod ops;
 
+pub use audit::{agreed_stores, audit_transfers};
 pub use ops::{decode_txn_ops, encode_txn_ops, shard_router, transfer_legs, KvOp, SCAN_BLOCKED};
 
 use bytes::Bytes;

@@ -30,7 +30,8 @@ pub mod scheduler;
 
 pub use broker::{Broker, BrokerOp};
 pub use kvstore::{
-    decode_txn_ops, encode_txn_ops, shard_router, transfer_legs, KvOp, KvStore, SCAN_BLOCKED,
+    agreed_stores, audit_transfers, decode_txn_ops, encode_txn_ops, shard_router, transfer_legs,
+    KvOp, KvStore, SCAN_BLOCKED,
 };
 pub use payload::{ShipMode, SizedApp};
 pub use scheduler::{SchedOp, Scheduler};

@@ -40,7 +40,6 @@ pub struct SendQueue {
     /// Total unwritten bytes across all queued frames.
     queued: usize,
     cap: usize,
-    dropped: u64,
 }
 
 impl SendQueue {
@@ -52,7 +51,6 @@ impl SendQueue {
             head_off: 0,
             queued: 0,
             cap,
-            dropped: 0,
         }
     }
 
@@ -68,25 +66,18 @@ impl SendQueue {
         self.frames.is_empty()
     }
 
-    /// Frames refused because the queue was at capacity.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Whether the queue is at or above its byte cap.
     #[must_use]
     pub fn is_full(&self) -> bool {
         self.queued >= self.cap
     }
 
-    /// Enqueue one encoded frame. Returns `false` (and counts a drop) if
-    /// the queue already holds `cap` or more unwritten bytes. A frame is
+    /// Enqueue one encoded frame. Returns `false` if the queue already
+    /// holds `cap` or more unwritten bytes (the caller counts the drop). A frame is
     /// never truncated: admission is all-or-nothing, so the cap can be
     /// exceeded by at most one frame.
     pub fn push(&mut self, frame: Bytes) -> bool {
         if self.is_full() {
-            self.dropped += 1;
             return false;
         }
         self.queued += frame.len();
@@ -138,7 +129,6 @@ pub struct AdmissionGate {
     high: usize,
     low: usize,
     shedding: bool,
-    shed_count: u64,
 }
 
 impl AdmissionGate {
@@ -152,7 +142,6 @@ impl AdmissionGate {
             high,
             low: low.min(high - 1),
             shedding: false,
-            shed_count: 0,
         }
     }
 
@@ -166,23 +155,6 @@ impl AdmissionGate {
             self.shedding = true;
         }
         self.shedding
-    }
-
-    /// Whether the gate is currently shedding (as of the last `update`).
-    #[must_use]
-    pub fn is_shedding(&self) -> bool {
-        self.shedding
-    }
-
-    /// Record one shed request (for metrics).
-    pub fn count_shed(&mut self) {
-        self.shed_count += 1;
-    }
-
-    /// Requests shed so far.
-    #[must_use]
-    pub fn shed_count(&self) -> u64 {
-        self.shed_count
     }
 }
 
@@ -220,17 +192,19 @@ mod tests {
             accepted: Vec::new(),
             budget: 0,
         };
-        let mut accepted = 0u32;
+        let (mut accepted, mut refused) = (0u32, 0u32);
         for _ in 0..1000 {
             if q.push(frame.clone()) {
                 accepted += 1;
+            } else {
+                refused += 1;
             }
             assert_eq!(q.flush_into(&mut stalled).unwrap(), FlushOutcome::Blocked);
             // Cap (100) may be exceeded by at most one whole frame (40).
             assert!(q.queued_bytes() <= 100 + 40);
         }
         assert_eq!(accepted, 3, "3 * 40 = 120 >= cap, fourth refused");
-        assert_eq!(q.dropped(), 997);
+        assert_eq!(refused, 997);
         assert!(q.is_full());
     }
 
@@ -296,11 +270,9 @@ mod tests {
     }
 
     #[test]
-    fn shed_counter_accumulates() {
+    fn a_shedding_gate_sheds_every_request_until_the_low_mark() {
         let mut g = AdmissionGate::new(2, 0);
-        g.update(5);
-        g.count_shed();
-        g.count_shed();
-        assert_eq!(g.shed_count(), 2);
+        let shed: Vec<bool> = [5, 3, 1, 0, 1].into_iter().map(|l| g.update(l)).collect();
+        assert_eq!(shed, [true, true, true, false, false]);
     }
 }

@@ -7,23 +7,24 @@
 //! reply finds its slot by `reply.id.client`, inside the group envelope
 //! too: the reactor routes replies by the request's client address, not
 //! by the connection, so one socket carries every core. A replica's
-//! connection is dialed on the first send to it, dropped on EOF or error
-//! and dialed again on the next send. Dials are nonblocking, so a replica
-//! that is down or refuses costs a send nothing; the core's retry covers
-//! what it lost. Retry timers live in the reactor's timer table
-//! (`timers::Timers`), keyed by slot.
+//! connection is dialed on the first send to it, dropped on EOF, an
+//! error or a frame that does not decode, and dialed again on the next
+//! send. Dials are nonblocking, so a replica that is down or refuses
+//! costs a send nothing; the core's retry covers what it lost. Those
+//! steps are the connection table's (`crate::conn`), the one the reactor
+//! owns too; this loop keeps its slots, cores, retry timers — in the
+//! reactor's timer table (`timers::Timers`), keyed by slot — and
+//! [`Outcome`].
 //!
 //! [`SyncClient`] is the loop with one core, behind a blocking `call`. A
 //! load driver holds a loop with many cores and brings its own policy:
 //! how many operations, at what rate.
 
-use crate::conn::{frame_bytes, Conn, ReadStep, READ_BUF};
-use crate::framing::MAX_FRAME;
-use crate::reactor::ReactorConfig;
-use crate::sys::{Epoll, Event};
+use crate::conn::{ConnTable, SEND_QUEUE_CAP};
+use crate::sys::Event;
 use crate::timers::Timers;
-use crate::wire::{decode_msg, encode_with_scratch};
-use bytes::{Bytes, BytesMut};
+use crate::wire::decode_msg;
+use bytes::Bytes;
 use gridpaxos_core::action::Action;
 use gridpaxos_core::client::{ClientCore, CompletedOp, TxnDriver, TxnOutcome, TxnScript};
 use gridpaxos_core::msg::Msg;
@@ -67,21 +68,13 @@ pub enum Outcome {
 /// Any number of [`ClientCore`]s over one socket per replica, on the
 /// calling thread.
 pub struct ClientLoop {
-    epoll: Epoll,
     epoch: Instant,
-    /// The address every connection's hello frame names.
-    hello: Addr,
-    replicas: HashMap<ProcessId, SocketAddr>,
-    /// Open connections; a replica's token is its id.
-    conns: HashMap<u64, Conn>,
+    /// One connection per replica, dialed on the first send to it.
+    conns: ConnTable,
     cores: Vec<ClientCore>,
     slots: HashMap<ClientId, usize>,
     /// Retry timers, one "group" per slot.
     timers: Timers,
-    /// Connections with freshly queued bytes, awaiting a socket write.
-    dirty: Vec<u64>,
-    scratch: BytesMut,
-    read_buf: Vec<u8>,
 }
 
 impl ClientLoop {
@@ -92,19 +85,14 @@ impl ClientLoop {
         cores: Vec<ClientCore>,
         replicas: HashMap<ProcessId, SocketAddr>,
     ) -> io::Result<ClientLoop> {
+        // With no core nothing is ever sent, so no hello either.
+        let hello = Addr::Client(cores.first().map_or(ClientId(0), ClientCore::id));
         Ok(ClientLoop {
-            epoll: Epoll::new()?,
             epoch: Instant::now(),
-            // With no core nothing is ever sent, so no hello either.
-            hello: Addr::Client(cores.first().map_or(ClientId(0), ClientCore::id)),
-            replicas,
-            conns: HashMap::new(),
+            conns: ConnTable::new(hello, replicas, SEND_QUEUE_CAP)?,
             slots: cores.iter().enumerate().map(|(s, c)| (c.id(), s)).collect(),
             timers: Timers::new(cores.len()),
             cores,
-            dirty: Vec::new(),
-            scratch: BytesMut::new(),
-            read_buf: vec![0; READ_BUF],
         })
     }
 
@@ -134,7 +122,7 @@ impl ClientLoop {
         let now = self.now();
         let actions = step(&mut self.cores[slot], now);
         self.perform(slot, actions);
-        self.write_dirty_conns();
+        self.conns.write_dirty(|_, _| {});
     }
 
     /// Wait for replies and fire retries until something happened to an
@@ -148,17 +136,17 @@ impl ClientLoop {
                 wait = wait.min(Duration::from_nanos(due.saturating_sub(self.now().0)));
             }
             events.clear();
-            self.epoll.wait_for(&mut events, wait)?;
+            self.conns.epoll().wait_for(&mut events, wait)?;
             for ev in &events {
                 if ev.writable() {
-                    self.handle_writable(ev.token);
+                    self.conns.writable(ev.token, |_, _| {});
                 }
-                if ev.readable() && self.conns.contains_key(&ev.token) {
+                if ev.readable() && self.conns.contains(ev.token) {
                     self.handle_readable(ev.token, out);
                 }
             }
             self.fire_due_timers();
-            self.write_dirty_conns();
+            self.conns.write_dirty(|_, _| {});
             if !out.is_empty() || Instant::now() >= deadline {
                 return Ok(());
             }
@@ -166,138 +154,40 @@ impl ClientLoop {
     }
 
     /// Carry out `slot`'s actions: frame sends onto connection queues,
-    /// keep its retry timer.
+    /// keep its retry timer. A send is best-effort: a replica that cannot
+    /// be dialed, or whose queue is full, loses the message to the core's
+    /// retry.
     fn perform(&mut self, slot: usize, actions: Vec<Action>) {
         let now = self.now();
         for a in actions {
             match a {
-                Action::Send {
-                    to: Addr::Replica(p),
-                    msg,
-                } => self.send(p, &msg),
-                // A client core sends to each replica by id, and clients
-                // do not listen.
-                Action::ToAllReplicas { .. }
-                | Action::Send {
-                    to: Addr::Client(_),
-                    ..
-                } => {}
+                // A client core sends to each replica by id and never
+                // broadcasts; clients do not listen, so a send to one is
+                // unroutable.
+                Action::Send { to, msg } => {
+                    self.conns.send(to, &msg);
+                }
+                Action::ToAllReplicas { .. } => {}
                 Action::SetTimer { kind, after } => self.timers.set(slot, kind, now.0 + after.0),
                 Action::CancelTimer { kind } => self.timers.cancel(slot, kind),
             }
         }
     }
 
-    /// Queue `msg` on replica `p`'s connection, dialing it first if none
-    /// is open. Best-effort: a replica that cannot be dialed, or whose
-    /// queue is full, loses the message to the core's retry.
-    fn send(&mut self, p: ProcessId, msg: &Msg) {
-        let token = u64::from(p.0);
-        if !self.conns.contains_key(&token) {
-            let Some(&sock) = self.replicas.get(&p) else {
-                return;
-            };
-            let cap = ReactorConfig::default().send_queue_cap;
-            let Some(conn) =
-                Conn::dial(&self.epoll, token, sock, self.hello, Addr::Replica(p), cap)
-            else {
-                return;
-            };
-            self.conns.insert(token, conn);
-        }
-        let body = encode_with_scratch(msg, &mut self.scratch);
-        if body.len() > MAX_FRAME {
-            return;
-        }
-        let frame = frame_bytes(body);
-        let Some(c) = self.conns.get_mut(&token) else {
-            return;
-        };
-        c.outq.push(frame);
-        if !c.flush_pending {
-            c.flush_pending = true;
-            self.dirty.push(token);
-        }
-    }
-
-    fn write_dirty_conns(&mut self) {
-        for token in std::mem::take(&mut self.dirty) {
-            self.flush_conn(token);
-        }
-    }
-
-    /// Write a connection's queued bytes to its socket and settle its
-    /// interest; drop it if the socket failed.
-    fn flush_conn(&mut self, token: u64) {
-        let Some(c) = self.conns.get_mut(&token) else {
-            return;
-        };
-        c.flush_pending = false;
-        if c.connecting {
-            // EPOLLOUT is registered and fires when the connect resolves.
-            return;
-        }
-        let written = c
-            .flush()
-            .and_then(|blocked| c.settle_interest(&self.epoll, token, blocked));
-        if written.is_err() {
-            self.close_conn(token);
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(c) = self.conns.remove(&token) {
-            c.deregister(&self.epoll);
-        }
-    }
-
-    /// EPOLLOUT on `token`: resolve an in-flight connect, then drain the
-    /// send queue.
-    fn handle_writable(&mut self, token: u64) {
-        let Some(c) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if c.finish_connect().is_err() {
-            self.close_conn(token);
-            return;
-        }
-        self.flush_conn(token);
-    }
-
-    /// EPOLLIN on `token`: read until `EWOULDBLOCK` and deliver every
-    /// reply decoded. EOF, a socket error or a frame that does not decode
-    /// drops the connection.
+    /// EPOLLIN on `token`: deliver every reply read. A frame that does
+    /// not decode drops the connection.
     fn handle_readable(&mut self, token: u64, out: &mut Vec<(usize, Outcome)>) {
-        let Some(c) = self.conns.get_mut(&token) else {
-            return;
-        };
         let mut msgs = Vec::new();
-        let open = 'read: loop {
-            let read = match c.read_step(&mut self.read_buf) {
-                ReadStep::Got(n) => n,
-                ReadStep::Drained => break true,
-                ReadStep::Close => break false,
-            };
-            // Decode what the chunk completed before reading more.
-            loop {
-                match c.decoder.next_frame() {
-                    Ok(Some(mut frame)) => match decode_msg(&mut frame) {
-                        Ok(msg) => msgs.push(msg),
-                        Err(_) => break 'read false,
-                    },
-                    Ok(None) => break,
-                    Err(_) => break 'read false,
+        self.conns
+            .read(token, |_, mut frame| match decode_msg(&mut frame) {
+                Ok(msg) => {
+                    msgs.push(msg);
+                    true
                 }
-            }
-            if read < self.read_buf.len() {
-                break true;
-            }
-        };
+                Err(_) => false,
+            });
         for msg in msgs {
             self.deliver(msg, out);
-        }
-        if !open {
-            self.close_conn(token);
         }
     }
 
@@ -407,6 +297,7 @@ mod tests {
     use super::*;
     use crate::framing::{read_frame, write_frame};
     use crate::reactor::ReactorCluster;
+    use crate::wire::encode_to_bytes;
     use gridpaxos_core::config::Config;
     use gridpaxos_core::types::{Dur, Instance};
     use gridpaxos_services::{KvOp, KvStore};
@@ -441,8 +332,7 @@ mod tests {
                 body: ReplyBody::Ok(bytes::Bytes::from_static(b"pong")),
             });
             let mut out = Vec::new();
-            write_frame(&mut out, encode_with_scratch(&reply, &mut BytesMut::new()))
-                .expect("frame");
+            write_frame(&mut out, &encode_to_bytes(&reply)).expect("frame");
             w.write_all(&out).expect("reply");
         });
         let retry = Duration::from_millis(250);
@@ -457,6 +347,52 @@ mod tests {
         assert!(matches!(body, ReplyBody::Ok(b) if b[..] == b"pong"[..]));
         let took = started.elapsed();
         assert!(took >= retry && took < 2 * retry, "one retry, not {took:?}");
+        replica.join().expect("fake replica");
+    }
+
+    /// A replica whose answer does not decode loses its connection: the
+    /// loop drops it, the retry dials again, and the call completes with
+    /// the answer that comes over the new connection.
+    #[test]
+    fn an_undecodable_reply_drops_the_connection_and_the_retry_redials() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let replica = std::thread::spawn(move || {
+            let (first, _) = listener.accept().expect("first accept");
+            let mut w = first.try_clone().expect("clone");
+            let mut r = BufReader::new(first);
+            read_frame(&mut r).expect("hello").expect("hello frame");
+            read_frame(&mut r).expect("request").expect("request frame");
+            let mut garbage = Vec::new();
+            write_frame(&mut garbage, &[0xff, 0, 0, 0]).expect("frame");
+            w.write_all(&garbage).expect("garbage");
+            // The loop closes its end: this side reads EOF.
+            assert!(read_frame(&mut r).expect("eof").is_none(), "kept open");
+            let (second, _) = listener.accept().expect("second accept");
+            let mut w = second.try_clone().expect("clone");
+            let mut r = BufReader::new(second);
+            read_frame(&mut r).expect("hello").expect("hello frame");
+            let mut frame = read_frame(&mut r).expect("request").expect("request frame");
+            let Ok(Msg::Request(req)) = decode_msg(&mut frame) else {
+                panic!("the retry is not a request");
+            };
+            let reply = Msg::Reply(gridpaxos_core::request::Reply {
+                id: req.id,
+                leader: ProcessId(0),
+                watermark: Instance::ZERO,
+                body: ReplyBody::Ok(bytes::Bytes::from_static(b"pong")),
+            });
+            let mut out = Vec::new();
+            write_frame(&mut out, &encode_to_bytes(&reply)).expect("frame");
+            w.write_all(&out).expect("reply");
+        });
+        let core = ClientCore::new(ClientId(8), 1, Dur::from_millis(100));
+        let replicas = HashMap::from([(ProcessId(0), addr)]);
+        let mut client = SyncClient::new(core, replicas).expect("client");
+        let body = client
+            .call(RequestKind::Write, bytes::Bytes::new())
+            .expect("answered after the retry");
+        assert!(matches!(body, ReplyBody::Ok(b) if b[..] == b"pong"[..]));
         replica.join().expect("fake replica");
     }
 

@@ -1065,7 +1065,10 @@ mod tests {
             Action::ToAllReplicas {
                 msg: Msg::Prepare { ballot, .. },
             } => Some(ballot),
-            _ => None,
+            Action::Send { .. }
+            | Action::ToAllReplicas { .. }
+            | Action::SetTimer { .. }
+            | Action::CancelTimer { .. } => None,
         });
         let promise = Msg::Promise {
             ballot: prepare.expect("the bootstrap leader campaigns"),

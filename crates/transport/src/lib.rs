@@ -8,7 +8,7 @@
 //! * the socket server: a single-threaded nonblocking `epoll` reactor
 //!   ([`reactor`]) hosting every consensus group of a node and
 //!   multiplexing thousands of client connections over one thread, with
-//!   explicit backpressure ([`backpressure`]),
+//!   explicit backpressure (bounded send queues, an admission gate),
 //! * the client side ([`client`]): one thread driving any number of
 //!   sans-io client cores over one socket per replica, and the blocking
 //!   [`SyncClient`] that is that loop with one core, mapping wall-clock
@@ -16,16 +16,23 @@
 //!
 //! A live node is one reactor thread and a live client one client-loop
 //! thread, both on `epoll`, so both are Linux-only; other platforms get
-//! the codec and the storage.
+//! the codec and the storage. Each loop owns one connection table
+//! (`conn`), which takes every step above a single socket — dial, frame,
+//! write, read, close — so the loops keep only their own policy.
 //!
 //! The protocol code running here is byte-for-byte the same as under the
 //! `gridpaxos-simnet` simulator — that is the point of the sans-io design.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
-pub mod backpressure;
+mod backpressure;
 #[cfg(target_os = "linux")]
 pub mod client;
 #[cfg(target_os = "linux")]
@@ -40,7 +47,7 @@ pub mod sys;
 mod timers;
 pub mod wire;
 
-pub use backpressure::{AdmissionGate, FlushOutcome, SendQueue};
+pub use backpressure::{FlushOutcome, SendQueue};
 #[cfg(target_os = "linux")]
 pub use client::{fresh_client_id, ClientLoop, Outcome, SyncClient};
 pub use framing::FrameDecoder;

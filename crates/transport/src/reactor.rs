@@ -11,13 +11,18 @@
 //!
 //! ## I/O discipline
 //!
-//! Sockets are nonblocking in both directions. Reads drain until
-//! `EWOULDBLOCK` into a per-connection [`FrameDecoder`] that tolerates
-//! frames torn at any byte offset; writes go through a per-connection
-//! byte-bounded [`SendQueue`] that resumes partially-written frames at
-//! the exact offset. Outbound encoding reuses one node-wide scratch
-//! buffer (`encode_with_scratch`), and every socket read lands in one
-//! node-wide read buffer.
+//! The node's connections are a `ConnTable` (`crate::conn`), the one
+//! the client loop owns too: sockets nonblocking in both directions,
+//! reads drained until `EWOULDBLOCK` into a per-connection
+//! [`FrameDecoder`](crate::FrameDecoder) that tolerates frames torn at any byte offset,
+//! writes through a per-connection byte-bounded [`SendQueue`](crate::SendQueue) that
+//! resumes partially-written frames at the exact offset, one scratch
+//! buffer for encoding and one read buffer for the node. A frame that
+//! does not decode, or a length prefix past `MAX_FRAME`, closes its
+//! connection and nothing else. What stays here is the node's policy
+//! over that table: the listener, hellos, binding clients to
+//! connections, the admission gate, the inbox and outbox, read
+//! suspension and the [`ReactorStats`] counters.
 //!
 //! ## Waiting
 //!
@@ -49,13 +54,13 @@
 //!
 //! ## Backpressure
 //!
-//! Two mechanisms ([`crate::backpressure`]):
+//! Two mechanisms (`crate::backpressure`):
 //!
 //! * per-connection send queues are byte-capped; while a connection's
 //!   queue is full its **read interest is suspended**, so a peer that
 //!   stops reading our replies also stops feeding us work (quench
 //!   propagates along the connection);
-//! * a node-wide [`AdmissionGate`] over the inbox backlog sheds new
+//! * a node-wide `AdmissionGate` over the inbox backlog sheds new
 //!   client requests with an immediate `ReplyBody::Busy` above the
 //!   high-water mark and re-admits below the low-water mark. Busy
 //!   replies carry no durable state and never touch the protocol core,
@@ -71,13 +76,12 @@
 
 use crate::backpressure::AdmissionGate;
 use crate::client::{fresh_client_id, SyncClient};
-use crate::conn::{frame_bytes, Conn, ReadStep, READ_BUF};
-use crate::framing::MAX_FRAME;
+use crate::conn::{Conn, ConnTable, Sent, SEND_QUEUE_CAP, TOKEN_LISTENER};
 use crate::fstorage::{FlushCoordinator, SyncMode};
-use crate::sys::{self, Epoll, EPOLLIN, EPOLLRDHUP};
+use crate::sys::{self, EPOLLIN};
 use crate::timers::Timers;
-use crate::wire::{decode_msg, encode_with_scratch, get_addr};
-use bytes::{Bytes, BytesMut};
+use crate::wire::{decode_msg, get_addr};
+use bytes::Bytes;
 use gridpaxos_core::action::Action;
 use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
@@ -104,9 +108,6 @@ const MAX_WAIT: Duration = Duration::from_millis(25);
 /// barrier never covers an unbounded batch.
 const MAX_DRAIN: usize = 128;
 
-/// epoll token of the listening socket.
-const TOKEN_LISTENER: u64 = 0;
-
 /// Tuning knobs for one reactor node.
 #[derive(Clone, Copy, Debug)]
 pub struct ReactorConfig {
@@ -122,7 +123,7 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
-            send_queue_cap: 1 << 20,
+            send_queue_cap: SEND_QUEUE_CAP,
             admit_high: 4096,
             admit_low: 1024,
         }
@@ -199,6 +200,38 @@ fn bump(c: &AtomicU64, by: u64) {
     c.fetch_add(by, Ordering::Relaxed);
 }
 
+impl MetricsInner {
+    /// Count what became of one message sent.
+    fn sent(&self, sent: Sent) {
+        match sent {
+            Sent::Queued(len) => {
+                bump(&self.msgs_out, 1);
+                bump(&self.bytes_out, len as u64);
+            }
+            Sent::Full | Sent::TooBig => bump(&self.frames_dropped, 1),
+            Sent::Unroutable => bump(&self.unroutable, 1),
+        }
+    }
+}
+
+/// What the reactor does between a connection's write and its interest
+/// settling: count a write that left bytes queued, and propagate
+/// backpressure — a full queue suspends the connection's reads, a queue
+/// drained below half of `cap` resumes them.
+fn after_write(metrics: &MetricsInner, cap: usize) -> impl FnMut(&mut Conn, bool) + '_ {
+    move |c, blocked| {
+        if blocked {
+            bump(&metrics.partial_writes, 1);
+        }
+        if c.outq.is_full() && !c.read_suspended {
+            c.read_suspended = true;
+            bump(&metrics.reads_suspended, 1);
+        } else if c.read_suspended && c.outq.queued_bytes() < cap / 2 {
+            c.read_suspended = false;
+        }
+    }
+}
+
 struct Reactor {
     /// The process: its groups are the cores, and it says which group a
     /// message addresses and what a group's message looks like outside.
@@ -206,25 +239,16 @@ struct Reactor {
     me: ProcessId,
     n: usize,
     epoch: Instant,
-    epoll: Epoll,
     listener: TcpListener,
-    peer_addrs: HashMap<ProcessId, SocketAddr>,
-    conns: HashMap<u64, Conn>,
-    by_addr: HashMap<Addr, u64>,
-    next_token: u64,
+    /// Every connection, the replicas' and the clients'.
+    conns: ConnTable,
     /// Decoded messages awaiting a trip through the cores.
     inbox: VecDeque<(Addr, Msg)>,
     /// Core sends awaiting [`Reactor::flush_and_transmit`].
     outbox: Outbox,
-    /// Connections with freshly queued bytes, awaiting a socket write.
-    dirty: Vec<u64>,
     timers: Timers,
     gate: AdmissionGate,
     rcfg: ReactorConfig,
-    scratch: BytesMut,
-    /// Where every socket read lands before the connection's decoder
-    /// copies it out ([`READ_BUF`] bytes, allocated once).
-    read_buf: Vec<u8>,
     stop: Arc<AtomicBool>,
     metrics: Arc<MetricsInner>,
 }
@@ -239,25 +263,19 @@ impl Reactor {
         rcfg: ReactorConfig,
         metrics: Arc<MetricsInner>,
     ) -> io::Result<Reactor> {
+        let me = node.id();
         Ok(Reactor {
-            me: node.id(),
+            me,
             n: node.groups_mut()[0].config().n,
             timers: Timers::new(node.n_groups()),
             node,
             epoch: Instant::now(),
-            epoll: Epoll::new()?,
             listener,
-            peer_addrs,
-            conns: HashMap::new(),
-            by_addr: HashMap::new(),
-            next_token: TOKEN_LISTENER + 1,
+            conns: ConnTable::new(Addr::Replica(me), peer_addrs, rcfg.send_queue_cap)?,
             inbox: VecDeque::new(),
             outbox: Outbox::default(),
-            dirty: Vec::new(),
             gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
             rcfg,
-            scratch: BytesMut::new(),
-            read_buf: vec![0; READ_BUF],
             stop,
             metrics,
         })
@@ -314,154 +332,17 @@ impl Reactor {
 
     /// Write every connection with freshly queued bytes to its socket.
     fn write_dirty_conns(&mut self) {
-        for token in std::mem::take(&mut self.dirty) {
-            self.flush_conn(token);
-        }
-    }
-
-    /// Encode `msg` (reusing the node-wide scratch buffer) into an owned
-    /// frame. `None`, and a frame counted as dropped: the peer's decoder
-    /// would reject the length prefix and drop the connection, so the
-    /// frame is refused and the connection kept. No message the replica
-    /// sends is built that big — catch-up goes out as checkpoint chunks
-    /// and log pieces of at most `LOG_BYTES_FLOOR` — but a promise's
-    /// snapshot of a state past 64 MiB would be.
-    fn frame(&mut self, msg: &Msg) -> Option<Bytes> {
-        let body = encode_with_scratch(msg, &mut self.scratch);
-        if body.len() > MAX_FRAME {
-            bump(&self.metrics.frames_dropped, 1);
-            return None;
-        }
-        Some(frame_bytes(body))
-    }
-
-    /// Queue `frame` on the connection serving `to`, dialing the peer
-    /// replica first if no connection exists. Only called by
-    /// [`Wire::transmit`] — on whichever side of the barrier [`release`]
-    /// put the message.
-    fn enqueue_to(&mut self, to: Addr, frame: Bytes) {
-        let token = match self.by_addr.get(&to).copied() {
-            Some(t) => t,
-            None => match to {
-                Addr::Replica(p) => match self.dial_peer(p) {
-                    Some(t) => t,
-                    None => {
-                        bump(&self.metrics.unroutable, 1);
-                        return;
-                    }
-                },
-                // Clients dial us; a client with no live connection is
-                // gone, and its retry logic will come back.
-                Addr::Client(_) => {
-                    bump(&self.metrics.unroutable, 1);
-                    return;
-                }
-            },
-        };
-        self.enqueue_frame(token, frame);
-    }
-
-    /// Queue one ready-made frame on connection `token`.
-    fn enqueue_frame(&mut self, token: u64, frame: Bytes) {
-        let Some(c) = self.conns.get_mut(&token) else {
-            bump(&self.metrics.unroutable, 1);
-            return;
-        };
-        let len = frame.len() as u64;
-        if c.outq.push(frame) {
-            bump(&self.metrics.msgs_out, 1);
-            bump(&self.metrics.bytes_out, len);
-        } else {
-            bump(&self.metrics.frames_dropped, 1);
-        }
-        if !c.flush_pending {
-            c.flush_pending = true;
-            self.dirty.push(token);
-        }
-    }
-
-    /// Write a connection's queued bytes to the socket (as much as it
-    /// takes), then settle its epoll interest: `EPOLLOUT` iff bytes remain
-    /// queued, `EPOLLIN` unless backpressure has suspended reads.
-    fn flush_conn(&mut self, token: u64) {
-        let mut close = false;
-        {
-            let Some(c) = self.conns.get_mut(&token) else {
-                return;
-            };
-            c.flush_pending = false;
-            if c.connecting {
-                // Can't write yet; EPOLLOUT is already registered and will
-                // fire when the connect resolves.
-                return;
-            }
-            match c.flush() {
-                Ok(blocked) => {
-                    if blocked {
-                        bump(&self.metrics.partial_writes, 1);
-                    }
-                    // Backpressure propagation: a full queue suspends
-                    // reads; a queue drained below half the cap resumes
-                    // them.
-                    if c.outq.is_full() && !c.read_suspended {
-                        c.read_suspended = true;
-                        bump(&self.metrics.reads_suspended, 1);
-                    } else if c.read_suspended
-                        && c.outq.queued_bytes() < self.rcfg.send_queue_cap / 2
-                    {
-                        c.read_suspended = false;
-                    }
-                    if c.settle_interest(&self.epoll, token, blocked).is_err() {
-                        close = true;
-                    }
-                }
-                Err(_) => close = true,
-            }
-        }
-        if close {
-            self.close_conn(token);
-        }
-    }
-
-    /// Open a nonblocking connection to replica `p`, queueing our hello
-    /// frame so it is the first thing on the wire once the connect lands.
-    fn dial_peer(&mut self, p: ProcessId) -> Option<u64> {
-        let sock = *self.peer_addrs.get(&p)?;
-        let token = self.next_token;
-        let (me, peer) = (Addr::Replica(self.me), Addr::Replica(p));
         let cap = self.rcfg.send_queue_cap;
-        let conn = Conn::dial(&self.epoll, token, sock, me, peer, cap)?;
-        self.next_token += 1;
-        self.conns.insert(token, conn);
-        self.by_addr.insert(Addr::Replica(p), token);
-        Some(token)
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(c) = self.conns.remove(&token) {
-            c.deregister(&self.epoll);
-        }
-        self.by_addr.retain(|_, t| *t != token);
+        self.conns.write_dirty(after_write(&self.metrics, cap));
     }
 
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+                    if self.conns.accept(stream).is_some() {
+                        bump(&self.metrics.accepted, 1);
                     }
-                    stream.set_nodelay(true).ok();
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let fd = stream.as_raw_fd();
-                    let interest = EPOLLIN | EPOLLRDHUP;
-                    if self.epoll.add(fd, interest, token).is_err() {
-                        continue;
-                    }
-                    let conn = Conn::new(stream, None, false, interest, self.rcfg.send_queue_cap);
-                    self.conns.insert(token, conn);
-                    bump(&self.metrics.accepted, 1);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -470,157 +351,18 @@ impl Reactor {
         }
     }
 
-    /// EPOLLOUT on `token`: resolve an in-flight connect, then drain the
-    /// send queue.
-    fn handle_writable(&mut self, token: u64) {
-        let Some(c) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if c.finish_connect().is_err() {
-            self.close_conn(token);
-            return;
-        }
-        self.flush_conn(token);
-    }
-
-    /// EPOLLIN on `token`: read until `EWOULDBLOCK`, decode every complete
-    /// frame, admit or shed.
+    /// EPOLLIN on `token`: read what came, admit or shed each request.
     fn handle_readable(&mut self, token: u64) {
-        // The frames decoded below go through `&mut self`, so the buffer
-        // steps out of `self` for the duration.
-        let mut buf = std::mem::take(&mut self.read_buf);
-        self.read_into(token, &mut buf);
-        self.read_buf = buf;
-    }
-
-    fn read_into(&mut self, token: u64, buf: &mut [u8]) {
-        loop {
-            let step = {
-                let Some(c) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                if c.read_suspended {
-                    // Level-triggered epoll can still deliver a stale
-                    // readable event from before the suspension took hold.
-                    return;
-                }
-                c.read_step(buf)
-            };
-            let read = match step {
-                ReadStep::Got(n) => {
-                    bump(&self.metrics.bytes_in, n as u64);
-                    n
-                }
-                ReadStep::Drained => return,
-                ReadStep::Close => {
-                    self.close_conn(token);
-                    return;
-                }
-            };
-            // Decode everything the chunk completed before reading more,
-            // so one fast sender cannot balloon the decode buffer.
-            loop {
-                let next = match self.conns.get_mut(&token) {
-                    Some(c) => c.decoder.next_frame(),
-                    None => return,
-                };
-                match next {
-                    Ok(Some(frame)) => {
-                        if !self.on_frame(token, frame) {
-                            self.close_conn(token);
-                            return;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // Oversized/poisoned length prefix: the stream can
-                        // never resynchronize.
-                        self.close_conn(token);
-                        return;
-                    }
-                }
-            }
-            if read < buf.len() {
-                // Short read: the socket is drained (saves one syscall
-                // that would return EWOULDBLOCK).
-                return;
-            }
-        }
-    }
-
-    /// One complete frame off connection `token`. Returns `false` if the
-    /// connection must be dropped (protocol violation).
-    fn on_frame(&mut self, token: u64, mut frame: Bytes) -> bool {
-        let hello_pending = match self.conns.get(&token) {
-            Some(c) => c.peer.is_none(),
-            None => return false,
+        let mut door = Door {
+            me: self.me,
+            inbox: &mut self.inbox,
+            gate: &mut self.gate,
+            metrics: &self.metrics,
         };
-        if hello_pending {
-            // First frame on an accepted connection: the peer's address.
-            let Ok(addr) = get_addr(&mut frame) else {
-                return false;
-            };
-            if let Some(c) = self.conns.get_mut(&token) {
-                c.peer = Some(addr);
-            }
-            self.by_addr.insert(addr, token);
-            return true;
-        }
-        let Ok(msg) = decode_msg(&mut frame) else {
-            return false;
-        };
-        bump(&self.metrics.msgs_in, 1);
-
-        // Client requests: bind the requesting client's address to this
-        // connection (multiplexing — many virtual clients per socket), and
-        // run the admission gate.
-        // (If-let filter, not a `match`: non-request messages fall through
-        // to normal inbox delivery below — nothing is dispatched here.)
-        let req_meta = if let Msg::Request(r) = &msg {
-            Some((None, r.id))
-        } else if let Msg::Grouped { group, inner } = &msg {
-            if let Msg::Request(r) = inner.as_ref() {
-                Some((Some(*group), r.id))
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        let from = if let Some((genv, rid)) = req_meta {
-            let caddr = Addr::Client(rid.client);
-            self.by_addr.insert(caddr, token);
-            if self.gate.update(self.inbox.len()) {
-                // Shed: immediate Busy, request never reaches the core, so
-                // no durable state exists for the barrier to cover.
-                self.gate.count_shed();
-                bump(&self.metrics.busy_shed, 1);
-                let reply = Msg::Reply(Reply {
-                    id: rid,
-                    leader: self.me,
-                    watermark: gridpaxos_core::types::Instance::ZERO,
-                    body: ReplyBody::Busy,
-                });
-                let reply = match genv {
-                    Some(group) => Msg::Grouped {
-                        group,
-                        inner: Box::new(reply),
-                    },
-                    None => reply,
-                };
-                let frame = frame_bytes(encode_with_scratch(&reply, &mut self.scratch));
-                self.enqueue_frame(token, frame);
-                return true;
-            }
-            caddr
-        } else {
-            match self.conns.get(&token).and_then(|c| c.peer) {
-                Some(p) => p,
-                None => return false,
-            }
-        };
-        self.inbox.push_back((from, msg));
-        true
+        let read = self
+            .conns
+            .read(token, |conns, frame| door.on_frame(conns, token, frame));
+        bump(&self.metrics.bytes_in, read as u64);
     }
 
     /// Route up to [`MAX_DRAIN`] queued messages through the cores.
@@ -661,7 +403,8 @@ impl Reactor {
     fn run(mut self) -> Vec<Replica> {
         if self.listener.set_nonblocking(true).is_err()
             || self
-                .epoll
+                .conns
+                .epoll()
                 .add(self.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
                 .is_err()
         {
@@ -678,7 +421,7 @@ impl Reactor {
         while !self.stop.load(Ordering::Relaxed) {
             events.clear();
             let timeout = self.wait();
-            if self.epoll.wait_for(&mut events, timeout).is_err() {
+            if self.conns.epoll().wait_for(&mut events, timeout).is_err() {
                 break;
             }
             for ev in &events {
@@ -687,9 +430,11 @@ impl Reactor {
                     continue;
                 }
                 if ev.writable() {
-                    self.handle_writable(ev.token);
+                    let cap = self.rcfg.send_queue_cap;
+                    self.conns
+                        .writable(ev.token, after_write(&self.metrics, cap));
                 }
-                if ev.readable() && self.conns.contains_key(&ev.token) {
+                if ev.readable() && self.conns.contains(ev.token) {
                     self.handle_readable(ev.token);
                 }
             }
@@ -727,27 +472,102 @@ impl Wire for Reactor {
     /// and framed once, and every follower's queue holds the same bytes —
     /// then write every connection with queued bytes to its socket.
     fn transmit(&mut self, outs: &mut Vec<Out>) {
+        let (me, n) = (self.me, self.n);
+        let followers = || {
+            (0..n)
+                .map(|i| ProcessId(i as u32))
+                .filter(move |p| *p != me)
+                .map(Addr::Replica)
+        };
         for out in outs.drain(..) {
             match out {
-                Out::One(to, msg) => {
-                    if let Some(frame) = self.frame(&msg) {
-                        self.enqueue_to(to, frame);
-                    }
-                }
+                Out::One(to, msg) => self.metrics.sent(self.conns.send(to, &msg)),
                 Out::All(msg) => {
-                    let Some(frame) = self.frame(&msg) else {
-                        continue;
-                    };
-                    for i in 0..self.n {
-                        let to = ProcessId(i as u32);
-                        if to != self.me {
-                            self.enqueue_to(Addr::Replica(to), frame.clone());
-                        }
-                    }
+                    let metrics = &self.metrics;
+                    self.conns
+                        .send_all(&msg, followers(), |sent| metrics.sent(sent));
                 }
             }
         }
         self.write_dirty_conns();
+    }
+}
+
+/// What a frame off a connection may touch of the reactor: the hello
+/// binds the connection's peer; a client request binds its client to the
+/// connection and passes the admission gate into the inbox, or is shed
+/// with `Busy`.
+struct Door<'a> {
+    me: ProcessId,
+    inbox: &'a mut VecDeque<(Addr, Msg)>,
+    gate: &'a mut AdmissionGate,
+    metrics: &'a MetricsInner,
+}
+
+impl Door<'_> {
+    /// One complete frame off connection `token`. Returns `false` if the
+    /// connection must be dropped (protocol violation).
+    fn on_frame(&mut self, conns: &mut ConnTable, token: u64, mut frame: Bytes) -> bool {
+        let Some(peer) = conns.peer(token) else {
+            // First frame on an accepted connection: the peer's address.
+            let Ok(addr) = get_addr(&mut frame) else {
+                return false;
+            };
+            conns.bind(addr, token);
+            return true;
+        };
+        let Ok(msg) = decode_msg(&mut frame) else {
+            return false;
+        };
+        bump(&self.metrics.msgs_in, 1);
+
+        // Client requests: bind the requesting client's address to this
+        // connection (multiplexing — many virtual clients per socket), and
+        // run the admission gate.
+        // (If-let filter, not a `match`: non-request messages fall through
+        // to normal inbox delivery below — nothing is dispatched here.)
+        let req_meta = if let Msg::Request(r) = &msg {
+            Some((None, r.id))
+        } else if let Msg::Grouped { group, inner } = &msg {
+            if let Msg::Request(r) = inner.as_ref() {
+                Some((Some(*group), r.id))
+            } else {
+                None
+            }
+        } else {
+            None
+        };
+        let from = if let Some((genv, rid)) = req_meta {
+            let caddr = Addr::Client(rid.client);
+            conns.bind(caddr, token);
+            if self.gate.update(self.inbox.len()) {
+                // Shed: immediate Busy, request never reaches the core, so
+                // no durable state exists for the barrier to cover. The
+                // client was just bound to this connection, so the reply
+                // goes back over it.
+                bump(&self.metrics.busy_shed, 1);
+                let reply = Msg::Reply(Reply {
+                    id: rid,
+                    leader: self.me,
+                    watermark: gridpaxos_core::types::Instance::ZERO,
+                    body: ReplyBody::Busy,
+                });
+                let reply = match genv {
+                    Some(group) => Msg::Grouped {
+                        group,
+                        inner: Box::new(reply),
+                    },
+                    None => reply,
+                };
+                self.metrics.sent(conns.send(caddr, &reply));
+                return true;
+            }
+            caddr
+        } else {
+            peer
+        };
+        self.inbox.push_back((from, msg));
+        true
     }
 }
 
@@ -975,10 +795,11 @@ impl ReactorCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::MAX_FRAME;
     use crate::framing::{read_frame, write_frame};
     use crate::fstorage::FileStorage;
-    use crate::wire::put_addr;
-    use bytes::Bytes;
+    use crate::wire::{encode_to_bytes, put_addr};
+    use bytes::BytesMut;
     use gridpaxos_core::action::TimerKind;
     use gridpaxos_core::ballot::Ballot;
     use gridpaxos_core::client::ShardRouter;
@@ -1110,12 +931,12 @@ mod tests {
     fn oversize_frame_is_dropped_and_the_connection_kept() {
         let (mut r, metrics, addr) = idle_reactor();
         let _peer = TcpStream::connect(addr).expect("connect");
-        while r.conns.is_empty() {
+        let token = TOKEN_LISTENER + 1;
+        while !r.conns.contains(token) {
             r.accept_ready();
         }
-        let token = TOKEN_LISTENER + 1;
         let client = ClientId(9);
-        r.by_addr.insert(Addr::Client(client), token);
+        r.conns.bind(Addr::Client(client), token);
 
         let reply = |len: usize| {
             Msg::Reply(Reply {
@@ -1125,13 +946,13 @@ mod tests {
                 body: ReplyBody::Ok(Bytes::from(vec![0u8; len])),
             })
         };
-        assert!(r.frame(&reply(MAX_FRAME + 1)).is_none());
+        let to = Addr::Client(client);
+        r.transmit(&mut vec![Out::One(to, reply(MAX_FRAME + 1))]);
         let stats = metrics.stats();
         assert_eq!((stats.frames_dropped, stats.msgs_out), (1, 0));
-        assert!(r.conns.contains_key(&token), "connection kept");
+        assert!(r.conns.contains(token), "connection kept");
 
-        let small = r.frame(&reply(8)).expect("fits");
-        r.enqueue_to(Addr::Client(client), small);
+        r.transmit(&mut vec![Out::One(to, reply(8))]);
         let stats = metrics.stats();
         assert_eq!((stats.frames_dropped, stats.msgs_out), (1, 1));
     }
@@ -1160,15 +981,14 @@ mod tests {
         let mut batch = Vec::new();
         write_frame(&mut batch, &hello).expect("hello");
         let n_virtual = 32u64;
-        let mut scratch = BytesMut::new();
         for v in 0..n_virtual {
             let req = Request::new(
                 RequestId::new(ClientId(base + v), Seq(1)),
                 RequestKind::Write,
                 Bytes::copy_from_slice(&[v as u8]),
             );
-            let frame = encode_with_scratch(&Msg::Request(req), &mut scratch);
-            write_frame(&mut batch, frame).expect("frame");
+            let frame = encode_to_bytes(&Msg::Request(req));
+            write_frame(&mut batch, &frame).expect("frame");
         }
         sock.write_all(&batch).expect("send burst");
 
@@ -1211,7 +1031,6 @@ mod tests {
         write_frame(&mut batch, &hello).expect("hello");
         sock.write_all(&batch).expect("send hello");
         let mut reader = BufReader::new(sock.try_clone().expect("clone"));
-        let mut scratch = BytesMut::new();
 
         // This test talks to a single node, but a replica without
         // leadership silently ignores client writes (the protocol has
@@ -1227,9 +1046,9 @@ mod tests {
                 RequestKind::Write,
                 Bytes::new(),
             );
-            let frame = encode_with_scratch(&Msg::Request(req), &mut scratch);
+            let frame = encode_to_bytes(&Msg::Request(req));
             let mut wire = Vec::new();
-            write_frame(&mut wire, frame).expect("frame");
+            write_frame(&mut wire, &frame).expect("frame");
             sock.write_all(&wire).expect("send probe");
             match read_frame(&mut reader) {
                 Ok(Some(mut f)) => {
@@ -1257,8 +1076,8 @@ mod tests {
                 RequestKind::Write,
                 Bytes::copy_from_slice(&[v as u8]),
             );
-            let frame = encode_with_scratch(&Msg::Request(req), &mut scratch);
-            write_frame(&mut batch, frame).expect("frame");
+            let frame = encode_to_bytes(&Msg::Request(req));
+            write_frame(&mut batch, &frame).expect("frame");
         }
         sock.write_all(&batch).expect("send burst");
 
@@ -1618,11 +1437,7 @@ mod tests {
         let mut frames = Vec::new();
         write_frame(&mut frames, &hello).expect("hello");
         let write = Msg::Request(Request::new(id, RequestKind::Write, Bytes::new()));
-        write_frame(
-            &mut frames,
-            encode_with_scratch(&write, &mut BytesMut::new()),
-        )
-        .expect("frame");
+        write_frame(&mut frames, &encode_to_bytes(&write)).expect("frame");
         let mut sock = TcpStream::connect(cluster.addrs[&ProcessId(0)]).expect("connect");
         sock.write_all(&frames).expect("send");
 
@@ -1654,10 +1469,11 @@ mod tests {
         stalling.store(false, Ordering::SeqCst);
         sock.set_read_timeout(Some(Duration::from_secs(10))).ok();
         let mut frame = read_frame(&mut reader).expect("reply").expect("conn open");
-        match decode_msg(&mut frame).expect("decode") {
-            Msg::Reply(r) => assert!(matches!(r.body, ReplyBody::Ok(_)), "got {:?}", r.body),
-            other => panic!("got {other:?}"),
-        }
+        let msg = decode_msg(&mut frame).expect("decode");
+        let Msg::Reply(r) = &msg else {
+            panic!("got {msg:?}");
+        };
+        assert!(matches!(r.body, ReplyBody::Ok(_)), "got {:?}", r.body);
         let stopped = cluster.shutdown();
         assert_eq!(stopped[0][0].chosen_prefix(), Instance(2));
         std::fs::remove_dir_all(&root).ok();
@@ -1760,11 +1576,7 @@ mod tests {
         let mut frames = Vec::new();
         write_frame(&mut frames, &hello).expect("hello");
         let write = Msg::Request(Request::new(id, RequestKind::Write, Bytes::new()));
-        write_frame(
-            &mut frames,
-            encode_with_scratch(&write, &mut BytesMut::new()),
-        )
-        .expect("frame");
+        write_frame(&mut frames, &encode_to_bytes(&write)).expect("frame");
         let mut sock = TcpStream::connect(cluster.addrs[&ProcessId(0)]).expect("connect");
         sock.write_all(&frames).expect("send");
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1792,6 +1604,43 @@ mod tests {
             assert_eq!(follower.service_snapshot(), leader.service_snapshot());
         }
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Garbage drops the connection, not the node: a frame that does not
+    /// decode after a valid hello, and a length prefix past `MAX_FRAME`,
+    /// each close the connection that carried it, and the node goes on
+    /// serving a client's write and read.
+    #[test]
+    fn garbage_on_a_connection_closes_it_and_the_node_serves_on() {
+        let cluster = ReactorCluster::launch(Config::cluster(3), noop_factory).expect("launch");
+        let node = cluster.addrs[&ProcessId(0)];
+        let closed = |mut sock: TcpStream, garbage: &[u8]| {
+            sock.write_all(garbage).expect("send garbage");
+            sock.set_read_timeout(Some(Duration::from_secs(10))).ok();
+            let mut buf = [0u8; 64];
+            match std::io::Read::read(&mut sock, &mut buf) {
+                Ok(0) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                other => panic!("the node kept the connection: {other:?}"),
+            }
+        };
+
+        let mut hello = BytesMut::new();
+        put_addr(&mut hello, &Addr::Client(cluster.next_client_id()));
+        let mut undecodable = Vec::new();
+        write_frame(&mut undecodable, &hello).expect("hello");
+        write_frame(&mut undecodable, &[0xff, 1, 2, 3]).expect("frame");
+        closed(TcpStream::connect(node).expect("connect"), &undecodable);
+
+        let oversize = (MAX_FRAME as u32 + 1).to_le_bytes();
+        closed(TcpStream::connect(node).expect("connect"), &oversize);
+
+        let mut client = cluster.client();
+        let write = client.call(RequestKind::Write, Bytes::from_static(&[1]));
+        assert!(matches!(write, Some(ReplyBody::Ok(_))), "write: {write:?}");
+        let read = client.call(RequestKind::Read, Bytes::new());
+        assert!(matches!(read, Some(ReplyBody::Ok(_))), "read: {read:?}");
+        cluster.shutdown();
     }
 
     /// A call nobody answers gives up after 20 retry timeouts and leaves

@@ -146,12 +146,6 @@ impl Event {
     pub fn writable(&self) -> bool {
         self.events & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0
     }
-
-    /// Error or hangup was flagged by the kernel.
-    #[must_use]
-    pub fn is_error(&self) -> bool {
-        self.events & (EPOLLERR | EPOLLHUP) != 0
-    }
 }
 
 /// An owned `epoll` instance (level-triggered).

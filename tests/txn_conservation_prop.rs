@@ -4,7 +4,7 @@
 //! balance — a violated sum is a half-committed transfer.
 
 use gridpaxos::core::prelude::*;
-use gridpaxos::services::{shard_router, transfer_legs, KvStore};
+use gridpaxos::services::{agreed_stores, audit_transfers, shard_router, transfer_legs, KvStore};
 use gridpaxos::simnet::workload::TransferLoop;
 use gridpaxos::simnet::{SimOpts, Topology, World};
 use proptest::prelude::*;
@@ -44,41 +44,15 @@ fn add_transfer_clients(w: &mut World, clients: usize, accounts: usize, n_groups
     }
 }
 
-/// Settle, decode every group's agreed snapshot, and assert the 2PC
-/// atomicity invariant: replicas agree, no prepared intent survives
-/// quiescence, and the books balance to zero.
+/// Settle, decode every group's agreed snapshot, and run the transfer
+/// audit: replicas agree, no prepared intent survives quiescence, and
+/// the books balance to zero.
 fn assert_conserved(w: &mut World, n_groups: usize) -> Result<(), TestCaseError> {
     let settle = w.now.after(Dur::from_secs(2));
     w.run_until(settle);
-    let mut total = 0i64;
-    for g in 0..n_groups {
-        let states = w.replica_states_of(GroupId(g as u32));
-        prop_assert!(!states.is_empty(), "group {g} has no live replicas");
-        prop_assert!(
-            states.windows(2).all(|p| p[0] == p[1]),
-            "group {g} replicas diverged"
-        );
-        let mut s = KvStore::sharded_in(g as u32, n_groups);
-        s.restore(&states[0].1);
-        prop_assert!(
-            s.prepared_txns().is_empty(),
-            "group {g} leaked prepared intents {:?}",
-            s.prepared_txns()
-        );
-        for (k, v) in s.iter() {
-            if k.starts_with("acct") {
-                total += v.parse::<i64>().map_err(|_| {
-                    TestCaseError::fail(format!("group {g} key {k} holds non-integer {v:?}"))
-                })?;
-            }
-        }
-    }
-    prop_assert_eq!(
-        total,
-        0,
-        "money created or destroyed: a half-committed transfer"
-    );
-    Ok(())
+    agreed_stores(n_groups, |g| w.replica_states_of(g))
+        .and_then(|stores| audit_transfers(&stores))
+        .map_err(TestCaseError::fail)
 }
 
 proptest! {

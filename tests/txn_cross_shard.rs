@@ -4,7 +4,9 @@
 //! checked from the replicas' own snapshots.
 
 use gridpaxos::core::prelude::*;
-use gridpaxos::services::{shard_router, transfer_legs, KvOp, KvStore};
+use gridpaxos::services::{
+    agreed_stores, audit_transfers, shard_router, transfer_legs, KvOp, KvStore,
+};
 use gridpaxos::simnet::workload::{Driver, TransferLoop};
 use gridpaxos::simnet::{SimOpts, Topology, World};
 use std::sync::{Arc, Mutex};
@@ -44,33 +46,18 @@ fn add_transfer_clients(w: &mut World, clients: usize, accounts: usize, n_groups
     }
 }
 
-/// Decode every group's (agreed) snapshot into a `KvStore` and return the
-/// stores, asserting replicas within each group did not diverge.
-fn group_stores(w: &mut World, n_groups: usize) -> Vec<KvStore> {
+/// Settle, decode every group's agreed snapshot and run the transfer
+/// audit: replicas agree, no prepared intent survives quiescence, and
+/// every transfer is a debit matched by an equal credit, so from all-zero
+/// starting balances the books sum to zero.
+fn audit(w: &mut World, n_groups: usize) {
     let settle = w.now.after(Dur::from_secs(2));
     w.run_until(settle);
-    (0..n_groups)
-        .map(|g| {
-            let states = w.replica_states_of(GroupId(g as u32));
-            assert!(!states.is_empty(), "group {g} has no live replicas");
-            assert!(
-                states.windows(2).all(|p| p[0] == p[1]),
-                "group {g} replicas diverged"
-            );
-            let mut s = KvStore::sharded_in(g as u32, n_groups);
-            s.restore(&states[0].1);
-            s
-        })
-        .collect()
-}
-
-fn total_balance(stores: &[KvStore]) -> i64 {
-    stores
-        .iter()
-        .flat_map(|s| s.iter())
-        .filter(|(k, _)| k.starts_with("acct"))
-        .map(|(_, v)| v.parse::<i64>().expect("balances are integers"))
-        .sum()
+    if let Err(v) = agreed_stores(n_groups, |g| w.replica_states_of(g))
+        .and_then(|stores| audit_transfers(&stores))
+    {
+        panic!("{v}");
+    }
 }
 
 #[test]
@@ -89,16 +76,7 @@ fn cross_shard_transfers_conserve_total_balance() {
     assert!(w.run_to_completion(DEADLINE), "transfers did not finish");
     assert!(w.metrics.txn_commits >= 4 * 25, "retries may add commits");
 
-    let stores = group_stores(&mut w, n_groups);
-    for (g, s) in stores.iter().enumerate() {
-        assert!(
-            s.prepared_txns().is_empty(),
-            "group {g} still holds prepared intents at quiescence"
-        );
-    }
-    // Every transfer is a debit matched by an equal credit; from all-zero
-    // starting balances the books must sum to zero.
-    assert_eq!(total_balance(&stores), 0, "money created or destroyed");
+    audit(&mut w, n_groups);
 }
 
 #[test]
@@ -114,11 +92,7 @@ fn transfers_survive_participant_crash_and_recovery() {
     assert!(w.run_to_completion(DEADLINE), "transfers did not finish");
     assert!(w.metrics.txn_commits >= 3 * 20);
 
-    let stores = group_stores(&mut w, n_groups);
-    for s in &stores {
-        assert!(s.prepared_txns().is_empty());
-    }
-    assert_eq!(total_balance(&stores), 0, "crash broke atomicity");
+    audit(&mut w, n_groups);
 }
 
 /// Reads all groups' `acct*` keys via the scan+fence merged-read

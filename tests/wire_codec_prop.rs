@@ -1,5 +1,8 @@
-//! Property test: any protocol message round-trips through the wire
-//! codec byte-for-byte, consuming its whole encoding.
+//! Property tests: any protocol message round-trips through the wire
+//! codec byte-for-byte, consuming its whole encoding; and a mutated
+//! encoding (a flipped byte, a truncation, four bytes of `0xff`) is
+//! decoded or refused, never a panic — what a connection carries is the
+//! peer's to choose, and garbage must cost the connection, not the node.
 //!
 //! This lives at the workspace top level (rather than inside the
 //! transport crate's unit tests) so the generators exercise `Msg` purely
@@ -272,5 +275,55 @@ proptest! {
         let decoded = decode_msg(&mut buf).expect("generated message must decode");
         prop_assert!(buf.is_empty(), "codec left {} trailing bytes", buf.len());
         prop_assert_eq!(decoded, msg);
+    }
+}
+
+/// One way a frame on the wire can be garbage.
+#[derive(Clone, Copy, Debug)]
+enum Mutation {
+    /// XOR the byte at the offset with a nonzero mask.
+    Flip(u8),
+    /// Cut the encoding at the offset.
+    Truncate,
+    /// Overwrite four bytes from the offset (clamped to the end) with
+    /// `0xff`: a length or a count as large as its field holds.
+    Saturate,
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (1u8..=255).prop_map(Mutation::Flip),
+        Just(Mutation::Truncate),
+        Just(Mutation::Saturate),
+    ]
+}
+
+fn mutate(encoded: &[u8], how: Mutation, at: usize) -> Vec<u8> {
+    let mut bytes = encoded.to_vec();
+    if bytes.is_empty() {
+        return bytes;
+    }
+    let at = at % bytes.len();
+    match how {
+        Mutation::Flip(mask) => bytes[at] ^= mask,
+        Mutation::Truncate => bytes.truncate(at),
+        Mutation::Saturate => {
+            let end = (at + 4).min(bytes.len());
+            bytes[end.saturating_sub(4)..end].fill(0xff);
+        }
+    }
+    bytes
+}
+
+proptest! {
+    #[test]
+    fn a_mutated_encoding_is_decoded_or_refused_never_a_panic(
+        msg in arb_msg(),
+        how in arb_mutation(),
+        at in any::<usize>(),
+    ) {
+        let garbage = mutate(&encode_to_bytes(&msg), how, at);
+        // `Ok` is fine too: a flipped payload byte is still a message.
+        let _ = decode_msg(&mut Bytes::from(garbage));
     }
 }
