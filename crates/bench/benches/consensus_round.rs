@@ -10,27 +10,15 @@ use gridpaxos_core::request::RequestKind;
 use gridpaxos_core::service::NoopApp;
 use gridpaxos_core::types::{Dur, Time};
 use gridpaxos_simnet::cpu::CpuModel;
-use gridpaxos_simnet::latency::LatencyModel;
 use gridpaxos_simnet::topology::Topology;
 use gridpaxos_simnet::workload::OpLoop;
 use gridpaxos_simnet::world::{SimOpts, World};
-
-fn fast_topology(n: usize) -> Topology {
-    let mut t = Topology::sysnet(n);
-    // Near-zero constant latency: virtual time, so only CPU cost remains.
-    for row in &mut t.links {
-        for l in row.iter_mut() {
-            *l = LatencyModel::Constant(0.0001);
-        }
-    }
-    t
-}
 
 fn run_ops(kind: RequestKind, ops: u64) {
     let cfg = Config::cluster(3);
     let opts = SimOpts {
         cpu: CpuModel::free(),
-        ..SimOpts::for_topology(fast_topology(3), 1)
+        ..SimOpts::for_topology(Topology::fast(3), 1)
     };
     let mut w = World::new(cfg, opts, Box::new(|| Box::new(NoopApp::new())));
     w.add_client(

@@ -1,19 +1,21 @@
 //! The experiment suite: one function per table/figure of the paper
 //! (see DESIGN.md §5 for the index), and [`REGISTRY`], the one list the
 //! `experiments` binary runs from. Every simulated table is rows over
-//! [`Experiment::run`]; each function returns the rows/series the paper
-//! reports as a [`TableOut`], which the binary prints and writes as CSV
-//! and JSON.
+//! [`Experiment::run`], or, for E15, which times each decree, over a
+//! world from [`Experiment::build`]; each function returns the
+//! rows/series the paper reports as a [`TableOut`], which the binary
+//! prints and writes as CSV and JSON.
 
 use crate::table::TableOut;
-use gridpaxos_core::client::TxnScript;
+use gridpaxos_core::action::Action;
+use gridpaxos_core::client::{ClientCore, CompletedOp, TxnScript};
 use gridpaxos_core::config::{ReadMode, TxnMode, ValueMode};
 use gridpaxos_core::request::RequestKind;
 use gridpaxos_core::types::{Dur, ProcessId, Time};
 use gridpaxos_simnet::cpu::CpuModel;
 use gridpaxos_simnet::metrics::{kind_key, Metrics};
 use gridpaxos_simnet::runner::Experiment;
-use gridpaxos_simnet::stats::Summary;
+use gridpaxos_simnet::stats::{percentile_sorted, Summary};
 use gridpaxos_simnet::topology::Topology;
 use gridpaxos_simnet::workload::{Driver, OpLoop, TransferLoop, TxnLoop};
 use gridpaxos_simnet::world::World;
@@ -835,7 +837,7 @@ pub fn reactor(_seed: u64) -> TableOut {
 
 #[cfg(target_os = "linux")]
 mod reactor_live {
-    use super::TableOut;
+    use super::{percentile_sorted, TableOut};
     use bytes::Bytes;
     use gridpaxos_core::client::ClientCore;
     use gridpaxos_core::config::Config;
@@ -887,12 +889,10 @@ mod reactor_live {
         }
     }
 
-    fn pct_ms(sorted_ns: &[u64], p: f64) -> f64 {
-        if sorted_ns.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-        sorted_ns[idx] as f64 / 1e6
+    /// The p50 and p99 cells of a sample of latencies in ms, nearest rank.
+    fn p50_p99(mut samples: Vec<f64>) -> [String; 2] {
+        samples.sort_by(f64::total_cmp);
+        [0.50, 0.99].map(|q| format!("{:.3}", percentile_sorted(&samples, q)))
     }
 
     /// A one-byte write.
@@ -919,7 +919,7 @@ mod reactor_live {
         ops_each: u64,
     ) -> Vec<String> {
         let started = Instant::now();
-        let per_thread: Vec<(u64, Vec<u64>)> = std::thread::scope(|s| {
+        let per_thread: Vec<(u64, Vec<f64>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..clients)
                 .map(|_| {
                     s.spawn(move || {
@@ -930,7 +930,7 @@ mod reactor_live {
                             let t0 = Instant::now();
                             if cl.call(RequestKind::Write, write_op(i)).is_some() {
                                 ok += 1;
-                                samples.push(t0.elapsed().as_nanos() as u64);
+                                samples.push(t0.elapsed().as_secs_f64() * 1e3);
                             }
                         }
                         (ok, samples)
@@ -944,8 +944,8 @@ mod reactor_live {
         });
         let elapsed = started.elapsed();
         let completed: u64 = per_thread.iter().map(|(ok, _)| ok).sum();
-        let mut samples: Vec<u64> = per_thread.into_iter().flat_map(|(_, s)| s).collect();
-        samples.sort_unstable();
+        let samples: Vec<f64> = per_thread.into_iter().flat_map(|(_, s)| s).collect();
+        let [p50, p99] = p50_p99(samples);
         vec![
             "closed/reactor".into(),
             clients.to_string(),
@@ -953,8 +953,8 @@ mod reactor_live {
             "-".into(),
             completed.to_string(),
             format!("{:.0}", completed as f64 / elapsed.as_secs_f64().max(1e-9)),
-            format!("{:.3}", pct_ms(&samples, 0.50)),
-            format!("{:.3}", pct_ms(&samples, 0.99)),
+            p50,
+            p99,
             "0".into(),
             "-".into(),
         ]
@@ -979,7 +979,7 @@ mod reactor_live {
                 match outcome {
                     Outcome::Busy => busy += 1,
                     Outcome::Done(op) => {
-                        samples.push(op.rtt.0);
+                        samples.push(op.rtt.as_millis_f64());
                         left[slot] -= 1;
                         if left[slot] > 0 {
                             lp.submit_op(slot, RequestKind::Write, write_op(left[slot]));
@@ -989,19 +989,17 @@ mod reactor_live {
             }
         }
         let elapsed = started.elapsed();
-        samples.sort_unstable();
+        let done = samples.len();
+        let [p50, p99] = p50_p99(samples);
         vec![
             "closed/reactor+loop".into(),
             clients.to_string(),
             cluster.addrs.len().to_string(),
             "-".into(),
-            samples.len().to_string(),
-            format!(
-                "{:.0}",
-                samples.len() as f64 / elapsed.as_secs_f64().max(1e-9)
-            ),
-            format!("{:.3}", pct_ms(&samples, 0.50)),
-            format!("{:.3}", pct_ms(&samples, 0.99)),
+            done.to_string(),
+            format!("{:.0}", done as f64 / elapsed.as_secs_f64().max(1e-9)),
+            p50,
+            p99,
             busy.to_string(),
             "-".into(),
         ]
@@ -1054,7 +1052,7 @@ mod reactor_live {
                     continue;
                 }
                 match outcome {
-                    Outcome::Done(op) => samples.push(op.rtt.0),
+                    Outcome::Done(op) => samples.push(op.rtt.as_millis_f64()),
                     Outcome::Busy => {
                         busy += 1;
                         lp.abandon(slot);
@@ -1063,16 +1061,17 @@ mod reactor_live {
                 idle.push(slot);
             }
         }
-        samples.sort_unstable();
+        let done = samples.len();
+        let [p50, p99] = p50_p99(samples);
         vec![
             format!("open/reactor@{offered}"),
             pool.to_string(),
             cluster.addrs.len().to_string(),
             offered.to_string(),
-            samples.len().to_string(),
-            format!("{:.0}", samples.len() as f64 / (dur + grace).as_secs_f64()),
-            format!("{:.3}", pct_ms(&samples, 0.50)),
-            format!("{:.3}", pct_ms(&samples, 0.99)),
+            done.to_string(),
+            format!("{:.0}", done as f64 / (dur + grace).as_secs_f64()),
+            p50,
+            p99,
             busy.to_string(),
             no_idle.to_string(),
         ]
@@ -1134,23 +1133,14 @@ struct LsRun {
     p50_ms: f64,
     p99_ms: f64,
     max_ms: f64,
-    /// p99 over decrees issued while a checkpoint was active. NaN when no
-    /// decree overlapped a checkpoint.
+    /// p99 over decrees during which a replica committed a checkpoint or
+    /// after which one was still streaming. 0 when no decree was.
     ckpt_p99_ms: f64,
     checkpoints: u64,
     chunks_per_ckpt: f64,
     state_mb: f64,
     /// Per-replica checkpoint counters, human-readable.
     per_replica: String,
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn pctl(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Pin glibc's trim/mmap thresholds for the duration of the process.
@@ -1179,15 +1169,78 @@ fn pin_allocator() {
     }
 }
 
-/// Drive a failure-free 3-replica cluster (zero-latency in-memory
-/// shuttle, real wall clock) through `decrees` closed-loop overwrites of
-/// a KV store preloaded with `keys` values of `value_bytes` each, and
-/// measure the wall time of every decree round. Checkpoints stream in
-/// chunks of `chunk_bytes` and the loop pumps one chunk per replica per
-/// cycle, exactly like the transport drive loops. Measurement starts only
-/// after every replica has completed one warm-up checkpoint, so the
-/// one-time heap-growth transient of the first snapshot is not charged
-/// to whichever sweep point happens to run first.
+/// Closed-loop overwrites of uniformly drawn keys `k0000000..keys`, each
+/// with the same value; never done (the caller steps the world).
+struct Overwrite {
+    keys: usize,
+    value: String,
+    rng: rand::rngs::SmallRng,
+}
+
+impl Driver for Overwrite {
+    fn kick(&mut self, core: &mut ClientCore, now: Time) -> Option<Vec<Action>> {
+        use gridpaxos_services::KvOp;
+        use rand::Rng;
+        let key = format!("k{:07}", self.rng.gen_range(0..self.keys));
+        let op = KvOp::Put(key, self.value.clone()).encode();
+        Some(core.submit_op(RequestKind::Write, op, now))
+    }
+
+    fn on_complete(&mut self, _: &CompletedOp, _: Time, _: &mut Metrics) {}
+
+    fn done(&self) -> bool {
+        false
+    }
+}
+
+/// One replica's checkpoint counters, and whether a checkpoint is
+/// streaming.
+#[derive(Clone)]
+struct Ckpts {
+    done: u64,
+    bytes: u64,
+    chunks: u64,
+    streaming: bool,
+}
+
+fn ckpts(w: &World) -> Vec<Ckpts> {
+    (0..3)
+        .filter_map(|i| w.replica(ProcessId(i)))
+        .map(|r| Ckpts {
+            done: r.stats.checkpoints,
+            bytes: r.stats.checkpoint_bytes,
+            chunks: r.stats.checkpoint_chunks,
+            streaming: r.checkpointing(),
+        })
+        .collect()
+}
+
+/// One closed-loop write: step `w` until it completes, then sleep out
+/// `floor`, a stand-in for the per-decree cost of the paper's target
+/// environment (LAN/grid RTT plus group-commit fsync). It is identical
+/// across state sizes, so it cannot manufacture a trend. Returns the
+/// decree's wall time in ms.
+fn one_write(w: &mut World, floor: std::time::Duration) -> f64 {
+    let t = std::time::Instant::now();
+    let done = w.metrics.completed_ops;
+    while w.metrics.completed_ops == done {
+        assert!(w.step(), "a failure-free world ran dry");
+    }
+    if let Some(rest) = floor.checked_sub(t.elapsed()) {
+        std::thread::sleep(rest);
+    }
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Drive a failure-free 3-replica simulated cluster — free CPU,
+/// near-zero links, so wall time is the protocol stack's own cost —
+/// through `decrees` closed-loop overwrites of a KV store preloaded with
+/// `keys` values of `value_bytes` each, and measure the wall time of
+/// every decree. Checkpoints stream in chunks of `chunk_bytes`, each
+/// replica pumping its own: one chunk per apply drain and one per timer.
+/// Measurement starts only after every replica has completed two
+/// warm-up checkpoints, so the one-time heap-growth transient of the
+/// first snapshots is not charged to whichever sweep point runs first.
 fn large_state_run(
     seed: u64,
     keys: usize,
@@ -1198,57 +1251,11 @@ fn large_state_run(
     floor: std::time::Duration,
 ) -> LsRun {
     pin_allocator();
-    use gridpaxos_core::action::Action;
-    use gridpaxos_core::client::ClientCore;
-    use gridpaxos_core::config::Config;
-    use gridpaxos_core::msg::Msg;
-    use gridpaxos_core::replica::Replica;
     use gridpaxos_core::request::{Request, RequestId};
     use gridpaxos_core::service::{App, ExecCtx};
-    use gridpaxos_core::storage::MemStorage;
-    use gridpaxos_core::types::{Addr, ClientId, Seq};
+    use gridpaxos_core::types::{ClientId, Seq};
     use gridpaxos_services::{KvOp, KvStore};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    use std::collections::VecDeque;
-    use std::time::Instant;
-
-    fn enqueue(q: &mut VecDeque<(Addr, Addr, Msg)>, n: usize, from: Addr, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => q.push_back((from, to, msg)),
-                Action::ToAllReplicas { msg } => {
-                    for i in 0..n {
-                        let to = Addr::Replica(ProcessId(i as u32));
-                        if to != from {
-                            q.push_back((from, to, msg.clone()));
-                        }
-                    }
-                }
-                Action::SetTimer { .. } | Action::CancelTimer { .. } => {}
-            }
-        }
-    }
-
-    fn run_until_quiet(
-        q: &mut VecDeque<(Addr, Addr, Msg)>,
-        replicas: &mut [Replica],
-        client_inbox: &mut Vec<Msg>,
-        now: Time,
-    ) {
-        let mut hops = 0u64;
-        while let Some((from, to, msg)) = q.pop_front() {
-            hops += 1;
-            assert!(hops < 10_000_000, "message storm");
-            match to {
-                Addr::Replica(p) => {
-                    let actions = replicas[p.0 as usize].on_message(from, msg, now);
-                    enqueue(q, replicas.len(), to, actions);
-                }
-                Addr::Client(_) => client_inbox.push(msg),
-            }
-        }
-    }
+    use rand::SeedableRng;
 
     // Preload one KvStore and clone it per replica: identical resident
     // state on every replica without paying `keys` consensus rounds. The
@@ -1256,7 +1263,7 @@ fn large_state_run(
     // 0), which is fine — the experiment measures decree cost against
     // resident state size, not recovery.
     let value: String = "v".repeat(value_bytes);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let mut base = KvStore::new();
     for i in 0..keys {
         let req = Request::new(
@@ -1269,175 +1276,70 @@ fn large_state_run(
     }
     let state_mb = base.snapshot().len() as f64 / (1024.0 * 1024.0);
 
-    let mut cfg = Config::cluster(3);
-    cfg.bootstrap_leader = Some(ProcessId(0));
-    cfg.batch_window = Dur::ZERO; // the shuttle never fires timers
-    cfg.checkpoint_every = checkpoint_every;
-    cfg.checkpoint_chunk_bytes = chunk_bytes;
+    let mut exp = Experiment::on(Topology::fast(3), seed);
+    exp.cpu = CpuModel::free();
+    exp.cfg.batch_window = Dur::ZERO;
+    exp.cfg.checkpoint_every = checkpoint_every;
+    exp.cfg.checkpoint_chunk_bytes = chunk_bytes;
+    exp.app = Box::new(move |_| Box::new(base.clone()));
+    let rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    exp.clients
+        .push((Box::new(Overwrite { keys, value, rng }), None));
+    let mut w = exp.build();
 
-    let t0 = Instant::now();
-
-    let mut replicas: Vec<Replica> = (0..3u32)
-        .map(|i| {
-            Replica::new(
-                ProcessId(i),
-                cfg.clone(),
-                Box::new(base.clone()),
-                Box::new(MemStorage::new()),
-                seed ^ 0x515,
-                Time::ZERO,
-            )
-        })
-        .collect();
-    let mut queue: VecDeque<(Addr, Addr, Msg)> = VecDeque::new();
-    let mut client_inbox: Vec<Msg> = Vec::new();
-    for (i, r) in replicas.iter_mut().enumerate() {
-        let actions = r.on_start(Time::ZERO);
-        enqueue(&mut queue, 3, Addr::Replica(ProcessId(i as u32)), actions);
+    // Warm-up: unmeasured decrees until every replica has completed two
+    // checkpoints, capped at four times two cycles of `checkpoint_every`
+    // decrees plus one chunk per decree. The first checkpoint grows the
+    // heap to a full image; at the peak of the second, the committed
+    // image and the staging chunks coexist — only after that does the
+    // allocator reuse pages instead of faulting in fresh ones.
+    let est_chunks = (state_mb * 1024.0 * 1024.0 / chunk_bytes as f64).ceil() as usize + 1;
+    let cap = 8 * (checkpoint_every as usize + est_chunks) + 512;
+    for _ in 0..cap {
+        if ckpts(&w).iter().all(|c| c.done >= 2) {
+            break;
+        }
+        one_write(&mut w, std::time::Duration::ZERO);
     }
-    run_until_quiet(&mut queue, &mut replicas, &mut client_inbox, Time::ZERO);
-
-    // One closed-loop write driven to completion, then one
-    // incremental-checkpoint pump per replica, exactly like the reactor
-    // and node drive loops. The shuttle completes a three-replica round
-    // in single-digit microseconds — no network, no fsync — so `floor`
-    // adds a calibrated busy-wait modelling the unavoidable per-decree
-    // cost of the paper's target environment (LAN/grid RTT plus
-    // group-commit fsync). It is identical across state sizes, so it
-    // cannot manufacture a trend. Returns
-    // whether any replica still has a checkpoint in flight after the
-    // pump.
-    fn one_decree(
-        client: &mut ClientCore,
-        queue: &mut VecDeque<(Addr, Addr, Msg)>,
-        client_inbox: &mut Vec<Msg>,
-        replicas: &mut [Replica],
-        t0: &Instant,
-        op: KvOp,
-        floor: std::time::Duration,
-    ) -> bool {
-        let now = |t0: &Instant| Time(t0.elapsed().as_nanos() as u64);
-        let n = replicas.len();
-        let t_floor = Instant::now();
-        let actions = client.submit_op(RequestKind::Write, op.encode(), now(t0));
-        enqueue(queue, n, Addr::Client(client.id()), actions);
-        run_until_quiet(queue, replicas, client_inbox, now(t0));
-        let mut completed = false;
-        for _ in 0..4 {
-            for msg in std::mem::take(client_inbox) {
-                let (done, acts) = client.on_message(msg, now(t0));
-                enqueue(queue, n, Addr::Client(client.id()), acts);
-                completed |= done.is_some();
-            }
-            run_until_quiet(queue, replicas, client_inbox, now(t0));
-            if completed {
-                break;
-            }
-        }
-        assert!(completed, "write must complete in a failure-free shuttle");
-        let mut in_flight = false;
-        for r in replicas.iter_mut() {
-            in_flight |= r.pump_checkpoint(1);
-        }
-        let worked = t_floor.elapsed();
-        if worked < floor {
-            std::thread::sleep(floor - worked);
-        }
-        in_flight
-    }
-
-    let mut client = ClientCore::new(ClientId(1), 3, Dur::from_millis(60_000));
-
-    // Warm-up: run unmeasured decrees until every replica has completed
-    // two checkpoints (bounded in case checkpointing stalls). The first
-    // checkpoint grows the heap to a full image; at the peak of the
-    // second, the committed image and the staging chunks coexist — only
-    // after that does the allocator reuse pages instead of faulting in
-    // fresh ones. Measuring through that start-up transient would
-    // charge one-time page faults to whichever sweep point runs first.
-    if checkpoint_every > 0 {
-        let est_chunks = (state_mb * 1024.0 * 1024.0 / chunk_bytes as f64).ceil() as usize + 1;
-        let cap = 4 * (checkpoint_every as usize + est_chunks) + 512;
-        let mut warm = 0usize;
-        while replicas.iter().any(|r| r.stats.checkpoints < 2) && warm < cap {
-            let op = KvOp::Put(format!("k{:07}", rng.gen_range(0..keys)), value.clone());
-            one_decree(
-                &mut client,
-                &mut queue,
-                &mut client_inbox,
-                &mut replicas,
-                &t0,
-                op,
-                std::time::Duration::ZERO,
-            );
-            warm += 1;
-        }
-    }
-    let base_stats: Vec<(u64, u64, u64)> = replicas
-        .iter()
-        .map(|r| {
-            (
-                r.stats.checkpoints,
-                r.stats.checkpoint_bytes,
-                r.stats.checkpoint_chunks,
-            )
-        })
-        .collect();
+    let base_stats = ckpts(&w);
 
     let mut lat: Vec<f64> = Vec::with_capacity(decrees);
     let mut ckpt_lat: Vec<f64> = Vec::new();
-    let mut prev_cks: Vec<u64> = replicas.iter().map(|r| r.stats.checkpoints).collect();
+    let mut prev = base_stats.clone();
     for _ in 0..decrees {
-        let op = KvOp::Put(format!("k{:07}", rng.gen_range(0..keys)), value.clone());
-        let t_op = Instant::now();
-        let in_flight = one_decree(
-            &mut client,
-            &mut queue,
-            &mut client_inbox,
-            &mut replicas,
-            &t0,
-            op,
-            floor,
-        );
-        let dt_ms = t_op.elapsed().as_secs_f64() * 1e3;
+        let dt_ms = one_write(&mut w, floor);
         lat.push(dt_ms);
-        let mut ck_done = false;
-        for (i, r) in replicas.iter().enumerate() {
-            if r.stats.checkpoints > prev_cks[i] {
-                prev_cks[i] = r.stats.checkpoints;
-                ck_done = true;
-            }
-        }
-        if in_flight || ck_done {
+        let now = ckpts(&w);
+        let committed = now.iter().zip(&prev).any(|(a, b)| a.done > b.done);
+        if committed || now.iter().any(|c| c.streaming) {
             ckpt_lat.push(dt_ms);
         }
+        prev = now;
     }
 
     lat.sort_by(f64::total_cmp);
     ckpt_lat.sort_by(f64::total_cmp);
-    let per_replica = replicas
+    let per_replica = prev
         .iter()
+        .zip(&base_stats)
         .enumerate()
-        .map(|(i, r)| {
-            let (c0, b0, k0) = base_stats[i];
+        .map(|(i, (r, b))| {
             format!(
-                "r{i}: {} ckpts, {:.1} MB, {} chunks, last {:.2} ms",
-                r.stats.checkpoints - c0,
-                (r.stats.checkpoint_bytes - b0) as f64 / (1024.0 * 1024.0),
-                r.stats.checkpoint_chunks - k0,
-                r.stats.last_checkpoint_dur.0 as f64 / 1e6,
+                "r{i}: {} ckpts, {:.1} MB, {} chunks",
+                r.done - b.done,
+                (r.bytes - b.bytes) as f64 / (1024.0 * 1024.0),
+                r.chunks - b.chunks,
             )
         })
         .collect::<Vec<_>>()
         .join("; ");
-    let r0 = &replicas[0];
-    let cks = r0.stats.checkpoints - base_stats[0].0;
-    let chunks = r0.stats.checkpoint_chunks - base_stats[0].2;
+    let cks = prev[0].done - base_stats[0].done;
+    let chunks = prev[0].chunks - base_stats[0].chunks;
     LsRun {
-        p50_ms: pctl(&lat, 0.50),
-        p99_ms: pctl(&lat, 0.99),
+        p50_ms: percentile_sorted(&lat, 0.50),
+        p99_ms: percentile_sorted(&lat, 0.99),
         max_ms: lat.last().copied().unwrap_or(f64::NAN),
-        ckpt_p99_ms: pctl(&ckpt_lat, 0.99),
+        ckpt_p99_ms: percentile_sorted(&ckpt_lat, 0.99),
         checkpoints: cks,
         chunks_per_ckpt: if cks == 0 {
             0.0
@@ -1451,7 +1353,8 @@ fn large_state_run(
 
 /// E15 — extension: decree cost vs service-state size. Sweeps resident
 /// KV state over ~100x while measuring per-decree wall time on a
-/// failure-free 3-replica cluster whose checkpoints stream in chunks.
+/// failure-free simulated 3-replica cluster whose checkpoints stream in
+/// chunks.
 /// Decree p99 must stay flat in state size. The committed
 /// `BENCH_large_state.json` is the earlier run that also measured the
 /// stop-the-world checkpoint and the apply pool (EXPERIMENTS.md E15);
@@ -1494,12 +1397,12 @@ fn large_state_with(
     );
     let mut rows: Vec<(usize, LsRun)> = Vec::new();
     for &keys in sizes {
-        // Rows must span at least two full checkpoint cycles (at one pump
-        // per drive cycle, a cycle covers roughly chunks/2 decrees), so
-        // the measured window always contains completed checkpoints no
-        // matter the state size.
+        // Rows must span at least two full checkpoint cycles. A replica
+        // pumps one chunk per decree, so a cycle is `checkpoint_every`
+        // decrees plus one per chunk; two and a half cycles leave the
+        // measured window two completed checkpoints at any state size.
         let est_chunks = keys * (value_bytes + 32) / chunk_bytes + 1;
-        let n = decrees.max(est_chunks + est_chunks / 4);
+        let n = decrees.max(5 * (est_chunks + checkpoint_every as usize) / 2);
         // Median-of-3 repetitions by decree p99: a single-vCPU host has
         // transient multi-ms scheduling phases that would otherwise
         // decide the tail of whichever row they land on.
@@ -1549,12 +1452,14 @@ fn large_state_with(
          decrees-during-checkpoint {ckpt_spread:.3}x (bar: < 1.3x)"
     ));
     t.note(format!(
-        "every decree round carries a {} us floor (sleep) modelling LAN/grid RTT plus \
-         group-commit fsync — the in-memory shuttle is otherwise ~6 us/round; checkpoint \
-         chunks are pumped in the round's idle gap exactly as the transport drive loops do, \
-         so only streaming work that exceeds the floor can surface as added latency. The \
-         floor is identical across sizes. Rows are the median of 3 repetitions by decree \
-         p99; decree counts scale to cover >= 2 full checkpoint cycles per row",
+        "simulated 3-replica cluster with free CPU and near-zero links, so a decree's wall \
+         time is the protocol stack's own cost; every decree carries a {} us floor (sleep) \
+         modelling LAN/grid RTT plus group-commit fsync, identical across sizes. Each \
+         replica pumps its own checkpoint, one chunk per apply drain and one per timer — \
+         the simulator's and the model checker's policy — so only streaming work that \
+         exceeds the floor can surface as added latency. Rows are the median of 3 \
+         repetitions by decree p99; decree counts scale to cover >= 2 full checkpoint \
+         cycles per row",
         floor.as_micros()
     ));
     for (keys, r) in &rows {

@@ -193,6 +193,9 @@ pub struct Cluster {
     /// Seeded mutation: replicas (by index, until they crash) whose
     /// follower-read replies the wire tags with the leader's watermark.
     chaos_inflated: Vec<bool>,
+    /// Seeded mutation: replicas whose clock stands at the first time
+    /// until the global clock reaches the second.
+    chaos_stopped: Vec<Option<(Time, Time)>>,
     /// The sends of the step in progress (empty between steps).
     outbox: Outbox,
     /// The replica taking it.
@@ -237,6 +240,7 @@ impl Cluster {
                 .collect(),
             chaos_accepted_ahead: false,
             chaos_inflated: vec![false; n],
+            chaos_stopped: vec![None; n],
             outbox: Outbox::default(),
             stepping: ProcessId(0),
             step_actions: VecDeque::new(),
@@ -283,11 +287,14 @@ impl Cluster {
     }
 
     /// Replica `i`'s view of the clock: the global clock plus its
-    /// scenario-configured constant skew. Global time only moves forward,
-    /// so each replica's clock stays monotone.
+    /// scenario-configured constant skew, or where it stands while
+    /// stopped ([`Cluster::chaos_stop_clock`]). Global time only moves
+    /// forward, so each replica's clock stays monotone.
     fn local_now(&self, i: usize) -> Time {
-        self.now
-            .after(self.skew.get(i).copied().unwrap_or(Dur::ZERO))
+        match self.chaos_stopped[i] {
+            Some((at, until)) if self.now < until => at,
+            _ => self.now.after(self.skew[i]),
+        }
     }
 
     /// Immutable access to live replica `i` (None while crashed).
@@ -866,14 +873,6 @@ impl Cluster {
         self.chaos_accepted_ahead = true;
     }
 
-    /// Chaos hook passthrough for the seeded-mutation self-tests: make
-    /// the leader (if replica `i` leads) skip an instance number.
-    pub fn chaos_skip_instance(&mut self, i: usize) -> bool {
-        self.replicas[i]
-            .as_mut()
-            .is_some_and(Replica::chaos_skip_instance)
-    }
-
     /// Seeded mutation of the wire: from now on replica `i`'s follower-read
     /// replies leave tagged with the leader's commit watermark instead of
     /// its own applied prefix — freshness it does not have, so the session
@@ -884,13 +883,13 @@ impl Cluster {
         self.chaos_inflated[i]
     }
 
-    /// Chaos hook passthrough: stretch replica `i`'s read lease by
-    /// `extra` (if it leads), breaking the lease-duration bound the
-    /// linearizability argument rests on.
-    pub fn chaos_stretch_lease(&mut self, i: usize, extra: Dur) -> bool {
-        self.replicas[i]
-            .as_mut()
-            .is_some_and(|r| r.chaos_stretch_lease(extra))
+    /// Seeded mutation of the clock: replica `i`'s clock stands still
+    /// until the global clock has moved `extra` on — drift past any bound,
+    /// which the lease-duration argument for linearizable lease reads
+    /// assumes away. Returns whether the replica is live.
+    pub fn chaos_stop_clock(&mut self, i: usize, extra: Dur) -> bool {
+        self.chaos_stopped[i] = Some((self.local_now(i), self.now.after(extra)));
+        self.replicas[i].is_some()
     }
 
     /// Index of the pending timer event for (`on`, `kind`), if one exists

@@ -4,6 +4,7 @@
 
 use crate::app::decode_mask;
 use crate::harness::{Cluster, Observations};
+use gridpaxos_core::replica::CheckerView;
 use gridpaxos_core::types::Instance;
 use std::collections::HashMap;
 
@@ -70,14 +71,21 @@ pub fn check_state_agreement(states: &[(usize, Instance, bytes::Bytes)]) -> Opti
     None
 }
 
+fn gap_freedom(cl: &Cluster) -> Option<String> {
+    let views: Vec<(usize, CheckerView)> = (0..cl.n())
+        .filter_map(|i| cl.replica(i).map(|r| (i, r.checker_view())))
+        .collect();
+    check_gap_freedom(&views)
+}
+
 /// §3.3 strict pipelining: a quiescent leader (nothing in flight, no
 /// recovery outstanding) has assigned exactly the chosen instances — its
 /// next instance number immediately follows the chosen prefix, i.e. the
-/// log it is building has no gap.
-fn gap_freedom(cl: &Cluster) -> Option<String> {
-    for i in 0..cl.n() {
-        let Some(r) = cl.replica(i) else { continue };
-        let v = r.checker_view();
+/// log it is building has no gap. Takes each live replica's view;
+/// exposed for the seeded-mutation self-tests.
+#[must_use]
+pub fn check_gap_freedom(views: &[(usize, CheckerView)]) -> Option<String> {
+    for (i, v) in views {
         if v.role == "leader" && v.quiescent {
             let (Some(next), prefix) = (v.next_instance, v.chosen_prefix) else {
                 continue;

@@ -1,7 +1,7 @@
 //! Repo-specific lint pass: protocol coding rules clippy cannot express.
 //!
 //! Seven rules, the first six scoped to the consensus-critical crates;
-//! clippy checks rules 1 and 2, this pass the other five:
+//! clippy checks rules 1, 2 and 5, this pass the other four:
 //!
 //! 1. **Exhaustive enum dispatch** — clippy's `wildcard_enum_match_arm`
 //!    and `match_wildcard_for_single_variants`, denied in the `core` and
@@ -40,15 +40,16 @@
 //!    `Replica::stop`, the flush on the way out) no non-test code calls
 //!    `flush_storage` or asks `precedes_barrier` — a drive loop that did
 //!    would be a second copy of the order, which this rule could not see.
-//! 5. **No blocking calls on an epoll loop's thread**
-//!    (`transport/src/reactor.rs`, `transport/src/client.rs`,
-//!    `transport/src/conn.rs`, `transport/src/sys.rs`,
-//!    `transport/src/backpressure.rs`): the reactor runs every connection
-//!    of a node on one thread, and the client loop every client core of
-//!    its caller, so a single blocking primitive (`thread::sleep`,
-//!    `write_all`, `read_exact`, `read_to_end`) stalls them all. That
-//!    code must use plain `read`/`write` loops that surface `EWOULDBLOCK`
-//!    and yield back to the readiness loop.
+//! 5. **No blocking calls on an epoll loop's thread** — clippy's
+//!    `disallowed_methods`, listed in the root `clippy.toml`
+//!    (`thread::sleep`, `write_all`, `read_exact`, `read_to_end`),
+//!    allowed workspace-wide and denied at the top of the epoll-loop
+//!    modules `transport/src/{reactor,client,conn,sys,backpressure}.rs`,
+//!    their test modules excepted: the reactor runs every connection of
+//!    a node on one thread, and the client loop every client core of its
+//!    caller, so one blocking call stalls them all. That code uses plain
+//!    `read`/`write` loops that surface `EWOULDBLOCK` and yield back to
+//!    the readiness loop.
 //!
 //! 6. **Read policy has one owner** (`crates/core/src/replica`): §3.4's
 //!    rule — what validates a read in which mode — is written once, in
@@ -569,47 +570,6 @@ pub fn check_barrier_class(file: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
-/// Blocking primitives forbidden on the reactor thread. Each entry is a
-/// token the masked source must not contain. `.write_all(`/`.read_exact(`
-/// keep the leading dot so free functions named e.g. `try_read_exact`
-/// don't false-positive; `thread::sleep` and `read_to_end` are distinctive
-/// enough bare.
-const BLOCKING_TOKENS: &[&str] = &[
-    "thread::sleep",
-    ".write_all(",
-    ".read_exact(",
-    "read_to_end",
-];
-
-/// Rule 5: no blocking calls in epoll-loop modules. The reactor and the
-/// client loop each drive every connection from one thread; any call that
-/// parks that thread (sleeping, or looping internally until a full buffer
-/// is transferred) freezes all of them. Runs on noise-stripped,
-/// test-masked source.
-#[must_use]
-pub fn check_no_blocking(file: &str, masked: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for &pat in BLOCKING_TOKENS {
-        let mut i = 0;
-        while let Some(pos) = masked[i..].find(pat) {
-            let off = i + pos;
-            i = off + pat.len();
-            findings.push(Finding {
-                file: file.to_string(),
-                line: line_of(masked, off),
-                rule: "no-blocking-call",
-                msg: format!(
-                    "`{}` in epoll-loop code; the loop's thread must never \
-                     block — use nonblocking `read`/`write` loops that yield \
-                     on `EWOULDBLOCK`",
-                    pat.trim_matches(|c| c == '.' || c == '(')
-                ),
-            });
-        }
-    }
-    findings
-}
-
 /// A lock acquisition: `.lock()`, or a file's `lock(&m)` helper around it.
 const ACQUIRE: &str = "lock(";
 
@@ -810,9 +770,6 @@ pub fn lint_source(label: &str, src: &str, scope: Scope) -> Vec<Finding> {
     if scope.flush {
         findings.extend(check_flush_barrier(label, &masked));
     }
-    if scope.no_blocking {
-        findings.extend(check_no_blocking(label, &masked));
-    }
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
 }
@@ -824,8 +781,6 @@ pub struct Scope {
     pub persist: bool,
     /// Apply the flush-before-transmit rule.
     pub flush: bool,
-    /// Apply the no-blocking-call rule (epoll-loop modules).
-    pub no_blocking: bool,
 }
 
 /// Lint the repository rooted at `root`. Scopes: the barrier's class
@@ -836,10 +791,7 @@ pub struct Scope {
 /// rules cover `crates/core/src/replica` (`tests.rs` files and
 /// `#[cfg(test)]` items excluded); the flush-barrier order covers
 /// `crates/core/src` (it keys on `release_or_cut`, the body the outbox's
-/// `release` and `release_to_barrier` share); the
-/// no-blocking-call rule covers the epoll-loop modules `reactor.rs`,
-/// `client.rs`, `conn.rs`, `sys.rs` and `backpressure.rs` under
-/// `crates/transport/src`.
+/// `release` and `release_to_barrier` share).
 pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut files: Vec<(PathBuf, Scope)> = Vec::new();
@@ -854,33 +806,15 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Finding>> {
             Scope {
                 persist: in_replica && !is_test_file,
                 flush: true,
-                no_blocking: false,
             },
         ));
     })?;
-    collect_rs(&root.join("crates/transport/src"), &mut |p| {
-        let epoll_loop = [
-            "reactor.rs",
-            "client.rs",
-            "conn.rs",
-            "sys.rs",
-            "backpressure.rs",
-        ]
-        .iter()
-        .any(|name| p.file_name().is_some_and(|f| f == *name));
-        files.push((
-            p.to_path_buf(),
-            Scope {
-                persist: false,
-                flush: false,
-                no_blocking: epoll_loop,
-            },
-        ));
-    })?;
-    // The services get the rules every file gets.
-    collect_rs(&root.join("crates/services/src"), &mut |p| {
-        files.push((p.to_path_buf(), Scope::default()));
-    })?;
+    // Transport and the services get the rules every file gets.
+    for other in ["transport", "services"] {
+        collect_rs(&root.join("crates").join(other).join("src"), &mut |p| {
+            files.push((p.to_path_buf(), Scope::default()));
+        })?;
+    }
     files.sort_by(|a, b| a.0.cmp(&b.0));
     let label = |path: &Path| {
         path.strip_prefix(root)

@@ -1,13 +1,14 @@
 //! Seeded-mutation self-tests: prove each checker invariant actually
 //! fires by feeding it a known-bad state, and that clean states pass.
 //!
-//! The chaos hooks used here are compiled under the `check-hooks`
-//! feature of gridpaxos-core, which this crate enables; production
-//! builds never contain them.
+//! Every mutation lives on this side of the replica: a fabricated view
+//! or history handed to an invariant, or a `Cluster` double that lies on
+//! the wire, the clock or the disk. Protocol code carries no hooks.
 
 use check::harness::{Choice, Cluster, Observations};
 use check::invariants::{
-    check_chosen_digests, check_mask_invariants, check_read_mask, check_session_read, check_state,
+    check_chosen_digests, check_gap_freedom, check_mask_invariants, check_read_mask,
+    check_session_read, check_state,
 };
 use check::{replay, smoke_scenarios, ClientOp, Scenario};
 use gridpaxos_core::action::TimerKind;
@@ -72,15 +73,23 @@ fn inject(cl: &mut Cluster) -> Option<String> {
     cl.apply(c)
 }
 
-/// §3.3 strict pipelining: a leader that skips an instance number (a
-/// pipeline gap) is caught by the gap-freedom invariant.
+/// §3.3 strict pipelining: a quiescent leader whose next instance number
+/// skips one (a pipeline gap) is caught by the gap-freedom invariant.
+/// The views are the cluster's own, with the leader's edited.
 #[test]
 fn skipped_instance_trips_gap_freedom() {
     let mut cl = Cluster::new(&scenario("write-read-lossy"));
     let leader = establish_leader(&mut cl);
     assert_eq!(check_state(&cl), None, "pre-mutation state must be clean");
-    assert!(cl.chaos_skip_instance(leader), "replica must lead");
-    let v = check_state(&cl).expect("gap must be detected");
+    let mut views: Vec<_> = (0..cl.n())
+        .filter_map(|i| cl.replica(i).map(|r| (i, r.checker_view())))
+        .collect();
+    assert_eq!(check_gap_freedom(&views), None);
+    let (_, v) = &mut views[leader];
+    assert!(v.quiescent, "the new leader must be quiescent");
+    let next = v.next_instance.expect("replica must lead");
+    v.next_instance = Some(next.next());
+    let v = check_gap_freedom(&views).expect("gap must be detected");
     assert!(v.contains("gap-freedom"), "unexpected violation: {v}");
 }
 
@@ -237,10 +246,14 @@ fn lease_takeover_read(stretch: bool) -> (Cluster, Option<String>) {
     let leader = establish_leader(&mut cl);
     assert_eq!(leader, 0, "bootstrap leader");
     // Lease grant: one heartbeat round; one follower vote plus the leader
-    // itself is a majority of three.
+    // itself is a majority of three. The vote must answer the heartbeat
+    // just sent, not the takeover's (`hb_seq` 0), which it superseded.
     assert_eq!(fire(&mut cl, 0, TimerKind::Heartbeat), None);
     assert_eq!(
-        deliver_to(&mut cl, 1, |m| matches!(m, Msg::Heartbeat { .. })),
+        deliver_to(&mut cl, 1, |m| matches!(
+            m,
+            Msg::Heartbeat { hb_seq: 1, .. }
+        )),
         None
     );
     assert_eq!(
@@ -248,10 +261,7 @@ fn lease_takeover_read(stretch: bool) -> (Cluster, Option<String>) {
         None
     );
     if stretch {
-        assert!(
-            cl.chaos_stretch_lease(0, Dur::from_millis(500)),
-            "0 must lead"
-        );
+        assert!(cl.chaos_stop_clock(0, Dur::from_millis(500)), "0 is live");
     }
     // Replica 1 suspects and wins the election behind 0's back.
     assert_eq!(fire(&mut cl, 1, TimerKind::LeaderCheck), None);
@@ -298,9 +308,10 @@ fn bounded_skew_lease_reads_stay_linearizable() {
     assert_eq!(check_state(&cl), None);
 }
 
-/// Seeded mutation: stretching the lease past the suspicion slack lets
-/// the deposed leader serve a local read that misses a write the new
-/// leader already acknowledged — the linearizability invariant must fire.
+/// Seeded mutation: stopping the lease holder's clock past the suspicion
+/// slack stretches its lease, so the deposed leader serves a local read
+/// that misses a write the new leader already acknowledged — the
+/// linearizability invariant must fire.
 #[test]
 fn stretched_lease_trips_linearizability() {
     let (_cl, v) = lease_takeover_read(true);

@@ -350,6 +350,13 @@ impl Replica {
         matches!(self.role, Role::Leader(_))
     }
 
+    /// Whether a checkpoint is streaming: the executor's image is frozen
+    /// and [`pump_checkpoint`](Replica::pump_checkpoint) has chunks left.
+    #[must_use]
+    pub fn checkpointing(&self) -> bool {
+        self.exec.frozen()
+    }
+
     /// Highest promised ballot.
     #[must_use]
     pub fn promised(&self) -> Ballot {
@@ -552,21 +559,6 @@ impl Replica {
             }
         }
         h.finish()
-    }
-
-    /// Chaos hook for checker self-tests (`check-hooks` feature only):
-    /// advance the leader's `next_instance` without proposing anything,
-    /// manufacturing exactly the pipeline gap §3.3's strict pipelining
-    /// forbids. Returns whether the mutation applied (i.e. we lead).
-    /// Never called by production code.
-    #[cfg(feature = "check-hooks")]
-    pub fn chaos_skip_instance(&mut self) -> bool {
-        if let Role::Leader(l) = &mut self.role {
-            l.next_instance = l.next_instance.next();
-            true
-        } else {
-            false
-        }
     }
 
     // ------------------------------------------------------------------

@@ -663,21 +663,6 @@ impl Replica {
         }
     }
 
-    /// Chaos hook (`check-hooks` only): stretch a held read lease by
-    /// `extra`, violating the timing assumption that bounds it to the
-    /// granting heartbeat's send time. A deposed leader keeps serving
-    /// local reads, which the linearizability invariant must catch.
-    /// Returns whether the mutation applied (i.e. we lead). Never called
-    /// by production code.
-    #[cfg(feature = "check-hooks")]
-    pub fn chaos_stretch_lease(&mut self, extra: crate::types::Dur) -> bool {
-        let Some(l) = &mut self.reads.lead else {
-            return false;
-        };
-        l.lease_until = l.lease_until.after(extra);
-        true
-    }
-
     /// A follower granted us a lease vote for heartbeat `hb_seq`. A
     /// majority (counting ourselves) extends the lease to
     /// `send time + lease_dur` — anchored at the *send* time, so the lease

@@ -13,8 +13,8 @@
 //! for the next one (`replica/stable.rs` has the rule and the argument).
 //! A crash therefore loses a tail of records: [`MemStorage`] and a killed
 //! process's files both keep it, so the tests that need the loss — and
-//! the model checker's power-cut choices (`check-hooks`) — use
-//! `TailLossStorage`.
+//! the model checker's power-cut choices — use [`TailLossStorage`], a
+//! storage double like `MemStorage` beside it.
 
 use crate::ballot::Ballot;
 use crate::command::{Decree, DedupEntry, SnapshotBlob};
@@ -316,7 +316,6 @@ impl Storage for MemStorage {
 /// The process that recovers gets the disk it read,
 /// `TailLossStorage::holding(crashed.load())`, not the crashed handle,
 /// which still remembers the lost tail.
-#[cfg(any(test, feature = "check-hooks"))]
 #[derive(Clone, Debug, Default)]
 pub struct TailLossStorage {
     live: MemStorage,
@@ -324,7 +323,6 @@ pub struct TailLossStorage {
     synced: MemStorage,
 }
 
-#[cfg(any(test, feature = "check-hooks"))]
 impl TailLossStorage {
     /// A disk holding exactly `state`, all of it durable. Its image is
     /// kept as one chunk, so a replica recovered on it serves catch-up.
@@ -347,7 +345,6 @@ impl TailLossStorage {
     }
 }
 
-#[cfg(any(test, feature = "check-hooks"))]
 impl Storage for TailLossStorage {
     fn save_promised(&mut self, b: Ballot) {
         self.live.save_promised(b);

@@ -2,7 +2,8 @@
 //! [`Experiment`] describes a world (config, network, CPU model, groups,
 //! service) and its clients, and [`Experiment::run`] builds it, starts
 //! the clients and runs them to completion. Callers read the returned
-//! world's [`Metrics`](crate::metrics::Metrics).
+//! world's [`Metrics`](crate::metrics::Metrics). A caller that measures
+//! between events takes [`Experiment::build`] and steps the world itself.
 
 use crate::cpu::CpuModel;
 use crate::topology::{SiteId, Topology};
@@ -95,12 +96,11 @@ impl Experiment {
         self
     }
 
-    /// Build the world, start every client at 200 ms, run
-    /// [`before_run`](Experiment::before_run), and run until every client
-    /// finishes or the deadline passes. Returns the world and whether
-    /// every client finished.
+    /// Build the world, add every client to start at 200 ms, and run
+    /// [`before_run`](Experiment::before_run). The clock has not moved:
+    /// the caller steps the world.
     #[must_use]
-    pub fn run(self) -> (World, bool) {
+    pub fn build(self) -> World {
         let opts = SimOpts {
             cpu: self.cpu,
             ..SimOpts::for_topology(self.topology, self.seed)
@@ -110,7 +110,17 @@ impl Experiment {
             w.add_client(driver, site, CLIENT_START);
         }
         (self.before_run)(&mut w);
-        let done = w.run_to_completion(Time::ZERO.after(self.deadline));
+        w
+    }
+
+    /// [`build`](Experiment::build) the world and run until every client
+    /// finishes or the deadline passes. Returns the world and whether
+    /// every client finished.
+    #[must_use]
+    pub fn run(self) -> (World, bool) {
+        let deadline = Time::ZERO.after(self.deadline);
+        let mut w = self.build();
+        let done = w.run_to_completion(deadline);
         (w, done)
     }
 }

@@ -189,6 +189,20 @@ impl Topology {
         }
     }
 
+    /// [`sysnet`](Topology::sysnet) with every link a near-zero constant.
+    /// Time is virtual, so with [`CpuModel::free`](crate::cpu::CpuModel::free)
+    /// a run's wall time is the protocol stack's own cost.
+    #[must_use]
+    pub fn fast(n: usize) -> Topology {
+        let mut t = Topology::sysnet(n);
+        for row in &mut t.links {
+            for l in row.iter_mut() {
+                *l = LatencyModel::Constant(0.0001);
+            }
+        }
+        t
+    }
+
     /// Configuration 2 — clients at Berkeley, all replicas at Princeton:
     /// "the clients are remote from the service replicas but the service
     /// replicas are located relatively close to one another." One-way WAN

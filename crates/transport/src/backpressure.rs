@@ -17,6 +17,8 @@
 //!   low-water mark, so a node hovering at the threshold does not
 //!   flap between admitting and refusing on every message.
 
+#![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
+
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -159,6 +161,7 @@ impl AdmissionGate {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests drive the loop from blocking sockets
 mod tests {
     use super::*;
 

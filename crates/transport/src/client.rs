@@ -20,6 +20,8 @@
 //! load driver holds a loop with many cores and brings its own policy:
 //! how many operations, at what rate.
 
+#![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
+
 use crate::conn::{ConnTable, SEND_QUEUE_CAP};
 use crate::sys::Event;
 use crate::timers::Timers;
@@ -293,6 +295,7 @@ impl SyncClient {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests drive the loop from blocking sockets
 mod tests {
     use super::*;
     use crate::framing::{read_frame, write_frame};

@@ -17,6 +17,8 @@
 //! send returns and the hook a write runs) and when it stops reading
 //! (the reactor's read suspension) stay in the loop.
 
+#![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
+
 use crate::backpressure::{FlushOutcome, SendQueue};
 use crate::framing::{FrameDecoder, MAX_FRAME};
 use crate::sys::{self, Epoll, EPOLLIN, EPOLLOUT, EPOLLRDHUP};

@@ -65,8 +65,11 @@
 //!
 //! `truncate_upto` compacts by rewriting the WAL with only the retained
 //! records (all groups). A torn record at the WAL tail (a crash
-//! mid-append) is detected and ignored — everything before it replays
-//! cleanly.
+//! mid-append) ends the replay, and open cuts the file back to the last
+//! intact record, so what is appended after recovery replays next time.
+//! A well-formed record for a group `>= n_groups` is not torn: it is a
+//! differently sized deployment's log, and open refuses it with
+//! [`io::ErrorKind::InvalidData`] naming the group.
 
 use crate::framing::{read_frame, write_frame};
 use crate::wire::{
@@ -322,6 +325,15 @@ fn refuse(what: &str, path: &Path) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
+/// Whether a WAL read failed on the bytes, not the disk: a frame cut
+/// short, or a length prefix past the limit.
+fn torn(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
+    )
+}
+
 /// fsync a directory so a rename performed inside it is durable.
 fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
@@ -370,35 +382,47 @@ impl FileStorage {
     }
 }
 
-fn replay_record(frame: &mut Bytes, states: &mut Vec<DurableState>, max_groups: usize) -> bool {
+/// What one WAL frame held.
+enum Replayed {
+    /// A record of ours, applied to its group's state.
+    Applied,
+    /// Not a record: a torn or corrupt tail.
+    Torn,
+    /// A well-formed record of group `g >= n_groups`: another
+    /// deployment's data.
+    Foreign(usize),
+}
+
+fn replay_record(frame: &mut Bytes, states: &mut [DurableState]) -> Replayed {
+    let applied = |ok| {
+        if ok {
+            Replayed::Applied
+        } else {
+            Replayed::Torn
+        }
+    };
     if frame.remaining() < 1 {
-        return false;
+        return Replayed::Torn;
     }
     let tag = frame.get_u8();
-    let group = if tag == TAG_GROUP {
-        if frame.remaining() < 5 {
-            return false;
-        }
-        let g = frame.get_u32_le() as usize;
-        if g >= max_groups {
-            return false; // a WAL from a larger deployment: refuse
-        }
-        g
-    } else {
-        0
-    };
-    while states.len() <= group {
-        states.push(DurableState::default());
+    if tag != TAG_GROUP {
+        return applied(apply_record(tag, frame, &mut states[0]));
     }
-    let state = &mut states[group];
-    let tag = if tag == TAG_GROUP {
-        if frame.remaining() < 1 {
-            return false;
-        }
-        frame.get_u8()
-    } else {
-        tag
-    };
+    if frame.remaining() < 5 {
+        return Replayed::Torn;
+    }
+    let g = frame.get_u32_le() as usize;
+    let tag = frame.get_u8();
+    match states.get_mut(g) {
+        Some(state) => applied(apply_record(tag, frame, state)),
+        None if apply_record(tag, frame, &mut DurableState::default()) => Replayed::Foreign(g),
+        None => Replayed::Torn,
+    }
+}
+
+/// Apply one record, its group envelope already read; false if it does
+/// not parse.
+fn apply_record(tag: u8, frame: &mut Bytes, state: &mut DurableState) -> bool {
     match tag {
         TAG_PROMISED => match get_ballot(frame) {
             Ok(b) => {
@@ -568,9 +592,10 @@ impl FlushCoordinator {
     /// [`io::ErrorKind::InvalidData`], naming the file. So does a
     /// `checkpoint.bin` or `checkpoint-g<N>.bin`: the format older builds
     /// stored an installed image in, which this one does not read, and
-    /// the log behind it may already be truncated. A WAL record for a
-    /// group `>= n_groups` (a differently sized deployment's data
-    /// directory) ends the replay like a torn tail.
+    /// the log behind it may already be truncated. A torn WAL tail is cut
+    /// away. A well-formed WAL record for a group `>= n_groups` (a
+    /// differently sized deployment's data directory) fails the open with
+    /// `InvalidData` naming the group.
     pub fn open(
         dir: impl AsRef<Path>,
         mode: SyncMode,
@@ -606,21 +631,40 @@ impl FlushCoordinator {
             chunked.push(ck);
         }
 
-        // Replay the WAL; stop cleanly at a torn tail. A record for an
-        // out-of-range group also stops the replay (same as a corrupt
-        // record: nothing after it can be trusted to belong to us).
+        // Replay the WAL up to the first frame that is not one of our
+        // records — a torn tail — and cut the file back to the last record
+        // replayed: an append after recovery must not land behind torn
+        // bytes, where the next replay would stop before reaching it.
         let wal_path = dir.join("wal.log");
         if wal_path.exists() {
             let mut r = BufReader::new(File::open(&wal_path)?);
+            let mut intact = 0u64;
             loop {
-                match read_frame(&mut r) {
-                    Ok(Some(mut frame)) => {
-                        if !replay_record(&mut frame, &mut states, n_groups) {
-                            break; // corrupt record: treat as torn tail
-                        }
+                let mut frame = match read_frame(&mut r) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
+                    Err(e) if torn(&e) => break,
+                    // A disk that fails to read is not a torn write.
+                    Err(e) => return Err(e),
+                };
+                let len = 4 + frame.len() as u64;
+                match replay_record(&mut frame, &mut states) {
+                    Replayed::Applied => intact += len,
+                    Replayed::Torn => break,
+                    Replayed::Foreign(g) => {
+                        let what = format!(
+                            "{} holds a record of group {g}, and this node hosts {n_groups}",
+                            wal_path.display()
+                        );
+                        return Err(io::Error::new(io::ErrorKind::InvalidData, what));
                     }
-                    Ok(None) => break, // clean EOF
-                    Err(_) => break,   // torn tail
+                }
+            }
+            if fs::metadata(&wal_path)?.len() > intact {
+                let wal = OpenOptions::new().write(true).open(&wal_path)?;
+                wal.set_len(intact)?;
+                if mode != SyncMode::Never {
+                    wal.sync_data()?;
                 }
             }
         }
@@ -1223,10 +1267,37 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// A WAL written by a node hosting more groups is another
+    /// deployment's data, not a torn tail: open refuses it, naming the
+    /// group, and cuts nothing away.
+    #[test]
+    fn a_wal_from_more_groups_refuses_to_open() {
+        let dir = tmpdir("more-groups");
+        {
+            let coord = FlushCoordinator::open(&dir, SyncMode::Never, 3).unwrap();
+            let mut s = coord.storage(2);
+            s.save_promised(ballot(5));
+            s.flush();
+        }
+        let len = fs::metadata(dir.join("wal.log")).unwrap().len();
+        let e = match FlushCoordinator::open(&dir, SyncMode::Never, 2) {
+            Ok(_) => panic!("a WAL with a record of group 2 opened for 2 groups"),
+            Err(e) => e,
+        };
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("group 2"), "{e}");
+        assert_eq!(fs::metadata(dir.join("wal.log")).unwrap().len(), len);
+        let coord = FlushCoordinator::open(&dir, SyncMode::Never, 3).unwrap();
+        assert_eq!(coord.storage(2).load().promised, ballot(5));
+        fs::remove_dir_all(dir).ok();
+    }
+
     /// Crash-torture: truncate the WAL at *every* byte boundary inside a
     /// multi-record group-commit batch and assert replay recovers exactly
     /// the longest intact prefix of records — never a misparse, never a
-    /// lost intact record.
+    /// lost intact record. A promise appended and flushed after that
+    /// recovery survives the next reopen: open cuts the torn tail away
+    /// rather than appending behind it.
     #[test]
     fn torture_truncation_replays_exact_prefix() {
         let dir = tmpdir("torture");
@@ -1278,6 +1349,19 @@ mod tests {
                 "cut at byte {cut}: expected prefix of {k} records"
             );
             assert_eq!(got.accepted, want.accepted, "cut at byte {cut}");
+
+            let mut s = s;
+            s.save_promised(ballot(9));
+            s.flush();
+            drop(s);
+            let got = FileStorage::open_with_mode(&tdir, SyncMode::Batched)
+                .unwrap()
+                .load();
+            assert_eq!(
+                (got.promised, got.chosen_prefix, got.accepted),
+                (ballot(9), want.chosen_prefix, want.accepted.clone()),
+                "cut at byte {cut}: the promise appended after recovery is lost"
+            );
             fs::remove_dir_all(tdir).ok();
         }
         fs::remove_dir_all(dir).ok();

@@ -74,6 +74,8 @@
 //! any number of clients (see [`crate::client`]) can share one socket —
 //! the reactor never needs a connection per client.
 
+#![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
+
 use crate::backpressure::AdmissionGate;
 use crate::client::{fresh_client_id, SyncClient};
 use crate::conn::{Conn, ConnTable, Sent, SEND_QUEUE_CAP, TOKEN_LISTENER};
@@ -793,6 +795,7 @@ impl ReactorCluster {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests drive the loop from blocking sockets
 mod tests {
     use super::*;
     use crate::framing::MAX_FRAME;

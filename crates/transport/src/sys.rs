@@ -18,6 +18,8 @@
 //! and [`Epoll::wait`] takes `epoll_wait`'s whole milliseconds, which is
 //! also what `wait_for` rounds up to on a kernel without the newer call.
 
+#![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
+
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::raw::{c_int, c_long, c_void};
@@ -353,6 +355,7 @@ pub fn take_socket_error(fd: RawFd) -> io::Result<()> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests drive the loop from blocking sockets
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -4,6 +4,23 @@
 //! one tag byte per enum variant. No external serialization crate: the
 //! format is small, explicit and fuzzable (see the proptest round-trips in
 //! the test module).
+//!
+//! **What one frame can make the decoder allocate.** A frame's bytes are
+//! the peer's to choose, so [`decode_msg`] on a frame of `L` bytes
+//! allocates at most [`max_decode_alloc`]`(L)` = 400 · `L` + 128 bytes at
+//! its peak, whatever the bytes are. Byte strings are slices of the frame,
+//! not copies; what the decoder allocates is vectors, one `Arc` per decree
+//! and one `Box` per group envelope (112 bytes; envelopes never nest).
+//! Every vector element encodes to at least one byte, so a count the rest
+//! of the frame cannot hold is refused before anything is reserved, and a
+//! vector reserves at most `min(count, 1024)` elements before it reads
+//! them. At most three vectors are open at once — a promise's accepted
+//! entries, one decree's entries, one commit's ops — and, reserved or
+//! grown (a move holding both buffers included), they hold at most 40,
+//! 160 and 72 bytes per frame byte: 272. Everything decoded so far holds
+//! at most 68 bytes per byte of it, the largest share being a decree's
+//! entries (160 bytes each, from as few as 3). 272 + 68 rounds up to 400.
+//! `tests/wire_decode_bounds.rs` measures the peak under mutation.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gridpaxos_core::ballot::Ballot;
@@ -124,6 +141,9 @@ fn get_vec<T>(buf: &mut Bytes, mut dec: impl FnMut(&mut Bytes) -> Result<T>) -> 
     if len > MAX_BYTES {
         return Err(WireError::TooLong(len));
     }
+    // Every element takes at least one byte: a count the rest of the frame
+    // cannot hold is refused before anything is reserved for it.
+    need(buf, len)?;
     let mut v = Vec::with_capacity(len.min(1024));
     for _ in 0..len {
         v.push(dec(buf)?);
@@ -662,6 +682,13 @@ pub fn encode_msg(msg: &Msg, out: &mut BytesMut) {
     }
 }
 
+/// The most [`decode_msg`] allocates at its peak decoding a frame of
+/// `len` bytes; the module doc derives it.
+#[must_use]
+pub const fn max_decode_alloc(len: usize) -> usize {
+    400 * len + 128
+}
+
 /// Decode a message from `buf`, consuming exactly one message.
 pub fn decode_msg(buf: &mut Bytes) -> Result<Msg> {
     match get_u8(buf)? {
@@ -742,14 +769,15 @@ pub fn decode_msg(buf: &mut Bytes) -> Result<Msg> {
         }),
         14 => {
             let group = GroupId(get_u32(buf)?);
-            let inner = decode_msg(buf)?;
-            if matches!(inner, Msg::Grouped { .. }) {
-                // Envelopes never nest; a nested tag is corruption.
+            // Envelopes never nest; a nested tag is corruption, refused
+            // before it is decoded, so a chain of them cannot recurse.
+            if buf.first() == Some(&14) {
                 return Err(WireError::BadTag {
                     what: "nested grouped",
                     tag: 14,
                 });
             }
+            let inner = decode_msg(buf)?;
             Ok(Msg::Grouped {
                 group,
                 inner: Box::new(inner),
