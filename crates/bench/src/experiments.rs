@@ -656,7 +656,7 @@ fn read_batching_with(seed: u64, client_counts: &[usize], per_client: u64) -> Ta
     let reads = |clients: usize, batching: bool| {
         let mut exp = sysnet(seed);
         exp.cpu = CpuModel::msg_bound();
-        exp.cfg.confirm_batching = batching;
+        exp.cfg = exp.cfg.with_confirm_batching(batching);
         ops(exp, RequestKind::Read, clients, per_client)
     };
     for &c in client_counts {

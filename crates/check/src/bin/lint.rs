@@ -1,8 +1,8 @@
 //! Repo-specific lint binary: `cargo run -p check --bin lint`.
 //!
-//! Runs [`check::lint::lint_repo`]: the protocol rules and the
-//! `one-guard` rule, each over the files its table names. Exit code 0 =
-//! clean, 1 = findings, 2 = I/O error.
+//! Runs [`check::lint::lint_repo`]: rule 7, `one-guard`, over every
+//! `crates/*/src` (rules 1–6 are clippy's and core's; see the module
+//! docs). Exit code 0 = clean, 1 = findings, 2 = I/O error.
 
 use std::path::PathBuf;
 

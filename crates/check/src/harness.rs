@@ -234,7 +234,7 @@ impl Cluster {
             issued: Vec::new(),
             by_id: HashMap::new(),
             obs,
-            follower_mode: scenario.cfg.read_mode.is_follower(),
+            follower_mode: scenario.cfg.reads.follower_reads(),
             skew: (0..n)
                 .map(|i| Dur::from_millis(scenario.clock_skew_ms.get(i).copied().unwrap_or(0)))
                 .collect(),
@@ -869,7 +869,7 @@ impl Cluster {
     /// `Accepted` to the network as the handler makes it, before the
     /// release, so a power cut lets an acknowledgement escape whose record
     /// the disk then lacks.
-    pub fn chaos_accepted_precedes_barrier(&mut self) {
+    pub fn chaos_accepted_ahead(&mut self) {
         self.chaos_accepted_ahead = true;
     }
 

@@ -40,7 +40,7 @@ pub struct Scenario {
     /// Per-replica clock skew in milliseconds (missing entries are zero):
     /// each replica sees the global clock plus its constant offset. Lease
     /// reads must stay linearizable for any skew below the slack between
-    /// `lease_dur` and `suspect_timeout`.
+    /// the lease and `suspect_timeout`.
     pub clock_skew_ms: &'static [u64],
     /// Exploration depth bound for the smoke suite.
     pub smoke_depth: usize,
@@ -78,11 +78,9 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
         // round-launch path; reads must stay linearizable.
         Scenario {
             name: "confirm-batching",
-            cfg: Config {
-                read_mode: ReadMode::XPaxos,
-                confirm_batching: true,
-                ..base_config()
-            },
+            cfg: base_config()
+                .with_read_mode(ReadMode::XPaxos)
+                .with_confirm_batching(true),
             script: vec![ClientOp::Write(0), ClientOp::Read, ClientOp::Read],
             opts: HarnessOpts {
                 dups: true,
@@ -109,10 +107,7 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
         // T-Paxos commit: staged effects surface atomically, exactly once.
         Scenario {
             name: "tpaxos-commit",
-            cfg: Config {
-                txn_mode: TxnMode::TPaxos,
-                ..base_config()
-            },
+            cfg: base_config().with_txn_mode(TxnMode::TPaxos),
             script: vec![
                 ClientOp::TxnOp(TxnId(1), 0),
                 ClientOp::TxnOp(TxnId(1), 1),
@@ -135,10 +130,7 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
         // writes out of decree order while catching up.
         Scenario {
             name: "read-under-apply-lag",
-            cfg: Config {
-                read_mode: ReadMode::XPaxos,
-                ..base_config()
-            },
+            cfg: base_config().with_read_mode(ReadMode::XPaxos),
             script: vec![
                 ClientOp::Write(0),
                 ClientOp::Write(1),
@@ -158,10 +150,7 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
         // aborted transaction's bits may never surface anywhere.
         Scenario {
             name: "tpaxos-abort-crash",
-            cfg: Config {
-                txn_mode: TxnMode::TPaxos,
-                ..base_config()
-            },
+            cfg: base_config().with_txn_mode(TxnMode::TPaxos),
             script: vec![
                 ClientOp::TxnOp(TxnId(1), 0),
                 ClientOp::TxnAbort(TxnId(1)),
@@ -184,10 +173,7 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
         // honor read-your-writes and monotonic-reads.
         Scenario {
             name: "follower-read-lag",
-            cfg: Config {
-                read_mode: ReadMode::Follower { max_staleness: 2 },
-                ..base_config()
-            },
+            cfg: base_config().with_read_mode(ReadMode::Follower { max_staleness: 2 }),
             script: vec![
                 ClientOp::Write(0),
                 ClientOp::Read,
@@ -209,10 +195,7 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
         // must survive the takeover.
         Scenario {
             name: "follower-read-leader-crash",
-            cfg: Config {
-                read_mode: ReadMode::Follower { max_staleness: 4 },
-                ..base_config()
-            },
+            cfg: base_config().with_read_mode(ReadMode::Follower { max_staleness: 4 }),
             script: vec![ClientOp::Write(0), ClientOp::Read, ClientOp::Read],
             opts: HarnessOpts {
                 crashes: 1,
@@ -224,17 +207,14 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
             smoke_depth: 6,
         },
         // Lease reads with bounded clock skew: replica clocks disagree by
-        // up to 20 ms — inside the slack between `lease_dur` (25 ms) and
+        // up to 20 ms — inside the slack between the lease (25 ms) and
         // `suspect_timeout` (50 ms). Because the lease is anchored at the
         // leader's *own* heartbeat-send timestamp, a constant skew cancels
         // out of the validity check, so reads stay linearizable across a
         // crash-driven leader change.
         Scenario {
             name: "lease-read-skew",
-            cfg: Config {
-                read_mode: ReadMode::Lease,
-                ..base_config()
-            },
+            cfg: base_config().with_read_mode(ReadMode::Lease),
             script: vec![
                 ClientOp::Write(0),
                 ClientOp::Read,
@@ -259,11 +239,9 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
             name: "accept-ahead-power-cut",
             // Confirm rounds, so that a read injected at the leader alone
             // can complete (a retransmission launches the round).
-            cfg: Config {
-                read_mode: ReadMode::XPaxos,
-                confirm_batching: true,
-                ..base_config()
-            },
+            cfg: base_config()
+                .with_read_mode(ReadMode::XPaxos)
+                .with_confirm_batching(true),
             script: vec![ClientOp::Write(0), ClientOp::Write(1), ClientOp::Read],
             opts: HarnessOpts {
                 crashes: 1,

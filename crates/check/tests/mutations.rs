@@ -508,7 +508,7 @@ fn accepted_ahead_of_the_barrier_loses_an_acked_write() {
     let walk = |mutated: bool| {
         let mut cl = power_cut_cluster();
         if mutated {
-            cl.chaos_accepted_precedes_barrier();
+            cl.chaos_accepted_ahead();
         }
         assert_eq!(establish_leader(&mut cl), 0);
         assert_eq!(inject(&mut cl), None); // Write(0)

@@ -1,5 +1,6 @@
 //! Replica group configuration and protocol mode switches.
 
+pub use crate::replica::reads::ReadPolicy;
 use crate::types::{Dur, ProcessId};
 
 /// How read requests are coordinated.
@@ -14,7 +15,7 @@ pub enum ReadMode {
     Consensus,
     /// Leader leases (an extension beyond the paper): followers ack
     /// heartbeats, and a majority of acks grants the leader the right to
-    /// answer reads locally for [`Config::lease_dur`] — latency `2M + E`,
+    /// answer reads locally for the policy's lease — latency `2M + E`,
     /// the same as an unreplicated service. Sound only under the timing
     /// assumption that elections start no earlier than `suspect_timeout`
     /// after the last leader sign and clock drift is bounded (exact in
@@ -35,14 +36,6 @@ pub enum ReadMode {
         /// commit watermark. `0` = serve only when fully caught up.
         max_staleness: u64,
     },
-}
-
-impl ReadMode {
-    /// Whether this is the bounded-staleness follower-read mode.
-    #[must_use]
-    pub fn is_follower(self) -> bool {
-        matches!(self, ReadMode::Follower { .. })
-    }
 }
 
 /// How transactional requests are coordinated (the three operation modes
@@ -86,13 +79,9 @@ pub struct Config {
     /// Base backoff between election attempts; each replica adds
     /// rank-and-jitter so candidates rarely duel.
     pub election_backoff: Dur,
-    /// Duration of a read lease ([`ReadMode::Lease`]), measured from the
-    /// moment the granting heartbeat was sent. Must not exceed
-    /// `suspect_timeout` or the lease could outlive the guarantee that no
-    /// new leader is elected.
-    pub lease_dur: Dur,
-    /// Read coordination mode.
-    pub read_mode: ReadMode,
+    /// How reads are validated: mode, confirm rounds and lease, set by
+    /// [`Config::with_read_mode`] and [`Config::with_confirm_batching`].
+    pub reads: ReadPolicy,
     /// Transaction coordination mode.
     pub txn_mode: TxnMode,
     /// Consensus value contents.
@@ -111,16 +100,6 @@ pub struct Config {
     /// than one request, so single-client latency is unaffected.
     /// `Dur::ZERO` disables the window and the wait with it.
     pub batch_window: Dur,
-    /// Epoch-batched confirm rounds for [`ReadMode::XPaxos`] (extension):
-    /// under read load the leader seals open reads into confirm epochs and
-    /// validates each epoch with one `ConfirmReq`/`ConfirmBatch` exchange
-    /// per follower instead of one `Confirm` per read, collapsing
-    /// O(reads × n) confirm traffic to O(n) per round. A lone read still
-    /// completes off the followers' per-read confirms (the round carries a
-    /// `backlog` hint and suppression only engages under load), so the
-    /// paper's `2M + max(E, m)` single-read latency is preserved. `false`
-    /// reproduces the paper's per-read confirm protocol exactly.
-    pub confirm_batching: bool,
     /// If set, this replica bootstraps an election immediately at startup
     /// instead of waiting out the suspicion timeout. Used to pre-elect a
     /// stable leader, which is the paper's steady-state assumption
@@ -152,14 +131,12 @@ impl Config {
             suspect_timeout: Dur::from_millis(50),
             retransmit_timeout: Dur::from_millis(20),
             election_backoff: Dur::from_millis(30),
-            lease_dur: Dur::from_millis(25),
-            read_mode: ReadMode::XPaxos,
+            reads: ReadPolicy::new(Dur::from_millis(25)),
             txn_mode: TxnMode::PerOp,
             value_mode: ValueMode::ReqState,
             checkpoint_every: 512,
             max_batch: 64,
             batch_window: Dur::from_micros(100),
-            confirm_batching: true,
             bootstrap_leader: Some(ProcessId(0)),
             checkpoint_chunk_bytes: 64 * 1024,
             placement: None,
@@ -176,14 +153,12 @@ impl Config {
             suspect_timeout: Dur::from_millis(1000),
             retransmit_timeout: Dur::from_millis(400),
             election_backoff: Dur::from_millis(500),
-            lease_dur: Dur::from_millis(500),
-            read_mode: ReadMode::XPaxos,
+            reads: ReadPolicy::new(Dur::from_millis(500)),
             txn_mode: TxnMode::PerOp,
             value_mode: ValueMode::ReqState,
             checkpoint_every: 1024,
             max_batch: 64,
             batch_window: Dur::from_micros(500),
-            confirm_batching: true,
             bootstrap_leader: Some(ProcessId(0)),
             checkpoint_chunk_bytes: 64 * 1024,
             placement: None,
@@ -199,7 +174,7 @@ impl Config {
     /// Builder-style: set the read mode.
     #[must_use]
     pub fn with_read_mode(mut self, m: ReadMode) -> Config {
-        self.read_mode = m;
+        self.reads = self.reads.with_mode(m);
         self
     }
 
@@ -241,7 +216,7 @@ impl Config {
     /// Builder-style: enable or disable epoch-batched confirm rounds.
     #[must_use]
     pub fn with_confirm_batching(mut self, on: bool) -> Config {
-        self.confirm_batching = on;
+        self.reads = self.reads.with_confirm_batching(on);
         self
     }
 
@@ -328,9 +303,11 @@ mod tests {
             .with_checkpoint_every(16)
             .with_confirm_batching(false)
             .with_checkpoint_chunk_bytes(256);
-        assert!(!c.confirm_batching);
+        let reads = ReadPolicy::new(Dur::from_millis(25))
+            .with_mode(ReadMode::Consensus)
+            .with_confirm_batching(false);
+        assert_eq!(c.reads, reads);
         assert_eq!(c.checkpoint_chunk_bytes, 256);
-        assert_eq!(c.read_mode, ReadMode::Consensus);
         assert_eq!(c.txn_mode, TxnMode::TPaxos);
         assert_eq!(c.value_mode, ValueMode::ReqOnly);
         assert_eq!(c.bootstrap_leader, None);
@@ -342,8 +319,9 @@ mod tests {
         let c = Config::cluster(3)
             .with_read_mode(ReadMode::Follower { max_staleness: 8 })
             .with_placement(Some(vec![ProcessId(2), ProcessId(0)]));
-        assert!(c.read_mode.is_follower());
-        assert!(!ReadMode::Lease.is_follower());
+        assert!(c.reads.follower_reads());
+        let lease = Config::cluster(3).with_read_mode(ReadMode::Lease);
+        assert!(!lease.reads.follower_reads());
         assert_eq!(
             c.placement,
             Some(vec![ProcessId(2), ProcessId(0)]),

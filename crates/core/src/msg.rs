@@ -278,8 +278,8 @@ impl Msg {
     /// commit that, in a singleton group, rests on the unflushed record
     /// alone; the rest may follow an installed snapshot, or gain nothing
     /// from leaving early.
-    #[must_use]
-    pub fn precedes_barrier(&self) -> bool {
+    /// Crate-private, so that [`crate::outbox`] is its one caller.
+    pub(crate) fn precedes_barrier(&self) -> bool {
         match self {
             Msg::Accept { .. } => true,
             Msg::Grouped { inner, .. } => inner.precedes_barrier(),
@@ -472,30 +472,122 @@ mod tests {
         assert!(big - small >= 32 * 1024 - 8);
     }
 
-    /// `Accept` alone leaves ahead of the barrier, with or without the
-    /// group envelope; the acknowledgements around it wait.
+    /// One message of every variant, each also inside the group envelope:
+    /// `precedes_barrier` is `true` for `Accept` alone. The `match` names
+    /// every variant, so a new one fails to compile here until it is
+    /// sampled and classified.
     #[test]
     fn only_accept_precedes_the_barrier() {
         use crate::types::GroupId;
-        let accept = Msg::Accept {
-            ballot: Ballot::ZERO,
-            entries: Vec::new(),
+        let (b, i) = (Ballot::ZERO, Instance::ZERO);
+        let id = RequestId::new(ClientId(1), Seq(1));
+        let samples = [
+            Msg::Request(Request::new(id, RequestKind::Write, Bytes::new())),
+            Msg::Reply(Reply {
+                id,
+                leader: ProcessId(0),
+                watermark: i,
+                body: ReplyBody::Empty,
+            }),
+            Msg::Prepare {
+                ballot: b,
+                chosen_prefix: i,
+                known_above: Vec::new(),
+            },
+            Msg::Promise {
+                ballot: b,
+                chosen_prefix: i,
+                accepted: Vec::new(),
+                snapshot: None,
+            },
+            Msg::PrepareNack {
+                ballot: b,
+                promised: b,
+            },
+            Msg::Accept {
+                ballot: b,
+                entries: Vec::new(),
+            },
+            Msg::Accepted {
+                ballot: b,
+                instances: Vec::new(),
+            },
+            Msg::AcceptNack {
+                ballot: b,
+                promised: b,
+            },
+            Msg::Chosen { ballot: b, upto: i },
+            Msg::Confirm {
+                ballot: b,
+                read: id,
+            },
+            Msg::ConfirmReq {
+                ballot: b,
+                epoch: 0,
+                backlog: false,
+            },
+            Msg::ConfirmBatch {
+                ballot: b,
+                epoch: 0,
+            },
+            Msg::Heartbeat {
+                ballot: b,
+                chosen: i,
+                hb_seq: 0,
+            },
+            Msg::HeartbeatAck {
+                ballot: b,
+                hb_seq: 0,
+            },
+            Msg::CatchUpReq { have: i },
+            Msg::CatchUp {
+                ballot: b,
+                entries: Vec::new(),
+            },
+            Msg::CatchUpChunk {
+                ballot: b,
+                upto: i,
+                seq: 0,
+                total: 1,
+                dedup: Vec::new(),
+                data: Bytes::new(),
+            },
+            Msg::Grouped {
+                group: GroupId(1),
+                inner: Box::new(Msg::CatchUpReq { have: i }),
+            },
+        ];
+        let variant = |m: &Msg| match m {
+            Msg::Request(_) => 0,
+            Msg::Reply(_) => 1,
+            Msg::Prepare { .. } => 2,
+            Msg::Promise { .. } => 3,
+            Msg::PrepareNack { .. } => 4,
+            Msg::Accept { .. } => 5,
+            Msg::Accepted { .. } => 6,
+            Msg::AcceptNack { .. } => 7,
+            Msg::Chosen { .. } => 8,
+            Msg::Confirm { .. } => 9,
+            Msg::ConfirmReq { .. } => 10,
+            Msg::ConfirmBatch { .. } => 11,
+            Msg::Heartbeat { .. } => 12,
+            Msg::HeartbeatAck { .. } => 13,
+            Msg::CatchUpReq { .. } => 14,
+            Msg::CatchUp { .. } => 15,
+            Msg::CatchUpChunk { .. } => 16,
+            Msg::Grouped { .. } => 17,
         };
-        let accepted = Msg::Accepted {
-            ballot: Ballot::ZERO,
-            instances: Vec::new(),
-        };
-        let grouped = |inner: &Msg| Msg::Grouped {
-            group: GroupId(1),
-            inner: Box::new(inner.clone()),
-        };
-        assert!(accept.precedes_barrier() && grouped(&accept).precedes_barrier());
-        assert!(!accepted.precedes_barrier() && !grouped(&accepted).precedes_barrier());
-        let chosen = Msg::Chosen {
-            ballot: Ballot::ZERO,
-            upto: Instance::ZERO,
-        };
-        assert!(!chosen.precedes_barrier());
+        let sampled: Vec<usize> = samples.iter().map(variant).collect();
+        assert_eq!(sampled, (0..=17).collect::<Vec<_>>(), "one of each");
+        for msg in samples {
+            let accept = matches!(msg, Msg::Accept { .. });
+            assert_eq!(msg.precedes_barrier(), accept, "{msg:?}");
+            let grouped = Msg::Grouped {
+                group: GroupId(1),
+                inner: Box::new(msg),
+            };
+            assert_eq!(grouped.precedes_barrier(), accept, "{grouped:?}");
+        }
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //!
 //! 1. hands the **ahead** list to the network — the `Accept`s of cores
 //!    that had a barrier due when they produced them
-//!    ([`Msg::precedes_barrier`] decides the class, [`Outbox::push`]
+//!    (`Msg::precedes_barrier` decides the class, [`Outbox::push`]
 //!    asks the core);
-//! 2. runs [`Replica::flush_storage`] on every core whose
-//!    [`Replica::storage_dirty`] says a barrier is due — one sync covering
-//!    every record the whole batch appended;
+//! 2. runs `Replica::barrier` on every core that wrote a record a
+//!    message may acknowledge since its last barrier — one sync covering
+//!    every record the whole batch appended. Cores that share one log
+//!    (the groups of a node) are all flushed: the first syncs, the rest
+//!    find the log clean and pay nothing, and none keeps a flag that
+//!    would make its next commit-only cycle pay a sync of its own;
 //! 3. hands the **behind** list, everything else, to the network.
 //!
 //! Persist-before-send (§3.1/§3.3) holds at batch granularity: no
@@ -39,9 +42,39 @@
 //! to do: a barrier is for the messages behind it, and a record nobody
 //! has acknowledged yet waits for the first release that sends anything.
 //!
-//! No other code calls `flush_storage` (but [`Replica::stop`], the flush
-//! on the way out) or asks `precedes_barrier`: the protocol lint's "the
-//! barrier has one caller" check keeps it so.
+//! Persist-before-send holds at the source too: [`Outbox::push`] checks
+//! every send against what its core's stable storage wrote, and panics on
+//! a `Prepare` or `Promise` above the promise written, or an `Accept` or
+//! `Accepted` for an instance above the chosen prefix with no accept
+//! record at its ballot (`replica/stable.rs`). Every test, simulated run
+//! and model-checked state runs through it.
+//!
+//! No other code runs the barrier (but [`Replica::stop`], the flush on
+//! the way out) or asks `precedes_barrier`: all three are crate-private,
+//! so a drive loop outside this crate cannot keep its own copy of the
+//! order. Each of these fails to compile:
+//!
+//! ```compile_fail
+//! fn drive(core: &mut gridpaxos_core::replica::Replica) { core.barrier(); }
+//! ```
+//! ```compile_fail
+//! fn due(core: &gridpaxos_core::replica::Replica) -> bool { core.barrier_due() }
+//! ```
+//! ```compile_fail
+//! fn ahead(msg: &gridpaxos_core::msg::Msg) -> bool { msg.precedes_barrier() }
+//! ```
+//!
+//! The two names the repo benchmark still calls are deprecated shims,
+//! and CI builds the workspace with warnings denied:
+//!
+//! ```compile_fail
+//! #![deny(deprecated)]
+//! fn drive(core: &mut gridpaxos_core::replica::Replica) { core.flush_storage(); }
+//! ```
+//! ```compile_fail
+//! #![deny(deprecated)]
+//! fn due(core: &gridpaxos_core::replica::Replica) -> bool { core.storage_dirty() }
+//! ```
 
 use crate::msg::Msg;
 use crate::replica::Replica;
@@ -91,8 +124,15 @@ impl Outbox {
     /// Buffer a send that core `from` just produced. It goes ahead only
     /// if `from` has a barrier due now: without one there is nothing to
     /// get ahead of, and the send keeps its place among the others.
+    ///
+    /// # Panics
+    /// If the send acknowledges a record `from` never wrote (module
+    /// docs): persist-before-send, checked on every build.
     pub fn push(&mut self, out: Out, from: &Replica) {
-        if out.msg().precedes_barrier() && from.storage_dirty() {
+        if let Some(what) = from.stable.unwritten(out.msg(), from.chosen_prefix()) {
+            panic!("persist-before-send: {what}");
+        }
+        if out.msg().precedes_barrier() && from.barrier_due() {
             self.ahead.push(out);
         } else {
             self.behind.push(out);
@@ -128,13 +168,11 @@ fn release_or_cut(wire: &mut impl Wire, power_cut: bool) {
     if !outbox.ahead.is_empty() {
         wire.transmit(&mut outbox.ahead);
     }
-    if power_cut && wire.cores().iter().any(|core| core.storage_dirty()) {
+    if power_cut && wire.cores().iter().any(Replica::barrier_due) {
         outbox.behind.clear();
     } else {
         for core in wire.cores() {
-            if core.storage_dirty() {
-                core.flush_storage();
-            }
+            core.barrier();
         }
         wire.transmit(&mut outbox.behind);
     }
@@ -144,6 +182,7 @@ fn release_or_cut(wire: &mut impl Wire, power_cut: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Action;
     use crate::ballot::Ballot;
     use crate::command::{Decree, DedupEntry};
     use crate::config::Config;
@@ -197,6 +236,8 @@ mod tests {
     /// A loop of two cores that writes down what it is asked to transmit.
     struct Recorder {
         cores: Vec<Replica>,
+        /// The `Accepted` each core answered leader 0's `Accept` with.
+        acks: Vec<Msg>,
         outbox: Outbox,
         log: Log,
     }
@@ -214,58 +255,70 @@ mod tests {
         }
     }
 
-    /// Two follower cores; those named in `barrier_due` have promised a
+    const LEADER: Addr = Addr::Replica(ProcessId(0));
+
+    /// A follower core on a [`Disk`] that writes into `log`.
+    fn follower(log: &Log) -> Replica {
+        let disk = Disk {
+            dirty: false,
+            log: Arc::clone(log),
+        };
+        let app = Box::new(NoopApp::new());
+        let cfg = Config::cluster(3);
+        Replica::new(ProcessId(1), cfg, app, Box::new(disk), 7, Time::ZERO)
+    }
+
+    /// Two follower cores that accepted instance 1 from leader 0 and ran
+    /// the barrier; those named in `barrier_due` have since promised a
     /// candidate and not flushed the promise.
     fn recorder(barrier_due: [bool; 2]) -> Recorder {
         let log = Log::default();
-        let ballot = Ballot::new(1, ProcessId(2));
+        let mut acks = Vec::new();
         let cores = barrier_due
             .iter()
             .map(|due| {
-                let disk = Disk {
-                    dirty: false,
-                    log: Arc::clone(&log),
+                let mut core = follower(&log);
+                let accept = Msg::Accept {
+                    ballot: Ballot::new(1, ProcessId(0)),
+                    entries: vec![(Instance(1), Decree::noop())],
                 };
-                let mut core = Replica::new(
-                    ProcessId(1),
-                    Config::cluster(3),
-                    Box::new(NoopApp::new()),
-                    Box::new(disk),
-                    7,
-                    Time::ZERO,
-                );
+                match core.on_message(LEADER, accept, Time::ZERO).pop() {
+                    Some(Action::Send { msg, .. }) => acks.push(msg),
+                    other => panic!("an Accepted, not {other:?}"),
+                }
+                core.barrier();
                 if *due {
                     let prepare = Msg::Prepare {
-                        ballot,
+                        ballot: Ballot::new(1, ProcessId(2)),
                         chosen_prefix: Instance::ZERO,
                         known_above: Vec::new(),
                     };
                     core.on_message(Addr::Replica(ProcessId(2)), prepare, Time::ZERO);
                 }
-                assert_eq!(core.storage_dirty(), *due);
+                assert_eq!(core.barrier_due(), *due);
                 core
             })
             .collect();
+        log.lock().unwrap().clear();
         Recorder {
             cores,
+            acks,
             outbox: Outbox::default(),
             log,
         }
     }
 
     /// A step's worth of sends by core `from`, in the order a handler
-    /// might make them: an acknowledgement, an `Accept`, a commit.
+    /// might make them: its acknowledgement, an `Accept`, a commit.
     fn push_step(wire: &mut Recorder, from: usize) {
         let ballot = Ballot::new(1, ProcessId(1));
-        let leader = Addr::Replica(ProcessId(0));
-        let instances = vec![Instance(1)];
-        let accepted = Msg::Accepted { ballot, instances };
         let entries = Vec::new();
         let accept = Msg::Accept { ballot, entries };
         let upto = Instance(1);
         let chosen = Msg::Chosen { ballot, upto };
         let core = &wire.cores[from];
-        wire.outbox.push(Out::One(leader, accepted), core);
+        let accepted = wire.acks[from].clone();
+        wire.outbox.push(Out::One(LEADER, accepted), core);
         wire.outbox.push(Out::All(accept), core);
         wire.outbox.push(Out::All(chosen), core);
     }
@@ -341,5 +394,40 @@ mod tests {
             assert_eq!(*wire.log.lock().unwrap(), expect, "{what}");
             assert!(wire.outbox.is_empty(), "{what}: the lists are spent");
         }
+    }
+
+    /// Persist-before-send at the source: an `Accepted` for an instance
+    /// the core never saved does not get into the outbox.
+    #[test]
+    #[should_panic(expected = "persist-before-send: accepted of i1 at b1.0 with no accept record")]
+    fn push_refuses_an_accepted_never_saved() {
+        let core = follower(&Log::default());
+        let ballot = Ballot::new(1, ProcessId(0));
+        let instances = vec![Instance(1)];
+        let accepted = Msg::Accepted { ballot, instances };
+        Outbox::default().push(Out::One(LEADER, accepted), &core);
+    }
+
+    /// Nor does a `Promise` above the promise the core saved.
+    #[test]
+    #[should_panic(
+        expected = "persist-before-send: promise at b2.2, but the promise written is b1.2"
+    )]
+    fn push_refuses_a_promise_above_the_one_saved() {
+        let mut core = follower(&Log::default());
+        let saved = Ballot::new(1, ProcessId(2));
+        let prepare = Msg::Prepare {
+            ballot: saved,
+            chosen_prefix: Instance::ZERO,
+            known_above: Vec::new(),
+        };
+        core.on_message(Addr::Replica(ProcessId(2)), prepare, Time::ZERO);
+        let promise = Msg::Promise {
+            ballot: Ballot::new(2, ProcessId(2)),
+            chosen_prefix: Instance::ZERO,
+            accepted: Vec::new(),
+            snapshot: None,
+        };
+        Outbox::default().push(Out::One(Addr::Replica(ProcessId(2)), promise), &core);
     }
 }

@@ -40,7 +40,7 @@ impl Replica {
         let ballot = self.max_ballot_seen.max(self.promised).successor(self.id);
         self.note_ballot(ballot);
         self.promised = ballot;
-        self.stable.acked().save_promised(ballot);
+        self.stable.promise(ballot);
         self.fd.reset(now);
 
         self.role = Role::Candidate(CandidateState {
@@ -114,7 +114,7 @@ impl Replica {
             self.step_down(promised, now, out);
             if promised > self.promised {
                 self.promised = promised;
-                self.stable.acked().save_promised(promised);
+                self.stable.promise(promised);
             }
         }
     }

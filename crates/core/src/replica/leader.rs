@@ -421,7 +421,7 @@ impl Replica {
         acks.insert(self.id);
         l.inflight = Some(Inflight { instance, acks });
         // Self-accept durably, then ask the backups.
-        self.stable.acked().save_accepted(instance, ballot, &decree);
+        self.stable.accept(instance, ballot, &decree);
         self.log.record_accept(instance, ballot, decree.clone());
         out.push(Action::broadcast(Msg::Accept {
             ballot,
@@ -635,7 +635,7 @@ impl Replica {
         };
         let instances: Vec<Instance> = entries.iter().map(|(i, _)| *i).collect();
         for (i, d) in &entries {
-            self.stable.acked().save_accepted(*i, ballot, d);
+            self.stable.accept(*i, ballot, d);
             self.log.record_accept(*i, ballot, d.clone());
         }
         // One single accept message for the whole batch (§3.3), built by

@@ -21,7 +21,7 @@
 mod candidate;
 mod exec;
 mod leader;
-mod reads;
+pub(crate) mod reads;
 mod stable;
 
 pub use candidate::CandidateState;
@@ -291,6 +291,7 @@ impl Replica {
 
     /// Bring a fresh replica to what its storage held.
     fn replay(mut self, durable: &DurableState) -> Replica {
+        self.stable.seed(durable);
         self.promised = durable.promised;
         self.max_ballot_seen = durable.promised;
         self.log = ReplicaLog::from_durable(durable);
@@ -406,18 +407,46 @@ impl Replica {
         self.stable.into_inner()
     }
 
-    /// Durability barrier ([`Storage::flush`]): everything the handlers
-    /// persisted so far is on stable storage when this returns. When
-    /// [`Replica::storage_dirty`] says a barrier is due, it must complete
+    /// Durability barrier ([`Storage::flush`]), if a handler wrote a
+    /// record a message may acknowledge since the last one: everything
+    /// the handlers persisted so far is on stable storage when this
+    /// returns. When [`Replica::barrier_due`] says so, it must complete
     /// before any message those handlers produced is transmitted, except
     /// the ones [`Msg::precedes_barrier`] lets go first (`Accept`: the
     /// sync then runs beside the followers' round trip), and before this
     /// replica's next handler runs — persist-before-send at batch
-    /// granularity (§3.1/§3.3). A drive loop does not call this: it
-    /// buffers its sends in an [`crate::outbox::Outbox`] and calls
-    /// [`crate::outbox::release`], which does.
+    /// granularity (§3.1/§3.3). [`crate::outbox::release`] is its one
+    /// caller; a drive loop outside this crate cannot call it.
+    pub(crate) fn barrier(&mut self) {
+        if self.stable.raised() {
+            self.stable.flush();
+        }
+    }
+
+    /// Whether a [`Replica::barrier`] is due: storage holds an unflushed
+    /// record that an outgoing message may acknowledge (a promise, an
+    /// accepted decree, an installed snapshot). Chosen-prefix marks and
+    /// periodic checkpoints alone do not count — no message acknowledges
+    /// one, and they ride the next barrier.
+    pub(crate) fn barrier_due(&self) -> bool {
+        self.stable.barrier_due()
+    }
+
+    /// [`Replica::barrier`] under its old name, which
+    /// `benchmark/src/shuttle.rs` still calls.
+    #[doc(hidden)]
+    #[deprecated(note = "the barrier is `outbox::release`'s; delete in ROADMAP item 1")]
     pub fn flush_storage(&mut self) {
-        self.stable.flush();
+        self.barrier();
+    }
+
+    /// [`Replica::barrier_due`] under its old name, which
+    /// `benchmark/src/shuttle.rs` still calls.
+    #[doc(hidden)]
+    #[deprecated(note = "the barrier is `outbox::release`'s; delete in ROADMAP item 1")]
+    #[must_use]
+    pub fn storage_dirty(&self) -> bool {
+        self.barrier_due()
     }
 
     /// The last call of a drive loop that stops cleanly. Runs the barrier,
@@ -426,18 +455,8 @@ impl Replica {
     /// the state of its chosen prefix — what a restart would rebuild from
     /// storage, and what every replica at that prefix holds (§3.3).
     pub fn stop(&mut self) {
-        self.flush_storage();
+        self.stable.flush();
         self.exec.abandon();
-    }
-
-    /// Whether a [`Replica::flush_storage`] barrier is due: storage holds
-    /// an unflushed record that an outgoing message may acknowledge (a
-    /// promise, an accepted decree, an installed snapshot). Chosen-prefix
-    /// marks and periodic checkpoints alone do not count — no message
-    /// acknowledges one, and they ride the next barrier.
-    #[must_use]
-    pub fn storage_dirty(&self) -> bool {
-        self.stable.barrier_due()
     }
 
     // ------------------------------------------------------------------
@@ -735,7 +754,7 @@ impl Replica {
         }
         if ballot > self.promised {
             self.promised = ballot;
-            self.stable.acked().save_promised(ballot);
+            self.stable.promise(ballot);
             self.reads.promised_anew();
         }
         self.fd.observe(ballot, now);
@@ -799,7 +818,7 @@ impl Replica {
         let mut acked = Vec::with_capacity(entries.len());
         for (i, d) in entries {
             if i > self.log.chosen_prefix() {
-                self.stable.acked().save_accepted(i, ballot, &d);
+                self.stable.accept(i, ballot, &d);
                 self.log.record_accept(i, ballot, d);
             }
             // Instances at or below the prefix were already applied; the
@@ -987,7 +1006,7 @@ impl Replica {
         self.catchup_requested_at = None;
         for (i, d) in entries {
             if i > self.log.chosen_prefix() && !self.log.is_known_chosen(i) {
-                self.stable.acked().save_accepted(i, ballot, &d);
+                self.stable.accept(i, ballot, &d);
                 self.log.record_accept(i, ballot, d);
                 self.log.mark_chosen(i);
             }
@@ -1008,7 +1027,7 @@ impl Replica {
             self.stats.applied += 1;
             self.exec.chosen(&decree, &mut self.rng);
             self.log.advance_applied(i);
-            self.stable.unacked().save_chosen_prefix(i);
+            self.stable.mark_chosen(i);
 
             // Only the leader replies (and a re-elected leader re-replies
             // for recovered decrees whose clients may still be waiting).
@@ -1049,9 +1068,7 @@ impl Replica {
         self.stats.checkpoints_by_bytes += u64::from(due == Due::Bytes);
         let chunk_bytes = self.cfg.checkpoint_chunk_bytes;
         let (dedup, total) = self.exec.freeze_at(prefix, chunk_bytes, self.clock);
-        self.stable
-            .unacked()
-            .checkpoint_begin(prefix, &dedup, total);
+        self.stable.checkpoint_begin(prefix, &dedup, total);
         // An app that did not override chunking reports one chunk and
         // does not freeze — its single chunk must be emitted before any
         // further decree applies, so drain it right here. Real chunked
@@ -1066,15 +1083,15 @@ impl Replica {
     /// Returns whether a checkpoint is still in flight. Drive loops call
     /// this once per cycle; it is a no-op when nothing is in progress.
     pub fn pump_checkpoint(&mut self, budget: usize) -> bool {
-        let disk = self.stable.unacked();
+        let stable = &mut self.stable;
         if let Some(ck) = self
             .exec
-            .pump(budget, |idx, data| disk.checkpoint_chunk(idx, data))
+            .pump(budget, |idx, data| stable.checkpoint_chunk(idx, data))
         {
-            disk.checkpoint_commit();
+            stable.checkpoint_commit();
             // Bounded disk: the log shrinks only once the image that
             // replaces it is completely written.
-            disk.truncate_upto(ck.upto);
+            stable.truncate(ck.upto);
             self.log.truncate_upto(ck.upto);
             self.exec.checkpointed(ck.upto, ck.bytes);
             let chunks = ck.total as u64;
@@ -1095,20 +1112,13 @@ impl Replica {
     pub(crate) fn install_snapshot(&mut self, snap: &SnapshotBlob, chunks: Vec<bytes::Bytes>) {
         debug_assert!(snap.upto >= self.log.chosen_prefix());
         if self.exec.install(snap) {
-            self.stable.unacked().checkpoint_abort();
+            self.stable.checkpoint_abort();
         }
         self.log.truncate_upto(snap.upto);
         self.log.force_prefix(snap.upto);
         // From here on the snapshot stands in for this replica's accept
         // records up to `snap.upto`: whatever it sends next rests on it.
-        let disk = self.stable.acked();
-        disk.checkpoint_begin(snap.upto, &snap.dedup, chunks.len());
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            disk.checkpoint_chunk(i, chunk);
-        }
-        disk.checkpoint_commit();
-        disk.truncate_upto(snap.upto);
-        disk.save_chosen_prefix(snap.upto);
+        self.stable.install(snap, chunks);
     }
 
     // ------------------------------------------------------------------

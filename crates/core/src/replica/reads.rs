@@ -3,8 +3,9 @@
 //! §3.4's promise is one sentence: the leader answers a read only after
 //! executing it on chosen state *and* learning from a majority that it
 //! still leads. [`Reads`] holds all the state that sentence needs, on
-//! both sides, and this file alone reads the read mode and the
-//! confirm-batching knob. [`verdict`] is the rule: an open read *waits*
+//! both sides, and this file alone reads the read mode, the
+//! confirm-batching knob and the lease: they are [`ReadPolicy`]'s private
+//! fields. [`verdict`] is the rule: an open read *waits*
 //! until it has executed — only on a quiescent leader: no decree in
 //! flight, no recovery outstanding, since a tentative write may still be
 //! rolled back — and then until its mode's validation holds:
@@ -30,7 +31,7 @@ use crate::ballot::Ballot;
 use crate::config::{Config, ReadMode, TxnMode};
 use crate::msg::Msg;
 use crate::request::{Reply, ReplyBody, Request, RequestId, RequestKind};
-use crate::types::{Addr, Instance, ProcessId, Time};
+use crate::types::{Addr, Dur, Instance, ProcessId, Time};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
@@ -44,6 +45,80 @@ pub(super) const EARLY_CONFIRM_CAP: usize = 1024;
 /// enough reads: below this, no rounds and no suppression; above it, one
 /// exchange replaces `covered × (n - 1)` confirm messages.
 pub(super) const CONFIRM_BACKLOG_THRESHOLD: usize = 24;
+
+/// How reads are validated: the mode, and the two knobs of its
+/// extensions. Carried by [`Config`] and set by its builders; its fields
+/// are this module's alone, so no other code decides read policy. A host
+/// that routes client reads asks [`ReadPolicy::follower_reads`]:
+///
+/// ```
+/// use gridpaxos_core::config::{Config, ReadMode};
+/// let cfg = Config::cluster(3).with_read_mode(ReadMode::Follower { max_staleness: 4 });
+/// assert!(cfg.reads.follower_reads());
+/// ```
+///
+/// and reads nothing else of it:
+///
+/// ```compile_fail,E0616
+/// use gridpaxos_core::config::{Config, ReadMode};
+/// let cfg = Config::cluster(3).with_read_mode(ReadMode::Follower { max_staleness: 4 });
+/// assert!(cfg.reads.mode == ReadMode::Follower { max_staleness: 4 });
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ReadPolicy {
+    /// Read coordination mode.
+    mode: ReadMode,
+    /// Epoch-batched confirm rounds for [`ReadMode::XPaxos`] (extension):
+    /// under read load the leader seals open reads into confirm epochs and
+    /// validates each epoch with one `ConfirmReq`/`ConfirmBatch` exchange
+    /// per follower instead of one `Confirm` per read, collapsing
+    /// O(reads × n) confirm traffic to O(n) per round. A lone read still
+    /// completes off the followers' per-read confirms (the round carries a
+    /// `backlog` hint and suppression only engages under load), so the
+    /// paper's `2M + max(E, m)` single-read latency is preserved. `false`
+    /// reproduces the paper's per-read confirm protocol exactly.
+    confirm_batching: bool,
+    /// Duration of a read lease ([`ReadMode::Lease`]), measured from the
+    /// moment the granting heartbeat was sent; capped at `suspect_timeout`,
+    /// or the lease could outlive the guarantee that no new leader is
+    /// elected.
+    lease_dur: Dur,
+}
+
+impl ReadPolicy {
+    /// X-Paxos with confirm rounds, and leases of `lease_dur`.
+    pub(crate) fn new(lease_dur: Dur) -> ReadPolicy {
+        ReadPolicy {
+            mode: ReadMode::XPaxos,
+            confirm_batching: true,
+            lease_dur,
+        }
+    }
+
+    pub(crate) fn with_mode(self, mode: ReadMode) -> ReadPolicy {
+        ReadPolicy { mode, ..self }
+    }
+
+    pub(crate) fn with_confirm_batching(self, confirm_batching: bool) -> ReadPolicy {
+        ReadPolicy {
+            confirm_batching,
+            ..self
+        }
+    }
+
+    /// Whether any replica answers reads from its applied state
+    /// ([`ReadMode::Follower`]): only then may a host route a client's
+    /// reads to the replica nearest it.
+    #[must_use]
+    pub fn follower_reads(&self) -> bool {
+        matches!(self.mode, ReadMode::Follower { .. })
+    }
+
+    /// The lease a majority of heartbeat votes grants, under `cfg`.
+    fn lease(cfg: &Config) -> Dur {
+        cfg.reads.lease_dur.min(cfg.suspect_timeout)
+    }
+}
 
 /// A read open at the leader.
 struct PendingRead {
@@ -220,8 +295,7 @@ impl Reads {
         l.hb_sent_at = now;
         l.hb_acks.clear();
         if cfg.majority() == 1 {
-            let lease_dur = cfg.lease_dur.min(cfg.suspect_timeout);
-            l.lease_until = l.lease_until.max(now.after(lease_dur));
+            l.lease_until = l.lease_until.max(now.after(ReadPolicy::lease(cfg)));
         }
         l.hb_seq
     }
@@ -283,7 +357,7 @@ impl Replica {
         if req.kind != RequestKind::Read {
             return;
         }
-        match self.cfg.read_mode {
+        match self.cfg.reads.mode {
             // Bounded-staleness follower reads (extension): any replica
             // within the bound answers plain reads from its applied state —
             // zero coordination messages, the client's session watermark
@@ -369,7 +443,7 @@ impl Replica {
         let Some(l) = &mut self.reads.lead else {
             return Some(req);
         };
-        let opens = match self.cfg.read_mode {
+        let opens = match self.cfg.reads.mode {
             ReadMode::XPaxos | ReadMode::Follower { .. } => true,
             ReadMode::Lease => now < l.lease_until,
             ReadMode::Consensus => false,
@@ -430,7 +504,7 @@ impl Replica {
     /// (otherwise it would observe a tentative, possibly-rolled-back
     /// write). A vote or a round's answer never executes.
     fn settle(&mut self, id: RequestId, quiescent: bool, now: Time, out: &mut Vec<Action>) {
-        let (mode, majority) = (self.cfg.read_mode, self.cfg.majority());
+        let (mode, majority) = (self.cfg.reads.mode, self.cfg.majority());
         let Some(l) = &mut self.reads.lead else {
             return;
         };
@@ -524,7 +598,7 @@ impl Replica {
     /// `force` overrides that skip — used on client retransmissions, where
     /// the leader can no longer assume the per-read confirms ever arrived.
     fn maybe_launch_confirm_round(&mut self, force: bool, out: &mut Vec<Action>) {
-        if !self.cfg.confirm_batching || self.cfg.read_mode != ReadMode::XPaxos {
+        if !self.cfg.reads.confirm_batching || self.cfg.reads.mode != ReadMode::XPaxos {
             return;
         }
         let majority = self.cfg.majority();
@@ -655,7 +729,7 @@ impl Replica {
     /// A heartbeat of the leadership under `ballot` arrived: in lease mode
     /// a follower grants the leader a lease vote by acking it.
     pub(crate) fn grant_lease_vote(&self, ballot: Ballot, hb_seq: u64, out: &mut Vec<Action>) {
-        if self.cfg.read_mode == ReadMode::Lease && ballot >= self.promised && !self.is_leader() {
+        if self.cfg.reads.mode == ReadMode::Lease && ballot >= self.promised && !self.is_leader() {
             out.push(Action::send(
                 Addr::Replica(ballot.proposer),
                 Msg::HeartbeatAck { ballot, hb_seq },
@@ -670,7 +744,7 @@ impl Replica {
     pub(crate) fn handle_heartbeat_ack(&mut self, from: Addr, ballot: Ballot, hb_seq: u64) {
         let Some(pid) = from.as_replica() else { return };
         let majority = self.cfg.majority();
-        let lease_dur = self.cfg.lease_dur.min(self.cfg.suspect_timeout);
+        let lease_dur = ReadPolicy::lease(&self.cfg);
         let Some(l) = self.reads.leading(ballot).filter(|l| l.hb_seq == hb_seq) else {
             return; // stale ack
         };

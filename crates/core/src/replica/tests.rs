@@ -93,9 +93,9 @@ impl Shuttle {
             Addr::Client(_) => self.send(from, actions),
             Addr::Replica(p) => {
                 self.buffer(p, actions);
-                let due = self.replica(p.0).storage_dirty();
+                let due = self.replica(p.0).barrier_due();
                 release(self);
-                let flushed = due && !self.replica(p.0).storage_dirty();
+                let flushed = due && !self.replica(p.0).barrier_due();
                 self.trace_step(if flushed { "flush" } else { "-" });
             }
         }
@@ -286,7 +286,7 @@ impl Wire for Shuttle {
 
     fn transmit(&mut self, outs: &mut Vec<Out>) {
         let from = Addr::Replica(ProcessId(self.stepping as u32));
-        let due = self.replica(self.stepping as u32).storage_dirty();
+        let due = self.replica(self.stepping as u32).barrier_due();
         for out in outs.drain(..) {
             let queued = self.queue.len();
             let tag = out.msg().tag();
@@ -3046,4 +3046,126 @@ fn only_a_plain_write_whose_update_subsumes_it_loses_its_body() {
     // Operation + update + reply: two, two, three, none, two, none and
     // one copy of the op, and the six bytes of "commit" twice.
     assert_eq!(d.payload_bytes(), (10 * n + 2 * 6) as u64);
+}
+
+// ----------------------------------------------------------------------
+// What the persist-before-send check in `Outbox::push` lets through
+// ----------------------------------------------------------------------
+
+/// A follower that promised `b`, crashed and recovered answers a
+/// retransmitted `Prepare(b)` with a `Promise` and writes nothing new:
+/// the promise it answers for is the one it loaded from its disk.
+#[test]
+fn push_allows_a_recovered_follower_to_promise_what_it_loaded() {
+    let cfg = cluster_cfg(3).with_bootstrap_leader(None);
+    let ballot = Ballot::new(1, ProcessId(2));
+    let candidate = Addr::Replica(ProcessId(2));
+    let prepare = || Msg::Prepare {
+        ballot,
+        chosen_prefix: Instance::ZERO,
+        known_above: Vec::new(),
+    };
+    let open = |disk| {
+        Replica::open(
+            ProcessId(1),
+            cfg.clone(),
+            Box::new(NoopApp::new()),
+            disk,
+            7,
+            Time::ZERO,
+        )
+    };
+    let mut r = open(Box::new(MemStorage::new()));
+    r.on_message(candidate, prepare(), Time::ZERO);
+    let mut r = open(r.into_storage());
+    let writes = r.stable.get().write_count();
+    let mut outbox = Outbox::default();
+    for action in r.on_message(candidate, prepare(), Time::ZERO) {
+        if let Action::Send { to, msg } = action {
+            assert!(matches!(msg, Msg::Promise { ballot: b, .. } if b == ballot));
+            outbox.push(Out::One(to, msg), &r);
+        }
+    }
+    assert!(!outbox.is_empty(), "promised");
+    assert_eq!(r.stable.get().write_count(), writes, "nothing new written");
+}
+
+/// A follower that applied an instance answers a retransmitted `Accept`
+/// for it without writing: the acceptance is vacuous, and its record of
+/// accepts no longer holds the instance (the mark pruned it).
+#[test]
+fn push_allows_a_follower_to_reack_below_its_chosen_prefix() {
+    let mut s = Shuttle::new(3, cluster_cfg(3));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    s.submit(&mut c, RequestKind::Write);
+    s.fire(0, TimerKind::Heartbeat);
+    assert_eq!(s.replica(1).chosen_prefix(), Instance(1));
+    let (ballot, decree) = s.replica(0).log().get(Instance(1)).cloned().unwrap();
+    let writes = s.replica(1).stable.get().write_count();
+    let accept = Msg::Accept {
+        ballot,
+        entries: vec![(Instance(1), decree)],
+    };
+    let r1 = s.replicas[1].as_mut().unwrap();
+    let actions = r1.on_message(Addr::Replica(ProcessId(0)), accept, s.now);
+    assert_eq!(s.replica(1).stable.get().write_count(), writes);
+    s.trace.clear();
+    s.enqueue(Addr::Replica(ProcessId(1)), actions);
+    assert_eq!(s.trace, ["r1: | - | accepted"]);
+}
+
+/// A service with no state whose image streams in eight empty chunks, so
+/// a checkpoint stays open across drive cycles.
+struct SlowImage;
+
+impl App for SlowImage {
+    fn execute(
+        &mut self,
+        _req: &crate::request::Request,
+        _ctx: &mut crate::service::ExecCtx<'_>,
+    ) -> (Bytes, crate::command::StateUpdate) {
+        (Bytes::new(), crate::command::StateUpdate::None)
+    }
+    fn apply(&mut self, _req: &crate::request::Request, _update: &crate::command::StateUpdate) {}
+    fn snapshot(&self) -> Bytes {
+        Bytes::new()
+    }
+    fn restore(&mut self, _snap: &[u8]) {}
+    fn snapshot_begin(&mut self, _chunk_bytes: usize) -> usize {
+        8
+    }
+    fn snapshot_chunk(&mut self, _idx: usize) -> Bytes {
+        Bytes::new()
+    }
+}
+
+/// A leader retransmits the `Accept` of a decree it proposed before a
+/// checkpoint truncated the instances below it: truncation leaves the
+/// record of accepts to the chosen-prefix marks, so the leader's own vote
+/// is still on record.
+#[test]
+fn push_allows_a_retransmit_after_a_truncation() {
+    let cfg = cluster_cfg(3).with_checkpoint_every(2);
+    let disks = (0..3)
+        .map(|_| Box::new(MemStorage::new()) as Box<dyn Storage>)
+        .collect();
+    let mut s = Shuttle::serving(cfg, disks, || Box::new(SlowImage));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    s.submit(&mut c, RequestKind::Write);
+    s.submit(&mut c, RequestKind::Write);
+    assert!(
+        s.replica(0).checkpointing(),
+        "instance 2 opened a checkpoint"
+    );
+    let _ = (s.crash(1), s.crash(2));
+    let actions = c.submit_op(RequestKind::Write, Bytes::new(), s.now);
+    assert!(s.try_drive_client(&mut c, actions).is_none(), "no quorum");
+    assert!(s.replica(0).checkpointing(), "instance 3 proposed first");
+    while s.replica(0).checkpointing() {
+        s.fire(0, TimerKind::Heartbeat);
+    }
+    assert_eq!(s.replica(0).log().get(Instance(2)), None, "truncated");
+    s.trace.clear();
+    s.fire(0, TimerKind::Retransmit);
+    assert_eq!(s.trace, ["r0: | - | accept accept"]);
 }

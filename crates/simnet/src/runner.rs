@@ -73,7 +73,7 @@ impl Experiment {
     /// Override the read mode.
     #[must_use]
     pub fn read_mode(mut self, m: ReadMode) -> Experiment {
-        self.cfg.read_mode = m;
+        self.cfg = self.cfg.with_read_mode(m);
         self
     }
 

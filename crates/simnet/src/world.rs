@@ -279,7 +279,7 @@ impl World {
         }
         let mut core = ClientCore::new(id, self.cfg.n, self.opts.client_retry)
             .with_groups(self.n_groups, self.router.clone());
-        if self.cfg.read_mode.is_follower() {
+        if self.cfg.reads.follower_reads() {
             // Geo-aware read routing: bounded-staleness reads go to the
             // replica closest to where this client was just placed.
             let nearest = self.opts.topology.nearest_replica(id);

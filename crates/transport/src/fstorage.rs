@@ -1240,6 +1240,106 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// The groups of a node on one shared log: a cycle that delivers an
+    /// `Accept` to every group pays one sync, and the next cycle, which
+    /// only commits (a `Chosen` to every group, and one stale `Prepare`
+    /// so that something is sent), pays none — the chosen-prefix marks
+    /// ride the next decree's barrier. Every group that wrote an
+    /// acknowledgeable record is flushed in the release that covers it;
+    /// one that found the log already synced by another group and kept
+    /// its flag would make a barrier due on the marks alone.
+    #[test]
+    fn a_commit_only_cycle_on_a_multi_group_node_syncs_nothing() {
+        use gridpaxos_core::config::Config;
+        use gridpaxos_core::msg::Msg;
+        use gridpaxos_core::outbox::{release, Out, Outbox, Wire};
+        use gridpaxos_core::prelude::{Action, Addr, NoopApp, Replica, Time};
+
+        struct Node {
+            cores: Vec<Replica>,
+            outbox: Outbox,
+        }
+        impl Wire for Node {
+            fn cores(&mut self) -> &mut [Replica] {
+                &mut self.cores
+            }
+            fn outbox(&mut self) -> &mut Outbox {
+                &mut self.outbox
+            }
+            fn transmit(&mut self, outs: &mut Vec<Out>) {
+                outs.clear();
+            }
+        }
+        impl Node {
+            fn deliver(&mut self, g: usize, msg: Msg) {
+                let leader = Addr::Replica(ProcessId(0));
+                for action in self.cores[g].on_message(leader, msg, Time::ZERO) {
+                    let out = match action {
+                        Action::Send { to, msg } => Out::One(to, msg),
+                        Action::ToAllReplicas { msg } => Out::All(msg),
+                        Action::SetTimer { .. } | Action::CancelTimer { .. } => continue,
+                    };
+                    self.outbox.push(out, &self.cores[g]);
+                }
+            }
+        }
+
+        const DECREES: u64 = 4;
+        for groups in [1, 2, 4] {
+            let dir = tmpdir(&format!("commit-only-{groups}"));
+            let coord = FlushCoordinator::open(&dir, SyncMode::Batched, groups).unwrap();
+            let cores = (0..groups)
+                .map(|g| {
+                    let disk = Box::new(coord.storage(g));
+                    let app = Box::new(NoopApp::new());
+                    Replica::new(ProcessId(1), Config::cluster(3), app, disk, 7, Time::ZERO)
+                })
+                .collect();
+            let mut node = Node {
+                cores,
+                outbox: Outbox::default(),
+            };
+            let mut syncs = Vec::new();
+            for i in (1..=DECREES).map(Instance) {
+                for g in 0..groups {
+                    let entries = vec![(i, Decree::noop())];
+                    node.deliver(
+                        g,
+                        Msg::Accept {
+                            ballot: ballot(1),
+                            entries,
+                        },
+                    );
+                }
+                release(&mut node);
+                syncs.push(coord.syncs());
+                for g in 0..groups {
+                    node.deliver(
+                        g,
+                        Msg::Chosen {
+                            ballot: ballot(1),
+                            upto: i,
+                        },
+                    );
+                }
+                let stale = Msg::Prepare {
+                    ballot: ballot(0),
+                    chosen_prefix: Instance::ZERO,
+                    known_above: Vec::new(),
+                };
+                node.deliver(0, stale);
+                release(&mut node);
+                syncs.push(coord.syncs());
+            }
+            let one_per_decree: Vec<u64> = (1..=DECREES).flat_map(|d| [d, d]).collect();
+            assert_eq!(
+                syncs, one_per_decree,
+                "{groups} groups: syncs after each cycle"
+            );
+            fs::remove_dir_all(dir).ok();
+        }
+    }
+
     #[test]
     fn shared_wal_compaction_retains_every_group() {
         let dir = tmpdir("shared-compact");
