@@ -196,6 +196,8 @@ pub struct Cluster {
     /// Seeded mutation: replicas whose clock stands at the first time
     /// until the global clock reaches the second.
     chaos_stopped: Vec<Option<(Time, Time)>>,
+    /// Seeded mutation: every promise leaves naming chosen prefix 0.
+    chaos_hidden_prefix: bool,
     /// The sends of the step in progress (empty between steps).
     outbox: Outbox,
     /// The replica taking it.
@@ -241,6 +243,7 @@ impl Cluster {
             chaos_accepted_ahead: false,
             chaos_inflated: vec![false; n],
             chaos_stopped: vec![None; n],
+            chaos_hidden_prefix: false,
             outbox: Outbox::default(),
             stepping: ProcessId(0),
             step_actions: VecDeque::new(),
@@ -892,6 +895,14 @@ impl Cluster {
         self.replicas[i].is_some()
     }
 
+    /// Seeded mutation of the wire: from now on every promise leaves
+    /// naming chosen prefix 0, so a candidate behind its majority leads at
+    /// once instead of pulling up to the promisers' prefix first, and
+    /// proposes over chosen decrees (the agreement invariant must fire).
+    pub fn chaos_hide_promised_prefix(&mut self) {
+        self.chaos_hidden_prefix = true;
+    }
+
     /// Index of the pending timer event for (`on`, `kind`), if one exists
     /// (orchestrated self-tests; feed the index to [`Choice::Fire`]).
     #[must_use]
@@ -928,7 +939,13 @@ impl Wire for Cluster {
             self.arm_timers();
             self.step_actions.pop_front();
             match out {
-                Out::One(Addr::Replica(p), msg) => self.push_msg(Addr::Replica(from), p, msg),
+                Out::One(Addr::Replica(p), mut msg) => {
+                    let hide = self.chaos_hidden_prefix;
+                    if let (true, Msg::Promise { chosen_prefix, .. }) = (hide, &mut msg) {
+                        *chosen_prefix = Instance::ZERO;
+                    }
+                    self.push_msg(Addr::Replica(from), p, msg);
+                }
                 Out::One(Addr::Client(_), mut msg) => {
                     self.inflate_read_watermark(&mut msg);
                     self.observe_reply(&msg);

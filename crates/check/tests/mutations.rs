@@ -319,11 +319,41 @@ fn stretched_lease_trips_linearizability() {
     assert!(v.contains("linearizability"), "unexpected violation: {v}");
 }
 
+/// The late-catch-up scenario: write-read-lossy with three writes.
+fn late_catchup_cluster() -> Cluster {
+    Cluster::new(&Scenario {
+        name: "late-catchup",
+        script: vec![ClientOp::Write(0), ClientOp::Write(1), ClientOp::Write(2)],
+        ..scenario("write-read-lossy")
+    })
+}
+
+/// Leader 0 chooses `Write(0)` with 1's vote; 2 learns `Chosen` without
+/// the decree and asks 0 for it, and that request stays in the network.
+/// Then 2 campaigns and 1 promises: 2 holds a majority at prefix 0, and
+/// 1's promise names prefix 1.
+fn behind_candidate_with_a_majority(cl: &mut Cluster) {
+    let step = |v: Option<String>| assert_eq!(v, None);
+    assert_eq!(establish_leader(cl), 0);
+    step(inject(cl));
+    step(deliver_to(cl, 1, |m| matches!(m, Msg::Accept { .. })));
+    step(deliver_to(cl, 0, |m| matches!(m, Msg::Accepted { .. })));
+    step(deliver_to(cl, 1, |m| matches!(m, Msg::Chosen { .. })));
+    step(deliver_to(cl, 2, |m| matches!(m, Msg::Chosen { .. })));
+    assert!(cl
+        .pending_msg(0, |m| matches!(m, Msg::CatchUpReq { .. }))
+        .is_some());
+    step(fire(cl, 2, TimerKind::LeaderCheck));
+    step(deliver_to(cl, 1, |m| matches!(m, Msg::Prepare { .. })));
+    step(deliver_to(cl, 2, |m| matches!(m, Msg::Promise { .. })));
+}
+
 /// Directed walk to the schedule behind ROADMAP P0: a `CatchUp` from a
 /// newer leadership reaches a replica that still leads under an older
 /// ballot with a write executed ahead of consensus. Replica 2 asks
-/// leader 0 for instance 1 and the request lingers; 2 then leads ballot
-/// (2,2) and executes `Write(1)` at instance 2, its `Accept` lost; 0
+/// leader 0 for instance 1 and the request lingers; 2 then campaigns
+/// for ballot (2,2), pulls instance 1 from its promiser 1 before it
+/// leads, and executes `Write(1)` at instance 2, its `Accept` lost; 0
 /// leads again under (3,0) — its `Prepare` to 2 lost — and chooses
 /// `Write(2)` for instance 2; only now does 0 answer the old request.
 /// Replica 2 must be deposed before it records or applies anything: at
@@ -331,30 +361,16 @@ fn stretched_lease_trips_linearizability() {
 /// own abandoned execution's (bits 0 and 1).
 #[test]
 fn late_catchup_from_a_newer_leadership_keeps_agreement() {
-    let mut cl = Cluster::new(&Scenario {
-        name: "late-catchup",
-        script: vec![ClientOp::Write(0), ClientOp::Write(1), ClientOp::Write(2)],
-        ..scenario("write-read-lossy")
-    });
+    let mut cl = late_catchup_cluster();
     let step = |v: Option<String>| assert_eq!(v, None);
-    assert_eq!(establish_leader(&mut cl), 0);
-    // Write(0) is chosen with 1's vote and applied there; 2 learns
-    // `Chosen` without the decree and asks 0 for it. The request stays
-    // in the network.
-    step(inject(&mut cl));
-    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Accept { .. })));
-    step(deliver_to(&mut cl, 0, |m| {
-        matches!(m, Msg::Accepted { .. })
-    }));
-    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Chosen { .. })));
-    step(deliver_to(&mut cl, 2, |m| matches!(m, Msg::Chosen { .. })));
     let lingering = |m: &Msg| matches!(m, Msg::CatchUpReq { .. });
-    assert!(cl.pending_msg(0, lingering).is_some());
-    // 2 takes over with 1's promise (and 1's snapshot of instance 1) and
+    behind_candidate_with_a_majority(&mut cl);
+    // 2 is behind 1's prefix: it pulls instance 1 from 1, then leads and
     // executes Write(1) at instance 2; nobody receives that Accept.
-    step(fire(&mut cl, 2, TimerKind::LeaderCheck));
-    step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Prepare { .. })));
-    step(deliver_to(&mut cl, 2, |m| matches!(m, Msg::Promise { .. })));
+    assert!(!cl.replica(2).expect("live").is_leader(), "not below P");
+    step(deliver_to(&mut cl, 1, lingering));
+    step(deliver_to(&mut cl, 2, |m| matches!(m, Msg::CatchUp { .. })));
+    assert_eq!(cl.replica(2).expect("live").chosen_prefix(), Instance(1));
     step(cl.inject_to(2));
     let r2 = cl.replica(2).expect("live");
     assert!(r2.is_leader() && r2.checker_view().tentative_exec);
@@ -393,6 +409,30 @@ fn late_catchup_from_a_newer_leadership_keeps_agreement() {
     assert!(!r2.is_leader(), "deposed by the catch-up's ballot");
     assert_eq!(r2.promised(), r0.promised());
     assert_eq!(r2.service_snapshot(), r0.service_snapshot());
+}
+
+/// Seeded mutation: the walk above with promises that hide their
+/// prefix. Replica 2, at prefix 0, leads at its majority below P = 1
+/// instead of pulling: its takeover leaves instance 1 open, `Write(1)`
+/// goes there, and 1 acknowledges the `Accept` vacuously — 1 chose
+/// `Write(0)` there. The agreement invariant must fire.
+#[test]
+fn leading_below_the_promisers_prefix_trips_agreement() {
+    let mut cl = late_catchup_cluster();
+    cl.chaos_hide_promised_prefix();
+    behind_candidate_with_a_majority(&mut cl);
+    let r2 = cl.replica(2).expect("live");
+    assert!(r2.is_leader(), "led at its majority");
+    assert_eq!(r2.chosen_prefix(), Instance(0), "below P");
+    assert_eq!(cl.inject_to(2), None); // Write(1)
+    assert_eq!(
+        deliver_to(&mut cl, 1, |m| matches!(m, Msg::Accept { .. })),
+        None
+    );
+    let v = deliver_to(&mut cl, 2, |m| matches!(m, Msg::Accepted { .. }))
+        .or_else(|| check_state(&cl))
+        .expect("leading below P must be caught");
+    assert!(v.contains("agreement"), "unexpected violation: {v}");
 }
 
 /// Apply the first available choice matching `pick`.

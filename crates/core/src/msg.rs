@@ -4,7 +4,7 @@
 //! real TCP transport ship `Msg` values end to end.
 
 use crate::ballot::Ballot;
-use crate::command::{AcceptedEntry, Decree, SnapshotBlob};
+use crate::command::{AcceptedEntry, Decree, DedupEntry};
 use crate::request::{Reply, Request, RequestId};
 use crate::types::{GroupId, Instance};
 
@@ -37,16 +37,13 @@ pub enum Msg {
     Promise {
         /// The ballot being promised.
         ballot: Ballot,
-        /// The promiser's own contiguous chosen prefix.
+        /// The promiser's own contiguous chosen prefix: a candidate behind
+        /// the highest of its majority pulls up to it by catch-up before it
+        /// leads. A promise carries no state.
         chosen_prefix: Instance,
-        /// Accepted entries the candidate may be missing (only for
-        /// instances not covered by `snapshot` and not known chosen by the
-        /// candidate).
+        /// Accepted entries above both prefixes that the candidate does not
+        /// already know chosen.
         accepted: Vec<AcceptedEntry>,
-        /// If the promiser's chosen prefix is ahead of the candidate's, its
-        /// full state so the candidate can catch up — the paper's "it sends
-        /// the leader ... the state of the latest proposal it knows".
-        snapshot: Option<SnapshotBlob>,
     },
     /// Negative answer: the receiver already promised a higher ballot.
     /// Tells the candidate to back off (and who outbid it).
@@ -156,41 +153,26 @@ pub enum Msg {
     },
 
     // ----- catch-up / state transfer ---------------------------------------
-    /// A lagging replica asks the leader for everything after `have`.
+    /// A replica that is behind — a follower, or a candidate behind its
+    /// promisers — asks one that is ahead for what follows `have`.
     CatchUpReq {
         /// The requester's contiguous chosen prefix.
         have: Instance,
+        /// The image being assembled and the first piece it lacks, as
+        /// `(upto, piece)`: a server holding that image resumes there.
+        resume: Option<(Instance, u32)>,
     },
-    /// Catch-up payload: missing chosen decrees from the leader's log, at
-    /// most [`crate::log::LOG_BYTES_FLOOR`] of them per message. Where the
-    /// log no longer reaches back to the requester, it follows the
-    /// [`Msg::CatchUpChunk`]s of the image that replaced the log, and
-    /// carries the log above that image.
+    /// The one reply to a [`Msg::CatchUpReq`]: image pieces where the
+    /// server's log no longer reaches back to the requester, then chosen
+    /// decrees. They share one budget of [`crate::log::LOG_BYTES_FLOOR`]
+    /// payload bytes, which the last piece or decree may pass.
     CatchUp {
-        /// Leader's ballot.
+        /// The server's promised ballot.
         ballot: Ballot,
+        /// Consecutive pieces of the server's stored image.
+        image: Option<ImageRun>,
         /// Missing chosen decrees, ordered by instance.
         entries: Vec<(Instance, Decree)>,
-    },
-    /// One chunk of a snapshot transfer: the leader streams the chunks of
-    /// its stored image — its own latest checkpoint, or the image it
-    /// installed from a peer — to a replica its log no longer reaches.
-    /// The receiver reassembles `total` chunks (matched by `upto`),
-    /// installs the result and stores the chunks as its own image. Chunk 0
-    /// carries the snapshot's dedup table; the rest leave it empty.
-    CatchUpChunk {
-        /// Leader's ballot.
-        ballot: Ballot,
-        /// Snapshot coverage: state reflects every instance `<= upto`.
-        upto: Instance,
-        /// This chunk's index, `0..total`.
-        seq: u32,
-        /// Total chunks in the transfer.
-        total: u32,
-        /// Snapshot dedup table (chunk 0 only; empty otherwise).
-        dedup: Vec<crate::command::DedupEntry>,
-        /// Raw snapshot bytes: chunk `seq` of the canonical encoding.
-        data: bytes::Bytes,
     },
 
     // ----- multi-group sharding (extension) --------------------------------
@@ -204,6 +186,33 @@ pub enum Msg {
         /// The protocol message, unchanged.
         inner: Box<Msg>,
     },
+}
+
+/// Consecutive pieces of a stored image, each a slice of at most
+/// `checkpoint_chunk_bytes` of one stored chunk, whatever the service's
+/// chunking. The requester stores the pieces as the image's chunks.
+#[derive(Clone, PartialEq, Hash, Debug)]
+pub struct ImageRun {
+    /// The image reflects every instance `<= upto`.
+    pub upto: Instance,
+    /// Pieces in the whole image.
+    pub total: u32,
+    /// Index of `pieces[0]` within the image.
+    pub first: u32,
+    /// The image's dedup table when `first` is 0; empty otherwise.
+    pub dedup: Vec<DedupEntry>,
+    /// The pieces, in order.
+    pub pieces: Vec<bytes::Bytes>,
+}
+
+impl ImageRun {
+    /// Payload bytes: the pieces, and the replies the dedup table holds.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        let replies = self.dedup.iter().filter_map(|e| e.reply.payload());
+        let pieces = self.pieces.iter();
+        replies.chain(pieces).map(|b| b.len()).sum()
+    }
 }
 
 impl Msg {
@@ -227,7 +236,6 @@ impl Msg {
             Msg::HeartbeatAck { .. } => "heartbeat_ack",
             Msg::CatchUpReq { .. } => "catchup_req",
             Msg::CatchUp { .. } => "catchup",
-            Msg::CatchUpChunk { .. } => "catchup_chunk",
             // The envelope is transparent for tracing: what matters is the
             // protocol message it carries.
             Msg::Grouped { inner, .. } => inner.tag(),
@@ -255,8 +263,7 @@ impl Msg {
             | Msg::Heartbeat { .. }
             | Msg::HeartbeatAck { .. }
             | Msg::CatchUpReq { .. }
-            | Msg::CatchUp { .. }
-            | Msg::CatchUpChunk { .. } => true,
+            | Msg::CatchUp { .. } => true,
         }
     }
 
@@ -297,8 +304,7 @@ impl Msg {
             | Msg::Heartbeat { .. }
             | Msg::HeartbeatAck { .. }
             | Msg::CatchUpReq { .. }
-            | Msg::CatchUp { .. }
-            | Msg::CatchUpChunk { .. } => false,
+            | Msg::CatchUp { .. } => false,
         }
     }
 
@@ -344,25 +350,16 @@ impl Msg {
                 })
                 .sum::<usize>()
         }
-        fn snapshot_len(s: &Option<SnapshotBlob>) -> usize {
-            match s {
-                None => 1,
-                Some(s) => 13 + s.app.len() + s.dedup.len() * 34,
-            }
-        }
         HDR + match self {
             Msg::Request(r) => req_len(r),
             // id (13) + leader (4) + watermark (8) + body.
             Msg::Reply(r) => 28 + reply_body_len(&r.body),
             Msg::Prepare { known_above, .. } => 20 + 4 + known_above.len() * 8,
-            Msg::Promise {
-                accepted, snapshot, ..
-            } => {
+            Msg::Promise { accepted, .. } => {
                 24 + accepted
                     .iter()
                     .map(|e| 20 + decree_len(&e.decree))
                     .sum::<usize>()
-                    + snapshot_len(snapshot)
             }
             Msg::PrepareNack { .. } | Msg::AcceptNack { .. } => 24,
             Msg::Accept { entries, .. } => {
@@ -380,15 +377,18 @@ impl Msg {
             Msg::ConfirmReq { .. } => 21,
             Msg::ConfirmBatch { .. } => 20,
             Msg::CatchUpReq { .. } => 8,
-            // ballot (12) + entry count (4) + entries.
-            Msg::CatchUp { entries, .. } => {
-                16 + entries
-                    .iter()
-                    .map(|(_, d)| 8 + decree_len(d))
-                    .sum::<usize>()
+            // ballot (12) + entry count (4) + entries, and an image run's
+            // upto (8), total/first (8), dedup and length-prefixed pieces.
+            Msg::CatchUp { image, entries, .. } => {
+                let run = image.as_ref().map_or(0, |r| {
+                    28 + r.dedup.len() * 34 + 4 * r.pieces.len() + r.bytes()
+                });
+                16 + run
+                    + entries
+                        .iter()
+                        .map(|(_, d)| 8 + decree_len(d))
+                        .sum::<usize>()
             }
-            // ballot (12) + upto (8) + seq/total (8) + dedup + data.
-            Msg::CatchUpChunk { dedup, data, .. } => 28 + dedup.len() * 34 + 4 + data.len(),
             // The envelope adds its group id on top of the inner message's
             // own length (whose HDR already covers the frame).
             Msg::Grouped { inner, .. } => 4 + inner.approx_wire_len() - HDR,
@@ -498,7 +498,6 @@ mod tests {
                 ballot: b,
                 chosen_prefix: i,
                 accepted: Vec::new(),
-                snapshot: None,
             },
             Msg::PrepareNack {
                 ballot: b,
@@ -539,22 +538,21 @@ mod tests {
                 ballot: b,
                 hb_seq: 0,
             },
-            Msg::CatchUpReq { have: i },
+            Msg::CatchUpReq {
+                have: i,
+                resume: None,
+            },
             Msg::CatchUp {
                 ballot: b,
+                image: None,
                 entries: Vec::new(),
-            },
-            Msg::CatchUpChunk {
-                ballot: b,
-                upto: i,
-                seq: 0,
-                total: 1,
-                dedup: Vec::new(),
-                data: Bytes::new(),
             },
             Msg::Grouped {
                 group: GroupId(1),
-                inner: Box::new(Msg::CatchUpReq { have: i }),
+                inner: Box::new(Msg::CatchUpReq {
+                    have: i,
+                    resume: None,
+                }),
             },
         ];
         let variant = |m: &Msg| match m {
@@ -574,11 +572,10 @@ mod tests {
             Msg::HeartbeatAck { .. } => 13,
             Msg::CatchUpReq { .. } => 14,
             Msg::CatchUp { .. } => 15,
-            Msg::CatchUpChunk { .. } => 16,
-            Msg::Grouped { .. } => 17,
+            Msg::Grouped { .. } => 16,
         };
         let sampled: Vec<usize> = samples.iter().map(variant).collect();
-        assert_eq!(sampled, (0..=17).collect::<Vec<_>>(), "one of each");
+        assert_eq!(sampled, (0..=16).collect::<Vec<_>>(), "one of each");
         for msg in samples {
             let accept = matches!(msg, Msg::Accept { .. });
             assert_eq!(msg.precedes_barrier(), accept, "{msg:?}");

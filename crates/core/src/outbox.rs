@@ -426,7 +426,6 @@ mod tests {
             ballot: Ballot::new(2, ProcessId(2)),
             chosen_prefix: Instance::ZERO,
             accepted: Vec::new(),
-            snapshot: None,
         };
         Outbox::default().push(Out::One(Addr::Replica(ProcessId(2)), promise), &core);
     }

@@ -1,11 +1,13 @@
 //! Candidate-role logic: the prepare phase as leader election, and the
 //! takeover computation a fresh leader runs (§3.3's recovery narrative).
+//! A candidate whose majority knows more chosen than it does pulls that
+//! state by catch-up, as a lagging follower does, before it leads.
 
 use super::leader::LeaderState;
 use super::{Replica, Role};
 use crate::action::{Action, TimerKind};
 use crate::ballot::Ballot;
-use crate::command::{AcceptedEntry, Decree, SnapshotBlob};
+use crate::command::{AcceptedEntry, Decree};
 use crate::msg::Msg;
 use crate::types::{Addr, Instance, ProcessId, Time};
 use std::collections::{BTreeMap, HashMap};
@@ -13,8 +15,8 @@ use std::collections::{BTreeMap, HashMap};
 /// One received promise, retained until the election resolves.
 #[derive(Debug)]
 pub(crate) struct PromiseInfo {
+    pub chosen_prefix: Instance,
     pub accepted: Vec<AcceptedEntry>,
-    pub snapshot: Option<SnapshotBlob>,
 }
 
 /// State of an election in progress.
@@ -25,6 +27,8 @@ pub struct CandidateState {
     /// When this attempt started (reported in traces).
     pub started: Time,
     pub(crate) promises: HashMap<ProcessId, PromiseInfo>,
+    /// A catch-up request toward the highest promiser prefix is out.
+    pub(crate) pulling: bool,
 }
 
 impl Replica {
@@ -47,6 +51,7 @@ impl Replica {
             ballot,
             started: now,
             promises: HashMap::new(),
+            pulling: false,
         });
 
         // One prepare covers every open instance (§3.3): we state what we
@@ -60,41 +65,57 @@ impl Replica {
         out.push(Action::timer(TimerKind::Election, retry_after));
 
         // A singleton group: our own (implicit) promise is a majority.
-        if self.cfg.majority() == 1 {
-            self.become_leader(now, out);
-        }
+        self.lead_or_pull(now, out);
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the Promise message fields
     pub(crate) fn handle_promise(
         &mut self,
         from: Addr,
         ballot: Ballot,
         chosen_prefix: Instance,
         accepted: Vec<AcceptedEntry>,
-        snapshot: Option<SnapshotBlob>,
         now: Time,
         out: &mut Vec<Action>,
     ) {
         let Some(pid) = from.as_replica() else { return };
-        let majority = self.cfg.majority();
-        let won = {
-            let Role::Candidate(c) = &mut self.role else {
-                return; // stale promise (election already resolved)
-            };
-            if c.ballot != ballot {
-                return;
-            }
-            // An honest promiser's snapshot covers exactly its prefix; the
-            // takeover logic below only relies on `snapshot.upto`, so no
-            // assertion is needed here.
-            let _ = chosen_prefix;
-            c.promises.insert(pid, PromiseInfo { accepted, snapshot });
-            // +1 for our own implicit promise.
-            c.promises.len() + 1 >= majority
+        let Role::Candidate(c) = &mut self.role else {
+            return; // stale promise (election already resolved)
         };
-        if won {
-            self.become_leader(now, out);
+        if c.ballot != ballot {
+            return;
+        }
+        let info = PromiseInfo {
+            chosen_prefix,
+            accepted,
+        };
+        c.promises.insert(pid, info);
+        self.lead_or_pull(now, out);
+    }
+
+    /// With a majority of promises, lead once our chosen prefix reaches P,
+    /// the highest promiser's; below P, ask that promiser for catch-up,
+    /// one request at a time — a leader below P would fill (prefix, P]
+    /// with no-ops over chosen decrees. Each request re-arms the election
+    /// timer, so a pull that moves does not restart the election.
+    pub(crate) fn lead_or_pull(&mut self, now: Time, out: &mut Vec<Action>) {
+        let prefix = self.log.chosen_prefix();
+        let Role::Candidate(c) = &mut self.role else {
+            return;
+        };
+        // +1 for our own implicit promise.
+        if c.promises.len() + 1 < self.cfg.majority() {
+            return;
+        }
+        let ahead = c.promises.iter().map(|(p, i)| (i.chosen_prefix, *p)).max();
+        match ahead {
+            Some((p, from)) if p > prefix => {
+                if !std::mem::replace(&mut c.pulling, true) {
+                    self.request_catchup(Addr::Replica(from), now, out);
+                    let retry_after = self.pacer.backoff(&mut self.rng);
+                    out.push(Action::timer(TimerKind::Election, retry_after));
+                }
+            }
+            Some(_) | None => self.become_leader(now, out),
         }
     }
 
@@ -128,8 +149,8 @@ impl Replica {
         }
     }
 
-    /// We hold promises from a majority: compute the takeover and switch to
-    /// leading.
+    /// We hold promises from a majority and are at the highest promiser's
+    /// prefix: compute the takeover and switch to leading.
     fn become_leader(&mut self, now: Time, out: &mut Vec<Action>) {
         let (ballot, promises) = {
             let Role::Candidate(c) = std::mem::replace(&mut self.role, Role::Follower) else {
@@ -143,23 +164,11 @@ impl Replica {
             kind: TimerKind::Election,
         });
 
-        // 1. If any promiser's chosen prefix is ahead of ours, adopt the
-        //    most advanced snapshot — "the replicas are only interested in
-        //    the latest state" (§3.3).
-        let best = promises
-            .values()
-            .filter_map(|p| p.snapshot.as_ref())
-            .max_by_key(|s| s.upto);
-        if let Some(snap) = best {
-            if snap.upto > self.log.chosen_prefix() {
-                let snap = snap.clone();
-                let chunks = super::cut(&snap.app, self.cfg.checkpoint_chunk_bytes);
-                self.install_snapshot(&snap, chunks);
-            }
-        }
+        // Our prefix is at least every promiser's ([`Replica::lead_or_pull`]):
+        // "the replicas are only interested in the latest state" (§3.3).
         let prefix = self.log.chosen_prefix();
 
-        // 2. Merge accepted entries: ours plus every promiser's, keeping
+        // 1. Merge accepted entries: ours plus every promiser's, keeping
         //    the highest-ballot decree per instance (the Paxos rule: a new
         //    proposal must be consistent with the existing ones of the
         //    highest ballot).
@@ -180,7 +189,7 @@ impl Replica {
             }
         }
 
-        // 3. Close the gaps: instances in (prefix, max] with no surviving
+        // 2. Close the gaps: instances in (prefix, max] with no surviving
         //    proposal anywhere in our majority cannot have been chosen —
         //    fill them with no-ops.
         let max = merged.keys().next_back().copied().unwrap_or(prefix);
@@ -202,7 +211,7 @@ impl Replica {
         });
         self.reads.leadership_began(ballot, now);
 
-        // 4. Re-propose the batch under our ballot with a single accept
+        // 3. Re-propose the batch under our ballot with a single accept
         //    message, then start heartbeating.
         self.install_recovery_batch(batch, now, out);
         out.push(Action::broadcast(Msg::Heartbeat {

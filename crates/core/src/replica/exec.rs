@@ -383,21 +383,8 @@ impl Executor {
         table
     }
 
-    /// State and dedup table of the chosen prefix, which the caller says
-    /// is `upto`: a promise's snapshot. A replica that promises does not
-    /// lead — `defer_to` stepped it down, closing its window — so no
-    /// execution ahead of consensus is in the state.
-    pub(crate) fn snapshot(&self, upto: Instance) -> SnapshotBlob {
-        debug_assert!(self.window.is_none(), "a snapshot beside an open window");
-        SnapshotBlob {
-            upto,
-            app: self.state(),
-            dedup: self.dedup_table(),
-        }
-    }
-
-    /// Replace everything with `snap` (a checkpoint at recovery, a
-    /// promise's or a catch-up's snapshot). The incoming state obliterates
+    /// Replace everything with `snap` (a checkpoint at recovery, or an
+    /// image a catch-up assembled). The incoming state obliterates
     /// the local one, so an open window is abandoned and a freeze thawed
     /// first: `restore` sees a quiesced app. Returns whether a freeze was
     /// in flight — its half-written checkpoint is the caller's to abort.

@@ -32,10 +32,11 @@ use stable::Stable;
 
 use crate::action::{Action, TimerKind};
 use crate::ballot::Ballot;
-use crate::command::{Decree, DedupEntry, SnapshotBlob};
+use crate::command::{Decree, SnapshotBlob};
 use crate::config::Config;
 use crate::election::{ElectionPacer, FailureDetector};
 use crate::log::{ReplicaLog, LOG_BYTES_FLOOR};
+use crate::msg::ImageRun;
 use crate::msg::Msg;
 use crate::request::Reply;
 use crate::service::App;
@@ -164,17 +165,8 @@ pub struct ReplicaStats {
     pub follower_read_rejects: u64,
 }
 
-/// Reassembly buffer for a chunked snapshot transfer
-/// ([`Msg::CatchUpChunk`]). Keyed by `upto`: chunks for a different
-/// snapshot reset the buffer (the newer transfer supersedes).
-struct CatchUpBuf {
-    upto: Instance,
-    dedup: Vec<DedupEntry>,
-    chunks: Vec<Option<bytes::Bytes>>,
-}
-
 /// `app` in pieces of at most `size` bytes, sliced, not copied. At least
-/// one piece, so an empty image still streams.
+/// one piece, so an empty chunk still streams.
 fn cut(app: &bytes::Bytes, size: usize) -> Vec<bytes::Bytes> {
     let n = app.len().div_ceil(size).max(1);
     let end = |i: usize| app.len().min((i + 1) * size);
@@ -199,8 +191,10 @@ pub struct Replica {
     pub(crate) fd: FailureDetector,
     pub(crate) pacer: ElectionPacer,
     pub(crate) role: Role,
-    /// Chunked catch-up reassembly buffer.
-    catchup_buf: Option<CatchUpBuf>,
+    /// The image a catch-up is assembling ([`ImageRun`]): the pieces that
+    /// arrived, in order, as the chunks it will be stored in, and how many
+    /// pieces the whole image has.
+    pull: Option<(ChunkedCheckpoint, u32)>,
     /// Drive-loop clock: the `now` of the most recent entry point. Only
     /// used for observability (checkpoint durations) — never for protocol
     /// decisions — and excluded from [`Replica::fingerprint`].
@@ -245,7 +239,7 @@ impl Replica {
             fd: FailureDetector::new(cfg.suspect_timeout, now),
             pacer: ElectionPacer::new(cfg.election_backoff, id.0),
             role: Role::Follower,
-            catchup_buf: None,
+            pull: None,
             clock: now,
             catchup_requested_at: None,
             reads: Reads::default(),
@@ -518,11 +512,9 @@ impl Replica {
         self.reads.fingerprint(&mut h);
         // Service state, dedup table, tentative window, checkpoint freeze.
         self.exec.fingerprint(&mut h);
-        // Chunked catch-up progress.
-        if let Some(buf) = &self.catchup_buf {
-            buf.upto.hash(&mut h);
-            buf.dedup.hash(&mut h);
-            buf.chunks.hash(&mut h);
+        // Image catch-up progress.
+        if let Some((ck, total)) = &self.pull {
+            (ck.upto, &ck.dedup, &ck.chunks, total).hash(&mut h);
         }
         self.fd.leader_ballot().hash(&mut h);
         // Log: prefix, retained entries, out-of-order chosen marks.
@@ -536,13 +528,11 @@ impl Replica {
             Role::Follower => 0u8.hash(&mut h),
             Role::Candidate(c) => {
                 1u8.hash(&mut h);
-                c.ballot.hash(&mut h);
+                (c.ballot, c.pulling).hash(&mut h);
                 let mut promises: Vec<_> = c.promises.iter().collect();
                 promises.sort_unstable_by_key(|(p, _)| **p);
                 for (p, info) in promises {
-                    p.hash(&mut h);
-                    info.accepted.hash(&mut h);
-                    info.snapshot.hash(&mut h);
+                    (p, info.chosen_prefix, &info.accepted).hash(&mut h);
                 }
             }
             Role::Leader(l) => {
@@ -620,16 +610,7 @@ impl Replica {
                 ballot,
                 chosen_prefix,
                 accepted,
-                snapshot,
-            } => self.handle_promise(
-                from,
-                ballot,
-                chosen_prefix,
-                accepted,
-                snapshot,
-                now,
-                &mut out,
-            ),
+            } => self.handle_promise(from, ballot, chosen_prefix, accepted, now, &mut out),
             Msg::PrepareNack { ballot, promised } => {
                 self.handle_prepare_nack(ballot, promised, now, &mut out)
             }
@@ -664,16 +645,14 @@ impl Replica {
                 self.grant_lease_vote(ballot, hb_seq, &mut out);
             }
             Msg::HeartbeatAck { ballot, hb_seq } => self.handle_heartbeat_ack(from, ballot, hb_seq),
-            Msg::CatchUpReq { have } => self.handle_catchup_req(from, have, &mut out),
-            Msg::CatchUp { ballot, entries } => self.handle_catchup(ballot, entries, now, &mut out),
-            Msg::CatchUpChunk {
+            Msg::CatchUpReq { have, resume } => {
+                self.handle_catchup_req(from, have, resume, &mut out)
+            }
+            Msg::CatchUp {
                 ballot,
-                upto,
-                seq,
-                total,
-                dedup,
-                data,
-            } => self.handle_catchup_chunk(ballot, upto, seq, total, dedup, data, now, &mut out),
+                image,
+                entries,
+            } => self.handle_catchup(from, ballot, image, entries, now, &mut out),
             Msg::Reply(_) => {} // replicas never receive replies
             // A bare replica is a single-group deployment; the envelope can
             // only mean group 0, so unwrap it. Multi-group routing happens
@@ -736,9 +715,10 @@ impl Replica {
         }
     }
 
-    /// The one rule for a message a leader (or candidate) sent under
-    /// `ballot`: `Prepare`, `Accept`, `Chosen`/`Heartbeat`, `ConfirmReq`,
-    /// `CatchUp`, `CatchUpChunk`. Below our promise it is stale (`false`).
+    /// The one rule for a message sent under `ballot`: a leader's (or
+    /// candidate's) `Prepare`, `Accept`, `Chosen`/`Heartbeat`,
+    /// `ConfirmReq`, and any server's `CatchUp`, sent under the ballot it
+    /// promised. Below our promise it is stale (`false`).
     /// Otherwise we yield before the handler records, installs or applies
     /// anything: step down if we lead or campaign under a lower ballot,
     /// adopt a higher one as our promise — a leadership whose prepare we
@@ -780,9 +760,9 @@ impl Replica {
             ));
             return;
         }
+        // A candidate behind `my_prefix` pulls the state below it by
+        // catch-up; the promise names the prefix and carries no state.
         let my_prefix = self.log.chosen_prefix();
-        // (No window is open here: a replica that promises does not lead.)
-        let snapshot = (my_prefix > cand_prefix).then(|| self.exec.snapshot(my_prefix));
         let floor = my_prefix.max(cand_prefix);
         let accepted = self.log.entries_above(floor, known_above);
         out.push(Action::send(
@@ -791,7 +771,6 @@ impl Replica {
                 ballot,
                 chosen_prefix: my_prefix,
                 accepted,
-                snapshot,
             },
         ));
     }
@@ -873,129 +852,100 @@ impl Replica {
                     && now.since(t) < self.cfg.retransmit_timeout
             );
             if !fresh {
-                self.catchup_requested_at = Some((have, now));
-                out.push(Action::send(
-                    Addr::Replica(ballot.proposer),
-                    Msg::CatchUpReq { have },
-                ));
+                self.request_catchup(Addr::Replica(ballot.proposer), now, out);
             }
         }
     }
 
-    fn handle_catchup_req(&mut self, from: Addr, have: Instance, out: &mut Vec<Action>) {
-        let Role::Leader(l) = &self.role else {
-            return; // only the leader serves catch-up
-        };
-        let ballot = l.ballot;
+    /// Ask `to` for what follows our chosen prefix, and for the image we
+    /// are assembling from the first piece we lack.
+    pub(crate) fn request_catchup(&mut self, to: Addr, now: Time, out: &mut Vec<Action>) {
+        let have = self.log.chosen_prefix();
+        self.catchup_requested_at = Some((have, now));
+        let resume = self
+            .pull
+            .as_ref()
+            .map(|(ck, _)| (ck.upto, ck.chunks.len() as u32));
+        out.push(Action::send(to, Msg::CatchUpReq { have, resume }));
+    }
+
+    /// Serve a replica that is behind, whatever our role, under the ballot
+    /// we promised ([`Msg::CatchUp`]). Where the log no longer reaches back
+    /// to `have`, the image that replaced it goes first, cut to the chunk
+    /// size, from the piece `resume` names if it names this image.
+    fn handle_catchup_req(
+        &mut self,
+        from: Addr,
+        have: Instance,
+        resume: Option<(Instance, u32)>,
+        out: &mut Vec<Action>,
+    ) {
         let upto = self.log.chosen_prefix();
         if upto <= have {
             return;
         }
-        // Decrees from the log go out [`LOG_BYTES_FLOOR`] at a time — a
-        // frame the transports carry whatever the values weigh; the
-        // requester asks for the rest when the next heartbeat shows it
-        // still behind.
-        let entries = match self.log.chosen_range(have, upto, LOG_BYTES_FLOOR) {
-            Some(entries) => entries,
+        let (image, entries) = match self.log.chosen_range(have, upto, LOG_BYTES_FLOOR) {
+            Some(entries) => (None, entries),
             None => {
-                // The log no longer reaches back to `have`: the image that
-                // replaced it goes first, as the refcounted chunks it is
-                // stored in, then the log above it. A log is truncated only
-                // behind a committed image, so one covers `have`.
                 let image = self.stable.get().checkpoint_chunks();
                 let Some(ck) = image.filter(|ck| ck.upto > have) else {
                     return;
                 };
-                let total = u32::try_from(ck.chunks.len()).unwrap_or(u32::MAX);
-                for (i, data) in ck.chunks.iter().enumerate() {
-                    out.push(Action::send(
-                        from,
-                        Msg::CatchUpChunk {
-                            ballot,
-                            upto: ck.upto,
-                            seq: i as u32,
-                            total,
-                            dedup: if i == 0 { ck.dedup.clone() } else { Vec::new() },
-                            data: data.clone(),
-                        },
-                    ));
+                let size = self.cfg.checkpoint_chunk_bytes;
+                let pieces: Vec<_> = ck.chunks.iter().flat_map(|c| cut(c, size)).collect();
+                let Ok(total) = u32::try_from(pieces.len()) else {
+                    return;
+                };
+                let first = match resume {
+                    Some((at, next)) if at == ck.upto && next < total => next,
+                    Some(_) | None => 0,
+                };
+                let mut run = ImageRun {
+                    upto: ck.upto,
+                    total,
+                    first,
+                    dedup: if first == 0 { ck.dedup } else { Vec::new() },
+                    pieces: Vec::new(),
+                };
+                let mut bytes = run.bytes() as u64; // the dedup table's replies
+                for piece in &pieces[first as usize..] {
+                    if bytes >= LOG_BYTES_FLOOR {
+                        break;
+                    }
+                    bytes += piece.len() as u64;
+                    run.pieces.push(piece.clone());
                 }
-                let entries = self.log.chosen_range(ck.upto, upto, LOG_BYTES_FLOOR);
-                entries.unwrap_or_default()
+                // Decrees ride the last run if they fit beside it: the
+                // range's first decree may pass its budget, and waits.
+                let done = first as usize + run.pieces.len() == pieces.len();
+                let room = LOG_BYTES_FLOOR.saturating_sub(bytes);
+                let entries = done
+                    .then(|| self.log.chosen_range(ck.upto, upto, room))
+                    .flatten()
+                    .filter(|es| es.iter().map(|(_, d)| d.payload_bytes()).sum::<u64>() <= room);
+                (Some(run), entries.unwrap_or_default())
             }
         };
         self.stats.catchups_served += 1;
-        out.push(Action::send(from, Msg::CatchUp { ballot, entries }));
+        let ballot = self.promised;
+        out.push(Action::send(
+            from,
+            Msg::CatchUp {
+                ballot,
+                image,
+                entries,
+            },
+        ));
     }
 
-    /// Receive one chunk of a chunked snapshot transfer. Chunks are
-    /// buffered per `upto`; once all `total` arrive, the image installs,
-    /// and the chunks as received are what the disk stores.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_catchup_chunk(
-        &mut self,
-        ballot: Ballot,
-        upto: Instance,
-        seq: u32,
-        total: u32,
-        dedup: Vec<DedupEntry>,
-        data: bytes::Bytes,
-        now: Time,
-        out: &mut Vec<Action>,
-    ) {
-        /// Defensive bound on the reassembly buffer (chunk slots); a
-        /// hostile or corrupt `total` must not drive a huge allocation.
-        const MAX_CHUNKS: u32 = 1 << 16;
-        if !self.defer_to(ballot, now, out) {
-            return;
-        }
-        if total == 0 || total > MAX_CHUNKS || seq >= total {
-            return;
-        }
-        if upto <= self.log.chosen_prefix() {
-            // Already caught up past this snapshot; drop the transfer.
-            self.catchup_buf = None;
-            return;
-        }
-        let stale = !matches!(
-            &self.catchup_buf,
-            Some(b) if b.upto == upto && b.chunks.len() == total as usize
-        );
-        if stale {
-            self.catchup_buf = Some(CatchUpBuf {
-                upto,
-                dedup: Vec::new(),
-                chunks: vec![None; total as usize],
-            });
-        }
-        let Some(buf) = self.catchup_buf.as_mut() else {
-            return;
-        };
-        if seq == 0 {
-            buf.dedup = dedup;
-        }
-        buf.chunks[seq as usize] = Some(data);
-        if !buf.chunks.iter().all(Option::is_some) {
-            return;
-        }
-        let Some(buf) = self.catchup_buf.take() else {
-            return;
-        };
-        let image = ChunkedCheckpoint {
-            upto: buf.upto,
-            dedup: buf.dedup,
-            chunks: buf.chunks.into_iter().flatten().collect(),
-        };
-        self.catchup_requested_at = None;
-        if image.upto > self.log.chosen_prefix() {
-            self.install_snapshot(&image.assemble(), image.chunks);
-        }
-        self.drain_apply(now, out);
-    }
-
+    /// A reply that moved the image or the prefix asks again at once, if
+    /// the image is incomplete or we campaign below our promisers' prefix;
+    /// a follower's log catch-up waits for the next heartbeat.
     fn handle_catchup(
         &mut self,
+        from: Addr,
         ballot: Ballot,
+        image: Option<ImageRun>,
         entries: Vec<(Instance, Decree)>,
         now: Time,
         out: &mut Vec<Action>,
@@ -1004,6 +954,14 @@ impl Replica {
             return;
         }
         self.catchup_requested_at = None;
+        let progress = |r: &Replica| {
+            let pulled = r.pull.as_ref().map(|(ck, _)| (ck.upto, ck.chunks.len()));
+            (r.log.chosen_prefix(), pulled)
+        };
+        let before = progress(self);
+        if let Some(run) = image {
+            self.take_pieces(run);
+        }
         for (i, d) in entries {
             if i > self.log.chosen_prefix() && !self.log.is_known_chosen(i) {
                 self.stable.accept(i, ballot, &d);
@@ -1012,6 +970,52 @@ impl Replica {
             }
         }
         self.drain_apply(now, out);
+        if progress(self) == before {
+            return; // a stale or duplicate reply: the request out stands
+        }
+        if let Role::Candidate(c) = &mut self.role {
+            c.pulling = false;
+            self.lead_or_pull(now, out);
+        } else if self.pull.is_some() {
+            self.request_catchup(from, now, out);
+        }
+    }
+
+    /// A run from piece 0 starts an image (again), one that continues it
+    /// within its count is appended, any other is dropped. The last piece
+    /// installs the image.
+    fn take_pieces(&mut self, run: ImageRun) {
+        if run.upto <= self.log.chosen_prefix() {
+            self.pull = None; // already past this image
+            return;
+        }
+        if run.first == 0 && run.total > 0 {
+            let (upto, dedup) = (run.upto, run.dedup);
+            let chunks = Vec::new();
+            self.pull = Some((
+                ChunkedCheckpoint {
+                    upto,
+                    dedup,
+                    chunks,
+                },
+                run.total,
+            ));
+        }
+        let Some((ck, total)) = self.pull.as_mut() else {
+            return;
+        };
+        let at = ck.chunks.len();
+        let continues = (ck.upto, *total, at) == (run.upto, run.total, run.first as usize);
+        if !continues || run.pieces.len() > *total as usize - at {
+            return;
+        }
+        ck.chunks.extend(run.pieces);
+        if ck.chunks.len() < *total as usize {
+            return;
+        }
+        if let Some((ck, _)) = self.pull.take() {
+            self.install_snapshot(&ck.assemble(), ck.chunks);
+        }
     }
 
     // ------------------------------------------------------------------

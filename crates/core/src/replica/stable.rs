@@ -214,8 +214,7 @@ impl Stable {
             | Msg::Heartbeat { .. }
             | Msg::HeartbeatAck { .. }
             | Msg::CatchUpReq { .. }
-            | Msg::CatchUp { .. }
-            | Msg::CatchUpChunk { .. } => None,
+            | Msg::CatchUp { .. } => None,
         }
     }
 

@@ -7,7 +7,7 @@
 use super::*;
 use crate::client::ClientCore;
 use crate::config::{ReadMode, TxnMode, ValueMode};
-use crate::msg::Msg;
+use crate::msg::{ImageRun, Msg};
 use crate::outbox::{release, release_to_barrier, Out, Outbox, Wire};
 use crate::request::{AbortReason, ReplyBody, RequestKind};
 use crate::service::NoopApp;
@@ -543,6 +543,7 @@ fn late_catchup_from_a_newer_leadership_deposes_before_it_applies() {
     let mut s = leader_with_a_lost_accept();
     let r0 = deliver_from_a_newer_leadership(&mut s, |ballot| Msg::CatchUp {
         ballot,
+        image: None,
         entries: vec![(Instance(2), Decree::noop())],
     });
     assert_eq!(r0.chosen_prefix(), Instance(2));
@@ -550,19 +551,22 @@ fn late_catchup_from_a_newer_leadership_deposes_before_it_applies() {
     assert_eq!(writes_applied(r0), 1);
 }
 
-/// The same answer as a chunked snapshot: installed on a follower, never
-/// on a replica that still leads.
+/// The same answer as an image: installed on a follower, never on a
+/// replica that still leads.
 #[test]
-fn late_catchup_chunk_from_a_newer_leadership_deposes_before_it_installs() {
+fn late_catchup_image_from_a_newer_leadership_deposes_before_it_installs() {
     let mut s = leader_with_a_lost_accept();
     let state_at_2 = s.replica(1).service_snapshot(); // write, then no-op
-    let r0 = deliver_from_a_newer_leadership(&mut s, |ballot| Msg::CatchUpChunk {
+    let r0 = deliver_from_a_newer_leadership(&mut s, |ballot| Msg::CatchUp {
         ballot,
-        upto: Instance(2),
-        seq: 0,
-        total: 1,
-        dedup: vec![],
-        data: state_at_2.clone(),
+        image: Some(ImageRun {
+            upto: Instance(2),
+            total: 1,
+            first: 0,
+            dedup: vec![],
+            pieces: vec![state_at_2.clone()],
+        }),
+        entries: vec![],
     });
     assert_eq!(r0.chosen_prefix(), Instance(2));
     assert_eq!(r0.service_snapshot(), state_at_2);
@@ -1201,7 +1205,7 @@ fn a_power_cut_mid_barrier_lets_nothing_but_accepts_escape() {
 
 /// A leader whose image came from an install keeps it as its own: asked
 /// for catch-up while its window is open, by a follower its log no longer
-/// reaches, it streams that image's chunks, as it would a checkpoint of
+/// reaches, it serves that image's chunks, as it would a checkpoint of
 /// its own — the chosen prefix, not the prefix plus the decree it is still
 /// proposing. [`Dice`] rolls per write, so the unchosen roll would show.
 #[test]
@@ -1246,12 +1250,14 @@ fn an_installed_image_is_served_as_chunks_over_an_open_window() {
     assert_eq!(leader.chosen_prefix(), Instance(4));
     assert_eq!(leader.service_snapshot().len(), 5 * 8, "the window is open");
 
-    // An empty r0 asks for everything: chunks, then the log above them.
+    // An empty r0 asks for everything: one reply, the image's pieces, then
+    // the log above them.
     let r0 = Addr::Replica(ProcessId(0));
     let served = leader.on_message(
         r0,
         Msg::CatchUpReq {
             have: Instance::ZERO,
+            resume: None,
         },
         now,
     );
@@ -1264,7 +1270,7 @@ fn an_installed_image_is_served_as_chunks_over_an_open_window() {
             }
         })
         .collect();
-    assert_eq!(tags, ["catchup_chunk", "catchup"]);
+    assert_eq!(tags, ["catchup"]);
     let mut follower = fresh(0, now);
     for a in served {
         if let Action::Send { msg, .. } = a {
@@ -1283,9 +1289,9 @@ fn an_installed_image_is_served_as_chunks_over_an_open_window() {
     );
 }
 
-/// A promise's snapshot is stored in pieces of the chunk size, sliced
-/// from the image it arrived in rather than copied; an empty image is one
-/// empty piece, so it still streams.
+/// A stored chunk is served in pieces of the chunk size, sliced from it
+/// rather than copied; an empty chunk is one empty piece, so it still
+/// streams.
 #[test]
 fn an_image_is_cut_into_slices_of_the_chunk_size() {
     let app = Bytes::from(vec![1u8; 10]);
@@ -1429,13 +1435,15 @@ fn n5_tolerates_two_crashes() {
     assert_eq!(s.replica(0).chosen_prefix(), Instance(2));
 }
 
-#[test]
-fn lagging_candidate_adopts_promise_snapshot() {
-    // §3.3: "If the replica knows any instance greater than 90, it sends
-    // the leader not only all the requests ... but also the state of the
-    // latest proposal it knows." A *behind* candidate must adopt the most
-    // advanced snapshot from its promises before leading.
-    let mut s = Shuttle::new(3, cluster_cfg(3));
+/// §3.3: "If the replica knows any instance greater than 90, it sends the
+/// leader not only all the requests ... but also the state of the latest
+/// proposal it knows." A candidate behind its majority does not lead at
+/// the majority: the promise names the promiser's prefix and carries no
+/// state, and the candidate pulls up to it by catch-up first — from the
+/// promiser's log, or, past a truncated log (`checkpoint_every` 2), from
+/// its image and the log above it.
+fn lagging_candidate_pulls_before_it_leads(cfg: Config) {
+    let mut s = Shuttle::new(3, cfg.clone());
     let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
     s.submit(&mut c, RequestKind::Write);
 
@@ -1444,10 +1452,9 @@ fn lagging_candidate_adopts_promise_snapshot() {
     for _ in 0..4 {
         s.submit(&mut c, RequestKind::Write);
     }
-    // r2 recovers with only instance 1 applied...
     let recovered = Replica::recover(
         ProcessId(2),
-        cluster_cfg(3),
+        cfg.clone(),
         Box::new(NoopApp::new()),
         storage,
         7,
@@ -1456,23 +1463,95 @@ fn lagging_candidate_adopts_promise_snapshot() {
     assert_eq!(recovered.chosen_prefix(), Instance(1), "r2 is behind");
     s.replicas[2] = Some(recovered);
 
-    // ...the leader dies before any heartbeat can catch r2 up, and r2
-    // campaigns first (we control the timers).
+    // The leader dies before any heartbeat can catch r2 up, and r2
+    // campaigns first (we control the timers). r1's promise names
+    // prefix 5 and carries no state.
     s.crash(0);
     s.now = Time(Dur::from_secs(10).0);
-    s.fire(2, TimerKind::LeaderCheck);
+    let campaign = s.replicas[2]
+        .as_mut()
+        .unwrap()
+        .on_timer(TimerKind::LeaderCheck, s.now);
+    let prepare = sent(&campaign, |m| matches!(m, Msg::Prepare { .. }));
+    let from = |p: u32| Addr::Replica(ProcessId(p));
+    let promised = s.replicas[1]
+        .as_mut()
+        .unwrap()
+        .on_message(from(2), prepare, s.now);
+    let promise = sent(&promised, |m| matches!(m, Msg::Promise { .. }));
+    let Msg::Promise { chosen_prefix, .. } = &promise else {
+        unreachable!()
+    };
+    assert_eq!(*chosen_prefix, Instance(5));
+    let r2 = s.replicas[2].as_mut().unwrap();
+    let pull = r2.on_message(from(1), promise, s.now);
+    assert!(!r2.is_leader(), "no lead below P");
+    let req = sent(&pull, |m| matches!(m, Msg::CatchUpReq { .. }));
+    assert_eq!(
+        req,
+        Msg::CatchUpReq {
+            have: Instance(1),
+            resume: None
+        }
+    );
+    s.enqueue(from(2), pull);
+    s.run();
 
-    assert_eq!(s.leader(), Some(2), "the lagging replica won");
-    // The promise from r1 carried a snapshot at instance 5; r2 adopted it.
+    assert_eq!(s.leader(), Some(2), "the lagging replica won once at P");
+    assert_eq!(s.replica(2).stats.elections_started, 1);
+    assert_eq!(s.replica(1).stats.catchups_served, 1, "one reply");
     assert_eq!(s.replica(2).chosen_prefix(), Instance(5));
-    let snap = s.replica(2).service_snapshot();
-    assert_eq!(u64::from_le_bytes(snap[..8].try_into().unwrap()), 5);
+    assert_eq!(writes_applied(s.replica(2)), 5);
 
     // And it keeps serving correctly, once the client's retry finds it.
     let actions = c.submit_op(RequestKind::Write, Bytes::new(), s.now);
     let done = s.drive_client_through_retry(&mut c, actions);
     assert!(matches!(done.body, ReplyBody::Ok(_)));
     assert_eq!(s.replica(2).chosen_prefix(), Instance(6));
+    s.assert_replica_states_converged();
+}
+
+#[test]
+fn lagging_candidate_pulls_from_the_log_before_it_leads() {
+    lagging_candidate_pulls_before_it_leads(cluster_cfg(3));
+}
+
+#[test]
+fn lagging_candidate_pulls_past_a_truncated_log_before_it_leads() {
+    let cfg = cluster_cfg(3).with_checkpoint_every(2);
+    lagging_candidate_pulls_before_it_leads(cfg);
+}
+
+/// A run that claims `u32::MAX` pieces is held as the one piece that
+/// came, not as slots for the ones it claims; the image stays open and
+/// the next piece is asked for at once, from the sender.
+#[test]
+fn a_run_claiming_u32_max_pieces_holds_only_what_arrived() {
+    let (app, disk) = (Box::new(NoopApp::new()), Box::new(MemStorage::new()));
+    let mut r = Replica::new(ProcessId(0), cluster_cfg(3), app, disk, 1, Time::ZERO);
+    let run = ImageRun {
+        upto: Instance(5),
+        total: u32::MAX,
+        first: 0,
+        dedup: vec![],
+        pieces: vec![Bytes::from_static(&[7; 8])],
+    };
+    let reply = Msg::CatchUp {
+        ballot: Ballot::new(1, ProcessId(1)),
+        image: Some(run),
+        entries: vec![],
+    };
+    let next = r.on_message(Addr::Replica(ProcessId(1)), reply, Time::ZERO);
+    let (image, _) = r.pull.as_ref().expect("assembling");
+    assert_eq!(image.chunks.len(), 1);
+    assert!(image.chunks.capacity() <= 4, "{}", image.chunks.capacity());
+    assert_eq!(r.chosen_prefix(), Instance::ZERO);
+    let ask = sent(&next, |m| matches!(m, Msg::CatchUpReq { .. }));
+    let want = Msg::CatchUpReq {
+        have: Instance::ZERO,
+        resume: Some((Instance(5), 1)),
+    };
+    assert_eq!(ask, want);
 }
 
 #[test]
@@ -2846,16 +2925,6 @@ impl ExecScript {
         if window.is_none() {
             let table = self.exec.last_reply(ClientId(1)).map(|(seq, _)| seq);
             assert_eq!(table, last.map(|id| id.seq), "dedup follows chosen");
-        }
-        // A promise's snapshot, taken with the window closed, is of the
-        // chosen decrees alone.
-        if window.is_none() {
-            let mut prefix = Executor::new(Box::new(NoopApp::new()), ValueMode::ReqState);
-            for decree in &self.chosen {
-                prefix.chosen(decree, &mut self.rng.clone());
-            }
-            let snap = self.exec.snapshot(Instance(self.chosen.len() as u64));
-            assert_eq!(snap.app, prefix.state());
         }
     }
 }

@@ -224,10 +224,8 @@ impl ConnTable {
     }
 
     /// Encode `msg` (reusing the scratch buffer) into an owned frame;
-    /// `None` if its body is past `MAX_FRAME`. No message a replica
-    /// sends is built that big — catch-up goes out as checkpoint chunks
-    /// and log pieces of at most `LOG_BYTES_FLOOR` — but a promise's
-    /// snapshot of a state past 64 MiB would be.
+    /// `None` if its body is past `MAX_FRAME`, as an `Accept` carrying a
+    /// `StateUpdate::Full` of a state past 64 MiB would be.
     fn frame(&mut self, msg: &Msg) -> Option<Bytes> {
         let body = encode_with_scratch(msg, &mut self.scratch);
         (body.len() <= MAX_FRAME).then(|| frame_bytes(body))

@@ -929,15 +929,13 @@ mod tests {
     /// group's.
     #[test]
     fn a_stray_checkpoint_bin_refuses_to_open() {
+        // The retired format: upto, the length-prefixed app bytes, an
+        // empty dedup table.
         let mut image = BytesMut::new();
-        crate::wire::put_snapshot(
-            &mut image,
-            &gridpaxos_core::command::SnapshotBlob {
-                upto: Instance(3),
-                app: Bytes::from_static(b"installed"),
-                dedup: vec![],
-            },
-        );
+        image.put_u64_le(3);
+        image.put_u32_le(9);
+        image.put_slice(b"installed");
+        image.put_u32_le(0);
         for (n_groups, stray) in [(1, "checkpoint.bin"), (3, "checkpoint-g2.bin")] {
             let dir = tmpdir("stray-bin");
             {
@@ -1061,7 +1059,7 @@ mod tests {
     fn an_installed_image_is_kept_and_served_after_reopen() {
         use gridpaxos_core::action::Action;
         use gridpaxos_core::config::Config;
-        use gridpaxos_core::msg::Msg;
+        use gridpaxos_core::msg::{ImageRun, Msg};
         use gridpaxos_core::replica::Replica;
         use gridpaxos_core::service::NoopApp;
         use gridpaxos_core::types::{Addr, Time};
@@ -1084,16 +1082,20 @@ mod tests {
         {
             let storage = FileStorage::open_with_mode(&dir, SyncMode::Never).unwrap();
             let mut r0 = open(0, Box::new(storage));
-            for (seq, data) in pieces.iter().enumerate() {
-                let chunk = Msg::CatchUpChunk {
+            // One piece per reply, each continuing the image.
+            for (first, piece) in pieces.iter().enumerate() {
+                let reply = Msg::CatchUp {
                     ballot: Ballot::new(1, ProcessId(1)),
-                    upto: Instance(5),
-                    seq: seq as u32,
-                    total: 3,
-                    dedup: vec![],
-                    data: data.clone(),
+                    image: Some(ImageRun {
+                        upto: Instance(5),
+                        total: 3,
+                        first: first as u32,
+                        dedup: vec![],
+                        pieces: vec![piece.clone()],
+                    }),
+                    entries: vec![],
                 };
-                let _ = r0.on_message(r1, chunk, Time::ZERO);
+                let _ = r0.on_message(r1, reply, Time::ZERO);
             }
             assert_eq!(r0.chosen_prefix(), Instance(5));
         } // crash
@@ -1118,7 +1120,6 @@ mod tests {
             ballot: prepare.expect("the bootstrap leader campaigns"),
             chosen_prefix: Instance(5),
             accepted: vec![],
-            snapshot: None,
         };
         let _ = r0.on_message(r1, promise, Time::ZERO);
         assert!(r0.is_leader());
@@ -1128,6 +1129,7 @@ mod tests {
             r2,
             Msg::CatchUpReq {
                 have: Instance::ZERO,
+                resume: None,
             },
             Time::ZERO,
         );
@@ -1135,13 +1137,16 @@ mod tests {
         let mut chunks = Vec::new();
         for a in served {
             if let Action::Send { msg, .. } = a {
-                if let Msg::CatchUpChunk { data, .. } = &msg {
-                    chunks.push(data.clone());
+                if let Msg::CatchUp {
+                    image: Some(run), ..
+                } = &msg
+                {
+                    chunks.extend(run.pieces.iter().cloned());
                 }
                 let _ = fresh.on_message(Addr::Replica(ProcessId(0)), msg, Time::ZERO);
             }
         }
-        assert_eq!(chunks, pieces, "the chunks it installed");
+        assert_eq!(chunks, pieces, "the chunks it installed, in one reply");
         assert_eq!(fresh.chosen_prefix(), Instance(5));
         assert_eq!(fresh.service_snapshot(), image);
         fs::remove_dir_all(dir).ok();

@@ -923,6 +923,7 @@ mod tests {
             Addr::Replica(ProcessId(0)),
             Msg::CatchUpReq {
                 have: Instance::ZERO,
+                resume: None,
             },
         ));
         assert_eq!(r.wait(), Duration::ZERO, "backlog");

@@ -25,9 +25,9 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gridpaxos_core::ballot::Ballot;
 use gridpaxos_core::command::{
-    AcceptedEntry, Command, Decree, DecreeEntry, DedupEntry, SnapshotBlob, StateUpdate,
+    AcceptedEntry, Command, Decree, DecreeEntry, DedupEntry, StateUpdate,
 };
-use gridpaxos_core::msg::Msg;
+use gridpaxos_core::msg::{ImageRun, Msg};
 use gridpaxos_core::request::{
     AbortReason, Reply, ReplyBody, Request, RequestId, RequestKind, TxnCtl,
 };
@@ -517,17 +517,21 @@ pub(crate) fn get_dedup_table(buf: &mut Bytes) -> Result<Vec<DedupEntry>> {
     })
 }
 
-pub(crate) fn put_snapshot(out: &mut BytesMut, s: &SnapshotBlob) {
-    put_instance(out, &s.upto);
-    put_bytes(out, &s.app);
-    put_dedup_table(out, &s.dedup);
+fn put_image_run(out: &mut BytesMut, r: &ImageRun) {
+    put_instance(out, &r.upto);
+    out.put_u32_le(r.total);
+    out.put_u32_le(r.first);
+    put_dedup_table(out, &r.dedup);
+    put_vec(out, &r.pieces, |o, p| put_bytes(o, p));
 }
 
-pub(crate) fn get_snapshot(buf: &mut Bytes) -> Result<SnapshotBlob> {
-    Ok(SnapshotBlob {
+fn get_image_run(buf: &mut Bytes) -> Result<ImageRun> {
+    Ok(ImageRun {
         upto: get_instance(buf)?,
-        app: get_bytes(buf)?,
+        total: get_u32(buf)?,
+        first: get_u32(buf)?,
         dedup: get_dedup_table(buf)?,
+        pieces: get_vec(buf, get_bytes)?,
     })
 }
 
@@ -577,13 +581,11 @@ pub fn encode_msg(msg: &Msg, out: &mut BytesMut) {
             ballot,
             chosen_prefix,
             accepted,
-            snapshot,
         } => {
             out.put_u8(3);
             put_ballot(out, ballot);
             put_instance(out, chosen_prefix);
             put_vec(out, accepted, put_accepted_entry);
-            put_opt(out, snapshot, put_snapshot);
         }
         Msg::PrepareNack { ballot, promised } => {
             out.put_u8(4);
@@ -645,30 +647,23 @@ pub fn encode_msg(msg: &Msg, out: &mut BytesMut) {
             put_ballot(out, ballot);
             out.put_u64_le(*hb_seq);
         }
-        Msg::CatchUpReq { have } => {
+        Msg::CatchUpReq { have, resume } => {
             out.put_u8(11);
             put_instance(out, have);
+            put_opt(out, resume, |o, (upto, piece)| {
+                put_instance(o, upto);
+                o.put_u32_le(*piece);
+            });
         }
-        Msg::CatchUp { ballot, entries } => {
+        Msg::CatchUp {
+            ballot,
+            image,
+            entries,
+        } => {
             out.put_u8(12);
             put_ballot(out, ballot);
+            put_opt(out, image, put_image_run);
             put_vec(out, entries, put_inst_decree);
-        }
-        Msg::CatchUpChunk {
-            ballot,
-            upto,
-            seq,
-            total,
-            dedup,
-            data,
-        } => {
-            out.put_u8(17);
-            put_ballot(out, ballot);
-            put_instance(out, upto);
-            out.put_u32_le(*seq);
-            out.put_u32_le(*total);
-            put_dedup_table(out, dedup);
-            put_bytes(out, data);
         }
         Msg::Grouped { group, inner } => {
             debug_assert!(
@@ -708,7 +703,6 @@ pub fn decode_msg(buf: &mut Bytes) -> Result<Msg> {
             ballot: get_ballot(buf)?,
             chosen_prefix: get_instance(buf)?,
             accepted: get_vec(buf, get_accepted_entry)?,
-            snapshot: get_opt(buf, get_snapshot)?,
         }),
         4 => Ok(Msg::PrepareNack {
             ballot: get_ballot(buf)?,
@@ -754,18 +748,12 @@ pub fn decode_msg(buf: &mut Bytes) -> Result<Msg> {
         }),
         11 => Ok(Msg::CatchUpReq {
             have: get_instance(buf)?,
+            resume: get_opt(buf, |b| Ok((get_instance(b)?, get_u32(b)?)))?,
         }),
         12 => Ok(Msg::CatchUp {
             ballot: get_ballot(buf)?,
+            image: get_opt(buf, get_image_run)?,
             entries: get_vec(buf, get_inst_decree)?,
-        }),
-        17 => Ok(Msg::CatchUpChunk {
-            ballot: get_ballot(buf)?,
-            upto: get_instance(buf)?,
-            seq: get_u32(buf)?,
-            total: get_u32(buf)?,
-            dedup: get_dedup_table(buf)?,
-            data: get_bytes(buf)?,
         }),
         14 => {
             let group = GroupId(get_u32(buf)?);
@@ -833,7 +821,10 @@ mod tests {
                 ballot: Ballot::new(3, ProcessId(1)),
                 hb_seq: 7,
             },
-            Msg::CatchUpReq { have: Instance(7) },
+            Msg::CatchUpReq {
+                have: Instance(7),
+                resume: Some((Instance(9), 3)),
+            },
             Msg::PrepareNack {
                 ballot: Ballot::new(1, ProcessId(0)),
                 promised: Ballot::new(2, ProcessId(2)),
@@ -955,7 +946,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_everywhere() {
-        let msg = Msg::Promise {
+        let promise = Msg::Promise {
             ballot: Ballot::new(4, ProcessId(1)),
             chosen_prefix: Instance(9),
             accepted: vec![AcceptedEntry {
@@ -971,24 +962,35 @@ mod tests {
                     ReplyBody::Ok(Bytes::from_static(b"ok")),
                 ),
             }],
-            snapshot: Some(SnapshotBlob {
+        };
+        let Msg::Promise { accepted, .. } = &promise else {
+            unreachable!()
+        };
+        let catchup = Msg::CatchUp {
+            ballot: Ballot::new(4, ProcessId(1)),
+            image: Some(ImageRun {
                 upto: Instance(9),
-                app: Bytes::from_static(b"app-state"),
+                total: 3,
+                first: 0,
                 dedup: vec![DedupEntry {
                     client: ClientId(3),
                     seq: Seq(8),
                     reply: ReplyBody::Empty,
                 }],
+                pieces: vec![Bytes::from_static(b"app-"), Bytes::from_static(b"state")],
             }),
+            entries: vec![(Instance(10), accepted[0].decree.clone())],
         };
-        let full = encode_to_bytes(&msg);
-        // Every strict prefix must fail cleanly, never panic.
-        for cut in 0..full.len() {
-            let mut b = full.slice(0..cut);
-            assert!(decode_msg(&mut b).is_err(), "prefix of {cut} bytes decoded");
+        for msg in [promise, catchup] {
+            let full = encode_to_bytes(&msg);
+            // Every strict prefix must fail cleanly, never panic.
+            for cut in 0..full.len() {
+                let mut b = full.slice(0..cut);
+                assert!(decode_msg(&mut b).is_err(), "prefix of {cut} bytes decoded");
+            }
+            let mut b = full.clone();
+            assert_eq!(decode_msg(&mut b).unwrap(), msg);
         }
-        let mut b = full.clone();
-        assert_eq!(decode_msg(&mut b).unwrap(), msg);
     }
 
     #[test]
@@ -1033,7 +1035,11 @@ mod tests {
         out.put_u32_le(1);
         out.put_u8(14);
         out.put_u32_le(2);
-        encode_msg(&Msg::CatchUpReq { have: Instance(0) }, &mut out);
+        let req = Msg::CatchUpReq {
+            have: Instance(0),
+            resume: None,
+        };
+        encode_msg(&req, &mut out);
         let mut b = out.freeze();
         assert!(matches!(
             decode_msg(&mut b),
@@ -1176,15 +1182,19 @@ mod tests {
         )
     }
 
-    fn arb_snapshot() -> impl Strategy<Value = SnapshotBlob> {
+    fn arb_image_run() -> impl Strategy<Value = ImageRun> {
         (
             any::<u64>(),
-            arb_bytes(),
+            any::<u32>(),
+            any::<u32>(),
             proptest::collection::vec((any::<u64>(), any::<u64>(), arb_reply_body()), 0..4),
+            proptest::collection::vec(arb_bytes(), 0..3),
         )
-            .prop_map(|(u, app, d)| SnapshotBlob {
+            .prop_map(|(u, total, first, d, pieces)| ImageRun {
                 upto: Instance(u),
-                app,
+                total,
+                first,
+                pieces,
                 dedup: d
                     .into_iter()
                     .map(|(c, s, r)| DedupEntry {
@@ -1227,9 +1237,8 @@ mod tests {
                 arb_ballot(),
                 any::<u64>(),
                 proptest::collection::vec((any::<u64>(), arb_ballot(), arb_decree()), 0..3),
-                proptest::option::of(arb_snapshot())
             )
-                .prop_map(|(b, p, acc, snap)| Msg::Promise {
+                .prop_map(|(b, p, acc)| Msg::Promise {
                     ballot: b,
                     chosen_prefix: Instance(p),
                     accepted: acc
@@ -1240,7 +1249,6 @@ mod tests {
                             decree: d,
                         })
                         .collect(),
-                    snapshot: snap,
                 }),
             (
                 arb_ballot(),
@@ -1283,37 +1291,23 @@ mod tests {
                 ballot: b,
                 hb_seq: h
             }),
-            any::<u64>().prop_map(|h| Msg::CatchUpReq { have: Instance(h) }),
             (
-                arb_ballot(),
-                proptest::collection::vec((any::<u64>(), arb_decree()), 0..3),
+                any::<u64>(),
+                proptest::option::of((any::<u64>(), any::<u32>()))
             )
-                .prop_map(|(b, es)| Msg::CatchUp {
-                    ballot: b,
-                    entries: es.into_iter().map(|(i, d)| (Instance(i), d)).collect(),
+                .prop_map(|(h, r)| Msg::CatchUpReq {
+                    have: Instance(h),
+                    resume: r.map(|(u, p)| (Instance(u), p)),
                 }),
             (
                 arb_ballot(),
-                any::<u64>(),
-                any::<u32>(),
-                any::<u32>(),
-                proptest::collection::vec((any::<u64>(), any::<u64>(), arb_reply_body()), 0..4),
-                arb_bytes()
+                proptest::option::of(arb_image_run()),
+                proptest::collection::vec((any::<u64>(), arb_decree()), 0..3),
             )
-                .prop_map(|(b, u, s, t, d, data)| Msg::CatchUpChunk {
+                .prop_map(|(b, image, es)| Msg::CatchUp {
                     ballot: b,
-                    upto: Instance(u),
-                    seq: s,
-                    total: t,
-                    dedup: d
-                        .into_iter()
-                        .map(|(c, sq, r)| DedupEntry {
-                            client: ClientId(c),
-                            seq: Seq(sq),
-                            reply: r,
-                        })
-                        .collect(),
-                    data,
+                    image,
+                    entries: es.into_iter().map(|(i, d)| (Instance(i), d)).collect(),
                 }),
             // Group envelope around the message shapes that actually cross
             // the wire enveloped in multi-group deployments.

@@ -5,7 +5,8 @@
 
 use bytes::Bytes;
 use gridpaxos::core::ballot::Ballot;
-use gridpaxos::core::command::{AcceptedEntry, Command, Decree, SnapshotBlob, StateUpdate};
+use gridpaxos::core::command::{AcceptedEntry, Command, Decree, StateUpdate};
+use gridpaxos::core::msg::ImageRun;
 use gridpaxos::core::msg::Msg;
 use gridpaxos::core::prelude::*;
 use gridpaxos::core::request::RequestId;
@@ -67,12 +68,19 @@ fn arb_decree() -> impl Strategy<Value = Decree> {
     )
 }
 
-fn arb_snapshot() -> impl Strategy<Value = Option<SnapshotBlob>> {
-    proptest::option::of((0u64..20).prop_map(|u| SnapshotBlob {
-        upto: Instance(u),
-        app: Bytes::from_static(&[9u8; 8]),
-        dedup: vec![],
-    }))
+/// Runs of a small image, hostile counts included: a `total` of zero or
+/// `u32::MAX`, a `first` past it.
+fn arb_image() -> impl Strategy<Value = Option<ImageRun>> {
+    let total = prop_oneof![0u32..4, Just(u32::MAX)];
+    proptest::option::of(
+        (0u64..20, total, 0u32..4).prop_map(|(u, total, first)| ImageRun {
+            upto: Instance(u),
+            total,
+            first,
+            dedup: vec![],
+            pieces: vec![Bytes::from_static(&[9u8; 8])],
+        }),
+    )
 }
 
 fn arb_msg() -> impl Strategy<Value = Msg> {
@@ -83,7 +91,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             chosen_prefix: i,
             known_above: vec![],
         }),
-        (arb_ballot(), arb_instance(), arb_decree(), arb_snapshot()).prop_map(|(b, i, d, snap)| {
+        (arb_ballot(), arb_instance(), arb_decree()).prop_map(|(b, i, d)| {
             Msg::Promise {
                 ballot: b,
                 chosen_prefix: i,
@@ -92,7 +100,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     ballot: b,
                     decree: d,
                 }],
-                snapshot: snap,
             }
         }),
         (arb_ballot(), arb_instance(), arb_decree()).prop_map(|(b, i, d)| Msg::Accept {
@@ -125,10 +132,17 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             ballot: b,
             hb_seq: h
         }),
-        arb_instance().prop_map(|i| Msg::CatchUpReq { have: i }),
-        (arb_ballot(), arb_instance(), arb_decree()).prop_map(|(b, i, d)| Msg::CatchUp {
-            ballot: b,
-            entries: vec![(i, d)],
+        (
+            arb_instance(),
+            proptest::option::of((arb_instance(), 0u32..4))
+        )
+            .prop_map(|(i, resume)| Msg::CatchUpReq { have: i, resume }),
+        (arb_ballot(), arb_image(), arb_instance(), arb_decree()).prop_map(|(b, image, i, d)| {
+            Msg::CatchUp {
+                ballot: b,
+                image,
+                entries: vec![(i, d)],
+            }
         }),
     ]
 }

@@ -4,9 +4,9 @@
 use bytes::Bytes;
 use gridpaxos_core::ballot::Ballot;
 use gridpaxos_core::command::{
-    AcceptedEntry, Command, Decree, DecreeEntry, DedupEntry, SnapshotBlob, StateUpdate,
+    AcceptedEntry, Command, Decree, DecreeEntry, DedupEntry, StateUpdate,
 };
-use gridpaxos_core::msg::Msg;
+use gridpaxos_core::msg::{ImageRun, Msg};
 use gridpaxos_core::request::{
     AbortReason, Reply, ReplyBody, Request, RequestId, RequestKind, TxnCtl,
 };
@@ -109,15 +109,19 @@ fn arb_decree() -> impl Strategy<Value = Decree> {
     )
 }
 
-fn arb_snapshot() -> impl Strategy<Value = SnapshotBlob> {
+fn arb_image_run() -> impl Strategy<Value = ImageRun> {
     (
         arb_instance(),
-        arb_bytes(),
+        any::<u32>(),
+        any::<u32>(),
         proptest::collection::vec((any::<u64>(), any::<u64>(), arb_reply_body()), 0..3),
+        proptest::collection::vec(arb_bytes(), 0..3),
     )
-        .prop_map(|(upto, app, dedup)| SnapshotBlob {
+        .prop_map(|(upto, total, first, dedup, pieces)| ImageRun {
             upto,
-            app,
+            total,
+            first,
+            pieces,
             dedup: dedup
                 .into_iter()
                 .map(|(c, s, reply)| DedupEntry {
@@ -162,9 +166,8 @@ fn arb_plain_msg() -> impl Strategy<Value = Msg> {
             arb_ballot(),
             arb_instance(),
             proptest::collection::vec((arb_instance(), arb_ballot(), arb_decree()), 0..3),
-            proptest::option::of(arb_snapshot()),
         )
-            .prop_map(|(ballot, chosen_prefix, accepted, snapshot)| Msg::Promise {
+            .prop_map(|(ballot, chosen_prefix, accepted)| Msg::Promise {
                 ballot,
                 chosen_prefix,
                 accepted: accepted
@@ -175,7 +178,6 @@ fn arb_plain_msg() -> impl Strategy<Value = Msg> {
                         decree,
                     })
                     .collect(),
-                snapshot,
             }),
         (arb_ballot(), arb_ballot())
             .prop_map(|(ballot, promised)| Msg::PrepareNack { ballot, promised }),
@@ -211,37 +213,21 @@ fn arb_plain_msg() -> impl Strategy<Value = Msg> {
         }),
         (arb_ballot(), any::<u64>())
             .prop_map(|(ballot, hb_seq)| Msg::HeartbeatAck { ballot, hb_seq }),
-        arb_instance().prop_map(|have| Msg::CatchUpReq { have }),
+        (
+            arb_instance(),
+            proptest::option::of((arb_instance(), any::<u32>()))
+        )
+            .prop_map(|(have, resume)| Msg::CatchUpReq { have, resume }),
         (
             arb_ballot(),
+            proptest::option::of(arb_image_run()),
             proptest::collection::vec((arb_instance(), arb_decree()), 0..3),
         )
-            .prop_map(|(ballot, entries)| Msg::CatchUp { ballot, entries }),
-        (
-            arb_ballot(),
-            arb_instance(),
-            any::<u32>(),
-            any::<u32>(),
-            proptest::collection::vec((any::<u64>(), any::<u64>(), arb_reply_body()), 0..3),
-            arb_bytes(),
-        )
-            .prop_map(
-                |(ballot, upto, seq, total, dedup, data)| Msg::CatchUpChunk {
-                    ballot,
-                    upto,
-                    seq,
-                    total,
-                    dedup: dedup
-                        .into_iter()
-                        .map(|(c, s, reply)| DedupEntry {
-                            client: ClientId(c),
-                            seq: Seq(s),
-                            reply,
-                        })
-                        .collect(),
-                    data,
-                }
-            ),
+            .prop_map(|(ballot, image, entries)| Msg::CatchUp {
+                ballot,
+                image,
+                entries
+            }),
     ]
 }
 
