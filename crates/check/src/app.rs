@@ -11,6 +11,11 @@
 //! that is excluded from [`App::snapshot`] and cleared by [`App::restore`],
 //! exactly as the [`App`] contract demands (§3.5–3.6): staged effects live
 //! only on the leader and die with its leadership.
+//!
+//! The leader's tentative window is an undo record — the state before it
+//! — so a read asked for chosen state ([`ExecCtx::wants_chosen_state`])
+//! answers from there, and the checker judges reads served under a decree
+//! in flight.
 
 use bytes::Bytes;
 use gridpaxos_core::command::StateUpdate;
@@ -57,6 +62,9 @@ pub struct CheckerApp {
     chain: u64,
     /// T-Paxos staging: per-transaction bits, volatile by contract.
     staged: HashMap<TxnId, u64>,
+    /// The committed mask and chain before the open tentative window, if
+    /// one is open.
+    window: Option<(u64, u64)>,
 }
 
 impl CheckerApp {
@@ -79,8 +87,18 @@ impl CheckerApp {
 }
 
 impl App for CheckerApp {
-    fn execute(&mut self, req: &Request, _ctx: &mut ExecCtx<'_>) -> (Bytes, StateUpdate) {
+    fn execute(&mut self, req: &Request, ctx: &mut ExecCtx<'_>) -> (Bytes, StateUpdate) {
         match req.kind {
+            RequestKind::Read if ctx.wants_chosen_state() => {
+                let (committed, chain) = self.window.unwrap_or((self.committed, self.chain));
+                ctx.answered_from_chosen_state();
+                let chosen = CheckerApp {
+                    committed,
+                    chain,
+                    ..CheckerApp::default()
+                };
+                (chosen.encode(), StateUpdate::None)
+            }
             RequestKind::Read => (self.encode(), StateUpdate::None),
             _ => {
                 let bit = Self::op_bit(req);
@@ -114,6 +132,7 @@ impl App for CheckerApp {
         self.chain = decode_chain(snap);
         // The contract: restore clears all volatile staging.
         self.staged.clear();
+        self.window = None;
     }
 
     fn txn_begin(&mut self, txn: TxnId) {
@@ -149,6 +168,25 @@ impl App for CheckerApp {
 
     fn txn_abort(&mut self, txn: TxnId) {
         self.staged.remove(&txn);
+    }
+
+    fn tentative_begin(&mut self) -> bool {
+        self.window = Some((self.committed, self.chain));
+        true
+    }
+
+    /// Back to the state before the window, as `restore` of a snapshot
+    /// taken then would put it: volatile staging cleared.
+    fn tentative_rollback(&mut self) {
+        if let Some((committed, chain)) = self.window.take() {
+            self.committed = committed;
+            self.chain = chain;
+            self.staged.clear();
+        }
+    }
+
+    fn tentative_commit(&mut self) {
+        self.window = None;
     }
 }
 

@@ -31,6 +31,7 @@ use gridpaxos_core::msg::Msg;
 use gridpaxos_core::outbox::{release, release_to_barrier, Out, Outbox, Wire};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, Request, RequestId, RequestKind};
+use gridpaxos_core::service::App;
 use gridpaxos_core::storage::{MemStorage, Storage, TailLossStorage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, Instance, ProcessId, Seq, Time, TxnId};
 use gridpaxos_simnet::sched::TimerGens;
@@ -132,8 +133,9 @@ pub struct Issued {
     pub req: Request,
     /// The scripted operation it came from.
     pub op: ClientOp,
-    /// Bits of writes/commits *acked* before this request was issued
-    /// (the linearizability lower bound for reads).
+    /// Bits of writes/commits *acked* before this request was issued —
+    /// and, outside follower-read mode, bits a completed read saw (the
+    /// linearizability lower bound for reads).
     pub acked_at_issue: u64,
     /// First reply body observed, to cross-check duplicate replies.
     pub first_reply: Option<ReplyBody>,
@@ -155,7 +157,8 @@ pub struct Observations {
     /// are discarded, exactly as the real client session layer does.
     pub session_watermark: Instance,
     /// Union of every mask an *accepted* read observed — the floor the
-    /// session monotonic-reads guarantee holds future reads to.
+    /// session monotonic-reads guarantee holds future reads to, and a
+    /// linearizable read issued after those reads completed.
     pub read_mask_floor: u64,
     /// Follower-read replies discarded as stale (observability for the
     /// self-tests; a discard is not a violation, the client just retries).
@@ -198,6 +201,9 @@ pub struct Cluster {
     chaos_stopped: Vec<Option<(Time, Time)>>,
     /// Seeded mutation: every promise leaves naming chosen prefix 0.
     chaos_hidden_prefix: bool,
+    /// The service every incarnation runs: [`CheckerApp`], or a mutation
+    /// of it ([`Cluster::with_app`]).
+    app: fn() -> Box<dyn App>,
     /// The sends of the step in progress (empty between steps).
     outbox: Outbox,
     /// The replica taking it.
@@ -216,6 +222,13 @@ impl Cluster {
     /// started, bootstrap-election traffic pending in the network.
     #[must_use]
     pub fn new(scenario: &Scenario) -> Cluster {
+        Cluster::with_app(scenario, || Box::new(CheckerApp::new()))
+    }
+
+    /// [`Cluster::new`] with every incarnation running `app` — a seeded
+    /// mutation of [`CheckerApp`] for the self-tests.
+    #[must_use]
+    pub fn with_app(scenario: &Scenario, app: fn() -> Box<dyn App>) -> Cluster {
         let n = scenario.cfg.n;
         let mut obs = Observations::default();
         for op in &scenario.script {
@@ -244,6 +257,7 @@ impl Cluster {
             chaos_inflated: vec![false; n],
             chaos_stopped: vec![None; n],
             chaos_hidden_prefix: false,
+            app,
             outbox: Outbox::default(),
             stepping: ProcessId(0),
             step_actions: VecDeque::new(),
@@ -259,7 +273,7 @@ impl Cluster {
             let r = Replica::new(
                 id,
                 scenario.cfg.clone(),
-                Box::new(CheckerApp::new()),
+                app(),
                 disk,
                 0x5eed + i as u64,
                 cl.local_now(i),
@@ -549,7 +563,13 @@ impl Cluster {
         self.issued.push(Issued {
             req: req.clone(),
             op,
-            acked_at_issue: self.obs.acked_bits,
+            // A linearizable read sees what was acknowledged before it
+            // was issued, and what a read that completed before then saw.
+            acked_at_issue: if self.follower_mode {
+                self.obs.acked_bits
+            } else {
+                self.obs.acked_bits | self.obs.read_mask_floor
+            },
             first_reply: None,
         });
         if let Some(target) = target.or_else(|| self.inject_target_for(&req)) {
@@ -690,7 +710,7 @@ impl Cluster {
                 cfg.bootstrap_leader = None;
                 cfg
             },
-            Box::new(CheckerApp::new()),
+            (self.app)(),
             storage,
             0xdead + idx as u64,
             self.local_now(idx),
@@ -805,6 +825,7 @@ impl Cluster {
                             ) {
                                 self.obs.violation = Some(format!("read {}: {v}", reply.id));
                             }
+                            self.obs.read_mask_floor |= mask;
                         }
                     }
                     ClientOp::Write(bit) => {

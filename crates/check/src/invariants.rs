@@ -172,18 +172,21 @@ pub fn check_mask_invariants(mask: u64, obs: &Observations) -> Option<String> {
 }
 
 /// §3.4 read linearizability bounds: a read's result must include every
-/// write acknowledged before the read was issued (reads never travel
-/// back in time past an ack) and may include only issued writes, with
-/// the mask-level invariants on top. The epoch-batched confirm path
-/// (PR 2) answers through the same reply route, so it is covered by the
-/// same bound.
+/// write acknowledged before the read was issued, and every write a read
+/// that completed before then saw (reads never travel back in time past
+/// an ack or an earlier read), and may include only issued writes, with
+/// the mask-level invariants on top. `seen_at_issue` is the union of the
+/// two. The epoch-batched confirm path (extension) answers through the same
+/// reply route, and a read answered from chosen state under a decree in
+/// flight too, so both are covered by the same bound.
 #[must_use]
-pub fn check_read_mask(mask: u64, acked_at_issue: u64, obs: &Observations) -> Option<String> {
-    if acked_at_issue & !mask != 0 {
+pub fn check_read_mask(mask: u64, seen_at_issue: u64, obs: &Observations) -> Option<String> {
+    if seen_at_issue & !mask != 0 {
         return Some(format!(
             "linearizability (§3.4): missing bits {:#x} that were \
-             acknowledged before the read was issued",
-            acked_at_issue & !mask
+             acknowledged, or seen by a completed read, before the read \
+             was issued",
+            seen_at_issue & !mask
         ));
     }
     check_mask_invariants(mask, obs)

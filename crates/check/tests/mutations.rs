@@ -5,14 +5,18 @@
 //! or history handed to an invariant, or a `Cluster` double that lies on
 //! the wire, the clock or the disk. Protocol code carries no hooks.
 
+use bytes::Bytes;
 use check::harness::{Choice, Cluster, Observations};
 use check::invariants::{
     check_chosen_digests, check_gap_freedom, check_mask_invariants, check_read_mask,
     check_session_read, check_state,
 };
-use check::{replay, smoke_scenarios, ClientOp, Scenario};
+use check::{replay, smoke_scenarios, CheckerApp, ClientOp, Scenario};
 use gridpaxos_core::action::TimerKind;
+use gridpaxos_core::command::StateUpdate;
 use gridpaxos_core::msg::Msg;
+use gridpaxos_core::request::Request;
+use gridpaxos_core::service::{App, ExecCtx};
 use gridpaxos_core::types::{Dur, Instance, TxnId};
 
 fn scenario(name: &str) -> Scenario {
@@ -586,6 +590,85 @@ fn accepted_ahead_of_the_barrier_loses_an_acked_write() {
         matches!(m, Msg::Accepted { .. })
     }));
     let v = read_through(&mut cl, 1, 2).expect("the lost acknowledged write must be caught");
+    assert!(v.contains("linearizability"), "unexpected violation: {v}");
+}
+
+/// Seeded mutation of a service's word: it says it answered a read from
+/// chosen state ([`ExecCtx::answered_from_chosen_state`]) but read the
+/// state the open window left, the decree in flight included.
+struct ReadsTheWindow(CheckerApp);
+
+impl App for ReadsTheWindow {
+    fn execute(&mut self, req: &Request, ctx: &mut ExecCtx<'_>) -> (Bytes, StateUpdate) {
+        let asked = ctx.wants_chosen_state();
+        let done = self
+            .0
+            .execute(req, &mut ExecCtx::new(ctx.now, &mut *ctx.rng));
+        if asked {
+            ctx.answered_from_chosen_state();
+        }
+        done
+    }
+    fn apply(&mut self, req: &Request, update: &StateUpdate) {
+        self.0.apply(req, update);
+    }
+    fn snapshot(&self) -> Bytes {
+        self.0.snapshot()
+    }
+    fn restore(&mut self, snap: &[u8]) {
+        self.0.restore(snap);
+    }
+    fn tentative_begin(&mut self) -> bool {
+        self.0.tentative_begin()
+    }
+    fn tentative_rollback(&mut self) {
+        self.0.tentative_rollback();
+    }
+    fn tentative_commit(&mut self) {
+        self.0.tentative_commit();
+    }
+}
+
+/// A read under a decree in flight is answered from the state before it.
+/// Leader 0 executes `Write(0)`, whose `Accept` waits in the network; the
+/// first read arrives, is answered, and a confirm round with 1 validates
+/// it. Then 1 takes over with 2's promise — neither holds the write — 0
+/// steps down, and the second read, issued after the first completed, is
+/// answered at 1. Honestly served, both reads miss the write and the walk
+/// is clean. Mutated ([`ReadsTheWindow`]), the first read saw a write that
+/// was never chosen, the second misses it, and read linearizability
+/// fires.
+#[test]
+fn a_read_that_sees_the_window_trips_linearizability() {
+    let walk = |app: fn() -> Box<dyn App>, first_saw: u64| {
+        let mut cl = Cluster::with_app(&scenario("confirm-batching"), app);
+        let step = |v: Option<String>| assert_eq!(v, None);
+        assert_eq!(establish_leader(&mut cl), 0);
+        step(inject(&mut cl)); // Write(0)
+        let leader = cl.replica(0).expect("live").checker_view();
+        assert!(leader.tentative_exec, "the write's window is open");
+        // Issued request 1 is the first read; its retransmission (not the
+        // write's) launches the round.
+        let read = |cl: &mut Cluster, k: usize, leader: u32, voter: u32| {
+            inject(cl)
+                .or_else(|| cl.apply(Choice::Retransmit(k)))
+                .or_else(|| {
+                    deliver_to(cl, voter, |m| {
+                        matches!(m, Msg::ConfirmReq { ballot, .. } if ballot.proposer.0 == leader)
+                    })
+                })
+                .or_else(|| deliver_to(cl, leader, |m| matches!(m, Msg::ConfirmBatch { .. })))
+        };
+        step(read(&mut cl, 1, 0, 1));
+        assert_eq!(cl.obs.read_mask_floor, first_saw, "the first read's answer");
+        take_over(&mut cl, 1, 2);
+        step(deliver_to(&mut cl, 0, |m| matches!(m, Msg::Prepare { .. })));
+        assert_eq!(cl.leader(), Some(1));
+        read(&mut cl, 2, 1, 2)
+    };
+    assert_eq!(walk(|| Box::new(CheckerApp::new()), 0), None);
+    let v = walk(|| Box::new(ReadsTheWindow(CheckerApp::new())), 0b1)
+        .expect("a read that saw an unchosen write must be caught");
     assert!(v.contains("linearizability"), "unexpected violation: {v}");
 }
 

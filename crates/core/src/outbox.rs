@@ -22,6 +22,17 @@
 //!    would make its next commit-only cycle pay a sync of its own;
 //! 3. hands the **behind** list, everything else, to the network.
 //!
+//! [`release`] is [`release_begin`] (steps 1 and 2 up to the sync: the
+//! storage of every core whose barrier is due is [`Lent`], the rest run
+//! theirs at once), [`Lent::flush`], and [`release_end`] (the storages
+//! back, then step 3). The simulator, the model checker and the tests
+//! call [`release`], so their barrier completes at once. The epoll
+//! reactor sends the [`Lent`] storages to a thread and goes on serving
+//! what [`Replica::serves_beside_barrier`] admits — reads, which write
+//! nothing and acknowledge no record — through [`release_beside`], and
+//! calls [`release_end`] when the sync is over. A storage that is durable
+//! as written is never due, so a node on one never lends it.
+//!
 //! Persist-before-send (§3.1/§3.3) holds at batch granularity: no
 //! `Promise`, `Accepted`, `Reply` or `Chosen` reaches the wire before the
 //! record it acknowledges is durable. An `Accept` acknowledges nothing on
@@ -30,8 +41,9 @@
 //! `2M + E + max(S, 2m + S)`, not `2M + E + S + 2m + S` (DESIGN.md §5).
 //! The leader's own vote is the unflushed record; it is durable before
 //! any later step can count a follower's `Accepted` with it, because the
-//! loop calls `release` — and so finishes the barrier — before it runs
-//! the cores again.
+//! loop finishes the barrier before it runs the cores again, but for the
+//! steps [`Replica::serves_beside_barrier`] admits — and an `Accepted` is
+//! never one of them.
 //!
 //! A barrier is due for the records a message can acknowledge; the
 //! chosen-prefix mark is not one, so committing a decree costs no sync of
@@ -78,6 +90,7 @@
 
 use crate::msg::Msg;
 use crate::replica::Replica;
+use crate::storage::Storage;
 use crate::types::Addr;
 
 /// A buffered send.
@@ -146,10 +159,44 @@ impl Outbox {
     }
 }
 
+/// The storages of the cores whose barrier is due, away from their
+/// cores between [`release_begin`] and [`release_end`]: the one thing a
+/// drive loop may do with them is [`Lent::flush`], on any thread.
+#[must_use = "the storages go back through `release_end`"]
+pub struct Lent {
+    /// Each with the index of its core in [`Wire::cores`].
+    storages: Vec<(usize, Box<dyn Storage>)>,
+    synced: bool,
+}
+
+impl Lent {
+    /// The barrier: one sync of every lent storage.
+    pub fn flush(&mut self) {
+        for (_, storage) in &mut self.storages {
+            storage.flush();
+        }
+        self.synced = true;
+    }
+
+    /// Whether no core had a barrier due: there is nothing to sync.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.storages.is_empty()
+    }
+}
+
+/// The behind list of a release stopped at its barrier.
+#[must_use = "the behind list leaves through `release_end`"]
+#[derive(Debug)]
+pub struct Held(Vec<Out>);
+
 /// Ahead list, barrier, behind list (module docs); nothing at all when
 /// nothing is buffered.
 pub fn release(wire: &mut impl Wire) {
-    release_or_cut(wire, false);
+    if let Some((mut lent, held)) = release_begin(wire) {
+        lent.flush();
+        release_end(wire, lent, held);
+    }
 }
 
 /// [`release`] with the power failing at the barrier: the ahead list is
@@ -157,26 +204,71 @@ pub fn release(wire: &mut impl Wire) {
 /// Where no barrier was due the release was its one pass, nothing waited
 /// for anything, and the cut falls after it.
 pub fn release_to_barrier(wire: &mut impl Wire) {
-    release_or_cut(wire, true);
+    if let Some((lent, held)) = release_begin(wire) {
+        release_end(wire, lent, held);
+    }
 }
 
-fn release_or_cut(wire: &mut impl Wire, power_cut: bool) {
+/// The release up to its sync: the ahead list to the network, the
+/// storage of every core whose barrier is due lent (the barrier of a core
+/// that raised one on storage durable as written runs here), and the
+/// behind list held. `None` when nothing is buffered.
+pub fn release_begin(wire: &mut impl Wire) -> Option<(Lent, Held)> {
     if wire.outbox().is_empty() {
-        return;
+        return None;
     }
     let mut outbox = std::mem::take(wire.outbox());
     if !outbox.ahead.is_empty() {
         wire.transmit(&mut outbox.ahead);
     }
-    if power_cut && wire.cores().iter().any(Replica::barrier_due) {
-        outbox.behind.clear();
-    } else {
-        for core in wire.cores() {
-            core.barrier();
-        }
-        wire.transmit(&mut outbox.behind);
-    }
+    let behind = std::mem::take(&mut outbox.behind);
     *wire.outbox() = outbox;
+    let cores = wire.cores().iter_mut().enumerate();
+    let storages: Vec<_> = cores
+        .filter_map(|(i, core)| core.lend_barrier().map(|s| (i, s)))
+        .collect();
+    let synced = storages.is_empty();
+    Some((Lent { storages, synced }, Held(behind)))
+}
+
+/// The release after its sync: the storages back to their cores, then
+/// the held behind list to the network — unless the sync never ran (the
+/// power failed at it), when it is lost with the process.
+pub fn release_end(wire: &mut impl Wire, lent: Lent, held: Held) {
+    let cores = wire.cores();
+    for (i, storage) in lent.storages {
+        cores[i].stable.take_back(storage, lent.synced);
+    }
+    let Held(mut behind) = held;
+    if lent.synced {
+        wire.transmit(&mut behind);
+    } else {
+        behind.clear();
+    }
+    let outbox = wire.outbox();
+    if outbox.behind.is_empty() {
+        outbox.behind = behind; // keeps the allocation
+    }
+}
+
+/// What the steps [`Replica::serves_beside_barrier`] admitted sent, while
+/// a barrier is away: to the network at once, since none acknowledges a
+/// record.
+///
+/// # Panics
+/// If an `Accept` is among them: it belongs ahead of a barrier, and no
+/// admitted step proposes.
+pub fn release_beside(wire: &mut impl Wire) {
+    let outbox = wire.outbox();
+    assert!(
+        outbox.ahead.is_empty() && !outbox.behind.iter().any(|o| o.msg().precedes_barrier()),
+        "an Accept beside a barrier"
+    );
+    let mut behind = std::mem::take(&mut outbox.behind);
+    if !behind.is_empty() {
+        wire.transmit(&mut behind);
+    }
+    wire.outbox().behind = behind;
 }
 
 #[cfg(test)]
@@ -394,6 +486,16 @@ mod tests {
             assert_eq!(*wire.log.lock().unwrap(), expect, "{what}");
             assert!(wire.outbox.is_empty(), "{what}: the lists are spent");
         }
+    }
+
+    /// Beside a barrier only what an admitted step sent leaves, at once;
+    /// an `Accept` among it is a step that should have waited.
+    #[test]
+    #[should_panic(expected = "an Accept beside a barrier")]
+    fn release_beside_refuses_an_accept() {
+        let mut wire = recorder([false, false]);
+        push_step(&mut wire, 0);
+        release_beside(&mut wire);
     }
 
     /// Persist-before-send at the source: an `Accepted` for an instance

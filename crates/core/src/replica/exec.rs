@@ -5,7 +5,9 @@
 //! It alone holds the [`App`] and the at-most-once table, and what they
 //! hold is always *the chosen prefix*, or *the chosen prefix plus one open
 //! window*: the leader's execution of the decree it is proposing
-//! ([`Executor::execute`]).
+//! ([`Executor::execute`]). An app that keeps the window as an undo log
+//! can still be asked for the chosen prefix alone, by a plain read
+//! ([`Executor::answer_chosen`]).
 //!
 //! A decree reaches the service through [`Executor::chosen`] and no other
 //! way. The very decree the window executed (`Arc::ptr_eq` on its entries
@@ -331,6 +333,26 @@ impl Executor {
         };
         debug_assert!(!read || update.is_none(), "reads must not change state");
         ReplyBody::Ok(bytes)
+    }
+
+    /// Answer plain read `req` from the chosen prefix while the window is
+    /// open: the app is asked for the state before the window
+    /// ([`ExecCtx::wants_chosen_state`]), and its reply counts only if it
+    /// says it answered from there. An app without an undo log of its own
+    /// is not asked — its window holds a snapshot, not the pre-images a
+    /// read of chosen state needs — and neither is one with no window.
+    pub(crate) fn answer_chosen(
+        &mut self,
+        req: &Request,
+        now: Time,
+        rng: &mut SmallRng,
+    ) -> Option<ReplyBody> {
+        debug_assert!(req.kind == RequestKind::Read && req.txn.is_none());
+        self.window.as_ref().filter(|w| w.pre.is_none())?;
+        let mut ctx = ExecCtx::for_chosen_state(now, rng);
+        let (bytes, update) = self.app.execute(req, &mut ctx);
+        debug_assert!(update.is_none(), "reads must not change state");
+        ctx.chosen_state_answered().then_some(ReplyBody::Ok(bytes))
     }
 
     /// Stage one T-Paxos operation (`first` opens the session). Volatile:

@@ -408,13 +408,25 @@ impl Replica {
     /// before any message those handlers produced is transmitted, except
     /// the ones [`Msg::precedes_barrier`] lets go first (`Accept`: the
     /// sync then runs beside the followers' round trip), and before this
-    /// replica's next handler runs — persist-before-send at batch
-    /// granularity (§3.1/§3.3). [`crate::outbox::release`] is its one
-    /// caller; a drive loop outside this crate cannot call it.
+    /// replica's next handler runs, but those
+    /// [`Replica::serves_beside_barrier`] admits — persist-before-send at
+    /// batch granularity (§3.1/§3.3). [`crate::outbox::release_begin`] is
+    /// its one caller; a drive loop outside this crate cannot call it.
     pub(crate) fn barrier(&mut self) {
         if self.stable.raised() {
             self.stable.flush();
         }
+    }
+
+    /// The barrier, to run elsewhere if it is due: the storage it syncs,
+    /// lent until `Stable::take_back`. A barrier raised but not due
+    /// (storage durable as written) runs here and lends nothing.
+    pub(crate) fn lend_barrier(&mut self) -> Option<Box<dyn Storage>> {
+        if self.barrier_due() {
+            return Some(self.stable.lend());
+        }
+        self.barrier();
+        None
     }
 
     /// Whether a [`Replica::barrier`] is due: storage holds an unflushed

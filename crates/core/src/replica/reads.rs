@@ -6,9 +6,12 @@
 //! both sides, and this file alone reads the read mode, the
 //! confirm-batching knob and the lease: they are [`ReadPolicy`]'s private
 //! fields. [`verdict`] is the rule: an open read *waits*
-//! until it has executed — only on a quiescent leader: no decree in
-//! flight, no recovery outstanding, since a tentative write may still be
-//! rolled back — and then until its mode's validation holds:
+//! until it has executed on chosen state — on a quiescent leader (no
+//! decree in flight, no recovery outstanding), or, for a plain read with
+//! no recovery outstanding, on the state before the decree in flight when
+//! the service can answer from there (`Executor::answer_chosen`), since
+//! the tentative write may still be rolled back — and then until its
+//! mode's validation holds:
 //!
 //! | mode      | what validates an executed read                          |
 //! |-----------|----------------------------------------------------------|
@@ -24,8 +27,18 @@
 //! "the prefix advanced" (`reads_after_advance`) and a leadership's begin
 //! and end. `leader.rs` sees a read only when a door hands it back for
 //! the consensus queue.
+//!
+//! A read under a decree in flight is answered from the state before it.
+//! That decree has been answered to nobody — its replies leave when it
+//! commits — so a read invoked before the commit may be ordered before
+//! it; and that state is the chosen prefix, majority-durable.
+//!
+//! The same file says what a drive loop may run while the replica's
+//! durability barrier syncs elsewhere ([`Replica::serves_beside_barrier`]):
+//! X-Paxos reads and their confirms, nothing that writes or acknowledges
+//! a record.
 
-use super::Replica;
+use super::{Replica, Role};
 use crate::action::Action;
 use crate::ballot::Ballot;
 use crate::config::{Config, ReadMode, TxnMode};
@@ -337,6 +350,48 @@ impl Replica {
         self.reads.leader_commit
     }
 
+    /// Whether a drive loop may hand `msg` to this replica while its
+    /// durability barrier syncs elsewhere (`outbox::release_begin`): a
+    /// plain X-Paxos read at a follower, or at a leader with no recovery
+    /// outstanding, and a `Confirm` at a leader — each only while the
+    /// promise this replica wrote is durable, since a confirm vouches for
+    /// it and a crash inside the barrier would take it back. None of these
+    /// writes a record or needs one to be durable; everything else waits
+    /// for the barrier, in order.
+    #[must_use]
+    pub fn serves_beside_barrier(&self, msg: &Msg) -> bool {
+        if !self.stable.promise_durable() {
+            return false;
+        }
+        match msg {
+            Msg::Request(req) => {
+                let plain_read = req.kind == RequestKind::Read && req.txn.is_none();
+                let role_serves = match &self.role {
+                    Role::Follower => true,
+                    Role::Leader(l) => l.recovery.is_none(),
+                    Role::Candidate(_) => false,
+                };
+                plain_read && self.cfg.reads.mode == ReadMode::XPaxos && role_serves
+            }
+            Msg::Confirm { .. } => self.is_leader(),
+            Msg::Grouped { inner, .. } => self.serves_beside_barrier(inner),
+            Msg::Reply(_)
+            | Msg::Prepare { .. }
+            | Msg::Promise { .. }
+            | Msg::PrepareNack { .. }
+            | Msg::Accept { .. }
+            | Msg::Accepted { .. }
+            | Msg::AcceptNack { .. }
+            | Msg::Chosen { .. }
+            | Msg::ConfirmReq { .. }
+            | Msg::ConfirmBatch { .. }
+            | Msg::Heartbeat { .. }
+            | Msg::HeartbeatAck { .. }
+            | Msg::CatchUpReq { .. }
+            | Msg::CatchUp { .. } => false,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Arrival
     // ------------------------------------------------------------------
@@ -464,8 +519,7 @@ impl Replica {
                 confirmed: false,
             },
         );
-        let quiescent = self.quiescent();
-        self.settle(id, quiescent, now, out);
+        self.settle(id, true, now, out);
         self.maybe_launch_confirm_round(false, out);
         None
     }
@@ -498,21 +552,33 @@ impl Replica {
     // ------------------------------------------------------------------
 
     /// Ask [`verdict`] about open read `id` and act on the answer; no other
-    /// code answers, requeues or executes an open read. `quiescent` is the
-    /// caller's word that no decree is in flight and no recovery
-    /// outstanding: only then may a read that has not run yet execute
-    /// (otherwise it would observe a tentative, possibly-rolled-back
-    /// write). A vote or a round's answer never executes.
-    fn settle(&mut self, id: RequestId, quiescent: bool, now: Time, out: &mut Vec<Action>) {
+    /// code answers, requeues or executes an open read. `execute` says the
+    /// door may run a read that has not run yet: the read's arrival and
+    /// "the prefix advanced" may, a vote or a round's answer never does.
+    /// It runs on chosen state only (module docs): on a quiescent leader
+    /// as the state stands; under a decree in flight, with no recovery
+    /// outstanding, a plain read on the state before it if the service
+    /// answers from there; otherwise it waits, since it would observe a
+    /// tentative, possibly-rolled-back write.
+    fn settle(&mut self, id: RequestId, execute: bool, now: Time, out: &mut Vec<Action>) {
         let (mode, majority) = (self.cfg.reads.mode, self.cfg.majority());
+        let quiescent = self.quiescent();
+        let recovering = matches!(&self.role, Role::Leader(l) if l.recovery.is_some());
         let Some(l) = &mut self.reads.lead else {
             return;
         };
         let Some(p) = l.open.get_mut(&id) else {
             return;
         };
-        if quiescent && p.result.is_none() {
-            p.result = Some(self.exec.answer(&p.req, now, &mut self.rng));
+        if execute && p.result.is_none() {
+            let rng = &mut self.rng;
+            p.result = if quiescent {
+                Some(self.exec.answer(&p.req, now, rng))
+            } else if !recovering && p.req.txn.is_none() {
+                self.exec.answer_chosen(&p.req, now, rng)
+            } else {
+                None
+            };
         }
         let (executed, votes) = (p.result.is_some(), p.votes.len());
         let lease_live = now < l.lease_until;

@@ -40,6 +40,13 @@
 //! `Accepted` naming an instance above the chosen prefix that holds no
 //! accept record at its ballot. The marks prune the record, so it holds
 //! the instances in flight, not the log.
+//!
+//! The barrier may run on another thread while the drive loop serves what
+//! needs no record ([`Stable::lend`]): the storage goes to the barrier,
+//! and any call on it panics until it comes back
+//! ([`Stable::take_back`]). `Stable` also keeps the promise the last
+//! completed barrier covered, which is what a replica may vouch for while
+//! the next one runs.
 
 use crate::ballot::Ballot;
 use crate::command::{Decree, DedupEntry, SnapshotBlob};
@@ -53,7 +60,8 @@ use std::collections::BTreeMap;
 /// storage, so a write site cannot forget the barrier: it has to say
 /// which record it writes.
 pub(crate) struct Stable {
-    storage: Box<dyn Storage>,
+    /// `None` while lent to a barrier ([`Stable::lend`]).
+    storage: Option<Box<dyn Storage>>,
     /// An acknowledgeable record was written since the last barrier.
     raised: bool,
     /// The promise written last (promises only rise).
@@ -61,15 +69,24 @@ pub(crate) struct Stable {
     /// The ballot of the last accept record written, per instance above
     /// the last chosen-prefix mark.
     accepted: BTreeMap<Instance, Ballot>,
+    /// The promise a completed barrier covered (or storage loaded).
+    durable_promised: Ballot,
+}
+
+/// Any call on the storage while it is away at a barrier: a step that
+/// should have waited for the barrier.
+fn away() -> ! {
+    panic!("storage away at a barrier")
 }
 
 impl Stable {
     pub(crate) fn new(storage: Box<dyn Storage>) -> Stable {
         Stable {
-            storage,
+            storage: Some(storage),
             raised: false,
             promised: Ballot::ZERO,
             accepted: BTreeMap::new(),
+            durable_promised: Ballot::ZERO,
         }
     }
 
@@ -77,25 +94,37 @@ impl Stable {
     /// holds: a recovered replica answers for what it wrote before.
     pub(crate) fn seed(&mut self, durable: &DurableState) {
         self.promised = durable.promised;
+        self.durable_promised = durable.promised;
         let above = durable.accepted.range(durable.chosen_prefix.next()..);
         self.accepted = above.map(|(i, (b, _))| (*i, *b)).collect();
     }
 
     /// Read access.
     pub(crate) fn get(&self) -> &dyn Storage {
-        self.storage.as_ref()
+        match &self.storage {
+            Some(storage) => storage.as_ref(),
+            None => away(),
+        }
+    }
+
+    /// Write access, for the doors.
+    fn disk(&mut self) -> &mut dyn Storage {
+        match &mut self.storage {
+            Some(storage) => storage.as_mut(),
+            None => away(),
+        }
     }
 
     /// Write a promise: raises the barrier.
     pub(crate) fn promise(&mut self, b: Ballot) {
-        self.storage.save_promised(b);
+        self.disk().save_promised(b);
         self.promised = b;
         self.raised = true;
     }
 
     /// Write an accept record: raises the barrier.
     pub(crate) fn accept(&mut self, i: Instance, b: Ballot, d: &Decree) {
-        self.storage.save_accepted(i, b, d);
+        self.disk().save_accepted(i, b, d);
         self.accepted.insert(i, b);
         self.raised = true;
     }
@@ -116,7 +145,7 @@ impl Stable {
 
     /// Write the chosen-prefix mark (module docs): raises no barrier.
     pub(crate) fn mark_chosen(&mut self, upto: Instance) {
-        self.storage.save_chosen_prefix(upto);
+        self.disk().save_chosen_prefix(upto);
         while let Some(first) = self.accepted.first_entry() {
             if *first.key() > upto {
                 break;
@@ -127,28 +156,28 @@ impl Stable {
 
     /// Open a periodic checkpoint: raises no barrier.
     pub(crate) fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
-        self.storage.checkpoint_begin(upto, dedup, total);
+        self.disk().checkpoint_begin(upto, dedup, total);
     }
 
     /// Write a checkpoint chunk: raises no barrier.
     pub(crate) fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
-        self.storage.checkpoint_chunk(idx, data);
+        self.disk().checkpoint_chunk(idx, data);
     }
 
     /// Commit the checkpoint: raises no barrier.
     pub(crate) fn checkpoint_commit(&mut self) {
-        self.storage.checkpoint_commit();
+        self.disk().checkpoint_commit();
     }
 
     /// Drop the checkpoint under construction.
     pub(crate) fn checkpoint_abort(&mut self) {
-        self.storage.checkpoint_abort();
+        self.disk().checkpoint_abort();
     }
 
     /// Drop the accept records a committed image covers: raises no
     /// barrier, and leaves the record to the marks.
     pub(crate) fn truncate(&mut self, upto: Instance) {
-        self.storage.truncate_upto(upto);
+        self.disk().truncate_upto(upto);
     }
 
     /// Whether an acknowledgeable record was written since the last
@@ -159,14 +188,42 @@ impl Stable {
 
     /// Whether the drive loop must run the barrier before it transmits.
     pub(crate) fn barrier_due(&self) -> bool {
-        self.raised && self.storage.is_dirty()
+        self.raised && self.get().is_dirty()
     }
 
     /// The barrier: everything recorded so far, of either kind, is
     /// durable when this returns.
     pub(crate) fn flush(&mut self) {
-        self.storage.flush();
+        self.disk().flush();
+        self.barrier_over();
+    }
+
+    /// Lend the storage to a barrier that runs elsewhere; until
+    /// [`Stable::take_back`], any call on it panics.
+    pub(crate) fn lend(&mut self) -> Box<dyn Storage> {
+        match self.storage.take() {
+            Some(storage) => storage,
+            None => away(),
+        }
+    }
+
+    /// The storage is back; `synced` says its barrier completed (it did
+    /// not if the power failed at it).
+    pub(crate) fn take_back(&mut self, storage: Box<dyn Storage>, synced: bool) {
+        self.storage = Some(storage);
+        if synced {
+            self.barrier_over();
+        }
+    }
+
+    fn barrier_over(&mut self) {
         self.raised = false;
+        self.durable_promised = self.promised;
+    }
+
+    /// Whether the promise written last is durable: a barrier covered it.
+    pub(crate) fn promise_durable(&self) -> bool {
+        self.durable_promised == self.promised
     }
 
     /// What `msg` acknowledges that was never written, if anything, for a
@@ -219,6 +276,9 @@ impl Stable {
     }
 
     pub(crate) fn into_inner(self) -> Box<dyn Storage> {
-        self.storage
+        match self.storage {
+            Some(storage) => storage,
+            None => away(),
+        }
     }
 }

@@ -2827,12 +2827,23 @@ struct UndoLogged {
 }
 
 impl App for UndoLogged {
+    /// A read asked for chosen state under a window answers from the
+    /// count before it.
     fn execute(
         &mut self,
         req: &crate::request::Request,
         ctx: &mut crate::service::ExecCtx<'_>,
     ) -> (Bytes, crate::command::StateUpdate) {
-        self.app.execute(req, ctx)
+        match self.undo {
+            Some(before) if ctx.wants_chosen_state() => {
+                ctx.answered_from_chosen_state();
+                let chosen = NoopApp {
+                    writes_applied: before,
+                };
+                (chosen.snapshot(), crate::command::StateUpdate::None)
+            }
+            Some(_) | None => self.app.execute(req, ctx),
+        }
     }
     fn apply(&mut self, req: &crate::request::Request, update: &crate::command::StateUpdate) {
         self.app.apply(req, update);
@@ -3237,4 +3248,306 @@ fn push_allows_a_retransmit_after_a_truncation() {
     s.trace.clear();
     s.fire(0, TimerKind::Retransmit);
     assert_eq!(s.trace, ["r0: | - | accept accept"]);
+}
+
+// ----------------------------------------------------------------------
+// Beside the barrier: what a drive loop may run while this replica's
+// storage syncs elsewhere, and reads of chosen state under a window.
+// ----------------------------------------------------------------------
+
+/// A 3-replica cluster in `mode` serving [`UndoLogged`], one write
+/// chosen, and a second executed by leader 0 whose `Accept` is withheld:
+/// its window is open.
+fn window_open(mode: ReadMode) -> Shuttle {
+    let cfg = cluster_cfg(3).with_read_mode(mode);
+    let disks = (0..3).map(|_| Box::new(MemStorage::new()) as Box<dyn Storage>);
+    let mut s = Shuttle::serving(cfg, disks.collect(), || Box::new(UndoLogged::default()));
+    let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
+    s.submit(&mut c, RequestKind::Write);
+    let r0 = s.replicas[0].as_mut().unwrap();
+    let withheld = r0.on_message(
+        Addr::Client(ClientId(8)),
+        Msg::Request(write_req(8, 1)),
+        s.now,
+    );
+    sent(&withheld, |m| matches!(m, Msg::Accept { .. }));
+    assert!(r0.checker_view().tentative_exec);
+    s
+}
+
+fn plain_read(client: u64) -> crate::request::Request {
+    let id = crate::request::RequestId::new(ClientId(client), Seq(1));
+    crate::request::Request::new(id, RequestKind::Read, Bytes::new())
+}
+
+/// One message of every variant — a request as a plain read, a write and
+/// a transactional read — named for the table, and the sender.
+fn every_variant(b: Ballot) -> Vec<(&'static str, Addr, Msg)> {
+    let peer = Addr::Replica(ProcessId(1));
+    let client = Addr::Client(ClientId(9));
+    let i = Instance(1);
+    let txn_read = crate::request::Request::txn_op(
+        crate::request::RequestId::new(ClientId(9), Seq(2)),
+        RequestKind::Read,
+        TxnId(1),
+        Bytes::new(),
+    );
+    let reply = crate::request::Reply {
+        id: plain_read(9).id,
+        leader: ProcessId(0),
+        watermark: i,
+        body: ReplyBody::Empty,
+    };
+    let read = Msg::Request(plain_read(9));
+    let image = ImageRun {
+        upto: i,
+        total: 1,
+        first: 0,
+        dedup: Vec::new(),
+        pieces: vec![Bytes::new()],
+    };
+    let higher = Ballot::new(b.round + 1, ProcessId(2));
+    vec![
+        ("read", client, read.clone()),
+        ("write", client, Msg::Request(write_req(9, 3))),
+        ("txn read", client, Msg::Request(txn_read)),
+        ("reply", client, Msg::Reply(reply)),
+        (
+            "prepare",
+            peer,
+            Msg::Prepare {
+                ballot: higher,
+                chosen_prefix: i,
+                known_above: Vec::new(),
+            },
+        ),
+        (
+            "promise",
+            peer,
+            Msg::Promise {
+                ballot: b,
+                chosen_prefix: i,
+                accepted: Vec::new(),
+            },
+        ),
+        (
+            "prepare_nack",
+            peer,
+            Msg::PrepareNack {
+                ballot: b,
+                promised: higher,
+            },
+        ),
+        (
+            "accept",
+            peer,
+            Msg::Accept {
+                ballot: b,
+                entries: vec![(Instance(9), Decree::noop())],
+            },
+        ),
+        (
+            "accepted",
+            peer,
+            Msg::Accepted {
+                ballot: b,
+                instances: vec![Instance(2)],
+            },
+        ),
+        (
+            "accept_nack",
+            peer,
+            Msg::AcceptNack {
+                ballot: b,
+                promised: higher,
+            },
+        ),
+        ("chosen", peer, Msg::Chosen { ballot: b, upto: i }),
+        (
+            "confirm",
+            peer,
+            Msg::Confirm {
+                ballot: b,
+                read: plain_read(9).id,
+            },
+        ),
+        (
+            "confirm_req",
+            peer,
+            Msg::ConfirmReq {
+                ballot: b,
+                epoch: 1,
+                backlog: false,
+            },
+        ),
+        (
+            "confirm_batch",
+            peer,
+            Msg::ConfirmBatch {
+                ballot: b,
+                epoch: 1,
+            },
+        ),
+        (
+            "heartbeat",
+            peer,
+            Msg::Heartbeat {
+                ballot: b,
+                chosen: i,
+                hb_seq: 1,
+            },
+        ),
+        (
+            "heartbeat_ack",
+            peer,
+            Msg::HeartbeatAck {
+                ballot: b,
+                hb_seq: 1,
+            },
+        ),
+        (
+            "catchup_req",
+            peer,
+            Msg::CatchUpReq {
+                have: Instance::ZERO,
+                resume: None,
+            },
+        ),
+        (
+            "catchup",
+            peer,
+            Msg::CatchUp {
+                ballot: b,
+                image: Some(image),
+                entries: Vec::new(),
+            },
+        ),
+        (
+            "grouped read",
+            client,
+            Msg::Grouped {
+                group: crate::types::GroupId::ZERO,
+                inner: Box::new(read),
+            },
+        ),
+    ]
+}
+
+/// Every `Msg` variant × role × read mode through
+/// [`Replica::serves_beside_barrier`]: it admits a plain read under
+/// X-Paxos at a follower or at a leader with no recovery outstanding, and
+/// a `Confirm` at a leader — each only while the promise is durable — and
+/// nothing else: no `Confirm` or read while a promise is inside the
+/// barrier, no read under `Consensus`, `Lease` or follower reads, no
+/// `Prepare`, `Accept`, `Chosen` or `Heartbeat`. Each admitted step then
+/// runs with the storage away — any call on it panics — and
+/// sends no `Accept`.
+#[test]
+fn beside_the_barrier_runs_reads_and_confirms_only() {
+    let modes = [
+        ReadMode::XPaxos,
+        ReadMode::Lease,
+        ReadMode::Consensus,
+        ReadMode::Follower { max_staleness: 4 },
+    ];
+    let mut admitted_steps = 0;
+    for mode in modes {
+        let mut s = window_open(mode);
+        let now = s.now;
+        let leader = s.replicas[0].take().unwrap();
+        let b = leader.promised();
+        let mut recovering = window_open(mode).replicas[0].take().unwrap();
+        if let Role::Leader(l) = &mut recovering.role {
+            l.recovery = Some(super::leader::RecoveryBatch::default());
+        }
+        let follower = s.replicas[1].take().unwrap();
+        let mut candidate = s.replicas[2].take().unwrap();
+        candidate.start_election(now, &mut Vec::new());
+        candidate.barrier();
+        let mut promised_anew = window_open(mode).replicas[1].take().unwrap();
+        let prepare = Msg::Prepare {
+            ballot: Ballot::new(b.round + 1, ProcessId(2)),
+            chosen_prefix: Instance::ZERO,
+            known_above: Vec::new(),
+        };
+        promised_anew.on_message(Addr::Replica(ProcessId(2)), prepare, now);
+        let roles = [
+            ("leader", leader),
+            ("leader in recovery", recovering),
+            ("follower", follower),
+            ("candidate", candidate),
+            ("promise inside the barrier", promised_anew),
+        ];
+        let xpaxos = mode == ReadMode::XPaxos;
+        for (role, mut r) in roles {
+            assert_eq!(
+                r.stable.promise_durable(),
+                role != "promise inside the barrier"
+            );
+            let variants = every_variant(b);
+            let tags: std::collections::BTreeSet<_> =
+                variants.iter().map(|(_, _, m)| m.tag()).collect();
+            assert_eq!(
+                tags.len(),
+                16,
+                "every variant but the envelope, which wraps a read"
+            );
+            for (name, from, msg) in variants {
+                let want = match (name, role) {
+                    (_, "promise inside the barrier") => false,
+                    ("read" | "grouped read", "leader" | "follower") => xpaxos,
+                    ("confirm", "leader" | "leader in recovery") => true,
+                    _ => false,
+                };
+                let got = r.serves_beside_barrier(&msg);
+                assert_eq!(got, want, "{name} at a {role} under {mode:?}");
+                if !got {
+                    continue;
+                }
+                let storage = r.stable.lend();
+                let actions = r.on_message(from, msg, now);
+                r.stable.take_back(storage, true);
+                let accept = actions.iter().any(|a| match a {
+                    Action::Send { msg, .. } | Action::ToAllReplicas { msg } => {
+                        matches!(msg, Msg::Accept { .. })
+                    }
+                    Action::SetTimer { .. } | Action::CancelTimer { .. } => false,
+                });
+                assert!(!accept, "{name} at a {role} proposed");
+                admitted_steps += 1;
+            }
+        }
+    }
+    // X-Paxos: read, grouped read at leader and follower; confirm at both
+    // leaders. Every other mode: the confirms.
+    assert_eq!(admitted_steps, 6 + 3 * 2);
+}
+
+/// §3.4 under a decree in flight: a read that reaches the leader while
+/// its window is open is executed on the state before it — the service
+/// keeps it as its undo log — and answered as soon as a majority
+/// confirms, before the write commits. Its reply holds the one chosen
+/// write, not the tentative second. (`NoopApp` keeps no undo log, and the
+/// read waits for the commit: `xpaxos_read_defers_behind_tentative_write`.)
+#[test]
+fn a_read_under_a_window_is_answered_from_chosen_state() {
+    let mut s = window_open(ReadMode::XPaxos);
+    let now = s.now;
+    let r0 = s.replicas[0].as_mut().unwrap();
+    let ballot = r0.promised();
+    let read = plain_read(9);
+    let mut actions = r0.on_message(Addr::Client(ClientId(9)), Msg::Request(read.clone()), now);
+    let confirm = Msg::Confirm {
+        ballot,
+        read: read.id,
+    };
+    actions.extend(r0.on_message(Addr::Replica(ProcessId(1)), confirm, now));
+    let reply = sent(&actions, |m| matches!(m, Msg::Reply(_)));
+    let Msg::Reply(reply) = reply else {
+        unreachable!()
+    };
+    let count = u64::from_le_bytes(reply.body.payload().unwrap()[..8].try_into().unwrap());
+    assert_eq!((reply.id, count), (read.id, 1), "the chosen write only");
+    assert!(r0.checker_view().tentative_exec, "the window is still open");
+    assert_eq!(writes_applied(r0), 2, "and holds the second write");
 }

@@ -25,6 +25,10 @@ pub struct ExecCtx<'a> {
     pub rng: &'a mut SmallRng,
     /// See [`ExecCtx::update_subsumes_op`].
     op_subsumed: bool,
+    /// See [`ExecCtx::wants_chosen_state`].
+    chosen_state: bool,
+    /// See [`ExecCtx::answered_from_chosen_state`].
+    answered_chosen: bool,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -34,7 +38,46 @@ impl<'a> ExecCtx<'a> {
             now,
             rng,
             op_subsumed: false,
+            chosen_state: false,
+            answered_chosen: false,
         }
+    }
+
+    /// A context for a read the leader asks of its service while a
+    /// tentative window ([`App::tentative_begin`]) is open. Public so that
+    /// a service's tests can ask what it answers there.
+    pub fn for_chosen_state(now: Time, rng: &'a mut SmallRng) -> ExecCtx<'a> {
+        ExecCtx {
+            chosen_state: true,
+            ..ExecCtx::new(now, rng)
+        }
+    }
+
+    /// Whether [`App::execute`] is asked for a plain read of the state
+    /// *before* the open tentative window: the chosen state, which the
+    /// window's undo log still holds. A service that can answer from it
+    /// does, and says [`ExecCtx::answered_from_chosen_state`]; one that
+    /// cannot answers as it likes, says nothing, and the read waits for
+    /// the window to close. Asked through the context, like
+    /// [`ExecCtx::update_subsumes_op`], so an `App` that wraps another
+    /// passes it on without knowing of it.
+    #[must_use]
+    pub fn wants_chosen_state(&self) -> bool {
+        self.chosen_state
+    }
+
+    /// Said by [`App::execute`] of a read asked for
+    /// [`ExecCtx::wants_chosen_state`]: the reply it returns is what the
+    /// state before the open window holds. Only then does the leader use
+    /// it.
+    pub fn answered_from_chosen_state(&mut self) {
+        self.answered_chosen = self.chosen_state;
+    }
+
+    /// Whether the execution said [`ExecCtx::answered_from_chosen_state`].
+    #[must_use]
+    pub fn chosen_state_answered(&self) -> bool {
+        self.answered_chosen
     }
 
     /// Said by [`App::execute`] of the [`StateUpdate::Delta`] or
@@ -145,6 +188,8 @@ pub trait App: Send {
     /// service that returns `true` promises that a later
     /// [`App::tentative_rollback`] restores the exact pre-`execute` state
     /// and that [`App::tentative_commit`] makes the execution permanent.
+    /// While the window is open the leader may ask it for plain reads of
+    /// the pre-window state ([`ExecCtx::wants_chosen_state`]).
     /// The default returns `false`, and the replica falls back to taking a
     /// full [`App::snapshot`] before executing — correct for any service,
     /// but O(state size) per decree.

@@ -78,6 +78,12 @@ impl Overlay {
         }
     }
 
+    /// What `key` held when it was first noted, if it was: `Some(None)`
+    /// for a key that did not exist then.
+    pub(super) fn pre_image(&self, key: &str) -> Option<Option<&str>> {
+        self.0.get(key).map(Option::as_deref)
+    }
+
     /// The pre-images, to put back.
     pub(super) fn into_pre_images(self) -> impl Iterator<Item = (String, Option<String>)> {
         self.0.into_iter()

@@ -234,6 +234,24 @@ impl KvStore {
         }
     }
 
+    /// Answer a plain read from the state before the open tentative
+    /// window (`ExecCtx::wants_chosen_state`): a `Get` from the key's
+    /// pre-image, or its committed value if the window left it alone; a
+    /// `Fence` from the version the window began at. A `Scan` would merge
+    /// the pre-images into a range and is not answered here: it waits for
+    /// the window to close.
+    fn answer_chosen(&self, read: &ReadOp) -> Option<Bytes> {
+        let tn = self.tentative.as_ref();
+        match read {
+            ReadOp::Get(k) => {
+                let pre = tn.and_then(|tn| tn.undo.pre_image(k));
+                Some(value_reply(pre.unwrap_or_else(|| self.get(k))))
+            }
+            ReadOp::Fence => Some(fence_reply(tn.map_or(self.version, |tn| tn.version))),
+            ReadOp::Scan(_) => None,
+        }
+    }
+
     /// Answer a read, a `Get` through the asker's own staged writes.
     fn answer(&self, view: View<'_>, read: &ReadOp) -> Bytes {
         match read {
@@ -368,7 +386,14 @@ impl App for KvStore {
         };
         let (key, change) = match op.into_write() {
             Ok(write) => write,
-            Err(read) => return (self.answer(None, &read), StateUpdate::None),
+            Err(read) => {
+                let chosen = ctx.wants_chosen_state().then(|| self.answer_chosen(&read));
+                if let Some(body) = chosen.flatten() {
+                    ctx.answered_from_chosen_state();
+                    return (body, StateUpdate::None);
+                }
+                return (self.answer(None, &read), StateUpdate::None);
+            }
         };
         // A non-transactional write still respects transaction locks —
         // including 2PC intent locks, whose keys' fate is decided
@@ -929,6 +954,49 @@ mod tests {
         assert_eq!(fresh, s);
     }
 
+    /// A plain read asked for chosen state, as the leader asks under an
+    /// open window: the reply, if the store says it answered from there.
+    pub(super) fn read_chosen(store: &mut KvStore, seq: u64, op: &KvOp) -> Option<Bytes> {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut ctx = ExecCtx::for_chosen_state(Time::ZERO, &mut rng);
+        let (reply, up) = store.execute(&req(seq, RequestKind::Read, op), &mut ctx);
+        assert!(up.is_none(), "a read changes nothing");
+        ctx.chosen_state_answered().then_some(reply)
+    }
+
+    /// Under an open window a read of chosen state sees the state before
+    /// it: a key the window wrote reads its pre-image, a key it inserted
+    /// reads `NOT_FOUND`, a key it left alone its value, `Fence` the
+    /// version the window began at — and a `Scan` is not answered, so it
+    /// waits for the window to close.
+    #[test]
+    fn a_read_under_a_window_sees_the_state_before_it() {
+        let mut s = KvStore::new();
+        let put = |k: &str, v: &str| KvOp::Put(k.into(), v.into());
+        exec(&mut s, &req(1, RequestKind::Write, &put("a", "1")));
+        exec(&mut s, &req(2, RequestKind::Write, &put("b", "2")));
+        let version = s.version();
+        assert!(s.tentative_begin());
+        exec(&mut s, &req(3, RequestKind::Write, &put("a", "9")));
+        exec(&mut s, &req(4, RequestKind::Write, &put("new", "x")));
+        assert_eq!(s.get("a"), Some("9"), "the window holds the write");
+
+        let get = |k: &str| KvOp::Get(k.into());
+        let body = |v: Option<&str>| Some(value_reply(v));
+        assert_eq!(read_chosen(&mut s, 5, &get("a")), body(Some("1")));
+        assert_eq!(read_chosen(&mut s, 6, &get("new")), body(None));
+        assert_eq!(read_chosen(&mut s, 7, &get("b")), body(Some("2")));
+        assert_eq!(
+            read_chosen(&mut s, 8, &KvOp::Fence),
+            Some(fence_reply(version))
+        );
+        assert_eq!(read_chosen(&mut s, 9, &KvOp::Scan(String::new())), None);
+
+        // Asked plainly, the same store answers from the window.
+        let (now, _) = exec(&mut s, &req(10, RequestKind::Read, &get("a")));
+        assert_eq!(now, value_reply(Some("9")));
+    }
+
     // ---- 2PC -----------------------------------------------------------
 
     pub(super) fn prep_req(seq: u64, txn: TxnId, ops: &[KvOp]) -> Request {
@@ -1429,6 +1497,30 @@ mod tests {
                 s.tentative_rollback();
                 prop_assert_eq!(&s, &before);
                 prop_assert_eq!(s.snapshot(), before.snapshot());
+            }
+
+            /// Whatever a window wrote, a `Get` or `Fence` of chosen state
+            /// answers what a clone that rolled the window back answers.
+            #[test]
+            fn a_read_of_chosen_state_is_the_read_after_rollback(
+                base in proptest::collection::vec(arb_op(), 0..15),
+                spec in proptest::collection::vec(arb_op(), 1..15),
+                key in arb_key(),
+            ) {
+                let mut s = KvStore::new();
+                for (i, op) in base.iter().enumerate() {
+                    exec(&mut s, &req(i as u64 + 1, RequestKind::Write, op));
+                }
+                prop_assert!(s.tentative_begin());
+                for (i, op) in spec.iter().enumerate() {
+                    exec(&mut s, &req(100 + i as u64, RequestKind::Write, op));
+                }
+                let mut rolled_back = s.clone();
+                rolled_back.tentative_rollback();
+                for read in [KvOp::Get(key), KvOp::Fence] {
+                    let (want, _) = exec(&mut rolled_back, &req(200, RequestKind::Read, &read));
+                    prop_assert_eq!(read_chosen(&mut s, 200, &read), Some(want));
+                }
             }
         }
     }

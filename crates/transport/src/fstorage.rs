@@ -48,8 +48,9 @@
 //! `is_dirty() == false` therefore still means *every appended record is
 //! durable*: `durable_seq` only advances after a covering fsync returns.
 //! Two flushers racing on one log would each sync — one redundant fsync,
-//! never a lost record — but none do: one reactor thread owns all of a
-//! node's groups. (The lone fsync under the lock is `truncate_upto`'s
+//! never a lost record — but none do: a node's release flushes its
+//! groups one after another, on its loop or on the one pool thread its
+//! barrier went to, never both at once. (The lone fsync under the lock is `truncate_upto`'s
 //! WAL rewrite, which must hold it across its file work: releasing it
 //! between the mirror snapshot and the rename would lose any record
 //! appended in between. It runs in `rewrite_wal`, a call the `one-guard`

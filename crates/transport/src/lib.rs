@@ -5,17 +5,19 @@
 //! * a hand-rolled binary [`wire`] codec and length-prefixed [`framing`],
 //! * file-backed stable storage with a write-ahead log and atomic
 //!   checkpoints ([`fstorage`]), making deployments crash-recoverable,
-//! * the socket server: a single-threaded nonblocking `epoll` reactor
-//!   ([`reactor`]) hosting every consensus group of a node and
-//!   multiplexing thousands of client connections over one thread, with
-//!   explicit backpressure (bounded send queues, an admission gate),
+//! * the socket server: a nonblocking `epoll` reactor ([`reactor`])
+//!   hosting every consensus group of a node and multiplexing thousands
+//!   of client connections over one loop thread, its fsync on a thread
+//!   of a process-wide pool while the loop serves reads, with explicit
+//!   backpressure (bounded send queues, an admission gate),
 //! * the client side ([`client`]): one thread driving any number of
 //!   sans-io client cores over one socket per replica, and the blocking
 //!   [`SyncClient`] that is that loop with one core, mapping wall-clock
 //!   time onto the core's logical clock.
 //!
-//! A live node is one reactor thread and a live client one client-loop
-//! thread, both on `epoll`, so both are Linux-only; other platforms get
+//! A live node is one reactor thread (and a pool thread while its
+//! barrier syncs) and a live client one client-loop thread, both on
+//! `epoll`, so both are Linux-only; other platforms get
 //! the codec and the storage. Each loop owns one connection table
 //! (`conn`), which takes every step above a single socket — dial, frame,
 //! write, read, close — so the loops keep only their own policy.
@@ -33,6 +35,8 @@
 )]
 
 mod backpressure;
+#[cfg(target_os = "linux")]
+mod barrier;
 #[cfg(target_os = "linux")]
 pub mod client;
 #[cfg(target_os = "linux")]

@@ -1,13 +1,14 @@
-//! Single-threaded epoll reactor: nonblocking multiplexed I/O for one
-//! node, with explicit backpressure.
+//! The epoll reactor: nonblocking multiplexed I/O for one node on one
+//! loop thread, with explicit backpressure.
 //!
 //! This is the only code in the crate that listens on a socket. Two OS
 //! threads per connection drown a node in stacks and context switches at
 //! thousands of closed-loop clients, long before it runs out of protocol
-//! capacity (EXPERIMENTS.md E14), so a node is **one thread**: a
+//! capacity (EXPERIMENTS.md E14), so a node is **one loop thread**: a
 //! level-triggered `epoll` loop ([`crate::sys`]) owning the listener,
 //! every connection, the [`MultiReplica`] with all `G` group replica
-//! cores, and the timer table.
+//! cores, and the timer table. Its durability barrier syncs on a thread of
+//! a process-wide pool (`crate::barrier`) while the loop serves reads.
 //!
 //! ## I/O discipline
 //!
@@ -29,7 +30,9 @@
 //! The loop blocks in exactly one place, [`Epoll::wait_for`], for as long
 //! as [`Reactor::wait`] says: until the next timer is due, at the clock's
 //! resolution. The leader's batch window is 100 µs; counted in whole
-//! milliseconds it would cost every loaded decree ten times that.
+//! milliseconds it would cost every loaded decree ten times that. While a
+//! barrier is away no timer fires, and the barrier's wake-up ends the
+//! wait.
 //!
 //! ## Group commit: the flush barrier
 //!
@@ -42,9 +45,23 @@
 //! due; it becomes durable with the next decree's accept barrier (or the
 //! flush on the way out of [`Reactor::run`]).
 //!
+//! The fsync does not stop the loop. [`release_begin`] lends the storage
+//! of every group whose barrier is due, and a pool thread syncs it while
+//! the loop goes on reading sockets. Of what arrives it runs only what
+//! [`Replica::serves_beside_barrier`] admits — X-Paxos reads and their
+//! confirms — and sends what those produce at once ([`release_beside`]);
+//! everything else waits in the held queue, in arrival order, and no
+//! timer fires and no checkpoint is pumped. The barrier's wake-up, a
+//! socket in the epoll set, brings the storages back: [`release_end`]
+//! sends what waited behind the barrier, and the held queue goes back to
+//! the front of the inbox. A node on storage that is durable as written
+//! never has a barrier due, never lends, and never takes a pool thread.
+//!
 //! ## The way out
 //!
-//! [`Reactor::run`] ends with [`Replica::stop`] on every group: that last
+//! [`Reactor::run`] waits for a barrier still away, releases what is
+//! buffered with the barrier on its own thread, and ends with
+//! [`Replica::stop`] on every group: that last
 //! flush, and the leader's tentative execution of a decree still in
 //! flight taken back. The replicas [`ReactorCluster::shutdown`] returns
 //! hold the state of their chosen prefix, so "equal prefix ⇒ equal
@@ -60,7 +77,8 @@
 //!   queue is full its **read interest is suspended**, so a peer that
 //!   stops reading our replies also stops feeding us work (quench
 //!   propagates along the connection);
-//! * a node-wide `AdmissionGate` over the inbox backlog sheds new
+//! * a node-wide `AdmissionGate` over the backlog — the inbox and the
+//!   messages held behind a barrier — sheds new
 //!   client requests with an immediate `ReplyBody::Busy` above the
 //!   high-water mark and re-admits below the low-water mark. Busy
 //!   replies carry no durable state and never touch the protocol core,
@@ -77,6 +95,7 @@
 #![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
 
 use crate::backpressure::AdmissionGate;
+use crate::barrier::BarrierLine;
 use crate::client::{fresh_client_id, SyncClient};
 use crate::conn::{Conn, ConnTable, Sent, SEND_QUEUE_CAP, TOKEN_LISTENER};
 use crate::fstorage::{FlushCoordinator, SyncMode};
@@ -89,7 +108,9 @@ use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::multi::MultiReplica;
-use gridpaxos_core::outbox::{release, Out, Outbox, Wire};
+use gridpaxos_core::outbox::{
+    release, release_begin, release_beside, release_end, Held, Lent, Out, Outbox, Wire,
+};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{Reply, ReplyBody};
 use gridpaxos_core::service::App;
@@ -109,6 +130,10 @@ const MAX_WAIT: Duration = Duration::from_millis(25);
 /// Cap on messages drained through the cores per flush cycle, so one
 /// barrier never covers an unbounded batch.
 const MAX_DRAIN: usize = 128;
+
+/// The epoll token of the barrier's wake-up socket (connection tokens
+/// count up from the listener's).
+const TOKEN_BARRIER: u64 = u64::MAX;
 
 /// Tuning knobs for one reactor node.
 #[derive(Clone, Copy, Debug)]
@@ -144,6 +169,7 @@ struct MetricsInner {
     reads_suspended: AtomicU64,
     partial_writes: AtomicU64,
     unroutable: AtomicU64,
+    barriers_lent: AtomicU64,
 }
 
 /// Shared, live-readable counters of one reactor node.
@@ -176,6 +202,8 @@ pub struct ReactorStats {
     pub partial_writes: u64,
     /// Messages dropped for lack of any connection to the destination.
     pub unroutable: u64,
+    /// Barriers that synced on a pool thread while the loop served on.
+    pub barriers_lent: u64,
 }
 
 impl ReactorMetrics {
@@ -194,6 +222,7 @@ impl ReactorMetrics {
             reads_suspended: m.reads_suspended.load(Ordering::Relaxed),
             partial_writes: m.partial_writes.load(Ordering::Relaxed),
             unroutable: m.unroutable.load(Ordering::Relaxed),
+            barriers_lent: m.barriers_lent.load(Ordering::Relaxed),
         }
     }
 }
@@ -246,6 +275,10 @@ struct Reactor {
     conns: ConnTable,
     /// Decoded messages awaiting a trip through the cores.
     inbox: VecDeque<(Addr, Msg)>,
+    /// Messages that wait for the barrier away, in arrival order.
+    held: VecDeque<(Addr, Msg)>,
+    /// The way to a barrier thread, opened at the first barrier lent.
+    line: Option<BarrierLine>,
     /// Core sends awaiting [`Reactor::flush_and_transmit`].
     outbox: Outbox,
     timers: Timers,
@@ -275,6 +308,8 @@ impl Reactor {
             listener,
             conns: ConnTable::new(Addr::Replica(me), peer_addrs, rcfg.send_queue_cap)?,
             inbox: VecDeque::new(),
+            held: VecDeque::new(),
+            line: None,
             outbox: Outbox::default(),
             gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
             rcfg,
@@ -325,11 +360,56 @@ impl Reactor {
     /// Release the cycle's outbox ([`release`]: `Accept`s, the
     /// group-commit barrier — one fsync per group with a barrier due,
     /// which a shared-WAL [`FlushCoordinator`] collapses to one per node —
-    /// then everything else). Busy replies queued outside the outbox
-    /// reach their sockets here too.
+    /// then everything else), the barrier on a pool thread; while one is
+    /// away, send what the steps beside it produced. Busy replies queued
+    /// outside the outbox reach their sockets here too.
     fn flush_and_transmit(&mut self) {
-        release(self);
+        if self.barrier_away() {
+            release_beside(self);
+        } else if let Some((lent, held)) = release_begin(self) {
+            if let Err((mut lent, held)) = self.lend(lent, held) {
+                lent.flush();
+                release_end(self, lent, held);
+            }
+        }
         self.write_dirty_conns();
+    }
+
+    /// Whether a barrier is away on a pool thread.
+    fn barrier_away(&self) -> bool {
+        self.line.as_ref().is_some_and(BarrierLine::away)
+    }
+
+    /// Send a barrier to a pool thread; both halves back if there is
+    /// nothing to sync, or no thread or wake-up socket to be had.
+    fn lend(&mut self, lent: Lent, held: Held) -> Result<(), (Lent, Held)> {
+        if lent.is_empty() {
+            return Err((lent, held));
+        }
+        if self.line.is_none() {
+            let line = BarrierLine::new();
+            let epoll = self.conns.epoll();
+            let registered =
+                line.and_then(|l| epoll.add(l.fd(), EPOLLIN, TOKEN_BARRIER).map(|()| l));
+            self.line = registered.ok();
+        }
+        let Some(line) = &mut self.line else {
+            return Err((lent, held));
+        };
+        line.start(lent, held)?;
+        bump(&self.metrics.barriers_lent, 1);
+        Ok(())
+    }
+
+    /// The barrier's wake-up fired: if it is back, send what waited
+    /// behind it and put the held queue back at the front of the inbox.
+    fn barrier_back(&mut self) {
+        let Some((lent, held)) = self.line.as_mut().and_then(BarrierLine::finished) else {
+            return;
+        };
+        release_end(self, lent, held);
+        self.held.append(&mut self.inbox);
+        std::mem::swap(&mut self.inbox, &mut self.held);
     }
 
     /// Write every connection with freshly queued bytes to its socket.
@@ -358,6 +438,7 @@ impl Reactor {
         let mut door = Door {
             me: self.me,
             inbox: &mut self.inbox,
+            held: self.held.len(),
             gate: &mut self.gate,
             metrics: &self.metrics,
         };
@@ -367,8 +448,10 @@ impl Reactor {
         bump(&self.metrics.bytes_in, read as u64);
     }
 
-    /// Route up to [`MAX_DRAIN`] queued messages through the cores.
+    /// Route up to [`MAX_DRAIN`] queued messages through the cores; while
+    /// a barrier is away, hold those that must wait for it.
     fn process_inbox(&mut self) {
+        let away = self.barrier_away();
         let mut drained = 0;
         while drained < MAX_DRAIN {
             let Some((from, msg)) = self.inbox.pop_front() else {
@@ -378,6 +461,12 @@ impl Reactor {
             let Some((group, inner)) = self.node.route(msg) else {
                 continue; // peer from a differently sized deployment
             };
+            let beside = |core: &Replica| core.serves_beside_barrier(&inner);
+            if away && !self.node.group(group).is_some_and(beside) {
+                self.held
+                    .push_back((from, self.node.envelope(group, inner)));
+                continue;
+            }
             let g = group.0 as usize;
             let now = self.now();
             let actions = self.node.groups_mut()[g].on_message(from, inner, now);
@@ -385,14 +474,18 @@ impl Reactor {
         }
         // Keep the gate fed as the backlog shrinks so re-admission happens
         // even when no new request arrives to trigger an update.
-        self.gate.update(self.inbox.len());
+        self.gate.update(self.inbox.len() + self.held.len());
     }
 
     /// How long the loop may block: until the next timer is due, capped
-    /// at [`MAX_WAIT`]; not at all while backlog remains.
+    /// at [`MAX_WAIT`]; not at all while backlog remains. Timers wait for
+    /// a barrier away, whose wake-up ends the wait.
     fn wait(&mut self) -> Duration {
         if !self.inbox.is_empty() {
             return Duration::ZERO;
+        }
+        if self.barrier_away() {
+            return MAX_WAIT;
         }
         let now = self.now().0;
         self.timers
@@ -431,6 +524,10 @@ impl Reactor {
                     self.accept_ready();
                     continue;
                 }
+                if ev.token == TOKEN_BARRIER {
+                    self.barrier_back();
+                    continue;
+                }
                 if ev.writable() {
                     let cap = self.rcfg.send_queue_cap;
                     self.conns
@@ -441,16 +538,22 @@ impl Reactor {
                 }
             }
             self.process_inbox();
-            self.fire_due_timers();
-            // One incremental-checkpoint chunk per group per cycle: state
-            // serialization rides the drive loop in O(chunk) slices
-            // instead of one stop-the-world O(state) pause.
-            for core in self.node.groups_mut() {
-                core.pump_checkpoint(1);
+            if !self.barrier_away() {
+                self.fire_due_timers();
+                // One incremental-checkpoint chunk per group per cycle:
+                // state serialization rides the drive loop in O(chunk)
+                // slices instead of one stop-the-world O(state) pause.
+                for core in self.node.groups_mut() {
+                    core.pump_checkpoint(1);
+                }
             }
             self.flush_and_transmit();
         }
-        self.flush_and_transmit();
+        if let Some((lent, held)) = self.line.as_mut().and_then(BarrierLine::wait) {
+            release_end(&mut self, lent, held);
+        }
+        release(&mut self);
+        self.write_dirty_conns();
         // A clean stop leaves no chosen-prefix mark waiting for a barrier
         // that will never come, and no decree executed but not chosen in
         // the state it hands back.
@@ -502,6 +605,8 @@ impl Wire for Reactor {
 struct Door<'a> {
     me: ProcessId,
     inbox: &'a mut VecDeque<(Addr, Msg)>,
+    /// Messages held behind a barrier: backlog the gate counts too.
+    held: usize,
     gate: &'a mut AdmissionGate,
     metrics: &'a MetricsInner,
 }
@@ -542,7 +647,7 @@ impl Door<'_> {
         let from = if let Some((genv, rid)) = req_meta {
             let caddr = Addr::Client(rid.client);
             conns.bind(caddr, token);
-            if self.gate.update(self.inbox.len()) {
+            if self.gate.update(self.inbox.len() + self.held) {
                 // Shed: immediate Busy, request never reaches the core, so
                 // no durable state exists for the barrier to cover. The
                 // client was just bound to this connection, so the reply
@@ -811,6 +916,7 @@ mod tests {
     use gridpaxos_core::service::NoopApp;
     use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState};
     use gridpaxos_core::types::{Instance, Seq};
+    use gridpaxos_services::{KvOp, KvStore};
     use std::io::{BufReader, Write};
     use std::net::TcpStream;
 
@@ -873,13 +979,18 @@ mod tests {
 
     /// A one-replica reactor that is not running: tests call its steps.
     fn idle_reactor() -> (Reactor, ReactorMetrics, SocketAddr) {
+        idle_reactor_on(Box::new(MemStorage::new()))
+    }
+
+    /// [`idle_reactor`] over `storage`.
+    fn idle_reactor_on(storage: Box<dyn Storage>) -> (Reactor, ReactorMetrics, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
         let node = MultiReplica::open(
             ProcessId(0),
             Config::cluster(1),
-            vec![Box::new(MemStorage::new())],
+            vec![storage],
             &|_| noop_factory(),
             1,
             Time::ZERO,
@@ -1667,5 +1778,351 @@ mod tests {
             "three 200 ms deadlines took {:?}",
             started.elapsed()
         );
+    }
+
+    fn kv_factory() -> Box<dyn App> {
+        Box::new(KvStore::new())
+    }
+
+    fn put(k: &str, v: &str) -> Bytes {
+        KvOp::Put(k.into(), v.into()).encode()
+    }
+
+    fn get(k: &str) -> Bytes {
+        KvOp::Get(k.into()).encode()
+    }
+
+    /// A raw connection to `addr` that said hello as `client`, and a
+    /// reader over it.
+    fn raw_client(addr: SocketAddr, client: ClientId) -> (TcpStream, BufReader<TcpStream>) {
+        let mut sock = TcpStream::connect(addr).expect("connect");
+        let mut hello = BytesMut::new();
+        put_addr(&mut hello, &Addr::Client(client));
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &hello).expect("hello");
+        sock.write_all(&frame).expect("send hello");
+        let reader = BufReader::new(sock.try_clone().expect("clone"));
+        (sock, reader)
+    }
+
+    /// Send one request over a raw connection.
+    fn send_request(sock: &mut TcpStream, req: Request) {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &encode_to_bytes(&Msg::Request(req))).expect("frame");
+        sock.write_all(&frame).expect("send");
+    }
+
+    /// The next reply on a raw connection within `wait`, if one came.
+    fn next_reply(
+        sock: &TcpStream,
+        reader: &mut BufReader<TcpStream>,
+        wait: Duration,
+    ) -> Option<Reply> {
+        sock.set_read_timeout(Some(wait)).ok();
+        match read_frame(reader) {
+            Ok(Some(mut frame)) => match decode_msg(&mut frame) {
+                Ok(Msg::Reply(r)) => Some(r),
+                other => panic!("not a reply: {other:?}"),
+            },
+            Ok(None) => panic!("connection closed"),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                None
+            }
+            Err(e) => panic!("read: {e}"),
+        }
+    }
+
+    /// Wait up to ten seconds for `done`.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A durable cluster of `cfg` serving `app`, each node's WAL under
+    /// `root` behind a [`HookedWal`] whose `stall` is `stall(node)`.
+    fn stalling_cluster(
+        cfg: Config,
+        rcfg: ReactorConfig,
+        app: fn() -> Box<dyn App>,
+        root: &std::path::Path,
+        stall: impl Fn(ProcessId) -> Box<dyn FnMut() + Send>,
+    ) -> ReactorCluster {
+        ReactorCluster::launch_with_storage(cfg, 1, app, None, rcfg, |id| {
+            let dir = root.join(format!("node-{}", id.0));
+            let inner = FlushCoordinator::open(dir, SyncMode::Batched, 1)
+                .expect("open WAL")
+                .storage(0);
+            vec![Box::new(HookedWal {
+                inner,
+                stall: stall(id),
+                synced: Box::new(|_| {}),
+            })]
+        })
+        .expect("launch")
+    }
+
+    /// A disk that, while `stalling`, counts itself in `stalled` and holds
+    /// its barrier until let go.
+    fn stall_while(
+        stalling: &Arc<AtomicBool>,
+        stalled: &Arc<AtomicU64>,
+    ) -> Box<dyn FnMut() + Send> {
+        let (stalling, stalled) = (Arc::clone(stalling), Arc::clone(stalled));
+        Box::new(move || {
+            if stalling.load(Ordering::SeqCst) {
+                stalled.fetch_add(1, Ordering::SeqCst);
+                while stalling.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        })
+    }
+
+    /// Reads do not wait for the disk. With every disk stalled inside the
+    /// barrier of a write to `a`, a read of `b` completes, and a read of
+    /// `a` returns the old value: the leader answers from the state before
+    /// the decree in flight, and every node's loop — its barrier on a pool
+    /// thread — confirms. The write's reply arrives only after the
+    /// barriers return.
+    ///
+    /// Mutations that must fail this test: the barrier run on the loop
+    /// (no read completes while the disks stall), or `settle` executing a
+    /// read only on a quiescent leader (the read waits for the commit).
+    #[test]
+    fn reads_complete_while_every_disk_is_inside_a_writes_barrier() {
+        let root = std::env::temp_dir().join(format!(
+            "gridpaxos-reactor-reads-beside-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cfg = Config::cluster(3);
+        cfg.suspect_timeout = Dur::from_secs(30);
+        cfg.heartbeat_interval = Dur::from_secs(30);
+        let stalling = Arc::new(AtomicBool::new(false));
+        let stalled = Arc::new(AtomicU64::new(0));
+        let cluster = stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |_| {
+            stall_while(&stalling, &stalled)
+        });
+        let mut client = cluster.client();
+        for (k, v) in [("a", "old"), ("b", "1")] {
+            let body = client.call(RequestKind::Write, put(k, v));
+            assert!(matches!(body, Some(ReplyBody::Ok(_))), "got {body:?}");
+        }
+
+        stalling.store(true, Ordering::SeqCst);
+        let id = RequestId::new(cluster.next_client_id(), Seq(1));
+        let (mut sock, mut reader) = raw_client(cluster.addrs[&ProcessId(0)], id.client);
+        send_request(
+            &mut sock,
+            Request::new(id, RequestKind::Write, put("a", "new")),
+        );
+        wait_until("every disk inside the write's barrier", || {
+            stalled.load(Ordering::SeqCst) == 3
+        });
+
+        let read = |client: &mut SyncClient, k: &str| client.call(RequestKind::Read, get(k));
+        let ok = |v: &'static [u8]| Some(ReplyBody::Ok(Bytes::from_static(v)));
+        assert_eq!(read(&mut client, "b"), ok(b"1"), "another key");
+        assert_eq!(read(&mut client, "a"), ok(b"old"), "the written key");
+        assert_eq!(stalled.load(Ordering::SeqCst), 3, "no barrier returned");
+        let early = next_reply(&sock, &mut reader, Duration::from_millis(50));
+        assert!(
+            early.is_none(),
+            "the write answered inside its barrier: {early:?}"
+        );
+
+        stalling.store(false, Ordering::SeqCst);
+        let reply = next_reply(&sock, &mut reader, Duration::from_secs(10)).expect("write reply");
+        assert_eq!(
+            (reply.id, reply.body),
+            (id, ReplyBody::Ok(Bytes::from_static(b"new")))
+        );
+        assert_eq!(read(&mut client, "a"), ok(b"new"), "after the commit");
+        for i in 0..3 {
+            assert!(
+                cluster.metrics(i).stats().barriers_lent > 0,
+                "node {i} lent none"
+            );
+        }
+        cluster.shutdown();
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// ROADMAP item 3 (d), first half: a follower whose every sync takes
+    /// 200 ms more — two orders of magnitude past a sync here — slows
+    /// neither writes nor reads. The leader and the other follower form
+    /// every majority: ten writes and ten reads take less time than five
+    /// of the slow disk's syncs, where waiting for it would cost ten.
+    #[test]
+    fn a_follower_on_a_slow_disk_slows_neither_writes_nor_reads() {
+        const SLOW: Duration = Duration::from_millis(200);
+        let root = std::env::temp_dir().join(format!(
+            "gridpaxos-reactor-slow-follower-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cfg = Config::cluster(3);
+        cfg.suspect_timeout = Dur::from_secs(2);
+        let slow_syncs = Arc::new(AtomicU64::new(0));
+        let cluster = stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |id| {
+            let slow_syncs = Arc::clone(&slow_syncs);
+            Box::new(move || {
+                if id == ProcessId(2) {
+                    slow_syncs.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(SLOW);
+                }
+            })
+        });
+        let mut client = cluster.client();
+        let first = client.call(RequestKind::Write, put("k", "0"));
+        assert!(matches!(first, Some(ReplyBody::Ok(_))), "got {first:?}");
+
+        let started = Instant::now();
+        for i in 1..=10 {
+            let v = i.to_string();
+            let wrote = client.call(RequestKind::Write, put("k", &v));
+            assert!(matches!(wrote, Some(ReplyBody::Ok(_))), "got {wrote:?}");
+            let read = client.call(RequestKind::Read, get("k"));
+            assert_eq!(read, Some(ReplyBody::Ok(Bytes::from(v))));
+        }
+        let took = started.elapsed();
+        assert!(took < SLOW * 5, "ten writes and reads took {took:?}");
+        assert!(
+            slow_syncs.load(Ordering::SeqCst) > 0,
+            "the slow disk synced"
+        );
+        let nodes = cluster.shutdown();
+        assert_eq!(nodes[0][0].chosen_prefix(), nodes[1][0].chosen_prefix());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// The admission gate counts what waits behind a barrier. While the
+    /// leader's disk stalls, 256 writes arrive one a millisecond: the
+    /// first four are held, and with the held queue at the high-water
+    /// mark the rest are shed with `Busy` at once. A gate that read the
+    /// inbox alone would see it drained into the held queue every cycle
+    /// and admit them all.
+    #[test]
+    fn a_burst_held_behind_a_stalled_barrier_is_still_shed() {
+        let root = std::env::temp_dir().join(format!(
+            "gridpaxos-reactor-gate-held-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cfg = Config::cluster(3);
+        cfg.suspect_timeout = Dur::from_secs(30);
+        cfg.heartbeat_interval = Dur::from_secs(30);
+        let rcfg = ReactorConfig {
+            admit_high: 4,
+            admit_low: 0,
+            ..ReactorConfig::default()
+        };
+        let stalling = Arc::new(AtomicBool::new(false));
+        let stalled = Arc::new(AtomicU64::new(0));
+        let cluster = stalling_cluster(cfg, rcfg, noop_factory, &root, |id| {
+            if id == ProcessId(0) {
+                stall_while(&stalling, &stalled)
+            } else {
+                Box::new(|| {})
+            }
+        });
+        let warm = cluster.client().call(RequestKind::Write, Bytes::new());
+        assert!(matches!(warm, Some(ReplyBody::Ok(_))), "got {warm:?}");
+        let shed_before = cluster.metrics(0).stats().busy_shed;
+
+        stalling.store(true, Ordering::SeqCst);
+        let base = cluster.next_client_id().0;
+        let (mut sock, mut reader) = raw_client(cluster.addrs[&ProcessId(0)], ClientId(base));
+        let write = |v: u64| {
+            Request::new(
+                RequestId::new(ClientId(base + v), Seq(1)),
+                RequestKind::Write,
+                Bytes::new(),
+            )
+        };
+        send_request(&mut sock, write(0));
+        wait_until("the leader inside its barrier", || {
+            stalled.load(Ordering::SeqCst) == 1
+        });
+        let burst = 256u64;
+        for v in 1..=burst {
+            send_request(&mut sock, write(v));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (mut busy, mut ok) = (0u64, 0u64);
+        while let Some(r) = next_reply(&sock, &mut reader, Duration::from_millis(200)) {
+            assert!(r.body.is_busy(), "answered inside the barrier: {r:?}");
+            busy += 1;
+        }
+        stalling.store(false, Ordering::SeqCst);
+        while busy + ok < burst + 1 {
+            let r = next_reply(&sock, &mut reader, Duration::from_secs(10)).expect("a reply");
+            if r.body.is_busy() {
+                busy += 1;
+            } else {
+                ok += 1;
+            }
+        }
+        assert!(
+            busy >= burst - 8,
+            "a burst held past high-water 4 must shed: {busy} shed"
+        );
+        assert!(ok > 0, "admitted requests still complete");
+        let shed = cluster.metrics(0).stats().busy_shed - shed_before;
+        assert_eq!(shed, busy, "metric matches observed Busy replies");
+        cluster.shutdown();
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A node on storage that is durable as written never has a barrier
+    /// due, so it never lends its storage or opens the way to a barrier
+    /// thread; a disk whose syncs cost does both, on its first write.
+    #[test]
+    fn an_in_memory_node_never_lends_its_storage() {
+        // The election's promise, then a write: each release, and the
+        // barrier it lent if it lent one.
+        let write_through = |storage: Box<dyn Storage>| {
+            let (mut r, metrics, _) = idle_reactor_on(storage);
+            let now = r.now();
+            let actions = r.node.groups_mut()[0].on_start(now);
+            r.apply(0, actions);
+            let id = RequestId::new(ClientId(7), Seq(1));
+            let write = Request::new(id, RequestKind::Write, Bytes::new());
+            for inbox in [None, Some((Addr::Client(id.client), Msg::Request(write)))] {
+                r.inbox.extend(inbox);
+                r.process_inbox();
+                r.flush_and_transmit();
+                if let Some((lent, held)) = r.line.as_mut().and_then(BarrierLine::wait) {
+                    release_end(&mut r, lent, held);
+                }
+            }
+            assert_eq!(r.node.groups_mut()[0].chosen_prefix(), Instance(1));
+            (r.line.is_some(), metrics.stats().barriers_lent)
+        };
+        assert_eq!(write_through(Box::new(MemStorage::new())), (false, 0));
+        let meter = Arc::default();
+        let disk = MemStorage::modelled(meter, true);
+        assert_eq!(write_through(Box::new(disk)), (true, 2));
+
+        let cluster = ReactorCluster::launch(Config::cluster(3), noop_factory).expect("launch");
+        let mut client = cluster.client();
+        for _ in 0..5 {
+            let body = client.call(RequestKind::Write, Bytes::new());
+            assert!(matches!(body, Some(ReplyBody::Ok(_))), "got {body:?}");
+        }
+        let read = client.call(RequestKind::Read, Bytes::new());
+        assert!(matches!(read, Some(ReplyBody::Ok(_))), "got {read:?}");
+        for i in 0..3 {
+            assert_eq!(cluster.metrics(i).stats().barriers_lent, 0, "node {i}");
+        }
+        cluster.shutdown();
     }
 }

@@ -1,6 +1,6 @@
 //! A deployable replica server: one process of a replicated key-value
-//! store over TCP. The node runs on the epoll reactor (one thread, every
-//! connection multiplexed, admission control) and, with `--data-dir`,
+//! store over TCP. The node runs on the epoll reactor (one loop thread,
+//! every connection multiplexed, admission control) and, with `--data-dir`,
 //! group-commits its WAL: the reactor syncs once per drain cycle before
 //! any acknowledgment is sent. Linux only.
 //!
