@@ -55,7 +55,7 @@ pub mod config;
 pub mod election;
 pub mod log;
 pub mod msg;
-pub mod multi;
+pub mod node;
 pub mod outbox;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod replica;
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::command::{Command, Decree, SnapshotBlob, StateUpdate};
     pub use crate::config::{Config, ReadMode, TxnMode, ValueMode};
     pub use crate::msg::Msg;
-    pub use crate::multi::MultiReplica;
+    pub use crate::node::Node;
     pub use crate::replica::{Replica, ReplicaStats, Role};
     pub use crate::request::{
         AbortReason, Reply, ReplyBody, Request, RequestId, RequestKind, TxnCtl,

@@ -3,68 +3,54 @@
 //!
 //! ## Group commit: the flush barrier
 //!
-//! A drive loop — the epoll reactor of `gridpaxos-transport`, the
-//! simulator's node, the model checker's cluster, the replica tests'
-//! shuttle — runs messages and timers through
-//! its replica cores and buffers the resulting `Send`/`ToAllReplicas`
-//! actions here instead of transmitting them one by one. [`release`] then
-//! does, in this order:
+//! A drive loop — a [`crate::node::Node`], which the epoll reactor and
+//! the simulator host; the model checker's cluster; the replica tests'
+//! shuttle — buffers its cores' `Send`/`ToAllReplicas` actions here
+//! instead of transmitting them one by one. [`release`] then:
 //!
 //! 1. hands the **ahead** list to the network — the `Accept`s of cores
 //!    that had a barrier due when they produced them
-//!    (`Msg::precedes_barrier` decides the class, [`Outbox::push`]
-//!    asks the core);
+//!    (`Msg::precedes_barrier` decides the class, [`Outbox::push`] asks
+//!    the core);
 //! 2. runs `Replica::barrier` on every core that wrote a record a
-//!    message may acknowledge since its last barrier — one sync covering
-//!    every record the whole batch appended. Cores that share one log
-//!    (the groups of a node) are all flushed: the first syncs, the rest
-//!    find the log clean and pay nothing, and none keeps a flag that
-//!    would make its next commit-only cycle pay a sync of its own;
+//!    message may acknowledge since its last barrier — one sync for every
+//!    record the batch appended. Cores that share one log (a node's
+//!    groups) are all flushed: the first syncs, the rest find the log
+//!    clean, and none keeps a flag that would make its next commit-only
+//!    cycle pay a sync of its own;
 //! 3. hands the **behind** list, everything else, to the network.
 //!
-//! [`release`] is [`release_begin`] (steps 1 and 2 up to the sync: the
-//! storage of every core whose barrier is due is [`Lent`], the rest run
-//! theirs at once), [`Lent::flush`], and [`release_end`] (the storages
-//! back, then step 3). The simulator, the model checker and the tests
-//! call [`release`], so their barrier completes at once. The epoll
-//! reactor sends the [`Lent`] storages to a thread and goes on serving
-//! what [`Replica::serves_beside_barrier`] admits — reads, which write
-//! nothing and acknowledge no record — through [`release_beside`], and
-//! calls [`release_end`] when the sync is over. A storage that is durable
-//! as written is never due, so a node on one never lends it.
+//! [`release`] is `release_begin` (step 1, and the storage of every core
+//! whose barrier is due [`Lent`]), [`Lent::flush`] and `release_end` (the
+//! storages back, then step 3). A `Node` may lend the barrier to its host
+//! instead of flushing it, and until it is back sends what the steps
+//! `Replica::serves_beside_barrier` admits made — reads, which write
+//! nothing and acknowledge no record — through `release_beside`.
 //!
 //! Persist-before-send (§3.1/§3.3) holds at batch granularity: no
 //! `Promise`, `Accepted`, `Reply` or `Chosen` reaches the wire before the
 //! record it acknowledges is durable. An `Accept` acknowledges nothing on
 //! its sender's disk, so the leader's sync runs beside the followers'
-//! round trip instead of before it: a durable write costs
-//! `2M + E + max(S, 2m + S)`, not `2M + E + S + 2m + S` (DESIGN.md §5).
-//! The leader's own vote is the unflushed record; it is durable before
-//! any later step can count a follower's `Accepted` with it, because the
+//! round trip: a durable write costs `2M + E + max(S, 2m + S)`, not
+//! `2M + E + S + 2m + S` (DESIGN.md §5). The leader's own vote is durable
+//! before any later step can count a follower's `Accepted` with it: the
 //! loop finishes the barrier before it runs the cores again, but for the
-//! steps [`Replica::serves_beside_barrier`] admits — and an `Accepted` is
-//! never one of them.
+//! admitted reads. The chosen-prefix mark makes no barrier due; it rides
+//! the next decree's. With no barrier due — always, on storage durable as
+//! written — the ahead list stays empty and `release` is one pass in
+//! production order; with nothing buffered it does nothing.
 //!
-//! A barrier is due for the records a message can acknowledge; the
-//! chosen-prefix mark is not one, so committing a decree costs no sync of
-//! its own and the mark rides the next decree's barrier. When no barrier
-//! is due — always, on storage that is durable as written — the ahead
-//! list stays empty and `release` is one pass over the sends in the
-//! order the cores produced them. With nothing buffered there is nothing
-//! to do: a barrier is for the messages behind it, and a record nobody
-//! has acknowledged yet waits for the first release that sends anything.
-//!
-//! Persist-before-send holds at the source too: [`Outbox::push`] checks
-//! every send against what its core's stable storage wrote, and panics on
-//! a `Prepare` or `Promise` above the promise written, or an `Accept` or
-//! `Accepted` for an instance above the chosen prefix with no accept
-//! record at its ballot (`replica/stable.rs`). Every test, simulated run
-//! and model-checked state runs through it.
+//! [`Outbox::push`] checks every send against what its core's storage
+//! wrote, and panics on a `Prepare` or `Promise` above the promise
+//! written, or an `Accept` or `Accepted` above the chosen prefix with no
+//! accept record at its ballot (`replica/stable.rs`). Every test,
+//! simulated run and model-checked state runs through it.
 //!
 //! No other code runs the barrier (but [`Replica::stop`], the flush on
-//! the way out) or asks `precedes_barrier`: all three are crate-private,
-//! so a drive loop outside this crate cannot keep its own copy of the
-//! order. Each of these fails to compile:
+//! the way out) or asks `precedes_barrier`, and only a `Node` splits a
+//! release around a barrier away or asks what may run beside it: all of
+//! these are crate-private, so a drive loop outside this crate cannot
+//! keep its own copy of the order. Each of these fails to compile:
 //!
 //! ```compile_fail
 //! fn drive(core: &mut gridpaxos_core::replica::Replica) { core.barrier(); }
@@ -74,6 +60,22 @@
 //! ```
 //! ```compile_fail
 //! fn ahead(msg: &gridpaxos_core::msg::Msg) -> bool { msg.precedes_barrier() }
+//! ```
+//! ```compile_fail
+//! use gridpaxos_core::{msg::Msg, replica::Replica};
+//! fn beside(core: &Replica, msg: &Msg) -> bool { core.serves_beside_barrier(msg) }
+//! ```
+//! ```compile_fail
+//! use gridpaxos_core::outbox::{release_begin, Held, Lent, Wire};
+//! fn begin(wire: &mut impl Wire) -> Option<(Lent, Held)> { release_begin(wire) }
+//! ```
+//! ```compile_fail
+//! use gridpaxos_core::outbox::{release_end, Held, Lent, Wire};
+//! fn end(wire: &mut impl Wire, lent: Lent, held: Held) { release_end(wire, lent, held) }
+//! ```
+//! ```compile_fail
+//! use gridpaxos_core::outbox::{release_beside, Wire};
+//! fn beside(wire: &mut impl Wire) { release_beside(wire) }
 //! ```
 //!
 //! The two names the repo benchmark still calls are deprecated shims,
@@ -118,11 +120,7 @@ pub trait Wire {
     fn cores(&mut self) -> &mut [Replica];
     /// Where the loop buffered the cycle's sends.
     fn outbox(&mut self) -> &mut Outbox;
-    /// Hand `outs` to the network, in order, leaving the list empty (its
-    /// allocation stays). On return the messages are out of the loop's
-    /// hands — offered to the kernel, not merely queued — as of now on
-    /// the loop's clock, which a barrier that ran since the last call
-    /// has moved.
+    /// Hand `outs` to the network, as [`crate::node::Net::transmit`].
     fn transmit(&mut self, outs: &mut Vec<Out>);
 }
 
@@ -157,12 +155,18 @@ impl Outbox {
     pub fn is_empty(&self) -> bool {
         self.ahead.is_empty() && self.behind.is_empty()
     }
+
+    /// Every buffered send, the ahead list first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Out> {
+        self.ahead.iter().chain(&self.behind)
+    }
 }
 
 /// The storages of the cores whose barrier is due, away from their
-/// cores between [`release_begin`] and [`release_end`]: the one thing a
-/// drive loop may do with them is [`Lent::flush`], on any thread.
-#[must_use = "the storages go back through `release_end`"]
+/// cores between `release_begin` and `release_end`: the one thing a
+/// host may do with them is [`Lent::flush`], on any thread, and hand them
+/// back ([`crate::node::Node::barrier_back`]).
+#[must_use = "the storages go back through `Node::barrier_back`"]
 pub struct Lent {
     /// Each with the index of its core in [`Wire::cores`].
     storages: Vec<(usize, Box<dyn Storage>)>,
@@ -213,7 +217,7 @@ pub fn release_to_barrier(wire: &mut impl Wire) {
 /// storage of every core whose barrier is due lent (the barrier of a core
 /// that raised one on storage durable as written runs here), and the
 /// behind list held. `None` when nothing is buffered.
-pub fn release_begin(wire: &mut impl Wire) -> Option<(Lent, Held)> {
+pub(crate) fn release_begin(wire: &mut impl Wire) -> Option<(Lent, Held)> {
     if wire.outbox().is_empty() {
         return None;
     }
@@ -234,7 +238,7 @@ pub fn release_begin(wire: &mut impl Wire) -> Option<(Lent, Held)> {
 /// The release after its sync: the storages back to their cores, then
 /// the held behind list to the network — unless the sync never ran (the
 /// power failed at it), when it is lost with the process.
-pub fn release_end(wire: &mut impl Wire, lent: Lent, held: Held) {
+pub(crate) fn release_end(wire: &mut impl Wire, lent: Lent, held: Held) {
     let cores = wire.cores();
     for (i, storage) in lent.storages {
         cores[i].stable.take_back(storage, lent.synced);
@@ -258,7 +262,7 @@ pub fn release_end(wire: &mut impl Wire, lent: Lent, held: Held) {
 /// # Panics
 /// If an `Accept` is among them: it belongs ahead of a barrier, and no
 /// admitted step proposes.
-pub fn release_beside(wire: &mut impl Wire) {
+pub(crate) fn release_beside(wire: &mut impl Wire) {
     let outbox = wire.outbox();
     assert!(
         outbox.ahead.is_empty() && !outbox.behind.iter().any(|o| o.msg().precedes_barrier()),

@@ -668,7 +668,7 @@ impl Replica {
             Msg::Reply(_) => {} // replicas never receive replies
             // A bare replica is a single-group deployment; the envelope can
             // only mean group 0, so unwrap it. Multi-group routing happens
-            // one layer up, in [`crate::multi::MultiReplica`].
+            // one layer up, in [`crate::node::Node`].
             Msg::Grouped { inner, .. } => return self.on_message(from, *inner, now),
         }
         self.stats.log_bytes = self.log.bytes();
@@ -1183,4 +1183,4 @@ impl Replica {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -350,8 +350,8 @@ impl Replica {
         self.reads.leader_commit
     }
 
-    /// Whether a drive loop may hand `msg` to this replica while its
-    /// durability barrier syncs elsewhere (`outbox::release_begin`): a
+    /// Whether a [`crate::node::Node`] may hand `msg` to this replica
+    /// while its durability barrier syncs elsewhere: a
     /// plain X-Paxos read at a follower, or at a leader with no recovery
     /// outstanding, and a `Confirm` at a leader — each only while the
     /// promise this replica wrote is durable, since a confirm vouches for
@@ -359,7 +359,7 @@ impl Replica {
     /// writes a record or needs one to be durable; everything else waits
     /// for the barrier, in order.
     #[must_use]
-    pub fn serves_beside_barrier(&self, msg: &Msg) -> bool {
+    pub(crate) fn serves_beside_barrier(&self, msg: &Msg) -> bool {
         if !self.stable.promise_durable() {
             return false;
         }

@@ -2821,7 +2821,7 @@ fn lone_reads_with_batching_on_use_the_per_read_path_unchanged() {
 /// [`NoopApp`] behind an undo log of its own: the rollback leg `KvStore`
 /// takes. A `restore` would mean the executor snapshotted anyway.
 #[derive(Default)]
-struct UndoLogged {
+pub(crate) struct UndoLogged {
     app: NoopApp,
     undo: Option<u64>,
 }

@@ -7,11 +7,10 @@
 //! each replica as a single-server queue (events wait while the process is
 //! busy). Everything is seeded, so runs are bit-for-bit reproducible.
 //!
-//! A replica event is one cycle of a drive loop: the node's sends go into
-//! an [`Outbox`] and leave through the release every loop shares
-//! (`gridpaxos_core::outbox`), with `NodeWire` as its [`Wire`] on the
-//! virtual clock and a modelled disk ([`MemStorage::modelled`]) per
-//! group as the storage whose barrier it runs.
+//! A replica event is one cycle of the [`Node`] the epoll reactor hosts
+//! too, releasing over `NodeWire`, its [`Net`] on the virtual clock, with
+//! a modelled disk ([`MemStorage::modelled`]) per group; the barrier
+//! syncs inline, so a simulated node is never away.
 
 use crate::cpu::CpuModel;
 use crate::metrics::Metrics;
@@ -22,8 +21,8 @@ use gridpaxos_core::action::{Action, TimerKind};
 use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
-use gridpaxos_core::multi::MultiReplica;
-use gridpaxos_core::outbox::{release, Out, Outbox, Wire};
+use gridpaxos_core::node::{Net, Node, TimerOp, TimerOps};
+use gridpaxos_core::outbox::Out;
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::service::App;
 use gridpaxos_core::storage::{DiskMeter, MemStorage, Storage};
@@ -80,18 +79,12 @@ impl SimOpts {
     }
 }
 
+/// A timer: whose, of which group, of which kind.
+type TimerKey = (Addr, GroupId, TimerKind);
+
 enum Payload {
-    Deliver {
-        from: Addr,
-        to: Addr,
-        msg: Msg,
-    },
-    Timer {
-        who: Addr,
-        group: GroupId,
-        kind: TimerKind,
-        gen: u64,
-    },
+    Deliver { from: Addr, to: Addr, msg: Msg },
+    Timer { key: TimerKey, gen: u64 },
     ClientStart(ClientId),
     Crash(ProcessId),
     Recover(ProcessId),
@@ -122,7 +115,7 @@ impl Ord for Scheduled {
 
 #[allow(clippy::large_enum_variant)] // n slots per world; boxing would cost a hop per event
 enum Slot {
-    Up(MultiReplica),
+    Up(Node),
     /// Crashed node: each group's stable storage, in group order.
     Down(Vec<Box<dyn Storage>>),
 }
@@ -175,13 +168,13 @@ pub struct World {
     busy_until: Vec<Time>,
     clients: HashMap<ClientId, SimClient>,
     next_client_id: u64,
-    timer_gen: crate::sched::TimerGens<(Addr, GroupId, TimerKind)>,
+    timer_gen: crate::sched::TimerGens<TimerKey>,
     rng: SmallRng,
     app_factory: Box<dyn Fn(GroupId) -> Box<dyn App> + Send>,
     partitions: Vec<Partition>,
     trace: Option<Trace>,
-    /// The sends of the replica event in progress (empty between events).
-    outbox: Outbox,
+    /// The timer operations of the replica event in progress.
+    timer_ops: TimerOps,
     /// What the nodes' disks did during it.
     disks: Arc<DiskMeter>,
 }
@@ -232,7 +225,7 @@ impl World {
             app_factory,
             partitions: Vec::new(),
             trace: None,
-            outbox: Outbox::default(),
+            timer_ops: TimerOps::new(),
             disks: Arc::default(),
         };
         for i in 0..n {
@@ -240,7 +233,7 @@ impl World {
             let disk = |_| {
                 Box::new(MemStorage::modelled(Arc::clone(&w.disks), syncs_cost)) as Box<dyn Storage>
             };
-            let r = MultiReplica::open(
+            let r = Node::open(
                 ProcessId(i as u32),
                 w.cfg.clone(),
                 (0..n_groups).map(disk).collect(),
@@ -251,11 +244,10 @@ impl World {
             w.replicas.push(Slot::Up(r));
         }
         for i in 0..n {
-            let actions = match &mut w.replicas[i] {
-                Slot::Up(r) => r.on_start(Time::ZERO),
-                Slot::Down(_) => unreachable!("fresh replicas are up"),
-            };
-            w.cycle(i, actions, Time::ZERO);
+            if let Slot::Up(r) = &mut w.replicas[i] {
+                r.start(Time::ZERO, &mut w.timer_ops);
+            }
+            w.cycle(i, Time::ZERO);
         }
         w
     }
@@ -475,12 +467,7 @@ impl World {
                 }
                 self.deliver(from, to, msg)
             }
-            Payload::Timer {
-                who,
-                group,
-                kind,
-                gen,
-            } => self.fire_timer(who, group, kind, gen),
+            Payload::Timer { key, gen } => self.fire_timer(key, gen),
             Payload::ClientStart(c) => {
                 let start = self.now;
                 self.metrics.measure_start =
@@ -509,7 +496,7 @@ impl World {
                         return true; // double-recover of a node that never crashed
                     }
                     let storages = std::mem::take(storages);
-                    let mut m = MultiReplica::open(
+                    let mut m = Node::open(
                         p,
                         self.cfg.clone(),
                         storages,
@@ -520,10 +507,10 @@ impl World {
                             .wrapping_add(u64::from(p.0)),
                         self.now,
                     );
-                    let actions = m.on_start(self.now);
+                    m.start(self.now, &mut self.timer_ops);
                     self.replicas[p.0 as usize] = Slot::Up(m);
                     let now = self.now;
-                    self.cycle(p.0 as usize, actions, now);
+                    self.cycle(p.0 as usize, now);
                 }
             }
         }
@@ -561,13 +548,10 @@ impl World {
                 };
                 *self.metrics.msgs_by_tag.entry(msg.tag()).or_default() += 1;
                 let recv_cost = self.opts.cpu.recv_cost(&msg);
-                let actions = m.on_message(from, msg, self.now);
-                let cpu_done = self.now.after(recv_cost).after(actions_send_cost(
-                    &self.opts.cpu,
-                    &actions,
-                    self.cfg.n,
-                ));
-                self.cycle(idx, actions, cpu_done);
+                m.deliver(from, msg, self.now, &mut self.timer_ops);
+                let sends = sends_cost(&self.opts.cpu, m, self.cfg.n);
+                let cpu_done = self.now.after(recv_cost).after(sends);
+                self.cycle(idx, cpu_done);
             }
             Addr::Client(c) => {
                 *self.metrics.msgs_by_tag.entry(msg.tag()).or_default() += 1;
@@ -590,34 +574,25 @@ impl World {
         }
     }
 
-    fn fire_timer(&mut self, who: Addr, group: GroupId, kind: TimerKind, gen: u64) {
-        if !self.timer_gen.is_live(&(who, group, kind), gen) {
+    fn fire_timer(&mut self, key: TimerKey, gen: u64) {
+        if !self.timer_gen.is_live(&key, gen) {
             return; // cancelled or replaced
         }
+        let (who, group, kind) = key;
         match who {
             Addr::Replica(p) => {
                 let idx = p.0 as usize;
                 let busy = self.busy_until[idx];
                 if busy > self.now {
-                    self.schedule(
-                        busy,
-                        Payload::Timer {
-                            who,
-                            group,
-                            kind,
-                            gen,
-                        },
-                    );
+                    self.schedule(busy, Payload::Timer { key, gen });
                     return;
                 }
                 let Slot::Up(m) = &mut self.replicas[idx] else {
                     return;
                 };
-                let actions = m.on_timer(group, kind, self.now);
-                let cpu_done =
-                    self.now
-                        .after(actions_send_cost(&self.opts.cpu, &actions, self.cfg.n));
-                self.cycle(idx, actions, cpu_done);
+                m.fire(group, kind, self.now, &mut self.timer_ops);
+                let cpu_done = self.now.after(sends_cost(&self.opts.cpu, m, self.cfg.n));
+                self.cycle(idx, cpu_done);
             }
             Addr::Client(c) => {
                 let now = self.now;
@@ -643,63 +618,57 @@ impl World {
         }
     }
 
-    /// One cycle of replica `idx`'s drive loop, its CPU work over at
-    /// `cpu_done`: timers are armed from then (a barrier delays sends, not
-    /// the process's clock), and the sends leave through the release
-    /// every loop shares, with [`NodeWire`] keeping the time.
-    fn cycle(&mut self, idx: usize, actions: Vec<(GroupId, Action)>, cpu_done: Time) {
+    /// The end of one cycle of replica `idx`'s drive loop, its CPU work
+    /// over at `cpu_done`: the step's timers are armed from then, in the
+    /// order it asked (a barrier delays sends, not the process's clock),
+    /// and the node releases its sends, with [`NodeWire`] keeping the
+    /// time.
+    fn cycle(&mut self, idx: usize, cpu_done: Time) {
         self.busy_until[idx] = cpu_done;
-        self.dispatch(Addr::Replica(ProcessId(idx as u32)), actions, cpu_done);
-        release(&mut NodeWire {
-            world: self,
-            idx,
-            clock: cpu_done,
-        });
+        let from = Addr::Replica(ProcessId(idx as u32));
+        for (g, op) in std::mem::take(&mut self.timer_ops) {
+            self.arm(from, g, op, cpu_done);
+        }
+        // The node leaves its slot while its release reaches the world.
+        let slot = std::mem::replace(&mut self.replicas[idx], Slot::Down(Vec::new()));
+        if let Slot::Up(mut node) = slot {
+            node.release(&mut NodeWire {
+                world: self,
+                idx,
+                clock: cpu_done,
+            });
+            self.replicas[idx] = Slot::Up(node);
+        }
         self.metrics.wal_appends += self.disks.appends.swap(0, Ordering::Relaxed);
     }
 
-    /// Clients run no per-group state: their timers key under group 0.
+    /// A client keeps no stable storage, and its sends leave as they are
+    /// made; it runs no per-group state, so its timers key under group 0.
     fn dispatch_client(&mut self, from: Addr, actions: Vec<Action>) {
-        let tagged = actions.into_iter().map(|a| (GroupId::ZERO, a)).collect();
-        self.dispatch(from, tagged, self.now);
-    }
-
-    /// Arm and cancel timers as of `at`. A replica's sends wait in the
-    /// outbox for its cycle's release; a client keeps no stable storage,
-    /// and its sends leave as they are made.
-    fn dispatch(&mut self, from: Addr, actions: Vec<(GroupId, Action)>, at: Time) {
-        for (g, a) in actions {
-            let out = match a {
-                Action::Send { to, msg } => Out::One(to, msg),
-                Action::ToAllReplicas { msg } => Out::All(msg),
+        let now = self.now;
+        for a in actions {
+            match a {
+                Action::Send { to, msg } => self.send(from, Out::One(to, msg), now),
+                Action::ToAllReplicas { msg } => self.send(from, Out::All(msg), now),
                 Action::SetTimer { kind, after } => {
-                    let gen = self.timer_gen.arm((from, g, kind));
-                    self.schedule(
-                        at.after(after),
-                        Payload::Timer {
-                            who: from,
-                            group: g,
-                            kind,
-                            gen,
-                        },
-                    );
-                    continue;
+                    self.arm(from, GroupId::ZERO, TimerOp::Set(kind, after), now);
                 }
                 Action::CancelTimer { kind } => {
-                    self.timer_gen.cancel((from, g, kind));
-                    continue;
+                    self.arm(from, GroupId::ZERO, TimerOp::Cancel(kind), now);
                 }
-            };
-            let core = from
-                .as_replica()
-                .and_then(|p| match &self.replicas[p.0 as usize] {
-                    Slot::Up(m) => m.group(g),
-                    Slot::Down(_) => None,
-                });
-            match core {
-                Some(core) => self.outbox.push(out, core),
-                None => self.send(from, out, at),
             }
+        }
+    }
+
+    /// Arm or cancel `who`'s timer of group `g` as of `at`.
+    fn arm(&mut self, who: Addr, group: GroupId, op: TimerOp, at: Time) {
+        match op {
+            TimerOp::Set(kind, after) => {
+                let key = (who, group, kind);
+                let gen = self.timer_gen.arm(key);
+                self.schedule(at.after(after), Payload::Timer { key, gen });
+            }
+            TimerOp::Cancel(kind) => self.timer_gen.cancel((who, group, kind)),
         }
     }
 
@@ -738,7 +707,7 @@ impl World {
     }
 }
 
-/// The release's [`Wire`] for one replica event: what it transmits departs
+/// The release's [`Net`] for one replica event: what it transmits departs
 /// at `clock`, which starts where the event's CPU work ends and which a
 /// sync that ran since the last transmit moves by [`CpuModel::fsync`]. The
 /// node's thread was inside that sync, so it takes no other event before
@@ -751,18 +720,7 @@ struct NodeWire<'w> {
     clock: Time,
 }
 
-impl Wire for NodeWire<'_> {
-    fn cores(&mut self) -> &mut [Replica] {
-        match &mut self.world.replicas[self.idx] {
-            Slot::Up(m) => m.groups_mut(),
-            Slot::Down(_) => &mut [],
-        }
-    }
-
-    fn outbox(&mut self) -> &mut Outbox {
-        &mut self.world.outbox
-    }
-
+impl Net for NodeWire<'_> {
     fn transmit(&mut self, outs: &mut Vec<Out>) {
         let w = &mut *self.world;
         if w.disks.syncs.swap(0, Ordering::Relaxed) > 0 {
@@ -777,26 +735,15 @@ impl Wire for NodeWire<'_> {
     }
 }
 
-/// Total CPU cost of emitting every message in `actions`.
-fn actions_send_cost(
-    cpu: &CpuModel,
-    actions: &[(GroupId, Action)],
-    n: usize,
-) -> gridpaxos_core::types::Dur {
-    let mut total = gridpaxos_core::types::Dur::ZERO;
-    for (_, a) in actions {
-        match a {
-            Action::Send { msg, .. } => {
-                total = total.saturating_add(cpu.send_cost_one(msg));
-            }
-            Action::ToAllReplicas { msg } => {
-                total =
-                    total.saturating_add(cpu.send_cost_one(msg).mul(n.saturating_sub(1) as u64));
-            }
-            _ => {}
-        }
-    }
-    total
+/// The CPU cost of emitting every send `node` buffered: a broadcast is
+/// one send per other replica.
+fn sends_cost(cpu: &CpuModel, node: &Node, n: usize) -> Dur {
+    node.sends().fold(Dur::ZERO, |total, out| {
+        total.saturating_add(match out {
+            Out::One(_, msg) => cpu.send_cost_one(msg),
+            Out::All(msg) => cpu.send_cost_one(msg).mul(n.saturating_sub(1) as u64),
+        })
+    })
 }
 
 #[cfg(test)]

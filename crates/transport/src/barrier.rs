@@ -1,14 +1,14 @@
 //! Barrier threads: where a node's durability barrier syncs while its
 //! epoll loop serves on.
 //!
-//! `outbox::release_begin` lends the storage of every group whose barrier
-//! is due. The reactor hands that `Lent`, with the sends held behind it,
-//! to its [`BarrierLine`] and goes on serving what
-//! `Replica::serves_beside_barrier` admits. A barrier thread syncs, sends
-//! the storages back over the line's channel and writes one byte to the
-//! line's wake-up socket, which sits in the loop's epoll set; the loop
-//! takes both back ([`BarrierLine::finished`]) and calls
-//! `outbox::release_end`.
+//! A node's release lends the storage of every group whose barrier is
+//! due to its host (`Net::lend`). The reactor hands that `Lent` to its
+//! [`BarrierLine`] and goes on delivering to the node, which runs only
+//! what may run beside the barrier and holds the rest. A barrier thread
+//! syncs, sends the storages back over the line's channel and writes one
+//! byte to the line's wake-up socket, which sits in the loop's epoll set;
+//! the loop takes them back ([`BarrierLine::back`]) and hands them to
+//! `Node::barrier_back`.
 //!
 //! The threads are one process-wide pool, not one per node: a line takes
 //! an idle thread or spawns one, and the thread goes back to the idle list
@@ -19,11 +19,11 @@
 //!
 //! Every blocking wait of a barrier lives here, not on the loop (lint rule
 //! 5): the sync, a pool thread's wait for its next barrier, and
-//! [`BarrierLine::wait`], the loop's way out. A sync that panics is caught
+//! [`BarrierLine::back`] on the loop's way out. A sync that panics is caught
 //! on the pool thread and resumed on the loop, which dies of it as it
 //! would have had the sync run there.
 
-use gridpaxos_core::outbox::{Held, Lent};
+use gridpaxos_core::outbox::Lent;
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
@@ -79,14 +79,14 @@ fn spawn() -> io::Result<Sender<Job>> {
     Ok(jobs)
 }
 
-/// One node's way to the pool: at most one barrier away at a time.
+/// One node's way to the pool. Whether a barrier is away, and what waits
+/// for it, is the node's (`Node::barrier_away`); the line carries the
+/// barrier there and back.
 pub(crate) struct BarrierLine {
     /// The read end of the wake-up socket, nonblocking, in the epoll set.
     wake: UnixStream,
     back: Back,
     done: Receiver<Synced>,
-    /// The sends behind the barrier away, if one is.
-    behind: Option<Held>,
 }
 
 impl BarrierLine {
@@ -101,7 +101,6 @@ impl BarrierLine {
                 ring: Arc::new(ring),
             },
             done: outcome,
-            behind: None,
         })
     }
 
@@ -110,50 +109,30 @@ impl BarrierLine {
         self.wake.as_raw_fd()
     }
 
-    /// Whether a barrier is away.
-    pub(crate) fn away(&self) -> bool {
-        self.behind.is_some()
-    }
-
-    /// Send `lent` to a pool thread and keep `behind` until it is back.
-    /// Both come back at once if no thread can be had.
-    pub(crate) fn start(&mut self, lent: Lent, behind: Held) -> Result<(), (Lent, Held)> {
-        debug_assert!(!self.away(), "one barrier away at a time");
+    /// Send `lent` to a pool thread; it comes back at once if no thread
+    /// can be had.
+    pub(crate) fn start(&mut self, lent: Lent) -> Result<(), Lent> {
         let idle_thread = idle().pop();
         let Some(thread) = idle_thread.map_or_else(|| spawn().ok(), Some) else {
-            return Err((lent, behind));
+            return Err(lent);
         };
         let back = self.back.clone();
-        match thread.send(Job { lent, back }) {
-            Ok(()) => {
-                self.behind = Some(behind);
-                Ok(())
-            }
-            Err(refused) => Err((refused.0.lent, behind)),
-        }
+        thread
+            .send(Job { lent, back })
+            .map_err(|refused| refused.0.lent)
     }
 
-    /// The wake-up fired: the barrier away, if it is back.
-    pub(crate) fn finished(&mut self) -> Option<(Lent, Held)> {
+    /// The barrier away, if it is back: the wake-up fired, or, with
+    /// `block`, the loop waits for it on its way out. A sync that
+    /// panicked resumes its panic here.
+    pub(crate) fn back(&mut self, block: bool) -> Option<Lent> {
         let mut bytes = [0u8; 8];
         while matches!((&self.wake).read(&mut bytes), Ok(n) if n > 0) {}
-        let synced = self.done.try_recv().ok()?;
-        self.back_from(synced)
-    }
-
-    /// Block until the barrier away, if any, is back: a loop's way out.
-    pub(crate) fn wait(&mut self) -> Option<(Lent, Held)> {
-        if !self.away() {
-            return None;
-        }
-        let synced = self.done.recv().ok()?;
-        self.back_from(synced)
-    }
-
-    fn back_from(&mut self, synced: Synced) -> Option<(Lent, Held)> {
-        match synced {
-            Ok(lent) => self.behind.take().map(|held| (lent, held)),
-            Err(panic) => resume_unwind(panic),
-        }
+        let synced = if block {
+            self.done.recv().ok()?
+        } else {
+            self.done.try_recv().ok()?
+        };
+        Some(synced.unwrap_or_else(|panic| resume_unwind(panic)))
     }
 }

@@ -1258,58 +1258,42 @@ mod tests {
     fn a_commit_only_cycle_on_a_multi_group_node_syncs_nothing() {
         use gridpaxos_core::config::Config;
         use gridpaxos_core::msg::Msg;
-        use gridpaxos_core::outbox::{release, Out, Outbox, Wire};
-        use gridpaxos_core::prelude::{Action, Addr, NoopApp, Replica, Time};
+        use gridpaxos_core::node::{Net, Node, TimerOps};
+        use gridpaxos_core::outbox::Out;
+        use gridpaxos_core::prelude::{Addr, GroupId, NoopApp, Time};
 
-        struct Node {
-            cores: Vec<Replica>,
-            outbox: Outbox,
-        }
-        impl Wire for Node {
-            fn cores(&mut self) -> &mut [Replica] {
-                &mut self.cores
-            }
-            fn outbox(&mut self) -> &mut Outbox {
-                &mut self.outbox
-            }
+        struct Dropped;
+        impl Net for Dropped {
             fn transmit(&mut self, outs: &mut Vec<Out>) {
                 outs.clear();
             }
         }
-        impl Node {
-            fn deliver(&mut self, g: usize, msg: Msg) {
-                let leader = Addr::Replica(ProcessId(0));
-                for action in self.cores[g].on_message(leader, msg, Time::ZERO) {
-                    let out = match action {
-                        Action::Send { to, msg } => Out::One(to, msg),
-                        Action::ToAllReplicas { msg } => Out::All(msg),
-                        Action::SetTimer { .. } | Action::CancelTimer { .. } => continue,
-                    };
-                    self.outbox.push(out, &self.cores[g]);
-                }
-            }
-        }
+        let deliver = |node: &mut Node, g: usize, msg: Msg| {
+            let msg = if node.n_groups() == 1 {
+                msg
+            } else {
+                let group = GroupId(g as u32);
+                let inner = Box::new(msg);
+                Msg::Grouped { group, inner }
+            };
+            let leader = Addr::Replica(ProcessId(0));
+            node.deliver(leader, msg, Time::ZERO, &mut TimerOps::new());
+        };
 
         const DECREES: u64 = 4;
         for groups in [1, 2, 4] {
             let dir = tmpdir(&format!("commit-only-{groups}"));
             let coord = FlushCoordinator::open(&dir, SyncMode::Batched, groups).unwrap();
-            let cores = (0..groups)
-                .map(|g| {
-                    let disk = Box::new(coord.storage(g));
-                    let app = Box::new(NoopApp::new());
-                    Replica::new(ProcessId(1), Config::cluster(3), app, disk, 7, Time::ZERO)
-                })
-                .collect();
-            let mut node = Node {
-                cores,
-                outbox: Outbox::default(),
-            };
+            let disks = (0..groups).map(|g| Box::new(coord.storage(g)) as Box<dyn Storage>);
+            let app = |_| Box::new(NoopApp::new()) as Box<dyn gridpaxos_core::service::App>;
+            let cfg = Config::cluster(3);
+            let mut node = Node::open(ProcessId(1), cfg, disks.collect(), &app, 7, Time::ZERO);
             let mut syncs = Vec::new();
             for i in (1..=DECREES).map(Instance) {
                 for g in 0..groups {
                     let entries = vec![(i, Decree::noop())];
-                    node.deliver(
+                    deliver(
+                        &mut node,
                         g,
                         Msg::Accept {
                             ballot: ballot(1),
@@ -1317,10 +1301,11 @@ mod tests {
                         },
                     );
                 }
-                release(&mut node);
+                node.release(&mut Dropped);
                 syncs.push(coord.syncs());
                 for g in 0..groups {
-                    node.deliver(
+                    deliver(
+                        &mut node,
                         g,
                         Msg::Chosen {
                             ballot: ballot(1),
@@ -1333,8 +1318,8 @@ mod tests {
                     chosen_prefix: Instance::ZERO,
                     known_above: Vec::new(),
                 };
-                node.deliver(0, stale);
-                release(&mut node);
+                deliver(&mut node, 0, stale);
+                node.release(&mut Dropped);
                 syncs.push(coord.syncs());
             }
             let one_per_decree: Vec<u64> = (1..=DECREES).flat_map(|d| [d, d]).collect();

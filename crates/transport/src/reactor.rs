@@ -6,91 +6,60 @@
 //! thousands of closed-loop clients, long before it runs out of protocol
 //! capacity (EXPERIMENTS.md E14), so a node is **one loop thread**: a
 //! level-triggered `epoll` loop ([`crate::sys`]) owning the listener,
-//! every connection, the [`MultiReplica`] with all `G` group replica
-//! cores, and the timer table. Its durability barrier syncs on a thread of
-//! a process-wide pool (`crate::barrier`) while the loop serves reads.
+//! every connection, the [`Node`] and the timer table.
+//!
+//! ## One node, two hosts
+//!
+//! Everything the loop does to the replicas is [`Node`]'s, the code the
+//! simulator hosts too: routing, stepping, buffering sends, the release
+//! ([`gridpaxos_core::outbox`]: `Accept`s to the kernel, one fsync for
+//! the whole batch, then everything else) and the barrier away. The
+//! reactor is the host: epoll, the connections, the admission gate, the
+//! inbox and its [`MAX_DRAIN`] cap, the timer table, one checkpoint chunk
+//! per group per cycle, the counters, and `Sockets`, the node's [`Net`].
+//! `Sockets` lends the barrier to a thread of a process-wide pool
+//! (`crate::barrier`), and the loop goes on delivering to the node —
+//! which runs X-Paxos reads and their confirms beside the barrier and
+//! holds the rest — but fires no timer and pumps no checkpoint. The
+//! barrier's wake-up, a socket in the epoll set, brings it back to
+//! [`Node::barrier_back`], and what the node held goes back to the front
+//! of the inbox. Storage that is durable as written never lends.
 //!
 //! ## I/O discipline
 //!
-//! The node's connections are a `ConnTable` (`crate::conn`), the one
-//! the client loop owns too: sockets nonblocking in both directions,
-//! reads drained until `EWOULDBLOCK` into a per-connection
-//! [`FrameDecoder`](crate::FrameDecoder) that tolerates frames torn at any byte offset,
-//! writes through a per-connection byte-bounded [`SendQueue`](crate::SendQueue) that
-//! resumes partially-written frames at the exact offset, one scratch
-//! buffer for encoding and one read buffer for the node. A frame that
-//! does not decode, or a length prefix past `MAX_FRAME`, closes its
-//! connection and nothing else. What stays here is the node's policy
-//! over that table: the listener, hellos, binding clients to
-//! connections, the admission gate, the inbox and outbox, read
-//! suspension and the [`ReactorStats`] counters.
-//!
-//! ## Waiting
-//!
-//! The loop blocks in exactly one place, [`Epoll::wait_for`], for as long
-//! as [`Reactor::wait`] says: until the next timer is due, at the clock's
-//! resolution. The leader's batch window is 100 µs; counted in whole
-//! milliseconds it would cost every loaded decree ten times that. While a
-//! barrier is away no timer fires, and the barrier's wake-up ends the
-//! wait.
-//!
-//! ## Group commit: the flush barrier
-//!
-//! Every drain cycle buffers the cores' `Send`/`ToAllReplicas` actions in
-//! an [`Outbox`], and [`Reactor::flush_and_transmit`] releases it: the
-//! order of sends and barrier — `Accept`s to the kernel, one fsync
-//! covering the whole batch, then everything else — is written once, in
-//! [`gridpaxos_core::outbox`], for every drive loop there is. This one
-//! is its [`Wire`] over sockets. The chosen-prefix mark makes no barrier
-//! due; it becomes durable with the next decree's accept barrier (or the
-//! flush on the way out of [`Reactor::run`]).
-//!
-//! The fsync does not stop the loop. [`release_begin`] lends the storage
-//! of every group whose barrier is due, and a pool thread syncs it while
-//! the loop goes on reading sockets. Of what arrives it runs only what
-//! [`Replica::serves_beside_barrier`] admits — X-Paxos reads and their
-//! confirms — and sends what those produce at once ([`release_beside`]);
-//! everything else waits in the held queue, in arrival order, and no
-//! timer fires and no checkpoint is pumped. The barrier's wake-up, a
-//! socket in the epoll set, brings the storages back: [`release_end`]
-//! sends what waited behind the barrier, and the held queue goes back to
-//! the front of the inbox. A node on storage that is durable as written
-//! never has a barrier due, never lends, and never takes a pool thread.
+//! The connections are a `ConnTable` (`crate::conn`), the one the client
+//! loop owns too: nonblocking sockets, reads drained until `EWOULDBLOCK`
+//! into a per-connection [`FrameDecoder`](crate::FrameDecoder) that
+//! tolerates frames torn at any byte offset, writes through a
+//! byte-bounded [`SendQueue`](crate::SendQueue) that resumes a partial
+//! frame at its offset. A frame that does not decode, or a length prefix
+//! past `MAX_FRAME`, closes its connection and nothing else. The loop
+//! blocks only in [`Epoll::wait_for`], until the next timer is due at the
+//! clock's resolution ([`Reactor::wait`]): the leader's batch window is
+//! 100 µs, and whole milliseconds would cost every loaded decree ten
+//! times that.
 //!
 //! ## The way out
 //!
-//! [`Reactor::run`] waits for a barrier still away, releases what is
-//! buffered with the barrier on its own thread, and ends with
-//! [`Replica::stop`] on every group: that last
-//! flush, and the leader's tentative execution of a decree still in
-//! flight taken back. The replicas [`ReactorCluster::shutdown`] returns
-//! hold the state of their chosen prefix, so "equal prefix ⇒ equal
-//! `service_snapshot()`" needs no exemption for a node stopped
-//! mid-decree. Storage keeps the accepted decree; a restart rebuilds the
-//! same state from it.
+//! [`Reactor::run`] waits for a barrier still away and ends with
+//! [`Node::stop`]: a release with the barrier on its own thread, then
+//! [`Replica::stop`] on every group, so the replicas
+//! [`ReactorCluster::shutdown`] returns hold the state of their chosen
+//! prefix — "equal prefix ⇒ equal `service_snapshot()`" needs no
+//! exemption for a node stopped mid-decree.
 //!
-//! ## Backpressure
+//! ## Backpressure and multiplexing
 //!
-//! Two mechanisms (`crate::backpressure`):
-//!
-//! * per-connection send queues are byte-capped; while a connection's
-//!   queue is full its **read interest is suspended**, so a peer that
-//!   stops reading our replies also stops feeding us work (quench
-//!   propagates along the connection);
-//! * a node-wide `AdmissionGate` over the backlog — the inbox and the
-//!   messages held behind a barrier — sheds new
-//!   client requests with an immediate `ReplyBody::Busy` above the
-//!   high-water mark and re-admits below the low-water mark. Busy
-//!   replies carry no durable state and never touch the protocol core,
-//!   so they are enqueued outside the outbox; they still leave through
-//!   the same flush-gated write path as everything else.
-//!
-//! ## Connection multiplexing
-//!
-//! Replies route by client address: every `Request` decoded from a
-//! connection binds `Addr::Client(req.id.client)` to that connection, so
-//! any number of clients (see [`crate::client`]) can share one socket —
-//! the reactor never needs a connection per client.
+//! Per-connection send queues are byte-capped; while one is full its
+//! connection's **read interest is suspended**, so a peer that stops
+//! reading our replies stops feeding us work. A node-wide `AdmissionGate`
+//! (`crate::backpressure`) over the backlog — the inbox and what the node
+//! holds behind a barrier — sheds client requests with an immediate
+//! `ReplyBody::Busy` above its high-water mark and re-admits below its
+//! low-water mark; a Busy reply never touches the protocol core. Replies
+//! route by client address: every `Request` binds its client to the
+//! connection it came on, so any number of clients ([`crate::client`])
+//! share one socket.
 
 #![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
 
@@ -103,20 +72,17 @@ use crate::sys::{self, EPOLLIN};
 use crate::timers::Timers;
 use crate::wire::{decode_msg, get_addr};
 use bytes::Bytes;
-use gridpaxos_core::action::Action;
 use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
-use gridpaxos_core::multi::MultiReplica;
-use gridpaxos_core::outbox::{
-    release, release_begin, release_beside, release_end, Held, Lent, Out, Outbox, Wire,
-};
+use gridpaxos_core::node::{Inbox, Net, Node, TimerOp, TimerOps};
+use gridpaxos_core::outbox::{Lent, Out};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{Reply, ReplyBody};
 use gridpaxos_core::service::App;
 use gridpaxos_core::storage::{MemStorage, Storage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, ProcessId, Time};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
@@ -264,34 +230,37 @@ fn after_write(metrics: &MetricsInner, cap: usize) -> impl FnMut(&mut Conn, bool
 }
 
 struct Reactor {
-    /// The process: its groups are the cores, and it says which group a
-    /// message addresses and what a group's message looks like outside.
-    node: MultiReplica,
-    me: ProcessId,
-    n: usize,
+    /// The process: its groups, what they buffered, and the barrier away.
+    node: Node,
+    /// Where the node's releases go.
+    net: Sockets,
     epoch: Instant,
     listener: TcpListener,
-    /// Every connection, the replicas' and the clients'.
-    conns: ConnTable,
-    /// Decoded messages awaiting a trip through the cores.
-    inbox: VecDeque<(Addr, Msg)>,
-    /// Messages that wait for the barrier away, in arrival order.
-    held: VecDeque<(Addr, Msg)>,
-    /// The way to a barrier thread, opened at the first barrier lent.
-    line: Option<BarrierLine>,
-    /// Core sends awaiting [`Reactor::flush_and_transmit`].
-    outbox: Outbox,
+    /// Decoded messages awaiting a trip through the node.
+    inbox: Inbox,
+    /// What the last step asked of the timers.
+    timer_ops: TimerOps,
     timers: Timers,
     gate: AdmissionGate,
-    rcfg: ReactorConfig,
     stop: Arc<AtomicBool>,
+}
+
+/// The node's [`Net`]: its connections, and the way to a barrier thread.
+struct Sockets {
+    /// Every replica but this one: where a broadcast goes.
+    followers: Vec<Addr>,
+    /// Every connection, the replicas' and the clients'.
+    conns: ConnTable,
+    /// The way to a barrier thread, opened at the first barrier lent.
+    line: Option<BarrierLine>,
+    send_queue_cap: usize,
     metrics: Arc<MetricsInner>,
 }
 
 impl Reactor {
     /// `node` behind `listener`, not yet running.
     fn new(
-        mut node: MultiReplica,
+        mut node: Node,
         listener: TcpListener,
         peer_addrs: HashMap<ProcessId, SocketAddr>,
         stop: Arc<AtomicBool>,
@@ -299,22 +268,27 @@ impl Reactor {
         metrics: Arc<MetricsInner>,
     ) -> io::Result<Reactor> {
         let me = node.id();
+        let n = node.groups_mut()[0].config().n as u32;
+        let net = Sockets {
+            followers: (0..n)
+                .filter(|p| *p != me.0)
+                .map(|p| Addr::Replica(ProcessId(p)))
+                .collect(),
+            conns: ConnTable::new(Addr::Replica(me), peer_addrs, rcfg.send_queue_cap)?,
+            line: None,
+            send_queue_cap: rcfg.send_queue_cap,
+            metrics,
+        };
         Ok(Reactor {
-            me,
-            n: node.groups_mut()[0].config().n,
             timers: Timers::new(node.n_groups()),
             node,
+            net,
             epoch: Instant::now(),
             listener,
-            conns: ConnTable::new(Addr::Replica(me), peer_addrs, rcfg.send_queue_cap)?,
-            inbox: VecDeque::new(),
-            held: VecDeque::new(),
-            line: None,
-            outbox: Outbox::default(),
+            inbox: Inbox::new(),
+            timer_ops: TimerOps::new(),
             gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
-            rcfg,
             stop,
-            metrics,
         })
     }
 
@@ -322,26 +296,13 @@ impl Reactor {
         Time(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    /// Interpret one handler invocation's actions for group `g`. Sends are
-    /// buffered in the outbox; [`Reactor::flush_and_transmit`] lets them go.
-    fn apply(&mut self, g: usize, actions: Vec<Action>) {
-        let now = self.now();
-        let group = GroupId(g as u32);
-        let Some(core) = self.node.group(group) else {
-            return;
-        };
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => {
-                    let out = Out::One(to, self.node.envelope(group, msg));
-                    self.outbox.push(out, core);
-                }
-                Action::ToAllReplicas { msg } => {
-                    let out = Out::All(self.node.envelope(group, msg));
-                    self.outbox.push(out, core);
-                }
-                Action::SetTimer { kind, after } => self.timers.set(g, kind, now.0 + after.0),
-                Action::CancelTimer { kind } => self.timers.cancel(g, kind),
+    /// Carry out what the last step asked of the timers.
+    fn arm_timers(&mut self) {
+        let now = self.now().0;
+        for (g, op) in self.timer_ops.drain(..) {
+            match op {
+                TimerOp::Set(kind, after) => self.timers.set(g.0 as usize, kind, now + after.0),
+                TimerOp::Cancel(kind) => self.timers.cancel(g.0 as usize, kind),
             }
         }
     }
@@ -352,78 +313,40 @@ impl Reactor {
             let Some((g, kind)) = self.timers.pop_due(now.0) else {
                 return;
             };
-            let actions = self.node.groups_mut()[g].on_timer(kind, now);
-            self.apply(g, actions);
+            self.node
+                .fire(GroupId(g as u32), kind, now, &mut self.timer_ops);
+            self.arm_timers();
         }
     }
 
-    /// Release the cycle's outbox ([`release`]: `Accept`s, the
+    /// Release what the cycle buffered ([`Node::release`]: `Accept`s, the
     /// group-commit barrier — one fsync per group with a barrier due,
     /// which a shared-WAL [`FlushCoordinator`] collapses to one per node —
-    /// then everything else), the barrier on a pool thread; while one is
-    /// away, send what the steps beside it produced. Busy replies queued
-    /// outside the outbox reach their sockets here too.
+    /// on a pool thread, then everything else). Busy replies queued
+    /// outside the node reach their sockets here too.
     fn flush_and_transmit(&mut self) {
-        if self.barrier_away() {
-            release_beside(self);
-        } else if let Some((lent, held)) = release_begin(self) {
-            if let Err((mut lent, held)) = self.lend(lent, held) {
-                lent.flush();
-                release_end(self, lent, held);
-            }
-        }
-        self.write_dirty_conns();
+        self.node.release(&mut self.net);
+        self.net.write_dirty_conns();
     }
 
-    /// Whether a barrier is away on a pool thread.
-    fn barrier_away(&self) -> bool {
-        self.line.as_ref().is_some_and(BarrierLine::away)
-    }
-
-    /// Send a barrier to a pool thread; both halves back if there is
-    /// nothing to sync, or no thread or wake-up socket to be had.
-    fn lend(&mut self, lent: Lent, held: Held) -> Result<(), (Lent, Held)> {
-        if lent.is_empty() {
-            return Err((lent, held));
-        }
-        if self.line.is_none() {
-            let line = BarrierLine::new();
-            let epoll = self.conns.epoll();
-            let registered =
-                line.and_then(|l| epoll.add(l.fd(), EPOLLIN, TOKEN_BARRIER).map(|()| l));
-            self.line = registered.ok();
-        }
-        let Some(line) = &mut self.line else {
-            return Err((lent, held));
-        };
-        line.start(lent, held)?;
-        bump(&self.metrics.barriers_lent, 1);
-        Ok(())
-    }
-
-    /// The barrier's wake-up fired: if it is back, send what waited
-    /// behind it and put the held queue back at the front of the inbox.
-    fn barrier_back(&mut self) {
-        let Some((lent, held)) = self.line.as_mut().and_then(BarrierLine::finished) else {
+    /// The barrier's wake-up fired, or, with `block`, the loop waits for
+    /// the barrier away on its way out: if it is back, the node sends what
+    /// waited behind it, and what it held goes back to the front of the
+    /// inbox.
+    fn barrier_back(&mut self, block: bool) {
+        let line = self.net.line.as_mut().filter(|_| self.node.barrier_away());
+        let Some(lent) = line.and_then(|line| line.back(block)) else {
             return;
         };
-        release_end(self, lent, held);
-        self.held.append(&mut self.inbox);
-        std::mem::swap(&mut self.inbox, &mut self.held);
-    }
-
-    /// Write every connection with freshly queued bytes to its socket.
-    fn write_dirty_conns(&mut self) {
-        let cap = self.rcfg.send_queue_cap;
-        self.conns.write_dirty(after_write(&self.metrics, cap));
+        self.node.barrier_back(lent, &mut self.net, &mut self.inbox);
     }
 
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if self.conns.accept(stream).is_some() {
-                        bump(&self.metrics.accepted, 1);
+                    if self.net.conns.accept(stream).is_some() {
+                        bump(&self.net.metrics.accepted, 1);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -436,45 +359,33 @@ impl Reactor {
     /// EPOLLIN on `token`: read what came, admit or shed each request.
     fn handle_readable(&mut self, token: u64) {
         let mut door = Door {
-            me: self.me,
+            me: self.node.id(),
             inbox: &mut self.inbox,
-            held: self.held.len(),
+            held: self.node.held_len(),
             gate: &mut self.gate,
-            metrics: &self.metrics,
+            metrics: &self.net.metrics,
         };
         let read = self
+            .net
             .conns
             .read(token, |conns, frame| door.on_frame(conns, token, frame));
-        bump(&self.metrics.bytes_in, read as u64);
+        bump(&self.net.metrics.bytes_in, read as u64);
     }
 
-    /// Route up to [`MAX_DRAIN`] queued messages through the cores; while
-    /// a barrier is away, hold those that must wait for it.
+    /// Hand up to [`MAX_DRAIN`] queued messages to the node, which holds
+    /// those that must wait for a barrier away.
     fn process_inbox(&mut self) {
-        let away = self.barrier_away();
-        let mut drained = 0;
-        while drained < MAX_DRAIN {
+        for _ in 0..MAX_DRAIN {
             let Some((from, msg)) = self.inbox.pop_front() else {
                 break;
             };
-            drained += 1;
-            let Some((group, inner)) = self.node.route(msg) else {
-                continue; // peer from a differently sized deployment
-            };
-            let beside = |core: &Replica| core.serves_beside_barrier(&inner);
-            if away && !self.node.group(group).is_some_and(beside) {
-                self.held
-                    .push_back((from, self.node.envelope(group, inner)));
-                continue;
-            }
-            let g = group.0 as usize;
             let now = self.now();
-            let actions = self.node.groups_mut()[g].on_message(from, inner, now);
-            self.apply(g, actions);
+            self.node.deliver(from, msg, now, &mut self.timer_ops);
+            self.arm_timers();
         }
         // Keep the gate fed as the backlog shrinks so re-admission happens
         // even when no new request arrives to trigger an update.
-        self.gate.update(self.inbox.len() + self.held.len());
+        self.gate.update(self.inbox.len() + self.node.held_len());
     }
 
     /// How long the loop may block: until the next timer is due, capped
@@ -484,7 +395,7 @@ impl Reactor {
         if !self.inbox.is_empty() {
             return Duration::ZERO;
         }
-        if self.barrier_away() {
+        if self.node.barrier_away() {
             return MAX_WAIT;
         }
         let now = self.now().0;
@@ -498,6 +409,7 @@ impl Reactor {
     fn run(mut self) -> Vec<Replica> {
         if self.listener.set_nonblocking(true).is_err()
             || self
+                .net
                 .conns
                 .epoll()
                 .add(self.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
@@ -505,18 +417,17 @@ impl Reactor {
         {
             return self.node.into_groups();
         }
-        for g in 0..self.node.n_groups() {
-            let now = self.now();
-            let actions = self.node.groups_mut()[g].on_start(now);
-            self.apply(g, actions);
-        }
+        let now = self.now();
+        self.node.start(now, &mut self.timer_ops);
+        self.arm_timers();
         self.flush_and_transmit();
 
         let mut events: Vec<sys::Event> = Vec::new();
         while !self.stop.load(Ordering::Relaxed) {
             events.clear();
             let timeout = self.wait();
-            if self.conns.epoll().wait_for(&mut events, timeout).is_err() {
+            let epoll = self.net.conns.epoll();
+            if epoll.wait_for(&mut events, timeout).is_err() {
                 break;
             }
             for ev in &events {
@@ -525,20 +436,20 @@ impl Reactor {
                     continue;
                 }
                 if ev.token == TOKEN_BARRIER {
-                    self.barrier_back();
+                    self.barrier_back(false);
                     continue;
                 }
                 if ev.writable() {
-                    let cap = self.rcfg.send_queue_cap;
-                    self.conns
-                        .writable(ev.token, after_write(&self.metrics, cap));
+                    let net = &mut self.net;
+                    let after = after_write(&net.metrics, net.send_queue_cap);
+                    net.conns.writable(ev.token, after);
                 }
-                if ev.readable() && self.conns.contains(ev.token) {
+                if ev.readable() && self.net.conns.contains(ev.token) {
                     self.handle_readable(ev.token);
                 }
             }
             self.process_inbox();
-            if !self.barrier_away() {
+            if !self.node.barrier_away() {
                 self.fire_due_timers();
                 // One incremental-checkpoint chunk per group per cycle:
                 // state serialization rides the drive loop in O(chunk)
@@ -549,52 +460,58 @@ impl Reactor {
             }
             self.flush_and_transmit();
         }
-        if let Some((lent, held)) = self.line.as_mut().and_then(BarrierLine::wait) {
-            release_end(&mut self, lent, held);
-        }
-        release(&mut self);
-        self.write_dirty_conns();
         // A clean stop leaves no chosen-prefix mark waiting for a barrier
         // that will never come, and no decree executed but not chosen in
         // the state it hands back.
-        for core in self.node.groups_mut() {
-            core.stop();
-        }
-        self.node.into_groups()
+        self.barrier_back(true);
+        let groups = self.node.stop(&mut self.net);
+        self.net.write_dirty_conns();
+        groups
     }
 }
 
-impl Wire for Reactor {
-    fn cores(&mut self) -> &mut [Replica] {
-        self.node.groups_mut()
+impl Sockets {
+    /// Write every connection with freshly queued bytes to its socket.
+    fn write_dirty_conns(&mut self) {
+        let after = after_write(&self.metrics, self.send_queue_cap);
+        self.conns.write_dirty(after);
     }
+}
 
-    fn outbox(&mut self) -> &mut Outbox {
-        &mut self.outbox
-    }
-
+impl Net for Sockets {
     /// Frame `outs` onto connection send queues — a broadcast is encoded
     /// and framed once, and every follower's queue holds the same bytes —
     /// then write every connection with queued bytes to its socket.
     fn transmit(&mut self, outs: &mut Vec<Out>) {
-        let (me, n) = (self.me, self.n);
-        let followers = || {
-            (0..n)
-                .map(|i| ProcessId(i as u32))
-                .filter(move |p| *p != me)
-                .map(Addr::Replica)
-        };
         for out in outs.drain(..) {
             match out {
                 Out::One(to, msg) => self.metrics.sent(self.conns.send(to, &msg)),
                 Out::All(msg) => {
-                    let metrics = &self.metrics;
+                    let (followers, metrics) = (self.followers.iter().copied(), &self.metrics);
                     self.conns
-                        .send_all(&msg, followers(), |sent| metrics.sent(sent));
+                        .send_all(&msg, followers, |sent| metrics.sent(sent));
                 }
             }
         }
         self.write_dirty_conns();
+    }
+
+    /// Send the barrier to a pool thread; it comes back to sync here if
+    /// there is no thread or wake-up socket to be had.
+    fn lend(&mut self, lent: Lent) -> Result<(), Lent> {
+        if self.line.is_none() {
+            let line = BarrierLine::new();
+            let epoll = self.conns.epoll();
+            let registered =
+                line.and_then(|l| epoll.add(l.fd(), EPOLLIN, TOKEN_BARRIER).map(|()| l));
+            self.line = registered.ok();
+        }
+        let Some(line) = &mut self.line else {
+            return Err(lent);
+        };
+        line.start(lent)?;
+        bump(&self.metrics.barriers_lent, 1);
+        Ok(())
     }
 }
 
@@ -604,7 +521,7 @@ impl Wire for Reactor {
 /// with `Busy`.
 struct Door<'a> {
     me: ProcessId,
-    inbox: &'a mut VecDeque<(Addr, Msg)>,
+    inbox: &'a mut Inbox,
     /// Messages held behind a barrier: backlog the gate counts too.
     held: usize,
     gate: &'a mut AdmissionGate,
@@ -628,52 +545,41 @@ impl Door<'_> {
         };
         bump(&self.metrics.msgs_in, 1);
 
-        // Client requests: bind the requesting client's address to this
-        // connection (multiplexing — many virtual clients per socket), and
-        // run the admission gate.
-        // (If-let filter, not a `match`: non-request messages fall through
-        // to normal inbox delivery below — nothing is dispatched here.)
-        let req_meta = if let Msg::Request(r) = &msg {
-            Some((None, r.id))
-        } else if let Msg::Grouped { group, inner } = &msg {
-            if let Msg::Request(r) = inner.as_ref() {
-                Some((Some(*group), r.id))
-            } else {
-                None
-            }
-        } else {
-            None
+        // A client request binds its client to this connection — any
+        // number of clients share one socket — and passes the gate.
+        #[allow(clippy::wildcard_enum_match_arm)] // every message but the envelope is bare
+        let (group, inner) = match &msg {
+            Msg::Grouped { group, inner } => (Some(*group), inner.as_ref()),
+            bare => (None, bare),
         };
-        let from = if let Some((genv, rid)) = req_meta {
-            let caddr = Addr::Client(rid.client);
-            conns.bind(caddr, token);
-            if self.gate.update(self.inbox.len() + self.held) {
-                // Shed: immediate Busy, request never reaches the core, so
-                // no durable state exists for the barrier to cover. The
-                // client was just bound to this connection, so the reply
-                // goes back over it.
-                bump(&self.metrics.busy_shed, 1);
-                let reply = Msg::Reply(Reply {
-                    id: rid,
-                    leader: self.me,
-                    watermark: gridpaxos_core::types::Instance::ZERO,
-                    body: ReplyBody::Busy,
-                });
-                let reply = match genv {
-                    Some(group) => Msg::Grouped {
-                        group,
-                        inner: Box::new(reply),
-                    },
-                    None => reply,
-                };
-                self.metrics.sent(conns.send(caddr, &reply));
-                return true;
-            }
-            caddr
-        } else {
-            peer
+        let Msg::Request(req) = inner else {
+            self.inbox.push_back((peer, msg));
+            return true;
         };
-        self.inbox.push_back((from, msg));
+        let client = Addr::Client(req.id.client);
+        conns.bind(client, token);
+        if !self.gate.update(self.inbox.len() + self.held) {
+            self.inbox.push_back((client, msg));
+            return true;
+        }
+        // Shed: an immediate Busy, over the connection the client was just
+        // bound to, in the envelope the request came in. The request never
+        // reaches the core, so there is nothing for a barrier to cover.
+        bump(&self.metrics.busy_shed, 1);
+        let busy = Msg::Reply(Reply {
+            id: req.id,
+            leader: self.me,
+            watermark: gridpaxos_core::types::Instance::ZERO,
+            body: ReplyBody::Busy,
+        });
+        let busy = match group {
+            Some(group) => Msg::Grouped {
+                group,
+                inner: Box::new(busy),
+            },
+            None => busy,
+        };
+        self.metrics.sent(conns.send(client, &busy));
         true
     }
 }
@@ -704,7 +610,7 @@ impl ReactorHandle {
 /// `peers` maps every replica node (including this one) to its listen
 /// address.
 pub fn spawn_reactor_node(
-    node: MultiReplica,
+    node: Node,
     listener: TcpListener,
     peers: HashMap<ProcessId, SocketAddr>,
     stop: Arc<AtomicBool>,
@@ -823,7 +729,7 @@ impl ReactorCluster {
         for (id, listener) in listeners {
             let storages = storage_factory(id);
             assert_eq!(storages.len(), n_groups, "one storage per group");
-            let node = MultiReplica::open(
+            let node = Node::open(
                 id,
                 cfg.clone(),
                 storages,
@@ -987,7 +893,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
-        let node = MultiReplica::open(
+        let node = Node::open(
             ProcessId(0),
             Config::cluster(1),
             vec![storage],
@@ -1047,11 +953,11 @@ mod tests {
         let (mut r, metrics, addr) = idle_reactor();
         let _peer = TcpStream::connect(addr).expect("connect");
         let token = TOKEN_LISTENER + 1;
-        while !r.conns.contains(token) {
+        while !r.net.conns.contains(token) {
             r.accept_ready();
         }
         let client = ClientId(9);
-        r.conns.bind(Addr::Client(client), token);
+        r.net.conns.bind(Addr::Client(client), token);
 
         let reply = |len: usize| {
             Msg::Reply(Reply {
@@ -1062,12 +968,13 @@ mod tests {
             })
         };
         let to = Addr::Client(client);
-        r.transmit(&mut vec![Out::One(to, reply(MAX_FRAME + 1))]);
+        r.net
+            .transmit(&mut vec![Out::One(to, reply(MAX_FRAME + 1))]);
         let stats = metrics.stats();
         assert_eq!((stats.frames_dropped, stats.msgs_out), (1, 0));
-        assert!(r.conns.contains(token), "connection kept");
+        assert!(r.net.conns.contains(token), "connection kept");
 
-        r.transmit(&mut vec![Out::One(to, reply(8))]);
+        r.net.transmit(&mut vec![Out::One(to, reply(8))]);
         let stats = metrics.stats();
         assert_eq!((stats.frames_dropped, stats.msgs_out), (1, 1));
     }
@@ -2004,6 +1911,63 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// ROADMAP item 3 (d), second half: after the first write, every sync
+    /// of the leader, node 0, takes 200 ms more. No timer fires while its
+    /// barrier is away, so its heartbeats stop with its disk; a follower
+    /// suspects it after one default 50 ms timeout and takes over. Ten
+    /// writes take less time than five of the slow disk's syncs, and at
+    /// the end another node leads, with every chosen decree the same on
+    /// every node that knows it.
+    #[test]
+    fn a_leader_on_a_slow_disk_is_deposed_and_writes_go_on() {
+        const SLOW: Duration = Duration::from_millis(200);
+        let root = std::env::temp_dir().join(format!(
+            "gridpaxos-reactor-slow-leader-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let slow = Arc::new(AtomicBool::new(false));
+        let cfg = Config::cluster(3);
+        let cluster = stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |id| {
+            let slow = Arc::clone(&slow);
+            Box::new(move || {
+                if id == ProcessId(0) && slow.load(Ordering::SeqCst) {
+                    std::thread::sleep(SLOW);
+                }
+            })
+        });
+        let mut client = cluster.client();
+        let first = client.call(RequestKind::Write, put("k", "0"));
+        assert!(matches!(first, Some(ReplyBody::Ok(_))), "got {first:?}");
+
+        slow.store(true, Ordering::SeqCst);
+        let started = Instant::now();
+        for i in 1..=10 {
+            let wrote = client.call(RequestKind::Write, put("k", &i.to_string()));
+            assert!(matches!(wrote, Some(ReplyBody::Ok(_))), "got {wrote:?}");
+        }
+        let took = started.elapsed();
+        assert!(took < SLOW * 5, "ten writes took {took:?}");
+        let nodes = cluster.shutdown();
+        assert!(
+            nodes[1..].iter().any(|rs| rs[0].is_leader()),
+            "node 0 was not deposed"
+        );
+        let chosen: Vec<HashMap<_, _>> = nodes
+            .iter()
+            .map(|rs| rs[0].chosen_digests().into_iter().collect())
+            .collect();
+        for (a, b) in chosen
+            .iter()
+            .flat_map(|a| chosen.iter().map(move |b| (a, b)))
+        {
+            for (i, digest) in a {
+                assert!(b.get(i).is_none_or(|d| d == digest), "instance {i:?}");
+            }
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     /// The admission gate counts what waits behind a barrier. While the
     /// leader's disk stalls, 256 writes arrive one a millisecond: the
     /// first four are held, and with the held queue at the high-water
@@ -2092,20 +2056,18 @@ mod tests {
         let write_through = |storage: Box<dyn Storage>| {
             let (mut r, metrics, _) = idle_reactor_on(storage);
             let now = r.now();
-            let actions = r.node.groups_mut()[0].on_start(now);
-            r.apply(0, actions);
+            r.node.start(now, &mut r.timer_ops);
+            r.arm_timers();
             let id = RequestId::new(ClientId(7), Seq(1));
             let write = Request::new(id, RequestKind::Write, Bytes::new());
             for inbox in [None, Some((Addr::Client(id.client), Msg::Request(write)))] {
                 r.inbox.extend(inbox);
                 r.process_inbox();
                 r.flush_and_transmit();
-                if let Some((lent, held)) = r.line.as_mut().and_then(BarrierLine::wait) {
-                    release_end(&mut r, lent, held);
-                }
+                r.barrier_back(true);
             }
             assert_eq!(r.node.groups_mut()[0].chosen_prefix(), Instance(1));
-            (r.line.is_some(), metrics.stats().barriers_lent)
+            (r.net.line.is_some(), metrics.stats().barriers_lent)
         };
         assert_eq!(write_through(Box::new(MemStorage::new())), (false, 0));
         let meter = Arc::default();

@@ -124,7 +124,7 @@ fn main() {
         None => Box::new(MemStorage::new()),
     };
     let app = |_| Box::new(KvStore::new()) as Box<dyn App>;
-    let node = MultiReplica::open(ProcessId(id), cfg, vec![storage], &app, seed, Time::ZERO);
+    let node = Node::open(ProcessId(id), cfg, vec![storage], &app, seed, Time::ZERO);
     if let (Some(dir), Some(replica)) = (&data_dir, node.group(GroupId::ZERO)) {
         eprintln!(
             "gridpaxos-server r{id}: opened {dir} at instance {}",
