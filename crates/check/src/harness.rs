@@ -1,23 +1,26 @@
 //! Deterministic cluster harness: the model checker's transition system.
 //!
-//! A [`Cluster`] holds real [`Replica`] instances plus everything the
-//! environment normally supplies — the network (a set of pending
-//! messages), the clock (advanced only by timer firings) and the clients
-//! (a scripted sequence of requests). Every nondeterministic decision the
-//! environment could make is reified as a [`Choice`]; applying a choice
-//! is a deterministic transition, so a schedule (a sequence of choice
-//! indices) replays exactly. The explorer enumerates schedules; the
-//! harness also records the client-visible history ([`Observations`])
-//! that the invariant layer checks.
+//! A [`Cluster`] hosts one single-group [`Node`] per live process — the
+//! node the reactor and the simulator host, real [`Replica`] inside —
+//! plus everything the environment normally supplies: the network (a set
+//! of pending messages, and the cluster is the nodes' [`Net`]), the clock
+//! (advanced only by timer firings) and the clients (a scripted sequence
+//! of requests). Every nondeterministic decision the environment could
+//! make is reified as a [`Choice`]; applying a choice is a deterministic
+//! transition, so a schedule (a sequence of choice indices) replays
+//! exactly. The explorer enumerates schedules; the harness also records
+//! the client-visible history ([`Observations`]) that the invariant
+//! layer checks.
 //!
-//! A step is one cycle of a drive loop, and atomic: the handler runs, its
-//! sends go into an [`Outbox`] and leave through the release every loop
-//! shares (`gridpaxos_core::outbox`) with the cluster as its [`Wire`], so
-//! the covering flush barrier is over before the step's messages (all but
-//! its `Accept`s) are in the network and before the replica's next step —
-//! the checker explores exactly the states group commit can reach. A
-//! crash inside the release is its own choice ([`Choice::PowerCut`]): the
-//! release stops at the barrier.
+//! A step is one cycle of a drive loop, and atomic: the node delivers or
+//! fires, releases its sends over the cluster with the barrier synced in
+//! place, and the timer operations the step returned are armed. So the
+//! covering flush barrier is over before the step's messages (all but
+//! its `Accept`s) are in the network and before the replica's next step
+//! — the checker explores exactly the states group commit can reach. A
+//! crash inside the release is its own choice ([`Choice::PowerCut`]):
+//! the cluster keeps the barrier the node lends and hands it back
+//! unsynced, so the ahead list is out and nothing else.
 //!
 //! Timer liveness uses the same generation scheme as the simulator,
 //! via the shared [`gridpaxos_simnet::sched::TimerGens`] utility: stale
@@ -26,16 +29,18 @@
 
 use crate::app::{decode_mask, CheckerApp};
 use crate::scenario::{ClientOp, Scenario};
-use gridpaxos_core::action::{Action, TimerKind};
+use gridpaxos_core::action::TimerKind;
+use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
-use gridpaxos_core::outbox::{release, release_to_barrier, Out, Outbox, Wire};
+use gridpaxos_core::node::{Inbox, Net, Node, TimerOp, TimerOps};
+use gridpaxos_core::outbox::{Lent, Out};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, Request, RequestId, RequestKind};
 use gridpaxos_core::service::App;
 use gridpaxos_core::storage::{MemStorage, Storage, TailLossStorage};
-use gridpaxos_core::types::{Addr, ClientId, Dur, Instance, ProcessId, Seq, Time, TxnId};
+use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, Instance, ProcessId, Seq, Time, TxnId};
 use gridpaxos_simnet::sched::TimerGens;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -169,7 +174,10 @@ pub struct Observations {
 
 /// The model-checking cluster (see module docs).
 pub struct Cluster {
-    replicas: Vec<Option<Replica>>,
+    /// One single-group node per process, `None` while crashed.
+    nodes: Vec<Option<Node>>,
+    /// The scenario's config, which every incarnation runs.
+    cfg: Config,
     /// Detached storages of crashed replicas, keyed by index.
     crashed: Vec<Option<Box<dyn Storage>>>,
     events: Vec<Event>,
@@ -190,9 +198,6 @@ pub struct Cluster {
     /// Per-replica clock offset added to the global clock before it is
     /// handed to a replica: bounded clock skew, constant per incarnation.
     skew: Vec<Dur>,
-    /// Seeded mutation: a faulty loop that hands an `Accepted` to the
-    /// network as it is made, before the release.
-    chaos_accepted_ahead: bool,
     /// Seeded mutation: replicas (by index, until they crash) whose
     /// follower-read replies the wire tags with the leader's watermark.
     chaos_inflated: Vec<bool>,
@@ -204,15 +209,16 @@ pub struct Cluster {
     /// The service every incarnation runs: [`CheckerApp`], or a mutation
     /// of it ([`Cluster::with_app`]).
     app: fn() -> Box<dyn App>,
-    /// The sends of the step in progress (empty between steps).
-    outbox: Outbox,
-    /// The replica taking it.
+    /// The replica whose step is being released: the sender of what the
+    /// network is handed.
     stepping: ProcessId,
-    /// Its actions in the order the handler made them, a send as `None`
-    /// (it is in the outbox): timers are armed as the sends before them
-    /// leave, so pending events line up as choice numbers assume.
-    step_actions: VecDeque<Option<Action>>,
-    n: usize,
+    /// The watermark [`Cluster::chaos_inflate_read_watermark`] tags the
+    /// stepping replica's replies with, if it lies.
+    inflated_to: Option<Instance>,
+    /// Whether the power fails inside the release in progress: the
+    /// barrier it lends is kept here, and comes back unsynced.
+    power_cut: bool,
+    lent: Option<Lent>,
 }
 
 const CLIENT: ClientId = ClientId(1);
@@ -229,6 +235,29 @@ impl Cluster {
     /// mutation of [`CheckerApp`] for the self-tests.
     #[must_use]
     pub fn with_app(scenario: &Scenario, app: fn() -> Box<dyn App>) -> Cluster {
+        let disk = if scenario.opts.power_cuts {
+            || Box::new(TailLossStorage::default()) as Box<dyn Storage>
+        } else {
+            || Box::new(MemStorage::new()) as Box<dyn Storage>
+        };
+        Cluster::build(scenario, app, disk)
+    }
+
+    /// [`Cluster::new`] with every replica starting on a disk `disk`
+    /// makes — a seeded mutation of the disk for the self-tests. In a
+    /// scenario with power cuts a recovered replica reads what it held
+    /// onto an honest [`TailLossStorage`]; in any other, it recovers on
+    /// the disk it crashed with.
+    #[must_use]
+    pub fn on_disks(scenario: &Scenario, disk: fn() -> Box<dyn Storage>) -> Cluster {
+        Cluster::build(scenario, || Box::new(CheckerApp::new()), disk)
+    }
+
+    fn build(
+        scenario: &Scenario,
+        app: fn() -> Box<dyn App>,
+        disk: fn() -> Box<dyn Storage>,
+    ) -> Cluster {
         let n = scenario.cfg.n;
         let mut obs = Observations::default();
         for op in &scenario.script {
@@ -237,7 +266,8 @@ impl Cluster {
             }
         }
         let mut cl = Cluster {
-            replicas: Vec::with_capacity(n),
+            nodes: Vec::with_capacity(n),
+            cfg: scenario.cfg.clone(),
             crashed: (0..n).map(|_| None).collect(),
             events: Vec::new(),
             timers: TimerGens::new(),
@@ -253,40 +283,23 @@ impl Cluster {
             skew: (0..n)
                 .map(|i| Dur::from_millis(scenario.clock_skew_ms.get(i).copied().unwrap_or(0)))
                 .collect(),
-            chaos_accepted_ahead: false,
             chaos_inflated: vec![false; n],
             chaos_stopped: vec![None; n],
             chaos_hidden_prefix: false,
             app,
-            outbox: Outbox::default(),
             stepping: ProcessId(0),
-            step_actions: VecDeque::new(),
-            n,
+            inflated_to: None,
+            power_cut: false,
+            lent: None,
         };
         for i in 0..n {
             let id = ProcessId(i as u32);
-            let disk: Box<dyn Storage> = if scenario.opts.power_cuts {
-                Box::new(TailLossStorage::default())
-            } else {
-                Box::new(MemStorage::new())
-            };
-            let r = Replica::new(
-                id,
-                scenario.cfg.clone(),
-                app(),
-                disk,
-                0x5eed + i as u64,
-                cl.local_now(i),
-            );
-            cl.replicas.push(Some(r));
+            let (cfg, now) = (scenario.cfg.clone(), cl.local_now(i));
+            let node = Node::open(id, cfg, vec![disk()], &|_| app(), 0x5eed + i as u64, now);
+            cl.nodes.push(Some(node));
         }
         for i in 0..n {
-            let Some(mut r) = cl.replicas[i].take() else {
-                continue;
-            };
-            let actions = r.on_start(cl.local_now(i));
-            cl.replicas[i] = Some(r);
-            cl.finish_step(i, actions, false);
+            cl.step(i, false, |node, now, timers| node.start(now, timers));
         }
         cl
     }
@@ -294,7 +307,7 @@ impl Cluster {
     /// Number of replicas.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.nodes.len()
     }
 
     /// Current logical time.
@@ -317,15 +330,15 @@ impl Cluster {
     /// Immutable access to live replica `i` (None while crashed).
     #[must_use]
     pub fn replica(&self, i: usize) -> Option<&Replica> {
-        self.replicas.get(i).and_then(|s| s.as_ref())
+        self.nodes.get(i)?.as_ref()?.group(GroupId::ZERO)
     }
 
     /// Index of the current leader, if exactly one live replica leads.
     #[must_use]
     pub fn leader(&self) -> Option<usize> {
         let mut leader = None;
-        for (i, r) in self.replicas.iter().enumerate() {
-            if r.as_ref().is_some_and(|r| r.is_leader()) {
+        for i in 0..self.n() {
+            if self.replica(i).is_some_and(Replica::is_leader) {
                 if leader.is_some() {
                     return None; // transient dual leadership: ambiguous
                 }
@@ -342,8 +355,8 @@ impl Cluster {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (i, slot) in self.replicas.iter().enumerate() {
-            match slot {
+        for i in 0..self.n() {
+            match self.replica(i) {
                 Some(r) => (1u8, r.fingerprint()).hash(&mut h),
                 None => (0u8, i as u64).hash(&mut h),
             }
@@ -479,12 +492,9 @@ impl Cluster {
                 self.now = self.now.max(due);
                 if self.timers.is_live(&(on.0, kind), gen) {
                     self.timers.cancel((on.0, kind)); // fired = consumed
-                    let idx = on.0 as usize;
-                    if let Some(mut r) = self.replicas[idx].take() {
-                        let actions = r.on_timer(kind, self.local_now(idx));
-                        self.replicas[idx] = Some(r);
-                        self.finish_step(idx, actions, false);
-                    }
+                    self.step(on.0 as usize, false, |node, now, timers| {
+                        node.fire(GroupId::ZERO, kind, now, timers);
+                    });
                 }
             }
             Choice::Inject => self.inject_next(None, false),
@@ -515,7 +525,7 @@ impl Cluster {
     /// known, else the lowest-id live replica.
     fn inject_target(&self) -> Option<usize> {
         self.leader()
-            .or_else(|| self.replicas.iter().position(Option::is_some))
+            .or_else(|| self.nodes.iter().position(Option::is_some))
     }
 
     /// Where a specific request goes: plain reads in follower-read mode
@@ -525,7 +535,7 @@ impl Cluster {
     /// reaching the leader — goes to [`Self::inject_target`].
     fn inject_target_for(&self, req: &Request) -> Option<usize> {
         if self.follower_mode && req.kind == RequestKind::Read && req.txn.is_none() {
-            return self.replicas.iter().rposition(Option::is_some);
+            return self.nodes.iter().rposition(Option::is_some);
         }
         self.inject_target()
     }
@@ -593,92 +603,75 @@ impl Cluster {
         self.obs.violation.take()
     }
 
-    /// One step of replica `to`; `power_cut` as in [`Cluster::finish_step`].
+    /// One step of replica `to`: the message delivered, and the release.
+    /// With `power_cut` the replica dies inside the release (see
+    /// [`Cluster::step`]).
     fn deliver(&mut self, from: Addr, to: ProcessId, msg: Msg, power_cut: bool) {
-        let idx = to.0 as usize;
-        // Deliveries to a crashed replica are consumed no-ops (the wire
-        // dropped them).
-        if let Some(mut r) = self.replicas[idx].take() {
-            let was_leader = r.is_leader();
-            let actions = r.on_message(from, msg, self.local_now(idx));
-            let became_leader = !was_leader && r.is_leader();
-            self.replicas[idx] = Some(r);
-            if became_leader {
-                // §3.6 single-message gap-closing: the new leader recovers
-                // every non-contiguous instance with at most one Accept
-                // broadcast.
-                let accepts = actions
-                    .iter()
-                    .filter(|a| {
-                        matches!(
-                            a,
-                            Action::ToAllReplicas {
-                                msg: Msg::Accept { .. }
-                            } | Action::Send {
-                                msg: Msg::Accept { .. },
-                                ..
-                            }
-                        )
-                    })
-                    .count();
-                if accepts > 1 {
-                    self.obs.violation = Some(format!(
-                        "gap-closing: new leader {to} issued {accepts} Accept \
-                         messages on takeover (expected at most one batch)"
-                    ));
-                }
-            }
-            self.finish_step(idx, actions, power_cut);
-        }
+        self.step(to.0 as usize, power_cut, |node, now, timers| {
+            node.deliver(from, msg, now, timers);
+        });
     }
 
-    /// The rest of live replica `idx`'s step, after its handler returned
-    /// `actions`: the release. With `power_cut` the replica dies inside
-    /// it — of a step that made a barrier due only what leaves ahead of
-    /// the barrier got out, and the disk keeps what the previous barrier
-    /// covered.
-    fn finish_step(&mut self, idx: usize, actions: Vec<Action>, power_cut: bool) {
-        self.stepping = ProcessId(idx as u32);
-        for a in actions {
-            let Some(r) = &self.replicas[idx] else {
-                return;
-            };
-            let out = match a {
-                Action::Send {
-                    to: Addr::Replica(to),
-                    msg: msg @ Msg::Accepted { .. },
-                } if self.chaos_accepted_ahead => {
-                    self.push_msg(Addr::Replica(self.stepping), to, msg);
-                    continue;
-                }
-                Action::Send { to, msg } => Out::One(to, msg),
-                Action::ToAllReplicas { msg } => Out::All(msg),
-                timer @ (Action::SetTimer { .. } | Action::CancelTimer { .. }) => {
-                    self.step_actions.push_back(Some(timer));
-                    continue;
-                }
-            };
-            self.outbox.push(out, r);
-            self.step_actions.push_back(None);
+    /// One atomic step of live replica `idx` — `run` on its node, then
+    /// the release, then its timers armed — or nothing if it is crashed
+    /// (a delivery to it is consumed: the wire dropped it). With
+    /// `power_cut` the replica dies inside the release: of a step that
+    /// made a barrier due only what leaves ahead of the barrier got out,
+    /// and the disk keeps what the previous barrier covered.
+    fn step(
+        &mut self,
+        idx: usize,
+        power_cut: bool,
+        run: impl FnOnce(&mut Node, Time, &mut TimerOps),
+    ) {
+        let Some(mut node) = self.nodes[idx].take() else {
+            return;
+        };
+        let leads = |node: &Node| node.group(GroupId::ZERO).is_some_and(Replica::is_leader);
+        let was_leader = leads(&node);
+        let mut timers = TimerOps::new();
+        run(&mut node, self.local_now(idx), &mut timers);
+        if !was_leader && leads(&node) {
+            // §3.6 single-message gap-closing: the new leader recovers
+            // every non-contiguous instance with at most one Accept
+            // broadcast.
+            let accepts = node
+                .sends()
+                .filter(|out| matches!(out.msg(), Msg::Accept { .. }))
+                .count();
+            if accepts > 1 {
+                self.obs.violation = Some(format!(
+                    "gap-closing: new leader r{idx} issued {accepts} Accept \
+                     messages on takeover (expected at most one batch)"
+                ));
+            }
         }
+        let lies = self.chaos_inflated[idx];
+        let liar = node.group(GroupId::ZERO).filter(|r| lies && !r.is_leader());
+        self.inflated_to = liar.map(Replica::leader_commit);
+        self.stepping = ProcessId(idx as u32);
+        self.power_cut = power_cut;
+        node.release(self);
+        if let Some(lent) = self.lent.take() {
+            node.barrier_back(lent, self, &mut Inbox::new());
+        }
+        self.nodes[idx] = Some(node);
         if power_cut {
-            release_to_barrier(self);
-            self.step_actions.clear();
             self.crash(idx);
             self.crashes_left -= 1;
         } else {
-            release(self);
-            self.step_actions.retain(Option::is_some);
-            self.arm_timers();
+            self.arm_timers(idx, timers);
         }
     }
 
     fn crash(&mut self, idx: usize) {
-        let Some(r) = self.replicas[idx].take() else {
+        let Some(node) = self.nodes[idx].take() else {
             return;
         };
         self.chaos_inflated[idx] = false;
-        let disk = r.into_storage();
+        let Some(disk) = node.into_storages().pop() else {
+            return;
+        };
         self.crashed[idx] = Some(if self.opts.power_cuts {
             // What a recovering process reads: the last barrier's state.
             Box::new(TailLossStorage::holding(disk.load()))
@@ -698,35 +691,21 @@ impl Cluster {
         let Some(storage) = self.crashed[idx].take() else {
             return;
         };
-        let id = ProcessId(idx as u32);
-        let mut r = Replica::recover(
-            id,
-            // Recovered incarnations must not re-bootstrap an election.
-            {
-                let mut cfg = self.replicas.iter().flatten().next().map_or_else(
-                    || gridpaxos_core::config::Config::cluster(self.n),
-                    |r| r.config().clone(),
-                );
-                cfg.bootstrap_leader = None;
-                cfg
-            },
-            (self.app)(),
-            storage,
-            0xdead + idx as u64,
-            self.local_now(idx),
-        );
-        let actions = r.on_start(self.local_now(idx));
-        self.replicas[idx] = Some(r);
-        self.finish_step(idx, actions, false);
+        // Recovered incarnations must not re-bootstrap an election.
+        let mut cfg = self.cfg.clone();
+        cfg.bootstrap_leader = None;
+        let (id, now, app) = (ProcessId(idx as u32), self.local_now(idx), self.app);
+        let node = Node::recover(id, cfg, vec![storage], &|_| app(), 0xdead + idx as u64, now);
+        self.nodes[idx] = Some(node);
+        self.step(idx, false, |node, now, timers| node.start(now, timers));
     }
 
-    /// Apply the timer actions the stepping replica's handler made before
-    /// its next send to leave.
-    fn arm_timers(&mut self) {
-        let on = self.stepping;
-        while let Some(Some(timer)) = self.step_actions.front() {
-            match *timer {
-                Action::SetTimer { kind, after } => {
+    /// Apply the timer operations replica `idx`'s step made, in order.
+    fn arm_timers(&mut self, idx: usize, timers: TimerOps) {
+        let on = ProcessId(idx as u32);
+        for (_, op) in timers {
+            match op {
+                TimerOp::Set(kind, after) => {
                     let gen = self.timers.arm((on.0, kind));
                     // GC the superseded firing so stale timers never
                     // inflate the choice set.
@@ -738,13 +717,11 @@ impl Cluster {
                         due: self.now.after(after),
                     });
                 }
-                Action::CancelTimer { kind } => {
+                TimerOp::Cancel(kind) => {
                     self.timers.cancel((on.0, kind));
                     self.gc_timers();
                 }
-                Action::Send { .. } | Action::ToAllReplicas { .. } => {}
             }
-            self.step_actions.pop_front();
         }
     }
 
@@ -759,25 +736,13 @@ impl Cluster {
     fn push_msg(&mut self, from: Addr, to: ProcessId, msg: Msg) {
         // Messages to crashed replicas are dropped at send time; the
         // crash already severed the wire.
-        if self.replicas[to.0 as usize].is_some() {
+        if self.nodes[to.0 as usize].is_some() {
             self.events.push(Event::Msg {
                 from,
                 to,
                 msg,
                 dups: 0,
             });
-        }
-    }
-
-    /// The lie [`Cluster::chaos_inflate_read_watermark`] seeds: only a
-    /// replica that does not lead answers from follower state.
-    fn inflate_read_watermark(&self, msg: &mut Msg) {
-        let from = self.stepping.0 as usize;
-        let (Msg::Reply(reply), Some(r)) = (msg, &self.replicas[from]) else {
-            return;
-        };
-        if self.chaos_inflated[from] && !r.is_leader() {
-            reply.watermark = reply.watermark.max(r.leader_commit());
         }
     }
 
@@ -889,21 +854,13 @@ impl Cluster {
         }
     }
 
-    /// Seeded mutation of the drive loop: from now on the harness hands an
-    /// `Accepted` to the network as the handler makes it, before the
-    /// release, so a power cut lets an acknowledgement escape whose record
-    /// the disk then lacks.
-    pub fn chaos_accepted_ahead(&mut self) {
-        self.chaos_accepted_ahead = true;
-    }
-
     /// Seeded mutation of the wire: from now on replica `i`'s follower-read
     /// replies leave tagged with the leader's commit watermark instead of
     /// its own applied prefix — freshness it does not have, so the session
     /// logic accepts replies that may miss the client's own writes (the
     /// session invariant must fire). Returns whether the replica is live.
     pub fn chaos_inflate_read_watermark(&mut self, i: usize) -> bool {
-        self.chaos_inflated[i] = self.replicas[i].is_some();
+        self.chaos_inflated[i] = self.nodes[i].is_some();
         self.chaos_inflated[i]
     }
 
@@ -913,7 +870,7 @@ impl Cluster {
     /// assumes away. Returns whether the replica is live.
     pub fn chaos_stop_clock(&mut self, i: usize, extra: Dur) -> bool {
         self.chaos_stopped[i] = Some((self.local_now(i), self.now.after(extra)));
-        self.replicas[i].is_some()
+        self.nodes[i].is_some()
     }
 
     /// Seeded mutation of the wire: from now on every promise leaves
@@ -943,22 +900,12 @@ impl Cluster {
     }
 }
 
-impl Wire for Cluster {
-    fn cores(&mut self) -> &mut [Replica] {
-        self.replicas[self.stepping.0 as usize].as_mut_slice()
-    }
-
-    fn outbox(&mut self) -> &mut Outbox {
-        &mut self.outbox
-    }
-
+impl Net for Cluster {
     /// Into the network: pending events for replicas, the observed
     /// history for the client.
     fn transmit(&mut self, outs: &mut Vec<Out>) {
         let from = self.stepping;
         for out in outs.drain(..) {
-            self.arm_timers();
-            self.step_actions.pop_front();
             match out {
                 Out::One(Addr::Replica(p), mut msg) => {
                     let hide = self.chaos_hidden_prefix;
@@ -968,11 +915,13 @@ impl Wire for Cluster {
                     self.push_msg(Addr::Replica(from), p, msg);
                 }
                 Out::One(Addr::Client(_), mut msg) => {
-                    self.inflate_read_watermark(&mut msg);
+                    if let (Some(to), Msg::Reply(reply)) = (self.inflated_to, &mut msg) {
+                        reply.watermark = reply.watermark.max(to);
+                    }
                     self.observe_reply(&msg);
                 }
                 Out::All(msg) => {
-                    for i in 0..self.n {
+                    for i in 0..self.n() {
                         let p = ProcessId(i as u32);
                         if p != from {
                             self.push_msg(Addr::Replica(from), p, msg.clone());
@@ -981,6 +930,15 @@ impl Wire for Cluster {
                 }
             }
         }
+    }
+
+    /// A barrier the power fails at is kept, never synced.
+    fn lend(&mut self, lent: Lent) -> Result<(), Lent> {
+        if !self.power_cut {
+            return Err(lent);
+        }
+        self.lent = Some(lent);
+        Ok(())
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Correctness tooling for the gridpaxos protocol core, two engines:
 //!
-//! * **Model checker** ([`harness`], [`explore`], [`invariants`]): drives
-//!   real [`gridpaxos_core::replica::Replica`] instances through bounded,
+//! * **Model checker** ([`harness`], [`explore`], [`invariants`]): hosts
+//!   real [`gridpaxos_core::node::Node`]s through bounded,
 //!   exhaustive state-space exploration — every interleaving of message
 //!   delivery, drop, duplication, timer firing and leader crash up to a
 //!   depth bound — asserting the paper's safety invariants (§3.3–§3.6)

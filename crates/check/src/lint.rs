@@ -28,8 +28,10 @@
 //!    through it.
 //! 4. **Flush-before-transmit** — visibility and unit tests in core: the
 //!    barrier (`Replica::barrier`, `Replica::barrier_due`) and its
-//!    classifier (`Msg::precedes_barrier`) are crate-private, so
-//!    `outbox::release` is their one caller (`compile_fail` doctests in
+//!    classifier (`Msg::precedes_barrier`) are crate-private, and so are
+//!    `Outbox` and the release steps, so `Node::release` is their one
+//!    caller and every host — reactor, simulator, this checker, the test
+//!    shuttles — drives a `Node` (`compile_fail` doctests in
 //!    `outbox.rs`); `outbox::tests::the_one_release` pins the order —
 //!    ahead list, barrier, behind list — and
 //!    `msg::tests::only_accept_precedes_the_barrier` the class over every

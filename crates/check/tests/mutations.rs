@@ -13,10 +13,12 @@ use check::invariants::{
 };
 use check::{replay, smoke_scenarios, CheckerApp, ClientOp, Scenario};
 use gridpaxos_core::action::TimerKind;
-use gridpaxos_core::command::StateUpdate;
+use gridpaxos_core::ballot::Ballot;
+use gridpaxos_core::command::{Decree, DedupEntry, StateUpdate};
 use gridpaxos_core::msg::Msg;
 use gridpaxos_core::request::Request;
 use gridpaxos_core::service::{App, ExecCtx};
+use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState, Storage, TailLossStorage};
 use gridpaxos_core::types::{Dur, Instance, TxnId};
 
 fn scenario(name: &str) -> Scenario {
@@ -540,57 +542,105 @@ fn leader_power_cut_after_its_accept_left_keeps_agreement() {
     assert_eq!(check_state(&cl), None);
 }
 
-/// Seeded mutation: `Msg::precedes_barrier` answering `true` for
-/// `Accepted`. Replica 1's acknowledgement escapes a power cut that took
-/// the accept record with it; leader 0 counts it, commits and tells the
-/// client — on the strength of one disk, its own. Then 0 dies, 1 comes
-/// back empty-handed and leads with 2's promise, and the read misses the
-/// acknowledged write: the linearizability invariant must fire. Without
-/// the mutation the same cut lets nothing out.
-#[test]
-fn accepted_ahead_of_the_barrier_loses_an_acked_write() {
-    let walk = |mutated: bool| {
-        let mut cl = power_cut_cluster();
-        if mutated {
-            cl.chaos_accepted_ahead();
-        }
-        assert_eq!(establish_leader(&mut cl), 0);
-        assert_eq!(inject(&mut cl), None); // Write(0)
-        let accept = cl
-            .pending_msg(1, |m| matches!(m, Msg::Accept { .. }))
-            .expect("Accept to 1");
-        assert_eq!(cl.apply(Choice::PowerCut(accept)), None);
-        assert!(cl.replica(1).is_none());
-        cl
-    };
-    let cl = walk(false);
-    assert!(
-        cl.pending_msg(0, |m| matches!(m, Msg::Accepted { .. }))
-            .is_none(),
-        "an Accepted waits for the barrier that never returned"
-    );
+/// Seeded mutation of the disk: a [`TailLossStorage`] whose barrier
+/// returns but syncs no accept record, so a power cut loses every one it
+/// was handed, however many barriers were said to cover it.
+#[derive(Default)]
+struct ForgetfulDisk {
+    disk: TailLossStorage,
+    /// An accept record came in since the last barrier.
+    dirty: bool,
+}
 
-    let mut cl = walk(true);
-    let step = |v: Option<String>| assert_eq!(v, None);
-    step(deliver_to(&mut cl, 0, |m| {
-        matches!(m, Msg::Accepted { .. })
-    }));
-    assert_eq!(cl.obs.acked_bits, 0b1, "acknowledged on one disk");
-    step(choose(&mut cl, |c| matches!(c, Choice::CrashLeader)));
-    step(choose(&mut cl, |c| matches!(c, Choice::Recover(1))));
-    assert_eq!(cl.replica(1).expect("recovered").log_len(), 0);
-    take_over(&mut cl, 1, 2);
-    step(inject(&mut cl)); // Write(1)
-    step(deliver_to(
-        &mut cl,
-        2,
-        |m| matches!(m, Msg::Accept { ballot, .. } if ballot.proposer.0 == 1),
-    ));
-    step(deliver_to(&mut cl, 1, |m| {
-        matches!(m, Msg::Accepted { .. })
-    }));
-    let v = read_through(&mut cl, 1, 2).expect("the lost acknowledged write must be caught");
+impl Storage for ForgetfulDisk {
+    fn save_promised(&mut self, b: Ballot) {
+        self.disk.save_promised(b);
+    }
+    fn save_accepted(&mut self, _: Instance, _: Ballot, _: &Decree) {
+        self.dirty = true; // the lie: the record never reaches the disk
+    }
+    fn save_chosen_prefix(&mut self, upto: Instance) {
+        self.disk.save_chosen_prefix(upto);
+    }
+    fn truncate_upto(&mut self, upto: Instance) {
+        self.disk.truncate_upto(upto);
+    }
+    fn load(&self) -> DurableState {
+        self.disk.load()
+    }
+    fn flush(&mut self) {
+        self.disk.flush();
+        self.dirty = false;
+    }
+    fn is_dirty(&self) -> bool {
+        self.dirty || self.disk.is_dirty()
+    }
+    fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
+        self.disk.checkpoint_begin(upto, dedup, total);
+    }
+    fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
+        self.disk.checkpoint_chunk(idx, data);
+    }
+    fn checkpoint_commit(&mut self) {
+        self.disk.checkpoint_commit();
+    }
+    fn checkpoint_abort(&mut self) {
+        self.disk.checkpoint_abort();
+    }
+    fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint> {
+        self.disk.checkpoint_chunks()
+    }
+}
+
+/// Seeded mutation of the disk ([`ForgetfulDisk`]): every barrier
+/// returns, but no accept record survives a power cut. Replica 1 accepts
+/// `Write(0)` and answers once its barrier is back; leader 0 counts the
+/// vote, commits and tells the client. Then power fails on 1 and takes
+/// the record with it; 0 dies, 1 comes back empty-handed and leads with
+/// 2's promise, and the read misses the acknowledged write: the
+/// linearizability invariant must fire. On an honest disk the same walk
+/// is clean: 1 comes back holding the decree and proposes it again.
+#[test]
+fn a_barrier_that_keeps_no_accept_record_loses_an_acked_write() {
+    let walk = |disk: fn() -> Box<dyn Storage>| {
+        let base = scenario("accept-ahead-power-cut");
+        let opts = check::HarnessOpts {
+            crashes: 2,
+            ..base.opts
+        };
+        let mut cl = Cluster::on_disks(&Scenario { opts, ..base }, disk);
+        let step = |v: Option<String>| assert_eq!(v, None);
+        assert_eq!(establish_leader(&mut cl), 0);
+        step(inject(&mut cl)); // Write(0)
+        step(deliver_to(&mut cl, 1, |m| matches!(m, Msg::Accept { .. })));
+        step(deliver_to(&mut cl, 0, |m| {
+            matches!(m, Msg::Accepted { .. })
+        }));
+        assert_eq!(cl.obs.acked_bits, 0b1, "acknowledged");
+        let chosen = cl
+            .pending_msg(1, |m| matches!(m, Msg::Chosen { .. }))
+            .expect("Chosen to 1");
+        step(cl.apply(Choice::PowerCut(chosen)));
+        assert!(cl.replica(1).is_none());
+        step(choose(&mut cl, |c| matches!(c, Choice::CrashLeader)));
+        step(choose(&mut cl, |c| matches!(c, Choice::Recover(1))));
+        let held = cl.replica(1).expect("recovered").log_len();
+        take_over(&mut cl, 1, 2);
+        step(inject(&mut cl)); // Write(1)
+        let from_1 = |m: &Msg| matches!(m, Msg::Accept { ballot, .. } if ballot.proposer.0 == 1);
+        while let Some(accept) = cl.pending_msg(2, from_1) {
+            step(cl.apply(Choice::Deliver(accept)));
+            step(deliver_to(&mut cl, 1, |m| {
+                matches!(m, Msg::Accepted { .. })
+            }));
+        }
+        (held, read_through(&mut cl, 1, 2))
+    };
+    assert_eq!(walk(|| Box::new(TailLossStorage::default())), (1, None));
+    let (held, v) = walk(|| Box::new(ForgetfulDisk::default()));
+    let v = v.expect("the lost acknowledged write must be caught");
     assert!(v.contains("linearizability"), "unexpected violation: {v}");
+    assert_eq!(held, 0, "the accept record was lost");
 }
 
 /// Seeded mutation of a service's word: it says it answered a read from

@@ -1,16 +1,19 @@
-//! One node, two hosts: the sans-io drive of one process's replica groups.
+//! One node, every host: the sans-io drive of one process's replica
+//! groups.
 //!
 //! A [`Node`] is everything a drive loop does to a process but the I/O
-//! and the clock, so the epoll reactor of `gridpaxos-transport` and the
-//! simulator's `World` run the same steps, and what the live path runs is
-//! what a seeded run reproduces. [`Node::deliver`] routes a message to
-//! the group its envelope names and steps it; the group's sends wait in
-//! the node's [`Outbox`], enveloped, and its timer operations go back to
-//! the host as [`TimerOp`]s, which cannot carry a send. [`Node::release`]
-//! runs the one order of sends and barrier ([`crate::outbox`]) over the
-//! host's [`Net`], which keeps its clock and network and says where a
-//! barrier syncs: the reactor lends it to a thread pool, the simulator
-//! syncs inline and is never away.
+//! and the clock, so every host runs the same steps — the epoll reactor
+//! of `gridpaxos-transport`, the simulator's `World`, the model checker's
+//! cluster and the test shuttles — and what the live path runs is what a
+//! seeded run reproduces and the checker explores. [`Node::deliver`]
+//! routes a message to the group its envelope names and steps it; the
+//! group's sends wait in the node's outbox, enveloped, and its timer
+//! operations go back to the host as [`TimerOp`]s, which cannot carry a
+//! send. [`Node::release`] runs the one order of sends and barrier
+//! ([`crate::outbox`]) over the host's [`Net`], which keeps its clock and
+//! network and says where a barrier syncs: the reactor lends it to a
+//! thread pool, the simulator, the checker and the shuttles sync inline
+//! and are never away.
 //!
 //! While a barrier is away, [`Node::deliver`] runs only what
 //! `Replica::serves_beside_barrier` admits and holds the rest, enveloped
@@ -19,6 +22,12 @@
 //! may write storage. [`Node::barrier_back`] sends what waited behind the
 //! barrier and puts the held messages back at the front of the host's
 //! inbox, ahead of anything that arrived after them.
+//!
+//! A power cut inside a release needs no door of its own: a host whose
+//! [`Net::lend`] keeps the barrier and hands it back unflushed through
+//! [`Node::barrier_back`] has sent the ahead list and lost the behind
+//! list with the process, the barrier is still due, and
+//! [`Node::into_storages`] keeps what the previous barrier covered.
 //!
 //! ## Groups (extension beyond the paper)
 //!
@@ -34,7 +43,7 @@
 use crate::action::{Action, TimerKind};
 use crate::config::Config;
 use crate::msg::Msg;
-use crate::outbox::{release_begin, release_beside, release_end, Held, Lent, Out, Outbox, Wire};
+use crate::outbox::{release_begin, release_beside, release_end, Held, Lent, Out, Outbox};
 use crate::replica::Replica;
 use crate::service::App;
 use crate::storage::Storage;
@@ -119,26 +128,6 @@ pub struct Node {
     held: Inbox,
 }
 
-/// A node over its host's network: what the release drives.
-struct Hosted<'a, N> {
-    node: &'a mut Node,
-    net: &'a mut N,
-}
-
-impl<N: Net> Wire for Hosted<'_, N> {
-    fn cores(&mut self) -> &mut [Replica] {
-        &mut self.node.groups
-    }
-
-    fn outbox(&mut self) -> &mut Outbox {
-        &mut self.node.outbox
-    }
-
-    fn transmit(&mut self, outs: &mut Vec<Out>) {
-        self.net.transmit(outs);
-    }
-}
-
 impl Node {
     /// Open a node over one stable storage per group, in group order (as
     /// returned by [`Node::into_storages`]): each group is
@@ -156,13 +145,45 @@ impl Node {
         seed: u64,
         now: Time,
     ) -> Node {
+        Node::build(id, cfg, storages, app_factory, seed, now, false)
+    }
+
+    /// [`Node::open`] for a process that crashed: each group is
+    /// [`Replica::recover`]ed, so it draws its timer jitter as a
+    /// recovered replica even from storage its crash left empty.
+    #[must_use]
+    pub fn recover(
+        id: ProcessId,
+        cfg: Config,
+        storages: Vec<Box<dyn Storage>>,
+        app_factory: &dyn Fn(GroupId) -> Box<dyn App>,
+        seed: u64,
+        now: Time,
+    ) -> Node {
+        Node::build(id, cfg, storages, app_factory, seed, now, true)
+    }
+
+    fn build(
+        id: ProcessId,
+        cfg: Config,
+        storages: Vec<Box<dyn Storage>>,
+        app_factory: &dyn Fn(GroupId) -> Box<dyn App>,
+        seed: u64,
+        now: Time,
+        recovered: bool,
+    ) -> Node {
         assert!(!storages.is_empty(), "at least one group");
+        let replica = if recovered {
+            Replica::recover
+        } else {
+            Replica::open
+        };
         let groups = storages
             .into_iter()
             .enumerate()
             .map(|(g, storage)| {
                 let g = GroupId(g as u32);
-                Replica::open(
+                replica(
                     id,
                     group_config(&cfg, g),
                     app_factory(g),
@@ -274,9 +295,9 @@ impl Node {
     /// [`crate::outbox`], the barrier lent to `net` if it takes it.
     pub fn release(&mut self, net: &mut impl Net) {
         if self.behind.is_some() {
-            return release_beside(&mut Hosted { node: self, net });
+            return release_beside(&mut self.outbox, net);
         }
-        let Some((lent, held)) = release_begin(&mut Hosted { node: self, net }) else {
+        let Some((lent, held)) = release_begin(&mut self.groups, &mut self.outbox, net) else {
             return;
         };
         let lent = if lent.is_empty() {
@@ -286,10 +307,7 @@ impl Node {
         };
         match lent {
             Ok(()) => self.behind = Some(held),
-            Err(mut lent) => {
-                lent.flush();
-                release_end(&mut Hosted { node: self, net }, lent, held);
-            }
+            Err(lent) => self.sync_here(lent, held, net),
         }
     }
 
@@ -303,7 +321,7 @@ impl Node {
         let Some(held) = self.behind.take() else {
             panic!("no barrier away");
         };
-        release_end(&mut Hosted { node: self, net }, lent, held);
+        release_end(&mut self.groups, &mut self.outbox, net, lent, held);
         self.held.append(inbox);
         std::mem::swap(inbox, &mut self.held); // both keep their allocations
     }
@@ -316,10 +334,9 @@ impl Node {
     /// If a barrier is away: the host brings it back first.
     pub fn stop(mut self, net: &mut impl Net) -> Vec<Replica> {
         assert!(self.behind.is_none(), "stopped with a barrier away");
-        crate::outbox::release(&mut Hosted {
-            node: &mut self,
-            net,
-        });
+        if let Some((lent, held)) = release_begin(&mut self.groups, &mut self.outbox, net) {
+            self.sync_here(lent, held, net);
+        }
         for core in &mut self.groups {
             core.stop();
         }
@@ -341,6 +358,13 @@ impl Node {
     pub fn into_storages(self) -> Vec<Box<dyn Storage>> {
         assert!(self.behind.is_none(), "crashed with a barrier away");
         self.groups.into_iter().map(Replica::into_storage).collect()
+    }
+
+    /// The barrier synced on the host's thread, then the rest of the
+    /// release.
+    fn sync_here(&mut self, mut lent: Lent, held: Held, net: &mut impl Net) {
+        lent.flush();
+        release_end(&mut self.groups, &mut self.outbox, net, lent, held);
     }
 
     /// What group `g`'s `msg` looks like on the wire: in the group
@@ -386,7 +410,7 @@ mod tests {
     use crate::replica::tests::UndoLogged;
     use crate::request::{Request, RequestId, RequestKind};
     use crate::service::NoopApp;
-    use crate::storage::MemStorage;
+    use crate::storage::{MemStorage, TailLossStorage};
     use crate::types::{ClientId, Instance, Seq};
     use bytes::Bytes;
     use std::sync::Arc;
@@ -805,6 +829,62 @@ mod tests {
         let (mut t, _lent) = away();
         let (now, mut timers) = (t.now, TimerOps::new());
         t.nodes[0].fire(GroupId::ZERO, TimerKind::Heartbeat, now, &mut timers);
+    }
+
+    /// Power fails at the barrier of a step that made one due, on a disk
+    /// that loses what no barrier covered: the `Accept` left ahead of it,
+    /// the barrier comes back unsynced and sends nothing, the barrier is
+    /// still due, and the disk holds what it held before the step.
+    #[test]
+    fn a_power_cut_at_the_barrier_lets_only_the_ahead_list_out() {
+        let mut t = three(|| Box::new(TailLossStorage::default()));
+        let before = format!(
+            "{:?}",
+            t.nodes[0].group(GroupId::ZERO).unwrap().stable.get().load()
+        );
+        t.nets[0].lends = true;
+        t.deliver(0, CLIENT, t.request(2, RequestKind::Write));
+        t.release(0);
+        let lent = t.nets[0].lent.take().expect("the barrier lent");
+        let tags = |t: &Three| -> Vec<_> { t.nets[0].sent.iter().map(|o| o.msg().tag()).collect() };
+        assert_eq!(tags(&t), ["accept"], "the ahead list only");
+        t.nodes[0].barrier_back(lent, &mut t.nets[0], &mut Inbox::new());
+        assert_eq!(
+            tags(&t),
+            ["accept"],
+            "nothing more when it comes back unsynced"
+        );
+        let node = t.nodes.remove(0);
+        assert!(
+            node.group(GroupId::ZERO).unwrap().barrier_due(),
+            "still due"
+        );
+        let disk = node.into_storages().pop().expect("one group");
+        assert_eq!(
+            format!("{:?}", disk.load()),
+            before,
+            "what the last barrier covered"
+        );
+    }
+
+    /// A step that made no barrier due goes out whole, power cut or not:
+    /// the leader's commit writes the chosen-prefix mark only.
+    #[test]
+    fn a_power_cut_after_a_step_with_no_barrier_due_lets_it_all_out() {
+        let mut t = three(|| Box::new(TailLossStorage::default()));
+        t.deliver(0, CLIENT, t.request(2, RequestKind::Write));
+        t.release(0);
+        let accept = t.nets[0].sent.pop().expect("the Accept");
+        t.deliver(1, Addr::Replica(ProcessId(0)), accept.msg().clone());
+        t.release(1);
+        let accepted = t.nets[1].sent.pop().expect("the follower's vote");
+        t.nets[0].lends = true;
+        t.deliver(0, Addr::Replica(ProcessId(1)), accepted.msg().clone());
+        t.release(0);
+        assert!(t.nets[0].lent.is_none() && !t.nodes[0].barrier_away());
+        let tags: Vec<_> = t.nets[0].sent.iter().map(|o| o.msg().tag()).collect();
+        assert_eq!(tags, ["reply", "chosen"]);
+        assert_eq!(t.replies(0), [(2, 2)]);
     }
 
     /// Storage durable as written has no barrier due, so a node on it

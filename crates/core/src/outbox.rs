@@ -1,31 +1,35 @@
-//! The drive loops' outbox: where a cycle's sends wait, and the one place
-//! that says in which order they and the flush barrier happen.
+//! A node's outbox: where a cycle's sends wait, and the one place that
+//! says in which order they and the flush barrier happen.
 //!
 //! ## Group commit: the flush barrier
 //!
-//! A drive loop — a [`crate::node::Node`], which the epoll reactor and
-//! the simulator host; the model checker's cluster; the replica tests'
-//! shuttle — buffers its cores' `Send`/`ToAllReplicas` actions here
-//! instead of transmitting them one by one. [`release`] then:
+//! A [`crate::node::Node`] — what every drive loop hosts: the epoll
+//! reactor, the simulator, the model checker's cluster and the test
+//! shuttles — buffers its groups' sends here instead of transmitting
+//! them one by one, and [`crate::node::Node::release`] runs them out over
+//! the host's [`Net`] in this order:
 //!
-//! 1. hands the **ahead** list to the network — the `Accept`s of cores
+//! 1. the **ahead** list goes to the network — the `Accept`s of cores
 //!    that had a barrier due when they produced them
-//!    (`Msg::precedes_barrier` decides the class, [`Outbox::push`] asks
-//!    the core);
-//! 2. runs `Replica::barrier` on every core that wrote a record a
-//!    message may acknowledge since its last barrier — one sync for every
-//!    record the batch appended. Cores that share one log (a node's
-//!    groups) are all flushed: the first syncs, the rest find the log
-//!    clean, and none keeps a flag that would make its next commit-only
-//!    cycle pay a sync of its own;
-//! 3. hands the **behind** list, everything else, to the network.
+//!    (`Msg::precedes_barrier` decides the class, `Outbox::push` asks the
+//!    core);
+//! 2. `Replica::barrier` runs on every core that wrote a record a message
+//!    may acknowledge since its last barrier — one sync for every record
+//!    the batch appended. Cores that share one log (a node's groups) are
+//!    all flushed: the first syncs, the rest find the log clean, and none
+//!    keeps a flag that would make its next commit-only cycle pay a sync
+//!    of its own;
+//! 3. the **behind** list, everything else, goes to the network.
 //!
-//! [`release`] is `release_begin` (step 1, and the storage of every core
+//! The release is `release_begin` (step 1, and the storage of every core
 //! whose barrier is due [`Lent`]), [`Lent::flush`] and `release_end` (the
 //! storages back, then step 3). A `Node` may lend the barrier to its host
 //! instead of flushing it, and until it is back sends what the steps
 //! `Replica::serves_beside_barrier` admits made — reads, which write
-//! nothing and acknowledge no record — through `release_beside`.
+//! nothing and acknowledge no record — through `release_beside`. A power
+//! cut inside a release is a host that keeps the [`Lent`] and hands it
+//! back unflushed: `release_end` then drops the behind list and leaves
+//! the barrier due.
 //!
 //! Persist-before-send (§3.1/§3.3) holds at batch granularity: no
 //! `Promise`, `Accepted`, `Reply` or `Chosen` reaches the wire before the
@@ -34,23 +38,24 @@
 //! round trip: a durable write costs `2M + E + max(S, 2m + S)`, not
 //! `2M + E + S + 2m + S` (DESIGN.md §5). The leader's own vote is durable
 //! before any later step can count a follower's `Accepted` with it: the
-//! loop finishes the barrier before it runs the cores again, but for the
+//! node finishes the barrier before it runs the cores again, but for the
 //! admitted reads. The chosen-prefix mark makes no barrier due; it rides
 //! the next decree's. With no barrier due — always, on storage durable as
-//! written — the ahead list stays empty and `release` is one pass in
+//! written — the ahead list stays empty and the release is one pass in
 //! production order; with nothing buffered it does nothing.
 //!
-//! [`Outbox::push`] checks every send against what its core's storage
+//! `Outbox::push` checks every send against what its core's storage
 //! wrote, and panics on a `Prepare` or `Promise` above the promise
 //! written, or an `Accept` or `Accepted` above the chosen prefix with no
 //! accept record at its ballot (`replica/stable.rs`). Every test,
 //! simulated run and model-checked state runs through it.
 //!
 //! No other code runs the barrier (but [`Replica::stop`], the flush on
-//! the way out) or asks `precedes_barrier`, and only a `Node` splits a
-//! release around a barrier away or asks what may run beside it: all of
-//! these are crate-private, so a drive loop outside this crate cannot
-//! keep its own copy of the order. Each of these fails to compile:
+//! the way out) or asks `precedes_barrier`, and only a `Node` buffers a
+//! send, runs a release or asks what may run beside a barrier away: all
+//! of these are crate-private, and this module exports [`Out`] and
+//! [`Lent`] alone, so a drive loop outside this crate cannot keep its own
+//! copy of the order. Each of these fails to compile:
 //!
 //! ```compile_fail
 //! fn drive(core: &mut gridpaxos_core::replica::Replica) { core.barrier(); }
@@ -65,17 +70,34 @@
 //! use gridpaxos_core::{msg::Msg, replica::Replica};
 //! fn beside(core: &Replica, msg: &Msg) -> bool { core.serves_beside_barrier(msg) }
 //! ```
-//! ```compile_fail
-//! use gridpaxos_core::outbox::{release_begin, Held, Lent, Wire};
-//! fn begin(wire: &mut impl Wire) -> Option<(Lent, Held)> { release_begin(wire) }
+//! ```compile_fail,E0603
+//! use gridpaxos_core::outbox::Outbox;
 //! ```
-//! ```compile_fail
-//! use gridpaxos_core::outbox::{release_end, Held, Lent, Wire};
-//! fn end(wire: &mut impl Wire, lent: Lent, held: Held) { release_end(wire, lent, held) }
+//! ```compile_fail,E0603
+//! use gridpaxos_core::outbox::Held;
 //! ```
-//! ```compile_fail
-//! use gridpaxos_core::outbox::{release_beside, Wire};
-//! fn beside(wire: &mut impl Wire) { release_beside(wire) }
+//! ```compile_fail,E0603
+//! use gridpaxos_core::outbox::release_begin;
+//! ```
+//! ```compile_fail,E0603
+//! use gridpaxos_core::outbox::release_end;
+//! ```
+//! ```compile_fail,E0603
+//! use gridpaxos_core::outbox::release_beside;
+//! ```
+//!
+//! Nor is there a second drive to borrow the order from — no trait a loop
+//! implements to run it over its own cores, no whole release, no release
+//! stopped at its barrier:
+//!
+//! ```compile_fail,E0432
+//! use gridpaxos_core::outbox::Wire;
+//! ```
+//! ```compile_fail,E0432
+//! use gridpaxos_core::outbox::release;
+//! ```
+//! ```compile_fail,E0432
+//! use gridpaxos_core::outbox::release_to_barrier;
 //! ```
 //!
 //! The two names the repo benchmark still calls are deprecated shims,
@@ -91,6 +113,7 @@
 //! ```
 
 use crate::msg::Msg;
+use crate::node::Net;
 use crate::replica::Replica;
 use crate::storage::Storage;
 use crate::types::Addr;
@@ -114,19 +137,9 @@ impl Out {
     }
 }
 
-/// What [`release`] drives: a loop's cores, its outbox and its network.
-pub trait Wire {
-    /// Every replica core the loop hosts.
-    fn cores(&mut self) -> &mut [Replica];
-    /// Where the loop buffered the cycle's sends.
-    fn outbox(&mut self) -> &mut Outbox;
-    /// Hand `outs` to the network, as [`crate::node::Net::transmit`].
-    fn transmit(&mut self, outs: &mut Vec<Out>);
-}
-
 /// One cycle's sends, sorted by which side of the barrier they leave on.
 #[derive(Debug, Default)]
-pub struct Outbox {
+pub(crate) struct Outbox {
     ahead: Vec<Out>,
     behind: Vec<Out>,
 }
@@ -139,7 +152,7 @@ impl Outbox {
     /// # Panics
     /// If the send acknowledges a record `from` never wrote (module
     /// docs): persist-before-send, checked on every build.
-    pub fn push(&mut self, out: Out, from: &Replica) {
+    pub(crate) fn push(&mut self, out: Out, from: &Replica) {
         if let Some(what) = from.stable.unwritten(out.msg(), from.chosen_prefix()) {
             panic!("persist-before-send: {what}");
         }
@@ -151,8 +164,7 @@ impl Outbox {
     }
 
     /// Whether nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ahead.is_empty() && self.behind.is_empty()
     }
 
@@ -168,7 +180,7 @@ impl Outbox {
 /// back ([`crate::node::Node::barrier_back`]).
 #[must_use = "the storages go back through `Node::barrier_back`"]
 pub struct Lent {
-    /// Each with the index of its core in [`Wire::cores`].
+    /// Each with the index of its core among the node's groups.
     storages: Vec<(usize, Box<dyn Storage>)>,
     synced: bool,
 }
@@ -192,42 +204,25 @@ impl Lent {
 /// The behind list of a release stopped at its barrier.
 #[must_use = "the behind list leaves through `release_end`"]
 #[derive(Debug)]
-pub struct Held(Vec<Out>);
-
-/// Ahead list, barrier, behind list (module docs); nothing at all when
-/// nothing is buffered.
-pub fn release(wire: &mut impl Wire) {
-    if let Some((mut lent, held)) = release_begin(wire) {
-        lent.flush();
-        release_end(wire, lent, held);
-    }
-}
-
-/// [`release`] with the power failing at the barrier: the ahead list is
-/// out, no sync ran, and what waited behind it is lost with the process.
-/// Where no barrier was due the release was its one pass, nothing waited
-/// for anything, and the cut falls after it.
-pub fn release_to_barrier(wire: &mut impl Wire) {
-    if let Some((lent, held)) = release_begin(wire) {
-        release_end(wire, lent, held);
-    }
-}
+pub(crate) struct Held(Vec<Out>);
 
 /// The release up to its sync: the ahead list to the network, the
 /// storage of every core whose barrier is due lent (the barrier of a core
 /// that raised one on storage durable as written runs here), and the
 /// behind list held. `None` when nothing is buffered.
-pub(crate) fn release_begin(wire: &mut impl Wire) -> Option<(Lent, Held)> {
-    if wire.outbox().is_empty() {
+pub(crate) fn release_begin(
+    cores: &mut [Replica],
+    outbox: &mut Outbox,
+    net: &mut impl Net,
+) -> Option<(Lent, Held)> {
+    if outbox.is_empty() {
         return None;
     }
-    let mut outbox = std::mem::take(wire.outbox());
     if !outbox.ahead.is_empty() {
-        wire.transmit(&mut outbox.ahead);
+        net.transmit(&mut outbox.ahead);
     }
     let behind = std::mem::take(&mut outbox.behind);
-    *wire.outbox() = outbox;
-    let cores = wire.cores().iter_mut().enumerate();
+    let cores = cores.iter_mut().enumerate();
     let storages: Vec<_> = cores
         .filter_map(|(i, core)| core.lend_barrier().map(|s| (i, s)))
         .collect();
@@ -238,18 +233,22 @@ pub(crate) fn release_begin(wire: &mut impl Wire) -> Option<(Lent, Held)> {
 /// The release after its sync: the storages back to their cores, then
 /// the held behind list to the network — unless the sync never ran (the
 /// power failed at it), when it is lost with the process.
-pub(crate) fn release_end(wire: &mut impl Wire, lent: Lent, held: Held) {
-    let cores = wire.cores();
+pub(crate) fn release_end(
+    cores: &mut [Replica],
+    outbox: &mut Outbox,
+    net: &mut impl Net,
+    lent: Lent,
+    held: Held,
+) {
     for (i, storage) in lent.storages {
         cores[i].stable.take_back(storage, lent.synced);
     }
     let Held(mut behind) = held;
     if lent.synced {
-        wire.transmit(&mut behind);
+        net.transmit(&mut behind);
     } else {
         behind.clear();
     }
-    let outbox = wire.outbox();
     if outbox.behind.is_empty() {
         outbox.behind = behind; // keeps the allocation
     }
@@ -262,36 +261,34 @@ pub(crate) fn release_end(wire: &mut impl Wire, lent: Lent, held: Held) {
 /// # Panics
 /// If an `Accept` is among them: it belongs ahead of a barrier, and no
 /// admitted step proposes.
-pub(crate) fn release_beside(wire: &mut impl Wire) {
-    let outbox = wire.outbox();
+pub(crate) fn release_beside(outbox: &mut Outbox, net: &mut impl Net) {
     assert!(
         outbox.ahead.is_empty() && !outbox.behind.iter().any(|o| o.msg().precedes_barrier()),
         "an Accept beside a barrier"
     );
-    let mut behind = std::mem::take(&mut outbox.behind);
-    if !behind.is_empty() {
-        wire.transmit(&mut behind);
+    if !outbox.behind.is_empty() {
+        net.transmit(&mut outbox.behind);
     }
-    wire.outbox().behind = behind;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Action;
     use crate::ballot::Ballot;
     use crate::command::{Decree, DedupEntry};
     use crate::config::Config;
-    use crate::service::NoopApp;
-    use crate::storage::{ChunkedCheckpoint, DurableState, Storage};
-    use crate::types::{Instance, ProcessId, Time};
+    use crate::node::{Node, TimerOps};
+    use crate::request::{Request, RequestId, RequestKind};
+    use crate::service::{App, NoopApp};
+    use crate::storage::{ChunkedCheckpoint, DurableState, MemStorage, Storage};
+    use crate::types::{ClientId, Dur, GroupId, Instance, ProcessId, Seq, Time};
     use bytes::Bytes;
     use std::sync::{Arc, Mutex};
 
     type Log = Arc<Mutex<Vec<String>>>;
 
     /// A disk that is dirty from a write to the next flush and writes
-    /// every flush into the log the wire writes into.
+    /// every flush into the log the network writes into.
     struct Disk {
         dirty: bool,
         log: Log,
@@ -329,29 +326,20 @@ mod tests {
         }
     }
 
-    /// A loop of two cores that writes down what it is asked to transmit.
-    struct Recorder {
-        cores: Vec<Replica>,
-        /// The `Accepted` each core answered leader 0's `Accept` with.
-        acks: Vec<Msg>,
-        outbox: Outbox,
-        log: Log,
-    }
+    /// A network that writes down what it is asked to transmit, into the
+    /// log the disks write their flushes into.
+    struct Recorder(Log);
 
-    impl Wire for Recorder {
-        fn cores(&mut self) -> &mut [Replica] {
-            &mut self.cores
-        }
-        fn outbox(&mut self) -> &mut Outbox {
-            &mut self.outbox
-        }
+    impl Net for Recorder {
         fn transmit(&mut self, outs: &mut Vec<Out>) {
             let tags: Vec<_> = outs.drain(..).map(|out| out.msg().tag()).collect();
-            self.log.lock().unwrap().push(tags.join(" "));
+            self.0.lock().unwrap().push(tags.join(" "));
         }
     }
 
     const LEADER: Addr = Addr::Replica(ProcessId(0));
+    const R1: Addr = Addr::Replica(ProcessId(1));
+    const CLIENT: Addr = Addr::Client(ClientId(1));
 
     /// A follower core on a [`Disk`] that writes into `log`.
     fn follower(log: &Log) -> Replica {
@@ -364,131 +352,132 @@ mod tests {
         Replica::new(ProcessId(1), cfg, app, Box::new(disk), 7, Time::ZERO)
     }
 
-    /// Two follower cores that accepted instance 1 from leader 0 and ran
-    /// the barrier; those named in `barrier_due` have since promised a
-    /// candidate and not flushed the promise.
-    fn recorder(barrier_due: [bool; 2]) -> Recorder {
-        let log = Log::default();
-        let mut acks = Vec::new();
-        let cores = barrier_due
-            .iter()
-            .map(|due| {
-                let mut core = follower(&log);
-                let accept = Msg::Accept {
-                    ballot: Ballot::new(1, ProcessId(0)),
-                    entries: vec![(Instance(1), Decree::noop())],
-                };
-                match core.on_message(LEADER, accept, Time::ZERO).pop() {
-                    Some(Action::Send { msg, .. }) => acks.push(msg),
-                    other => panic!("an Accepted, not {other:?}"),
-                }
-                core.barrier();
-                if *due {
-                    let prepare = Msg::Prepare {
-                        ballot: Ballot::new(1, ProcessId(2)),
-                        chosen_prefix: Instance::ZERO,
-                        known_above: Vec::new(),
-                    };
-                    core.on_message(Addr::Replica(ProcessId(2)), prepare, Time::ZERO);
-                }
-                assert_eq!(core.barrier_due(), *due);
-                core
-            })
-            .collect();
-        log.lock().unwrap().clear();
-        Recorder {
-            cores,
-            acks,
-            outbox: Outbox::default(),
-            log,
+    fn grouped(g: u32, inner: Msg) -> Msg {
+        Msg::Grouped {
+            group: GroupId(g),
+            inner: Box::new(inner),
         }
     }
 
-    /// A step's worth of sends by core `from`, in the order a handler
-    /// might make them: its acknowledgement, an `Accept`, a commit.
-    fn push_step(wire: &mut Recorder, from: usize) {
-        let ballot = Ballot::new(1, ProcessId(1));
-        let entries = Vec::new();
-        let accept = Msg::Accept { ballot, entries };
-        let upto = Instance(1);
-        let chosen = Msg::Chosen { ballot, upto };
-        let core = &wire.cores[from];
-        let accepted = wire.acks[from].clone();
-        wire.outbox.push(Out::One(LEADER, accepted), core);
-        wire.outbox.push(Out::All(accept), core);
-        wire.outbox.push(Out::All(chosen), core);
+    /// Process 0 of a three-process cluster with no batch window: group 0
+    /// leads with one write in flight and a second queued, on a [`Disk`]
+    /// if `on_disk_0` and else on storage durable as written; group 1
+    /// follows on a [`Disk`], and if `due_on_1` it promised a candidate
+    /// and has not flushed the promise.
+    fn node(on_disk_0: bool, due_on_1: bool) -> (Node, Recorder) {
+        let log = Log::default();
+        let disk = || {
+            let log = Arc::clone(&log);
+            Box::new(Disk { dirty: false, log }) as Box<dyn Storage>
+        };
+        let mut cfg = Config::cluster(3);
+        cfg.batch_window = Dur::ZERO;
+        let app = |_| Box::new(NoopApp::new()) as Box<dyn App>;
+        let storage_0 = if on_disk_0 {
+            disk()
+        } else {
+            Box::new(MemStorage::new())
+        };
+        let storages = vec![storage_0, disk()];
+        let mut node = Node::open(ProcessId(0), cfg, storages, &app, 7, Time::ZERO);
+        let mut net = Recorder(log);
+        let mut timers = TimerOps::new();
+        node.start(Time::ZERO, &mut timers);
+        let ballot = node.group(GroupId::ZERO).unwrap().promised();
+        let promise = Msg::Promise {
+            ballot,
+            chosen_prefix: Instance::ZERO,
+            accepted: Vec::new(),
+        };
+        node.deliver(R1, grouped(0, promise), Time::ZERO, &mut timers);
+        for seq in 1..=2 {
+            let id = RequestId::new(ClientId(1), Seq(seq));
+            let write = Request::new(id, RequestKind::Write, Bytes::new());
+            node.deliver(
+                CLIENT,
+                grouped(0, Msg::Request(write)),
+                Time::ZERO,
+                &mut timers,
+            );
+        }
+        node.release(&mut net);
+        assert!(node.group(GroupId::ZERO).unwrap().is_leader());
+        if due_on_1 {
+            let prepare = Msg::Prepare {
+                ballot: Ballot::new(9, ProcessId(2)),
+                chosen_prefix: Instance::ZERO,
+                known_above: Vec::new(),
+            };
+            let core = &mut node.groups_mut()[1];
+            core.on_message(Addr::Replica(ProcessId(2)), prepare, Time::ZERO);
+            assert!(core.barrier_due());
+        }
+        net.0.lock().unwrap().clear();
+        (node, net)
+    }
+
+    /// Group 0's leader counts the vote that chooses the write in flight:
+    /// it answers the client, says the decree is chosen and proposes the
+    /// write that waited.
+    fn chosen(node: &mut Node) {
+        let ballot = node.group(GroupId::ZERO).unwrap().promised();
+        let instances = vec![Instance(1)];
+        let accepted = grouped(0, Msg::Accepted { ballot, instances });
+        node.deliver(R1, accepted, Time::ZERO, &mut TimerOps::new());
     }
 
     #[test]
     fn the_one_release() {
-        /// What it shows; the cores with a barrier due; the core whose
-        /// step is buffered, if any; the entry point; what the log holds.
-        type Case = (
-            &'static str,
-            [bool; 2],
-            Option<usize>,
-            fn(&mut Recorder),
-            &'static [&'static str],
-        );
-        let cases: [Case; 7] = [
+        /// What it shows; whether group 0 is on a disk; whether group 1
+        /// has a barrier due; whether group 0 steps; what the log holds.
+        type Case = (&'static str, bool, bool, bool, &'static [&'static str]);
+        let cases: [Case; 5] = [
             (
                 "ahead, barrier, behind; of two cores, the one flush due",
-                [true, false],
-                Some(0),
-                release,
-                &["accept", "flush", "accepted chosen"],
+                true,
+                false,
+                true,
+                &["accept", "flush", "reply chosen"],
             ),
             (
                 "no barrier due: one pass in production order",
-                [false, false],
-                Some(0),
-                release,
-                &["accepted accept chosen"],
+                false,
+                false,
+                true,
+                &["reply accept chosen"],
             ),
             (
                 "a barrier due on another core gets nobody ahead, and runs",
-                [false, true],
-                Some(0),
-                release,
-                &["flush", "accepted accept chosen"],
+                false,
+                true,
+                true,
+                &["flush", "reply accept chosen"],
             ),
             (
                 "two cores, both dirty: each is flushed, once",
-                [true, true],
-                Some(1),
-                release,
-                &["accept", "flush", "flush", "accepted chosen"],
+                true,
+                true,
+                true,
+                &["accept", "flush", "flush", "reply chosen"],
             ),
             (
                 "nothing buffered: nothing happens, barrier due or not",
-                [true, false],
-                None,
-                release,
+                true,
+                true,
+                false,
                 &[],
             ),
-            (
-                "cut at the barrier: the ahead list and no flush",
-                [true, false],
-                Some(0),
-                release_to_barrier,
-                &["accept"],
-            ),
-            (
-                "cut with no barrier due: the one pass was over",
-                [false, false],
-                Some(0),
-                release_to_barrier,
-                &["accepted accept chosen"],
-            ),
         ];
-        for (what, barrier_due, step_of, entry, expect) in cases {
-            let mut wire = recorder(barrier_due);
-            if let Some(from) = step_of {
-                push_step(&mut wire, from);
+        for (what, on_disk_0, due_on_1, step, expect) in cases {
+            let (mut node, mut net) = node(on_disk_0, due_on_1);
+            if step {
+                chosen(&mut node);
             }
-            entry(&mut wire);
-            assert_eq!(*wire.log.lock().unwrap(), expect, "{what}");
-            assert!(wire.outbox.is_empty(), "{what}: the lists are spent");
+            node.release(&mut net);
+            assert_eq!(*net.0.lock().unwrap(), expect, "{what}");
+            assert!(node.sends().next().is_none(), "{what}: the lists are spent");
+            let due = node.groups_mut().iter().any(|core| core.barrier_due());
+            assert_eq!(due, due_on_1 && !step, "{what}: the barrier ran");
         }
     }
 
@@ -497,9 +486,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "an Accept beside a barrier")]
     fn release_beside_refuses_an_accept() {
-        let mut wire = recorder([false, false]);
-        push_step(&mut wire, 0);
-        release_beside(&mut wire);
+        let log = Log::default();
+        let accept = Msg::Accept {
+            ballot: Ballot::new(1, ProcessId(1)),
+            entries: Vec::new(),
+        };
+        let mut outbox = Outbox::default();
+        outbox.push(Out::All(accept), &follower(&log));
+        release_beside(&mut outbox, &mut Recorder(log));
     }
 
     /// Persist-before-send at the source: an `Accepted` for an instance

@@ -410,8 +410,8 @@ impl Replica {
     /// sync then runs beside the followers' round trip), and before this
     /// replica's next handler runs, but those
     /// [`Replica::serves_beside_barrier`] admits — persist-before-send at
-    /// batch granularity (§3.1/§3.3). [`crate::outbox::release_begin`] is
-    /// its one caller; a drive loop outside this crate cannot call it.
+    /// batch granularity (§3.1/§3.3). A [`crate::node::Node`]'s release
+    /// is its one caller; a drive loop outside this crate cannot call it.
     pub(crate) fn barrier(&mut self) {
         if self.stable.raised() {
             self.stable.flush();
@@ -441,7 +441,7 @@ impl Replica {
     /// [`Replica::barrier`] under its old name, which
     /// `benchmark/src/shuttle.rs` still calls.
     #[doc(hidden)]
-    #[deprecated(note = "the barrier is `outbox::release`'s; delete in ROADMAP item 1")]
+    #[deprecated(note = "the barrier is `Node::release`'s; delete in ROADMAP item 1")]
     pub fn flush_storage(&mut self) {
         self.barrier();
     }
@@ -449,7 +449,7 @@ impl Replica {
     /// [`Replica::barrier_due`] under its old name, which
     /// `benchmark/src/shuttle.rs` still calls.
     #[doc(hidden)]
-    #[deprecated(note = "the barrier is `outbox::release`'s; delete in ROADMAP item 1")]
+    #[deprecated(note = "the barrier is `Node::release`'s; delete in ROADMAP item 1")]
     #[must_use]
     pub fn storage_dirty(&self) -> bool {
         self.barrier_due()

@@ -1,36 +1,55 @@
 //! Unit tests for the replica roles, driven by a zero-latency in-memory
 //! shuttle (failure-free runs need no timers; tests fire timers manually
-//! where a scenario depends on them). The shuttle is a drive loop like
-//! the others: a replica's step leaves through [`crate::outbox::release`],
-//! with the shuttle's queue as the network.
+//! where a scenario depends on them). The shuttle hosts a single-group
+//! [`Node`] per replica, as every drive loop does: a replica's step is
+//! its node's, and leaves through [`Node::release`], with the shuttle's
+//! queue as the network.
 
 use super::*;
 use crate::client::ClientCore;
 use crate::config::{ReadMode, TxnMode, ValueMode};
 use crate::msg::{ImageRun, Msg};
-use crate::outbox::{release, release_to_barrier, Out, Outbox, Wire};
+use crate::node::{Inbox, Net, Node, TimerOps};
+use crate::outbox::{Lent, Out, Outbox};
 use crate::request::{AbortReason, ReplyBody, RequestKind};
 use crate::service::NoopApp;
 use crate::storage::{DurableState, MemStorage, Storage, TailLossStorage};
-use crate::types::{Addr, ClientId, Dur, ProcessId, Seq, Time, TxnId};
+use crate::types::{Addr, ClientId, Dur, GroupId, ProcessId, Seq, Time, TxnId};
 use bytes::Bytes;
 
 /// Zero-latency network: delivers every queued message immediately, in
-/// FIFO order. Timer actions are recorded but fired only on demand.
+/// FIFO order. Timer operations are dropped; tests fire timers on demand.
 struct Shuttle {
-    replicas: Vec<Option<Replica>>,
+    nodes: Vec<Option<Node>>,
     queue: std::collections::VecDeque<(Addr, Addr, Msg)>, // (from, to, msg)
     client_inbox: Vec<(ClientId, Msg)>,
     now: Time,
-    /// The sends of the replica step in progress, and whose it is.
-    outbox: Outbox,
-    stepping: usize,
-    /// Of that step, what is out: the tag, and whether the replica's
-    /// barrier was still due when it left.
-    out: Vec<(bool, &'static str)>,
+    /// The replica whose step is being released.
+    stepping: u32,
+    /// Of that step, the tag of each copy out so far, and how many left
+    /// ahead of the barrier, once one ran.
+    out: Vec<&'static str>,
+    ahead: Option<usize>,
+    /// Whether the power fails inside the release in progress: the
+    /// barrier it lends is kept here, and comes back unsynced.
+    power_cut: bool,
+    lent: Option<Lent>,
     /// One line per replica step that sent anything, in the words of
     /// `outbox_conformance.txt`.
     trace: Vec<String>,
+}
+
+/// A node of one group, `p` of a cluster in `cfg`, on `disk`: fresh on
+/// an empty one, recovered otherwise.
+fn node(
+    p: u32,
+    cfg: Config,
+    disk: Box<dyn Storage>,
+    app: fn() -> Box<dyn App>,
+    seed: u64,
+    now: Time,
+) -> Node {
+    Node::open(ProcessId(p), cfg, vec![disk], &|_| app(), seed, now)
 }
 
 impl Shuttle {
@@ -50,18 +69,17 @@ impl Shuttle {
 
     /// [`Shuttle::on_disks`], replicating the service `app` builds.
     fn serving(cfg: Config, disks: Vec<Box<dyn Storage>>, app: fn() -> Box<dyn App>) -> Shuttle {
-        let n = disks.len();
+        let n = disks.len() as u32;
         let mut s = Shuttle {
-            replicas: disks
-                .into_iter()
-                .enumerate()
-                .map(|(i, disk)| {
-                    Some(Replica::open(
-                        ProcessId(i as u32),
+            nodes: (0..n)
+                .zip(disks)
+                .map(|(p, disk)| {
+                    Some(node(
+                        p,
                         cfg.clone(),
-                        app(),
                         disk,
-                        7 + i as u64,
+                        app,
+                        7 + u64::from(p),
                         Time::ZERO,
                     ))
                 })
@@ -69,49 +87,52 @@ impl Shuttle {
             queue: Default::default(),
             client_inbox: Vec::new(),
             now: Time::ZERO,
-            outbox: Outbox::default(),
             stepping: 0,
             out: Vec::new(),
+            ahead: None,
+            power_cut: false,
+            lent: None,
             trace: Vec::new(),
         };
-        for i in 0..n {
-            let actions = s.replicas[i].as_mut().unwrap().on_start(Time::ZERO);
-            s.enqueue(Addr::Replica(ProcessId(i as u32)), actions);
+        for p in 0..n {
+            s.step(p, |node, now, timers| node.start(now, timers));
         }
         s.run();
         s
     }
 
     fn n(&self) -> usize {
-        self.replicas.len()
+        self.nodes.len()
     }
 
-    /// What `from` does with `actions`: a client sends them as they are,
-    /// a replica releases them as one step's outbox.
-    fn enqueue(&mut self, from: Addr, actions: Vec<Action>) {
-        match from {
-            Addr::Client(_) => self.send(from, actions),
-            Addr::Replica(p) => {
-                self.buffer(p, actions);
-                let due = self.replica(p.0).barrier_due();
-                release(self);
-                let flushed = due && !self.replica(p.0).barrier_due();
-                self.trace_step(if flushed { "flush" } else { "-" });
-            }
+    /// One step of replica `p`, if it is up: `run` on its node, then the
+    /// release.
+    fn step(&mut self, p: u32, run: impl FnOnce(&mut Node, Time, &mut TimerOps)) {
+        let Some(mut node) = self.nodes[p as usize].take() else {
+            return;
+        };
+        run(&mut node, self.now, &mut TimerOps::new());
+        self.stepping = p;
+        node.release(self);
+        if let Some(lent) = self.lent.take() {
+            node.barrier_back(lent, self, &mut Inbox::new());
         }
+        self.nodes[p as usize] = Some(node);
+        self.trace_step();
     }
 
-    fn trace_step(&mut self, barrier: &str) {
-        let side = |due: bool| {
-            let tags = self.out.iter().filter(|(d, _)| *d == due);
-            tags.map(|(_, tag)| *tag).collect::<Vec<_>>().join(" ")
+    fn trace_step(&mut self) {
+        let (ahead, barrier) = match self.ahead.take() {
+            Some(k) => (k, "flush"),
+            None => (0, "-"),
         };
         if !self.out.is_empty() {
+            let (ahead, behind) = self.out.split_at(ahead);
             let line = format!(
                 "r{}: {} | {barrier} | {}",
                 self.stepping,
-                side(true),
-                side(false)
+                ahead.join(" "),
+                behind.join(" ")
             );
             // Single spaces, as the file has them.
             let words: Vec<_> = line.split_whitespace().collect();
@@ -120,32 +141,21 @@ impl Shuttle {
         self.out.clear();
     }
 
-    fn buffer(&mut self, p: ProcessId, actions: Vec<Action>) {
-        self.stepping = p.0 as usize;
-        let from = self.replicas[self.stepping].as_ref().unwrap();
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => self.outbox.push(Out::One(to, msg), from),
-                Action::ToAllReplicas { msg } => self.outbox.push(Out::All(msg), from),
-                Action::SetTimer { .. } | Action::CancelTimer { .. } => {}
-            }
-        }
-    }
-
-    /// Power fails on replica `p` inside the release of its last step:
-    /// what may precede the barrier is on the wire, the barrier never
-    /// returned. Returns what its disk holds.
+    /// Power fails on replica `p` inside the release of the step `run`
+    /// takes: what may precede the barrier is on the wire, the barrier
+    /// never returned. Returns what its disk holds.
     fn power_cut_mid_barrier(
         &mut self,
         p: u32,
-        actions: Vec<Action>,
-    ) -> crate::storage::DurableState {
-        self.buffer(ProcessId(p), actions);
-        release_to_barrier(self);
-        self.out.clear();
+        run: impl FnOnce(&mut Node, Time, &mut TimerOps),
+    ) -> DurableState {
+        self.power_cut = true;
+        self.step(p, run);
+        self.power_cut = false;
         self.crash(p).load()
     }
 
+    /// A client's actions, sent as they are.
     fn send(&mut self, from: Addr, actions: Vec<Action>) {
         for a in actions {
             match a {
@@ -173,10 +183,9 @@ impl Shuttle {
             assert!(hops < 100_000, "message storm");
             match to {
                 Addr::Replica(p) => {
-                    if let Some(r) = self.replicas[p.0 as usize].as_mut() {
-                        let actions = r.on_message(from, msg, self.now);
-                        self.enqueue(to, actions);
-                    }
+                    self.step(p.0, |node, now, timers| {
+                        node.deliver(from, msg, now, timers)
+                    });
                 }
                 Addr::Client(c) => self.client_inbox.push((c, msg)),
             }
@@ -184,27 +193,45 @@ impl Shuttle {
     }
 
     fn fire(&mut self, p: u32, kind: TimerKind) {
-        if let Some(r) = self.replicas[p as usize].as_mut() {
-            let actions = r.on_timer(kind, self.now);
-            self.enqueue(Addr::Replica(ProcessId(p)), actions);
-        }
+        self.step(p, |node, now, timers| {
+            node.fire(GroupId::ZERO, kind, now, timers);
+        });
         self.run();
     }
 
     fn replica(&self, p: u32) -> &Replica {
-        self.replicas[p as usize].as_ref().unwrap()
+        let node = self.nodes[p as usize].as_ref().unwrap();
+        node.group(GroupId::ZERO).unwrap()
+    }
+
+    /// Bring replica `p` up on `disk`, not started: a configured
+    /// bootstrap leader would campaign.
+    fn reopen(
+        &mut self,
+        p: u32,
+        cfg: Config,
+        disk: Box<dyn Storage>,
+        app: fn() -> Box<dyn App>,
+        seed: u64,
+    ) -> &Replica {
+        self.nodes[p as usize] = Some(node(p, cfg, disk, app, seed, self.now));
+        self.replica(p)
+    }
+
+    /// Replica `p` taken out of the shuttle, its node gone.
+    fn take(&mut self, p: u32) -> Replica {
+        let node = self.nodes[p as usize].take().unwrap();
+        node.into_groups().pop().unwrap()
     }
 
     fn crash(&mut self, p: u32) -> Box<dyn crate::storage::Storage> {
-        self.replicas[p as usize].take().unwrap().into_storage()
+        let node = self.nodes[p as usize].take().unwrap();
+        node.into_storages().pop().unwrap()
     }
 
     fn leader(&self) -> Option<u32> {
-        (0..self.n() as u32).find(|p| {
-            self.replicas[*p as usize]
-                .as_ref()
-                .is_some_and(|r| r.is_leader())
-        })
+        (0..self.n() as u32)
+            .find(|p| self.nodes[*p as usize].is_some() && self.replica(*p).is_leader())
     }
 
     fn submit(&mut self, client: &mut ClientCore, kind: RequestKind) -> crate::client::CompletedOp {
@@ -241,14 +268,14 @@ impl Shuttle {
         actions: Vec<Action>,
     ) -> Option<crate::client::CompletedOp> {
         let from = Addr::Client(client.id());
-        self.enqueue(from, actions);
+        self.send(from, actions);
         self.run();
         let mut result = None;
         let inbox = std::mem::take(&mut self.client_inbox);
         for (c, msg) in inbox {
             if c == client.id() {
                 let (done, acts) = client.on_message(msg, self.now);
-                self.enqueue(from, acts);
+                self.send(from, acts);
                 if let Some(d) = done {
                     result = Some(d);
                 }
@@ -263,11 +290,14 @@ impl Shuttle {
         if let Some(lead) = self.leader() {
             self.fire(lead, TimerKind::Heartbeat);
         }
-        let snaps: Vec<_> = self
-            .replicas
-            .iter()
-            .flatten()
-            .map(|r| (r.chosen_prefix(), r.service_snapshot()))
+        let snaps: Vec<_> = (0..self.n() as u32)
+            .filter(|p| self.nodes[*p as usize].is_some())
+            .map(|p| {
+                (
+                    self.replica(p).chosen_prefix(),
+                    self.replica(p).service_snapshot(),
+                )
+            })
             .collect();
         for w in snaps.windows(2) {
             assert_eq!(w[0], w[1], "replica states diverged");
@@ -275,18 +305,9 @@ impl Shuttle {
     }
 }
 
-impl Wire for Shuttle {
-    fn cores(&mut self) -> &mut [Replica] {
-        self.replicas[self.stepping].as_mut_slice()
-    }
-
-    fn outbox(&mut self) -> &mut Outbox {
-        &mut self.outbox
-    }
-
+impl Net for Shuttle {
     fn transmit(&mut self, outs: &mut Vec<Out>) {
-        let from = Addr::Replica(ProcessId(self.stepping as u32));
-        let due = self.replica(self.stepping as u32).barrier_due();
+        let from = Addr::Replica(ProcessId(self.stepping));
         for out in outs.drain(..) {
             let queued = self.queue.len();
             let tag = out.msg().tag();
@@ -295,9 +316,32 @@ impl Wire for Shuttle {
                 Out::All(msg) => self.send_all(from, msg),
             }
             let copies = self.queue.len() - queued;
-            self.out.extend(std::iter::repeat_n((due, tag), copies));
+            self.out.extend(std::iter::repeat_n(tag, copies));
         }
     }
+
+    /// The barrier runs here, after what left ahead of it; a barrier the
+    /// power fails at is kept, never synced.
+    fn lend(&mut self, lent: Lent) -> Result<(), Lent> {
+        self.ahead = Some(self.out.len());
+        if !self.power_cut {
+            return Err(lent);
+        }
+        self.lent = Some(lent);
+        Ok(())
+    }
+}
+
+/// Replica `p` of a shuttle's `nodes` itself, to step it by hand: what
+/// its handlers return goes nowhere.
+fn core(nodes: &mut [Option<Node>], p: u32) -> &mut Replica {
+    &mut nodes[p as usize].as_mut().unwrap().groups_mut()[0]
+}
+
+/// The first buffered send of its kind in `node`'s step so far.
+fn buffered(node: &Node, want: impl Fn(&Msg) -> bool) -> Msg {
+    let mut msgs = node.sends().map(Out::msg);
+    msgs.find(|m| want(m)).cloned().expect("message buffered")
 }
 
 /// One durable write — request, `Accept` to both followers, the first
@@ -384,7 +428,7 @@ fn duplicate_request_is_answered_from_dedup() {
     let done = s.submit(&mut c, RequestKind::Write);
     let req = done.req.clone();
     // Replay the identical request straight at the leader.
-    s.enqueue(
+    s.send(
         Addr::Client(c.id()),
         vec![Action::send(Addr::Replica(ProcessId(0)), Msg::Request(req))],
     );
@@ -449,7 +493,7 @@ fn deposed_leader_rolls_back_tentative_execution() {
         RequestKind::Write,
         Bytes::new(),
     );
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let _dropped = r0.on_message(Addr::Client(ClientId(9)), Msg::Request(req), s.now);
     // r0 executed tentatively: its service saw the write...
     let snap = s.replica(0).service_snapshot();
@@ -458,7 +502,7 @@ fn deposed_leader_rolls_back_tentative_execution() {
     // ...and a higher-ballot prepare, delivered synchronously, forces the
     // rollback at the moment of step-down.
     let higher = crate::ballot::Ballot::new(99, ProcessId(1));
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let _promise = r0.on_message(
         Addr::Replica(ProcessId(1)),
         Msg::Prepare {
@@ -483,7 +527,7 @@ fn leader_with_a_lost_accept() -> Shuttle {
     let mut s = Shuttle::new(3, cluster_cfg(3));
     let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
     s.submit(&mut c, RequestKind::Write);
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let _lost = r0.on_message(
         Addr::Client(ClientId(9)),
         Msg::Request(write_req(9, 1)),
@@ -524,7 +568,7 @@ fn replay_of_chosen(r: &Replica) -> Bytes {
 /// were dropped. r0 must be a follower of that ballot afterwards.
 fn deliver_from_a_newer_leadership(s: &mut Shuttle, msg: impl Fn(Ballot) -> Msg) -> &Replica {
     let newer = Ballot::new(99, ProcessId(1));
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let _ = r0.on_message(Addr::Replica(ProcessId(1)), msg(newer), s.now);
     assert!(!r0.is_leader(), "deposed by the newer ballot");
     assert_eq!(r0.promised(), newer);
@@ -593,7 +637,7 @@ fn confirm_req_from_a_newer_leadership_deposes_before_it_answers() {
 #[test]
 fn stopped_leader_hands_back_its_chosen_prefix_state() {
     let mut s = leader_with_a_lost_accept();
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     r0.stop();
     assert_eq!(r0.chosen_prefix(), s.replica(1).chosen_prefix());
     assert_eq!(
@@ -628,32 +672,25 @@ fn retransmission_queued_during_recovery_is_not_executed_twice() {
     let retry = || Msg::Request(write_req(9, 1));
     // r0 proposes the write; r1 and r2 accept it, their answers are lost
     // and r0 dies.
-    let proposed =
-        s.replicas[0]
-            .as_mut()
-            .unwrap()
-            .on_message(Addr::Client(ClientId(9)), retry(), s.now);
+    let proposed = core(&mut s.nodes, 0).on_message(Addr::Client(ClientId(9)), retry(), s.now);
     let accept = sent(&proposed, |m| matches!(m, Msg::Accept { .. }));
     for p in [1, 2] {
-        let r = s.replicas[p].as_mut().unwrap();
+        let r = core(&mut s.nodes, p);
         let _lost = r.on_message(from(0), accept.clone(), s.now);
     }
     s.crash(0);
     // r1 wins with r2's promise and re-proposes the decree; before r2
     // answers, the client's retry arrives.
     s.now = Time(Dur::from_secs(10).0);
-    let r1 = s.replicas[1].as_mut().unwrap();
+    let r1 = core(&mut s.nodes, 1);
     let campaign = r1.on_timer(TimerKind::LeaderCheck, s.now);
     let prepare = sent(&campaign, |m| matches!(m, Msg::Prepare { .. }));
-    let promised = s.replicas[2]
-        .as_mut()
-        .unwrap()
-        .on_message(from(1), prepare, s.now);
+    let promised = core(&mut s.nodes, 2).on_message(from(1), prepare, s.now);
     let promise = sent(&promised, |m| matches!(m, Msg::Promise { .. }));
-    let r1 = s.replicas[1].as_mut().unwrap();
-    let takeover = r1.on_message(from(2), promise, s.now);
-    let _queued = r1.on_message(Addr::Client(ClientId(9)), retry(), s.now);
-    s.enqueue(from(1), takeover);
+    s.step(1, |node, now, timers| {
+        node.deliver(from(2), promise, now, timers);
+        node.deliver(Addr::Client(ClientId(9)), retry(), now, timers);
+    });
     s.run();
     s.assert_replica_states_converged();
     assert_eq!(writes_applied(s.replica(1)), 2);
@@ -674,7 +711,7 @@ fn tentative_proposal_resurfaces_through_new_leader() {
         RequestKind::Write,
         Bytes::new(),
     );
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let _dropped = r0.on_message(Addr::Client(ClientId(9)), Msg::Request(req), s.now);
 
     // r1 takes over; its prepare majority includes r0, so the tentative
@@ -786,28 +823,27 @@ fn tpaxos_commit_retransmitted_during_recovery_is_never_told_aborted() {
     let retry = || Msg::Request(commit.clone());
     // r0 proposes the commit decree; r1 and r2 accept it, their answers
     // are lost and r0 dies.
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let proposed = r0.on_message(client, retry(), s.now);
     let accept = sent(&proposed, |m| matches!(m, Msg::Accept { .. }));
     for p in [1, 2] {
-        let r = s.replicas[p].as_mut().unwrap();
+        let r = core(&mut s.nodes, p);
         let _lost = r.on_message(from(0), accept.clone(), s.now);
     }
     s.crash(0);
     // r1 wins with r2's promise and re-proposes the decree; before r2
     // answers, the client's retransmission arrives.
     s.now = Time(Dur::from_secs(10).0);
-    let r1 = s.replicas[1].as_mut().unwrap();
+    let r1 = core(&mut s.nodes, 1);
     let campaign = r1.on_timer(TimerKind::LeaderCheck, s.now);
     let prepare = sent(&campaign, |m| matches!(m, Msg::Prepare { .. }));
-    let r2 = s.replicas[2].as_mut().unwrap();
+    let r2 = core(&mut s.nodes, 2);
     let promised = r2.on_message(from(1), prepare, s.now);
     let promise = sent(&promised, |m| matches!(m, Msg::Promise { .. }));
-    let r1 = s.replicas[1].as_mut().unwrap();
-    let takeover = r1.on_message(from(2), promise, s.now);
-    let retried = r1.on_message(client, retry(), s.now);
-    s.enqueue(from(1), takeover);
-    s.enqueue(from(1), retried);
+    s.step(1, |node, now, timers| {
+        node.deliver(from(2), promise, now, timers);
+        node.deliver(client, retry(), now, timers);
+    });
     s.run();
     // The decree is chosen, the transaction applied everywhere...
     s.assert_replica_states_converged();
@@ -864,18 +900,11 @@ fn crashed_replica_recovers_from_storage() {
     }
     // r2 crashes and recovers from its own storage.
     let storage = s.crash(2);
-    let recovered = Replica::recover(
-        ProcessId(2),
-        cluster_cfg(3),
-        Box::new(NoopApp::new()),
-        storage,
-        99,
-        s.now,
-    );
+    let noop = || Box::new(NoopApp::new()) as Box<dyn App>;
+    let recovered = s.reopen(2, cluster_cfg(3), storage, noop, 99);
     assert_eq!(recovered.chosen_prefix(), Instance(3));
     let snap = recovered.service_snapshot();
     assert_eq!(u64::from_le_bytes(snap[..8].try_into().unwrap()), 3);
-    s.replicas[2] = Some(recovered);
     // It keeps participating.
     let done = s.submit(&mut c, RequestKind::Write);
     assert!(matches!(done.body, ReplyBody::Ok(_)));
@@ -954,17 +983,11 @@ fn crashed_leader_rejoins_one_instance_short_and_catches_up() {
     let actions = c.submit_op(RequestKind::Write, Bytes::new(), s.now);
     s.drive_client_through_retry(&mut c, actions);
 
-    // (No `on_start`: the configured bootstrap leader would campaign.)
-    let recovered = Replica::recover(
-        ProcessId(0),
-        cluster_cfg(3),
-        Box::new(NoopApp::new()),
-        Box::new(TailLossStorage::holding(disk)),
-        99,
-        s.now,
-    );
+    // (Not started: the configured bootstrap leader would campaign.)
+    let disk = Box::new(TailLossStorage::holding(disk));
+    let noop = || Box::new(NoopApp::new()) as Box<dyn App>;
+    let recovered = s.reopen(0, cluster_cfg(3), disk, noop, 99);
     assert_eq!(recovered.chosen_prefix(), Instance(2));
-    s.replicas[0] = Some(recovered);
     s.assert_replica_states_converged();
     assert_eq!(s.replica(0).chosen_prefix(), Instance(4));
 }
@@ -1022,9 +1045,12 @@ fn leader_lost_between_accept_and_barrier() -> (Shuttle, ClientCore, DurableStat
 
     let roll = c.submit_op(RequestKind::Write, Bytes::from_static(b"roll"), s.now);
     let request = sent(&roll, |m| matches!(m, Msg::Request(_)));
-    let leader = s.replicas[0].as_mut().unwrap();
-    let actions = leader.on_message(Addr::Client(c.id()), request, s.now);
-    let Msg::Accept { entries, .. } = sent(&actions, |m| matches!(m, Msg::Accept { .. })) else {
+    let mut accept = None;
+    let disk = s.power_cut_mid_barrier(0, |node, now, timers| {
+        node.deliver(Addr::Client(ClientId(1)), request, now, timers);
+        accept = Some(buffered(node, |m| matches!(m, Msg::Accept { .. })));
+    });
+    let Some(Msg::Accept { entries, .. }) = accept else {
         unreachable!()
     };
     let entry = &entries[0].1.entries[0];
@@ -1035,7 +1061,6 @@ fn leader_lost_between_accept_and_barrier() -> (Shuttle, ClientCore, DurableStat
         panic!("a plain write");
     };
     assert!(req.op.is_empty(), "the decree names the request, no more");
-    let disk = s.power_cut_mid_barrier(0, actions);
     assert_eq!(disk.chosen_prefix, Instance::ZERO, "marks are lazy");
     assert_eq!(
         disk.accepted.keys().copied().collect::<Vec<_>>(),
@@ -1047,17 +1072,9 @@ fn leader_lost_between_accept_and_barrier() -> (Shuttle, ClientCore, DurableStat
 
 /// Restart r0 on `disk` as the configured bootstrap leader: it campaigns.
 fn restart_old_leader(s: &mut Shuttle, disk: DurableState) {
-    let mut r0 = Replica::recover(
-        ProcessId(0),
-        cluster_cfg(3),
-        Box::new(Dice::default()),
-        Box::new(TailLossStorage::holding(disk)),
-        99,
-        s.now,
-    );
-    let actions = r0.on_start(s.now);
-    s.replicas[0] = Some(r0);
-    s.enqueue(Addr::Replica(ProcessId(0)), actions);
+    let disk = Box::new(TailLossStorage::holding(disk));
+    s.reopen(0, cluster_cfg(3), disk, || Box::new(Dice::default()), 99);
+    s.step(0, |node, now, timers| node.start(now, timers));
     s.run();
 }
 
@@ -1151,12 +1168,10 @@ fn a_power_cut_mid_barrier_lets_nothing_but_accepts_escape() {
         ballot,
         entries: vec![(Instance(1), Decree::noop())],
     };
-    let actions = s.replicas[1]
-        .as_mut()
-        .unwrap()
-        .on_message(r0, accept, s.now);
-    sent(&actions, |m| matches!(m, Msg::Accepted { .. }));
-    let disk = s.power_cut_mid_barrier(1, actions);
+    let disk = s.power_cut_mid_barrier(1, |node, now, timers| {
+        node.deliver(r0, accept, now, timers);
+        buffered(node, |m| matches!(m, Msg::Accepted { .. }));
+    });
     assert!(disk.accepted.is_empty());
     nothing_escaped(&s, "Accepted");
 
@@ -1168,24 +1183,20 @@ fn a_power_cut_mid_barrier_lets_nothing_but_accepts_escape() {
         known_above: Vec::new(),
     };
     let r2 = Addr::Replica(ProcessId(2));
-    let actions = s.replicas[1]
-        .as_mut()
-        .unwrap()
-        .on_message(r2, prepare, s.now);
-    sent(&actions, |m| matches!(m, Msg::Promise { .. }));
-    let disk = s.power_cut_mid_barrier(1, actions);
+    let disk = s.power_cut_mid_barrier(1, |node, now, timers| {
+        node.deliver(r2, prepare, now, timers);
+        buffered(node, |m| matches!(m, Msg::Promise { .. }));
+    });
     assert_eq!(disk.promised, ballot);
     nothing_escaped(&s, "Promise");
 
     // A candidate's `Prepare`.
     let mut s = three();
     s.now = Time(Dur::from_secs(10).0);
-    let actions = s.replicas[1]
-        .as_mut()
-        .unwrap()
-        .on_timer(TimerKind::LeaderCheck, s.now);
-    sent(&actions, |m| matches!(m, Msg::Prepare { .. }));
-    let disk = s.power_cut_mid_barrier(1, actions);
+    let disk = s.power_cut_mid_barrier(1, |node, now, timers| {
+        node.fire(GroupId::ZERO, TimerKind::LeaderCheck, now, timers);
+        buffered(node, |m| matches!(m, Msg::Prepare { .. }));
+    });
     assert_eq!(disk.promised, ballot);
     nothing_escaped(&s, "Prepare");
 
@@ -1193,12 +1204,10 @@ fn a_power_cut_mid_barrier_lets_nothing_but_accepts_escape() {
     let mut s = Shuttle::on_disks(cluster_cfg(1), tail_loss_disks(1));
     let request = Msg::Request(write_req(1, 1));
     let client = Addr::Client(ClientId(1));
-    let actions = s.replicas[0]
-        .as_mut()
-        .unwrap()
-        .on_message(client, request, s.now);
-    sent(&actions, |m| matches!(m, Msg::Reply(_)));
-    let disk = s.power_cut_mid_barrier(0, actions);
+    let disk = s.power_cut_mid_barrier(0, |node, now, timers| {
+        node.deliver(client, request, now, timers);
+        buffered(node, |m| matches!(m, Msg::Reply(_)));
+    });
     assert!(disk.accepted.is_empty());
     nothing_escaped(&s, "Reply");
 }
@@ -1224,7 +1233,8 @@ fn an_installed_image_is_served_as_chunks_over_an_open_window() {
         let (app, disk) = (Box::new(Dice::default()), Box::new(MemStorage::new()));
         Replica::new(ProcessId(p), cfg.clone(), app, disk, 9, now)
     };
-    s.replicas[2] = Some(fresh(2, s.now));
+    let disk = Box::new(MemStorage::new());
+    s.reopen(2, cfg.clone(), disk, || Box::new(Dice::default()), 9);
     s.fire(0, TimerKind::Heartbeat);
     assert_eq!(s.replica(2).chosen_prefix(), Instance(4));
     s.crash(0);
@@ -1244,7 +1254,7 @@ fn an_installed_image_is_served_as_chunks_over_an_open_window() {
         matches!(m, Msg::Request(_))
     });
     let now = s.now;
-    let leader = s.replicas[2].as_mut().unwrap();
+    let leader = core(&mut s.nodes, 2);
     let proposed = leader.on_message(Addr::Client(c.id()), request, now);
     sent(&proposed, |m| matches!(m, Msg::Accept { .. }));
     assert_eq!(leader.chosen_prefix(), Instance(4));
@@ -1279,7 +1289,7 @@ fn an_installed_image_is_served_as_chunks_over_an_open_window() {
     }
     assert_eq!(follower.chosen_prefix(), Instance(4));
 
-    let leader = s.replicas[2].as_mut().unwrap();
+    let leader = core(&mut s.nodes, 2);
     leader.stop(); // abandons the fifth write
     assert_eq!(leader.service_snapshot().len(), 4 * 8);
     assert_eq!(
@@ -1406,16 +1416,9 @@ fn lagging_replica_catches_up_via_heartbeat() {
     for _ in 0..3 {
         s.submit(&mut c, RequestKind::Write);
     }
-    s.replicas[2] = Some(Replica::new(
-        ProcessId(2),
-        cluster_cfg(3),
-        Box::new(NoopApp::new()),
-        Box::new(MemStorage::new()),
-        123,
-        s.now,
-    ));
-    let actions = s.replicas[2].as_mut().unwrap().on_start(s.now);
-    s.enqueue(Addr::Replica(ProcessId(2)), actions);
+    let disk = Box::new(MemStorage::new());
+    s.reopen(2, cluster_cfg(3), disk, || Box::new(NoopApp::new()), 123);
+    s.step(2, |node, now, timers| node.start(now, timers));
     s.run();
     // Heartbeat announces the chosen prefix; r2 requests catch-up.
     s.fire(0, TimerKind::Heartbeat);
@@ -1452,49 +1455,39 @@ fn lagging_candidate_pulls_before_it_leads(cfg: Config) {
     for _ in 0..4 {
         s.submit(&mut c, RequestKind::Write);
     }
-    let recovered = Replica::recover(
-        ProcessId(2),
-        cfg.clone(),
-        Box::new(NoopApp::new()),
-        storage,
-        7,
-        s.now,
-    );
+    let noop = || Box::new(NoopApp::new()) as Box<dyn App>;
+    let recovered = s.reopen(2, cfg.clone(), storage, noop, 7);
     assert_eq!(recovered.chosen_prefix(), Instance(1), "r2 is behind");
-    s.replicas[2] = Some(recovered);
 
     // The leader dies before any heartbeat can catch r2 up, and r2
     // campaigns first (we control the timers). r1's promise names
     // prefix 5 and carries no state.
     s.crash(0);
     s.now = Time(Dur::from_secs(10).0);
-    let campaign = s.replicas[2]
-        .as_mut()
-        .unwrap()
-        .on_timer(TimerKind::LeaderCheck, s.now);
+    let campaign = core(&mut s.nodes, 2).on_timer(TimerKind::LeaderCheck, s.now);
     let prepare = sent(&campaign, |m| matches!(m, Msg::Prepare { .. }));
     let from = |p: u32| Addr::Replica(ProcessId(p));
-    let promised = s.replicas[1]
-        .as_mut()
-        .unwrap()
-        .on_message(from(2), prepare, s.now);
+    let promised = core(&mut s.nodes, 1).on_message(from(2), prepare, s.now);
     let promise = sent(&promised, |m| matches!(m, Msg::Promise { .. }));
     let Msg::Promise { chosen_prefix, .. } = &promise else {
         unreachable!()
     };
     assert_eq!(*chosen_prefix, Instance(5));
-    let r2 = s.replicas[2].as_mut().unwrap();
-    let pull = r2.on_message(from(1), promise, s.now);
-    assert!(!r2.is_leader(), "no lead below P");
-    let req = sent(&pull, |m| matches!(m, Msg::CatchUpReq { .. }));
-    assert_eq!(
-        req,
-        Msg::CatchUpReq {
-            have: Instance(1),
-            resume: None
-        }
-    );
-    s.enqueue(from(2), pull);
+    s.step(2, |node, now, timers| {
+        node.deliver(from(1), promise, now, timers);
+        assert!(
+            !node.group(GroupId::ZERO).unwrap().is_leader(),
+            "no lead below P"
+        );
+        let req = buffered(node, |m| matches!(m, Msg::CatchUpReq { .. }));
+        assert_eq!(
+            req,
+            Msg::CatchUpReq {
+                have: Instance(1),
+                resume: None
+            }
+        );
+    });
     s.run();
 
     assert_eq!(s.leader(), Some(2), "the lagging replica won once at P");
@@ -1571,7 +1564,7 @@ fn xpaxos_read_defers_behind_tentative_write() {
         RequestKind::Write,
         Bytes::new(),
     );
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let withheld = r0.on_message(Addr::Client(ClientId(8)), Msg::Request(w), s.now);
     assert!(
         withheld.iter().any(|a| matches!(
@@ -1590,7 +1583,7 @@ fn xpaxos_read_defers_behind_tentative_write() {
         RequestKind::Read,
         Bytes::new(),
     );
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let ballot = r0.promised();
     let a1 = r0.on_message(Addr::Client(ClientId(9)), Msg::Request(read.clone()), s.now);
     let a2 = r0.on_message(
@@ -1624,7 +1617,7 @@ fn xpaxos_read_defers_behind_tentative_write() {
 
     // Now let the write commit: deliver the accepted acks.
     let instance = Instance(2);
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let mut actions = r0.on_message(
         Addr::Replica(ProcessId(1)),
         Msg::Accepted {
@@ -1673,21 +1666,14 @@ fn dueling_candidates_resolve_to_one_leader() {
 
     s.now = Time(Dur::from_secs(10).0);
     // Collect both candidacies BEFORE delivering anything: a real duel.
-    let a1 = s.replicas[1]
-        .as_mut()
-        .unwrap()
-        .on_timer(TimerKind::LeaderCheck, s.now);
-    let a2 = s.replicas[2]
-        .as_mut()
-        .unwrap()
-        .on_timer(TimerKind::LeaderCheck, s.now);
-    s.enqueue(Addr::Replica(ProcessId(1)), a1);
-    s.enqueue(Addr::Replica(ProcessId(2)), a2);
+    for p in [1, 2] {
+        s.step(p, |node, now, timers| {
+            node.fire(GroupId::ZERO, TimerKind::LeaderCheck, now, timers);
+        });
+    }
     s.run();
 
-    let leaders: Vec<u32> = (0..3)
-        .filter(|p| s.replicas[*p as usize].as_ref().unwrap().is_leader())
-        .collect();
+    let leaders: Vec<u32> = (0..3).filter(|p| s.replica(*p).is_leader()).collect();
     assert_eq!(leaders.len(), 1, "exactly one leader after the duel");
     // Same-round duels resolve toward the higher proposer id.
     assert_eq!(leaders[0], 2);
@@ -1709,7 +1695,7 @@ fn confirm_outracing_read_request_is_buffered() {
         RequestKind::Read,
         Bytes::new(),
     );
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let ballot = r0.promised();
     // Confirms arrive first...
     let a = r0.on_message(
@@ -1747,7 +1733,7 @@ fn stale_leader_cannot_answer_reads_after_deposition() {
     // Depose r0 via a direct higher-ballot prepare (it answers with a
     // promise, which we drop — r0 now believes in ballot b99).
     let higher = crate::ballot::Ballot::new(99, ProcessId(1));
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let _ = r0.on_message(
         Addr::Replica(ProcessId(1)),
         Msg::Prepare {
@@ -1766,7 +1752,7 @@ fn stale_leader_cannot_answer_reads_after_deposition() {
         RequestKind::Read,
         Bytes::new(),
     );
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let actions = r0.on_message(Addr::Client(ClientId(9)), Msg::Request(read.clone()), s.now);
     for a in &actions {
         assert!(
@@ -1838,7 +1824,7 @@ fn lease_mode_followers_do_not_confirm_reads() {
         RequestKind::Read,
         Bytes::new(),
     );
-    let r1 = s.replicas[1].as_mut().unwrap();
+    let r1 = core(&mut s.nodes, 1);
     let actions = r1.on_message(Addr::Client(ClientId(5)), Msg::Request(read), s.now);
     assert!(
         actions.is_empty(),
@@ -1859,7 +1845,7 @@ fn retransmitted_tpaxos_op_replays_cached_reply_without_restaging() {
     );
     // Deliver the same op twice (a client retransmission).
     for _ in 0..2 {
-        s.enqueue(
+        s.send(
             Addr::Client(ClientId(1)),
             vec![Action::send(
                 Addr::Replica(ProcessId(0)),
@@ -1933,7 +1919,7 @@ fn candidate_restarts_election_with_higher_ballot_on_timeout() {
     let cfg = cluster_cfg(3).with_bootstrap_leader(None);
     let mut s = Shuttle::new(3, cfg);
     s.now = Time(Dur::from_secs(10).0);
-    let r1 = s.replicas[1].as_mut().unwrap();
+    let r1 = core(&mut s.nodes, 1);
     let _dropped = r1.on_timer(TimerKind::LeaderCheck, s.now);
     let b1 = r1.promised();
     assert!(matches!(r1.role(), Role::Candidate(_)));
@@ -1955,7 +1941,7 @@ fn duplicate_accepted_acks_do_not_double_commit() {
     let before = s.replica(0).stats.commits_led;
     // Replay a stale Accepted for the already-committed instance.
     let ballot = s.replica(0).promised();
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let _ = r0.on_message(
         Addr::Replica(ProcessId(1)),
         Msg::Accepted {
@@ -2511,7 +2497,7 @@ fn lease_lapsing_under_a_deferred_read_sends_it_through_consensus() {
     let cfg = cluster_cfg(3).with_read_mode(ReadMode::Lease);
     let mut s = Shuttle::new(3, cfg);
     let client = |c: u64| Addr::Client(ClientId(c));
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let ballot = r0.promised();
     // A write in flight, its `Accept`s withheld; the read opens under the
     // bootstrap heartbeat's lease and waits.
@@ -2526,7 +2512,7 @@ fn lease_lapsing_under_a_deferred_read_sends_it_through_consensus() {
     };
     let instances = vec![entries[0].0];
     let voted = Msg::Accepted { ballot, instances };
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let committed = r0.on_message(Addr::Replica(ProcessId(1)), voted, s.now);
     let reproposed = sent(&committed, |m| matches!(m, Msg::Accept { .. }));
     let Msg::Accept { entries, .. } = &reproposed else {
@@ -2645,7 +2631,7 @@ fn stale_confirm_batch_answers_are_ignored() {
     let mut s = Shuttle::new(3, cluster_cfg(3));
     let ballot = s.replica(0).promised();
     let now = s.now;
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     // No round in flight: a late duplicate answer is a no-op.
     let out = r0.on_message(
         Addr::Replica(ProcessId(1)),
@@ -2726,7 +2712,7 @@ fn confirm_round_answers_after_losing_leadership_are_ignored() {
     let now = s.now;
     {
         // Round epoch 1 in flight at r0 (answers withheld).
-        let r0 = s.replicas[0].as_mut().unwrap();
+        let r0 = core(&mut s.nodes, 0);
         for client in 1..=super::reads::CONFIRM_BACKLOG_THRESHOLD as u64 {
             let _ = r0.on_message(
                 Addr::Client(ClientId(client)),
@@ -2741,7 +2727,7 @@ fn confirm_round_answers_after_losing_leadership_are_ignored() {
     assert_eq!(s.leader(), Some(1));
     // The old round's answer arrives late at the deposed leader: it must
     // be dropped on the floor, not answer the abandoned reads.
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let out = r0.on_message(
         Addr::Replica(ProcessId(2)),
         Msg::ConfirmBatch {
@@ -2752,7 +2738,7 @@ fn confirm_round_answers_after_losing_leadership_are_ignored() {
     );
     assert!(out.is_empty(), "a deposed leader ignores its old round");
     // The same stale answer at the new leader is ignored too.
-    let r1 = s.replicas[1].as_mut().unwrap();
+    let r1 = core(&mut s.nodes, 1);
     let out = r1.on_message(
         Addr::Replica(ProcessId(2)),
         Msg::ConfirmBatch {
@@ -3186,11 +3172,11 @@ fn push_allows_a_follower_to_reack_below_its_chosen_prefix() {
         ballot,
         entries: vec![(Instance(1), decree)],
     };
-    let r1 = s.replicas[1].as_mut().unwrap();
-    let actions = r1.on_message(Addr::Replica(ProcessId(0)), accept, s.now);
-    assert_eq!(s.replica(1).stable.get().write_count(), writes);
     s.trace.clear();
-    s.enqueue(Addr::Replica(ProcessId(1)), actions);
+    s.step(1, |node, now, timers| {
+        node.deliver(Addr::Replica(ProcessId(0)), accept, now, timers);
+    });
+    assert_eq!(s.replica(1).stable.get().write_count(), writes);
     assert_eq!(s.trace, ["r1: | - | accepted"]);
 }
 
@@ -3264,7 +3250,7 @@ fn window_open(mode: ReadMode) -> Shuttle {
     let mut s = Shuttle::serving(cfg, disks.collect(), || Box::new(UndoLogged::default()));
     let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
     s.submit(&mut c, RequestKind::Write);
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let withheld = r0.on_message(
         Addr::Client(ClientId(8)),
         Msg::Request(write_req(8, 1)),
@@ -3454,17 +3440,17 @@ fn beside_the_barrier_runs_reads_and_confirms_only() {
     for mode in modes {
         let mut s = window_open(mode);
         let now = s.now;
-        let leader = s.replicas[0].take().unwrap();
+        let leader = s.take(0);
         let b = leader.promised();
-        let mut recovering = window_open(mode).replicas[0].take().unwrap();
+        let mut recovering = window_open(mode).take(0);
         if let Role::Leader(l) = &mut recovering.role {
             l.recovery = Some(super::leader::RecoveryBatch::default());
         }
-        let follower = s.replicas[1].take().unwrap();
-        let mut candidate = s.replicas[2].take().unwrap();
+        let follower = s.take(1);
+        let mut candidate = s.take(2);
         candidate.start_election(now, &mut Vec::new());
         candidate.barrier();
-        let mut promised_anew = window_open(mode).replicas[1].take().unwrap();
+        let mut promised_anew = window_open(mode).take(1);
         let prepare = Msg::Prepare {
             ballot: Ballot::new(b.round + 1, ProcessId(2)),
             chosen_prefix: Instance::ZERO,
@@ -3533,7 +3519,7 @@ fn beside_the_barrier_runs_reads_and_confirms_only() {
 fn a_read_under_a_window_is_answered_from_chosen_state() {
     let mut s = window_open(ReadMode::XPaxos);
     let now = s.now;
-    let r0 = s.replicas[0].as_mut().unwrap();
+    let r0 = core(&mut s.nodes, 0);
     let ballot = r0.promised();
     let read = plain_read(9);
     let mut actions = r0.on_message(Addr::Client(ClientId(9)), Msg::Request(read.clone()), now);

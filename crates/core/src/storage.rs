@@ -91,7 +91,7 @@ impl DurableState {
 /// persist-before-send rule (§3.1/§3.3) therefore holds as long as the
 /// embedding runtime calls `flush()` after the handlers run and before
 /// any resulting `Promise`/`Accepted` leaves the process; every drive
-/// loop does by sending through [`crate::outbox::release`].
+/// loop does by hosting a [`crate::node::Node`], whose release runs it.
 /// The file backend syncs nowhere else; a backend that keeps state
 /// purely in memory leaves `flush` a no-op.
 pub trait Storage: Send {

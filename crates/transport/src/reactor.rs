@@ -1392,7 +1392,7 @@ mod tests {
     /// messages (the `Accept`, once per follower) and the client's socket
     /// stays silent until the disk is let go.
     ///
-    /// Mutation that must fail this test: `outbox::release` running the
+    /// Mutation that must fail this test: `Node::release` running the
     /// barrier before the ahead list — no follower ever sees the `Accept`.
     #[test]
     fn accept_leaves_while_the_leaders_barrier_is_still_running() {
@@ -1471,7 +1471,9 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(leader_stalled.load(Ordering::SeqCst), "inside its barrier");
+        wait_until("the leader inside its barrier", || {
+            leader_stalled.load(Ordering::SeqCst)
+        });
         assert_eq!(
             cluster.metrics(0).stats().msgs_out - framed_before,
             2,
@@ -1511,7 +1513,7 @@ mod tests {
     /// framed nothing since before the second write — its `Accepted` waits
     /// behind the barrier that covers the accept record.
     ///
-    /// Mutation that must fail this test: `outbox::release` transmitting
+    /// Mutation that must fail this test: `Node::release` transmitting
     /// the behind list before the barrier.
     #[test]
     fn cluster_stopped_with_a_decree_in_flight_hands_back_prefix_state() {
@@ -1754,26 +1756,30 @@ mod tests {
     }
 
     /// A durable cluster of `cfg` serving `app`, each node's WAL under
-    /// `root` behind a [`HookedWal`] whose `stall` is `stall(node)`.
+    /// `root` behind a [`HookedWal`] whose `stall` is `stall(node)`, and
+    /// a handle on each node's WAL, in node order, to read what it wrote.
     fn stalling_cluster(
         cfg: Config,
         rcfg: ReactorConfig,
         app: fn() -> Box<dyn App>,
         root: &std::path::Path,
         stall: impl Fn(ProcessId) -> Box<dyn FnMut() + Send>,
-    ) -> ReactorCluster {
-        ReactorCluster::launch_with_storage(cfg, 1, app, None, rcfg, |id| {
+    ) -> (ReactorCluster, Vec<FileStorage>) {
+        let wals = std::cell::RefCell::new(Vec::new());
+        let cluster = ReactorCluster::launch_with_storage(cfg, 1, app, None, rcfg, |id| {
             let dir = root.join(format!("node-{}", id.0));
-            let inner = FlushCoordinator::open(dir, SyncMode::Batched, 1)
-                .expect("open WAL")
-                .storage(0);
+            let wal = FlushCoordinator::open(dir, SyncMode::Batched, 1).expect("open WAL");
+            wals.borrow_mut().push((id, wal.storage(0)));
             vec![Box::new(HookedWal {
-                inner,
+                inner: wal.storage(0),
                 stall: stall(id),
                 synced: Box::new(|_| {}),
             })]
         })
-        .expect("launch")
+        .expect("launch");
+        let mut wals = wals.into_inner();
+        wals.sort_by_key(|(id, _)| *id);
+        (cluster, wals.into_iter().map(|(_, wal)| wal).collect())
     }
 
     /// A disk that, while `stalling`, counts itself in `stalled` and holds
@@ -1815,9 +1821,10 @@ mod tests {
         cfg.heartbeat_interval = Dur::from_secs(30);
         let stalling = Arc::new(AtomicBool::new(false));
         let stalled = Arc::new(AtomicU64::new(0));
-        let cluster = stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |_| {
-            stall_while(&stalling, &stalled)
-        });
+        let (cluster, _) =
+            stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |_| {
+                stall_while(&stalling, &stalled)
+            });
         let mut client = cluster.client();
         for (k, v) in [("a", "old"), ("b", "1")] {
             let body = client.call(RequestKind::Write, put(k, v));
@@ -1879,15 +1886,16 @@ mod tests {
         let mut cfg = Config::cluster(3);
         cfg.suspect_timeout = Dur::from_secs(2);
         let slow_syncs = Arc::new(AtomicU64::new(0));
-        let cluster = stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |id| {
-            let slow_syncs = Arc::clone(&slow_syncs);
-            Box::new(move || {
-                if id == ProcessId(2) {
-                    slow_syncs.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(SLOW);
-                }
-            })
-        });
+        let (cluster, wals) =
+            stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |id| {
+                let slow_syncs = Arc::clone(&slow_syncs);
+                Box::new(move || {
+                    if id == ProcessId(2) {
+                        slow_syncs.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(SLOW);
+                    }
+                })
+            });
         let mut client = cluster.client();
         let first = client.call(RequestKind::Write, put("k", "0"));
         assert!(matches!(first, Some(ReplyBody::Ok(_))), "got {first:?}");
@@ -1906,6 +1914,12 @@ mod tests {
             slow_syncs.load(Ordering::SeqCst) > 0,
             "the slow disk synced"
         );
+        // The last read's majority may have been the leader and node 2,
+        // and node 1 stop before it runs the last `Chosen`: wait for it.
+        let last = wals[0].load().chosen_prefix;
+        wait_until("node 1 learned the last chosen decree", || {
+            wals[1].load().chosen_prefix >= last
+        });
         let nodes = cluster.shutdown();
         assert_eq!(nodes[0][0].chosen_prefix(), nodes[1][0].chosen_prefix());
         std::fs::remove_dir_all(&root).ok();
@@ -1928,14 +1942,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let slow = Arc::new(AtomicBool::new(false));
         let cfg = Config::cluster(3);
-        let cluster = stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |id| {
-            let slow = Arc::clone(&slow);
-            Box::new(move || {
-                if id == ProcessId(0) && slow.load(Ordering::SeqCst) {
-                    std::thread::sleep(SLOW);
-                }
-            })
-        });
+        let (cluster, _) =
+            stalling_cluster(cfg, ReactorConfig::default(), kv_factory, &root, |id| {
+                let slow = Arc::clone(&slow);
+                Box::new(move || {
+                    if id == ProcessId(0) && slow.load(Ordering::SeqCst) {
+                        std::thread::sleep(SLOW);
+                    }
+                })
+            });
         let mut client = cluster.client();
         let first = client.call(RequestKind::Write, put("k", "0"));
         assert!(matches!(first, Some(ReplyBody::Ok(_))), "got {first:?}");
@@ -1991,7 +2006,7 @@ mod tests {
         };
         let stalling = Arc::new(AtomicBool::new(false));
         let stalled = Arc::new(AtomicU64::new(0));
-        let cluster = stalling_cluster(cfg, rcfg, noop_factory, &root, |id| {
+        let (cluster, _) = stalling_cluster(cfg, rcfg, noop_factory, &root, |id| {
             if id == ProcessId(0) {
                 stall_while(&stalling, &stalled)
             } else {

@@ -15,7 +15,8 @@ use bytes::Bytes;
 use gridpaxos::core::client::{ClientCore, CompletedOp};
 use gridpaxos::core::log::LOG_BYTES_FLOOR;
 use gridpaxos::core::msg::{ImageRun, Msg};
-use gridpaxos::core::outbox::{release, Out, Outbox, Wire};
+use gridpaxos::core::node::{Node, TimerOps};
+use gridpaxos::core::outbox::Out;
 use gridpaxos::core::prelude::*;
 use gridpaxos::services::{KvOp, KvStore, ShipMode, SizedApp};
 use gridpaxos::transport::wire::{decode_msg, encode_to_bytes};
@@ -33,12 +34,12 @@ struct Net {
     cfg: Config,
     app: fn(usize) -> Box<dyn App>,
     state: usize,
-    replicas: Vec<Option<Replica>>,
+    nodes: Vec<Option<Node>>,
     queue: VecDeque<(Addr, Addr, Bytes)>,
     client_inbox: Vec<Msg>,
     now: Time,
-    outbox: Outbox,
-    stepping: usize,
+    /// The replica whose step is being released.
+    stepping: u32,
     /// Every catch-up reply sent: its encoded length and its image run.
     replies: Vec<(usize, Option<ImageRun>)>,
 }
@@ -49,17 +50,16 @@ impl Net {
             cfg,
             app,
             state,
-            replicas: Vec::new(),
+            nodes: Vec::new(),
             queue: VecDeque::new(),
             client_inbox: Vec::new(),
             now: Time::ZERO,
-            outbox: Outbox::default(),
             stepping: 0,
             replies: Vec::new(),
         };
         for p in 0..3 {
-            let r = net.fresh(p);
-            net.replicas.push(Some(r));
+            let node = net.fresh(p);
+            net.nodes.push(Some(node));
         }
         for p in 0..3 {
             net.start(p);
@@ -68,53 +68,55 @@ impl Net {
         net
     }
 
-    fn fresh(&self, p: u32) -> Replica {
-        let (app, disk) = ((self.app)(self.state), Box::new(MemStorage::new()));
-        Replica::new(
+    /// Replica `p` on `disk`: fresh on an empty one, recovered otherwise.
+    fn open(&self, p: u32, disk: Box<dyn Storage>, seed: u64) -> Node {
+        let app = |_| (self.app)(self.state);
+        Node::open(
             ProcessId(p),
             self.cfg.clone(),
-            app,
-            disk,
-            11 + u64::from(p),
+            vec![disk],
+            &app,
+            seed,
             self.now,
         )
     }
 
+    fn fresh(&self, p: u32) -> Node {
+        self.open(p, Box::new(MemStorage::new()), 11 + u64::from(p))
+    }
+
     fn start(&mut self, p: u32) {
-        let now = self.now;
-        let actions = self.replica_mut(p).on_start(now);
-        self.step(p, actions);
+        self.step(p, |node, now, timers| node.start(now, timers));
     }
 
     fn replica(&self, p: u32) -> &Replica {
-        self.replicas[p as usize].as_ref().expect("live")
+        let node = self.nodes[p as usize].as_ref().expect("live");
+        node.group(GroupId::ZERO).expect("one group")
     }
 
     fn replica_mut(&mut self, p: u32) -> &mut Replica {
-        self.replicas[p as usize].as_mut().expect("live")
+        &mut self.nodes[p as usize].as_mut().expect("live").groups_mut()[0]
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Replica> {
+        let nodes = self.nodes.iter().flatten();
+        nodes.filter_map(|node| node.group(GroupId::ZERO))
     }
 
     fn leader(&self) -> Option<u32> {
-        (0..3).find(|p| {
-            self.replicas[*p as usize]
-                .as_ref()
-                .is_some_and(Replica::is_leader)
-        })
+        (0..3).find(|p| self.nodes[*p as usize].is_some() && self.replica(*p).is_leader())
     }
 
-    /// Replica `p`'s step leaves through the one release every loop uses.
-    fn step(&mut self, p: u32, actions: Vec<Action>) {
-        self.stepping = p as usize;
-        let from = self.replicas[p as usize].as_ref().expect("live");
-        for a in actions {
-            let out = match a {
-                Action::Send { to, msg } => Out::One(to, msg),
-                Action::ToAllReplicas { msg } => Out::All(msg),
-                Action::SetTimer { .. } | Action::CancelTimer { .. } => continue,
-            };
-            self.outbox.push(out, from);
-        }
-        release(self);
+    /// One step of replica `p`, if it is up: `run` on its node, then the
+    /// release, over this network.
+    fn step(&mut self, p: u32, run: impl FnOnce(&mut Node, Time, &mut TimerOps)) {
+        let Some(mut node) = self.nodes[p as usize].take() else {
+            return;
+        };
+        run(&mut node, self.now, &mut TimerOps::new());
+        self.stepping = p;
+        node.release(self);
+        self.nodes[p as usize] = Some(node);
     }
 
     fn send(&mut self, from: Addr, to: Addr, msg: &Msg) {
@@ -131,10 +133,9 @@ impl Net {
             let msg = decode_msg(&mut frame).expect("every frame decodes");
             match to {
                 Addr::Replica(p) => {
-                    if let Some(r) = self.replicas[p.0 as usize].as_mut() {
-                        let actions = r.on_message(from, msg, self.now);
-                        self.step(p.0, actions);
-                    }
+                    self.step(p.0, |node, now, timers| {
+                        node.deliver(from, msg, now, timers)
+                    });
                 }
                 Addr::Client(_) => self.client_inbox.push(msg),
             }
@@ -142,9 +143,9 @@ impl Net {
     }
 
     fn fire(&mut self, p: u32, kind: TimerKind) {
-        let now = self.now;
-        let actions = self.replica_mut(p).on_timer(kind, now);
-        self.step(p, actions);
+        self.step(p, |node, now, timers| {
+            node.fire(GroupId::ZERO, kind, now, timers);
+        });
         self.run();
     }
 
@@ -153,10 +154,8 @@ impl Net {
     }
 
     fn crash(&mut self, p: u32) -> Box<dyn Storage> {
-        self.replicas[p as usize]
-            .take()
-            .expect("live")
-            .into_storage()
+        let node = self.nodes[p as usize].take().expect("live");
+        node.into_storages().pop().expect("one group")
     }
 
     /// The client's actions reach the replicas; its replies come back.
@@ -199,9 +198,8 @@ impl Net {
         let lead = self.leader().expect("a leader");
         for _ in 0..64 {
             let prefix = self.replica(lead).chosen_prefix();
-            let live = self.replicas.iter().flatten();
-            if live.clone().all(|r| r.chosen_prefix() == prefix) {
-                let states: Vec<_> = live.map(Replica::service_snapshot).collect();
+            if self.live().all(|r| r.chosen_prefix() == prefix) {
+                let states: Vec<_> = self.live().map(Replica::service_snapshot).collect();
                 assert!(states.windows(2).all(|w| w[0] == w[1]), "states diverged");
                 return;
             }
@@ -228,17 +226,9 @@ impl Net {
     }
 }
 
-impl Wire for Net {
-    fn cores(&mut self) -> &mut [Replica] {
-        self.replicas[self.stepping].as_mut_slice()
-    }
-
-    fn outbox(&mut self) -> &mut Outbox {
-        &mut self.outbox
-    }
-
+impl gridpaxos::core::node::Net for Net {
     fn transmit(&mut self, outs: &mut Vec<Out>) {
-        let me = self.stepping as u32;
+        let me = self.stepping;
         let from = Addr::Replica(ProcessId(me));
         for out in outs.drain(..) {
             match out {
@@ -278,7 +268,7 @@ fn failover_behind_a_truncated_log(state: usize) {
     let cfg = Config::cluster(3)
         .with_checkpoint_every(2)
         .with_checkpoint_chunk_bytes(256 << 10);
-    let mut net = Net::new(cfg.clone(), sized, state);
+    let mut net = Net::new(cfg, sized, state);
     let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
     writes(&mut net, &mut c, 1);
     let disk = net.crash(2);
@@ -288,8 +278,7 @@ fn failover_behind_a_truncated_log(state: usize) {
         "r1 truncated its log"
     );
 
-    let app = sized(state);
-    net.replicas[2] = Some(Replica::recover(ProcessId(2), cfg, app, disk, 7, net.now));
+    net.nodes[2] = Some(net.open(2, disk, 7));
     assert_eq!(net.replica(2).chosen_prefix(), Instance(1), "r2 is behind");
     net.crash(0);
     net.advance(10_000);
@@ -339,7 +328,7 @@ fn a_monolithic_image_past_16_mib_is_pulled_in_bounded_pieces() {
     let mut net = Net::new(cfg, sized, 17 * MIB);
     let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
     writes(&mut net, &mut c, 5);
-    net.replicas[2] = Some(net.fresh(2));
+    net.nodes[2] = Some(net.fresh(2));
     net.start(2);
     net.run();
     net.converge();
@@ -396,7 +385,7 @@ fn a_chunked_kvstore_image_is_pulled_in_bounded_replies() {
             net.replica_mut(p).pump_checkpoint(usize::MAX);
         }
     }
-    net.replicas[2] = Some(net.fresh(2));
+    net.nodes[2] = Some(net.fresh(2));
     net.start(2);
     net.run();
     net.converge();
@@ -414,7 +403,7 @@ fn an_image_of_more_than_65536_pieces_installs() {
     let mut net = Net::new(cfg, sized, 70_000);
     let mut c = ClientCore::new(ClientId(1), 3, Dur::from_millis(100));
     writes(&mut net, &mut c, 3);
-    net.replicas[2] = Some(net.fresh(2));
+    net.nodes[2] = Some(net.fresh(2));
     net.start(2);
     net.run();
     net.converge();
