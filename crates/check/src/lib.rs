@@ -2,9 +2,9 @@
 //!
 //! Correctness tooling for the gridpaxos protocol core, two engines:
 //!
-//! * **Model checker** ([`harness`], [`explore`], [`invariants`]): hosts
-//!   real [`gridpaxos_core::node::Node`]s through bounded,
-//!   exhaustive state-space exploration — every interleaving of message
+//! * **Model checker** ([`harness`], [`explore`](mod@explore),
+//!   [`invariants`]): hosts real [`gridpaxos_core::node::Node`]s through
+//!   bounded, exhaustive state-space exploration — every interleaving of message
 //!   delivery, drop, duplication, timer firing and leader crash up to a
 //!   depth bound — asserting the paper's safety invariants (§3.3–§3.6)
 //!   after every transition. Run it with `cargo run -p check --release`.

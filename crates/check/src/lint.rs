@@ -352,7 +352,7 @@ fn binds_guard(init: &str) -> bool {
 
 /// Rule 7: one guard at a time. For every `let NAME = <acquisition>;`
 /// the guard is live to `drop(NAME)` or the end of its block, and each
-/// [`UNDER_A_GUARD`] token in that span is a finding. Runs on
+/// `UNDER_A_GUARD` token in that span is a finding. Runs on
 /// noise-stripped, test-masked source.
 #[must_use]
 pub fn check_one_guard(file: &str, masked: &str) -> Vec<Finding> {

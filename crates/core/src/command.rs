@@ -8,6 +8,7 @@
 use crate::request::{ReplyBody, Request, RequestId};
 use crate::types::{ClientId, Instance, Seq, TxnId};
 use bytes::Bytes;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How the leader's post-execution state is shipped to the backups.
@@ -135,6 +136,28 @@ pub struct DecreeEntry {
     pub reply: ReplyBody,
 }
 
+impl DecreeEntry {
+    /// Where the reply's payload lies in the update's, if it is a slice of
+    /// the update's buffer (a `KvStore` `Put` answers with the value its
+    /// delta carries): the byte range within the update payload. Such a
+    /// reply is shipped and logged once — the wire codec writes it as a
+    /// reference into the update — and [`Decree::payload_bytes`] counts it
+    /// once. An empty reply is never a slice.
+    #[must_use]
+    pub fn reply_in_update(&self) -> Option<Range<usize>> {
+        let reply = self.reply.payload().filter(|p| !p.is_empty())?;
+        let update = match &self.update {
+            StateUpdate::None => return None,
+            StateUpdate::Full(b) | StateUpdate::Delta(b) | StateUpdate::Reproduce(b) => b,
+        };
+        // Two live buffers never overlap, so a reply whose bytes lie in
+        // the update's range is a view of them.
+        let start = (reply.as_ptr() as usize).checked_sub(update.as_ptr() as usize)?;
+        let end = start + reply.len();
+        (end <= update.len()).then_some(start..end)
+    }
+}
+
 /// The full value chosen by one consensus instance.
 ///
 /// A decree is a *batch*: the leader executes every request that queued up
@@ -172,11 +195,17 @@ impl Decree {
 
     /// Payload bytes the decree holds: operation, update and reply of every
     /// entry — what the service's values make of it, fixed-size framing left
-    /// out. The unit of the log's byte budget ([`crate::log::LOG_BYTES_FLOOR`]).
+    /// out, and a reply inside its update ([`DecreeEntry::reply_in_update`])
+    /// counted once. The unit of the log's byte budget
+    /// ([`crate::log::LOG_BYTES_FLOOR`]).
     #[must_use]
     pub fn payload_bytes(&self) -> u64 {
         let of = |e: &DecreeEntry| {
-            e.cmd.op_bytes() + e.update.payload_len() + e.reply.payload().map_or(0, |p| p.len())
+            let reply = match e.reply_in_update() {
+                Some(_) => 0,
+                None => e.reply.payload().map_or(0, |p| p.len()),
+            };
+            e.cmd.op_bytes() + e.update.payload_len() + reply
         };
         self.entries.iter().map(of).sum::<usize>() as u64
     }
@@ -280,5 +309,45 @@ mod tests {
         );
         assert!(d.answers(rid));
         assert!(!d.answers(RequestId::new(ClientId(4), Seq(3))));
+    }
+
+    /// A reply is inside its update only as a non-empty view of the
+    /// update's own buffer, and is then counted once.
+    #[test]
+    fn a_reply_inside_its_update_is_named_and_counted_once() {
+        let delta = Bytes::from(vec![3u8; 100]);
+        let entry = |update: StateUpdate, reply: Bytes| DecreeEntry {
+            cmd: Command::Noop,
+            update,
+            reply: ReplyBody::Ok(reply),
+        };
+        let shared = entry(StateUpdate::Delta(delta.clone()), delta.slice(60..100));
+        assert_eq!(shared.reply_in_update(), Some(60..100));
+        let whole = entry(StateUpdate::Full(delta.clone()), delta.clone());
+        assert_eq!(whole.reply_in_update(), Some(0..100));
+        let copied = entry(
+            StateUpdate::Delta(delta.clone()),
+            Bytes::copy_from_slice(&delta[60..]),
+        );
+        assert_eq!(copied.reply_in_update(), None);
+        let empty = entry(StateUpdate::Delta(delta.clone()), delta.slice(10..10));
+        assert_eq!(empty.reply_in_update(), None);
+        // The update is shorter than the buffer the reply views.
+        let shorter = entry(
+            StateUpdate::Reproduce(delta.slice(0..50)),
+            delta.slice(40..60),
+        );
+        assert_eq!(shorter.reply_in_update(), None);
+        let no_update = entry(StateUpdate::None, delta.slice(0..10));
+        assert_eq!(no_update.reply_in_update(), None);
+        let weigh = |e: DecreeEntry| {
+            Decree {
+                entries: Arc::new([e]),
+            }
+            .payload_bytes()
+        };
+        assert_eq!(weigh(shared), 100);
+        assert_eq!(weigh(copied), 140);
+        assert_eq!(weigh(no_update), 10);
     }
 }

@@ -346,7 +346,12 @@ impl Msg {
                         // tag + id (16) + txn (8) + commit + record flags.
                         crate::command::Command::TxnDecide { .. } => 27,
                     };
-                    cmd + update_len(&e.update) + reply_body_len(&e.reply)
+                    // A reply inside its update is a tag and a range.
+                    let reply = match e.reply_in_update() {
+                        Some(_) => 9,
+                        None => reply_body_len(&e.reply),
+                    };
+                    cmd + update_len(&e.update) + reply
                 })
                 .sum::<usize>()
         }

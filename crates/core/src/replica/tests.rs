@@ -3109,9 +3109,12 @@ fn only_a_plain_write_whose_update_subsumes_it_loses_its_body() {
     assert_eq!(d.entries[0].cmd.request_id(), Some(id(1)));
     assert_eq!(d.entries[0].update.payload_len(), n);
     assert_eq!(d.entries[0].reply, ReplyBody::Ok(op.clone()));
-    // Operation + update + reply: two, two, three, none, two, none and
-    // one copy of the op, and the six bytes of "commit" twice.
-    assert_eq!(d.payload_bytes(), (10 * n + 2 * 6) as u64);
+    // The app answers a write with its update's own buffer: the reply is
+    // a slice of the update, counted once.
+    assert_eq!(d.entries[0].reply_in_update(), Some(0..n));
+    // Operation + update + reply: one, two, two, none, two, none and one
+    // copy of the op, and the six bytes of "commit" twice.
+    assert_eq!(d.payload_bytes(), (8 * n + 2 * 6) as u64);
 }
 
 // ----------------------------------------------------------------------

@@ -13,11 +13,11 @@
 //!   `Prepare2pc`, resolved only by a decide — beside the home group's
 //!   `decisions`.
 //!
-//! Five files: [`ops`] is what crosses the boundary ([`KvOp`], the write
+//! Five files: `ops` is what crosses the boundary ([`KvOp`], the write
 //! it resolves to, the deltas a decree ships, replies, codecs, the shard
-//! router); [`intents`] the one shape of a staged write (`Intents`) and
-//! the decision table; [`image`] the snapshot image, the first-touch
-//! overlay and chunked emission; [`audit`] what a quiescent deployment
+//! router); `intents` the one shape of a staged write (`Intents`) and
+//! the decision table; `image` the snapshot image, the first-touch
+//! overlay and chunked emission; `audit` what a quiescent deployment
 //! that ran transfers must satisfy; this file [`KvStore`] and its `App`.
 //!
 //! One rule: **a key has at most one holder across the three `Intents`**,
@@ -305,14 +305,14 @@ impl KvStore {
         }
     }
 
-    /// Resolve a write op to the concrete write it implies and its reply.
-    /// An `Add` reads the current value through `view` and becomes the
-    /// `Put` of the sum — wrapping, as the release binaries always have:
-    /// the operands are the client's, and a checked sum would be a panic
-    /// inside `execute`.
-    fn write_of(&self, view: View<'_>, key: String, change: Change) -> (KvWrite, Bytes) {
+    /// Resolve a write op to the concrete write it implies; its reply is
+    /// the value it stores, empty for a delete. An `Add` reads the current
+    /// value through `view` and becomes the `Put` of the sum — wrapping, as
+    /// the release binaries always have: the operands are the client's,
+    /// and a checked sum would be a panic inside `execute`.
+    fn write_of(&self, view: View<'_>, key: String, change: Change) -> KvWrite {
         let value = match change {
-            Change::Del => return (KvWrite::Del(key), Bytes::new()),
+            Change::Del => return KvWrite::Del(key),
             Change::Put(v) => v,
             Change::Add(d) => {
                 let cur = self.read_through(view, &key);
@@ -320,8 +320,7 @@ impl KvStore {
                 cur.wrapping_add(d).to_string()
             }
         };
-        let reply = value_reply(Some(&value));
-        (KvWrite::Put(key, value), reply)
+        KvWrite::Put(key, value)
     }
 
     /// Resolve a 2PC transaction locally: record the decision if asked
@@ -401,10 +400,12 @@ impl App for KvStore {
         if self.held_by_other(&key, None) {
             return (Bytes::from_static(b"\0LOCKED"), StateUpdate::None);
         }
-        // The decoded value is copied into the reply and into the delta,
-        // then moved into the store.
-        let (w, reply) = self.write_of(None, key, change);
+        // The decoded value is copied into the delta, then moved into the
+        // store. A put's value ends its delta and is its reply: the reply
+        // is that slice, so the decree ships and logs the value once.
+        let w = self.write_of(None, key, change);
         let delta = KvDelta::encode_apply_writes(std::slice::from_ref(&w));
+        let reply = delta.slice(delta.len() - w.value().map_or(0, str::len)..);
         self.commit_writes([w]);
         // The delta names its own key and value; `apply` reads `req.txn`
         // (the payload-less abort) and never `req.op`.
@@ -472,7 +473,8 @@ impl App for KvStore {
         if self.held_by_other(&key, Some(t)) {
             return Err(AbortReason::Conflict);
         }
-        let (w, reply) = self.write_of(Some((staged, t)), key, change);
+        let w = self.write_of(Some((staged, t)), key, change);
+        let reply = Bytes::copy_from_slice(w.value().unwrap_or_default().as_bytes());
         if !durable {
             self.volatile.stage(t, w);
             return Ok((reply, StateUpdate::None)); // not replicated
@@ -548,7 +550,7 @@ impl App for KvStore {
         // starts over).
         let mut resolved = Intents::default();
         for (key, change) in leg {
-            let (w, _reply) = self.write_of(Some((&resolved, t)), key, change);
+            let w = self.write_of(Some((&resolved, t)), key, change);
             resolved.stage(t, w);
         }
         let delta = KvDelta::Prepare2pc(t, resolved.take(t).unwrap_or_default());
@@ -688,6 +690,36 @@ mod tests {
         backup.apply(&del, &up);
         assert_eq!(leader.get("a"), None);
         assert_eq!(backup, leader);
+    }
+
+    /// A plain write answers with the value its delta carries, as a slice
+    /// of the delta, so its decree ships and logs the value once; a delete
+    /// answers with nothing.
+    #[test]
+    fn a_writes_reply_is_a_slice_of_its_delta() {
+        use gridpaxos_core::command::{Command, DecreeEntry};
+        use gridpaxos_core::request::ReplyBody;
+        let mut s = KvStore::new();
+        let long = "v".repeat(2048);
+        for (seq, op, want) in [
+            (1, KvOp::Put("k".into(), long.clone()), long.as_str()),
+            (2, KvOp::Add("n".into(), 5), "5"),
+            (3, KvOp::Add("n".into(), -7), "-2"),
+            (4, KvOp::Del("k".into()), ""),
+        ] {
+            let (reply, update) = exec(&mut s, &req(seq, RequestKind::Write, &op));
+            assert_eq!(reply, want.as_bytes());
+            let entry = DecreeEntry {
+                cmd: Command::Noop,
+                update,
+                reply: ReplyBody::Ok(reply),
+            };
+            assert_eq!(
+                entry.reply_in_update().is_some(),
+                !want.is_empty(),
+                "{op:?}"
+            );
+        }
     }
 
     #[test]

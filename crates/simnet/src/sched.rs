@@ -1,8 +1,8 @@
 //! Deterministic timer bookkeeping shared by event-driven harnesses.
 //!
 //! The sans-io replica asks its environment to arm and cancel named timers
-//! ([`gridpaxos_core::replica::Action::SetTimer`] /
-//! [`gridpaxos_core::replica::Action::CancelTimer`]). An event-driven
+//! ([`gridpaxos_core::action::Action::SetTimer`] /
+//! [`gridpaxos_core::action::Action::CancelTimer`]). An event-driven
 //! harness (the simulator's [`crate::world::World`], the model checker in
 //! `crates/check`) cannot delete an already-scheduled firing from its
 //! queue cheaply, so both use the same *generation* scheme: every arm or

@@ -6,9 +6,10 @@
 //!   A peer that stops reading cannot make the node buffer unboundedly;
 //!   once the cap is reached, further frames are refused (the caller
 //!   counts the drop — Paxos retransmission recovers coordination
-//!   traffic, client retry timers recover replies). The queue tolerates
-//!   partial writes: a frame interrupted by `EWOULDBLOCK` resumes at the
-//!   exact byte offset on the next writable event.
+//!   traffic, client retry timers recover replies). A flush hands the
+//!   kernel many frames in one vectored write, and tolerates partial
+//!   writes: a frame cut by a short write or `EWOULDBLOCK` resumes at
+//!   the exact byte offset.
 //!
 //! * [`AdmissionGate`] — a node-wide hysteresis switch over inbound
 //!   load. Above the high-water mark the gate **sheds**: new client
@@ -21,7 +22,12 @@
 
 use bytes::Bytes;
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
+
+/// Most queued frames [`SendQueue::flush_into`] hands the kernel in one
+/// vectored write: a decree's replies to one client connection leave in
+/// one syscall, not one per frame.
+const MAX_IOVECS: usize = 64;
 
 /// Outcome of [`SendQueue::flush_into`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,29 +93,26 @@ impl SendQueue {
         true
     }
 
-    /// Write as much queued data as the socket accepts, resuming any
-    /// partially-written head frame. Uses plain `write` (never
-    /// `write_all`) so a slow peer blocks the *connection*, not the
-    /// reactor thread.
+    /// Write as much queued data as the socket accepts, up to 64 frames
+    /// per `write_vectored` call (one `writev(2)` on a socket), resuming
+    /// any partially-written head frame. Never `write_all`, so a slow
+    /// peer blocks the *connection*, not the reactor thread.
     pub fn flush_into(&mut self, w: &mut impl Write) -> io::Result<FlushOutcome> {
-        while let Some(head) = self.frames.front() {
-            let rest = &head[self.head_off..];
-            match w.write(rest) {
+        while !self.frames.is_empty() {
+            let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+            let n = self.frames.len().min(MAX_IOVECS);
+            for (slot, frame) in iov.iter_mut().zip(&self.frames) {
+                *slot = IoSlice::new(frame);
+            }
+            iov[0] = IoSlice::new(&self.frames[0][self.head_off..]);
+            match w.write_vectored(&iov[..n]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
                         "socket accepted zero bytes",
                     ));
                 }
-                Ok(n) => {
-                    self.queued -= n;
-                    if n == rest.len() {
-                        self.head_off = 0;
-                        self.frames.pop_front();
-                    } else {
-                        self.head_off += n;
-                    }
-                }
+                Ok(written) => self.consume(written),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     return Ok(FlushOutcome::Blocked);
                 }
@@ -118,6 +121,22 @@ impl SendQueue {
             }
         }
         Ok(FlushOutcome::Drained)
+    }
+
+    /// Drop `n` written bytes off the front: whole frames, then an
+    /// offset into the one the write stopped in.
+    fn consume(&mut self, mut n: usize) {
+        self.queued -= n;
+        while let Some(head) = self.frames.front() {
+            let rest = head.len() - self.head_off;
+            if n < rest {
+                self.head_off += n;
+                return;
+            }
+            n -= rest;
+            self.head_off = 0;
+            self.frames.pop_front();
+        }
     }
 }
 
@@ -164,6 +183,7 @@ impl AdmissionGate {
 #[allow(clippy::disallowed_methods)] // tests drive the loop from blocking sockets
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A writer accepting at most `budget` bytes per call, then
     /// `WouldBlock` — a socket whose peer stalls.
@@ -250,6 +270,115 @@ mod tests {
         };
         assert_eq!(q.flush_into(&mut w).unwrap(), FlushOutcome::Drained);
         assert!(q.push(Bytes::from(vec![0u8; 1])), "space again after drain");
+    }
+
+    /// One answer of a scripted socket to one `write_vectored` call.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Accept at most this many bytes (a short write, cut anywhere).
+        Take(usize),
+        WouldBlock,
+        Interrupted,
+        /// Accept nothing and say so: `Ok(0)`.
+        Zero,
+    }
+
+    /// A socket answering each `write_vectored` call with the next step of
+    /// its script, then accepting everything; it keeps what it took and
+    /// counts its calls.
+    struct Scripted {
+        script: VecDeque<Step>,
+        accepted: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Scripted {
+        fn new(script: impl IntoIterator<Item = Step>) -> Scripted {
+            Scripted {
+                script: script.into_iter().collect(),
+                accepted: Vec::new(),
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let budget = match self.script.pop_front() {
+                Some(Step::Take(n)) => n,
+                None => usize::MAX,
+                Some(Step::WouldBlock) => return Err(io::ErrorKind::WouldBlock.into()),
+                Some(Step::Interrupted) => return Err(io::ErrorKind::Interrupted.into()),
+                Some(Step::Zero) => return Ok(0),
+            };
+            let mut took = 0;
+            for b in bufs {
+                let n = b.len().min(budget - took);
+                self.accepted.extend_from_slice(&b[..n]);
+                took += n;
+            }
+            Ok(took)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (1usize..300).prop_map(Step::Take),
+            Just(Step::WouldBlock),
+            Just(Step::Interrupted),
+            Just(Step::Zero),
+        ]
+    }
+
+    proptest! {
+        /// Whatever the socket takes per call — a cut mid-frame, nothing,
+        /// an interruption, a zero-byte write — the bytes reaching it are
+        /// the frames concatenated, and `queued_bytes` is exactly what has
+        /// not reached it after every flush.
+        #[test]
+        fn a_flush_delivers_the_frames_concatenated_and_counts_exactly(
+            frames in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..40), 0..150),
+            script in proptest::collection::vec(step(), 0..40),
+        ) {
+            let mut q = SendQueue::new(usize::MAX);
+            for f in &frames {
+                prop_assert!(q.push(Bytes::from(f.clone())));
+            }
+            let want = frames.concat();
+            let mut w = Scripted::new(script);
+            loop {
+                let outcome = q.flush_into(&mut w);
+                prop_assert_eq!(q.queued_bytes(), want.len() - w.accepted.len());
+                match outcome {
+                    Ok(FlushOutcome::Drained) => break,
+                    Ok(FlushOutcome::Blocked) => {}
+                    Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::WriteZero),
+                }
+            }
+            prop_assert_eq!(w.accepted, want);
+            prop_assert!(q.is_empty());
+        }
+    }
+
+    /// A socket that takes everything is handed 64 frames per call.
+    #[test]
+    fn an_unlimited_writer_takes_sixty_four_frames_a_call() {
+        for frames in [1usize, 2, 63, 64, 65, 128, 129, 300] {
+            let mut q = SendQueue::new(usize::MAX);
+            for i in 0..frames {
+                q.push(Bytes::from(vec![i as u8; 1 + i % 7]));
+            }
+            let mut w = Scripted::new([]);
+            assert_eq!(q.flush_into(&mut w).unwrap(), FlushOutcome::Drained);
+            assert_eq!(w.calls, frames.div_ceil(64), "{frames} frames");
+        }
     }
 
     #[test]

@@ -1189,6 +1189,137 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// Three `KvStore` puts of 32-byte values as a leader decrees them:
+    /// the delta names the key and the value, and the reply — the value —
+    /// is a slice of the delta, or (`inline`) its own copy, as every WAL
+    /// written before replies were shipped by reference holds it.
+    fn kv_puts(inline: bool) -> Vec<Decree> {
+        (1..=3u64)
+            .map(|seq| {
+                let (key, value) = (format!("k{seq}"), format!("{seq}").repeat(32));
+                let mut delta = BytesMut::new();
+                delta.put_u8(0); // apply writes
+                delta.put_u32_le(1); // one write
+                delta.put_u8(0); // a put
+                for s in [&key, &value] {
+                    delta.put_u32_le(s.len() as u32);
+                    delta.put_slice(s.as_bytes());
+                }
+                let delta = delta.freeze();
+                let reply = delta.slice(delta.len() - value.len()..);
+                let reply = if inline {
+                    Bytes::copy_from_slice(&reply)
+                } else {
+                    reply
+                };
+                let id = RequestId::new(ClientId(1), Seq(seq));
+                Decree::single(
+                    Command::Req(Request::new(id, RequestKind::Write, Bytes::new())),
+                    StateUpdate::Delta(delta),
+                    ReplyBody::Ok(reply),
+                )
+            })
+            .collect()
+    }
+
+    /// One record with a reply inside its update, assembled by hand: the
+    /// reply is a tag, an offset and a length into the delta, not a copy.
+    #[test]
+    fn a_shared_reply_record_is_written_once() {
+        let dir = tmpdir("shared-reply");
+        let d = kv_puts(false).swap_remove(0);
+        let StateUpdate::Delta(delta) = &d.entries[0].update else {
+            panic!("a put ships a delta")
+        };
+        assert_eq!(
+            d.entries[0].reply_in_update(),
+            Some(delta.len() - 32..delta.len())
+        );
+        {
+            let mut s = FileStorage::open_with_mode(&dir, SyncMode::Batched).unwrap();
+            s.save_accepted(Instance(1), ballot(3), &d);
+            s.flush();
+        }
+        let got = fs::read(dir.join("wal.log")).unwrap();
+
+        let mut rec = vec![TAG_ACCEPTED];
+        rec.extend(1u64.to_le_bytes()); // instance
+        rec.extend(3u64.to_le_bytes()); // ballot round
+        rec.extend(0u32.to_le_bytes()); // ballot proposer
+        rec.extend(1u32.to_le_bytes()); // one entry
+        rec.push(1); // Command::Req
+        rec.extend(1u64.to_le_bytes()); // client
+        rec.extend(1u64.to_le_bytes()); // seq
+        rec.push(1); // RequestKind::Write
+        rec.push(0); // no transaction
+        rec.extend(0u32.to_le_bytes()); // no operation body
+        rec.push(2); // StateUpdate::Delta
+        rec.extend((delta.len() as u32).to_le_bytes());
+        rec.extend_from_slice(delta);
+        rec.push(6); // the reply inside the update
+        rec.extend((delta.len() as u32 - 32).to_le_bytes()); // offset
+        rec.extend(32u32.to_le_bytes()); // length
+        let mut expect = Vec::new();
+        write_frame(&mut expect, &rec).unwrap();
+        assert_eq!(got, expect, "WAL bytes changed");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// A WAL whose replies are inline opens and replays to the state a WAL
+    /// of the same decrees with shared replies gives, 32 bytes a record
+    /// longer, less the reference's 9.
+    #[test]
+    fn a_wal_with_inline_replies_replays_to_the_same_state() {
+        use gridpaxos_core::service::App;
+        use gridpaxos_services::KvStore;
+        let (inline, shared) = (tmpdir("inline-replies"), tmpdir("shared-replies"));
+        for (dir, copy) in [(&inline, true), (&shared, false)] {
+            let mut s = FileStorage::open_with_mode(dir, SyncMode::Batched).unwrap();
+            s.save_promised(ballot(2));
+            for (i, d) in (1..).zip(kv_puts(copy)) {
+                assert_eq!(d.entries[0].reply_in_update().is_some(), !copy);
+                s.save_accepted(Instance(i), ballot(2), &d);
+            }
+            s.save_chosen_prefix(Instance(3));
+            s.flush();
+        }
+        let size = |d: &PathBuf| fs::metadata(d.join("wal.log")).unwrap().len();
+        assert_eq!(size(&inline), size(&shared) + 3 * (1 + 4 + 32 - 9));
+        let replay = |dir: &PathBuf| {
+            let d = FileStorage::open_with_mode(dir, SyncMode::Batched)
+                .unwrap()
+                .load();
+            let mut store = KvStore::new();
+            for (_, decree) in d.accepted.values() {
+                for e in decree.entries.iter() {
+                    let Command::Req(req) = &e.cmd else {
+                        panic!("a put")
+                    };
+                    store.apply(req, &e.update);
+                }
+            }
+            (d, store)
+        };
+        let (from_inline, from_shared) = (replay(&inline), replay(&shared));
+        assert_eq!(from_inline.0.accepted, from_shared.0.accepted);
+        // Each replays as it was written: a reference decodes to a slice
+        // of its update, an inline reply to its own bytes.
+        for (d, shared) in [(&from_inline.0, false), (&from_shared.0, true)] {
+            assert!(d
+                .accepted
+                .values()
+                .all(|(_, d)| d.entries[0].reply_in_update().is_some() == shared));
+        }
+        assert_eq!(from_inline.0.chosen_prefix, Instance(3));
+        assert_eq!(from_inline.1.snapshot(), from_shared.1.snapshot());
+        for seq in 1..=3u64 {
+            let value = format!("{seq}").repeat(32);
+            assert_eq!(from_inline.1.get(&format!("k{seq}")), Some(value.as_str()));
+        }
+        fs::remove_dir_all(inline).ok();
+        fs::remove_dir_all(shared).ok();
+    }
+
     #[test]
     fn counters_expose_group_commit_amortization() {
         let dir = tmpdir("counters");

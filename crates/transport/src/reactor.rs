@@ -15,7 +15,7 @@
 //! ([`gridpaxos_core::outbox`]: `Accept`s to the kernel, one fsync for
 //! the whole batch, then everything else) and the barrier away. The
 //! reactor is the host: epoll, the connections, the admission gate, the
-//! inbox and its [`MAX_DRAIN`] cap, the timer table, one checkpoint chunk
+//! inbox and its `MAX_DRAIN` cap, the timer table, one checkpoint chunk
 //! per group per cycle, the counters, and `Sockets`, the node's [`Net`].
 //! `Sockets` lends the barrier to a thread of a process-wide pool
 //! (`crate::barrier`), and the loop goes on delivering to the node —
@@ -31,17 +31,19 @@
 //! loop owns too: nonblocking sockets, reads drained until `EWOULDBLOCK`
 //! into a per-connection [`FrameDecoder`](crate::FrameDecoder) that
 //! tolerates frames torn at any byte offset, writes through a
-//! byte-bounded [`SendQueue`](crate::SendQueue) that resumes a partial
-//! frame at its offset. A frame that does not decode, or a length prefix
-//! past `MAX_FRAME`, closes its connection and nothing else. The loop
-//! blocks only in [`Epoll::wait_for`], until the next timer is due at the
-//! clock's resolution ([`Reactor::wait`]): the leader's batch window is
-//! 100 µs, and whole milliseconds would cost every loaded decree ten
-//! times that.
+//! byte-bounded [`SendQueue`](crate::SendQueue): one `writev` per
+//! connection per cycle, up to 64 queued frames a call, resuming a
+//! partial frame at its offset. A frame that does not decode, or a
+//! length prefix past `MAX_FRAME`, closes its connection and nothing
+//! else. The loop blocks only in
+//! [`Epoll::wait_for`](crate::sys::Epoll::wait_for), until the next timer
+//! is due at the clock's resolution (`Reactor::wait`): the leader's batch
+//! window is 100 µs, and whole milliseconds would cost every loaded
+//! decree ten times that.
 //!
 //! ## The way out
 //!
-//! [`Reactor::run`] waits for a barrier still away and ends with
+//! `Reactor::run` waits for a barrier still away and ends with
 //! [`Node::stop`]: a release with the barrier on its own thread, then
 //! [`Replica::stop`] on every group, so the replicas
 //! [`ReactorCluster::shutdown`] returns hold the state of their chosen

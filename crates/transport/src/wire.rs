@@ -47,6 +47,9 @@ pub enum WireError {
     },
     /// A length prefix exceeded the sanity limit.
     TooLong(usize),
+    /// A reply reference names bytes its decree entry's update does not
+    /// hold (past its end, empty, or an entry with no update payload).
+    BadReference,
 }
 
 impl std::fmt::Display for WireError {
@@ -55,6 +58,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated message"),
             WireError::BadTag { what, tag } => write!(f, "bad tag {tag:#x} for {what}"),
             WireError::TooLong(n) => write!(f, "length {n} exceeds limit"),
+            WireError::BadReference => write!(f, "reply reference outside its update"),
         }
     }
 }
@@ -464,25 +468,58 @@ fn get_command(buf: &mut Bytes) -> Result<Command> {
     }
 }
 
+/// Reply tag, valid only inside a decree entry: an `Ok` reply whose
+/// payload is a slice of the entry's update
+/// ([`DecreeEntry::reply_in_update`]), written as the slice's offset and
+/// length (`u32` each) into the update payload instead of its bytes. A
+/// reply that repeats its update is shipped and logged once.
+const REPLY_IN_UPDATE: u8 = 6;
+
 pub(crate) fn put_decree(out: &mut BytesMut, d: &Decree) {
     put_vec(out, &d.entries, |o, e: &DecreeEntry| {
         put_command(o, &e.cmd);
         put_state_update(o, &e.update);
-        put_reply_body(o, &e.reply);
+        match e.reply_in_update() {
+            Some(r) => {
+                o.put_u8(REPLY_IN_UPDATE);
+                o.put_u32_le(r.start as u32);
+                o.put_u32_le(r.len() as u32);
+            }
+            None => put_reply_body(o, &e.reply),
+        }
     });
 }
 
 pub(crate) fn get_decree(buf: &mut Bytes) -> Result<Decree> {
     Ok(Decree {
         entries: get_vec(buf, |b| {
-            Ok(DecreeEntry {
-                cmd: get_command(b)?,
-                update: get_state_update(b)?,
-                reply: get_reply_body(b)?,
-            })
+            let cmd = get_command(b)?;
+            let update = get_state_update(b)?;
+            let reply = if b.first() == Some(&REPLY_IN_UPDATE) {
+                b.advance(1);
+                ReplyBody::Ok(get_reply_in(&update, b)?)
+            } else {
+                get_reply_body(b)?
+            };
+            Ok(DecreeEntry { cmd, update, reply })
         })?
         .into(),
     })
+}
+
+/// The reply a [`REPLY_IN_UPDATE`] reference names: a zero-copy slice of
+/// `update`'s payload, refused unless it is non-empty and inside it.
+fn get_reply_in(update: &StateUpdate, buf: &mut Bytes) -> Result<Bytes> {
+    let start = get_u32(buf)? as usize;
+    let len = get_u32(buf)? as usize;
+    let payload = match update {
+        StateUpdate::None => return Err(WireError::BadReference),
+        StateUpdate::Full(p) | StateUpdate::Delta(p) | StateUpdate::Reproduce(p) => p,
+    };
+    match start.checked_add(len) {
+        Some(end) if len > 0 && end <= payload.len() => Ok(payload.slice(start..end)),
+        Some(_) | None => Err(WireError::BadReference),
+    }
 }
 
 fn put_accepted_entry(out: &mut BytesMut, e: &AcceptedEntry) {
@@ -1061,6 +1098,155 @@ mod tests {
         out.put_u32_le(u32::MAX); // absurd op length
         let mut b = out.freeze();
         assert!(matches!(decode_msg(&mut b), Err(WireError::TooLong(_))));
+    }
+
+    // ------------------------------------------------------------------
+    // A reply inside its update: one copy on the wire, hostile references
+    // refused
+    // ------------------------------------------------------------------
+
+    /// `msg`'s encoding with its last byte — the tag of a trailing
+    /// `ReplyBody::Empty` — replaced by a reply reference `(start, len)`.
+    fn with_reference(msg: &Msg, start: u32, len: u32) -> Bytes {
+        let mut v = encode_to_bytes(msg).to_vec();
+        assert_eq!(
+            v.pop(),
+            Some(3),
+            "the encoding ends in an empty reply's tag"
+        );
+        v.push(REPLY_IN_UPDATE);
+        v.extend_from_slice(&start.to_le_bytes());
+        v.extend_from_slice(&len.to_le_bytes());
+        Bytes::from(v)
+    }
+
+    /// An `Accept` of one decree whose one entry is `update` and an empty
+    /// reply.
+    fn accept_of(update: StateUpdate) -> Msg {
+        Msg::Accept {
+            ballot: Ballot::new(2, ProcessId(0)),
+            entries: vec![(
+                Instance(1),
+                Decree::single(Command::Noop, update, ReplyBody::Empty),
+            )],
+        }
+    }
+
+    #[test]
+    fn a_reply_inside_its_update_is_shipped_once_and_decoded_as_a_slice() {
+        let delta = realistic_delta();
+        let copied = Decree::single(
+            Command::Noop,
+            StateUpdate::Delta(delta.clone()),
+            ReplyBody::Ok(Bytes::copy_from_slice(&delta[5..14])),
+        );
+        let shared = Decree::single(
+            Command::Noop,
+            StateUpdate::Delta(delta.clone()),
+            ReplyBody::Ok(delta.slice(5..14)),
+        );
+        assert_eq!(copied, shared, "equal values");
+        assert_eq!(copied.entries[0].reply_in_update(), None);
+        assert_eq!(shared.entries[0].reply_in_update(), Some(5..14));
+        let accept = |d: &Decree| Msg::Accept {
+            ballot: Ballot::new(2, ProcessId(0)),
+            entries: vec![(Instance(1), d.clone())],
+        };
+        let (inline, by_ref) = (
+            encode_to_bytes(&accept(&copied)),
+            encode_to_bytes(&accept(&shared)),
+        );
+        // Tag, length and 9 bytes inline; tag, offset and length by
+        // reference.
+        assert_eq!(inline.len(), by_ref.len() + 5);
+        assert_eq!(
+            accept(&shared).approx_wire_len() + 5,
+            accept(&copied).approx_wire_len()
+        );
+        assert_eq!(shared.payload_bytes() + 9, copied.payload_bytes());
+        // Either encoding decodes to the same value; the reference decodes
+        // to a slice of the decoded update, and so re-encodes as one.
+        for frame in [inline, by_ref.clone()] {
+            let Msg::Accept { entries, .. } = decode_msg(&mut frame.clone()).unwrap() else {
+                panic!("not an accept")
+            };
+            assert_eq!(entries[0].1, shared);
+        }
+        let again = decode_msg(&mut by_ref.clone()).unwrap();
+        assert_eq!(encode_to_bytes(&again), by_ref, "the reference survives");
+        assert_eq!(
+            with_reference(&accept_of(StateUpdate::Delta(delta.clone())), 5, 9),
+            by_ref
+        );
+    }
+
+    #[test]
+    fn a_hostile_reply_reference_is_refused() {
+        let delta = Bytes::from_static(b"hello world");
+        let accept = accept_of(StateUpdate::Delta(delta.clone()));
+        let decode = |b: Bytes| decode_msg(&mut b.clone());
+        // In range: a slice of the update.
+        let Msg::Accept { entries, .. } = decode(with_reference(&accept, 6, 5)).unwrap() else {
+            panic!("not an accept")
+        };
+        assert_eq!(
+            entries[0].1.entries[0].reply,
+            ReplyBody::Ok(Bytes::from_static(b"world"))
+        );
+        // Past the end, empty, overflowing, or on no update at all.
+        for (start, len) in [
+            (6, 6),
+            (11, 1),
+            (0, 12),
+            (3, 0),
+            (u32::MAX, u32::MAX),
+            (1, u32::MAX),
+        ] {
+            assert_eq!(
+                decode(with_reference(&accept, start, len)),
+                Err(WireError::BadReference),
+                "({start}, {len})"
+            );
+        }
+        let none = accept_of(StateUpdate::None);
+        assert_eq!(
+            decode(with_reference(&none, 0, 1)),
+            Err(WireError::BadReference)
+        );
+        // Outside a decree entry the tag is no reply at all.
+        let reply = Msg::Reply(Reply {
+            id: RequestId::new(ClientId(1), Seq(1)),
+            leader: ProcessId(0),
+            watermark: Instance(0),
+            body: ReplyBody::Empty,
+        });
+        assert_eq!(
+            decode(with_reference(&reply, 0, 1)),
+            Err(WireError::BadTag {
+                what: "reply_body",
+                tag: REPLY_IN_UPDATE
+            })
+        );
+        let mut table = BytesMut::new();
+        put_dedup_table(
+            &mut table,
+            &[DedupEntry {
+                client: ClientId(1),
+                seq: Seq(1),
+                reply: ReplyBody::Empty,
+            }],
+        );
+        let mut table = table.to_vec();
+        assert_eq!(table.pop(), Some(3));
+        table.push(REPLY_IN_UPDATE);
+        table.extend_from_slice(&[0; 8]);
+        assert_eq!(
+            get_dedup_table(&mut Bytes::from(table)),
+            Err(WireError::BadTag {
+                what: "reply_body",
+                tag: REPLY_IN_UPDATE
+            })
+        );
     }
 
     // ------------------------------------------------------------------

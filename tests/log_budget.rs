@@ -15,9 +15,10 @@ const DEADLINE: Time = Time(3_600_000_000_000);
 const CLIENTS: usize = 16;
 const KEYS_PER_CLIENT: usize = 16;
 const VALUE: usize = 2048;
-/// Payload of the heaviest decree: one `Put` per client, each a delta and
-/// an echoed reply of the value (the request body is not retained).
-const DECREE_MAX: u64 = (CLIENTS * (2 * VALUE + 64)) as u64;
+/// Payload of the heaviest decree: one `Put` per client, each a delta
+/// holding the value once (the reply is a slice of the delta, counted
+/// once, and the request body is not retained).
+const DECREE_MAX: u64 = (CLIENTS * (VALUE + 64)) as u64;
 
 /// `total` closed-loop 2 KiB `Put`s over this client's own keys.
 struct Puts {
@@ -75,11 +76,11 @@ fn assert_converged(w: &World) {
 
 /// Retained log payload ≤ budget + what was accepted while one checkpoint
 /// was being emitted, at every step of every replica, under 16-op decrees
-/// of 2 KiB values; every checkpoint is due by bytes (≈ 130 decrees), none
+/// of 2 KiB values; every checkpoint is due by bytes (≈ 250 decrees), none
 /// by the 512-instance cap.
 #[test]
 fn large_values_checkpoint_by_bytes_and_the_log_stays_within_its_budget() {
-    let mut w = world(Config::cluster(3), 23, 520);
+    let mut w = world(Config::cluster(3), 23, 1040);
     // The image (256 keys × 2 KiB) is under half the floor, so the floor
     // is the budget; it leaves in 64 KiB chunks, one per drain, and each
     // drain may apply a decree and hold the next one accepted.
@@ -120,7 +121,7 @@ fn large_values_checkpoint_by_bytes_and_the_log_stays_within_its_budget() {
 #[test]
 fn a_catch_up_from_the_log_is_cut_at_the_byte_floor() {
     // `checkpoint_every = 0`: never compact, so the whole range is log.
-    let mut w = world(Config::cluster(3).with_checkpoint_every(0), 29, 400);
+    let mut w = world(Config::cluster(3).with_checkpoint_every(0), 29, 800);
     let lagging = ProcessId(2);
     w.crash_at(lagging, START.after(Dur::from_millis(5)));
     assert!(w.run_to_completion(DEADLINE));

@@ -46,14 +46,16 @@ fn arb_log_op() -> impl Strategy<Value = LogOp> {
     ]
 }
 
-/// `entries` writes whose operation, update and reply hold `len` bytes each.
+/// `entries` writes whose operation, update and reply hold `len` bytes each
+/// (the reply its own buffer: a reply that is a slice of its update counts
+/// once).
 fn decree_of(entries: usize, len: usize) -> Decree {
     let payload = Bytes::from(vec![7u8; len]);
     let id = RequestId::new(ClientId(1), Seq(1));
     let entry = gridpaxos::core::command::DecreeEntry {
         cmd: Command::Req(Request::new(id, RequestKind::Write, payload.clone())),
         update: StateUpdate::Delta(payload.clone()),
-        reply: ReplyBody::Ok(payload),
+        reply: ReplyBody::Ok(Bytes::copy_from_slice(&payload)),
     };
     Decree {
         entries: vec![entry; entries].into(),

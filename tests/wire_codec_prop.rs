@@ -1,5 +1,6 @@
 //! Property tests: any protocol message round-trips through the wire
-//! codec byte-for-byte, consuming its whole encoding; and a mutated
+//! codec byte-for-byte, consuming its whole encoding, and re-encodes to
+//! the same bytes (a reply shipped by reference stays one); and a mutated
 //! encoding (a flipped byte, a truncation, four bytes of `0xff`) is
 //! decoded or refused, never a panic — what a connection carries is the
 //! peer's to choose, and garbage must cost the connection, not the node.
@@ -24,6 +25,18 @@ proptest! {
         let decoded = decode_msg(&mut buf).expect("generated message must decode");
         prop_assert!(buf.is_empty(), "codec left {} trailing bytes", buf.len());
         prop_assert_eq!(decoded, msg);
+    }
+}
+
+proptest! {
+    /// Decoding then encoding gives the same bytes: a reply shipped as a
+    /// reference into its update decodes to a slice of the decoded update,
+    /// so it is a reference again.
+    #[test]
+    fn a_decoded_message_re_encodes_to_identical_bytes(msg in arb_msg()) {
+        let encoded = encode_to_bytes(&msg);
+        let decoded = decode_msg(&mut encoded.clone()).expect("generated message must decode");
+        prop_assert_eq!(encode_to_bytes(&decoded), encoded);
     }
 }
 

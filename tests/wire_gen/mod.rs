@@ -98,15 +98,39 @@ fn arb_update() -> impl Strategy<Value = StateUpdate> {
     ]
 }
 
-fn arb_decree() -> impl Strategy<Value = Decree> {
-    proptest::collection::vec((arb_command(), arb_update(), arb_reply_body()), 0..3).prop_map(
-        |entries| Decree {
-            entries: entries
-                .into_iter()
-                .map(|(cmd, update, reply)| DecreeEntry { cmd, update, reply })
-                .collect(),
-        },
+/// A decree entry whose reply is a slice of its update's payload at an
+/// arbitrary offset and length — what the codec ships as a reference.
+fn arb_shared_reply_entry() -> impl Strategy<Value = DecreeEntry> {
+    (
+        arb_command(),
+        0..3u8,
+        proptest::collection::vec(any::<u8>(), 1..48),
+        any::<usize>(),
+        any::<usize>(),
     )
+        .prop_map(|(cmd, kind, payload, a, b)| {
+            let payload = Bytes::from(payload);
+            let start = a % payload.len();
+            let end = start + 1 + b % (payload.len() - start);
+            let reply = ReplyBody::Ok(payload.slice(start..end));
+            let update = match kind {
+                0 => StateUpdate::Full(payload),
+                1 => StateUpdate::Delta(payload),
+                _ => StateUpdate::Reproduce(payload),
+            };
+            DecreeEntry { cmd, update, reply }
+        })
+}
+
+fn arb_decree() -> impl Strategy<Value = Decree> {
+    let entry = prop_oneof![
+        (arb_command(), arb_update(), arb_reply_body())
+            .prop_map(|(cmd, update, reply)| DecreeEntry { cmd, update, reply }),
+        arb_shared_reply_entry(),
+    ];
+    proptest::collection::vec(entry, 0..3).prop_map(|entries| Decree {
+        entries: entries.into(),
+    })
 }
 
 fn arb_image_run() -> impl Strategy<Value = ImageRun> {
