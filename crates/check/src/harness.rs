@@ -37,7 +37,7 @@ use gridpaxos_core::outbox::{Lent, Out};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, Request, RequestId, RequestKind};
 use gridpaxos_core::service::App;
-use gridpaxos_core::storage::{MemStorage, Storage, TailLossStorage};
+use gridpaxos_core::storage::{MemStorage, NodeStorage, Storage, TailLossStorage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, Instance, ProcessId, Seq, Time, TxnId};
 use gridpaxos_simnet::sched::TimerGens;
 use std::collections::HashMap;
@@ -179,7 +179,7 @@ pub struct Cluster {
     /// The scenario's config, which every incarnation runs.
     cfg: Config,
     /// Detached storages of crashed replicas, keyed by index.
-    crashed: Vec<Option<Box<dyn Storage>>>,
+    crashed: Vec<Option<Box<dyn NodeStorage>>>,
     events: Vec<Event>,
     timers: TimerGens<(u32, TimerKind)>,
     now: Time,
@@ -295,7 +295,8 @@ impl Cluster {
         for i in 0..n {
             let id = ProcessId(i as u32);
             let (cfg, now) = (scenario.cfg.clone(), cl.local_now(i));
-            let node = Node::open(id, cfg, vec![disk()], &|_| app(), 0x5eed + i as u64, now);
+            let disk = Box::new(vec![disk()]);
+            let node = Node::open(id, cfg, disk, &|_| app(), 0x5eed + i as u64, now);
             cl.nodes.push(Some(node));
         }
         for i in 0..n {
@@ -669,12 +670,13 @@ impl Cluster {
             return;
         };
         self.chaos_inflated[idx] = false;
-        let Some(disk) = node.into_storages().pop() else {
-            return;
-        };
+        let mut disk = node.into_storage();
         self.crashed[idx] = Some(if self.opts.power_cuts {
             // What a recovering process reads: the last barrier's state.
-            Box::new(TailLossStorage::holding(disk.load()))
+            let state = disk.group(GroupId::ZERO).load();
+            Box::new(vec![
+                Box::new(TailLossStorage::holding(state)) as Box<dyn Storage>
+            ])
         } else {
             disk
         });
@@ -695,7 +697,7 @@ impl Cluster {
         let mut cfg = self.cfg.clone();
         cfg.bootstrap_leader = None;
         let (id, now, app) = (ProcessId(idx as u32), self.local_now(idx), self.app);
-        let node = Node::recover(id, cfg, vec![storage], &|_| app(), 0xdead + idx as u64, now);
+        let node = Node::recover(id, cfg, storage, &|_| app(), 0xdead + idx as u64, now);
         self.nodes[idx] = Some(node);
         self.step(idx, false, |node, now, timers| node.start(now, timers));
     }

@@ -8,11 +8,6 @@
 //!   delivery, drop, duplication, timer firing and leader crash up to a
 //!   depth bound — asserting the paper's safety invariants (§3.3–§3.6)
 //!   after every transition. Run it with `cargo run -p check --release`.
-//! * **Repo lint** ([`lint`]): a source-level pass enforcing coding
-//!   rules clippy cannot express (exhaustive `Msg` dispatch, no non-test
-//!   `unwrap`/`expect` in replica, transport or service code,
-//!   persist-before-send ordering, one lock guard at a time with nothing
-//!   blocking under it). Run it with `cargo run -p check --bin lint`.
 //! * **Cross-group atomicity checker** ([`txn2pc`]): seeded random
 //!   walks over sharded deployments running concurrent 2PC transfers
 //!   under crash/recover schedules, plus a lock/intent-table schedule
@@ -26,7 +21,6 @@ pub mod app;
 pub mod explore;
 pub mod harness;
 pub mod invariants;
-pub mod lint;
 pub mod scenario;
 pub mod txn2pc;
 

@@ -723,7 +723,7 @@ mod tests {
     use gridpaxos_core::txn::{Outcome, TxnCoordinator};
     use gridpaxos_simnet::workload::Driver;
     use gridpaxos_simnet::Metrics;
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, OnceLock};
 
     #[test]
     fn kv2pc_schedules_pass_and_replay_deterministically() {
@@ -857,7 +857,7 @@ mod tests {
     /// records the adopted outcome.
     struct Resolver {
         coord: TxnCoordinator,
-        out: Arc<Mutex<Option<Outcome>>>,
+        out: Arc<OnceLock<Outcome>>,
     }
 
     impl Driver for Resolver {
@@ -867,12 +867,12 @@ mod tests {
 
         fn on_complete(&mut self, done: &CompletedOp, _now: Time, _m: &mut Metrics) {
             if let Some(o) = self.coord.on_complete(done) {
-                *self.out.lock().expect("poisoned") = Some(o);
+                let _ = self.out.set(o);
             }
         }
 
         fn done(&self) -> bool {
-            self.out.lock().expect("poisoned").is_some()
+            self.out.get().is_some()
         }
     }
 
@@ -909,7 +909,7 @@ mod tests {
         // Both participants now hold prepared intents (in-doubt window);
         // a recovery-side resolver probes the home group with presumed
         // abort and drives the recorded outcome to every participant.
-        let out = Arc::new(Mutex::new(None));
+        let out = Arc::new(OnceLock::new());
         let start = w.now.after(Dur::from_millis(100));
         w.add_client(
             Box::new(Resolver {
@@ -920,7 +920,7 @@ mod tests {
             start,
         );
         assert!(w.run_to_completion(DEADLINE), "resolver stalled");
-        let outcome = out.lock().expect("poisoned").take().expect("resolved");
+        let outcome = out.get().cloned().expect("resolved");
 
         let settle = w.now.after(Dur::from_secs(2));
         w.run_until(settle);

@@ -81,7 +81,7 @@ pub mod prelude {
         AbortReason, Reply, ReplyBody, Request, RequestId, RequestKind, TxnCtl,
     };
     pub use crate::service::{App, ExecCtx, NoopApp};
-    pub use crate::storage::{MemStorage, Storage};
+    pub use crate::storage::{MemStorage, NodeStorage, Storage};
     pub use crate::txn::{home_group, MergedRead, MergedReadResult, Outcome, TxnCoordinator};
     pub use crate::types::{
         majority, shard_of, Addr, ClientId, Dur, GroupId, Instance, ProcessId, Seq, Time, TxnId,

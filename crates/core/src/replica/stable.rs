@@ -41,18 +41,20 @@
 //! accept record at its ballot. The marks prune the record, so it holds
 //! the instances in flight, not the log.
 //!
-//! The barrier may run on another thread while the drive loop serves what
-//! needs no record ([`Stable::lend`]): the storage goes to the barrier,
-//! and any call on it panics until it comes back
-//! ([`Stable::take_back`]). `Stable` also keeps the promise the last
-//! completed barrier covered, which is what a replica may vouch for while
-//! the next one runs.
+//! A bare replica holds its storage for life. A node's groups share the
+//! node's one [`NodeStorage`], which the node moves to the group it steps
+//! ([`Stable::hold`], [`Stable::give_back`]); any call on it from a group
+//! that does not hold it panics. So does one while the node's barrier
+//! runs on another thread and the drive loop serves what needs no record:
+//! the storage went with the barrier.
+//! `Stable` also keeps the promise the last completed barrier covered,
+//! which is what a replica may vouch for while the next one runs.
 
 use crate::ballot::Ballot;
 use crate::command::{Decree, DedupEntry, SnapshotBlob};
 use crate::msg::Msg;
-use crate::storage::{DurableState, Storage};
-use crate::types::Instance;
+use crate::storage::{DurableState, NodeStorage, Storage};
+use crate::types::{GroupId, Instance};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
@@ -60,8 +62,11 @@ use std::collections::BTreeMap;
 /// storage, so a write site cannot forget the barrier: it has to say
 /// which record it writes.
 pub(crate) struct Stable {
-    /// `None` while lent to a barrier ([`Stable::lend`]).
-    storage: Option<Box<dyn Storage>>,
+    /// `None` while another of the node's groups holds it, or its
+    /// barrier does.
+    storage: Option<Box<dyn NodeStorage>>,
+    /// This replica's group in `storage`.
+    group: GroupId,
     /// An acknowledgeable record was written since the last barrier.
     raised: bool,
     /// The promise written last (promises only rise).
@@ -73,16 +78,17 @@ pub(crate) struct Stable {
     durable_promised: Ballot,
 }
 
-/// Any call on the storage while it is away at a barrier: a step that
-/// should have waited for the barrier.
+/// Any call on the storage while it is away: a step the node did not
+/// bring it to, or one that should have waited for the barrier.
 fn away() -> ! {
-    panic!("storage away at a barrier")
+    panic!("storage away: with another group, or at a barrier")
 }
 
 impl Stable {
-    pub(crate) fn new(storage: Box<dyn Storage>) -> Stable {
+    pub(crate) fn new(storage: Option<Box<dyn NodeStorage>>, group: GroupId) -> Stable {
         Stable {
-            storage: Some(storage),
+            storage,
+            group,
             raised: false,
             promised: Ballot::ZERO,
             accepted: BTreeMap::new(),
@@ -99,20 +105,27 @@ impl Stable {
         self.accepted = above.map(|(i, (b, _))| (*i, *b)).collect();
     }
 
-    /// Read access.
-    pub(crate) fn get(&self) -> &dyn Storage {
-        match &self.storage {
-            Some(storage) => storage.as_ref(),
+    /// The storage, for the doors and what reads it.
+    pub(crate) fn disk(&mut self) -> &mut dyn Storage {
+        match &mut self.storage {
+            Some(storage) => storage.group(self.group),
             None => away(),
         }
     }
 
-    /// Write access, for the doors.
-    fn disk(&mut self) -> &mut dyn Storage {
-        match &mut self.storage {
-            Some(storage) => storage.as_mut(),
-            None => away(),
-        }
+    /// Whether this replica holds the storage.
+    pub(crate) fn holds(&self) -> bool {
+        self.storage.is_some()
+    }
+
+    /// Take up the node's storage.
+    pub(crate) fn hold(&mut self, storage: Option<Box<dyn NodeStorage>>) {
+        self.storage = storage;
+    }
+
+    /// Hand the node's storage over, if this replica holds it.
+    pub(crate) fn give_back(&mut self) -> Option<Box<dyn NodeStorage>> {
+        self.storage.take()
     }
 
     /// Write a promise: raises the barrier.
@@ -188,7 +201,11 @@ impl Stable {
 
     /// Whether the drive loop must run the barrier before it transmits.
     pub(crate) fn barrier_due(&self) -> bool {
-        self.raised && self.get().is_dirty()
+        self.raised
+            && match &self.storage {
+                Some(storage) => storage.dirty(self.group),
+                None => away(),
+            }
     }
 
     /// The barrier: everything recorded so far, of either kind, is
@@ -198,25 +215,8 @@ impl Stable {
         self.barrier_over();
     }
 
-    /// Lend the storage to a barrier that runs elsewhere; until
-    /// [`Stable::take_back`], any call on it panics.
-    pub(crate) fn lend(&mut self) -> Box<dyn Storage> {
-        match self.storage.take() {
-            Some(storage) => storage,
-            None => away(),
-        }
-    }
-
-    /// The storage is back; `synced` says its barrier completed (it did
-    /// not if the power failed at it).
-    pub(crate) fn take_back(&mut self, storage: Box<dyn Storage>, synced: bool) {
-        self.storage = Some(storage);
-        if synced {
-            self.barrier_over();
-        }
-    }
-
-    fn barrier_over(&mut self) {
+    /// A barrier that covered this group's records completed.
+    pub(crate) fn barrier_over(&mut self) {
         self.raised = false;
         self.durable_promised = self.promised;
     }
@@ -272,13 +272,6 @@ impl Stable {
             | Msg::HeartbeatAck { .. }
             | Msg::CatchUpReq { .. }
             | Msg::CatchUp { .. } => None,
-        }
-    }
-
-    pub(crate) fn into_inner(self) -> Box<dyn Storage> {
-        match self.storage {
-            Some(storage) => storage,
-            None => away(),
         }
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::ballot::Ballot;
 use crate::command::{Decree, DedupEntry, SnapshotBlob};
-use crate::types::Instance;
+use crate::types::{GroupId, Instance};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +83,9 @@ impl DurableState {
     }
 }
 
-/// Write-ahead stable storage for one replica.
+/// Write-ahead stable storage for one replica group. A bare replica owns
+/// one for life; a node's groups reach theirs through the node's one
+/// [`NodeStorage`], only while the node steps them.
 ///
 /// Durability is *batch-granular*: `save_*` records a write-ahead entry
 /// but need not reach the platter on its own — [`Storage::flush`] is the
@@ -164,6 +166,32 @@ pub trait Storage: Send {
     /// stream these chunks to lagging peers without re-serializing
     /// O(state) (the chunks are refcounted).
     fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint>;
+}
+
+/// The stable storage of a whole node: one owner for every group's
+/// records, which a [`crate::node::Node`] keeps and moves into the group
+/// it steps. A `Vec` with one [`Storage`] per group is the case of a store
+/// per group; a node's shared write-ahead log (`transport::fstorage`)
+/// implements it once for all its groups.
+pub trait NodeStorage: Send {
+    /// Number of groups stored.
+    fn n_groups(&self) -> usize;
+    /// Group `g`'s storage, for as long as the borrow lasts.
+    fn group(&mut self, g: GroupId) -> &mut dyn Storage;
+    /// Whether group `g`'s records await a barrier ([`Storage::is_dirty`]).
+    fn dirty(&self, g: GroupId) -> bool;
+}
+
+impl NodeStorage for Vec<Box<dyn Storage>> {
+    fn n_groups(&self) -> usize {
+        self.len()
+    }
+    fn group(&mut self, g: GroupId) -> &mut dyn Storage {
+        self[g.0 as usize].as_mut()
+    }
+    fn dirty(&self, g: GroupId) -> bool {
+        self[g.0 as usize].is_dirty()
+    }
 }
 
 /// What the [`MemStorage`]s that share it did, for a simulator that

@@ -25,7 +25,7 @@ use gridpaxos_core::node::{Net, Node, TimerOp, TimerOps};
 use gridpaxos_core::outbox::Out;
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::service::App;
-use gridpaxos_core::storage::{DiskMeter, MemStorage, Storage};
+use gridpaxos_core::storage::{DiskMeter, MemStorage, NodeStorage, Storage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, ProcessId, Time};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -116,8 +116,9 @@ impl Ord for Scheduled {
 #[allow(clippy::large_enum_variant)] // n slots per world; boxing would cost a hop per event
 enum Slot {
     Up(Node),
-    /// Crashed node: each group's stable storage, in group order.
-    Down(Vec<Box<dyn Storage>>),
+    /// Crashed node: its stable storage (`None` for a slot whose node
+    /// never crashed).
+    Down(Option<Box<dyn NodeStorage>>),
 }
 
 struct SimClient {
@@ -236,7 +237,7 @@ impl World {
             let r = Node::open(
                 ProcessId(i as u32),
                 w.cfg.clone(),
-                (0..n_groups).map(disk).collect(),
+                Box::new((0..n_groups).map(disk).collect::<Vec<_>>()),
                 w.app_factory.as_ref(),
                 w.opts.seed.wrapping_mul(0x9e37_79b9).wrapping_add(i as u64),
                 Time::ZERO,
@@ -480,10 +481,10 @@ impl World {
                 }
                 let slot = &mut self.replicas[p.0 as usize];
                 if let Slot::Up(_) = slot {
-                    let Slot::Up(m) = std::mem::replace(slot, Slot::Down(Vec::new())) else {
+                    let Slot::Up(m) = std::mem::replace(slot, Slot::Down(None)) else {
                         unreachable!()
                     };
-                    *slot = Slot::Down(m.into_storages());
+                    *slot = Slot::Down(Some(m.into_storage()));
                 }
             }
             Payload::Recover(p) => {
@@ -491,15 +492,14 @@ impl World {
                     tr.record(self.now, TraceEvent::Recover(Addr::Replica(p)));
                 }
                 let slot = &mut self.replicas[p.0 as usize];
-                if let Slot::Down(storages) = slot {
-                    if storages.is_empty() {
+                if let Slot::Down(storage) = slot {
+                    let Some(storage) = storage.take() else {
                         return true; // double-recover of a node that never crashed
-                    }
-                    let storages = std::mem::take(storages);
+                    };
                     let mut m = Node::open(
                         p,
                         self.cfg.clone(),
-                        storages,
+                        storage,
                         self.app_factory.as_ref(),
                         self.opts
                             .seed
@@ -630,7 +630,7 @@ impl World {
             self.arm(from, g, op, cpu_done);
         }
         // The node leaves its slot while its release reaches the world.
-        let slot = std::mem::replace(&mut self.replicas[idx], Slot::Down(Vec::new()));
+        let slot = std::mem::replace(&mut self.replicas[idx], Slot::Down(None));
         if let Slot::Up(mut node) = slot {
             node.release(&mut NodeWire {
                 world: self,

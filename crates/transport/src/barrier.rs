@@ -1,11 +1,11 @@
 //! Barrier threads: where a node's durability barrier syncs while its
 //! epoll loop serves on.
 //!
-//! A node's release lends the storage of every group whose barrier is
-//! due to its host (`Net::lend`). The reactor hands that `Lent` to its
+//! A node's release lends its storage, with the groups whose barrier is
+//! due, to its host (`Net::lend`). The reactor hands that `Lent` to its
 //! [`BarrierLine`] and goes on delivering to the node, which runs only
 //! what may run beside the barrier and holds the rest. A barrier thread
-//! syncs, sends the storages back over the line's channel and writes one
+//! syncs, sends the storage back over the line's channel and writes one
 //! byte to the line's wake-up socket, which sits in the loop's epoll set;
 //! the loop takes them back ([`BarrierLine::back`]) and hands them to
 //! `Node::barrier_back`.
@@ -29,9 +29,9 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, MutexGuard, PoisonError};
 
-/// A barrier's outcome: the storages, synced, or the sync's panic.
+/// A barrier's outcome: the storage, synced, or the sync's panic.
 type Synced = std::thread::Result<Lent>;
 
 /// One barrier for a pool thread: what to sync, and the way back.
@@ -49,7 +49,11 @@ struct Back {
 }
 
 /// Idle pool threads, each the sender of its own job queue.
-static IDLE: Mutex<Vec<Sender<Job>>> = Mutex::new(Vec::new());
+// The one lock in the workspace: each holder takes its guard for one
+// `pop` or `push` inside a single statement and drops it there, so it
+// neither blocks nor nests.
+#[allow(clippy::disallowed_types)]
+static IDLE: std::sync::Mutex<Vec<Sender<Job>>> = std::sync::Mutex::new(Vec::new());
 
 /// The idle list; a poisoned lock still holds a usable list.
 fn idle() -> MutexGuard<'static, Vec<Sender<Job>>> {

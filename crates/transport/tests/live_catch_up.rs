@@ -8,14 +8,19 @@
 //! Release mode only (CI step "Live catch-up"): the clusters hold several
 //! MiB of state.
 
+use bytes::Bytes;
+use gridpaxos_core::ballot::Ballot;
+use gridpaxos_core::command::{Decree, DedupEntry};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, RequestKind};
-use gridpaxos_core::storage::Storage;
-use gridpaxos_core::types::{Dur, Instance, ProcessId};
+use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState, Storage};
+use gridpaxos_core::types::{Dur, Instance};
 use gridpaxos_services::{KvOp, KvStore};
-use gridpaxos_transport::{ReactorCluster, ReactorConfig, SyncMode};
+use gridpaxos_transport::{FileStorage, ReactorCluster, ReactorConfig, SyncMode};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// `checkpoint_every` 64, so the log a wiped node would need is gone, and
@@ -38,10 +43,67 @@ fn root(name: &str) -> PathBuf {
     root
 }
 
-fn launch(root: &Path, rcfg: ReactorConfig) -> ReactorCluster {
+/// A node's log that publishes the chosen prefix it marks, for the test
+/// thread to read while the node owns the log.
+struct Marked {
+    log: FileStorage,
+    marked: Arc<AtomicU64>,
+}
+
+impl Storage for Marked {
+    fn save_promised(&mut self, b: Ballot) {
+        self.log.save_promised(b);
+    }
+    fn save_accepted(&mut self, i: Instance, b: Ballot, d: &Decree) {
+        self.log.save_accepted(i, b, d);
+    }
+    fn save_chosen_prefix(&mut self, upto: Instance) {
+        self.log.save_chosen_prefix(upto);
+        self.marked.store(upto.0, Ordering::SeqCst);
+    }
+    fn truncate_upto(&mut self, upto: Instance) {
+        self.log.truncate_upto(upto);
+    }
+    fn load(&self) -> DurableState {
+        self.log.load()
+    }
+    fn flush(&mut self) {
+        self.log.flush();
+    }
+    fn is_dirty(&self) -> bool {
+        self.log.is_dirty()
+    }
+    fn checkpoint_begin(&mut self, upto: Instance, dedup: &[DedupEntry], total: usize) {
+        self.log.checkpoint_begin(upto, dedup, total);
+    }
+    fn checkpoint_chunk(&mut self, idx: usize, data: Bytes) {
+        self.log.checkpoint_chunk(idx, data);
+    }
+    fn checkpoint_commit(&mut self) {
+        self.log.checkpoint_commit();
+    }
+    fn checkpoint_abort(&mut self) {
+        self.log.checkpoint_abort();
+    }
+    fn checkpoint_chunks(&self) -> Option<ChunkedCheckpoint> {
+        self.log.checkpoint_chunks()
+    }
+}
+
+/// A durable cluster on `root`, and each node's chosen prefix as its log
+/// holds it.
+fn launch(root: &Path, rcfg: ReactorConfig) -> (ReactorCluster, Vec<Arc<AtomicU64>>) {
     let kv = || Box::new(KvStore::new()) as Box<_>;
-    ReactorCluster::launch_durable(config(), 1, kv, None, rcfg, root, SyncMode::Never)
-        .expect("launch")
+    let marks: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::default()).collect();
+    let cluster = ReactorCluster::launch_with_storage(config(), 1, kv, None, rcfg, |id| {
+        let dir = root.join(format!("node-{}", id.0));
+        let log = FileStorage::open(dir, SyncMode::Never, 1).expect("open the log");
+        let marked = Arc::clone(&marks[id.0 as usize]);
+        marked.store(log.load().chosen_prefix.0, Ordering::SeqCst);
+        vec![Box::new(Marked { log, marked }) as Box<dyn Storage>]
+    })
+    .expect("launch");
+    (cluster, marks)
 }
 
 /// `n` puts of `value` bytes each, keys `k{from}..`.
@@ -57,18 +119,15 @@ fn puts(cluster: &ReactorCluster, from: usize, n: usize, value: usize) {
     }
 }
 
-/// Node `i`'s chosen prefix as its log holds it.
-fn prefix(cluster: &ReactorCluster, i: u32) -> Instance {
-    let coord = cluster.coordinator(ProcessId(i)).expect("durable");
-    coord.storage(0).load().chosen_prefix
-}
-
-/// Wait until the three nodes hold one chosen prefix, then stop the
-/// cluster: every replica is at that prefix and holds the same state.
-fn converged(cluster: ReactorCluster, within: Duration) -> Vec<Replica> {
+/// Wait until the three nodes' logs hold one chosen prefix, then stop
+/// the cluster: every replica is at that prefix and holds the same state.
+fn converged(
+    (cluster, marks): (ReactorCluster, Vec<Arc<AtomicU64>>),
+    within: Duration,
+) -> Vec<Replica> {
     let deadline = Instant::now() + within;
     loop {
-        let prefixes: Vec<_> = (0..3).map(|i| prefix(&cluster, i)).collect();
+        let prefixes: Vec<_> = marks.iter().map(|m| m.load(Ordering::SeqCst)).collect();
         if prefixes.windows(2).all(|w| w[0] == w[1]) {
             break;
         }
@@ -92,12 +151,12 @@ fn converged(cluster: ReactorCluster, within: Duration) -> Vec<Replica> {
 fn a_wiped_follower_catches_up_under_the_default_send_queue() {
     let root = root("wiped-follower");
     let cluster = launch(&root, ReactorConfig::default());
-    puts(&cluster, 0, 75, 64 << 10);
+    puts(&cluster.0, 0, 75, 64 << 10);
     drop(converged(cluster, Duration::from_secs(10)));
 
     std::fs::remove_dir_all(root.join("node-2")).expect("wipe node 2");
     let cluster = launch(&root, ReactorConfig::default());
-    puts(&cluster, 75, 70, 64 << 10);
+    puts(&cluster.0, 75, 70, 64 << 10);
     let replicas = converged(cluster, Duration::from_secs(10));
     assert!(replicas[2].chosen_prefix() >= Instance(145));
     std::fs::remove_dir_all(&root).ok();
@@ -118,13 +177,13 @@ fn a_wiped_bootstrap_replica_wins_its_first_election_over_16_mib() {
         ..ReactorConfig::default()
     };
     let cluster = launch(&root, rcfg);
-    puts(&cluster, 0, 300, 64 << 10);
+    puts(&cluster.0, 0, 300, 64 << 10);
     drop(converged(cluster, Duration::from_secs(10)));
 
     std::fs::remove_dir_all(root.join("node-0")).expect("wipe node 0");
     let relaunched = Instant::now();
     let cluster = launch(&root, rcfg);
-    let mut client = cluster.client();
+    let mut client = cluster.0.client();
     let op = KvOp::Put("after".into(), "wipe".into()).encode();
     let body = client
         .call(RequestKind::Write, op)

@@ -113,18 +113,18 @@ fn main() {
     // Fresh storage starts a new replica; a data dir with prior state is
     // recovered. The reactor flushes before it transmits, so the WAL can
     // group-commit.
-    let storage: Box<dyn Storage> = match &data_dir {
-        Some(dir) => match FileStorage::open_with_mode(dir, SyncMode::Batched) {
+    let storage: Box<dyn NodeStorage> = match &data_dir {
+        Some(dir) => match FileStorage::open(dir, SyncMode::Batched, 1) {
             Ok(s) => Box::new(s),
             Err(e) => {
                 eprintln!("open data dir {dir}: {e}");
                 exit(1);
             }
         },
-        None => Box::new(MemStorage::new()),
+        None => Box::new(vec![Box::new(MemStorage::new()) as Box<dyn Storage>]),
     };
     let app = |_| Box::new(KvStore::new()) as Box<dyn App>;
-    let node = Node::open(ProcessId(id), cfg, vec![storage], &app, seed, Time::ZERO);
+    let node = Node::open(ProcessId(id), cfg, storage, &app, seed, Time::ZERO);
     if let (Some(dir), Some(replica)) = (&data_dir, node.group(GroupId::ZERO)) {
         eprintln!(
             "gridpaxos-server r{id}: opened {dir} at instance {}",

@@ -69,20 +69,14 @@ impl Net {
     }
 
     /// Replica `p` on `disk`: fresh on an empty one, recovered otherwise.
-    fn open(&self, p: u32, disk: Box<dyn Storage>, seed: u64) -> Node {
+    fn open(&self, p: u32, disk: Box<dyn NodeStorage>, seed: u64) -> Node {
         let app = |_| (self.app)(self.state);
-        Node::open(
-            ProcessId(p),
-            self.cfg.clone(),
-            vec![disk],
-            &app,
-            seed,
-            self.now,
-        )
+        Node::open(ProcessId(p), self.cfg.clone(), disk, &app, seed, self.now)
     }
 
     fn fresh(&self, p: u32) -> Node {
-        self.open(p, Box::new(MemStorage::new()), 11 + u64::from(p))
+        let disk = vec![Box::new(MemStorage::new()) as Box<dyn Storage>];
+        self.open(p, Box::new(disk), 11 + u64::from(p))
     }
 
     fn start(&mut self, p: u32) {
@@ -95,7 +89,8 @@ impl Net {
     }
 
     fn replica_mut(&mut self, p: u32) -> &mut Replica {
-        &mut self.nodes[p as usize].as_mut().expect("live").groups_mut()[0]
+        let node = self.nodes[p as usize].as_mut().expect("live");
+        node.group_mut(GroupId::ZERO)
     }
 
     fn live(&self) -> impl Iterator<Item = &Replica> {
@@ -153,9 +148,9 @@ impl Net {
         self.now = self.now.after(Dur::from_millis(ms));
     }
 
-    fn crash(&mut self, p: u32) -> Box<dyn Storage> {
+    fn crash(&mut self, p: u32) -> Box<dyn NodeStorage> {
         let node = self.nodes[p as usize].take().expect("live");
-        node.into_storages().pop().expect("one group")
+        node.into_storage()
     }
 
     /// The client's actions reach the replicas; its replies come back.

@@ -30,7 +30,7 @@ fn launch(dirs: &[PathBuf]) -> ReactorCluster {
         None,
         ReactorConfig::default(),
         |p: ProcessId| {
-            let storage = FileStorage::open_with_mode(&dirs[p.0 as usize], SyncMode::Never)
+            let storage = FileStorage::open(&dirs[p.0 as usize], SyncMode::Never, 1)
                 .expect("open file storage");
             vec![Box::new(storage) as Box<dyn Storage>]
         },

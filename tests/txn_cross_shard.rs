@@ -9,7 +9,7 @@ use gridpaxos::services::{
 };
 use gridpaxos::simnet::workload::{Driver, TransferLoop};
 use gridpaxos::simnet::{SimOpts, Topology, World};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 const START: Time = Time(200_000_000);
 const DEADLINE: Time = Time(3_600_000_000_000);
@@ -99,7 +99,7 @@ fn transfers_survive_participant_crash_and_recovery() {
 /// protocol and records the outcome for the test body.
 struct MergedScanClient {
     read: MergedRead,
-    out: Arc<Mutex<Option<MergedReadResult>>>,
+    out: Arc<OnceLock<MergedReadResult>>,
 }
 
 impl Driver for MergedScanClient {
@@ -118,12 +118,12 @@ impl Driver for MergedScanClient {
         _m: &mut gridpaxos::simnet::Metrics,
     ) {
         if let Some(r) = self.read.on_complete(done) {
-            *self.out.lock().expect("poisoned") = Some(r);
+            let _ = self.out.set(r);
         }
     }
 
     fn done(&self) -> bool {
-        self.out.lock().expect("poisoned").is_some()
+        self.out.get().is_some()
     }
 }
 
@@ -137,7 +137,7 @@ fn merged_scan_returns_fenced_consistent_snapshot() {
     // Quiescent store: the merged read's fence versions must match the
     // versions its scans observed, certifying no write slipped between
     // the two legs in any group.
-    let out = Arc::new(Mutex::new(None));
+    let out = Arc::new(OnceLock::new());
     let read = MergedRead::new(
         KvOp::Scan("acct".into()).encode(),
         KvOp::Fence.encode(),
@@ -154,7 +154,7 @@ fn merged_scan_returns_fenced_consistent_snapshot() {
     );
     assert!(w.run_to_completion(DEADLINE), "merged read did not finish");
 
-    let result = out.lock().expect("poisoned").take().expect("completed");
+    let result = out.get().cloned().expect("completed");
     let mut merged_total = 0i64;
     for (scan, fence) in result.scans.iter().zip(&result.fences) {
         let (v_scan, body) = KvStore::decode_versioned_scan(scan).expect("versioned scan payload");
