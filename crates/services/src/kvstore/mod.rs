@@ -474,15 +474,19 @@ impl App for KvStore {
             return Err(AbortReason::Conflict);
         }
         let w = self.write_of(Some((staged, t)), key, change);
-        let reply = Bytes::copy_from_slice(w.value().unwrap_or_default().as_bytes());
         if !durable {
+            let reply = Bytes::copy_from_slice(w.value().unwrap_or_default().as_bytes());
             self.volatile.stage(t, w);
             return Ok((reply, StateUpdate::None)); // not replicated
         }
+        // As in `execute`: the value ends its `Stage` delta and is its
+        // reply, so the decree ships and logs it once.
+        let value = w.value().map_or(0, str::len);
         let delta = KvDelta::Stage(t, w);
-        let update = StateUpdate::Delta(delta.encode());
+        let update = delta.encode();
+        let reply = update.slice(update.len() - value..);
         self.apply_delta(delta);
-        Ok((reply, update))
+        Ok((reply, StateUpdate::Delta(update)))
     }
 
     fn txn_commit(&mut self, txn: TxnId) -> StateUpdate {
@@ -720,6 +724,25 @@ mod tests {
                 "{op:?}"
             );
         }
+        // A durable staged write (per-operation coordination) ships its
+        // value in its `Stage` delta, and answers with it.
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut ctx = ExecCtx::new(Time::ZERO, &mut rng);
+        let t = TxnId(3);
+        let staged = txn_req(
+            5,
+            RequestKind::Write,
+            t,
+            &KvOp::Put("s".into(), long.clone()),
+        );
+        let (reply, update) = s.txn_execute(t, &staged, true, &mut ctx).unwrap();
+        assert_eq!(reply, long.as_bytes());
+        let entry = DecreeEntry {
+            cmd: Command::Noop,
+            update,
+            reply: ReplyBody::Ok(reply),
+        };
+        assert!(entry.reply_in_update().is_some(), "a staged put");
     }
 
     #[test]
