@@ -798,9 +798,10 @@ fn follower_reads_with(seed: u64, per_client: u64) -> TableOut {
 /// * **closed-loop**: real `SyncClient`s, one per thread, then the
 ///   headline run — 10,000 shipped client cores on one
 ///   [`ClientLoop`] thread over three sockets;
-/// * **open-loop**: a fixed offered-rate sweep past saturation. The
-///   reactor's admission gate sheds the excess with `Busy` (throughput
-///   plateaus, tail latency stays bounded).
+/// * **open-loop**: a fixed offered-rate sweep past saturation. Each
+///   node's admission gate (`Node::admit`) sheds the excess with `Busy`
+///   and the reactor sends it (throughput plateaus, tail latency stays
+///   bounded).
 ///
 /// The thread-per-connection transport and the hand-made virtual-client
 /// driver the earlier rows ran on are gone; their rows are frozen in

@@ -32,7 +32,7 @@ use crate::scenario::{ClientOp, Scenario};
 use gridpaxos_core::action::TimerKind;
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
-use gridpaxos_core::node::{Inbox, Net, Node, TimerOp, TimerOps};
+use gridpaxos_core::node::{Net, Node, TimerOp, TimerOps};
 use gridpaxos_core::outbox::{Lent, Out};
 use gridpaxos_core::replica::Replica;
 use gridpaxos_core::request::{ReplyBody, Request, RequestId, RequestKind};
@@ -654,7 +654,7 @@ impl Cluster {
         self.power_cut = power_cut;
         node.release(self);
         if let Some(lent) = self.lent.take() {
-            node.barrier_back(lent, self, &mut Inbox::new());
+            node.barrier_back(lent, self);
         }
         self.nodes[idx] = Some(node);
         if power_cut {
@@ -841,9 +841,9 @@ impl Cluster {
                 }
             }
             ReplyBody::Empty => {}
-            // Transport-level shed: the request never reached the
-            // protocol, so there is nothing to check (the model checker
-            // has no admission gate anyway).
+            // Overload shed: the request never reached a replica, so
+            // there is nothing to check (and a checker step delivers one
+            // message at a time, a backlog the node's gate never sheds).
             ReplyBody::Busy => {}
             // 2PC prepare votes: the single-group model checker issues no
             // cross-shard transactions, and the dedicated txn2pc harness

@@ -5,8 +5,9 @@
 //! and the clock, so every host runs the same steps — the epoll reactor
 //! of `gridpaxos-transport`, the simulator's `World`, the model checker's
 //! cluster and the test shuttles — and what the live path runs is what a
-//! seeded run reproduces and the checker explores. [`Node::deliver`]
-//! routes a message to the group its envelope names and steps it; the
+//! seeded run reproduces and the checker explores. [`Node::admit`] queues
+//! an arrival and [`Node::step_next`] routes the oldest to the group its
+//! envelope names and steps it; [`Node::deliver`] is the two at once. The
 //! group's sends wait in the node's outbox, enveloped, and its timer
 //! operations go back to the host as [`TimerOp`]s, which cannot carry a
 //! send. [`Node::release`] runs the one order of sends and barrier
@@ -15,13 +16,27 @@
 //! thread pool, the simulator, the checker and the shuttles sync inline
 //! and are never away.
 //!
-//! While a barrier is away, [`Node::deliver`] runs only what
+//! While a barrier is away, [`Node::step_next`] runs only what
 //! `Replica::serves_beside_barrier` admits and holds the rest, enveloped
 //! as it arrived and in arrival order; a release sends what the admitted
 //! steps made at once; [`Node::fire`] refuses, since a timer's handler
 //! may write storage. [`Node::barrier_back`] sends what waited behind the
-//! barrier and puts the held messages back at the front of the host's
-//! inbox, ahead of anything that arrived after them.
+//! barrier and puts the held messages back at the front of the node's
+//! queue, ahead of anything that arrived after them.
+//!
+//! ## Overload
+//!
+//! The node's backlog is what it has queued and what it holds behind a
+//! barrier. A client request that arrives with the backlog at
+//! [`ADMIT_HIGH`] is not queued: [`Node::admit`] hands back its `Busy`
+//! reply, in the envelope it came in, for the host to send at once,
+//! outside the outbox — the request never reaches a replica, so there is
+//! nothing for a barrier to cover. Shedding goes on until the backlog is
+//! down to [`ADMIT_LOW`], so a node at the mark does not flap between
+//! admitting and refusing. A host that steps every arrival at once (the
+//! simulator, the checker, the shuttles) has a backlog of one and never
+//! sheds; the reactor admits what a read brings and steps a bounded batch
+//! of it per cycle.
 //!
 //! A node is the one owner of its process's stable storage, one
 //! [`NodeStorage`] for all its groups. The storage sits with one group at
@@ -53,10 +68,18 @@ use crate::config::Config;
 use crate::msg::Msg;
 use crate::outbox::{release_begin, release_beside, release_end, Held, Lent, Out, Outbox};
 use crate::replica::Replica;
+use crate::request::{Reply, ReplyBody};
 use crate::service::App;
 use crate::storage::NodeStorage;
-use crate::types::{Addr, Dur, GroupId, ProcessId, Time};
+use crate::types::{Addr, Dur, GroupId, Instance, ProcessId, Time};
 use std::collections::VecDeque;
+
+/// The backlog at which a node starts shedding client requests with
+/// `Busy`.
+pub const ADMIT_HIGH: usize = 4096;
+
+/// The backlog at which a shedding node admits client requests again.
+pub const ADMIT_LOW: usize = 1024;
 
 /// Derive group `g`'s config from the deployment config: identical except
 /// for the bootstrap leader. A geo-aware [`Config::placement`] entry for
@@ -103,9 +126,6 @@ pub enum TimerOp {
 /// with its group: a buffer the host passes in and drains.
 pub type TimerOps = Vec<(GroupId, TimerOp)>;
 
-/// Messages waiting for a node, each with its sender, in arrival order.
-pub type Inbox = VecDeque<(Addr, Msg)>;
-
 /// The host's half of a release: its network, and where a barrier syncs.
 pub trait Net {
     /// Hand `outs` to the network, in order, leaving the list empty (its
@@ -124,18 +144,23 @@ pub trait Net {
 }
 
 /// One process: `G` replica groups sharing one identity and one storage,
-/// the sends of the cycle in progress, and the barrier away with what
-/// waits for it.
+/// its backlog, the sends of the cycle in progress, and the barrier away
+/// with what waits for it.
 pub struct Node {
     id: ProcessId,
     /// One of them holds the storage, but while the barrier is away.
     groups: Vec<Replica>,
+    /// Arrivals not yet stepped, each with its sender, in arrival order.
+    queue: VecDeque<(Addr, Msg)>,
+    /// What arrived while a barrier is away and waits for it, enveloped
+    /// as it arrived.
+    held: VecDeque<(Addr, Msg)>,
+    /// Whether client requests are shed: from a backlog of
+    /// [`ADMIT_HIGH`] down to [`ADMIT_LOW`].
+    shedding: bool,
     outbox: Outbox,
     /// The sends behind the barrier away, while one is.
     behind: Option<Held>,
-    /// What arrived while a barrier is away and waits for it, enveloped
-    /// as it arrived.
-    held: Inbox,
 }
 
 impl Node {
@@ -195,9 +220,11 @@ impl Node {
         Node {
             id,
             groups,
+            queue: VecDeque::new(),
+            held: VecDeque::new(),
+            shedding: false,
             outbox: Outbox::default(),
             behind: None,
-            held: Inbox::new(),
         }
     }
 
@@ -240,10 +267,10 @@ impl Node {
         self.behind.is_some()
     }
 
-    /// How many messages wait for the barrier away.
+    /// How many arrivals wait for [`Node::step_next`].
     #[must_use]
-    pub fn held_len(&self) -> usize {
-        self.held.len()
+    pub fn queued(&self) -> usize {
+        self.queue.len()
     }
 
     /// The sends buffered since the last release.
@@ -258,12 +285,45 @@ impl Node {
         }
     }
 
-    /// Hand an incoming message to the group its envelope names (a bare
-    /// message can only come from a single-group sender and addresses
-    /// group 0); one for a group this process does not host is dropped —
-    /// a mis-configured peer, not a protocol condition. While a barrier
-    /// is away, a message the group may not run beside it is held.
-    pub fn deliver(&mut self, from: Addr, msg: Msg, now: Time, timers: &mut TimerOps) {
+    /// Queue an arrival for [`Node::step_next`], or, if it is a client
+    /// request and the node is shedding, return its `Busy` reply instead,
+    /// in the envelope the request came in, for the host to send at once.
+    #[must_use = "a shed request's Busy reply goes back to its client"]
+    pub fn admit(&mut self, from: Addr, msg: Msg) -> Option<Msg> {
+        // Every message but the envelope is bare, whatever its variant.
+        #[allow(clippy::wildcard_enum_match_arm)]
+        let (g, inner) = match &msg {
+            Msg::Grouped { group, inner } => (*group, inner.as_ref()),
+            bare => (GroupId::ZERO, bare),
+        };
+        if let Msg::Request(req) = inner {
+            if self.shedding() {
+                let busy = Msg::Reply(Reply {
+                    id: req.id,
+                    leader: self.id,
+                    watermark: Instance::ZERO,
+                    body: ReplyBody::Busy,
+                });
+                return Some(self.envelope(g, busy));
+            }
+        }
+        self.queue.push_back((from, msg));
+        None
+    }
+
+    /// Step the oldest arrival, if there is one, and say whether there
+    /// was. It goes to the group its envelope names (a bare message can
+    /// only come from a single-group sender and addresses group 0); one
+    /// for a group this process does not host is dropped — a
+    /// mis-configured peer, not a protocol condition. While a barrier is
+    /// away, a message the group may not run beside it is held.
+    pub fn step_next(&mut self, now: Time, timers: &mut TimerOps) -> bool {
+        let Some((from, msg)) = self.queue.pop_front() else {
+            return false;
+        };
+        // The backlog shrinks here: a latch that reaches the low mark
+        // opens now, not at the next request.
+        self.shedding();
         // Every message but the envelope is bare, whatever its variant.
         #[allow(clippy::wildcard_enum_match_arm)]
         let (g, inner) = match msg {
@@ -271,14 +331,27 @@ impl Node {
             bare => (GroupId::ZERO, bare),
         };
         let Some(core) = self.groups.get_mut(g.0 as usize) else {
-            return;
+            return true;
         };
         if self.behind.is_some() && !core.serves_beside_barrier(&inner) {
             let msg = self.envelope(g, inner);
             self.held.push_back((from, msg));
-            return;
+            return true;
         }
         self.step(g, timers, |core| core.on_message(from, inner, now));
+        true
+    }
+
+    /// [`Node::admit`] a message and step everything queued: the drive of
+    /// a host that steps each arrival at once.
+    ///
+    /// # Panics
+    /// If the message is shed, which takes a backlog of [`ADMIT_HIGH`]:
+    /// a host that can build one admits and steps on its own.
+    pub fn deliver(&mut self, from: Addr, msg: Msg, now: Time, timers: &mut TimerOps) {
+        let shed = self.admit(from, msg);
+        assert!(shed.is_none(), "shed by a host that steps each arrival");
+        while self.step_next(now, timers) {}
     }
 
     /// Fire group `g`'s timer `kind`.
@@ -318,18 +391,18 @@ impl Node {
     }
 
     /// The barrier away is back, synced: send what waited behind it, and
-    /// put the messages held for it at the front of the host's `inbox`,
-    /// in arrival order, to run before anything that arrived since.
+    /// put the messages held for it at the front of the node's queue, in
+    /// arrival order, to run before anything that arrived since.
     ///
     /// # Panics
     /// If no barrier is away.
-    pub fn barrier_back(&mut self, lent: Lent, net: &mut impl Net, inbox: &mut Inbox) {
+    pub fn barrier_back(&mut self, lent: Lent, net: &mut impl Net) {
         let Some(held) = self.behind.take() else {
             panic!("no barrier away");
         };
         release_end(&mut self.groups, &mut self.outbox, net, lent, held);
-        self.held.append(inbox);
-        std::mem::swap(inbox, &mut self.held); // both keep their allocations
+        self.held.append(&mut self.queue);
+        std::mem::swap(&mut self.queue, &mut self.held); // both keep their allocations
     }
 
     /// A clean stop: release what is buffered with the barrier here, then
@@ -370,6 +443,18 @@ impl Node {
             Some(disk) => disk,
             None => panic!("crashed with a barrier away"),
         }
+    }
+
+    /// Whether client requests are shed at the backlog as it is now:
+    /// from [`ADMIT_HIGH`] on, until it is down to [`ADMIT_LOW`].
+    fn shedding(&mut self) -> bool {
+        let backlog = self.queue.len() + self.held.len();
+        self.shedding = if self.shedding {
+            backlog > ADMIT_LOW
+        } else {
+            backlog >= ADMIT_HIGH
+        };
+        self.shedding
     }
 
     /// Run `step` on group `g`, holding the storage, and buffer what it
@@ -808,7 +893,7 @@ mod tests {
         let confirm = t.nets[1].sent.pop().expect("the follower's confirm");
         assert_eq!(confirm.msg().tag(), "confirm");
         t.deliver(0, Addr::Replica(ProcessId(1)), confirm.msg().clone());
-        assert_eq!(t.nodes[0].held_len(), 0, "nothing held");
+        assert!(t.nodes[0].held.is_empty(), "nothing held");
         t.release(0);
         assert!(t.nodes[0].barrier_away(), "still away");
         assert_eq!(t.replies(0), [(3, 1)], "the chosen write only");
@@ -817,7 +902,8 @@ mod tests {
 
     /// A write that arrives while the barrier is away waits for it, with
     /// the follower's `Accepted` that commits the write in flight, and
-    /// both come back ahead of a write that arrived after the barrier.
+    /// both come back ahead of a write that arrived, still unstepped,
+    /// while the barrier was away.
     #[test]
     fn a_write_waits_for_the_barrier_and_runs_first_after_it() {
         let (mut t, mut lent) = away();
@@ -827,22 +913,23 @@ mod tests {
         t.release(1);
         let accepted = t.nets[1].sent.pop().expect("the follower's vote");
         t.deliver(0, Addr::Replica(ProcessId(1)), accepted.msg().clone());
-        assert_eq!(t.nodes[0].held_len(), 2);
+        assert_eq!(t.nodes[0].held.len(), 2);
         t.release(0);
         assert!(t.nets[0].sent.is_empty(), "held steps sent nothing");
+        let later = t.request(4, RequestKind::Write);
+        let later = t.nodes[0].admit(CLIENT, later);
+        assert!(later.is_none() && t.nodes[0].queued() == 1);
 
         lent.flush();
-        let mut inbox = Inbox::from([(CLIENT, t.request(4, RequestKind::Write))]);
-        t.nodes[0].barrier_back(lent, &mut t.nets[0], &mut inbox);
-        assert!(!t.nodes[0].barrier_away() && t.nodes[0].held_len() == 0);
-        let order: Vec<_> = inbox.iter().map(|(from, m)| (*from, m.tag())).collect();
+        t.nodes[0].barrier_back(lent, &mut t.nets[0]);
+        assert!(!t.nodes[0].barrier_away() && t.nodes[0].held.is_empty());
+        let queue = t.nodes[0].queue.iter();
+        let order: Vec<_> = queue.map(|(from, m)| (*from, m.tag())).collect();
         let r1 = Addr::Replica(ProcessId(1));
         let arrival = [(CLIENT, "request"), (r1, "accepted"), (CLIENT, "request")];
         assert_eq!(order, arrival, "held first, in arrival order");
         t.nets[0].lends = false;
-        for (from, msg) in inbox {
-            t.deliver(0, from, msg);
-        }
+        while t.nodes[0].step_next(t.now, &mut TimerOps::new()) {}
         t.release(0);
         t.pump();
         assert_eq!(t.replies(0), [(2, 2), (3, 3), (4, 4)]);
@@ -875,7 +962,7 @@ mod tests {
         let lent = t.nets[0].lent.take().expect("the barrier lent");
         let tags = |t: &Three| -> Vec<_> { t.nets[0].sent.iter().map(|o| o.msg().tag()).collect() };
         assert_eq!(tags(&t), ["accept"], "the ahead list only");
-        t.nodes[0].barrier_back(lent, &mut t.nets[0], &mut Inbox::new());
+        t.nodes[0].barrier_back(lent, &mut t.nets[0]);
         assert_eq!(
             tags(&t),
             ["accept"],
@@ -929,5 +1016,110 @@ mod tests {
             t.nodes[0].group(GroupId::ZERO).unwrap().chosen_prefix(),
             Instance(4)
         );
+    }
+
+    // ----- the admission gate ------------------------------------------
+
+    /// Group `g`'s write `seq` from client 1, as a node of `n` groups
+    /// receives it.
+    fn request_to(n: &Node, g: GroupId, seq: u64) -> Msg {
+        n.envelope(g, write_req(seq))
+    }
+
+    /// Admit [`ADMIT_HIGH`] requests to group `g` without a step: the
+    /// backlog at the high mark, every one of them queued.
+    fn at_the_high_mark(n: &mut Node, g: GroupId) {
+        for seq in 0..ADMIT_HIGH as u64 {
+            let msg = request_to(n, g, seq);
+            assert!(n.admit(CLIENT, msg).is_none(), "request {seq} shed");
+        }
+        assert_eq!(n.queued(), ADMIT_HIGH);
+    }
+
+    /// With [`ADMIT_HIGH`] requests queued, the next is answered `Busy`
+    /// at once and not queued: bare from a one-group node, in its
+    /// group's envelope from a multi-group one.
+    #[test]
+    fn a_request_past_the_high_mark_is_answered_busy_in_its_envelope() {
+        for (n_groups, g) in [(1, GroupId::ZERO), (2, GroupId(1))] {
+            let mut n = node(n_groups, 3);
+            at_the_high_mark(&mut n, g);
+            let msg = request_to(&n, g, 9_999);
+            let busy = n.admit(CLIENT, msg).expect("shed");
+            assert_eq!(n.queued(), ADMIT_HIGH, "the shed request is not queued");
+            let reply = Msg::Reply(Reply {
+                id: RequestId::new(ClientId(1), Seq(9_999)),
+                leader: ProcessId(0),
+                watermark: Instance::ZERO,
+                body: ReplyBody::Busy,
+            });
+            let want = match n_groups {
+                1 => reply,
+                _ => Msg::Grouped {
+                    group: g,
+                    inner: Box::new(reply),
+                },
+            };
+            assert_eq!(busy, want);
+        }
+    }
+
+    /// Only a client request is shed: a replica's message is queued
+    /// whatever the backlog.
+    #[test]
+    fn a_message_that_is_not_a_request_is_never_shed() {
+        let mut n = node(2, 5);
+        at_the_high_mark(&mut n, GroupId::ZERO);
+        let request = request_to(&n, GroupId::ZERO, 9_999);
+        assert!(n.admit(CLIENT, request).is_some(), "shedding");
+        let catch_up = Msg::CatchUpReq {
+            have: Instance::ZERO,
+            resume: None,
+        };
+        let msg = n.envelope(GroupId(1), catch_up);
+        assert!(n.admit(Addr::Replica(ProcessId(1)), msg).is_none());
+        assert_eq!(n.queued(), ADMIT_HIGH + 1);
+    }
+
+    /// What a node holds behind a barrier away is backlog too: with
+    /// [`ADMIT_HIGH`] writes held and none queued, the next is shed.
+    #[test]
+    fn held_messages_count_toward_the_backlog() {
+        let (mut t, _lent) = away();
+        let now = t.now;
+        for seq in 0..ADMIT_HIGH as u64 {
+            let write = t.request(10 + seq, RequestKind::Write);
+            assert!(t.nodes[0].admit(CLIENT, write).is_none());
+            assert!(t.nodes[0].step_next(now, &mut TimerOps::new()));
+        }
+        let node = &t.nodes[0];
+        assert_eq!((node.queued(), node.held.len()), (0, ADMIT_HIGH));
+        let write = t.request(9_999, RequestKind::Write);
+        assert!(t.nodes[0].admit(CLIENT, write).is_some(), "shed");
+    }
+
+    /// A shedding node sheds until its backlog is down to [`ADMIT_LOW`],
+    /// and admits again from there.
+    #[test]
+    fn shedding_stops_at_exactly_the_low_mark() {
+        let mut n = node(1, 17);
+        at_the_high_mark(&mut n, GroupId::ZERO);
+        let mut timers = TimerOps::new();
+        let mut seq = 10_000;
+        let mut next = |n: &mut Node| {
+            seq += 1;
+            let msg = request_to(n, GroupId::ZERO, seq);
+            n.admit(CLIENT, msg)
+        };
+        assert!(next(&mut n).is_some(), "at the high mark");
+        while n.queued() > ADMIT_LOW + 1 {
+            assert!(n.step_next(Time(1), &mut timers));
+        }
+        assert!(next(&mut n).is_some(), "one above the low mark");
+        assert!(n.step_next(Time(1), &mut timers));
+        assert_eq!(n.queued(), ADMIT_LOW);
+        assert!(next(&mut n).is_none(), "at the low mark");
+        assert!(next(&mut n).is_none(), "and above it");
+        n.release(&mut Dropped);
     }
 }

@@ -9,7 +9,7 @@ use super::*;
 use crate::client::ClientCore;
 use crate::config::{ReadMode, TxnMode, ValueMode};
 use crate::msg::{ImageRun, Msg};
-use crate::node::{Inbox, Net, Node, TimerOps};
+use crate::node::{Net, Node, TimerOps};
 use crate::outbox::{Lent, Out, Outbox};
 use crate::request::{AbortReason, ReplyBody, RequestKind};
 use crate::service::NoopApp;
@@ -125,7 +125,7 @@ impl Shuttle {
         self.stepping = p;
         node.release(self);
         if let Some(lent) = self.lent.take() {
-            node.barrier_back(lent, self, &mut Inbox::new());
+            node.barrier_back(lent, self);
         }
         self.nodes[p as usize] = Some(node);
         self.trace_step();

@@ -1,22 +1,15 @@
-//! Backpressure primitives for the reactor transport.
+//! The reactor's byte-bounded per-connection outbound queue,
+//! [`SendQueue`]. A peer that stops reading cannot make the node buffer
+//! unboundedly: once the cap is reached, further frames are refused (the
+//! caller counts the drop — Paxos retransmission recovers coordination
+//! traffic, client retry timers recover replies), and the reactor
+//! suspends the connection's reads. A flush hands the kernel many frames
+//! in one vectored write, and tolerates partial writes: a frame cut by a
+//! short write or `EWOULDBLOCK` resumes at the exact byte offset.
 //!
-//! Two independent mechanisms, composed by [`crate::reactor`]:
-//!
-//! * [`SendQueue`] — a **byte-bounded** per-connection outbound queue.
-//!   A peer that stops reading cannot make the node buffer unboundedly;
-//!   once the cap is reached, further frames are refused (the caller
-//!   counts the drop — Paxos retransmission recovers coordination
-//!   traffic, client retry timers recover replies). A flush hands the
-//!   kernel many frames in one vectored write, and tolerates partial
-//!   writes: a frame cut by a short write or `EWOULDBLOCK` resumes at
-//!   the exact byte offset.
-//!
-//! * [`AdmissionGate`] — a node-wide hysteresis switch over inbound
-//!   load. Above the high-water mark the gate **sheds**: new client
-//!   requests are answered immediately with `ReplyBody::Busy` instead of
-//!   entering the protocol. Shedding persists until load falls to the
-//!   low-water mark, so a node hovering at the threshold does not
-//!   flap between admitting and refusing on every message.
+//! Inbound load is the node's to refuse: its admission gate
+//! (`gridpaxos_core::node::Node::admit`) sheds client requests with
+//! `Busy` once its backlog reaches the high mark.
 
 #![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
 
@@ -137,45 +130,6 @@ impl SendQueue {
             self.head_off = 0;
             self.frames.pop_front();
         }
-    }
-}
-
-/// Node-wide admission control with high/low-water hysteresis.
-///
-/// `update(load)` feeds the current backlog (the reactor uses its inbox
-/// length); the gate latches into shedding at `load >= high` and out of
-/// it at `load <= low`.
-#[derive(Debug)]
-pub struct AdmissionGate {
-    high: usize,
-    low: usize,
-    shedding: bool,
-}
-
-impl AdmissionGate {
-    /// A gate engaging at `high` and releasing at `low`. If the caller
-    /// passes `low >= high` the low mark is clamped below the high mark
-    /// so the hysteresis band is never empty.
-    #[must_use]
-    pub fn new(high: usize, low: usize) -> AdmissionGate {
-        let high = high.max(1);
-        AdmissionGate {
-            high,
-            low: low.min(high - 1),
-            shedding: false,
-        }
-    }
-
-    /// Feed the current load; returns whether the gate is now shedding.
-    pub fn update(&mut self, load: usize) -> bool {
-        if self.shedding {
-            if load <= self.low {
-                self.shedding = false;
-            }
-        } else if load >= self.high {
-            self.shedding = true;
-        }
-        self.shedding
     }
 }
 
@@ -379,32 +333,5 @@ mod tests {
             assert_eq!(q.flush_into(&mut w).unwrap(), FlushOutcome::Drained);
             assert_eq!(w.calls, frames.div_ceil(64), "{frames} frames");
         }
-    }
-
-    #[test]
-    fn gate_sheds_above_high_water_and_readmits_below_low() {
-        let mut g = AdmissionGate::new(100, 50);
-        assert!(!g.update(99), "below high: admitting");
-        assert!(g.update(100), "at high: shedding");
-        assert!(g.update(75), "hysteresis: still shedding between marks");
-        assert!(g.update(51), "still above low");
-        assert!(!g.update(50), "at low: re-admitting");
-        assert!(!g.update(99), "stays open until high again");
-        assert!(g.update(150));
-    }
-
-    #[test]
-    fn gate_clamps_inverted_watermarks() {
-        let mut g = AdmissionGate::new(10, 10);
-        assert!(g.update(10));
-        assert!(g.update(10), "low clamped below high: still shedding at 10");
-        assert!(!g.update(9));
-    }
-
-    #[test]
-    fn a_shedding_gate_sheds_every_request_until_the_low_mark() {
-        let mut g = AdmissionGate::new(2, 0);
-        let shed: Vec<bool> = [5, 3, 1, 0, 1].into_iter().map(|l| g.update(l)).collect();
-        assert_eq!(shed, [true, true, true, false, false]);
     }
 }

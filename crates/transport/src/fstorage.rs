@@ -1385,7 +1385,7 @@ mod tests {
     fn a_lent_barrier_on_a_multi_group_node_syncs_once() {
         use gridpaxos_core::config::Config;
         use gridpaxos_core::msg::Msg;
-        use gridpaxos_core::node::{Inbox, Net, Node, TimerOps};
+        use gridpaxos_core::node::{Net, Node, TimerOps};
         use gridpaxos_core::outbox::{Lent, Out};
         use gridpaxos_core::prelude::{Addr, NoopApp, Time};
 
@@ -1449,7 +1449,7 @@ mod tests {
             1,
             "one sync for three groups"
         );
-        node.barrier_back(lent, &mut net, &mut Inbox::new());
+        node.barrier_back(lent, &mut net);
         assert!(!node.barrier_away());
         let votes = [(0, "accepted"), (1, "accepted"), (2, "accepted")];
         assert_eq!(sent(&mut net), votes, "every group back, synced");

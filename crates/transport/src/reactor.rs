@@ -11,19 +11,21 @@
 //! ## One node, two hosts
 //!
 //! Everything the loop does to the replicas is [`Node`]'s, the code the
-//! simulator hosts too: routing, stepping, buffering sends, the release
-//! ([`gridpaxos_core::outbox`]: `Accept`s to the kernel, one fsync for
-//! the whole batch, then everything else) and the barrier away. The
-//! reactor is the host: epoll, the connections, the admission gate, the
-//! inbox and its `MAX_DRAIN` cap, the timer table, one checkpoint chunk
-//! per group per cycle, the counters, and `Sockets`, the node's [`Net`].
-//! `Sockets` lends the barrier to a thread of a process-wide pool
-//! (`crate::barrier`), and the loop goes on delivering to the node —
-//! which runs X-Paxos reads and their confirms beside the barrier and
-//! holds the rest — but fires no timer and pumps no checkpoint. The
-//! barrier's wake-up, a socket in the epoll set, brings it back to
+//! simulator hosts too: the backlog and its admission gate, routing,
+//! stepping, buffering sends, the release ([`gridpaxos_core::outbox`]:
+//! `Accept`s to the kernel, one fsync for the whole batch, then
+//! everything else) and the barrier away. The reactor is the host: epoll,
+//! the connections and the hello, decoding, binding a client to its
+//! connection, sending a shed request's `Busy`, the `MAX_DRAIN` cap on
+//! steps per cycle, the timer table, one checkpoint chunk per group per
+//! cycle, the counters, and `Sockets`, the node's [`Net`]. `Sockets`
+//! lends the barrier to a thread of a process-wide pool
+//! (`crate::barrier`), and the loop goes on stepping the node — which
+//! runs X-Paxos reads and their confirms beside the barrier and holds the
+//! rest — but fires no timer and pumps no checkpoint. The barrier's
+//! wake-up, a socket in the epoll set, brings it back to
 //! [`Node::barrier_back`], and what the node held goes back to the front
-//! of the inbox. Storage that is durable as written never lends.
+//! of its queue. Storage that is durable as written never lends.
 //!
 //! ## I/O discipline
 //!
@@ -54,18 +56,17 @@
 //!
 //! Per-connection send queues are byte-capped; while one is full its
 //! connection's **read interest is suspended**, so a peer that stops
-//! reading our replies stops feeding us work. A node-wide `AdmissionGate`
-//! (`crate::backpressure`) over the backlog — the inbox and what the node
-//! holds behind a barrier — sheds client requests with an immediate
-//! `ReplyBody::Busy` above its high-water mark and re-admits below its
-//! low-water mark; a Busy reply never touches the protocol core. Replies
-//! route by client address: every `Request` binds its client to the
-//! connection it came on, so any number of clients ([`crate::client`])
-//! share one socket.
+//! reading our replies stops feeding us work. Every decoded message goes
+//! to [`Node::admit`], whose gate over the node's backlog — what it has
+//! queued and what it holds behind a barrier — sheds client requests
+//! from `ADMIT_HIGH` down to `ADMIT_LOW` ([`gridpaxos_core::node`]); the
+//! loop sends the `ReplyBody::Busy` it hands back at once, over the
+//! request's connection, and counts it. Replies route by client address:
+//! every `Request` binds its client to the connection it came on, so any
+//! number of clients ([`crate::client`]) share one socket.
 
 #![deny(clippy::disallowed_methods)] // rule 5: no blocking call on an epoll loop
 
-use crate::backpressure::AdmissionGate;
 use crate::barrier::BarrierLine;
 use crate::client::{fresh_client_id, SyncClient};
 use crate::conn::{Conn, ConnTable, Sent, SEND_QUEUE_CAP, TOKEN_LISTENER};
@@ -77,10 +78,9 @@ use bytes::Bytes;
 use gridpaxos_core::client::{ClientCore, ShardRouter};
 use gridpaxos_core::config::Config;
 use gridpaxos_core::msg::Msg;
-use gridpaxos_core::node::{Inbox, Net, Node, TimerOp, TimerOps};
+use gridpaxos_core::node::{Net, Node, TimerOp, TimerOps};
 use gridpaxos_core::outbox::{Lent, Out};
 use gridpaxos_core::replica::Replica;
-use gridpaxos_core::request::{Reply, ReplyBody};
 use gridpaxos_core::service::App;
 use gridpaxos_core::storage::{MemStorage, NodeStorage, Storage};
 use gridpaxos_core::types::{Addr, ClientId, Dur, GroupId, ProcessId, Time};
@@ -108,19 +108,12 @@ const TOKEN_BARRIER: u64 = u64::MAX;
 pub struct ReactorConfig {
     /// Byte cap per connection send queue (exceeded by at most one frame).
     pub send_queue_cap: usize,
-    /// Inbox backlog at which the admission gate starts shedding client
-    /// requests with `Busy`.
-    pub admit_high: usize,
-    /// Backlog at which a shedding gate re-admits.
-    pub admit_low: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             send_queue_cap: SEND_QUEUE_CAP,
-            admit_high: 4096,
-            admit_low: 1024,
         }
     }
 }
@@ -159,7 +152,7 @@ pub struct ReactorStats {
     pub bytes_in: u64,
     /// Payload bytes written.
     pub bytes_out: u64,
-    /// Client requests shed with `Busy` by the admission gate.
+    /// Client requests shed with `Busy` by the node's admission gate.
     pub busy_shed: u64,
     /// Frames refused: the connection's send queue was full, or the
     /// frame exceeded `MAX_FRAME`.
@@ -232,18 +225,16 @@ fn after_write(metrics: &MetricsInner, cap: usize) -> impl FnMut(&mut Conn, bool
 }
 
 struct Reactor {
-    /// The process: its groups, what they buffered, and the barrier away.
+    /// The process: its groups, its backlog, what they buffered, and the
+    /// barrier away.
     node: Node,
     /// Where the node's releases go.
     net: Sockets,
     epoch: Instant,
     listener: TcpListener,
-    /// Decoded messages awaiting a trip through the node.
-    inbox: Inbox,
     /// What the last step asked of the timers.
     timer_ops: TimerOps,
     timers: Timers,
-    gate: AdmissionGate,
     stop: Arc<AtomicBool>,
 }
 
@@ -287,9 +278,7 @@ impl Reactor {
             net,
             epoch: Instant::now(),
             listener,
-            inbox: Inbox::new(),
             timer_ops: TimerOps::new(),
-            gate: AdmissionGate::new(rcfg.admit_high, rcfg.admit_low),
             stop,
         })
     }
@@ -325,7 +314,7 @@ impl Reactor {
     /// group-commit barrier — a flush per group with a barrier due, which
     /// the node's one WAL ([`crate::fstorage`]) collapses to one fsync —
     /// on a pool thread, then everything else). Busy replies queued
-    /// outside the node reach their sockets here too.
+    /// outside the outbox reach their sockets here too.
     fn flush_and_transmit(&mut self) {
         self.node.release(&mut self.net);
         self.net.write_dirty_conns();
@@ -333,14 +322,14 @@ impl Reactor {
 
     /// The barrier's wake-up fired, or, with `block`, the loop waits for
     /// the barrier away on its way out: if it is back, the node sends what
-    /// waited behind it, and what it held goes back to the front of the
-    /// inbox.
+    /// waited behind it, and what it held goes back to the front of its
+    /// queue.
     fn barrier_back(&mut self, block: bool) {
         let line = self.net.line.as_mut().filter(|_| self.node.barrier_away());
         let Some(lent) = line.and_then(|line| line.back(block)) else {
             return;
         };
-        self.node.barrier_back(lent, &mut self.net, &mut self.inbox);
+        self.node.barrier_back(lent, &mut self.net);
     }
 
     fn accept_ready(&mut self) {
@@ -358,43 +347,34 @@ impl Reactor {
         }
     }
 
-    /// EPOLLIN on `token`: read what came, admit or shed each request.
+    /// EPOLLIN on `token`: read what came, and admit each message to the
+    /// node or send the `Busy` it sheds a request with.
     fn handle_readable(&mut self, token: u64) {
-        let mut door = Door {
-            me: self.node.id(),
-            inbox: &mut self.inbox,
-            held: self.node.held_len(),
-            gate: &mut self.gate,
-            metrics: &self.net.metrics,
-        };
-        let read = self
-            .net
-            .conns
-            .read(token, |conns, frame| door.on_frame(conns, token, frame));
+        let (node, metrics) = (&mut self.node, &self.net.metrics);
+        let read = self.net.conns.read(token, |conns, frame| {
+            on_frame(node, metrics, conns, token, frame)
+        });
         bump(&self.net.metrics.bytes_in, read as u64);
     }
 
-    /// Hand up to [`MAX_DRAIN`] queued messages to the node, which holds
-    /// those that must wait for a barrier away.
-    fn process_inbox(&mut self) {
+    /// Step up to [`MAX_DRAIN`] of the node's queued messages, arming
+    /// timers after each; the node holds those that must wait for a
+    /// barrier away.
+    fn step_queued(&mut self) {
         for _ in 0..MAX_DRAIN {
-            let Some((from, msg)) = self.inbox.pop_front() else {
-                break;
-            };
             let now = self.now();
-            self.node.deliver(from, msg, now, &mut self.timer_ops);
+            if !self.node.step_next(now, &mut self.timer_ops) {
+                return;
+            }
             self.arm_timers();
         }
-        // Keep the gate fed as the backlog shrinks so re-admission happens
-        // even when no new request arrives to trigger an update.
-        self.gate.update(self.inbox.len() + self.node.held_len());
     }
 
     /// How long the loop may block: until the next timer is due, capped
-    /// at [`MAX_WAIT`]; not at all while backlog remains. Timers wait for
-    /// a barrier away, whose wake-up ends the wait.
+    /// at [`MAX_WAIT`]; not at all while the node has messages queued.
+    /// Timers wait for a barrier away, whose wake-up ends the wait.
     fn wait(&mut self) -> Duration {
-        if !self.inbox.is_empty() {
+        if self.node.queued() > 0 {
             return Duration::ZERO;
         }
         if self.node.barrier_away() {
@@ -450,12 +430,16 @@ impl Reactor {
                     self.handle_readable(ev.token);
                 }
             }
-            self.process_inbox();
+            self.step_queued();
             if !self.node.barrier_away() {
                 self.fire_due_timers();
                 // One incremental-checkpoint chunk per group per cycle:
-                // state serialization rides the drive loop in O(chunk)
-                // slices instead of one stop-the-world O(state) pause.
+                // serializing the state rides the loop in O(chunk) slices.
+                // A group's last chunk does not: the image's commit and
+                // the log truncation after it (`FileStorage`'s
+                // `checkpoint_commit`, `truncate_upto` → `rewrite_wal`)
+                // run four fsyncs on this thread and rewrite every
+                // group's retained WAL records (DESIGN.md §9).
                 for g in (0..self.node.n_groups() as u32).map(GroupId) {
                     self.node.group_mut(g).pump_checkpoint(1);
                 }
@@ -517,73 +501,51 @@ impl Net for Sockets {
     }
 }
 
-/// What a frame off a connection may touch of the reactor: the hello
-/// binds the connection's peer; a client request binds its client to the
-/// connection and passes the admission gate into the inbox, or is shed
-/// with `Busy`.
-struct Door<'a> {
-    me: ProcessId,
-    inbox: &'a mut Inbox,
-    /// Messages held behind a barrier: backlog the gate counts too.
-    held: usize,
-    gate: &'a mut AdmissionGate,
-    metrics: &'a MetricsInner,
-}
-
-impl Door<'_> {
-    /// One complete frame off connection `token`. Returns `false` if the
-    /// connection must be dropped (protocol violation).
-    fn on_frame(&mut self, conns: &mut ConnTable, token: u64, mut frame: Bytes) -> bool {
-        let Some(peer) = conns.peer(token) else {
-            // First frame on an accepted connection: the peer's address.
-            let Ok(addr) = get_addr(&mut frame) else {
-                return false;
-            };
-            conns.bind(addr, token);
-            return true;
-        };
-        let Ok(msg) = decode_msg(&mut frame) else {
+/// One complete frame off connection `token`: the hello binds the
+/// connection's peer; a client request binds its client to the
+/// connection; every message goes to [`Node::admit`], and the `Busy` it
+/// sheds a request with goes back at once, over the connection the client
+/// was just bound to. Returns `false` if the connection must be dropped
+/// (protocol violation).
+fn on_frame(
+    node: &mut Node,
+    metrics: &MetricsInner,
+    conns: &mut ConnTable,
+    token: u64,
+    mut frame: Bytes,
+) -> bool {
+    let Some(peer) = conns.peer(token) else {
+        // First frame on an accepted connection: the peer's address.
+        let Ok(addr) = get_addr(&mut frame) else {
             return false;
         };
-        bump(&self.metrics.msgs_in, 1);
+        conns.bind(addr, token);
+        return true;
+    };
+    let Ok(msg) = decode_msg(&mut frame) else {
+        return false;
+    };
+    bump(&metrics.msgs_in, 1);
 
-        // A client request binds its client to this connection — any
-        // number of clients share one socket — and passes the gate.
-        #[allow(clippy::wildcard_enum_match_arm)] // every message but the envelope is bare
-        let (group, inner) = match &msg {
-            Msg::Grouped { group, inner } => (Some(*group), inner.as_ref()),
-            bare => (None, bare),
-        };
-        let Msg::Request(req) = inner else {
-            self.inbox.push_back((peer, msg));
-            return true;
-        };
+    // A client request binds its client to this connection: any number
+    // of clients share one socket.
+    #[allow(clippy::wildcard_enum_match_arm)] // every message but the envelope is bare
+    let inner = match &msg {
+        Msg::Grouped { inner, .. } => inner.as_ref(),
+        bare => bare,
+    };
+    let from = if let Msg::Request(req) = inner {
         let client = Addr::Client(req.id.client);
         conns.bind(client, token);
-        if !self.gate.update(self.inbox.len() + self.held) {
-            self.inbox.push_back((client, msg));
-            return true;
-        }
-        // Shed: an immediate Busy, over the connection the client was just
-        // bound to, in the envelope the request came in. The request never
-        // reaches the core, so there is nothing for a barrier to cover.
-        bump(&self.metrics.busy_shed, 1);
-        let busy = Msg::Reply(Reply {
-            id: req.id,
-            leader: self.me,
-            watermark: gridpaxos_core::types::Instance::ZERO,
-            body: ReplyBody::Busy,
-        });
-        let busy = match group {
-            Some(group) => Msg::Grouped {
-                group,
-                inner: Box::new(busy),
-            },
-            None => busy,
-        };
-        self.metrics.sent(conns.send(client, &busy));
-        true
+        client
+    } else {
+        peer
+    };
+    if let Some(busy) = node.admit(from, msg) {
+        bump(&metrics.busy_shed, 1);
+        metrics.sent(conns.send(from, &busy));
     }
+    true
 }
 
 /// Join handle + live metrics for one reactor node.
@@ -814,7 +776,8 @@ mod tests {
     use gridpaxos_core::ballot::Ballot;
     use gridpaxos_core::client::ShardRouter;
     use gridpaxos_core::command::{Decree, DedupEntry};
-    use gridpaxos_core::request::{Request, RequestId, RequestKind};
+    use gridpaxos_core::node::ADMIT_HIGH;
+    use gridpaxos_core::request::{Reply, ReplyBody, Request, RequestId, RequestKind};
     use gridpaxos_core::service::NoopApp;
     use gridpaxos_core::storage::{ChunkedCheckpoint, DurableState};
     use gridpaxos_core::types::{Instance, Seq};
@@ -932,13 +895,14 @@ mod tests {
             "{wait:?}"
         );
 
-        r.inbox.push_back((
-            Addr::Replica(ProcessId(0)),
-            Msg::CatchUpReq {
-                have: Instance::ZERO,
-                resume: None,
-            },
-        ));
+        let catch_up = Msg::CatchUpReq {
+            have: Instance::ZERO,
+            resume: None,
+        };
+        assert!(r
+            .node
+            .admit(Addr::Replica(ProcessId(0)), catch_up)
+            .is_none());
         assert_eq!(r.wait(), Duration::ZERO, "backlog");
     }
 
@@ -1027,99 +991,60 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// A burst beyond the admission gate's high-water mark is answered
-    /// with immediate `Busy` sheds, and the connection keeps working.
+    /// A burst of more than [`ADMIT_HIGH`] writes on one connection,
+    /// spread out as [`send_spread`] does: every write is answered, over
+    /// that connection, with its result or with `Busy`, the admitted ones
+    /// complete, and the node counts exactly the `Busy` replies seen.
+    /// Whether any is shed depends on how fast the loop steps what it
+    /// reads, so the shed itself is tested where it is deterministic: in
+    /// core (`node::tests::a_request_past_the_high_mark_is_answered_busy_in_its_envelope`)
+    /// and, over the socket, behind a stalled barrier
+    /// ([`a_burst_held_behind_a_stalled_barrier_is_still_shed`]).
     #[test]
     fn overload_burst_is_shed_with_busy_replies() {
-        let rcfg = ReactorConfig {
-            admit_high: 4,
-            admit_low: 0,
-            ..ReactorConfig::default()
-        };
-        let cluster =
-            ReactorCluster::launch_sharded(Config::cluster(3), 1, noop_factory, None, rcfg)
-                .expect("launch");
-        let leader = cluster.addrs[&ProcessId(0)];
-        let mut sock = TcpStream::connect(leader).expect("connect");
+        let cluster = ReactorCluster::launch(Config::cluster(3), noop_factory).expect("launch");
         let base = cluster.next_client_id().0;
-        let burst = 256u64;
-        let mut hello = BytesMut::new();
-        put_addr(&mut hello, &Addr::Client(ClientId(base)));
-        let mut batch = Vec::new();
-        write_frame(&mut batch, &hello).expect("hello");
-        sock.write_all(&batch).expect("send hello");
-        let mut reader = BufReader::new(sock.try_clone().expect("clone"));
+        let burst = ADMIT_HIGH as u64 + 256;
+        let (mut sock, mut reader) = raw_client(cluster.addrs[&ProcessId(0)], ClientId(base));
 
         // This test talks to a single node, but a replica without
         // leadership silently ignores client writes (the protocol has
         // clients broadcast, so the leader's own copy answers). Retry a
-        // probe write until node 0 answers it, so the burst below races
-        // neither the bootstrap election nor a gate latched by it.
-        let probe_client = ClientId(base + burst);
-        sock.set_read_timeout(Some(Duration::from_millis(200))).ok();
-        let mut warm = false;
-        for _ in 0..100 {
-            let req = Request::new(
-                RequestId::new(probe_client, Seq(1)),
-                RequestKind::Write,
-                Bytes::new(),
+        // probe write until node 0 answers it, so the burst below does
+        // not race the bootstrap election.
+        let probe = RequestId::new(ClientId(base + burst), Seq(1));
+        let warm = (0..100).any(|_| {
+            send_request(
+                &mut sock,
+                Request::new(probe, RequestKind::Write, Bytes::new()),
             );
-            let frame = encode_to_bytes(&Msg::Request(req));
-            let mut wire = Vec::new();
-            write_frame(&mut wire, &frame).expect("frame");
-            sock.write_all(&wire).expect("send probe");
-            match read_frame(&mut reader) {
-                Ok(Some(mut f)) => {
-                    if let Ok(Msg::Reply(r)) = decode_msg(&mut f) {
-                        if r.id.client == probe_client && !r.body.is_busy() {
-                            warm = true;
-                            break;
-                        }
-                    }
-                }
-                Ok(None) => panic!("connection closed during warm-up"),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => panic!("warm-up read: {e}"),
-            }
-        }
+            let reply = next_reply(&sock, &mut reader, Duration::from_millis(200));
+            reply.is_some_and(|r| r.id == probe && !r.body.is_busy())
+        });
         assert!(warm, "node 0 never answered the warm-up write");
         let shed_before = cluster.metrics(0).stats().busy_shed;
 
-        let mut batch = Vec::new();
-        for v in 0..burst {
-            let req = Request::new(
-                RequestId::new(ClientId(base + v), Seq(1)),
-                RequestKind::Write,
-                Bytes::copy_from_slice(&[v as u8]),
-            );
-            let frame = encode_to_bytes(&Msg::Request(req));
-            write_frame(&mut batch, &frame).expect("frame");
-        }
-        sock.write_all(&batch).expect("send burst");
-
-        let mut busy = 0u64;
-        let mut ok = 0u64;
-        sock.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let write = |v: u64| {
+            let id = RequestId::new(ClientId(base + v), Seq(1));
+            Request::new(id, RequestKind::Write, Bytes::copy_from_slice(&[v as u8]))
+        };
+        send_spread(&mut sock, (0..burst).map(write));
+        let (mut busy, mut ok) = (0u64, 0u64);
         while busy + ok < burst {
-            let mut frame = match read_frame(&mut reader) {
-                Ok(f) => f.expect("conn open"),
-                Err(e) => panic!("read reply after busy={busy} ok={ok}: {e}"),
+            let wait = Duration::from_secs(10);
+            let Some(r) = next_reply(&sock, &mut reader, wait) else {
+                panic!("no reply after busy={busy} ok={ok}");
             };
-            if let Ok(Msg::Reply(r)) = decode_msg(&mut frame) {
-                // Stray duplicate probe replies route here too; count
-                // only the burst's clients.
-                if r.id.client.0 < base + burst {
-                    if r.body.is_busy() {
-                        busy += 1;
-                    } else {
-                        ok += 1;
-                    }
+            // Stray duplicate probe replies route here too; count only
+            // the burst's clients.
+            if r.id.client.0 < base + burst {
+                if r.body.is_busy() {
+                    busy += 1;
+                } else {
+                    ok += 1;
                 }
             }
         }
-        assert!(busy > 0, "a 256-burst past high-water=4 must shed");
         assert!(ok > 0, "admitted requests still complete");
         let shed = cluster.metrics(0).stats().busy_shed - shed_before;
         assert_eq!(shed, busy, "metric matches observed Busy replies");
@@ -1731,6 +1656,22 @@ mod tests {
         sock.write_all(&frame).expect("send");
     }
 
+    /// Send `reqs` over a raw connection 64 to a write, a millisecond
+    /// apart: a read cycle that passed [`ADMIT_HIGH`] alone would have to
+    /// find the loop away for some 60 ms.
+    fn send_spread(sock: &mut TcpStream, reqs: impl Iterator<Item = Request>) {
+        let mut frames = Vec::new();
+        for (i, req) in reqs.enumerate() {
+            write_frame(&mut frames, &encode_to_bytes(&Msg::Request(req))).expect("frame");
+            if i % 64 == 63 {
+                sock.write_all(&frames).expect("send");
+                frames.clear();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        sock.write_all(&frames).expect("send");
+    }
+
     /// The next reply on a raw connection within `wait`, if one came.
     fn next_reply(
         sock: &TcpStream,
@@ -1992,11 +1933,11 @@ mod tests {
     }
 
     /// The admission gate counts what waits behind a barrier. While the
-    /// leader's disk stalls, 256 writes arrive one a millisecond: the
-    /// first four are held, and with the held queue at the high-water
-    /// mark the rest are shed with `Busy` at once. A gate that read the
-    /// inbox alone would see it drained into the held queue every cycle
-    /// and admit them all.
+    /// leader's disk stalls, [`ADMIT_HIGH`] + 256 writes arrive, spread
+    /// out as [`send_spread`] does: every one is held, and from the
+    /// held queue at the high mark on the rest are shed with `Busy`, over
+    /// the socket, at once. A gate that counted the queue alone would see
+    /// it stepped into the held queue every cycle and admit them all.
     #[test]
     fn a_burst_held_behind_a_stalled_barrier_is_still_shed() {
         let root = std::env::temp_dir().join(format!(
@@ -2007,13 +1948,9 @@ mod tests {
         let mut cfg = Config::cluster(3);
         cfg.suspect_timeout = Dur::from_secs(30);
         cfg.heartbeat_interval = Dur::from_secs(30);
-        let rcfg = ReactorConfig {
-            admit_high: 4,
-            admit_low: 0,
-            ..ReactorConfig::default()
-        };
         let stalling = Arc::new(AtomicBool::new(false));
         let stalled = Arc::new(AtomicU64::new(0));
+        let rcfg = ReactorConfig::default();
         let (cluster, _) = stalling_cluster(cfg, rcfg, noop_factory, &root, |id| {
             if id == ProcessId(0) {
                 stall_while(&stalling, &stalled)
@@ -2039,11 +1976,8 @@ mod tests {
         wait_until("the leader inside its barrier", || {
             stalled.load(Ordering::SeqCst) == 1
         });
-        let burst = 256u64;
-        for v in 1..=burst {
-            send_request(&mut sock, write(v));
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let burst = ADMIT_HIGH as u64 + 256;
+        send_spread(&mut sock, (1..=burst).map(write));
         let (mut busy, mut ok) = (0u64, 0u64);
         while let Some(r) = next_reply(&sock, &mut reader, Duration::from_millis(200)) {
             assert!(r.body.is_busy(), "answered inside the barrier: {r:?}");
@@ -2059,8 +1993,8 @@ mod tests {
             }
         }
         assert!(
-            busy >= burst - 8,
-            "a burst held past high-water 4 must shed: {busy} shed"
+            busy >= burst - ADMIT_HIGH as u64,
+            "a burst held past the high mark must shed: {busy} shed"
         );
         assert!(ok > 0, "admitted requests still complete");
         let shed = cluster.metrics(0).stats().busy_shed - shed_before;
@@ -2083,9 +2017,11 @@ mod tests {
             r.arm_timers();
             let id = RequestId::new(ClientId(7), Seq(1));
             let write = Request::new(id, RequestKind::Write, Bytes::new());
-            for inbox in [None, Some((Addr::Client(id.client), Msg::Request(write)))] {
-                r.inbox.extend(inbox);
-                r.process_inbox();
+            for arrival in [None, Some((Addr::Client(id.client), Msg::Request(write)))] {
+                if let Some((from, msg)) = arrival {
+                    assert!(r.node.admit(from, msg).is_none());
+                }
+                r.step_queued();
                 r.flush_and_transmit();
                 r.barrier_back(true);
             }

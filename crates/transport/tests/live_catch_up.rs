@@ -174,7 +174,6 @@ fn a_wiped_bootstrap_replica_wins_its_first_election_over_16_mib() {
     // stand in the way.
     let rcfg = ReactorConfig {
         send_queue_cap: 64 << 20,
-        ..ReactorConfig::default()
     };
     let cluster = launch(&root, rcfg);
     puts(&cluster.0, 0, 300, 64 << 10);
