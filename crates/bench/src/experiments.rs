@@ -800,8 +800,7 @@ fn follower_reads_with(seed: u64, per_client: u64) -> TableOut {
 ///   [`ClientLoop`] thread over three sockets;
 /// * **open-loop**: a fixed offered-rate sweep past saturation. Each
 ///   node's admission gate (`Node::admit`) sheds the excess with `Busy`
-///   and the reactor sends it (throughput plateaus, tail latency stays
-///   bounded).
+///   (throughput plateaus, tail latency stays bounded).
 ///
 /// The thread-per-connection transport and the hand-made virtual-client
 /// driver the earlier rows ran on are gone; their rows are frozen in

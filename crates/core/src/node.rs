@@ -24,19 +24,11 @@
 //! barrier and puts the held messages back at the front of the node's
 //! queue, ahead of anything that arrived after them.
 //!
-//! ## Overload
-//!
-//! The node's backlog is what it has queued and what it holds behind a
-//! barrier. A client request that arrives with the backlog at
-//! [`ADMIT_HIGH`] is not queued: [`Node::admit`] hands back its `Busy`
-//! reply, in the envelope it came in, for the host to send at once,
-//! outside the outbox — the request never reaches a replica, so there is
-//! nothing for a barrier to cover. Shedding goes on until the backlog is
-//! down to [`ADMIT_LOW`], so a node at the mark does not flap between
-//! admitting and refusing. A host that steps every arrival at once (the
-//! simulator, the checker, the shuttles) has a backlog of one and never
-//! sheds; the reactor admits what a read brings and steps a bounded batch
-//! of it per cycle.
+//! The node's backlog is what it has queued and what it holds. From
+//! [`ADMIT_HIGH`] down to [`ADMIT_LOW`], [`Node::admit`] sheds a client
+//! request with the `Busy` reply the host sends at once, outside the
+//! outbox: it never reached a replica, so no barrier covers it. A host
+//! that steps each arrival at once has a backlog of one and never sheds.
 //!
 //! A node is the one owner of its process's stable storage, one
 //! [`NodeStorage`] for all its groups. The storage sits with one group at
@@ -74,8 +66,7 @@ use crate::storage::NodeStorage;
 use crate::types::{Addr, Dur, GroupId, Instance, ProcessId, Time};
 use std::collections::VecDeque;
 
-/// The backlog at which a node starts shedding client requests with
-/// `Busy`.
+/// The backlog at which a node starts shedding client requests.
 pub const ADMIT_HIGH: usize = 4096;
 
 /// The backlog at which a shedding node admits client requests again.
@@ -321,33 +312,31 @@ impl Node {
         let Some((from, msg)) = self.queue.pop_front() else {
             return false;
         };
-        // The backlog shrinks here: a latch that reaches the low mark
-        // opens now, not at the next request.
-        self.shedding();
         // Every message but the envelope is bare, whatever its variant.
         #[allow(clippy::wildcard_enum_match_arm)]
         let (g, inner) = match msg {
             Msg::Grouped { group, inner } => (group, *inner),
             bare => (GroupId::ZERO, bare),
         };
-        let Some(core) = self.groups.get_mut(g.0 as usize) else {
-            return true;
-        };
-        if self.behind.is_some() && !core.serves_beside_barrier(&inner) {
-            let msg = self.envelope(g, inner);
-            self.held.push_back((from, msg));
-            return true;
+        match self.groups.get(g.0 as usize) {
+            None => {}
+            Some(core) if self.behind.is_some() && !core.serves_beside_barrier(&inner) => {
+                let msg = self.envelope(g, inner);
+                self.held.push_back((from, msg));
+            }
+            Some(_) => self.step(g, timers, |core| core.on_message(from, inner, now)),
         }
-        self.step(g, timers, |core| core.on_message(from, inner, now));
+        // The backlog shrinks here, unless the message was held: a latch
+        // that reaches the low mark opens now, not at the next request.
+        self.shedding();
         true
     }
 
-    /// [`Node::admit`] a message and step everything queued: the drive of
-    /// a host that steps each arrival at once.
+    /// [`Node::admit`] a message and step everything queued.
     ///
     /// # Panics
-    /// If the message is shed, which takes a backlog of [`ADMIT_HIGH`]:
-    /// a host that can build one admits and steps on its own.
+    /// If the message is shed: a host that builds a backlog admits and
+    /// steps on its own.
     pub fn deliver(&mut self, from: Addr, msg: Msg, now: Time, timers: &mut TimerOps) {
         let shed = self.admit(from, msg);
         assert!(shed.is_none(), "shed by a host that steps each arrival");
@@ -449,11 +438,7 @@ impl Node {
     /// from [`ADMIT_HIGH`] on, until it is down to [`ADMIT_LOW`].
     fn shedding(&mut self) -> bool {
         let backlog = self.queue.len() + self.held.len();
-        self.shedding = if self.shedding {
-            backlog > ADMIT_LOW
-        } else {
-            backlog >= ADMIT_HIGH
-        };
+        self.shedding = backlog >= ADMIT_HIGH || (self.shedding && backlog > ADMIT_LOW);
         self.shedding
     }
 
@@ -1121,5 +1106,43 @@ mod tests {
         assert!(next(&mut n).is_none(), "at the low mark");
         assert!(next(&mut n).is_none(), "and above it");
         n.release(&mut Dropped);
+    }
+
+    /// A step that holds its message leaves the backlog as it was: a
+    /// shedding node one above the low mark that holds a write behind
+    /// the barrier away still sheds.
+    #[test]
+    fn a_held_step_does_not_reopen_the_gate() {
+        let (mut t, _lent) = away();
+        let (now, reads) = (t.now, (ADMIT_HIGH - ADMIT_LOW - 1) as u64);
+        let kind = |i| {
+            if i < reads {
+                RequestKind::Read
+            } else {
+                RequestKind::Write
+            }
+        };
+        let mut arrivals: Vec<Msg> = (0..=ADMIT_HIGH as u64)
+            .map(|i| t.request(10 + i, kind(i)))
+            .collect();
+        let (node, mut timers) = (&mut t.nodes[0], TimerOps::new());
+        let past = arrivals.pop().expect("one past the high mark");
+        for msg in arrivals {
+            assert!(node.admit(CLIENT, msg).is_none());
+        }
+        assert!(
+            node.admit(CLIENT, past.clone()).is_some(),
+            "at the high mark"
+        );
+        for _ in 0..=reads {
+            assert!(node.step_next(now, &mut timers));
+        }
+        let backlog = (node.queued(), node.held.len());
+        assert_eq!(
+            backlog,
+            (ADMIT_LOW, 1),
+            "the reads ran beside, the write held"
+        );
+        assert!(node.admit(CLIENT, past).is_some(), "one above the low mark");
     }
 }

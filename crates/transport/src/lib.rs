@@ -9,8 +9,7 @@
 //!   hosting every consensus group of a node and multiplexing thousands
 //!   of client connections over one loop thread, its fsync on a thread
 //!   of a process-wide pool while the loop serves reads, with explicit
-//!   backpressure (bounded send queues, suspended reads; the node's own
-//!   admission gate sheds requests it has no room for),
+//!   backpressure (bounded send queues; the node's gate sheds overload),
 //! * the client side ([`client`]): one thread driving any number of
 //!   sans-io client cores over one socket per replica, and the blocking
 //!   [`SyncClient`] that is that loop with one core, mapping wall-clock
